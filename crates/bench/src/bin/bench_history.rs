@@ -121,6 +121,13 @@ fn gate_rule(metric: &str) -> Option<GateRule> {
         // catching a 20 % regression.
         return Some(GateRule { rel: 0.10, abs: 1e-3 });
     }
+    if leaf == "us_per_call_new" {
+        // `gemm_recompress` kernel time per call, in µs, a mean over
+        // repetitions rather than a minimum: a wider envelope than the
+        // wall-clock rule, still far inside the 3x the QR-preconditioned
+        // SVD bought at the high-rank point.
+        return Some(GateRule { rel: 0.25, abs: 1.0 });
+    }
     None
 }
 
@@ -415,6 +422,23 @@ mod tests {
             row("e", "new", 4, "tasks", 1000.0),
         ];
         assert!(gate(&history, &current).is_empty());
+    }
+
+    #[test]
+    fn recompress_call_time_is_gated_and_its_reference_is_not() {
+        let history = vec![
+            row("gemm_recompress", "old", 2, "points.9.us_per_call_new", 3200.0),
+            row("gemm_recompress", "old", 2, "points.9.us_per_call_ref", 160000.0),
+        ];
+        let slow = vec![
+            row("gemm_recompress", "new", 2, "points.9.us_per_call_new", 9600.0),
+            row("gemm_recompress", "new", 2, "points.9.us_per_call_ref", 480000.0),
+        ];
+        let v = gate(&history, &slow);
+        assert_eq!(v.len(), 1, "losing the 3x must trip, the baseline column never");
+        assert_eq!(v[0].metric, "points.9.us_per_call_new");
+        let jitter = vec![row("gemm_recompress", "new", 2, "points.9.us_per_call_new", 3700.0)];
+        assert!(gate(&history, &jitter).is_empty(), "15% run-to-run spread must pass");
     }
 
     #[test]

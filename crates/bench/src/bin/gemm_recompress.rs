@@ -9,14 +9,20 @@
 //! heap allocations per `gemm_kernel` call after warm-up (the acceptance
 //! target is exactly zero in steady state).
 //!
+//! The grid ends in one high-rank point (`b = 150`, rank 60, factor
+//! columns decaying from 1 to the accuracy like a compressed kernel
+//! tile): the regime where the small SVD, not the `b`-sized QRs, sets
+//! the cost. Every point also reports the Jacobi sweeps of its
+//! recompression SVD and the SVD's share of the call.
+//!
 //! `--smoke` shrinks the grid to one tiny point for CI.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tlr_compress::kernels::{gemm_kernel_ws, reference, KernelWorkspace};
+use tlr_compress::kernels::{gemm_kernel_ws, reference, KernelWorkspace, PRETRUNCATION_SHARE};
 use tlr_compress::{CompressionConfig, Tile};
-use tlr_linalg::{gemm_serial, Matrix, Trans};
+use tlr_linalg::{gemm_serial, jacobi_svd_into, Matrix, Qr, Svd, SvdWork, Trans};
 
 /// Forwarding allocator that counts `alloc`/`realloc` calls so the bench
 /// can assert the steady-state hot path touches the heap zero times.
@@ -62,26 +68,69 @@ fn mixed_factor(rows: usize, k: usize, phase: f64, decay: f64, seed: usize) -> M
 
 /// The three tiles of one update `C −= A·Bᵀ`: `A.u` and `C.u` share one
 /// mode family, `B.u` and `C.v` share another (the product's row space
-/// lives in `span(B.u)`).
-fn update_operands(b: usize, rank: usize) -> (Tile, Tile, Tile) {
+/// lives in `span(B.u)`). `decay` is the per-mode weight ratio of the
+/// `u`, `v` and destination factors.
+fn update_operands(b: usize, rank: usize, decay: [f64; 3]) -> (Tile, Tile, Tile) {
+    let [du, dv, dc] = decay;
     let a = Tile::LowRank {
-        u: mixed_factor(b, rank, 0.0, 0.5, 1),
-        v: mixed_factor(b, rank, 1.0, 0.7, 2),
+        u: mixed_factor(b, rank, 0.0, du, 1),
+        v: mixed_factor(b, rank, 1.0, dv, 2),
     };
     let bt = Tile::LowRank {
-        u: mixed_factor(b, rank, 2.0, 0.5, 3),
-        v: mixed_factor(b, rank, 1.0, 0.7, 4),
+        u: mixed_factor(b, rank, 2.0, du, 3),
+        v: mixed_factor(b, rank, 1.0, dv, 4),
     };
     let c = Tile::LowRank {
-        u: mixed_factor(b, rank, 0.0, 0.6, 5),
-        v: mixed_factor(b, rank, 2.0, 0.6, 6),
+        u: mixed_factor(b, rank, 0.0, dc, 5),
+        v: mixed_factor(b, rank, 2.0, dc, 6),
     };
     (a, bt, c)
+}
+
+/// Mode weights of the synthetic grid: steep, so the ranks that matter
+/// are far below the stored ones.
+const STEEP: [f64; 3] = [0.5, 0.7, 0.6];
+
+/// Mode weights falling from 1 to `accuracy` over `rank` modes — the
+/// singular-value profile of a kernel tile compressed at that accuracy,
+/// where all `rank` stored columns carry weight.
+fn kernel_like(rank: usize, accuracy: f64) -> [f64; 3] {
+    [accuracy.powf(1.0 / rank as f64); 3]
+}
+
+/// The core `R_u·R_vᵀ` that `gemm_kernel_ws` hands to the SVD for this
+/// update (low-rank operands and destination, `rank(A) ≤ rank(B)`), built
+/// from public pieces so the SVD can be timed on its own.
+fn recompression_core(a: &Tile, bt: &Tile, c: &Tile) -> Matrix {
+    let (Tile::LowRank { u: ua, v: va }, Tile::LowRank { u: ub, v: vb }, Tile::LowRank { u: uc, v: vc }) =
+        (a, bt, c)
+    else {
+        unreachable!("bench operands are low-rank")
+    };
+    let (kc, ka) = (uc.cols(), ua.cols());
+    let mut w = Matrix::zeros(ka, ub.cols());
+    gemm_serial(Trans::Yes, Trans::No, 1.0, va, vb, 0.0, &mut w);
+    let mut vp = Matrix::zeros(ub.rows(), ka);
+    gemm_serial(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, &mut vp);
+    let mut neg_ua = ua.clone();
+    neg_ua.scale(-1.0);
+    let stack = |x: &Matrix, y: &Matrix| {
+        let mut s = Matrix::zeros(x.rows(), kc + ka);
+        s.set_submatrix(0, 0, x);
+        s.set_submatrix(0, kc, y);
+        Qr::new(s).r()
+    };
+    let (ru, rv) = (stack(uc, &neg_ua), stack(vc, &vp));
+    let mut core = Matrix::zeros(ru.rows(), rv.rows());
+    gemm_serial(Trans::No, Trans::Yes, 1.0, &ru, &rv, 0.0, &mut core);
+    core
 }
 
 struct Point {
     b: usize,
     rank: usize,
+    svd_sweeps: usize,
+    svd_share: f64,
     us_per_call_new: f64,
     us_per_call_ref: f64,
     speedup: f64,
@@ -141,8 +190,14 @@ fn microkernel_speedup(b: usize, rank: usize, reps: usize) -> f64 {
 
 /// Time one (tile size, rank) grid point: both paths on identical
 /// pre-cloned destinations, then the steady-state allocation count.
-fn run_point(b: usize, rank: usize, reps: usize, config: &CompressionConfig) -> Point {
-    let (a, bt, c0) = update_operands(b, rank);
+fn run_point(
+    b: usize,
+    rank: usize,
+    decay: [f64; 3],
+    reps: usize,
+    config: &CompressionConfig,
+) -> Point {
+    let (a, bt, c0) = update_operands(b, rank, decay);
 
     let mut ws = KernelWorkspace::new();
     // Warm-up: grow the arena to its high-water mark (and fault pages in
@@ -179,9 +234,23 @@ fn run_point(b: usize, rank: usize, reps: usize, config: &CompressionConfig) -> 
     gemm_kernel_ws(&mut ws, &a, &bt, &mut c, config);
     let allocs_per_call = ALLOCS.load(Ordering::Relaxed) - before;
 
+    // The SVD of this update's core on its own, with the floor the
+    // kernel passes: its sweeps, and its share of the call timed above.
+    let core = recompression_core(&a, &bt, &c0);
+    let floor = PRETRUNCATION_SHARE * config.accuracy;
+    let (mut svd, mut work) = (Svd::empty(), SvdWork::new());
+    jacobi_svd_into(&core, floor, &mut svd, &mut work);
+    let t0 = std::time::Instant::now();
+    for _ in 0..reps {
+        jacobi_svd_into(std::hint::black_box(&core), floor, &mut svd, &mut work);
+    }
+    let t_svd = t0.elapsed().as_secs_f64() / reps as f64;
+
     Point {
         b,
         rank,
+        svd_sweeps: work.last_sweeps(),
+        svd_share: t_svd / t_new,
         us_per_call_new: t_new * 1e6,
         us_per_call_ref: t_ref * 1e6,
         speedup: t_ref / t_new,
@@ -194,31 +263,36 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let config = CompressionConfig::with_accuracy(1e-8);
 
-    let grid: Vec<(usize, usize)> = if smoke {
-        vec![(32, 4)]
+    let grid: Vec<(usize, usize, [f64; 3])> = if smoke {
+        vec![(32, 4, STEEP)]
     } else {
         let mut g = Vec::new();
         for b in [64usize, 128, 256] {
             for rank in [8usize, 16, 32] {
-                g.push((b, rank));
+                g.push((b, rank, STEEP));
             }
         }
+        // Last, so the indices of the points above stay what the
+        // bench-history ledger has recorded them under.
+        g.push((150, 60, kernel_like(60, config.accuracy)));
         g
     };
 
     let mut points = Vec::new();
-    for &(b, rank) in &grid {
+    for &(b, rank, decay) in &grid {
         let reps = if smoke { 20 } else { (4_000_000 / (b * b)).clamp(20, 400) };
-        let p = run_point(b, rank, reps, &config);
+        let p = run_point(b, rank, decay, reps, &config);
         eprintln!(
             "b={:<4} rank={:<3} new {:>9.1} us  ref {:>9.1} us  speedup {:.2}x  \
-             microkernel {:.2}x  allocs/call {}",
+             microkernel {:.2}x  svd {} sweeps, {:.0}% of the call  allocs/call {}",
             p.b,
             p.rank,
             p.us_per_call_new,
             p.us_per_call_ref,
             p.speedup,
             p.microkernel_speedup,
+            p.svd_sweeps,
+            100.0 * p.svd_share,
             p.allocs_per_call
         );
         points.push(p);
@@ -237,13 +311,16 @@ fn main() {
             format!(
                 "    {{\"b\": {}, \"rank\": {}, \"us_per_call_new\": {:.3}, \
                  \"us_per_call_ref\": {:.3}, \"speedup\": {:.3}, \
-                 \"microkernel_speedup\": {:.3}, \"allocs_per_call\": {}}}",
+                 \"microkernel_speedup\": {:.3}, \"svd_sweeps\": {}, \
+                 \"svd_share\": {:.3}, \"allocs_per_call\": {}}}",
                 p.b,
                 p.rank,
                 p.us_per_call_new,
                 p.us_per_call_ref,
                 p.speedup,
                 p.microkernel_speedup,
+                p.svd_sweeps,
+                p.svd_share,
                 p.allocs_per_call
             )
         })
@@ -262,7 +339,7 @@ fn main() {
          \"mode\": \"{}\",\n  \
          \"accuracy\": 1e-8,\n  \
          \"kernel_path\": \"{kernel_path}\",\n  \
-         \"baseline\": \"kernels::reference (explicit-Q, allocating)\",\n  \
+         \"baseline\": \"kernels::reference (explicit-Q, allocating, plain cyclic Jacobi)\",\n  \
          \"min_speedup_b128\": {b128},\n  \
          \"max_allocs_per_call\": {max_allocs},\n  \
          \"points\": [\n{}\n  ]\n}}\n",

@@ -575,6 +575,14 @@ fn shared_attempt(
     let verify_reads = cfg.integrity == IntegrityMode::VerifyReads;
 
     let compression = cfg.compression();
+    // The per-task finiteness assertion below looks for a kernel that
+    // turns finite tiles into non-finite ones. A matrix that arrives
+    // poisoned is the caller's data, not a kernel bug: it has to reach
+    // the typed pivot failure in debug builds as it does in release.
+    #[cfg(debug_assertions)]
+    let inputs_finite = cells
+        .iter()
+        .all(|c| c.read().to_dense().as_slice().iter().all(|v| v.is_finite()));
     let error: Mutex<Option<CholeskyError>> = Mutex::new(None);
     // Flipped on the first pivot failure: the engine then drains the
     // remaining tasks without invoking their kernels at all.
@@ -722,7 +730,7 @@ fn shared_attempt(
             }
         }
         #[cfg(debug_assertions)]
-        if !cancel.load(Ordering::Acquire) {
+        if inputs_finite && !cancel.load(Ordering::Acquire) {
             // Pin down the first kernel that produces a non-finite value
             // (skipped once cancelled: a failed POTRF leaves its tile in a
             // legitimately half-factored state).

@@ -5,14 +5,15 @@
 //! the accuracy threshold. The resulting `Q·R` pair is then put into the
 //! canonical `U·Vᵀ` form. Three outcomes are possible:
 //!
-//! * the very first pivot is already below the threshold → [`Tile::Null`],
+//! * the whole tile is already below the threshold → [`Tile::Null`]
+//!   (decided from the column norms, before anything is copied),
 //! * the numerical rank is small enough that the factorized form is
 //!   cheaper than dense storage → [`Tile::LowRank`],
 //! * otherwise the tile is kept [`Tile::Dense`] (compression would only
 //!   waste memory and flops).
 
 use crate::tile::Tile;
-use tlr_linalg::{ColPivQr, Matrix};
+use tlr_linalg::{ColPivQr, ColPivScratch, Matrix};
 
 /// Parameters of the compression step.
 #[derive(Debug, Clone, Copy)]
@@ -76,10 +77,19 @@ pub fn compress_tile(a: Matrix, config: &CompressionConfig) -> Tile {
     if rows == 0 || cols == 0 {
         return Tile::Null { rows, cols };
     }
-    let dense_backup = a.clone();
-    let f = ColPivQr::with_tolerance(a, config.accuracy, config.max_rank.min(rows.min(cols)));
+    // Take the column norms first and decide `Null` from them — the very
+    // test the factorization makes before its first pivot — so that only
+    // tiles that go on pay for the copy a `Dense` outcome hands back
+    // (nine tiles in ten of a sparse operator end here).
+    let mut f = ColPivQr::unfactored_in(a, ColPivScratch::default());
+    if f.trailing_below(config.accuracy) {
+        return Tile::Null { rows, cols };
+    }
+    let dense_backup = f.factors().clone();
+    f.advance(config.accuracy, config.max_rank);
     let k = f.rank();
     if k == 0 {
+        // Only `max_rank == 0` gets here.
         return Tile::Null { rows, cols };
     }
     // If we hit max_rank while the trailing block is still above the
@@ -192,5 +202,22 @@ mod tests {
     fn empty_tile_is_null() {
         let t = compress_tile(Matrix::zeros(0, 5), &CompressionConfig::default());
         assert!(t.is_null());
+    }
+
+    #[test]
+    fn null_decision_is_the_pivoted_qr_rank_zero() {
+        // Tiles scaled to sit just above, at and just below the
+        // threshold: `Null` exactly when the factorization itself would
+        // stop before its first pivot.
+        let base = rand_mat(12, 12, 15);
+        let norm = frobenius_norm(&base);
+        for rel in [0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0] {
+            let cfg = CompressionConfig::with_accuracy(norm * rel);
+            let rank0 = ColPivQr::with_tolerance(base.clone(), cfg.accuracy, usize::MAX).rank() == 0;
+            assert_eq!(compress_tile(base.clone(), &cfg).is_null(), rank0, "rel {rel}");
+        }
+        // A rank cap of zero admits nothing either.
+        let cfg = CompressionConfig { accuracy: 0.0, max_rank: 0, keep_dense_ratio: 1.0 };
+        assert!(compress_tile(base, &cfg).is_null());
     }
 }

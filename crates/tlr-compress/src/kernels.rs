@@ -20,7 +20,7 @@
 //! # Workspace & implicit-Q recompression
 //!
 //! The recompression step dominates TLR factorization time, so it runs
-//! through two machineries that remove every per-call overhead:
+//! through three machineries that remove its avoidable cost:
 //!
 //! * **Per-worker [`KernelWorkspace`] arena.** Every intermediate of
 //!   `gemm_kernel`/`subtract_lowrank`/`syrk_kernel`/recompression — the
@@ -47,6 +47,14 @@
 //!   (`gemm_serial_into_cols`) with the update's `−1` sign folded into
 //!   the write, so neither operand factor is ever cloned or negated via
 //!   a copy.
+//!
+//! * **Truncation-aware core SVD.** The small core `R_u·R_vᵀ` goes
+//!   through [`tlr_linalg::jacobi_svd_into`] with a floor of
+//!   [`PRETRUNCATION_SHARE`]` · accuracy`: its pivoted QR stops where the
+//!   rest of the core is below the floor, and Jacobi iterates on about
+//!   as many columns as will survive instead of on the stacked rank.
+//!   What the floor cut is counted in the truncation budget, so the
+//!   result still satisfies `‖U_s·V_sᵀ − U·Vᵀ‖_F ≤ accuracy`.
 //!
 //! The pre-workspace path is preserved verbatim in [`reference`](mod@reference) as a
 //! same-run measurement baseline (`cargo run --release -p tlr-bench
@@ -150,7 +158,7 @@ impl KernelWorkspace {
             pool: Vec::new(),
             out_pool: Vec::new(),
             taus: Vec::new(),
-            svd: Svd { u: Matrix::zeros(0, 0), s: Vec::new(), v: Matrix::zeros(0, 0) },
+            svd: Svd::empty(),
             svd_work: SvdWork::new(),
             #[cfg(feature = "obs")]
             alloc_events: 0,
@@ -619,6 +627,14 @@ fn copy_cols_scaled(dst: &mut Matrix, j0: usize, src: &Matrix, alpha: f64) {
     }
 }
 
+/// Share of `accuracy` that recompression lets the SVD's pivoted QR cut
+/// off before the Jacobi iteration, so that it iterates on about as many
+/// columns as survive truncation instead of on the whole stacked rank.
+/// The budget is quadratic — `discarded² + tail² ≤ accuracy²`, both terms
+/// counted by `Svd::rank_at_frobenius` — so a hundredth of the accuracy
+/// takes 1e-4 of it, which moved no rank on any benchmark workload.
+pub const PRETRUNCATION_SHARE: f64 = 0.01;
+
 /// Recompress a stacked `U_s·V_sᵀ` product into canonical tile form using
 /// the workspace: QR of both stacked factors (`tau` buffers recycled),
 /// SVD of the small core into the arena's reusable output, then
@@ -650,7 +666,8 @@ fn recompress_ws(
     // Core = Ru · Rvᵀ (ku × kv), small.
     let mut core = ws.take(ku, kv);
     gemm_serial(Trans::No, Trans::Yes, 1.0, &ru, &rv, 0.0, &mut core);
-    jacobi_svd_into(&core, &mut ws.svd, &mut ws.svd_work);
+    let floor = PRETRUNCATION_SHARE * config.accuracy;
+    jacobi_svd_into(&core, floor, &mut ws.svd, &mut ws.svd_work);
     ws.give(ru);
     ws.give(rv);
     ws.give(core);
@@ -714,20 +731,21 @@ pub mod reference {
     use super::*;
     use tlr_linalg::Svd;
 
-    /// The pre-PR one-sided Jacobi SVD, kept verbatim (fresh buffers,
-    /// three dot products per pair scan, recursive transpose handling,
-    /// stable sort). The shared [`tlr_linalg::jacobi_svd_into`] has since
-    /// been optimized (cached column norms), so the honest pre-PR
-    /// baseline needs its own frozen copy.
-    fn jacobi_svd_reference(a: &Matrix) -> Svd {
+    /// The plain cyclic one-sided Jacobi SVD the engine started from,
+    /// kept verbatim (fresh buffers, three dot products per pair scan,
+    /// recursive transpose handling, stable sort, no preconditioning).
+    /// [`tlr_linalg::jacobi_svd_into`] has since gained cached column
+    /// norms and the pivoted-QR preconditioner, so the baseline needs
+    /// its own frozen copy; the SVD proptests compare against it.
+    pub fn jacobi_svd_reference(a: &Matrix) -> Svd {
         if a.rows() < a.cols() {
             let t = jacobi_svd_reference(&a.transpose());
-            return Svd { u: t.v, s: t.s, v: t.u };
+            return Svd { u: t.v, s: t.s, v: t.u, discarded: 0.0 };
         }
         let m = a.rows();
         let n = a.cols();
         if n == 0 {
-            return Svd { u: Matrix::zeros(m, 0), s: vec![], v: Matrix::zeros(0, 0) };
+            return Svd { u: Matrix::zeros(m, 0), s: vec![], v: Matrix::zeros(0, 0), discarded: 0.0 };
         }
         let mut w = a.clone();
         let mut v = Matrix::identity(n);
@@ -807,7 +825,7 @@ pub mod reference {
             let vvc = vv.col_mut(dst);
             vvc.copy_from_slice(vc);
         }
-        Svd { u, s, v: vv }
+        Svd { u, s, v: vv, discarded: 0.0 }
     }
 
     /// Pre-workspace [`super::gemm_kernel`]: identical semantics, fresh

@@ -12,7 +12,8 @@
 //! * LAPACK-style factorizations: [`potrf`] (Cholesky), [`Qr`] (Householder
 //!   QR), [`ColPivQr`] (rank-revealing QR with column pivoting and
 //!   threshold-based early termination — the workhorse of TLR compression),
-//!   and [`jacobi_svd`] (one-sided Jacobi SVD for small/medium matrices),
+//!   and [`jacobi_svd`] (one-sided Jacobi SVD, preconditioned by the pivoted
+//!   QR, for small/medium matrices),
 //! * triangular solves and norm/error utilities.
 //!
 //! All computation is `f64`; the paper's experiments are double precision.
@@ -49,5 +50,5 @@ pub use checksum::Checksum;
 pub use chol::{potrf, potrf_unblocked, trsv_lower, trsv_lower_trans, CholeskyError};
 pub use matrix::Matrix;
 pub use norms::{frobenius_norm, max_abs, relative_diff};
-pub use qr::{ColPivQr, Qr};
+pub use qr::{ColPivQr, ColPivScratch, Qr};
 pub use svd::{jacobi_svd, jacobi_svd_into, Svd, SvdWork};

@@ -232,12 +232,43 @@ fn apply_stored_reflector(factors: &Matrix, col: usize, tau: f64, target: &mut M
 /// Factors `A·P ≈ Q_k · R_k` where `k` is the smallest prefix such that the
 /// trailing (unfactored) block has `‖·‖_F ≤ tol`. `k == 0` means the whole
 /// tile is below the threshold (a **null** tile in TLR terms).
+///
+/// The factorization is resumable: [`ColPivQr::unfactored_in`] takes the
+/// column norms and stops at rank 0, [`ColPivQr::advance`] eliminates
+/// columns until the threshold or a rank cap is met. Callers that only
+/// need the result use [`ColPivQr::with_tolerance`]; callers that must
+/// look at the input between the two steps (tile compression deciding
+/// `Null` before it copies the tile) drive them apart.
 pub struct ColPivQr {
     factors: Matrix,
+    scratch: ColPivScratch,
+    rank: usize,
+}
+
+/// The index and coefficient buffers of a [`ColPivQr`], recycled across
+/// factorizations by [`ColPivQr::unfactored_in`] /
+/// [`ColPivQr::into_parts`] (the pivoted counterpart of the `taus`
+/// vector [`Qr::new_in`] takes).
+#[derive(Default)]
+pub struct ColPivScratch {
     taus: Vec<f64>,
     /// `perm[j]` = original column index now in position `j`.
     perm: Vec<usize>,
-    rank: usize,
+    /// Running squared column norms of the trailing block.
+    colnorm2: Vec<f64>,
+    /// Reference norms for the downdating-accuracy guard.
+    colnorm2_ref: Vec<f64>,
+}
+
+impl ColPivScratch {
+    /// Total elements retained across the buffers — the footprint an
+    /// arena reports as its high-water mark.
+    pub fn retained_len(&self) -> usize {
+        self.taus.capacity()
+            + self.perm.capacity()
+            + self.colnorm2.capacity()
+            + self.colnorm2_ref.capacity()
+    }
 }
 
 impl ColPivQr {
@@ -245,30 +276,52 @@ impl ColPivQr {
     /// or at `max_rank` columns, whichever comes first.
     ///
     /// `max_rank = usize::MAX` disables the rank cap.
-    pub fn with_tolerance(mut a: Matrix, tol: f64, max_rank: usize) -> Self {
-        let m = a.rows();
+    pub fn with_tolerance(a: Matrix, tol: f64, max_rank: usize) -> Self {
+        let mut f = Self::unfactored_in(a, ColPivScratch::default());
+        f.advance(tol, max_rank);
+        f
+    }
+
+    /// Take `a` and its column norms and eliminate nothing yet
+    /// (`rank() == 0`, [`ColPivQr::factors`] is still `a`). `scratch` is
+    /// cleared and refilled, so a hot caller factors repeatedly with no
+    /// heap traffic once the buffers have grown to size.
+    pub fn unfactored_in(a: Matrix, mut scratch: ColPivScratch) -> Self {
         let n = a.cols();
+        scratch.taus.clear();
+        scratch.perm.clear();
+        scratch.perm.extend(0..n);
+        scratch.colnorm2.clear();
+        scratch.colnorm2.extend((0..n).map(|j| {
+            let s = frobenius_norm_slice(a.col(j));
+            s * s
+        }));
+        scratch.colnorm2_ref.clear();
+        scratch.colnorm2_ref.extend_from_slice(&scratch.colnorm2);
+        Self { factors: a, scratch, rank: 0 }
+    }
+
+    /// Is the running estimate of the unfactored block's Frobenius norm
+    /// `≤ tol`? This is the stopping test of [`ColPivQr::advance`]; at
+    /// rank 0 it says whether the whole input is a null tile.
+    pub fn trailing_below(&self, tol: f64) -> bool {
+        let trailing2: f64 = self.scratch.colnorm2[self.rank..].iter().sum();
+        trailing2.max(0.0).sqrt() <= tol
+    }
+
+    /// Eliminate pivoted columns until [`ColPivQr::trailing_below`]`(tol)`
+    /// holds or `max_rank` columns are factored.
+    pub fn advance(&mut self, tol: f64, max_rank: usize) {
+        let m = self.factors.rows();
+        let n = self.factors.cols();
         let kmax = m.min(n).min(max_rank);
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut taus = Vec::with_capacity(kmax);
-
-        // Running squared column norms of the trailing block.
-        let mut colnorm2: Vec<f64> = (0..n)
-            .map(|j| {
-                let s = frobenius_norm_slice(a.col(j));
-                s * s
-            })
-            .collect();
-        // Reference norms for the downdating-accuracy guard.
-        let mut colnorm2_ref = colnorm2.clone();
-
-        let mut rank = 0;
-        while rank < kmax {
-            // Trailing Frobenius norm² = Σ_{j ≥ rank} colnorm2[j]
-            let trailing2: f64 = colnorm2[rank..].iter().sum();
-            if trailing2.max(0.0).sqrt() <= tol {
+        while self.rank < kmax {
+            if self.trailing_below(tol) {
                 break;
             }
+            let rank = self.rank;
+            let a = &mut self.factors;
+            let ColPivScratch { taus, perm, colnorm2, colnorm2_ref } = &mut self.scratch;
             // Pivot: bring the largest remaining column to position `rank`.
             let (jmax, _) = colnorm2[rank..]
                 .iter()
@@ -282,9 +335,9 @@ impl ColPivQr {
                 colnorm2.swap(rank, jmax);
                 colnorm2_ref.swap(rank, jmax);
             }
-            let tau = make_householder(&mut a, rank, rank);
+            let tau = make_householder(a, rank, rank);
             if rank + 1 < n {
-                apply_householder_left(&mut a, rank, rank, tau, rank + 1);
+                apply_householder_left(a, rank, rank, tau, rank + 1);
             }
             taus.push(tau);
             // Downdate trailing column norms: subtract the just-eliminated row.
@@ -301,14 +354,38 @@ impl ColPivQr {
                     colnorm2[j] = updated.max(0.0);
                 }
             }
-            rank += 1;
+            self.rank += 1;
         }
-        Self { factors: a, taus, perm, rank }
     }
 
     /// The numerical rank at the requested tolerance.
     pub fn rank(&self) -> usize {
         self.rank
+    }
+
+    /// The working storage: the input itself while `rank() == 0`,
+    /// afterwards the Householder vectors below the diagonal of the first
+    /// `rank()` columns, `R` on and above it, and the unfactored block.
+    pub fn factors(&self) -> &Matrix {
+        &self.factors
+    }
+
+    /// `perm()[j]` is the original index of the column now in position `j`.
+    pub fn perm(&self) -> &[usize] {
+        &self.scratch.perm
+    }
+
+    /// Frobenius norm of the unfactored block (rows and columns from
+    /// `rank()` on), summed from its entries. [`ColPivQr::trailing_below`]
+    /// tests a downdated estimate of this; a caller that charges the
+    /// truncation to an error budget needs what was actually cut.
+    pub fn trailing_norm(&self) -> f64 {
+        let (m, k) = (self.factors.rows(), self.rank);
+        let ssq = (k..self.factors.cols()).fold(0.0, |acc, j| {
+            let s = frobenius_norm_slice(&self.factors.col(j)[k..m]);
+            acc + s * s
+        });
+        ssq.sqrt()
     }
 
     /// The thin orthogonal factor `Q_k` (`m × rank`).
@@ -319,10 +396,22 @@ impl ColPivQr {
         for j in 0..k {
             q[(j, j)] = 1.0;
         }
-        for j in (0..k).rev() {
-            apply_stored_reflector(&self.factors, j, self.taus[j], &mut q);
-        }
+        self.apply_q_in_place(&mut q);
         q
+    }
+
+    /// `target := Q · target` for an `m`-row `target`, by implicit
+    /// application of the stored reflectors. With `target = [X; 0]` this
+    /// is `Q_k · X` without forming `Q_k`. Allocation-free.
+    pub fn apply_q_in_place(&self, target: &mut Matrix) {
+        assert_eq!(
+            target.rows(),
+            self.factors.rows(),
+            "apply_q_in_place: target must have m rows"
+        );
+        for j in (0..self.rank).rev() {
+            apply_stored_reflector(&self.factors, j, self.scratch.taus[j], target);
+        }
     }
 
     /// `R_k · Pᵀ` — the `rank × n` factor with the pivoting folded back so
@@ -332,12 +421,32 @@ impl ColPivQr {
         let n = self.factors.cols();
         let mut r = Matrix::zeros(k, n);
         for j in 0..n {
-            let orig = self.perm[j];
+            let orig = self.scratch.perm[j];
             for i in 0..k.min(j + 1) {
                 r[(i, orig)] = self.factors[(i, j)];
             }
         }
         r
+    }
+
+    /// Write `R_kᵀ` (`n × rank`, lower-trapezoidal, columns still in
+    /// pivoted order) into `out`, reshaped in place.
+    pub fn rt_into(&self, out: &mut Matrix) {
+        let k = self.rank;
+        let n = self.factors.cols();
+        out.reset(n, k);
+        for j in 0..n {
+            for i in 0..k.min(j + 1) {
+                out[(j, i)] = self.factors[(i, j)];
+            }
+        }
+    }
+
+    /// Decompose into the matrix storage and the scratch buffers so a
+    /// workspace can recycle both (inverse of
+    /// [`ColPivQr::unfactored_in`]).
+    pub fn into_parts(self) -> (Matrix, ColPivScratch) {
+        (self.factors, self.scratch)
     }
 }
 
@@ -574,5 +683,60 @@ mod tests {
         let r_tight = ColPivQr::with_tolerance(a, 1e-6, usize::MAX).rank();
         assert!(r_loose <= r_mid && r_mid <= r_tight);
         assert!(r_tight <= 20);
+    }
+
+    #[test]
+    fn stepwise_factorization_equals_one_shot() {
+        // `unfactored_in` + `advance` in two legs lands where
+        // `with_tolerance` does, bit for bit, on recycled buffers.
+        let a = low_rank_mat(18, 14, 9, 900);
+        let one_shot = ColPivQr::with_tolerance(a.clone(), 1e-6, usize::MAX);
+        let stale = ColPivQr::with_tolerance(rand_mat(30, 25, 901), 0.0, usize::MAX);
+        let (_, scratch) = stale.into_parts();
+        let mut f = ColPivQr::unfactored_in(a.clone(), scratch);
+        assert_eq!(f.rank(), 0);
+        assert_eq!(f.factors().as_slice(), a.as_slice());
+        assert!(!f.trailing_below(1e-6));
+        f.advance(1e-6, 3);
+        assert_eq!(f.rank(), 3);
+        f.advance(1e-6, usize::MAX);
+        assert_eq!(f.rank(), one_shot.rank());
+        assert_eq!(f.perm(), one_shot.perm());
+        assert_eq!(f.factors().as_slice(), one_shot.factors().as_slice());
+        assert!(f.trailing_below(1e-6));
+    }
+
+    #[test]
+    fn trailing_norm_is_the_truncation_error() {
+        let a = low_rank_mat(20, 20, 12, 910);
+        let f = ColPivQr::with_tolerance(a.clone(), 1e-3, usize::MAX);
+        assert!(f.rank() > 0 && f.rank() < 12);
+        let mut recon = Matrix::zeros(20, 20);
+        gemm(Trans::No, Trans::No, 1.0, &f.q_thin(), &f.r_unpermuted(), 0.0, &mut recon);
+        recon.axpy(-1.0, &a);
+        let err = frobenius_norm(&recon);
+        assert!((f.trailing_norm() - err).abs() <= 1e-14, "{} vs {err}", f.trailing_norm());
+        assert!(f.trailing_norm() <= 1e-3);
+        // Nothing left once every column is factored.
+        assert_eq!(ColPivQr::with_tolerance(a, 0.0, usize::MAX).trailing_norm(), 0.0);
+    }
+
+    #[test]
+    fn rt_and_implicit_q_reproduce_the_pivoted_input() {
+        // A·P = Q_k·R_k for a full factorization: apply Q to [R_kᵀ]ᵀ
+        // padded with zero rows and compare with the permuted columns.
+        let a = rand_mat(9, 6, 920);
+        let f = ColPivQr::with_tolerance(a.clone(), 0.0, usize::MAX);
+        let mut rt = Matrix::zeros(0, 0);
+        f.rt_into(&mut rt);
+        assert_eq!((rt.rows(), rt.cols()), (6, 6));
+        let mut qr = Matrix::zeros(9, 6);
+        qr.set_submatrix(0, 0, &rt.transpose());
+        f.apply_q_in_place(&mut qr);
+        for (j, &orig) in f.perm().iter().enumerate() {
+            for i in 0..9 {
+                assert!((qr[(i, j)] - a[(i, orig)]).abs() < 1e-14);
+            }
+        }
     }
 }

@@ -219,3 +219,39 @@ fn workspace_factorization_matches_reference_kernels() {
         "workspace vs reference factorization diverged: {diff}"
     );
 }
+
+/// A `NaN` in one off-diagonal tile must come back as the typed pivot
+/// failure of the diagonal tile it spreads to, never as a kernel panic:
+/// the recompression SVD of every update the tile takes part in sees a
+/// non-finite core (it used to die in a `partial_cmp().unwrap()` sort),
+/// and must neither panic, nor spin, nor truncate the poison away.
+#[test]
+fn nan_poisoned_tile_is_a_typed_numeric_error() {
+    use hicma_parsec::cholesky::{RunError, Session};
+    use hicma_parsec::tlr::Tile;
+
+    let (points, kernel) = fixture(2, 200, 21);
+    let accuracy = 1e-7;
+    let ccfg = CompressionConfig::with_accuracy(accuracy);
+    let mut a = TlrMatrix::from_generator(points.len(), 50, kernel.generator(&points), &ccfg);
+    // Last low-rank tile of panel 0. POTRF of its row's diagonal tile
+    // comes after every update of that row, so the step-0 GEMMs that
+    // recompress the poisoned product run before anything can cancel.
+    let row = (1..a.nt())
+        .rev()
+        .find(|&i| matches!(a.tile(i, 0), Tile::LowRank { .. }))
+        .expect("panel 0 has a low-rank tile");
+    assert!(
+        (1..row).any(|n| !a.tile(n, 0).is_null() && !matches!(a.tile(row, n), Tile::Dense(_))),
+        "no step-0 update of row {row} goes through recompression"
+    );
+    match a.tile_mut(row, 0) {
+        Tile::LowRank { u, .. } => u[(0, 0)] = f64::NAN,
+        _ => unreachable!(),
+    }
+    match Session::shared(FactorConfig::with_accuracy(accuracy)).run(&mut a) {
+        Err(RunError::Numeric(_)) => {}
+        Err(other) => panic!("expected a numeric error, got {other}"),
+        Ok(_) => panic!("a NaN-poisoned matrix factorized"),
+    }
+}

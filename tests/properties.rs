@@ -1,18 +1,21 @@
 //! Property-based tests (proptest) on the core invariants of the stack:
 //! compression error bounds, kernel format-equivalence, Cholesky
 //! reconstruction, Hilbert permutation validity, Algorithm-1 analysis
-//! invariants, and DES lower bounds.
+//! invariants, DES lower bounds, and the recompression SVD against its
+//! frozen baseline together with the accuracy contract built on it.
 
 use hicma_parsec::cholesky::simulate::{simulate_cholesky, DistributionPlan, SimConfig};
 use hicma_parsec::cholesky::MatrixAnalysis;
 use hicma_parsec::distribution::{
     BandDistribution, DiamondDistribution, LorapoHybrid, TileDistribution, TwoDBlockCyclic,
 };
-use hicma_parsec::linalg::{gemm, potrf, Matrix, Trans};
+use hicma_parsec::linalg::{gemm, jacobi_svd_into, potrf, Matrix, Qr, Svd, SvdWork, Trans};
 use hicma_parsec::mesh::hilbert::hilbert_sort;
 use hicma_parsec::mesh::Point3;
 use hicma_parsec::runtime::{MachineModel, SchedPolicy};
-use hicma_parsec::tlr::kernels::{gemm_kernel, gemm_kernel_ws, reference, KernelWorkspace};
+use hicma_parsec::tlr::kernels::{
+    gemm_kernel, gemm_kernel_ws, reference, subtract_lowrank_ws, KernelWorkspace,
+};
 use hicma_parsec::tlr::{compress_tile, CompressionConfig, RankSnapshot, Tile};
 use proptest::prelude::*;
 
@@ -328,6 +331,169 @@ proptest! {
             let r = simulate_cholesky(&snap, &cfg);
             prop_assert!(r.factorization_seconds >= r.critical_path_seconds - 1e-12,
                 "{:?}: {} < CP {}", plan, r.factorization_seconds, r.critical_path_seconds);
+        }
+    }
+}
+
+/// `b × b` Gaussian-kernel block between two clusters of Halton points
+/// whose bounding squares are `gap` apart: the smooth, fast-decaying
+/// off-diagonal tile TLR compression is made for.
+fn kernel_tile(b: usize, width: f64, gap: f64) -> Matrix {
+    let halton = |mut i: usize, base: usize| {
+        let (mut f, mut r) = (1.0, 0.0);
+        i += 1;
+        while i > 0 {
+            f /= base as f64;
+            r += f * (i % base) as f64;
+            i /= base;
+        }
+        r
+    };
+    Matrix::from_fn(b, b, |i, j| {
+        let dx = halton(i, 2) - (halton(j + 1000, 2) + 1.0 + gap);
+        let dy = halton(i, 3) - halton(j + 1000, 3);
+        (-(dx * dx + dy * dy) / (width * width)).exp()
+    })
+}
+
+/// The `U·Vᵀ` factors of a kernel tile compressed at `eps`.
+fn kernel_factors(b: usize, width: f64, gap: f64, eps: f64) -> (Matrix, Matrix) {
+    match compress_tile(kernel_tile(b, width, gap), &CompressionConfig::with_accuracy(eps)) {
+        Tile::LowRank { u, v } => (u, v),
+        other => panic!("kernel tile must compress, got {:?}", other.format()),
+    }
+}
+
+/// The core `R_u·R_vᵀ` the TLR GEMM hands to the SVD: two compressed
+/// kernel tiles, factors stacked side by side, QR of each stack.
+fn stacked_core(b: usize, width: f64, gap: f64) -> Matrix {
+    let (u1, v1) = kernel_factors(b, width, gap, 1e-9);
+    let (u2, v2) = kernel_factors(b, 1.2 * width, gap + 0.03, 1e-9);
+    let stack = |x: &Matrix, y: &Matrix| {
+        let mut s = Matrix::zeros(b, x.cols() + y.cols());
+        s.set_submatrix(0, 0, x);
+        s.set_submatrix(0, x.cols(), y);
+        Qr::new(s).r()
+    };
+    let (ru, rv) = (stack(&u1, &u2), stack(&v1, &v2));
+    let mut core = Matrix::zeros(ru.rows(), rv.rows());
+    gemm(Trans::No, Trans::Yes, 1.0, &ru, &rv, 0.0, &mut core);
+    core
+}
+
+/// `max |XᵀX − I|` over the leading `k` columns of `x`.
+fn orthonormality_defect(x: &Matrix, k: usize) -> f64 {
+    let mut worst = 0.0_f64;
+    for p in 0..k {
+        for q in 0..=p {
+            let dot: f64 = x.col(p).iter().zip(x.col(q)).map(|(a, b)| a * b).sum();
+            worst = worst.max((dot - if p == q { 1.0 } else { 0.0 }).abs());
+        }
+    }
+    worst
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The QR-preconditioned SVD against the frozen plain-Jacobi
+    /// baseline on the matrices recompression produces and on the
+    /// degenerate shapes around them: equal singular values up to
+    /// rounding (and up to what a floor cut off), orthonormal factors,
+    /// and a product that gives the input back.
+    #[test]
+    fn preconditioned_svd_matches_reference(
+        seed in 0u64..400, shape in 0usize..7, floor_exp in 0usize..3,
+    ) {
+        let width = 2.0 + 0.3 * (seed % 7) as f64;
+        let gap = 0.02 + 0.02 * (seed % 5) as f64;
+        let core = stacked_core(64 + 8 * (seed % 4) as usize, width, gap);
+        let kk = core.cols();
+        let half = core.submatrix(0, 0, core.rows(), kk / 2);
+        let a = match shape {
+            // σ from ‖core‖ down to rounding noise
+            0 => core,
+            1 => half,
+            2 => half.transpose(),
+            // rank ≤ K/2: every column twice
+            3 => Matrix::from_fn(core.rows(), 2 * (kk / 2), |i, j| half[(i, j % (kk / 2))]),
+            4 => Matrix::zeros(kk, kk / 2 + 1),
+            5 => Matrix::from_fn(1, 1, |_, _| (seed as f64 - 200.0) * 1e-3),
+            // σ = 1, 1, 1, 1e-3, 1e-3, 1e-3, 1e-6, …
+            _ => {
+                let n = 12;
+                let q1 = Qr::new(seeded_matrix(n, n, seed)).q_thin();
+                let q2 = Qr::new(seeded_matrix(n, n, seed ^ 0xF00D)).q_thin();
+                let scaled = Matrix::from_fn(n, n, |i, j| q1[(i, j)] * 1e-3f64.powi((j / 3) as i32));
+                let mut m = Matrix::zeros(n, n);
+                gemm(Trans::No, Trans::Yes, 1.0, &scaled, &q2, 0.0, &mut m);
+                m
+            }
+        };
+        let floor = [0.0, 1e-12, 1e-9][floor_exp];
+        let (m, n) = (a.rows(), a.cols());
+
+        let reference = reference::jacobi_svd_reference(&a);
+        let mut svd = Svd::empty();
+        let mut work = SvdWork::new();
+        jacobi_svd_into(&a, floor, &mut svd, &mut work);
+        prop_assert!(work.last_converged());
+        let kept = svd.s.len();
+        prop_assert!(kept <= m.min(n));
+        prop_assert_eq!((svd.u.rows(), svd.u.cols(), svd.v.rows(), svd.v.cols()), (m, kept, n, kept));
+        prop_assert!(svd.discarded <= floor, "discarded {} floor {}", svd.discarded, floor);
+
+        let sigma1 = reference.s.first().copied().unwrap_or(0.0);
+        let rounding = 32.0 * m.max(n) as f64 * f64::EPSILON * sigma1;
+        for (j, &s_ref) in reference.s.iter().enumerate() {
+            let s_new = svd.s.get(j).copied().unwrap_or(0.0);
+            prop_assert!(
+                (s_new - s_ref).abs() <= svd.discarded + rounding,
+                "σ_{}: {} vs reference {} (σ₁ {}, discarded {})", j, s_new, s_ref, sigma1, svd.discarded
+            );
+        }
+        prop_assert!(svd.s.windows(2).all(|w| w[0] >= w[1]), "not sorted: {:?}", svd.s);
+
+        let positive = svd.s.iter().take_while(|&&s| s > 0.0).count();
+        prop_assert!(orthonormality_defect(&svd.u, kept) < 1e-12);
+        prop_assert!(orthonormality_defect(&svd.v, positive) < 1e-12);
+
+        let mut diff = svd.reconstruct(kept);
+        diff.axpy(-1.0, &a);
+        let err = hicma_parsec::linalg::frobenius_norm(&diff);
+        prop_assert!(err <= svd.discarded + rounding, "reconstruction off by {}", err);
+    }
+
+    /// The recompression contract over a sequence of updates: after each
+    /// `C −= u·vᵀ` the stored tile is within `accuracy` (absolute,
+    /// Frobenius) of the exact update of what was stored before — with
+    /// the part the SVD's pivoted QR cuts off before iterating counted,
+    /// not on top.
+    #[test]
+    fn recompression_error_within_accuracy(
+        seed in 0u64..300, eps_idx in 0usize..3, len in 1usize..5,
+    ) {
+        let accuracy = [1e-4, 1e-6, 1e-8][eps_idx];
+        let cfg = CompressionConfig::with_accuracy(accuracy);
+        let b = 64;
+        let mut ws = KernelWorkspace::new();
+        let mut c = compress_tile(kernel_tile(b, 3.0, 0.05), &cfg);
+        for step in 0..len {
+            let s = seed + 31 * step as u64;
+            let width = 2.0 + 0.4 * (s % 6) as f64;
+            let gap = 0.03 + 0.02 * (s % 4) as f64;
+            let (up, vp) = kernel_factors(b, width, gap, accuracy);
+            let mut exact = c.to_dense();
+            gemm(Trans::No, Trans::Yes, -1.0, &up, &vp, 1.0, &mut exact);
+            subtract_lowrank_ws(&mut ws, &mut c, &up, &vp, &cfg);
+            let mut diff = c.to_dense();
+            diff.axpy(-1.0, &exact);
+            let err = hicma_parsec::linalg::frobenius_norm(&diff);
+            let rounding = 1e-13 * hicma_parsec::linalg::frobenius_norm(&exact);
+            prop_assert!(
+                err <= accuracy + rounding,
+                "step {}: error {} over accuracy {} (rank {})", step, err, accuracy, c.rank()
+            );
         }
     }
 }
