@@ -120,48 +120,70 @@ pub fn virus_population(n_viruses: usize, cfg: &VirusConfig, seed: u64) -> Vec<P
 }
 
 /// Minimum pairwise distance via a uniform grid (O(n) for surface-like
-/// clouds). Used to pick the paper's default shape parameter
-/// `δ = ½ · min‖x − x_b‖`.
+/// clouds); `0` when two points coincide.
 pub fn min_pairwise_distance(points: &[Point3]) -> f64 {
+    min_distance(points, false)
+}
+
+/// Smallest **non-zero** pairwise distance, the spacing a shape parameter
+/// is scaled by (the paper's default `δ = ½ · min‖x − x_b‖`): a duplicated
+/// point says nothing about the spacing of the cloud. `None` when all
+/// points coincide.
+pub fn min_positive_distance(points: &[Point3]) -> Option<f64> {
+    let d = min_distance(points, true);
+    d.is_finite().then_some(d)
+}
+
+/// Smallest pairwise distance, over the non-zero ones only when
+/// `positive`; `∞` when there is none.
+fn min_distance(points: &[Point3], positive: bool) -> f64 {
     assert!(points.len() >= 2, "need at least two points");
-    // Grid cell = expected nearest-neighbor scale; fall back to brute
-    // force for tiny inputs.
+    let closer = |best: f64, a: usize, b: usize| {
+        let d = points[a].dist(&points[b]);
+        if positive && d == 0.0 {
+            best
+        } else {
+            best.min(d)
+        }
+    };
+    // Grid cell = expected nearest-neighbor scale; brute force for tiny
+    // inputs.
     if points.len() < 64 {
         let mut best = f64::INFINITY;
         for i in 0..points.len() {
             for j in i + 1..points.len() {
-                best = best.min(points[i].dist(&points[j]));
+                best = closer(best, i, j);
             }
         }
         return best;
     }
     let cells = (points.len() as f64).cbrt().ceil() as usize * 2;
-    let cell_of = |p: &Point3| -> (usize, usize, usize) {
-        let clamp = |v: f64| ((v.clamp(0.0, 1.0)) * (cells as f64 - 1e-9)) as usize;
-        (clamp(p.x), clamp(p.y), clamp(p.z))
+    let cell_of = |p: &Point3| -> [i64; 3] {
+        let clamp = |v: f64| ((v.clamp(0.0, 1.0)) * (cells as f64 - 1e-9)) as i64;
+        [clamp(p.x), clamp(p.y), clamp(p.z)]
     };
+    // Two points whose cells differ by more than `k` along some axis are
+    // more than `k · width` apart (rounded down so that a coordinate one
+    // ulp off its cell border cannot break the claim).
+    let width = (1.0 - 1e-12) / cells as f64;
     use std::collections::HashMap;
-    let mut grid: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
+    let mut grid: HashMap<[i64; 3], Vec<usize>> = HashMap::new();
     for (idx, p) in points.iter().enumerate() {
         grid.entry(cell_of(p)).or_default().push(idx);
     }
     let mut best = f64::INFINITY;
-    for (&(cx, cy, cz), members) in &grid {
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    let nx = cx as i64 + dx;
-                    let ny = cy as i64 + dy;
-                    let nz = cz as i64 + dz;
-                    if nx < 0 || ny < 0 || nz < 0 {
-                        continue;
-                    }
-                    let key = (nx as usize, ny as usize, nz as usize);
-                    if let Some(neigh) = grid.get(&key) {
-                        for &a in members {
-                            for &b in neigh {
-                                if a < b {
-                                    best = best.min(points[a].dist(&points[b]));
+    let mut ring = 1i64;
+    loop {
+        for (&[cx, cy, cz], members) in &grid {
+            for dx in -ring..=ring {
+                for dy in -ring..=ring {
+                    for dz in -ring..=ring {
+                        if let Some(neigh) = grid.get(&[cx + dx, cy + dy, cz + dz]) {
+                            for &a in members {
+                                for &b in neigh {
+                                    if a < b {
+                                        best = closer(best, a, b);
+                                    }
                                 }
                             }
                         }
@@ -169,8 +191,18 @@ pub fn min_pairwise_distance(points: &[Point3]) -> f64 {
                 }
             }
         }
+        // Every pair outside the ring is farther apart than the best one
+        // inside it (surface clouds stop here at ring 1); a ring as wide
+        // as the grid has seen every pair.
+        if best <= ring as f64 * width || ring >= cells as i64 {
+            return best;
+        }
+        // Nearest neighbours sit more than `ring` cells apart: widen to
+        // the ring that must hold the closest pair, or keep doubling
+        // while no pair has been seen at all.
+        let wider = if best.is_finite() { (best / width).ceil() as i64 } else { 2 * ring };
+        ring = wider.min(cells as i64);
     }
-    best
 }
 
 #[cfg(test)]
@@ -218,19 +250,75 @@ mod tests {
         assert_ne!(a, c, "different seed ⇒ different cloud");
     }
 
-    #[test]
-    fn min_distance_brute_vs_grid() {
-        let cfg = VirusConfig { points_per_virus: 80, ..Default::default() };
-        let pts = virus_population(2, &cfg, 7);
-        // brute force
-        let mut brute = f64::INFINITY;
+    /// Smallest distance over all pairs, and over the pairs of distinct
+    /// positions.
+    fn brute_force(pts: &[Point3]) -> (f64, f64) {
+        let (mut any, mut positive) = (f64::INFINITY, f64::INFINITY);
         for i in 0..pts.len() {
             for j in i + 1..pts.len() {
-                brute = brute.min(pts[i].dist(&pts[j]));
+                let d = pts[i].dist(&pts[j]);
+                any = any.min(d);
+                if d > 0.0 {
+                    positive = positive.min(d);
+                }
             }
         }
-        let fast = min_pairwise_distance(&pts);
-        assert!((fast - brute).abs() < 1e-15, "grid {fast} vs brute {brute}");
+        (any, positive)
+    }
+
+    fn lattice(side: usize, spacing: f64) -> Vec<Point3> {
+        let at = |k: usize| 0.05 + spacing * k as f64;
+        (0..side * side * side)
+            .map(|i| Point3 { x: at(i % side), y: at(i / side % side), z: at(i / (side * side)) })
+            .collect()
+    }
+
+    fn uniform(n: usize, seed: u64) -> Vec<Point3> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Point3 { x: rng.gen_range(0.0..1.0), y: rng.gen_range(0.0..1.0), z: rng.gen_range(0.0..1.0) })
+            .collect()
+    }
+
+    #[test]
+    fn min_distance_grid_equals_brute_force() {
+        let virus = |per, count, seed| {
+            virus_population(count, &VirusConfig { points_per_virus: per, ..Default::default() }, seed)
+        };
+        let clouds = [
+            ("two viruses", virus(80, 2, 7)),
+            ("six viruses", virus(150, 6, 11)),
+            // Neighbours 2.4 cells apart: the adjacent-cell pass sees no pair.
+            ("4x4x4 lattice", lattice(4, 0.3)),
+            ("6x6x6 lattice", lattice(6, 0.17)),
+            ("uniform 64", uniform(64, 1)),
+            ("uniform 500", uniform(500, 2)),
+            ("uniform 3000", uniform(3000, 3)),
+        ];
+        for (name, pts) in &clouds {
+            let (any, positive) = brute_force(pts);
+            assert_eq!(min_pairwise_distance(pts), any, "{name}");
+            assert_eq!(min_positive_distance(pts), Some(positive), "{name}");
+        }
+        assert!((min_pairwise_distance(&clouds[2].1) - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn duplicates_are_distance_zero_but_not_a_spacing() {
+        for mut pts in [lattice(4, 0.3), uniform(40, 4), uniform(400, 5)] {
+            let n = pts.len();
+            pts[n - 1] = pts[0];
+            pts[n / 2] = pts[n / 2 + 1];
+            let (any, positive) = brute_force(&pts);
+            assert_eq!(any, 0.0);
+            assert_eq!(min_pairwise_distance(&pts), 0.0);
+            assert_eq!(min_positive_distance(&pts), Some(positive));
+        }
+        for n in [2, 70] {
+            let same = vec![Point3 { x: 0.3, y: 0.3, z: 0.3 }; n];
+            assert_eq!(min_pairwise_distance(&same), 0.0);
+            assert_eq!(min_positive_distance(&same), None);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The scaled Gaussian radial basis function and its kernel matrix.
+//! Radial kernels, their kernel matrices, and the block-level view of
+//! those matrices that tile assembly consumes.
 //!
 //! §IV-C: the paper uses the global-support Gaussian `φ(r) = exp(−r²)`,
 //! scaled by a shape parameter `δ`: `φ_δ(r) = φ(r/δ)`, with the default
@@ -6,8 +7,209 @@
 //! a few neighbor distances (sparse compressed operator, well
 //! conditioned); a large `δ` couples the whole domain (dense operator,
 //! ill conditioned) — the entire §VIII-B study is a sweep of this knob.
+//!
+//! Every kernel here is a [`RadialKernel`]: a function of the distance
+//! alone that dies off monotonically. One generic [`KernelSource`] turns
+//! any of them plus a point cloud into the matrix `TlrMatrix` assembles,
+//! and bounds a whole tile from the bounding boxes of its two index
+//! ranges — which is how assembly skips the tiles that hold nothing.
 
-use crate::geometry::{min_pairwise_distance, Point3};
+use crate::geometry::{min_positive_distance, Point3};
+use std::ops::{Deref, Range};
+use std::sync::OnceLock;
+use tlr_linalg::TileSource;
+
+/// A kernel that depends on the distance between two points only.
+pub trait RadialKernel: Copy + Sync {
+    /// The kernel at distance `r ≥ 0`.
+    fn eval(&self, r: f64) -> f64;
+
+    /// The matrix diagonal (the value at `r = 0` plus any nugget).
+    fn diagonal(&self) -> f64;
+
+    /// A non-increasing function of `r` that no later value of the kernel
+    /// exceeds: `|eval(r')| ≤ tail_bound(r)` for every `r' ≥ r`, both as
+    /// computed, up to a relative `1e-12`. For a kernel that decays
+    /// monotonically this is `|eval(r)|` itself. Return `∞` (or NaN) when
+    /// the parameters give no such bound — a tile is then never skipped.
+    fn tail_bound(&self, r: f64) -> f64;
+}
+
+/// Kernel-matrix entry for points `i`, `j` of `points`: the kernel's
+/// diagonal value at `i == j`, the kernel at their distance otherwise.
+#[inline]
+fn matrix_entry<K: RadialKernel>(kernel: &K, points: &[Point3], i: usize, j: usize) -> f64 {
+    if i == j {
+        kernel.diagonal()
+    } else {
+        kernel.eval(points[i].dist(&points[j]))
+    }
+}
+
+/// The kernel matrix of `kernel` over `points` as a [`TileSource`].
+pub fn kernel_source<'a, K: RadialKernel + 'a>(
+    kernel: K,
+    points: &'a [Point3],
+) -> KernelSource<'a, K, impl Fn(usize, usize) -> f64 + Sync + 'a> {
+    let entry = move |i: usize, j: usize| matrix_entry(&kernel, points, i, j);
+    KernelSource { kernel, points, entry, boxes: OnceLock::new() }
+}
+
+/// The inherent `matrix_entry` / `generator` pair of a concrete kernel, so
+/// that callers need not import [`RadialKernel`].
+macro_rules! kernel_matrix_api {
+    ($($kernel:ty),*) => {$(
+        impl $kernel {
+            /// Kernel-matrix entry for points `i`, `j` of `points` (with
+            /// the nugget on the diagonal).
+            #[inline]
+            pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
+                matrix_entry(self, points, i, j)
+            }
+
+            /// The kernel matrix over `points` for
+            /// `TlrMatrix::from_generator`: callable as `gen(i, j)`, and a
+            /// [`TileSource`] whose tile bounds let assembly skip the
+            /// tiles that are provably null (see [`KernelSource`]).
+            pub fn generator<'a>(
+                &self,
+                points: &'a [Point3],
+            ) -> KernelSource<'a, Self, impl Fn(usize, usize) -> f64 + Sync + 'a> {
+                kernel_source(*self, points)
+            }
+        }
+    )*};
+}
+kernel_matrix_api!(GaussianRbf, WendlandRbf, MaternKernel);
+
+/// Axis-aligned bounding box of a set of points.
+#[derive(Debug, Clone, Copy)]
+struct BBox {
+    lo: [f64; 3],
+    hi: [f64; 3],
+}
+
+impl BBox {
+    fn of(points: &[Point3]) -> BBox {
+        let mut b = BBox { lo: [f64::INFINITY; 3], hi: [f64::NEG_INFINITY; 3] };
+        for p in points {
+            for (k, v) in [p.x, p.y, p.z].into_iter().enumerate() {
+                b.lo[k] = b.lo[k].min(v);
+                b.hi[k] = b.hi[k].max(v);
+            }
+        }
+        b
+    }
+
+    /// Distance between the two boxes, `0` when they touch or overlap:
+    /// no point of one is closer than this to a point of the other.
+    fn gap(&self, other: &BBox) -> f64 {
+        let mut sum = 0.0;
+        for k in 0..3 {
+            let d = (self.lo[k] - other.hi[k]).max(other.lo[k] - self.hi[k]).max(0.0);
+            sum += d * d;
+        }
+        sum.sqrt()
+    }
+}
+
+/// One bounding box per tile of a tiling of the cloud.
+struct TileBoxes {
+    tile: usize,
+    boxes: Vec<BBox>,
+}
+
+impl TileBoxes {
+    fn box_of(&self, points: &[Point3], range: &Range<usize>) -> BBox {
+        let tiled = range.start.is_multiple_of(self.tile)
+            && range.end == points.len().min(range.start + self.tile);
+        if tiled {
+            self.boxes[range.start / self.tile]
+        } else {
+            BBox::of(&points[range.clone()])
+        }
+    }
+}
+
+/// What the computed gap is scaled by before the kernel's tail is taken
+/// at it. The gap and a pair's distance are each three differences, three
+/// squares, two sums and a root (within `3.5·2⁻⁵³` of exact), so the
+/// scaled gap is below every computed distance of the tile.
+const GAP_SHRINK: f64 = 1.0 - 16.0 * f64::EPSILON;
+/// Gaps below this are taken as `0`: their squares are subnormal, and the
+/// error analysis of [`GAP_SHRINK`] assumes they are not.
+const MIN_GAP: f64 = 1e-150;
+/// Head-room for [`RadialKernel::tail_bound`]'s own rounding (its
+/// contract) and that of the product below.
+const TAIL_SLACK: f64 = 1.0 + 2e-12;
+
+/// The kernel matrix `A[i][j] = φ(‖xᵢ − xⱼ‖)` of a [`RadialKernel`] over a
+/// point cloud.
+///
+/// It is two things at once. It dereferences to its entry closure, so
+/// `let gen = kernel.generator(&points); gen(i, j)` evaluates an entry
+/// exactly as the closure `generator` used to return (stable Rust cannot
+/// implement `Fn` for a struct; call syntax auto-derefs). And it is a
+/// [`TileSource`] that bounds a tile without evaluating it:
+/// `‖A[rows, cols]‖_F ≤ √(rows·cols) · φ(gap)`, where `gap` is the distance
+/// between the bounding boxes of the two index ranges. The boxes of the
+/// tiling are computed once, in one `O(n)` pass at the first bound asked
+/// for, and kept in `O(nt)` storage. On a Hilbert-sorted cloud the boxes
+/// are tight and most far tiles are certified null; on an unsorted cloud
+/// they overlap, the gap is `0`, and nothing is skipped.
+pub struct KernelSource<'a, K, F> {
+    kernel: K,
+    points: &'a [Point3],
+    entry: F,
+    /// Boxes of the tiling whose tile size is the length of the first
+    /// column range bounded (`None`: some coordinate is not finite, so
+    /// nothing can be bounded). Ranges that are not tiles of it are boxed
+    /// on the spot.
+    boxes: OnceLock<Option<TileBoxes>>,
+}
+
+impl<K, F> Deref for KernelSource<'_, K, F> {
+    type Target = F;
+
+    #[inline]
+    fn deref(&self) -> &F {
+        &self.entry
+    }
+}
+
+impl<K, F> TileSource for KernelSource<'_, K, F>
+where
+    K: RadialKernel,
+    F: Fn(usize, usize) -> f64 + Sync,
+{
+    #[inline]
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        (self.entry)(i, j)
+    }
+
+    fn norm_bound(&self, rows: Range<usize>, cols: Range<usize>) -> f64 {
+        let points = self.points;
+        let tiling = self.boxes.get_or_init(|| {
+            let finite = |p: &Point3| p.x.is_finite() && p.y.is_finite() && p.z.is_finite();
+            let tile = cols.len().max(1);
+            points.iter().all(finite).then(|| TileBoxes {
+                tile,
+                boxes: points.chunks(tile).map(BBox::of).collect(),
+            })
+        });
+        let Some(tiling) = tiling else { return f64::INFINITY };
+        let gap = tiling.box_of(points, &rows).gap(&tiling.box_of(points, &cols));
+        let gap = if gap >= MIN_GAP { gap * GAP_SHRINK } else { 0.0 };
+        let mut largest = self.kernel.tail_bound(gap);
+        if rows.start < cols.end && cols.start < rows.end {
+            // The block holds diagonal entries.
+            largest = largest.max(self.kernel.diagonal().abs());
+        }
+        // `MIN_POSITIVE` covers a tail that underflowed to a subnormal,
+        // where one ulp is no longer relatively small.
+        ((rows.len() * cols.len()) as f64).sqrt() * (largest * TAIL_SLACK + f64::MIN_POSITIVE)
+    }
+}
 
 /// A scaled Gaussian RBF kernel.
 #[derive(Debug, Clone, Copy)]
@@ -25,9 +227,14 @@ impl GaussianRbf {
         Self { delta, nugget: 0.0 }
     }
 
-    /// The paper's default: `δ = ½ · min‖xᵢ − xⱼ‖` over the point cloud.
+    /// The paper's default: `δ = ½ · min‖xᵢ − xⱼ‖` over the point cloud,
+    /// the minimum taken over distinct positions (duplicated points do
+    /// not count).
+    ///
+    /// # Panics
+    /// When all points coincide: the cloud has no spacing to scale by.
     pub fn from_min_distance(points: &[Point3]) -> Self {
-        Self::new(0.5 * min_pairwise_distance(points))
+        Self::new(0.5 * spacing(points))
     }
 
     /// Evaluate `φ_δ(r) = exp(−(r/δ)²)`.
@@ -36,22 +243,36 @@ impl GaussianRbf {
         let s = r / self.delta;
         (-s * s).exp()
     }
+}
 
-    /// Kernel matrix entry for points `i`, `j` of `points` (with nugget on
-    /// the diagonal).
+impl RadialKernel for GaussianRbf {
     #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            1.0 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn eval(&self, r: f64) -> f64 {
+        GaussianRbf::eval(self, r)
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    #[inline]
+    fn diagonal(&self) -> f64 {
+        1.0 + self.nugget
+    }
+
+    fn tail_bound(&self, r: f64) -> f64 {
+        decaying(self.delta, GaussianRbf::eval(self, r))
+    }
+}
+
+/// The smallest distance between two distinct positions of `points`.
+fn spacing(points: &[Point3]) -> f64 {
+    min_positive_distance(points).expect("a shape parameter needs two distinct points")
+}
+
+/// `|tail|` when the kernel's length `scale` is positive, which is what
+/// makes the three kernels here decay monotonically; `∞` otherwise.
+fn decaying(scale: f64, tail: f64) -> f64 {
+    if scale > 0.0 {
+        tail.abs()
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -79,10 +300,14 @@ impl WendlandRbf {
         Self { radius, nugget: 0.0 }
     }
 
-    /// Support radius as a multiple of the minimum point spacing
-    /// (compact-support practice: a handful of neighbor shells).
+    /// Support radius as a multiple of the minimum spacing between
+    /// distinct positions (compact-support practice: a handful of
+    /// neighbor shells).
+    ///
+    /// # Panics
+    /// When all points coincide.
     pub fn from_min_distance(points: &[Point3], shells: f64) -> Self {
-        Self::new(shells * min_pairwise_distance(points))
+        Self::new(shells * spacing(points))
     }
 
     /// Evaluate `ψ₃,₁(r/ρ)`; exactly 0 for `r ≥ ρ`.
@@ -97,21 +322,21 @@ impl WendlandRbf {
             t2 * t2 * (4.0 * s + 1.0)
         }
     }
+}
 
-    /// Kernel matrix entry (with nugget on the diagonal).
+impl RadialKernel for WendlandRbf {
     #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            1.0 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn eval(&self, r: f64) -> f64 {
+        WendlandRbf::eval(self, r)
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    #[inline]
+    fn diagonal(&self) -> f64 {
+        1.0 + self.nugget
+    }
+
+    fn tail_bound(&self, r: f64) -> f64 {
+        decaying(self.radius, WendlandRbf::eval(self, r))
     }
 }
 
@@ -166,21 +391,21 @@ impl MaternKernel {
                 }
             }
     }
+}
 
-    /// Covariance-matrix entry (nugget on the diagonal).
+impl RadialKernel for MaternKernel {
     #[inline]
-    pub fn matrix_entry(&self, points: &[Point3], i: usize, j: usize) -> f64 {
-        if i == j {
-            self.sigma2 + self.nugget
-        } else {
-            self.eval(points[i].dist(&points[j]))
-        }
+    fn eval(&self, r: f64) -> f64 {
+        MaternKernel::eval(self, r)
     }
 
-    /// A generator closure suitable for `TlrMatrix::from_generator`.
-    pub fn generator<'a>(&self, points: &'a [Point3]) -> impl Fn(usize, usize) -> f64 + Sync + 'a {
-        let k = *self;
-        move |i: usize, j: usize| k.matrix_entry(points, i, j)
+    #[inline]
+    fn diagonal(&self) -> f64 {
+        self.sigma2 + self.nugget
+    }
+
+    fn tail_bound(&self, r: f64) -> f64 {
+        decaying(self.length, MaternKernel::eval(self, r))
     }
 }
 
@@ -334,6 +559,57 @@ mod tests {
         let zg = zeros(&|i, j| gg(i, j));
         assert!(zw > zg, "Wendland must have exact zeros: {zw} vs {zg}");
         assert!(zw > n * (n - 1) / 4, "most entries vanish at 3 shells");
+    }
+
+    #[test]
+    fn duplicate_points_do_not_set_the_shape_parameter() {
+        let cfg = VirusConfig { points_per_virus: 60, ..Default::default() };
+        let mut pts = virus_population(2, &cfg, 5);
+        let clean = GaussianRbf::from_min_distance(&pts);
+        pts.push(pts[17]);
+        let k = GaussianRbf::from_min_distance(&pts);
+        assert_eq!(k.delta, clean.delta, "a copy of a point is not a spacing");
+        let n = pts.len();
+        // The duplicate pair is fully correlated, and nothing is NaN.
+        assert_eq!(k.matrix_entry(&pts, 17, n - 1), 1.0);
+        for i in 0..n {
+            assert!(k.matrix_entry(&pts, i, n - 1).is_finite());
+        }
+        assert_eq!(WendlandRbf::from_min_distance(&pts, 3.0).radius, 6.0 * clean.delta);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct points")]
+    fn coincident_cloud_has_no_shape_parameter() {
+        GaussianRbf::from_min_distance(&[Point3 { x: 0.5, y: 0.5, z: 0.5 }; 3]);
+    }
+
+    #[test]
+    fn generator_is_callable_and_a_tile_source() {
+        let cfg = VirusConfig { points_per_virus: 64, ..Default::default() };
+        let raw = virus_population(3, &cfg, 21);
+        let pts = crate::hilbert::apply_permutation(&raw, &crate::hilbert_sort(&raw));
+        let k = GaussianRbf { delta: 0.01, nugget: 1e-8 };
+        let gen = k.generator(&pts);
+        // Call syntax, trait method and the kernel's own entry agree bitwise.
+        for (i, j) in [(0, 0), (5, 3), (100, 7), (191, 190)] {
+            assert_eq!(gen(i, j), k.matrix_entry(&pts, i, j));
+            assert_eq!(gen.entry(i, j), k.matrix_entry(&pts, i, j));
+        }
+        // Whatever the ranges — tiles of the first tiling asked for, the
+        // ragged rest, ranges across tile borders, a diagonal block — the
+        // bound dominates the block.
+        let ranges = [0..64, 64..128, 128..192, 10..50, 60..70, 190..192];
+        let mut separated = 0;
+        for rows in &ranges {
+            for cols in &ranges {
+                let bound = gen.norm_bound(rows.clone(), cols.clone());
+                let norm = tlr_linalg::frobenius_norm(&gen.block(rows.clone(), cols.clone()));
+                assert!(bound >= norm, "{rows:?} x {cols:?}: {bound:e} < {norm:e}");
+                separated += usize::from(bound < 1e-6);
+            }
+        }
+        assert!(separated > 0, "distinct viruses are far apart at this δ");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!
 //! * [`geometry`] — synthetic virus point clouds and cube packing,
 //! * [`hilbert`] — 3D Hilbert space-filling-curve ordering (§IV-C),
-//! * [`kernel`] — the scaled Gaussian RBF `φ_δ(r) = exp(−(r/δ)²)`,
+//! * [`kernel`] — the scaled Gaussian RBF `φ_δ(r) = exp(−(r/δ)²)` and its
+//!   Wendland and Matérn siblings, and the [`KernelSource`] that hands
+//!   their matrices to tile assembly together with per-tile norm bounds,
 //! * [`deform`] — the end-to-end deformation pipeline (assemble → solve →
 //!   interpolate).
 
@@ -28,5 +30,7 @@ pub mod quality;
 
 pub use geometry::{virus_population, Point3, VirusConfig};
 pub use hilbert::hilbert_sort;
-pub use kernel::{GaussianRbf, MaternKernel, MaternNu, WendlandRbf};
+pub use kernel::{
+    kernel_source, GaussianRbf, KernelSource, MaternKernel, MaternNu, RadialKernel, WendlandRbf,
+};
 pub use quality::{assess, QualityReport};

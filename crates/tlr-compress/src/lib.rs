@@ -35,6 +35,6 @@ pub mod tile;
 pub use aca::{aca_compress, AcaResult};
 pub use compress::{compress_tile, decompress_tile, CompressionConfig};
 pub use integrity::{corrupt_tile, SealedTile, TileDigest, WordFold};
-pub use matrix::TlrMatrix;
+pub use matrix::{certifies_null, TlrMatrix};
 pub use rankstat::{RankEvolution, RankSnapshot, SyntheticRankModel};
 pub use tile::Tile;

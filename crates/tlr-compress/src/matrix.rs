@@ -10,7 +10,8 @@ use crate::compress::{compress_tile, CompressionConfig};
 use crate::rankstat::RankSnapshot;
 use crate::tile::Tile;
 use rayon::prelude::*;
-use tlr_linalg::Matrix;
+use std::ops::Range;
+use tlr_linalg::{Matrix, TileSource};
 
 /// A symmetric positive-definite matrix stored as TLR tiles (lower
 /// triangle only).
@@ -22,6 +23,10 @@ pub struct TlrMatrix {
     /// Lower-triangle tiles in row-major packed order:
     /// index of `(i, j)`, `i ≥ j`, is `i·(i+1)/2 + j`.
     tiles: Vec<Tile>,
+    /// Off-diagonal tiles assembly proved null without evaluating them.
+    certified_null: usize,
+    /// Source entries assembly evaluated.
+    evaluations: usize,
 }
 
 #[inline]
@@ -30,40 +35,88 @@ fn packed_index(i: usize, j: usize) -> usize {
     i * (i + 1) / 2 + j
 }
 
+/// Relative head-room between a source's norm bound and the accuracy
+/// before a tile is taken as null unevaluated. The bound is rigorous for
+/// the entries as computed ([`TileSource::norm_bound`]); what is left to
+/// cover is the rounding of the norm `compress_tile` would take of them,
+/// at most `(rows + cols + 10)·2⁻⁵³` relative, so `1e-9` holds for tiles
+/// up to a million rows.
+const CERTIFY_MARGIN: f64 = 1e-9;
+
+/// Does a source's `bound` on `‖tile‖_F` prove that [`compress_tile`]
+/// would return `Null` at `accuracy`? Never for a NaN, infinite or
+/// negative bound, nor for a NaN or non-positive accuracy.
+pub fn certifies_null(bound: f64, accuracy: f64) -> bool {
+    bound >= 0.0 && bound * (1.0 + CERTIFY_MARGIN) < accuracy
+}
+
 impl TlrMatrix {
-    /// Build a TLR matrix by sampling a symmetric generator
-    /// `gen(row, col)` tile-by-tile and compressing each off-diagonal tile
-    /// at the configured accuracy. Tiles are generated and compressed in
-    /// parallel on rayon's work-stealing pool — one task per tile, sized
-    /// by `available_parallelism` unless `RAYON_NUM_THREADS` overrides it
-    /// (this is the paper's "matrix generation + compression" phase,
-    /// Fig. 11). Per-tile results are independent of the thread count, so
-    /// the assembled matrix is bit-identical at any pool size.
-    pub fn from_generator<F>(n: usize, tile_size: usize, gen: F, config: &CompressionConfig) -> Self
+    /// The one assembly path. A serial pass over the lower triangle asks
+    /// `source` for a norm bound per off-diagonal tile and writes
+    /// `Tile::Null` where it [`certifies_null`]; `build(i, j, rows, cols)`
+    /// then produces every other tile (and the entries it evaluated) in
+    /// parallel on rayon's pool. The parallel loop runs over the
+    /// surviving work-list, so its chunks are balanced over tiles that
+    /// cost something rather than over coordinates.
+    fn assemble<S, B>(n: usize, tile_size: usize, source: &S, accuracy: f64, build: B) -> Self
     where
-        F: Fn(usize, usize) -> f64 + Sync,
+        S: TileSource,
+        B: Fn(usize, usize, Range<usize>, Range<usize>) -> (Tile, usize) + Sync,
     {
         assert!(n > 0 && tile_size > 0, "matrix and tile size must be positive");
         let nt = n.div_ceil(tile_size);
-        let coords: Vec<(usize, usize)> = (0..nt)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
-            .collect();
-        let tiles: Vec<Tile> = coords
-            .par_iter()
-            .map(|&(i, j)| {
-                let r0 = i * tile_size;
-                let c0 = j * tile_size;
-                let rows = tile_size.min(n - r0);
-                let cols = tile_size.min(n - c0);
-                let block = Matrix::from_fn(rows, cols, |bi, bj| gen(r0 + bi, c0 + bj));
-                if i == j {
-                    Tile::Dense(block)
-                } else {
-                    compress_tile(block, config)
+        let span = |t: usize| t * tile_size..n.min((t + 1) * tile_size);
+        let mut tiles = Vec::with_capacity(nt * (nt + 1) / 2);
+        let mut work = Vec::new();
+        for i in 0..nt {
+            for j in 0..=i {
+                let (rows, cols) = (span(i), span(j));
+                let (r, c) = (rows.len(), cols.len());
+                if i == j || !certifies_null(source.norm_bound(rows, cols), accuracy) {
+                    work.push((i, j));
                 }
-            })
-            .collect();
-        Self { n, tile_size, nt, tiles }
+                // Uncertified tiles are overwritten below.
+                tiles.push(Tile::Null { rows: r, cols: c });
+            }
+        }
+        let certified_null = tiles.len() - work.len();
+        let built: Vec<(Tile, usize)> =
+            work.par_iter().map(|&(i, j)| build(i, j, span(i), span(j))).collect();
+        let mut evaluations = 0;
+        for (&(i, j), (tile, evaluated)) in work.iter().zip(built) {
+            tiles[packed_index(i, j)] = tile;
+            evaluations += evaluated;
+        }
+        Self { n, tile_size, nt, tiles, certified_null, evaluations }
+    }
+
+    /// Build a TLR matrix by sampling a symmetric [`TileSource`] (any
+    /// `Fn(row, col) -> f64 + Sync` closure is one) tile by tile and
+    /// compressing each off-diagonal tile at the configured accuracy.
+    ///
+    /// Off-diagonal tiles whose [`TileSource::norm_bound`] proves them
+    /// below the accuracy are written as `Tile::Null` without evaluating
+    /// an entry — exactly the tiles [`compress_tile`] would have found
+    /// null, so the result does not depend on how sharp the bound is. A
+    /// closure bounds nothing and has every tile evaluated. The remaining
+    /// tiles are generated and compressed in parallel on rayon's
+    /// work-stealing pool, sized by `available_parallelism` unless
+    /// `RAYON_NUM_THREADS` overrides it (this is the paper's "matrix
+    /// generation + compression" phase, Fig. 11). Per-tile results are
+    /// independent of the thread count, so the assembled matrix is
+    /// bit-identical at any pool size.
+    pub fn from_generator(
+        n: usize,
+        tile_size: usize,
+        source: impl TileSource,
+        config: &CompressionConfig,
+    ) -> Self {
+        Self::assemble(n, tile_size, &source, config.accuracy, |i, j, rows, cols| {
+            let evaluated = rows.len() * cols.len();
+            let block = source.block(rows, cols);
+            let tile = if i == j { Tile::Dense(block) } else { compress_tile(block, config) };
+            (tile, evaluated)
+        })
     }
 
     /// Build from an explicit dense matrix (testing/small problems).
@@ -76,47 +129,47 @@ impl TlrMatrix {
     /// cross approximation — the paper's §IX future work: off-diagonal
     /// tiles are assembled from `O(k·b)` kernel evaluations instead of
     /// `b²`, skipping the dense-generation phase that dominates Fig. 11.
+    /// Tiles the source certifies null cost no evaluation at all, as in
+    /// [`TlrMatrix::from_generator`].
     ///
     /// Returns the matrix and the total number of kernel evaluations
-    /// spent (compare against `n·(n+1)/2` for the dense path).
-    pub fn from_generator_aca<F>(
+    /// spent ([`TlrMatrix::kernel_evaluations`]; compare against
+    /// `n·(n+1)/2` for the dense path).
+    pub fn from_generator_aca(
         n: usize,
         tile_size: usize,
-        gen: F,
+        source: impl TileSource,
         config: &CompressionConfig,
-    ) -> (Self, usize)
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        assert!(n > 0 && tile_size > 0, "matrix and tile size must be positive");
-        let nt = n.div_ceil(tile_size);
-        let coords: Vec<(usize, usize)> = (0..nt)
-            .flat_map(|i| (0..=i).map(move |j| (i, j)))
-            .collect();
-        let results: Vec<(Tile, usize)> = coords
-            .par_iter()
-            .map(|&(i, j)| {
-                let r0 = i * tile_size;
-                let c0 = j * tile_size;
-                let rows = tile_size.min(n - r0);
-                let cols = tile_size.min(n - c0);
-                if i == j {
-                    let block = Matrix::from_fn(rows, cols, |bi, bj| gen(r0 + bi, c0 + bj));
-                    (Tile::Dense(block), rows * cols)
-                } else {
-                    let res = crate::aca::aca_compress(
-                        rows,
-                        cols,
-                        |bi, bj| gen(r0 + bi, c0 + bj),
-                        config,
-                    );
-                    (res.tile, res.evaluations)
-                }
-            })
-            .collect();
-        let evaluations = results.iter().map(|(_, e)| e).sum();
-        let tiles = results.into_iter().map(|(t, _)| t).collect();
-        (Self { n, tile_size, nt, tiles }, evaluations)
+    ) -> (Self, usize) {
+        let a = Self::assemble(n, tile_size, &source, config.accuracy, |i, j, rows, cols| {
+            if i == j {
+                let evaluated = rows.len() * cols.len();
+                (Tile::Dense(source.block(rows, cols)), evaluated)
+            } else {
+                let res = crate::aca::aca_compress(
+                    rows.len(),
+                    cols.len(),
+                    |bi, bj| source.entry(rows.start + bi, cols.start + bj),
+                    config,
+                );
+                (res.tile, res.evaluations)
+            }
+        });
+        let evaluations = a.evaluations;
+        (a, evaluations)
+    }
+
+    /// Off-diagonal tiles the assembly wrote as `Null` on the strength of
+    /// the source's norm bound alone, without evaluating an entry.
+    pub fn certified_null_tiles(&self) -> usize {
+        self.certified_null
+    }
+
+    /// Source entries the assembly evaluated (`b²` per dense-path tile,
+    /// the ACA count per cross-approximated tile, none for a certified
+    /// one).
+    pub fn kernel_evaluations(&self) -> usize {
+        self.evaluations
     }
 
     /// Matrix dimension.

@@ -14,7 +14,9 @@
 //!   threshold-based early termination — the workhorse of TLR compression),
 //!   and [`jacobi_svd`] (one-sided Jacobi SVD, preconditioned by the pivoted
 //!   QR, for small/medium matrices),
-//! * triangular solves and norm/error utilities.
+//! * triangular solves and norm/error utilities,
+//! * [`TileSource`]: a matrix given entry by entry, with an optional cheap
+//!   norm bound per block (what tile assembly consumes).
 //!
 //! All computation is `f64`; the paper's experiments are double precision.
 //!
@@ -40,6 +42,7 @@ pub mod matrix;
 pub mod microkernel;
 pub mod norms;
 pub mod qr;
+pub mod source;
 pub mod svd;
 
 pub use blas3::{
@@ -51,4 +54,5 @@ pub use chol::{potrf, potrf_unblocked, trsv_lower, trsv_lower_trans, CholeskyErr
 pub use matrix::Matrix;
 pub use norms::{frobenius_norm, max_abs, relative_diff};
 pub use qr::{ColPivQr, ColPivScratch, Qr};
+pub use source::TileSource;
 pub use svd::{jacobi_svd, jacobi_svd_into, Svd, SvdWork};

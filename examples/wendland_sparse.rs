@@ -43,14 +43,22 @@ fn main() {
     let mut wendland = WendlandRbf::from_min_distance(&points, 3.0);
     wendland.nugget = 1e-6;
 
-    for (name, gen) in [
-        ("Gaussian (global)", Box::new(gaussian.generator(&points)) as Box<dyn Fn(usize, usize) -> f64 + Sync>),
-        ("Wendland (compact)", Box::new(wendland.generator(&points))),
+    // Each kernel hands assembly its own source type (the tile bounds are
+    // the kernel's), so the two operators are assembled before the loop.
+    for (name, mut a, dense) in [
+        (
+            "Gaussian (global)",
+            TlrMatrix::from_generator(n, tile, gaussian.generator(&points), &ccfg),
+            Matrix::from_fn(n, n, |i, j| gaussian.matrix_entry(&points, i, j)),
+        ),
+        (
+            "Wendland (compact)",
+            TlrMatrix::from_generator(n, tile, wendland.generator(&points), &ccfg),
+            Matrix::from_fn(n, n, |i, j| wendland.matrix_entry(&points, i, j)),
+        ),
     ] {
-        let mut a = TlrMatrix::from_generator(n, tile, &gen, &ccfg);
         let density = a.density();
         let mem = a.memory_f64() as f64 / (n * (n + 1) / 2) as f64;
-        let dense = Matrix::from_fn(n, n, &gen);
         match factorize(&mut a, &FactorConfig::with_accuracy(accuracy)) {
             Ok(rep) => {
                 let res = factorization_residual(&dense, &a);

@@ -98,11 +98,23 @@ fn cmd_factorize(m: HashMap<String, String>) {
     let ccfg = CompressionConfig::with_accuracy(accuracy);
     let t0 = std::time::Instant::now();
     let mut a = TlrMatrix::from_generator(n, tile, kernel.generator(&points), &ccfg);
+    let assemble_s = t0.elapsed().as_secs_f64();
     println!(
-        "compressed in {:.3}s: density {:.3}, memory {:.1}% of dense",
-        t0.elapsed().as_secs_f64(),
+        "compressed in {assemble_s:.3}s: density {:.3}, memory {:.1}% of dense",
         a.density(),
         100.0 * a.memory_f64() as f64 / (n * (n + 1) / 2) as f64
+    );
+    // The assembly line of the ledger: what the bounding boxes of the
+    // point cloud proved null, what had to be evaluated, what was kept.
+    let off_diagonal = a.nt() * (a.nt() - 1) / 2;
+    let kept = (a.density() * off_diagonal as f64).round() as usize;
+    println!(
+        "assembled in {assemble_s:.3}s: {off_diagonal} off-diagonal tiles = {} certified null + {} evaluated ({kept} kept); \
+         {} kernel evaluations vs n(n+1)/2 = {}",
+        a.certified_null_tiles(),
+        off_diagonal - a.certified_null_tiles(),
+        a.kernel_evaluations(),
+        n * (n + 1) / 2
     );
     let fcfg = FactorConfig {
         trimmed,

@@ -497,3 +497,310 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Geometry-certified assembly: a `KernelSource` proves tiles null from
+// bounding boxes; the assembled matrix must be the one entrywise
+// evaluation gives, tile for tile and bit for bit.
+// ---------------------------------------------------------------------
+
+use hicma_parsec::linalg::{frobenius_norm, TileSource};
+use hicma_parsec::mesh::hilbert::apply_permutation;
+use hicma_parsec::mesh::{
+    kernel_source, GaussianRbf, MaternKernel, MaternNu, RadialKernel, WendlandRbf,
+};
+use hicma_parsec::tlr::{certifies_null, TlrMatrix};
+use std::ops::Range;
+
+/// Everything that distinguishes two tiles: format, dimensions, rank and
+/// the bits of every stored factor entry.
+fn tile_bits(t: &Tile) -> (usize, usize, usize, usize, Vec<u64>) {
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (tag, payload) = match t {
+        Tile::Dense(m) => (0, bits(m)),
+        Tile::LowRank { u, v } => (1, [bits(u), bits(v)].concat()),
+        Tile::Null { .. } => (2, Vec::new()),
+    };
+    (tag, t.rows(), t.cols(), t.rank(), payload)
+}
+
+fn same_tiles(what: &str, a: &TlrMatrix, b: &TlrMatrix) -> Result<(), String> {
+    if (a.n(), a.tile_size(), a.nt()) != (b.n(), b.tile_size(), b.nt()) {
+        return Err(format!("{what}: shapes differ"));
+    }
+    for i in 0..a.nt() {
+        for j in 0..=i {
+            if tile_bits(a.tile(i, j)) != tile_bits(b.tile(i, j)) {
+                return Err(format!(
+                    "{what}: tile ({i},{j}) differs: {:?} rank {} vs {:?} rank {}",
+                    a.tile(i, j).format(),
+                    a.tile(i, j).rank(),
+                    b.tile(i, j).format(),
+                    b.tile(i, j).rank()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `clusters` balls of `per` points and radius 0.02 on a diagonal of the
+/// unit cube, 0.15 apart, cluster after cluster.
+fn clustered_cloud(clusters: usize, per: usize, seed: u64) -> Vec<Point3> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut points = Vec::with_capacity(clusters * per);
+    for c in 0..clusters {
+        let center = 0.05 + 0.15 * c as f64;
+        for _ in 0..per {
+            let mut jitter = || 0.04 * (unit() - 0.5);
+            points.push(Point3 { x: center + jitter(), y: center + jitter(), z: center + jitter() });
+        }
+    }
+    points
+}
+
+/// The corpus of cloud shapes: (points, tile size, kernel length scale).
+fn assembly_case(shape: usize, seed: u64) -> (Vec<Point3>, usize, f64) {
+    match shape {
+        // nt = 1
+        0 => (clustered_cloud(2, 10, seed), 32, 0.01),
+        // n not divisible by b: 150 = 4·32 + 22
+        1 => (clustered_cloud(5, 30, seed), 32, 0.01),
+        // one cluster per tile and a short kernel: all off-diagonals null
+        2 => (clustered_cloud(5, 24, seed), 24, 0.004),
+        // a kernel as wide as the domain: no tile is null
+        3 => (clustered_cloud(4, 25, seed), 20, 3.0),
+        // duplicated points, next to each other and tiles apart
+        _ => {
+            let mut p = clustered_cloud(5, 30, seed);
+            let n = p.len();
+            p[7] = p[6];
+            p[40] = p[41];
+            p[n - 1] = p[0];
+            p[n / 2] = p[3];
+            (p, 32, 0.01)
+        }
+    }
+}
+
+/// As generated (cluster after cluster), Hilbert-sorted, or shuffled.
+fn reorder(points: Vec<Point3>, order: usize, seed: u64) -> Vec<Point3> {
+    match order {
+        0 => points,
+        1 => apply_permutation(&points, &hilbert_sort(&points)),
+        _ => {
+            let mut perm: Vec<usize> = (0..points.len()).collect();
+            let mut state = seed | 1;
+            for i in (1..perm.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                perm.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            apply_permutation(&points, &perm)
+        }
+    }
+}
+
+/// The contract of certified assembly for one kernel on one cloud.
+/// Returns the number of tiles certified null.
+fn check_certified_assembly<K: RadialKernel>(
+    kernel: K,
+    points: &[Point3],
+    b: usize,
+    accuracy: f64,
+) -> Result<usize, String> {
+    let n = points.len();
+    let cfg = CompressionConfig::with_accuracy(accuracy);
+    let source = kernel_source(kernel, points);
+    // A plain closure: the same entries, no bounds.
+    let entrywise = |i: usize, j: usize| source.entry(i, j);
+
+    // The bound dominates the norm of every tile, diagonal ones included,
+    // and the assembly certifies exactly the tiles the predicate names.
+    let nt = n.div_ceil(b);
+    let span = |t: usize| t * b..n.min((t + 1) * b);
+    let (mut expected, mut all_entries) = (0, 0);
+    for i in 0..nt {
+        for j in 0..=i {
+            let bound = source.norm_bound(span(i), span(j));
+            let norm = frobenius_norm(&source.block(span(i), span(j)));
+            if bound.is_nan() || bound < norm {
+                return Err(format!("tile ({i},{j}): bound {bound:e} below norm {norm:e}"));
+            }
+            expected += usize::from(i != j && certifies_null(bound, accuracy));
+            all_entries += span(i).len() * span(j).len();
+        }
+    }
+
+    // Dense path: four assemblies, one matrix.
+    let plain = TlrMatrix::from_generator(n, b, &entrywise, &cfg);
+    if (plain.certified_null_tiles(), plain.kernel_evaluations()) != (0, all_entries) {
+        return Err("a closure must have every tile evaluated".into());
+    }
+    for threads in [1, 3] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let (certified, closure) = pool.install(|| {
+            (
+                TlrMatrix::from_generator(n, b, kernel_source(kernel, points), &cfg),
+                TlrMatrix::from_generator(n, b, &entrywise, &cfg),
+            )
+        });
+        same_tiles(&format!("dense, {threads} threads"), &certified, &plain)?;
+        same_tiles(&format!("dense closure, {threads} threads"), &closure, &plain)?;
+        if certified.certified_null_tiles() != expected {
+            return Err(format!(
+                "{} tiles certified, the bounds name {expected}",
+                certified.certified_null_tiles()
+            ));
+        }
+    }
+
+    // ACA path: same tiles; certified tiles cost no evaluation.
+    let (aca_plain, evals_plain) = TlrMatrix::from_generator_aca(n, b, &entrywise, &cfg);
+    let (aca, evals) = TlrMatrix::from_generator_aca(n, b, kernel_source(kernel, points), &cfg);
+    same_tiles("aca", &aca, &aca_plain)?;
+    if aca.certified_null_tiles() != expected || evals != aca.kernel_evaluations() {
+        return Err("aca: certified count or evaluation count is off".into());
+    }
+    if evals > evals_plain || (expected > 0 && evals == evals_plain) {
+        return Err(format!("aca: {evals} evaluations with {expected} certified, {evals_plain} without"));
+    }
+    Ok(expected)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `from_generator(kernel.generator(&pts))` is `from_generator(|i, j|
+    /// kernel.matrix_entry(&pts, i, j))`, for every kernel, accuracy, cloud
+    /// shape and ordering, at one pool thread and at three; likewise for
+    /// `from_generator_aca`; and every tile's bound dominates its norm.
+    #[test]
+    fn certified_assembly_equals_entrywise_assembly(
+        seed in 0u64..10_000, shape in 0usize..5, order in 0usize..3, eps_idx in 0usize..3,
+    ) {
+        let accuracy = [1e-4, 1e-6, 1e-8][eps_idx];
+        let (points, b, h) = assembly_case(shape, seed);
+        let points = reorder(points, order, seed);
+        let results = [
+            check_certified_assembly(GaussianRbf { delta: h, nugget: 1e-8 }, &points, b, accuracy),
+            check_certified_assembly(WendlandRbf { radius: 3.0 * h, nugget: 1e-6 }, &points, b, accuracy),
+            check_certified_assembly(MaternKernel::new(0.5 * h, MaternNu::Half), &points, b, accuracy),
+            check_certified_assembly(MaternKernel::new(0.5 * h, MaternNu::ThreeHalves), &points, b, accuracy),
+            check_certified_assembly(MaternKernel::new(0.5 * h, MaternNu::FiveHalves), &points, b, accuracy),
+        ];
+        let nt = points.len().div_ceil(b);
+        for (k, result) in results.into_iter().enumerate() {
+            prop_assert!(result.is_ok(), "kernel {}: {}", k, result.unwrap_err());
+            let certified = result.unwrap();
+            // The certificate does fire where the geometry allows it, and
+            // only there.
+            match (shape, order) {
+                (2, 0) => prop_assert_eq!(certified, nt * (nt - 1) / 2, "kernel {}", k),
+                (0, _) | (3, _) => prop_assert_eq!(certified, 0, "kernel {}", k),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A dense matrix with a norm bound of the test's choosing.
+struct Bounded<'a> {
+    a: &'a Matrix,
+    bound: &'a (dyn Fn(f64) -> f64 + Sync),
+}
+
+impl TileSource for Bounded<'_> {
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        self.a[(i, j)]
+    }
+
+    fn norm_bound(&self, rows: Range<usize>, cols: Range<usize>) -> f64 {
+        (self.bound)(frobenius_norm(&self.block(rows, cols)))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// With the sharpest bound there is (the tile's own norm) and the
+    /// accuracy within a few ulps of that norm, on either side, a tile is
+    /// never certified — and whatever is certified, the QR's own test
+    /// calls null too, so the matrix is the entrywise one.
+    #[test]
+    fn threshold_ties_are_left_to_the_qr(seed in 0u64..5000, ulps in 0i64..9, far_idx in 0usize..4) {
+        let (n, b) = (48, 16);
+        let a = seeded_matrix(n, n, seed);
+        let tile = a.submatrix(b, 0, b, b);
+        // The norm as compression sees it: root of the summed squared
+        // column norms.
+        let norm = (0..b)
+            .map(|j| frobenius_norm(&tile.submatrix(0, j, b, 1)).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        let tie = f64::from_bits((norm.to_bits() as i64 + ulps - 4) as u64);
+        for accuracy in [tie, norm * [1.0 - 1e-7, 1.0 + 1e-10, 1.0 + 1e-7, 2.0][far_idx]] {
+            let cfg = CompressionConfig::with_accuracy(accuracy);
+            let tight = Bounded { a: &a, bound: &|norm| norm };
+            let certified = TlrMatrix::from_generator(n, b, tight, &cfg);
+            let plain = TlrMatrix::from_generator(n, b, |i, j| a[(i, j)], &cfg);
+            let same = same_tiles("tie", &certified, &plain);
+            prop_assert!(same.is_ok(), "accuracy {:e}: {}", accuracy, same.unwrap_err());
+            let bound = frobenius_norm(&tile);
+            if certifies_null(bound, accuracy) {
+                prop_assert!(compress_tile(tile.clone(), &cfg).is_null(), "accuracy {:e}", accuracy);
+            }
+            if accuracy == tie {
+                prop_assert!(!certifies_null(bound, accuracy), "certified {} ulps off", ulps - 4);
+            }
+        }
+        // Not vacuous: a bound comfortably below the accuracy certifies.
+        prop_assert!(certifies_null(norm, norm * (1.0 + 1e-7)));
+    }
+}
+
+/// Bounds that say nothing — NaN, ±∞, negative — and accuracies that
+/// admit nothing never certify a tile, whatever the tile holds.
+#[test]
+fn meaningless_bounds_never_certify() {
+    let (n, b) = (40, 8);
+    let mut a = seeded_matrix(n, n, 7);
+    a.scale(1e-12);
+    for d in 0..n {
+        a[(d, d)] = 1.0;
+    }
+    let cfg = CompressionConfig::with_accuracy(1e-6);
+    let plain = TlrMatrix::from_generator(n, b, |i, j| a[(i, j)], &cfg);
+    assert!(plain.density() == 0.0, "every off-diagonal tile is null at this accuracy");
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        assert!(!certifies_null(bad, 1e-6), "{bad}");
+        let m = TlrMatrix::from_generator(n, b, Bounded { a: &a, bound: &move |_| bad }, &cfg);
+        assert_eq!(m.certified_null_tiles(), 0, "bound {bad}");
+        same_tiles("bad bound", &m, &plain).unwrap();
+    }
+    for accuracy in [f64::NAN, 0.0, -1.0] {
+        assert!(!certifies_null(0.0, accuracy), "{accuracy}");
+    }
+    // A true bound does certify here, so the above is not vacuous.
+    let m = TlrMatrix::from_generator(n, b, Bounded { a: &a, bound: &|norm| norm }, &cfg);
+    assert_eq!(m.certified_null_tiles(), 10);
+    same_tiles("true bound", &m, &plain).unwrap();
+
+    // A kernel source bounds nothing when a coordinate is not finite or
+    // its length scale is not positive.
+    let mut points = clustered_cloud(3, 8, 5);
+    let far = |k: GaussianRbf, p: &[Point3]| k.generator(p).norm_bound(16..24, 0..8);
+    assert!(certifies_null(far(GaussianRbf::new(0.004), &points), 1e-6));
+    for delta in [0.0, -0.004, f64::NAN] {
+        let bound = far(GaussianRbf::new(delta), &points);
+        assert!(!certifies_null(bound, 1e-6), "δ = {delta}: bound {bound}");
+    }
+    for bad in [f64::NAN, f64::INFINITY] {
+        points[20].y = bad;
+        let bound = far(GaussianRbf::new(0.004), &points);
+        assert!(!certifies_null(bound, 1e-6), "coordinate {bad}: bound {bound}");
+    }
+}
