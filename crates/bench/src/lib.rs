@@ -45,12 +45,28 @@ pub const PAPER_SHAPE: f64 = 3.7e-4;
 /// The paper's default accuracy threshold (§VIII-A).
 pub const PAPER_ACCURACY: f64 = 1e-4;
 
-/// Downscale factor: default, overridable via `HICMA_SCALE`.
+/// Parse a `HICMA_SCALE` value: a positive integer.
+fn parse_scale(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(s) if s >= 1 => Ok(s),
+        _ => Err(format!(
+            "HICMA_SCALE must be a positive integer, got {raw:?}"
+        )),
+    }
+}
+
+/// Downscale factor: default, overridable via `HICMA_SCALE`. A value
+/// that is not a positive integer is rejected here — one line on stderr
+/// and exit code 2 — instead of silently running at the default scale
+/// or tripping an assertion deep inside the scaling rule.
 pub fn scale_factor(default: usize) -> usize {
-    std::env::var("HICMA_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var_os("HICMA_SCALE") {
+        None => default,
+        Some(raw) => parse_scale(&raw.to_string_lossy()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        }),
+    }
 }
 
 /// Scale a machine model's *fixed time constants* by the downscale
@@ -106,6 +122,17 @@ mod tests {
     #[test]
     fn scale_env_override() {
         assert_eq!(scale_factor(16), 16); // env unset in tests
+    }
+
+    #[test]
+    fn scale_values_are_validated_at_the_parse() {
+        assert_eq!(parse_scale("8"), Ok(8));
+        assert_eq!(parse_scale(" 32\n"), Ok(32));
+        for bad in ["abc", "0", "-4", "1.5", ""] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.contains("HICMA_SCALE"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -40,11 +40,12 @@ pub struct FactorConfig {
     /// matrices). `0` disables the retry; a strongly indefinite matrix
     /// fails regardless because the shifts stay near the working accuracy.
     pub max_shift_retries: usize,
-    /// Collect a per-task execution trace and derived metrics
-    /// ([`FactorReport::metrics`]). Requires the `obs` cargo feature —
-    /// without it the flag is ignored (the instrumentation is compiled
-    /// out) and `metrics` stays `None`. Defaults to the feature state, so
-    /// an `obs` build traces unless explicitly asked not to.
+    /// Collect a per-task execution trace: shared-memory runs report it
+    /// with derived metrics in [`FactorReport::metrics`], distributed
+    /// runs as the virtual-time
+    /// [`RunOutcome::trace`](crate::session::RunOutcome::trace). Tracing
+    /// never changes the factor. Defaults to `false`: an untraced run
+    /// allocates no span storage at all.
     pub collect_trace: bool,
     /// Storage-payoff threshold for tiles *recompressed during the
     /// factorization*: a rank-`k` update result stays low-rank only when
@@ -61,13 +62,12 @@ pub struct FactorConfig {
     /// enqueue/steal counters, workspace arena high-water marks,
     /// recompression-rank histograms (shared-memory runs) and comm /
     /// fault / integrity totals (distributed runs). Unlike
-    /// [`collect_trace`](FactorConfig::collect_trace) this needs no
-    /// cargo feature and costs a handful of relaxed atomic adds per
+    /// [`collect_trace`](FactorConfig::collect_trace) this keeps no
+    /// per-task record and costs a handful of relaxed atomic adds per
     /// task — the `trace_overhead` bench gates it at ≤5 %. The merged
     /// snapshot lands in
-    /// [`RunOutcome::registry`](crate::session::RunOutcome::registry);
-    /// builds with the runtime's `metrics` feature disabled still
-    /// compile and run, the snapshot is just empty. Defaults to `true`.
+    /// [`RunOutcome::registry`](crate::session::RunOutcome::registry).
+    /// Defaults to `true`.
     pub collect_metrics: bool,
     /// Tile-integrity policy: whether (and how eagerly) every tile is
     /// sealed with an exact content digest ([`tlr_compress::TileDigest`])
@@ -153,7 +153,7 @@ impl FactorConfig {
             trimmed: true,
             nthreads: rayon::current_num_threads(),
             max_shift_retries: 3,
-            collect_trace: cfg!(feature = "obs"),
+            collect_trace: false,
             collect_metrics: true,
             keep_dense_ratio: 1.0,
             integrity: IntegrityMode::Off,
@@ -176,7 +176,8 @@ impl FactorConfig {
     }
 }
 
-/// Execution metrics of a traced factorization (`obs` feature).
+/// Execution metrics of a traced factorization
+/// ([`FactorConfig::collect_trace`]).
 ///
 /// Everything here is derived from the observed run itself: the span
 /// trace from the executor, the rank log from the kernel workspaces, and
@@ -248,7 +249,7 @@ pub struct FactorReport {
     /// How many shifted retries were needed (`0` = first try succeeded).
     pub shift_attempts: usize,
     /// Execution trace and derived metrics, when tracing was on
-    /// ([`FactorConfig::collect_trace`] and the `obs` cargo feature).
+    /// ([`FactorConfig::collect_trace`]).
     pub metrics: Option<FactorMetrics>,
 }
 
@@ -529,9 +530,8 @@ mod tests {
         );
     }
 
-    /// With the `obs` feature a default config traces the run and the
-    /// derived metrics are self-consistent.
-    #[cfg(feature = "obs")]
+    /// A traced run reports self-consistent derived metrics; an untraced
+    /// one (the default) reports none.
     #[test]
     fn traced_run_populates_metrics() {
         let n = 96;
@@ -540,8 +540,10 @@ mod tests {
         let mut m = TlrMatrix::from_generator(n, 24, gen, &ccfg);
         let mut cfg = FactorConfig::with_accuracy(1e-6);
         cfg.nthreads = 2;
+        assert!(!cfg.collect_trace, "tracing is opt-in");
+        cfg.collect_trace = true;
         let report = factorize(&mut m, &cfg).unwrap();
-        let metrics = report.metrics.expect("obs build must trace by default");
+        let metrics = report.metrics.expect("collect_trace must trace");
         assert_eq!(metrics.trace.records.len(), report.dag_tasks);
         assert_eq!(metrics.per_worker_busy.len(), 2);
         assert!(metrics
@@ -565,27 +567,11 @@ mod tests {
             (from_trace - from_nanos).abs() <= 0.5 * from_nanos.max(1e-6),
             "trace {from_trace} vs class_nanos {from_nanos}"
         );
-        // Opting out at runtime must also work in an obs build.
         let gen2 = gaussian_gen(n, 6.0);
         let mut m2 = TlrMatrix::from_generator(n, 24, gen2, &ccfg);
         cfg.collect_trace = false;
         let report2 = factorize(&mut m2, &cfg).unwrap();
         assert!(report2.metrics.is_none());
-    }
-
-    /// Without the feature, `collect_trace` is inert and `metrics` stays
-    /// `None` — the instrumentation is compiled out.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn untraced_build_has_no_metrics() {
-        let n = 96;
-        let gen = gaussian_gen(n, 6.0);
-        let ccfg = CompressionConfig::with_accuracy(1e-6);
-        let mut m = TlrMatrix::from_generator(n, 24, gen, &ccfg);
-        let mut cfg = FactorConfig::with_accuracy(1e-6);
-        cfg.collect_trace = true; // explicitly requested, still compiled out
-        let report = factorize(&mut m, &cfg).unwrap();
-        assert!(report.metrics.is_none());
     }
 
     /// The configured `keep_dense_ratio` reaches the shared-memory update

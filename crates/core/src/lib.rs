@@ -38,11 +38,7 @@ pub mod verify;
 pub use analysis::MatrixAnalysis;
 pub use batch::{batch_panel_gemms, BatchObs, PanelBatch};
 pub use dag::{build_cholesky_dag, CholeskyDag, DagConfig, TaskKind};
-#[allow(deprecated)]
-pub use distributed::{
-    factorize_distributed, factorize_distributed_counted, factorize_distributed_ft,
-};
-pub use distributed::{FtFactorError, FtFactorOutcome};
+pub use distributed::FtFactorOutcome;
 pub use drift::{ClassDrift, CommDrift, DriftReport, DriftSpec};
 pub use factorize::{
     factorize, factorize_with_plan, plan_factorization, FactorConfig, FactorMetrics, FactorReport,

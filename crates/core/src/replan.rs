@@ -12,7 +12,7 @@
 //! migrates whole tile write-chains between ranks wherever that strictly
 //! reduces modeled cross-rank traffic without unbalancing compute beyond
 //! a slack factor. The proposal drives the next run through per-tile
-//! rank overrides ([`Session::with_replanner`]); moving *all* writers of
+//! rank overrides ([`Session::with_replanning`]); moving *all* writers of
 //! a tile together preserves the engine's writers-co-located placement
 //! invariant by construction, so the factor stays bit-identical — only
 //! the traffic changes.
@@ -26,7 +26,7 @@
 //! the best mapping seen and converges there, so repeated solves never
 //! regress.
 //!
-//! [`Session::with_replanner`]: crate::session::Session::with_replanner
+//! [`Session::with_replanning`]: crate::session::Session::with_replanning
 
 use runtime::des::CommStats;
 use runtime::graph::TaskGraph;
@@ -52,8 +52,8 @@ pub fn modeled_comm(graph: &TaskGraph, exec_rank: &[usize]) -> CommStats {
 }
 
 /// Greedy comm-feedback re-planner for repeated distributed solves on
-/// one geometry. Attach to a session with
-/// [`Session::with_replanner`](crate::session::Session::with_replanner);
+/// one geometry. Embedded in a session's plan by
+/// [`Session::with_replanning`](crate::session::Session::with_replanning);
 /// each completed run calls [`observe`](CommReplanner::observe), which
 /// accepts or reverts the last proposal on *measured* traffic and then
 /// hill-climbs the tile→rank mapping on the exact comm model.
@@ -252,7 +252,6 @@ mod tests {
     use crate::factorize::{factorize, FactorConfig};
     use crate::session::Session;
     use distribution::TwoDBlockCyclic;
-    use std::cell::RefCell;
     use tlr_compress::{CompressionConfig, TlrMatrix};
     use tlr_linalg::norms::relative_diff;
     use tlr_linalg::Matrix;
@@ -299,10 +298,9 @@ mod tests {
     /// Repeated solves on one geometry: traffic never increases round
     /// over round, strictly drops from the static baseline, and the
     /// factor stays bit-identical to the shared-memory run throughout.
-    /// (Exercises the deprecated external-`RefCell` path, kept working
-    /// as a shim over transient plans.)
+    /// The re-planner state travels with a caller-held plan
+    /// (`plan` + `run_with_plan`), no cache involved.
     #[test]
-    #[allow(deprecated)]
     fn replanner_reduces_comm_and_preserves_the_factor() {
         let n = 120;
         let b = 24;
@@ -316,12 +314,14 @@ mod tests {
         factorize(&mut reference, &fcfg).unwrap();
         let l_ref = reference.to_dense_lower();
 
-        let replan = RefCell::new(CommReplanner::new(4));
-        let session = Session::distributed(fcfg, 4, &dist).with_replanner(&replan);
+        let session = Session::distributed(fcfg, 4, &dist).with_replanning(0.2);
+        let plan = session
+            .plan(&TlrMatrix::from_dense(&dense, b, &ccfg))
+            .unwrap();
         let mut bytes = Vec::new();
         for _round in 0..3 {
             let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
-            let out = session.run(&mut m).unwrap();
+            let out = session.run_with_plan(&plan, &mut m).unwrap();
             bytes.push(out.comm.unwrap().bytes);
             assert_eq!(
                 relative_diff(&m.to_dense_lower(), &l_ref),
@@ -341,8 +341,8 @@ mod tests {
     /// The embedded re-planner (`with_replanning`) through a shared
     /// `PlanCache`: the converged overrides live *in the cached plan*,
     /// so every round after the first is a cache hit, traffic improves
-    /// exactly as with the external-`RefCell` re-planner, and the factor
-    /// stays bit-identical to the shared-memory reference.
+    /// exactly as with a caller-held plan, and the factor stays
+    /// bit-identical to the shared-memory reference.
     #[test]
     fn embedded_replanner_persists_overrides_through_the_plan_cache() {
         let n = 120;

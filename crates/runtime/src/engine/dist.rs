@@ -1,944 +1,15 @@
-//! The unified execution engine: one scheduling loop per engine kind,
-//! composed from orthogonal capability hooks.
-//!
-//! Four PRs of capability growth (cancellation, per-worker workspace
-//! indexing, span capture, communication counting, fault injection) had
-//! each grafted a new entry point onto the runtime, so the paper's single
-//! PaRSEC-style engine had become a matrix of near-duplicate functions
-//! whose capabilities could not be combined. This module restores the
-//! PaRSEC architecture — scheduling, resilience and instrumentation are
-//! orthogonal *services* over one DAG engine:
-//!
-//! * [`Engine`] — the shared-memory work-stealing engine. Exactly one
-//!   scheduling loop, generic over a [`Cancel`] hook (external
-//!   cancellation token) and an [`Observe`] hook (span capture). The
-//!   no-op implementations ([`NoCancel`], [`NoObserve`]) are zero-sized
-//!   and their inlined methods compile away, so an unobserved run pays
-//!   nothing — the `trace_overhead` bench's ≤5 % and zero-allocation
-//!   gates hold on this loop.
-//! * [`DistEngine`] — the distributed-memory engine (message-passing
-//!   emulation). Exactly one deterministic virtual-time event loop; a
-//!   perfect network is simply the fault-free [`FtConfig`], so the fault
-//!   layer is a *configuration* of the one loop, not a second engine.
-//!   Communication volume is always counted ([`DistOutcome::comm`]) and
-//!   a virtual-time [`Trace`] can be captured
-//!   ([`DistConfig::record_trace`]) — capabilities compose freely
-//!   (FT + trace + comm counting in one run).
-//!
-//! The zero-cost story differs by engine on purpose: the shared-memory
-//! hot path is wall-clock critical, so its hooks are monomorphized
-//! traits; the distributed loop runs in virtual time where a branch is
-//! free, so its capabilities are plain config data.
-//!
-//! The legacy entry points (`execute*`, `execute_distributed*`) survive
-//! as `#[deprecated]` one-line shims in [`crate::executor`] and
-//! [`crate::distributed`].
+//! The distributed-memory [`DistEngine`]: one deterministic
+//! virtual-time event loop over emulated ranks.
 
+use super::EngineError;
 use crate::des::CommStats;
 use crate::fault::{FaultStats, FtConfig, FtError, IntegrityError};
 use crate::graph::{DataRef, TaskGraph, TaskId};
-use crate::obs::registry::{Counter, Gauge, Registry};
+use crate::obs::registry::{Counter, Registry};
 use crate::obs::RunEvent;
-use crate::scheduler::{
-    dist_priority_order, LookaheadScheduler, SchedPlan, SchedPolicy, Scheduler, StaticScheduler,
-};
+use crate::scheduler::{dist_priority_order, SchedPolicy};
 use crate::trace::{TaskRecord, Trace};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicU64;
-#[cfg(feature = "obs")]
-use std::time::Instant;
-
-// ===================== capability hooks =====================
-
-/// Cancellation capability of a shared-memory run.
-///
-/// The engine polls [`Cancel::is_cancelled`] before invoking each kernel
-/// and calls [`Cancel::cancel`] when a kernel panics, so an external
-/// token observes the panic-drain. [`NoCancel`] is the zero-cost no-op;
-/// [`AtomicBool`] is the standard token.
-pub trait Cancel: Sync {
-    /// Should the remaining kernels be skipped?
-    fn is_cancelled(&self) -> bool;
-    /// Request cancellation (kernels stop, bookkeeping still drains).
-    fn cancel(&self);
-}
-
-/// No cancellation token: `is_cancelled` is a constant `false` that the
-/// optimizer removes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCancel;
-
-impl Cancel for NoCancel {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        false
-    }
-    #[inline]
-    fn cancel(&self) {}
-}
-
-impl Cancel for AtomicBool {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        self.load(Ordering::Acquire)
-    }
-    #[inline]
-    fn cancel(&self) {
-        self.store(true, Ordering::Release);
-    }
-}
-
-impl<C: Cancel + ?Sized> Cancel for &C {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        (**self).is_cancelled()
-    }
-    #[inline]
-    fn cancel(&self) {
-        (**self).cancel()
-    }
-}
-
-/// Observation capability of a shared-memory run (span capture).
-///
-/// Every method defaults to an inline no-op, so [`NoObserve`] (and an
-/// absent [`ExecObs`], via the `Option<&O>` impl) compiles to nothing on
-/// the hot path.
-pub trait Observe: Sync {
-    /// Current time on the observation clock, integer nanoseconds.
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    /// Task `_t` just became ready (pushed to a deque / the injector).
-    #[inline]
-    fn on_enqueue(&self, _t: TaskId) {}
-    /// Worker `_wid` finished task `_t` which started at `_start_ns`.
-    #[inline]
-    fn on_retire(&self, _wid: usize, _t: TaskId, _start_ns: u64) {}
-    /// Worker `_wid` successfully stole from a peer's deque.
-    #[inline]
-    fn on_steal(&self, _wid: usize) {}
-}
-
-/// No span capture: every hook is an inline no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoObserve;
-
-impl Observe for NoObserve {}
-
-impl<O: Observe> Observe for &O {
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        (**self).now_ns()
-    }
-    #[inline]
-    fn on_enqueue(&self, t: TaskId) {
-        (**self).on_enqueue(t)
-    }
-    #[inline]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        (**self).on_retire(wid, t, start_ns)
-    }
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        (**self).on_steal(wid)
-    }
-}
-
-/// `None` observes nothing; `Some(o)` forwards — lets callers thread an
-/// optional [`ExecObs`] (`obs.as_ref()`) straight into the engine.
-impl<O: Observe> Observe for Option<&O> {
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        match self {
-            Some(o) => o.now_ns(),
-            None => 0,
-        }
-    }
-    #[inline]
-    fn on_enqueue(&self, t: TaskId) {
-        if let Some(o) = self {
-            o.on_enqueue(t);
-        }
-    }
-    #[inline]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        if let Some(o) = self {
-            o.on_retire(wid, t, start_ns);
-        }
-    }
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        if let Some(o) = self {
-            o.on_steal(wid);
-        }
-    }
-}
-
-// ===================== observation facade =====================
-
-/// Span and steal data harvested from one observed execution.
-#[derive(Debug, Clone, Default)]
-pub struct ExecReport {
-    /// One record per executed task (retirement order sorted by end time).
-    pub trace: Trace,
-    /// Successful steals per worker (tasks this worker took from a peer's
-    /// deque; injector grabs are not steals).
-    pub steals: Vec<u64>,
-}
-
-impl ExecReport {
-    /// Total steal count over all workers.
-    pub fn total_steals(&self) -> u64 {
-        self.steals.iter().sum()
-    }
-}
-
-/// Observation hooks for one engine run.
-///
-/// With the `obs` cargo feature enabled this captures, per task, the
-/// enqueue (ready) time, the execute start/end times, and the executing
-/// worker, plus per-worker steal counters — everything
-/// [`crate::obs::RunMetrics`] and the Chrome-trace exporter need. Without
-/// the feature every method is an inline no-op and the struct is
-/// zero-sized, so the hot path of an unobserved build is untouched (the
-/// counting-allocator harness in `tests/alloc_free.rs` holds either way:
-/// all span storage is preallocated up front in [`ExecObs::new`]).
-#[derive(Debug, Default)]
-pub struct ExecObs {
-    #[cfg(feature = "obs")]
-    inner: Option<ObsInner>,
-}
-
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-struct ObsInner {
-    t0: Instant,
-    /// Nanoseconds since `t0` at which each task became ready.
-    enqueue_ns: Vec<AtomicU64>,
-    /// Per-worker span logs; each mutex is only ever taken by its own
-    /// worker during the run (uncontended), then drained in `finish`.
-    logs: Vec<Mutex<Vec<(TaskId, u64, u64)>>>,
-    /// Successful deque steals per worker.
-    steals: Vec<AtomicU64>,
-}
-
-impl ExecObs {
-    /// Whether span capture is compiled in (`obs` cargo feature).
-    pub const fn enabled() -> bool {
-        cfg!(feature = "obs")
-    }
-
-    /// Prepare storage for a graph of `ntasks` tasks on `nthreads`
-    /// workers. All vectors are sized up front: the per-task hooks never
-    /// allocate (each worker's log reserves room for every task, since in
-    /// the worst case one worker runs the whole graph).
-    #[allow(unused_variables)]
-    pub fn new(ntasks: usize, nthreads: usize) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            ExecObs {
-                inner: Some(ObsInner {
-                    t0: Instant::now(),
-                    enqueue_ns: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-                    logs: (0..nthreads.max(1))
-                        .map(|_| Mutex::new(Vec::with_capacity(ntasks)))
-                        .collect(),
-                    steals: (0..nthreads.max(1)).map(|_| AtomicU64::new(0)).collect(),
-                }),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            ExecObs::default()
-        }
-    }
-
-    /// Harvest the captured spans into an [`ExecReport`], resolving task
-    /// class and tile coordinates against `graph`. Returns an empty report
-    /// when the `obs` feature is off.
-    #[allow(unused_variables)]
-    pub fn finish(&self, graph: &TaskGraph) -> ExecReport {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let mut trace = Trace::default();
-            for (wid, log) in inner.logs.iter().enumerate() {
-                let log = log.lock().unwrap_or_else(|e| e.into_inner());
-                for &(t, start_ns, end_ns) in log.iter() {
-                    let spec = graph.spec(t);
-                    let queued_ns = inner.enqueue_ns[t].load(Ordering::Relaxed).min(start_ns);
-                    trace.push_record(TaskRecord {
-                        task: t,
-                        class: spec.class,
-                        proc: wid,
-                        data: spec.writes,
-                        queued: queued_ns as f64 * 1e-9,
-                        start: start_ns as f64 * 1e-9,
-                        end: end_ns as f64 * 1e-9,
-                    });
-                }
-            }
-            trace.records.sort_by(|a, b| a.end.total_cmp(&b.end));
-            return ExecReport {
-                trace,
-                steals: inner
-                    .steals
-                    .iter()
-                    .map(|s| s.load(Ordering::Relaxed))
-                    .collect(),
-            };
-        }
-        ExecReport::default()
-    }
-
-    /// Record an explicit span for `task` on worker `wid`, with both
-    /// endpoints in [`Observe::now_ns`] time.
-    ///
-    /// This is the span-splitting entry used by the panel-batching layer:
-    /// a fused engine task measures each member kernel itself and reports
-    /// the members here (suppressing the fused task's own
-    /// [`Observe::on_retire`]), so per-task attribution, `RunMetrics`,
-    /// and trace exports keep seeing individual kernels. No-op (and
-    /// allocation-free — the per-worker logs are preallocated) without
-    /// the `obs` feature.
-    #[inline]
-    #[allow(unused_variables)]
-    pub fn record_span(&self, wid: usize, task: TaskId, start_ns: u64, end_ns: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let mut log = inner.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
-            log.push((task, start_ns, end_ns));
-        }
-    }
-}
-
-impl Observe for ExecObs {
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            return inner.t0.elapsed().as_nanos() as u64;
-        }
-        0
-    }
-
-    #[inline]
-    #[allow(unused_variables)]
-    fn on_enqueue(&self, t: TaskId) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            inner.enqueue_ns[t].store(inner.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    #[allow(unused_variables)]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            let end = inner.t0.elapsed().as_nanos() as u64;
-            let mut log = inner.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
-            log.push((t, start_ns, end));
-        }
-    }
-
-    #[inline]
-    #[allow(unused_variables)]
-    fn on_steal(&self, wid: usize) {
-        #[cfg(feature = "obs")]
-        if let Some(inner) = &self.inner {
-            inner.steals[wid].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// ===================== errors =====================
-
-/// A kernel panicked during an engine run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// The task whose kernel panicked (the first one, if several raced).
-    pub task: TaskId,
-    /// The panic payload rendered as text, when it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.task, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-/// Typed failure of an engine run — malformed inputs are reported, not
-/// `assert!`ed (the legacy shims re-raise them as panics to preserve
-/// their documented behavior).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineError {
-    /// The task graph has a cycle (no valid schedule exists).
-    Cycle,
-    /// A kernel panicked; the pool drained before reporting.
-    Panic(TaskPanic),
-    /// `exec_rank` does not assign exactly one rank per task.
-    RankMapLength {
-        /// Tasks in the graph.
-        expected: usize,
-        /// Entries in the rank map.
-        got: usize,
-    },
-    /// The initial stores do not cover exactly one store per rank.
-    StoreCount {
-        /// `nprocs`.
-        expected: usize,
-        /// Stores provided.
-        got: usize,
-    },
-    /// A task is mapped to a rank outside `0..nprocs`.
-    InvalidRank {
-        /// The offending task.
-        task: TaskId,
-        /// Its mapped rank.
-        rank: usize,
-        /// The rank count.
-        nprocs: usize,
-    },
-    /// A fault plan schedules the crash of a nonexistent rank.
-    InvalidCrashRank {
-        /// The scheduled rank.
-        rank: usize,
-        /// The rank count.
-        nprocs: usize,
-    },
-    /// A scheduling key (or cost estimate) is NaN or infinite. Ordered
-    /// ready queues cannot place such a task, so the key is rejected as
-    /// a typed error where it used to panic inside a
-    /// `partial_cmp().unwrap()` sort.
-    NonFiniteKey {
-        /// The task whose key is unusable.
-        task: TaskId,
-        /// The offending key value.
-        key: f64,
-    },
-    /// A precomputed execution order supplied to
-    /// [`DistEngine::run_planned`] is unusable: wrong length, not a
-    /// permutation of the task ids, or not topological for the graph.
-    /// Running it anyway would deadlock the front-only rank queues, so
-    /// it is rejected up front.
-    InvalidOrder {
-        /// What check the order failed.
-        reason: &'static str,
-    },
-    /// The fault layer could not recover (all ranks dead, retries
-    /// exhausted, or the run stalled).
-    Fault(FtError),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Cycle => write!(f, "task graph has a cycle"),
-            EngineError::Panic(p) => write!(f, "{p}"),
-            EngineError::RankMapLength { expected, got } => {
-                write!(
-                    f,
-                    "rank map has {got} entries for {expected} tasks (one rank per task)"
-                )
-            }
-            EngineError::StoreCount { expected, got } => {
-                write!(
-                    f,
-                    "{got} initial stores for {expected} ranks (one store per rank)"
-                )
-            }
-            EngineError::InvalidRank { task, rank, nprocs } => {
-                write!(
-                    f,
-                    "task {task} mapped to invalid rank {rank} (nprocs {nprocs})"
-                )
-            }
-            EngineError::InvalidCrashRank { rank, nprocs } => {
-                write!(
-                    f,
-                    "fault plan crashes invalid rank {rank} (nprocs {nprocs})"
-                )
-            }
-            EngineError::NonFiniteKey { task, key } => {
-                write!(f, "non-finite scheduling key {key} for task {task}")
-            }
-            EngineError::InvalidOrder { reason } => {
-                write!(f, "precomputed execution order rejected: {reason}")
-            }
-            EngineError::Fault(e) => write!(f, "unrecoverable runtime fault: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<FtError> for EngineError {
-    fn from(e: FtError) -> Self {
-        EngineError::Fault(e)
-    }
-}
-
-impl From<TaskPanic> for EngineError {
-    fn from(p: TaskPanic) -> Self {
-        EngineError::Panic(p)
-    }
-}
-
-// ===================== shared-memory engine =====================
-
-/// Capability configuration of a shared-memory [`Engine`] run.
-///
-/// Build one with [`EngineConfig::new`], then layer capabilities with
-/// [`with_cancel`](EngineConfig::with_cancel) /
-/// [`with_obs`](EngineConfig::with_obs). Each capability is a type
-/// parameter, so a run without a capability monomorphizes to the exact
-/// code the dedicated legacy entry point used to have.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig<'m, C = NoCancel, O = NoObserve> {
-    /// Worker threads of the pool (clamped to ≥ 1).
-    pub nthreads: usize,
-    /// Cancellation hook.
-    pub cancel: C,
-    /// Observation hook.
-    pub obs: O,
-    /// Ready-queue scheduling policy (default
-    /// [`SchedPolicy::PanelPriority`]). The engine builds the matching
-    /// [`Scheduler`] itself, pricing tasks by their planned flops; to
-    /// supply a custom implementation use
-    /// [`Engine::run_with_scheduler`].
-    pub sched: SchedPolicy,
-    /// Always-on metrics sink: per-class task durations, enqueue/steal
-    /// counters, and the scheduler's end-of-run EMA corrections land in
-    /// the registry's per-worker shards (`None` skips all recording).
-    pub metrics: Option<&'m Registry>,
-}
-
-impl EngineConfig<'_> {
-    /// A plain run on `nthreads` workers: no cancellation token, no span
-    /// capture, panel-priority scheduling, no metrics sink.
-    pub fn new(nthreads: usize) -> Self {
-        EngineConfig {
-            nthreads,
-            cancel: NoCancel,
-            obs: NoObserve,
-            sched: SchedPolicy::PanelPriority,
-            metrics: None,
-        }
-    }
-}
-
-impl<'m, C, O> EngineConfig<'m, C, O> {
-    /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
-    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<'m, C2, O> {
-        EngineConfig {
-            nthreads: self.nthreads,
-            cancel,
-            obs: self.obs,
-            sched: self.sched,
-            metrics: self.metrics,
-        }
-    }
-
-    /// Layer span capture (e.g. `&ExecObs` or `obs.as_ref()`) onto the
-    /// run.
-    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<'m, C, O2> {
-        EngineConfig {
-            nthreads: self.nthreads,
-            cancel: self.cancel,
-            obs,
-            sched: self.sched,
-            metrics: self.metrics,
-        }
-    }
-
-    /// Select the ready-queue scheduling policy.
-    pub fn with_sched(mut self, sched: SchedPolicy) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Attach a metrics registry (shard per worker).
-    pub fn with_metrics(mut self, metrics: &'m Registry) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-}
-
-/// The shared-memory work-stealing engine.
-///
-/// Runs a [`TaskGraph`] with real kernel closures on a pool of OS
-/// threads. The scheduling discipline mirrors PaRSEC's node-level
-/// scheduler: per-worker LIFO deques (locality: a task's just-released
-/// successor runs on the releasing worker while its inputs are
-/// cache-hot) with random stealing, seeded from the graph sources in
-/// priority order. Dependency tracking is a per-task atomic in-degree
-/// counter: the worker that retires the last predecessor pushes the
-/// successor into its own deque — the "release" path of any dataflow
-/// runtime.
-///
-/// Kernel panics never hang the pool: the first panic flips an internal
-/// drain flag (and the [`Cancel`] hook), remaining tasks retire without
-/// running their kernels, and the panic is reported as
-/// [`EngineError::Panic`] once every worker has stopped.
-pub struct Engine<'g> {
-    graph: &'g TaskGraph,
-}
-
-impl<'g> Engine<'g> {
-    /// An engine over `graph`. Cheap: all state is per-run.
-    pub fn new(graph: &'g TaskGraph) -> Self {
-        Engine { graph }
-    }
-
-    /// Execute every task exactly once, respecting all dependencies,
-    /// calling `kernel(worker_index, task)` concurrently from the pool.
-    ///
-    /// The worker index is stable for the lifetime of the pool
-    /// (`0..nthreads`), so callers can give every worker an exclusive
-    /// slot of per-worker state (the TLR factorization hands each worker
-    /// its own `KernelWorkspace` arena). Exclusive access to the data a
-    /// task writes is guaranteed by the graph, not the engine.
-    ///
-    /// `kernel` is invoked under [`catch_unwind`]: shared state it
-    /// mutates must tolerate a kernel dying mid-update (the TLR
-    /// factorizations qualify — a poisoned run's output is discarded
-    /// wholesale).
-    pub fn run<C, O, F>(&self, cfg: &EngineConfig<'_, C, O>, kernel: F) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        let mut sched = policy_scheduler(self.graph, cfg.sched)?;
-        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
-    }
-
-    /// [`run`](Engine::run) consuming a precomputed [`SchedPlan`]
-    /// instead of rebuilding the scheduler from
-    /// [`EngineConfig::sched`]: the plan's stored tables are
-    /// instantiated (O(tasks), no graph walk) and the run proceeds
-    /// exactly as an unplanned run with the same policy would — the
-    /// plan only moves *when* the pricing happens, never what it is, so
-    /// planned and unplanned runs are bit-identical.
-    pub fn run_planned<C, O, F>(
-        &self,
-        cfg: &EngineConfig<'_, C, O>,
-        plan: &SchedPlan,
-        kernel: F,
-    ) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        if plan.len() != self.graph.len() {
-            return Err(EngineError::RankMapLength {
-                expected: self.graph.len(),
-                got: plan.len(),
-            });
-        }
-        let mut sched = plan.instantiate()?;
-        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
-    }
-
-    /// [`run`](Engine::run) consulting an explicit [`Scheduler`]
-    /// implementation instead of building one from
-    /// [`EngineConfig::sched`].
-    ///
-    /// The engine calls `on_task_ready` for every task that becomes
-    /// ready (under an internal mutex — the callbacks must be cheap) and
-    /// orders the ready work by the returned key: sources are seeded
-    /// best-first and each retirement pushes its newly-released
-    /// successors onto the releasing worker's LIFO deque worst-first, so
-    /// the best key is popped next while locality is preserved.
-    /// `on_task_finished` fires at every retirement with the measured
-    /// wall-clock seconds of the kernel — the feedback a dynamic policy
-    /// ([`crate::scheduler::LookaheadScheduler`]) learns from. A
-    /// non-finite key fails the run with [`EngineError::NonFiniteKey`]
-    /// (remaining tasks drain without executing, as on a kernel panic).
-    pub fn run_with_scheduler<C, O, F>(
-        &self,
-        cfg: &EngineConfig<'_, C, O>,
-        sched: &mut dyn Scheduler,
-        kernel: F,
-    ) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        let graph = self.graph;
-        let n = graph.len();
-        if n == 0 {
-            return Ok(());
-        }
-        if graph.topological_order().is_none() {
-            return Err(EngineError::Cycle);
-        }
-        let nthreads = cfg.nthreads.max(1);
-
-        let indegree: Vec<AtomicUsize> = graph
-            .indegrees()
-            .into_iter()
-            .map(AtomicUsize::new)
-            .collect();
-        let completed = AtomicUsize::new(0);
-        let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        // Internal drain flag: a panic must stop the kernels even when the
-        // caller supplied no cancellation token ([`NoCancel`]).
-        let draining = AtomicBool::new(false);
-
-        let injector = Injector::new();
-        // Seed sources best-key-first (critical path first under the
-        // default policy). Keys are validated before any kernel runs.
-        let mut sources: Vec<(f64, TaskId)> = Vec::new();
-        for t in graph.sources() {
-            let key = sched.on_task_ready(t, graph);
-            if !key.is_finite() {
-                return Err(EngineError::NonFiniteKey { task: t, key });
-            }
-            sources.push((key, t));
-        }
-        sources.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (_, t) in sources {
-            cfg.obs.on_enqueue(t);
-            if let Some(reg) = cfg.metrics {
-                reg.incr(0, Counter::TasksEnqueued);
-            }
-            injector.push(t);
-        }
-        // Shared by the workers: the policy's state is updated on every
-        // ready/finished callback, so it lives under one mutex.
-        let sched = Mutex::new(sched);
-
-        let workers: Vec<Worker<TaskId>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<TaskId>> = workers.iter().map(Worker::stealer).collect();
-
-        std::thread::scope(|scope| {
-            for (wid, local) in workers.into_iter().enumerate() {
-                let injector = &injector;
-                let stealers = &stealers;
-                let indegree = &indegree;
-                let completed = &completed;
-                let first_panic = &first_panic;
-                let first_error = &first_error;
-                let draining = &draining;
-                let kernel = &kernel;
-                let sched = &sched;
-                scope.spawn(move || {
-                    let mut rng: u64 = 0x9E3779B97F4A7C15 ^ (wid as u64);
-                    // Reused per-retire scratch for released successors.
-                    let mut released: Vec<(f64, TaskId)> = Vec::new();
-                    loop {
-                        if completed.load(Ordering::Acquire) == n {
-                            return;
-                        }
-                        let task = find_task(
-                            &local,
-                            injector,
-                            stealers,
-                            wid,
-                            &mut rng,
-                            &cfg.obs,
-                            cfg.metrics,
-                        );
-                        match task {
-                            Some(t) => {
-                                let start_ns = cfg.obs.now_ns();
-                                let wall_start = std::time::Instant::now();
-                                let mut ran = false;
-                                if !draining.load(Ordering::Acquire) && !cfg.cancel.is_cancelled() {
-                                    ran = true;
-                                    if let Err(payload) =
-                                        catch_unwind(AssertUnwindSafe(|| kernel(wid, t)))
-                                    {
-                                        draining.store(true, Ordering::Release);
-                                        cfg.cancel.cancel();
-                                        let message = payload
-                                            .downcast_ref::<&str>()
-                                            .map(|s| s.to_string())
-                                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                                            .unwrap_or_else(|| "non-string panic payload".into());
-                                        let mut slot =
-                                            first_panic.lock().unwrap_or_else(|e| e.into_inner());
-                                        if slot.is_none() {
-                                            *slot = Some(TaskPanic { task: t, message });
-                                        }
-                                    }
-                                }
-                                let measured_s =
-                                    if ran { wall_start.elapsed().as_secs_f64() } else { 0.0 };
-                                cfg.obs.on_retire(wid, t, start_ns);
-                                if ran {
-                                    if let Some(reg) = cfg.metrics {
-                                        reg.incr(wid, Counter::TasksExecuted);
-                                        reg.record_class_seconds(
-                                            wid,
-                                            graph.spec(t).class,
-                                            measured_s,
-                                        );
-                                    }
-                                }
-                                // Release successors even when draining: the
-                                // completion count must reach `n` to stop.
-                                released.clear();
-                                for e in graph.successors(t) {
-                                    if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        released.push((0.0, e.dst));
-                                    }
-                                }
-                                {
-                                    let mut s =
-                                        sched.lock().unwrap_or_else(|e| e.into_inner());
-                                    s.on_task_finished(t, graph, measured_s);
-                                    for slot in released.iter_mut() {
-                                        slot.0 = s.on_task_ready(slot.1, graph);
-                                    }
-                                }
-                                for &(key, dst) in released.iter() {
-                                    if !key.is_finite() {
-                                        // Typed failure, same drain protocol
-                                        // as a kernel panic: remaining tasks
-                                        // retire without executing.
-                                        draining.store(true, Ordering::Release);
-                                        cfg.cancel.cancel();
-                                        let mut slot = first_error
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner());
-                                        if slot.is_none() {
-                                            *slot = Some(EngineError::NonFiniteKey {
-                                                task: dst,
-                                                key,
-                                            });
-                                        }
-                                    }
-                                }
-                                // Worst key first onto the LIFO deque, so
-                                // the best key is what this worker pops
-                                // next (total_cmp: NaNs cannot panic the
-                                // sort even on the drain path).
-                                released.sort_by(|a, b| b.0.total_cmp(&a.0));
-                                for &(_, dst) in released.iter() {
-                                    cfg.obs.on_enqueue(dst);
-                                    if let Some(reg) = cfg.metrics {
-                                        reg.incr(wid, Counter::TasksEnqueued);
-                                    }
-                                    local.push(dst);
-                                }
-                                completed.fetch_add(1, Ordering::AcqRel);
-                            }
-                            None => std::hint::spin_loop(),
-                        }
-                    }
-                });
-            }
-        });
-
-        // Publish the scheduler's learned per-class EMA corrections so
-        // drift reports can inspect the calibration state it ended with.
-        if let Some(reg) = cfg.metrics {
-            let s = sched.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(corr) = s.class_corrections() {
-                for (k, &v) in corr.iter().enumerate() {
-                    reg.gauge_max(0, Gauge::correction(k), v);
-                }
-            }
-        }
-
-        debug_assert_eq!(
-            completed.load(Ordering::Acquire),
-            n,
-            "not all tasks executed"
-        );
-        if let Some(e) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
-        match first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(p) => Err(EngineError::Panic(p)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Build the [`Scheduler`] for a policy in an engine that has no
-/// machine model: tasks are priced by their planned flops at a nominal
-/// 1 Gflop/s (only relative magnitudes matter for ordering, but the
-/// lookahead's online correction works best when the estimates are in
-/// seconds-like units).
-fn policy_scheduler(
-    graph: &TaskGraph,
-    policy: SchedPolicy,
-) -> Result<Box<dyn Scheduler>, EngineError> {
-    let cost = |t: TaskId| graph.spec(t).flops * 1e-9;
-    Ok(match policy {
-        SchedPolicy::RankAwareLookahead => Box::new(LookaheadScheduler::new(graph, cost)?),
-        p => Box::new(StaticScheduler::from_policy(graph, cost, p)?),
-    })
-}
-
-/// Pop local → steal from injector → steal from a random victim.
-fn find_task<O: Observe>(
-    local: &Worker<TaskId>,
-    injector: &Injector<TaskId>,
-    stealers: &[Stealer<TaskId>],
-    self_id: usize,
-    rng: &mut u64,
-    obs: &O,
-    metrics: Option<&Registry>,
-) -> Option<TaskId> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    // Random-order steal attempt over all other workers.
-    let k = stealers.len();
-    if k > 1 {
-        *rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let start = (*rng >> 33) as usize % k;
-        for off in 0..k {
-            let victim = (start + off) % k;
-            if victim == self_id {
-                continue;
-            }
-            loop {
-                match stealers[victim].steal_batch_and_pop(local) {
-                    Steal::Success(t) => {
-                        obs.on_steal(self_id);
-                        if let Some(reg) = metrics {
-                            reg.incr(self_id, Counter::Steals);
-                        }
-                        return Some(t);
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-    }
-    None
-}
-
-// ===================== distributed engine =====================
 
 /// Context handed to the task body on its executing rank.
 pub struct RankCtx<'a, P> {
@@ -2125,250 +1196,8 @@ impl<'g, 'r> DistEngine<'g, 'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, RetryConfig};
     use crate::graph::{TaskClass, TaskSpec};
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
-    use std::sync::Mutex;
-
-    fn spec(priority: usize) -> TaskSpec {
-        TaskSpec {
-            class: TaskClass::Other,
-            priority,
-            writes: None,
-            flops: 0.0,
-        }
-    }
-
-    fn chain(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        for i in 0..n {
-            g.add_task(spec(i));
-        }
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
-        }
-        g
-    }
-
-    /// Chain 0 → 1 → … → n−1 must execute in exact order.
-    #[test]
-    fn chain_executes_in_order() {
-        let g = chain(100);
-        let order = Mutex::new(Vec::new());
-        Engine::new(&g)
-            .run(&EngineConfig::new(4), |_w, t| order.lock().unwrap().push(t))
-            .unwrap();
-        let order = order.into_inner().unwrap();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    /// Every task runs exactly once, even with wide fan-out.
-    #[test]
-    fn fanout_runs_each_task_once() {
-        let width = 500;
-        let mut g = TaskGraph::new();
-        let root = g.add_task(spec(0));
-        let sink = g.add_task(spec(2));
-        for _ in 0..width {
-            let mid = g.add_task(spec(1));
-            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
-            g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
-        }
-        let counts: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
-        Engine::new(&g)
-            .run(&EngineConfig::new(8), |_w, t| {
-                counts[t].fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        for (t, c) in counts.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::Relaxed),
-                1,
-                "task {t} ran wrong number of times"
-            );
-        }
-    }
-
-    /// Dependencies are respected: a parent's effect is visible to children.
-    #[test]
-    fn dependency_happens_before() {
-        // Layered graph: each layer sums the previous layer's value + 1.
-        let layers = 50;
-        let width = 8;
-        let mut g = TaskGraph::new();
-        let mut prev: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(0))).collect();
-        for l in 1..layers {
-            let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(l))).collect();
-            for &p in &prev {
-                for &c in &cur {
-                    g.add_edge(p, c, DataRef { i: 0, j: 0 }, 0);
-                }
-            }
-            prev = cur;
-        }
-        let level = AtomicU64::new(0);
-        let violations = AtomicUsize::new(0);
-        // Record the maximum "wave" seen; a child running before any parent
-        // would observe a lower wave than required.
-        let task_layer: Vec<usize> = (0..g.len()).map(|t| g.spec(t).priority).collect();
-        Engine::new(&g)
-            .run(&EngineConfig::new(8), |_w, t| {
-                let seen = level.load(Ordering::SeqCst);
-                if (task_layer[t] as u64) < seen.saturating_sub(1) {
-                    violations.fetch_add(1, Ordering::SeqCst);
-                }
-                level.fetch_max(task_layer[t] as u64, Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn empty_graph_ok() {
-        let g = TaskGraph::new();
-        Engine::new(&g)
-            .run(&EngineConfig::new(4), |_w, _t| panic!("no tasks"))
-            .unwrap();
-    }
-
-    #[test]
-    fn single_thread_ok() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(spec(0));
-        let b = g.add_task(spec(1));
-        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
-        let order = Mutex::new(Vec::new());
-        Engine::new(&g)
-            .run(&EngineConfig::new(1), |_w, t| order.lock().unwrap().push(t))
-            .unwrap();
-        assert_eq!(order.into_inner().unwrap(), vec![a, b]);
-    }
-
-    /// A panicking kernel must not hang the pool: the run drains, every
-    /// task is retired, and the first panic is reported — with and
-    /// without an external cancellation token, which observes the drain.
-    #[test]
-    fn panic_cancels_and_drains() {
-        let g = chain(64);
-        let ran = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        let err = Engine::new(&g)
-            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if t == 5 {
-                    panic!("kernel exploded on task {t}");
-                }
-            })
-            .unwrap_err();
-        let EngineError::Panic(p) = err else {
-            panic!("expected a panic error, got {err:?}")
-        };
-        assert_eq!(p.task, 5);
-        assert!(p.message.contains("exploded"), "{}", p.message);
-        assert!(
-            cancel.load(Ordering::SeqCst),
-            "the external token must observe the panic"
-        );
-        // Tasks after the panic drained without running their kernels.
-        assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    /// Without a token ([`NoCancel`]) a panic still drains via the
-    /// engine's internal flag.
-    #[test]
-    fn panic_drains_without_external_token() {
-        let g = chain(64);
-        let ran = AtomicUsize::new(0);
-        let err = Engine::new(&g)
-            .run(&EngineConfig::new(4), |_w, t| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if t == 5 {
-                    panic!("kernel exploded on task {t}");
-                }
-            })
-            .unwrap_err();
-        assert!(
-            matches!(err, EngineError::Panic(ref p) if p.task == 5),
-            "{err:?}"
-        );
-        assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    /// Caller-side cancellation stops kernels but still terminates Ok.
-    #[test]
-    fn caller_cancel_skips_remaining_kernels() {
-        let g = chain(64);
-        let ran = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        Engine::new(&g)
-            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if t == 9 {
-                    cancel.store(true, Ordering::SeqCst);
-                }
-            })
-            .unwrap();
-        assert_eq!(ran.load(Ordering::SeqCst), 10);
-    }
-
-    /// Observed execution: with the `obs` feature on, every task gets a
-    /// span with sane timestamps; with it off, the hooks are no-ops and
-    /// the report is empty — either way the run itself is unaffected.
-    #[test]
-    fn observed_execution_captures_spans() {
-        let g = chain(32);
-        let obs = ExecObs::new(g.len(), 2);
-        let ran = AtomicUsize::new(0);
-        Engine::new(&g)
-            .run(&EngineConfig::new(2).with_obs(&obs), |_wid, _t| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 32);
-        let rep = obs.finish(&g);
-        if ExecObs::enabled() {
-            assert_eq!(rep.trace.records.len(), 32);
-            for r in &rep.trace.records {
-                assert!(r.queued <= r.start + 1e-12);
-                assert!(r.start <= r.end);
-                assert!(r.proc < 2);
-            }
-            // Records come back sorted by end time.
-            for w in rep.trace.records.windows(2) {
-                assert!(w[0].end <= w[1].end);
-            }
-            assert_eq!(rep.steals.len(), 2);
-        } else {
-            assert!(rep.trace.records.is_empty());
-            assert!(rep.steals.is_empty());
-        }
-    }
-
-    /// An optional observer threads through as `Option<&ExecObs>`.
-    #[test]
-    fn optional_observer_composes() {
-        let g = chain(16);
-        let obs: Option<ExecObs> = None;
-        Engine::new(&g)
-            .run(&EngineConfig::new(2).with_obs(obs.as_ref()), |_w, _t| {})
-            .unwrap();
-    }
-
-    #[test]
-    fn cycle_is_a_typed_error() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(spec(0));
-        let b = g.add_task(spec(0));
-        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
-        g.add_edge(b, a, DataRef { i: 0, j: 0 }, 0);
-        let err = Engine::new(&g)
-            .run(&EngineConfig::new(2), |_w, _t| {})
-            .unwrap_err();
-        assert_eq!(err, EngineError::Cycle);
-        assert!(format!("{err}").contains("cycle"));
-    }
-
-    // ---------------- distributed engine ----------------
 
     fn dspec(priority: usize, writes: DataRef) -> TaskSpec {
         TaskSpec {
@@ -2750,8 +1579,7 @@ mod tests {
             .any(|e| matches!(e, RunEvent::Crash { .. })));
     }
 
-    /// Misconfiguration is a typed error, not a panic (satellite: the
-    /// legacy asserts became [`EngineError`]).
+    /// Misconfiguration is a typed error, not a panic.
     #[test]
     fn invalid_configs_are_typed_errors() {
         let g = dist_chain(4);
@@ -2813,52 +1641,405 @@ mod tests {
         assert_eq!(err, EngineError::InvalidCrashRank { rank: 7, nprocs: 4 });
     }
 
-    /// All errors render a useful message.
+    // ---------------- message passing ----------------
+
+    fn run_dist<P: Clone, F: Fn(TaskId, &mut RankCtx<'_, P>) -> P>(
+        graph: &TaskGraph,
+        nprocs: usize,
+        exec: &[usize],
+        initial: Vec<HashMap<DataRef, P>>,
+        body: F,
+    ) -> Vec<HashMap<DataRef, P>> {
+        DistEngine::new(graph, nprocs, exec)
+            .run(initial, &DistConfig::default(), body)
+            .expect("run must succeed")
+            .stores
+    }
+
+    /// Sum-chain across ranks: task k computes v_k = v_{k-1} + 1, each on
+    /// a different rank; the payload must travel through every rank.
     #[test]
-    fn engine_errors_display() {
-        let cases: Vec<(EngineError, &str)> = vec![
-            (EngineError::Cycle, "cycle"),
-            (
-                EngineError::Panic(TaskPanic {
-                    task: 3,
-                    message: "boom".into(),
-                }),
-                "task 3 panicked: boom",
-            ),
-            (
-                EngineError::RankMapLength {
-                    expected: 4,
-                    got: 2,
-                },
-                "one rank per task",
-            ),
-            (
-                EngineError::StoreCount {
-                    expected: 4,
-                    got: 2,
-                },
-                "one store per rank",
-            ),
-            (
-                EngineError::InvalidRank {
-                    task: 1,
-                    rank: 9,
-                    nprocs: 4,
-                },
-                "invalid rank 9",
-            ),
-            (
-                EngineError::InvalidCrashRank { rank: 7, nprocs: 4 },
-                "invalid rank 7",
-            ),
-            (
-                EngineError::Fault(FtError::AllRanksCrashed),
-                "unrecoverable",
-            ),
-        ];
-        for (e, needle) in cases {
-            let msg = format!("{e}");
-            assert!(msg.contains(needle), "{msg:?} should contain {needle:?}");
+    fn chain_across_ranks() {
+        let n = 12usize;
+        let nprocs = 4usize;
+        let mut g = TaskGraph::new();
+        for k in 0..n {
+            g.add_task(dspec(k, DataRef { i: k, j: 0 }));
         }
+        for k in 0..n - 1 {
+            g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
+        }
+        let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
+        let mut initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+        initial[0].insert(DataRef { i: 0, j: 0 }, 0); // seed... overwritten by task 0
+        let stores = run_dist(&g, nprocs, &exec, initial, |t, ctx| {
+            let v = if t == 0 {
+                1
+            } else {
+                // the predecessor's payload was shipped (or is local)
+                *ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }) + 1
+            };
+            ctx.put(DataRef { i: t, j: 0 }, v);
+            v
+        });
+        // task n−1 ran on rank (n−1)%nprocs and stored v = n
+        let last_rank = (n - 1) % nprocs;
+        assert_eq!(stores[last_rank][&DataRef { i: n - 1, j: 0 }], n as i64);
+    }
+
+    /// Broadcast: one producer, many consumers on all ranks; every
+    /// consumer must observe the produced value.
+    #[test]
+    fn broadcast_to_all_ranks() {
+        let nprocs = 5usize;
+        let consumers = 16usize;
+        let mut g = TaskGraph::new();
+        let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let data = DataRef { i: 0, j: 0 };
+        for c in 0..consumers {
+            let t = g.add_task(dspec(1, DataRef { i: 1 + c, j: 0 }));
+            g.add_edge(root, t, data, 8);
+        }
+        let mut exec = vec![0usize];
+        exec.extend((0..consumers).map(|c| c % nprocs));
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+        let stores = run_dist(&g, nprocs, &exec, initial, move |t, ctx| {
+            if t == 0 {
+                ctx.put(data, 42);
+                42
+            } else {
+                let v = *ctx.get(Some(0), data);
+                ctx.put(DataRef { i: t, j: 0 }, v * 2);
+                v * 2
+            }
+        });
+        let mut seen = 0;
+        for s in &stores {
+            for (d, v) in s {
+                if d.i >= 1 {
+                    assert_eq!(*v, 84);
+                    seen += 1;
+                }
+            }
+        }
+        assert_eq!(seen, consumers);
+    }
+
+    /// Out-of-order arrivals: two producers on different ranks feed one
+    /// consumer; deliveries land in whatever virtual-time order the
+    /// latencies dictate and must be held per consumer until it is ready.
+    #[test]
+    fn out_of_order_messages_parked() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let b = g.add_task(dspec(0, DataRef { i: 1, j: 0 }));
+        let c = g.add_task(dspec(1, DataRef { i: 2, j: 0 }));
+        g.add_edge(a, c, DataRef { i: 0, j: 0 }, 8);
+        g.add_edge(b, c, DataRef { i: 1, j: 0 }, 8);
+        let exec = vec![0, 1, 2];
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
+        let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
+            0 => {
+                ctx.put(DataRef { i: 0, j: 0 }, 7);
+                7
+            }
+            1 => {
+                ctx.put(DataRef { i: 1, j: 0 }, 11);
+                11
+            }
+            _ => {
+                let x = *ctx.get(Some(0), DataRef { i: 0, j: 0 });
+                let y = *ctx.get(Some(1), DataRef { i: 1, j: 0 });
+                ctx.put(DataRef { i: 2, j: 0 }, x * y);
+                x * y
+            }
+        });
+        assert_eq!(stores[2][&DataRef { i: 2, j: 0 }], 77);
+    }
+
+    /// Two consumers of the same datum on one rank, with one consumer
+    /// gated behind a slower producer: each consumer's copy must be held
+    /// independently. (Under the old thread engine the shared parking
+    /// table was a multiset for exactly this scenario; the unified
+    /// engine's per-consumer inboxes make it structural.)
+    #[test]
+    fn duplicate_parked_messages_are_not_lost() {
+        let mut g = TaskGraph::new();
+        let fast = g.add_task(dspec(0, DataRef { i: 0, j: 0 })); // rank 1
+        let slow = g.add_task(dspec(0, DataRef { i: 1, j: 0 })); // rank 2
+        // rank 0's first task waits on `slow`, so both copies of `fast`'s
+        // payload arrive before their consumers run.
+        let gate = g.add_task(dspec(1, DataRef { i: 2, j: 0 }));
+        let c1 = g.add_task(dspec(2, DataRef { i: 3, j: 0 }));
+        let c2 = g.add_task(dspec(3, DataRef { i: 4, j: 0 }));
+        let d_fast = DataRef { i: 0, j: 0 };
+        let d_slow = DataRef { i: 1, j: 0 };
+        g.add_edge(slow, gate, d_slow, 8);
+        g.add_edge(fast, c1, d_fast, 8);
+        g.add_edge(fast, c2, d_fast, 8);
+        g.add_edge(gate, c1, DataRef { i: 2, j: 0 }, 0);
+
+        let exec = vec![1, 2, 0, 0, 0];
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
+        let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
+            0 => {
+                ctx.put(d_fast, 5);
+                5
+            }
+            1 => {
+                ctx.put(d_slow, 7);
+                7
+            }
+            2 => {
+                let v = *ctx.get(Some(1), d_slow);
+                ctx.put(DataRef { i: 2, j: 0 }, v);
+                v
+            }
+            3 => {
+                let v = *ctx.get(Some(0), d_fast) * 10;
+                ctx.put(DataRef { i: 3, j: 0 }, v);
+                v
+            }
+            _ => {
+                let v = *ctx.get(Some(0), d_fast) * 100;
+                ctx.put(DataRef { i: 4, j: 0 }, v);
+                v
+            }
+        });
+        assert_eq!(stores[0][&DataRef { i: 3, j: 0 }], 50);
+        assert_eq!(stores[0][&DataRef { i: 4, j: 0 }], 500);
+    }
+
+    // ---------------- fault layer ----------------
+
+    /// [`run_chain`] under a fault plan: the final value n proves every
+    /// hop happened exactly once with the right payload.
+    fn run_chain_ft(
+        n: usize,
+        nprocs: usize,
+        cfg: &FtConfig,
+    ) -> Result<DistOutcome<i64>, EngineError> {
+        let dcfg = DistConfig {
+            ft: Some(cfg),
+            ..DistConfig::default()
+        };
+        run_chain(n, nprocs, &dcfg)
+    }
+
+    #[test]
+    fn ft_fault_free_matches_default_config() {
+        let out = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        assert_eq!(chain_result(&out, 12), 12);
+        assert_eq!(out.stats.retransmissions, 0);
+        assert_eq!(out.stats.crashes, 0);
+        assert!(out.makespan > 0.0);
+    }
+
+    #[test]
+    fn ft_survives_drops_duplicates_and_jitter() {
+        let plan = FaultPlan::new(42)
+            .with_drops(0.35)
+            .with_duplicates(0.30)
+            .with_ack_drops(0.25)
+            .with_jitter(2.0);
+        let cfg = FtConfig::with_plan(plan);
+        let out = run_chain_ft(16, 4, &cfg).unwrap();
+        assert_eq!(chain_result(&out, 16), 16, "faults must not corrupt the data");
+        assert!(out.stats.retransmissions > 0, "drops at 35% must force retransmits");
+        assert!(out.stats.messages_dropped > 0);
+    }
+
+    #[test]
+    fn ft_recovers_from_mid_run_crash() {
+        // By t = 6.0 rank 1 has completed task 1 (and its message);
+        // killing it forces migration to rank 2 and re-execution.
+        let cfg = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
+        let out = run_chain_ft(12, 4, &cfg).unwrap();
+        assert_eq!(chain_result(&out, 12), 12, "crash recovery must preserve the data");
+        assert_eq!(out.stats.crashes, 1);
+        assert!(out.stats.tasks_migrated >= 3, "rank 1 owned tasks 1, 5, 9");
+        assert!(out.stats.tasks_reexecuted >= 1, "task 1 was already done");
+        assert!(out.exec_rank.iter().all(|&r| r != 1), "nothing may stay on the dead rank");
+        // Re-execution happens in parallel on the survivor, so a chain's
+        // makespan may be unchanged — but it can never shrink.
+        let baseline = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        assert!(out.makespan >= baseline.makespan);
+    }
+
+    #[test]
+    fn ft_crash_plus_lossy_network() {
+        let plan = FaultPlan::new(9)
+            .with_drops(0.25)
+            .with_duplicates(0.2)
+            .with_jitter(1.0)
+            .with_crash(2, 8.0);
+        let out = run_chain_ft(16, 4, &FtConfig::with_plan(plan)).unwrap();
+        assert_eq!(chain_result(&out, 16), 16);
+        assert_eq!(out.stats.crashes, 1);
+    }
+
+    #[test]
+    fn ft_double_crash_still_recovers() {
+        let plan = FaultPlan::new(4).with_crash(1, 5.0).with_crash(2, 11.0);
+        let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        assert_eq!(chain_result(&out, 12), 12);
+        assert_eq!(out.stats.crashes, 2);
+    }
+
+    /// Every surviving crash is paired with a recovery event naming a
+    /// live survivor, in virtual-time order; bytes are accounted.
+    #[test]
+    fn ft_events_pair_crashes_with_recoveries() {
+        let plan = FaultPlan::new(4).with_drops(0.2).with_crash(1, 5.0).with_crash(2, 11.0);
+        let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        assert_eq!(out.events.len(), 2 * out.stats.crashes);
+        let mut last_at = 0.0_f64;
+        for pair in out.events.chunks(2) {
+            let RunEvent::Crash { rank, at } = pair[0] else {
+                panic!("even-index event must be a crash: {:?}", pair[0]);
+            };
+            let RunEvent::Recovery { failed, survivor, at: rat } = pair[1] else {
+                panic!("odd-index event must be a recovery: {:?}", pair[1]);
+            };
+            assert_eq!(failed, rank, "recovery must name the crashed rank");
+            assert_ne!(survivor, rank);
+            assert_eq!(at, rat, "recovery is immediate in virtual time");
+            assert!(at >= last_at);
+            last_at = at;
+        }
+        assert!(out.stats.bytes_sent >= 8 * out.stats.messages_sent as u64);
+    }
+
+    #[test]
+    fn ft_all_ranks_crashed_is_an_error() {
+        let plan = FaultPlan::new(0).with_crash(0, 2.0).with_crash(1, 3.0);
+        let err = run_chain_ft(8, 2, &FtConfig::with_plan(plan)).unwrap_err();
+        assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
+    }
+
+    #[test]
+    fn ft_kernel_failures_retry_then_succeed() {
+        let cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 2));
+        let out = run_chain_ft(8, 2, &cfg).unwrap();
+        assert_eq!(chain_result(&out, 8), 8);
+        assert_eq!(out.stats.kernel_failures, 2);
+    }
+
+    #[test]
+    fn ft_kernel_retries_exhaust() {
+        let mut cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 99));
+        cfg.retry = RetryConfig { max_kernel_retries: 3, ..RetryConfig::default() };
+        let err = run_chain_ft(8, 2, &cfg).unwrap_err();
+        assert_eq!(err, EngineError::Fault(FtError::KernelRetriesExhausted { task: 3 }));
+    }
+
+    #[test]
+    fn ft_is_deterministic() {
+        let mk = || {
+            FtConfig::with_plan(
+                FaultPlan::new(77)
+                    .with_drops(0.3)
+                    .with_duplicates(0.25)
+                    .with_ack_drops(0.2)
+                    .with_jitter(1.5)
+                    .with_crash(1, 7.0),
+            )
+        };
+        let a = run_chain_ft(14, 4, &mk()).unwrap();
+        let b = run_chain_ft(14, 4, &mk()).unwrap();
+        assert_eq!(chain_result(&a, 14), chain_result(&b, 14));
+        assert_eq!(a.stats, b.stats, "same seed must replay the same faults");
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.exec_rank, b.exec_rank);
+    }
+
+    #[test]
+    fn ft_fan_out_fan_in_under_faults() {
+        // root → 10 middles (round-robin ranks) → sink summing them all;
+        // exercises broadcast replay and many-input gathering.
+        let width = 10usize;
+        let nprocs = 4usize;
+        let mut g = TaskGraph::new();
+        let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let sink_data = DataRef { i: 99, j: 0 };
+        let mut mids = Vec::new();
+        for m in 0..width {
+            let t = g.add_task(dspec(1, DataRef { i: 1 + m, j: 0 }));
+            g.add_edge(root, t, DataRef { i: 0, j: 0 }, 8);
+            mids.push(t);
+        }
+        let sink = g.add_task(dspec(2, sink_data));
+        for (m, &t) in mids.iter().enumerate() {
+            g.add_edge(t, sink, DataRef { i: 1 + m, j: 0 }, 8);
+        }
+        let mut exec = vec![0usize];
+        exec.extend((0..width).map(|m| m % nprocs));
+        exec.push(0);
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
+        let plan = FaultPlan::new(5)
+            .with_drops(0.3)
+            .with_duplicates(0.3)
+            .with_jitter(1.0)
+            .with_crash(2, 3.0);
+        let ft = FtConfig::with_plan(plan);
+        let dcfg = DistConfig { ft: Some(&ft), record_trace: false, sched: None, metrics: None };
+        let out = DistEngine::new(&g, nprocs, &exec)
+            .run(initial, &dcfg, |t, ctx| {
+                if t == root {
+                    ctx.put(DataRef { i: 0, j: 0 }, 7);
+                    7
+                } else if t == sink {
+                    let mut sum = 0;
+                    for m in 0..width {
+                        sum += *ctx.get(Some(1 + m), DataRef { i: 1 + m, j: 0 });
+                    }
+                    ctx.put(sink_data, sum);
+                    sum
+                } else {
+                    let v = *ctx.get(Some(root), DataRef { i: 0, j: 0 }) * 2;
+                    ctx.put(DataRef { i: t, j: 0 }, v);
+                    v
+                }
+            })
+            .unwrap();
+        let v = out.stores[out.exec_rank[sink]][&sink_data];
+        assert_eq!(v, (7 * 2) * width as i64);
+    }
+
+    #[test]
+    fn ft_many_seeds_never_corrupt() {
+        for seed in 0..25u64 {
+            let plan = FaultPlan::new(seed)
+                .with_drops(0.3)
+                .with_duplicates(0.25)
+                .with_ack_drops(0.2)
+                .with_jitter(1.5)
+                .with_crash((seed % 3) as usize + 1, 4.0 + (seed % 7) as f64);
+            let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan))
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(chain_result(&out, 12), 12, "seed {seed} corrupted the chain");
+        }
+    }
+
+    /// A task whose input was never wired panics with the diagnostic.
+    #[test]
+    fn missing_edge_panics_with_diagnostic() {
+        let mut g = TaskGraph::new();
+        let _a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let _b = g.add_task(dspec(1, DataRef { i: 1, j: 0 }));
+        // no edge a → b although b reads a's datum
+        let exec = vec![0, 1];
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = DistEngine::new(&g, 2, &exec).run(initial, &DistConfig::default(), |t, ctx| {
+                if t == 0 {
+                    ctx.put(DataRef { i: 0, j: 0 }, 1);
+                    1
+                } else {
+                    *ctx.get(None, DataRef { i: 0, j: 0 }) // not local on rank 1!
+                }
+            });
+        }));
+        assert!(result.is_err(), "missing dependency must be caught");
     }
 }

@@ -1,0 +1,691 @@
+//! The shared-memory work-stealing [`Engine`].
+
+use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskPanic};
+use crate::graph::{TaskGraph, TaskId};
+use crate::obs::registry::{Counter, Gauge, Registry};
+use crate::scheduler::{LookaheadScheduler, SchedPlan, SchedPolicy, Scheduler, StaticScheduler};
+use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Capability configuration of a shared-memory [`Engine`] run.
+///
+/// Build one with [`EngineConfig::new`], then layer capabilities with
+/// [`with_cancel`](EngineConfig::with_cancel) /
+/// [`with_obs`](EngineConfig::with_obs). Each capability is a type
+/// parameter, so a run without a capability monomorphizes to a loop
+/// that never mentions it.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineConfig<'m, C = NoCancel, O = NoObserve> {
+    /// Worker threads of the pool (clamped to ≥ 1).
+    pub nthreads: usize,
+    /// Cancellation hook.
+    pub cancel: C,
+    /// Observation hook.
+    pub obs: O,
+    /// Ready-queue scheduling policy (default
+    /// [`SchedPolicy::PanelPriority`]). The engine builds the matching
+    /// [`Scheduler`] itself, pricing tasks by their planned flops; to
+    /// supply a custom implementation use
+    /// [`Engine::run_with_scheduler`].
+    pub sched: SchedPolicy,
+    /// Always-on metrics sink: per-class task durations, enqueue/steal
+    /// counters, and the scheduler's end-of-run EMA corrections land in
+    /// the registry's per-worker shards (`None` skips all recording).
+    pub metrics: Option<&'m Registry>,
+}
+
+impl EngineConfig<'_> {
+    /// A plain run on `nthreads` workers: no cancellation token, no span
+    /// capture, panel-priority scheduling, no metrics sink.
+    pub fn new(nthreads: usize) -> Self {
+        EngineConfig {
+            nthreads,
+            cancel: NoCancel,
+            obs: NoObserve,
+            sched: SchedPolicy::PanelPriority,
+            metrics: None,
+        }
+    }
+}
+
+impl<'m, C, O> EngineConfig<'m, C, O> {
+    /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
+    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<'m, C2, O> {
+        EngineConfig {
+            nthreads: self.nthreads,
+            cancel,
+            obs: self.obs,
+            sched: self.sched,
+            metrics: self.metrics,
+        }
+    }
+
+    /// Layer span capture (e.g. `&ExecObs` or `obs.as_ref()`) onto the
+    /// run.
+    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<'m, C, O2> {
+        EngineConfig {
+            nthreads: self.nthreads,
+            cancel: self.cancel,
+            obs,
+            sched: self.sched,
+            metrics: self.metrics,
+        }
+    }
+
+    /// Select the ready-queue scheduling policy.
+    pub fn with_sched(mut self, sched: SchedPolicy) -> Self {
+        self.sched = sched;
+        self
+    }
+
+    /// Attach a metrics registry (shard per worker).
+    pub fn with_metrics(mut self, metrics: &'m Registry) -> Self {
+        self.metrics = Some(metrics);
+        self
+    }
+}
+
+/// The shared-memory work-stealing engine.
+///
+/// Runs a [`TaskGraph`] with real kernel closures on a pool of OS
+/// threads. The scheduling discipline mirrors PaRSEC's node-level
+/// scheduler: per-worker LIFO deques (locality: a task's just-released
+/// successor runs on the releasing worker while its inputs are
+/// cache-hot) with random stealing, seeded from the graph sources in
+/// priority order. Dependency tracking is a per-task atomic in-degree
+/// counter: the worker that retires the last predecessor pushes the
+/// successor into its own deque — the "release" path of any dataflow
+/// runtime.
+///
+/// Kernel panics never hang the pool: the first panic flips an internal
+/// drain flag (and the [`Cancel`] hook), remaining tasks retire without
+/// running their kernels, and the panic is reported as
+/// [`EngineError::Panic`] once every worker has stopped.
+pub struct Engine<'g> {
+    graph: &'g TaskGraph,
+}
+
+impl<'g> Engine<'g> {
+    /// An engine over `graph`. Cheap: all state is per-run.
+    pub fn new(graph: &'g TaskGraph) -> Self {
+        Engine { graph }
+    }
+
+    /// Execute every task exactly once, respecting all dependencies,
+    /// calling `kernel(worker_index, task)` concurrently from the pool.
+    ///
+    /// The worker index is stable for the lifetime of the pool
+    /// (`0..nthreads`), so callers can give every worker an exclusive
+    /// slot of per-worker state (the TLR factorization hands each worker
+    /// its own `KernelWorkspace` arena). Exclusive access to the data a
+    /// task writes is guaranteed by the graph, not the engine.
+    ///
+    /// `kernel` is invoked under [`catch_unwind`]: shared state it
+    /// mutates must tolerate a kernel dying mid-update (the TLR
+    /// factorizations qualify — a poisoned run's output is discarded
+    /// wholesale).
+    pub fn run<C, O, F>(&self, cfg: &EngineConfig<'_, C, O>, kernel: F) -> Result<(), EngineError>
+    where
+        C: Cancel,
+        O: Observe,
+        F: Fn(usize, TaskId) + Sync,
+    {
+        let mut sched = policy_scheduler(self.graph, cfg.sched)?;
+        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
+    }
+
+    /// [`run`](Engine::run) consuming a precomputed [`SchedPlan`]
+    /// instead of rebuilding the scheduler from
+    /// [`EngineConfig::sched`]: the plan's stored tables are
+    /// instantiated (O(tasks), no graph walk) and the run proceeds
+    /// exactly as an unplanned run with the same policy would — the
+    /// plan only moves *when* the pricing happens, never what it is, so
+    /// planned and unplanned runs are bit-identical.
+    pub fn run_planned<C, O, F>(
+        &self,
+        cfg: &EngineConfig<'_, C, O>,
+        plan: &SchedPlan,
+        kernel: F,
+    ) -> Result<(), EngineError>
+    where
+        C: Cancel,
+        O: Observe,
+        F: Fn(usize, TaskId) + Sync,
+    {
+        if plan.len() != self.graph.len() {
+            return Err(EngineError::RankMapLength {
+                expected: self.graph.len(),
+                got: plan.len(),
+            });
+        }
+        let mut sched = plan.instantiate()?;
+        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
+    }
+
+    /// [`run`](Engine::run) consulting an explicit [`Scheduler`]
+    /// implementation instead of building one from
+    /// [`EngineConfig::sched`].
+    ///
+    /// The engine calls `on_task_ready` for every task that becomes
+    /// ready (under an internal mutex — the callbacks must be cheap) and
+    /// orders the ready work by the returned key: sources are seeded
+    /// best-first and each retirement pushes its newly-released
+    /// successors onto the releasing worker's LIFO deque worst-first, so
+    /// the best key is popped next while locality is preserved.
+    /// `on_task_finished` fires at every retirement with the measured
+    /// wall-clock seconds of the kernel — the feedback a dynamic policy
+    /// ([`crate::scheduler::LookaheadScheduler`]) learns from. A
+    /// non-finite key fails the run with [`EngineError::NonFiniteKey`]
+    /// (remaining tasks drain without executing, as on a kernel panic).
+    pub fn run_with_scheduler<C, O, F>(
+        &self,
+        cfg: &EngineConfig<'_, C, O>,
+        sched: &mut dyn Scheduler,
+        kernel: F,
+    ) -> Result<(), EngineError>
+    where
+        C: Cancel,
+        O: Observe,
+        F: Fn(usize, TaskId) + Sync,
+    {
+        let graph = self.graph;
+        let n = graph.len();
+        if n == 0 {
+            return Ok(());
+        }
+        if graph.topological_order().is_none() {
+            return Err(EngineError::Cycle);
+        }
+        let nthreads = cfg.nthreads.max(1);
+
+        let indegree: Vec<AtomicUsize> = graph
+            .indegrees()
+            .into_iter()
+            .map(AtomicUsize::new)
+            .collect();
+        let completed = AtomicUsize::new(0);
+        let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
+        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
+        // Internal drain flag: a panic must stop the kernels even when the
+        // caller supplied no cancellation token ([`NoCancel`]).
+        let draining = AtomicBool::new(false);
+
+        let injector = Injector::new();
+        // Seed sources best-key-first (critical path first under the
+        // default policy). Keys are validated before any kernel runs.
+        let mut sources: Vec<(f64, TaskId)> = Vec::new();
+        for t in graph.sources() {
+            let key = sched.on_task_ready(t, graph);
+            if !key.is_finite() {
+                return Err(EngineError::NonFiniteKey { task: t, key });
+            }
+            sources.push((key, t));
+        }
+        sources.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (_, t) in sources {
+            cfg.obs.on_enqueue(t);
+            if let Some(reg) = cfg.metrics {
+                reg.incr(0, Counter::TasksEnqueued);
+            }
+            injector.push(t);
+        }
+        // Shared by the workers: the policy's state is updated on every
+        // ready/finished callback, so it lives under one mutex.
+        let sched = Mutex::new(sched);
+
+        let workers: Vec<Worker<TaskId>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
+        let stealers: Vec<Stealer<TaskId>> = workers.iter().map(Worker::stealer).collect();
+
+        std::thread::scope(|scope| {
+            for (wid, local) in workers.into_iter().enumerate() {
+                let injector = &injector;
+                let stealers = &stealers;
+                let indegree = &indegree;
+                let completed = &completed;
+                let first_panic = &first_panic;
+                let first_error = &first_error;
+                let draining = &draining;
+                let kernel = &kernel;
+                let sched = &sched;
+                scope.spawn(move || {
+                    let mut rng: u64 = 0x9E3779B97F4A7C15 ^ (wid as u64);
+                    // Reused per-retire scratch for released successors.
+                    let mut released: Vec<(f64, TaskId)> = Vec::new();
+                    loop {
+                        if completed.load(Ordering::Acquire) == n {
+                            return;
+                        }
+                        let task = find_task(
+                            &local,
+                            injector,
+                            stealers,
+                            wid,
+                            &mut rng,
+                            &cfg.obs,
+                            cfg.metrics,
+                        );
+                        match task {
+                            Some(t) => {
+                                let start_ns = cfg.obs.now_ns();
+                                let wall_start = std::time::Instant::now();
+                                let mut ran = false;
+                                if !draining.load(Ordering::Acquire) && !cfg.cancel.is_cancelled() {
+                                    ran = true;
+                                    if let Err(payload) =
+                                        catch_unwind(AssertUnwindSafe(|| kernel(wid, t)))
+                                    {
+                                        draining.store(true, Ordering::Release);
+                                        cfg.cancel.cancel();
+                                        let message = payload
+                                            .downcast_ref::<&str>()
+                                            .map(|s| s.to_string())
+                                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                                            .unwrap_or_else(|| "non-string panic payload".into());
+                                        let mut slot =
+                                            first_panic.lock().unwrap_or_else(|e| e.into_inner());
+                                        if slot.is_none() {
+                                            *slot = Some(TaskPanic { task: t, message });
+                                        }
+                                    }
+                                }
+                                let measured_s =
+                                    if ran { wall_start.elapsed().as_secs_f64() } else { 0.0 };
+                                cfg.obs.on_retire(wid, t, start_ns);
+                                if ran {
+                                    if let Some(reg) = cfg.metrics {
+                                        reg.incr(wid, Counter::TasksExecuted);
+                                        reg.record_class_seconds(
+                                            wid,
+                                            graph.spec(t).class,
+                                            measured_s,
+                                        );
+                                    }
+                                }
+                                // Release successors even when draining: the
+                                // completion count must reach `n` to stop.
+                                released.clear();
+                                for e in graph.successors(t) {
+                                    if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                        released.push((0.0, e.dst));
+                                    }
+                                }
+                                {
+                                    let mut s =
+                                        sched.lock().unwrap_or_else(|e| e.into_inner());
+                                    s.on_task_finished(t, graph, measured_s);
+                                    for slot in released.iter_mut() {
+                                        slot.0 = s.on_task_ready(slot.1, graph);
+                                    }
+                                }
+                                for &(key, dst) in released.iter() {
+                                    if !key.is_finite() {
+                                        // Typed failure, same drain protocol
+                                        // as a kernel panic: remaining tasks
+                                        // retire without executing.
+                                        draining.store(true, Ordering::Release);
+                                        cfg.cancel.cancel();
+                                        let mut slot = first_error
+                                            .lock()
+                                            .unwrap_or_else(|e| e.into_inner());
+                                        if slot.is_none() {
+                                            *slot = Some(EngineError::NonFiniteKey {
+                                                task: dst,
+                                                key,
+                                            });
+                                        }
+                                    }
+                                }
+                                // Worst key first onto the LIFO deque, so
+                                // the best key is what this worker pops
+                                // next (total_cmp: NaNs cannot panic the
+                                // sort even on the drain path).
+                                released.sort_by(|a, b| b.0.total_cmp(&a.0));
+                                for &(_, dst) in released.iter() {
+                                    cfg.obs.on_enqueue(dst);
+                                    if let Some(reg) = cfg.metrics {
+                                        reg.incr(wid, Counter::TasksEnqueued);
+                                    }
+                                    local.push(dst);
+                                }
+                                completed.fetch_add(1, Ordering::AcqRel);
+                            }
+                            None => std::hint::spin_loop(),
+                        }
+                    }
+                });
+            }
+        });
+
+        // Publish the scheduler's learned per-class EMA corrections so
+        // drift reports can inspect the calibration state it ended with.
+        if let Some(reg) = cfg.metrics {
+            let s = sched.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(corr) = s.class_corrections() {
+                for (k, &v) in corr.iter().enumerate() {
+                    reg.gauge_max(0, Gauge::correction(k), v);
+                }
+            }
+        }
+
+        debug_assert_eq!(
+            completed.load(Ordering::Acquire),
+            n,
+            "not all tasks executed"
+        );
+        if let Some(e) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            return Err(e);
+        }
+        match first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(p) => Err(EngineError::Panic(p)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Build the [`Scheduler`] for a policy in an engine that has no
+/// machine model: tasks are priced by their planned flops at a nominal
+/// 1 Gflop/s (only relative magnitudes matter for ordering, but the
+/// lookahead's online correction works best when the estimates are in
+/// seconds-like units).
+fn policy_scheduler(
+    graph: &TaskGraph,
+    policy: SchedPolicy,
+) -> Result<Box<dyn Scheduler>, EngineError> {
+    let cost = |t: TaskId| graph.spec(t).flops * 1e-9;
+    Ok(match policy {
+        SchedPolicy::RankAwareLookahead => Box::new(LookaheadScheduler::new(graph, cost)?),
+        p => Box::new(StaticScheduler::from_policy(graph, cost, p)?),
+    })
+}
+
+/// Pop local → steal from injector → steal from a random victim.
+fn find_task<O: Observe>(
+    local: &Worker<TaskId>,
+    injector: &Injector<TaskId>,
+    stealers: &[Stealer<TaskId>],
+    self_id: usize,
+    rng: &mut u64,
+    obs: &O,
+    metrics: Option<&Registry>,
+) -> Option<TaskId> {
+    if let Some(t) = local.pop() {
+        return Some(t);
+    }
+    loop {
+        match injector.steal_batch_and_pop(local) {
+            Steal::Success(t) => return Some(t),
+            Steal::Retry => continue,
+            Steal::Empty => break,
+        }
+    }
+    // Random-order steal attempt over all other workers.
+    let k = stealers.len();
+    if k > 1 {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let start = (*rng >> 33) as usize % k;
+        for off in 0..k {
+            let victim = (start + off) % k;
+            if victim == self_id {
+                continue;
+            }
+            loop {
+                match stealers[victim].steal_batch_and_pop(local) {
+                    Steal::Success(t) => {
+                        obs.on_steal(self_id);
+                        if let Some(reg) = metrics {
+                            reg.incr(self_id, Counter::Steals);
+                        }
+                        return Some(t);
+                    }
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
+                }
+            }
+        }
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ExecObs;
+    use crate::graph::{DataRef, TaskClass, TaskSpec};
+    use std::sync::atomic::AtomicU64;
+
+    fn spec(priority: usize) -> TaskSpec {
+        TaskSpec {
+            class: TaskClass::Other,
+            priority,
+            writes: None,
+            flops: 0.0,
+        }
+    }
+
+    fn chain(n: usize) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        for i in 0..n {
+            g.add_task(spec(i));
+        }
+        for i in 0..n - 1 {
+            g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
+        }
+        g
+    }
+
+    /// Chain 0 → 1 → … → n−1 must execute in exact order.
+    #[test]
+    fn chain_executes_in_order() {
+        let g = chain(100);
+        let order = Mutex::new(Vec::new());
+        Engine::new(&g)
+            .run(&EngineConfig::new(4), |_w, t| order.lock().unwrap().push(t))
+            .unwrap();
+        let order = order.into_inner().unwrap();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// Every task runs exactly once, even with wide fan-out.
+    #[test]
+    fn fanout_runs_each_task_once() {
+        let width = 500;
+        let mut g = TaskGraph::new();
+        let root = g.add_task(spec(0));
+        let sink = g.add_task(spec(2));
+        for _ in 0..width {
+            let mid = g.add_task(spec(1));
+            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
+        }
+        let counts: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
+        Engine::new(&g)
+            .run(&EngineConfig::new(8), |_w, t| {
+                counts[t].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        for (t, c) in counts.iter().enumerate() {
+            assert_eq!(
+                c.load(Ordering::Relaxed),
+                1,
+                "task {t} ran wrong number of times"
+            );
+        }
+    }
+
+    /// Dependencies are respected: a parent's effect is visible to children.
+    #[test]
+    fn dependency_happens_before() {
+        // Layered graph: each layer sums the previous layer's value + 1.
+        let layers = 50;
+        let width = 8;
+        let mut g = TaskGraph::new();
+        let mut prev: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(0))).collect();
+        for l in 1..layers {
+            let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(l))).collect();
+            for &p in &prev {
+                for &c in &cur {
+                    g.add_edge(p, c, DataRef { i: 0, j: 0 }, 0);
+                }
+            }
+            prev = cur;
+        }
+        let level = AtomicU64::new(0);
+        let violations = AtomicUsize::new(0);
+        // Record the maximum "wave" seen; a child running before any parent
+        // would observe a lower wave than required.
+        let task_layer: Vec<usize> = (0..g.len()).map(|t| g.spec(t).priority).collect();
+        Engine::new(&g)
+            .run(&EngineConfig::new(8), |_w, t| {
+                let seen = level.load(Ordering::SeqCst);
+                if (task_layer[t] as u64) < seen.saturating_sub(1) {
+                    violations.fetch_add(1, Ordering::SeqCst);
+                }
+                level.fetch_max(task_layer[t] as u64, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(violations.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn empty_graph_ok() {
+        let g = TaskGraph::new();
+        Engine::new(&g)
+            .run(&EngineConfig::new(4), |_w, _t| panic!("no tasks"))
+            .unwrap();
+    }
+
+    #[test]
+    fn single_thread_ok() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(spec(0));
+        let b = g.add_task(spec(1));
+        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
+        let order = Mutex::new(Vec::new());
+        Engine::new(&g)
+            .run(&EngineConfig::new(1), |_w, t| order.lock().unwrap().push(t))
+            .unwrap();
+        assert_eq!(order.into_inner().unwrap(), vec![a, b]);
+    }
+
+    /// A panicking kernel must not hang the pool: the run drains, every
+    /// task is retired, and the first panic is reported — with and
+    /// without an external cancellation token, which observes the drain.
+    #[test]
+    fn panic_cancels_and_drains() {
+        let g = chain(64);
+        let ran = AtomicUsize::new(0);
+        let cancel = AtomicBool::new(false);
+        let err = Engine::new(&g)
+            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if t == 5 {
+                    panic!("kernel exploded on task {t}");
+                }
+            })
+            .unwrap_err();
+        let EngineError::Panic(p) = err else {
+            panic!("expected a panic error, got {err:?}")
+        };
+        assert_eq!(p.task, 5);
+        assert!(p.message.contains("exploded"), "{}", p.message);
+        assert!(
+            cancel.load(Ordering::SeqCst),
+            "the external token must observe the panic"
+        );
+        // Tasks after the panic drained without running their kernels.
+        assert_eq!(ran.load(Ordering::SeqCst), 6);
+    }
+
+    /// Without a token ([`NoCancel`]) a panic still drains via the
+    /// engine's internal flag.
+    #[test]
+    fn panic_drains_without_external_token() {
+        let g = chain(64);
+        let ran = AtomicUsize::new(0);
+        let err = Engine::new(&g)
+            .run(&EngineConfig::new(4), |_w, t| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if t == 5 {
+                    panic!("kernel exploded on task {t}");
+                }
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Panic(ref p) if p.task == 5),
+            "{err:?}"
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 6);
+    }
+
+    /// Caller-side cancellation stops kernels but still terminates Ok.
+    #[test]
+    fn caller_cancel_skips_remaining_kernels() {
+        let g = chain(64);
+        let ran = AtomicUsize::new(0);
+        let cancel = AtomicBool::new(false);
+        Engine::new(&g)
+            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if t == 9 {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+            })
+            .unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 10);
+    }
+
+    /// Observed execution: every task gets a span with sane timestamps
+    /// and the run itself is unaffected.
+    #[test]
+    fn observed_execution_captures_spans() {
+        let g = chain(32);
+        let obs = ExecObs::new(g.len(), 2);
+        let ran = AtomicUsize::new(0);
+        Engine::new(&g)
+            .run(&EngineConfig::new(2).with_obs(&obs), |_wid, _t| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 32);
+        let rep = obs.finish(&g);
+        assert_eq!(rep.trace.records.len(), 32);
+        for r in &rep.trace.records {
+            assert!(r.queued <= r.start + 1e-12);
+            assert!(r.start <= r.end);
+            assert!(r.proc < 2);
+        }
+        // Records come back sorted by end time.
+        for w in rep.trace.records.windows(2) {
+            assert!(w[0].end <= w[1].end);
+        }
+        assert_eq!(rep.steals.len(), 2);
+    }
+
+    /// An optional observer threads through as `Option<&ExecObs>`.
+    #[test]
+    fn optional_observer_composes() {
+        let g = chain(16);
+        let obs: Option<ExecObs> = None;
+        Engine::new(&g)
+            .run(&EngineConfig::new(2).with_obs(obs.as_ref()), |_w, _t| {})
+            .unwrap();
+    }
+
+    #[test]
+    fn cycle_is_a_typed_error() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(spec(0));
+        let b = g.add_task(spec(0));
+        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
+        g.add_edge(b, a, DataRef { i: 0, j: 0 }, 0);
+        let err = Engine::new(&g)
+            .run(&EngineConfig::new(2), |_w, _t| {})
+            .unwrap_err();
+        assert_eq!(err, EngineError::Cycle);
+        assert!(format!("{err}").contains("cycle"));
+    }
+}

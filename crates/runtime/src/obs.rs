@@ -4,10 +4,10 @@
 //! PINS/profiling analogue): everything here consumes a finished
 //! [`Trace`] or counter set and turns it into artifacts — a Chrome-trace
 //! (Perfetto) JSON timeline, a CSV/JSON metrics dump, or a rendered
-//! report. The hot-path half (span capture inside the executor, rank
-//! logging inside the kernels) lives behind the `obs` cargo feature; this
-//! module is always compiled because it only runs after a factorization
-//! finishes, on data structures that exist either way.
+//! report. The hot-path half is span capture inside the executor
+//! ([`crate::engine::ExecObs`], per run) and rank logging inside the
+//! kernel workspaces (always on); this module only runs after a
+//! factorization finishes.
 //!
 //! The JSON layer is hand-rolled: the workspace's `serde` is an offline
 //! marker-trait shim with no `serde_json`, so [`json::Json`] provides the
@@ -973,10 +973,8 @@ mod tests {
         assert!(snap_counters.is_some());
         let prom = m.to_prometheus();
         assert!(prom.contains("tlr_run_makespan_seconds{run=\"run_a\"}"), "{prom}");
-        if Registry::compiled() {
-            assert!(prom.contains("tlr_tasks_executed_total 5"), "{prom}");
-            assert_eq!(m.registry.as_ref().unwrap().counter(Counter::TasksExecuted), 5);
-        }
+        assert!(prom.contains("tlr_tasks_executed_total 5"), "{prom}");
+        assert_eq!(m.registry.as_ref().unwrap().counter(Counter::TasksExecuted), 5);
         // Without a registry the field stays out of the JSON.
         let bare = RunMetrics::from_trace("b", &sample_trace(), 2);
         assert!(bare.to_json().get("registry").is_none());

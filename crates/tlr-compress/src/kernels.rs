@@ -137,11 +137,11 @@ pub struct KernelWorkspace {
     svd_work: SvdWork,
     /// Buffer checkouts that had to allocate or grow (pool miss). Stays
     /// at its warm-up value once the arena reaches steady state; the
-    /// observability layer reports it as the allocation-event counter.
-    #[cfg(feature = "obs")]
+    /// metrics registry reports it as `workspace_growth`.
     alloc_events: u64,
-    /// Input/output ranks of every recompression through this arena.
-    #[cfg(feature = "obs")]
+    /// Input/output ranks of every recompression through this arena
+    /// (a few integer ops per recompression; the histogram grows to the
+    /// largest kept rank once, like the buffer pools).
     rank_log: crate::rankstat::RankEvolution,
 }
 
@@ -160,9 +160,7 @@ impl KernelWorkspace {
             taus: Vec::new(),
             svd: Svd::empty(),
             svd_work: SvdWork::new(),
-            #[cfg(feature = "obs")]
             alloc_events: 0,
-            #[cfg(feature = "obs")]
             rank_log: crate::rankstat::RankEvolution::default(),
         }
     }
@@ -171,9 +169,8 @@ impl KernelWorkspace {
     /// (scratch, export, and tau pools plus the reusable SVD pair).
     /// Pools only grow, so after warm-up this is the arena's high-water
     /// mark — the per-worker memory-budget number the metrics registry
-    /// reports. Always compiled (no `obs` gate): it reads capacities
-    /// already tracked by the allocator, costing a short walk of the
-    /// pool lists at report time.
+    /// reports. It reads capacities already tracked by the allocator,
+    /// costing a short walk of the pool lists at report time.
     pub fn high_water_bytes(&self) -> u64 {
         let vecs = |pool: &[Vec<f64>]| -> u64 {
             pool.iter().map(|b| b.capacity() as u64).sum::<u64>()
@@ -189,53 +186,14 @@ impl KernelWorkspace {
     }
 
     /// Pool misses so far: checkouts that allocated a fresh buffer or
-    /// grew a pooled one. Always callable; 0 without the `obs` feature.
+    /// grew a pooled one.
     pub fn alloc_events(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.alloc_events
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.alloc_events
     }
 
-    /// Drain the recompression rank log accumulated by this arena
-    /// (empty without the `obs` feature).
+    /// Drain the recompression rank log accumulated by this arena.
     pub fn take_rank_log(&mut self) -> crate::rankstat::RankEvolution {
-        #[cfg(feature = "obs")]
-        {
-            std::mem::take(&mut self.rank_log)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            crate::rankstat::RankEvolution::default()
-        }
-    }
-
-    /// Note one recompression's `(stacked input, kept output)` ranks.
-    #[inline]
-    #[allow(unused_variables)]
-    fn log_recompress(&mut self, k_in: usize, k_out: usize) {
-        #[cfg(feature = "obs")]
-        self.rank_log.record(k_in, k_out);
-    }
-
-    /// Note a recompression that truncated to a Null tile.
-    #[inline]
-    #[allow(unused_variables)]
-    fn log_recompress_null(&mut self, k_in: usize) {
-        #[cfg(feature = "obs")]
-        self.rank_log.record_null(k_in);
-    }
-
-    /// Note a recompression that fell back to Dense format.
-    #[inline]
-    #[allow(unused_variables)]
-    fn log_recompress_dense(&mut self, k_in: usize, k_out: usize) {
-        #[cfg(feature = "obs")]
-        self.rank_log.record_dense(k_in, k_out);
+        std::mem::take(&mut self.rank_log)
     }
 
     /// Check out a zeroed `rows × cols` matrix backed by the smallest
@@ -302,12 +260,8 @@ impl KernelWorkspace {
 
     /// Bump the allocation-event counter when a checkout grew.
     #[inline]
-    #[allow(unused_variables)]
     fn note_growth(&mut self, grew: bool) {
-        #[cfg(feature = "obs")]
-        if grew {
-            self.alloc_events += 1;
-        }
+        self.alloc_events += u64::from(grew);
     }
 
     fn give_to(pool: &mut Vec<Vec<f64>>, m: Matrix) {
@@ -673,7 +627,7 @@ fn recompress_ws(
     ws.give(core);
     let k = ws.svd.rank_at_frobenius(config.accuracy).min(config.max_rank);
     if k == 0 {
-        ws.log_recompress_null(ktot);
+        ws.rank_log.record_null(ktot);
         reclaim_qr(ws, qu);
         reclaim_qr(ws, qv);
         return Tile::Null { rows, cols };
@@ -699,14 +653,14 @@ fn recompress_ws(
     ws.give(ys);
     reclaim_qr(ws, qv);
     if !config.low_rank_pays_off(k, rows, cols) {
-        ws.log_recompress_dense(ktot, k);
+        ws.rank_log.record_dense(ktot, k);
         let mut dense = ws.take_out(rows, cols);
         gemm_serial(Trans::No, Trans::Yes, 1.0, &u, &v, 0.0, &mut dense);
         ws.give_out(u);
         ws.give_out(v);
         return Tile::Dense(dense);
     }
-    ws.log_recompress(ktot, k);
+    ws.rank_log.record(ktot, k);
     Tile::LowRank { u, v }
 }
 

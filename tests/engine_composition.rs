@@ -3,8 +3,7 @@
 //! bit-identical factor on the same seeded RBF-structured problem, with
 //! communication accounting that stays consistent between the engine's
 //! `CommStats` and the fault layer's `FaultStats`. This is the contract
-//! that let the legacy `execute_*`/`factorize_distributed_*` entry-point
-//! matrix collapse into one `Session` over one engine per kind.
+//! behind one `Session` over one engine per kind.
 
 use hicma_parsec::cholesky::{factorize, FactorConfig, RunError, Session};
 use hicma_parsec::distribution::{DiamondDistribution, TwoDBlockCyclic};
@@ -63,8 +62,7 @@ proptest! {
         let l_base = base.to_dense_lower();
 
         // {obs} — tracing layered onto the shared engine must not
-        // perturb the numbers (no-op hooks compile away without the
-        // feature; with it, span capture stays off the kernel path).
+        // perturb the numbers (span capture stays off the kernel path).
         let mut traced = compressed(&dense, b, acc);
         let mut tcfg = fcfg;
         tcfg.collect_trace = true;
@@ -232,10 +230,9 @@ fn pivot_cancellation_is_uniform_across_engines() {
     assert_eq!(dist_pivot, ft_pivot, "the fault layer must not change the reported pivot");
 }
 
-/// The headline composition the legacy entry points could not express:
-/// one run that is fault-tolerant, comm-counted, *and* traced. Crash
-/// events pair up, comm accounting is consistent, and (in `obs` builds)
-/// the virtual-time trace covers every task.
+/// The headline composition: one run that is fault-tolerant,
+/// comm-counted, *and* traced. Crash events pair up, comm accounting is
+/// consistent, and the virtual-time trace covers every task.
 #[test]
 fn ft_plus_trace_plus_comm_in_one_run() {
     let n = 120;
@@ -268,19 +265,14 @@ fn ft_plus_trace_plus_comm_in_one_run() {
     assert_eq!(ftout.stats.crashes, 1);
     assert_eq!(ftout.events.len(), 2, "one crash ⇒ one Crash + one Recovery event");
 
-    // Trace: present in obs builds, absent otherwise (collect_trace is
-    // feature-gated uniformly across engines), covering every task plus
-    // the crash re-executions, inside the virtual makespan.
-    if cfg!(feature = "obs") {
-        let trace = out.trace.expect("obs build with collect_trace must record a trace");
-        assert!(
-            trace.records.len() >= out.report.dag_tasks,
-            "every task (plus re-executions) must be traced: {} < {}",
-            trace.records.len(),
-            out.report.dag_tasks
-        );
-        assert!(trace.makespan() <= ftout.makespan + 1e-12);
-    } else {
-        assert!(out.trace.is_none(), "tracing is compiled out without the obs feature");
-    }
+    // Trace: covers every task plus the crash re-executions, inside the
+    // virtual makespan.
+    let trace = out.trace.expect("collect_trace must record a trace");
+    assert!(
+        trace.records.len() >= out.report.dag_tasks,
+        "every task (plus re-executions) must be traced: {} < {}",
+        trace.records.len(),
+        out.report.dag_tasks
+    );
+    assert!(trace.makespan() <= ftout.makespan + 1e-12);
 }

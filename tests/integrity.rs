@@ -3,8 +3,7 @@
 //! `Session` pipeline must be detected with zero false negatives,
 //! healed from lineage, and leave the factor bit-identical to the
 //! fault-free run — composing with message loss, rank crashes, comm
-//! accounting and (in `obs` builds) tracing. These tests run in both
-//! default and `--features obs` CI modes.
+//! accounting and tracing.
 
 use hicma_parsec::cholesky::{factorize, FactorConfig, IntegrityMode, RunError, Session};
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
@@ -239,12 +238,11 @@ fn corruption_composes_with_crash_loss_and_trace() {
         out.comm.is_some(),
         "comm accounting composes with the integrity layer"
     );
-    if let Some(trace) = &out.trace {
-        assert!(
-            !trace.records.is_empty(),
-            "requested trace must have records"
-        );
-    }
+    let trace = out.trace.as_ref().expect("collect_trace must record a trace");
+    assert!(
+        !trace.records.is_empty(),
+        "requested trace must have records"
+    );
     let diff = relative_diff(&m.to_dense_lower(), &reference);
     assert!(diff == 0.0, "composed faults changed the factor: {diff}");
 }

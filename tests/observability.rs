@@ -12,7 +12,7 @@ use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
 };
 use hicma_parsec::runtime::trace::{TaskRecord, Trace};
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig, Gauge, MachineModel, Registry};
+use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig, Gauge, MachineModel};
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use proptest::prelude::*;
 
@@ -210,14 +210,9 @@ fn ft_run_records_matching_crash_recovery_pairs() {
     assert!(outcome.stats.bytes_sent >= 8 * outcome.stats.messages_sent as u64);
 }
 
-/// End-to-end acceptance (needs `--features obs`): a traced shared-memory
-/// factorization of an RBF-structured problem exports a valid Chrome
-/// trace and a metrics report with per-class, per-worker, and
-/// rank-evolution content.
-#[cfg(feature = "obs")]
-#[test]
-fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
-    use hicma_parsec::cholesky::factorize;
+/// The RBF operator of two Hilbert-ordered virus bodies at ε = 1e-6,
+/// b = 72 — the acceptance tests' stand-in for the paper's workload.
+fn rbf_matrix() -> TlrMatrix {
     use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
     use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
     use hicma_parsec::mesh::GaussianRbf;
@@ -225,15 +220,24 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
     let vcfg = VirusConfig { points_per_virus: 180, ..Default::default() };
     let raw = virus_population(2, &vcfg, 42);
     let points = apply_permutation(&raw, &hilbert_sort(&raw));
-    let n = points.len();
     let kernel = GaussianRbf::from_min_distance(&points);
     let ccfg = CompressionConfig::with_accuracy(1e-6);
-    let mut a = TlrMatrix::from_generator(n, 72, kernel.generator(&points), &ccfg);
+    TlrMatrix::from_generator(points.len(), 72, kernel.generator(&points), &ccfg)
+}
 
+/// End-to-end acceptance: a traced shared-memory factorization of an
+/// RBF-structured problem exports a valid Chrome trace and a metrics
+/// report with per-class, per-worker, and rank-evolution content.
+#[test]
+fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
+    use hicma_parsec::cholesky::factorize;
+
+    let mut a = rbf_matrix();
     let mut fcfg = FactorConfig::with_accuracy(1e-6);
     fcfg.nthreads = 2;
+    fcfg.collect_trace = true;
     let report = factorize(&mut a, &fcfg).expect("RBF operator is SPD");
-    let metrics = report.metrics.expect("obs build traces by default");
+    let metrics = report.metrics.expect("collect_trace must trace");
 
     // Chrome trace: parseable, one span per executed task, named by class
     // and tile coordinates.
@@ -262,10 +266,68 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
     assert!(rendered.contains("recompressions"), "{rendered}");
 }
 
+/// A plain default-config run — no trace, nothing opted into — still
+/// feeds the registry what the kernel workspaces saw: the recompression
+/// rank histogram and the arena growth count. A drift report prices
+/// low-rank updates off that histogram, not off the spec's fallback.
+#[test]
+fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
+    let mut a = rbf_matrix();
+    let sentinel = 1 << 20;
+    let spec = DriftSpec {
+        fallback_rank: Some(sentinel),
+        ..DriftSpec::new(MachineModel::shaheen_ii())
+    };
+    let out = Session::shared(FactorConfig::with_accuracy(1e-6))
+        .with_drift(spec)
+        .run(&mut a)
+        .expect("RBF operator is SPD");
+    assert!(out.report.metrics.is_none(), "tracing is opt-in");
+    let snap = out.registry.expect("collect_metrics defaults to on");
+    assert!(snap.recompression_ranks.count > 0, "GEMM recompressions must be counted");
+    assert!(snap.counter(Counter::WorkspaceGrowth) > 0, "arenas grow during warm-up");
+    let drift = out.drift.expect("drift spec + default metrics => report");
+    assert!(
+        drift.expected_rank > 0 && drift.expected_rank < sentinel,
+        "rank profile must come from the measured histogram, got {}",
+        drift.expected_rank
+    );
+}
+
+/// Tracing is a per-run choice that never changes the factor: the same
+/// matrix factors to identical bits with `collect_trace` on and off, on
+/// the shared engine (spans in `report.metrics`) and on the distributed
+/// one (virtual-time `RunOutcome::trace`).
+#[test]
+fn tracing_is_a_runtime_choice_with_identical_factor_bits() {
+    let base = rbf_matrix();
+    let off = FactorConfig::with_accuracy(1e-6);
+    let mut on = off;
+    on.collect_trace = true;
+
+    let (mut s_off, mut s_on) = (base.clone(), base.clone());
+    let r_off = Session::shared(off).run(&mut s_off).unwrap();
+    let r_on = Session::shared(on).run(&mut s_on).unwrap();
+    assert!(r_off.report.metrics.is_none());
+    let metrics = r_on.report.metrics.expect("collect_trace must trace");
+    assert_eq!(metrics.trace.records.len(), r_on.report.dag_tasks);
+    assert_eq!(s_on.to_dense_lower().as_slice(), s_off.to_dense_lower().as_slice());
+
+    let dist = DiamondDistribution::new(4);
+    let (mut d_off, mut d_on) = (base.clone(), base);
+    let o_off = Session::distributed(off, 4, &dist).run(&mut d_off).unwrap();
+    let o_on = Session::distributed(on, 4, &dist).run(&mut d_on).unwrap();
+    assert!(o_off.trace.is_none());
+    let trace = o_on.trace.expect("collect_trace must record a virtual-time trace");
+    assert_eq!(trace.records.len(), o_on.report.dag_tasks);
+    assert_eq!(d_on.to_dense_lower().as_slice(), d_off.to_dense_lower().as_slice());
+    assert_eq!(d_on.to_dense_lower().as_slice(), s_off.to_dense_lower().as_slice());
+}
+
 /// Integrity incidents ride the same timeline as crashes: a run with an
 /// injected store corruption exports `corruption_detected` and
-/// `corruption_healed` instant events in its Chrome trace, even in
-/// builds without the `obs` feature (the event channel is always on).
+/// `corruption_healed` instant events in its Chrome trace, even on an
+/// untraced run (the event channel is always on).
 #[test]
 fn corruption_events_export_as_chrome_instants() {
     let n = 96;
@@ -295,7 +357,7 @@ fn corruption_events_export_as_chrome_instants() {
     assert_eq!(outcome.stats.corruptions_healed, 1);
 
     // The exporter accepts the event stream with or without a task
-    // trace; an empty trace keeps this assertion obs-feature-free.
+    // trace.
     let text = chrome_trace_json_with_events(&Trace::default(), &outcome.events, "integrity");
     let doc = Json::parse(&text).expect("valid Chrome trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
@@ -310,9 +372,7 @@ fn corruption_events_export_as_chrome_instants() {
 
 /// The metrics registry is on by default and feeds `RunOutcome::registry`
 /// on shared-memory runs: task counters, per-class busy time, and the
-/// workspace high-water mark all land in the snapshot. With the
-/// runtime's `metrics` feature compiled out the snapshot is still
-/// present, just empty — callers never need a `cfg` gate.
+/// workspace high-water mark all land in the snapshot.
 #[test]
 fn default_shared_run_populates_the_registry() {
     let n = 96;
@@ -332,25 +392,21 @@ fn default_shared_run_populates_the_registry() {
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg).run(&mut m).expect("SPD");
     let snap = out.registry.expect("collect_metrics defaults to on");
-    if Registry::compiled() {
-        // Panel batching (on by default) retires *fused* tasks, so the
-        // counter is bounded by — not equal to — the DAG task count.
-        let executed = snap.counter(Counter::TasksExecuted);
-        assert!(executed > 0, "retired tasks must be counted");
-        assert!(executed as usize <= out.report.dag_tasks, "{executed} > {}", out.report.dag_tasks);
-        assert!(snap.class_busy_seconds().total() > 0.0, "kernels take time");
-        assert!(snap.counter(Counter::TasksEnqueued) >= executed);
-        assert!(snap.gauge(Gauge::ArenaHighWaterBytes) > 0.0, "workspaces allocate");
-        // The snapshot exports to both wire formats without loss of the
-        // headline counter.
-        let j = snap.to_json().to_string();
-        assert!(j.contains("tasks_executed"), "{j}");
-        let mut prom = String::new();
-        snap.write_prometheus(&mut prom);
-        assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
-    } else {
-        assert!(snap.is_empty(), "no storage without the metrics feature");
-    }
+    // Panel batching (on by default) retires *fused* tasks, so the
+    // counter is bounded by — not equal to — the DAG task count.
+    let executed = snap.counter(Counter::TasksExecuted);
+    assert!(executed > 0, "retired tasks must be counted");
+    assert!(executed as usize <= out.report.dag_tasks, "{executed} > {}", out.report.dag_tasks);
+    assert!(snap.class_busy_seconds().total() > 0.0, "kernels take time");
+    assert!(snap.counter(Counter::TasksEnqueued) >= executed);
+    assert!(snap.gauge(Gauge::ArenaHighWaterBytes) > 0.0, "workspaces allocate");
+    // The snapshot exports to both wire formats without loss of the
+    // headline counter.
+    let j = snap.to_json().to_string();
+    assert!(j.contains("tasks_executed"), "{j}");
+    let mut prom = String::new();
+    snap.write_prometheus(&mut prom);
+    assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
 }
 
 /// Acceptance: a drift report on a DES run prices the original task
@@ -389,11 +445,9 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
         assert!(c.ratio.is_finite(), "{}: ratio {}", c.class, c.ratio);
         assert!(c.correction.is_finite() && c.correction > 0.0);
     }
-    if Registry::compiled() {
-        let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
-        assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");
-        assert!(gemm.modeled_seconds > 0.0);
-    }
+    let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
+    assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");
+    assert!(gemm.modeled_seconds > 0.0);
 
     let comm = drift.comm.expect("distributed runs always model comm");
     assert_eq!(comm.bytes_ratio, 1.0, "fault-free unbatched comm model is exact");
@@ -440,8 +494,6 @@ fn drift_report_works_on_wall_clock_runs() {
     for c in &drift.classes {
         assert!(c.ratio.is_finite() && c.ratio >= 0.0, "{}: {}", c.class, c.ratio);
     }
-    if Registry::compiled() {
-        let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
-        assert!(total > 0.0, "wall-clock busy time must be measured");
-    }
+    let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
+    assert!(total > 0.0, "wall-clock busy time must be measured");
 }

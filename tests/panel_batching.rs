@@ -44,9 +44,6 @@ fn fused_factorization_bit_identical_across_engines_and_policies() {
         // Baseline: unfused shared-memory run, default policy.
         let mut cfg_off = FactorConfig::with_accuracy(acc);
         cfg_off.batch_panels = false;
-        // Force the batched *distributed* runs below onto the fused path
-        // even in obs builds (virtual-time tracing disables the pass).
-        cfg_off.collect_trace = false;
         let mut base = compressed(&dense, b, acc);
         factorize(&mut base, &cfg_off).unwrap();
         let l_base = base.to_dense_lower();
@@ -123,8 +120,6 @@ fn fused_distributed_run_ships_no_more_messages() {
     let dist = TwoDBlockCyclic::new(4);
 
     let mut cfg = FactorConfig::with_accuracy(acc);
-    cfg.collect_trace = false; // virtual-time tracing disables batching
-
     cfg.batch_panels = false;
     let mut unfused = compressed(&dense, b, acc);
     let comm_off = Session::distributed(cfg, 4, &dist)
@@ -157,7 +152,6 @@ fn fused_distributed_run_ships_no_more_messages() {
 /// The `BatchObs` span-splitting shim keeps the trace at original-task
 /// granularity: a fused shared-memory run still records one span per DAG
 /// task, and the per-class wall-clock attribution stays populated.
-#[cfg(feature = "obs")]
 #[test]
 fn fused_run_keeps_per_task_attribution() {
     let n = 120;
@@ -170,7 +164,7 @@ fn fused_run_keeps_per_task_attribution() {
     cfg.batch_panels = true;
     cfg.collect_trace = true;
     let report = factorize(&mut m, &cfg).unwrap();
-    let metrics = report.metrics.expect("obs build must trace");
+    let metrics = report.metrics.expect("collect_trace must trace");
     assert_eq!(
         metrics.trace.records.len(),
         report.dag_tasks,

@@ -636,7 +636,7 @@ fn check_certified_assembly<K: RadialKernel>(
     }
 
     // Dense path: four assemblies, one matrix.
-    let plain = TlrMatrix::from_generator(n, b, &entrywise, &cfg);
+    let plain = TlrMatrix::from_generator(n, b, entrywise, &cfg);
     if (plain.certified_null_tiles(), plain.kernel_evaluations()) != (0, all_entries) {
         return Err("a closure must have every tile evaluated".into());
     }
@@ -645,7 +645,7 @@ fn check_certified_assembly<K: RadialKernel>(
         let (certified, closure) = pool.install(|| {
             (
                 TlrMatrix::from_generator(n, b, kernel_source(kernel, points), &cfg),
-                TlrMatrix::from_generator(n, b, &entrywise, &cfg),
+                TlrMatrix::from_generator(n, b, entrywise, &cfg),
             )
         });
         same_tiles(&format!("dense, {threads} threads"), &certified, &plain)?;
@@ -659,7 +659,7 @@ fn check_certified_assembly<K: RadialKernel>(
     }
 
     // ACA path: same tiles; certified tiles cost no evaluation.
-    let (aca_plain, evals_plain) = TlrMatrix::from_generator_aca(n, b, &entrywise, &cfg);
+    let (aca_plain, evals_plain) = TlrMatrix::from_generator_aca(n, b, entrywise, &cfg);
     let (aca, evals) = TlrMatrix::from_generator_aca(n, b, kernel_source(kernel, points), &cfg);
     same_tiles("aca", &aca, &aca_plain)?;
     if aca.certified_null_tiles() != expected || evals != aca.kernel_evaluations() {
