@@ -150,29 +150,6 @@ fn bench_gemm_recompression(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_aca_vs_dense_assembly(c: &mut Criterion) {
-    // The §IX future-work extension: direct compressed assembly (ACA)
-    // vs dense generation + pivoted-QR compression.
-    let mut g = c.benchmark_group("assembly");
-    g.sample_size(10);
-    let b = 256;
-    let eval = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64 + 128.0) / 80.0;
-        (-d * d).exp()
-    };
-    let cfg = CompressionConfig::with_accuracy(1e-6);
-    g.bench_function("dense_then_qrcp_256", |bch| {
-        bch.iter(|| {
-            let dense = Matrix::from_fn(b, b, eval);
-            black_box(compress_tile(dense, &cfg))
-        })
-    });
-    g.bench_function("aca_direct_256", |bch| {
-        bch.iter(|| black_box(tlr_compress::aca_compress(b, b, eval, &cfg).tile))
-    });
-    g.finish();
-}
-
 fn bench_potrf_kernel_tile(c: &mut Criterion) {
     let mut g = c.benchmark_group("potrf_kernel");
     g.sample_size(10);
@@ -194,7 +171,6 @@ criterion_group!(
     bench_trsm_dense_vs_tlr,
     bench_syrk_dense_vs_tlr,
     bench_gemm_recompression,
-    bench_aca_vs_dense_assembly,
     bench_potrf_kernel_tile
 );
 criterion_main!(benches);

@@ -10,9 +10,10 @@
 //! a Chrome-trace file `TRACE_<plan>.json` loadable in Perfetto —
 //! one exporter, both engines, which is the point of the facade.
 //!
-//! Writes `METRICS_trace_compare.csv` with every metric for every plan.
+//! Writes `METRICS_trace_compare.json` with every metric for every plan.
 
 use hicma_core::simulate::{simulate_cholesky, DistributionPlan, SimConfig};
+use runtime::obs::json::Json;
 use runtime::obs::{chrome_trace_json, RunMetrics};
 use runtime::MachineModel;
 use tlr_compress::SyntheticRankModel;
@@ -49,12 +50,9 @@ fn main() {
     println!();
     println!("{}", RunMetrics::comparison_table(&runs));
 
-    let mut csv = String::new();
-    for m in &runs {
-        csv.push_str(&m.to_csv());
-        csv.push('\n');
-    }
-    std::fs::write("METRICS_trace_compare.csv", &csv).expect("write METRICS_trace_compare.csv");
-    println!("wrote METRICS_trace_compare.csv and one Chrome trace per plan");
+    let json = Json::Arr(runs.iter().map(RunMetrics::to_json).collect());
+    std::fs::write("METRICS_trace_compare.json", json.to_string())
+        .expect("write METRICS_trace_compare.json");
+    println!("wrote METRICS_trace_compare.json and one Chrome trace per plan");
     println!("open the traces at https://ui.perfetto.dev (or chrome://tracing)");
 }

@@ -27,17 +27,18 @@
 //! A fused task carries the *sum* of its members' flops, so DES pricing,
 //! `CostModel` lookahead and the scheduler's per-class EMA feedback (all
 //! linear in flops) see the aggregate-equivalent work. Per-kernel
-//! attribution is preserved by the [`BatchObs`] span-splitting shim: the
-//! engine's `on_enqueue`/`on_retire` hooks fire against *batched* ids, the
-//! shim fans enqueue out to the member ids and suppresses the fused
-//! retire, and the executing closure records one measured span per member
-//! via [`ExecObs::record_span`] — so `RunMetrics`, the trace, and the
-//! critical-path pricing still operate on the original task granularity.
+//! attribution is preserved by the [`BatchObs`] span-splitting sink: the
+//! engine reports *batched* ids, the sink fans enqueue out to the member
+//! ids, passes a singleton's span straight through, and for a fused
+//! group [`BatchObs::run_members`] records one measured span per member
+//! — so the trace and the critical-path pricing still operate on the
+//! original task granularity.
 
 use crate::dag::{CholeskyDag, TaskKind};
-use runtime::engine::{ExecObs, Observe};
+use runtime::engine::{ExecObs, Observe, TaskEvent};
 use runtime::graph::{DataRef, TaskGraph, TaskId, TaskSpec};
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 /// Smallest member count worth fusing. A "group" of one is left as an
 /// ordinary task — fusing it would only rename it.
@@ -141,19 +142,18 @@ pub fn batch_panel_gemms(dag: &CholeskyDag, exec_rank: Option<&[usize]>) -> Pane
     PanelBatch { graph, members, of, fused_groups }
 }
 
-/// Span-splitting [`Observe`] shim for batched execution.
+/// Span-splitting [`Observe`] sink for batched execution.
 ///
-/// The engine sees the contracted graph, so its hooks fire with *batched*
-/// task ids against an [`ExecObs`] sized for the *original* graph. This
+/// The engine sees the contracted graph, so it reports *batched* task
+/// ids against an [`ExecObs`] sized for the *original* graph. This
 /// wrapper keeps the two granularities consistent:
 ///
-/// * `on_enqueue(b)` fans out to every member — each original task became
+/// * `Enqueue` of `b` fans out to every member — each original task became
 ///   ready exactly when its group did;
-/// * `on_retire(b)` is suppressed — the executing closure records one
-///   measured span per member through [`ExecObs::record_span`] instead,
-///   so the trace, `RunMetrics` and critical-path pricing keep per-kernel
-///   resolution;
-/// * steals and the clock pass through unchanged.
+/// * `Retire` of a singleton `b` is that task's span, as the engine
+///   read it; a fused group's is dropped, because
+///   [`run_members`](BatchObs::run_members) already recorded one span
+///   per member.
 pub struct BatchObs<'a> {
     inner: Option<&'a ExecObs>,
     members: &'a [Vec<TaskId>],
@@ -164,30 +164,43 @@ impl<'a> BatchObs<'a> {
     pub fn new(inner: Option<&'a ExecObs>, members: &'a [Vec<TaskId>]) -> Self {
         BatchObs { inner, members }
     }
+
+    /// Run every member of batched task `b` through `run`, in order.
+    /// Tracing a fused group reads the engine's clock once per member
+    /// boundary, so consecutive member spans tile the group's span.
+    pub fn run_members(&self, wid: usize, b: TaskId, mut run: impl FnMut(TaskId)) {
+        let members = &self.members[b];
+        match self.inner {
+            Some(o) if members.len() > 1 => {
+                let mut start = Instant::now();
+                for &t in members {
+                    run(t);
+                    let end = Instant::now();
+                    o.record_span(wid, t, start, end);
+                    start = end;
+                }
+            }
+            _ => members.iter().for_each(|&t| run(t)),
+        }
+    }
 }
 
 impl Observe for BatchObs<'_> {
     #[inline]
-    fn now_ns(&self) -> u64 {
-        match self.inner {
-            Some(o) => o.now_ns(),
-            None => 0,
-        }
-    }
-    #[inline]
-    fn on_enqueue(&self, b: TaskId) {
-        if let Some(o) = self.inner {
-            for &t in &self.members[b] {
-                o.on_enqueue(t);
+    fn observe(&self, event: TaskEvent<'_>) {
+        let Some(o) = self.inner else { return };
+        match event {
+            TaskEvent::Enqueue { wid, task: b, at } => {
+                for &task in &self.members[b] {
+                    o.observe(TaskEvent::Enqueue { wid, task, at });
+                }
             }
-        }
-    }
-    #[inline]
-    fn on_retire(&self, _wid: usize, _b: TaskId, _start_ns: u64) {}
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        if let Some(o) = self.inner {
-            o.on_steal(wid);
+            TaskEvent::Retire { wid, task: b, start, end, .. } => {
+                if let [t] = self.members[b][..] {
+                    o.record_span(wid, t, start, end);
+                }
+            }
+            TaskEvent::Steal { .. } | TaskEvent::Corrections(_) => {}
         }
     }
 }

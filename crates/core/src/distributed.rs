@@ -29,9 +29,7 @@ use crate::dag::{CholeskyDag, TaskKind};
 use distribution::TileDistribution;
 use parking_lot::Mutex;
 use runtime::engine::RankCtx;
-use runtime::fault::FaultStats;
 use runtime::graph::{DataRef, TaskId};
-use runtime::obs::RunEvent;
 use std::collections::HashMap;
 use tlr_compress::kernels::{gemm_kernel, potrf_kernel, syrk_kernel, trsm_kernel};
 use tlr_compress::{SealedTile, Tile, TlrMatrix};
@@ -322,22 +320,6 @@ pub(crate) fn kernel_env<'a>(
     }
 }
 
-/// Outcome of a fault-tolerant distributed factorization.
-#[derive(Debug, Clone)]
-pub struct FtFactorOutcome {
-    /// Injected-fault and recovery accounting.
-    pub stats: FaultStats,
-    /// Virtual makespan of the run (seconds of emulated time).
-    pub makespan: f64,
-    /// Ordered crash/recovery and integrity events: every survived
-    /// [`RunEvent::Crash`] is immediately followed by its matching
-    /// [`RunEvent::Recovery`], and with the integrity layer armed every
-    /// caught checksum mismatch appends a
-    /// [`RunEvent::CorruptionDetected`] and every completed lineage heal
-    /// a [`RunEvent::Healed`].
-    pub events: Vec<RunEvent>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +361,7 @@ mod tests {
             out.comm.is_some(),
             "distributed runs always count communication"
         );
-        assert!(out.ft.is_none(), "no fault layer was configured");
+        assert!(out.faults.is_none(), "no fault layer was configured");
         let ls = shared.to_dense_lower();
         let ld = distr.to_dense_lower();
         assert!(
@@ -530,7 +512,7 @@ mod tests {
             .with_fault_layer(ft)
             .run(&mut distr)
             .unwrap();
-        assert!(out.ft.is_some(), "fault layer was configured");
+        assert!(out.faults.is_some(), "fault layer was configured");
         assert!(
             out.comm.is_some(),
             "comm counting composes with the fault layer"

@@ -5,9 +5,8 @@
 //! with [`modeled_comm`](crate::replan::modeled_comm). Both models are
 //! calibrated once against published machine numbers — nothing checks
 //! them against the run that actually happened. A [`DriftReport`] closes
-//! that loop: after any [`Session`](crate::session::Session) run with
-//! [`collect_metrics`](crate::factorize::FactorConfig::collect_metrics)
-//! on, attach a [`DriftSpec`] and the outcome carries per-kernel-class
+//! that loop: attach a [`DriftSpec`] to any
+//! [`Session`](crate::session::Session) and the outcome carries per-kernel-class
 //! modeled-vs-measured busy time, the drift ratio, the lookahead
 //! scheduler's own EMA correction for that class (PR 7's calibration
 //! state, now inspectable instead of sealed inside the scheduler), and
@@ -214,12 +213,6 @@ impl DriftReport {
             modeled_flops: flops,
             comm,
         }
-    }
-
-    /// Any class (or the wire) drifted outside the band.
-    pub fn any_anomalous(&self) -> bool {
-        self.classes.iter().any(|c| c.anomalous)
-            || self.comm.is_some_and(|c| c.anomalous)
     }
 
     /// The report as a [`Json`] tree (for `METRICS_*.json` dumps).

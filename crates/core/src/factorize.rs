@@ -7,13 +7,11 @@
 //! same factor (trimming only removes numeric no-ops), which the tests
 //! check — that is the correctness argument for §VI.
 
-use crate::plan::SymbolicPlan;
 use crate::session::{RunError, Session};
 use runtime::engine::EngineError;
-use runtime::obs::RunMetrics;
 use runtime::scheduler::SchedPolicy;
-use runtime::trace::{ClassBreakdown, Trace};
-use tlr_compress::{CompressionConfig, RankEvolution, RankSnapshot, TlrMatrix};
+use runtime::trace::ClassBreakdown;
+use tlr_compress::{CompressionConfig, RankSnapshot, TlrMatrix};
 use tlr_linalg::CholeskyError;
 
 /// Options of the shared-memory factorization.
@@ -40,12 +38,11 @@ pub struct FactorConfig {
     /// matrices). `0` disables the retry; a strongly indefinite matrix
     /// fails regardless because the shifts stay near the working accuracy.
     pub max_shift_retries: usize,
-    /// Collect a per-task execution trace: shared-memory runs report it
-    /// with derived metrics in [`FactorReport::metrics`], distributed
-    /// runs as the virtual-time
-    /// [`RunOutcome::trace`](crate::session::RunOutcome::trace). Tracing
-    /// never changes the factor. Defaults to `false`: an untraced run
-    /// allocates no span storage at all.
+    /// Collect a per-task execution trace into
+    /// [`RunOutcome::trace`](crate::session::RunOutcome::trace)
+    /// (wall-clock on shared-memory runs, virtual time on distributed
+    /// ones). Tracing never changes the factor. Defaults to `false`: an
+    /// untraced run allocates no span storage at all.
     pub collect_trace: bool,
     /// Storage-payoff threshold for tiles *recompressed during the
     /// factorization*: a rank-`k` update result stays low-rank only when
@@ -57,18 +54,6 @@ pub struct FactorConfig {
     /// recompressed tile. Threaded to the update kernels on every path
     /// (shared-memory and distributed) via [`FactorConfig::compression`].
     pub keep_dense_ratio: f64,
-    /// Collect always-available runtime metrics into a
-    /// [`runtime::obs::registry::Registry`]: per-class task durations,
-    /// enqueue/steal counters, workspace arena high-water marks,
-    /// recompression-rank histograms (shared-memory runs) and comm /
-    /// fault / integrity totals (distributed runs). Unlike
-    /// [`collect_trace`](FactorConfig::collect_trace) this keeps no
-    /// per-task record and costs a handful of relaxed atomic adds per
-    /// task — the `trace_overhead` bench gates it at ≤5 %. The merged
-    /// snapshot lands in
-    /// [`RunOutcome::registry`](crate::session::RunOutcome::registry).
-    /// Defaults to `true`.
-    pub collect_metrics: bool,
     /// Tile-integrity policy: whether (and how eagerly) every tile is
     /// sealed with an exact content digest ([`tlr_compress::TileDigest`])
     /// and checked against silent data corruption. See
@@ -154,7 +139,6 @@ impl FactorConfig {
             nthreads: rayon::current_num_threads(),
             max_shift_retries: 3,
             collect_trace: false,
-            collect_metrics: true,
             keep_dense_ratio: 1.0,
             integrity: IntegrityMode::Off,
             sched: SchedPolicy::PanelPriority,
@@ -176,54 +160,6 @@ impl FactorConfig {
     }
 }
 
-/// Execution metrics of a traced factorization
-/// ([`FactorConfig::collect_trace`]).
-///
-/// Everything here is derived from the observed run itself: the span
-/// trace from the executor, the rank log from the kernel workspaces, and
-/// the DAG the tasks came from.
-#[derive(Debug, Clone)]
-pub struct FactorMetrics {
-    /// Per-task spans (class, tile, worker, queue-wait, execute window).
-    pub trace: Trace,
-    /// Successful steals per worker.
-    pub steals: Vec<u64>,
-    /// Total seconds tasks spent ready-but-waiting in queues.
-    pub queue_wait_seconds: f64,
-    /// Recompression rank evolution merged over all kernel workspaces.
-    pub rank_evolution: RankEvolution,
-    /// Workspace buffer growth events after warm-up would indicate the
-    /// recompression hot path allocating; steady state is 0 per worker
-    /// once buffers reach their high-water mark.
-    pub workspace_alloc_events: u64,
-    /// Model flops of the executed DAG (priced by `flops::*` at analysis
-    /// time — ranks evolve during the run, so this is the planned count).
-    pub flops_executed: f64,
-    /// Critical-path length through the DAG using the *measured* per-task
-    /// durations, i.e. the makespan an infinitely parallel machine would
-    /// have achieved on this run.
-    pub critical_path_seconds: f64,
-    /// `critical_path_seconds / makespan` — 1.0 means the run was as fast
-    /// as its longest dependency chain allows.
-    pub efficiency_vs_critical_path: f64,
-    /// Busy seconds per worker.
-    pub per_worker_busy: Vec<f64>,
-    /// Idle fraction per worker, in `[0, 1]`.
-    pub idle_fraction: Vec<f64>,
-    /// `max(busy)/mean(busy)` over workers (1.0 = perfectly balanced).
-    pub load_imbalance: f64,
-}
-
-impl FactorMetrics {
-    /// Summarize as a [`RunMetrics`] record (shared with the simulator
-    /// paths, so shared-memory and DES runs can be tabulated side by
-    /// side by [`RunMetrics::comparison_table`]).
-    pub fn run_metrics(&self, label: &str) -> RunMetrics {
-        RunMetrics::from_trace(label, &self.trace, self.per_worker_busy.len())
-            .with_critical_path(self.critical_path_seconds)
-    }
-}
-
 /// What happened during a factorization.
 #[derive(Debug, Clone)]
 pub struct FactorReport {
@@ -241,16 +177,15 @@ pub struct FactorReport {
     pub memory_before_f64: usize,
     /// TLR storage after the factorization (fill-in growth), f64 words.
     pub memory_after_f64: usize,
-    /// Busy seconds per kernel class (wall-clock, summed over workers).
+    /// Busy seconds per kernel class (wall-clock, summed over workers):
+    /// the run registry's per-class duration sums, i.e. the engine's own
+    /// start/end reading of every task.
     pub breakdown: ClassBreakdown,
     /// Diagonal shift `ε` of the attempt that succeeded (`0.0` when the
     /// matrix factored without regularization).
     pub diagonal_shift: f64,
     /// How many shifted retries were needed (`0` = first try succeeded).
     pub shift_attempts: usize,
-    /// Execution trace and derived metrics, when tracing was on
-    /// ([`FactorConfig::collect_trace`]).
-    pub metrics: Option<FactorMetrics>,
 }
 
 /// Factor `matrix = L·Lᵀ` in place (lower tiles become `L`).
@@ -284,40 +219,6 @@ pub fn factorize(
             // A kernel died (not a pivot failure — those cancel cleanly).
             // The pool has drained, locks are released; re-raise with
             // context, as this entry point always has.
-            panic!("factorization kernel panicked: {p}")
-        }
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Run the symbolic phase of [`factorize`] alone: build the reusable
-/// [`SymbolicPlan`] (trimmed DAG, fused panel batches, scheduler tables)
-/// for `matrix` under `cfg`, without touching any tile values. Feed the
-/// plan to [`factorize_with_plan`] — or hold a
-/// [`PlanCache`](crate::plan::PlanCache) and let
-/// [`Session`] manage the split implicitly.
-pub fn plan_factorization(matrix: &TlrMatrix, cfg: &FactorConfig) -> SymbolicPlan {
-    Session::shared(*cfg)
-        .plan(matrix)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`factorize`] consuming a prebuilt [`SymbolicPlan`]: the numeric
-/// phase alone, skipping DAG construction, batching and scheduler
-/// precomputation. The factor is bit-identical to [`factorize`]; the
-/// plan must come from [`plan_factorization`] (or a
-/// [`PlanCache`](crate::plan::PlanCache)) with the same config and tile
-/// structure — a mismatched plan panics with both fingerprints, like
-/// every other invalid-configuration error at this entry point.
-pub fn factorize_with_plan(
-    matrix: &mut TlrMatrix,
-    cfg: &FactorConfig,
-    plan: &SymbolicPlan,
-) -> Result<FactorReport, CholeskyError> {
-    match Session::shared(*cfg).run_with_plan(plan, matrix) {
-        Ok(out) => Ok(out.report),
-        Err(RunError::Numeric(e)) => Err(e),
-        Err(RunError::Engine(EngineError::Panic(p))) => {
             panic!("factorization kernel panicked: {p}")
         }
         Err(e) => panic!("{e}"),
@@ -528,50 +429,6 @@ mod tests {
             l8.as_slice(),
             "factor differs across thread counts"
         );
-    }
-
-    /// A traced run reports self-consistent derived metrics; an untraced
-    /// one (the default) reports none.
-    #[test]
-    fn traced_run_populates_metrics() {
-        let n = 96;
-        let gen = gaussian_gen(n, 6.0);
-        let ccfg = CompressionConfig::with_accuracy(1e-6);
-        let mut m = TlrMatrix::from_generator(n, 24, gen, &ccfg);
-        let mut cfg = FactorConfig::with_accuracy(1e-6);
-        cfg.nthreads = 2;
-        assert!(!cfg.collect_trace, "tracing is opt-in");
-        cfg.collect_trace = true;
-        let report = factorize(&mut m, &cfg).unwrap();
-        let metrics = report.metrics.expect("collect_trace must trace");
-        assert_eq!(metrics.trace.records.len(), report.dag_tasks);
-        assert_eq!(metrics.per_worker_busy.len(), 2);
-        assert!(metrics
-            .idle_fraction
-            .iter()
-            .all(|f| (0.0..=1.0).contains(f)));
-        assert!(metrics.load_imbalance >= 1.0);
-        assert!(metrics.flops_executed > 0.0);
-        assert!(metrics.critical_path_seconds > 0.0);
-        assert!(metrics.critical_path_seconds <= metrics.trace.makespan() + 1e-12);
-        assert!((0.0..=1.0).contains(&metrics.efficiency_vs_critical_path));
-        assert!(
-            metrics.rank_evolution.events() > 0,
-            "GEMMs must log recompressions"
-        );
-        // The span breakdown must roughly agree with the unconditional
-        // class_nanos breakdown (same kernels, measured two ways).
-        let from_trace = metrics.trace.breakdown().total();
-        let from_nanos = report.breakdown.total();
-        assert!(
-            (from_trace - from_nanos).abs() <= 0.5 * from_nanos.max(1e-6),
-            "trace {from_trace} vs class_nanos {from_nanos}"
-        );
-        let gen2 = gaussian_gen(n, 6.0);
-        let mut m2 = TlrMatrix::from_generator(n, 24, gen2, &ccfg);
-        cfg.collect_trace = false;
-        let report2 = factorize(&mut m2, &cfg).unwrap();
-        assert!(report2.metrics.is_none());
     }
 
     /// The configured `keep_dense_ratio` reaches the shared-memory update

@@ -38,12 +38,8 @@ pub mod verify;
 pub use analysis::MatrixAnalysis;
 pub use batch::{batch_panel_gemms, BatchObs, PanelBatch};
 pub use dag::{build_cholesky_dag, CholeskyDag, DagConfig, TaskKind};
-pub use distributed::FtFactorOutcome;
 pub use drift::{ClassDrift, CommDrift, DriftReport, DriftSpec};
-pub use factorize::{
-    factorize, factorize_with_plan, plan_factorization, FactorConfig, FactorMetrics, FactorReport,
-    IntegrityMode,
-};
+pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode};
 pub use plan::{CacheEvents, PlanCache, PlanKey, PlanMode, SymbolicPlan};
 pub use replan::{modeled_comm, CommReplanner};
 pub use service::{ServiceError, SolveOutcome, SolveService, TenantConfig, TenantUsage};

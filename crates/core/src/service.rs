@@ -58,7 +58,7 @@ pub struct TenantUsage {
     /// Arena bytes currently charged against the budget.
     pub in_use_bytes: u64,
     /// Largest *measured* per-request arena high-water mark seen so far
-    /// (0 until a request runs with metrics on).
+    /// (0 until a request completes).
     pub peak_arena_bytes: u64,
     /// Requests admitted so far.
     pub admitted: u64,
@@ -138,7 +138,7 @@ pub struct SolveOutcome {
     /// Worst-case arena bytes this request was charged at admission.
     pub charged_bytes: u64,
     /// Measured arena high-water bytes of this request (summed
-    /// per-worker bound; 0 with metrics off). Always ≤ `charged_bytes`
+    /// per-worker bound). Always ≤ `charged_bytes`
     /// — the admission estimate is a proven upper bound, which is what
     /// makes the budget enforceable.
     pub measured_bytes: u64,
@@ -216,9 +216,6 @@ impl SolveService {
     /// Factor `matrix` on behalf of `tenant` (admission-gated; see the
     /// module docs), optionally solving `L·Lᵀ·x = rhs` with the fresh
     /// factor. `rhs` must have one entry per matrix row.
-    ///
-    /// Metrics collection is forced on for admitted requests — the
-    /// measured arena high-water mark is part of the budget contract.
     pub fn factorize_and_solve(
         &self,
         tenant: &str,
@@ -230,9 +227,7 @@ impl SolveService {
         self.admit(tenant, charged)?;
         // The arena charge is released however the run ends.
         let result = (|| {
-            let mut run_cfg = *cfg;
-            run_cfg.collect_metrics = true;
-            let run = Session::shared(run_cfg)
+            let run = Session::shared(*cfg)
                 .with_plan_cache(&self.cache)
                 .run(matrix)?;
             let solution = rhs.map(|b| {

@@ -15,7 +15,8 @@
 //! communication volume and (with
 //! [`collect_trace`](FactorConfig::collect_trace)) a virtual-time trace
 //! — FT + trace + comm counting in one run. Every mode returns the same
-//! [`RunOutcome`]; absent capabilities are `None`.
+//! [`RunOutcome`], the one schema-versioned report of a run; absent
+//! capabilities are `None`.
 //!
 //! The per-attempt pipeline is split into a *symbolic* phase — DAG
 //! build, distribution mapping, batching, scheduler precomputation,
@@ -25,10 +26,10 @@
 //! attached [`PlanCache`]) then run. Repeated solves on one tile
 //! structure therefore pay the symbolic cost once.
 
-use crate::dag::TaskKind;
-use crate::distributed::{gather_tiles, kernel_env, scatter_tiles, FtFactorOutcome};
+use crate::dag::{CholeskyDag, TaskKind};
+use crate::distributed::{gather_tiles, kernel_env, scatter_tiles};
 use crate::drift::{DriftReport, DriftSpec};
-use crate::factorize::{FactorConfig, FactorMetrics, FactorReport, IntegrityMode};
+use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
 use crate::plan::{self, CacheEvents, PlanCache, PlanKey, SymbolicPlan};
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
@@ -36,11 +37,13 @@ use runtime::critical_path::critical_path;
 use runtime::des::CommStats;
 use runtime::engine::{
     DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
-    IntegrityHooks, Observe,
+    IntegrityHooks,
 };
-use runtime::fault::{FtConfig, FtError, IntegrityError};
-use runtime::graph::{DataRef, TaskClass};
+use runtime::fault::{FaultStats, FtConfig, FtError, IntegrityError};
+use runtime::graph::DataRef;
+use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
+use runtime::obs::{RunEvent, RunMetrics};
 use runtime::trace::{ClassBreakdown, Trace};
 use std::collections::HashMap;
 use std::fmt;
@@ -117,7 +120,7 @@ impl<'a> Session<'a> {
     /// jitter, rank crashes, kernel failures and silent data corruption
     /// (bit-flips in store tiles or message payloads — these arm the
     /// tile-integrity layer automatically), recovers from them, and
-    /// reports the accounting in [`RunOutcome::ft`]. The factor stays
+    /// reports the accounting in [`RunOutcome::faults`]. The factor stays
     /// bit-identical to the fault-free run for any survivable plan.
     ///
     /// Fault injection is a distributed-memory concept; on a shared
@@ -168,10 +171,7 @@ impl<'a> Session<'a> {
     /// successful run, [`RunOutcome::drift`] compares the machine
     /// model's per-class predicted busy time (and, on distributed runs,
     /// the exact comm model) against what the run's metrics registry
-    /// measured. Requires
-    /// [`collect_metrics`](FactorConfig::collect_metrics) — with the
-    /// registry off there is nothing to compare against and the report
-    /// stays `None`.
+    /// measured.
     pub fn with_drift(mut self, spec: DriftSpec) -> Self {
         self.drift = Some(spec);
         self
@@ -335,19 +335,14 @@ impl<'a> Session<'a> {
         analysis_seconds: f64,
     ) -> Result<RunOutcome, RunError> {
         let drift = self.drift.as_ref();
-        match self.mode {
-            Mode::Shared => shared_attempt(matrix, &self.cfg, plan, drift, ev, analysis_seconds),
-            Mode::Distributed { nprocs, ft, .. } => distributed_attempt(
-                matrix,
-                &self.cfg,
-                nprocs,
-                ft,
-                plan,
-                drift,
-                ev,
-                analysis_seconds,
-            ),
-        }
+        let mut out = match self.mode {
+            Mode::Shared => shared_attempt(matrix, &self.cfg, plan, drift, ev),
+            Mode::Distributed { nprocs, ft, .. } => {
+                distributed_attempt(matrix, &self.cfg, nprocs, ft, plan, drift, ev)
+            }
+        }?;
+        out.report.analysis_seconds = analysis_seconds;
+        Ok(out)
     }
 }
 
@@ -369,16 +364,20 @@ impl fmt::Debug for Session<'_> {
     }
 }
 
-/// Everything a [`Session::run`] produced. Capabilities the session did
-/// not have are `None`; everything else comes from the same single run —
-/// no combination requires a second factorization.
+/// The one report of a [`Session::run`]: shared-memory, distributed and
+/// service runs all return it. Sections the run had no capability for
+/// are `None` / empty; everything comes from the same single run.
+///
+/// [`to_json`](RunOutcome::to_json), [`to_prometheus`](RunOutcome::to_prometheus)
+/// and `Display` are the views of the whole report; the Chrome trace
+/// ([`runtime::obs::chrome_trace_json_with_events`]) is a view of
+/// [`trace`](RunOutcome::trace) + [`events`](RunOutcome::events).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The factor report (always present). On distributed runs the
-    /// kernel-class [`FactorReport::breakdown`] is zero (kernels execute
+    /// kernel-class [`FactorReport::breakdown`] is zero: kernels execute
     /// inside a virtual-time event loop, where wall-clock attribution
-    /// would be misleading) and [`FactorReport::metrics`] is `None` —
-    /// the virtual-time trace lives in [`RunOutcome::trace`] instead.
+    /// would be misleading.
     pub report: FactorReport,
     /// Cross-rank communication actually incurred, retransmissions
     /// included (distributed sessions; `None` on shared-memory runs,
@@ -386,17 +385,262 @@ pub struct RunOutcome {
     pub comm: Option<CommStats>,
     /// Fault-injection and recovery accounting, when a fault layer was
     /// configured with [`Session::with_fault_layer`].
-    pub ft: Option<FtFactorOutcome>,
-    /// Virtual-time execution trace of a distributed run, when
-    /// [`FactorConfig::collect_trace`] is set.
-    /// Shared-memory traces live in [`FactorReport::metrics`].
+    pub faults: Option<FaultStats>,
+    /// Ordered crash/recovery and integrity events of a distributed run:
+    /// every survived [`RunEvent::Crash`] is immediately followed by its
+    /// matching [`RunEvent::Recovery`], every caught checksum mismatch
+    /// appends a [`RunEvent::CorruptionDetected`] and every completed
+    /// lineage heal a [`RunEvent::Healed`].
+    pub events: Vec<RunEvent>,
+    /// Virtual makespan of a distributed run (seconds of emulated time).
+    pub virtual_makespan: Option<f64>,
+    /// Per-task execution trace, when [`FactorConfig::collect_trace`] is
+    /// set: wall-clock spans of the shared engine, virtual-time spans of
+    /// the distributed one. Queue wait, per-worker busy and idle time
+    /// and load imbalance are functions of it ([`Trace`]'s methods).
     pub trace: Option<Trace>,
-    /// Merged always-on metrics registry snapshot, when
-    /// [`FactorConfig::collect_metrics`] is set.
+    /// Critical-path length through the DAG priced with the durations
+    /// the trace measured — the makespan an infinitely parallel machine
+    /// would have achieved on this run. `Some` exactly when `trace` is.
+    pub critical_path_seconds: Option<f64>,
+    /// Recompression rank evolution merged over all kernel workspaces
+    /// (shared-memory runs; empty on distributed ones).
+    pub rank_evolution: RankEvolution,
+    /// Model flops of the executed DAG (priced by `flops::*` at analysis
+    /// time — ranks evolve during the run, so this is the planned count).
+    pub flops_executed: f64,
+    /// Merged metrics-registry snapshot. Always `Some`: the registry is
+    /// a sink of every run.
     pub registry: Option<RegistrySnapshot>,
     /// Cost-model drift report, when the session was configured with
-    /// [`Session::with_drift`] *and* the registry was collected.
+    /// [`Session::with_drift`].
     pub drift: Option<DriftReport>,
+}
+
+impl RunOutcome {
+    /// Version of the [`to_json`](RunOutcome::to_json) layout (its
+    /// `"schema"` field). Bump when a key changes name or meaning.
+    pub const SCHEMA_VERSION: u32 = 1;
+
+    /// Trace-derived summary (per-class and per-worker busy time, idle
+    /// fractions, imbalance, queue wait, efficiency against the measured
+    /// critical path), when the run was traced.
+    pub fn trace_summary(&self) -> Option<RunMetrics> {
+        let trace = self.trace.as_ref()?;
+        let comm = self.comm.unwrap_or_default();
+        // One registry shard per worker (shared run) or rank (distributed).
+        let nprocs = self.registry.as_ref().map_or(1, |r| r.shards);
+        Some(
+            RunMetrics::from_trace("run", trace, nprocs)
+                .with_comm(comm.bytes, comm.messages)
+                .with_critical_path(self.critical_path_seconds.unwrap_or(0.0)),
+        )
+    }
+
+    /// The whole report as one [`Json`] tree, `"schema"` first. Absent
+    /// sections are absent keys; non-finite numbers serialize as `null`.
+    pub fn to_json(&self) -> Json {
+        let r = &self.report;
+        let num = |v: usize| Json::Num(v as f64);
+        let mut report = Json::obj();
+        report.insert("factorization_s", Json::Num(r.factorization_seconds));
+        report.insert("analysis_s", Json::Num(r.analysis_seconds));
+        report.insert("dag_tasks", num(r.dag_tasks));
+        report.insert("dense_dag_tasks", num(r.dense_dag_tasks));
+        report.insert("memory_before_f64", num(r.memory_before_f64));
+        report.insert("memory_after_f64", num(r.memory_after_f64));
+        report.insert("breakdown_s", r.breakdown.to_json());
+        report.insert("diagonal_shift", Json::Num(r.diagonal_shift));
+        report.insert("shift_attempts", num(r.shift_attempts));
+        report.insert("flops_executed", Json::Num(self.flops_executed));
+
+        let mut root = Json::obj();
+        root.insert("schema", Json::Num(f64::from(Self::SCHEMA_VERSION)));
+        let engine = if self.comm.is_some() { "distributed" } else { "shared" };
+        root.insert("engine", Json::Str(engine.into()));
+        root.insert("report", report);
+        if let Some(c) = self.comm {
+            let mut o = Json::obj();
+            o.insert("bytes", Json::Num(c.bytes as f64));
+            o.insert("messages", Json::Num(c.messages as f64));
+            root.insert("comm", o);
+        }
+        if let Some(f) = &self.faults {
+            let mut o = Json::obj();
+            for (name, v) in [
+                ("messages_sent", f.messages_sent as u64),
+                ("retransmissions", f.retransmissions as u64),
+                ("bytes_sent", f.bytes_sent),
+                ("messages_dropped", f.messages_dropped as u64),
+                ("messages_duplicated", f.messages_duplicated as u64),
+                ("duplicates_ignored", f.duplicates_ignored as u64),
+                ("acks_dropped", f.acks_dropped as u64),
+                ("crashes", f.crashes as u64),
+                ("tasks_migrated", f.tasks_migrated as u64),
+                ("tasks_reexecuted", f.tasks_reexecuted as u64),
+                ("kernel_failures", f.kernel_failures as u64),
+                ("sends_abandoned", f.sends_abandoned as u64),
+                ("messages_corrupted", f.messages_corrupted as u64),
+                ("store_corruptions_injected", f.store_corruptions_injected as u64),
+                ("corruptions_detected", f.corruptions_detected as u64),
+                ("corruptions_healed", f.corruptions_healed as u64),
+                ("nacks_sent", f.nacks_sent as u64),
+            ] {
+                o.insert(name, Json::Num(v as f64));
+            }
+            root.insert("faults", o);
+        }
+        if !self.events.is_empty() {
+            root.insert("events", Json::Arr(self.events.iter().map(RunEvent::to_json).collect()));
+        }
+        if let Some(m) = self.virtual_makespan {
+            root.insert("virtual_makespan_s", Json::Num(m));
+        }
+        if let Some(m) = self.trace_summary() {
+            root.insert("trace_summary", m.to_json());
+        }
+        if self.rank_evolution.events() > 0 {
+            let e = &self.rank_evolution;
+            let mut o = Json::obj();
+            o.insert("recompressions", Json::Num(e.events() as f64));
+            o.insert("mean_rank_in", Json::Num(e.mean_in()));
+            o.insert("mean_rank_out", Json::Num(e.mean_out()));
+            o.insert("max_rank_out", num(e.max_out()));
+            root.insert("rank_evolution", o);
+        }
+        if let Some(reg) = &self.registry {
+            root.insert("registry", reg.to_json());
+        }
+        if let Some(d) = &self.drift {
+            root.insert("drift", d.to_json());
+        }
+        root
+    }
+
+    /// Prometheus text exposition of the report: run-level gauges, then
+    /// the registry's counters and histograms, then the drift ratios.
+    pub fn to_prometheus(&self) -> String {
+        use std::fmt::Write;
+        let r = &self.report;
+        let mut out = String::new();
+        let mut gauge = |name: &str, v: f64| {
+            let _ = writeln!(out, "# TYPE tlr_run_{name} gauge\ntlr_run_{name} {v}");
+        };
+        gauge("factorization_seconds", r.factorization_seconds);
+        gauge("analysis_seconds", r.analysis_seconds);
+        gauge("dag_tasks", r.dag_tasks as f64);
+        gauge("flops_executed", self.flops_executed);
+        if let Some(m) = self.virtual_makespan {
+            gauge("virtual_makespan_seconds", m);
+        }
+        if let Some(cp) = self.critical_path_seconds {
+            gauge("critical_path_seconds", cp);
+        }
+        if let Some(reg) = &self.registry {
+            reg.write_prometheus(&mut out);
+        }
+        if let Some(d) = &self.drift {
+            out.push_str(&d.to_prometheus());
+        }
+        out
+    }
+}
+
+/// The human-readable view of the report: one line per section present.
+impl fmt::Display for RunOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.report;
+        let b = &r.breakdown;
+        writeln!(
+            f,
+            "factorized in {:.3}s (analysis {:.3}s): {} tasks of {} dense-DAG, {:.3e} model flops",
+            r.factorization_seconds,
+            r.analysis_seconds,
+            r.dag_tasks,
+            r.dense_dag_tasks,
+            self.flops_executed
+        )?;
+        if r.shift_attempts > 0 {
+            let (shift, retries) = (r.diagonal_shift, r.shift_attempts);
+            writeln!(f, "  diagonal shift {shift:.3e} after {retries} retries")?;
+        }
+        writeln!(
+            f,
+            "  memory {} -> {} f64 words (x{:.2} fill-in)",
+            r.memory_before_f64,
+            r.memory_after_f64,
+            r.memory_after_f64 as f64 / r.memory_before_f64.max(1) as f64
+        )?;
+        if let Some(reg) = &self.registry {
+            if self.comm.is_none() {
+                writeln!(
+                    f,
+                    "  busy P {:.3} T {:.3} S {:.3} G {:.3} s over {} workers",
+                    b.potrf, b.trsm, b.syrk, b.gemm, reg.shards
+                )?;
+            }
+            writeln!(
+                f,
+                "  engine: {} executed, {} enqueued, {} steals, arena high water {:.1} MB, \
+                 {} pool misses",
+                reg.counter(Counter::TasksExecuted),
+                reg.counter(Counter::TasksEnqueued),
+                reg.counter(Counter::Steals),
+                reg.gauge(Gauge::ArenaHighWaterBytes) / (1 << 20) as f64,
+                reg.counter(Counter::WorkspaceGrowth)
+            )?;
+        }
+        if let Some(c) = self.comm {
+            writeln!(
+                f,
+                "  comm: {} messages, {} bytes; virtual makespan {:.6}s",
+                c.messages,
+                c.bytes,
+                self.virtual_makespan.unwrap_or(0.0)
+            )?;
+        }
+        if let Some(s) = &self.faults {
+            writeln!(
+                f,
+                "  faults: {} crashes, {} retransmissions, {} dropped, \
+                 {} corruptions detected / {} healed, {} events",
+                s.crashes,
+                s.retransmissions,
+                s.messages_dropped,
+                s.corruptions_detected,
+                s.corruptions_healed,
+                self.events.len()
+            )?;
+        }
+        if let Some(m) = self.trace_summary() {
+            writeln!(
+                f,
+                "  trace: makespan {:.6}s, critical path {:.6}s (efficiency {:.3}), \
+                 imbalance {:.3}, mean idle {:.3}, queue wait {:.6}s",
+                m.makespan,
+                m.critical_path_seconds,
+                m.efficiency_vs_critical_path,
+                m.load_imbalance,
+                m.mean_idle(),
+                m.total_queue_wait
+            )?;
+        }
+        if self.rank_evolution.events() > 0 {
+            let e = &self.rank_evolution;
+            writeln!(
+                f,
+                "  recompressions: {} (mean rank {:.1} -> {:.1}, max {})",
+                e.events(),
+                e.mean_in(),
+                e.mean_out(),
+                e.max_out()
+            )?;
+        }
+        if let Some(d) = &self.drift {
+            write!(f, "{d}")?;
+        }
+        Ok(())
+    }
 }
 
 /// Why a [`Session::run`] failed.
@@ -462,7 +706,6 @@ fn shared_attempt(
     plan: &SymbolicPlan,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
-    analysis_seconds: f64,
 ) -> Result<RunOutcome, RunError> {
     let nt = matrix.nt();
     let memory_before_f64 = matrix.memory_f64();
@@ -581,9 +824,6 @@ fn shared_attempt(
             };
         }
     };
-    // Per-class busy nanoseconds (atomic adds via mutex; kernel times are
-    // micro-to-milliseconds, contention is negligible).
-    let class_nanos: Mutex<[u128; 5]> = Mutex::new([0; 5]);
     // One workspace arena per engine worker, indexed by the worker id the
     // engine hands us — exclusive by construction, so the Mutex is never
     // contended (it only satisfies the `Sync` bound of the kernel
@@ -595,20 +835,14 @@ fn shared_attempt(
         .map(|_| Mutex::new(KernelWorkspace::new()))
         .collect();
 
-    // Span recorder, only when tracing was asked for. The per-worker
-    // logs are preallocated here, so tracing costs no steady-state
-    // allocations on the kernel hot path.
-    let obs = cfg
-        .collect_trace
-        .then(|| ExecObs::new(dag.graph.len(), nthreads));
-    // Always-on metrics registry, one shard per worker. Recording is a
-    // few relaxed atomic adds per task.
-    let registry = cfg.collect_metrics.then(|| Registry::new(nthreads));
-    if let Some(reg) = &registry {
-        reg.add(0, Counter::PlanCacheHits, ev.hits);
-        reg.add(0, Counter::PlanCacheMisses, ev.misses);
-        reg.add(0, Counter::PlanCacheEvictions, ev.evictions);
-    }
+    // The two sinks of the engine's observation channel: the span
+    // recorder (only when tracing was asked for; its table is
+    // preallocated here) and the metrics registry, one shard per worker.
+    // The engine times every task once and reports it to both — this
+    // function never reads a clock per task.
+    let obs = cfg.collect_trace.then(|| ExecObs::new(dag.graph.len()));
+    let registry = Registry::new(nthreads);
+    record_cache_events(&registry, ev);
 
     let exec_t0 = std::time::Instant::now();
     // One kernel dispatch per *original* task — both the plain and the
@@ -618,8 +852,6 @@ fn shared_attempt(
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
-        let started = std::time::Instant::now();
-        let class = dag.graph.spec(t).class;
         match dag.kinds[t] {
             TaskKind::Potrf { k } => {
                 let mut c = cells[lower(k, k)].write();
@@ -693,50 +925,26 @@ fn shared_attempt(
                 tile.rank()
             );
         }
-        let nanos = started.elapsed().as_nanos();
-        let idx = match class {
-            TaskClass::Potrf => 0,
-            TaskClass::Trsm => 1,
-            TaskClass::Syrk => 2,
-            TaskClass::Gemm => 3,
-            TaskClass::Other => 4,
-        };
-        class_nanos.lock()[idx] += nanos;
     };
     // Both paths run the plan's precomputed scheduler tables
     // (`Engine::run_planned`): no per-run priority computation, and
     // `EngineConfig::sched` is irrelevant — the plan carries the policy.
     let exec_result = if let Some(pb) = pb {
-        // Batched run: the engine schedules the contracted graph, the
-        // closure loops the fused members, and the BatchObs shim plus
-        // per-member `record_span` keep the trace at kernel granularity
-        // against the original-sized ExecObs.
+        // Batched run: the engine schedules the contracted graph and the
+        // registry counts at that granularity; the BatchObs sink keeps
+        // the trace at kernel granularity against the original-sized
+        // ExecObs.
         let bobs = crate::batch::BatchObs::new(obs.as_ref(), &pb.members);
-        let mut engine_cfg = EngineConfig::new(nthreads)
+        let engine_cfg = EngineConfig::new(nthreads)
             .with_cancel(&cancel)
-            .with_obs(&bobs);
-        if let Some(reg) = &registry {
-            engine_cfg = engine_cfg.with_metrics(reg);
-        }
+            .with_obs((&registry, &bobs));
         Engine::new(&pb.graph).run_planned(&engine_cfg, sched_plan, |wid, b| {
-            for &t in &pb.members[b] {
-                match obs.as_ref() {
-                    Some(o) => {
-                        let s = o.now_ns();
-                        run_task(wid, t);
-                        o.record_span(wid, t, s, o.now_ns());
-                    }
-                    None => run_task(wid, t),
-                }
-            }
+            bobs.run_members(wid, b, |t| run_task(wid, t))
         })
     } else {
-        let mut engine_cfg = EngineConfig::new(nthreads)
+        let engine_cfg = EngineConfig::new(nthreads)
             .with_cancel(&cancel)
-            .with_obs(obs.as_ref());
-        if let Some(reg) = &registry {
-            engine_cfg = engine_cfg.with_metrics(reg);
-        }
+            .with_obs((&registry, obs.as_ref()));
         Engine::new(&dag.graph).run_planned(&engine_cfg, sched_plan, run_task)
     };
     let factorization_seconds = exec_t0.elapsed().as_secs_f64();
@@ -785,93 +993,80 @@ fn shared_attempt(
         }
     }
 
-    let n = class_nanos.into_inner();
-    let breakdown = ClassBreakdown {
-        potrf: n[0] as f64 * 1e-9,
-        trsm: n[1] as f64 * 1e-9,
-        syrk: n[2] as f64 * 1e-9,
-        gemm: n[3] as f64 * 1e-9,
-        other: n[4] as f64 * 1e-9,
-    };
-
     // Rank evolution, buffer-growth counts and arena high-water marks
-    // live in the per-worker workspaces; drain them once now that the
-    // workers are done. Both the always-on registry and the trace
-    // metrics consume the same drained state.
+    // live in the per-worker workspaces; drain them into the registry
+    // once now that the workers are done.
     let mut rank_evolution = RankEvolution::default();
-    let mut workspace_alloc_events = 0u64;
     for (wid, ws) in workspaces.iter().enumerate() {
         let mut w = ws.lock();
         rank_evolution.merge(&w.take_rank_log());
-        workspace_alloc_events += w.alloc_events();
-        if let Some(reg) = &registry {
-            reg.gauge_max(wid, Gauge::ArenaHighWaterBytes, w.high_water_bytes() as f64);
-        }
+        registry.add(0, Counter::WorkspaceGrowth, w.alloc_events());
+        registry.gauge_max(wid, Gauge::ArenaHighWaterBytes, w.high_water_bytes() as f64);
     }
-    if let Some(reg) = &registry {
-        reg.add(0, Counter::WorkspaceGrowth, workspace_alloc_events);
-        for (rank, &count) in rank_evolution.histogram().iter().enumerate() {
-            reg.record_rank_counts(0, rank, count);
-        }
+    for (rank, &count) in rank_evolution.histogram().iter().enumerate() {
+        registry.record_rank_counts(0, rank, count);
     }
-    let registry = registry.map(|r| r.snapshot());
-    let drift = match (drift, &registry) {
-        (Some(spec), Some(snap)) => Some(DriftReport::compute(spec, &dag.graph, snap, None)),
-        _ => None,
-    };
+    let registry = registry.snapshot();
+    let drift = drift.map(|spec| DriftReport::compute(spec, &dag.graph, &registry, None));
+    let breakdown = registry.class_busy_seconds();
+    let trace = obs.map(|o| o.finish(&dag.graph));
+    let mut out = outcome(dag, matrix, memory_before_f64, factorization_seconds, registry, trace);
+    out.report.breakdown = breakdown;
+    out.rank_evolution = rank_evolution;
+    out.drift = drift;
+    Ok(out)
+}
 
-    let metrics = obs.map(|o| {
-        let exec = o.finish(&dag.graph);
-        let flops_executed: f64 = (0..dag.graph.len()).map(|t| dag.graph.spec(t).flops).sum();
-        // Critical path priced with the durations this run actually
-        // measured (not the model), so efficiency compares like to like.
+/// The sections every attempt reports the same way, whichever engine
+/// ran it: the factor report (class breakdown zero, analysis time left
+/// to the driver), the trace with its measured critical path, and the
+/// registry. The caller adds what only its engine has.
+fn outcome(
+    dag: &CholeskyDag,
+    matrix: &TlrMatrix,
+    memory_before_f64: usize,
+    factorization_seconds: f64,
+    registry: RegistrySnapshot,
+    trace: Option<Trace>,
+) -> RunOutcome {
+    let critical_path_seconds = trace.as_ref().map(|trace| {
         let mut dur = vec![0.0_f64; dag.graph.len()];
-        for r in &exec.trace.records {
+        for r in &trace.records {
             dur[r.task] = r.duration();
         }
-        let critical_path_seconds = critical_path(&dag.graph, |t| dur[t]).length;
-        let makespan = exec.trace.makespan();
-        let efficiency_vs_critical_path = if makespan > 0.0 {
-            (critical_path_seconds / makespan).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        FactorMetrics {
-            queue_wait_seconds: exec.trace.total_queue_wait(),
-            per_worker_busy: exec.trace.busy_per_proc(nthreads),
-            idle_fraction: exec.trace.idle_fraction(nthreads),
-            load_imbalance: exec.trace.load_imbalance(nthreads),
-            trace: exec.trace,
-            steals: exec.steals,
-            rank_evolution,
-            workspace_alloc_events,
-            flops_executed,
-            critical_path_seconds,
-            efficiency_vs_critical_path,
-        }
+        critical_path(&dag.graph, |t| dur[t]).length
     });
-
-    let report = FactorReport {
-        factorization_seconds,
-        analysis_seconds,
-        dag_tasks: dag.graph.len(),
-        dense_dag_tasks: dag.analysis.dense_tasks(),
-        final_snapshot: matrix.rank_snapshot(),
-        memory_before_f64,
-        memory_after_f64: matrix.memory_f64(),
-        breakdown,
-        diagonal_shift: 0.0,
-        shift_attempts: 0,
-        metrics,
-    };
-    Ok(RunOutcome {
-        report,
+    RunOutcome {
+        report: FactorReport {
+            factorization_seconds,
+            analysis_seconds: 0.0,
+            dag_tasks: dag.graph.len(),
+            dense_dag_tasks: dag.analysis.dense_tasks(),
+            final_snapshot: matrix.rank_snapshot(),
+            memory_before_f64,
+            memory_after_f64: matrix.memory_f64(),
+            breakdown: ClassBreakdown::default(),
+            diagonal_shift: 0.0,
+            shift_attempts: 0,
+        },
         comm: None,
-        ft: None,
-        trace: None,
-        registry,
-        drift,
-    })
+        faults: None,
+        events: Vec::new(),
+        virtual_makespan: None,
+        trace,
+        critical_path_seconds,
+        rank_evolution: RankEvolution::default(),
+        flops_executed: dag.graph.total_flops(),
+        registry: Some(registry),
+        drift: None,
+    }
+}
+
+/// Plan-cache activity of this run, into its registry.
+fn record_cache_events(registry: &Registry, ev: CacheEvents) {
+    registry.add(0, Counter::PlanCacheHits, ev.hits);
+    registry.add(0, Counter::PlanCacheMisses, ev.misses);
+    registry.add(0, Counter::PlanCacheEvictions, ev.evictions);
 }
 
 /// One distributed attempt on the virtual-time [`DistEngine`]:
@@ -881,7 +1076,6 @@ fn shared_attempt(
 /// [`DistStatic`](crate::plan) machinery; this function only moves
 /// tiles, runs kernels, and feeds measured traffic back into the plan's
 /// embedded re-planner, if any.
-#[allow(clippy::too_many_arguments)]
 fn distributed_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
@@ -890,7 +1084,6 @@ fn distributed_attempt(
     plan: &SymbolicPlan,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
-    analysis_seconds: f64,
 ) -> Result<RunOutcome, RunError> {
     let tile_size = matrix.tile_size();
     let memory_before_f64 = matrix.memory_f64();
@@ -909,19 +1102,15 @@ fn distributed_attempt(
     // The metrics registry shards per emulated rank: task counts and
     // virtual per-class durations land in the executing rank's shard,
     // comm/fault/integrity totals fold into shard 0 at end of run.
-    let registry = cfg.collect_metrics.then(|| Registry::new(nprocs));
-    if let Some(reg) = &registry {
-        reg.add(0, Counter::PlanCacheHits, ev.hits);
-        reg.add(0, Counter::PlanCacheMisses, ev.misses);
-        reg.add(0, Counter::PlanCacheEvictions, ev.evictions);
-    }
+    let registry = Registry::new(nprocs);
+    record_cache_events(&registry, ev);
     let dist_cfg = DistConfig {
         ft,
         record_trace: cfg.collect_trace,
         // Every path below runs `run_planned`: the plan's precomputed
         // order *is* the schedule, so no policy is passed down.
         sched: None,
-        metrics: registry.as_ref(),
+        metrics: Some(&registry),
     };
     // The integrity layer arms when asked for explicitly, or whenever
     // the fault plan injects corruption — silent corruption with the
@@ -1038,43 +1227,19 @@ fn distributed_attempt(
             let _ = ds.refresh(dag, plan.nt, cfg.sched, overrides);
         }
     }
-    let registry = registry.map(|r| r.snapshot());
+    let registry = registry.snapshot();
     // Drift compares at original-task granularity: the model prices
     // `dag.graph` and the comm model uses the projected-back final
     // mapping, so batched and unbatched runs report comparably.
-    let drift = match (drift, &registry) {
-        (Some(spec), Some(snap)) => Some(DriftReport::compute(
-            spec,
-            &dag.graph,
-            snap,
-            Some((&final_exec, out.comm)),
-        )),
-        _ => None,
-    };
-
-    let report = FactorReport {
-        factorization_seconds,
-        analysis_seconds,
-        dag_tasks: dag.graph.len(),
-        dense_dag_tasks: dag.analysis.dense_tasks(),
-        final_snapshot: matrix.rank_snapshot(),
-        memory_before_f64,
-        memory_after_f64: matrix.memory_f64(),
-        breakdown: ClassBreakdown::default(),
-        diagonal_shift: 0.0,
-        shift_attempts: 0,
-        metrics: None,
-    };
+    let drift = drift.map(|spec| {
+        DriftReport::compute(spec, &dag.graph, &registry, Some((&final_exec, out.comm)))
+    });
     Ok(RunOutcome {
-        report,
         comm: Some(out.comm),
-        ft: ft.map(|_| FtFactorOutcome {
-            stats: out.stats,
-            makespan: out.makespan,
-            events: out.events,
-        }),
-        trace: out.trace,
-        registry,
+        faults: ft.map(|_| out.stats),
+        events: out.events,
+        virtual_makespan: Some(out.makespan),
         drift,
+        ..outcome(dag, matrix, memory_before_f64, factorization_seconds, registry, out.trace)
     })
 }

@@ -1,10 +1,12 @@
 //! Capability hooks of the shared-memory engine: cancellation
-//! ([`Cancel`]) and span capture ([`Observe`], [`ExecObs`]).
+//! ([`Cancel`]) and the observation channel ([`Observe`], [`TaskEvent`])
+//! with its two sinks, the metrics [`Registry`] and the span recorder
+//! [`ExecObs`].
 
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{TaskClass, TaskGraph, TaskId};
+use crate::obs::registry::{Counter, Gauge, Registry};
 use crate::trace::{TaskRecord, Trace};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Cancellation capability of a shared-memory run.
@@ -56,29 +58,62 @@ impl<C: Cancel + ?Sized> Cancel for &C {
     }
 }
 
-/// Observation capability of a shared-memory run (span capture).
+/// What the engine reports, as it happens, to its [`Observe`] sink.
 ///
-/// Every method defaults to an inline no-op, so [`NoObserve`] compiles
-/// to nothing on the hot path; an absent [`ExecObs`] (the `Option<&O>`
-/// impl) costs one predictable branch per hook.
-pub trait Observe: Sync {
-    /// Current time on the observation clock, integer nanoseconds.
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    /// Task `_t` just became ready (pushed to a deque / the injector).
-    #[inline]
-    fn on_enqueue(&self, _t: TaskId) {}
-    /// Worker `_wid` finished task `_t` which started at `_start_ns`.
-    #[inline]
-    fn on_retire(&self, _wid: usize, _t: TaskId, _start_ns: u64) {}
-    /// Worker `_wid` successfully stole from a peer's deque.
-    #[inline]
-    fn on_steal(&self, _wid: usize) {}
+/// The engine reads its clock once before and once after every kernel
+/// and hands both readings to [`TaskEvent::Retire`]; a released
+/// successor is enqueued at the retiring task's `end`, so no sink ever
+/// needs a clock of its own.
+#[derive(Debug, Clone, Copy)]
+pub enum TaskEvent<'a> {
+    /// Worker `wid` made `task` ready at `at` (pushed to a deque / the
+    /// injector).
+    Enqueue {
+        /// The releasing worker (0 for the graph's sources).
+        wid: usize,
+        /// The task that became ready.
+        task: TaskId,
+        /// When: the run's start, or the releasing task's `end`.
+        at: Instant,
+    },
+    /// Worker `wid` ran the kernel of `task` over `[start, end]`. Fires
+    /// exactly once per executed task; a task drained after a
+    /// cancellation never ran and reports nothing.
+    Retire {
+        /// The executing worker.
+        wid: usize,
+        /// The task that ran.
+        task: TaskId,
+        /// Its kernel class.
+        class: TaskClass,
+        /// Clock reading before the kernel.
+        start: Instant,
+        /// Clock reading after the kernel.
+        end: Instant,
+    },
+    /// Worker `wid` successfully stole from a peer's deque.
+    Steal {
+        /// The thief.
+        wid: usize,
+    },
+    /// End of run: the scheduler's learned per-class duration
+    /// corrections (only dynamic policies have any).
+    Corrections(&'a [f64]),
 }
 
-/// No span capture: every hook is an inline no-op.
+/// Observation capability of a shared-memory run: the one channel the
+/// engine reports each task through.
+///
+/// The default is an inline no-op, so [`NoObserve`] compiles to nothing
+/// on the hot path. Sinks compose as tuples — `(a, b)` forwards every
+/// event to both — and an absent sink is `None::<&O>`.
+pub trait Observe: Sync {
+    /// One engine event.
+    #[inline]
+    fn observe(&self, _event: TaskEvent<'_>) {}
+}
+
+/// No sink: every event is dropped inline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoObserve;
 
@@ -86,20 +121,8 @@ impl Observe for NoObserve {}
 
 impl<O: Observe> Observe for &O {
     #[inline]
-    fn now_ns(&self) -> u64 {
-        (**self).now_ns()
-    }
-    #[inline]
-    fn on_enqueue(&self, t: TaskId) {
-        (**self).on_enqueue(t)
-    }
-    #[inline]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        (**self).on_retire(wid, t, start_ns)
-    }
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        (**self).on_steal(wid)
+    fn observe(&self, event: TaskEvent<'_>) {
+        (**self).observe(event)
     }
 }
 
@@ -107,151 +130,178 @@ impl<O: Observe> Observe for &O {
 /// optional [`ExecObs`] (`obs.as_ref()`) straight into the engine.
 impl<O: Observe> Observe for Option<&O> {
     #[inline]
-    fn now_ns(&self) -> u64 {
-        match self {
-            Some(o) => o.now_ns(),
-            None => 0,
-        }
-    }
-    #[inline]
-    fn on_enqueue(&self, t: TaskId) {
+    fn observe(&self, event: TaskEvent<'_>) {
         if let Some(o) = self {
-            o.on_enqueue(t);
-        }
-    }
-    #[inline]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        if let Some(o) = self {
-            o.on_retire(wid, t, start_ns);
-        }
-    }
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        if let Some(o) = self {
-            o.on_steal(wid);
+            o.observe(event);
         }
     }
 }
 
-/// Span and steal data harvested from one observed execution.
-#[derive(Debug, Clone, Default)]
-pub struct ExecReport {
-    /// One record per executed task (retirement order sorted by end time).
-    pub trace: Trace,
-    /// Successful steals per worker (tasks this worker took from a peer's
-    /// deque; injector grabs are not steals).
-    pub steals: Vec<u64>,
-}
-
-impl ExecReport {
-    /// Total steal count over all workers.
-    pub fn total_steals(&self) -> u64 {
-        self.steals.iter().sum()
+/// Two sinks on the one channel: every event goes to both, in order.
+impl<A: Observe, B: Observe> Observe for (A, B) {
+    #[inline]
+    fn observe(&self, event: TaskEvent<'_>) {
+        self.0.observe(event);
+        self.1.observe(event);
     }
 }
 
-/// Observation hooks for one engine run.
+/// The metrics registry as a sink: task and steal counters plus the
+/// per-class duration histograms, on the reporting worker's shard.
+impl Observe for Registry {
+    #[inline]
+    fn observe(&self, event: TaskEvent<'_>) {
+        match event {
+            TaskEvent::Enqueue { wid, .. } => self.incr(wid, Counter::TasksEnqueued),
+            TaskEvent::Retire { wid, class, start, end, .. } => {
+                self.incr(wid, Counter::TasksExecuted);
+                self.record_class_ns(wid, class, (end - start).as_nanos() as u64);
+            }
+            TaskEvent::Steal { wid } => self.incr(wid, Counter::Steals),
+            TaskEvent::Corrections(corrections) => {
+                for (k, &v) in corrections.iter().enumerate() {
+                    self.gauge_max(0, Gauge::correction(k), v);
+                }
+            }
+        }
+    }
+}
+
+/// One task's row of the span table. `worker` stays at [`UNSET`] until
+/// the task's span is recorded.
+#[derive(Debug)]
+struct SpanSlot {
+    enqueue_ns: AtomicU64,
+    start_ns: AtomicU64,
+    end_ns: AtomicU64,
+    worker: AtomicUsize,
+}
+
+const UNSET: usize = usize::MAX;
+
+/// The span recorder: the sink behind [`Trace`] capture.
 ///
-/// Captures, per task, the enqueue (ready) time, the execute start/end
-/// times, and the executing worker, plus per-worker steal counters —
-/// everything [`crate::obs::RunMetrics`] and the Chrome-trace exporter
-/// need. A run that does not trace simply has no `ExecObs`: callers
-/// hand the engine `obs.as_ref()`, and `None` observes nothing. All
-/// span storage is preallocated in [`ExecObs::new`], so the hooks never
-/// allocate (the `trace_overhead` bench gates this).
+/// Records, per task, the enqueue (ready) time, the execute start/end
+/// times and the executing worker — everything
+/// [`crate::obs::RunMetrics`] and the Chrome-trace exporter need. A run
+/// that does not trace simply has no `ExecObs`: callers hand the engine
+/// `obs.as_ref()`, and `None` observes nothing. Each task retires
+/// exactly once, so the spans live in one task-indexed table sized in
+/// [`ExecObs::new`]: memory is proportional to the task count whatever
+/// the worker count, and the hooks neither lock nor allocate.
 #[derive(Debug)]
 pub struct ExecObs {
     t0: Instant,
-    /// Nanoseconds since `t0` at which each task became ready.
-    enqueue_ns: Vec<AtomicU64>,
-    /// Per-worker span logs; each mutex is only ever taken by its own
-    /// worker during the run (uncontended), then drained in `finish`.
-    logs: Vec<Mutex<Vec<(TaskId, u64, u64)>>>,
-    /// Successful deque steals per worker.
-    steals: Vec<AtomicU64>,
+    spans: Vec<SpanSlot>,
 }
 
 impl ExecObs {
-    /// Prepare storage for a graph of `ntasks` tasks on `nthreads`
-    /// workers. All vectors are sized up front: the per-task hooks never
-    /// allocate (each worker's log reserves room for every task, since in
-    /// the worst case one worker runs the whole graph).
-    pub fn new(ntasks: usize, nthreads: usize) -> Self {
+    /// Prepare the span table for a graph of `ntasks` tasks. Times are
+    /// recorded relative to this call.
+    pub fn new(ntasks: usize) -> Self {
         ExecObs {
             t0: Instant::now(),
-            enqueue_ns: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            logs: (0..nthreads.max(1))
-                .map(|_| Mutex::new(Vec::with_capacity(ntasks)))
+            spans: (0..ntasks)
+                .map(|_| SpanSlot {
+                    enqueue_ns: AtomicU64::new(0),
+                    start_ns: AtomicU64::new(0),
+                    end_ns: AtomicU64::new(0),
+                    worker: AtomicUsize::new(UNSET),
+                })
                 .collect(),
-            steals: (0..nthreads.max(1)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Harvest the captured spans into an [`ExecReport`], resolving task
-    /// class and tile coordinates against `graph`.
-    pub fn finish(&self, graph: &TaskGraph) -> ExecReport {
+    fn ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.t0).as_nanos() as u64
+    }
+
+    /// Harvest the recorded spans into a [`Trace`] (sorted by end time),
+    /// resolving task class and tile coordinates against `graph`.
+    pub fn finish(&self, graph: &TaskGraph) -> Trace {
         let mut trace = Trace::default();
-        for (wid, log) in self.logs.iter().enumerate() {
-            let log = log.lock().unwrap_or_else(|e| e.into_inner());
-            for &(t, start_ns, end_ns) in log.iter() {
-                let spec = graph.spec(t);
-                let queued_ns = self.enqueue_ns[t].load(Ordering::Relaxed).min(start_ns);
-                trace.push_record(TaskRecord {
-                    task: t,
-                    class: spec.class,
-                    proc: wid,
-                    data: spec.writes,
-                    queued: queued_ns as f64 * 1e-9,
-                    start: start_ns as f64 * 1e-9,
-                    end: end_ns as f64 * 1e-9,
-                });
+        for (t, slot) in self.spans.iter().enumerate() {
+            let proc = slot.worker.load(Ordering::Relaxed);
+            if proc == UNSET {
+                continue;
             }
+            let spec = graph.spec(t);
+            let start_ns = slot.start_ns.load(Ordering::Relaxed);
+            let queued_ns = slot.enqueue_ns.load(Ordering::Relaxed).min(start_ns);
+            trace.push_record(TaskRecord {
+                task: t,
+                class: spec.class,
+                proc,
+                data: spec.writes,
+                queued: queued_ns as f64 * 1e-9,
+                start: start_ns as f64 * 1e-9,
+                end: slot.end_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+            });
         }
         trace.records.sort_by(|a, b| a.end.total_cmp(&b.end));
-        ExecReport {
-            trace,
-            steals: self
-                .steals
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed))
-                .collect(),
-        }
+        trace
     }
 
-    /// Record an explicit span for `task` on worker `wid`, with both
-    /// endpoints in [`Observe::now_ns`] time.
+    /// Record the span of `task` on worker `wid`.
     ///
-    /// This is the span-splitting entry used by the panel-batching layer:
-    /// a fused engine task measures each member kernel itself and reports
-    /// the members here (suppressing the fused task's own
-    /// [`Observe::on_retire`]), so per-task attribution, `RunMetrics`,
-    /// and trace exports keep seeing individual kernels.
-    /// Allocation-free: the per-worker logs are preallocated.
+    /// [`TaskEvent::Retire`] lands here; the panel-batching layer also
+    /// calls it directly, once per member of a fused engine task, so
+    /// the trace keeps seeing individual kernels.
     #[inline]
-    pub fn record_span(&self, wid: usize, task: TaskId, start_ns: u64, end_ns: u64) {
-        let mut log = self.logs[wid].lock().unwrap_or_else(|e| e.into_inner());
-        log.push((task, start_ns, end_ns));
+    pub fn record_span(&self, wid: usize, task: TaskId, start: Instant, end: Instant) {
+        let slot = &self.spans[task];
+        slot.start_ns.store(self.ns(start), Ordering::Relaxed);
+        slot.end_ns.store(self.ns(end), Ordering::Relaxed);
+        slot.worker.store(wid, Ordering::Relaxed);
     }
 }
 
 impl Observe for ExecObs {
     #[inline]
-    fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
+    fn observe(&self, event: TaskEvent<'_>) {
+        match event {
+            TaskEvent::Enqueue { task, at, .. } => {
+                self.spans[task].enqueue_ns.store(self.ns(at), Ordering::Relaxed)
+            }
+            TaskEvent::Retire { wid, task, start, end, .. } => {
+                self.record_span(wid, task, start, end)
+            }
+            TaskEvent::Steal { .. } | TaskEvent::Corrections(_) => {}
+        }
     }
+}
 
-    #[inline]
-    fn on_enqueue(&self, t: TaskId) {
-        self.enqueue_ns[t].store(self.now_ns(), Ordering::Relaxed);
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    #[inline]
-    fn on_retire(&self, wid: usize, t: TaskId, start_ns: u64) {
-        self.record_span(wid, t, start_ns, self.now_ns());
-    }
-
-    #[inline]
-    fn on_steal(&self, wid: usize) {
-        self.steals[wid].fetch_add(1, Ordering::Relaxed);
+    /// One row per task, 32 bytes each, whatever the worker count: eight
+    /// workers recording into the table need no more storage than one
+    /// (it used to reserve `nthreads × ntasks` rows behind a mutex each).
+    #[test]
+    fn span_table_is_sized_by_tasks_not_workers() {
+        let ntasks = 1000;
+        let obs = ExecObs::new(ntasks);
+        assert_eq!((obs.spans.len(), std::mem::size_of::<SpanSlot>()), (ntasks, 32));
+        let mut g = TaskGraph::new();
+        for _ in 0..ntasks {
+            g.add_task(crate::graph::TaskSpec {
+                class: TaskClass::Other,
+                priority: 0,
+                writes: None,
+                flops: 0.0,
+            });
+        }
+        let at = Instant::now();
+        std::thread::scope(|s| {
+            for wid in 0..8 {
+                let obs = &obs;
+                let mine = (wid..ntasks).step_by(8);
+                s.spawn(move || mine.for_each(|t| obs.record_span(wid, t, at, at)));
+            }
+        });
+        let trace = obs.finish(&g);
+        assert_eq!(trace.records.len(), ntasks);
+        assert!(trace.records.iter().all(|r| r.proc == r.task % 8));
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! * [`Engine`] — the shared-memory work-stealing engine. Exactly one
 //!   scheduling loop, generic over a [`Cancel`] hook (external
-//!   cancellation token) and an [`Observe`] hook (span capture). The
+//!   cancellation token) and one [`Observe`] sink. The loop reads the
+//!   clock once before and once after each kernel and reports the pair
+//!   to the sink and the scheduler alike; the metrics registry and the
+//!   span recorder ([`ExecObs`]) are both sinks of that channel. The
 //!   no-op implementations ([`NoCancel`], [`NoObserve`]) are zero-sized
-//!   and their inlined methods compile away, so an unobserved run pays
-//!   nothing — the `trace_overhead` bench's ≤5 % and zero-allocation
-//!   gates hold on this loop.
+//!   and their inlined methods compile away.
 //! * [`DistEngine`] — the distributed-memory engine (message-passing
 //!   emulation). Exactly one deterministic virtual-time event loop; a
 //!   perfect network is simply the fault-free
@@ -36,7 +37,7 @@ mod hooks;
 mod shared;
 
 pub use dist::{DistConfig, DistEngine, DistOutcome, IntegrityHooks, RankCtx};
-pub use hooks::{Cancel, ExecObs, ExecReport, NoCancel, NoObserve, Observe};
+pub use hooks::{Cancel, ExecObs, NoCancel, NoObserve, Observe, TaskEvent};
 pub use shared::{Engine, EngineConfig};
 
 use crate::fault::FtError;

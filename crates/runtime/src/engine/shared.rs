@@ -1,13 +1,13 @@
 //! The shared-memory work-stealing [`Engine`].
 
-use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskPanic};
+use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskEvent, TaskPanic};
 use crate::graph::{TaskGraph, TaskId};
-use crate::obs::registry::{Counter, Gauge, Registry};
 use crate::scheduler::{LookaheadScheduler, SchedPlan, SchedPolicy, Scheduler, StaticScheduler};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Capability configuration of a shared-memory [`Engine`] run.
 ///
@@ -17,12 +17,13 @@ use std::sync::Mutex;
 /// parameter, so a run without a capability monomorphizes to a loop
 /// that never mentions it.
 #[derive(Debug, Clone, Copy)]
-pub struct EngineConfig<'m, C = NoCancel, O = NoObserve> {
+pub struct EngineConfig<C = NoCancel, O = NoObserve> {
     /// Worker threads of the pool (clamped to ≥ 1).
     pub nthreads: usize,
     /// Cancellation hook.
     pub cancel: C,
-    /// Observation hook.
+    /// Observation sink: the one channel every task, enqueue and steal
+    /// is reported through (compose several sinks as a tuple).
     pub obs: O,
     /// Ready-queue scheduling policy (default
     /// [`SchedPolicy::PanelPriority`]). The engine builds the matching
@@ -30,59 +31,46 @@ pub struct EngineConfig<'m, C = NoCancel, O = NoObserve> {
     /// supply a custom implementation use
     /// [`Engine::run_with_scheduler`].
     pub sched: SchedPolicy,
-    /// Always-on metrics sink: per-class task durations, enqueue/steal
-    /// counters, and the scheduler's end-of-run EMA corrections land in
-    /// the registry's per-worker shards (`None` skips all recording).
-    pub metrics: Option<&'m Registry>,
 }
 
-impl EngineConfig<'_> {
-    /// A plain run on `nthreads` workers: no cancellation token, no span
-    /// capture, panel-priority scheduling, no metrics sink.
+impl EngineConfig {
+    /// A plain run on `nthreads` workers: no cancellation token, no
+    /// sink, panel-priority scheduling.
     pub fn new(nthreads: usize) -> Self {
         EngineConfig {
             nthreads,
             cancel: NoCancel,
             obs: NoObserve,
             sched: SchedPolicy::PanelPriority,
-            metrics: None,
         }
     }
 }
 
-impl<'m, C, O> EngineConfig<'m, C, O> {
+impl<C, O> EngineConfig<C, O> {
     /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
-    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<'m, C2, O> {
+    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<C2, O> {
         EngineConfig {
             nthreads: self.nthreads,
             cancel,
             obs: self.obs,
             sched: self.sched,
-            metrics: self.metrics,
         }
     }
 
-    /// Layer span capture (e.g. `&ExecObs` or `obs.as_ref()`) onto the
-    /// run.
-    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<'m, C, O2> {
+    /// Layer a sink (e.g. `&Registry`, `obs.as_ref()` for an optional
+    /// `ExecObs`, or a tuple of both) onto the run.
+    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<C, O2> {
         EngineConfig {
             nthreads: self.nthreads,
             cancel: self.cancel,
             obs,
             sched: self.sched,
-            metrics: self.metrics,
         }
     }
 
     /// Select the ready-queue scheduling policy.
     pub fn with_sched(mut self, sched: SchedPolicy) -> Self {
         self.sched = sched;
-        self
-    }
-
-    /// Attach a metrics registry (shard per worker).
-    pub fn with_metrics(mut self, metrics: &'m Registry) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 }
@@ -126,7 +114,7 @@ impl<'g> Engine<'g> {
     /// mutates must tolerate a kernel dying mid-update (the TLR
     /// factorizations qualify — a poisoned run's output is discarded
     /// wholesale).
-    pub fn run<C, O, F>(&self, cfg: &EngineConfig<'_, C, O>, kernel: F) -> Result<(), EngineError>
+    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
     where
         C: Cancel,
         O: Observe,
@@ -145,7 +133,7 @@ impl<'g> Engine<'g> {
     /// planned and unplanned runs are bit-identical.
     pub fn run_planned<C, O, F>(
         &self,
-        cfg: &EngineConfig<'_, C, O>,
+        cfg: &EngineConfig<C, O>,
         plan: &SchedPlan,
         kernel: F,
     ) -> Result<(), EngineError>
@@ -174,14 +162,15 @@ impl<'g> Engine<'g> {
     /// best-first and each retirement pushes its newly-released
     /// successors onto the releasing worker's LIFO deque worst-first, so
     /// the best key is popped next while locality is preserved.
-    /// `on_task_finished` fires at every retirement with the measured
-    /// wall-clock seconds of the kernel — the feedback a dynamic policy
+    /// `on_task_finished` fires at every retirement with the kernel's
+    /// measured seconds — the same two clock readings the
+    /// [`Observe`] sink receives — the feedback a dynamic policy
     /// ([`crate::scheduler::LookaheadScheduler`]) learns from. A
     /// non-finite key fails the run with [`EngineError::NonFiniteKey`]
     /// (remaining tasks drain without executing, as on a kernel panic).
     pub fn run_with_scheduler<C, O, F>(
         &self,
-        cfg: &EngineConfig<'_, C, O>,
+        cfg: &EngineConfig<C, O>,
         sched: &mut dyn Scheduler,
         kernel: F,
     ) -> Result<(), EngineError>
@@ -224,11 +213,9 @@ impl<'g> Engine<'g> {
             sources.push((key, t));
         }
         sources.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let run_start = Instant::now();
         for (_, t) in sources {
-            cfg.obs.on_enqueue(t);
-            if let Some(reg) = cfg.metrics {
-                reg.incr(0, Counter::TasksEnqueued);
-            }
+            cfg.obs.observe(TaskEvent::Enqueue { wid: 0, task: t, at: run_start });
             injector.push(t);
         }
         // Shared by the workers: the policy's state is updated on every
@@ -257,22 +244,15 @@ impl<'g> Engine<'g> {
                         if completed.load(Ordering::Acquire) == n {
                             return;
                         }
-                        let task = find_task(
-                            &local,
-                            injector,
-                            stealers,
-                            wid,
-                            &mut rng,
-                            &cfg.obs,
-                            cfg.metrics,
-                        );
+                        let task = find_task(&local, injector, stealers, wid, &mut rng, &cfg.obs);
                         match task {
                             Some(t) => {
-                                let start_ns = cfg.obs.now_ns();
-                                let wall_start = std::time::Instant::now();
-                                let mut ran = false;
+                                // The run's only clock reads: one before
+                                // and one after the kernel. The sink and
+                                // the scheduler both get this pair.
+                                let start = Instant::now();
+                                let mut end = start;
                                 if !draining.load(Ordering::Acquire) && !cfg.cancel.is_cancelled() {
-                                    ran = true;
                                     if let Err(payload) =
                                         catch_unwind(AssertUnwindSafe(|| kernel(wid, t)))
                                     {
@@ -289,20 +269,12 @@ impl<'g> Engine<'g> {
                                             *slot = Some(TaskPanic { task: t, message });
                                         }
                                     }
+                                    end = Instant::now();
+                                    let class = graph.spec(t).class;
+                                    let retired = TaskEvent::Retire { wid, task: t, class, start, end };
+                                    cfg.obs.observe(retired);
                                 }
-                                let measured_s =
-                                    if ran { wall_start.elapsed().as_secs_f64() } else { 0.0 };
-                                cfg.obs.on_retire(wid, t, start_ns);
-                                if ran {
-                                    if let Some(reg) = cfg.metrics {
-                                        reg.incr(wid, Counter::TasksExecuted);
-                                        reg.record_class_seconds(
-                                            wid,
-                                            graph.spec(t).class,
-                                            measured_s,
-                                        );
-                                    }
-                                }
+                                let measured_s = (end - start).as_secs_f64();
                                 // Release successors even when draining: the
                                 // completion count must reach `n` to stop.
                                 released.clear();
@@ -343,10 +315,7 @@ impl<'g> Engine<'g> {
                                 // sort even on the drain path).
                                 released.sort_by(|a, b| b.0.total_cmp(&a.0));
                                 for &(_, dst) in released.iter() {
-                                    cfg.obs.on_enqueue(dst);
-                                    if let Some(reg) = cfg.metrics {
-                                        reg.incr(wid, Counter::TasksEnqueued);
-                                    }
+                                    cfg.obs.observe(TaskEvent::Enqueue { wid, task: dst, at: end });
                                     local.push(dst);
                                 }
                                 completed.fetch_add(1, Ordering::AcqRel);
@@ -360,13 +329,9 @@ impl<'g> Engine<'g> {
 
         // Publish the scheduler's learned per-class EMA corrections so
         // drift reports can inspect the calibration state it ended with.
-        if let Some(reg) = cfg.metrics {
-            let s = sched.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(corr) = s.class_corrections() {
-                for (k, &v) in corr.iter().enumerate() {
-                    reg.gauge_max(0, Gauge::correction(k), v);
-                }
-            }
+        let sched = sched.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(corr) = sched.class_corrections() {
+            cfg.obs.observe(TaskEvent::Corrections(&corr));
         }
 
         debug_assert_eq!(
@@ -408,7 +373,6 @@ fn find_task<O: Observe>(
     self_id: usize,
     rng: &mut u64,
     obs: &O,
-    metrics: Option<&Registry>,
 ) -> Option<TaskId> {
     if let Some(t) = local.pop() {
         return Some(t);
@@ -435,10 +399,7 @@ fn find_task<O: Observe>(
             loop {
                 match stealers[victim].steal_batch_and_pop(local) {
                     Steal::Success(t) => {
-                        obs.on_steal(self_id);
-                        if let Some(reg) = metrics {
-                            reg.incr(self_id, Counter::Steals);
-                        }
+                        obs.observe(TaskEvent::Steal { wid: self_id });
                         return Some(t);
                     }
                     Steal::Retry => continue,
@@ -643,7 +604,7 @@ mod tests {
     #[test]
     fn observed_execution_captures_spans() {
         let g = chain(32);
-        let obs = ExecObs::new(g.len(), 2);
+        let obs = ExecObs::new(g.len());
         let ran = AtomicUsize::new(0);
         Engine::new(&g)
             .run(&EngineConfig::new(2).with_obs(&obs), |_wid, _t| {
@@ -651,18 +612,17 @@ mod tests {
             })
             .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 32);
-        let rep = obs.finish(&g);
-        assert_eq!(rep.trace.records.len(), 32);
-        for r in &rep.trace.records {
+        let trace = obs.finish(&g);
+        assert_eq!(trace.records.len(), 32);
+        for r in &trace.records {
             assert!(r.queued <= r.start + 1e-12);
             assert!(r.start <= r.end);
             assert!(r.proc < 2);
         }
         // Records come back sorted by end time.
-        for w in rep.trace.records.windows(2) {
+        for w in trace.records.windows(2) {
             assert!(w[0].end <= w[1].end);
         }
-        assert_eq!(rep.steals.len(), 2);
     }
 
     /// An optional observer threads through as `Option<&ExecObs>`.

@@ -24,10 +24,11 @@
 //! * [`machine`] — calibrated machine models for the two supercomputers.
 //! * [`critical_path`] — the longest-path "roofline" bound of §VIII-G.
 //! * [`trace`] — execution traces and per-class time breakdowns (Fig. 11).
-//! * [`obs`] — observability: Chrome-trace (Perfetto) export, JSON/CSV
-//!   metrics dumps, structured crash/recovery events, and the sharded
-//!   metrics registry. Hot-path span capture is a per-run choice
-//!   ([`engine::ExecObs`]); an untraced run carries no span storage.
+//! * [`obs`] — observability: Chrome-trace (Perfetto) export,
+//!   trace-derived run metrics, structured crash/recovery events, and
+//!   the sharded metrics registry. Hot-path span capture is a per-run
+//!   choice ([`engine::ExecObs`]); an untraced run carries no span
+//!   storage.
 
 pub mod critical_path;
 pub mod des;
@@ -47,7 +48,7 @@ pub use des::{
 };
 pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
-    ExecReport, IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskPanic,
+    IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
 };
 pub use fault::{
     fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FaultStats, FtConfig, FtError,

@@ -3,10 +3,11 @@
 //! This is the cold-path half of the instrumentation story (the PaRSEC
 //! PINS/profiling analogue): everything here consumes a finished
 //! [`Trace`] or counter set and turns it into artifacts — a Chrome-trace
-//! (Perfetto) JSON timeline, a CSV/JSON metrics dump, or a rendered
-//! report. The hot-path half is span capture inside the executor
-//! ([`crate::engine::ExecObs`], per run) and rank logging inside the
-//! kernel workspaces (always on); this module only runs after a
+//! (Perfetto) JSON timeline, or the trace-derived [`RunMetrics`] record
+//! DES comparisons tabulate. The hot-path half is the engine's
+//! [`Observe`](crate::engine::Observe) channel with its two sinks (the
+//! [`registry`] always, [`crate::engine::ExecObs`] per run) and rank
+//! logging inside the kernel workspaces; this module only runs after a
 //! factorization finishes.
 //!
 //! The JSON layer is hand-rolled: the workspace's `serde` is an offline
@@ -16,8 +17,6 @@
 use crate::trace::{ClassBreakdown, Trace};
 
 pub mod registry;
-
-use registry::RegistrySnapshot;
 
 /// Minimal zero-dependency JSON tree, writer and parser.
 pub mod json {
@@ -510,9 +509,19 @@ pub struct RunMetrics {
     /// `critical_path_seconds / makespan` (the §VIII-G efficiency; 0 when
     /// no bound was computed).
     pub efficiency_vs_critical_path: f64,
-    /// Merged metrics-registry snapshot (counters, gauges, duration
-    /// histograms), when a registry was attached to the run.
-    pub registry: Option<RegistrySnapshot>,
+}
+
+impl ClassBreakdown {
+    /// JSON object of the busy seconds, one key per class.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("potrf".into(), Json::Num(self.potrf)),
+            ("trsm".into(), Json::Num(self.trsm)),
+            ("syrk".into(), Json::Num(self.syrk)),
+            ("gemm".into(), Json::Num(self.gemm)),
+            ("other".into(), Json::Num(self.other)),
+        ])
+    }
 }
 
 /// Sanitize a possibly NaN/Inf reading for report output.
@@ -561,69 +570,18 @@ impl RunMetrics {
         self
     }
 
-    /// Attach a merged registry snapshot (counters, gauges, histograms).
-    pub fn with_registry(mut self, snapshot: RegistrySnapshot) -> Self {
-        self.registry = Some(snapshot);
-        self
-    }
-
-    /// Prometheus text-exposition form: the scalar run metrics as gauges
-    /// (labelled by run) plus, when present, the attached registry's
-    /// counters and histograms.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let label: String = self
-            .label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
-            .collect();
-        let mut out = String::new();
-        let mut gauge = |name: &str, v: f64| {
-            let _ = writeln!(out, "# TYPE tlr_{name} gauge");
-            let _ = writeln!(out, "tlr_{name}{{run=\"{label}\"}} {}", finite_or_zero(v));
-        };
-        gauge("run_makespan_seconds", self.makespan);
-        gauge("run_queue_wait_seconds", self.total_queue_wait);
-        gauge("run_load_imbalance", self.load_imbalance);
-        gauge("run_critical_path_seconds", self.critical_path_seconds);
-        gauge("run_efficiency_vs_critical_path", self.efficiency_vs_critical_path);
-        gauge("run_comm_bytes", self.comm_bytes as f64);
-        gauge("run_comm_messages", self.comm_messages as f64);
-        let _ = writeln!(out, "# TYPE tlr_run_class_busy_seconds gauge");
-        for (name, v) in [
-            ("potrf", self.breakdown.potrf),
-            ("trsm", self.breakdown.trsm),
-            ("syrk", self.breakdown.syrk),
-            ("gemm", self.breakdown.gemm),
-            ("other", self.breakdown.other),
-        ] {
-            let _ = writeln!(
-                out,
-                "tlr_run_class_busy_seconds{{run=\"{label}\",class=\"{name}\"}} {}",
-                finite_or_zero(v)
-            );
-        }
-        if let Some(reg) = &self.registry {
-            reg.write_prometheus(&mut out);
-        }
-        out
+    /// Mean idle fraction over the workers/processes (0 when there are
+    /// none).
+    pub fn mean_idle(&self) -> f64 {
+        self.idle_fraction.iter().sum::<f64>() / self.idle_fraction.len().max(1) as f64
     }
 
     /// JSON form of the full metrics record.
     pub fn to_json(&self) -> Json {
-        let mut out = Json::Obj(vec![
+        Json::Obj(vec![
             ("label".into(), Json::Str(self.label.clone())),
             ("makespan_s".into(), Json::Num(self.makespan)),
-            (
-                "breakdown_s".into(),
-                Json::Obj(vec![
-                    ("potrf".into(), Json::Num(self.breakdown.potrf)),
-                    ("trsm".into(), Json::Num(self.breakdown.trsm)),
-                    ("syrk".into(), Json::Num(self.breakdown.syrk)),
-                    ("gemm".into(), Json::Num(self.breakdown.gemm)),
-                    ("other".into(), Json::Num(self.breakdown.other)),
-                ]),
-            ),
+            ("breakdown_s".into(), self.breakdown.to_json()),
             (
                 "busy_s".into(),
                 Json::Arr(self.busy.iter().map(|&b| Json::Num(b)).collect()),
@@ -647,84 +605,7 @@ impl RunMetrics {
                 "efficiency_vs_critical_path".into(),
                 Json::Num(self.efficiency_vs_critical_path),
             ),
-        ]);
-        if let Some(reg) = &self.registry {
-            out.insert("registry", reg.to_json());
-        }
-        out
-    }
-
-    /// CSV form: a `metric,value` table (one file per run).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        out.push_str(&format!("label,{}\n", self.label));
-        out.push_str(&format!("makespan_s,{}\n", self.makespan));
-        out.push_str(&format!("potrf_s,{}\n", self.breakdown.potrf));
-        out.push_str(&format!("trsm_s,{}\n", self.breakdown.trsm));
-        out.push_str(&format!("syrk_s,{}\n", self.breakdown.syrk));
-        out.push_str(&format!("gemm_s,{}\n", self.breakdown.gemm));
-        out.push_str(&format!("other_s,{}\n", self.breakdown.other));
-        for (p, (b, f)) in self.busy.iter().zip(&self.idle_fraction).enumerate() {
-            out.push_str(&format!("busy_s_p{p},{b}\n"));
-            out.push_str(&format!("idle_fraction_p{p},{f}\n"));
-        }
-        out.push_str(&format!("load_imbalance,{}\n", self.load_imbalance));
-        out.push_str(&format!("total_queue_wait_s,{}\n", self.total_queue_wait));
-        out.push_str(&format!("comm_bytes,{}\n", self.comm_bytes));
-        out.push_str(&format!("comm_messages,{}\n", self.comm_messages));
-        out.push_str(&format!("critical_path_s,{}\n", self.critical_path_seconds));
-        out.push_str(&format!(
-            "efficiency_vs_critical_path,{}\n",
-            self.efficiency_vs_critical_path
-        ));
-        out
-    }
-
-    /// Human-readable one-run report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.label));
-        out.push_str(&format!("makespan            {:>12.6} s\n", self.makespan));
-        let b = &self.breakdown;
-        out.push_str(&format!(
-            "busy (P/T/S/G/O)    {:.4} / {:.4} / {:.4} / {:.4} / {:.4} s\n",
-            b.potrf, b.trsm, b.syrk, b.gemm, b.other
-        ));
-        out.push_str(&format!(
-            "load imbalance      {:>12.4}\n",
-            self.load_imbalance
-        ));
-        let mean_idle = if self.idle_fraction.is_empty() {
-            0.0
-        } else {
-            self.idle_fraction.iter().sum::<f64>() / self.idle_fraction.len() as f64
-        };
-        out.push_str(&format!(
-            "mean idle fraction  {:>12.4}  (per worker: {})\n",
-            mean_idle,
-            self.idle_fraction
-                .iter()
-                .map(|f| format!("{f:.3}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        ));
-        out.push_str(&format!(
-            "queue wait (total)  {:>12.6} s\n",
-            self.total_queue_wait
-        ));
-        if self.comm_messages > 0 {
-            out.push_str(&format!(
-                "communication       {:>12} msgs, {} bytes\n",
-                self.comm_messages, self.comm_bytes
-            ));
-        }
-        if self.critical_path_seconds > 0.0 {
-            out.push_str(&format!(
-                "critical path       {:>12.6} s  (efficiency {:.3})\n",
-                self.critical_path_seconds, self.efficiency_vs_critical_path
-            ));
-        }
-        out
+        ])
     }
 
     /// Side-by-side table over several runs (one line per run) — the
@@ -742,17 +623,12 @@ impl RunMetrics {
             return out;
         }
         for m in runs {
-            let mean_idle = if m.idle_fraction.is_empty() {
-                0.0
-            } else {
-                m.idle_fraction.iter().sum::<f64>() / m.idle_fraction.len() as f64
-            };
             out.push_str(&format!(
                 "{:<18} {:>10.6} {:>11.4} {:>10.4} {:>6} {:>12} {:>9.3}\n",
                 m.label,
                 finite_or_zero(m.makespan),
                 finite_or_zero(m.load_imbalance),
-                finite_or_zero(mean_idle),
+                finite_or_zero(m.mean_idle()),
                 m.comm_messages,
                 m.comm_bytes,
                 finite_or_zero(m.efficiency_vs_critical_path),
@@ -853,14 +729,10 @@ mod tests {
         for f in &m.idle_fraction {
             assert!((0.0..=1.0).contains(f));
         }
-        // JSON and CSV dumps contain the headline numbers.
+        // The JSON dump and the table carry the headline numbers.
         let j = m.to_json();
         assert_eq!(j.get("comm_bytes").unwrap().as_f64().unwrap(), 100.0);
-        let csv = m.to_csv();
-        assert!(csv.contains("makespan_s,2"));
-        assert!(csv.contains("idle_fraction_p1,"));
-        // And the rendered forms don't panic.
-        assert!(m.render().contains("makespan"));
+        assert_eq!(j.get("idle_fraction").unwrap().as_arr().unwrap().len(), 2);
         assert!(RunMetrics::comparison_table(&[m]).contains("unit"));
     }
 
@@ -959,24 +831,5 @@ mod tests {
         };
         let table = RunMetrics::comparison_table(&[poisoned]);
         assert!(!table.contains("NaN") && !table.contains("inf"), "{table}");
-    }
-
-    #[test]
-    fn registry_snapshot_attaches_to_metrics_and_prometheus() {
-        use registry::{Counter, Registry};
-        let reg = Registry::new(2);
-        reg.add(0, Counter::TasksExecuted, 5);
-        reg.record_class_seconds(1, TaskClass::Gemm, 2e-3);
-        let m = RunMetrics::from_trace("run a", &sample_trace(), 2).with_registry(reg.snapshot());
-        let j = m.to_json();
-        let snap_counters = j.get("registry").and_then(|r| r.get("counters"));
-        assert!(snap_counters.is_some());
-        let prom = m.to_prometheus();
-        assert!(prom.contains("tlr_run_makespan_seconds{run=\"run_a\"}"), "{prom}");
-        assert!(prom.contains("tlr_tasks_executed_total 5"), "{prom}");
-        assert_eq!(m.registry.as_ref().unwrap().counter(Counter::TasksExecuted), 5);
-        // Without a registry the field stays out of the JSON.
-        let bare = RunMetrics::from_trace("b", &sample_trace(), 2);
-        assert!(bare.to_json().get("registry").is_none());
     }
 }

@@ -2,15 +2,16 @@
 //! log-bucketed (HDR-style) histograms, sharded per worker/rank so the
 //! hot path never contends on a cache line and never allocates.
 //!
-//! Unlike per-task span capture (opt-in per run), the registry is on by
-//! default: recording a sample is a handful of relaxed atomic adds on a
-//! pre-allocated shard, cheap enough to leave on in production. A run
-//! that does not want it passes no registry (`metrics: None`).
+//! Unlike per-task span capture (opt-in per run), the registry is
+//! always on: recording a sample is a handful of relaxed atomic adds on
+//! a pre-allocated shard. On the shared-memory engine it is a sink of
+//! the [`Observe`](crate::engine::Observe) channel, fed the same two
+//! clock readings per task as every other sink.
 //!
 //! Aggregation happens once, at report time: [`Registry::snapshot`]
 //! merges all shards into a [`RegistrySnapshot`] — plain owned data that
 //! serializes to the hand-rolled [`Json`] and to Prometheus text
-//! exposition format, and feeds `RunMetrics` and the drift report.
+//! exposition format, and feeds the run report and the drift report.
 
 use crate::graph::TaskClass;
 use crate::obs::json::Json;
@@ -252,7 +253,7 @@ impl HistSummary {
 }
 
 /// Merged, owned view of a [`Registry`] at one instant. Plain data:
-/// cheap to clone, compare, serialize, and attach to `RunMetrics`.
+/// cheap to clone, compare and serialize.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Shards that were merged (worker/rank count; 0 for the default

@@ -290,7 +290,7 @@ thread_local! {
 ///
 /// The public kernel entry points ([`gemm_kernel`], [`syrk_kernel`],
 /// [`subtract_lowrank`]) route through this so callers outside the
-/// executor (tests, ACA assembly, the distributed engine) get workspace
+/// executor (tests, the distributed engine) get workspace
 /// recycling for free; the factorization executor instead owns one
 /// explicit arena per worker and calls the `_ws` variants directly.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut KernelWorkspace) -> R) -> R {

@@ -24,7 +24,6 @@
 //! * [`integrity`] — exact tile digests, sealed tiles and deterministic
 //!   bit-flip injection for the silent-data-corruption layer.
 
-pub mod aca;
 pub mod compress;
 pub mod integrity;
 pub mod kernels;
@@ -32,7 +31,6 @@ pub mod matrix;
 pub mod rankstat;
 pub mod tile;
 
-pub use aca::{aca_compress, AcaResult};
 pub use compress::{compress_tile, decompress_tile, CompressionConfig};
 pub use integrity::{corrupt_tile, SealedTile, TileDigest, WordFold};
 pub use matrix::{certifies_null, TlrMatrix};

@@ -10,7 +10,6 @@ use crate::compress::{compress_tile, CompressionConfig};
 use crate::rankstat::RankSnapshot;
 use crate::tile::Tile;
 use rayon::prelude::*;
-use std::ops::Range;
 use tlr_linalg::{Matrix, TileSource};
 
 /// A symmetric positive-definite matrix stored as TLR tiles (lower
@@ -51,18 +50,30 @@ pub fn certifies_null(bound: f64, accuracy: f64) -> bool {
 }
 
 impl TlrMatrix {
-    /// The one assembly path. A serial pass over the lower triangle asks
-    /// `source` for a norm bound per off-diagonal tile and writes
-    /// `Tile::Null` where it [`certifies_null`]; `build(i, j, rows, cols)`
-    /// then produces every other tile (and the entries it evaluated) in
-    /// parallel on rayon's pool. The parallel loop runs over the
-    /// surviving work-list, so its chunks are balanced over tiles that
-    /// cost something rather than over coordinates.
-    fn assemble<S, B>(n: usize, tile_size: usize, source: &S, accuracy: f64, build: B) -> Self
-    where
-        S: TileSource,
-        B: Fn(usize, usize, Range<usize>, Range<usize>) -> (Tile, usize) + Sync,
-    {
+    /// Build a TLR matrix by sampling a symmetric [`TileSource`] (any
+    /// `Fn(row, col) -> f64 + Sync` closure is one) tile by tile and
+    /// compressing each off-diagonal tile at the configured accuracy.
+    ///
+    /// A serial pass over the lower triangle asks `source` for a norm
+    /// bound per off-diagonal tile and writes `Tile::Null` where it
+    /// [`certifies_null`], without evaluating an entry — exactly the
+    /// tiles [`compress_tile`] would have found null, so the result does
+    /// not depend on how sharp the bound is. A closure bounds nothing and
+    /// has every tile evaluated. The remaining tiles are generated and
+    /// compressed in parallel on rayon's work-stealing pool, sized by
+    /// `available_parallelism` unless `RAYON_NUM_THREADS` overrides it
+    /// (this is the paper's "matrix generation + compression" phase,
+    /// Fig. 11). The parallel loop runs over the surviving work-list, so
+    /// its chunks are balanced over tiles that cost something rather
+    /// than over coordinates. Per-tile results are independent of the
+    /// thread count, so the assembled matrix is bit-identical at any
+    /// pool size.
+    pub fn from_generator(
+        n: usize,
+        tile_size: usize,
+        source: impl TileSource,
+        config: &CompressionConfig,
+    ) -> Self {
         assert!(n > 0 && tile_size > 0, "matrix and tile size must be positive");
         let nt = n.div_ceil(tile_size);
         let span = |t: usize| t * tile_size..n.min((t + 1) * tile_size);
@@ -72,7 +83,7 @@ impl TlrMatrix {
             for j in 0..=i {
                 let (rows, cols) = (span(i), span(j));
                 let (r, c) = (rows.len(), cols.len());
-                if i == j || !certifies_null(source.norm_bound(rows, cols), accuracy) {
+                if i == j || !certifies_null(source.norm_bound(rows, cols), config.accuracy) {
                     work.push((i, j));
                 }
                 // Uncertified tiles are overwritten below.
@@ -80,43 +91,19 @@ impl TlrMatrix {
             }
         }
         let certified_null = tiles.len() - work.len();
-        let built: Vec<(Tile, usize)> =
-            work.par_iter().map(|&(i, j)| build(i, j, span(i), span(j))).collect();
+        let built: Vec<Tile> = work
+            .par_iter()
+            .map(|&(i, j)| {
+                let block = source.block(span(i), span(j));
+                if i == j { Tile::Dense(block) } else { compress_tile(block, config) }
+            })
+            .collect();
         let mut evaluations = 0;
-        for (&(i, j), (tile, evaluated)) in work.iter().zip(built) {
+        for (&(i, j), tile) in work.iter().zip(built) {
+            evaluations += tile.rows() * tile.cols();
             tiles[packed_index(i, j)] = tile;
-            evaluations += evaluated;
         }
         Self { n, tile_size, nt, tiles, certified_null, evaluations }
-    }
-
-    /// Build a TLR matrix by sampling a symmetric [`TileSource`] (any
-    /// `Fn(row, col) -> f64 + Sync` closure is one) tile by tile and
-    /// compressing each off-diagonal tile at the configured accuracy.
-    ///
-    /// Off-diagonal tiles whose [`TileSource::norm_bound`] proves them
-    /// below the accuracy are written as `Tile::Null` without evaluating
-    /// an entry — exactly the tiles [`compress_tile`] would have found
-    /// null, so the result does not depend on how sharp the bound is. A
-    /// closure bounds nothing and has every tile evaluated. The remaining
-    /// tiles are generated and compressed in parallel on rayon's
-    /// work-stealing pool, sized by `available_parallelism` unless
-    /// `RAYON_NUM_THREADS` overrides it (this is the paper's "matrix
-    /// generation + compression" phase, Fig. 11). Per-tile results are
-    /// independent of the thread count, so the assembled matrix is
-    /// bit-identical at any pool size.
-    pub fn from_generator(
-        n: usize,
-        tile_size: usize,
-        source: impl TileSource,
-        config: &CompressionConfig,
-    ) -> Self {
-        Self::assemble(n, tile_size, &source, config.accuracy, |i, j, rows, cols| {
-            let evaluated = rows.len() * cols.len();
-            let block = source.block(rows, cols);
-            let tile = if i == j { Tile::Dense(block) } else { compress_tile(block, config) };
-            (tile, evaluated)
-        })
     }
 
     /// Build from an explicit dense matrix (testing/small problems).
@@ -125,49 +112,14 @@ impl TlrMatrix {
         Self::from_generator(a.rows(), tile_size, |i, j| a[(i, j)], config)
     }
 
-    /// Build the matrix **directly in compressed format** via adaptive
-    /// cross approximation — the paper's §IX future work: off-diagonal
-    /// tiles are assembled from `O(k·b)` kernel evaluations instead of
-    /// `b²`, skipping the dense-generation phase that dominates Fig. 11.
-    /// Tiles the source certifies null cost no evaluation at all, as in
-    /// [`TlrMatrix::from_generator`].
-    ///
-    /// Returns the matrix and the total number of kernel evaluations
-    /// spent ([`TlrMatrix::kernel_evaluations`]; compare against
-    /// `n·(n+1)/2` for the dense path).
-    pub fn from_generator_aca(
-        n: usize,
-        tile_size: usize,
-        source: impl TileSource,
-        config: &CompressionConfig,
-    ) -> (Self, usize) {
-        let a = Self::assemble(n, tile_size, &source, config.accuracy, |i, j, rows, cols| {
-            if i == j {
-                let evaluated = rows.len() * cols.len();
-                (Tile::Dense(source.block(rows, cols)), evaluated)
-            } else {
-                let res = crate::aca::aca_compress(
-                    rows.len(),
-                    cols.len(),
-                    |bi, bj| source.entry(rows.start + bi, cols.start + bj),
-                    config,
-                );
-                (res.tile, res.evaluations)
-            }
-        });
-        let evaluations = a.evaluations;
-        (a, evaluations)
-    }
-
     /// Off-diagonal tiles the assembly wrote as `Null` on the strength of
     /// the source's norm bound alone, without evaluating an entry.
     pub fn certified_null_tiles(&self) -> usize {
         self.certified_null
     }
 
-    /// Source entries the assembly evaluated (`b²` per dense-path tile,
-    /// the ACA count per cross-approximated tile, none for a certified
-    /// one).
+    /// Source entries the assembly evaluated (`rows × cols` per
+    /// evaluated tile, none for a certified one).
     pub fn kernel_evaluations(&self) -> usize {
         self.evaluations
     }

@@ -13,14 +13,15 @@
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_parsec::cholesky::simulate::simulate_cholesky;
-use hicma_parsec::cholesky::{factorize, tune_tile_size, FactorConfig, MatrixAnalysis};
+use hicma_parsec::cholesky::{tune_tile_size, FactorConfig, MatrixAnalysis, RunError, Session};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
 use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
-use hicma_parsec::mesh::GaussianRbf;
+use hicma_parsec::mesh::{GaussianRbf, Point3};
 use hicma_parsec::runtime::MachineModel;
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use std::collections::HashMap;
+use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -66,8 +67,32 @@ fn get_f64(m: &HashMap<String, String>, k: &str, default: f64) -> f64 {
     }))
 }
 
-fn get_usize(m: &HashMap<String, String>, k: &str, default: usize) -> usize {
-    get_f64(m, k, default as f64) as usize
+/// A count or size: anything but a positive integer is a usage error
+/// naming the key (every such key sizes an allocation or a loop).
+fn get_positive(m: &HashMap<String, String>, k: &str, default: usize) -> usize {
+    let v = get_f64(m, k, default as f64);
+    if v < 1.0 || v.fract() != 0.0 || v > usize::MAX as f64 {
+        eprintln!("{k} must be a positive integer, got {v}");
+        usage()
+    }
+    v as usize
+}
+
+/// The Hilbert-ordered point cloud of `factorize` / `snapshot`;
+/// `close(phase)` is told when generating and ordering it end.
+fn point_cloud(m: &HashMap<String, String>, mut close: impl FnMut(&'static str)) -> Vec<Point3> {
+    let viruses = get_positive(m, "viruses", 4);
+    let points_per_virus = get_positive(m, "points", 400);
+    if viruses * points_per_virus < 2 {
+        eprintln!("points must be at least 2 for a single virus (an RBF operator needs 2 points)");
+        usage()
+    }
+    let vcfg = VirusConfig { points_per_virus, ..Default::default() };
+    let raw = virus_population(viruses, &vcfg, 2024);
+    close("generate");
+    let points = apply_permutation(&raw, &hilbert_sort(&raw));
+    close("order");
+    points
 }
 
 fn machine_of(m: &HashMap<String, String>) -> MachineModel {
@@ -81,78 +106,83 @@ fn machine_of(m: &HashMap<String, String>) -> MachineModel {
     }
 }
 
-fn cmd_factorize(m: HashMap<String, String>) {
-    let viruses = get_usize(&m, "viruses", 4);
-    let points_per = get_usize(&m, "points", 400);
-    let tile = get_usize(&m, "tile", 128);
+fn cmd_factorize(m: HashMap<String, String>, process_start: Instant) {
+    let tile = get_positive(&m, "tile", 128);
     let accuracy = get_f64(&m, "accuracy", 1e-6);
     let trimmed = !m.contains_key("untrimmed");
 
-    let vcfg = VirusConfig { points_per_virus: points_per, ..Default::default() };
-    let raw = virus_population(viruses, &vcfg, 2024);
-    let points = apply_permutation(&raw, &hilbert_sort(&raw));
+    // One line per phase, each charged the time since the previous one
+    // closed: together they account for the process wall.
+    let mut ledger = Vec::new();
+    let mut last = process_start;
+    let mut close = |phase: &'static str| {
+        let now = Instant::now();
+        ledger.push((phase, (now - last).as_secs_f64()));
+        last = now;
+    };
+    let points = point_cloud(&m, &mut close);
+
     let n = points.len();
     let kernel = GaussianRbf::from_min_distance(&points);
     println!("N = {n}, δ = {:.3e}, tile = {tile}, accuracy = {accuracy:.0e}", kernel.delta);
-
     let ccfg = CompressionConfig::with_accuracy(accuracy);
-    let t0 = std::time::Instant::now();
     let mut a = TlrMatrix::from_generator(n, tile, kernel.generator(&points), &ccfg);
-    let assemble_s = t0.elapsed().as_secs_f64();
-    println!(
-        "compressed in {assemble_s:.3}s: density {:.3}, memory {:.1}% of dense",
-        a.density(),
-        100.0 * a.memory_f64() as f64 / (n * (n + 1) / 2) as f64
-    );
+    close("assemble");
     // The assembly line of the ledger: what the bounding boxes of the
     // point cloud proved null, what had to be evaluated, what was kept.
     let off_diagonal = a.nt() * (a.nt() - 1) / 2;
     let kept = (a.density() * off_diagonal as f64).round() as usize;
     println!(
-        "assembled in {assemble_s:.3}s: {off_diagonal} off-diagonal tiles = {} certified null + {} evaluated ({kept} kept); \
-         {} kernel evaluations vs n(n+1)/2 = {}",
+        "assembled: density {:.3}, memory {:.1}% of dense; {off_diagonal} off-diagonal tiles = \
+         {} certified null + {} evaluated ({kept} kept); {} kernel evaluations vs n(n+1)/2 = {}",
+        a.density(),
+        100.0 * a.memory_f64() as f64 / (n * (n + 1) / 2) as f64,
         a.certified_null_tiles(),
         off_diagonal - a.certified_null_tiles(),
         a.kernel_evaluations(),
         n * (n + 1) / 2
     );
-    let fcfg = FactorConfig {
+    let session = Session::shared(FactorConfig {
         trimmed,
         nthreads: std::thread::available_parallelism().map_or(4, |p| p.get()),
         ..FactorConfig::with_accuracy(accuracy)
-    };
-    match factorize(&mut a, &fcfg) {
-        Ok(rep) => {
-            println!(
-                "factorized in {:.3}s: {} tasks ({} dense-DAG), breakdown P {:.3} T {:.3} S {:.3} G {:.3}",
-                rep.factorization_seconds,
-                rep.dag_tasks,
-                rep.dense_dag_tasks,
-                rep.breakdown.potrf,
-                rep.breakdown.trsm,
-                rep.breakdown.syrk,
-                rep.breakdown.gemm
-            );
-            if n <= 4000 {
-                let dense = Matrix::from_fn(n, n, |i, j| kernel.matrix_entry(&points, i, j));
-                let res = hicma_parsec::cholesky::factorization_residual(&dense, &a);
-                println!("‖A − LLᵀ‖/‖A‖ = {res:.3e}");
-            }
-        }
-        Err(e) => {
+    });
+    let plan = session.plan(&a);
+    close("plan");
+    let run = plan.and_then(|plan| session.run_with_plan(&plan, &mut a));
+    close("factorize");
+    match run {
+        Ok(out) => print!("{out}"),
+        Err(RunError::Numeric(e)) => {
             eprintln!("matrix is not positive definite at this accuracy (pivot {})", e.pivot);
             std::process::exit(1);
         }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
     }
+    if n <= 4000 {
+        let dense = Matrix::from_fn(n, n, |i, j| kernel.matrix_entry(&points, i, j));
+        let res = hicma_parsec::cholesky::factorization_residual(&dense, &a);
+        println!("‖A − LLᵀ‖/‖A‖ = {res:.3e}");
+    }
+    close("verify");
+    for (phase, seconds) in &ledger {
+        println!("{phase:>10} {seconds:>9.3} s");
+    }
+    let accounted: f64 = ledger.iter().map(|p| p.1).sum();
+    let wall = process_start.elapsed().as_secs_f64();
+    println!("{:>10} {accounted:>9.3} s of {wall:.3} s process wall", "sum");
 }
 
 fn cmd_simulate(m: HashMap<String, String>) {
     let n = get_f64(&m, "n", 11.95e6);
-    let tile = get_usize(&m, "tile", 4880);
-    let nodes = get_usize(&m, "nodes", 512);
+    let tile = get_positive(&m, "tile", 4880);
+    let nodes = get_positive(&m, "nodes", 512);
     let shape = get_f64(&m, "shape", 3.7e-4);
     let accuracy = get_f64(&m, "accuracy", 1e-4);
-    let scale = get_usize(&m, "scale", 32);
+    let scale = get_positive(&m, "scale", 32);
     let machine = machine_of(&m);
 
     let p = hicma_parsec::cholesky::simulate::scaled_problem(n, tile, nodes, scale);
@@ -210,8 +240,8 @@ fn cmd_simulate(m: HashMap<String, String>) {
 }
 
 fn cmd_analyze(m: HashMap<String, String>) {
-    let nt = get_usize(&m, "nt", 256);
-    let tile = get_usize(&m, "tile", 1024);
+    let nt = get_positive(&m, "nt", 256);
+    let tile = get_positive(&m, "tile", 1024);
     let shape = get_f64(&m, "shape", 3.7e-4);
     let accuracy = get_f64(&m, "accuracy", 1e-4);
     let snap = SyntheticRankModel::from_application(nt, tile, shape, accuracy).snapshot();
@@ -240,7 +270,7 @@ fn cmd_tune(m: HashMap<String, String>) {
     let n = get_f64(&m, "n", 1e6);
     let shape = get_f64(&m, "shape", 3.7e-4);
     let accuracy = get_f64(&m, "accuracy", 1e-4);
-    let nodes = get_usize(&m, "nodes", 16);
+    let nodes = get_positive(&m, "nodes", 16);
     let cfg = hicma_parsec_config(machine_of(&m), nodes);
     let r = tune_tile_size(n, shape, accuracy, &cfg, &[]);
     println!("{:>8} {:>7} {:>10} {:>10}", "tile", "NT", "tasks", "time (s)");
@@ -251,14 +281,10 @@ fn cmd_tune(m: HashMap<String, String>) {
 }
 
 fn cmd_snapshot(m: HashMap<String, String>) {
-    let viruses = get_usize(&m, "viruses", 4);
-    let points_per = get_usize(&m, "points", 400);
-    let tile = get_usize(&m, "tile", 128);
+    let tile = get_positive(&m, "tile", 128);
     let accuracy = get_f64(&m, "accuracy", 1e-4);
     let out = m.get("out").cloned().unwrap_or_else(|| "snapshot.txt".to_string());
-    let vcfg = VirusConfig { points_per_virus: points_per, ..Default::default() };
-    let raw = virus_population(viruses, &vcfg, 2024);
-    let points = apply_permutation(&raw, &hilbert_sort(&raw));
+    let points = point_cloud(&m, |_| ());
     let kernel = GaussianRbf::from_min_distance(&points);
     let a = TlrMatrix::from_generator(
         points.len(),
@@ -281,11 +307,12 @@ fn cmd_snapshot(m: HashMap<String, String>) {
 }
 
 fn main() {
+    let process_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let rest = parse_args(&args[1..]);
     match cmd.as_str() {
-        "factorize" => cmd_factorize(rest),
+        "factorize" => cmd_factorize(rest, process_start),
         "simulate" => cmd_simulate(rest),
         "analyze" => cmd_analyze(rest),
         "snapshot" => cmd_snapshot(rest),

@@ -1,33 +1,45 @@
-//! Steady-state allocation contract of the workspace kernel engine.
+//! Steady-state allocation contracts of the per-task hot paths.
 //!
 //! The recompression hot path (`gemm_kernel` on low-rank operands)
 //! promises zero heap traffic once the per-worker arena has grown to its
-//! high-water mark. This test wires a counting `#[global_allocator]`
-//! into the *test harness* (the library itself stays allocator-agnostic),
-//! warms an explicit workspace up, and then asserts the next call
-//! performs no allocation at all.
+//! high-water mark, and the two sinks of the engine's observation
+//! channel (the metrics registry and the span recorder) promise to
+//! record without allocating at all. This file wires a counting
+//! `#[global_allocator]` into the *test harness* (the library itself
+//! stays allocator-agnostic); the count is per thread, so the cases can
+//! run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::time::Instant;
 
 use hicma_parsec::linalg::Matrix;
+use hicma_parsec::runtime::graph::TaskClass;
+use hicma_parsec::runtime::{Counter, ExecObs, Gauge, Observe, Registry, TaskEvent};
 use hicma_parsec::tlr::kernels::{gemm_kernel_ws, KernelWorkspace};
 use hicma_parsec::tlr::{CompressionConfig, Tile};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and without a destructor: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,6 +63,10 @@ fn mixed_factor(rows: usize, k: usize, phase: f64, decay: f64, seed: usize) -> M
     })
 }
 
+/// The GEMM update as the engine runs it when tracing: both sinks record
+/// the task — `Enqueue`, two clock readings, `Retire` — around the
+/// kernel. The span table and the registry shards are allocated once, up
+/// front, and the kernel's rank log is always on.
 #[test]
 fn gemm_kernel_steady_state_allocates_nothing() {
     let b = 64usize;
@@ -70,24 +86,49 @@ fn gemm_kernel_steady_state_allocates_nothing() {
     };
 
     let mut ws = KernelWorkspace::new();
-    // Warm-up: grow the arena to its high-water mark.
+    let sink = (Registry::new(1), ExecObs::new(9));
+    // Tasks 0..8 warm up (the arena grows to its high-water mark); task 8
+    // is the steady state and must not touch the heap at all.
     let mut counts = Vec::new();
-    for _ in 0..8 {
+    for task in 0..9 {
         let mut c = c0.clone();
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
+        let start = Instant::now();
+        sink.observe(TaskEvent::Enqueue { wid: 0, task, at: start });
         gemm_kernel_ws(&mut ws, &a, &bt, &mut c, &config);
-        counts.push(ALLOCS.load(Ordering::Relaxed) - before);
+        let end = Instant::now();
+        sink.observe(TaskEvent::Retire { wid: 0, task, class: TaskClass::Gemm, start, end });
+        counts.push(allocs() - before);
         assert_eq!(c.format(), hicma_parsec::tlr::tile::TileFormat::LowRank);
     }
-
-    // Steady state: one more call on a warmed arena must not touch the
-    // heap at all.
-    let mut c = c0.clone();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    gemm_kernel_ws(&mut ws, &a, &bt, &mut c, &config);
-    let steady = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        steady, 0,
-        "gemm_kernel allocated {steady} time(s) in steady state (warm-up counts: {counts:?})"
+        counts[8], 0,
+        "traced gemm_kernel allocated in steady state (per-call counts: {counts:?})"
     );
+    assert_eq!(sink.0.snapshot().counter(Counter::TasksExecuted), 9);
+}
+
+/// The sink recording path alone, at volume: counters, class-duration
+/// histograms, rank histograms, gauge CAS loops and span stores.
+#[test]
+fn sink_recording_path_allocates_nothing() {
+    let ntasks = 50_000;
+    let sink = (Registry::new(4), ExecObs::new(ntasks));
+    let reg = &sink.0;
+    let at = Instant::now();
+    let before = allocs();
+    for task in 0..ntasks {
+        let (t, wid) = (task, task % 4);
+        sink.observe(TaskEvent::Enqueue { wid, task, at });
+        sink.observe(TaskEvent::Steal { wid });
+        sink.observe(TaskEvent::Retire { wid, task, class: TaskClass::Gemm, start: at, end: at });
+        reg.add(wid, Counter::CommBytes, 3);
+        reg.record_class_seconds(wid, TaskClass::Potrf, 1e-6 * (t % 97) as f64);
+        reg.record_rank(wid, t % 64);
+        reg.gauge_max(wid, Gauge::ArenaHighWaterBytes, (t % 1024) as f64);
+    }
+    sink.observe(TaskEvent::Corrections(&[1.0; 5]));
+    let recorded = allocs() - before;
+    assert_eq!(recorded, 0, "sinks allocated {recorded} time(s) while recording");
+    assert_eq!(reg.snapshot().counter(Counter::Steals), ntasks as u64);
 }

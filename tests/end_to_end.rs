@@ -88,26 +88,6 @@ fn mesh_deformation_tlr_matches_dense() {
 }
 
 #[test]
-fn aca_assembly_matches_dense_assembly() {
-    // §IX future work: direct compressed assembly must produce an operator
-    // that factorizes to the same accuracy with far fewer evaluations.
-    let (points, kernel) = fixture(3, 200, 29);
-    let n = points.len();
-    let accuracy = 1e-6;
-    let ccfg = CompressionConfig::with_accuracy(accuracy);
-    let (mut a_aca, evals) =
-        TlrMatrix::from_generator_aca(n, 80, kernel.generator(&points), &ccfg);
-    let nt = a_aca.nt();
-    let dense_evals = nt * (nt + 1) / 2 * 80 * 80;
-    assert!(evals < dense_evals, "ACA must save evaluations: {evals} vs {dense_evals}");
-
-    let dense = Matrix::from_fn(n, n, |i, j| kernel.matrix_entry(&points, i, j));
-    factorize(&mut a_aca, &FactorConfig::with_accuracy(accuracy)).expect("SPD");
-    let res = factorization_residual(&dense, &a_aca);
-    assert!(res < accuracy * 1e3, "ACA-assembled residual {res}");
-}
-
-#[test]
 fn distributed_ranks_match_shared_memory_on_rbf() {
     // The full §VII story on real data: factorize the RBF operator across
     // emulated distributed-memory ranks with the band data distribution

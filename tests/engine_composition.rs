@@ -96,8 +96,8 @@ proptest! {
         let comm_ff = out_ff.comm.unwrap();
         prop_assert_eq!(comm_ff.messages, comm_base.messages);
         prop_assert_eq!(comm_ff.bytes, comm_base.bytes);
-        let ft_ff = out_ff.ft.expect("fault layer configured");
-        prop_assert_eq!(ft_ff.stats.retransmissions, 0);
+        let ft_ff = out_ff.faults.expect("fault layer configured");
+        prop_assert_eq!(ft_ff.retransmissions, 0);
 
         // {counted, ft(lossy[, crash]), obs} — everything at once. The
         // factor still matches bit for bit, comm only grows, and the
@@ -121,7 +121,7 @@ proptest! {
             "faults leaked into the factor"
         );
         let comm_full = out_full.comm.unwrap();
-        let stats = &out_full.ft.as_ref().expect("fault layer configured").stats;
+        let stats = out_full.faults.as_ref().expect("fault layer configured");
         if !crash {
             // Without a crash the placement is unchanged, so faults can
             // only ever *add* traffic (retransmissions). A crash migrates
@@ -259,11 +259,11 @@ fn ft_plus_trace_plus_comm_in_one_run() {
 
     // Comm: counted, and consistent with the fault accounting.
     let comm = out.comm.expect("distributed runs count communication");
-    let ftout = out.ft.expect("fault layer was configured");
-    assert_eq!(comm.messages, (ftout.stats.messages_sent + ftout.stats.retransmissions) as u64);
-    assert_eq!(comm.bytes, ftout.stats.bytes_sent);
-    assert_eq!(ftout.stats.crashes, 1);
-    assert_eq!(ftout.events.len(), 2, "one crash ⇒ one Crash + one Recovery event");
+    let stats = out.faults.expect("fault layer was configured");
+    assert_eq!(comm.messages, (stats.messages_sent + stats.retransmissions) as u64);
+    assert_eq!(comm.bytes, stats.bytes_sent);
+    assert_eq!(stats.crashes, 1);
+    assert_eq!(out.events.len(), 2, "one crash ⇒ one Crash + one Recovery event");
 
     // Trace: covers every task plus the crash re-executions, inside the
     // virtual makespan.
@@ -274,5 +274,5 @@ fn ft_plus_trace_plus_comm_in_one_run() {
         trace.records.len(),
         out.report.dag_tasks
     );
-    assert!(trace.makespan() <= ftout.makespan + 1e-12);
+    assert!(trace.makespan() <= out.virtual_makespan.unwrap() + 1e-12);
 }

@@ -72,20 +72,20 @@ fn faulty_network_and_crash_reproduce_shared_memory_factor() {
         .with_fault_layer(&ft)
         .run(&mut faulty)
         .expect("plan is survivable: one crash, five survivors")
-        .ft
+        .faults
         .expect("fault layer was configured");
 
-    assert_eq!(outcome.stats.crashes, 1, "the scheduled crash must fire");
+    assert_eq!(outcome.crashes, 1, "the scheduled crash must fire");
     assert!(
-        outcome.stats.messages_dropped > 0,
+        outcome.messages_dropped > 0,
         "drop injection must bite"
     );
     assert!(
-        outcome.stats.tasks_migrated > 0,
+        outcome.tasks_migrated > 0,
         "recovery must migrate work"
     );
     assert!(
-        outcome.stats.retransmissions > 0,
+        outcome.retransmissions > 0,
         "drops must force retransmits"
     );
     let diff = relative_diff(&faulty.to_dense_lower(), &shared.to_dense_lower());
@@ -207,7 +207,7 @@ proptest! {
             .run(&mut faulty);
         prop_assert!(out.is_ok(), "survivable plan failed: {:?}", out.err());
         let out = out.unwrap();
-        let stats = &out.ft.as_ref().unwrap().stats;
+        let stats = out.faults.as_ref().unwrap();
         let comm = out.comm.as_ref().unwrap();
         prop_assert_eq!(
             comm.messages as usize,
@@ -249,7 +249,7 @@ proptest! {
             .with_fault_layer(&ft)
             .run(&mut sealed)
             .unwrap();
-        let stats = &out.ft.as_ref().unwrap().stats;
+        let stats = out.faults.as_ref().unwrap();
         prop_assert_eq!(stats.corruptions_detected, 0, "false positive on a clean run");
         prop_assert_eq!(stats.corruptions_healed, 0);
         prop_assert_eq!(stats.nacks_sent, 0);

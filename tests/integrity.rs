@@ -54,20 +54,19 @@ fn store_corruption_is_detected_healed_and_numerically_invisible() {
     let outcome = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
         .with_fault_layer(&ft)
         .run(&mut m)
-        .expect("a single store strike is healable")
-        .ft
-        .expect("fault layer was configured");
+        .expect("a single store strike is healable");
+    let stats = outcome.faults.expect("fault layer was configured");
 
     assert_eq!(
-        outcome.stats.store_corruptions_injected, 1,
+        stats.store_corruptions_injected, 1,
         "the strike must land"
     );
     assert_eq!(
-        outcome.stats.corruptions_detected, 1,
+        stats.corruptions_detected, 1,
         "zero false negatives"
     );
     assert_eq!(
-        outcome.stats.corruptions_healed, 1,
+        stats.corruptions_healed, 1,
         "the strike must be healed"
     );
     let detected = outcome
@@ -104,7 +103,7 @@ fn message_corruption_is_nacked_retransmitted_and_invisible() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("message corruption is always recoverable via NACK/retransmit");
-    let stats = &out.ft.as_ref().unwrap().stats;
+    let stats = out.faults.as_ref().unwrap();
     let comm = out.comm.as_ref().unwrap();
 
     assert!(stats.messages_corrupted > 0, "p=0.4 must corrupt something");
@@ -145,7 +144,7 @@ fn integrity_layer_has_zero_false_positives_on_lossy_network() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("lossy but uncorrupted plan is survivable");
-    let stats = &out.ft.as_ref().unwrap().stats;
+    let stats = out.faults.as_ref().unwrap();
 
     assert!(stats.messages_dropped > 0, "loss injection must bite");
     assert_eq!(stats.messages_corrupted, 0);
@@ -222,16 +221,16 @@ fn corruption_composes_with_crash_loss_and_trace() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("composed plan is survivable: one crash, three survivors");
-    let ftout = out.ft.as_ref().unwrap();
+    let ftout = out.faults.as_ref().unwrap();
 
-    assert_eq!(ftout.stats.crashes, 1, "the scheduled crash must fire");
-    assert_eq!(ftout.stats.store_corruptions_injected, 1);
+    assert_eq!(ftout.crashes, 1, "the scheduled crash must fire");
+    assert_eq!(ftout.store_corruptions_injected, 1);
     assert!(
-        ftout.stats.messages_corrupted > 0,
+        ftout.messages_corrupted > 0,
         "corruption injection must bite"
     );
     assert!(
-        ftout.stats.corruptions_detected >= ftout.stats.messages_corrupted,
+        ftout.corruptions_detected >= ftout.messages_corrupted,
         "every corrupted payload must be caught"
     );
     assert!(
@@ -263,7 +262,7 @@ fn corruption_run_is_deterministic() {
             .with_fault_layer(&ft)
             .run(&mut m)
             .expect("survivable");
-        (out.ft.unwrap().stats, out.comm.unwrap())
+        (out.faults.unwrap(), out.comm.unwrap())
     };
     let (s1, c1) = run();
     let (s2, c2) = run();

@@ -1,20 +1,29 @@
 //! Observability-layer integration and property tests: trace invariants
 //! under adversarial timestamps, Chrome-trace export round-trips, the
-//! shared exporter over both execution engines, and crash/recovery event
-//! accounting on the fault-tolerant distributed runtime.
+//! shared exporter over both execution engines, the engine's one
+//! observation channel, the one run report (`RunOutcome`) and its
+//! exporters, and crash/recovery event accounting on the fault-tolerant
+//! distributed runtime.
 
 use hicma_parsec::cholesky::simulate::{simulate_cholesky, SimConfig};
-use hicma_parsec::cholesky::{DriftSpec, FactorConfig, Session};
+use hicma_parsec::cholesky::{
+    batch_panel_gemms, build_cholesky_dag, DagConfig, DriftSpec, FactorConfig, RunOutcome,
+    Session, SolveService, TenantConfig,
+};
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
-use hicma_parsec::runtime::graph::{DataRef, TaskClass};
+use hicma_parsec::runtime::graph::{DataRef, TaskClass, TaskGraph};
 use hicma_parsec::runtime::obs::json::Json;
 use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
 };
 use hicma_parsec::runtime::trace::{TaskRecord, Trace};
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig, Gauge, MachineModel};
-use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
+use hicma_parsec::runtime::{
+    Counter, Engine, EngineConfig, FaultPlan, FtConfig, Gauge, MachineModel, Observe, Registry,
+    TaskEvent,
+};
+use hicma_parsec::tlr::{CompressionConfig, RankSnapshot, SyntheticRankModel, TlrMatrix};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic pseudo-random trace, including (with probability ~1/8)
 /// adversarially reversed spans (`end < start`) and queue times after
@@ -166,19 +175,7 @@ fn des_trace_uses_the_same_exporter() {
 /// Crash/Recovery event pair, in order, with consistent payloads.
 #[test]
 fn ft_run_records_matching_crash_recovery_pairs() {
-    let n = 120;
-    let b = 24;
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 8.0);
-        let v: f64 = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-8);
-    let mut m = TlrMatrix::from_generator(n, b, gen, &ccfg);
+    let mut m = gaussian_matrix(120, 8.0);
     let fcfg = FactorConfig::with_accuracy(1e-8);
     let plan = FaultPlan::new(9).with_drops(0.1).with_crash(1, 10.0).with_crash(3, 30.0);
     let ft = FtConfig::with_plan(plan);
@@ -186,12 +183,12 @@ fn ft_run_records_matching_crash_recovery_pairs() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("two crashes among six ranks are survivable");
-    let outcome = run.ft.expect("fault layer was configured");
+    let stats = run.faults.expect("fault layer was configured");
 
-    assert_eq!(outcome.stats.crashes * 2, outcome.events.len());
-    assert!(!outcome.events.is_empty(), "scheduled crashes must be recorded");
+    assert_eq!(stats.crashes * 2, run.events.len());
+    assert!(!run.events.is_empty(), "scheduled crashes must be recorded");
     let mut last_at = f64::NEG_INFINITY;
-    for pair in outcome.events.chunks(2) {
+    for pair in run.events.chunks(2) {
         let RunEvent::Crash { rank, at: crash_at } = pair[0] else {
             panic!("even event must be a crash, got {:?}", pair[0]);
         };
@@ -207,7 +204,17 @@ fn ft_run_records_matching_crash_recovery_pairs() {
         let j = pair[0].to_json().to_string();
         assert!(j.contains("crash"), "{j}");
     }
-    assert!(outcome.stats.bytes_sent >= 8 * outcome.stats.messages_sent as u64);
+    assert!(stats.bytes_sent >= 8 * stats.messages_sent as u64);
+}
+
+/// A 1D Gaussian-kernel SPD operator (`width` = correlation length in
+/// units of `n`), compressed at ε = 1e-8 into 24-row tiles.
+fn gaussian_matrix(n: usize, width: f64) -> TlrMatrix {
+    let gen = |i: usize, j: usize| {
+        let d = (i as f64 - j as f64) / (n as f64 / width);
+        (-d * d).exp() + if i == j { 1e-3 } else { 0.0 }
+    };
+    TlrMatrix::from_generator(n, 24, gen, &CompressionConfig::with_accuracy(1e-8))
 }
 
 /// The RBF operator of two Hilbert-ordered virus bodies at ε = 1e-6,
@@ -226,23 +233,22 @@ fn rbf_matrix() -> TlrMatrix {
 }
 
 /// End-to-end acceptance: a traced shared-memory factorization of an
-/// RBF-structured problem exports a valid Chrome trace and a metrics
-/// report with per-class, per-worker, and rank-evolution content.
+/// RBF-structured problem exports a valid Chrome trace and a run report
+/// with per-class, per-worker, and rank-evolution content.
 #[test]
 fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
-    use hicma_parsec::cholesky::factorize;
-
     let mut a = rbf_matrix();
     let mut fcfg = FactorConfig::with_accuracy(1e-6);
     fcfg.nthreads = 2;
     fcfg.collect_trace = true;
-    let report = factorize(&mut a, &fcfg).expect("RBF operator is SPD");
-    let metrics = report.metrics.expect("collect_trace must trace");
+    let out = Session::shared(fcfg).run(&mut a).expect("RBF operator is SPD");
+    let report = &out.report;
+    let trace = out.trace.as_ref().expect("collect_trace must trace");
 
     // Chrome trace: parseable, one span per executed task, named by class
     // and tile coordinates.
-    assert_eq!(metrics.trace.records.len(), report.dag_tasks);
-    let text = chrome_trace_json(&metrics.trace, "rbf");
+    assert_eq!(trace.records.len(), report.dag_tasks);
+    let text = chrome_trace_json(trace, "rbf");
     let doc = Json::parse(&text).expect("valid Chrome trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let spans: Vec<&Json> =
@@ -252,18 +258,146 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
         .iter()
         .any(|e| e.get("name").and_then(Json::as_str).is_some_and(|s| s.starts_with("POTRF"))));
 
-    // Metrics report: class breakdown, worker occupancy, rank evolution.
-    let rm = metrics.run_metrics("rbf-wallclock");
+    // Run report: class breakdown, worker occupancy, rank evolution.
+    let rm = out.trace_summary().expect("a traced run summarizes its trace");
     assert!(rm.breakdown.potrf > 0.0 && rm.breakdown.total() > 0.0);
     assert_eq!(rm.idle_fraction.len(), 2);
     assert!(rm.idle_fraction.iter().all(|f| (0.0..=1.0).contains(f)));
     assert!(rm.load_imbalance >= 1.0);
-    assert!(metrics.rank_evolution.events() > 0, "GEMM recompressions must be logged");
-    assert!(metrics.rank_evolution.mean_in() >= metrics.rank_evolution.mean_out());
-    let csv = rm.to_csv();
-    assert!(csv.contains("makespan_s") && csv.contains("idle_fraction_p1"), "{csv}");
-    let rendered = metrics.rank_evolution.render(16);
-    assert!(rendered.contains("recompressions"), "{rendered}");
+    assert!(rm.efficiency_vs_critical_path > 0.0 && rm.efficiency_vs_critical_path <= 1.0);
+    let cp = out.critical_path_seconds.expect("a trace prices the critical path");
+    assert!(cp > 0.0 && cp <= trace.makespan() + 1e-12 && out.flops_executed > 0.0);
+    assert!(out.rank_evolution.events() > 0, "GEMM recompressions must be logged");
+    assert!(out.rank_evolution.mean_in() >= out.rank_evolution.mean_out());
+    // One clock: the report's breakdown (the registry's per-class sums)
+    // and the spans are the same readings. Only a fused group differs,
+    // by what runs between the engine's reading and its first member's.
+    let (busy, spans) = (report.breakdown.total(), trace.breakdown().total());
+    assert!((busy - spans).abs() <= 0.02 * spans, "breakdown {busy} vs spans {spans}");
+    let doc = assert_report_round_trips(&out);
+    assert_eq!(doc.get("engine").and_then(Json::as_str), Some("shared"));
+    let summary = doc.get("trace_summary").expect("traced runs carry a trace summary");
+    assert_eq!(summary.get("idle_fraction").and_then(Json::as_arr).unwrap().len(), 2);
+    assert!(doc.get("rank_evolution").is_some());
+    let table = out.to_string();
+    assert!(table.contains("recompressions") && table.contains("critical path"), "{table}");
+}
+
+/// `RunOutcome::to_json` carries the schema version and parses back to
+/// the tree it was written from.
+fn assert_report_round_trips(out: &RunOutcome) -> Json {
+    let doc = out.to_json();
+    let back = Json::parse(&doc.to_string()).expect("the report is valid JSON");
+    assert_eq!(back, doc, "report JSON must round-trip");
+    assert_eq!(
+        back.get("schema").and_then(Json::as_f64),
+        Some(f64::from(RunOutcome::SCHEMA_VERSION))
+    );
+    for key in ["report", "registry"] {
+        assert!(back.get(key).is_some(), "every run reports `{key}`");
+    }
+    back
+}
+
+/// The same report, same schema, from the other two producers: a
+/// distributed run under a fault layer and a `SolveService` request.
+#[test]
+fn run_report_round_trips_for_distributed_and_service_runs() {
+    let dist = DiamondDistribution::new(4);
+    let ft = FtConfig::with_plan(FaultPlan::new(9).with_drops(0.1).with_crash(1, 10.0));
+    let mut fcfg = FactorConfig::with_accuracy(1e-6);
+    fcfg.collect_trace = true;
+    let out = Session::distributed(fcfg, 4, &dist)
+        .with_fault_layer(&ft)
+        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
+        .run(&mut rbf_matrix())
+        .expect("one crash among four ranks is survivable");
+    let doc = assert_report_round_trips(&out);
+    assert_eq!(doc.get("engine").and_then(Json::as_str), Some("distributed"));
+    let crashes = doc.get("faults").and_then(|f| f.get("crashes")).and_then(Json::as_f64);
+    assert_eq!(crashes, Some(1.0));
+    assert_eq!(doc.get("events").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+    for key in ["comm", "virtual_makespan_s", "trace_summary", "drift"] {
+        assert!(doc.get(key).is_some(), "distributed FT run reports `{key}`");
+    }
+    let prom = out.to_prometheus();
+    assert!(prom.contains("tlr_crashes_total 1") && prom.contains("tlr_drift_ratio"), "{prom}");
+    assert!(out.to_string().contains("faults: 1 crashes"), "{out}");
+
+    let service = SolveService::new(2);
+    service.register_tenant("t", TenantConfig { max_in_flight: 1, memory_budget_bytes: u64::MAX });
+    let mut a = rbf_matrix();
+    let rhs = vec![1.0; a.n()];
+    let solved = service
+        .factorize_and_solve("t", &FactorConfig::with_accuracy(1e-6), &mut a, Some(&rhs))
+        .expect("admitted");
+    let doc = assert_report_round_trips(&solved.run);
+    let misses = doc
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("plan_cache_misses"))
+        .and_then(Json::as_f64);
+    assert_eq!(misses, Some(1.0), "the service's cache activity lands in the report");
+    assert!(doc.get("comm").is_none() && doc.get("faults").is_none());
+}
+
+/// Counts what the engine reports and checks every span is ordered on
+/// the one clock the engine reads.
+#[derive(Default)]
+struct CountingSink {
+    enqueued: AtomicU64,
+    retired: AtomicU64,
+    steals: AtomicU64,
+    reversed: AtomicU64,
+}
+
+impl Observe for CountingSink {
+    fn observe(&self, event: TaskEvent<'_>) {
+        let bump = |c: &AtomicU64, by: bool| c.fetch_add(u64::from(by), Ordering::Relaxed);
+        match event {
+            TaskEvent::Enqueue { .. } => bump(&self.enqueued, true),
+            TaskEvent::Retire { start, end, .. } => {
+                bump(&self.reversed, end < start);
+                bump(&self.retired, true)
+            }
+            TaskEvent::Steal { .. } => bump(&self.steals, true),
+            TaskEvent::Corrections(_) => 0,
+        };
+    }
+}
+
+/// The engine reports each task exactly once — one `Enqueue`, one `Retire`
+/// with `start ≤ end` — and every sink of the channel sees the same
+/// events: the registry's counters equal the counting sink's, on the
+/// plain Cholesky DAG and on its panel-batched contraction.
+#[test]
+fn engine_reports_each_task_once_to_every_sink() {
+    // A fully populated 10 × 10 tile structure: every panel step fuses.
+    let (nt, b) = (10, 32);
+    let ranks = (0..nt * nt).map(|k| if k / nt == k % nt { b } else { 4 }).collect();
+    let dag = build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default());
+    let batched = batch_panel_gemms(&dag, None);
+    assert!(batched.graph.len() < dag.graph.len(), "test premise: batching fuses tasks");
+    let check = |graph: &TaskGraph| {
+        let (sink, registry) = (CountingSink::default(), Registry::new(3));
+        Engine::new(graph)
+            .run(&EngineConfig::new(3).with_obs((&registry, &sink)), |_, _| {
+                std::hint::black_box(());
+            })
+            .unwrap();
+        let n = graph.len() as u64;
+        let seen = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((seen(&sink.enqueued), seen(&sink.retired)), (n, n));
+        assert_eq!(seen(&sink.reversed), 0, "start <= end on one clock");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(Counter::TasksEnqueued), n);
+        assert_eq!(snap.counter(Counter::TasksExecuted), n);
+        assert_eq!(snap.counter(Counter::Steals), seen(&sink.steals));
+        let timed: u64 = snap.class_duration_ns.iter().map(|h| h.count).sum();
+        assert_eq!(timed, n, "one duration sample per task");
+    };
+    check(&dag.graph);
+    check(&batched.graph);
 }
 
 /// A plain default-config run — no trace, nothing opted into — still
@@ -282,8 +416,8 @@ fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
         .with_drift(spec)
         .run(&mut a)
         .expect("RBF operator is SPD");
-    assert!(out.report.metrics.is_none(), "tracing is opt-in");
-    let snap = out.registry.expect("collect_metrics defaults to on");
+    assert!(out.trace.is_none(), "tracing is opt-in");
+    let snap = out.registry.expect("the registry is a sink of every run");
     assert!(snap.recompression_ranks.count > 0, "GEMM recompressions must be counted");
     assert!(snap.counter(Counter::WorkspaceGrowth) > 0, "arenas grow during warm-up");
     let drift = out.drift.expect("drift spec + default metrics => report");
@@ -296,8 +430,8 @@ fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
 
 /// Tracing is a per-run choice that never changes the factor: the same
 /// matrix factors to identical bits with `collect_trace` on and off, on
-/// the shared engine (spans in `report.metrics`) and on the distributed
-/// one (virtual-time `RunOutcome::trace`).
+/// the shared engine (wall-clock `RunOutcome::trace`) and on the
+/// distributed one (virtual-time `RunOutcome::trace`).
 #[test]
 fn tracing_is_a_runtime_choice_with_identical_factor_bits() {
     let base = rbf_matrix();
@@ -308,9 +442,9 @@ fn tracing_is_a_runtime_choice_with_identical_factor_bits() {
     let (mut s_off, mut s_on) = (base.clone(), base.clone());
     let r_off = Session::shared(off).run(&mut s_off).unwrap();
     let r_on = Session::shared(on).run(&mut s_on).unwrap();
-    assert!(r_off.report.metrics.is_none());
-    let metrics = r_on.report.metrics.expect("collect_trace must trace");
-    assert_eq!(metrics.trace.records.len(), r_on.report.dag_tasks);
+    assert!(r_off.trace.is_none() && r_off.critical_path_seconds.is_none());
+    let trace = r_on.trace.expect("collect_trace must trace");
+    assert_eq!(trace.records.len(), r_on.report.dag_tasks);
     assert_eq!(s_on.to_dense_lower().as_slice(), s_off.to_dense_lower().as_slice());
 
     let dist = DiamondDistribution::new(4);
@@ -330,19 +464,7 @@ fn tracing_is_a_runtime_choice_with_identical_factor_bits() {
 /// untraced run (the event channel is always on).
 #[test]
 fn corruption_events_export_as_chrome_instants() {
-    let n = 96;
-    let b = 24;
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 6.0);
-        let v: f64 = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-8);
-    let mut m = TlrMatrix::from_generator(n, b, gen, &ccfg);
+    let mut m = gaussian_matrix(96, 6.0);
     let dist = DiamondDistribution::new(4);
     let victim = dist.owner(1, 0);
     let plan = FaultPlan::new(11).with_store_corruption(victim, 1, 0, 3.0);
@@ -350,11 +472,10 @@ fn corruption_events_export_as_chrome_instants() {
     let outcome = Session::distributed(FactorConfig::with_accuracy(1e-8), 4, &dist)
         .with_fault_layer(&ft)
         .run(&mut m)
-        .expect("a single store strike is healable")
-        .ft
-        .expect("fault layer was configured");
-    assert_eq!(outcome.stats.corruptions_detected, 1);
-    assert_eq!(outcome.stats.corruptions_healed, 1);
+        .expect("a single store strike is healable");
+    let stats = outcome.faults.expect("fault layer was configured");
+    assert_eq!(stats.corruptions_detected, 1);
+    assert_eq!(stats.corruptions_healed, 1);
 
     // The exporter accepts the event stream with or without a task
     // trace.
@@ -375,23 +496,11 @@ fn corruption_events_export_as_chrome_instants() {
 /// workspace high-water mark all land in the snapshot.
 #[test]
 fn default_shared_run_populates_the_registry() {
-    let n = 96;
-    let b = 24;
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 6.0);
-        let v: f64 = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-8);
-    let mut m = TlrMatrix::from_generator(n, b, gen, &ccfg);
+    let mut m = gaussian_matrix(96, 6.0);
     let mut fcfg = FactorConfig::with_accuracy(1e-8);
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg).run(&mut m).expect("SPD");
-    let snap = out.registry.expect("collect_metrics defaults to on");
+    let snap = out.registry.as_ref().expect("the registry is a sink of every run");
     // Panel batching (on by default) retires *fused* tasks, so the
     // counter is bounded by — not equal to — the DAG task count.
     let executed = snap.counter(Counter::TasksExecuted);
@@ -404,9 +513,9 @@ fn default_shared_run_populates_the_registry() {
     // headline counter.
     let j = snap.to_json().to_string();
     assert!(j.contains("tasks_executed"), "{j}");
-    let mut prom = String::new();
-    snap.write_prometheus(&mut prom);
+    let prom = out.to_prometheus();
     assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
+    assert!(prom.contains("tlr_run_factorization_seconds"), "{prom}");
 }
 
 /// Acceptance: a drift report on a DES run prices the original task
@@ -416,19 +525,7 @@ fn default_shared_run_populates_the_registry() {
 /// ratio is finite (never NaN).
 #[test]
 fn drift_report_compares_model_to_measured_comm_exactly() {
-    let n = 120;
-    let b = 24;
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 8.0);
-        let v: f64 = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-8);
-    let mut m = TlrMatrix::from_generator(n, b, gen, &ccfg);
+    let mut m = gaussian_matrix(120, 8.0);
     let mut fcfg = FactorConfig::with_accuracy(1e-8);
     // Panel batching fuses tasks and coalesces shipments, which changes
     // message counts; the exactness claim is for the unbatched graph.
@@ -469,19 +566,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
 /// profile comes from the run's own recompression histogram.
 #[test]
 fn drift_report_works_on_wall_clock_runs() {
-    let n = 96;
-    let b = 24;
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 6.0);
-        let v: f64 = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-8);
-    let mut m = TlrMatrix::from_generator(n, b, gen, &ccfg);
+    let mut m = gaussian_matrix(96, 6.0);
     let mut fcfg = FactorConfig::with_accuracy(1e-8);
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg)

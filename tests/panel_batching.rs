@@ -149,7 +149,7 @@ fn fused_distributed_run_ships_no_more_messages() {
     assert!(comm_on.bytes <= comm_off.bytes);
 }
 
-/// The `BatchObs` span-splitting shim keeps the trace at original-task
+/// The `BatchObs` span-splitting sink keeps the trace at original-task
 /// granularity: a fused shared-memory run still records one span per DAG
 /// task, and the per-class wall-clock attribution stays populated.
 #[test]
@@ -163,14 +163,14 @@ fn fused_run_keeps_per_task_attribution() {
     cfg.nthreads = 2;
     cfg.batch_panels = true;
     cfg.collect_trace = true;
-    let report = factorize(&mut m, &cfg).unwrap();
-    let metrics = report.metrics.expect("collect_trace must trace");
+    let out = Session::shared(cfg).run(&mut m).unwrap();
+    let trace = out.trace.expect("collect_trace must trace");
     assert_eq!(
-        metrics.trace.records.len(),
-        report.dag_tasks,
+        trace.records.len(),
+        out.report.dag_tasks,
         "span splitting must record every original task"
     );
-    assert!(report.breakdown.gemm > 0.0);
-    assert!(metrics.critical_path_seconds > 0.0);
-    assert!(metrics.trace.breakdown().gemm > 0.0);
+    assert!(out.report.breakdown.gemm > 0.0);
+    assert!(out.critical_path_seconds.unwrap() > 0.0);
+    assert!(trace.breakdown().gemm > 0.0);
 }

@@ -119,8 +119,8 @@ proptest! {
         prop_assert_eq!(hit(&out_warm, "plan_cache_misses"), 0);
         // The obs axis is live: a traced run reports spans off a cached
         // plan exactly as off a fresh one.
-        prop_assert_eq!(out_cold.report.metrics.is_some(), obs_flag == 1);
-        prop_assert_eq!(out_warm.report.metrics.is_some(), obs_flag == 1);
+        prop_assert_eq!(out_cold.trace.is_some(), obs_flag == 1);
+        prop_assert_eq!(out_warm.trace.is_some(), obs_flag == 1);
 
         // Explicit split: plan once, execute the plan.
         let planner = Session::shared(cfg);

@@ -635,7 +635,7 @@ fn check_certified_assembly<K: RadialKernel>(
         }
     }
 
-    // Dense path: four assemblies, one matrix.
+    // Four assemblies, one matrix.
     let plain = TlrMatrix::from_generator(n, b, entrywise, &cfg);
     if (plain.certified_null_tiles(), plain.kernel_evaluations()) != (0, all_entries) {
         return Err("a closure must have every tile evaluated".into());
@@ -657,17 +657,6 @@ fn check_certified_assembly<K: RadialKernel>(
             ));
         }
     }
-
-    // ACA path: same tiles; certified tiles cost no evaluation.
-    let (aca_plain, evals_plain) = TlrMatrix::from_generator_aca(n, b, entrywise, &cfg);
-    let (aca, evals) = TlrMatrix::from_generator_aca(n, b, kernel_source(kernel, points), &cfg);
-    same_tiles("aca", &aca, &aca_plain)?;
-    if aca.certified_null_tiles() != expected || evals != aca.kernel_evaluations() {
-        return Err("aca: certified count or evaluation count is off".into());
-    }
-    if evals > evals_plain || (expected > 0 && evals == evals_plain) {
-        return Err(format!("aca: {evals} evaluations with {expected} certified, {evals_plain} without"));
-    }
     Ok(expected)
 }
 
@@ -676,8 +665,8 @@ proptest! {
 
     /// `from_generator(kernel.generator(&pts))` is `from_generator(|i, j|
     /// kernel.matrix_entry(&pts, i, j))`, for every kernel, accuracy, cloud
-    /// shape and ordering, at one pool thread and at three; likewise for
-    /// `from_generator_aca`; and every tile's bound dominates its norm.
+    /// shape and ordering, at one pool thread and at three; and every
+    /// tile's bound dominates its norm.
     #[test]
     fn certified_assembly_equals_entrywise_assembly(
         seed in 0u64..10_000, shape in 0usize..5, order in 0usize..3, eps_idx in 0usize..3,
