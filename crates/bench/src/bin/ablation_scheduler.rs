@@ -23,76 +23,18 @@
 use std::fmt::Write as _;
 
 use distribution::{BandDistribution, TileDistribution, TwoDBlockCyclic};
-use hicma_core::dag::{build_cholesky_dag, CholeskyDag, DagConfig};
+use hicma_core::dag::{build_cholesky_dag, DagConfig};
+use hicma_core::simulate::{des_schedule, des_tasks};
 use hicma_core::{factorize, FactorConfig, PlanCache, Session};
-use runtime::des::{simulate_with_scheduler, DesConfig, DesTask};
-use runtime::scheduler::{
-    queue_keys, upward_rank_comm_keys, CommCosts, CostModel, LookaheadScheduler, RankProfile,
-    SchedPolicy, Scheduler, StaticScheduler,
-};
-use runtime::MachineModel;
+use runtime::des::{simulate_planned, DesConfig};
+use runtime::scheduler::SchedPolicy;
+use runtime::{FaultPlan, MachineModel};
 use tlr_bench::{
     header, scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE,
 };
-use tlr_compress::{CompressionConfig, RankEvolution, RankSnapshot, TlrMatrix};
+use tlr_compress::{CompressionConfig, RankSnapshot, TlrMatrix};
 use tlr_linalg::norms::relative_diff;
 use tlr_linalg::Matrix;
-
-/// Kernel-only duration under the machine model (the per-task
-/// management overhead is charged by the DES's serial runtime thread).
-fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
-    let fl = dag.flops[t];
-    if fl == 0.0 {
-        0.0
-    } else if dag.nested[t] {
-        machine.nested_time(fl)
-    } else {
-        machine.core_time(fl, dag.rank_param[t])
-    }
-}
-
-/// Build the scheduler a policy asks for, against this DAG + machine.
-fn make_scheduler(
-    policy: SchedPolicy,
-    dag: &CholeskyDag,
-    snap: &RankSnapshot,
-    tasks: &[DesTask],
-    machine: &MachineModel,
-) -> Box<dyn Scheduler> {
-    let dur = |t: usize| tasks[t].duration;
-    match policy {
-        SchedPolicy::CommAwareUpwardRank => {
-            let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
-            let keys = upward_rank_comm_keys(
-                &dag.graph,
-                dur,
-                &proc_of,
-                &CommCosts::from_machine(machine),
-            );
-            Box::new(StaticScheduler::new(keys).expect("model durations are finite"))
-        }
-        SchedPolicy::RankAwareLookahead => {
-            let mut evo = RankEvolution::default();
-            for i in 0..snap.nt() {
-                for j in 0..=i {
-                    let r = snap.rank(i, j);
-                    if r > 0 {
-                        evo.record(r, r);
-                    }
-                }
-            }
-            let profile = RankProfile::from_histogram(evo.histogram(), snap.tile_size());
-            let model = CostModel::from_machine(machine, &profile);
-            Box::new(
-                LookaheadScheduler::with_cost_model(&dag.graph, &model)
-                    .expect("model costs are finite"),
-            )
-        }
-        p => Box::new(
-            StaticScheduler::new(queue_keys(&dag.graph, dur, p)).expect("keys are finite"),
-        ),
-    }
-}
 
 struct DesPoint {
     machine: &'static str,
@@ -117,28 +59,14 @@ fn sweep_point(
     out: &mut Vec<DesPoint>,
 ) {
     let dag = build_cholesky_dag(snap, &DagConfig::default());
-    let tasks: Vec<DesTask> = (0..dag.graph.len())
-        .map(|t| {
-            let w = dag.graph.spec(t).writes.expect("Cholesky tasks write");
-            DesTask {
-                proc: dist.owner(w.i, w.j),
-                duration: task_duration(&dag, t, machine),
-            }
-        })
-        .collect();
-    let cfg = DesConfig {
-        nprocs: nodes,
-        cores_per_proc: machine.cores_per_node,
-        latency_s: machine.latency_s,
-        bandwidth_bps: machine.bandwidth_bps,
-        dep_overhead_s: machine.dep_overhead_s,
-        task_mgmt_s: machine.task_overhead_s,
-    };
+    let tasks = des_tasks(&dag, machine, |w| dist.owner(w.i, w.j));
+    let cfg = DesConfig::from_machine(machine, nodes);
     let mut baseline = None;
     for policy in SchedPolicy::ALL {
-        let mut sched = make_scheduler(policy, &dag, snap, &tasks, machine);
-        let r = simulate_with_scheduler(&dag.graph, &tasks, &cfg, sched.as_mut())
-            .expect("model keys are finite");
+        let plan =
+            des_schedule(&dag, snap, &tasks, machine, policy).expect("model costs are finite");
+        let r = simulate_planned(&dag.graph, &tasks, &cfg, &plan, &FaultPlan::none(), 0.0)
+            .expect("the sweep's machines and mappings are well-formed");
         let base = *baseline.get_or_insert(r.makespan);
         println!(
             "{:>10} {:>10} {:>8} {:>6} {:>17} {:>10.3} {:>11.3}x",

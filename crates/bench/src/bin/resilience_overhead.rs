@@ -19,8 +19,7 @@
 //! Set `HICMA_SCALE` to change the downscale factor.
 
 use hicma_core::simulate::{simulate_cholesky, simulate_cholesky_faulty, SimConfig};
-use runtime::des::{DesCrash, FaultSchedule};
-use runtime::MachineModel;
+use runtime::{FaultPlan, MachineModel};
 use tlr_bench::{scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
 fn main() {
@@ -36,9 +35,9 @@ fn main() {
 
     let mut runs = String::new();
     let mut first = true;
-    let mut emit = |label: &str, crash_fracs: &[f64], sched: &FaultSchedule| {
-        let r = simulate_cholesky_faulty(&snap, &cfg, sched)
-            .expect("bench schedules target live in-range nodes");
+    let mut emit = |label: &str, crash_fracs: &[f64], faults: &FaultPlan| {
+        let r = simulate_cholesky_faulty(&snap, &cfg, faults, restart)
+            .expect("bench plans target live in-range nodes");
         let overhead = 100.0 * (r.factorization_seconds - t) / t;
         if !first {
             runs.push_str(",\n");
@@ -66,27 +65,18 @@ fn main() {
     for ncrash in 0..=max_crashes {
         let fracs: Vec<f64> =
             (0..ncrash).map(|i| (i + 1) as f64 / (ncrash + 1) as f64).collect();
-        let sched = FaultSchedule {
-            crashes: fracs
-                .iter()
-                .enumerate()
-                .map(|(i, &f)| DesCrash { proc: i + 1, at: f * t })
-                .collect(),
-            restart_delay_s: restart,
-            ..FaultSchedule::none()
-        };
-        emit(&format!("crashes-{ncrash}"), &fracs, &sched);
+        let faults = fracs
+            .iter()
+            .enumerate()
+            .fold(FaultPlan::new(0), |plan, (i, &f)| plan.with_crash(i + 1, f * t));
+        emit(&format!("crashes-{ncrash}"), &fracs, &faults);
     }
 
     // Sweep 2: when a single crash lands (early / mid / late).
     if p.nodes > 1 {
         for frac in [0.1, 0.5, 0.9] {
-            let sched = FaultSchedule {
-                crashes: vec![DesCrash { proc: 1, at: frac * t }],
-                restart_delay_s: restart,
-                ..FaultSchedule::none()
-            };
-            emit(&format!("single-at-{frac:.1}"), &[frac], &sched);
+            let faults = FaultPlan::new(0).with_crash(1, frac * t);
+            emit(&format!("single-at-{frac:.1}"), &[frac], &faults);
         }
     }
 

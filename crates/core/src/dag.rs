@@ -104,7 +104,7 @@ fn dense_format(r: usize, b: usize) -> bool {
 
 /// Message size of tile `(i, j)` with rank estimate `r`, in bytes.
 #[inline]
-fn tile_bytes(i: usize, j: usize, r: usize, b: usize) -> u64 {
+pub(crate) fn tile_bytes(i: usize, j: usize, r: usize, b: usize) -> u64 {
     if i == j || dense_format(r, b) {
         (b * b * 8) as u64
     } else if r == 0 {

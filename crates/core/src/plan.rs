@@ -42,8 +42,8 @@ use crate::replan::CommReplanner;
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
 use runtime::engine::EngineError;
-use runtime::graph::{DataRef, TaskId};
-use runtime::scheduler::{dist_priority_order, SchedPlan, SchedPolicy};
+use runtime::graph::{DataRef, TaskGraph, TaskId};
+use runtime::scheduler::{CommCosts, Pricing, SchedPlan, SchedPolicy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,7 +147,7 @@ pub(crate) struct DistMapping {
     pub(crate) exec_rank: Vec<usize>,
     pub(crate) placement: HashMap<(usize, usize), usize>,
     /// Priority-driven topological order over the original DAG
-    /// ([`dist_priority_order`]), computed once here instead of per run.
+    /// ([`dist_order`]), computed once here instead of per run.
     pub(crate) order: Vec<TaskId>,
     pub(crate) batch: Option<DistBatch>,
 }
@@ -157,6 +157,18 @@ pub(crate) struct DistBatch {
     pub(crate) pb: PanelBatch,
     pub(crate) exec_rank: Vec<usize>,
     pub(crate) order: Vec<TaskId>,
+}
+
+/// The order every rank of a distributed run executes `graph` in under
+/// `policy`: the plan of an engine with no machine model (planned flops
+/// at 1 Gflop/s, cross-rank edges at 1 GB/s), as one topological order.
+fn dist_order(
+    graph: &TaskGraph,
+    policy: SchedPolicy,
+    exec_rank: &[usize],
+) -> Result<Vec<TaskId>, EngineError> {
+    let pricing = Pricing::nominal(graph).placed(exec_rank, CommCosts::NOMINAL);
+    SchedPlan::build(graph, policy, &pricing)?.topo_order(graph)
 }
 
 impl DistStatic {
@@ -208,11 +220,11 @@ impl DistStatic {
                 placement.insert((i, j), rank);
             }
         }
-        let order = dist_priority_order(&dag.graph, policy, &exec_rank)?;
+        let order = dist_order(&dag.graph, policy, &exec_rank)?;
         let batch = if self.batchable {
             let pb = batch_panel_gemms(dag, Some(&exec_rank));
             let exec_rank_b = pb.exec_ranks(&exec_rank);
-            let order_b = dist_priority_order(&pb.graph, policy, &exec_rank_b)?;
+            let order_b = dist_order(&pb.graph, policy, &exec_rank_b)?;
             Some(DistBatch {
                 pb,
                 exec_rank: exec_rank_b,
@@ -389,8 +401,8 @@ pub(crate) fn build_plan(
             // The scheduler runs over the graph the engine sees: the
             // contracted batch graph when batching is on.
             let sched = match &batch {
-                Some(pb) => SchedPlan::build(&pb.graph, cfg.sched)?,
-                None => SchedPlan::build(&dag.graph, cfg.sched)?,
+                Some(pb) => SchedPlan::build(&pb.graph, cfg.sched, &Pricing::nominal(&pb.graph))?,
+                None => SchedPlan::build(&dag.graph, cfg.sched, &Pricing::nominal(&dag.graph))?,
             };
             (Some(sched), batch, None)
         }

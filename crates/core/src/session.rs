@@ -203,7 +203,7 @@ impl<'a> Session<'a> {
         let snapshot = matrix.rank_snapshot();
         let (plan, ev) = match self.cache {
             Some(cache) => {
-                let key = plan::plan_key(&self.cfg, &snapshot, self.dist_inputs().as_ref());
+                let key = plan::plan_key(&self.cfg, &snapshot, self.dist_inputs()?.as_ref());
                 cache.get_or_build(&key, || self.build_plan(&snapshot))?
             }
             None => (Arc::new(self.build_plan(&snapshot)?), CacheEvents::default()),
@@ -238,7 +238,8 @@ impl<'a> Session<'a> {
         matrix: &mut TlrMatrix,
     ) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
-        let key = plan::plan_key(&self.cfg, &matrix.rank_snapshot(), self.dist_inputs().as_ref());
+        let key =
+            plan::plan_key(&self.cfg, &matrix.rank_snapshot(), self.dist_inputs()?.as_ref());
         if key != plan.key {
             return Err(RunError::PlanMismatch {
                 plan: Box::new(plan.key),
@@ -250,27 +251,31 @@ impl<'a> Session<'a> {
     }
 
     /// The distributed-plan inputs of this session's mode (`None` for
-    /// shared memory).
-    fn dist_inputs(&self) -> Option<plan::DistPlanInputs<'_>> {
+    /// shared memory). Every entry point plans through here, so this is
+    /// where a distributed session over zero ranks is rejected.
+    fn dist_inputs(&self) -> Result<Option<plan::DistPlanInputs<'_>>, RunError> {
         match &self.mode {
-            Mode::Shared => None,
+            Mode::Shared => Ok(None),
+            Mode::Distributed { nprocs: 0, .. } => {
+                Err(RunError::Engine(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }))
+            }
             Mode::Distributed { nprocs, exec, ft } => {
                 let verify = self.cfg.integrity != IntegrityMode::Off
                     || ft.is_some_and(|f| f.plan.injects_corruption());
-                Some(plan::DistPlanInputs {
+                Ok(Some(plan::DistPlanInputs {
                     nprocs: *nprocs,
                     exec: *exec,
                     ft: ft.is_some(),
                     verify,
                     trace: self.cfg.collect_trace,
                     replan_slack: self.replan_slack,
-                })
+                }))
             }
         }
     }
 
     fn build_plan(&self, snapshot: &RankSnapshot) -> Result<SymbolicPlan, RunError> {
-        plan::build_plan(&self.cfg, snapshot, self.dist_inputs()).map_err(RunError::Engine)
+        plan::build_plan(&self.cfg, snapshot, self.dist_inputs()?).map_err(RunError::Engine)
     }
 
     /// Diagonal-shift retry driver over one plan. The shift perturbs
@@ -926,9 +931,8 @@ fn shared_attempt(
             );
         }
     };
-    // Both paths run the plan's precomputed scheduler tables
-    // (`Engine::run_planned`): no per-run priority computation, and
-    // `EngineConfig::sched` is irrelevant — the plan carries the policy.
+    // Both paths run the plan's precomputed scheduler tables: no per-run
+    // priority computation.
     let exec_result = if let Some(pb) = pb {
         // Batched run: the engine schedules the contracted graph and the
         // registry counts at that granularity; the BatchObs sink keeps
@@ -1107,9 +1111,6 @@ fn distributed_attempt(
     let dist_cfg = DistConfig {
         ft,
         record_trace: cfg.collect_trace,
-        // Every path below runs `run_planned`: the plan's precomputed
-        // order *is* the schedule, so no policy is passed down.
-        sched: None,
         metrics: Some(&registry),
     };
     // The integrity layer arms when asked for explicitly, or whenever
@@ -1141,7 +1142,7 @@ fn distributed_attempt(
                 corrupt: &corrupt,
                 verify: &check,
             };
-            let out = DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run_planned(
+            let out = DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
                 sealed,
                 &dist_cfg,
                 &map.order,
@@ -1169,7 +1170,7 @@ fn distributed_attempt(
             // spec's `writes`); the other members' outputs travel via the
             // rank store (the engine ships non-`writes` edge data from
             // there).
-            DistEngine::new(&db.pb.graph, nprocs, &db.exec_rank).run_planned(
+            DistEngine::new(&db.pb.graph, nprocs, &db.exec_rank).run(
                 initial,
                 &dist_cfg,
                 &db.order,
@@ -1186,7 +1187,7 @@ fn distributed_attempt(
                 },
             )?
         } else {
-            DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run_planned(
+            DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
                 initial,
                 &dist_cfg,
                 &map.order,

@@ -9,15 +9,14 @@
 //! PaRSEC ships the tile in and the result back, at most twice per tile,
 //! which we account as write-back bytes.
 
-use crate::dag::{build_cholesky_dag, CholeskyDag, DagConfig};
-use runtime::des::{simulate_with_scheduler_faults, CommStats, DesConfig, DesTask, FaultSchedule};
+use crate::dag::{build_cholesky_dag, tile_bytes, CholeskyDag, DagConfig};
+use runtime::des::{simulate_planned, CommStats, DesConfig, DesTask};
+use runtime::fault::FaultPlan;
 use runtime::graph::DataRef;
 use runtime::machine::MachineModel;
-use runtime::scheduler::{
-    queue_keys, upward_rank_comm_keys, CommCosts, CostModel, LookaheadScheduler, RankProfile,
-    SchedPolicy, Scheduler, StaticScheduler,
-};
+use runtime::scheduler::{CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy};
 use runtime::trace::ClassBreakdown;
+use runtime::EngineError;
 use tlr_compress::{RankEvolution, RankSnapshot};
 use distribution::{
     BandDistribution, DiamondDistribution, LorapoHybrid, TileDistribution, TwoDBlockCyclic,
@@ -65,12 +64,8 @@ pub struct SimConfig {
     pub rank_cap: usize,
     /// Band width for the band-based plans (2 = diagonal + sub-diagonal).
     pub band_width: usize,
-    /// Ready-queue scheduling policy of the simulated runtime.
-    /// [`SchedPolicy::CommAwareUpwardRank`] prices cross-node edges with
-    /// this machine's latency/bandwidth;
-    /// [`SchedPolicy::RankAwareLookahead`] prices kernels from the
-    /// snapshot's rank distribution via [`CostModel`] and keeps
-    /// correcting those estimates from simulated durations mid-run.
+    /// Ready-queue scheduling policy of the simulated runtime (planned
+    /// by [`des_schedule`]).
     pub sched: SchedPolicy,
 }
 
@@ -186,6 +181,53 @@ fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
     }
 }
 
+/// The DES inputs of `dag` on `machine`: every task runs where `exec`
+/// puts the tile it writes, for its modeled kernel duration.
+pub fn des_tasks(
+    dag: &CholeskyDag,
+    machine: &MachineModel,
+    exec: impl Fn(DataRef) -> usize,
+) -> Vec<DesTask> {
+    (0..dag.graph.len())
+        .map(|t| {
+            let w = dag.graph.spec(t).writes.expect("Cholesky tasks write a tile");
+            DesTask { proc: exec(w), duration: task_duration(dag, t, machine) }
+        })
+        .collect()
+}
+
+/// The schedule the simulated runtime runs `policy` under — the DES door
+/// of the one planner ([`SchedPlan::build`]): tasks priced at their
+/// modeled durations, cross-node edges at this machine's link, and the
+/// lookahead's kernels from the snapshot's rank distribution (which it
+/// then keeps correcting from simulated durations mid-run).
+pub fn des_schedule(
+    dag: &CholeskyDag,
+    initial: &RankSnapshot,
+    tasks: &[DesTask],
+    machine: &MachineModel,
+    policy: SchedPolicy,
+) -> Result<SchedPlan, EngineError> {
+    let mut evo = RankEvolution::default();
+    for i in 0..initial.nt() {
+        for j in 0..=i {
+            let r = initial.rank(i, j);
+            if r > 0 {
+                evo.record(r, r);
+            }
+        }
+    }
+    let profile = RankProfile::from_histogram(evo.histogram(), initial.tile_size());
+    let model = CostModel::from_machine(machine, &profile);
+    let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
+    let pricing = Pricing {
+        cost: Box::new(|t| tasks[t].duration),
+        model: Some(&model),
+        placement: Some((&proc_of, CommCosts::from_machine(machine))),
+    };
+    SchedPlan::build(&dag.graph, policy, &pricing)
+}
+
 /// Simulate a TLR Cholesky factorization from an initial rank snapshot.
 ///
 /// ```
@@ -200,24 +242,29 @@ fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
 /// assert!(report.factorization_seconds >= report.critical_path_seconds);
 /// ```
 pub fn simulate_cholesky(initial: &RankSnapshot, cfg: &SimConfig) -> SimReport {
-    simulate_cholesky_faulty(initial, cfg, &FaultSchedule::none())
-        .expect("fault-free simulation cannot fail")
+    simulate_cholesky_faulty(initial, cfg, &FaultPlan::none(), 0.0)
+        .expect("a fault-free simulation of a valid configuration cannot fail")
 }
 
-/// [`simulate_cholesky`] under a fault schedule (fail-stop crashes and
-/// silent store corruptions), pricing the recovery/healing protocol on
-/// the modeled machine — the overhead side of the resilience story whose
-/// correctness side is [`crate::session::Session::with_fault_layer`].
+/// [`simulate_cholesky`] under a [`FaultPlan`] — the same value the
+/// functional engine injects
+/// ([`crate::session::Session::with_fault_layer`]), here *priced*: its
+/// fail-stop crashes and silent store corruptions cost the
+/// recovery/healing protocol on the modeled machine, with work lost to a
+/// fault restarting `restart_delay_s` after it (see
+/// [`simulate_planned`]).
 ///
 /// # Errors
 ///
-/// Returns [`runtime::EngineError`] when the schedule is malformed
-/// (targets a nonexistent node) or crashes every node before completion.
+/// Returns [`EngineError`] when the plan or the configuration is
+/// malformed (a fault targets a nonexistent node, the machine has no
+/// nodes or cores) or every node crashes before completion.
 pub fn simulate_cholesky_faulty(
     initial: &RankSnapshot,
     cfg: &SimConfig,
-    faults: &FaultSchedule,
-) -> Result<SimReport, runtime::EngineError> {
+    faults: &FaultPlan,
+    restart_delay_s: f64,
+) -> Result<SimReport, EngineError> {
     let t0 = std::time::Instant::now();
     let dag = build_cholesky_dag(
         initial,
@@ -249,83 +296,24 @@ pub fn simulate_cholesky_faulty(
             _ => owner(d),
         }
     };
-
-    let tasks: Vec<DesTask> = (0..dag.graph.len())
-        .map(|t| {
-            let w = dag.graph.spec(t).writes.expect("Cholesky tasks write a tile");
-            DesTask { proc: exec(w), duration: task_duration(&dag, t, &cfg.machine) }
-        })
-        .collect();
+    let tasks = des_tasks(&dag, &cfg.machine, exec);
 
     // Write-back accounting: tiles whose execution site differs from the
     // owner move in and back at most once each (§VII-B).
     let mut writeback_bytes = 0u64;
-    {
-        let nt = initial.nt();
-        let b = initial.tile_size();
-        let ranks = &dag.analysis.final_ranks;
-        for i in 0..nt {
-            for j in 0..=i {
-                let d = DataRef { i, j };
-                if exec(d) != owner(d) {
-                    let r = ranks.rank(i, j);
-                    let bytes = if i == j || 2 * r >= b {
-                        (b * b * 8) as u64
-                    } else if r == 0 {
-                        0
-                    } else {
-                        (8 * r * 2 * b) as u64
-                    };
-                    writeback_bytes += 2 * bytes;
-                }
+    let (nt, b) = (initial.nt(), initial.tile_size());
+    for i in 0..nt {
+        for j in 0..=i {
+            let d = DataRef { i, j };
+            if exec(d) != owner(d) {
+                writeback_bytes += 2 * tile_bytes(i, j, dag.analysis.final_ranks.rank(i, j), b);
             }
         }
     }
 
-    let des_cfg = DesConfig {
-        nprocs: nodes,
-        cores_per_proc: cfg.machine.cores_per_node,
-        latency_s: cfg.machine.latency_s,
-        bandwidth_bps: cfg.machine.bandwidth_bps,
-        dep_overhead_s: cfg.machine.dep_overhead_s,
-        task_mgmt_s: cfg.machine.task_overhead_s,
-    };
-    // Ready-queue policy of the simulated runtime. Static policies
-    // precompute one key table; the two dynamic ones consult the machine
-    // model — comm-aware ranking prices cross-node edges with this
-    // network, and the rank-aware lookahead prices kernels from the
-    // snapshot's measured rank distribution, then keeps correcting those
-    // estimates from simulated durations via `on_task_finished`.
-    let dur = |t: usize| tasks[t].duration;
-    let mut sched: Box<dyn Scheduler> = match cfg.sched {
-        SchedPolicy::CommAwareUpwardRank => {
-            let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
-            let keys = upward_rank_comm_keys(
-                &dag.graph,
-                dur,
-                &proc_of,
-                &CommCosts::from_machine(&cfg.machine),
-            );
-            Box::new(StaticScheduler::new(keys)?)
-        }
-        SchedPolicy::RankAwareLookahead => {
-            let mut evo = RankEvolution::default();
-            for i in 0..initial.nt() {
-                for j in 0..=i {
-                    let r = initial.rank(i, j);
-                    if r > 0 {
-                        evo.record(r, r);
-                    }
-                }
-            }
-            let profile = RankProfile::from_histogram(evo.histogram(), initial.tile_size());
-            let model = CostModel::from_machine(&cfg.machine, &profile);
-            Box::new(LookaheadScheduler::with_cost_model(&dag.graph, &model)?)
-        }
-        p => Box::new(StaticScheduler::new(queue_keys(&dag.graph, dur, p))?),
-    };
-    let report =
-        simulate_with_scheduler_faults(&dag.graph, &tasks, &des_cfg, sched.as_mut(), faults)?;
+    let plan = des_schedule(&dag, initial, &tasks, &cfg.machine, cfg.sched)?;
+    let des_cfg = DesConfig::from_machine(&cfg.machine, nodes);
+    let report = simulate_planned(&dag.graph, &tasks, &des_cfg, &plan, faults, restart_delay_s)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G).
     let cp = runtime::critical_path::critical_path(&dag.graph, |t| {
@@ -334,8 +322,7 @@ pub fn simulate_cholesky_faulty(
 
     // Generation + compression phase model (Fig. 11): both are
     // embarrassingly parallel over all cores of all nodes.
-    let nt = initial.nt();
-    let b = initial.tile_size() as f64;
+    let b = b as f64;
     let total_cores = (nodes * cfg.machine.cores_per_node) as f64;
     let mut gen_flops = 0.0;
     let mut comp_core_seconds = 0.0;
@@ -491,19 +478,15 @@ mod tests {
 
     #[test]
     fn node_crash_costs_simulated_time() {
-        use runtime::des::DesCrash;
         let s = snapshot(48, 1e-3);
         let cfg = base_cfg(DistributionPlan::Lorapo, true);
         let base = simulate_cholesky(&s, &cfg);
         // A long detection/failover window makes the recovery cost
         // unambiguous (a tiny one can hide inside surviving nodes' idle
         // time in this first-order model).
-        let sched = FaultSchedule {
-            crashes: vec![DesCrash { proc: 3, at: base.factorization_seconds * 0.5 }],
-            restart_delay_s: base.factorization_seconds * 2.0,
-            ..FaultSchedule::none()
-        };
-        let faulty = simulate_cholesky_faulty(&s, &cfg, &sched).unwrap();
+        let t = base.factorization_seconds;
+        let faults = FaultPlan::new(0).with_crash(3, t * 0.5);
+        let faulty = simulate_cholesky_faulty(&s, &cfg, &faults, t * 2.0).unwrap();
         assert_eq!(faulty.crashes, 1);
         assert!(faulty.migrated_tasks > 0);
         assert!(
@@ -516,16 +499,16 @@ mod tests {
 
     #[test]
     fn store_corruption_prices_lineage_healing() {
-        use runtime::FaultPlan;
         let s = snapshot(48, 1e-3);
         let cfg = base_cfg(DistributionPlan::Lorapo, true);
         let base = simulate_cholesky(&s, &cfg);
-        // Derive the DES schedule from the same functional plan the
-        // engine-side integrity tests inject — one seed, both engines.
-        let plan = FaultPlan::new(11)
-            .with_store_corruption(3, 1, 0, base.factorization_seconds * 0.5);
-        let sched = FaultSchedule::from_plan(&plan, base.factorization_seconds * 2.0);
-        let faulty = simulate_cholesky_faulty(&s, &cfg, &sched).unwrap();
+        // The very plan value the engine-side integrity tests inject
+        // (message corruption included, which the DES does not price) —
+        // one `FaultPlan`, both engines, no conversion.
+        let t = base.factorization_seconds;
+        let plan = FaultPlan::new(11).with_store_corruption(3, 1, 0, t * 0.5);
+        let plan = plan.with_message_corruption(0.1);
+        let faulty = simulate_cholesky_faulty(&s, &cfg, &plan, t * 2.0).unwrap();
         assert_eq!(faulty.corruptions, 1);
         assert_eq!(faulty.crashes, 0);
         assert!(

@@ -24,10 +24,13 @@
 //! are full of them (every null-tile task still activates successors),
 //! which is precisely the overhead Fig. 6 shows trimming removes.
 
+
 use crate::engine::EngineError;
+use crate::event_queue::EventQueue;
 use crate::fault::{fault_unit, FaultPlan, FtError};
 use crate::graph::{TaskGraph, TaskId};
-use crate::scheduler::{Scheduler, StaticScheduler};
+use crate::machine::MachineModel;
+use crate::scheduler::{KeyOrd, Pricing, SchedPlan, SchedPolicy, Scheduler};
 use crate::trace::Trace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,6 +65,20 @@ pub struct DesConfig {
     pub task_mgmt_s: f64,
 }
 
+impl DesConfig {
+    /// `nprocs` nodes of `machine`, one process per node.
+    pub fn from_machine(machine: &MachineModel, nprocs: usize) -> Self {
+        DesConfig {
+            nprocs,
+            cores_per_proc: machine.cores_per_node,
+            latency_s: machine.latency_s,
+            bandwidth_bps: machine.bandwidth_bps,
+            dep_overhead_s: machine.dep_overhead_s,
+            task_mgmt_s: machine.task_overhead_s,
+        }
+    }
+}
+
 /// Communication totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
@@ -69,93 +86,6 @@ pub struct CommStats {
     pub bytes: u64,
     /// Cross-process messages (payload + activation).
     pub messages: u64,
-}
-
-/// A fail-stop process crash in the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesCrash {
-    /// Crashing process (dies permanently).
-    pub proc: usize,
-    /// Virtual time of the failure.
-    pub at: f64,
-}
-
-/// A silent-data-corruption strike against one process's tile store at a
-/// virtual time — the DES counterpart of
-/// [`crate::fault::FaultPlan::with_store_corruption`]. The simulator
-/// prices the *healing* protocol: the integrity layer detects the flip at
-/// the next read boundary and recomputes the damaged tile from its
-/// lineage, which the cost model charges as one task re-execution after
-/// the detection window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesCorrupt {
-    /// Process whose store is struck.
-    pub proc: usize,
-    /// Virtual time of the bit flip.
-    pub at: f64,
-}
-
-/// Fault schedule for [`simulate_with_faults`] — the DES counterpart of
-/// the functional fault plan in [`crate::fault::FaultPlan`], used to
-/// *price* resilience rather than test it.
-///
-/// # Seeding
-///
-/// `seed` feeds the same per-decision hash streams as [`FaultPlan`]
-/// (via [`crate::fault::fault_unit`]): building a schedule with
-/// [`FaultSchedule::from_plan`] guarantees that a given seed drives the
-/// identical pseudo-random fault sequence in the DES pricing run and in
-/// the functional engine run, so the two sides of a resilience
-/// experiment stay comparable.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    /// Fail-stop crashes; a crash after completion is ignored.
-    pub crashes: Vec<DesCrash>,
-    /// Silent store corruptions; a strike after completion, against a
-    /// dead process, or against a process holding no still-needed
-    /// outputs is detected but heals for free.
-    pub corruptions: Vec<DesCorrupt>,
-    /// Detection + failover window: work lost to a crash (or a tile
-    /// lost to corruption) restarts this many seconds after the fault.
-    pub restart_delay_s: f64,
-    /// Seed of the pseudo-random pricing decisions (corruption victim
-    /// choice); share it with the functional [`FaultPlan`] via
-    /// [`FaultSchedule::from_plan`].
-    pub seed: u64,
-}
-
-impl FaultSchedule {
-    /// Schedule with no faults (the plain simulation).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Derive the DES pricing schedule from a functional fault plan:
-    /// crashes and store corruptions map event for event, and the seed
-    /// is copied so both engines roll identical fault fates (see the
-    /// type-level seeding contract).
-    pub fn from_plan(plan: &FaultPlan, restart_delay_s: f64) -> Self {
-        FaultSchedule {
-            crashes: plan
-                .crashes
-                .iter()
-                .map(|c| DesCrash {
-                    proc: c.rank,
-                    at: c.at,
-                })
-                .collect(),
-            corruptions: plan
-                .store_corruptions
-                .iter()
-                .map(|c| DesCorrupt {
-                    proc: c.rank,
-                    at: c.at,
-                })
-                .collect(),
-            restart_delay_s,
-            seed: plan.seed,
-        }
-    }
 }
 
 /// Simulation outputs.
@@ -205,29 +135,8 @@ impl DesReport {
     }
 }
 
-/// Total-ordering wrapper for event times. Ordered by `total_cmp` so a
-/// pathological key can never panic deep inside the event loop — the
-/// entry points reject non-finite scheduling keys up front with
-/// [`EngineError::NonFiniteKey`] instead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
+#[derive(Debug, Clone, Copy)]
+enum Event {
     /// All inputs arrived; the task enters the process's runtime thread.
     Ready(TaskId),
     /// Task management done; the task may occupy a core.
@@ -239,112 +148,77 @@ enum EventKind {
     /// A process fail-stops.
     Crash(usize),
     /// A bit flips in a process's tile store; carries the index of the
-    /// strike in [`FaultSchedule::corruptions`].
+    /// strike in [`FaultPlan::store_corruptions`].
     Corrupt(usize),
 }
 
-/// Run the simulation with the default ready-queue ordering (the task's
-/// `priority` field — panel index for tile Cholesky).
-///
-/// `tasks[t]` gives the process and duration of task `t`. Panics if the
-/// graph is cyclic, `tasks` is too short, or a process id is out of range.
-pub fn simulate(graph: &TaskGraph, tasks: &[DesTask], config: &DesConfig) -> DesReport {
-    let keys: Vec<f64> = (0..graph.len())
-        .map(|t| graph.spec(t).priority as f64)
-        .collect();
-    simulate_with_order(graph, tasks, config, &keys)
-        .expect("priority keys are finite and the preconditions are asserted")
-}
-
-/// Run the simulation with an explicit ready-queue ordering: `keys[t]`
-/// sorts ready tasks per process, **smaller first** (see
-/// [`crate::scheduler::queue_keys`]).
+/// Run the simulation fault-free under the default ready-queue ordering
+/// (the task's `priority` field — panel index for tile Cholesky).
+/// `tasks[t]` gives the process and duration of task `t`.
 ///
 /// # Errors
 ///
-/// [`EngineError::NonFiniteKey`] if any key is NaN or infinite — the
-/// typed replacement for what used to be a `partial_cmp().unwrap()`
-/// panic deep inside the event loop.
-pub fn simulate_with_order(
+/// As [`simulate_planned`].
+pub fn simulate(
     graph: &TaskGraph,
     tasks: &[DesTask],
     config: &DesConfig,
-    keys: &[f64],
 ) -> Result<DesReport, EngineError> {
-    let mut sched = StaticScheduler::new(keys.to_vec())?;
-    sim_core(graph, tasks, config, &mut sched, &FaultSchedule::none())
+    let plan = SchedPlan::build(graph, SchedPolicy::default(), &Pricing::nominal(graph))?;
+    simulate_planned(graph, tasks, config, &plan, &FaultPlan::none(), 0.0)
 }
 
-/// Run the simulation consulting a [`Scheduler`] implementation: the
-/// event loop calls `on_task_ready` when a task's inputs have arrived
-/// (the returned key orders that process's ready queue, smaller first)
-/// and `on_task_finished` with the simulated duration when it retires —
-/// which is what lets a dynamic policy such as
-/// [`crate::scheduler::LookaheadScheduler`] adapt mid-run.
+/// Run the simulation under a schedule plan and a fault plan — the
+/// full-generality entry point.
+///
+/// The event loop instantiates `plan` and calls `on_task_ready` when a
+/// task's inputs have arrived (the returned key orders that process's
+/// ready queue, smaller first) and `on_task_finished` with the simulated
+/// duration when it retires — which is what lets the lookahead policy
+/// adapt mid-run.
+///
+/// `faults` is the same [`FaultPlan`] value the functional engine
+/// ([`crate::engine::DistEngine`]) injects; here it is *priced* rather
+/// than survived, and only what the first-order cost model can price is
+/// read: the fail-stop crashes, the store corruptions and the seed (the
+/// network faults are a property of a run, not of the modeled machine).
+/// When a process dies, its incomplete tasks migrate round-robin to the
+/// survivors, and its completed tasks whose outputs a consumer still
+/// needs are re-executed there after `restart_delay_s` (the detection +
+/// failover window). Dependency releases that already happened stand
+/// (surviving consumers kept their received copies — the sender-retention
+/// invariant), and the communication pattern stays priced on the
+/// original mapping (the engine's static-locality invariant). A store
+/// corruption is priced as the integrity layer's healing protocol: after
+/// `restart_delay_s`, one completed task of the struck process whose
+/// output a consumer still needs re-executes — the victim is drawn from
+/// the plan's seeded stream, so one seed rolls the same strike in both
+/// engines. A strike after completion, against a dead process, or against
+/// a process holding no still-needed outputs heals for free.
 ///
 /// # Errors
 ///
-/// [`EngineError::NonFiniteKey`] if the scheduler ever returns a NaN or
-/// infinite key.
-pub fn simulate_with_scheduler(
+/// * [`EngineError::RankMapLength`] — `tasks` or `plan` does not cover
+///   exactly the graph's tasks.
+/// * [`EngineError::Cycle`] — the graph has a cycle.
+/// * [`EngineError::EmptyMachine`] — no processes, or no cores on them.
+/// * [`EngineError::InvalidRank`] — a task runs on a process `>= nprocs`.
+/// * [`EngineError::InvalidCrashRank`] — the fault plan targets a
+///   process `>= nprocs` (crash or corruption).
+/// * [`EngineError::NonFiniteKey`] — the scheduler returned a NaN or
+///   infinite key.
+/// * [`EngineError::Fault`] with [`FtError::AllRanksCrashed`] — the plan
+///   crashes every process before completion.
+pub fn simulate_planned(
     graph: &TaskGraph,
     tasks: &[DesTask],
     config: &DesConfig,
-    sched: &mut dyn Scheduler,
+    plan: &SchedPlan,
+    faults: &FaultPlan,
+    restart_delay_s: f64,
 ) -> Result<DesReport, EngineError> {
-    sim_core(graph, tasks, config, sched, &FaultSchedule::none())
-}
-
-/// [`simulate_with_scheduler`] under a fail-stop/corruption fault
-/// schedule — the full-generality entry point (every other `simulate*`
-/// function is a wrapper over this pairing).
-pub fn simulate_with_scheduler_faults(
-    graph: &TaskGraph,
-    tasks: &[DesTask],
-    config: &DesConfig,
-    sched: &mut dyn Scheduler,
-    faults: &FaultSchedule,
-) -> Result<DesReport, EngineError> {
-    sim_core(graph, tasks, config, sched, faults)
-}
-
-/// Run the simulation under a fail-stop fault schedule, pricing the
-/// recovery protocol of the functional engine
-/// ([`crate::engine::DistEngine`] with a fault layer): when a process dies, its
-/// incomplete tasks migrate round-robin to the survivors, and its
-/// completed tasks whose outputs a consumer still needs are re-executed
-/// there after `restart_delay_s`. First-order cost model: dependency
-/// releases that already happened stand (surviving consumers kept their
-/// received copies — the sender-retention invariant), and the
-/// communication pattern stays priced on the original mapping (the
-/// engine's static-locality invariant).
-///
-/// Silent store corruptions ([`FaultSchedule::corruptions`]) are priced
-/// as the integrity layer's healing protocol: after the
-/// `restart_delay_s` detection window, one completed task of the struck
-/// process whose output a consumer still needs re-executes (the victim
-/// is chosen by the schedule's seeded stream so a shared seed reproduces
-/// the same strike in the functional engine — see
-/// [`FaultSchedule::from_plan`]). A strike with no still-needed outputs
-/// heals for free off the critical path.
-///
-/// # Errors
-///
-/// * [`EngineError::InvalidCrashRank`] — the schedule targets a process
-///   `>= nprocs` (crash or corruption).
-/// * [`EngineError::Fault`] with [`FtError::AllRanksCrashed`] — the
-///   schedule crashes every process before completion.
-pub fn simulate_with_faults(
-    graph: &TaskGraph,
-    tasks: &[DesTask],
-    config: &DesConfig,
-    faults: &FaultSchedule,
-) -> Result<DesReport, EngineError> {
-    let keys: Vec<f64> = (0..graph.len())
-        .map(|t| graph.spec(t).priority as f64)
-        .collect();
-    let mut sched = StaticScheduler::new(keys)?;
-    sim_core(graph, tasks, config, &mut sched, faults)
+    plan.check_covers(graph)?;
+    sim_core(graph, tasks, config, plan.instantiate().as_mut(), faults, restart_delay_s)
 }
 
 fn sim_core(
@@ -352,16 +226,26 @@ fn sim_core(
     tasks: &[DesTask],
     config: &DesConfig,
     sched: &mut dyn Scheduler,
-    faults: &FaultSchedule,
+    faults: &FaultPlan,
+    restart_delay_s: f64,
 ) -> Result<DesReport, EngineError> {
-    assert_eq!(tasks.len(), graph.len(), "one DesTask per graph task");
-    assert!(
-        graph.topological_order().is_some(),
-        "task graph has a cycle"
-    );
-    for t in tasks {
-        assert!(t.proc < config.nprocs, "process id out of range");
+    let n = graph.len();
+    if tasks.len() != n {
+        return Err(EngineError::RankMapLength { expected: n, got: tasks.len() });
     }
+    if graph.topological_order().is_none() {
+        return Err(EngineError::Cycle);
+    }
+    if n > 0 && (config.nprocs == 0 || config.cores_per_proc == 0) {
+        return Err(EngineError::EmptyMachine {
+            nprocs: config.nprocs,
+            cores_per_proc: config.cores_per_proc,
+        });
+    }
+    if let Some((task, t)) = tasks.iter().enumerate().find(|(_, t)| t.proc >= config.nprocs) {
+        return Err(EngineError::InvalidRank { task, rank: t.proc, nprocs: config.nprocs });
+    }
+    faults.validate(config.nprocs)?;
 
     // ------------------------------------------------------------------
     // Precompute the broadcast structure per producer: edges grouped by
@@ -456,41 +340,22 @@ fn sim_core(
     // ------------------------------------------------------------------
     // Event loop.
     // ------------------------------------------------------------------
-    let n = graph.len();
     let mut remaining: Vec<usize> = graph.indegrees();
     let mut data_ready: Vec<f64> = vec![0.0; n];
-    let mut events: BinaryHeap<Reverse<(Time, usize, EventKind)>> = BinaryHeap::new();
-    let mut seq = 0usize;
-    let push = |events: &mut BinaryHeap<_>, t: f64, kind: EventKind, seq: &mut usize| {
-        events.push(Reverse((Time(t), *seq, kind)));
-        *seq += 1;
-    };
-
+    let mut events: EventQueue<Event> = EventQueue::new();
     for t in graph.sources() {
-        push(&mut events, 0.0, EventKind::Ready(t), &mut seq);
+        events.push(0.0, Event::Ready(t));
     }
     for c in &faults.crashes {
-        if c.proc >= config.nprocs {
-            return Err(EngineError::InvalidCrashRank {
-                rank: c.proc,
-                nprocs: config.nprocs,
-            });
-        }
-        push(&mut events, c.at, EventKind::Crash(c.proc), &mut seq);
+        events.push(c.at, Event::Crash(c.rank));
     }
-    for (idx, c) in faults.corruptions.iter().enumerate() {
-        if c.proc >= config.nprocs {
-            return Err(EngineError::InvalidCrashRank {
-                rank: c.proc,
-                nprocs: config.nprocs,
-            });
-        }
-        push(&mut events, c.at, EventKind::Corrupt(idx), &mut seq);
+    for (idx, c) in faults.store_corruptions.iter().enumerate() {
+        events.push(c.at, Event::Corrupt(idx));
     }
 
     let mut idle: Vec<usize> = vec![config.cores_per_proc; config.nprocs];
     // Per-proc ready queue ordered by (key, id); min first.
-    let mut queues: Vec<BinaryHeap<Reverse<(Time, TaskId)>>> =
+    let mut queues: Vec<BinaryHeap<Reverse<(KeyOrd, TaskId)>>> =
         (0..config.nprocs).map(|_| BinaryHeap::new()).collect();
     // Per-proc serial runtime thread: earliest time it is free.
     let mut mgmt_free = vec![0.0_f64; config.nprocs];
@@ -518,21 +383,23 @@ fn sim_core(
     let (mut crashes, mut migrated, mut reexecuted) = (0usize, 0usize, 0usize);
     let mut corruptions = 0usize;
 
-    while let Some(Reverse((Time(now), _, kind))) = events.pop() {
-        match kind {
-            EventKind::Ready(t) => {
+    while let Some((now, event)) = events.pop() {
+        // Process whose ready queue or idle cores this event changed.
+        let mut dispatch = None;
+        match event {
+            Event::Ready(t) => {
                 let p = proc_of[t];
                 if config.task_mgmt_s > 0.0 {
                     // Serialize through the runtime thread first.
                     let start = mgmt_free[p].max(now);
                     let end = start + config.task_mgmt_s;
                     mgmt_free[p] = end;
-                    push(&mut events, end, EventKind::Managed(t), &mut seq);
+                    events.push(end, Event::Managed(t));
                 } else {
-                    push(&mut events, now, EventKind::Managed(t), &mut seq);
+                    events.push(now, Event::Managed(t));
                 }
             }
-            EventKind::Managed(t) => {
+            Event::Managed(t) => {
                 let p = proc_of[t];
                 ready_time[t] = now;
                 // Consult the scheduling policy: the key decides the
@@ -541,24 +408,10 @@ fn sim_core(
                 if !key.is_finite() {
                     return Err(EngineError::NonFiniteKey { task: t, key });
                 }
-                queues[p].push(Reverse((Time(key), t)));
-                // Start as many queued tasks as there are idle cores.
-                while idle[p] > 0 {
-                    let Some(Reverse((_, tid))) = queues[p].pop() else {
-                        break;
-                    };
-                    idle[p] -= 1;
-                    start_time[tid] = now;
-                    running[p].push(tid);
-                    push(
-                        &mut events,
-                        now + tasks[tid].duration,
-                        EventKind::Finish(tid, epoch[tid]),
-                        &mut seq,
-                    );
-                }
+                queues[p].push(Reverse((KeyOrd(key), t)));
+                dispatch = Some(p);
             }
-            EventKind::Finish(t, launch_epoch) => {
+            Event::Finish(t, launch_epoch) => {
                 if launch_epoch != epoch[t] {
                     continue; // the executing process died mid-kernel
                 }
@@ -618,39 +471,20 @@ fn sim_core(
                         }
                         remaining[dst] -= 1;
                         if remaining[dst] == 0 {
-                            push(
-                                &mut events,
-                                data_ready[dst],
-                                EventKind::Ready(dst),
-                                &mut seq,
-                            );
+                            events.push(data_ready[dst], Event::Ready(dst));
                         }
                     }
                 }
-                // A core just freed: start the next queued task here.
-                idle[p] += 1;
-                while idle[p] > 0 {
-                    let Some(Reverse((_, tid))) = queues[p].pop() else {
-                        break;
-                    };
-                    idle[p] -= 1;
-                    start_time[tid] = now;
-                    running[p].push(tid);
-                    push(
-                        &mut events,
-                        now + tasks[tid].duration,
-                        EventKind::Finish(tid, epoch[tid]),
-                        &mut seq,
-                    );
-                }
+                idle[p] += 1; // a core just freed
+                dispatch = Some(p);
             }
-            EventKind::Crash(p) => {
+            Event::Crash(p) => {
                 if dead[p] || completed == n {
                     continue; // double-crash of a dead proc, or after the run
                 }
                 dead[p] = true;
                 crashes += 1;
-                let restart = now + faults.restart_delay_s;
+                let restart = now + restart_delay_s;
                 let alive: Vec<usize> = (0..config.nprocs).filter(|&q| !dead[q]).collect();
                 if alive.is_empty() {
                     return Err(EngineError::Fault(FtError::AllRanksCrashed));
@@ -691,11 +525,11 @@ fn sim_core(
                     migrated += 1;
                 }
                 for t in to_restart {
-                    push(&mut events, restart, EventKind::Ready(t), &mut seq);
+                    events.push(restart, Event::Ready(t));
                 }
             }
-            EventKind::Corrupt(idx) => {
-                let p = faults.corruptions[idx].proc;
+            Event::Corrupt(idx) => {
+                let p = faults.store_corruptions[idx].rank;
                 if dead[p] || completed == n {
                     continue; // a dead store has no reads; post-run strikes are free
                 }
@@ -724,20 +558,28 @@ fn sim_core(
                 reexec[victim] = true;
                 completed -= 1;
                 reexecuted += 1;
-                push(
-                    &mut events,
-                    now + faults.restart_delay_s,
-                    EventKind::Ready(victim),
-                    &mut seq,
-                );
+                events.push(now + restart_delay_s, Event::Ready(victim));
+            }
+        }
+        // Start as many queued tasks as there are idle cores.
+        if let Some(p) = dispatch {
+            while idle[p] > 0 {
+                let Some(Reverse((_, tid))) = queues[p].pop() else {
+                    break;
+                };
+                idle[p] -= 1;
+                start_time[tid] = now;
+                running[p].push(tid);
+                events.push(now + tasks[tid].duration, Event::Finish(tid, epoch[tid]));
             }
         }
     }
 
-    assert_eq!(
-        completed, n,
-        "simulation deadlocked: {completed}/{n} tasks retired"
-    );
+    // The entry checks rule this out; a loop defect must not pass for a
+    // short report.
+    if completed < n {
+        return Err(EngineError::Fault(FtError::Stalled { pending: n - completed }));
+    }
     // `busy` is derived from the trace rather than double-booked: the
     // trace records are the single source of truth for span accounting.
     let busy = trace.busy_per_proc(config.nprocs);
@@ -799,7 +641,7 @@ mod tests {
                 duration: 2.0,
             })
             .collect();
-        let r = simulate(&g, &tasks, &single_proc_config(4));
+        let r = simulate(&g, &tasks, &single_proc_config(4)).unwrap();
         assert!((r.makespan - 20.0).abs() < 1e-12);
         assert_eq!(r.comm, CommStats::default());
     }
@@ -817,10 +659,10 @@ mod tests {
             })
             .collect();
         // 4 cores → 8 unit tasks take 2 seconds
-        let r = simulate(&g, &tasks, &single_proc_config(4));
+        let r = simulate(&g, &tasks, &single_proc_config(4)).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         // 8 cores → 1 second
-        let r8 = simulate(&g, &tasks, &single_proc_config(8));
+        let r8 = simulate(&g, &tasks, &single_proc_config(8)).unwrap();
         assert!((r8.makespan - 1.0).abs() < 1e-12);
     }
 
@@ -848,7 +690,7 @@ mod tests {
             dep_overhead_s: 0.1,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         // 1 (task0) + 0.5 (lat) + 1.0 (xfer) + 1 (task1) = 3.5
         assert!((r.makespan - 3.5).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.bytes, 1_000_000);
@@ -879,7 +721,7 @@ mod tests {
             dep_overhead_s: 10.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         assert_eq!(r.comm.messages, 0);
     }
@@ -913,7 +755,7 @@ mod tests {
             dep_overhead_s: 1.0, // zero-byte edges cost 1 s/hop
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         // Last receiver is 3 hops deep: 1 (task) + 3 = 4.
         assert!((r.makespan - 4.0).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.messages, 4);
@@ -952,7 +794,7 @@ mod tests {
             dep_overhead_s: 0.5,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         // n activations of 0.5 s serialize on proc 0's comm engine,
         // plus the per-hop delivery of the last one.
         assert!(
@@ -993,7 +835,7 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         // tree depth for the 8th receiver is 4 hops: 1 (task) + 4·1 s,
         // NOT 1 + 8·1 s (which per-receiver serialization would give).
         assert!(r.makespan <= 1.0 + 4.0 + 1e-9, "makespan {}", r.makespan);
@@ -1041,7 +883,7 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         // both finish at t=1; injections serialize: second arrives >= 3.
         assert!(
             r.makespan >= 3.0 - 1e-9,
@@ -1067,7 +909,7 @@ mod tests {
                 duration: 1.0,
             },
         ];
-        let r = simulate(&g, &tasks, &single_proc_config(1));
+        let r = simulate(&g, &tasks, &single_proc_config(1)).unwrap();
         let rec_urgent = r.trace.records.iter().find(|x| x.start == 0.0).unwrap();
         // both tasks retire; check the one starting at 0 has class Other
         // and that `urgent` started first by comparing start times.
@@ -1112,7 +954,7 @@ mod tests {
             dep_overhead_s: 1e-4,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         let cp = critical_path(&g, |t| tasks[t].duration);
         assert!(
             r.makespan >= cp.length - 1e-12,
@@ -1158,12 +1000,24 @@ mod tests {
         }
     }
 
+    /// Panel-priority run under a fault plan.
+    fn simulate_faulty(
+        g: &TaskGraph,
+        tasks: &[DesTask],
+        cfg: &DesConfig,
+        faults: &FaultPlan,
+        restart_delay_s: f64,
+    ) -> Result<DesReport, EngineError> {
+        let plan = SchedPlan::build(g, SchedPolicy::default(), &Pricing::nominal(g))?;
+        simulate_planned(g, tasks, cfg, &plan, faults, restart_delay_s)
+    }
+
     #[test]
-    fn empty_fault_schedule_matches_plain_simulation() {
+    fn empty_fault_plan_matches_plain_simulation() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let plain = simulate(&g, &tasks, &cfg);
-        let faulty = simulate_with_faults(&g, &tasks, &cfg, &FaultSchedule::none()).unwrap();
+        let plain = simulate(&g, &tasks, &cfg).unwrap();
+        let faulty = simulate_faulty(&g, &tasks, &cfg, &FaultPlan::none(), 0.5).unwrap();
         assert_eq!(faulty.makespan, plain.makespan);
         assert_eq!(faulty.crashes, 0);
         assert_eq!(faulty.migrated, 0);
@@ -1175,16 +1029,9 @@ mod tests {
     fn crash_migrates_reexecutes_and_costs_time() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let baseline = simulate(&g, &tasks, &cfg);
-        let sched = FaultSchedule {
-            crashes: vec![DesCrash {
-                proc: 1,
-                at: baseline.makespan * 0.5,
-            }],
-            restart_delay_s: 0.5,
-            ..FaultSchedule::none()
-        };
-        let r = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        let baseline = simulate(&g, &tasks, &cfg).unwrap();
+        let faults = FaultPlan::new(0).with_crash(1, baseline.makespan * 0.5);
+        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.migrated > 0, "dead proc's tasks must move");
         assert!(
@@ -1199,16 +1046,9 @@ mod tests {
     fn crash_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let baseline = simulate(&g, &tasks, &cfg);
-        let sched = FaultSchedule {
-            crashes: vec![DesCrash {
-                proc: 1,
-                at: baseline.makespan + 100.0,
-            }],
-            restart_delay_s: 0.5,
-            ..FaultSchedule::none()
-        };
-        let r = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        let baseline = simulate(&g, &tasks, &cfg).unwrap();
+        let faults = FaultPlan::new(0).with_crash(1, baseline.makespan + 100.0);
+        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 0);
         assert_eq!(r.makespan, baseline.makespan);
     }
@@ -1217,17 +1057,10 @@ mod tests {
     fn longer_restart_delay_costs_at_least_as_much() {
         let (g, tasks) = wide_graph(16);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg);
-        let mk = |delay: f64| FaultSchedule {
-            crashes: vec![DesCrash {
-                proc: 2,
-                at: base.makespan * 0.4,
-            }],
-            restart_delay_s: delay,
-            ..FaultSchedule::none()
-        };
-        let quick = simulate_with_faults(&g, &tasks, &cfg, &mk(0.1)).unwrap();
-        let slow = simulate_with_faults(&g, &tasks, &cfg, &mk(5.0)).unwrap();
+        let base = simulate(&g, &tasks, &cfg).unwrap();
+        let faults = FaultPlan::new(0).with_crash(2, base.makespan * 0.4);
+        let quick = simulate_faulty(&g, &tasks, &cfg, &faults, 0.1).unwrap();
+        let slow = simulate_faulty(&g, &tasks, &cfg, &faults, 5.0).unwrap();
         assert!(
             slow.makespan >= quick.makespan,
             "{} < {}",
@@ -1265,12 +1098,8 @@ mod tests {
         // Crash proc 0 while the sink is still running: b's output is no
         // longer needed (c already has it) but the model re-runs tasks
         // with unfinished consumers — c is unfinished, so b re-executes.
-        let sched = FaultSchedule {
-            crashes: vec![DesCrash { proc: 0, at: 2.5 }],
-            restart_delay_s: 0.0,
-            ..FaultSchedule::none()
-        };
-        let r = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        let faults = FaultPlan::new(0).with_crash(0, 2.5);
+        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.0).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.reexecuted >= 1, "b must re-execute, got {}", r.reexecuted);
     }
@@ -1279,16 +1108,8 @@ mod tests {
     fn crashing_all_processes_is_a_typed_error() {
         let (g, tasks) = wide_graph(8);
         let cfg = faulty_cfg();
-        let sched = FaultSchedule {
-            crashes: vec![
-                DesCrash { proc: 0, at: 0.1 },
-                DesCrash { proc: 1, at: 0.2 },
-                DesCrash { proc: 2, at: 0.3 },
-            ],
-            restart_delay_s: 0.0,
-            ..FaultSchedule::none()
-        };
-        let err = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap_err();
+        let faults = FaultPlan::new(0).with_crash(0, 0.1).with_crash(1, 0.2).with_crash(2, 0.3);
+        let err = simulate_faulty(&g, &tasks, &cfg, &faults, 0.0).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
     }
 
@@ -1296,20 +1117,14 @@ mod tests {
     fn out_of_range_fault_target_is_a_typed_error() {
         let (g, tasks) = wide_graph(8);
         let cfg = faulty_cfg(); // nprocs = 3
-        let crash = FaultSchedule {
-            crashes: vec![DesCrash { proc: 7, at: 1.0 }],
-            ..FaultSchedule::none()
-        };
+        let crash = FaultPlan::new(0).with_crash(7, 1.0);
         assert_eq!(
-            simulate_with_faults(&g, &tasks, &cfg, &crash).unwrap_err(),
+            simulate_faulty(&g, &tasks, &cfg, &crash, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 7, nprocs: 3 }
         );
-        let corrupt = FaultSchedule {
-            corruptions: vec![DesCorrupt { proc: 9, at: 1.0 }],
-            ..FaultSchedule::none()
-        };
+        let corrupt = FaultPlan::new(0).with_store_corruption(9, 0, 0, 1.0);
         assert_eq!(
-            simulate_with_faults(&g, &tasks, &cfg, &corrupt).unwrap_err(),
+            simulate_faulty(&g, &tasks, &cfg, &corrupt, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 9, nprocs: 3 }
         );
     }
@@ -1318,20 +1133,13 @@ mod tests {
     fn corruption_heals_by_reexecution_and_costs_time() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg);
+        let base = simulate(&g, &tasks, &cfg).unwrap();
         // Strike proc 0 mid-run with a long detection window: the root's
         // output (consumed by every mid task) is still needed, so one
         // completed task must re-execute and the makespan must grow.
-        let sched = FaultSchedule {
-            corruptions: vec![DesCorrupt {
-                proc: 0,
-                at: base.makespan * 0.3,
-            }],
-            restart_delay_s: base.makespan * 2.0,
-            seed: 7,
-            ..FaultSchedule::none()
-        };
-        let r = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        let faults = FaultPlan::new(7).with_store_corruption(0, 0, 0, base.makespan * 0.3);
+        let delay = base.makespan * 2.0;
+        let r = simulate_faulty(&g, &tasks, &cfg, &faults, delay).unwrap();
         assert_eq!(r.corruptions, 1);
         assert_eq!(r.crashes, 0);
         assert!(
@@ -1345,8 +1153,8 @@ mod tests {
             r.makespan,
             base.makespan
         );
-        // Determinism: the same seeded schedule reproduces the run.
-        let again = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        // Determinism: the same seeded plan reproduces the run.
+        let again = simulate_faulty(&g, &tasks, &cfg, &faults, delay).unwrap();
         assert_eq!(again.makespan, r.makespan);
         assert_eq!(again.reexecuted, r.reexecuted);
     }
@@ -1355,38 +1163,49 @@ mod tests {
     fn corruption_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg);
-        let sched = FaultSchedule {
-            corruptions: vec![DesCorrupt {
-                proc: 1,
-                at: base.makespan + 50.0,
-            }],
-            restart_delay_s: 1.0,
-            seed: 3,
-            ..FaultSchedule::none()
-        };
-        let r = simulate_with_faults(&g, &tasks, &cfg, &sched).unwrap();
+        let base = simulate(&g, &tasks, &cfg).unwrap();
+        let faults = FaultPlan::new(3).with_store_corruption(1, 0, 0, base.makespan + 50.0);
+        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 1.0).unwrap();
         assert_eq!(r.corruptions, 0);
         assert_eq!(r.reexecuted, 0);
         assert_eq!(r.makespan, base.makespan);
     }
 
+    /// Every misconfiguration is a typed error at the entry point, where
+    /// each used to be a panic (an `assert!`, an index out of bounds, or
+    /// the "simulation deadlocked" assertion).
     #[test]
-    fn schedule_from_plan_shares_the_seed_and_events() {
-        use crate::fault::FaultPlan;
-        let plan = FaultPlan::new(1234)
-            .with_crash(1, 5.0)
-            .with_store_corruption(2, 0, 0, 7.5)
-            .with_message_corruption(0.1);
-        let sched = FaultSchedule::from_plan(&plan, 0.25);
-        assert_eq!(sched.seed, 1234);
-        assert_eq!(sched.restart_delay_s, 0.25);
-        assert_eq!(sched.crashes, vec![DesCrash { proc: 1, at: 5.0 }]);
-        assert_eq!(sched.corruptions, vec![DesCorrupt { proc: 2, at: 7.5 }]);
-        // The shared stream: the DES victim roll equals the plan-side roll.
+    fn misconfiguration_is_a_typed_error() {
+        let g = chain(2);
+        let cfg = single_proc_config(1);
+        let on = |proc| DesTask { proc, duration: 1.0 };
+        // fewer DesTasks than graph tasks
         assert_eq!(
-            fault_unit(plan.seed, 8, 0, 0),
-            fault_unit(sched.seed, 8, 0, 0)
+            simulate(&g, &[on(0)], &cfg).unwrap_err(),
+            EngineError::RankMapLength { expected: 2, got: 1 }
+        );
+        // a process id out of range
+        assert_eq!(
+            simulate(&g, &[on(0), on(3)], &cfg).unwrap_err(),
+            EngineError::InvalidRank { task: 1, rank: 3, nprocs: 1 }
+        );
+        // a machine with no cores
+        assert_eq!(
+            simulate(&g, &[on(0), on(0)], &single_proc_config(0)).unwrap_err(),
+            EngineError::EmptyMachine { nprocs: 1, cores_per_proc: 0 }
+        );
+        // a cyclic graph
+        let mut cyclic = chain(2);
+        cyclic.add_edge(1, 0, DataRef { i: 0, j: 0 }, 0);
+        assert_eq!(simulate(&cyclic, &[on(0), on(0)], &cfg).unwrap_err(), EngineError::Cycle);
+        // a plan built for a smaller graph
+        let short = chain(1);
+        let plan =
+            SchedPlan::build(&short, SchedPolicy::Fifo, &Pricing::nominal(&short)).unwrap();
+        assert_eq!(
+            simulate_planned(&g, &[on(0), on(0)], &cfg, &plan, &FaultPlan::none(), 0.0)
+                .unwrap_err(),
+            EngineError::RankMapLength { expected: 2, got: 1 }
         );
     }
 
@@ -1407,28 +1226,12 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg);
+        let r = simulate(&g, &tasks, &cfg).unwrap();
         assert!((r.busy[0] - 2.0).abs() < 1e-12);
         assert!((r.busy[1] - 2.0).abs() < 1e-12);
         assert!((r.load_imbalance() - 1.0).abs() < 1e-12);
         // serial chain on 2 procs: efficiency = 4 / (2*4) = 0.5
         assert!((r.efficiency_vs_serial() - 0.5).abs() < 1e-12);
-    }
-
-    /// Satellite bugfix regression: a NaN scheduling key used to panic
-    /// via `partial_cmp().unwrap()` deep inside the event loop; now it
-    /// is rejected up front as a typed error.
-    #[test]
-    fn non_finite_keys_are_a_typed_error_not_a_panic() {
-        let g = chain(4);
-        let tasks: Vec<DesTask> = (0..4).map(|_| DesTask { proc: 0, duration: 1.0 }).collect();
-        let cfg = single_proc_config(2);
-        let keys = vec![0.0, f64::NAN, 2.0, 3.0];
-        let err = simulate_with_order(&g, &tasks, &cfg, &keys).unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 1, .. }));
-        let keys = vec![0.0, 1.0, f64::NEG_INFINITY, 3.0];
-        let err = simulate_with_order(&g, &tasks, &cfg, &keys).unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 2, .. }));
     }
 
     /// A scheduler that returns a NaN key *mid-run* (a buggy dynamic
@@ -1447,8 +1250,8 @@ mod tests {
         }
         let g = chain(4);
         let tasks: Vec<DesTask> = (0..4).map(|_| DesTask { proc: 0, duration: 1.0 }).collect();
-        let err = simulate_with_scheduler(&g, &tasks, &single_proc_config(1), &mut Buggy)
-            .unwrap_err();
+        let cfg = single_proc_config(1);
+        let err = sim_core(&g, &tasks, &cfg, &mut Buggy, &FaultPlan::none(), 0.0).unwrap_err();
         assert!(matches!(err, EngineError::NonFiniteKey { task: 2, .. }));
     }
 
@@ -1475,23 +1278,11 @@ mod tests {
         let g = chain(5);
         let tasks: Vec<DesTask> = (0..5).map(|_| DesTask { proc: 0, duration: 2.0 }).collect();
         let mut sched = Counting { ready: 0, finished: 0, measured: 0.0 };
-        let r = simulate_with_scheduler(&g, &tasks, &single_proc_config(2), &mut sched).unwrap();
+        let cfg = single_proc_config(2);
+        let r = sim_core(&g, &tasks, &cfg, &mut sched, &FaultPlan::none(), 0.0).unwrap();
         assert_eq!(sched.ready, 5);
         assert_eq!(sched.finished, 5);
         assert!((sched.measured - 10.0).abs() < 1e-12);
         assert!((r.makespan - 10.0).abs() < 1e-12);
-    }
-
-    /// `simulate_with_order` with the priority keys equals `simulate` —
-    /// the static path is one scheduler among several, not a fork.
-    #[test]
-    fn static_scheduler_path_matches_simulate() {
-        let (g, tasks) = wide_graph(10);
-        let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg);
-        let keys: Vec<f64> = (0..g.len()).map(|t| g.spec(t).priority as f64).collect();
-        let via_order = simulate_with_order(&g, &tasks, &cfg, &keys).unwrap();
-        assert_eq!(via_order.makespan, base.makespan);
-        assert_eq!(via_order.comm, base.comm);
     }
 }

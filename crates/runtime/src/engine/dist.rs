@@ -3,13 +3,13 @@
 
 use super::EngineError;
 use crate::des::CommStats;
+use crate::event_queue::EventQueue;
 use crate::fault::{FaultStats, FtConfig, FtError, IntegrityError};
 use crate::graph::{DataRef, TaskGraph, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::obs::RunEvent;
-use crate::scheduler::{dist_priority_order, SchedPolicy};
 use crate::trace::{TaskRecord, Trace};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Context handed to the task body on its executing rank.
 pub struct RankCtx<'a, P> {
@@ -77,24 +77,13 @@ pub struct DistConfig<'a> {
     /// per *successful* task completion; crash re-executions append a
     /// second record, mirroring what a real tracer would see).
     pub record_trace: bool,
-    /// Ready-queue scheduling policy. The distributed engine executes
-    /// each rank's queue front-only, so an arbitrary per-rank reorder
-    /// can deadlock across ranks; a policy is therefore applied as a
-    /// *priority-driven topological order*
-    /// ([`crate::scheduler::priority_topo_order`]) shared by every rank
-    /// — always deadlock-free. `None` (the default) keeps the plain
-    /// creation-order topological sort, the engine's historical
-    /// behavior. Tasks are priced by planned flops at a nominal
-    /// 1 Gflop/s; [`SchedPolicy::CommAwareUpwardRank`] additionally
-    /// prices cross-rank edges at a nominal 1 GB/s.
-    pub sched: Option<SchedPolicy>,
     /// Always-on metrics sink: per-class virtual task durations land in
     /// per-rank shards, and the run's comm/fault/integrity totals are
     /// folded in at the end (`None` skips all recording).
     pub metrics: Option<&'a Registry>,
 }
 
-/// Payload integrity hooks for [`DistEngine::run_with_integrity`].
+/// Payload integrity hooks for [`DistEngine::run`].
 ///
 /// The engine is generic over its payload type, so corruption injection
 /// and checksum verification are supplied as callbacks rather than baked
@@ -161,259 +150,28 @@ struct MsgRec<P> {
     abandoned: bool,
 }
 
-enum EvKind {
+#[derive(Clone, Copy)]
+enum Event {
     /// Wake a rank: start its next ready task if idle.
     TryStart { rank: usize },
     /// A task's virtual execution time elapsed.
-    TaskDone {
-        rank: usize,
-        task: TaskId,
-        epoch: u32,
-    },
+    TaskDone { rank: usize, task: TaskId, epoch: u32 },
     /// A message copy reaches its consumer's current rank. `copy`
     /// distinguishes a duplicated delivery (1) from the original (0) so
     /// in-flight corruption fates are rolled per copy.
     Deliver { msg: usize, attempt: u32, copy: u32 },
     /// An acknowledgement reaches the sender.
     AckArrive { msg: usize, attempt: u32 },
-    /// A negative acknowledgement (checksum mismatch at delivery)
-    /// reaches the sender: retransmit without waiting for the timeout.
-    NackArrive { msg: usize, attempt: u32 },
-    /// Retransmission timer for an attempt fired.
-    Timeout { msg: usize, attempt: u32 },
+    /// The sender should send again unless a newer attempt superseded
+    /// this one: the attempt's retransmission timer fired, or a negative
+    /// acknowledgement (checksum mismatch at delivery) came back — the
+    /// latter just arrives sooner than the timeout would.
+    Resend { msg: usize, attempt: u32 },
     /// A scheduled at-rest bit flip (index into the plan's
     /// `store_corruptions`) strikes its target store.
     CorruptStore { idx: usize },
     /// Fail-stop crash of a rank.
     Crash { rank: usize },
-}
-
-/// Heap entry ordered by (time, insertion sequence) — the sequence makes
-/// simultaneous events deterministic.
-struct Ev {
-    time: f64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want the earliest event
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-fn push_ev(heap: &mut BinaryHeap<Ev>, seq: &mut u64, time: f64, kind: EvKind) {
-    *seq += 1;
-    heap.push(Ev {
-        time,
-        seq: *seq,
-        kind,
-    });
-}
-
-/// Roll the fates for one send attempt of `recs[id]` and schedule its
-/// delivery (possibly duplicated, possibly dropped) and its
-/// retransmission timeout.
-#[allow(clippy::too_many_arguments)]
-fn schedule_send<P>(
-    id: usize,
-    recs: &mut [MsgRec<P>],
-    now: f64,
-    cfg: &FtConfig,
-    stats: &mut FaultStats,
-    heap: &mut BinaryHeap<Ev>,
-    seq: &mut u64,
-) {
-    let rec = &mut recs[id];
-    if rec.attempts >= cfg.retry.max_send_attempts {
-        if !rec.abandoned {
-            rec.abandoned = true;
-            stats.sends_abandoned += 1;
-        }
-        return;
-    }
-    rec.attempts += 1;
-    let attempt = rec.attempts;
-    if attempt == 1 {
-        stats.messages_sent += 1;
-    } else {
-        stats.retransmissions += 1;
-    }
-    // Every attempt puts the payload on the wire (even if it is then
-    // dropped in flight), so each one counts toward volume.
-    stats.bytes_sent += rec.bytes;
-    let mid = id as u64;
-    if cfg.plan.drops_message(mid, attempt) {
-        stats.messages_dropped += 1;
-    } else {
-        let dt = cfg.latency + cfg.plan.delay(mid, attempt, 0);
-        push_ev(
-            heap,
-            seq,
-            now + dt,
-            EvKind::Deliver {
-                msg: id,
-                attempt,
-                copy: 0,
-            },
-        );
-        if cfg.plan.duplicates_message(mid, attempt) {
-            stats.messages_duplicated += 1;
-            let dt2 = cfg.latency + cfg.plan.delay(mid, attempt, 1);
-            push_ev(
-                heap,
-                seq,
-                now + dt2,
-                EvKind::Deliver {
-                    msg: id,
-                    attempt,
-                    copy: 1,
-                },
-            );
-        }
-    }
-    push_ev(
-        heap,
-        seq,
-        now + cfg.retry.timeout_for(attempt),
-        EvKind::Timeout { msg: id, attempt },
-    );
-}
-
-/// Lineage healing of a corrupted datum `d` detected on live rank
-/// `rank`: roll the datum back to its checkpoint (or discard it if it is
-/// a produced-only value with no checkpoint), un-done its writer chain
-/// so the value is recomputed in topological order from verified inputs,
-/// replay the writers' logged remote inputs, and re-wake the affected
-/// ranks after a backed-off detection window. Escalates to
-/// [`FtError::Integrity`] once the same datum has been healed
-/// `max_heal_retries` times without sticking (heal attempts are counted
-/// cumulatively per datum, so repeated strikes on one tile escalate).
-#[allow(clippy::too_many_arguments)]
-fn heal_datum<P: Clone>(
-    d: DataRef,
-    rank: usize,
-    now: f64,
-    graph: &TaskGraph,
-    ft: &FtConfig,
-    checkpoint: &[HashMap<DataRef, P>],
-    stores: &mut [HashMap<DataRef, P>],
-    done: &mut [bool],
-    done_count: &mut usize,
-    cur_exec: &[usize],
-    busy: &[Option<TaskId>],
-    topo_pos: &[usize],
-    queue: &mut [VecDeque<TaskId>],
-    recs: &mut [MsgRec<P>],
-    seen: &mut [HashSet<usize>],
-    heal_attempts: &mut HashMap<(usize, usize), u32>,
-    heal_final_writer: &mut HashMap<TaskId, DataRef>,
-    stats: &mut FaultStats,
-    events: &mut Vec<RunEvent>,
-    heap: &mut BinaryHeap<Ev>,
-    seq: &mut u64,
-) -> Result<(), EngineError> {
-    stats.corruptions_detected += 1;
-    events.push(RunEvent::CorruptionDetected {
-        rank,
-        i: d.i,
-        j: d.j,
-        at: now,
-    });
-    let att = heal_attempts.entry((d.i, d.j)).or_insert(0);
-    *att += 1;
-    let attempts = *att;
-    if attempts > ft.retry.max_heal_retries {
-        return Err(EngineError::Fault(FtError::Integrity(IntegrityError {
-            rank,
-            data: (d.i, d.j),
-            attempts: attempts - 1,
-        })));
-    }
-    // Roll the datum back to the initial checkpoint; produced-only data
-    // have no checkpoint entry and are simply discarded — the writer
-    // chain regenerates them from scratch.
-    let restored = match checkpoint.iter().find_map(|c| c.get(&d)).cloned() {
-        Some(v) => {
-            stores[rank].insert(d, v);
-            true
-        }
-        None => {
-            stores[rank].remove(&d);
-            false
-        }
-    };
-    let ntasks = graph.len();
-    let mut undone: Vec<TaskId> = (0..ntasks)
-        .filter(|&t| graph.spec(t).writes == Some(d) && done[t])
-        .collect();
-    undone.sort_unstable_by_key(|&t| topo_pos[t]);
-    if let Some(&last) = undone.last() {
-        heal_final_writer.insert(last, d);
-    } else if restored {
-        // a never-written input: the checkpoint restore *is* the heal
-        stats.corruptions_healed += 1;
-        events.push(RunEvent::Healed {
-            rank,
-            i: d.i,
-            j: d.j,
-            at: now,
-        });
-    }
-    // Writers of a datum are co-located (the engine's placement
-    // invariant), so the chain re-executes on one rank; the detecting
-    // rank is always re-woken because its interrupted reader task must
-    // be re-queued too.
-    let undone_set: HashSet<TaskId> = undone.iter().copied().collect();
-    let mut affected: HashSet<usize> = HashSet::new();
-    affected.insert(rank);
-    for &t in &undone {
-        done[t] = false;
-        *done_count -= 1;
-        stats.tasks_reexecuted += 1;
-        affected.insert(cur_exec[t]);
-    }
-    for &r in &affected {
-        let mut q: Vec<TaskId> = (0..ntasks)
-            .filter(|&t| cur_exec[t] == r && !done[t] && busy[r] != Some(t))
-            .collect();
-        q.sort_unstable_by_key(|&t| topo_pos[t]);
-        queue[r] = q.into();
-    }
-    // Replay logged remote inputs into the re-executing writers: their
-    // inboxes were consumed on the first run, and the receiver-side
-    // dedup filter must forget the old deliveries or the replay would
-    // be discarded as duplicates.
-    for id in 0..recs.len() {
-        let (src, dst) = (recs[id].src, recs[id].dst);
-        if undone_set.contains(&dst) && !done[dst] && done[src] {
-            seen[cur_exec[dst]].remove(&id);
-            recs[id].acked = false;
-            recs[id].abandoned = false;
-            schedule_send(id, recs, now, ft, stats, heap, seq);
-        }
-    }
-    // Detection + rollback window, backed off per heal attempt.
-    let delay = ft.retry.timeout_for(attempts);
-    for &r in &affected {
-        push_ev(heap, seq, now + delay, EvKind::TryStart { rank: r });
-    }
-    Ok(())
 }
 
 /// Check that `order` is a topological permutation of `graph`'s task
@@ -491,11 +249,7 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     /// [`run`](DistEngine::run) (so misconfiguration is a typed
     /// [`EngineError`], not a panic).
     pub fn new(graph: &'g TaskGraph, nprocs: usize, exec_rank: &'r [usize]) -> Self {
-        DistEngine {
-            graph,
-            nprocs,
-            exec_rank,
-        }
+        DistEngine { graph, nprocs, exec_rank }
     }
 
     /// Execute the graph: `initial[r]` is rank `r`'s initial datum store
@@ -505,32 +259,20 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     /// (usually a clone of the written datum). `body` must be
     /// deterministic for the fault-recovery equivalence to hold.
     ///
-    /// Without [`IntegrityHooks`] the corruption entries of a
-    /// [`FaultPlan`](crate::fault::FaultPlan) are inert (there is no way
-    /// to flip or verify bits of an opaque payload); use
-    /// [`run_with_integrity`](DistEngine::run_with_integrity) to arm
-    /// them.
-    pub fn run<P, F>(
-        &self,
-        initial: Vec<HashMap<DataRef, P>>,
-        cfg: &DistConfig<'_>,
-        body: F,
-    ) -> Result<DistOutcome<P>, EngineError>
-    where
-        P: Clone,
-        F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
-    {
-        self.run_with_integrity(initial, cfg, None, body)
-    }
-
-    /// [`run`](DistEngine::run) with a silent-data-corruption integrity
-    /// layer armed.
+    /// `order` *is* the schedule: every rank executes its tasks in this
+    /// order, front-only, so it must be a topological permutation of the
+    /// task ids — typically
+    /// [`SchedPlan::topo_order`](crate::scheduler::SchedPlan::topo_order)
+    /// computed once at plan time. It is validated (length, permutation,
+    /// edge direction) and rejected as [`EngineError::InvalidOrder`]
+    /// rather than risking a front-queue deadlock.
     ///
-    /// When `hooks` is `Some`, the engine injects the fault plan's
-    /// corruption entries (in-flight payload flips with probability
-    /// `corrupt_msg_prob` per delivered copy, and the scheduled at-rest
-    /// `store_corruptions`) through `hooks.corrupt`, and verifies
-    /// payloads through `hooks.verify` at every read boundary:
+    /// With `hooks`, the silent-data-corruption integrity layer is armed:
+    /// the engine injects the fault plan's corruption entries (in-flight
+    /// payload flips with probability `corrupt_msg_prob` per delivered
+    /// copy, and the scheduled at-rest `store_corruptions`) through
+    /// `hooks.corrupt`, and verifies payloads through `hooks.verify` at
+    /// every read boundary:
     ///
     /// * **message delivery** — a corrupted copy is discarded before the
     ///   dedup/ack step and NACKed back to the sender, which retransmits
@@ -548,33 +290,10 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     ///
     /// Detection and healing are reported as
     /// [`RunEvent::CorruptionDetected`] / [`RunEvent::Healed`] and in
-    /// the corruption counters of [`FaultStats`].
-    pub fn run_with_integrity<P, F>(
-        &self,
-        initial: Vec<HashMap<DataRef, P>>,
-        cfg: &DistConfig<'_>,
-        hooks: Option<&IntegrityHooks<'_, P>>,
-        body: F,
-    ) -> Result<DistOutcome<P>, EngineError>
-    where
-        P: Clone,
-        F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
-    {
-        self.run_inner(initial, cfg, None, hooks, body)
-    }
-
-    /// [`run_with_integrity`](DistEngine::run_with_integrity) with a
-    /// precomputed execution order, skipping the per-run priority-key
-    /// computation entirely (the numeric half of a plan-then-run
-    /// split). `order` must be a topological permutation of the task
-    /// ids — typically the output of
-    /// [`dist_priority_order`] over the same graph, policy and rank
-    /// map, computed once at plan
-    /// time. The order is validated (length, permutation, edge
-    /// direction) and rejected as [`EngineError::InvalidOrder`] rather
-    /// than risking a front-queue deadlock. `cfg.sched` is ignored:
-    /// the supplied order *is* the schedule.
-    pub fn run_planned<P, F>(
+    /// the corruption counters of [`FaultStats`]. Without hooks the
+    /// corruption entries of a plan are inert (there is no way to flip or
+    /// verify bits of an opaque payload).
+    pub fn run<P, F>(
         &self,
         initial: Vec<HashMap<DataRef, P>>,
         cfg: &DistConfig<'_>,
@@ -586,61 +305,17 @@ impl<'g, 'r> DistEngine<'g, 'r> {
         P: Clone,
         F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
     {
-        self.run_inner(initial, cfg, Some(order), hooks, body)
-    }
-
-    fn run_inner<P, F>(
-        &self,
-        initial: Vec<HashMap<DataRef, P>>,
-        cfg: &DistConfig<'_>,
-        precomputed: Option<&[TaskId]>,
-        hooks: Option<&IntegrityHooks<'_, P>>,
-        body: F,
-    ) -> Result<DistOutcome<P>, EngineError>
-    where
-        P: Clone,
-        F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
-    {
-        let graph = self.graph;
-        let nprocs = self.nprocs;
-        let exec_rank = self.exec_rank;
+        let (graph, nprocs, exec_rank) = (self.graph, self.nprocs, self.exec_rank);
         let ntasks = graph.len();
-
         if exec_rank.len() != ntasks {
-            return Err(EngineError::RankMapLength {
-                expected: ntasks,
-                got: exec_rank.len(),
-            });
+            return Err(EngineError::RankMapLength { expected: ntasks, got: exec_rank.len() });
         }
         if initial.len() != nprocs {
-            return Err(EngineError::StoreCount {
-                expected: nprocs,
-                got: initial.len(),
-            });
+            return Err(EngineError::StoreCount { expected: nprocs, got: initial.len() });
         }
-        // A precomputed order replaces both the cycle check and the
-        // policy keying; otherwise apply the scheduling policy as a
-        // priority-driven topological order (front-only rank queues
-        // deadlock under any order that is not globally topological —
-        // see [`DistConfig::sched`]).
-        let order = match precomputed {
-            Some(order) => {
-                validate_topo_order(graph, order)?;
-                order.to_vec()
-            }
-            None => match cfg.sched {
-                None => graph.topological_order().ok_or(EngineError::Cycle)?,
-                Some(policy) => dist_priority_order(graph, policy, exec_rank)?,
-            },
-        };
-        for (t, &r) in exec_rank.iter().enumerate() {
-            if r >= nprocs {
-                return Err(EngineError::InvalidRank {
-                    task: t,
-                    rank: r,
-                    nprocs,
-                });
-            }
+        validate_topo_order(graph, order)?;
+        if let Some((task, &rank)) = exec_rank.iter().enumerate().find(|(_, &r)| r >= nprocs) {
+            return Err(EngineError::InvalidRank { task, rank, nprocs });
         }
         let fault_free;
         let ft = match cfg.ft {
@@ -650,33 +325,111 @@ impl<'g, 'r> DistEngine<'g, 'r> {
                 &fault_free
             }
         };
-        for c in &ft.plan.crashes {
-            if c.rank >= nprocs {
-                return Err(EngineError::InvalidCrashRank {
-                    rank: c.rank,
-                    nprocs,
-                });
-            }
-        }
-        for c in &ft.plan.store_corruptions {
-            if c.rank >= nprocs {
-                return Err(EngineError::InvalidCrashRank {
-                    rank: c.rank,
-                    nprocs,
-                });
-            }
-        }
+        ft.plan.validate(nprocs)?;
 
+        let mut run = Run::new(self, order, initial, ft, cfg, hooks, body);
+        loop {
+            while let Some((time, event)) = run.events.pop() {
+                if run.done_count == ntasks {
+                    break;
+                }
+                run.now = time;
+                match event {
+                    Event::TryStart { rank } => run.try_start(rank),
+                    Event::TaskDone { rank, task, epoch } => run.task_done(rank, task, epoch)?,
+                    Event::Deliver { msg, attempt, copy } => run.deliver(msg, attempt, copy),
+                    Event::AckArrive { msg, attempt } => run.ack(msg, attempt),
+                    Event::Resend { msg, attempt } => run.resend(msg, attempt),
+                    Event::CorruptStore { idx } => run.corrupt_store(idx),
+                    Event::Crash { rank } => run.crash(rank)?,
+                }
+            }
+            if run.done_count < ntasks {
+                return Err(EngineError::Fault(FtError::Stalled {
+                    pending: ntasks - run.done_count,
+                }));
+            }
+            // Healing re-enters the event loop.
+            if !run.sweep_stores()? {
+                break;
+            }
+        }
+        Ok(run.finish())
+    }
+}
+
+/// The state of one [`DistEngine::run`]: one method per event kind.
+struct Run<'a, P, F> {
+    graph: &'a TaskGraph,
+    ft: &'a FtConfig,
+    hooks: Option<&'a IntegrityHooks<'a, P>>,
+    metrics: Option<&'a Registry>,
+    body: F,
+
+    /// Position of each task in the execution order.
+    topo_pos: Vec<usize>,
+    // Static edge classification (see the type-level docs of
+    // `DistEngine`: locality is the *original* placement, by design).
+    local_preds: Vec<Vec<TaskId>>,
+    /// Data each task reads from its rank-local store (the integrity
+    /// layer verifies these at the task's read boundary).
+    local_reads: Vec<Vec<DataRef>>,
+    remote_preds: Vec<Vec<(TaskId, DataRef)>>,
+    remote_sends: Vec<Vec<(TaskId, DataRef, u64)>>,
+
+    now: f64,
+    events: EventQueue<Event>,
+    cur_exec: Vec<usize>,
+    alive: Vec<bool>,
+    epoch: Vec<u32>,
+    busy: Vec<Option<TaskId>>,
+    done: Vec<bool>,
+    done_count: usize,
+    kernel_attempts: Vec<u32>,
+    inbox: Vec<HashMap<(TaskId, DataRef), P>>,
+    /// Receiver-side dedup filter: message ids each rank has accepted.
+    seen: Vec<HashSet<usize>>,
+    queue: Vec<VecDeque<TaskId>>,
+    /// Checkpoint of every rank's initial data — the recovery source for
+    /// data whose owner dies (a real deployment would re-generate or
+    /// re-load it; the cost model charges the re-execution instead).
+    checkpoint: Vec<HashMap<DataRef, P>>,
+    /// Checkpoints each rank answers for (its own, plus inherited ones).
+    owned_ckpt: Vec<Vec<usize>>,
+    stores: Vec<HashMap<DataRef, P>>,
+    /// Sender-side message log and its `(src, dst, datum)` index.
+    recs: Vec<MsgRec<P>>,
+    rec_index: HashMap<(TaskId, TaskId, DataRef), usize>,
+    /// Heal attempts per datum, and each pending heal's final writer
+    /// (whose re-completion marks the datum healed).
+    heal_attempts: HashMap<(usize, usize), u32>,
+    heal_final_writer: HashMap<TaskId, DataRef>,
+    stats: FaultStats,
+    log: Vec<RunEvent>,
+    trace: Option<Trace>,
+}
+
+impl<'a, P, F> Run<'a, P, F>
+where
+    P: Clone,
+    F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
+{
+    fn new(
+        engine: &DistEngine<'a, '_>,
+        order: &[TaskId],
+        initial: Vec<HashMap<DataRef, P>>,
+        ft: &'a FtConfig,
+        cfg: &DistConfig<'a>,
+        hooks: Option<&'a IntegrityHooks<'a, P>>,
+        body: F,
+    ) -> Self {
+        let (graph, nprocs, exec_rank) = (engine.graph, engine.nprocs, engine.exec_rank);
+        let ntasks = graph.len();
         let mut topo_pos = vec![0usize; ntasks];
         for (pos, &t) in order.iter().enumerate() {
             topo_pos[t] = pos;
         }
-
-        // Static edge classification (see type-level docs: locality is
-        // the *original* placement, by design).
         let mut local_preds: Vec<Vec<TaskId>> = vec![Vec::new(); ntasks];
-        // Data each task reads from its rank-local store (the integrity
-        // layer verifies these at the task's read boundary).
         let mut local_reads: Vec<Vec<DataRef>> = vec![Vec::new(); ntasks];
         let mut remote_preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); ntasks];
         let mut remote_sends: Vec<Vec<(TaskId, DataRef, u64)>> = vec![Vec::new(); ntasks];
@@ -693,481 +446,496 @@ impl<'g, 'r> DistEngine<'g, 'r> {
                 }
             }
         }
-
-        // Mutable run state.
-        let mut cur_exec = exec_rank.to_vec();
-        let mut alive = vec![true; nprocs];
-        let mut epoch = vec![0u32; nprocs];
-        let mut busy: Vec<Option<TaskId>> = vec![None; nprocs];
-        let mut done = vec![false; ntasks];
-        let mut done_count = 0usize;
-        let mut kernel_attempts = vec![0u32; ntasks];
-        let mut inbox: Vec<HashMap<(TaskId, DataRef), P>> =
-            (0..ntasks).map(|_| HashMap::new()).collect();
-        let mut seen: Vec<HashSet<usize>> = vec![HashSet::new(); nprocs];
         let mut queue: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); nprocs];
-        for &t in &order {
-            queue[cur_exec[t]].push_back(t);
+        for &t in order {
+            queue[exec_rank[t]].push_back(t);
         }
-
-        // Checkpoint of every rank's initial data — the recovery source
-        // for data whose owner dies (a real deployment would re-generate
-        // or re-load it; the cost model charges the re-execution
-        // instead).
-        let checkpoint: Vec<HashMap<DataRef, P>> = initial.clone();
-        let mut owned_ckpt: Vec<Vec<usize>> = (0..nprocs).map(|r| vec![r]).collect();
-        let mut stores = initial;
-
-        let mut recs: Vec<MsgRec<P>> = Vec::new();
-        let mut rec_index: HashMap<(TaskId, TaskId, DataRef), usize> = HashMap::new();
-
-        let mut stats = FaultStats::default();
-        let mut events: Vec<RunEvent> = Vec::new();
-        let mut trace = if cfg.record_trace {
-            Some(Trace::default())
-        } else {
-            None
-        };
-        let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
-        let mut seq = 0u64;
-        // Heal attempts per datum and the pending heal's final writer
-        // (whose re-completion marks the datum healed).
-        let mut heal_attempts: HashMap<(usize, usize), u32> = HashMap::new();
-        let mut heal_final_writer: HashMap<TaskId, DataRef> = HashMap::new();
+        let mut events = EventQueue::new();
         for c in &ft.plan.crashes {
-            push_ev(&mut heap, &mut seq, c.at, EvKind::Crash { rank: c.rank });
+            events.push(c.at, Event::Crash { rank: c.rank });
         }
         for (idx, c) in ft.plan.store_corruptions.iter().enumerate() {
-            push_ev(&mut heap, &mut seq, c.at, EvKind::CorruptStore { idx });
+            events.push(c.at, Event::CorruptStore { idx });
         }
-        for r in 0..nprocs {
-            push_ev(&mut heap, &mut seq, 0.0, EvKind::TryStart { rank: r });
+        for rank in 0..nprocs {
+            events.push(0.0, Event::TryStart { rank });
         }
+        Run {
+            graph,
+            ft,
+            hooks,
+            metrics: cfg.metrics,
+            body,
+            topo_pos,
+            local_preds,
+            local_reads,
+            remote_preds,
+            remote_sends,
+            now: 0.0,
+            events,
+            cur_exec: exec_rank.to_vec(),
+            alive: vec![true; nprocs],
+            epoch: vec![0; nprocs],
+            busy: vec![None; nprocs],
+            done: vec![false; ntasks],
+            done_count: 0,
+            kernel_attempts: vec![0; ntasks],
+            inbox: (0..ntasks).map(|_| HashMap::new()).collect(),
+            seen: vec![HashSet::new(); nprocs],
+            queue,
+            checkpoint: initial.clone(),
+            owned_ckpt: (0..nprocs).map(|r| vec![r]).collect(),
+            stores: initial,
+            recs: Vec::new(),
+            rec_index: HashMap::new(),
+            heal_attempts: HashMap::new(),
+            heal_final_writer: HashMap::new(),
+            stats: FaultStats::default(),
+            log: Vec::new(),
+            trace: cfg.record_trace.then(Trace::default),
+        }
+    }
 
-        let mut now = 0.0_f64;
-        'event_loop: loop {
-            while let Some(ev) = heap.pop() {
-                if done_count == ntasks {
-                    break;
+    fn try_start(&mut self, rank: usize) {
+        if !self.alive[rank] || self.busy[rank].is_some() {
+            return;
+        }
+        while self.queue[rank]
+            .front()
+            .is_some_and(|&t| self.done[t] || self.cur_exec[t] != rank)
+        {
+            self.queue[rank].pop_front();
+        }
+        let Some(&t) = self.queue[rank].front() else {
+            return;
+        };
+        let ready = self.local_preds[t].iter().all(|&p| self.done[p])
+            && self.remote_preds[t].iter().all(|key| self.inbox[t].contains_key(key));
+        if !ready {
+            return; // re-woken by the delivery that unblocks it
+        }
+        self.queue[rank].pop_front();
+        self.busy[rank] = Some(t);
+        let epoch = self.epoch[rank];
+        self.events.push(self.now + self.ft.task_time, Event::TaskDone { rank, task: t, epoch });
+    }
+
+    fn task_done(&mut self, rank: usize, t: TaskId, epoch: u32) -> Result<(), EngineError> {
+        if !self.alive[rank] || epoch != self.epoch[rank] {
+            return Ok(()); // the rank died mid-execution
+        }
+        let (now, ft, graph) = (self.now, self.ft, self.graph);
+        self.busy[rank] = None;
+        if ft.plan.kernel_fails(t, self.kernel_attempts[t]) {
+            self.kernel_attempts[t] += 1;
+            self.stats.kernel_failures += 1;
+            if self.kernel_attempts[t] > ft.retry.max_kernel_retries {
+                return Err(EngineError::Fault(FtError::KernelRetriesExhausted { task: t }));
+            }
+            self.queue[rank].push_front(t); // retry in place
+            self.events.push(now, Event::TryStart { rank });
+            return Ok(());
+        }
+        // Read-boundary integrity check: verify every datum this task is
+        // about to consume from the local store (including the tile it
+        // updates in place) before the kernel runs on it.
+        if let Some(h) = self.hooks {
+            let bad = self.local_reads[t]
+                .iter()
+                .copied()
+                .chain(graph.spec(t).writes)
+                .find(|d| self.stores[rank].get(d).is_some_and(|p| !(h.verify)(p)));
+            if let Some(d) = bad {
+                return self.heal_datum(d, rank);
+            }
+        }
+        let mut ctx = RankCtx {
+            rank,
+            store: &mut self.stores[rank],
+            remote_inputs: std::mem::take(&mut self.inbox[t]),
+        };
+        let produced = (self.body)(t, &mut ctx);
+        self.done[t] = true;
+        self.done_count += 1;
+        let spec = graph.spec(t);
+        if let Some(reg) = self.metrics {
+            reg.incr(rank, Counter::TasksExecuted);
+            reg.record_class_seconds(rank, spec.class, ft.task_time);
+        }
+        if let Some(hd) = self.heal_final_writer.remove(&t) {
+            self.stats.corruptions_healed += 1;
+            self.log.push(RunEvent::Healed { rank, i: hd.i, j: hd.j, at: now });
+        }
+        if let Some(tr) = self.trace.as_mut() {
+            let start = now - ft.task_time;
+            tr.push_record(TaskRecord {
+                task: t,
+                class: spec.class,
+                proc: rank,
+                data: spec.writes,
+                // Readiness is not tracked per attempt in virtual time;
+                // queued == start means zero reported queue-wait, which
+                // Trace documents.
+                queued: start,
+                start,
+                end: now,
+            });
+        }
+        for i in 0..self.remote_sends[t].len() {
+            let (dst, data, bytes) = self.remote_sends[t][i];
+            if self.done[dst] {
+                continue; // re-execution; the consumer already has it
+            }
+            // A task with several logical outputs (a fused panel batch
+            // writes one tile per member) returns only one payload, so
+            // each edge ships the datum it actually names: the store
+            // holds every member's `put`, and the returned payload covers
+            // the task's own `writes` (the single-output case and every
+            // pre-batching caller, bit-for-bit).
+            let payload = if spec.writes.is_some_and(|w| w != data) {
+                self.stores[rank].get(&data).cloned().unwrap_or_else(|| produced.clone())
+            } else {
+                produced.clone()
+            };
+            let id = match self.rec_index.get(&(t, dst, data)) {
+                Some(&id) => {
+                    // re-send through the existing log entry
+                    self.recs[id].payload = payload;
+                    id
                 }
-                now = ev.time;
-                match ev.kind {
-                    EvKind::TryStart { rank } => {
-                        if !alive[rank] || busy[rank].is_some() {
-                            continue;
-                        }
-                        while queue[rank]
-                            .front()
-                            .is_some_and(|&t| done[t] || cur_exec[t] != rank)
-                        {
-                            queue[rank].pop_front();
-                        }
-                        let Some(&t) = queue[rank].front() else {
-                            continue;
-                        };
-                        let ready = local_preds[t].iter().all(|&p| done[p])
-                            && remote_preds[t].iter().all(|key| inbox[t].contains_key(key));
-                        if !ready {
-                            continue; // re-woken by the delivery that unblocks it
-                        }
-                        queue[rank].pop_front();
-                        busy[rank] = Some(t);
-                        push_ev(
-                            &mut heap,
-                            &mut seq,
-                            now + ft.task_time,
-                            EvKind::TaskDone {
-                                rank,
-                                task: t,
-                                epoch: epoch[rank],
-                            },
-                        );
-                    }
-                    EvKind::TaskDone {
-                        rank,
-                        task: t,
-                        epoch: e,
-                    } => {
-                        if !alive[rank] || e != epoch[rank] {
-                            continue; // the rank died mid-execution
-                        }
-                        busy[rank] = None;
-                        if ft.plan.kernel_fails(t, kernel_attempts[t]) {
-                            kernel_attempts[t] += 1;
-                            stats.kernel_failures += 1;
-                            if kernel_attempts[t] > ft.retry.max_kernel_retries {
-                                return Err(EngineError::Fault(FtError::KernelRetriesExhausted {
-                                    task: t,
-                                }));
-                            }
-                            queue[rank].push_front(t); // retry in place
-                            push_ev(&mut heap, &mut seq, now, EvKind::TryStart { rank });
-                            continue;
-                        }
-                        // Read-boundary integrity check: verify every datum
-                        // this task is about to consume from the local
-                        // store (including the tile it updates in place)
-                        // before the kernel runs on it.
-                        if let Some(h) = hooks {
-                            let bad = local_reads[t]
-                                .iter()
-                                .copied()
-                                .chain(graph.spec(t).writes)
-                                .find(|d| stores[rank].get(d).is_some_and(|p| !(h.verify)(p)));
-                            if let Some(d) = bad {
-                                heal_datum(
-                                    d,
-                                    rank,
-                                    now,
-                                    graph,
-                                    ft,
-                                    &checkpoint,
-                                    &mut stores,
-                                    &mut done,
-                                    &mut done_count,
-                                    &cur_exec,
-                                    &busy,
-                                    &topo_pos,
-                                    &mut queue,
-                                    &mut recs,
-                                    &mut seen,
-                                    &mut heal_attempts,
-                                    &mut heal_final_writer,
-                                    &mut stats,
-                                    &mut events,
-                                    &mut heap,
-                                    &mut seq,
-                                )?;
-                                continue;
-                            }
-                        }
-                        let remote_in = std::mem::take(&mut inbox[t]);
-                        let mut ctx = RankCtx {
-                            rank,
-                            store: &mut stores[rank],
-                            remote_inputs: remote_in,
-                        };
-                        let produced = body(t, &mut ctx);
-                        done[t] = true;
-                        done_count += 1;
-                        if let Some(reg) = cfg.metrics {
-                            reg.incr(rank, Counter::TasksExecuted);
-                            reg.record_class_seconds(rank, graph.spec(t).class, ft.task_time);
-                        }
-                        if let Some(hd) = heal_final_writer.remove(&t) {
-                            stats.corruptions_healed += 1;
-                            events.push(RunEvent::Healed {
-                                rank,
-                                i: hd.i,
-                                j: hd.j,
-                                at: now,
-                            });
-                        }
-                        if let Some(tr) = trace.as_mut() {
-                            let spec = graph.spec(t);
-                            let start = now - ft.task_time;
-                            tr.push_record(TaskRecord {
-                                task: t,
-                                class: spec.class,
-                                proc: rank,
-                                data: spec.writes,
-                                // Readiness is not tracked per attempt in
-                                // virtual time; queued == start means zero
-                                // reported queue-wait, which Trace documents.
-                                queued: start,
-                                start,
-                                end: now,
-                            });
-                        }
-                        for &(dst, data, bytes) in &remote_sends[t] {
-                            if done[dst] {
-                                continue; // re-execution; the consumer already has it
-                            }
-                            // A task with several logical outputs (a fused
-                            // panel batch writes one tile per member) returns
-                            // only one payload, so each edge ships the datum
-                            // it actually names: the store holds every
-                            // member's `put`, and the returned payload covers
-                            // the task's own `writes` (the single-output case
-                            // and every pre-batching caller, bit-for-bit).
-                            let payload = if graph.spec(t).writes.is_some_and(|w| w != data) {
-                                stores[rank]
-                                    .get(&data)
-                                    .cloned()
-                                    .unwrap_or_else(|| produced.clone())
-                            } else {
-                                produced.clone()
-                            };
-                            let key = (t, dst, data);
-                            let id = match rec_index.get(&key) {
-                                Some(&id) => {
-                                    // re-send through the existing log entry
-                                    recs[id].payload = payload;
-                                    recs[id].acked = false;
-                                    recs[id].abandoned = false;
-                                    id
-                                }
-                                None => {
-                                    recs.push(MsgRec {
-                                        src: t,
-                                        dst,
-                                        data,
-                                        payload,
-                                        bytes,
-                                        attempts: 0,
-                                        acked: false,
-                                        abandoned: false,
-                                    });
-                                    rec_index.insert(key, recs.len() - 1);
-                                    recs.len() - 1
-                                }
-                            };
-                            schedule_send(id, &mut recs, now, ft, &mut stats, &mut heap, &mut seq);
-                        }
-                        push_ev(&mut heap, &mut seq, now, EvKind::TryStart { rank });
-                    }
-                    EvKind::Deliver { msg, attempt, copy } => {
-                        let (src, dst, data) = (recs[msg].src, recs[msg].dst, recs[msg].data);
-                        let dst_rank = cur_exec[dst];
-                        if !alive[dst_rank] {
-                            continue; // delivered into a dead NIC; replay handles it
-                        }
-                        // In-flight corruption: flip a payload bit on this
-                        // copy and let the receiver's checksum decide. A
-                        // detected mismatch is discarded before the dedup/
-                        // ack step and NACKed back to the sender (integrity
-                        // control messages are modeled as loss-free; the
-                        // attempt timeout stays armed as a backstop).
-                        let mut incoming: Option<P> = None;
-                        if let Some(h) = hooks {
-                            if ft.plan.corrupts_message(msg as u64, attempt, copy) {
-                                let mut p = recs[msg].payload.clone();
-                                if (h.corrupt)(&mut p, ft.plan.corruption_bits(msg as u64)) {
-                                    stats.messages_corrupted += 1;
-                                    if !(h.verify)(&p) {
-                                        stats.corruptions_detected += 1;
-                                        stats.nacks_sent += 1;
-                                        events.push(RunEvent::CorruptionDetected {
-                                            rank: dst_rank,
-                                            i: data.i,
-                                            j: data.j,
-                                            at: now,
-                                        });
-                                        push_ev(
-                                            &mut heap,
-                                            &mut seq,
-                                            now + ft.latency,
-                                            EvKind::NackArrive { msg, attempt },
-                                        );
-                                        continue;
-                                    }
-                                    // an undetected flip is delivered as-is
-                                    // (unreachable with exact digests; a
-                                    // weaker checksum would pay for it with
-                                    // a wrong result)
-                                    incoming = Some(p);
-                                }
-                            }
-                        }
-                        if seen[dst_rank].contains(&msg) {
-                            stats.duplicates_ignored += 1;
-                        } else {
-                            seen[dst_rank].insert(msg);
-                            if !done[dst] {
-                                let payload = incoming.unwrap_or_else(|| recs[msg].payload.clone());
-                                inbox[dst].insert((src, data), payload);
-                                push_ev(
-                                    &mut heap,
-                                    &mut seq,
-                                    now,
-                                    EvKind::TryStart { rank: dst_rank },
-                                );
-                            }
-                        }
-                        // every verified delivery (even a dedup'd one) is
-                        // acknowledged
-                        if ft.plan.drops_ack(msg as u64, attempt) {
-                            stats.acks_dropped += 1;
-                        } else {
-                            push_ev(
-                                &mut heap,
-                                &mut seq,
-                                now + ft.latency,
-                                EvKind::AckArrive { msg, attempt },
-                            );
-                        }
-                    }
-                    EvKind::AckArrive { msg, attempt } => {
-                        // attempt-tagged: a stale ack must not cancel the timer
-                        // of a newer attempt (e.g. after a crash replay)
-                        if attempt == recs[msg].attempts {
-                            recs[msg].acked = true;
-                        }
-                    }
-                    EvKind::NackArrive { msg, attempt } => {
-                        let rec = &recs[msg];
-                        if rec.acked || rec.abandoned || attempt != rec.attempts || done[rec.dst] {
-                            continue; // a newer attempt is already in flight (or moot)
-                        }
-                        let src_rank = cur_exec[rec.src];
-                        if !alive[src_rank] || !done[rec.src] {
-                            continue; // sender died; its re-execution re-sends
-                        }
-                        schedule_send(msg, &mut recs, now, ft, &mut stats, &mut heap, &mut seq);
-                    }
-                    EvKind::Timeout { msg, attempt } => {
-                        let rec = &recs[msg];
-                        if rec.acked || rec.abandoned || attempt != rec.attempts || done[rec.dst] {
-                            continue;
-                        }
-                        let src_rank = cur_exec[rec.src];
-                        if !alive[src_rank] || !done[rec.src] {
-                            continue; // sender died; its re-execution re-sends
-                        }
-                        schedule_send(msg, &mut recs, now, ft, &mut stats, &mut heap, &mut seq);
-                    }
-                    EvKind::CorruptStore { idx } => {
-                        let c = ft.plan.store_corruptions[idx];
-                        if !alive[c.rank] {
-                            continue; // the crash already destroyed the store
-                        }
-                        // Without hooks there is no way to flip bits of an
-                        // opaque payload: the strike is inert.
-                        let Some(h) = hooks else { continue };
-                        let d = DataRef { i: c.i, j: c.j };
-                        if let Some(p) = stores[c.rank].get_mut(&d) {
-                            if (h.corrupt)(p, ft.plan.corruption_bits((1u64 << 32) + idx as u64)) {
-                                stats.store_corruptions_injected += 1;
-                            }
-                        }
-                    }
-                    EvKind::Crash { rank: c } => {
-                        if !alive[c] {
-                            continue;
-                        }
-                        alive[c] = false;
-                        stats.crashes += 1;
-                        events.push(RunEvent::Crash { rank: c, at: now });
-                        epoch[c] += 1; // invalidates the in-flight TaskDone
-                        busy[c] = None;
-                        let Some(d) = (1..nprocs).map(|k| (c + k) % nprocs).find(|&r| alive[r])
-                        else {
-                            return Err(EngineError::Fault(FtError::AllRanksCrashed));
-                        };
-                        events.push(RunEvent::Recovery {
-                            failed: c,
-                            survivor: d,
+                None => {
+                    self.recs.push(MsgRec {
+                        src: t,
+                        dst,
+                        data,
+                        payload,
+                        bytes,
+                        attempts: 0,
+                        acked: false,
+                        abandoned: false,
+                    });
+                    self.rec_index.insert((t, dst, data), self.recs.len() - 1);
+                    self.recs.len() - 1
+                }
+            };
+            self.send_afresh(id);
+        }
+        self.events.push(now, Event::TryStart { rank });
+        Ok(())
+    }
+
+    /// Start a new delivery of logged message `id` (first send, or a
+    /// replay to a consumer that lost its copy).
+    fn send_afresh(&mut self, id: usize) {
+        self.recs[id].acked = false;
+        self.recs[id].abandoned = false;
+        self.schedule_send(id);
+    }
+
+    /// Roll the fates for one send attempt of `recs[id]` and schedule its
+    /// delivery (possibly duplicated, possibly dropped) and its
+    /// retransmission timeout.
+    fn schedule_send(&mut self, id: usize) {
+        let (now, ft) = (self.now, self.ft);
+        let rec = &mut self.recs[id];
+        if rec.attempts >= ft.retry.max_send_attempts {
+            if !rec.abandoned {
+                rec.abandoned = true;
+                self.stats.sends_abandoned += 1;
+            }
+            return;
+        }
+        rec.attempts += 1;
+        let attempt = rec.attempts;
+        if attempt == 1 {
+            self.stats.messages_sent += 1;
+        } else {
+            self.stats.retransmissions += 1;
+        }
+        // Every attempt puts the payload on the wire (even if it is then
+        // dropped in flight), so each one counts toward volume.
+        self.stats.bytes_sent += rec.bytes;
+        let mid = id as u64;
+        if ft.plan.drops_message(mid, attempt) {
+            self.stats.messages_dropped += 1;
+        } else {
+            let dt = ft.latency + ft.plan.delay(mid, attempt, 0);
+            self.events.push(now + dt, Event::Deliver { msg: id, attempt, copy: 0 });
+            if ft.plan.duplicates_message(mid, attempt) {
+                self.stats.messages_duplicated += 1;
+                let dt2 = ft.latency + ft.plan.delay(mid, attempt, 1);
+                self.events.push(now + dt2, Event::Deliver { msg: id, attempt, copy: 1 });
+            }
+        }
+        self.events.push(now + ft.retry.timeout_for(attempt), Event::Resend { msg: id, attempt });
+    }
+
+    fn deliver(&mut self, msg: usize, attempt: u32, copy: u32) {
+        let (now, ft) = (self.now, self.ft);
+        let (src, dst, data) = (self.recs[msg].src, self.recs[msg].dst, self.recs[msg].data);
+        let dst_rank = self.cur_exec[dst];
+        if !self.alive[dst_rank] {
+            return; // delivered into a dead NIC; replay handles it
+        }
+        // In-flight corruption: flip a payload bit on this copy and let
+        // the receiver's checksum decide. A detected mismatch is
+        // discarded before the dedup/ack step and NACKed back to the
+        // sender (integrity control messages are modeled as loss-free;
+        // the attempt timeout stays armed as a backstop).
+        let mut incoming: Option<P> = None;
+        if let Some(h) = self.hooks {
+            if ft.plan.corrupts_message(msg as u64, attempt, copy) {
+                let mut p = self.recs[msg].payload.clone();
+                if (h.corrupt)(&mut p, ft.plan.corruption_bits(msg as u64)) {
+                    self.stats.messages_corrupted += 1;
+                    if !(h.verify)(&p) {
+                        self.stats.corruptions_detected += 1;
+                        self.stats.nacks_sent += 1;
+                        self.log.push(RunEvent::CorruptionDetected {
+                            rank: dst_rank,
+                            i: data.i,
+                            j: data.j,
                             at: now,
                         });
-                        // migrate every task of the dead rank to the survivor
-                        let mut migrated: HashSet<TaskId> = HashSet::new();
-                        for t in 0..ntasks {
-                            if cur_exec[t] == c {
-                                cur_exec[t] = d;
-                                migrated.insert(t);
-                                if done[t] {
-                                    done[t] = false;
-                                    done_count -= 1;
-                                    stats.tasks_reexecuted += 1;
-                                }
-                                inbox[t].clear(); // received inputs died with c
-                            }
-                        }
-                        stats.tasks_migrated += migrated.len();
-                        stores[c].clear();
-                        seen[c].clear();
-                        queue[c].clear();
-                        // the survivor restores the dead rank's initial data
-                        // (including any it had itself inherited earlier)
-                        let inherited = std::mem::take(&mut owned_ckpt[c]);
-                        for &o in &inherited {
-                            for (k, v) in &checkpoint[o] {
-                                stores[d].insert(*k, v.clone());
-                            }
-                        }
-                        owned_ckpt[d].extend(inherited);
-                        // rebuild the survivor's queue in topological order
-                        let mut q: Vec<TaskId> = (0..ntasks)
-                            .filter(|&t| cur_exec[t] == d && !done[t] && busy[d] != Some(t))
-                            .collect();
-                        q.sort_unstable_by_key(|&t| topo_pos[t]);
-                        queue[d] = q.into();
-                        // replay logged messages from surviving completed
-                        // producers to the wiped, migrated consumers
-                        for id in 0..recs.len() {
-                            let (src, dst) = (recs[id].src, recs[id].dst);
-                            if migrated.contains(&dst) && !done[dst] && done[src] {
-                                recs[id].acked = false;
-                                recs[id].abandoned = false;
-                                schedule_send(
-                                    id, &mut recs, now, ft, &mut stats, &mut heap, &mut seq,
-                                );
-                            }
-                        }
-                        push_ev(&mut heap, &mut seq, now, EvKind::TryStart { rank: d });
+                        self.events.push(now + ft.latency, Event::Resend { msg, attempt });
+                        return;
                     }
+                    // an undetected flip is delivered as-is (unreachable
+                    // with exact digests; a weaker checksum would pay for
+                    // it with a wrong result)
+                    incoming = Some(p);
                 }
-            }
-
-            if done_count < ntasks {
-                return Err(EngineError::Fault(FtError::Stalled {
-                    pending: ntasks - done_count,
-                }));
-            }
-            // Final integrity sweep: a tile corrupted *after* its last
-            // read has no later read boundary to catch it, so verify
-            // every surviving store and heal before releasing the
-            // result. Healing re-enters the event loop.
-            let Some(h) = hooks else { break 'event_loop };
-            let mut bad: Vec<(usize, DataRef)> = Vec::new();
-            for r in 0..nprocs {
-                if !alive[r] {
-                    continue;
-                }
-                for (d, p) in &stores[r] {
-                    if !(h.verify)(p) {
-                        bad.push((r, *d));
-                    }
-                }
-            }
-            if bad.is_empty() {
-                break 'event_loop;
-            }
-            bad.sort_unstable_by_key(|&(r, d)| (r, d.i, d.j)); // deterministic heal order
-            for (r, d) in bad {
-                heal_datum(
-                    d,
-                    r,
-                    now,
-                    graph,
-                    ft,
-                    &checkpoint,
-                    &mut stores,
-                    &mut done,
-                    &mut done_count,
-                    &cur_exec,
-                    &busy,
-                    &topo_pos,
-                    &mut queue,
-                    &mut recs,
-                    &mut seen,
-                    &mut heal_attempts,
-                    &mut heal_final_writer,
-                    &mut stats,
-                    &mut events,
-                    &mut heap,
-                    &mut seq,
-                )?;
             }
         }
+        if self.seen[dst_rank].contains(&msg) {
+            self.stats.duplicates_ignored += 1;
+        } else {
+            self.seen[dst_rank].insert(msg);
+            if !self.done[dst] {
+                let payload = incoming.unwrap_or_else(|| self.recs[msg].payload.clone());
+                self.inbox[dst].insert((src, data), payload);
+                self.events.push(now, Event::TryStart { rank: dst_rank });
+            }
+        }
+        // every verified delivery (even a dedup'd one) is acknowledged
+        if ft.plan.drops_ack(msg as u64, attempt) {
+            self.stats.acks_dropped += 1;
+        } else {
+            self.events.push(now + ft.latency, Event::AckArrive { msg, attempt });
+        }
+    }
 
+    fn ack(&mut self, msg: usize, attempt: u32) {
+        // attempt-tagged: a stale ack must not cancel the timer of a
+        // newer attempt (e.g. after a crash replay)
+        if attempt == self.recs[msg].attempts {
+            self.recs[msg].acked = true;
+        }
+    }
+
+    fn resend(&mut self, msg: usize, attempt: u32) {
+        let rec = &self.recs[msg];
+        if rec.acked || rec.abandoned || attempt != rec.attempts || self.done[rec.dst] {
+            return; // a newer attempt is already in flight (or moot)
+        }
+        if !self.alive[self.cur_exec[rec.src]] || !self.done[rec.src] {
+            return; // sender died; its re-execution re-sends
+        }
+        self.schedule_send(msg);
+    }
+
+    fn corrupt_store(&mut self, idx: usize) {
+        let c = self.ft.plan.store_corruptions[idx];
+        if !self.alive[c.rank] {
+            return; // the crash already destroyed the store
+        }
+        // Without hooks there is no way to flip bits of an opaque
+        // payload: the strike is inert.
+        let Some(h) = self.hooks else { return };
+        if let Some(p) = self.stores[c.rank].get_mut(&DataRef { i: c.i, j: c.j }) {
+            if (h.corrupt)(p, self.ft.plan.corruption_bits((1u64 << 32) + idx as u64)) {
+                self.stats.store_corruptions_injected += 1;
+            }
+        }
+    }
+
+    fn crash(&mut self, c: usize) -> Result<(), EngineError> {
+        if !self.alive[c] {
+            return Ok(());
+        }
+        let (now, nprocs) = (self.now, self.alive.len());
+        self.alive[c] = false;
+        self.stats.crashes += 1;
+        self.log.push(RunEvent::Crash { rank: c, at: now });
+        self.epoch[c] += 1; // invalidates the in-flight TaskDone
+        self.busy[c] = None;
+        let Some(d) = (1..nprocs).map(|k| (c + k) % nprocs).find(|&r| self.alive[r]) else {
+            return Err(EngineError::Fault(FtError::AllRanksCrashed));
+        };
+        self.log.push(RunEvent::Recovery { failed: c, survivor: d, at: now });
+        // migrate every task of the dead rank to the survivor
+        let mut migrated: HashSet<TaskId> = HashSet::new();
+        for t in 0..self.cur_exec.len() {
+            if self.cur_exec[t] == c {
+                self.cur_exec[t] = d;
+                migrated.insert(t);
+                if self.done[t] {
+                    self.done[t] = false;
+                    self.done_count -= 1;
+                    self.stats.tasks_reexecuted += 1;
+                }
+                self.inbox[t].clear(); // received inputs died with c
+            }
+        }
+        self.stats.tasks_migrated += migrated.len();
+        self.stores[c].clear();
+        self.seen[c].clear();
+        self.queue[c].clear();
+        // the survivor restores the dead rank's initial data (including
+        // any it had itself inherited earlier)
+        let inherited = std::mem::take(&mut self.owned_ckpt[c]);
+        for &o in &inherited {
+            for (k, v) in &self.checkpoint[o] {
+                self.stores[d].insert(*k, v.clone());
+            }
+        }
+        self.owned_ckpt[d].extend(inherited);
+        self.requeue(d);
+        // replay logged messages from surviving completed producers to
+        // the wiped, migrated consumers
+        self.replay_to(&migrated, false);
+        self.events.push(now, Event::TryStart { rank: d });
+        Ok(())
+    }
+
+    /// Rebuild `rank`'s queue: its unfinished, not-running tasks in
+    /// execution order.
+    fn requeue(&mut self, rank: usize) {
+        let mut q: Vec<TaskId> = (0..self.cur_exec.len())
+            .filter(|&t| self.cur_exec[t] == rank && !self.done[t] && self.busy[rank] != Some(t))
+            .collect();
+        q.sort_unstable_by_key(|&t| self.topo_pos[t]);
+        self.queue[rank] = q.into();
+    }
+
+    /// Re-send every logged message from a completed producer to an
+    /// unfinished consumer in `consumers`. With `forget`, the receiver's
+    /// dedup filter first forgets the old delivery (the consumer's rank
+    /// survived, so the filter still holds it and would discard the
+    /// replay as a duplicate).
+    fn replay_to(&mut self, consumers: &HashSet<TaskId>, forget: bool) {
+        for id in 0..self.recs.len() {
+            let (src, dst) = (self.recs[id].src, self.recs[id].dst);
+            if consumers.contains(&dst) && !self.done[dst] && self.done[src] {
+                if forget {
+                    self.seen[self.cur_exec[dst]].remove(&id);
+                }
+                self.send_afresh(id);
+            }
+        }
+    }
+
+    /// Lineage healing of a corrupted datum `d` detected on live rank
+    /// `rank`: roll the datum back to its checkpoint (or discard it if it
+    /// is a produced-only value with no checkpoint), un-done its writer
+    /// chain so the value is recomputed in topological order from
+    /// verified inputs, replay the writers' logged remote inputs, and
+    /// re-wake the affected ranks after a backed-off detection window.
+    /// Escalates to [`FtError::Integrity`] once the same datum has been
+    /// healed `max_heal_retries` times without sticking (heal attempts
+    /// are counted cumulatively per datum, so repeated strikes on one
+    /// tile escalate).
+    fn heal_datum(&mut self, d: DataRef, rank: usize) -> Result<(), EngineError> {
+        let now = self.now;
+        self.stats.corruptions_detected += 1;
+        self.log.push(RunEvent::CorruptionDetected { rank, i: d.i, j: d.j, at: now });
+        let att = self.heal_attempts.entry((d.i, d.j)).or_insert(0);
+        *att += 1;
+        let attempts = *att;
+        if attempts > self.ft.retry.max_heal_retries {
+            return Err(EngineError::Fault(FtError::Integrity(IntegrityError {
+                rank,
+                data: (d.i, d.j),
+                attempts: attempts - 1,
+            })));
+        }
+        // Roll the datum back to the initial checkpoint; produced-only
+        // data have no checkpoint entry and are simply discarded — the
+        // writer chain regenerates them from scratch.
+        let restored = match self.checkpoint.iter().find_map(|c| c.get(&d)).cloned() {
+            Some(v) => {
+                self.stores[rank].insert(d, v);
+                true
+            }
+            None => {
+                self.stores[rank].remove(&d);
+                false
+            }
+        };
+        let mut undone: Vec<TaskId> = (0..self.graph.len())
+            .filter(|&t| self.graph.spec(t).writes == Some(d) && self.done[t])
+            .collect();
+        undone.sort_unstable_by_key(|&t| self.topo_pos[t]);
+        if let Some(&last) = undone.last() {
+            self.heal_final_writer.insert(last, d);
+        } else if restored {
+            // a never-written input: the checkpoint restore *is* the heal
+            self.stats.corruptions_healed += 1;
+            self.log.push(RunEvent::Healed { rank, i: d.i, j: d.j, at: now });
+        }
+        // Writers of a datum are co-located (the engine's placement
+        // invariant), so the chain re-executes on one rank; the detecting
+        // rank is always re-woken because its interrupted reader task
+        // must be re-queued too.
+        let mut affected = BTreeSet::from([rank]);
+        for &t in &undone {
+            self.done[t] = false;
+            self.done_count -= 1;
+            self.stats.tasks_reexecuted += 1;
+            affected.insert(self.cur_exec[t]);
+        }
+        for &r in &affected {
+            self.requeue(r);
+        }
+        // Replay logged remote inputs into the re-executing writers:
+        // their inboxes were consumed on the first run.
+        self.replay_to(&undone.iter().copied().collect(), true);
+        // Detection + rollback window, backed off per heal attempt.
+        let delay = self.ft.retry.timeout_for(attempts);
+        for &r in &affected {
+            self.events.push(now + delay, Event::TryStart { rank: r });
+        }
+        Ok(())
+    }
+
+    /// Final integrity sweep: a tile corrupted *after* its last read has
+    /// no later read boundary to catch it, so verify every surviving
+    /// store and heal before releasing the result. Returns whether
+    /// anything was healed (the event loop must then run again).
+    fn sweep_stores(&mut self) -> Result<bool, EngineError> {
+        let Some(h) = self.hooks else { return Ok(false) };
+        let mut bad: Vec<(usize, DataRef)> = Vec::new();
+        for (r, store) in self.stores.iter().enumerate() {
+            if self.alive[r] {
+                bad.extend(store.iter().filter(|(_, p)| !(h.verify)(p)).map(|(d, _)| (r, *d)));
+            }
+        }
+        bad.sort_unstable_by_key(|&(r, d)| (r, d.i, d.j)); // deterministic heal order
+        for &(r, d) in &bad {
+            self.heal_datum(d, r)?;
+        }
+        Ok(!bad.is_empty())
+    }
+
+    fn finish(self) -> DistOutcome<P> {
+        let stats = self.stats;
         let comm = CommStats {
             bytes: stats.bytes_sent,
             messages: (stats.messages_sent + stats.retransmissions) as u64,
         };
         // Fold the run's communication / fault / integrity totals into
         // the registry (shard 0: these are whole-run aggregates).
-        if let Some(reg) = cfg.metrics {
+        if let Some(reg) = self.metrics {
             reg.add(0, Counter::CommBytes, comm.bytes);
             reg.add(0, Counter::CommMessages, comm.messages);
             reg.add(0, Counter::Retransmissions, stats.retransmissions as u64);
@@ -1181,15 +949,15 @@ impl<'g, 'r> DistEngine<'g, 'r> {
             reg.add(0, Counter::CorruptionsHealed, stats.corruptions_healed as u64);
             reg.add(0, Counter::NacksSent, stats.nacks_sent as u64);
         }
-        Ok(DistOutcome {
-            stores,
-            exec_rank: cur_exec,
+        DistOutcome {
+            stores: self.stores,
+            exec_rank: self.cur_exec,
             comm,
             stats,
-            makespan: now,
-            events,
-            trace,
-        })
+            makespan: self.now,
+            events: self.log,
+            trace: self.trace,
+        }
     }
 }
 
@@ -1219,6 +987,11 @@ mod tests {
         g
     }
 
+    /// Creation-order topological sort: the schedule of these tests.
+    fn topo(g: &TaskGraph) -> Vec<TaskId> {
+        g.topological_order().expect("test graphs are acyclic")
+    }
+
     fn run_chain(
         n: usize,
         nprocs: usize,
@@ -1227,7 +1000,7 @@ mod tests {
         let g = dist_chain(n);
         let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
-        DistEngine::new(&g, nprocs, &exec).run(initial, cfg, |t, ctx| {
+        DistEngine::new(&g, nprocs, &exec).run(initial, cfg, &topo(&g), None, |t, ctx| {
             let v = if t == 0 {
                 1
             } else {
@@ -1267,7 +1040,6 @@ mod tests {
         let cfg = DistConfig {
             ft: None,
             record_trace: true,
-            sched: None,
             metrics: None,
         };
         let out = run_chain(n, nprocs, &cfg).unwrap();
@@ -1295,7 +1067,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: true,
-            sched: None,
             metrics: None,
         };
         let n = 12;
@@ -1341,9 +1112,10 @@ mod tests {
             corrupt: &flip_value,
             verify: &mirror_ok,
         };
-        DistEngine::new(&g, nprocs, &exec).run_with_integrity(
+        DistEngine::new(&g, nprocs, &exec).run(
             initial,
             cfg,
+            &topo(&g),
             Some(&hooks),
             |t, ctx| {
                 let v = if t == 0 {
@@ -1368,7 +1140,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let out = run_sealed_chain(n, 1, &cfg).unwrap();
@@ -1416,7 +1187,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let out = run_sealed_chain(n, nprocs, &cfg).unwrap();
@@ -1445,7 +1215,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let out = run_sealed_chain(n, 4, &cfg).unwrap();
@@ -1489,7 +1258,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let out = run_sealed_chain(n, 4, &cfg).unwrap();
@@ -1513,7 +1281,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let err = run_sealed_chain(4, 1, &cfg).unwrap_err();
@@ -1539,7 +1306,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: false,
-            sched: None,
             metrics: None,
         };
         let out = run_chain(n, 2, &cfg).unwrap();
@@ -1562,7 +1328,6 @@ mod tests {
         let cfg = DistConfig {
             ft: Some(&ft),
             record_trace: true,
-            sched: None,
             metrics: None,
         };
         let out = run_sealed_chain(n, 4, &cfg).unwrap();
@@ -1585,10 +1350,11 @@ mod tests {
         let g = dist_chain(4);
         let initial4: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 4];
         let body = |_t: TaskId, _ctx: &mut RankCtx<'_, i64>| 0i64;
+        let order = topo(&g);
 
         // Wrong rank-map length.
         let err = DistEngine::new(&g, 4, &[0, 1])
-            .run(initial4.clone(), &DistConfig::default(), body)
+            .run(initial4.clone(), &DistConfig::default(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1600,7 +1366,7 @@ mod tests {
 
         // Wrong store count.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
-            .run(vec![HashMap::new(); 2], &DistConfig::default(), body)
+            .run(vec![HashMap::new(); 2], &DistConfig::default(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1612,7 +1378,7 @@ mod tests {
 
         // Rank out of range.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 9])
-            .run(initial4.clone(), &DistConfig::default(), body)
+            .run(initial4.clone(), &DistConfig::default(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1632,13 +1398,22 @@ mod tests {
                 &DistConfig {
                     ft: Some(&ft),
                     record_trace: false,
-                    sched: None,
-                    metrics: None,
+                            metrics: None,
                 },
+                &order,
+                None,
                 body,
             )
             .unwrap_err();
         assert_eq!(err, EngineError::InvalidCrashRank { rank: 7, nprocs: 4 });
+
+        // An order that is not a topological permutation of the tasks.
+        for bad in [vec![0, 1, 2], vec![0, 1, 2, 2], vec![1, 0, 2, 3]] {
+            let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
+                .run(vec![HashMap::new(); 4], &DistConfig::default(), &bad, None, body)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::InvalidOrder { .. }), "{bad:?}: {err:?}");
+        }
     }
 
     // ---------------- message passing ----------------
@@ -1651,7 +1426,7 @@ mod tests {
         body: F,
     ) -> Vec<HashMap<DataRef, P>> {
         DistEngine::new(graph, nprocs, exec)
-            .run(initial, &DistConfig::default(), body)
+            .run(initial, &DistConfig::default(), &topo(graph), None, body)
             .expect("run must succeed")
             .stores
     }
@@ -1982,9 +1757,9 @@ mod tests {
             .with_jitter(1.0)
             .with_crash(2, 3.0);
         let ft = FtConfig::with_plan(plan);
-        let dcfg = DistConfig { ft: Some(&ft), record_trace: false, sched: None, metrics: None };
+        let dcfg = DistConfig { ft: Some(&ft), record_trace: false, metrics: None };
         let out = DistEngine::new(&g, nprocs, &exec)
-            .run(initial, &dcfg, |t, ctx| {
+            .run(initial, &dcfg, &topo(&g), None, |t, ctx| {
                 if t == root {
                     ctx.put(DataRef { i: 0, j: 0 }, 7);
                     7
@@ -2031,7 +1806,8 @@ mod tests {
         let exec = vec![0, 1];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = DistEngine::new(&g, 2, &exec).run(initial, &DistConfig::default(), |t, ctx| {
+            let cfg = DistConfig::default();
+            let _ = DistEngine::new(&g, 2, &exec).run(initial, &cfg, &[0, 1], None, |t, ctx| {
                 if t == 0 {
                     ctx.put(DataRef { i: 0, j: 0 }, 1);
                     1

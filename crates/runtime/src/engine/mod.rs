@@ -91,7 +91,16 @@ pub enum EngineError {
         /// The rank count.
         nprocs: usize,
     },
-    /// A fault plan schedules the crash of a nonexistent rank.
+    /// The machine has no processes, or its processes have no cores:
+    /// nothing could ever run.
+    EmptyMachine {
+        /// Processes (ranks) of the machine.
+        nprocs: usize,
+        /// Cores per process (1 where the engine does not model cores).
+        cores_per_proc: usize,
+    },
+    /// A fault plan targets (crash or store corruption) a nonexistent
+    /// rank.
     InvalidCrashRank {
         /// The scheduled rank.
         rank: usize,
@@ -108,8 +117,8 @@ pub enum EngineError {
         /// The offending key value.
         key: f64,
     },
-    /// A precomputed execution order supplied to
-    /// [`DistEngine::run_planned`] is unusable: wrong length, not a
+    /// The execution order supplied to [`DistEngine::run`] is unusable:
+    /// wrong length, not a
     /// permutation of the task ids, or not topological for the graph.
     /// Running it anyway would deadlock the front-only rank queues, so
     /// it is rejected up front.
@@ -145,17 +154,20 @@ impl std::fmt::Display for EngineError {
                     "task {task} mapped to invalid rank {rank} (nprocs {nprocs})"
                 )
             }
+            EngineError::EmptyMachine { nprocs, cores_per_proc } => {
+                write!(f, "empty machine: {nprocs} processes of {cores_per_proc} cores")
+            }
             EngineError::InvalidCrashRank { rank, nprocs } => {
                 write!(
                     f,
-                    "fault plan crashes invalid rank {rank} (nprocs {nprocs})"
+                    "fault plan targets invalid rank {rank} (nprocs {nprocs})"
                 )
             }
             EngineError::NonFiniteKey { task, key } => {
                 write!(f, "non-finite scheduling key {key} for task {task}")
             }
             EngineError::InvalidOrder { reason } => {
-                write!(f, "precomputed execution order rejected: {reason}")
+                write!(f, "execution order rejected: {reason}")
             }
             EngineError::Fault(e) => write!(f, "unrecoverable runtime fault: {e}"),
         }
@@ -217,6 +229,10 @@ mod tests {
             (
                 EngineError::InvalidCrashRank { rank: 7, nprocs: 4 },
                 "invalid rank 7",
+            ),
+            (
+                EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 },
+                "0 processes",
             ),
             (
                 EngineError::Fault(FtError::AllRanksCrashed),

@@ -2,7 +2,7 @@
 
 use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskEvent, TaskPanic};
 use crate::graph::{TaskGraph, TaskId};
-use crate::scheduler::{LookaheadScheduler, SchedPlan, SchedPolicy, Scheduler, StaticScheduler};
+use crate::scheduler::{Pricing, SchedPlan, SchedPolicy, Scheduler};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -25,53 +25,26 @@ pub struct EngineConfig<C = NoCancel, O = NoObserve> {
     /// Observation sink: the one channel every task, enqueue and steal
     /// is reported through (compose several sinks as a tuple).
     pub obs: O,
-    /// Ready-queue scheduling policy (default
-    /// [`SchedPolicy::PanelPriority`]). The engine builds the matching
-    /// [`Scheduler`] itself, pricing tasks by their planned flops; to
-    /// supply a custom implementation use
-    /// [`Engine::run_with_scheduler`].
-    pub sched: SchedPolicy,
 }
 
 impl EngineConfig {
     /// A plain run on `nthreads` workers: no cancellation token, no
-    /// sink, panel-priority scheduling.
+    /// sink.
     pub fn new(nthreads: usize) -> Self {
-        EngineConfig {
-            nthreads,
-            cancel: NoCancel,
-            obs: NoObserve,
-            sched: SchedPolicy::PanelPriority,
-        }
+        EngineConfig { nthreads, cancel: NoCancel, obs: NoObserve }
     }
 }
 
 impl<C, O> EngineConfig<C, O> {
     /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
     pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<C2, O> {
-        EngineConfig {
-            nthreads: self.nthreads,
-            cancel,
-            obs: self.obs,
-            sched: self.sched,
-        }
+        EngineConfig { nthreads: self.nthreads, cancel, obs: self.obs }
     }
 
     /// Layer a sink (e.g. `&Registry`, `obs.as_ref()` for an optional
     /// `ExecObs`, or a tuple of both) onto the run.
     pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<C, O2> {
-        EngineConfig {
-            nthreads: self.nthreads,
-            cancel: self.cancel,
-            obs,
-            sched: self.sched,
-        }
-    }
-
-    /// Select the ready-queue scheduling policy.
-    pub fn with_sched(mut self, sched: SchedPolicy) -> Self {
-        self.sched = sched;
-        self
+        EngineConfig { nthreads: self.nthreads, cancel: self.cancel, obs }
     }
 }
 
@@ -102,7 +75,23 @@ impl<'g> Engine<'g> {
     }
 
     /// Execute every task exactly once, respecting all dependencies,
-    /// calling `kernel(worker_index, task)` concurrently from the pool.
+    /// calling `kernel(worker_index, task)` concurrently from the pool,
+    /// under the default policy's plan (see
+    /// [`run_planned`](Engine::run_planned) to supply one).
+    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
+    where
+        C: Cancel,
+        O: Observe,
+        F: Fn(usize, TaskId) + Sync,
+    {
+        let pricing = Pricing::nominal(self.graph);
+        let plan = SchedPlan::build(self.graph, SchedPolicy::default(), &pricing)?;
+        self.run_planned(cfg, &plan, kernel)
+    }
+
+    /// Execute the graph in the order `plan` dictates. The engine names
+    /// no policy: the plan's tables are instantiated (O(tasks), no graph
+    /// walk) and consulted as a [`Scheduler`].
     ///
     /// The worker index is stable for the lifetime of the pool
     /// (`0..nthreads`), so callers can give every worker an exclusive
@@ -114,23 +103,6 @@ impl<'g> Engine<'g> {
     /// mutates must tolerate a kernel dying mid-update (the TLR
     /// factorizations qualify — a poisoned run's output is discarded
     /// wholesale).
-    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        let mut sched = policy_scheduler(self.graph, cfg.sched)?;
-        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
-    }
-
-    /// [`run`](Engine::run) consuming a precomputed [`SchedPlan`]
-    /// instead of rebuilding the scheduler from
-    /// [`EngineConfig::sched`]: the plan's stored tables are
-    /// instantiated (O(tasks), no graph walk) and the run proceeds
-    /// exactly as an unplanned run with the same policy would — the
-    /// plan only moves *when* the pricing happens, never what it is, so
-    /// planned and unplanned runs are bit-identical.
     pub fn run_planned<C, O, F>(
         &self,
         cfg: &EngineConfig<C, O>,
@@ -142,19 +114,11 @@ impl<'g> Engine<'g> {
         O: Observe,
         F: Fn(usize, TaskId) + Sync,
     {
-        if plan.len() != self.graph.len() {
-            return Err(EngineError::RankMapLength {
-                expected: self.graph.len(),
-                got: plan.len(),
-            });
-        }
-        let mut sched = plan.instantiate()?;
-        self.run_with_scheduler(cfg, sched.as_mut(), kernel)
+        plan.check_covers(self.graph)?;
+        self.run_loop(cfg, plan.instantiate().as_mut(), kernel)
     }
 
-    /// [`run`](Engine::run) consulting an explicit [`Scheduler`]
-    /// implementation instead of building one from
-    /// [`EngineConfig::sched`].
+    /// The one scheduling loop.
     ///
     /// The engine calls `on_task_ready` for every task that becomes
     /// ready (under an internal mutex — the callbacks must be cheap) and
@@ -164,11 +128,11 @@ impl<'g> Engine<'g> {
     /// the best key is popped next while locality is preserved.
     /// `on_task_finished` fires at every retirement with the kernel's
     /// measured seconds — the same two clock readings the
-    /// [`Observe`] sink receives — the feedback a dynamic policy
-    /// ([`crate::scheduler::LookaheadScheduler`]) learns from. A
-    /// non-finite key fails the run with [`EngineError::NonFiniteKey`]
-    /// (remaining tasks drain without executing, as on a kernel panic).
-    pub fn run_with_scheduler<C, O, F>(
+    /// [`Observe`] sink receives — the feedback the lookahead policy
+    /// learns from. A non-finite key fails the run with
+    /// [`EngineError::NonFiniteKey`] (remaining tasks drain without
+    /// executing, as on a kernel panic).
+    fn run_loop<C, O, F>(
         &self,
         cfg: &EngineConfig<C, O>,
         sched: &mut dyn Scheduler,
@@ -347,22 +311,6 @@ impl<'g> Engine<'g> {
             None => Ok(()),
         }
     }
-}
-
-/// Build the [`Scheduler`] for a policy in an engine that has no
-/// machine model: tasks are priced by their planned flops at a nominal
-/// 1 Gflop/s (only relative magnitudes matter for ordering, but the
-/// lookahead's online correction works best when the estimates are in
-/// seconds-like units).
-fn policy_scheduler(
-    graph: &TaskGraph,
-    policy: SchedPolicy,
-) -> Result<Box<dyn Scheduler>, EngineError> {
-    let cost = |t: TaskId| graph.spec(t).flops * 1e-9;
-    Ok(match policy {
-        SchedPolicy::RankAwareLookahead => Box::new(LookaheadScheduler::new(graph, cost)?),
-        p => Box::new(StaticScheduler::from_policy(graph, cost, p)?),
-    })
 }
 
 /// Pop local → steal from injector → steal from a random victim.

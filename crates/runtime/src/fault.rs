@@ -8,17 +8,19 @@
 //! hash of `(seed, stream, key, attempt)` via [`fault_unit`] — re-running
 //! the same plan against the same task graph reproduces the exact same
 //! fault sequence, which is what makes the recovery paths testable at
-//! all. The DES pricing model ([`crate::des::FaultSchedule`]) draws from
-//! the *same* `(seed, stream, key)` hash, so one seed reproduces the
-//! identical fault sequence across `simulate_with_faults` and the
-//! functional engine behind `Session::distributed`.
+//! all.
 //!
-//! The plan is consumed by the distributed engine
-//! ([`crate::engine::DistEngine`], via
-//! [`DistConfig::ft`](crate::engine::DistConfig)), which pairs it with a
-//! [`RetryConfig`] (timeouts and capped exponential backoff) and reports
-//! what actually happened in a [`FaultStats`].
+//! One plan value serves both virtual-time engines. The distributed
+//! engine ([`crate::engine::DistEngine`], via
+//! [`DistConfig::ft`](crate::engine::DistConfig)) *survives* it: it pairs
+//! the plan with a [`RetryConfig`] (timeouts and capped exponential
+//! backoff) and reports what actually happened in a [`FaultStats`]. The
+//! DES ([`crate::des::simulate_planned`]) *prices* its crashes and store
+//! corruptions on the modeled machine, drawing from the same
+//! `(seed, stream, key)` hash, so one seed rolls the identical fates on
+//! both sides of a resilience experiment.
 
+use crate::engine::EngineError;
 use crate::graph::TaskId;
 use std::collections::HashMap;
 use std::fmt;
@@ -38,8 +40,8 @@ fn fault_finalize(mut z: u64) -> u64 {
 }
 
 /// Deterministic unit sample in `[0, 1)` for `(seed, stream, key,
-/// attempt)` — the single RNG shared by [`FaultPlan`] and the DES
-/// [`crate::des::FaultSchedule`]. SplitMix64 finalizer over the mixed
+/// attempt)` — the single RNG behind every [`FaultPlan`] decision, in
+/// both engines. SplitMix64 finalizer over the mixed
 /// identifiers: every tuple gets an independent fate, and the same
 /// tuple always rolls the same fate.
 pub fn fault_unit(seed: u64, stream: u64, key: u64, attempt: u32) -> f64 {
@@ -218,10 +220,19 @@ impl FaultPlan {
         self.corrupt_msg_prob > 0.0 || !self.store_corruptions.is_empty()
     }
 
-    /// Deterministic unit sample for `(stream, key, attempt)` —
-    /// delegates to the shared [`fault_unit`] stream, so the DES
-    /// schedule built by [`crate::des::FaultSchedule::from_plan`] rolls
-    /// the identical fates for the same seed.
+    /// Check the plan against a machine of `nprocs` processes: every
+    /// crash and store corruption must target an existing one. Both
+    /// engines call this once at their entry point.
+    pub fn validate(&self, nprocs: usize) -> Result<(), EngineError> {
+        let targets = self.crashes.iter().map(|c| c.rank);
+        match targets.chain(self.store_corruptions.iter().map(|c| c.rank)).find(|&r| r >= nprocs) {
+            Some(rank) => Err(EngineError::InvalidCrashRank { rank, nprocs }),
+            None => Ok(()),
+        }
+    }
+
+    /// Deterministic unit sample for `(stream, key, attempt)` from the
+    /// shared [`fault_unit`] stream.
     fn unit(&self, stream: u64, key: u64, attempt: u32) -> f64 {
         fault_unit(self.seed, stream, key, attempt)
     }

@@ -32,8 +32,8 @@
 
 pub mod critical_path;
 pub mod des;
-pub mod dtd;
 pub mod engine;
+mod event_queue;
 pub mod fault;
 pub mod graph;
 pub mod machine;
@@ -42,10 +42,7 @@ pub mod ptg;
 pub mod scheduler;
 pub mod trace;
 
-pub use des::{
-    simulate, simulate_with_faults, simulate_with_scheduler, DesConfig, DesCorrupt, DesCrash,
-    DesReport, FaultSchedule,
-};
+pub use des::{simulate, simulate_planned, DesConfig, DesReport};
 pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
@@ -57,8 +54,7 @@ pub use fault::{
 pub use graph::{DataRef, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
 pub use scheduler::{
-    dist_priority_order, queue_keys, upward_rank_comm_keys, CommCosts, CostModel,
-    LookaheadScheduler, RankProfile, SchedPlan, SchedPolicy, Scheduler, StaticScheduler,
+    CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy, Scheduler,
 };
 pub use obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics};

@@ -1,11 +1,10 @@
-//! Scheduling policies for the ready queues.
+//! Scheduling policies for the ready queues, and the one planner that
+//! turns a policy into a schedule.
 //!
 //! PaRSEC ships several node-level schedulers (local LIFO queues,
 //! priority-based, hierarchical). The policy decides which ready task a
 //! core picks next; with tile Cholesky the choice matters because work
-//! off the critical path can starve the panel chain. This module
-//! provides the orderings used by the executor/DES and by the
-//! `ablation_scheduler` benchmark:
+//! off the critical path can starve the panel chain:
 //!
 //! * [`SchedPolicy::PanelPriority`] — the paper's effective policy:
 //!   lower panel index first (tasks carry `k` as their priority);
@@ -23,14 +22,34 @@
 //!   `RankEvolution` histograms), corrected online by an EMA over the
 //!   measured/predicted ratio per task class.
 //!
-//! The policies are consumed through the [`Scheduler`] trait (the
-//! dslab-dag callback design): the DES event loop and the work-stealing
-//! engine call [`Scheduler::on_task_ready`] when a task becomes ready
-//! (the returned key orders the ready queues, **smaller = sooner**) and
-//! [`Scheduler::on_task_finished`] when a task retires with a measured
-//! duration, which is what lets a dynamic policy learn. The static
-//! `queue_keys` table is one implementation ([`StaticScheduler`]) among
-//! several.
+//! # One planner, three doors
+//!
+//! Scheduling is decided *before* the run and handed to an engine that
+//! only executes it. [`SchedPlan::build`] is the only place a policy
+//! becomes a schedule; what differs between engines is the [`Pricing`]
+//! they can offer and how they consume the plan:
+//!
+//! | door | pricing | consumed as |
+//! |---|---|---|
+//! | shared-memory [`Engine`](crate::engine::Engine) | planned flops at 1 Gflop/s, no placement | [`SchedPlan::instantiate`] |
+//! | DES ([`crate::des`]) | modeled durations, rank-aware [`CostModel`], task→process map + machine link | [`SchedPlan::instantiate`] |
+//! | [`DistEngine`](crate::engine::DistEngine) | planned flops at 1 Gflop/s, task→rank map + [`CommCosts::NOMINAL`] | [`SchedPlan::topo_order`] |
+//!
+//! A door that cannot supply what a policy needs runs a weaker policy
+//! instead. This table ([`SchedPolicy::effective`]) is the only place
+//! that happens:
+//!
+//! | requested | shared | DES | distributed order |
+//! |---|---|---|---|
+//! | `CommAwareUpwardRank` | `UpwardRank` (no placement) | itself | itself |
+//! | `RankAwareLookahead` | itself, priced from flops | itself, priced from the `CostModel` | `UpwardRank` (a fixed order cannot learn) |
+//! | the other four | itself | itself | itself |
+//!
+//! An instantiated plan is a [`Scheduler`] (the dslab-dag callback
+//! design): the engine calls [`Scheduler::on_task_ready`] when a task
+//! becomes ready (the returned key orders the ready queues, **smaller =
+//! sooner**) and [`Scheduler::on_task_finished`] when a task retires
+//! with a measured duration, which is what lets the lookahead learn.
 
 use crate::engine::EngineError;
 use crate::graph::{TaskClass, TaskGraph, TaskId, TaskSpec};
@@ -51,14 +70,11 @@ pub enum SchedPolicy {
     /// Largest upward rank (longest remaining dependency chain) first.
     UpwardRank,
     /// Upward rank including a per-edge communication term on
-    /// cross-process edges. Degrades to [`SchedPolicy::UpwardRank`]
-    /// where no process mapping exists (the shared-memory engine);
-    /// callers with a mapping use [`upward_rank_comm_keys`].
+    /// cross-process edges; needs a placement ([`Pricing::placement`]).
     CommAwareUpwardRank,
     /// Dynamic rank-aware critical-path lookahead: static upward ranks
-    /// from a [`CostModel`], with an online per-class EMA correction
-    /// from measured task durations ([`LookaheadScheduler`]). Degrades
-    /// to [`SchedPolicy::UpwardRank`] in the static `queue_keys` path.
+    /// from a per-task cost, with an online per-class EMA correction
+    /// from measured task durations.
     RankAwareLookahead,
 }
 
@@ -82,6 +98,18 @@ impl SchedPolicy {
             SchedPolicy::UpwardRank => "upward-rank",
             SchedPolicy::CommAwareUpwardRank => "comm-upward-rank",
             SchedPolicy::RankAwareLookahead => "rank-lookahead",
+        }
+    }
+
+    /// The policy a door actually runs when this one is requested — the
+    /// degradation table of the module docs. `has_placement`: the
+    /// pricing maps tasks to processes; `as_order`: the plan is consumed
+    /// as a fixed [`SchedPlan::topo_order`] rather than instantiated.
+    pub fn effective(self, has_placement: bool, as_order: bool) -> SchedPolicy {
+        match self {
+            SchedPolicy::CommAwareUpwardRank if !has_placement => SchedPolicy::UpwardRank,
+            SchedPolicy::RankAwareLookahead if as_order => SchedPolicy::UpwardRank,
+            p => p,
         }
     }
 }
@@ -117,7 +145,7 @@ pub trait Scheduler: Send {
 
 /// Validate a key table: every key must be finite or the engines would
 /// panic inside their ordered queues.
-pub fn validate_keys(keys: &[f64]) -> Result<(), EngineError> {
+fn validate_keys(keys: &[f64]) -> Result<(), EngineError> {
     for (t, &k) in keys.iter().enumerate() {
         if !k.is_finite() {
             return Err(EngineError::NonFiniteKey { task: t, key: k });
@@ -126,38 +154,9 @@ pub fn validate_keys(keys: &[f64]) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// The static policies: a precomputed, validated key table.
-///
-/// This is what the legacy `queue_keys` path becomes under the
-/// [`Scheduler`] trait — `on_task_ready` is a table lookup and
-/// `on_task_finished` is the no-op default.
-#[derive(Debug, Clone)]
-pub struct StaticScheduler {
+/// A static policy instantiated: a validated key table.
+struct StaticScheduler {
     keys: Vec<f64>,
-}
-
-impl StaticScheduler {
-    /// Wrap a key table, rejecting non-finite keys up front.
-    pub fn new(keys: Vec<f64>) -> Result<Self, EngineError> {
-        validate_keys(&keys)?;
-        Ok(Self { keys })
-    }
-
-    /// Build from a policy via [`queue_keys`]. The dynamic policies
-    /// degrade to their static upward-rank approximation here (see
-    /// [`SchedPolicy`]).
-    pub fn from_policy(
-        graph: &TaskGraph,
-        duration: impl Fn(TaskId) -> f64,
-        policy: SchedPolicy,
-    ) -> Result<Self, EngineError> {
-        Self::new(queue_keys(graph, duration, policy))
-    }
-
-    /// The validated key table.
-    pub fn keys(&self) -> &[f64] {
-        &self.keys
-    }
 }
 
 impl Scheduler for StaticScheduler {
@@ -166,50 +165,7 @@ impl Scheduler for StaticScheduler {
     }
 }
 
-/// Compute a sort key per task: **smaller key = scheduled first**.
-///
-/// `duration` prices a task for the upward-rank policies (ignored by the
-/// static policies). [`SchedPolicy::CommAwareUpwardRank`] and
-/// [`SchedPolicy::RankAwareLookahead`] need context this function does
-/// not have (a process mapping, a cost model) and degrade to the plain
-/// upward rank here; use [`upward_rank_comm_keys`] /
-/// [`LookaheadScheduler`] to get their full behavior.
-pub fn queue_keys(
-    graph: &TaskGraph,
-    duration: impl Fn(TaskId) -> f64,
-    policy: SchedPolicy,
-) -> Vec<f64> {
-    let n = graph.len();
-    match policy {
-        SchedPolicy::PanelPriority => {
-            (0..n).map(|t| graph.spec(t).priority as f64).collect()
-        }
-        SchedPolicy::Fifo => (0..n).map(|t| t as f64).collect(),
-        SchedPolicy::Lifo => (0..n).map(|t| (n - t) as f64).collect(),
-        SchedPolicy::UpwardRank
-        | SchedPolicy::CommAwareUpwardRank
-        | SchedPolicy::RankAwareLookahead => {
-            // upward[t] = duration(t) + max over successors of upward[s];
-            // process in reverse topological order.
-            let order = graph
-                .topological_order()
-                .expect("upward rank requires a DAG");
-            let mut upward = vec![0.0_f64; n];
-            for &t in order.iter().rev() {
-                let mut best = 0.0_f64;
-                for e in graph.successors(t) {
-                    best = best.max(upward[e.dst]);
-                }
-                upward[t] = duration(t) + best;
-            }
-            // larger upward rank ⇒ smaller key
-            upward.into_iter().map(|u| -u).collect()
-        }
-    }
-}
-
-/// Link parameters pricing a cross-process edge for
-/// [`upward_rank_comm_keys`].
+/// Link parameters pricing a cross-process edge.
 #[derive(Debug, Clone, Copy)]
 pub struct CommCosts {
     /// Per-message latency in seconds.
@@ -219,6 +175,10 @@ pub struct CommCosts {
 }
 
 impl CommCosts {
+    /// The link of an engine that has no machine model: 1 GB/s, no
+    /// latency — the counterpart of [`Pricing::nominal`]'s 1 Gflop/s.
+    pub const NOMINAL: CommCosts = CommCosts { latency_s: 0.0, bandwidth_bps: 1e9 };
+
     /// Extract the link parameters of a machine model.
     pub fn from_machine(m: &MachineModel) -> Self {
         Self { latency_s: m.latency_s, bandwidth_bps: m.bandwidth_bps }
@@ -230,43 +190,78 @@ impl CommCosts {
     }
 }
 
-/// Communication-aware HEFT upward rank (**smaller key = scheduled
-/// first**, like [`queue_keys`]).
-///
-/// The plain [`SchedPolicy::UpwardRank`] prices only compute time, so a
-/// short chain whose edges cross processes (and therefore pay latency +
-/// bytes/bandwidth before the successor can start) loses to a longer
-/// purely-local chain even when the cross-process chain bounds the
-/// makespan. Here every edge whose endpoints live on different
-/// processes (`proc_of`) contributes its transfer time to the rank:
-///
-/// `upward[t] = duration(t) + max over edges e of
-///              (comm(e) + upward[e.dst])`
-///
-/// with `comm(e) = latency + bytes/bandwidth` iff
-/// `proc_of[t] != proc_of[e.dst]`, else 0 — the classical HEFT
-/// formulation with a fixed mapping.
-pub fn upward_rank_comm_keys(
-    graph: &TaskGraph,
-    duration: impl Fn(TaskId) -> f64,
-    proc_of: &[usize],
-    comm: &CommCosts,
-) -> Vec<f64> {
-    let n = graph.len();
-    assert_eq!(proc_of.len(), n, "proc_of must map every task");
-    let order = graph
-        .topological_order()
-        .expect("upward rank requires a DAG");
-    let mut upward = vec![0.0_f64; n];
-    for &t in order.iter().rev() {
-        let mut best = 0.0_f64;
-        for e in graph.successors(t) {
-            let c = if proc_of[t] != proc_of[e.dst] { comm.edge_time(e.bytes) } else { 0.0 };
-            best = best.max(c + upward[e.dst]);
-        }
-        upward[t] = duration(t) + best;
+/// What a door knows about cost when it asks for a plan.
+pub struct Pricing<'a> {
+    /// Per-task cost estimate in seconds (only relative magnitudes
+    /// matter for ordering; the lookahead's online correction works best
+    /// in seconds-like units).
+    pub cost: Box<dyn Fn(TaskId) -> f64 + 'a>,
+    /// Rank-aware kernel pricing for the lookahead policy's base costs;
+    /// without one the lookahead prices from `cost`.
+    pub model: Option<&'a CostModel>,
+    /// Where each task runs and what a cross-process edge costs.
+    pub placement: Option<(&'a [usize], CommCosts)>,
+}
+
+impl<'a> Pricing<'a> {
+    /// The pricing of an engine that has no machine model: planned flops
+    /// at a nominal 1 Gflop/s, no placement.
+    pub fn nominal(graph: &'a TaskGraph) -> Self {
+        Pricing { cost: Box::new(move |t| graph.spec(t).flops * 1e-9), model: None, placement: None }
     }
-    upward.into_iter().map(|u| -u).collect()
+
+    /// Add a task→process map and the cost of crossing it.
+    pub fn placed(mut self, proc_of: &'a [usize], comm: CommCosts) -> Self {
+        self.placement = Some((proc_of, comm));
+        self
+    }
+}
+
+/// Static sort key per task: **smaller key = scheduled first**.
+///
+/// The upward-rank family is the classical HEFT formulation with a fixed
+/// mapping:
+///
+/// `upward[t] = cost(t) + max over edges e of (comm(e) + upward[e.dst])`
+///
+/// with `comm(e) = latency + bytes/bandwidth` iff a placement is given
+/// and puts the endpoints on different processes, else 0. Comm-blind
+/// ranking lets a short chain whose edges cross processes (and pay the
+/// transfer before the successor can start) lose to a longer purely-local
+/// chain even when the crossing chain bounds the makespan.
+fn queue_keys(
+    graph: &TaskGraph,
+    cost: &dyn Fn(TaskId) -> f64,
+    policy: SchedPolicy,
+    placement: Option<(&[usize], CommCosts)>,
+) -> Result<Vec<f64>, EngineError> {
+    let n = graph.len();
+    Ok(match policy {
+        SchedPolicy::PanelPriority => (0..n).map(|t| graph.spec(t).priority as f64).collect(),
+        SchedPolicy::Fifo => (0..n).map(|t| t as f64).collect(),
+        SchedPolicy::Lifo => (0..n).map(|t| (n - t) as f64).collect(),
+        SchedPolicy::UpwardRank
+        | SchedPolicy::CommAwareUpwardRank
+        | SchedPolicy::RankAwareLookahead => {
+            let order = graph.topological_order().ok_or(EngineError::Cycle)?;
+            let mut upward = vec![0.0_f64; n];
+            for &t in order.iter().rev() {
+                let mut best = 0.0_f64;
+                for e in graph.successors(t) {
+                    let c = match placement {
+                        Some((proc_of, comm)) if proc_of[t] != proc_of[e.dst] => {
+                            comm.edge_time(e.bytes)
+                        }
+                        _ => 0.0,
+                    };
+                    best = best.max(c + upward[e.dst]);
+                }
+                upward[t] = cost(t) + best;
+            }
+            // larger upward rank ⇒ smaller key
+            upward.into_iter().map(|u| -u).collect()
+        }
+    })
 }
 
 /// Distribution of recompression output ranks, the signal behind
@@ -364,81 +359,48 @@ fn class_index(class: TaskClass) -> usize {
 /// [`LookaheadScheduler`].
 const EMA_ALPHA: f64 = 0.2;
 
-/// Dynamic rank-aware critical-path lookahead
-/// ([`SchedPolicy::RankAwareLookahead`]).
+/// [`SchedPolicy::RankAwareLookahead`] instantiated.
 ///
-/// At build time it computes static upward ranks from a per-task cost
-/// estimate (typically [`CostModel::task_cost`] — rank-aware, not
-/// uniform). At run time, every [`on_task_finished`](Scheduler::on_task_finished)
+/// The plan holds static upward ranks from a per-task cost estimate. At
+/// run time every [`on_task_finished`](Scheduler::on_task_finished)
 /// updates a per-class exponential moving average of the
-/// measured/predicted ratio, and [`on_task_ready`](Scheduler::on_task_ready)
-/// prices a task as
+/// measured/predicted ratio, and
+/// [`on_task_ready`](Scheduler::on_task_ready) prices a task as
 ///
 /// `key = -(corr[class] · cost[t] + downstream[t])`
 ///
 /// so systematic misprediction of one kernel class (the exact failure
 /// mode of a rank-blind model on TLR GEMMs) is corrected while the run
 /// is still going. The downstream term stays static — a first-order
-/// correction, which is all a priority needs.
-#[derive(Debug)]
-pub struct LookaheadScheduler {
+/// correction, which is all a priority needs. The corrections start at
+/// the identity on every run: the tables persist with the plan, the
+/// online state is per-run by design.
+struct LookaheadScheduler {
     base_cost: Vec<f64>,
     downstream: Vec<f64>,
     class_corr: [f64; 5],
 }
 
-impl LookaheadScheduler {
-    /// Build from a per-task cost estimate; rejects non-finite costs.
-    pub fn new(
-        graph: &TaskGraph,
-        cost: impl Fn(TaskId) -> f64,
-    ) -> Result<Self, EngineError> {
-        let n = graph.len();
-        let base_cost: Vec<f64> = (0..n).map(&cost).collect();
-        validate_keys(&base_cost)?;
-        let order = graph.topological_order().ok_or(EngineError::Cycle)?;
-        let mut downstream = vec![0.0_f64; n];
-        for &t in order.iter().rev() {
-            let mut best = 0.0_f64;
-            for e in graph.successors(t) {
-                best = best.max(base_cost[e.dst] + downstream[e.dst]);
-            }
-            downstream[t] = best;
+/// The lookahead's static tables: per-task base cost and the longest
+/// downstream span below each task.
+fn lookahead_tables(
+    graph: &TaskGraph,
+    cost: &dyn Fn(TaskId) -> f64,
+) -> Result<(Vec<f64>, Vec<f64>), EngineError> {
+    let n = graph.len();
+    let base_cost: Vec<f64> = (0..n).map(cost).collect();
+    validate_keys(&base_cost)?;
+    let order = graph.topological_order().ok_or(EngineError::Cycle)?;
+    let mut downstream = vec![0.0_f64; n];
+    for &t in order.iter().rev() {
+        let mut best = 0.0_f64;
+        for e in graph.successors(t) {
+            best = best.max(base_cost[e.dst] + downstream[e.dst]);
         }
-        Ok(Self { base_cost, downstream, class_corr: [1.0; 5] })
+        downstream[t] = best;
     }
-
-    /// Convenience: cost every task with a [`CostModel`].
-    pub fn with_cost_model(graph: &TaskGraph, model: &CostModel) -> Result<Self, EngineError> {
-        Self::new(graph, |t| model.task_cost(graph.spec(t)))
-    }
-
-    /// Rebuild from precomputed base costs and downstream spans (the
-    /// tables [`Self::new`] derives from the graph), with the EMA
-    /// corrections reset to the identity. This is how a cached
-    /// [`SchedPlan`] re-instantiates the lookahead policy per run
-    /// without re-walking the graph: the static tables persist with the
-    /// plan, the online state is per-run by design.
-    pub fn from_parts(base_cost: Vec<f64>, downstream: Vec<f64>) -> Result<Self, EngineError> {
-        validate_keys(&base_cost)?;
-        validate_keys(&downstream)?;
-        Ok(Self { base_cost, downstream, class_corr: [1.0; 5] })
-    }
-
-    /// The per-task static cost table.
-    pub fn base_costs(&self) -> &[f64] {
-        &self.base_cost
-    }
-
-    /// The per-task downstream (critical-path lookahead) table.
-    pub fn downstream(&self) -> &[f64] {
-        &self.downstream
-    }
-
-    /// Current correction factor of a kernel class (starts at 1.0).
-    pub fn class_correction(&self, class: TaskClass) -> f64 {
-        self.class_corr[class_index(class)]
-    }
+    validate_keys(&downstream)?;
+    Ok((base_cost, downstream))
 }
 
 impl Scheduler for LookaheadScheduler {
@@ -465,7 +427,7 @@ impl Scheduler for LookaheadScheduler {
 /// `f64` wrapper ordered by `total_cmp`, for use inside `BinaryHeap`
 /// (never panics, unlike `partial_cmp().unwrap()` on NaN).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct KeyOrd(f64);
+pub(crate) struct KeyOrd(pub(crate) f64);
 
 impl Eq for KeyOrd {}
 
@@ -483,13 +445,8 @@ impl Ord for KeyOrd {
 
 /// Priority-driven topological order: Kahn's algorithm with the ready
 /// set kept in a priority queue keyed by `(keys[t], t)`, smaller first.
-///
-/// The result is always a valid topological order — this is how a
-/// scheduling policy is applied to the `DistEngine`, whose per-rank
-/// queues execute front-only and therefore deadlock under any ordering
-/// that is *not* a global topological order. Returns `None` on a
-/// cyclic graph.
-pub fn priority_topo_order(graph: &TaskGraph, keys: &[f64]) -> Option<Vec<TaskId>> {
+/// Always a valid topological order; `None` on a cyclic graph.
+fn priority_topo_order(graph: &TaskGraph, keys: &[f64]) -> Option<Vec<TaskId>> {
     let n = graph.len();
     assert_eq!(keys.len(), n, "one key per task");
     let mut indegree = graph.indegrees();
@@ -510,71 +467,80 @@ pub fn priority_topo_order(graph: &TaskGraph, keys: &[f64]) -> Option<Vec<TaskId
     (order.len() == n).then_some(order)
 }
 
-/// Precomputed scheduler state for one task graph under one policy —
-/// the scheduler slice of a symbolic plan.
+/// A policy turned into a schedule for one task graph — the scheduler
+/// slice of a symbolic plan.
 ///
-/// The work-stealing engine normally rebuilds its [`Scheduler`] on
-/// every run ([`crate::engine::Engine::run`] prices every task and, for
-/// the upward-rank family, walks the whole graph). A `SchedPlan` does
-/// that walk once at plan time and re-instantiates the scheduler from
-/// the stored tables on each run
-/// ([`crate::engine::Engine::run_planned`]): static policies become a
-/// key-table clone, the lookahead policy restores its cost/downstream
-/// tables with a fresh per-run EMA. Instantiation is O(tasks) with no
+/// Built once ([`SchedPlan::build`] prices every task and, for the
+/// upward-rank family, walks the whole graph) and consumed any number of
+/// times: [`instantiate`](SchedPlan::instantiate) is O(tasks) with no
 /// graph traversal, which is what lets a cached plan skip the symbolic
 /// phase entirely.
 #[derive(Debug, Clone)]
 pub struct SchedPlan {
     policy: SchedPolicy,
-    /// Static key table (`None` for the dynamic lookahead policy).
-    keys: Option<Vec<f64>>,
-    /// Lookahead tables: (base cost, downstream span) per task.
-    lookahead: Option<(Vec<f64>, Vec<f64>)>,
+    tables: Tables,
+}
+
+#[derive(Debug, Clone)]
+enum Tables {
+    /// One validated key per task.
+    Keys(Vec<f64>),
+    /// The lookahead's (base cost, downstream span) per task.
+    Lookahead(Vec<f64>, Vec<f64>),
 }
 
 impl SchedPlan {
-    /// Precompute the scheduler state for `graph` under `policy`,
-    /// pricing tasks exactly as the engine's default does (planned
-    /// flops at a nominal 1 Gflop/s), so a planned run is bit-identical
-    /// to an unplanned one.
-    pub fn build(graph: &TaskGraph, policy: SchedPolicy) -> Result<Self, EngineError> {
-        let cost = |t: TaskId| graph.spec(t).flops * 1e-9;
-        Self::build_with(graph, cost, policy)
-    }
-
-    /// [`build`](Self::build) with an explicit per-task cost estimate.
-    pub fn build_with(
+    /// Plan `policy` over `graph` with what `pricing` knows — the only
+    /// policy→schedule translation in the tree (see the module docs for
+    /// the doors and the degradation table).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cycle`] on a cyclic graph,
+    /// [`EngineError::RankMapLength`] when the placement does not map
+    /// every task, [`EngineError::NonFiniteKey`] when a cost or key is
+    /// NaN or infinite.
+    pub fn build(
         graph: &TaskGraph,
-        cost: impl Fn(TaskId) -> f64,
         policy: SchedPolicy,
+        pricing: &Pricing<'_>,
     ) -> Result<Self, EngineError> {
-        match policy {
-            SchedPolicy::RankAwareLookahead => {
-                let s = LookaheadScheduler::new(graph, cost)?;
-                Ok(SchedPlan {
-                    policy,
-                    keys: None,
-                    lookahead: Some((s.base_costs().to_vec(), s.downstream().to_vec())),
-                })
-            }
-            p => {
-                let s = StaticScheduler::from_policy(graph, cost, p)?;
-                Ok(SchedPlan { policy: p, keys: Some(s.keys().to_vec()), lookahead: None })
+        if let Some((proc_of, _)) = pricing.placement {
+            if proc_of.len() != graph.len() {
+                return Err(EngineError::RankMapLength {
+                    expected: graph.len(),
+                    got: proc_of.len(),
+                });
             }
         }
+        let effective = policy.effective(pricing.placement.is_some(), false);
+        let tables = if effective == SchedPolicy::RankAwareLookahead {
+            let (base, downstream) = match pricing.model {
+                Some(m) => lookahead_tables(graph, &|t| m.task_cost(graph.spec(t)))?,
+                None => lookahead_tables(graph, &pricing.cost)?,
+            };
+            Tables::Lookahead(base, downstream)
+        } else {
+            // only the comm-aware rank reads the placement
+            let placement =
+                pricing.placement.filter(|_| effective == SchedPolicy::CommAwareUpwardRank);
+            let keys = queue_keys(graph, &pricing.cost, effective, placement)?;
+            validate_keys(&keys)?;
+            Tables::Keys(keys)
+        };
+        Ok(SchedPlan { policy, tables })
     }
 
-    /// The policy this plan was built for.
+    /// The policy this plan was requested for.
     pub fn policy(&self) -> SchedPolicy {
         self.policy
     }
 
     /// Tasks the plan covers (for compatibility checks against a graph).
     pub fn len(&self) -> usize {
-        match (&self.keys, &self.lookahead) {
-            (Some(k), _) => k.len(),
-            (None, Some((b, _))) => b.len(),
-            (None, None) => 0,
+        match &self.tables {
+            Tables::Keys(k) => k.len(),
+            Tables::Lookahead(base, _) => base.len(),
         }
     }
 
@@ -583,52 +549,52 @@ impl SchedPlan {
         self.len() == 0
     }
 
-    /// Instantiate a fresh per-run [`Scheduler`] from the stored
-    /// tables. Static policies share the key table semantics of
-    /// [`StaticScheduler`]; the lookahead policy starts each run with
-    /// identity EMA corrections, exactly as an unplanned run does.
-    pub fn instantiate(&self) -> Result<Box<dyn Scheduler>, EngineError> {
-        match (&self.keys, &self.lookahead) {
-            (Some(k), _) => Ok(Box::new(StaticScheduler::new(k.clone())?)),
-            (None, Some((base, down))) => {
-                Ok(Box::new(LookaheadScheduler::from_parts(base.clone(), down.clone())?))
-            }
-            (None, None) => Ok(Box::new(StaticScheduler::new(Vec::new())?)),
+    /// Reject a plan built for a graph of another size — the check every
+    /// consumer makes before indexing the tables by task id.
+    pub fn check_covers(&self, graph: &TaskGraph) -> Result<(), EngineError> {
+        if self.len() == graph.len() {
+            Ok(())
+        } else {
+            Err(EngineError::RankMapLength { expected: graph.len(), got: self.len() })
         }
     }
-}
 
-/// The priority-driven topological order the distributed engine applies
-/// for `policy` over `graph` with task→rank mapping `exec_rank` —
-/// exactly the computation [`crate::engine::DistEngine`] performs per
-/// run when no precomputed order is supplied (tasks priced at planned
-/// flops / 1 Gflop/s; [`SchedPolicy::CommAwareUpwardRank`] prices
-/// cross-rank edges at a nominal 1 GB/s). Symbolic plans call this once
-/// and hand the order to
-/// [`run_planned`](crate::engine::DistEngine::run_planned).
-pub fn dist_priority_order(
-    graph: &TaskGraph,
-    policy: SchedPolicy,
-    exec_rank: &[usize],
-) -> Result<Vec<TaskId>, EngineError> {
-    let cost = |t: TaskId| graph.spec(t).flops * 1e-9;
-    let keys = match policy {
-        SchedPolicy::CommAwareUpwardRank => upward_rank_comm_keys(
-            graph,
-            cost,
-            exec_rank,
-            &CommCosts { latency_s: 0.0, bandwidth_bps: 1e9 },
-        ),
-        p => queue_keys(graph, cost, p),
-    };
-    validate_keys(&keys)?;
-    priority_topo_order(graph, &keys).ok_or(EngineError::Cycle)
+    /// A fresh per-run [`Scheduler`] over the stored tables; the
+    /// lookahead starts each run with identity EMA corrections.
+    pub fn instantiate(&self) -> Box<dyn Scheduler> {
+        match &self.tables {
+            Tables::Keys(keys) => Box::new(StaticScheduler { keys: keys.clone() }),
+            Tables::Lookahead(base, downstream) => Box::new(LookaheadScheduler {
+                base_cost: base.clone(),
+                downstream: downstream.clone(),
+                class_corr: [1.0; 5],
+            }),
+        }
+    }
+
+    /// The plan as one fixed, priority-driven topological order of
+    /// `graph` — how a policy is applied to the `DistEngine`, whose
+    /// per-rank queues execute front-only and therefore deadlock under
+    /// any ordering that is *not* a global topological order. The
+    /// lookahead's keys at identity corrections are the upward ranks.
+    pub fn topo_order(&self, graph: &TaskGraph) -> Result<Vec<TaskId>, EngineError> {
+        self.check_covers(graph)?;
+        let order = match &self.tables {
+            Tables::Keys(keys) => priority_topo_order(graph, keys),
+            Tables::Lookahead(base, downstream) => {
+                let keys: Vec<f64> = base.iter().zip(downstream).map(|(b, d)| -(b + d)).collect();
+                priority_topo_order(graph, &keys)
+            }
+        };
+        order.ok_or(EngineError::Cycle)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::{simulate_with_order, DesConfig, DesTask};
+    use crate::des::{simulate_planned, DesConfig, DesTask};
+    use crate::fault::FaultPlan;
     use crate::graph::{DataRef, TaskClass, TaskSpec};
 
     fn spec(priority: usize) -> TaskSpec {
@@ -647,39 +613,191 @@ mod tests {
         g
     }
 
-    #[test]
-    fn panel_priority_uses_spec() {
-        let g = chain_plus_leaf();
-        let keys = queue_keys(&g, |_| 1.0, SchedPolicy::PanelPriority);
-        assert_eq!(keys, vec![0.0, 1.0, 2.0, 3.0]);
+    fn unit_cost() -> Pricing<'static> {
+        Pricing { cost: Box::new(|_| 1.0), model: None, placement: None }
+    }
+
+    /// The keys a fresh scheduler instantiated from `plan` queues every
+    /// task under.
+    fn ready_keys(plan: &SchedPlan, g: &TaskGraph) -> Vec<f64> {
+        let mut s = plan.instantiate();
+        (0..g.len()).map(|t| s.on_task_ready(t, g)).collect()
     }
 
     #[test]
-    fn fifo_lifo_reverse_each_other() {
+    fn static_policies_key_as_documented() {
         let g = chain_plus_leaf();
-        let fifo = queue_keys(&g, |_| 1.0, SchedPolicy::Fifo);
-        let lifo = queue_keys(&g, |_| 1.0, SchedPolicy::Lifo);
-        let fifo_order: Vec<usize> = argsort(&fifo);
-        let lifo_order: Vec<usize> = argsort(&lifo);
-        let mut rev = fifo_order.clone();
-        rev.reverse();
-        assert_eq!(lifo_order, rev);
+        let keys = |p| ready_keys(&SchedPlan::build(&g, p, &unit_cost()).unwrap(), &g);
+        assert_eq!(keys(SchedPolicy::PanelPriority), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(keys(SchedPolicy::Fifo), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(keys(SchedPolicy::Lifo), vec![4.0, 3.0, 2.0, 1.0]);
+        let up = keys(SchedPolicy::UpwardRank);
+        // chain head (upward 3) must come before the isolated leaf (1),
+        // and urgency decreases along the chain
+        assert!(up[0] < up[3], "chain head must be preferred");
+        assert!(up[0] < up[1] && up[1] < up[2]);
     }
 
+    /// Six tasks on two processes with edges heavy enough that the
+    /// comm-aware rank reorders them; the fixture of the key goldens.
+    fn priced_graph() -> (TaskGraph, Vec<usize>) {
+        let mut g = TaskGraph::new();
+        let specs = [
+            (TaskClass::Potrf, 0, 3e8),
+            (TaskClass::Trsm, 0, 7e8),
+            (TaskClass::Gemm, 1, 1.1e9),
+            (TaskClass::Syrk, 1, 5e8),
+            (TaskClass::Gemm, 2, 9e8),
+            (TaskClass::Other, 3, 0.0),
+        ];
+        for (i, (class, priority, flops)) in specs.into_iter().enumerate() {
+            g.add_task(TaskSpec { class, priority, writes: Some(DataRef { i, j: 0 }), flops });
+        }
+        for (s, d, bytes) in [
+            (0, 1, 400_000_000),
+            (0, 2, 8000),
+            (1, 3, 4000),
+            (2, 3, 12000),
+            (2, 4, 12000),
+            (3, 5, 0),
+            (4, 5, 600_000_000),
+        ] {
+            g.add_edge(s, d, DataRef { i: s, j: 0 }, bytes);
+        }
+        (g, vec![0, 1, 0, 1, 0, 1])
+    }
+
+    const DES_DURATIONS: [f64; 6] = [0.3, 0.7, 1.1, 0.5, 0.9, 0.0];
+
+    fn des_pricing<'a>(proc_of: &'a [usize], model: &'a CostModel) -> Pricing<'a> {
+        Pricing {
+            cost: Box::new(|t| DES_DURATIONS[t]),
+            model: Some(model),
+            placement: Some((proc_of, CommCosts { latency_s: 1e-3, bandwidth_bps: 1e10 })),
+        }
+    }
+
+    fn bits(keys: &[f64]) -> Vec<u64> {
+        keys.iter().map(|k| k.to_bits()).collect()
+    }
+
+    /// Key-table bits at every door, recorded from the five separate
+    /// policy→schedule translations this planner replaced (one in the
+    /// shared engine, two in this module, one in `core/simulate.rs` and
+    /// its copy in the `ablation_scheduler` bench).
     #[test]
-    fn upward_rank_prefers_chain_head() {
-        let g = chain_plus_leaf();
-        let keys = queue_keys(&g, |_| 1.0, SchedPolicy::UpwardRank);
-        // chain head (upward 3) must come before the isolated leaf (1)
-        assert!(keys[0] < keys[3], "chain head must be preferred");
-        // and the chain keys decrease in urgency along the chain
-        assert!(keys[0] < keys[1] && keys[1] < keys[2]);
+    fn key_tables_match_the_pre_unification_bits() {
+        let (g, proc_of) = priced_graph();
+        let upward: [u64; 6] = [
+            0xc002666666666666,
+            0xbff3333333333334,
+            0xc000000000000000,
+            0xbfe0000000000000,
+            0xbfeccccccccccccd,
+            0x8000000000000000,
+        ];
+        let shared: [(SchedPolicy, [u64; 6]); 6] = [
+            (SchedPolicy::PanelPriority, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0].map(f64::to_bits)),
+            (SchedPolicy::Fifo, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0].map(f64::to_bits)),
+            (SchedPolicy::Lifo, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0].map(f64::to_bits)),
+            (SchedPolicy::UpwardRank, upward),
+            (SchedPolicy::CommAwareUpwardRank, upward),
+            (SchedPolicy::RankAwareLookahead, upward),
+        ];
+        for (policy, want) in shared {
+            let plan = SchedPlan::build(&g, policy, &Pricing::nominal(&g)).unwrap();
+            assert_eq!(bits(&ready_keys(&plan, &g)), want, "shared door, {}", policy.name());
+        }
+
+        let dist: [(SchedPolicy, [TaskId; 6]); 6] = [
+            (SchedPolicy::PanelPriority, [0, 1, 2, 3, 4, 5]),
+            (SchedPolicy::Fifo, [0, 1, 2, 3, 4, 5]),
+            (SchedPolicy::Lifo, [0, 2, 4, 1, 3, 5]),
+            (SchedPolicy::UpwardRank, [0, 2, 1, 4, 3, 5]),
+            (SchedPolicy::CommAwareUpwardRank, [0, 2, 4, 1, 3, 5]),
+            (SchedPolicy::RankAwareLookahead, [0, 2, 1, 4, 3, 5]),
+        ];
+        for (policy, want) in dist {
+            let pricing = Pricing::nominal(&g).placed(&proc_of, CommCosts::NOMINAL);
+            let order = SchedPlan::build(&g, policy, &pricing).unwrap().topo_order(&g).unwrap();
+            assert_eq!(order, want, "distributed door, {}", policy.name());
+        }
+
+        let model = CostModel::from_machine(&MachineModel::shaheen_ii(), &RankProfile::uniform(8));
+        let des = |policy| SchedPlan::build(&g, policy, &des_pricing(&proc_of, &model)).unwrap();
+        assert_eq!(
+            bits(&ready_keys(&des(SchedPolicy::UpwardRank), &g)),
+            [
+                0xc002666666666666,
+                0xbff3333333333333,
+                0xc000000000000000,
+                0xbfe0000000000000,
+                0xbfeccccccccccccd,
+                0x8000000000000000
+            ],
+        );
+        assert_eq!(
+            bits(&ready_keys(&des(SchedPolicy::CommAwareUpwardRank), &g)),
+            [
+                0xc002e353f7ced916,
+                0xbff3333333333333,
+                0xc0007ced916872b0,
+                0xbfe0000000000000,
+                0xbfeec083126e978e,
+                0x8000000000000000
+            ],
+        );
+        let lookahead = des(SchedPolicy::RankAwareLookahead);
+        assert_eq!(
+            bits(&ready_keys(&lookahead, &g)),
+            [
+                0xbfd20b21642c8590,
+                0xbfb77a6f4de9bd38,
+                0xbfd1642c8590b216,
+                0xbfb1642c8590b216,
+                0xbfbf4de9bd37a6f5,
+                0x8000000000000000
+            ],
+        );
+        // one measured GEMM moves the class correction and with it the
+        // key of the other GEMM
+        let mut s = lookahead.instantiate();
+        s.on_task_finished(2, &g, 5.0);
+        assert_eq!(s.on_task_ready(4, &g).to_bits(), 0xbfed4fefcf6e4ae1);
     }
 
-    fn argsort(keys: &[f64]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..keys.len()).collect();
-        idx.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
-        idx
+    /// The degradation table (policy × door → effective policy): a plan
+    /// requested for `policy` at a door holds exactly the schedule of
+    /// the effective policy at that door.
+    #[test]
+    fn degradation_table() {
+        use SchedPolicy::*;
+        // requested → effective at [shared, DES, distributed order]
+        let table = [
+            (PanelPriority, [PanelPriority; 3]),
+            (Fifo, [Fifo; 3]),
+            (Lifo, [Lifo; 3]),
+            (UpwardRank, [UpwardRank; 3]),
+            (CommAwareUpwardRank, [UpwardRank, CommAwareUpwardRank, CommAwareUpwardRank]),
+            (RankAwareLookahead, [RankAwareLookahead, RankAwareLookahead, UpwardRank]),
+        ];
+        let (g, proc_of) = priced_graph();
+        let model = CostModel::from_machine(&MachineModel::shaheen_ii(), &RankProfile::uniform(8));
+        for (policy, [shared, des, dist]) in table {
+            assert_eq!(policy.effective(false, false), shared);
+            assert_eq!(policy.effective(true, false), des);
+            assert_eq!(policy.effective(true, true), dist);
+
+            let plan = |p| SchedPlan::build(&g, p, &Pricing::nominal(&g)).unwrap();
+            assert_eq!(ready_keys(&plan(policy), &g), ready_keys(&plan(shared), &g));
+            let plan = |p| SchedPlan::build(&g, p, &des_pricing(&proc_of, &model)).unwrap();
+            assert_eq!(ready_keys(&plan(policy), &g), ready_keys(&plan(des), &g));
+            let order = |p| {
+                let pricing = Pricing::nominal(&g).placed(&proc_of, CommCosts::NOMINAL);
+                SchedPlan::build(&g, p, &pricing).unwrap().topo_order(&g).unwrap()
+            };
+            assert_eq!(order(policy), order(dist));
+        }
     }
 
     /// The regression graph of the comm-blind upward-rank bug: on the
@@ -714,29 +832,37 @@ mod tests {
         (g, tasks, cfg)
     }
 
-    /// Satellite bugfix regression: the comm-blind upward rank provably
-    /// picks the wrong task — simulating its order is strictly slower
-    /// than the comm-aware order on the same graph and machine.
+    /// The comm-blind upward rank provably picks the wrong task —
+    /// simulating its order is strictly slower than the comm-aware order
+    /// on the same graph and machine.
     #[test]
     fn comm_blind_upward_rank_picks_the_wrong_task() {
         let (g, tasks, cfg) = cross_proc_graph();
-        let dur = |t: TaskId| tasks[t].duration;
         let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
         let comm = CommCosts { latency_s: cfg.latency_s, bandwidth_bps: cfg.bandwidth_bps };
-
-        let blind = queue_keys(&g, dur, SchedPolicy::UpwardRank);
-        let aware = upward_rank_comm_keys(&g, dur, &proc_of, &comm);
+        let plan = |policy| {
+            let pricing = Pricing {
+                cost: Box::new(|t| tasks[t].duration),
+                model: None,
+                placement: Some((&proc_of, comm)),
+            };
+            SchedPlan::build(&g, policy, &pricing).unwrap()
+        };
+        let blind = plan(SchedPolicy::UpwardRank);
+        let aware = plan(SchedPolicy::CommAwareUpwardRank);
 
         // Blind: chain A head (upward 2.5) outranks chain B head (2.0).
-        assert!(blind[1] < blind[3], "compute-only rank must prefer the local chain");
+        let k = ready_keys(&blind, &g);
+        assert!(k[1] < k[3], "compute-only rank must prefer the local chain");
         // Aware: chain B head (1 + 6 + 1 = 8) outranks chain A (2.5).
-        assert!(aware[3] < aware[1], "comm-aware rank must prefer the cross-proc chain");
+        let k = ready_keys(&aware, &g);
+        assert!(k[3] < k[1], "comm-aware rank must prefer the cross-proc chain");
 
         // Blind: warm-up [0,1], A-head [1,2], B-head [2,3], transfer
         // lands at 9, remote tail [9,10]. Aware: B-head [1,2] goes
         // first, transfer lands at 8, makespan 9.
-        let r_blind = simulate_with_order(&g, &tasks, &cfg, &blind).unwrap();
-        let r_aware = simulate_with_order(&g, &tasks, &cfg, &aware).unwrap();
+        let run = |p: &SchedPlan| simulate_planned(&g, &tasks, &cfg, p, &FaultPlan::none(), 0.0);
+        let (r_blind, r_aware) = (run(&blind).unwrap(), run(&aware).unwrap());
         assert!(
             r_aware.makespan < r_blind.makespan - 0.5,
             "comm-aware order must win: {} vs {}",
@@ -746,26 +872,64 @@ mod tests {
     }
 
     #[test]
-    fn static_scheduler_rejects_non_finite_keys() {
-        let err = StaticScheduler::new(vec![0.0, f64::NAN]).unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 1, key } if key.is_nan()));
-        let err = StaticScheduler::new(vec![f64::INFINITY]).unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 0, .. }));
-        // and the error is printable (the NaN key must not panic Display)
-        assert!(format!("{err}").contains("non-finite"));
+    fn non_finite_costs_are_rejected_at_build() {
+        let g = chain_plus_leaf();
+        for policy in [SchedPolicy::UpwardRank, SchedPolicy::RankAwareLookahead] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let pricing = Pricing {
+                    cost: Box::new(move |t| if t == 2 { bad } else { 1.0 }),
+                    model: None,
+                    placement: None,
+                };
+                let err = SchedPlan::build(&g, policy, &pricing).unwrap_err();
+                assert!(matches!(err, EngineError::NonFiniteKey { .. }), "{err:?}");
+                // and the error is printable (a NaN key must not panic Display)
+                assert!(format!("{err}").contains("non-finite"));
+            }
+        }
     }
 
     #[test]
-    fn static_scheduler_is_a_table_lookup() {
+    fn misfit_plans_are_typed_errors() {
+        let g = chain_plus_leaf();
+        // a placement that does not map every task
+        let short = [0usize, 1];
+        let err = SchedPlan::build(
+            &g,
+            SchedPolicy::CommAwareUpwardRank,
+            &unit_cost().placed(&short, CommCosts::NOMINAL),
+        )
+        .unwrap_err();
+        assert_eq!(err, EngineError::RankMapLength { expected: 4, got: 2 });
+        // a plan ordered against a different graph
+        let plan = SchedPlan::build(&g, SchedPolicy::Fifo, &unit_cost()).unwrap();
+        let mut bigger = chain_plus_leaf();
+        bigger.add_task(spec(9));
+        let err = plan.topo_order(&bigger).unwrap_err();
+        assert_eq!(err, EngineError::RankMapLength { expected: 5, got: 4 });
+        // a cyclic graph
+        let mut cyclic = TaskGraph::new();
+        cyclic.add_task(spec(0));
+        cyclic.add_task(spec(1));
+        let d = DataRef { i: 0, j: 0 };
+        cyclic.add_edge(0, 1, d, 0);
+        cyclic.add_edge(1, 0, d, 0);
+        for policy in SchedPolicy::ALL {
+            let err = SchedPlan::build(&cyclic, policy, &Pricing::nominal(&cyclic))
+                .and_then(|p| p.topo_order(&cyclic))
+                .unwrap_err();
+            assert_eq!(err, EngineError::Cycle, "{}", policy.name());
+        }
+    }
+
+    #[test]
+    fn static_plans_ignore_feedback() {
         let g = chain_plus_leaf();
         let mut s =
-            StaticScheduler::from_policy(&g, |_| 1.0, SchedPolicy::PanelPriority).unwrap();
-        for t in 0..g.len() {
-            assert_eq!(s.on_task_ready(t, &g), t as f64);
-        }
-        // finished is a no-op for static policies
+            SchedPlan::build(&g, SchedPolicy::PanelPriority, &unit_cost()).unwrap().instantiate();
         s.on_task_finished(0, &g, 1.0);
         assert_eq!(s.on_task_ready(0, &g), 0.0);
+        assert!(s.class_corrections().is_none());
     }
 
     #[test]
@@ -803,25 +967,20 @@ mod tests {
     #[test]
     fn lookahead_learns_from_measured_durations() {
         let g = chain_plus_leaf();
-        let mut s = LookaheadScheduler::new(&g, |_| 1.0).unwrap();
+        let plan = SchedPlan::build(&g, SchedPolicy::RankAwareLookahead, &unit_cost()).unwrap();
+        let mut s = plan.instantiate();
         let before = s.on_task_ready(3, &g);
         // the leaf's class (Other) consistently runs 10× the estimate
         for _ in 0..50 {
             s.on_task_finished(3, &g, 10.0);
         }
-        assert!(s.class_correction(TaskClass::Other) > 5.0);
+        assert!(s.class_corrections().unwrap()[class_index(TaskClass::Other)] > 5.0);
         let after = s.on_task_ready(3, &g);
         assert!(after < before, "a slow class must gain urgency: {after} vs {before}");
         // chain ordering is still honored after the correction
         assert!(s.on_task_ready(0, &g) < s.on_task_ready(2, &g));
-    }
-
-    #[test]
-    fn lookahead_rejects_non_finite_costs() {
-        let g = chain_plus_leaf();
-        let err = LookaheadScheduler::new(&g, |t| if t == 2 { f64::NAN } else { 1.0 })
-            .unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 2, .. }));
+        // and the next run starts from the identity again
+        assert_eq!(plan.instantiate().on_task_ready(3, &g), before);
     }
 
     #[test]
@@ -831,28 +990,12 @@ mod tests {
         let keys = vec![1.0, 2.0, 3.0, 0.0];
         let order = priority_topo_order(&g, &keys).unwrap();
         assert_eq!(order, vec![3, 0, 1, 2]);
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, &t) in order.iter().enumerate() {
-                p[t] = i;
-            }
-            p
-        };
-        assert!(pos[0] < pos[1] && pos[1] < pos[2], "topological validity");
-        // a cycle yields None, not a bogus order
-        let mut cyclic = TaskGraph::new();
-        cyclic.add_task(spec(0));
-        cyclic.add_task(spec(1));
-        let d = DataRef { i: 0, j: 0 };
-        cyclic.add_edge(0, 1, d, 0);
-        cyclic.add_edge(1, 0, d, 0);
-        assert!(priority_topo_order(&cyclic, &[0.0, 0.0]).is_none());
     }
 
     #[test]
     fn priority_topo_order_tolerates_nan_keys() {
         // total_cmp never panics; NaN sorts last among ready tasks and
-        // the order is still topological (the engines reject NaN before
+        // the order is still topological (plans reject NaN before
         // getting here — this guards the sort itself).
         let g = chain_plus_leaf();
         let keys = vec![f64::NAN, 0.0, 0.0, 1.0];

@@ -9,10 +9,6 @@
 //! factors, exact digests give zero false positives (a clean tile never
 //! fails) and zero false negatives (any flipped bit changes the hash) —
 //! properties a floating-point checksum with a tolerance cannot offer.
-//! The Huang–Abraham row/column vectors
-//! ([`tlr_linalg::checksum::Checksum`]) are the complementary *algebraic*
-//! channel: maintained through the kernels at `O((m+n)k)` cost and
-//! cross-validated against the digests in the integrity tests.
 //!
 //! [`SealedTile`] pairs a tile with its digest so the pair travels as
 //! one message payload / store entry; [`corrupt_tile`] is the seeded
@@ -283,7 +279,6 @@ pub fn corrupt_tile(tile: &mut Tile, r: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlr_linalg::checksum::{Checksum, DEFAULT_TOL};
 
     fn dense_tile(n: usize, seed: usize) -> Tile {
         Tile::Dense(Matrix::from_fn(n, n, |i, j| {
@@ -342,33 +337,5 @@ mod tests {
         a.corrupt(0xdead_beef_0000_0042);
         b.corrupt(0xdead_beef_0000_0042);
         assert_eq!(TileDigest::of(a.tile()), TileDigest::of(b.tile()));
-    }
-
-    #[test]
-    fn digest_and_abft_checksums_cross_validate() {
-        // The two channels agree on a mantissa-scale corruption of a
-        // dense tile: the exact digest flags it, and the Huang–Abraham
-        // vectors flag it too once the flip rises above their roundoff
-        // tolerance (flip a high mantissa/exponent bit to make sure).
-        let tile = dense_tile(12, 5);
-        let Tile::Dense(m0) = &tile else {
-            unreachable!()
-        };
-        let abft = Checksum::of(m0);
-        let sealed = SealedTile::seal(tile.clone());
-        assert!(sealed.verify());
-        assert!(abft.verify(m0, DEFAULT_TOL));
-
-        let mut bad = sealed.clone();
-        // bit 62 = top of the exponent: a massive perturbation.
-        assert!(bad.corrupt(3 | (62 << 32)));
-        assert!(!bad.verify(), "digest must catch the flip");
-        let Tile::Dense(mbad) = bad.tile() else {
-            unreachable!()
-        };
-        assert!(
-            !abft.verify(mbad, DEFAULT_TOL),
-            "ABFT must catch a large flip"
-        );
     }
 }

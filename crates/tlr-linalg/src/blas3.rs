@@ -128,17 +128,12 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
         });
 }
 
-/// Elements of the `A` panel kept L2-resident by the blocked kernel
-/// (`m × KC` doubles ≤ ~512 KiB).
-const L2_DOUBLES: usize = 64 * 1024;
-
 /// Serial GEMM with identical semantics to [`gemm`].
 ///
-/// The hot `op(A) = A` cases run a k-blocked sweep that keeps an
-/// `m × kc` panel of `A` cache-resident across all columns of `C`
-/// (measured ~1.5× at `n = 512` over the naive column sweep on this
-/// class of machines); transposed-`A` cases use the dot-product form,
-/// which already streams well.
+/// Two routes: the packed microkernel takes every product it is worth
+/// packing for (`microkernel::packed_worthwhile`); the rest (a single
+/// column, or a dimension under the register tile) run the per-column
+/// axpy / dot sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_serial(
     ta: Trans,
@@ -172,10 +167,6 @@ pub fn gemm_serial(
             n,
             k,
         );
-        return;
-    }
-    if ta == Trans::No && m * k > L2_DOUBLES {
-        gemm_no_blocked(tb, alpha, a, b, beta, c, m, n, k);
         return;
     }
     for j in 0..n {
@@ -233,49 +224,6 @@ pub fn gemm_serial_into_cols(
     for j in 0..n {
         let c_col = c.col_mut(j0 + j);
         gemm_col(ta, tb, alpha, a, b, beta, j, c_col, k);
-    }
-}
-
-/// k-blocked `C = alpha·A·op(B) + beta·C` for untransposed `A`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_no_blocked(
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    let kc = (L2_DOUBLES / m).clamp(8, k);
-    let mut pc = 0;
-    while pc < k {
-        let pe = (pc + kc).min(k);
-        for j in 0..n {
-            let c_col = c.col_mut(j);
-            if pc == 0 {
-                if beta == 0.0 {
-                    c_col.fill(0.0);
-                } else if beta != 1.0 {
-                    for v in c_col.iter_mut() {
-                        *v *= beta;
-                    }
-                }
-            }
-            for p in pc..pe {
-                let w = alpha
-                    * match tb {
-                        Trans::No => b[(p, j)],
-                        Trans::Yes => b[(j, p)],
-                    };
-                if w != 0.0 {
-                    axpy(w, a.col(p), c_col);
-                }
-            }
-        }
-        pc = pe;
     }
 }
 
@@ -767,28 +715,37 @@ mod tests {
         }
     }
 
+    /// Products the packed gate refuses used to take a k-blocked sweep
+    /// once `m·k` passed 64 Ki doubles. The column sweep they take now
+    /// applies the same ascending-`p` axpy sequence per element, so the
+    /// values recorded from the blocked sweep must reproduce bit for bit —
+    /// and a `k < 8` shape, on which the blocked sweep panicked
+    /// (`(L2 / m).clamp(8, k)` with `k < 8`), simply works.
     #[test]
-    fn gemm_blocked_path_matches_naive() {
-        // large enough that m·k > L2_DOUBLES triggers the k-blocked sweep
-        let (m, n, k) = (300, 40, 300);
-        assert!(m * k > super::L2_DOUBLES);
-        for tb in [Trans::No, Trans::Yes] {
-            let a = rand_mat(m, k, 91);
+    fn tall_skinny_products_keep_the_blocked_sweep_bits() {
+        let fnv = |c: &Matrix| {
+            c.as_slice()
+                .iter()
+                .fold(0xcbf29ce484222325u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100000001b3))
+        };
+        let run = |m: usize, n: usize, k: usize, tb: Trans| {
+            let a = Matrix::from_fn(m, k, |i, p| ((i * 31 + p * 17) % 97) as f64 / 97.0 - 0.5);
+            let entry = |p: usize, j: usize| ((p * 13 + j * 7) % 89) as f64 / 89.0 - 0.25;
             let b = match tb {
-                Trans::No => rand_mat(k, n, 92),
-                Trans::Yes => rand_mat(n, k, 92),
+                Trans::No => Matrix::from_fn(k, n, entry),
+                Trans::Yes => Matrix::from_fn(n, k, |j, p| entry(p, j)),
             };
-            let c0 = rand_mat(m, n, 93);
-            let expect = naive_gemm(Trans::No, tb, 1.7, &a, &b, 0.3, &c0);
+            let c0 = Matrix::from_fn(m, n, |i, j| ((i + 3 * j) % 11) as f64 / 11.0);
             let mut c = c0.clone();
-            gemm_serial(Trans::No, tb, 1.7, &a, &b, 0.3, &mut c);
-            assert!(relative_diff(&c, &expect) < 1e-13, "tb={tb:?}");
-            // beta = 0 must also overwrite in the blocked path
-            let mut cz = Matrix::from_fn(m, n, |_, _| f64::NAN);
-            let expect_z = naive_gemm(Trans::No, tb, 1.0, &a, &b, 0.0, &c0);
-            gemm_serial(Trans::No, tb, 1.0, &a, &b, 0.0, &mut cz);
-            assert!(relative_diff(&cz, &expect_z) < 1e-13);
-        }
+            gemm_serial(Trans::No, tb, 0.75, &a, &b, 0.5, &mut c);
+            let expect = naive_gemm(Trans::No, tb, 0.75, &a, &b, 0.5, &c0);
+            assert!(relative_diff(&c, &expect) < 1e-13, "{m}x{n}x{k}");
+            fnv(&c)
+        };
+        assert!(!microkernel::packed_worthwhile(9000, 1, 8));
+        assert_eq!(run(9000, 1, 8, Trans::No), 0x7fb3a02ffef54574);
+        assert_eq!(run(9000, 1, 20, Trans::Yes), 0x06f5d602998ed4c2);
+        run(20000, 4, 5, Trans::No);
     }
 
     #[test]

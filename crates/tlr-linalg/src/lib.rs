@@ -36,7 +36,6 @@
 //! ```
 
 pub mod blas3;
-pub mod checksum;
 pub mod chol;
 pub mod matrix;
 pub mod microkernel;
@@ -49,7 +48,6 @@ pub use blas3::{
     gemm, gemm_serial, gemm_serial_into_cols, syrk, syrk_serial, trsm, Side, Trans, Uplo,
 };
 pub use microkernel::{active_path, gemm_with_path, simd_available, KernelPath};
-pub use checksum::Checksum;
 pub use chol::{potrf, potrf_unblocked, trsv_lower, trsv_lower_trans, CholeskyError};
 pub use matrix::Matrix;
 pub use norms::{frobenius_norm, max_abs, relative_diff};

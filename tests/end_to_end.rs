@@ -235,3 +235,24 @@ fn nan_poisoned_tile_is_a_typed_numeric_error() {
         Ok(_) => panic!("a NaN-poisoned matrix factorized"),
     }
 }
+
+/// A distributed session over zero ranks is a typed engine error at
+/// every entry point (`nprocs - 1` used to wrap inside the plan key and
+/// index an empty rank table).
+#[test]
+fn distributed_session_over_zero_ranks_is_a_typed_error() {
+    use hicma_parsec::cholesky::{RunError, Session};
+    use hicma_parsec::distribution::TwoDBlockCyclic;
+    use hicma_parsec::runtime::EngineError;
+
+    let (points, kernel) = fixture(1, 100, 3);
+    let ccfg = CompressionConfig::with_accuracy(1e-6);
+    let mut a = TlrMatrix::from_generator(points.len(), 25, kernel.generator(&points), &ccfg);
+    let dist = TwoDBlockCyclic::new(1);
+    let session = Session::distributed(FactorConfig::with_accuracy(1e-6), 0, &dist);
+    let empty = RunError::Engine(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 });
+    assert_eq!(session.plan(&a).err(), Some(empty.clone()));
+    assert_eq!(session.run(&mut a).err(), Some(empty.clone()));
+    let plan = Session::distributed(FactorConfig::with_accuracy(1e-6), 1, &dist).plan(&a).unwrap();
+    assert_eq!(session.run_with_plan(&plan, &mut a).err(), Some(empty));
+}

@@ -1,0 +1,156 @@
+//! Schedule goldens: every `SchedPolicy` at every door (DES, distributed
+//! engine, shared-memory plan) must keep producing the schedule it
+//! produced when these values were recorded (the commit before the
+//! planner was unified). A drift here means a refactor changed *what
+//! runs when*, not merely how the code is arranged; factors stay
+//! bit-identical under any schedule, so nothing else would notice.
+//!
+//! On a mismatch the assertion prints each line that moved — door and
+//! policy are its first two words — and then the whole table.
+
+use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
+use hicma_parsec::cholesky::simulate::simulate_cholesky;
+use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, FactorConfig, Session};
+use hicma_parsec::distribution::TwoDBlockCyclic;
+use hicma_parsec::linalg::Matrix;
+use hicma_parsec::runtime::{MachineModel, Pricing, SchedPlan, SchedPolicy};
+use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
+use std::fmt::Write as _;
+
+/// The RBF-structured SPD fixture of `tests/engine_composition.rs` at
+/// one fixed seed: n = 144, b = 24 (NT = 6), accuracy 1e-8.
+fn rbf_fixture() -> TlrMatrix {
+    let (n, corr, phase) = (144usize, 6.0, 7.0 / 97.0);
+    let dense = Matrix::from_fn(n, n, |i, j| {
+        let d = (i as f64 - j as f64) / (n as f64 / corr);
+        let v = (-d * d).exp() * (1.0 + 0.05 * ((i + j) as f64 * 0.01 + phase).sin());
+        if i == j {
+            v + 1e-3
+        } else {
+            v
+        }
+    });
+    TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(1e-8))
+}
+
+fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf29ce484222325, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
+}
+
+fn actual() -> String {
+    let mut out = String::new();
+
+    // DES door: the paper's two presets on one synthetic snapshot, on a
+    // machine small enough (4 nodes x 2 cores) that ready queues back up
+    // and the policy decides the order.
+    let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+    let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+    for (name, base) in [
+        ("hicma", hicma_parsec_config(machine.clone(), 4)),
+        ("lorapo", lorapo_config(machine.clone(), 4)),
+    ] {
+        for policy in SchedPolicy::ALL {
+            let mut cfg = base.clone();
+            cfg.sched = policy;
+            let r = simulate_cholesky(&snap, &cfg);
+            writeln!(
+                out,
+                "des {name} {} secs={:#018x} comm={}/{} tasks={} imbalance={:#018x} order={:#018x}",
+                policy.name(),
+                r.factorization_seconds.to_bits(),
+                r.comm.bytes,
+                r.comm.messages,
+                r.dag_tasks,
+                r.load_imbalance.to_bits(),
+                fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+            )
+            .unwrap();
+        }
+    }
+
+    // Distributed door: per-rank execution sequence of the virtual trace
+    // (unbatched: tracing a distributed run turns batching off), and the
+    // virtual makespan of the untraced, batched run.
+    let dist = TwoDBlockCyclic::new(4);
+    for policy in SchedPolicy::ALL {
+        let mut cfg = FactorConfig::with_accuracy(1e-8);
+        cfg.sched = policy;
+        let batched = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
+        cfg.collect_trace = true;
+        let traced = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
+        let comm = traced.comm.unwrap();
+        write!(
+            out,
+            "dist {} comm={}/{} makespan={:#018x} batched_makespan={:#018x}",
+            policy.name(),
+            comm.bytes,
+            comm.messages,
+            traced.virtual_makespan.unwrap().to_bits(),
+            batched.virtual_makespan.unwrap().to_bits(),
+        )
+        .unwrap();
+        let trace = traced.trace.unwrap();
+        for rank in 0..4 {
+            let seq: Vec<usize> =
+                trace.records.iter().filter(|r| r.proc == rank).map(|r| r.task).collect();
+            write!(out, " rank{rank}={seq:?}").unwrap();
+        }
+        out.push('\n');
+    }
+
+    // Shared-memory door: the key every task is queued under by a fresh
+    // scheduler instantiated from the plan.
+    let dag = build_cholesky_dag(&rbf_fixture().rank_snapshot(), &DagConfig::default());
+    for policy in SchedPolicy::ALL {
+        let pricing = Pricing::nominal(&dag.graph);
+        let mut sched = SchedPlan::build(&dag.graph, policy, &pricing).unwrap().instantiate();
+        let keys = (0..dag.graph.len()).map(|t| sched.on_task_ready(t, &dag.graph).to_bits());
+        writeln!(out, "shared {} tasks={} keys={:#018x}", policy.name(), dag.graph.len(), fnv(keys))
+            .unwrap();
+    }
+    out
+}
+
+const GOLDEN: &str = "\
+des hicma panel-priority secs=0x3fc59a9e771b06c5 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x28c59227db837263
+des hicma fifo secs=0x3fc59a9e771b06c5 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x28c59227db837263
+des hicma lifo secs=0x3fc3b10a0f19bfa8 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7a order=0x8c2144ce7ad4f9b5
+des hicma upward-rank secs=0x3fbf79fdf27b981d comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xff1d719fecc0615f
+des hicma comm-upward-rank secs=0x3fbf79fdf27b981d comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xedd1b95ccd5da921
+des hicma rank-lookahead secs=0x3fbf6123a12484e0 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xad2571acbe9cea03
+des lorapo panel-priority secs=0x3fc3a7c6e58b6254 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0x212670082dccf185
+des lorapo fifo secs=0x3fc3a7c6e58b6254 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0x212670082dccf185
+des lorapo lifo secs=0x3fc5ecd9775b22d4 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xcc924bd8cab62551
+des lorapo upward-rank secs=0x3fc1a6b8a0402659 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e0 order=0x29d74b693c94536b
+des lorapo comm-upward-rank secs=0x3fc20051b7ff8acf comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3df order=0xa9625bdd763ee0bb
+des lorapo rank-lookahead secs=0x3fc1d742ca7a78e6 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xafa2fab074eb8b31
+dist panel-priority comm=124416/49 makespan=0x403e000000000000 batched_makespan=0x403d000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
+dist fifo comm=124416/49 makespan=0x403e000000000000 batched_makespan=0x403d000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
+dist lifo comm=124416/49 makespan=0x4042000000000000 batched_makespan=0x4041000000000000 rank0=[0, 4, 9, 2, 15, 7, 28, 31, 26, 36, 38, 41, 49, 52] rank1=[16, 14, 11, 24, 32, 22, 43, 47] rank2=[5, 20, 3, 18, 13, 1, 35, 33, 30, 39, 45, 37, 51, 53] rank3=[10, 19, 8, 17, 12, 6, 21, 25, 29, 23, 34, 27, 42, 44, 40, 46, 48, 50, 54, 55]
+dist upward-rank comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x4040000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+dist comm-upward-rank comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x403f000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 22, 14, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 37, 33, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 19, 25, 34, 8, 44, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+dist rank-lookahead comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x4040000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+shared panel-priority tasks=56 keys=0xb7a523d6f7dce585
+shared fifo tasks=56 keys=0x03a523d6f7dce585
+shared lifo tasks=56 keys=0x830323d6f7dce585
+shared upward-rank tasks=56 keys=0x4bc695533f690fb1
+shared comm-upward-rank tasks=56 keys=0x4bc695533f690fb1
+shared rank-lookahead tasks=56 keys=0x4bc695533f690fb1
+";
+
+#[test]
+fn schedules_match_the_recorded_goldens() {
+    let actual = actual();
+    let moved: Vec<String> = actual
+        .lines()
+        .zip(GOLDEN.lines())
+        .filter(|(now, recorded)| now != recorded)
+        .map(|(now, recorded)| format!("  recorded: {recorded}\n  now:      {now}"))
+        .collect();
+    assert!(
+        actual == GOLDEN,
+        "schedule drift on {} line(s):\n{}\n\nwhole table now:\n{actual}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
