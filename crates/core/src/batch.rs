@@ -4,11 +4,13 @@
 //! same-shape TLR kernels as one batched operation; the runtime-side
 //! equivalent here is a DAG pass that fuses every `GEMM(k, ·, n)` of one
 //! panel step `k` updating trailing column `n` into a single engine task.
-//! The members share their `(n, k)` operand (so a fused execution touches
-//! the packed panel once per group instead of once per tile) and, more
-//! importantly on small tiles, the per-task scheduling overhead — deque
-//! traffic, dependency countdowns, lock acquisitions — is paid once per
-//! group instead of once per GEMM.
+//! What a group saves is *scheduling*: deque traffic, dependency
+//! countdowns and — on distributed runs — one message for the shared
+//! `(n, k)` operand are paid once per group instead of once per GEMM.
+//! The arithmetic is untouched: a fused task is a view over the same
+//! task body, run once per member ([`BatchObs::run_members`], and the
+//! member loop of the distributed body); nothing is packed once per
+//! group. Packing the shared operand is ROADMAP item 2.
 //!
 //! # Why fusing `GEMM(k, ·, n)` is always legal
 //!
@@ -110,10 +112,10 @@ pub fn batch_panel_gemms(dag: &CholeskyDag, exec_rank: Option<&[usize]>) -> Pane
         let id = graph.add_task(TaskSpec {
             class: spec0.class,
             priority: spec0.priority,
-            // The engine treats `writes` as "the datum this task's return
-            // value is"; members put their own tiles into the rank store,
-            // and the distributed engine ships non-`writes` edge payloads
-            // from there.
+            // A fused task writes one tile per member; `writes` names the
+            // first, as the task's label. Every member puts its own tile
+            // into the rank store, and the distributed engine ships each
+            // outgoing edge's datum from there.
             writes: spec0.writes,
             flops: group.iter().map(|&m| g.spec(m).flops).sum(),
         });

@@ -11,7 +11,7 @@
 //! All of it runs on the single distributed engine
 //! ([`runtime::engine::DistEngine`]), driven through
 //! [`Session::distributed`](crate::session::Session::distributed): the
-//! session owns the plan → kernel-env → run → gather pipeline, and a
+//! session owns the plan → scatter → run → gather pipeline, and a
 //! fault layer ([`FaultPlan`](runtime::fault::FaultPlan) — message loss,
 //! duplication, delay jitter, rank crashes, kernel failures) composes
 //! onto it with
@@ -22,92 +22,45 @@
 //! The data layout follows PaRSEC's on-demand shipping, collapsed to
 //! setup time: each tile's initial version starts at the rank that first
 //! writes it, and the final version is gathered from the rank of its
-//! last writer.
+//! last writer. A tile is *moved* at each of those steps — matrix → rank
+//! store → matrix — and copied only onto the wire, along the dataflow
+//! edge that names it.
 
-use crate::dag::{CholeskyDag, TaskKind};
-#[cfg(test)]
-use distribution::TileDistribution;
+use crate::dag::CholeskyDag;
+use crate::factorize::FactorConfig;
+use crate::plan::lower;
+use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads};
 use parking_lot::Mutex;
 use runtime::engine::RankCtx;
 use runtime::graph::{DataRef, TaskId};
 use std::collections::HashMap;
-use tlr_compress::kernels::{gemm_kernel, potrf_kernel, syrk_kernel, trsm_kernel};
-use tlr_compress::{SealedTile, Tile, TlrMatrix};
+use tlr_compress::kernels::KernelWorkspace;
+use tlr_compress::{CompressionConfig, SealedTile, Tile, TlrMatrix};
 use tlr_linalg::CholeskyError;
 
-use crate::factorize::FactorConfig;
-
-/// The symbolic skeleton of a distributed run, as the tests pin it: the
-/// trimmed DAG plus the task→rank mapping the static distribution
-/// produces. Production code plans through
-/// [`crate::plan::SymbolicPlan`]; this shorthand serves the tests that
-/// compare against the baseline mapping.
-#[cfg(test)]
-pub(crate) struct DistPlan {
-    pub(crate) dag: CholeskyDag,
-    pub(crate) exec_rank: Vec<usize>,
-}
-
-/// Plan with no overrides (the static distribution alone) — test
-/// shorthand over [`crate::plan::build_plan`].
-#[cfg(test)]
-pub(crate) fn plan_distribution(
-    matrix: &TlrMatrix,
-    cfg: &FactorConfig,
-    nprocs: usize,
-    exec: &dyn TileDistribution,
-) -> DistPlan {
-    let plan = crate::plan::build_plan(
-        cfg,
-        &matrix.rank_snapshot(),
-        Some(crate::plan::DistPlanInputs {
-            nprocs,
-            exec,
-            ft: false,
-            verify: false,
-            trace: false,
-            replan_slack: None,
-        }),
-    )
-    .expect("planning a valid snapshot cannot fail");
-    let exec_rank = plan
-        .dist
-        .as_ref()
-        .expect("distributed inputs produce a distributed plan")
-        .mapping
-        .read()
-        .exec_rank
-        .clone();
-    DistPlan {
-        dag: plan.dag,
-        exec_rank,
-    }
-}
-
 /// Move the matrix tiles into per-rank initial stores according to the
-/// plan's placement map — the numeric half of what used to be
-/// `plan_distribution` (the symbolic half lives in [`crate::plan`]).
-pub(crate) fn scatter_tiles(
+/// plan's packed-lower placement.
+pub(crate) fn scatter_tiles<P: TilePayload>(
     matrix: &mut TlrMatrix,
-    placement: &HashMap<(usize, usize), usize>,
+    placement: &[usize],
     nprocs: usize,
-) -> Vec<HashMap<DataRef, Tile>> {
-    let nt = matrix.nt();
-    let mut initial: Vec<HashMap<DataRef, Tile>> = vec![HashMap::new(); nprocs];
-    for i in 0..nt {
+) -> Vec<HashMap<DataRef, P>> {
+    let mut initial: Vec<HashMap<DataRef, P>> = (0..nprocs).map(|_| HashMap::new()).collect();
+    for i in 0..matrix.nt() {
         for j in 0..=i {
-            initial[placement[&(i, j)]].insert(DataRef { i, j }, matrix.take_tile(i, j));
+            let tile = P::from_tile(matrix.take_tile(i, j));
+            initial[placement[lower(i, j)]].insert(DataRef { i, j }, tile);
         }
     }
     initial
 }
 
-/// Payload abstraction for the distributed pipeline: the same kernel
-/// dispatch and tile gathering run on plain [`Tile`]s (no integrity
-/// layer, zero extra cost) or on digest-sealed tiles
-/// ([`SealedTile`], armed by [`FactorConfig::verify_integrity`] or a
-/// corrupting fault plan). `from_tile` is where checksum maintenance
-/// happens: sealing a freshly written tile recomputes its digest.
+/// Payload abstraction for the distributed pipeline: the same task body
+/// runs on plain [`Tile`]s (no integrity layer, zero extra cost) or on
+/// digest-sealed tiles ([`SealedTile`], armed by
+/// [`FactorConfig::integrity`] or a corrupting fault plan). `from_tile`
+/// is where checksum maintenance happens: sealing a freshly written tile
+/// recomputes its digest.
 pub(crate) trait TilePayload: Clone {
     /// Borrow the tile contents (for kernel reads).
     fn tile(&self) -> &Tile;
@@ -141,182 +94,107 @@ impl TilePayload for SealedTile {
     }
 }
 
-/// Kernel dispatch for distributed runs. The error slot keeps the
-/// *minimum* failing pivot so concurrent failures report
-/// deterministically.
-pub(crate) struct KernelEnv<'a> {
+/// The task body of a distributed run: [`run_kernel`] over a rank's
+/// store and inbox. The error slot keeps the *minimum* failing pivot so
+/// concurrent failures report deterministically.
+pub(crate) struct RankBody<'a> {
     dag: &'a CholeskyDag,
     preds: &'a [Vec<(TaskId, DataRef)>],
     tile_size: usize,
-    compression: tlr_compress::CompressionConfig,
+    compression: CompressionConfig,
     pub(crate) error: Mutex<Option<CholeskyError>>,
+    /// One kernel arena per emulated rank, indexed by `ctx.rank()`.
+    pub(crate) workspaces: Vec<Mutex<KernelWorkspace>>,
 }
 
-impl KernelEnv<'_> {
-    fn find_producer(&self, t: TaskId, d: DataRef) -> Option<TaskId> {
-        self.preds[t]
-            .iter()
-            .find(|(_, dd)| *dd == d)
-            .map(|(p, _)| *p)
-    }
-
-    /// Record a pivot failure, keeping the earliest (smallest) pivot —
-    /// with multiple ranks failing concurrently, the report must not
-    /// depend on which failure message lands last.
-    fn record_error(&self, e: CholeskyError) {
-        let mut slot = self.error.lock();
-        match &*slot {
-            Some(prev) if prev.pivot <= e.pivot => {}
-            _ => *slot = Some(e),
+impl<'a> RankBody<'a> {
+    pub(crate) fn new(
+        dag: &'a CholeskyDag,
+        preds: &'a [Vec<(TaskId, DataRef)>],
+        cfg: &FactorConfig,
+        tile_size: usize,
+        nprocs: usize,
+    ) -> Self {
+        RankBody {
+            dag,
+            preds,
+            tile_size,
+            compression: cfg.compression(),
+            error: Mutex::new(None),
+            workspaces: kernel_arenas(nprocs),
         }
     }
 
-    pub(crate) fn run<P: TilePayload>(&self, t: TaskId, ctx: &mut RankCtx<'_, P>) -> P {
-        self.run_dispatch(t, ctx, &|p| p)
-    }
-
-    /// [`run`](Self::run) for a member of a batched task: `of` maps each
-    /// original producer id to the batched task the engine actually ran,
-    /// which is how shipped inputs are keyed in the rank's inbox.
-    pub(crate) fn run_mapped<P: TilePayload>(
+    /// Run original task `t` on `ctx`'s rank. `engine_id` maps an
+    /// original producer id to the task the engine actually ran (itself,
+    /// or its fused group on a batched run), which is how shipped inputs
+    /// are keyed in the inbox.
+    pub(crate) fn run<P: TilePayload>(
         &self,
         t: TaskId,
         ctx: &mut RankCtx<'_, P>,
-        of: &[TaskId],
-    ) -> P {
-        self.run_dispatch(t, ctx, &|p| of[p])
-    }
-
-    fn run_dispatch<P: TilePayload>(
-        &self,
-        t: TaskId,
-        ctx: &mut RankCtx<'_, P>,
-        map: &dyn Fn(TaskId) -> TaskId,
-    ) -> P {
-        let w = self
-            .dag
-            .graph
-            .spec(t)
-            .writes
-            .expect("every Cholesky task writes its tile");
-        if self.error.lock().is_some() {
-            // Poisoned: keep the dataflow moving with the untouched tile.
-            let cur = ctx
-                .take(w)
-                .or_else(|| {
-                    self.find_producer(t, w)
-                        .and_then(|p| ctx.take_remote(map(p), w))
-                })
-                .unwrap_or_else(|| P::from_tile(Tile::Null { rows: 0, cols: 0 }));
-            ctx.put(w, cur.clone());
-            return cur;
-        }
+        engine_id: impl Fn(TaskId) -> TaskId,
+    ) {
+        let kind = self.dag.kinds[t];
+        let ops = kind.operands();
+        let w = ops.writes;
+        let producer = |d: DataRef| {
+            let (p, _) = self.preds[t].iter().find(|(_, dd)| *dd == d)?;
+            Some(engine_id(*p))
+        };
         // The written tile's current version: local, or shipped from a
         // remote previous writer (possible when two writers of the same
         // tile were remapped differently — not the case for tile
         // Cholesky, but `take_remote` keeps the engine general).
-        let mut out = ctx
-            .take(w)
-            .or_else(|| {
-                self.find_producer(t, w)
-                    .and_then(|p| ctx.take_remote(map(p), w))
-            })
-            .expect("written tile must be present")
-            .into_tile();
-        match self.dag.kinds[t] {
-            TaskKind::Potrf { k } => {
-                if let Err(e) = potrf_kernel(&mut out) {
-                    self.record_error(CholeskyError {
-                        pivot: k * self.tile_size + e.pivot,
-                    });
-                }
-            }
-            TaskKind::Trsm { k, m } => {
-                let _ = m;
-                let ldata = DataRef { i: k, j: k };
-                let l = ctx
-                    .get(self.find_producer(t, ldata).map(map), ldata)
-                    .tile()
-                    .clone();
-                trsm_kernel(&l, &mut out);
-            }
-            TaskKind::Syrk { k, m } => {
-                let adata = DataRef { i: m, j: k };
-                let a = ctx
-                    .get(self.find_producer(t, adata).map(map), adata)
-                    .tile()
-                    .clone();
-                syrk_kernel(&a, &mut out);
-            }
-            TaskKind::Gemm { k, m, n } => {
-                let adata = DataRef { i: m, j: k };
-                let bdata = DataRef { i: n, j: k };
-                let a = ctx
-                    .get(self.find_producer(t, adata).map(map), adata)
-                    .tile()
-                    .clone();
-                let b = ctx
-                    .get(self.find_producer(t, bdata).map(map), bdata)
-                    .tile()
-                    .clone();
-                gemm_kernel(&a, &b, &mut out, &self.compression);
-            }
+        let cur = ctx.take(w).or_else(|| ctx.take_remote(producer(w)?, w));
+        if self.error.lock().is_some() {
+            // Poisoned: keep the dataflow moving with the untouched tile.
+            ctx.put(
+                w,
+                cur.unwrap_or_else(|| P::from_tile(Tile::Null { rows: 0, cols: 0 })),
+            );
+            return;
         }
-        let out = P::from_tile(out);
-        ctx.put(w, out.clone());
-        out
+        let mut out = cur.expect("written tile must be present").into_tile();
+        let result = with_reads(
+            ops.reads(),
+            |d| ctx.get(producer(d), d).tile(),
+            |reads| {
+                let mut ws = self.workspaces[ctx.rank()].lock();
+                run_kernel(kind, &mut ws, &mut out, reads, &self.compression)
+            },
+        );
+        if let Err(e) = result {
+            record_pivot(&self.error, w.i * self.tile_size + e.pivot);
+        }
+        ctx.put(w, P::from_tile(out));
     }
 }
 
-/// Put the final tile versions back into the matrix from the per-rank
-/// stores, using the (possibly migrated) final task→rank assignment.
-pub(crate) fn gather_tiles<P: TilePayload>(
+/// Move the final tile versions out of the per-rank stores back into the
+/// matrix, using the (possibly migrated) final task→rank assignment.
+pub(crate) fn gather_tiles(
     matrix: &mut TlrMatrix,
-    last_writer: &HashMap<(usize, usize), TaskId>,
-    placement: &HashMap<(usize, usize), usize>,
+    last_writer: &[Option<TaskId>],
+    placement: &[usize],
     final_exec: &[usize],
-    stores: &[HashMap<DataRef, P>],
+    stores: &mut [HashMap<DataRef, Tile>],
 ) {
-    let nt = matrix.nt();
-    for i in 0..nt {
+    for i in 0..matrix.nt() {
         for j in 0..=i {
-            let rank = last_writer
-                .get(&(i, j))
-                .map(|&t| final_exec[t])
-                .unwrap_or(placement[&(i, j)]);
+            let (d, idx) = (DataRef { i, j }, lower(i, j));
+            let rank = last_writer[idx].map_or(placement[idx], |t| final_exec[t]);
             let tile = stores[rank]
-                .get(&DataRef { i, j })
-                .cloned()
+                .remove(&d)
                 // A tile no task writes (e.g. a null tile the trimmed DAG
                 // never touches) lives at its placement rank — unless that
                 // rank crashed, in which case the runtime migrated its
                 // checkpointed data to a survivor. The value never changed,
                 // so any surviving copy is the right one.
-                .or_else(|| {
-                    stores
-                        .iter()
-                        .find_map(|s| s.get(&DataRef { i, j }).cloned())
-                })
+                .or_else(|| stores.iter_mut().find_map(|s| s.remove(&d)))
                 .expect("final tile must exist in some surviving store");
-            matrix.put_tile(i, j, tile.into_tile());
+            matrix.put_tile(i, j, tile);
         }
-    }
-}
-
-pub(crate) fn kernel_env<'a>(
-    dag: &'a CholeskyDag,
-    preds: &'a [Vec<(TaskId, DataRef)>],
-    cfg: &FactorConfig,
-    tile_size: usize,
-) -> KernelEnv<'a> {
-    KernelEnv {
-        dag,
-        preds,
-        tile_size,
-        // The configured compression policy, keep_dense_ratio included —
-        // this used to pin the ratio to 1.0 regardless of the config.
-        compression: cfg.compression(),
-        error: Mutex::new(None),
     }
 }
 
@@ -325,6 +203,7 @@ mod tests {
     use super::*;
     use crate::factorize::factorize;
     use crate::session::{RunError, Session};
+    use distribution::TileDistribution;
     use distribution::{BandDistribution, DiamondDistribution, LorapoHybrid, TwoDBlockCyclic};
     use runtime::engine::EngineError;
     use runtime::fault::{FaultPlan, FtConfig, FtError};

@@ -70,17 +70,23 @@ pub struct FactorConfig {
     /// static panel-index order.
     pub sched: SchedPolicy,
     /// Fuse each panel step's trailing-column GEMMs into single batched
-    /// engine tasks ([`crate::batch::batch_panel_gemms`]), amortizing
-    /// per-task scheduling overhead and sharing the packed `(n, k)`
-    /// operand across a fused group. The factor is bit-identical with
-    /// batching on or off — the pass never reorders any tile's update
-    /// sequence — and per-kernel attribution survives through the
-    /// [`crate::batch::BatchObs`] span-splitting shim. Defaults to `true`.
+    /// engine tasks ([`crate::batch::batch_panel_gemms`]): per-task
+    /// scheduling overhead is paid once per group (the kernels still run
+    /// once per member — operand packing is not shared). The factor is
+    /// bit-identical with batching on or off — the pass never reorders
+    /// any tile's update sequence — and per-kernel attribution survives
+    /// through the [`crate::batch::BatchObs`] span-splitting shim.
+    /// Defaults to `true`.
     ///
-    /// On distributed runs batching additionally requires a plain engine
-    /// configuration: it is skipped automatically under a fault layer, an
-    /// armed integrity mode, or virtual-time tracing, all of which reason
-    /// about single-tile tasks.
+    /// A distributed plan batches only on a plain engine configuration:
+    /// a fault layer, sealed payloads (an armed integrity mode or a
+    /// corrupting fault plan) or virtual-time tracing each keep it
+    /// unbatched, because recovery, healing and the trace reason about
+    /// single-tile tasks. The decision is recorded, not silent:
+    /// [`PlanMode::Distributed::batched`](crate::plan::PlanMode) is part
+    /// of the plan's key and
+    /// [`SymbolicPlan::fused_groups`](crate::plan::SymbolicPlan::fused_groups)
+    /// reads `0` on a plan that does not batch.
     pub batch_panels: bool,
 }
 

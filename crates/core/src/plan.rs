@@ -27,7 +27,10 @@
 //! the same FNV-1a chain as the tile-integrity digests
 //! ([`tlr_compress::WordFold`]): tile grid, per-tile rank structure,
 //! accuracy/rank caps, layout owner map, rank count, scheduling policy
-//! and capability flags. Two matrices with the same key plan
+//! and the decisions planning took (`batched`, `replan`) — not the
+//! capability flags those decisions were derived from, so sessions that
+//! differ only in a capability that did not change the plan share it.
+//! Two matrices with the same key plan
 //! identically, so a [`PlanCache`] can hand out one `Arc<SymbolicPlan>`
 //! to every request that matches — a warm-cache run skips the symbolic
 //! phase entirely. The factor is bit-identical either way: planning
@@ -51,13 +54,14 @@ use tlr_compress::{RankSnapshot, WordFold};
 
 /// Packed lower-triangular tile index.
 #[inline]
-fn lower(i: usize, j: usize) -> usize {
+pub(crate) fn lower(i: usize, j: usize) -> usize {
     i * (i + 1) / 2 + j
 }
 
 /// Where a plan executes — part of the cache key, because shared and
-/// distributed plans carry different artifacts, and distributed plans
-/// bake capability flags into batching and payload decisions.
+/// distributed plans carry different artifacts. A distributed mode
+/// records the decisions its plan took, not the session flags they came
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanMode {
     /// Shared-memory work-stealing engine.
@@ -66,14 +70,12 @@ pub enum PlanMode {
     Distributed {
         /// Emulated rank count (changes every mapping).
         nprocs: usize,
-        /// A fault layer is configured (disables panel batching).
-        ft: bool,
-        /// The tile-integrity layer is armed, explicitly or by a
-        /// corruption-injecting fault plan (sealed payloads, no
-        /// batching).
-        verify: bool,
-        /// A virtual-time trace is recorded (no batching).
-        trace: bool,
+        /// The engine runs the fused panel-batch graph:
+        /// [`FactorConfig::batch_panels`] was asked for *and* the session
+        /// has no fault layer, sealed payloads or virtual-time trace
+        /// (crash recovery, lineage healing and the trace all reason
+        /// about single-tile tasks).
+        batched: bool,
         /// A comm-feedback re-planner is embedded in the plan.
         replan: bool,
     },
@@ -93,7 +95,7 @@ pub enum PlanMode {
 /// any pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Execution mode plus the capability flags that alter planning.
+    /// Execution mode plus the decisions a distributed plan took.
     pub mode: PlanMode,
     /// Tile-grid dimension.
     pub nt: usize,
@@ -118,6 +120,7 @@ pub struct PlanKey {
 /// ([`DistMapping`], behind the `RwLock` so an embedded re-planner can
 /// refresh placement between runs without rebuilding the plan).
 pub(crate) struct DistStatic {
+    nt: usize,
     pub(crate) nprocs: usize,
     /// Baseline owner rank per packed-lower tile (the layout's owner
     /// map, clamped to `nprocs`), baked in so the plan stays
@@ -126,10 +129,12 @@ pub(crate) struct DistStatic {
     base_owner: Vec<usize>,
     /// Task → (producer, datum) lookup for the kernel dispatch.
     pub(crate) preds: Vec<Vec<(TaskId, DataRef)>>,
-    first_writer: HashMap<(usize, usize), TaskId>,
-    pub(crate) last_writer: HashMap<(usize, usize), TaskId>,
-    /// Whether this plan's capability flags permit panel batching.
-    batchable: bool,
+    /// First / last task writing each packed-lower tile (`None`: no task
+    /// touches it).
+    first_writer: Vec<Option<TaskId>>,
+    pub(crate) last_writer: Vec<Option<TaskId>>,
+    /// The key's `batched` decision.
+    batched: bool,
     /// Embedded comm-feedback re-planner: its converged overrides live
     /// with the cached plan, so repeated solves through the cache keep
     /// improving (and keep) their placement.
@@ -142,10 +147,12 @@ pub(crate) struct DistStatic {
 /// rank overrides: task→rank mapping, initial tile placement, the
 /// precomputed execution order, and (when batching applies) the fused
 /// graph with its own rank map and order.
+#[derive(Default)]
 pub(crate) struct DistMapping {
     pub(crate) overrides: HashMap<(usize, usize), usize>,
     pub(crate) exec_rank: Vec<usize>,
-    pub(crate) placement: HashMap<(usize, usize), usize>,
+    /// Rank holding each packed-lower tile's initial version.
+    pub(crate) placement: Vec<usize>,
     /// Priority-driven topological order over the original DAG
     /// ([`dist_order`]), computed once here instead of per run.
     pub(crate) order: Vec<TaskId>,
@@ -188,40 +195,33 @@ impl DistStatic {
     }
 
     /// Derive the override-dependent mapping: exec ranks, placement,
-    /// precomputed orders, and the batched graph when applicable. Called
-    /// at plan build and again whenever the embedded re-planner moves a
-    /// tile chain — a refresh re-derives from the existing DAG, never
-    /// rebuilds it.
+    /// precomputed orders, and the batched graph when the plan batches.
+    /// Called at plan build and again whenever the embedded re-planner
+    /// moves a tile chain — a refresh re-derives from the existing DAG,
+    /// never rebuilds it.
     pub(crate) fn derive_mapping(
         &self,
         dag: &CholeskyDag,
-        nt: usize,
         policy: SchedPolicy,
         overrides: HashMap<(usize, usize), usize>,
     ) -> Result<DistMapping, EngineError> {
         let exec_rank: Vec<usize> = (0..dag.graph.len())
             .map(|t| {
-                let w = dag
-                    .graph
-                    .spec(t)
-                    .writes
-                    .expect("every Cholesky task writes its tile");
+                let w = dag.kinds[t].operands().writes;
                 self.rank_of_tile(&overrides, w.i, w.j)
             })
             .collect();
-        let mut placement: HashMap<(usize, usize), usize> = HashMap::new();
-        for i in 0..nt {
+        let mut placement = Vec::with_capacity(self.first_writer.len());
+        for i in 0..self.nt {
             for j in 0..=i {
-                let rank = self
-                    .first_writer
-                    .get(&(i, j))
-                    .map(|&t| exec_rank[t])
-                    .unwrap_or_else(|| self.rank_of_tile(&overrides, i, j));
-                placement.insert((i, j), rank);
+                placement.push(match self.first_writer[lower(i, j)] {
+                    Some(t) => exec_rank[t],
+                    None => self.rank_of_tile(&overrides, i, j),
+                });
             }
         }
         let order = dist_order(&dag.graph, policy, &exec_rank)?;
-        let batch = if self.batchable {
+        let batch = if self.batched {
             let pb = batch_panel_gemms(dag, Some(&exec_rank));
             let exec_rank_b = pb.exec_ranks(&exec_rank);
             let order_b = dist_order(&pb.graph, policy, &exec_rank_b)?;
@@ -241,20 +241,6 @@ impl DistStatic {
             batch,
         })
     }
-
-    /// Refresh the mapping in place for a new override set (re-planner
-    /// feedback).
-    pub(crate) fn refresh(
-        &self,
-        dag: &CholeskyDag,
-        nt: usize,
-        policy: SchedPolicy,
-        overrides: HashMap<(usize, usize), usize>,
-    ) -> Result<(), EngineError> {
-        let mapping = self.derive_mapping(dag, nt, policy, overrides)?;
-        *self.mapping.write() = mapping;
-        Ok(())
-    }
 }
 
 /// The immutable artifact of the symbolic phase: trimmed DAG, scheduler
@@ -270,18 +256,25 @@ impl DistStatic {
 /// instead of deadlocking or silently misplacing tiles.
 pub struct SymbolicPlan {
     pub(crate) key: PlanKey,
-    pub(crate) nt: usize,
     pub(crate) dag: CholeskyDag,
-    /// Precomputed scheduler state for shared-memory runs (`None` on
-    /// distributed plans, whose orders live in the mapping). Built over
-    /// the *engine-visible* graph: the contracted batch graph when
-    /// batching is on, the original DAG otherwise.
-    pub(crate) sched: Option<SchedPlan>,
-    /// Fused panel-batch groups for shared-memory runs.
-    pub(crate) batch: Option<PanelBatch>,
-    /// Distributed-plan machinery.
-    pub(crate) dist: Option<DistStatic>,
+    pub(crate) engine: EnginePlan,
     pub(crate) planning_seconds: f64,
+}
+
+/// What a plan carries beyond the DAG, for the engine it was built for.
+pub(crate) enum EnginePlan {
+    /// Shared-memory work-stealing engine.
+    Shared {
+        /// Scheduler tables over the *engine-visible* graph: the
+        /// contracted batch graph when batching is on, the original DAG
+        /// otherwise.
+        sched: SchedPlan,
+        /// Fused panel-batch groups, when batching was asked for.
+        batch: Option<PanelBatch>,
+    },
+    /// Emulated ranks: placement machinery, orders (in the mapping) and
+    /// the embedded re-planner.
+    Distributed(Box<DistStatic>),
 }
 
 impl SymbolicPlan {
@@ -303,7 +296,21 @@ impl SymbolicPlan {
 
     /// Whether this is a distributed-memory plan.
     pub fn is_distributed(&self) -> bool {
-        self.dist.is_some()
+        matches!(self.engine, EnginePlan::Distributed(_))
+    }
+
+    /// Fused panel-batch groups the engine executes as single tasks;
+    /// `0` means this plan does not batch (batching was not asked for,
+    /// the distributed session's capabilities ruled it out — see
+    /// [`PlanMode::Distributed`] — or no panel had two GEMMs to fuse).
+    pub fn fused_groups(&self) -> usize {
+        match &self.engine {
+            EnginePlan::Shared { batch, .. } => batch.as_ref().map_or(0, |pb| pb.fused_groups),
+            EnginePlan::Distributed(ds) => {
+                let mapping = ds.mapping.read();
+                mapping.batch.as_ref().map_or(0, |db| db.pb.fused_groups)
+            }
+        }
     }
 }
 
@@ -312,8 +319,7 @@ impl std::fmt::Debug for SymbolicPlan {
         f.debug_struct("SymbolicPlan")
             .field("key", &self.key)
             .field("tasks", &self.tasks())
-            .field("batched", &self.batch.is_some())
-            .field("distributed", &self.dist.is_some())
+            .field("fused_groups", &self.fused_groups())
             .field("planning_seconds", &self.planning_seconds)
             .finish()
     }
@@ -325,12 +331,8 @@ impl std::fmt::Debug for SymbolicPlan {
 pub(crate) struct DistPlanInputs<'a> {
     pub(crate) nprocs: usize,
     pub(crate) exec: &'a dyn TileDistribution,
-    /// A fault layer is configured.
-    pub(crate) ft: bool,
-    /// The integrity layer is armed (explicitly or by the fault plan).
-    pub(crate) verify: bool,
-    /// A virtual-time trace will be recorded.
-    pub(crate) trace: bool,
+    /// Run the fused panel-batch graph ([`PlanMode::Distributed`]).
+    pub(crate) batched: bool,
     /// Embed a [`CommReplanner`] with this imbalance slack.
     pub(crate) replan_slack: Option<f64>,
 }
@@ -358,9 +360,7 @@ pub(crate) fn plan_key(
             }
             PlanMode::Distributed {
                 nprocs: d.nprocs,
-                ft: d.ft,
-                verify: d.verify,
-                trace: d.trace,
+                batched: d.batched,
                 replan: d.replan_slack.is_some(),
             }
         }
@@ -379,14 +379,16 @@ pub(crate) fn plan_key(
 }
 
 /// Run the symbolic phase once: DAG build + batching + scheduler tables
-/// (+ distribution mapping on distributed plans).
+/// (+ distribution mapping on distributed plans). `key` is
+/// [`plan_key`] of the same three inputs, which every caller has already
+/// folded to look the plan up.
 pub(crate) fn build_plan(
     cfg: &FactorConfig,
     snapshot: &RankSnapshot,
+    key: PlanKey,
     dist: Option<DistPlanInputs<'_>>,
 ) -> Result<SymbolicPlan, EngineError> {
     let t0 = std::time::Instant::now();
-    let key = plan_key(cfg, snapshot, dist.as_ref());
     let nt = snapshot.nt();
     let dag = build_cholesky_dag(
         snapshot,
@@ -395,7 +397,7 @@ pub(crate) fn build_plan(
             rank_cap: cfg.max_rank,
         },
     );
-    let (sched, batch, dist) = match dist {
+    let engine = match dist {
         None => {
             let batch = cfg.batch_panels.then(|| batch_panel_gemms(&dag, None));
             // The scheduler runs over the graph the engine sees: the
@@ -404,7 +406,7 @@ pub(crate) fn build_plan(
                 Some(pb) => SchedPlan::build(&pb.graph, cfg.sched, &Pricing::nominal(&pb.graph))?,
                 None => SchedPlan::build(&dag.graph, cfg.sched, &Pricing::nominal(&dag.graph))?,
             };
-            (Some(sched), batch, None)
+            EnginePlan::Shared { sched, batch }
         }
         Some(d) => {
             let mut base_owner = vec![0usize; nt * (nt + 1) / 2];
@@ -419,51 +421,35 @@ pub(crate) fn build_plan(
                     preds[e.dst].push((src, e.data));
                 }
             }
-            let mut first_writer: HashMap<(usize, usize), TaskId> = HashMap::new();
-            let mut last_writer: HashMap<(usize, usize), TaskId> = HashMap::new();
+            let mut first_writer = vec![None; nt * (nt + 1) / 2];
+            let mut last_writer = first_writer.clone();
             for t in 0..dag.graph.len() {
-                let w = dag
-                    .graph
-                    .spec(t)
-                    .writes
-                    .expect("every Cholesky task writes its tile");
-                first_writer.entry((w.i, w.j)).or_insert(t);
-                last_writer.insert((w.i, w.j), t);
+                let w = dag.kinds[t].operands().writes;
+                first_writer[lower(w.i, w.j)].get_or_insert(t);
+                last_writer[lower(w.i, w.j)] = Some(t);
             }
-            // Batching composes with plain distributed runs only: fault
-            // recovery, integrity healing and the virtual-time trace all
-            // reason about single-tile tasks.
-            let batchable = cfg.batch_panels && !d.ft && !d.verify && !d.trace;
             let ds = DistStatic {
+                nt,
                 nprocs: d.nprocs,
                 base_owner,
                 preds,
                 first_writer,
                 last_writer,
-                batchable,
+                batched: d.batched,
                 replan: d
                     .replan_slack
                     .map(|s| Mutex::new(CommReplanner::with_slack(d.nprocs, s))),
-                mapping: RwLock::new(DistMapping {
-                    overrides: HashMap::new(),
-                    exec_rank: Vec::new(),
-                    placement: HashMap::new(),
-                    order: Vec::new(),
-                    batch: None,
-                }),
+                mapping: RwLock::default(),
             };
-            let mapping = ds.derive_mapping(&dag, nt, cfg.sched, HashMap::new())?;
+            let mapping = ds.derive_mapping(&dag, cfg.sched, HashMap::new())?;
             *ds.mapping.write() = mapping;
-            (None, None, Some(ds))
+            EnginePlan::Distributed(Box::new(ds))
         }
     };
     Ok(SymbolicPlan {
         key,
-        nt,
         dag,
-        sched,
-        batch,
-        dist,
+        engine,
         planning_seconds: t0.elapsed().as_secs_f64(),
     })
 }

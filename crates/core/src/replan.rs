@@ -248,8 +248,8 @@ impl CommReplanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::plan_distribution;
     use crate::factorize::{factorize, FactorConfig};
+    use crate::plan::{EnginePlan, SymbolicPlan};
     use crate::session::Session;
     use distribution::TwoDBlockCyclic;
     use tlr_compress::{CompressionConfig, TlrMatrix};
@@ -268,6 +268,21 @@ mod tests {
         })
     }
 
+    /// The static (no-override) plan of a 4-rank session and its
+    /// task→rank mapping, as the re-planner sees them.
+    fn static_plan(
+        m: &TlrMatrix,
+        fcfg: &FactorConfig,
+        dist: &TwoDBlockCyclic,
+    ) -> (SymbolicPlan, Vec<usize>) {
+        let plan = Session::distributed(*fcfg, 4, dist).plan(m).unwrap();
+        let EnginePlan::Distributed(ds) = &plan.engine else {
+            panic!("a distributed session plans for the distributed engine")
+        };
+        let exec_rank = ds.mapping.read().exec_rank.clone();
+        (plan, exec_rank)
+    }
+
     /// The model is the engine: on a fault-free run the measured
     /// cross-rank traffic equals [`modeled_comm`] on the planned
     /// mapping, byte for byte and message for message.
@@ -282,8 +297,8 @@ mod tests {
         let dist = TwoDBlockCyclic::new(4);
 
         let for_plan = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let plan = plan_distribution(&for_plan, &fcfg, 4, &dist);
-        let modeled = modeled_comm(&plan.dag.graph, &plan.exec_rank);
+        let (plan, exec_rank) = static_plan(&for_plan, &fcfg, &dist);
+        let modeled = modeled_comm(&plan.dag.graph, &exec_rank);
 
         let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
         let measured = Session::distributed(fcfg, 4, &dist)
@@ -397,11 +412,11 @@ mod tests {
         let fcfg = FactorConfig::with_accuracy(acc);
         let dist = TwoDBlockCyclic::new(4);
         let m = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let plan = plan_distribution(&m, &fcfg, 4, &dist);
+        let (plan, exec_rank) = static_plan(&m, &fcfg, &dist);
 
         let mut r = CommReplanner::new(4);
-        let base = modeled_comm(&plan.dag.graph, &plan.exec_rank);
-        r.observe(&plan.dag.graph, &plan.exec_rank, &base);
+        let base = modeled_comm(&plan.dag.graph, &exec_rank);
+        r.observe(&plan.dag.graph, &exec_rank, &base);
         assert!(!r.overrides().is_empty(), "a proposal must exist");
         let proposed = r.overrides().clone();
 
@@ -410,7 +425,7 @@ mod tests {
             bytes: base.bytes * 2 + 1,
             messages: base.messages,
         };
-        r.observe(&plan.dag.graph, &plan.exec_rank, &worse);
+        r.observe(&plan.dag.graph, &exec_rank, &worse);
         assert_ne!(r.overrides(), &proposed, "the bad proposal must be dropped");
         assert!(r.converged(), "a rejected proposal ends the search");
         assert_eq!(r.best_bytes(), Some(base.bytes));

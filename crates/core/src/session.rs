@@ -2,10 +2,9 @@
 //!
 //! [`Session`] is the single entry point behind every TLR Cholesky
 //! front-end in this crate. A session owns the whole per-attempt
-//! pipeline — DAG build, tile placement (`plan_distribution` on
-//! distributed runs), kernel dispatch, engine execution, and tile
-//! gathering — plus the diagonal-shift retry driver that used to live
-//! only on the shared-memory path. The public wrappers
+//! pipeline — DAG build, tile placement, the one task body
+//! (`run_kernel`), engine execution, and tile gathering — plus the
+//! diagonal-shift retry driver. The public wrappers
 //! ([`factorize`](crate::factorize::factorize) and its plan-split
 //! siblings) are one-call shims over it.
 //!
@@ -26,11 +25,14 @@
 //! attached [`PlanCache`]) then run. Repeated solves on one tile
 //! structure therefore pay the symbolic cost once.
 
+use crate::batch::{BatchObs, PanelBatch};
 use crate::dag::{CholeskyDag, TaskKind};
-use crate::distributed::{gather_tiles, kernel_env, scatter_tiles};
+use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
-use crate::plan::{self, CacheEvents, PlanCache, PlanKey, SymbolicPlan};
+use crate::plan::{
+    self, lower, CacheEvents, DistMapping, DistStatic, EnginePlan, PlanCache, PlanKey, SymbolicPlan,
+};
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
 use runtime::critical_path::critical_path;
@@ -44,15 +46,18 @@ use runtime::graph::DataRef;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::obs::{RunEvent, RunMetrics};
+use runtime::scheduler::SchedPlan;
 use runtime::trace::{ClassBreakdown, Trace};
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tlr_compress::kernels::{
     gemm_kernel_ws, potrf_kernel, syrk_kernel_ws, trsm_kernel, KernelWorkspace,
 };
-use tlr_compress::{RankEvolution, RankSnapshot, SealedTile, Tile, TileDigest, TlrMatrix};
+use tlr_compress::{
+    CompressionConfig, RankEvolution, RankSnapshot, SealedTile, Tile, TileDigest, TlrMatrix,
+};
 use tlr_linalg::CholeskyError;
 
 /// Where a session executes.
@@ -201,12 +206,13 @@ impl<'a> Session<'a> {
     pub fn run(&self, matrix: &mut TlrMatrix) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
         let snapshot = matrix.rank_snapshot();
+        let key = self.key(&snapshot)?;
         let (plan, ev) = match self.cache {
-            Some(cache) => {
-                let key = plan::plan_key(&self.cfg, &snapshot, self.dist_inputs()?.as_ref());
-                cache.get_or_build(&key, || self.build_plan(&snapshot))?
-            }
-            None => (Arc::new(self.build_plan(&snapshot)?), CacheEvents::default()),
+            Some(cache) => cache.get_or_build(&key, || self.build_plan(&snapshot, key))?,
+            None => (
+                Arc::new(self.build_plan(&snapshot, key)?),
+                CacheEvents::default(),
+            ),
         };
         // Cold runs report the symbolic-phase cost here; warm-cache runs
         // report the (near-zero) key fold + lookup instead.
@@ -221,7 +227,8 @@ impl<'a> Session<'a> {
     /// [`run_with_plan`](Session::run_with_plan) calls and matrices that
     /// share the same structural fingerprint.
     pub fn plan(&self, matrix: &TlrMatrix) -> Result<SymbolicPlan, RunError> {
-        self.build_plan(&matrix.rank_snapshot())
+        let snapshot = matrix.rank_snapshot();
+        self.build_plan(&snapshot, self.key(&snapshot)?)
     }
 
     /// The numeric phase alone: factor `matrix` through a prebuilt
@@ -238,8 +245,7 @@ impl<'a> Session<'a> {
         matrix: &mut TlrMatrix,
     ) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
-        let key =
-            plan::plan_key(&self.cfg, &matrix.rank_snapshot(), self.dist_inputs()?.as_ref());
+        let key = self.key(&matrix.rank_snapshot())?;
         if key != plan.key {
             return Err(RunError::PlanMismatch {
                 plan: Box::new(plan.key),
@@ -250,32 +256,63 @@ impl<'a> Session<'a> {
         self.run_driver(plan, matrix, CacheEvents::default(), analysis_seconds)
     }
 
+    /// The fault layer of a distributed session (`None` on shared ones).
+    fn fault_layer(&self) -> Option<&'a FtConfig> {
+        match self.mode {
+            Mode::Shared => None,
+            Mode::Distributed { ft, .. } => ft,
+        }
+    }
+
+    /// Whether a distributed run ships digest-sealed tiles: the integrity
+    /// layer arms when asked for explicitly, or whenever the fault plan
+    /// injects corruption — silent corruption with the detector off
+    /// would violate the bit-identical-factor contract.
+    fn sealed_payloads(&self) -> bool {
+        self.cfg.integrity != IntegrityMode::Off
+            || self
+                .fault_layer()
+                .is_some_and(|f| f.plan.injects_corruption())
+    }
+
     /// The distributed-plan inputs of this session's mode (`None` for
     /// shared memory). Every entry point plans through here, so this is
-    /// where a distributed session over zero ranks is rejected.
+    /// where a distributed session over zero ranks is rejected, and
+    /// where the one batching decision is taken: fused tasks run on a
+    /// plain distributed engine only. Crash recovery, lineage healing and
+    /// the virtual-time trace all reason about single-tile tasks
+    /// (re-running a fused writer would re-apply updates to members'
+    /// tiles that have since moved on), so any of them keeps the plan
+    /// unbatched — and [`PlanMode::Distributed`](plan::PlanMode) says so.
     fn dist_inputs(&self) -> Result<Option<plan::DistPlanInputs<'_>>, RunError> {
         match &self.mode {
             Mode::Shared => Ok(None),
             Mode::Distributed { nprocs: 0, .. } => {
                 Err(RunError::Engine(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }))
             }
-            Mode::Distributed { nprocs, exec, ft } => {
-                let verify = self.cfg.integrity != IntegrityMode::Off
-                    || ft.is_some_and(|f| f.plan.injects_corruption());
-                Ok(Some(plan::DistPlanInputs {
-                    nprocs: *nprocs,
-                    exec: *exec,
-                    ft: ft.is_some(),
-                    verify,
-                    trace: self.cfg.collect_trace,
-                    replan_slack: self.replan_slack,
-                }))
-            }
+            Mode::Distributed { nprocs, exec, ft } => Ok(Some(plan::DistPlanInputs {
+                nprocs: *nprocs,
+                exec: *exec,
+                batched: self.cfg.batch_panels
+                    && ft.is_none()
+                    && !self.sealed_payloads()
+                    && !self.cfg.collect_trace,
+                replan_slack: self.replan_slack,
+            })),
         }
     }
 
-    fn build_plan(&self, snapshot: &RankSnapshot) -> Result<SymbolicPlan, RunError> {
-        plan::build_plan(&self.cfg, snapshot, self.dist_inputs()?).map_err(RunError::Engine)
+    /// The fingerprint of the plan this session runs `snapshot` with.
+    fn key(&self, snapshot: &RankSnapshot) -> Result<PlanKey, RunError> {
+        Ok(plan::plan_key(
+            &self.cfg,
+            snapshot,
+            self.dist_inputs()?.as_ref(),
+        ))
+    }
+
+    fn build_plan(&self, snapshot: &RankSnapshot, key: PlanKey) -> Result<SymbolicPlan, RunError> {
+        plan::build_plan(&self.cfg, snapshot, key, self.dist_inputs()?).map_err(RunError::Engine)
     }
 
     /// Diagonal-shift retry driver over one plan. The shift perturbs
@@ -331,7 +368,9 @@ impl<'a> Session<'a> {
         Err(RunError::Numeric(best_err))
     }
 
-    /// One factorization attempt on the matrix as-is, through the plan.
+    /// One factorization attempt on the matrix as-is, through the plan:
+    /// the plan says which engine it was built for (its key matched this
+    /// session's, so the two agree).
     fn attempt(
         &self,
         plan: &SymbolicPlan,
@@ -339,12 +378,12 @@ impl<'a> Session<'a> {
         ev: CacheEvents,
         analysis_seconds: f64,
     ) -> Result<RunOutcome, RunError> {
-        let drift = self.drift.as_ref();
-        let mut out = match self.mode {
-            Mode::Shared => shared_attempt(matrix, &self.cfg, plan, drift, ev),
-            Mode::Distributed { nprocs, ft, .. } => {
-                distributed_attempt(matrix, &self.cfg, nprocs, ft, plan, drift, ev)
+        let (cfg, drift) = (&self.cfg, self.drift.as_ref());
+        let mut out = match &plan.engine {
+            EnginePlan::Shared { sched, batch } => {
+                shared_attempt(matrix, cfg, &plan.dag, sched, batch.as_ref(), drift, ev)
             }
+            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, &plan.dag, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
         Ok(out)
@@ -409,7 +448,8 @@ pub struct RunOutcome {
     /// would have achieved on this run. `Some` exactly when `trace` is.
     pub critical_path_seconds: Option<f64>,
     /// Recompression rank evolution merged over all kernel workspaces
-    /// (shared-memory runs; empty on distributed ones).
+    /// (one per engine worker or emulated rank; crash re-executions on a
+    /// distributed run recompress again and are counted again).
     pub rank_evolution: RankEvolution,
     /// Model flops of the executed DAG (priced by `flops::*` at analysis
     /// time — ranks evolve during the run, so this is the planned count).
@@ -699,6 +739,129 @@ impl From<EngineError> for RunError {
     }
 }
 
+/// The tiles a task touches: the one it updates in place and the ones
+/// it only reads.
+pub(crate) struct Operands {
+    /// The tile the task writes.
+    pub(crate) writes: DataRef,
+    reads: [DataRef; 2],
+    nreads: usize,
+}
+
+impl Operands {
+    /// The read-only operands, in packed-lower order — every one of them
+    /// precedes [`writes`](Operands::writes) in that order, which is the
+    /// order the shared engine takes its locks in and the order
+    /// [`run_kernel`] indexes `reads` by.
+    pub(crate) fn reads(&self) -> &[DataRef] {
+        &self.reads[..self.nreads]
+    }
+}
+
+impl TaskKind {
+    /// Which tiles this task writes and reads — the PTG's dataflow, said
+    /// once for both engines.
+    pub(crate) fn operands(self) -> Operands {
+        let at = |i, j| DataRef { i, j };
+        let (writes, reads, nreads) = match self {
+            TaskKind::Potrf { k } => (at(k, k), [at(k, k); 2], 0),
+            TaskKind::Trsm { k, m } => (at(m, k), [at(k, k); 2], 1),
+            TaskKind::Syrk { k, m } => (at(m, m), [at(m, k); 2], 1),
+            // k < n < m, so (n, k) < (m, k) < (m, n) in packed order.
+            TaskKind::Gemm { k, m, n } => (at(m, n), [at(n, k), at(m, k)], 2),
+        };
+        Operands {
+            writes,
+            reads,
+            nreads,
+        }
+    }
+}
+
+/// The one task body: run `kind`'s kernel on `out` (the tile
+/// [`operands`](TaskKind::operands) says it writes) against `reads` (the
+/// tiles it says it reads, in that order). Where the tiles live — behind
+/// the shared engine's locks or in a rank's store and inbox — is the
+/// caller's business; what the task computes is decided here alone. A
+/// POTRF failure carries the pivot *within* its tile.
+pub(crate) fn run_kernel(
+    kind: TaskKind,
+    ws: &mut KernelWorkspace,
+    out: &mut Tile,
+    reads: &[&Tile],
+    compression: &CompressionConfig,
+) -> Result<(), CholeskyError> {
+    match kind {
+        TaskKind::Potrf { .. } => potrf_kernel(out)?,
+        TaskKind::Trsm { .. } => trsm_kernel(reads[0], out),
+        TaskKind::Syrk { .. } => syrk_kernel_ws(ws, reads[0], out),
+        // C(m, n) −= A(m, k) · B(n, k)ᵀ: reads are [(n, k), (m, k)].
+        TaskKind::Gemm { .. } => gemm_kernel_ws(ws, reads[1], reads[0], out, compression),
+    }
+    Ok(())
+}
+
+/// Borrow a task's read operands through `fetch` (a lock guard, a
+/// reference into a rank's store) and hand them to `f` as one slice, in
+/// operand order, without allocating.
+pub(crate) fn with_reads<G: Deref<Target = Tile>, R>(
+    reads: &[DataRef],
+    fetch: impl Fn(DataRef) -> G,
+    f: impl FnOnce(&[&Tile]) -> R,
+) -> R {
+    match *reads {
+        [] => f(&[]),
+        [a] => f(&[&fetch(a)]),
+        [a, b] => {
+            let (a, b) = (fetch(a), fetch(b));
+            f(&[&a, &b])
+        }
+        _ => unreachable!("a Cholesky task reads at most two tiles"),
+    }
+}
+
+/// Record a pivot failure at global row `pivot`, keeping the *smallest*
+/// one — several POTRFs can fail before the failure propagates, and the
+/// caller must see a deterministic (earliest) pivot, not whichever
+/// failure happened to be stored last.
+pub(crate) fn record_pivot(slot: &Mutex<Option<CholeskyError>>, pivot: usize) {
+    let mut slot = slot.lock();
+    if slot.as_ref().is_none_or(|prev| pivot < prev.pivot) {
+        *slot = Some(CholeskyError { pivot });
+    }
+}
+
+/// One kernel arena per engine worker or emulated rank, indexed by the
+/// worker id / rank the engine hands the task body — exclusive by
+/// construction, so the `Mutex` is never contended (it only satisfies
+/// the `Sync` bound of the shared engine's kernel closure). Buffers grow
+/// to their high-water mark over the first few updates and the
+/// recompression hot path then runs allocation-free.
+pub(crate) fn kernel_arenas(n: usize) -> Vec<Mutex<KernelWorkspace>> {
+    (0..n).map(|_| Mutex::new(KernelWorkspace::new())).collect()
+}
+
+/// Drain the kernel arenas of a finished run into the registry: merged
+/// rank evolution, buffer-growth count and per-shard arena high-water
+/// marks.
+fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry) -> RankEvolution {
+    let mut rank_evolution = RankEvolution::default();
+    for (shard, ws) in workspaces.into_iter().enumerate() {
+        let mut w = ws.into_inner();
+        rank_evolution.merge(&w.take_rank_log());
+        registry.add(0, Counter::WorkspaceGrowth, w.alloc_events());
+        registry.gauge_max(
+            shard,
+            Gauge::ArenaHighWaterBytes,
+            w.high_water_bytes() as f64,
+        );
+    }
+    for (rank, &count) in rank_evolution.histogram().iter().enumerate() {
+        registry.record_rank_counts(0, rank, count);
+    }
+    rank_evolution
+}
+
 /// One shared-memory attempt on the work-stealing [`Engine`].
 ///
 /// Kernel panics are drained by the engine (no hung pool) and surface
@@ -708,30 +871,24 @@ impl From<EngineError> for RunError {
 fn shared_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
-    plan: &SymbolicPlan,
+    dag: &CholeskyDag,
+    sched_plan: &SchedPlan,
+    pb: Option<&PanelBatch>,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
     let nt = matrix.nt();
     let memory_before_f64 = matrix.memory_f64();
-    // The symbolic phase already ran: the trimmed DAG, the contracted
-    // panel-batch graph and the scheduler tables all come off the plan.
-    let dag = &plan.dag;
-    let pb = plan.batch.as_ref();
-    let sched_plan = plan
-        .sched
-        .as_ref()
-        .expect("shared plans carry scheduler state");
 
     // Move the tiles into lock cells for concurrent kernel execution.
     let tile_size = matrix.tile_size();
-    let lower = |i: usize, j: usize| i * (i + 1) / 2 + j;
     let mut cells: Vec<RwLock<Tile>> = Vec::with_capacity(nt * (nt + 1) / 2);
     for i in 0..nt {
         for j in 0..=i {
             cells.push(RwLock::new(matrix.take_tile(i, j)));
         }
     }
+    let cell = |d: DataRef| &cells[lower(d.i, d.j)];
 
     // Exact-digest side array for the integrity layer (off by default):
     // one digest per packed-lower tile, sealed at load time. Under
@@ -780,36 +937,24 @@ fn shared_attempt(
     // Flipped on the first pivot failure: the engine then drains the
     // remaining tasks without invoking their kernels at all.
     let cancel = AtomicBool::new(false);
-    // Record a pivot failure keeping the *smallest* pivot — several POTRFs
-    // can fail concurrently before the cancellation flag propagates, and
-    // the caller must see a deterministic (earliest) pivot, not whichever
-    // failure happened to be stored last.
-    let record_error = |e: CholeskyError| {
-        let mut slot = error.lock();
-        match &*slot {
-            Some(prev) if prev.pivot <= e.pivot => {}
-            _ => *slot = Some(e),
-        }
-        cancel.store(true, Ordering::Release);
-    };
     // First corrupted tile, kept at the smallest packed index so
     // concurrent detections report deterministically (same discipline as
-    // the pivot error above).
+    // the pivot error).
     let integrity_bad: Mutex<Option<(usize, usize)>> = Mutex::new(None);
-    let record_corruption = |i: usize, j: usize| {
+    let record_corruption = |d: DataRef| {
         let mut slot = integrity_bad.lock();
         match &*slot {
-            Some(prev) if *prev <= (i, j) => {}
-            _ => *slot = Some((i, j)),
+            Some(prev) if *prev <= (d.i, d.j) => {}
+            _ => *slot = Some((d.i, d.j)),
         }
         cancel.store(true, Ordering::Release);
     };
-    let check = |i: usize, j: usize, t: &Tile| -> bool {
+    let check = |d: DataRef, t: &Tile| -> bool {
         if !verify_reads {
             return true;
         }
         let Some(ds) = &digests else { return true };
-        let mut slot = ds[lower(i, j)].lock();
+        let mut slot = ds[lower(d.i, d.j)].lock();
         if slot.checked {
             return true;
         }
@@ -818,27 +963,11 @@ fn shared_attempt(
             return true;
         }
         drop(slot);
-        record_corruption(i, j);
+        record_corruption(d);
         false
     };
-    let reseal = |i: usize, j: usize, t: &Tile| {
-        if let Some(ds) = &digests {
-            *ds[lower(i, j)].lock() = DigestSlot {
-                d: TileDigest::of(t),
-                checked: false,
-            };
-        }
-    };
-    // One workspace arena per engine worker, indexed by the worker id the
-    // engine hands us — exclusive by construction, so the Mutex is never
-    // contended (it only satisfies the `Sync` bound of the kernel
-    // closure). Buffers grow to their high-water mark over the first few
-    // updates and the recompression hot path then runs allocation-free
-    // for the rest of the factorization.
     let nthreads = cfg.nthreads.max(1);
-    let workspaces: Vec<Mutex<KernelWorkspace>> = (0..nthreads)
-        .map(|_| Mutex::new(KernelWorkspace::new()))
-        .collect();
+    let workspaces = kernel_arenas(nthreads);
 
     // The two sinks of the engine's observation channel: the span
     // recorder (only when tracing was asked for; its table is
@@ -850,86 +979,50 @@ fn shared_attempt(
     record_cache_events(&registry, ev);
 
     let exec_t0 = std::time::Instant::now();
-    // One kernel dispatch per *original* task — both the plain and the
-    // batched engine run below call this, so batching can never change
-    // what a task computes.
+    // The task body under this engine's locks and digest checks, once per
+    // *original* task — both the plain and the batched engine run below
+    // call this, so batching can never change what a task computes.
     let run_task = |wid: usize, t: usize| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
-        match dag.kinds[t] {
-            TaskKind::Potrf { k } => {
-                let mut c = cells[lower(k, k)].write();
-                if !check(k, k, &c) {
+        let kind = dag.kinds[t];
+        let ops = kind.operands();
+        // Locks in packed order: the reads, then the written tile.
+        with_reads(
+            ops.reads(),
+            |d| cell(d).read(),
+            |reads| {
+                let mut out = cell(ops.writes).write();
+                let verified = ops.reads().iter().zip(reads).all(|(&d, t)| check(d, t))
+                    && check(ops.writes, &out);
+                if !verified {
                     return;
                 }
-                if let Err(e) = potrf_kernel(&mut c) {
-                    record_error(CholeskyError {
-                        pivot: k * tile_size + e.pivot,
-                    });
+                let mut ws = workspaces[wid].lock();
+                if let Err(e) = run_kernel(kind, &mut ws, &mut out, reads, &compression) {
+                    record_pivot(&error, ops.writes.i * tile_size + e.pivot);
+                    cancel.store(true, Ordering::Release);
                     return;
                 }
-                reseal(k, k, &c);
-            }
-            TaskKind::Trsm { k, m } => {
-                // lock order: (k,k) < (m,k) in packed order (k < m)
-                let l = cells[lower(k, k)].read();
-                let mut a = cells[lower(m, k)].write();
-                if !(check(k, k, &l) && check(m, k, &a)) {
-                    return;
+                // POTRF / TRSM write a tile's final version; a SYRK / GEMM
+                // output is an intermediate one that they reseal later.
+                let finalizing = matches!(kind, TaskKind::Potrf { .. } | TaskKind::Trsm { .. });
+                if let (Some(ds), true) = (&digests, finalizing || verify_reads) {
+                    *ds[lower(ops.writes.i, ops.writes.j)].lock() = DigestSlot {
+                        d: TileDigest::of(&out),
+                        checked: false,
+                    };
                 }
-                trsm_kernel(&l, &mut a);
-                reseal(m, k, &a);
-            }
-            TaskKind::Syrk { k, m } => {
-                let a = cells[lower(m, k)].read();
-                let mut c = cells[lower(m, m)].write();
-                if !(check(m, k, &a) && check(m, m, &c)) {
-                    return;
-                }
-                syrk_kernel_ws(&mut workspaces[wid].lock(), &a, &mut c);
-                // Intermediate version: POTRF {m} reseals the final one.
-                if verify_reads {
-                    reseal(m, m, &c);
-                }
-            }
-            TaskKind::Gemm { k, m, n } => {
-                // packed order: (n,k) < (m,k) < (m,n) since k < n < m
-                let bt = cells[lower(n, k)].read();
-                let at = cells[lower(m, k)].read();
-                let mut c = cells[lower(m, n)].write();
-                if !(check(n, k, &bt) && check(m, k, &at) && check(m, n, &c)) {
-                    return;
-                }
-                gemm_kernel_ws(&mut workspaces[wid].lock(), &at, &bt, &mut c, &compression);
-                // Intermediate version: TRSM {n, m} reseals the final one.
-                if verify_reads {
-                    reseal(m, n, &c);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        if inputs_finite && !cancel.load(Ordering::Acquire) {
-            // Pin down the first kernel that produces a non-finite value
-            // (skipped once cancelled: a failed POTRF leaves its tile in a
-            // legitimately half-factored state).
-            let w = dag
-                .graph
-                .spec(t)
-                .writes
-                .expect("every Cholesky task writes its tile");
-            let idx = lower(w.i, w.j);
-            let tile = cells[idx].read();
-            let d = tile.to_dense();
-            assert!(
-                d.as_slice().iter().all(|v| v.is_finite()),
-                "non-finite output from {:?} (tile {},{} rank {})",
-                dag.kinds[t],
-                w.i,
-                w.j,
-                tile.rank()
-            );
-        }
+                // Pin down the first kernel that produces a non-finite value.
+                #[cfg(debug_assertions)]
+                assert!(
+                    !inputs_finite || out.to_dense().as_slice().iter().all(|v| v.is_finite()),
+                    "non-finite output from {kind:?} (rank {})",
+                    out.rank()
+                );
+            },
+        )
     };
     // Both paths run the plan's precomputed scheduler tables: no per-run
     // priority computation.
@@ -938,7 +1031,7 @@ fn shared_attempt(
         // registry counts at that granularity; the BatchObs sink keeps
         // the trace at kernel granularity against the original-sized
         // ExecObs.
-        let bobs = crate::batch::BatchObs::new(obs.as_ref(), &pb.members);
+        let bobs = BatchObs::new(obs.as_ref(), &pb.members);
         let engine_cfg = EngineConfig::new(nthreads)
             .with_cancel(&cancel)
             .with_obs((&registry, &bobs));
@@ -953,13 +1046,13 @@ fn shared_attempt(
     };
     let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
-    // Move tiles back into the matrix regardless of success (a panicked
-    // kernel released its lock on unwind, so the cells are readable).
-    let mut idx = 0;
+    // Move the tiles back into the matrix regardless of success (a
+    // panicked kernel released its lock on unwind).
+    let mut cells = cells.into_iter();
     for i in 0..nt {
         for j in 0..=i {
-            matrix.put_tile(i, j, cells[idx].read().clone());
-            idx += 1;
+            let cell = cells.next().expect("one cell per packed-lower tile");
+            matrix.put_tile(i, j, cell.into_inner());
         }
     }
     exec_result?;
@@ -986,30 +1079,16 @@ fn shared_attempt(
     // pivot failure above: a half-factored tile legitimately no longer
     // matches its seal.)
     if let Some(ds) = &digests {
-        let mut idx = 0;
         for i in 0..nt {
             for j in 0..=i {
-                if !ds[idx].lock().d.verify(&cells[idx].read()) {
+                if !ds[lower(i, j)].lock().d.verify(matrix.tile(i, j)) {
                     return Err(integrity_error(i, j));
                 }
-                idx += 1;
             }
         }
     }
 
-    // Rank evolution, buffer-growth counts and arena high-water marks
-    // live in the per-worker workspaces; drain them into the registry
-    // once now that the workers are done.
-    let mut rank_evolution = RankEvolution::default();
-    for (wid, ws) in workspaces.iter().enumerate() {
-        let mut w = ws.lock();
-        rank_evolution.merge(&w.take_rank_log());
-        registry.add(0, Counter::WorkspaceGrowth, w.alloc_events());
-        registry.gauge_max(wid, Gauge::ArenaHighWaterBytes, w.high_water_bytes() as f64);
-    }
-    for (rank, &count) in rank_evolution.histogram().iter().enumerate() {
-        registry.record_rank_counts(0, rank, count);
-    }
+    let rank_evolution = drain_workspaces(workspaces, &registry);
     let registry = registry.snapshot();
     let drift = drift.map(|spec| DriftReport::compute(spec, &dag.graph, &registry, None));
     let breakdown = registry.class_busy_seconds();
@@ -1073,174 +1152,160 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
     registry.add(0, Counter::PlanCacheEvictions, ev.evictions);
 }
 
-/// One distributed attempt on the virtual-time [`DistEngine`]:
-/// `scatter_tiles` → `kernel_env` → planned engine run → `gather_tiles`.
+/// Scatter and run with payload type `P`: move the matrix tiles into
+/// per-rank stores wrapped as `P`, run `body` once per original task,
+/// and hand the final stores back unwrapped, ready to gather.
 ///
-/// All placement and ordering decisions come off the [`SymbolicPlan`]'s
-/// [`DistStatic`](crate::plan) machinery; this function only moves
-/// tiles, runs kernels, and feeds measured traffic back into the plan's
-/// embedded re-planner, if any.
-fn distributed_attempt(
+/// The engine executes the DAG itself or, on a batched plan, the
+/// contracted graph — with the [`PanelBatch`] as the view back onto the
+/// original tasks (`members`, `of`).
+fn run_ranks<P: TilePayload>(
     matrix: &mut TlrMatrix,
-    cfg: &FactorConfig,
+    dag: &CholeskyDag,
+    map: &DistMapping,
     nprocs: usize,
-    ft: Option<&FtConfig>,
-    plan: &SymbolicPlan,
-    drift: Option<&DriftSpec>,
-    ev: CacheEvents,
-) -> Result<RunOutcome, RunError> {
-    let tile_size = matrix.tile_size();
-    let memory_before_f64 = matrix.memory_f64();
-    let ds = plan
-        .dist
-        .as_ref()
-        .expect("distributed plans carry placement state");
-    let dag = &plan.dag;
-    // Hold the mapping read-locked across the whole attempt: an embedded
-    // re-planner refreshing it mid-run (another session sharing the
-    // cached plan) must wait until this run has gathered its tiles.
-    let map = ds.mapping.read();
-    let initial = scatter_tiles(matrix, &map.placement, nprocs);
-    let env = kernel_env(dag, &ds.preds, cfg, tile_size);
-
-    // The metrics registry shards per emulated rank: task counts and
-    // virtual per-class durations land in the executing rank's shard,
-    // comm/fault/integrity totals fold into shard 0 at end of run.
-    let registry = Registry::new(nprocs);
-    record_cache_events(&registry, ev);
-    let dist_cfg = DistConfig {
-        ft,
-        record_trace: cfg.collect_trace,
-        metrics: Some(&registry),
+    dist_cfg: &DistConfig<'_>,
+    hooks: Option<&IntegrityHooks<'_, P>>,
+    body: &RankBody<'_>,
+) -> Result<DistOutcome<Tile>, EngineError> {
+    let (graph, exec_rank, order, batch) = match &map.batch {
+        Some(db) => (&db.pb.graph, &db.exec_rank, &db.order, Some(&db.pb)),
+        None => (&dag.graph, &map.exec_rank, &map.order, None),
     };
-    // The integrity layer arms when asked for explicitly, or whenever
-    // the fault plan injects corruption — silent corruption with the
-    // detector off would violate the bit-identical-factor contract.
-    // The plan was keyed on the same predicate, so `map.batch` is
-    // guaranteed `None` whenever `verify` holds.
-    let verify =
-        cfg.integrity != IntegrityMode::Off || ft.is_some_and(|f| f.plan.injects_corruption());
-    let exec_t0 = std::time::Instant::now();
-    let out: DistOutcome<Tile> =
-        if verify {
-            // Seal every tile with its exact content digest; kernels reseal
-            // what they write (`TilePayload::from_tile`), and the engine
-            // verifies at each read boundary, healing from lineage on a
-            // mismatch. Unsealing afterwards keeps gathering and all
-            // post-processing on the one plain-`Tile` code path.
-            let sealed: Vec<HashMap<DataRef, SealedTile>> = initial
-                .into_iter()
-                .map(|m| {
-                    m.into_iter()
-                        .map(|(d, t)| (d, SealedTile::seal(t)))
-                        .collect()
-                })
-                .collect();
+    let initial = scatter_tiles::<P>(matrix, &map.placement, nprocs);
+    let out = DistEngine::new(graph, nprocs, exec_rank).run(
+        initial,
+        dist_cfg,
+        order,
+        hooks,
+        |b, ctx| {
+            match batch {
+                // The engine schedules and ships at fused-task granularity;
+                // the members replay in per-tile program order.
+                Some(pb) => pb.members[b]
+                    .iter()
+                    .for_each(|&t| body.run(t, ctx, |p| pb.of[p])),
+                None => body.run(b, ctx, |p| p),
+            }
+        },
+    )?;
+    Ok(out.map(P::into_tile))
+}
+
+impl Session<'_> {
+    /// One distributed attempt on the virtual-time [`DistEngine`]:
+    /// scatter → run → gather.
+    ///
+    /// All placement and ordering decisions come off the plan's
+    /// [`DistStatic`]; this function only moves tiles, runs the task body,
+    /// and feeds measured traffic back into the plan's embedded
+    /// re-planner, if any.
+    fn distributed_attempt(
+        &self,
+        matrix: &mut TlrMatrix,
+        dag: &CholeskyDag,
+        ds: &DistStatic,
+        ev: CacheEvents,
+    ) -> Result<RunOutcome, RunError> {
+        let (cfg, ft, nprocs) = (&self.cfg, self.fault_layer(), ds.nprocs);
+        let memory_before_f64 = matrix.memory_f64();
+        // Hold the mapping read-locked across the whole attempt: an
+        // embedded re-planner refreshing it mid-run (another session
+        // sharing the cached plan) must wait until this run has gathered
+        // its tiles.
+        let map = ds.mapping.read();
+        let body = RankBody::new(dag, &ds.preds, cfg, matrix.tile_size(), nprocs);
+        // The metrics registry shards per emulated rank: task counts and
+        // virtual per-class durations land in the executing rank's shard,
+        // comm/fault/integrity totals fold into shard 0 at end of run.
+        let registry = Registry::new(nprocs);
+        record_cache_events(&registry, ev);
+        let dist_cfg = DistConfig {
+            ft,
+            record_trace: cfg.collect_trace,
+            metrics: Some(&registry),
+        };
+        let exec_t0 = std::time::Instant::now();
+        let mut out = if self.sealed_payloads() {
+            // Every tile travels with its exact content digest; the body
+            // reseals what it writes (`TilePayload::from_tile`), and the
+            // engine verifies at each read boundary, healing from lineage
+            // on a mismatch.
             let corrupt = |p: &mut SealedTile, bits: u64| p.corrupt(bits);
             let check = |p: &SealedTile| p.verify();
             let hooks = IntegrityHooks {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            let out = DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
-                sealed,
-                &dist_cfg,
-                &map.order,
-                Some(&hooks),
-                |t, ctx| env.run(t, ctx),
-            )?;
-            DistOutcome {
-                stores: out
-                    .stores
-                    .into_iter()
-                    .map(|m| m.into_iter().map(|(d, s)| (d, s.into_tile())).collect())
-                    .collect(),
-                exec_rank: out.exec_rank,
-                comm: out.comm,
-                stats: out.stats,
-                makespan: out.makespan,
-                events: out.events,
-                trace: out.trace,
-            }
-        } else if let Some(db) = &map.batch {
-            // Batched run: the engine schedules and ships at fused-task
-            // granularity; the body replays the members in per-tile
-            // program order, translating producer ids for inbox lookups.
-            // The returned payload is the first member's tile (the fused
-            // spec's `writes`); the other members' outputs travel via the
-            // rank store (the engine ships non-`writes` edge data from
-            // there).
-            DistEngine::new(&db.pb.graph, nprocs, &db.exec_rank).run(
-                initial,
-                &dist_cfg,
-                &db.order,
-                None,
-                |b, ctx| {
-                    let mut first = None;
-                    for &t in &db.pb.members[b] {
-                        let out = env.run_mapped(t, ctx, &db.pb.of);
-                        if first.is_none() {
-                            first = Some(out);
-                        }
-                    }
-                    first.expect("batched task has at least one member")
-                },
-            )?
+            run_ranks(matrix, dag, &map, nprocs, &dist_cfg, Some(&hooks), &body)
         } else {
-            DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
-                initial,
-                &dist_cfg,
-                &map.order,
-                None,
-                |t, ctx| env.run(t, ctx),
-            )?
-        };
-    let factorization_seconds = exec_t0.elapsed().as_secs_f64();
+            run_ranks::<Tile>(matrix, dag, &map, nprocs, &dist_cfg, None, &body)
+        }?;
+        let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
-    // A batched run's final rank assignment is indexed by fused-task ids;
-    // project it back to original tasks for gathering.
-    let final_exec: Vec<usize> = match &map.batch {
-        Some(db) => db.pb.of.iter().map(|&b| out.exec_rank[b]).collect(),
-        None => out.exec_rank.clone(),
-    };
-    gather_tiles(matrix, &ds.last_writer, &map.placement, &final_exec, &out.stores);
-    if let Some(e) = env.error.into_inner() {
-        return Err(RunError::Numeric(e));
-    }
-    // Feed the measured traffic back into the re-planner (successful
-    // runs only — a failed attempt's comm is not a usable signal). The
-    // planned (pre-fault) ranks and current overrides are cloned out so
-    // the read guard can drop before an embedded re-planner refreshes
-    // the mapping in place.
-    let planned_exec = map.exec_rank.clone();
-    let old_overrides = map.overrides.clone();
-    drop(map);
-    if let Some(rp) = &ds.replan {
-        let mut r = rp.lock();
-        r.observe(&dag.graph, &planned_exec, &out.comm);
-        if *r.overrides() != old_overrides {
-            let overrides = r.overrides().clone();
-            drop(r);
-            // Re-derive placement/orders from the existing DAG. The only
-            // failure mode is a scheduler-key defect, which the original
-            // derivation already ruled out — on the (unreachable) error
-            // the old mapping simply stays in force.
-            let _ = ds.refresh(dag, plan.nt, cfg.sched, overrides);
+        // A batched run's final rank assignment is indexed by fused-task
+        // ids; project it back to original tasks.
+        let final_exec: Vec<usize> = match &map.batch {
+            Some(db) => db.pb.of.iter().map(|&b| out.exec_rank[b]).collect(),
+            None => out.exec_rank,
+        };
+        gather_tiles(
+            matrix,
+            &ds.last_writer,
+            &map.placement,
+            &final_exec,
+            &mut out.stores,
+        );
+        if let Some(e) = body.error.into_inner() {
+            return Err(RunError::Numeric(e));
         }
+        // Feed the measured traffic back into the re-planner (successful
+        // runs only — a failed attempt's comm is not a usable signal).
+        // The planned (pre-fault) ranks and current overrides are cloned
+        // out so the read guard can drop before an embedded re-planner
+        // refreshes the mapping in place.
+        if let Some(rp) = &ds.replan {
+            let planned_exec = map.exec_rank.clone();
+            let old_overrides = map.overrides.clone();
+            drop(map);
+            let mut r = rp.lock();
+            r.observe(&dag.graph, &planned_exec, &out.comm);
+            if *r.overrides() != old_overrides {
+                let overrides = r.overrides().clone();
+                drop(r);
+                // Re-derive placement/orders from the existing DAG (never
+                // rebuilt). The only failure mode is a scheduler-key
+                // defect, which the original derivation already ruled out
+                // — on the (unreachable) error the old mapping simply
+                // stays in force.
+                if let Ok(mapping) = ds.derive_mapping(dag, cfg.sched, overrides) {
+                    *ds.mapping.write() = mapping;
+                }
+            }
+        }
+        let rank_evolution = drain_workspaces(body.workspaces, &registry);
+        let registry = registry.snapshot();
+        // Drift compares at original-task granularity: the model prices
+        // `dag.graph` and the comm model uses the projected-back final
+        // mapping, so batched and unbatched runs report comparably.
+        let drift = self.drift.as_ref().map(|spec| {
+            DriftReport::compute(spec, &dag.graph, &registry, Some((&final_exec, out.comm)))
+        });
+        Ok(RunOutcome {
+            comm: Some(out.comm),
+            faults: ft.map(|_| out.stats),
+            events: out.events,
+            virtual_makespan: Some(out.makespan),
+            rank_evolution,
+            drift,
+            ..outcome(
+                dag,
+                matrix,
+                memory_before_f64,
+                factorization_seconds,
+                registry,
+                out.trace,
+            )
+        })
     }
-    let registry = registry.snapshot();
-    // Drift compares at original-task granularity: the model prices
-    // `dag.graph` and the comm model uses the projected-back final
-    // mapping, so batched and unbatched runs report comparably.
-    let drift = drift.map(|spec| {
-        DriftReport::compute(spec, &dag.graph, &registry, Some((&final_exec, out.comm)))
-    });
-    Ok(RunOutcome {
-        comm: Some(out.comm),
-        faults: ft.map(|_| out.stats),
-        events: out.events,
-        virtual_makespan: Some(out.makespan),
-        drift,
-        ..outcome(dag, matrix, memory_before_f64, factorization_seconds, registry, out.trace)
-    })
 }

@@ -38,12 +38,9 @@ impl<P> RankCtx<'_, P> {
                 return p;
             }
         }
-        self.store.get(&data).unwrap_or_else(|| {
-            panic!(
-                "rank {}: datum ({}, {}) neither local nor shipped — missing dependency edge?",
-                self.rank, data.i, data.j
-            )
-        })
+        self.store
+            .get(&data)
+            .unwrap_or_else(|| missing_datum(self.rank, data))
     }
 
     /// Store (or overwrite) a datum in the rank-local store.
@@ -60,6 +57,16 @@ impl<P> RankCtx<'_, P> {
     pub fn take_remote(&mut self, producer: TaskId, data: DataRef) -> Option<P> {
         self.remote_inputs.remove(&(producer, data))
     }
+}
+
+/// The one diagnostic of a datum that is not where the graph says it is:
+/// a consumer's input that is neither local nor shipped, or a producer
+/// that never `put` what its outgoing edge names.
+fn missing_datum(rank: usize, data: DataRef) -> ! {
+    panic!(
+        "rank {rank}: datum ({}, {}) neither local nor shipped — missing dependency edge?",
+        data.i, data.j
+    )
 }
 
 /// Capability configuration of a [`DistEngine`] run.
@@ -130,6 +137,27 @@ pub struct DistOutcome<P> {
     /// Virtual-time execution trace, when
     /// [`DistConfig::record_trace`] was set.
     pub trace: Option<Trace>,
+}
+
+impl<P> DistOutcome<P> {
+    /// The same outcome over converted payloads — how a caller that ran
+    /// on wrapped payloads (digest-sealed tiles) gets the plain ones back.
+    pub fn map<Q>(self, f: impl Fn(P) -> Q) -> DistOutcome<Q> {
+        let stores = self
+            .stores
+            .into_iter()
+            .map(|s| s.into_iter().map(|(d, p)| (d, f(p))).collect())
+            .collect();
+        DistOutcome {
+            stores,
+            exec_rank: self.exec_rank,
+            comm: self.comm,
+            stats: self.stats,
+            makespan: self.makespan,
+            events: self.events,
+            trace: self.trace,
+        }
+    }
 }
 
 /// Sender-side log entry for one logical message (producer → consumer
@@ -254,10 +282,12 @@ impl<'g, 'r> DistEngine<'g, 'r> {
 
     /// Execute the graph: `initial[r]` is rank `r`'s initial datum store
     /// (the data distribution); `body(task, ctx)` runs the kernel on the
-    /// executing rank and must `put` the produced datum into the store;
-    /// its return value is the payload shipped to remote consumers
-    /// (usually a clone of the written datum). `body` must be
-    /// deterministic for the fault-recovery equivalence to hold.
+    /// executing rank and must `put` every datum the task's outgoing
+    /// edges name into the store. A datum leaves a task only along such
+    /// an edge: when the task completes, each remote edge ships a copy of
+    /// `store[edge.data]` (a missing one is the "missing dependency edge"
+    /// panic of [`RankCtx::get`]). `body` must be deterministic for the
+    /// fault-recovery equivalence to hold.
     ///
     /// `order` *is* the schedule: every rank executes its tasks in this
     /// order, front-only, so it must be a topological permutation of the
@@ -303,7 +333,7 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     ) -> Result<DistOutcome<P>, EngineError>
     where
         P: Clone,
-        F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
+        F: Fn(TaskId, &mut RankCtx<'_, P>),
     {
         let (graph, nprocs, exec_rank) = (self.graph, self.nprocs, self.exec_rank);
         let ntasks = graph.len();
@@ -412,7 +442,7 @@ struct Run<'a, P, F> {
 impl<'a, P, F> Run<'a, P, F>
 where
     P: Clone,
-    F: Fn(TaskId, &mut RankCtx<'_, P>) -> P,
+    F: Fn(TaskId, &mut RankCtx<'_, P>),
 {
     fn new(
         engine: &DistEngine<'a, '_>,
@@ -554,7 +584,7 @@ where
             store: &mut self.stores[rank],
             remote_inputs: std::mem::take(&mut self.inbox[t]),
         };
-        let produced = (self.body)(t, &mut ctx);
+        (self.body)(t, &mut ctx);
         self.done[t] = true;
         self.done_count += 1;
         let spec = graph.spec(t);
@@ -586,16 +616,9 @@ where
             if self.done[dst] {
                 continue; // re-execution; the consumer already has it
             }
-            // A task with several logical outputs (a fused panel batch
-            // writes one tile per member) returns only one payload, so
-            // each edge ships the datum it actually names: the store
-            // holds every member's `put`, and the returned payload covers
-            // the task's own `writes` (the single-output case and every
-            // pre-batching caller, bit-for-bit).
-            let payload = if spec.writes.is_some_and(|w| w != data) {
-                self.stores[rank].get(&data).cloned().unwrap_or_else(|| produced.clone())
-            } else {
-                produced.clone()
+            let payload = match self.stores[rank].get(&data) {
+                Some(p) => p.clone(),
+                None => missing_datum(rank, data),
             };
             let id = match self.rec_index.get(&(t, dst, data)) {
                 Some(&id) => {
@@ -1007,7 +1030,6 @@ mod tests {
                 *ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }) + 1
             };
             ctx.put(DataRef { i: t, j: 0 }, v);
-            v
         })
     }
 
@@ -1112,21 +1134,14 @@ mod tests {
             corrupt: &flip_value,
             verify: &mirror_ok,
         };
-        DistEngine::new(&g, nprocs, &exec).run(
-            initial,
-            cfg,
-            &topo(&g),
-            Some(&hooks),
-            |t, ctx| {
-                let v = if t == 0 {
-                    1
-                } else {
-                    ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }).0 + 1
-                };
-                ctx.put(DataRef { i: t, j: 0 }, (v, v));
-                (v, v)
-            },
-        )
+        DistEngine::new(&g, nprocs, &exec).run(initial, cfg, &topo(&g), Some(&hooks), |t, ctx| {
+            let v = if t == 0 {
+                1
+            } else {
+                ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }).0 + 1
+            };
+            ctx.put(DataRef { i: t, j: 0 }, (v, v));
+        })
     }
 
     /// A store strike between a writer and its local reader is caught at
@@ -1349,7 +1364,7 @@ mod tests {
     fn invalid_configs_are_typed_errors() {
         let g = dist_chain(4);
         let initial4: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 4];
-        let body = |_t: TaskId, _ctx: &mut RankCtx<'_, i64>| 0i64;
+        let body = |_t: TaskId, _ctx: &mut RankCtx<'_, i64>| {};
         let order = topo(&g);
 
         // Wrong rank-map length.
@@ -1418,7 +1433,7 @@ mod tests {
 
     // ---------------- message passing ----------------
 
-    fn run_dist<P: Clone, F: Fn(TaskId, &mut RankCtx<'_, P>) -> P>(
+    fn run_dist<P: Clone, F: Fn(TaskId, &mut RankCtx<'_, P>)>(
         graph: &TaskGraph,
         nprocs: usize,
         exec: &[usize],
@@ -1455,7 +1470,6 @@ mod tests {
                 *ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }) + 1
             };
             ctx.put(DataRef { i: t, j: 0 }, v);
-            v
         });
         // task n−1 ran on rank (n−1)%nprocs and stored v = n
         let last_rank = (n - 1) % nprocs;
@@ -1481,11 +1495,9 @@ mod tests {
         let stores = run_dist(&g, nprocs, &exec, initial, move |t, ctx| {
             if t == 0 {
                 ctx.put(data, 42);
-                42
             } else {
                 let v = *ctx.get(Some(0), data);
                 ctx.put(DataRef { i: t, j: 0 }, v * 2);
-                v * 2
             }
         });
         let mut seen = 0;
@@ -1514,19 +1526,12 @@ mod tests {
         let exec = vec![0, 1, 2];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
         let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
-            0 => {
-                ctx.put(DataRef { i: 0, j: 0 }, 7);
-                7
-            }
-            1 => {
-                ctx.put(DataRef { i: 1, j: 0 }, 11);
-                11
-            }
+            0 => ctx.put(DataRef { i: 0, j: 0 }, 7),
+            1 => ctx.put(DataRef { i: 1, j: 0 }, 11),
             _ => {
                 let x = *ctx.get(Some(0), DataRef { i: 0, j: 0 });
                 let y = *ctx.get(Some(1), DataRef { i: 1, j: 0 });
                 ctx.put(DataRef { i: 2, j: 0 }, x * y);
-                x * y
             }
         });
         assert_eq!(stores[2][&DataRef { i: 2, j: 0 }], 77);
@@ -1557,28 +1562,19 @@ mod tests {
         let exec = vec![1, 2, 0, 0, 0];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
         let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
-            0 => {
-                ctx.put(d_fast, 5);
-                5
-            }
-            1 => {
-                ctx.put(d_slow, 7);
-                7
-            }
+            0 => ctx.put(d_fast, 5),
+            1 => ctx.put(d_slow, 7),
             2 => {
                 let v = *ctx.get(Some(1), d_slow);
                 ctx.put(DataRef { i: 2, j: 0 }, v);
-                v
             }
             3 => {
                 let v = *ctx.get(Some(0), d_fast) * 10;
                 ctx.put(DataRef { i: 3, j: 0 }, v);
-                v
             }
             _ => {
                 let v = *ctx.get(Some(0), d_fast) * 100;
                 ctx.put(DataRef { i: 4, j: 0 }, v);
-                v
             }
         });
         assert_eq!(stores[0][&DataRef { i: 3, j: 0 }], 50);
@@ -1762,18 +1758,15 @@ mod tests {
             .run(initial, &dcfg, &topo(&g), None, |t, ctx| {
                 if t == root {
                     ctx.put(DataRef { i: 0, j: 0 }, 7);
-                    7
                 } else if t == sink {
                     let mut sum = 0;
                     for m in 0..width {
                         sum += *ctx.get(Some(1 + m), DataRef { i: 1 + m, j: 0 });
                     }
                     ctx.put(sink_data, sum);
-                    sum
                 } else {
                     let v = *ctx.get(Some(root), DataRef { i: 0, j: 0 }) * 2;
                     ctx.put(DataRef { i: t, j: 0 }, v);
-                    v
                 }
             })
             .unwrap();
@@ -1810,12 +1803,30 @@ mod tests {
             let _ = DistEngine::new(&g, 2, &exec).run(initial, &cfg, &[0, 1], None, |t, ctx| {
                 if t == 0 {
                     ctx.put(DataRef { i: 0, j: 0 }, 1);
-                    1
                 } else {
-                    *ctx.get(None, DataRef { i: 0, j: 0 }) // not local on rank 1!
+                    let _ = ctx.get(None, DataRef { i: 0, j: 0 }); // not local on rank 1!
                 }
             });
         }));
         assert!(result.is_err(), "missing dependency must be caught");
+    }
+
+    /// A producer that never `put`s the datum its outgoing edge names is
+    /// the same diagnostic — the engine ships what the edge names out of
+    /// the store, never a silent stand-in.
+    #[test]
+    fn unput_edge_datum_panics_with_the_same_diagnostic() {
+        let g = dist_chain(2);
+        let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let cfg = DistConfig::default();
+            let _ = DistEngine::new(&g, 2, &[0, 1]).run(initial, &cfg, &[0, 1], None, |_, _| {});
+        }))
+        .expect_err("an edge whose datum was never put must be caught");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(msg.contains("rank 0: datum (0, 0)"), "{msg}");
+        assert!(msg.contains("missing dependency edge"), "{msg}");
     }
 }

@@ -290,9 +290,10 @@ thread_local! {
 ///
 /// The public kernel entry points ([`gemm_kernel`], [`syrk_kernel`],
 /// [`subtract_lowrank`]) route through this so callers outside the
-/// executor (tests, the distributed engine) get workspace
-/// recycling for free; the factorization executor instead owns one
-/// explicit arena per worker and calls the `_ws` variants directly.
+/// engines (tests, benchmarks, probes) get workspace recycling for
+/// free. Nobody drains this arena: both factorization engines own one
+/// explicit arena per worker / emulated rank, call the `_ws` variants
+/// directly and report its rank log and high-water mark.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut KernelWorkspace) -> R) -> R {
     TLS_WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
 }

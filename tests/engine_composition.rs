@@ -5,7 +5,9 @@
 //! `CommStats` and the fault layer's `FaultStats`. This is the contract
 //! behind one `Session` over one engine per kind.
 
-use hicma_parsec::cholesky::{factorize, FactorConfig, RunError, Session};
+use hicma_parsec::cholesky::{
+    factorize, FactorConfig, IntegrityMode, RunError, RunOutcome, Session,
+};
 use hicma_parsec::distribution::{DiamondDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
@@ -275,4 +277,169 @@ fn ft_plus_trace_plus_comm_in_one_run() {
         out.report.dag_tasks
     );
     assert!(trace.makespan() <= out.virtual_makespan.unwrap() + 1e-12);
+}
+
+/// Hostile shapes through the one task body on both engines: a single
+/// tile, a ragged last tile row, more ranks than tiles, and a matrix
+/// whose off-diagonal tiles are all null (the trimmed DAG is its POTRFs).
+/// Every capability subset — plain, batched, sealed, traced, fault-free
+/// fault layer — factors bit-identically to the plain shared run;
+/// subsets that execute the same graph count the same traffic; and a
+/// fault-free distributed run reports the shared run's recompressions.
+#[test]
+fn hostile_shapes_agree_across_engines_and_capabilities() {
+    struct Shape {
+        name: &'static str,
+        n: usize,
+        b: usize,
+        nprocs: usize,
+        /// Off-diagonal tiles are exactly zero (block-diagonal operator).
+        block_diagonal: bool,
+    }
+    let shapes = [
+        Shape {
+            name: "nt = 1",
+            n: 24,
+            b: 24,
+            nprocs: 4,
+            block_diagonal: false,
+        },
+        Shape {
+            name: "ragged last row",
+            n: 148,
+            b: 24,
+            nprocs: 4,
+            block_diagonal: false,
+        },
+        Shape {
+            name: "more ranks than tiles",
+            n: 48,
+            b: 24,
+            nprocs: 6,
+            block_diagonal: false,
+        },
+        Shape {
+            name: "null off-diagonals",
+            n: 96,
+            b: 24,
+            nprocs: 4,
+            block_diagonal: true,
+        },
+    ];
+    let acc = 1e-8;
+    let ff = FtConfig::fault_free();
+    for shape in &shapes {
+        let Shape {
+            name,
+            n,
+            b,
+            nprocs,
+            block_diagonal,
+        } = *shape;
+        let rbf = rbf_gen(n, 6.0, 11);
+        let dense = Matrix::from_fn(n, n, |i, j| {
+            if block_diagonal && i / b != j / b {
+                0.0
+            } else {
+                rbf(i, j)
+            }
+        });
+        let nt = n.div_ceil(b);
+
+        let mut plain = FactorConfig::with_accuracy(acc);
+        plain.batch_panels = false;
+        let mut batched = plain;
+        batched.batch_panels = true;
+        let mut sealed = plain;
+        sealed.integrity = IntegrityMode::Maintain;
+        let mut traced = plain;
+        traced.collect_trace = true;
+
+        let shared = |cfg: FactorConfig| -> (Matrix, RunOutcome) {
+            let mut m = compressed(&dense, b, acc);
+            let out = Session::shared(cfg)
+                .run(&mut m)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            (m.to_dense_lower(), out)
+        };
+        let dist = TwoDBlockCyclic::new(nprocs);
+        let distributed = |cfg: FactorConfig, ft: Option<&FtConfig>| -> (Matrix, RunOutcome) {
+            let mut m = compressed(&dense, b, acc);
+            let mut s = Session::distributed(cfg, nprocs, &dist);
+            if let Some(ft) = ft {
+                s = s.with_fault_layer(ft);
+            }
+            let out = s.run(&mut m).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (m.to_dense_lower(), out)
+        };
+
+        let (l_base, out_base) = shared(plain);
+        if block_diagonal {
+            assert_eq!(
+                out_base.report.dag_tasks, nt,
+                "{name}: trimmed DAG must be POTRFs only"
+            );
+        }
+        let recompressions = out_base.rank_evolution.histogram();
+        for (what, cfg) in [("batched", batched), ("sealed", sealed), ("traced", traced)] {
+            let (l, out) = shared(cfg);
+            assert_eq!(
+                l.as_slice(),
+                l_base.as_slice(),
+                "{name}: shared {what} factor"
+            );
+            assert_eq!(
+                out.rank_evolution.histogram(),
+                recompressions,
+                "{name}: shared {what}"
+            );
+        }
+
+        let run_plain = distributed(plain, None);
+        let comm_plain = run_plain
+            .1
+            .comm
+            .expect("distributed runs count communication");
+        let runs = [
+            ("plain", run_plain),
+            ("sealed", distributed(sealed, None)),
+            ("traced", distributed(traced, None)),
+            ("fault-free layer", distributed(plain, Some(&ff))),
+            ("batched", distributed(batched, None)),
+        ];
+        if n % b != 0 {
+            // The batched run of this shape really runs fused tasks.
+            let fused = Session::distributed(batched, nprocs, &dist)
+                .plan(&compressed(&dense, b, acc))
+                .unwrap()
+                .fused_groups();
+            assert!(fused > 0, "{name}: expected fused panel groups");
+        }
+        for (what, (l, out)) in &runs {
+            assert_eq!(
+                l.as_slice(),
+                l_base.as_slice(),
+                "{name}: distributed {what} factor"
+            );
+            assert_eq!(
+                out.rank_evolution.histogram(),
+                recompressions,
+                "{name}: distributed {what} must report the shared run's recompressions"
+            );
+            let comm = out.comm.expect("distributed runs count communication");
+            if *what == "batched" {
+                // The contracted graph dedups shared-operand edges.
+                assert!(comm.messages <= comm_plain.messages, "{name}: {what}");
+                assert!(comm.bytes <= comm_plain.bytes, "{name}: {what}");
+            } else {
+                assert_eq!(comm, comm_plain, "{name}: {what} runs the plain graph");
+            }
+            assert_eq!(out.trace.is_some(), *what == "traced", "{name}: {what}");
+            assert_eq!(
+                out.faults.is_some(),
+                *what == "fault-free layer",
+                "{name}: {what}"
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@
 //! registry.
 
 use hicma_parsec::cholesky::{
-    factorize, FactorConfig, IntegrityMode, PlanCache, RunError, Session,
+    factorize, FactorConfig, IntegrityMode, PlanCache, PlanKey, PlanMode, RunError, Session,
 };
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::norms::relative_diff;
@@ -270,4 +270,104 @@ fn lru_eviction_is_counted() {
     assert_eq!(cache.misses(), 4, "every switch must rebuild");
     assert_eq!(cache.evictions(), 3, "capacity 1 evicts on every insert");
     assert_eq!(cache.hits(), 0);
+}
+
+/// The key says what the plan decided, not which capabilities were on.
+/// Unbatched distributed sessions that differ only in fault layer, trace
+/// or integrity mode plan identically, so they share one cached plan;
+/// where a capability does change the plan (it rules batching out), the
+/// keys differ in exactly `batched` and the plans do not interchange.
+#[test]
+fn distributed_key_records_decisions_not_capabilities() {
+    let n = 120;
+    let b = 24;
+    let acc = 1e-8;
+    let dense = Matrix::from_fn(n, n, rbf_gen(n, 6.0, 42));
+    let dist = TwoDBlockCyclic::new(4);
+    let mut reference = compressed(&dense, b, acc);
+    factorize(&mut reference, &FactorConfig::with_accuracy(acc)).unwrap();
+    let l_ref = reference.to_dense_lower();
+
+    let mut plain = FactorConfig::with_accuracy(acc);
+    plain.batch_panels = false;
+    let mut traced = plain;
+    traced.collect_trace = true;
+    let mut sealed = plain;
+    sealed.integrity = IntegrityMode::Maintain;
+    let lossy = Some(FtConfig::with_plan(FaultPlan::new(7).with_drops(0.1)));
+    let none = None;
+
+    // batch_panels = false: four capability subsets, one plan.
+    let cache = PlanCache::new(4);
+    for (cfg, ft) in [
+        (plain, &none),
+        (traced, &none),
+        (sealed, &none),
+        (plain, &lossy),
+    ] {
+        let mut m = compressed(&dense, b, acc);
+        dist_session(cfg, &dist, ft, Some(&cache))
+            .run(&mut m)
+            .unwrap();
+        assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
+    }
+    assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 3, 1));
+
+    // batch_panels = true: tracing rules batching out, and the key says so.
+    plain.batch_panels = true;
+    traced.batch_panels = true;
+    let m0 = compressed(&dense, b, acc);
+    let plain_plan = dist_session(plain, &dist, &none, None).plan(&m0).unwrap();
+    let traced_plan = dist_session(traced, &dist, &none, None).plan(&m0).unwrap();
+    let mode = |batched| PlanMode::Distributed {
+        nprocs: 4,
+        batched,
+        replan: false,
+    };
+    assert_eq!(plain_plan.key().mode, mode(true));
+    assert!(plain_plan.fused_groups() > 0);
+    assert_eq!(
+        *traced_plan.key(),
+        PlanKey {
+            mode: mode(false),
+            ..*plain_plan.key()
+        }
+    );
+    assert_eq!(traced_plan.fused_groups(), 0);
+    assert!(format!("{traced_plan:?}").contains("fused_groups: 0"));
+    let mut m = compressed(&dense, b, acc);
+    let err = dist_session(traced, &dist, &none, None)
+        .run_with_plan(&plain_plan, &mut m)
+        .unwrap_err();
+    assert!(matches!(err, RunError::PlanMismatch { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("batched: true") && msg.contains("batched: false"),
+        "{msg}"
+    );
+
+    // One predicate seals payloads: a corrupting fault plan arms it as an
+    // explicit integrity mode does, so the two sessions decide the same
+    // plan (one miss, one hit) — and the corrupting run really verified.
+    sealed.batch_panels = true;
+    let corrupting = Some(FtConfig::with_plan(
+        FaultPlan::new(7).with_message_corruption(0.3),
+    ));
+    let cache = PlanCache::new(2);
+    let mut m = compressed(&dense, b, acc);
+    let out = dist_session(plain, &dist, &corrupting, Some(&cache))
+        .run(&mut m)
+        .unwrap();
+    assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
+    let stats = out.faults.expect("fault layer configured");
+    assert!(stats.messages_corrupted > 0);
+    assert_eq!(stats.corruptions_detected, stats.messages_corrupted);
+    // `sealed` has no fault layer: only the sealed-payload predicate
+    // keeps its plan unbatched, which is what makes this lookup a hit.
+    let mut m = compressed(&dense, b, acc);
+    dist_session(sealed, &dist, &none, Some(&cache))
+        .run(&mut m)
+        .unwrap();
+    assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
+    assert_eq!((cache.misses(), cache.hits()), (1, 1));
 }
