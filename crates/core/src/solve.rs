@@ -2,66 +2,32 @@
 //! matrix–vector products.
 //!
 //! After [`crate::factorize()`] the matrix holds `L` tile-by-tile (dense on
-//! the diagonal, TLR/null off it). The solve sweeps tiles block-wise:
-//! forward substitution panel by panel, then the transposed backward
-//! sweep. Low-rank tiles apply as two skinny products `U·(Vᵀ·x)` — the
-//! `O(b·k)` saving that makes the TLR solve cheap.
+//! the diagonal, TLR/null off it). The solve sweeps tiles block-wise over
+//! row-block views of the right-hand sides, in place: forward substitution
+//! panel by panel, then the transposed backward sweep. Low-rank tiles
+//! apply as two skinny products `U·(Vᵀ·X)` — the `O(b·k)` saving that
+//! makes the TLR solve cheap — and null tiles are skipped untouched.
 
 use tlr_compress::{Tile, TlrMatrix};
-use tlr_linalg::{trsv_lower, trsv_lower_trans, Matrix};
+use tlr_linalg::{gemm_serial, trsm, MatMut, MatRef, Matrix, Side, Trans, Uplo};
 
-/// `y += alpha · T · x` for one tile.
-fn tile_apply(t: &Tile, x: &[f64], y: &mut [f64], alpha: f64) {
+/// `Y += alpha · op(T) · X` for one tile against a block of right-hand
+/// sides (`X: cols × nrhs`, `Y: rows × nrhs` of `op(T)`) — BLAS-3 shaped,
+/// so a solve amortizes tile traversal over all RHS (mesh deformation
+/// always has three: the displacement components). `s` is the caller's
+/// scratch for the `k × nrhs` inner product of a low-rank tile.
+fn tile_apply(trans: Trans, t: &Tile, alpha: f64, x: MatRef<'_>, y: MatMut<'_>, s: &mut Matrix) {
     match t {
-        Tile::Dense(m) => {
-            for (j, &xv) in x.iter().enumerate() {
-                if xv != 0.0 {
-                    let col = m.col(j);
-                    let w = alpha * xv;
-                    for (yi, ci) in y.iter_mut().zip(col) {
-                        *yi += w * ci;
-                    }
-                }
-            }
-        }
+        Tile::Dense(m) => gemm_serial(trans, Trans::No, alpha, m, x, 1.0, y),
         Tile::LowRank { u, v } => {
-            // y += alpha · U · (Vᵀ x)
-            let s = v.matvec_t(x);
-            for (p, &sp) in s.iter().enumerate() {
-                if sp != 0.0 {
-                    let col = u.col(p);
-                    let w = alpha * sp;
-                    for (yi, ci) in y.iter_mut().zip(col) {
-                        *yi += w * ci;
-                    }
-                }
-            }
-        }
-        Tile::Null { .. } => {}
-    }
-}
-
-/// `y += alpha · Tᵀ · x` for one tile.
-fn tile_apply_t(t: &Tile, x: &[f64], y: &mut [f64], alpha: f64) {
-    match t {
-        Tile::Dense(m) => {
-            let r = m.matvec_t(x);
-            for (yi, ri) in y.iter_mut().zip(&r) {
-                *yi += alpha * ri;
-            }
-        }
-        Tile::LowRank { u, v } => {
-            // Tᵀ = V·Uᵀ ⇒ y += alpha · V · (Uᵀ x)
-            let s = u.matvec_t(x);
-            for (p, &sp) in s.iter().enumerate() {
-                if sp != 0.0 {
-                    let col = v.col(p);
-                    let w = alpha * sp;
-                    for (yi, ci) in y.iter_mut().zip(col) {
-                        *yi += w * ci;
-                    }
-                }
-            }
+            // T = U·Vᵀ and Tᵀ = V·Uᵀ: Y += alpha · L · (Rᵀ X)
+            let (l, r) = match trans {
+                Trans::No => (u, v),
+                Trans::Yes => (v, u),
+            };
+            s.reset(r.cols(), x.cols());
+            gemm_serial(Trans::Yes, Trans::No, 1.0, r, x, 0.0, &mut *s);
+            gemm_serial(Trans::No, Trans::No, alpha, l, &*s, 1.0, y);
         }
         Tile::Null { .. } => {}
     }
@@ -72,66 +38,69 @@ fn tile_apply_t(t: &Tile, x: &[f64], y: &mut [f64], alpha: f64) {
 pub fn tlr_matvec(a: &TlrMatrix, x: &[f64]) -> Vec<f64> {
     let n = a.n();
     assert_eq!(x.len(), n, "dimension mismatch");
-    let b = a.tile_size();
-    let mut y = vec![0.0; n];
+    let rows = |i: usize| i * a.tile_size()..i * a.tile_size() + a.tile_rows(i);
+    let x = MatRef::from_slice(x, n, 1);
+    let mut out = vec![0.0; n];
+    let mut y = MatMut::from_slice(&mut out, n, 1);
+    let mut s = Matrix::zeros(0, 0);
     for i in 0..a.nt() {
-        let ri = i * b;
-        let rows_i = a.tile_rows(i);
         for j in 0..=i {
-            let cj = j * b;
-            let cols_j = a.tile_rows(j);
             let t = a.tile(i, j);
-            tile_apply(t, &x[cj..cj + cols_j], &mut y[ri..ri + rows_i], 1.0);
+            tile_apply(Trans::No, t, 1.0, x.subrows(rows(j)), y.as_mut().subrows(rows(i)), &mut s);
             if i != j {
                 // mirrored upper block (j, i) = tileᵀ
-                tile_apply_t(t, &x[ri..ri + rows_i], &mut y[cj..cj + cols_j], 1.0);
+                let (xi, yj) = (x.subrows(rows(i)), y.as_mut().subrows(rows(j)));
+                tile_apply(Trans::Yes, t, 1.0, xi, yj, &mut s);
             }
         }
     }
-    y
+    out
 }
 
 /// Solve `L·Lᵀ·x = b` in place given the factored matrix; `rhs` holds `b`
-/// on entry and `x` on exit.
+/// on entry and `x` on exit. The one-column case of [`solve_tlr_multi`].
 pub fn solve_tlr(l: &TlrMatrix, rhs: &mut [f64]) {
-    let n = l.n();
-    assert_eq!(rhs.len(), n, "dimension mismatch");
-    let b = l.tile_size();
-    let nt = l.nt();
-    // Forward: L·y = b
+    assert_eq!(rhs.len(), l.n(), "dimension mismatch");
+    solve_in_place(l, MatMut::from_slice(rhs, l.n(), 1));
+}
+
+/// Solve `L·Lᵀ·X = B` in place for a block of right-hand sides
+/// (`rhs: n × nrhs`, column-major); the application's three displacement
+/// components share one traversal.
+pub fn solve_tlr_multi(l: &TlrMatrix, rhs: &mut Matrix) {
+    assert_eq!(rhs.rows(), l.n(), "dimension mismatch");
+    solve_in_place(l, rhs.as_mut());
+}
+
+/// The forward and backward sweeps over row blocks of `rhs`.
+fn solve_in_place(l: &TlrMatrix, mut rhs: MatMut<'_>) {
+    let (b, nt) = (l.tile_size(), l.nt());
+    let diag = |i: usize| match l.tile(i, i) {
+        Tile::Dense(m) => m,
+        _ => panic!("factored diagonal tiles must be dense"),
+    };
+    let mut s = Matrix::zeros(0, 0);
+    // Forward: L·Y = B — block i loses the already-solved blocks above it.
     for i in 0..nt {
-        let ri = i * b;
-        let rows_i = l.tile_rows(i);
-        // subtract already-solved panels
+        let (above, rest) = rhs.as_mut().split_at_row(i * b);
+        let mut xi = rest.subrows(0..l.tile_rows(i));
         for j in 0..i {
-            let cj = j * b;
-            let cols_j = l.tile_rows(j);
-            // copy the needed slices to avoid overlapping borrows
-            let xj: Vec<f64> = rhs[cj..cj + cols_j].to_vec();
-            tile_apply(l.tile(i, j), &xj, &mut rhs[ri..ri + rows_i], -1.0);
+            let xj = above.as_ref().subrows(j * b..(j + 1) * b);
+            tile_apply(Trans::No, l.tile(i, j), -1.0, xj, xi.as_mut(), &mut s);
         }
-        let diag = match l.tile(i, i) {
-            Tile::Dense(m) => m,
-            _ => panic!("factored diagonal tiles must be dense"),
-        };
-        trsv_lower(diag, &mut rhs[ri..ri + rows_i]);
+        trsm(Side::Left, Uplo::Lower, Trans::No, 1.0, diag(i), xi);
     }
-    // Backward: Lᵀ·x = y
+    // Backward: Lᵀ·X = Y — block i loses L(m,i)ᵀ · x_m for the blocks
+    // below it (which start at row (i+1)·b: only the last block is ragged).
     for i in (0..nt).rev() {
-        let ri = i * b;
-        let rows_i = l.tile_rows(i);
+        let (rest, below) = rhs.as_mut().split_at_row(i * b + l.tile_rows(i));
+        let mut xi = rest.subrows(i * b..i * b + l.tile_rows(i));
         for m in i + 1..nt {
-            let rm = m * b;
-            let rows_m = l.tile_rows(m);
-            let xm: Vec<f64> = rhs[rm..rm + rows_m].to_vec();
-            // x_i −= L(m,i)ᵀ · x_m
-            tile_apply_t(l.tile(m, i), &xm, &mut rhs[ri..ri + rows_i], -1.0);
+            let r0 = (m - i - 1) * b;
+            let xm = below.as_ref().subrows(r0..r0 + l.tile_rows(m));
+            tile_apply(Trans::Yes, l.tile(m, i), -1.0, xm, xi.as_mut(), &mut s);
         }
-        let diag = match l.tile(i, i) {
-            Tile::Dense(m) => m,
-            _ => panic!("factored diagonal tiles must be dense"),
-        };
-        trsv_lower_trans(diag, &mut rhs[ri..ri + rows_i]);
+        trsm(Side::Left, Uplo::Lower, Trans::Yes, 1.0, diag(i), xi);
     }
 }
 
@@ -181,85 +150,6 @@ pub fn solve_refined(a: &TlrMatrix, l: &TlrMatrix, rhs: &mut [f64], iters: usize
         }
     }
     history
-}
-
-/// `Y += alpha · T · X` for one tile against a block of right-hand sides
-/// (`X: cols × nrhs`, `Y: rows × nrhs`) — BLAS-3 shaped, so the solve
-/// amortizes tile traversal over all RHS (mesh deformation always has
-/// three: the displacement components).
-fn tile_apply_block(t: &Tile, x: &Matrix, y: &mut Matrix, alpha: f64) {
-    use tlr_linalg::{gemm_serial, Trans};
-    match t {
-        Tile::Dense(m) => gemm_serial(Trans::No, Trans::No, alpha, m, x, 1.0, y),
-        Tile::LowRank { u, v } => {
-            // Y += alpha · U · (Vᵀ X)
-            let k = u.cols();
-            let mut s = Matrix::zeros(k, x.cols());
-            gemm_serial(Trans::Yes, Trans::No, 1.0, v, x, 0.0, &mut s);
-            gemm_serial(Trans::No, Trans::No, alpha, u, &s, 1.0, y);
-        }
-        Tile::Null { .. } => {}
-    }
-}
-
-/// `Y += alpha · Tᵀ · X` for one tile against a block of right-hand sides.
-fn tile_apply_block_t(t: &Tile, x: &Matrix, y: &mut Matrix, alpha: f64) {
-    use tlr_linalg::{gemm_serial, Trans};
-    match t {
-        Tile::Dense(m) => gemm_serial(Trans::Yes, Trans::No, alpha, m, x, 1.0, y),
-        Tile::LowRank { u, v } => {
-            // Tᵀ = V·Uᵀ ⇒ Y += alpha · V · (Uᵀ X)
-            let k = u.cols();
-            let mut s = Matrix::zeros(k, x.cols());
-            gemm_serial(Trans::Yes, Trans::No, 1.0, u, x, 0.0, &mut s);
-            gemm_serial(Trans::No, Trans::No, alpha, v, &s, 1.0, y);
-        }
-        Tile::Null { .. } => {}
-    }
-}
-
-/// Solve `L·Lᵀ·X = B` in place for a block of right-hand sides
-/// (`rhs: n × nrhs`, column-major). BLAS-3 version of [`solve_tlr`];
-/// the application's three displacement components share one traversal.
-pub fn solve_tlr_multi(l: &TlrMatrix, rhs: &mut Matrix) {
-    use tlr_linalg::{trsm, Side, Trans, Uplo};
-    let n = l.n();
-    assert_eq!(rhs.rows(), n, "dimension mismatch");
-    let nrhs = rhs.cols();
-    let b = l.tile_size();
-    let nt = l.nt();
-    let take_block = |rhs: &Matrix, i: usize| -> Matrix {
-        let r0 = i * b;
-        rhs.submatrix(r0, 0, l.tile_rows(i), nrhs)
-    };
-    // Forward: L·Y = B
-    for i in 0..nt {
-        let mut xi = take_block(rhs, i);
-        for j in 0..i {
-            let xj = take_block(rhs, j);
-            tile_apply_block(l.tile(i, j), &xj, &mut xi, -1.0);
-        }
-        let diag = match l.tile(i, i) {
-            Tile::Dense(m) => m,
-            _ => panic!("factored diagonal tiles must be dense"),
-        };
-        trsm(Side::Left, Uplo::Lower, Trans::No, 1.0, diag, &mut xi);
-        rhs.set_submatrix(i * b, 0, &xi);
-    }
-    // Backward: Lᵀ·X = Y
-    for i in (0..nt).rev() {
-        let mut xi = take_block(rhs, i);
-        for m in i + 1..nt {
-            let xm = take_block(rhs, m);
-            tile_apply_block_t(l.tile(m, i), &xm, &mut xi, -1.0);
-        }
-        let diag = match l.tile(i, i) {
-            Tile::Dense(m) => m,
-            _ => panic!("factored diagonal tiles must be dense"),
-        };
-        trsm(Side::Left, Uplo::Lower, Trans::Yes, 1.0, diag, &mut xi);
-        rhs.set_submatrix(i * b, 0, &xi);
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use crate::geometry::Point3;
 use crate::kernel::GaussianRbf;
-use tlr_linalg::{potrf, trsv_lower, trsv_lower_trans, CholeskyError, Matrix};
+use tlr_linalg::{potrf, trsm, CholeskyError, Matrix, Side, Trans, Uplo};
 
 /// A boundary displacement field: one 3-vector per boundary node.
 #[derive(Debug, Clone, Default)]
@@ -70,11 +70,11 @@ pub fn solve_dense(
     assert_eq!(d_b.len(), n, "one displacement per boundary node");
     let mut a = Matrix::from_fn(n, n, |i, j| kernel.matrix_entry(points, i, j));
     potrf(&mut a)?;
-    let mut alpha = d_b.clone();
-    for comp in [&mut alpha.dx, &mut alpha.dy, &mut alpha.dz] {
-        trsv_lower(&a, comp);
-        trsv_lower_trans(&a, comp);
-    }
+    let mut rhs = Matrix::from_vec(n, 3, [&d_b.dx[..], &d_b.dy, &d_b.dz].concat());
+    trsm(Side::Left, Uplo::Lower, Trans::No, 1.0, &a, &mut rhs);
+    trsm(Side::Left, Uplo::Lower, Trans::Yes, 1.0, &a, &mut rhs);
+    let component = |c: usize| rhs.col(c).to_vec();
+    let alpha = Displacements { dx: component(0), dy: component(1), dz: component(2) };
     Ok(RbfInterpolant { points: points.to_vec(), kernel, alpha })
 }
 

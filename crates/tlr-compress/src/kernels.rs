@@ -44,9 +44,9 @@
 //!   directly to the small block (`Qr::apply_q`), skipping the `Q`
 //!   formation and one `b × kt × k'` GEMM per side, per call. The
 //!   product form itself is assembled straight into the stacked factors
-//!   (`gemm_serial_into_cols`) with the update's `−1` sign folded into
-//!   the write, so neither operand factor is ever cloned or negated via
-//!   a copy.
+//!   (`gemm_serial` into a column view of them) with the update's `−1`
+//!   sign folded into the write, so neither operand factor is ever cloned
+//!   or negated via a copy.
 //!
 //! * **Truncation-aware core SVD.** The small core `R_u·R_vᵀ` goes
 //!   through [`tlr_linalg::jacobi_svd_into`] with a floor of
@@ -68,8 +68,8 @@ use std::cell::RefCell;
 // BLAS variants: forking onto the rayon pool from every tile would
 // oversubscribe the executor's worker threads.
 use tlr_linalg::{
-    gemm_serial, gemm_serial_into_cols, jacobi_svd_into, potrf, syrk_serial, trsm, CholeskyError,
-    Matrix, Qr, Side, Svd, SvdWork, Trans, Uplo,
+    gemm_serial, jacobi_svd_into, potrf, syrk_serial, trsm, CholeskyError, MatMut, Matrix, Qr, Side,
+    Svd, SvdWork, Trans, Uplo,
 };
 
 /// POTRF kernel: factor a dense diagonal tile in place (lower Cholesky).
@@ -80,7 +80,7 @@ use tlr_linalg::{
 pub fn potrf_kernel(c: &mut Tile) -> Result<(), CholeskyError> {
     match c {
         Tile::Dense(m) => {
-            potrf(m)?;
+            potrf(m.as_mut())?;
             m.zero_upper();
             Ok(())
         }
@@ -317,7 +317,7 @@ pub fn syrk_kernel_ws(ws: &mut KernelWorkspace, a: &Tile, c: &mut Tile) {
     };
     match a {
         Tile::Dense(m) => {
-            syrk_serial(Trans::No, -1.0, m, 1.0, c);
+            syrk_serial(Trans::No, -1.0, m, 1.0, c.as_mut());
             // Diagonal tiles are kept fully symmetric so that dense and
             // low-rank update paths produce identical tiles.
             c.symmetrize_from_lower();
@@ -460,10 +460,10 @@ pub fn gemm_kernel_ws(
             if ka <= kb {
                 // product = (−Ua) · (Ub·Wᵀ)ᵀ, rank ka
                 copy_cols_scaled(&mut us, kc, ua, -1.0);
-                gemm_serial_into_cols(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, &mut vs, kc);
+                gemm_serial(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, product_cols(&mut vs, kc));
             } else {
                 // product = (−Ua·W) · Ubᵀ, rank kb
-                gemm_serial_into_cols(Trans::No, Trans::No, -1.0, ua, &w, 0.0, &mut us, kc);
+                gemm_serial(Trans::No, Trans::No, -1.0, ua, &w, 0.0, product_cols(&mut us, kc));
                 copy_cols_scaled(&mut vs, kc, ub, 1.0);
             }
             ws.give(w);
@@ -478,7 +478,7 @@ pub fn gemm_kernel_ws(
             copy_tile_factors(c, &mut us, &mut vs);
             // product = (−Ua) · (B·Va)ᵀ
             copy_cols_scaled(&mut us, kc, ua, -1.0);
-            gemm_serial_into_cols(Trans::No, Trans::No, 1.0, bm, va, 0.0, &mut vs, kc);
+            gemm_serial(Trans::No, Trans::No, 1.0, bm, va, 0.0, product_cols(&mut vs, kc));
             (us, vs)
         }
         (Tile::Dense(am), Tile::LowRank { u: ub, v: vb }) => {
@@ -489,7 +489,7 @@ pub fn gemm_kernel_ws(
             let mut vs = ws.take(cols, kc + ub.cols());
             copy_tile_factors(c, &mut us, &mut vs);
             // product = (−A·Vb) · Ubᵀ
-            gemm_serial_into_cols(Trans::No, Trans::No, -1.0, am, vb, 0.0, &mut us, kc);
+            gemm_serial(Trans::No, Trans::No, -1.0, am, vb, 0.0, product_cols(&mut us, kc));
             copy_cols_scaled(&mut vs, kc, ub, 1.0);
             (us, vs)
         }
@@ -562,6 +562,13 @@ fn copy_tile_factors(c: &Tile, us: &mut Matrix, vs: &mut Matrix) {
         copy_cols_scaled(us, 0, u, 1.0);
         copy_cols_scaled(vs, 0, v, 1.0);
     }
+}
+
+/// Columns `[kc, ..)` of a stacked factor: where the product block of the
+/// update is written, past the destination's own `kc` columns.
+fn product_cols(stacked: &mut Matrix, kc: usize) -> MatMut<'_> {
+    let cols = stacked.cols();
+    stacked.as_mut().subcols(kc..cols)
 }
 
 /// `dst[:, j0 .. j0+src.cols()) = alpha · src` — the scaled-copy half of

@@ -17,9 +17,10 @@
 //! microkernel's per-element order is partition-independent by
 //! construction), so results are bit-identical from 1 to N pool threads.
 
-use crate::matrix::Matrix;
+use crate::matrix::{MatMut, MatRef};
 use crate::microkernel::{self, KernelPath};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Transposition selector for [`gemm`] operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,13 +40,13 @@ pub enum Side {
     Right,
 }
 
-/// Which triangle of a triangular/symmetric operand is referenced.
+/// Which triangle of a triangular operand is referenced.
+// One variant: tile Cholesky only ever reads lower triangles, and the
+// frozen pipeline benchmark names `Uplo::Lower` in its `trsm` calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uplo {
     /// Lower triangle.
     Lower,
-    /// Upper triangle.
-    Upper,
 }
 
 /// Minimum number of output entries before [`gemm`]/[`syrk`] consider the
@@ -72,18 +73,53 @@ const PARALLEL_MIN_FLOPS: usize = 1 << 20;
 /// [`crate::microkernel`]), so this is purely a performance knob.
 const PAR_STRIP_COLS: usize = 32;
 
+/// Shape of `op(M)`.
 #[inline]
-pub(crate) fn gemm_dims(ta: Trans, tb: Trans, a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
-    let (m, ka) = match ta {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
-    };
-    let (kb, n) = match tb {
-        Trans::No => (b.rows(), b.cols()),
-        Trans::Yes => (b.cols(), b.rows()),
-    };
+pub(crate) fn op_dims(t: Trans, m: MatRef<'_>) -> (usize, usize) {
+    match t {
+        Trans::No => (m.rows(), m.cols()),
+        Trans::Yes => (m.cols(), m.rows()),
+    }
+}
+
+/// Rows `r` of `op(M)`, as a view of `M`.
+#[inline]
+pub(crate) fn op_rows(t: Trans, m: MatRef<'_>, r: Range<usize>) -> MatRef<'_> {
+    match t {
+        Trans::No => m.subrows(r),
+        Trans::Yes => m.subcols(r),
+    }
+}
+
+/// Columns `r` of `op(M)`, as a view of `M`.
+#[inline]
+pub(crate) fn op_cols(t: Trans, m: MatRef<'_>, r: Range<usize>) -> MatRef<'_> {
+    match t {
+        Trans::No => m.subcols(r),
+        Trans::Yes => m.subrows(r),
+    }
+}
+
+/// The checked `(m, n, k)` of `C := op(A) · op(B)`.
+pub(crate) fn gemm_dims(
+    ta: Trans,
+    tb: Trans,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &MatMut<'_>,
+) -> (usize, usize, usize) {
+    let ((m, ka), (kb, n)) = (op_dims(ta, a), op_dims(tb, b));
     assert_eq!(ka, kb, "gemm inner dimensions disagree: {ka} vs {kb}");
+    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
     (m, n, ka)
+}
+
+/// The route of an `m × n × k` product, decided on the **full** shape so
+/// that the serial and the column-parallel drivers agree and strips
+/// assemble a bit-identical result: the packed microkernel where packing
+/// pays, else (`None`) the per-column axpy / dot sweep.
+fn route(m: usize, n: usize, k: usize) -> Option<KernelPath> {
+    microkernel::packed_worthwhile(m, n, k).then(microkernel::active_path)
 }
 
 /// General matrix multiply: `C := alpha · op(A) · op(B) + beta · C`.
@@ -94,38 +130,26 @@ pub(crate) fn gemm_dims(ta: Trans, tb: Trans, a: &Matrix, b: &Matrix) -> (usize,
 /// checked with assertions (this is an internal HPC substrate, not a user
 /// input path). The parallel split is by whole columns, so the result is
 /// bit-identical to the column-sweep serial path at any thread count.
-pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, n, k) = gemm_dims(ta, tb, a, b);
-    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
+pub fn gemm<'a>(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'a>>,
+    beta: f64,
+    c: impl Into<MatMut<'a>>,
+) {
+    let (a, b, c) = (a.into(), b.into(), c.into());
+    let (m, n, k) = gemm_dims(ta, tb, a, b, &c);
+    let route = route(m, n, k);
     if m * n < PARALLEL_THRESHOLD || n < 4 || 2 * m * n * k.max(1) < PARALLEL_MIN_FLOPS {
-        gemm_serial(ta, tb, alpha, a, b, beta, c);
-        return;
+        return gemm_routed(route, ta, tb, alpha, a, b, beta, c);
     }
-    // Decide the route on the FULL shape (not per strip) so this agrees
-    // with `gemm_serial` and the strips assemble a bit-identical result.
-    let packed = microkernel::packed_worthwhile(m, n, k);
-    let path = microkernel::active_path();
-    let rows = m;
-    c.as_mut_slice()
-        .par_chunks_mut(rows * PAR_STRIP_COLS)
-        .enumerate()
-        .for_each(|(s, chunk)| {
-            let j0 = s * PAR_STRIP_COLS;
-            let ncols = chunk.len() / rows;
-            if packed {
-                microkernel::gemm_packed_into(
-                    path, ta, tb, alpha, a, 0, b, j0, beta, chunk, rows, rows, ncols, k,
-                );
-            } else {
-                for jj in 0..ncols {
-                    let c_col = &mut chunk[jj * rows..(jj + 1) * rows];
-                    gemm_col(ta, tb, alpha, a, b, beta, j0 + jj, c_col, k);
-                }
-            }
-        });
+    let mut strips: Vec<_> = c.col_chunks(PAR_STRIP_COLS).collect();
+    strips.par_iter_mut().enumerate().for_each(|(s, strip)| {
+        let b_strip = op_cols(tb, b, s * PAR_STRIP_COLS..s * PAR_STRIP_COLS + strip.cols());
+        gemm_routed(route, ta, tb, alpha, a, b_strip, beta, strip.as_mut());
+    });
 }
 
 /// Serial GEMM with identical semantics to [`gemm`].
@@ -133,155 +157,84 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
 /// Two routes: the packed microkernel takes every product it is worth
 /// packing for (`microkernel::packed_worthwhile`); the rest (a single
 /// column, or a dimension under the register tile) run the per-column
-/// axpy / dot sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_serial(
+/// axpy / dot sweep. `c` may be any block — the TLR recompression writes
+/// products straight into a column range of its stacked factors.
+pub fn gemm_serial<'a>(
     ta: Trans,
     tb: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'a>>,
     beta: f64,
-    c: &mut Matrix,
+    c: impl Into<MatMut<'a>>,
 ) {
-    let (m, n, k) = gemm_dims(ta, tb, a, b);
-    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if microkernel::packed_worthwhile(m, n, k) {
-        let ldc = m;
-        microkernel::gemm_packed_into(
-            microkernel::active_path(),
-            ta,
-            tb,
-            alpha,
-            a,
-            0,
-            b,
-            0,
-            beta,
-            c.as_mut_slice(),
-            ldc,
-            m,
-            n,
-            k,
-        );
-        return;
-    }
-    for j in 0..n {
-        let c_col = c.col_mut(j);
-        gemm_col(ta, tb, alpha, a, b, beta, j, c_col, k);
-    }
+    let (a, b, c) = (a.into(), b.into(), c.into());
+    let (m, n, k) = gemm_dims(ta, tb, a, b, &c);
+    gemm_routed(route(m, n, k), ta, tb, alpha, a, b, beta, c);
 }
 
-/// Serial GEMM writing into a contiguous block of columns of `c`:
-/// `C[:, j0 .. j0+n) := alpha · op(A) · op(B) + beta · C[:, j0 .. j0+n)`.
-///
-/// This is the write-into-caller-buffer variant the TLR recompression
-/// engine uses to assemble stacked factors `[U_c | U_p]` directly inside
-/// a workspace matrix — no separate product temporary, no copy into the
-/// stack. Columns outside the block are untouched. `c.rows()` must equal
-/// the product's row count and `c` must have at least `j0 + n` columns.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_serial_into_cols(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    j0: usize,
-) {
-    let (m, n, k) = gemm_dims(ta, tb, a, b);
-    assert_eq!(c.rows(), m, "gemm_serial_into_cols row mismatch");
-    assert!(j0 + n <= c.cols(), "gemm_serial_into_cols column block out of range");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if microkernel::packed_worthwhile(m, n, k) {
-        let ldc = m;
-        let cs = &mut c.as_mut_slice()[j0 * ldc..(j0 + n) * ldc];
-        microkernel::gemm_packed_into(
-            microkernel::active_path(),
-            ta,
-            tb,
-            alpha,
-            a,
-            0,
-            b,
-            0,
-            beta,
-            cs,
-            ldc,
-            m,
-            n,
-            k,
-        );
-        return;
-    }
-    for j in 0..n {
-        let c_col = c.col_mut(j0 + j);
-        gemm_col(ta, tb, alpha, a, b, beta, j, c_col, k);
-    }
-}
-
-/// Compute one column `j` of the GEMM output into `c_col`.
+/// The one GEMM body: `C := alpha · op(A) · op(B) + beta · C` by the given
+/// [`route`], on whole operands or on matching column strips of `op(B)`
+/// and `C`.
 // BLAS calling convention: the argument list mirrors dgemm's.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn gemm_col(
+fn gemm_routed(
+    route: Option<KernelPath>,
     ta: Trans,
     tb: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
     beta: f64,
-    j: usize,
-    c_col: &mut [f64],
-    k: usize,
+    mut c: MatMut<'_>,
 ) {
-    if beta == 0.0 {
-        c_col.fill(0.0);
-    } else if beta != 1.0 {
-        for v in c_col.iter_mut() {
-            *v *= beta;
-        }
+    if let Some(path) = route {
+        return microkernel::gemm_packed(path, ta, tb, alpha, a, b, beta, c);
     }
-    match (ta, tb) {
-        (Trans::No, Trans::No) => {
-            // c_col += alpha * sum_p A[:,p] * B[p,j]
-            for p in 0..k {
-                let w = alpha * b[(p, j)];
-                if w != 0.0 {
-                    axpy(w, a.col(p), c_col);
+    let k = op_dims(ta, a).1;
+    for j in 0..c.cols() {
+        let c_col = c.col_mut(j);
+        if beta == 0.0 {
+            c_col.fill(0.0);
+        } else if beta != 1.0 {
+            for v in c_col.iter_mut() {
+                *v *= beta;
+            }
+        }
+        match (ta, tb) {
+            (Trans::No, Trans::No) => {
+                // c_col += alpha * sum_p A[:,p] * B[p,j]
+                for p in 0..k {
+                    let w = alpha * b[(p, j)];
+                    if w != 0.0 {
+                        axpy(w, a.col(p), c_col);
+                    }
                 }
             }
-        }
-        (Trans::No, Trans::Yes) => {
-            for p in 0..k {
-                let w = alpha * b[(j, p)];
-                if w != 0.0 {
-                    axpy(w, a.col(p), c_col);
+            (Trans::No, Trans::Yes) => {
+                for p in 0..k {
+                    let w = alpha * b[(j, p)];
+                    if w != 0.0 {
+                        axpy(w, a.col(p), c_col);
+                    }
                 }
             }
-        }
-        (Trans::Yes, Trans::No) => {
-            // c[i,j] += alpha * dot(A[:,i], B[:,j])
-            let b_col = b.col(j);
-            for (i, ci) in c_col.iter_mut().enumerate() {
-                *ci += alpha * dot(a.col(i), &b_col[..k]);
+            (Trans::Yes, Trans::No) => {
+                // c[i,j] += alpha * dot(A[:,i], B[:,j])
+                let b_col = b.col(j);
+                for (i, ci) in c_col.iter_mut().enumerate() {
+                    *ci += alpha * dot(a.col(i), b_col);
+                }
             }
-        }
-        (Trans::Yes, Trans::Yes) => {
-            // c[i,j] += alpha * sum_p A[p,i] * B[j,p]
-            for p in 0..k {
-                let w = alpha * b[(j, p)];
-                if w != 0.0 {
-                    let a_col_p_row = p; // A[p, i] walks row p — strided; fall back per element
-                    for (i, ci) in c_col.iter_mut().enumerate() {
-                        *ci += w * a[(a_col_p_row, i)];
+            (Trans::Yes, Trans::Yes) => {
+                // c[i,j] += alpha * sum_p A[p,i] * B[j,p]; A[p, i] walks
+                // row p — strided, so per element
+                for p in 0..k {
+                    let w = alpha * b[(j, p)];
+                    if w != 0.0 {
+                        for (i, ci) in c_col.iter_mut().enumerate() {
+                            *ci += w * a[(p, i)];
+                        }
                     }
                 }
             }
@@ -314,110 +267,79 @@ fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// `trans == Trans::Yes` computes `Aᵀ·A` (`A` is `k × n`).
 ///
 /// Parallelizes over columns of `C` like [`gemm`] (the flop gate uses the
-/// triangle's `n·n·k` count); every column is one task, so the triangular
-/// per-column cost imbalance is smoothed by work stealing, and results
-/// stay bit-identical to [`syrk_serial`] at any thread count.
-pub fn syrk(trans: Trans, alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
-    let (n, k) = syrk_dims(trans, a, c);
+/// triangle's `n·n·k` count); every strip of columns is one task, so the
+/// triangular per-column cost imbalance is smoothed by work stealing, and
+/// results stay bit-identical to [`syrk_serial`] at any thread count.
+pub fn syrk<'a>(
+    trans: Trans,
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    beta: f64,
+    c: impl Into<MatMut<'a>>,
+) {
+    let (a, c) = (a.into(), c.into());
+    let (n, k) = syrk_dims(trans, a, &c);
     if n * n < PARALLEL_THRESHOLD || n < 4 || n * n * k.max(1) < PARALLEL_MIN_FLOPS {
-        syrk_serial(trans, alpha, a, beta, c);
-        return;
+        return syrk_serial(trans, alpha, a, beta, c);
     }
-    let packed = microkernel::packed_worthwhile(n, n, k);
-    let path = microkernel::active_path();
-    let rows = n;
-    c.as_mut_slice()
-        .par_chunks_mut(rows * PAR_STRIP_COLS)
-        .enumerate()
-        .for_each(|(s, chunk)| {
-            syrk_strip(trans, alpha, a, beta, s * PAR_STRIP_COLS, chunk, n, k, packed, path);
-        });
+    let route = route(n, n, k);
+    let mut strips: Vec<_> = c.col_chunks(PAR_STRIP_COLS).collect();
+    strips.par_iter_mut().enumerate().for_each(|(s, strip)| {
+        syrk_strip(route, trans, alpha, a, beta, s * PAR_STRIP_COLS, strip.as_mut());
+    });
 }
 
 /// Serial SYRK with identical semantics (and identical rounding) to
 /// [`syrk`]; the tile kernels call this directly because their
 /// parallelism comes from the task graph.
-pub fn syrk_serial(trans: Trans, alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
-    let (n, k) = syrk_dims(trans, a, c);
-    if n == 0 {
-        return;
-    }
-    if !microkernel::packed_worthwhile(n, n, k) {
-        for j in 0..n {
-            let col = c.col_mut(j);
-            syrk_col(trans, alpha, a, beta, j, col, n, k);
-        }
-        return;
-    }
-    let path = microkernel::active_path();
-    let rows = n;
-    let cs = c.as_mut_slice();
-    let mut j0 = 0;
-    while j0 < n {
-        let nc = PAR_STRIP_COLS.min(n - j0);
-        let chunk = &mut cs[j0 * rows..(j0 + nc) * rows];
-        syrk_strip(trans, alpha, a, beta, j0, chunk, n, k, true, path);
-        j0 += nc;
+pub fn syrk_serial<'a>(
+    trans: Trans,
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    beta: f64,
+    c: impl Into<MatMut<'a>>,
+) {
+    let (a, c) = (a.into(), c.into());
+    let (n, k) = syrk_dims(trans, a, &c);
+    let route = route(n, n, k);
+    for (s, strip) in c.col_chunks(PAR_STRIP_COLS).enumerate() {
+        syrk_strip(route, trans, alpha, a, beta, s * PAR_STRIP_COLS, strip);
     }
 }
 
-/// Update one strip of SYRK output columns `[j0, j0 + ncols)` held in
-/// `chunk` (full columns, `n` entries each).
+/// Update the strip `c` of SYRK output columns `[j0, j0 + c.cols())`
+/// (full columns, `n` entries each).
 ///
-/// When `packed`, the strip splits into a triangular head (the diagonal
-/// block's `i ≥ j` elements, computed scalar with the packed path's
-/// exact per-element operation order) and a rectangular body below it
-/// (a packed GEMM against the strip's columns of `op(A)ᵀ`). The split
-/// point is partition-independent in value, so serial and parallel
-/// strip sweeps are bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// On the packed route the strip splits into a triangular head (the
+/// diagonal block's `i ≥ j` elements, computed scalar with the packed
+/// path's exact per-element operation order) and a rectangular body below
+/// it (a packed GEMM of the rows of `op(A)` under the strip against the
+/// strip's own rows of `op(A)`). The split point is partition-independent
+/// in value, so serial and parallel strip sweeps are bit-identical.
 fn syrk_strip(
+    route: Option<KernelPath>,
     trans: Trans,
     alpha: f64,
-    a: &Matrix,
+    a: MatRef<'_>,
     beta: f64,
     j0: usize,
-    chunk: &mut [f64],
-    n: usize,
-    k: usize,
-    packed: bool,
-    path: KernelPath,
+    mut c: MatMut<'_>,
 ) {
-    let ncols = chunk.len() / n;
-    if !packed {
-        for jj in 0..ncols {
-            let col = &mut chunk[jj * n..(jj + 1) * n];
-            syrk_col(trans, alpha, a, beta, j0 + jj, col, n, k);
+    let (n, je) = (c.rows(), j0 + c.cols());
+    let Some(path) = route else {
+        for j in j0..je {
+            syrk_col(trans, alpha, a, beta, j, c.col_mut(j - j0));
         }
         return;
-    }
-    let je = j0 + ncols;
-    for jj in 0..ncols {
-        let j = j0 + jj;
-        let col = &mut chunk[jj * n..(jj + 1) * n];
-        syrk_head_col(trans, alpha, a, beta, j, &mut col[j..je], k);
+    };
+    for j in j0..je {
+        syrk_head_col(trans, alpha, a, beta, j, &mut c.col_mut(j - j0)[j..je]);
     }
     if je < n {
-        let (ta, tb) = match trans {
-            Trans::No => (Trans::No, Trans::Yes),
-            Trans::Yes => (Trans::Yes, Trans::No),
-        };
-        microkernel::gemm_packed_into(
-            path,
-            ta,
-            tb,
-            alpha,
-            a,
-            je,
-            a,
-            j0,
-            beta,
-            &mut chunk[je..],
-            n,
-            n - je,
-            ncols,
-            k,
-        );
+        // op(A)·op(A)ᵀ: the second operand is transposed the other way.
+        let tb = if trans == Trans::No { Trans::Yes } else { Trans::No };
+        let (below, own) = (op_rows(trans, a, je..n), op_rows(trans, a, j0..je));
+        microkernel::gemm_packed(path, trans, tb, alpha, below, own, beta, c.subrows(je..n));
     }
 }
 
@@ -425,15 +347,8 @@ fn syrk_strip(
 /// column (`cseg[t]` is element `(j + t, j)`), using the packed path's
 /// per-element contract: one `beta` scaling, then [`f64::mul_add`] in
 /// ascending `p` with `alpha · op(A)ᵀ` rounded per term.
-fn syrk_head_col(
-    trans: Trans,
-    alpha: f64,
-    a: &Matrix,
-    beta: f64,
-    j: usize,
-    cseg: &mut [f64],
-    k: usize,
-) {
+fn syrk_head_col(trans: Trans, alpha: f64, a: MatRef<'_>, beta: f64, j: usize, cseg: &mut [f64]) {
+    let k = op_dims(trans, a).1;
     for (t, cv) in cseg.iter_mut().enumerate() {
         let i = j + t;
         let mut v = if beta == 0.0 { 0.0 } else { beta * *cv };
@@ -454,20 +369,16 @@ fn syrk_head_col(
 }
 
 #[inline]
-fn syrk_dims(trans: Trans, a: &Matrix, c: &Matrix) -> (usize, usize) {
-    let (n, k) = match trans {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
-    };
+fn syrk_dims(trans: Trans, a: MatRef<'_>, c: &MatMut<'_>) -> (usize, usize) {
+    let (n, k) = op_dims(trans, a);
     assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
     (n, k)
 }
 
 /// Update the `i ≥ j` part of column `j` held in `col` (a full column of
-/// `C`, `n` entries).
+/// `C`).
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn syrk_col(trans: Trans, alpha: f64, a: &Matrix, beta: f64, j: usize, col: &mut [f64], n: usize, k: usize) {
+fn syrk_col(trans: Trans, alpha: f64, a: MatRef<'_>, beta: f64, j: usize, col: &mut [f64]) {
     if beta == 0.0 {
         col[j..].fill(0.0);
     } else if beta != 1.0 {
@@ -477,20 +388,20 @@ fn syrk_col(trans: Trans, alpha: f64, a: &Matrix, beta: f64, j: usize, col: &mut
     }
     match trans {
         Trans::No => {
-            for p in 0..k {
+            for p in 0..a.cols() {
                 let w = alpha * a[(j, p)];
                 if w != 0.0 {
                     let a_col = a.col(p);
-                    for i in j..n {
+                    for i in j..col.len() {
                         col[i] += w * a_col[i];
                     }
                 }
             }
         }
         Trans::Yes => {
-            let aj = a.col(j).to_vec();
+            let aj = a.col(j);
             for (i, ci) in col.iter_mut().enumerate().skip(j) {
-                *ci += alpha * dot(a.col(i), &aj);
+                *ci += alpha * dot(a.col(i), aj);
             }
         }
     }
@@ -502,11 +413,18 @@ fn syrk_col(trans: Trans, alpha: f64, a: &Matrix, beta: f64, j: usize, col: &mut
 /// * `Side::Left`: `op(A) · X = alpha · B`, with `A` `m × m` triangular;
 /// * `Side::Right`: `X · op(A) = alpha · B`, with `A` `n × n` triangular.
 ///
-/// Only the `uplo` triangle of `A` is referenced. The diagonal is
-/// non-unit. Supported combinations cover everything the tile Cholesky
-/// needs (`Lower` with either side/transposition); `Upper` is provided for
-/// completeness via the equivalent lower-triangle formulations.
-pub fn trsm(side: Side, uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, b: &mut Matrix) {
+/// Only the lower triangle of `A` is referenced. The diagonal is
+/// non-unit. A vector solve is the `n × 1` case
+/// ([`MatMut::from_slice`]).
+pub fn trsm<'a>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatMut<'a>>,
+) {
+    let (a, mut b) = (a.into(), b.into());
     assert_eq!(a.rows(), a.cols(), "triangular operand must be square");
     let (m, n) = (b.rows(), b.cols());
     match side {
@@ -514,7 +432,11 @@ pub fn trsm(side: Side, uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, b: &mu
         Side::Right => assert_eq!(a.rows(), n, "trsm Right dimension mismatch"),
     }
     if alpha != 1.0 {
-        b.scale(alpha);
+        for j in 0..n {
+            for v in b.col_mut(j) {
+                *v *= alpha;
+            }
+        }
     }
     match (side, uplo, trans) {
         (Side::Left, Uplo::Lower, Trans::No) => {
@@ -548,15 +470,16 @@ pub fn trsm(side: Side, uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, b: &mu
             // X[:,j] = (B[:,j] − Σ_{p<j} X[:,p] · Aᵀ[p,j]) / A[j,j]
             // where Aᵀ[p,j] = A[j,p].
             for j in 0..n {
+                let (solved, mut rest) = b.as_mut().split_at_col(j);
+                let xj = rest.col_mut(0);
                 for p in 0..j {
                     let w = a[(j, p)];
                     if w != 0.0 {
-                        let (xp, xj) = b.two_cols_mut(p, j);
-                        axpy(-w, xp, xj);
+                        axpy(-w, solved.as_ref().col(p), xj);
                     }
                 }
                 let d = a[(j, j)];
-                for v in b.col_mut(j) {
+                for v in xj {
                     *v /= d;
                 }
             }
@@ -565,45 +488,19 @@ pub fn trsm(side: Side, uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, b: &mu
             // X · A = B with A lower ⇒ process columns right→left:
             // X[:,j] = (B[:,j] − Σ_{p>j} X[:,p] · A[p,j]) / A[j,j]
             for j in (0..n).rev() {
+                let (mut rest, solved) = b.as_mut().split_at_col(j + 1);
+                let xj = rest.col_mut(j);
                 for p in j + 1..n {
                     let w = a[(p, j)];
                     if w != 0.0 {
-                        let (xp, xj) = b.two_cols_mut(p, j);
-                        axpy(-w, xp, xj);
+                        axpy(-w, solved.as_ref().col(p - j - 1), xj);
                     }
                 }
                 let d = a[(j, j)];
-                for v in b.col_mut(j) {
+                for v in xj {
                     *v /= d;
                 }
             }
-        }
-        (Side::Left, Uplo::Upper, Trans::No) => {
-            for j in 0..n {
-                let col = b.col_mut(j);
-                for i in (0..m).rev() {
-                    let mut v = col[i];
-                    for p in i + 1..m {
-                        v -= a[(i, p)] * col[p];
-                    }
-                    col[i] = v / a[(i, i)];
-                }
-            }
-        }
-        (Side::Left, Uplo::Upper, Trans::Yes) => {
-            for j in 0..n {
-                let col = b.col_mut(j);
-                for i in 0..m {
-                    let mut v = col[i];
-                    for p in 0..i {
-                        v -= a[(p, i)] * col[p];
-                    }
-                    col[i] = v / a[(i, i)];
-                }
-            }
-        }
-        (Side::Right, Uplo::Upper, _) => {
-            unimplemented!("Right/Upper TRSM is unused by tile Cholesky")
         }
     }
 }
@@ -611,10 +508,11 @@ pub fn trsm(side: Side, uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, b: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::norms::relative_diff;
 
     fn naive_gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &Matrix) -> Matrix {
-        let (m, n, k) = gemm_dims(ta, tb, a, b);
+        let ((m, k), (_, n)) = (op_dims(ta, a.as_ref()), op_dims(tb, b.as_ref()));
         let mut out = Matrix::zeros(m, n);
         for i in 0..m {
             for j in 0..n {
@@ -692,6 +590,11 @@ mod tests {
         let mut cs = c0.clone();
         gemm_serial(Trans::No, Trans::No, 1.0, &a, &b, 1.0, &mut cs);
         assert_eq!(c.as_slice(), cs.as_slice());
+        // ... also when the output is a strided block of a larger matrix.
+        let mut host = rand_mat(m + 5, n + 3, 14);
+        host.set_submatrix(2, 1, &c0);
+        gemm(Trans::No, Trans::No, 1.0, &a, &b, 1.0, host.as_mut().block(2, 1, m, n));
+        assert_eq!(host.submatrix(2, 1, m, n).as_slice(), cs.as_slice());
     }
 
     #[test]
@@ -712,6 +615,11 @@ mod tests {
             let mut cs = c0.clone();
             syrk_serial(trans, -1.0, &a, 1.0, &mut cs);
             assert_eq!(c.as_slice(), cs.as_slice(), "trans={trans:?}");
+            // ... also when the output is a strided block of a larger matrix.
+            let mut host = rand_mat(n + 5, n + 3, 23);
+            host.set_submatrix(2, 1, &c0);
+            syrk(trans, -1.0, &a, 1.0, host.as_mut().block(2, 1, n, n));
+            assert_eq!(host.submatrix(2, 1, n, n).as_slice(), cs.as_slice(), "trans={trans:?}");
         }
     }
 
@@ -746,37 +654,6 @@ mod tests {
         assert_eq!(run(9000, 1, 8, Trans::No), 0x7fb3a02ffef54574);
         assert_eq!(run(9000, 1, 20, Trans::Yes), 0x06f5d602998ed4c2);
         run(20000, 4, 5, Trans::No);
-    }
-
-    #[test]
-    fn gemm_into_cols_matches_naive_block() {
-        let (m, n, k, j0, total) = (9, 4, 6, 3, 10);
-        for (ta, tb) in [
-            (Trans::No, Trans::No),
-            (Trans::No, Trans::Yes),
-            (Trans::Yes, Trans::No),
-            (Trans::Yes, Trans::Yes),
-        ] {
-            let a = match ta {
-                Trans::No => rand_mat(m, k, 101),
-                Trans::Yes => rand_mat(k, m, 101),
-            };
-            let b = match tb {
-                Trans::No => rand_mat(k, n, 102),
-                Trans::Yes => rand_mat(n, k, 102),
-            };
-            let c0 = rand_mat(m, total, 103);
-            let block0 = c0.submatrix(0, j0, m, n);
-            let expect = naive_gemm(ta, tb, 1.3, &a, &b, 0.7, &block0);
-            let mut c = c0.clone();
-            gemm_serial_into_cols(ta, tb, 1.3, &a, &b, 0.7, &mut c, j0);
-            let block = c.submatrix(0, j0, m, n);
-            assert!(relative_diff(&block, &expect) < 1e-13, "ta={ta:?} tb={tb:?}");
-            // columns outside [j0, j0+n) untouched
-            for j in (0..j0).chain(j0 + n..total) {
-                assert_eq!(c.col(j), c0.col(j), "col {j}");
-            }
-        }
     }
 
     #[test]
@@ -879,22 +756,6 @@ mod tests {
         gemm(Trans::No, Trans::No, 1.0, &x_true, &l, 0.0, &mut b);
         trsm(Side::Right, Uplo::Lower, Trans::No, 1.0, &l, &mut b);
         assert!(relative_diff(&b, &x_true) < 1e-12);
-    }
-
-    #[test]
-    fn trsm_upper_variants() {
-        let n = 7;
-        let u = rand_lower(n, 71).transpose();
-        let x_true = rand_mat(n, 4, 72);
-        let mut b = Matrix::zeros(n, 4);
-        gemm(Trans::No, Trans::No, 1.0, &u, &x_true, 0.0, &mut b);
-        trsm(Side::Left, Uplo::Upper, Trans::No, 1.0, &u, &mut b);
-        assert!(relative_diff(&b, &x_true) < 1e-12);
-
-        let mut b2 = Matrix::zeros(n, 4);
-        gemm(Trans::Yes, Trans::No, 1.0, &u, &x_true, 0.0, &mut b2);
-        trsm(Side::Left, Uplo::Upper, Trans::Yes, 1.0, &u, &mut b2);
-        assert!(relative_diff(&b2, &x_true) < 1e-12);
     }
 
     #[test]

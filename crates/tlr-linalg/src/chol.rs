@@ -1,11 +1,14 @@
-//! Cholesky factorization (POTRF) and triangular vector solves.
+//! Cholesky factorization (POTRF).
 //!
 //! [`potrf`] is the diagonal-tile kernel of the tile Cholesky algorithm; it
 //! is blocked on top of [`potrf_unblocked`] with the update expressed as
-//! TRSM + SYRK, exactly mirroring LAPACK's `dpotrf`.
+//! TRSM + SYRK on views of the matrix, exactly mirroring LAPACK's `dpotrf`.
+//! Like every tile kernel it is serial: its callers sit inside the task
+//! graph (or are the dense reference), and a fork onto the rayon pool from
+//! an engine worker would oversubscribe the executor.
 
-use crate::blas3::{syrk, trsm, Side, Trans, Uplo};
-use crate::matrix::Matrix;
+use crate::blas3::{syrk_serial, trsm, Side, Trans, Uplo};
+use crate::matrix::MatMut;
 
 /// Error returned when a matrix is not (numerically) positive definite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +32,9 @@ const NB: usize = 64;
 ///
 /// On success the lower triangle of `a` holds `L`; the strict upper
 /// triangle is left untouched (callers that need a clean `L` can call
-/// [`Matrix::zero_upper`]).
-pub fn potrf_unblocked(a: &mut Matrix) -> Result<(), CholeskyError> {
+/// [`crate::Matrix::zero_upper`]).
+pub fn potrf_unblocked<'a>(a: impl Into<MatMut<'a>>) -> Result<(), CholeskyError> {
+    let mut a = a.into();
     assert_eq!(a.rows(), a.cols(), "potrf requires a square matrix");
     let n = a.rows();
     for j in 0..n {
@@ -59,7 +63,8 @@ pub fn potrf_unblocked(a: &mut Matrix) -> Result<(), CholeskyError> {
 ///
 /// Only the lower triangle is read and written. Errors report the global
 /// index of the offending pivot.
-pub fn potrf(a: &mut Matrix) -> Result<(), CholeskyError> {
+pub fn potrf<'a>(a: impl Into<MatMut<'a>>) -> Result<(), CholeskyError> {
+    let mut a = a.into();
     assert_eq!(a.rows(), a.cols(), "potrf requires a square matrix");
     let n = a.rows();
     if n <= NB {
@@ -67,59 +72,25 @@ pub fn potrf(a: &mut Matrix) -> Result<(), CholeskyError> {
     }
     let mut j = 0;
     while j < n {
-        let jb = NB.min(n - j);
-        // Factor the diagonal block A[j..j+jb, j..j+jb].
-        let mut diag = a.submatrix(j, j, jb, jb);
-        potrf_unblocked(&mut diag).map_err(|e| CholeskyError { pivot: j + e.pivot })?;
-        a.set_submatrix(j, j, &diag);
-        if j + jb < n {
-            let rem = n - j - jb;
-            // Panel: A[j+jb.., j..j+jb] := A[j+jb.., j..j+jb] · L_diagᵀ⁻¹
-            let mut panel = a.submatrix(j + jb, j, rem, jb);
-            trsm(Side::Right, Uplo::Lower, Trans::Yes, 1.0, &diag, &mut panel);
-            a.set_submatrix(j + jb, j, &panel);
-            // Trailing update: A[j+jb.., j+jb..] -= panel · panelᵀ (lower only)
-            let mut trailing = a.submatrix(j + jb, j + jb, rem, rem);
-            syrk(Trans::No, -1.0, &panel, 1.0, &mut trailing);
-            a.set_submatrix(j + jb, j + jb, &trailing);
-        }
+        let (jb, rem) = (NB.min(n - j), n - j);
+        // A[j.., j..] = [diag · ; panel trailing], cut at jb.
+        let (left, right) = a.as_mut().block(j, j, rem, rem).split_at_col(jb);
+        let (mut diag, mut panel) = left.split_at_row(jb);
+        potrf_unblocked(diag.as_mut()).map_err(|e| CholeskyError { pivot: j + e.pivot })?;
+        // panel := panel · L_diagᵀ⁻¹, then trailing -= panel · panelᵀ
+        // (lower only); both are empty at the last step.
+        trsm(Side::Right, Uplo::Lower, Trans::Yes, 1.0, diag.as_ref(), panel.as_mut());
+        syrk_serial(Trans::No, -1.0, panel.as_ref(), 1.0, right.subrows(jb..rem));
         j += jb;
     }
     Ok(())
-}
-
-/// Solve `L·x = b` in place for lower-triangular `L` (forward substitution).
-pub fn trsv_lower(l: &Matrix, x: &mut [f64]) {
-    let n = l.rows();
-    assert_eq!(l.cols(), n);
-    assert_eq!(x.len(), n);
-    for i in 0..n {
-        let mut v = x[i];
-        for p in 0..i {
-            v -= l[(i, p)] * x[p];
-        }
-        x[i] = v / l[(i, i)];
-    }
-}
-
-/// Solve `Lᵀ·x = b` in place for lower-triangular `L` (backward substitution).
-pub fn trsv_lower_trans(l: &Matrix, x: &mut [f64]) {
-    let n = l.rows();
-    assert_eq!(l.cols(), n);
-    assert_eq!(x.len(), n);
-    for i in (0..n).rev() {
-        let mut v = x[i];
-        for p in i + 1..n {
-            v -= l[(p, i)] * x[p];
-        }
-        x[i] = v / l[(i, i)];
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas3::gemm;
+    use crate::matrix::Matrix;
     use crate::norms::{frobenius_norm, relative_diff};
 
     fn spd_matrix(n: usize, seed: u64) -> Matrix {
@@ -200,9 +171,10 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 1.0).collect();
         // b = L (Lᵀ x) = A x
         let b = a.matvec(&x_true);
+        // a vector solve is TRSM on an n × 1 view
         let mut x = b;
-        trsv_lower(&l, &mut x);
-        trsv_lower_trans(&l, &mut x);
+        trsm(Side::Left, Uplo::Lower, Trans::No, 1.0, &l, MatMut::from_slice(&mut x, n, 1));
+        trsm(Side::Left, Uplo::Lower, Trans::Yes, 1.0, &l, MatMut::from_slice(&mut x, n, 1));
         let err: f64 = x
             .iter()
             .zip(&x_true)

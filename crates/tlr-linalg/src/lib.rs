@@ -4,7 +4,10 @@
 //! This crate provides, from scratch (no external BLAS/LAPACK), every dense
 //! kernel the paper's HiCMA layer relies on:
 //!
-//! * a column-major [`Matrix`] container with view/slicing helpers,
+//! * a column-major [`Matrix`] container and its borrowed strided block
+//!   views [`MatRef`] / [`MatMut`] — every kernel below takes its operands
+//!   as views (`&Matrix` / `&mut Matrix` convert), so a block is borrowed,
+//!   never copied, inside a kernel,
 //! * level-3 BLAS: [`gemm`], [`syrk`], [`trsm`] (blocked, cache-aware;
 //!   `gemm`/`syrk` run column-parallel on the work-stealing `rayon` pool
 //!   above a size threshold, with [`gemm_serial`]/[`syrk_serial`] variants
@@ -14,7 +17,7 @@
 //!   threshold-based early termination — the workhorse of TLR compression),
 //!   and [`jacobi_svd`] (one-sided Jacobi SVD, preconditioned by the pivoted
 //!   QR, for small/medium matrices),
-//! * triangular solves and norm/error utilities,
+//! * norm/error utilities,
 //! * [`TileSource`]: a matrix given entry by entry, with an optional cheap
 //!   norm bound per block (what tile assembly consumes).
 //!
@@ -44,12 +47,10 @@ pub mod qr;
 pub mod source;
 pub mod svd;
 
-pub use blas3::{
-    gemm, gemm_serial, gemm_serial_into_cols, syrk, syrk_serial, trsm, Side, Trans, Uplo,
-};
+pub use blas3::{gemm, gemm_serial, syrk, syrk_serial, trsm, Side, Trans, Uplo};
 pub use microkernel::{active_path, gemm_with_path, simd_available, KernelPath};
-pub use chol::{potrf, potrf_unblocked, trsv_lower, trsv_lower_trans, CholeskyError};
-pub use matrix::Matrix;
+pub use chol::{potrf, potrf_unblocked, CholeskyError};
+pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{frobenius_norm, max_abs, relative_diff};
 pub use qr::{ColPivQr, ColPivScratch, Qr};
 pub use source::TileSource;

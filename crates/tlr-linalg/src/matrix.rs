@@ -1,10 +1,15 @@
-//! Column-major dense matrix container.
+//! Column-major dense matrix container and its borrowed block views.
 //!
 //! Storage is a single contiguous `Vec<f64>` in column-major order
 //! (Fortran/LAPACK convention), so the tile kernels translate directly from
-//! the BLAS call sequences that HiCMA issues.
+//! the BLAS call sequences that HiCMA issues. A sub-block of that storage
+//! is named by a [`MatRef`] / [`MatMut`] — rows, columns and a column
+//! stride, BLAS's leading dimension — so a kernel updates a block in place
+//! instead of copying it out and back.
 
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A dense, heap-allocated, column-major `f64` matrix.
 ///
@@ -120,6 +125,18 @@ impl Matrix {
         }
     }
 
+    /// The whole matrix as a read-only view.
+    #[inline]
+    pub fn as_ref(&self) -> MatRef<'_> {
+        MatRef::from_slice(&self.data, self.rows, self.cols)
+    }
+
+    /// The whole matrix as a mutable view.
+    #[inline]
+    pub fn as_mut(&mut self) -> MatMut<'_> {
+        MatMut::from_slice(&mut self.data, self.rows, self.cols)
+    }
+
     /// Copy of the sub-matrix `rows_range × cols_range` starting at `(i0, j0)`.
     pub fn submatrix(&self, i0: usize, j0: usize, nrows: usize, ncols: usize) -> Matrix {
         assert!(i0 + nrows <= self.rows && j0 + ncols <= self.cols, "submatrix out of bounds");
@@ -225,21 +242,6 @@ impl Matrix {
         }
         out
     }
-
-    /// `selfᵀ * v`.
-    pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "matvec_t dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (j, o) in out.iter_mut().enumerate() {
-            let col = self.col(j);
-            let mut acc = 0.0;
-            for i in 0..self.rows {
-                acc += col[i] * v[i];
-            }
-            *o = acc;
-        }
-        out
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -278,6 +280,272 @@ impl fmt::Debug for Matrix {
             writeln!(f, "  ...")?;
         }
         write!(f, "]")
+    }
+}
+
+/// A borrowed read-only block of a column-major matrix: entry `(i, j)` is
+/// `stride · j + i` entries past the first. `&Matrix` converts into it,
+/// and every dense kernel takes its operands as `impl Into<MatRef>`.
+#[derive(Clone, Copy)]
+pub struct MatRef<'a> {
+    // Invariant: every `(i, j)` with `i < rows`, `j < cols` is a live f64
+    // of the borrow `'a`, and `stride ≥ rows` when `cols > 1`.
+    ptr: *const f64,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    _borrow: PhantomData<&'a [f64]>,
+}
+
+/// A borrowed mutable block of a column-major matrix; the exclusive
+/// counterpart of [`MatRef`]. The splitting methods hand out blocks that
+/// share no entry, which is how a kernel holds the block it reads and the
+/// block it writes of one matrix at once. `&mut Matrix` converts into it.
+pub struct MatMut<'a> {
+    // Invariant: as for `MatRef`, and no other reference or view reaches
+    // any entry of the block while `'a` lasts.
+    ptr: *mut f64,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    _borrow: PhantomData<&'a mut [f64]>,
+}
+
+// SAFETY: a `MatRef` is a shared borrow of `f64`s and a `MatMut` an
+// exclusive one; they cross threads like `&[f64]` and `&mut [f64]`.
+unsafe impl Send for MatRef<'_> {}
+unsafe impl Sync for MatRef<'_> {}
+unsafe impl Send for MatMut<'_> {}
+unsafe impl Sync for MatMut<'_> {}
+
+/// Offset of the first entry and the stride of the `nrows × ncols` block at
+/// `(i0, j0)` of a `rows × cols` view, after checking that it lies inside.
+/// An empty block has no entry to point at: it keeps the view's pointer
+/// (offset 0) with stride 0, so no pointer ever leaves its allocation.
+#[inline]
+fn sub_block(
+    (rows, cols, stride): (usize, usize, usize),
+    (i0, j0): (usize, usize),
+    (nrows, ncols): (usize, usize),
+) -> (usize, usize) {
+    assert!(
+        i0 <= rows && nrows <= rows - i0 && j0 <= cols && ncols <= cols - j0,
+        "block out of bounds"
+    );
+    if nrows == 0 || ncols == 0 {
+        (0, 0)
+    } else {
+        (i0 + j0 * stride, stride)
+    }
+}
+
+impl<'a> MatRef<'a> {
+    /// View a contiguous column-major buffer as a `rows × cols` block (a
+    /// vector is the `len × 1` case).
+    #[inline]
+    pub fn from_slice(data: &'a [f64], rows: usize, cols: usize) -> Self {
+        assert_eq!(rows.checked_mul(cols), Some(data.len()), "buffer length must equal rows*cols");
+        Self { ptr: data.as_ptr(), rows, cols, stride: rows, _borrow: PhantomData }
+    }
+
+    /// Number of rows.
+    #[inline(always)]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline(always)]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Column `j` as a contiguous slice.
+    #[inline(always)]
+    pub fn col(self, j: usize) -> &'a [f64] {
+        assert!(j < self.cols, "column out of bounds");
+        // SAFETY: column `j` is `rows` consecutive entries of the block.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.stride), self.rows) }
+    }
+
+    /// The `nrows × ncols` block whose first entry is `(i0, j0)`.
+    #[inline]
+    pub fn block(self, i0: usize, j0: usize, nrows: usize, ncols: usize) -> Self {
+        let (off, stride) =
+            sub_block((self.rows, self.cols, self.stride), (i0, j0), (nrows, ncols));
+        // SAFETY: `off` is 0 or the offset of an entry of this view.
+        Self { ptr: unsafe { self.ptr.add(off) }, rows: nrows, cols: ncols, stride, ..self }
+    }
+
+    /// Rows `r` of every column.
+    #[inline]
+    pub fn subrows(self, r: Range<usize>) -> Self {
+        self.block(r.start, 0, r.len(), self.cols)
+    }
+
+    /// Columns `r`.
+    #[inline]
+    pub fn subcols(self, r: Range<usize>) -> Self {
+        self.block(0, r.start, self.rows, r.len())
+    }
+}
+
+impl<'a> MatMut<'a> {
+    /// View a contiguous column-major buffer as a `rows × cols` block (a
+    /// vector is the `len × 1` case).
+    #[inline]
+    pub fn from_slice(data: &'a mut [f64], rows: usize, cols: usize) -> Self {
+        assert_eq!(rows.checked_mul(cols), Some(data.len()), "buffer length must equal rows*cols");
+        Self { ptr: data.as_mut_ptr(), rows, cols, stride: rows, _borrow: PhantomData }
+    }
+
+    /// Number of rows.
+    #[inline(always)]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline(always)]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Entries between the starts of consecutive columns.
+    #[inline(always)]
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Pointer to entry `(0, 0)`, for the SIMD kernel.
+    #[inline(always)]
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut f64 {
+        self.ptr
+    }
+
+    /// Reborrow as a read-only view.
+    #[inline(always)]
+    pub fn as_ref(&self) -> MatRef<'_> {
+        let Self { ptr, rows, cols, stride, .. } = *self;
+        MatRef { ptr, rows, cols, stride, _borrow: PhantomData }
+    }
+
+    /// Reborrow for a shorter lifetime (a view is moved into a kernel).
+    #[inline(always)]
+    pub fn as_mut(&mut self) -> MatMut<'_> {
+        MatMut { ..*self }
+    }
+
+    /// Column `j` as a contiguous mutable slice.
+    #[inline(always)]
+    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        assert!(j < self.cols, "column out of bounds");
+        // SAFETY: column `j` is `rows` consecutive entries of the block,
+        // borrowed exclusively through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.stride), self.rows) }
+    }
+
+    /// The `nrows × ncols` block whose first entry is `(i0, j0)`.
+    #[inline]
+    pub fn block(self, i0: usize, j0: usize, nrows: usize, ncols: usize) -> Self {
+        let (off, stride) =
+            sub_block((self.rows, self.cols, self.stride), (i0, j0), (nrows, ncols));
+        // SAFETY: `off` is 0 or the offset of an entry of this view.
+        Self { ptr: unsafe { self.ptr.add(off) }, rows: nrows, cols: ncols, stride, ..self }
+    }
+
+    /// Rows `r` of every column.
+    #[inline]
+    pub fn subrows(self, r: Range<usize>) -> Self {
+        let cols = self.cols;
+        self.block(r.start, 0, r.len(), cols)
+    }
+
+    /// Columns `r`.
+    #[inline]
+    pub fn subcols(self, r: Range<usize>) -> Self {
+        let rows = self.rows;
+        self.block(0, r.start, rows, r.len())
+    }
+
+    /// Rows `[0, i)` and rows `[i, rows)`: two blocks with no common entry.
+    #[inline]
+    pub fn split_at_row(self, i: usize) -> (Self, Self) {
+        let (rows, cols) = (self.rows, self.cols);
+        // The second handle on the block lives only until both are
+        // narrowed to halves that share no row.
+        let alias = MatMut { ..self };
+        (self.block(0, 0, i, cols), alias.block(i, 0, rows - i, cols))
+    }
+
+    /// Columns `[0, j)` and columns `[j, cols)`: two blocks with no common
+    /// entry.
+    #[inline]
+    pub fn split_at_col(self, j: usize) -> (Self, Self) {
+        let (rows, cols) = (self.rows, self.cols);
+        // As in `split_at_row`: the halves share no column.
+        let alias = MatMut { ..self };
+        (self.block(0, 0, rows, j), alias.block(0, j, rows, cols - j))
+    }
+
+    /// The block cut into consecutive strips of at most `width` columns.
+    pub fn col_chunks(self, width: usize) -> impl Iterator<Item = MatMut<'a>> {
+        let mut rest = Some(self);
+        std::iter::from_fn(move || {
+            let whole = rest.take().filter(|m| m.cols > 0)?;
+            let head_cols = width.min(whole.cols);
+            let (head, tail) = whole.split_at_col(head_cols);
+            rest = Some(tail);
+            Some(head)
+        })
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    #[inline]
+    fn from(m: &'a Matrix) -> Self {
+        m.as_ref()
+    }
+}
+
+impl<'a> From<&'a mut Matrix> for MatMut<'a> {
+    #[inline]
+    fn from(m: &'a mut Matrix) -> Self {
+        m.as_mut()
+    }
+}
+
+/// Offset of entry `(i, j)` of a `rows × cols` view, checked to lie in it.
+#[inline(always)]
+fn entry_offset((rows, cols, stride): (usize, usize, usize), (i, j): (usize, usize)) -> usize {
+    assert!(i < rows && j < cols, "index out of bounds");
+    i + j * stride
+}
+
+impl std::ops::Index<(usize, usize)> for MatRef<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn index(&self, ij: (usize, usize)) -> &f64 {
+        // SAFETY: `entry_offset` checked that `ij` lies in the block.
+        unsafe { &*self.ptr.add(entry_offset((self.rows, self.cols, self.stride), ij)) }
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for MatMut<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn index(&self, ij: (usize, usize)) -> &f64 {
+        // SAFETY: `entry_offset` checked that `ij` lies in the block.
+        unsafe { &*self.ptr.add(entry_offset((self.rows, self.cols, self.stride), ij)) }
+    }
+}
+
+impl std::ops::IndexMut<(usize, usize)> for MatMut<'_> {
+    #[inline(always)]
+    fn index_mut(&mut self, ij: (usize, usize)) -> &mut f64 {
+        // SAFETY: `entry_offset` checked that `ij` lies in the block, which
+        // `&mut self` borrows exclusively.
+        unsafe { &mut *self.ptr.add(entry_offset((self.rows, self.cols, self.stride), ij)) }
     }
 }
 
@@ -350,6 +618,37 @@ mod tests {
     }
 
     #[test]
+    fn views_address_blocks_in_place() {
+        let mut m = Matrix::from_fn(6, 5, |i, j| (10 * i + j) as f64);
+        let v = m.as_ref().block(1, 2, 4, 3);
+        assert_eq!((v.rows(), v.cols()), (4, 3));
+        assert_eq!(v[(3, 2)], m[(4, 4)]);
+        assert_eq!(v.subrows(1..3).subcols(1..2).col(0), &[23.0, 33.0]);
+        // split halves are disjoint and together cover the block
+        let (top, mut bottom) = m.as_mut().split_at_row(2);
+        assert_eq!((top.rows(), bottom.rows()), (2, 4));
+        bottom[(0, 0)] = -1.0;
+        assert_eq!(top.as_ref()[(1, 4)], 14.0);
+        let (left, right) = bottom.as_mut().split_at_col(4);
+        assert_eq!((left.cols(), right.cols()), (4, 1));
+        assert_eq!(right.as_ref().col(0), &[24.0, 34.0, 44.0, 54.0]);
+        assert_eq!(m[(2, 0)], -1.0);
+        let widths: Vec<usize> = m.as_mut().col_chunks(2).map(|s| s.cols()).collect();
+        assert_eq!(widths, [2, 2, 1]);
+        // a vector is an n × 1 view
+        let mut x = [1.0, 2.0, 3.0];
+        MatMut::from_slice(&mut x, 3, 1).col_mut(0)[2] = 9.0;
+        assert_eq!(x, [1.0, 2.0, 9.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block out of bounds")]
+    fn view_block_out_of_bounds_panics() {
+        let m = Matrix::zeros(4, 4);
+        let _ = m.as_ref().block(2, 2, 3, 1);
+    }
+
+    #[test]
     #[should_panic]
     fn two_cols_mut_same_panics() {
         let mut m = Matrix::zeros(2, 2);
@@ -372,8 +671,6 @@ mod tests {
         let m = Matrix::from_fn(2, 3, |i, j| (i * 3 + j + 1) as f64);
         // [1 2 3; 4 5 6] * [1,1,1] = [6, 15]
         assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
-        // transpose: [1 4;2 5;3 6] * [1,1] = [5,7,9]
-        assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

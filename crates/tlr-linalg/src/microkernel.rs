@@ -51,8 +51,8 @@
 //! GEMMs) perform **zero** heap allocations — preserving the counting-
 //! allocator contract of the recompression hot path.
 
-use crate::blas3::Trans;
-use crate::matrix::Matrix;
+use crate::blas3::{gemm_dims, op_cols, op_dims, op_rows, Trans};
+use crate::matrix::{MatMut, MatRef};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -133,11 +133,11 @@ thread_local! {
     };
 }
 
-/// Pack `op(A)[i, p]` for `i ∈ [0, m)`, `p ∈ [pc, pc+kc)` into MR-row
-/// panels: `buf[ib·MR·kc + p·MR + ii] = op(A)[ib·MR + ii, pc + p]`,
-/// zero-padding the last panel's missing rows. `ar0` offsets the rows of
-/// `op(A)` (the SYRK strips update a trailing row range).
-fn pack_a(ta: Trans, a: &Matrix, ar0: usize, m: usize, pc: usize, kc: usize, buf: &mut [f64]) {
+/// Pack the `m × kc` block `op(A)` into MR-row panels:
+/// `buf[ib·MR·kc + p·MR + ii] = op(A)[ib·MR + ii, p]`, zero-padding the
+/// last panel's missing rows.
+fn pack_a(ta: Trans, a: MatRef<'_>, buf: &mut [f64]) {
+    let (m, kc) = op_dims(ta, a);
     let npanels = m.div_ceil(MR);
     for ib in 0..npanels {
         let i0 = ib * MR;
@@ -147,16 +147,15 @@ fn pack_a(ta: Trans, a: &Matrix, ar0: usize, m: usize, pc: usize, kc: usize, buf
             Trans::No => {
                 // op(A) column p is contiguous in A: copy 8-row slivers.
                 for pp in 0..kc {
-                    let src = &a.col(pc + pp)[ar0 + i0..ar0 + i0 + mr];
+                    let src = &a.col(pp)[i0..i0 + mr];
                     panel[pp * MR..pp * MR + mr].copy_from_slice(src);
                 }
             }
             Trans::Yes => {
-                // op(A) row i is column ar0+i of A: contiguous reads,
+                // op(A) row i is column i of A: contiguous reads,
                 // stride-MR writes.
                 for ii in 0..mr {
-                    let src = &a.col(ar0 + i0 + ii)[pc..pc + kc];
-                    for (pp, &s) in src.iter().enumerate() {
+                    for (pp, &s) in a.col(i0 + ii).iter().enumerate() {
                         panel[pp * MR + ii] = s;
                     }
                 }
@@ -170,32 +169,22 @@ fn pack_a(ta: Trans, a: &Matrix, ar0: usize, m: usize, pc: usize, kc: usize, buf
     }
 }
 
-/// Pack `w[j·kc + p] = alpha · op(B)[pc + p, bc0 + j]` — k-major columns
-/// with `alpha` folded in (rounded once, part of the bit-identity
-/// contract).
-#[allow(clippy::too_many_arguments)]
-fn pack_w(
-    tb: Trans,
-    alpha: f64,
-    b: &Matrix,
-    bc0: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    buf: &mut [f64],
-) {
+/// Pack the `kc × n` block `op(B)` as `w[j·kc + p] = alpha · op(B)[p, j]` —
+/// k-major columns with `alpha` folded in (rounded once, part of the
+/// bit-identity contract).
+fn pack_w(tb: Trans, alpha: f64, b: MatRef<'_>, buf: &mut [f64]) {
+    let (kc, n) = op_dims(tb, b);
     for jj in 0..n {
         let dst = &mut buf[jj * kc..(jj + 1) * kc];
         match tb {
             Trans::No => {
-                let src = &b.col(bc0 + jj)[pc..pc + kc];
-                for (d, &s) in dst.iter_mut().zip(src) {
+                for (d, &s) in dst.iter_mut().zip(b.col(jj)) {
                     *d = alpha * s;
                 }
             }
             Trans::Yes => {
                 for (pp, d) in dst.iter_mut().enumerate() {
-                    *d = alpha * b[(bc0 + jj, pc + pp)];
+                    *d = alpha * b[(jj, pp)];
                 }
             }
         }
@@ -213,7 +202,8 @@ fn pack_w(
 ///
 /// Caller must ensure AVX2+FMA are available, `ap` holds `kc·MR`
 /// readable doubles, `w` holds `(NRB-1)·ws + kc`, and the `C` block
-/// (`(NRB-1)·ldc + MR` doubles from `c`) is writable and unaliased.
+/// (`MR` doubles from `c + j·ldc` for each `j < NRB`) is writable and
+/// unaliased.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -261,80 +251,65 @@ unsafe fn kern_simd<const NRB: usize>(
     }
 }
 
-/// Portable mirror of [`kern_simd`]: same blocking, same per-element
-/// operation order, [`f64::mul_add`] for the fused accumulate. Also
-/// handles row tails (`mr < MR`), which the SIMD path never sees.
-#[allow(clippy::too_many_arguments)]
+/// Portable mirror of [`kern_simd`] on the `mr × nrb` block `c`: same
+/// blocking, same per-element operation order, [`f64::mul_add`] for the
+/// fused accumulate. Also handles row tails (`mr < MR`), which the SIMD
+/// path never sees.
 fn kern_scalar(
     kc: usize,
     ap: &[f64],
     w: &[f64],
     ws: usize,
-    c: &mut [f64],
-    coff: usize,
-    ldc: usize,
-    mr: usize,
-    nrb: usize,
+    mut c: MatMut<'_>,
     first: bool,
     beta: f64,
 ) {
-    for j in 0..nrb {
+    for j in 0..c.cols() {
         let wj = &w[j * ws..j * ws + kc];
-        let base = coff + j * ldc;
-        for ii in 0..mr {
-            let idx = base + ii;
+        for (ii, cv) in c.col_mut(j).iter_mut().enumerate() {
             let mut v = if first {
                 if beta == 0.0 {
                     0.0
                 } else {
-                    beta * c[idx]
+                    beta * *cv
                 }
             } else {
-                c[idx]
+                *cv
             };
             for (p, &wv) in wj.iter().enumerate() {
                 v = ap[p * MR + ii].mul_add(wv, v);
             }
-            c[idx] = v;
+            *cv = v;
         }
     }
 }
 
-/// Packed-panel GEMM driver:
-/// `C[0..m, 0..n) := alpha · op(A)[ar0.., :] · op(B)[:, bc0..] + beta · C`
-/// where `C` is an `m × n` column-major block at leading dimension `ldc`
-/// inside `c`.
+/// Packed-panel GEMM driver: `C := alpha · op(A) · op(B) + beta · C` on
+/// views, so a caller that wants a sub-product (a SYRK strip's body, one
+/// strip of the column-parallel GEMM) passes the sub-blocks.
 ///
-/// `ar0`/`bc0` offset the rows of `op(A)` / columns of `op(B)` so the
-/// SYRK strip driver and the column-parallel GEMM can address
-/// sub-products without materializing views. Callers gate on
-/// [`packed_worthwhile`]; this function is correct (but slower than the
-/// naive sweep) for any size.
+/// Callers gate on [`packed_worthwhile`]; this function is correct (but
+/// slower than the naive sweep) for any size.
+// BLAS calling convention: the argument list mirrors dgemm's.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_into(
+pub(crate) fn gemm_packed(
     path: KernelPath,
     ta: Trans,
     tb: Trans,
     alpha: f64,
-    a: &Matrix,
-    ar0: usize,
-    b: &Matrix,
-    bc0: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
     beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
+    mut c: MatMut<'_>,
 ) {
+    let (m, n, k) = gemm_dims(ta, tb, a, b, &c);
     if m == 0 || n == 0 {
         return;
     }
-    debug_assert!(ldc >= m && c.len() >= (n - 1) * ldc + m);
     if k == 0 {
         // Degenerate product: GEMM semantics reduce to the beta scaling.
         for jj in 0..n {
-            let col = &mut c[jj * ldc..jj * ldc + m];
+            let col = c.col_mut(jj);
             if beta == 0.0 {
                 col.fill(0.0);
             } else if beta != 1.0 {
@@ -346,6 +321,7 @@ pub(crate) fn gemm_packed_into(
         return;
     }
     let simd = matches!(path, KernelPath::Simd) && simd_available();
+    let ldc = c.stride();
     let npanels = m.div_ceil(MR);
     let kc_max = KC.min(k);
     PACK.with(|p| {
@@ -361,8 +337,8 @@ pub(crate) fn gemm_packed_into(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_a(ta, a, ar0, m, pc, kc, &mut bufs.a[..npanels * MR * kc]);
-            pack_w(tb, alpha, b, bc0, n, pc, kc, &mut bufs.w[..n * kc]);
+            pack_a(ta, op_cols(ta, a, pc..pc + kc), &mut bufs.a[..npanels * MR * kc]);
+            pack_w(tb, alpha, op_rows(tb, b, pc..pc + kc), &mut bufs.w[..n * kc]);
             let first = pc == 0;
             let mut jj = 0;
             while jj < n {
@@ -370,15 +346,17 @@ pub(crate) fn gemm_packed_into(
                 for ib in 0..npanels {
                     let i0 = ib * MR;
                     let mr = MR.min(m - i0);
-                    let coff = jj * ldc + i0;
                     #[cfg(target_arch = "x86_64")]
                     if simd && mr == MR {
                         let ap = bufs.a[ib * MR * kc..].as_ptr();
                         let wp = bufs.w[jj * kc..].as_ptr();
-                        // SAFETY: feature-checked above; panel/W/C extents
-                        // established by the packing and the debug_assert.
+                        // SAFETY: feature-checked above; the packing
+                        // established the panel and W extents; rows
+                        // `i0..i0 + MR` of columns `jj..jj + nrb` lie in the
+                        // exclusively borrowed `m × n` block `c` (its shape
+                        // was checked by `gemm_dims`).
                         unsafe {
-                            let cp = c.as_mut_ptr().add(coff);
+                            let cp = c.as_mut_ptr().add(jj * ldc + i0);
                             match nrb {
                                 4 => kern_simd::<4>(kc, ap, wp, kc, cp, ldc, first, beta),
                                 3 => kern_simd::<3>(kc, ap, wp, kc, cp, ldc, first, beta),
@@ -390,19 +368,9 @@ pub(crate) fn gemm_packed_into(
                     }
                     #[cfg(not(target_arch = "x86_64"))]
                     let _ = simd;
-                    kern_scalar(
-                        kc,
-                        &bufs.a[ib * MR * kc..(ib + 1) * MR * kc],
-                        &bufs.w[jj * kc..],
-                        kc,
-                        c,
-                        coff,
-                        ldc,
-                        mr,
-                        nrb,
-                        first,
-                        beta,
-                    );
+                    let ap = &bufs.a[ib * MR * kc..(ib + 1) * MR * kc];
+                    let block = c.as_mut().block(i0, jj, mr, nrb);
+                    kern_scalar(kc, ap, &bufs.w[jj * kc..], kc, block, first, beta);
                 }
                 jj += nrb;
             }
@@ -422,28 +390,23 @@ pub(crate) fn gemm_packed_into(
 /// [`KernelPath::Simd`] on a machine without AVX2/FMA silently degrades
 /// to the (bit-identical) scalar path.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_with_path(
+pub fn gemm_with_path<'a>(
     path: KernelPath,
     ta: Trans,
     tb: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'a>>,
     beta: f64,
-    c: &mut Matrix,
+    c: impl Into<MatMut<'a>>,
 ) {
-    let (m, n, k) = crate::blas3::gemm_dims(ta, tb, a, b);
-    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let ldc = m;
-    gemm_packed_into(path, ta, tb, alpha, a, 0, b, 0, beta, c.as_mut_slice(), ldc, m, n, k);
+    gemm_packed(path, ta, tb, alpha, a.into(), b.into(), beta, c.into());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use proptest::prelude::*;
 
     fn rand_mat(r: usize, c: usize, seed: u64) -> Matrix {
@@ -454,7 +417,6 @@ mod tests {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn naive(
         ta: Trans,
         tb: Trans,
@@ -463,10 +425,8 @@ mod tests {
         b: &Matrix,
         beta: f64,
         c: &Matrix,
-        m: usize,
-        n: usize,
-        k: usize,
     ) -> Matrix {
+        let ((m, k), (_, n)) = (op_dims(ta, a.as_ref()), op_dims(tb, b.as_ref()));
         Matrix::from_fn(m, n, |i, j| {
             let mut acc = 0.0;
             for p in 0..k {
@@ -508,7 +468,7 @@ mod tests {
                     Trans::Yes => rand_mat(n, k, 2),
                 };
                 let c0 = rand_mat(m, n, 3);
-                let expect = naive(ta, tb, 1.3, &a, &b, 0.7, &c0, m, n, k);
+                let expect = naive(ta, tb, 1.3, &a, &b, 0.7, &c0);
                 for path in [KernelPath::Simd, KernelPath::Scalar] {
                     let mut c = c0.clone();
                     gemm_with_path(path, ta, tb, 1.3, &a, &b, 0.7, &mut c);

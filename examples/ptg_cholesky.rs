@@ -47,25 +47,25 @@ fn main() {
         match unrolled.class_of(t) {
             "POTRF" => {
                 let mut c = tiles[lower(p[0], p[0])].write();
-                potrf(&mut c).expect("SPD");
+                potrf(&mut *c).expect("SPD");
                 c.zero_upper();
             }
             "TRSM" => {
                 let l = tiles[lower(p[0], p[0])].read();
                 let mut x = tiles[lower(p[1], p[0])].write();
-                trsm(Side::Right, Uplo::Lower, Trans::Yes, 1.0, &l, &mut x);
+                trsm(Side::Right, Uplo::Lower, Trans::Yes, 1.0, &*l, &mut *x);
             }
             "SYRK" => {
                 let a = tiles[lower(p[1], p[0])].read();
                 let mut c = tiles[lower(p[1], p[1])].write();
-                gemm(Trans::No, Trans::Yes, -1.0, &a, &a, 1.0, &mut c);
+                gemm(Trans::No, Trans::Yes, -1.0, &*a, &*a, 1.0, &mut *c);
             }
             "GEMM" => {
                 let (k, m, nn) = (p[0], p[1], p[2]);
                 let am = tiles[lower(m, k)].read();
                 let bm = tiles[lower(nn, k)].read();
                 let mut c = tiles[lower(m, nn)].write();
-                gemm(Trans::No, Trans::Yes, -1.0, &am, &bm, 1.0, &mut c);
+                gemm(Trans::No, Trans::Yes, -1.0, &*am, &*bm, 1.0, &mut *c);
             }
             other => unreachable!("unknown class {other}"),
         }

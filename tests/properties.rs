@@ -9,7 +9,10 @@ use hicma_parsec::cholesky::MatrixAnalysis;
 use hicma_parsec::distribution::{
     BandDistribution, DiamondDistribution, LorapoHybrid, TileDistribution, TwoDBlockCyclic,
 };
-use hicma_parsec::linalg::{gemm, jacobi_svd_into, potrf, Matrix, Qr, Svd, SvdWork, Trans};
+use hicma_parsec::linalg::{
+    gemm, gemm_serial, jacobi_svd_into, potrf, syrk_serial, trsm, MatRef, Matrix, Qr, Side, Svd,
+    SvdWork, Trans, Uplo,
+};
 use hicma_parsec::mesh::hilbert::hilbert_sort;
 use hicma_parsec::mesh::Point3;
 use hicma_parsec::runtime::{MachineModel, SchedPolicy};
@@ -45,8 +48,88 @@ fn seeded_low_rank(n: usize, k: usize, seed: u64) -> Matrix {
     out
 }
 
+/// `m` stored at `(i0, j0)` of a larger matrix (so a view of it has a
+/// stride above its row count and both offsets non-zero); every other
+/// entry is a fixed pattern, so two hosts are equal exactly when the
+/// hosted blocks are and nothing around them was written.
+fn hosted(m: &Matrix, i0: usize, j0: usize) -> Matrix {
+    let mut host =
+        Matrix::from_fn(m.rows() + i0 + 2, m.cols() + j0 + 1, |i, j| 1e3 + (31 * i + j) as f64);
+    host.set_submatrix(i0, j0, m);
+    host
+}
+
+/// The block of `host` where [`hosted`] put `of`.
+fn view<'a>(host: &'a Matrix, of: &Matrix, i0: usize, j0: usize) -> MatRef<'a> {
+    host.as_ref().block(i0, j0, of.rows(), of.cols())
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A view is its copy: GEMM, SYRK and TRSM on strided interior blocks
+    /// of larger matrices (operands and output alike) produce, bit for
+    /// bit, what they produce on `submatrix` copies written back with
+    /// `set_submatrix`, and write nothing outside the output block. The
+    /// shapes straddle the packed-microkernel gate.
+    #[test]
+    fn kernels_on_views_equal_kernels_on_copies(
+        seed in 0u64..1000, m in 1usize..40, n in 1usize..24, k in 1usize..40,
+        i0 in 1usize..4, j0 in 1usize..4,
+    ) {
+        let shape = |t: Trans, r: usize, c: usize| if t == Trans::No { (r, c) } else { (c, r) };
+        for ta in [Trans::No, Trans::Yes] {
+            for tb in [Trans::No, Trans::Yes] {
+                let ((ar, ac), (br, bc)) = (shape(ta, m, k), shape(tb, k, n));
+                let a = seeded_matrix(ar, ac, seed);
+                let b = seeded_matrix(br, bc, seed ^ 0xB);
+                let mut c = seeded_matrix(m, n, seed ^ 0xC);
+                let (ha, hb, mut hc) = (hosted(&a, i0, j0), hosted(&b, j0, i0), hosted(&c, i0, j0));
+                gemm_serial(ta, tb, 1.3, &a, &b, 0.7, &mut c);
+                let (va, vb) = (view(&ha, &a, i0, j0), view(&hb, &b, j0, i0));
+                gemm_serial(ta, tb, 1.3, va, vb, 0.7, hc.as_mut().block(i0, j0, m, n));
+                prop_assert!(bits(&hc) == bits(&hosted(&c, i0, j0)), "gemm {:?} {:?}", ta, tb);
+                // The column-block instance (what the TLR recompression
+                // does): the product written into columns [j0, j0 + n) of
+                // a wider matrix, whose other columns stay as they were.
+                let mut wide = seeded_matrix(m, n + j0 + 1, seed ^ 0xD);
+                let mut expect = wide.clone();
+                let mut cols = wide.submatrix(0, j0, m, n);
+                gemm_serial(ta, tb, 1.3, &a, &b, 0.7, &mut cols);
+                expect.set_submatrix(0, j0, &cols);
+                gemm_serial(ta, tb, 1.3, &a, &b, 0.7, wide.as_mut().subcols(j0..j0 + n));
+                prop_assert!(bits(&wide) == bits(&expect), "gemm cols {:?} {:?}", ta, tb);
+            }
+        }
+        for trans in [Trans::No, Trans::Yes] {
+            let (ar, ac) = shape(trans, m, k);
+            let a = seeded_matrix(ar, ac, seed ^ 0x5);
+            let mut c = seeded_matrix(m, m, seed ^ 0x6);
+            let (ha, mut hc) = (hosted(&a, i0, j0), hosted(&c, j0, i0));
+            syrk_serial(trans, -1.0, &a, 1.0, &mut c);
+            syrk_serial(trans, -1.0, view(&ha, &a, i0, j0), 1.0, hc.as_mut().block(j0, i0, m, m));
+            prop_assert!(bits(&hc) == bits(&hosted(&c, j0, i0)), "syrk {:?}", trans);
+        }
+        for side in [Side::Left, Side::Right] {
+            for trans in [Trans::No, Trans::Yes] {
+                let order = if side == Side::Left { m } else { n };
+                let mut l = seeded_matrix(order, order, seed ^ 0x7);
+                for d in 0..order {
+                    l[(d, d)] = 2.0 + l[(d, d)].abs();
+                }
+                let mut b = seeded_matrix(m, n, seed ^ 0x8);
+                let (hl, mut hb) = (hosted(&l, i0, j0), hosted(&b, j0, i0));
+                trsm(side, Uplo::Lower, trans, 0.5, &l, &mut b);
+                let vl = view(&hl, &l, i0, j0);
+                trsm(side, Uplo::Lower, trans, 0.5, vl, hb.as_mut().block(j0, i0, m, n));
+                prop_assert!(bits(&hb) == bits(&hosted(&b, j0, i0)), "trsm {:?} {:?}", side, trans);
+            }
+        }
+    }
 
     /// Compression at tolerance ε leaves ‖A − UVᵀ‖_F ≤ O(ε).
     #[test]
