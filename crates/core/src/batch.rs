@@ -8,9 +8,15 @@
 //! countdowns and — on distributed runs — one message for the shared
 //! `(n, k)` operand are paid once per group instead of once per GEMM.
 //! The arithmetic is untouched: a fused task is a view over the same
-//! task body, run once per member ([`BatchObs::run_members`], and the
-//! member loop of the distributed body); nothing is packed once per
-//! group. Packing the shared operand is ROADMAP item 2.
+//! task body, run once per member; nothing is packed once per group.
+//! Packing the shared operand is ROADMAP item 2.
+//!
+//! Whether a plan runs fused tasks, and how its engine tasks map back to
+//! DAG tasks, is known to this module alone: a plan holds a `Grouping`
+//! (crate-private) and asks it for the graph to run, the members of an
+//! engine task, the engine task of a member and the two rank
+//! projections — `Fine` answers with the DAG itself, `Fused` with a
+//! [`PanelBatch`].
 //!
 //! # Why fusing `GEMM(k, ·, n)` is always legal
 //!
@@ -29,22 +35,17 @@
 //! A fused task carries the *sum* of its members' flops, so DES pricing,
 //! `CostModel` lookahead and the scheduler's per-class EMA feedback (all
 //! linear in flops) see the aggregate-equivalent work. Per-kernel
-//! attribution is preserved by the [`BatchObs`] span-splitting sink: the
-//! engine reports *batched* ids, the sink fans enqueue out to the member
-//! ids, passes a singleton's span straight through, and for a fused
-//! group [`BatchObs::run_members`] records one measured span per member
-//! — so the trace and the critical-path pricing still operate on the
-//! original task granularity.
+//! attribution is preserved by the span-splitting observer of a shared
+//! run: the engine reports *engine* task ids, the observer fans enqueue
+//! out to the member ids, passes a singleton's span straight through,
+//! and records one measured span per member of a fused group — so the
+//! trace and the critical-path pricing still operate on the original
+//! task granularity.
 
 use crate::dag::{CholeskyDag, TaskKind};
 use runtime::engine::{ExecObs, Observe, TaskEvent};
-use runtime::graph::{DataRef, TaskGraph, TaskId, TaskSpec};
-use std::collections::{HashMap, HashSet};
+use runtime::graph::{TaskGraph, TaskId, TaskSpec};
 use std::time::Instant;
-
-/// Smallest member count worth fusing. A "group" of one is left as an
-/// ordinary task — fusing it would only rename it.
-pub const MIN_GROUP: usize = 2;
 
 /// Result of the panel-batching pass: a contracted graph plus the two
 /// mappings the executor needs to translate between granularities.
@@ -64,52 +65,52 @@ pub struct PanelBatch {
     pub fused_groups: usize,
 }
 
-impl PanelBatch {
-    /// Per-batched-task execution ranks, projected from the original
-    /// assignment (all members of a group share their rank by
-    /// construction — the pass keys groups on it).
-    pub fn exec_ranks(&self, exec_rank: &[usize]) -> Vec<usize> {
-        self.members.iter().map(|m| exec_rank[m[0]]).collect()
-    }
-}
-
 /// Fuse all `GEMM(k, ·, n)` tasks of each `(k, n)` trailing-panel column
-/// into single batched tasks; every other task stays a singleton.
+/// into single batched tasks; every other task — and a GEMM alone in its
+/// column — stays a singleton.
 ///
 /// On distributed runs, pass the per-task `exec_rank` so groups split at
 /// rank boundaries — members of one fused task must execute on one rank.
+///
+/// The pass leans on two things [`build_cholesky_dag`] guarantees: tasks
+/// are emitted panel after panel, and every out-edge of a task carries
+/// the one tile that task writes.
+///
+/// [`build_cholesky_dag`]: crate::dag::build_cholesky_dag
 pub fn batch_panel_gemms(dag: &CholeskyDag, exec_rank: Option<&[usize]>) -> PanelBatch {
     let g = &dag.graph;
-    let ntasks = g.len();
-    let key_of = |t: TaskId| match dag.kinds[t] {
-        TaskKind::Gemm { k, n, .. } => Some((k, n, exec_rank.map_or(0, |er| er[t]))),
-        _ => None,
-    };
+    let nranks = exec_rank.map_or(1, |er| er.iter().max().map_or(1, |&r| r + 1));
 
-    let mut by_key: HashMap<(usize, usize, usize), Vec<TaskId>> = HashMap::new();
-    for t in 0..ntasks {
-        if let Some(key) = key_of(t) {
-            by_key.entry(key).or_default().push(t);
+    // Group in one pass, batched ids in order of first members — so the
+    // contracted graph (and everything keyed on its ids: schedulers, comm
+    // counting, traces) is deterministic. `open[(n, rank)]` is the panel
+    // that last opened a group in column `n` on `rank`, and that group: a
+    // GEMM of the same panel joins it, a later panel's opens the next.
+    let mut open: Vec<(usize, TaskId)> = vec![(usize::MAX, 0); dag.analysis.nt() * nranks];
+    let mut members: Vec<Vec<TaskId>> = Vec::new();
+    let mut of: Vec<TaskId> = Vec::with_capacity(g.len());
+    for (t, &kind) in dag.kinds.iter().enumerate() {
+        let b = match kind {
+            TaskKind::Gemm { k, n, .. } => {
+                let slot = &mut open[n * nranks + exec_rank.map_or(0, |er| er[t])];
+                if slot.0 != k {
+                    *slot = (k, members.len());
+                }
+                slot.1
+            }
+            _ => members.len(),
+        };
+        if b == members.len() {
+            members.push(Vec::new());
         }
+        members[b].push(t);
+        of.push(b);
     }
 
-    // Emit batched tasks in order of their first member, so the contracted
-    // graph (and everything keyed on its ids: schedulers, comm counting,
-    // traces) is deterministic.
     let mut graph = TaskGraph::new();
-    let mut members: Vec<Vec<TaskId>> = Vec::new();
-    let mut of: Vec<TaskId> = vec![usize::MAX; ntasks];
-    let mut fused_groups = 0usize;
-    for t in 0..ntasks {
-        if of[t] != usize::MAX {
-            continue; // already emitted as a later member of its group
-        }
-        let group: Vec<TaskId> = match key_of(t) {
-            Some(key) if by_key[&key].len() >= MIN_GROUP => by_key[&key].clone(),
-            _ => vec![t],
-        };
+    for group in &members {
         let spec0 = g.spec(group[0]);
-        let id = graph.add_task(TaskSpec {
+        graph.add_task(TaskSpec {
             class: spec0.class,
             priority: spec0.priority,
             // A fused task writes one tile per member; `writes` names the
@@ -119,36 +120,108 @@ pub fn batch_panel_gemms(dag: &CholeskyDag, exec_rank: Option<&[usize]>) -> Pane
             writes: spec0.writes,
             flops: group.iter().map(|&m| g.spec(m).flops).sum(),
         });
-        if group.len() > 1 {
-            fused_groups += 1;
-        }
-        for &m in &group {
-            of[m] = id;
-        }
-        members.push(group);
     }
 
     // Project the edges through the contraction. Intra-group edges cannot
     // exist (members are mutually independent) but are skipped defensively;
-    // parallel edges carrying the same datum collapse to one.
-    let mut seen: HashSet<(TaskId, TaskId, DataRef)> = HashSet::new();
-    for s in 0..ntasks {
+    // parallel edges carrying the same datum collapse to one. All edges
+    // out of one task carry the same datum and members of one group write
+    // different tiles, so a parallel edge is a second edge from the *same*
+    // task into the same group: `last_src[bd]` remembers that task.
+    let mut last_src: Vec<TaskId> = vec![usize::MAX; members.len()];
+    for s in 0..g.len() {
         for e in g.successors(s) {
             let (bs, bd) = (of[s], of[e.dst]);
-            if bs != bd && seen.insert((bs, bd, e.data)) {
+            if bs != bd && last_src[bd] != s {
+                last_src[bd] = s;
                 graph.add_edge(bs, bd, e.data, e.bytes);
             }
         }
     }
 
+    let fused_groups = members.iter().filter(|m| m.len() > 1).count();
     PanelBatch { graph, members, of, fused_groups }
 }
 
-/// Span-splitting [`Observe`] sink for batched execution.
+/// How a plan's engine tasks relate to its DAG tasks: one to one, or
+/// through a [`PanelBatch`]. Everything that runs or reports a plan asks
+/// this type instead of branching on "batched or not".
+#[derive(Default)]
+pub(crate) enum Grouping {
+    /// The engine runs the DAG itself.
+    #[default]
+    Fine,
+    /// The engine runs the contracted graph.
+    Fused(PanelBatch),
+}
+
+impl Grouping {
+    /// The grouping a plan that decided `batched` runs `dag` with
+    /// (`exec_rank` as for [`batch_panel_gemms`]).
+    pub(crate) fn new(dag: &CholeskyDag, batched: bool, exec_rank: Option<&[usize]>) -> Self {
+        if batched {
+            Grouping::Fused(batch_panel_gemms(dag, exec_rank))
+        } else {
+            Grouping::Fine
+        }
+    }
+
+    /// The graph the engine executes.
+    pub(crate) fn graph<'a>(&'a self, dag: &'a CholeskyDag) -> &'a TaskGraph {
+        match self {
+            Grouping::Fine => &dag.graph,
+            Grouping::Fused(pb) => &pb.graph,
+        }
+    }
+
+    /// The DAG tasks engine task `b` stands for, in program order.
+    pub(crate) fn members<'a>(&'a self, b: &'a TaskId) -> &'a [TaskId] {
+        match self {
+            Grouping::Fine => std::slice::from_ref(b),
+            Grouping::Fused(pb) => &pb.members[*b],
+        }
+    }
+
+    /// The engine task executing DAG task `t`.
+    pub(crate) fn of(&self, t: TaskId) -> TaskId {
+        match self {
+            Grouping::Fine => t,
+            Grouping::Fused(pb) => pb.of[t],
+        }
+    }
+
+    /// Engine tasks with more than one member.
+    pub(crate) fn fused_groups(&self) -> usize {
+        match self {
+            Grouping::Fine => 0,
+            Grouping::Fused(pb) => pb.fused_groups,
+        }
+    }
+
+    /// Per-DAG-task ranks → per-engine-task ranks (all members of a
+    /// group share their rank by construction — the pass keys groups on
+    /// it).
+    pub(crate) fn project(&self, task_rank: Vec<usize>) -> Vec<usize> {
+        match self {
+            Grouping::Fine => task_rank,
+            Grouping::Fused(pb) => pb.members.iter().map(|m| task_rank[m[0]]).collect(),
+        }
+    }
+
+    /// Per-engine-task ranks → per-DAG-task ranks.
+    pub(crate) fn unproject(&self, engine_rank: Vec<usize>) -> Vec<usize> {
+        match self {
+            Grouping::Fine => engine_rank,
+            Grouping::Fused(pb) => pb.of.iter().map(|&b| engine_rank[b]).collect(),
+        }
+    }
+}
+
+/// Span-splitting [`Observe`] sink of a shared run.
 ///
-/// The engine sees the contracted graph, so it reports *batched* task
-/// ids against an [`ExecObs`] sized for the *original* graph. This
-/// wrapper keeps the two granularities consistent:
+/// The engine sees the grouping's graph, so it reports *engine* task ids
+/// against an [`ExecObs`] sized for the DAG. This wrapper keeps the two
+/// granularities consistent:
 ///
 /// * `Enqueue` of `b` fans out to every member — each original task became
 ///   ready exactly when its group did;
@@ -156,22 +229,22 @@ pub fn batch_panel_gemms(dag: &CholeskyDag, exec_rank: Option<&[usize]>) -> Pane
 ///   read it; a fused group's is dropped, because
 ///   [`run_members`](BatchObs::run_members) already recorded one span
 ///   per member.
-pub struct BatchObs<'a> {
+pub(crate) struct BatchObs<'a> {
     inner: Option<&'a ExecObs>,
-    members: &'a [Vec<TaskId>],
+    grouping: &'a Grouping,
 }
 
 impl<'a> BatchObs<'a> {
-    /// Wrap an (optional) original-granularity recorder for a batched run.
-    pub fn new(inner: Option<&'a ExecObs>, members: &'a [Vec<TaskId>]) -> Self {
-        BatchObs { inner, members }
+    /// Wrap an (optional) DAG-granularity recorder for a run of `grouping`.
+    pub(crate) fn new(inner: Option<&'a ExecObs>, grouping: &'a Grouping) -> Self {
+        BatchObs { inner, grouping }
     }
 
-    /// Run every member of batched task `b` through `run`, in order.
+    /// Run every member of engine task `b` through `run`, in order.
     /// Tracing a fused group reads the engine's clock once per member
     /// boundary, so consecutive member spans tile the group's span.
-    pub fn run_members(&self, wid: usize, b: TaskId, mut run: impl FnMut(TaskId)) {
-        let members = &self.members[b];
+    pub(crate) fn run_members(&self, wid: usize, b: TaskId, mut run: impl FnMut(TaskId)) {
+        let members = self.grouping.members(&b);
         match self.inner {
             Some(o) if members.len() > 1 => {
                 let mut start = Instant::now();
@@ -193,12 +266,12 @@ impl Observe for BatchObs<'_> {
         let Some(o) = self.inner else { return };
         match event {
             TaskEvent::Enqueue { wid, task: b, at } => {
-                for &task in &self.members[b] {
+                for &task in self.grouping.members(&b) {
                     o.observe(TaskEvent::Enqueue { wid, task, at });
                 }
             }
             TaskEvent::Retire { wid, task: b, start, end, .. } => {
-                if let [t] = self.members[b][..] {
+                if let [t] = *self.grouping.members(&b) {
                     o.record_span(wid, t, start, end);
                 }
             }
@@ -212,6 +285,7 @@ mod tests {
     use super::*;
     use crate::dag::{build_cholesky_dag, DagConfig};
     use runtime::graph::TaskClass;
+    use std::collections::HashSet;
     use tlr_compress::RankSnapshot;
 
     fn dense_snap(nt: usize, b: usize, r: usize) -> RankSnapshot {
@@ -304,13 +378,16 @@ mod tests {
         // Alternate ranks per task: same-(k,n) GEMMs land on a mix of
         // ranks, so groups must split accordingly.
         let er: Vec<usize> = (0..d.graph.len()).map(|t| t % 2).collect();
-        let pb = batch_panel_gemms(&d, Some(&er));
+        let grouping = Grouping::new(&d, true, Some(&er));
+        let Grouping::Fused(pb) = &grouping else { panic!("a batched grouping is fused") };
         for group in &pb.members {
             let r0 = er[group[0]];
             assert!(group.iter().all(|&t| er[t] == r0), "group spans ranks");
         }
-        let ranks = pb.exec_ranks(&er);
+        // The two rank projections are inverse to each other.
+        let ranks = grouping.project(er.clone());
         assert_eq!(ranks.len(), pb.graph.len());
+        assert_eq!(grouping.unproject(ranks), er);
     }
 
     #[test]

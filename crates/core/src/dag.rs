@@ -62,6 +62,62 @@ pub enum TaskKind {
     },
 }
 
+/// The tiles a task touches: the one it updates in place and the ones
+/// it only reads.
+pub(crate) struct Operands {
+    /// The tile the task writes.
+    pub(crate) writes: DataRef,
+    reads: [DataRef; 2],
+    nreads: usize,
+}
+
+impl Operands {
+    /// The read-only operands, in packed-lower order — every one of them
+    /// precedes [`writes`](Operands::writes) in that order, which is the
+    /// order the shared engine takes its locks in and the order
+    /// `run_kernel` indexes `reads` by.
+    pub(crate) fn reads(&self) -> &[DataRef] {
+        &self.reads[..self.nreads]
+    }
+}
+
+impl TaskKind {
+    /// Which tiles this task writes and reads — the PTG's dataflow, said
+    /// once: the builder below draws every edge from it and both engines
+    /// fetch their operands by it.
+    pub(crate) fn operands(self) -> Operands {
+        let at = |i, j| DataRef { i, j };
+        let (writes, reads, nreads) = match self {
+            TaskKind::Potrf { k } => (at(k, k), [at(k, k); 2], 0),
+            TaskKind::Trsm { k, m } => (at(m, k), [at(k, k); 2], 1),
+            TaskKind::Syrk { k, m } => (at(m, m), [at(m, k); 2], 1),
+            // k < n < m, so (n, k) < (m, k) < (m, n) in packed order.
+            TaskKind::Gemm { k, m, n } => (at(m, n), [at(n, k), at(m, k)], 2),
+        };
+        Operands { writes, reads, nreads }
+    }
+
+    /// The runtime's kernel class of this task.
+    pub fn class(self) -> TaskClass {
+        match self {
+            TaskKind::Potrf { .. } => TaskClass::Potrf,
+            TaskKind::Trsm { .. } => TaskClass::Trsm,
+            TaskKind::Syrk { .. } => TaskClass::Syrk,
+            TaskKind::Gemm { .. } => TaskClass::Gemm,
+        }
+    }
+
+    /// The panel step `k` this task belongs to (its scheduling priority).
+    pub fn panel(self) -> usize {
+        match self {
+            TaskKind::Potrf { k }
+            | TaskKind::Trsm { k, .. }
+            | TaskKind::Syrk { k, .. }
+            | TaskKind::Gemm { k, .. } => k,
+        }
+    }
+}
+
 /// Builder options.
 #[derive(Debug, Clone, Copy)]
 pub struct DagConfig {
@@ -96,6 +152,12 @@ pub struct CholeskyDag {
     pub nested: Vec<bool>,
 }
 
+/// Packed lower-triangular tile index.
+#[inline]
+pub(crate) fn lower(i: usize, j: usize) -> usize {
+    i * (i + 1) / 2 + j
+}
+
 /// Is a rank-`r` tile of size `b` stored dense (LR does not pay off)?
 #[inline]
 fn dense_format(r: usize, b: usize) -> bool {
@@ -126,153 +188,70 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
     let mut task_flops: Vec<f64> = Vec::new();
     let mut rank_param: Vec<usize> = Vec::new();
     let mut nested: Vec<bool> = Vec::new();
-
     // last_writer[tile] = task that produced the current version.
-    let lower = |i: usize, j: usize| i * (i + 1) / 2 + j;
     let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
 
-    #[allow(clippy::too_many_arguments)]
-    let add = |graph: &mut TaskGraph,
-                   kinds: &mut Vec<TaskKind>,
-                   task_flops: &mut Vec<f64>,
-                   rank_param: &mut Vec<usize>,
-                   nested: &mut Vec<bool>,
-                   kind: TaskKind,
-                   class: TaskClass,
-                   k: usize,
-                   writes: (usize, usize),
-                   fl: f64,
-                   kparam: usize,
-                   is_nested: bool|
-     -> TaskId {
+    // The only place a task or an edge is created. The dataflow comes
+    // from `operands()`: one edge from the producer of the current version
+    // of every tile the task reads, then of the tile it overwrites, each
+    // carrying that tile's bytes. The producers of one task's operands are
+    // distinct tasks, so every successor list is in task-emission order.
+    let mut add = |kind: TaskKind, fl: f64, kparam: usize, is_nested: bool| {
+        let ops = kind.operands();
         let id = graph.add_task(TaskSpec {
-            class,
-            priority: k,
-            writes: Some(DataRef { i: writes.0, j: writes.1 }),
+            class: kind.class(),
+            priority: kind.panel(),
+            writes: Some(ops.writes),
             flops: fl,
         });
+        for &d in ops.reads().iter().chain([&ops.writes]) {
+            if let Some(w) = last_writer[lower(d.i, d.j)] {
+                graph.add_edge(w, id, d, tile_bytes(d.i, d.j, ranks.rank(d.i, d.j), b));
+            }
+        }
+        last_writer[lower(ops.writes.i, ops.writes.j)] = Some(id);
         kinds.push(kind);
         task_flops.push(fl);
         rank_param.push(kparam);
         nested.push(is_nested);
-        id
+    };
+    // `(flops, rank_param)` of a kernel driven by one rank-`r` panel tile.
+    let priced = |r: usize, dense: fn(usize) -> f64, lr: fn(usize, usize) -> f64| {
+        if r == 0 {
+            (0.0, 1) // untrimmed no-op on a null tile
+        } else if dense_format(r, b) {
+            (dense(b), b)
+        } else {
+            (lr(b, r), r)
+        }
     };
 
     for k in 0..nt {
-        // ---------------- POTRF(k) ----------------
-        let potrf_id = add(
-            &mut graph,
-            &mut kinds,
-            &mut task_flops,
-            &mut rank_param,
-            &mut nested,
-            TaskKind::Potrf { k },
-            TaskClass::Potrf,
-            k,
-            (k, k),
-            flops::potrf(b),
-            b,
-            true,
-        );
-        if let Some(w) = last_writer[lower(k, k)] {
-            graph.add_edge(w, potrf_id, DataRef { i: k, j: k }, (b * b * 8) as u64);
-        }
-        last_writer[lower(k, k)] = Some(potrf_id);
+        add(TaskKind::Potrf { k }, flops::potrf(b), b, true);
 
-        if k + 1 >= nt {
-            break;
-        }
-
-        // Which rows participate in this panel?
+        // Which rows participate in this panel? (Ascending; a trimmed
+        // panel keeps the rows whose tile `(m, k)` is non-null.)
         let rows: Vec<usize> = if cfg.trimmed {
             analysis.trsm[k].clone()
         } else {
             (k + 1..nt).collect()
         };
-
-        // ---------------- TRSM(k, m) ----------------
-        let mut trsm_id: Vec<Option<TaskId>> = vec![None; nt];
         for &m in &rows {
-            let r = ranks.rank(m, k);
-            let (fl, kparam) = if r == 0 {
-                (0.0, 1) // untrimmed no-op on a null tile
-            } else if dense_format(r, b) {
-                (flops::trsm_dense(b), b)
-            } else {
-                (flops::trsm_lr(b, r), r)
-            };
-            let id = add(
-                &mut graph,
-                &mut kinds,
-                &mut task_flops,
-                &mut rank_param,
-                &mut nested,
-                TaskKind::Trsm { k, m },
-                TaskClass::Trsm,
-                k,
-                (m, k),
-                fl,
-                kparam,
-                m <= k + 4, // panel-adjacent TRSM: critical path (nested)
-            );
-            // bcast of the factored diagonal tile (dense b×b)
-            graph.add_edge(potrf_id, id, DataRef { i: k, j: k }, (b * b * 8) as u64);
-            if let Some(w) = last_writer[lower(m, k)] {
-                graph.add_edge(w, id, DataRef { i: m, j: k }, tile_bytes(m, k, r, b));
-            }
-            last_writer[lower(m, k)] = Some(id);
-            trsm_id[m] = Some(id);
+            let (fl, kparam) = priced(ranks.rank(m, k), flops::trsm_dense, flops::trsm_lr);
+            // panel-adjacent TRSM: critical path (nested)
+            add(TaskKind::Trsm { k, m }, fl, kparam, m <= k + 4);
         }
-
-        // ---------------- SYRK(k, m) ----------------
         for &m in &rows {
-            let r = ranks.rank(m, k);
-            let (fl, kparam) = if r == 0 {
-                (0.0, 1)
-            } else if dense_format(r, b) {
-                (flops::syrk_dense(b), b)
-            } else {
-                (flops::syrk_lr(b, r), r)
-            };
-            let id = add(
-                &mut graph,
-                &mut kinds,
-                &mut task_flops,
-                &mut rank_param,
-                &mut nested,
-                TaskKind::Syrk { k, m },
-                TaskClass::Syrk,
-                k,
-                (m, m),
-                fl,
-                kparam,
-                // SYRK accumulations serialize on the shared diagonal
-                // tile and feed the next POTRF: always on the critical
-                // path, always nested (multithreaded accumulation)
-                true,
-            );
-            let t = trsm_id[m].expect("SYRK row implies TRSM row");
-            graph.add_edge(t, id, DataRef { i: m, j: k }, tile_bytes(m, k, r, b));
-            if let Some(w) = last_writer[lower(m, m)] {
-                graph.add_edge(w, id, DataRef { i: m, j: m }, (b * b * 8) as u64);
-            }
-            last_writer[lower(m, m)] = Some(id);
+            let (fl, kparam) = priced(ranks.rank(m, k), flops::syrk_dense, flops::syrk_lr);
+            // SYRK accumulations serialize on the shared diagonal tile and
+            // feed the next POTRF: always on the critical path, always
+            // nested (multithreaded accumulation)
+            add(TaskKind::Syrk { k, m }, fl, kparam, true);
         }
-
-        // ---------------- GEMM(k, m, n) ----------------
-        // rows is ascending; pair (m, n) with m > n.
-        for i in 1..rows.len() {
-            for j in 0..i {
-                let m = rows[i];
-                let n = rows[j];
-                let ka = ranks.rank(m, k);
-                let kb = ranks.rank(n, k);
-                if cfg.trimmed && (ka == 0 || kb == 0) {
-                    // cannot happen with analysis-driven rows, but keep the
-                    // guard for clarity
-                    continue;
-                }
-                let kc = ranks.rank(m, n);
+        // Pair (m, n) with m > n.
+        for (i, &m) in rows.iter().enumerate() {
+            for &n in &rows[..i] {
+                let (ka, kb, kc) = (ranks.rank(m, k), ranks.rank(n, k), ranks.rank(m, n));
                 let (fl, kparam) = if ka == 0 || kb == 0 {
                     (0.0, 1) // untrimmed no-op
                 } else if dense_format(ka, b) && dense_format(kb, b) {
@@ -281,33 +260,13 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
                     // recompression cost is governed by the stacked rank
                     (flops::gemm_tlr(b, ka, kb, kc), (kc + ka.min(kb)).min(b))
                 };
-                let id = add(
-                    &mut graph,
-                    &mut kinds,
-                    &mut task_flops,
-                    &mut rank_param,
-                    &mut nested,
-                    TaskKind::Gemm { k, m, n },
-                    TaskClass::Gemm,
-                    k,
-                    (m, n),
-                    fl,
-                    kparam,
-                    // Two kinds of GEMMs sit on the critical path and run
-                    // nested: updates inside the panel-adjacent lookahead
-                    // window, and accumulations onto near-diagonal tiles
-                    // (long serialized chains of high-rank updates, like
-                    // the SYRK accumulations).
-                    m - n <= 4 || (n <= k + 2 && m <= k + 4),
-                );
-                let tm = trsm_id[m].expect("GEMM row implies TRSM");
-                let tn = trsm_id[n].expect("GEMM col implies TRSM");
-                graph.add_edge(tm, id, DataRef { i: m, j: k }, tile_bytes(m, k, ka, b));
-                graph.add_edge(tn, id, DataRef { i: n, j: k }, tile_bytes(n, k, kb, b));
-                if let Some(w) = last_writer[lower(m, n)] {
-                    graph.add_edge(w, id, DataRef { i: m, j: n }, tile_bytes(m, n, kc, b));
-                }
-                last_writer[lower(m, n)] = Some(id);
+                // Two kinds of GEMMs sit on the critical path and run
+                // nested: updates inside the panel-adjacent lookahead
+                // window, and accumulations onto near-diagonal tiles (long
+                // serialized chains of high-rank updates, like the SYRK
+                // accumulations).
+                let is_nested = m - n <= 4 || (n <= k + 2 && m <= k + 4);
+                add(TaskKind::Gemm { k, m, n }, fl, kparam, is_nested);
             }
         }
     }

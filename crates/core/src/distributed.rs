@@ -26,9 +26,9 @@
 //! store → matrix — and copied only onto the wire, along the dataflow
 //! edge that names it.
 
-use crate::dag::CholeskyDag;
+use crate::batch::Grouping;
+use crate::dag::{lower, CholeskyDag};
 use crate::factorize::FactorConfig;
-use crate::plan::lower;
 use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads};
 use parking_lot::Mutex;
 use runtime::engine::RankCtx;
@@ -100,6 +100,9 @@ impl TilePayload for SealedTile {
 pub(crate) struct RankBody<'a> {
     dag: &'a CholeskyDag,
     preds: &'a [Vec<(TaskId, DataRef)>],
+    /// Shipped inputs are keyed in the inbox by the *engine* task that
+    /// produced them.
+    grouping: &'a Grouping,
     tile_size: usize,
     compression: CompressionConfig,
     pub(crate) error: Mutex<Option<CholeskyError>>,
@@ -111,6 +114,7 @@ impl<'a> RankBody<'a> {
     pub(crate) fn new(
         dag: &'a CholeskyDag,
         preds: &'a [Vec<(TaskId, DataRef)>],
+        grouping: &'a Grouping,
         cfg: &FactorConfig,
         tile_size: usize,
         nprocs: usize,
@@ -118,6 +122,7 @@ impl<'a> RankBody<'a> {
         RankBody {
             dag,
             preds,
+            grouping,
             tile_size,
             compression: cfg.compression(),
             error: Mutex::new(None),
@@ -125,22 +130,14 @@ impl<'a> RankBody<'a> {
         }
     }
 
-    /// Run original task `t` on `ctx`'s rank. `engine_id` maps an
-    /// original producer id to the task the engine actually ran (itself,
-    /// or its fused group on a batched run), which is how shipped inputs
-    /// are keyed in the inbox.
-    pub(crate) fn run<P: TilePayload>(
-        &self,
-        t: TaskId,
-        ctx: &mut RankCtx<'_, P>,
-        engine_id: impl Fn(TaskId) -> TaskId,
-    ) {
+    /// Run DAG task `t` on `ctx`'s rank.
+    pub(crate) fn run<P: TilePayload>(&self, t: TaskId, ctx: &mut RankCtx<'_, P>) {
         let kind = self.dag.kinds[t];
         let ops = kind.operands();
         let w = ops.writes;
         let producer = |d: DataRef| {
             let (p, _) = self.preds[t].iter().find(|(_, dd)| *dd == d)?;
-            Some(engine_id(*p))
+            Some(self.grouping.of(*p))
         };
         // The written tile's current version: local, or shipped from a
         // remote previous writer (possible when two writers of the same

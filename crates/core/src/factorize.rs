@@ -74,17 +74,18 @@ pub struct FactorConfig {
     /// scheduling overhead is paid once per group (the kernels still run
     /// once per member — operand packing is not shared). The factor is
     /// bit-identical with batching on or off — the pass never reorders
-    /// any tile's update sequence — and per-kernel attribution survives
-    /// through the [`crate::batch::BatchObs`] span-splitting shim.
-    /// Defaults to `true`.
+    /// any tile's update sequence — and a traced shared run still records
+    /// one span per kernel. Defaults to `true`; a fused column runs its
+    /// members one after another on one worker, which a machine much
+    /// wider than the panel may not want.
     ///
     /// A distributed plan batches only on a plain engine configuration:
     /// a fault layer, sealed payloads (an armed integrity mode or a
     /// corrupting fault plan) or virtual-time tracing each keep it
     /// unbatched, because recovery, healing and the trace reason about
     /// single-tile tasks. The decision is recorded, not silent:
-    /// [`PlanMode::Distributed::batched`](crate::plan::PlanMode) is part
-    /// of the plan's key and
+    /// [`PlanKey::batched`](crate::plan::PlanKey::batched) is part of the
+    /// plan's key and
     /// [`SymbolicPlan::fused_groups`](crate::plan::SymbolicPlan::fused_groups)
     /// reads `0` on a plan that does not batch.
     pub batch_panels: bool,

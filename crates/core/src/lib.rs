@@ -36,7 +36,7 @@ pub mod tuner;
 pub mod verify;
 
 pub use analysis::MatrixAnalysis;
-pub use batch::{batch_panel_gemms, BatchObs, PanelBatch};
+pub use batch::{batch_panel_gemms, PanelBatch};
 pub use dag::{build_cholesky_dag, CholeskyDag, DagConfig, TaskKind};
 pub use drift::{ClassDrift, CommDrift, DriftReport, DriftSpec};
 pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode};

@@ -17,7 +17,8 @@
 //! * precomputed scheduler state ([`SchedPlan`] key/lookahead tables on
 //!   shared-memory plans, priority-driven topological orders on
 //!   distributed ones),
-//! * the fused panel-batch groups ([`crate::batch::PanelBatch`]),
+//! * how the engine's tasks group the DAG's (one to one, or fused by
+//!   [`batch_panel_gemms`](crate::batch::batch_panel_gemms)),
 //! * on distributed plans, the full placement machinery (task→rank map,
 //!   per-tile initial placement, predecessor lookup, writer maps) plus
 //!   the comm-feedback re-planner state, so converged placement
@@ -28,8 +29,8 @@
 //! ([`tlr_compress::WordFold`]): tile grid, per-tile rank structure,
 //! accuracy/rank caps, layout owner map, rank count, scheduling policy
 //! and the decisions planning took (`batched`, `replan`) — not the
-//! capability flags those decisions were derived from, so sessions that
-//! differ only in a capability that did not change the plan share it.
+//! flags those decisions were derived from, so sessions that differ only
+//! in a flag or capability that did not change the plan share it.
 //! Two matrices with the same key plan
 //! identically, so a [`PlanCache`] can hand out one `Arc<SymbolicPlan>`
 //! to every request that matches — a warm-cache run skips the symbolic
@@ -38,11 +39,10 @@
 //! compute (`tests/plan_cache.rs` holds every capability subset, policy
 //! and batching mode to that).
 
-use crate::batch::{batch_panel_gemms, PanelBatch};
-use crate::dag::{build_cholesky_dag, CholeskyDag, DagConfig};
+use crate::batch::Grouping;
+use crate::dag::{build_cholesky_dag, lower, CholeskyDag, DagConfig};
 use crate::factorize::FactorConfig;
 use crate::replan::CommReplanner;
-use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
 use runtime::engine::EngineError;
 use runtime::graph::{DataRef, TaskGraph, TaskId};
@@ -52,16 +52,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tlr_compress::{RankSnapshot, WordFold};
 
-/// Packed lower-triangular tile index.
-#[inline]
-pub(crate) fn lower(i: usize, j: usize) -> usize {
-    i * (i + 1) / 2 + j
-}
-
 /// Where a plan executes — part of the cache key, because shared and
-/// distributed plans carry different artifacts. A distributed mode
-/// records the decisions its plan took, not the session flags they came
-/// from.
+/// distributed plans carry different artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanMode {
     /// Shared-memory work-stealing engine.
@@ -70,12 +62,6 @@ pub enum PlanMode {
     Distributed {
         /// Emulated rank count (changes every mapping).
         nprocs: usize,
-        /// The engine runs the fused panel-batch graph:
-        /// [`FactorConfig::batch_panels`] was asked for *and* the session
-        /// has no fault layer, sealed payloads or virtual-time trace
-        /// (crash recovery, lineage healing and the trace all reason
-        /// about single-tile tasks).
-        batched: bool,
         /// A comm-feedback re-planner is embedded in the plan.
         replan: bool,
     },
@@ -95,7 +81,7 @@ pub enum PlanMode {
 /// any pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Execution mode plus the decisions a distributed plan took.
+    /// Execution mode.
     pub mode: PlanMode,
     /// Tile-grid dimension.
     pub nt: usize,
@@ -109,8 +95,12 @@ pub struct PlanKey {
     pub accuracy_bits: u64,
     /// Ready-queue scheduling policy the plan precomputes keys for.
     pub sched: SchedPolicy,
-    /// Whether panel batching was requested.
-    pub batch_panels: bool,
+    /// The engine runs the fused panel-batch graph. A decision, not a
+    /// flag: [`FactorConfig::batch_panels`] was asked for *and*, on a
+    /// distributed plan, the session has no fault layer, sealed payloads
+    /// or virtual-time trace (crash recovery, lineage healing and the
+    /// trace all reason about single-tile tasks).
+    pub batched: bool,
     /// FNV-1a fold of the rank structure (and distributed owner map).
     pub structure: u64,
 }
@@ -144,26 +134,20 @@ pub(crate) struct DistStatic {
 }
 
 /// The parts of a distributed plan that depend on the current per-tile
-/// rank overrides: task→rank mapping, initial tile placement, the
-/// precomputed execution order, and (when batching applies) the fused
-/// graph with its own rank map and order.
+/// rank overrides: how the engine's tasks group the DAG's, which rank
+/// runs each of them and in what order, and where each tile starts.
 #[derive(Default)]
 pub(crate) struct DistMapping {
     pub(crate) overrides: HashMap<(usize, usize), usize>,
+    /// Engine tasks ↔ DAG tasks; groups never span ranks.
+    pub(crate) grouping: Grouping,
+    /// Rank executing each task of the grouping's graph.
     pub(crate) exec_rank: Vec<usize>,
-    /// Rank holding each packed-lower tile's initial version.
-    pub(crate) placement: Vec<usize>,
-    /// Priority-driven topological order over the original DAG
+    /// Priority-driven topological order over the grouping's graph
     /// ([`dist_order`]), computed once here instead of per run.
     pub(crate) order: Vec<TaskId>,
-    pub(crate) batch: Option<DistBatch>,
-}
-
-/// Batched-execution artifacts of a distributed mapping.
-pub(crate) struct DistBatch {
-    pub(crate) pb: PanelBatch,
-    pub(crate) exec_rank: Vec<usize>,
-    pub(crate) order: Vec<TaskId>,
+    /// Rank holding each packed-lower tile's initial version.
+    pub(crate) placement: Vec<usize>,
 }
 
 /// The order every rank of a distributed run executes `graph` in under
@@ -194,18 +178,16 @@ impl DistStatic {
             .min(self.nprocs - 1)
     }
 
-    /// Derive the override-dependent mapping: exec ranks, placement,
-    /// precomputed orders, and the batched graph when the plan batches.
-    /// Called at plan build and again whenever the embedded re-planner
-    /// moves a tile chain — a refresh re-derives from the existing DAG,
-    /// never rebuilds it.
+    /// Derive the override-dependent mapping. Called at plan build and
+    /// again whenever the embedded re-planner moves a tile chain — a
+    /// refresh re-derives from the existing DAG, never rebuilds it.
     pub(crate) fn derive_mapping(
         &self,
         dag: &CholeskyDag,
         policy: SchedPolicy,
         overrides: HashMap<(usize, usize), usize>,
     ) -> Result<DistMapping, EngineError> {
-        let exec_rank: Vec<usize> = (0..dag.graph.len())
+        let task_rank: Vec<usize> = (0..dag.graph.len())
             .map(|t| {
                 let w = dag.kinds[t].operands().writes;
                 self.rank_of_tile(&overrides, w.i, w.j)
@@ -215,36 +197,20 @@ impl DistStatic {
         for i in 0..self.nt {
             for j in 0..=i {
                 placement.push(match self.first_writer[lower(i, j)] {
-                    Some(t) => exec_rank[t],
+                    Some(t) => task_rank[t],
                     None => self.rank_of_tile(&overrides, i, j),
                 });
             }
         }
-        let order = dist_order(&dag.graph, policy, &exec_rank)?;
-        let batch = if self.batched {
-            let pb = batch_panel_gemms(dag, Some(&exec_rank));
-            let exec_rank_b = pb.exec_ranks(&exec_rank);
-            let order_b = dist_order(&pb.graph, policy, &exec_rank_b)?;
-            Some(DistBatch {
-                pb,
-                exec_rank: exec_rank_b,
-                order: order_b,
-            })
-        } else {
-            None
-        };
-        Ok(DistMapping {
-            overrides,
-            exec_rank,
-            placement,
-            order,
-            batch,
-        })
+        let grouping = Grouping::new(dag, self.batched, Some(&task_rank));
+        let exec_rank = grouping.project(task_rank);
+        let order = dist_order(grouping.graph(dag), policy, &exec_rank)?;
+        Ok(DistMapping { overrides, grouping, exec_rank, order, placement })
     }
 }
 
 /// The immutable artifact of the symbolic phase: trimmed DAG, scheduler
-/// tables, fused-batch groups and (on distributed plans) the placement
+/// tables, task grouping and (on distributed plans) the placement
 /// machinery, built once and consumed by any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
@@ -265,15 +231,13 @@ pub struct SymbolicPlan {
 pub(crate) enum EnginePlan {
     /// Shared-memory work-stealing engine.
     Shared {
-        /// Scheduler tables over the *engine-visible* graph: the
-        /// contracted batch graph when batching is on, the original DAG
-        /// otherwise.
+        /// Scheduler tables over the grouping's graph.
         sched: SchedPlan,
-        /// Fused panel-batch groups, when batching was asked for.
-        batch: Option<PanelBatch>,
+        /// Engine tasks ↔ DAG tasks.
+        grouping: Grouping,
     },
-    /// Emulated ranks: placement machinery, orders (in the mapping) and
-    /// the embedded re-planner.
+    /// Emulated ranks: placement machinery, grouping and order (in the
+    /// mapping) and the embedded re-planner.
     Distributed(Box<DistStatic>),
 }
 
@@ -300,16 +264,12 @@ impl SymbolicPlan {
     }
 
     /// Fused panel-batch groups the engine executes as single tasks;
-    /// `0` means this plan does not batch (batching was not asked for,
-    /// the distributed session's capabilities ruled it out — see
-    /// [`PlanMode::Distributed`] — or no panel had two GEMMs to fuse).
+    /// `0` means this plan does not batch (see [`PlanKey::batched`]) or
+    /// no panel had two GEMMs to fuse.
     pub fn fused_groups(&self) -> usize {
         match &self.engine {
-            EnginePlan::Shared { batch, .. } => batch.as_ref().map_or(0, |pb| pb.fused_groups),
-            EnginePlan::Distributed(ds) => {
-                let mapping = ds.mapping.read();
-                mapping.batch.as_ref().map_or(0, |db| db.pb.fused_groups)
-            }
+            EnginePlan::Shared { grouping, .. } => grouping.fused_groups(),
+            EnginePlan::Distributed(ds) => ds.mapping.read().grouping.fused_groups(),
         }
     }
 }
@@ -328,10 +288,13 @@ impl std::fmt::Debug for SymbolicPlan {
 /// Inputs of a distributed plan build (everything
 /// [`Session`](crate::session::Session) knows beyond the
 /// [`FactorConfig`]).
-pub(crate) struct DistPlanInputs<'a> {
+pub(crate) struct DistPlanInputs {
     pub(crate) nprocs: usize,
-    pub(crate) exec: &'a dyn TileDistribution,
-    /// Run the fused panel-batch graph ([`PlanMode::Distributed`]).
+    /// The layout's owner rank per packed-lower tile, clamped to
+    /// `nprocs`: walked once per plan, folded into the key and baked into
+    /// the plan.
+    pub(crate) base_owner: Vec<usize>,
+    /// Run the fused panel-batch graph ([`PlanKey::batched`]).
     pub(crate) batched: bool,
     /// Embed a [`CommReplanner`] with this imbalance slack.
     pub(crate) replan_slack: Option<f64>,
@@ -341,44 +304,38 @@ pub(crate) struct DistPlanInputs<'a> {
 pub(crate) fn plan_key(
     cfg: &FactorConfig,
     snapshot: &RankSnapshot,
-    dist: Option<&DistPlanInputs<'_>>,
+    dist: Option<&DistPlanInputs>,
 ) -> PlanKey {
-    let nt = snapshot.nt();
     let mut fold = WordFold::new();
     for &r in snapshot.as_flat() {
         fold.push_usize(r);
     }
-    let mode = match dist {
-        None => PlanMode::Shared,
+    let (mode, batched) = match dist {
+        None => (PlanMode::Shared, cfg.batch_panels),
         Some(d) => {
             // The owner map is part of the structure: two layouts that
             // place tiles differently must not share a plan.
-            for i in 0..nt {
-                for j in 0..=i {
-                    fold.push_usize(d.exec.owner(i, j).min(d.nprocs - 1));
-                }
+            for &owner in &d.base_owner {
+                fold.push_usize(owner);
             }
-            PlanMode::Distributed {
-                nprocs: d.nprocs,
-                batched: d.batched,
-                replan: d.replan_slack.is_some(),
-            }
+            let replan = d.replan_slack.is_some();
+            (PlanMode::Distributed { nprocs: d.nprocs, replan }, d.batched)
         }
     };
     PlanKey {
         mode,
-        nt,
+        nt: snapshot.nt(),
         tile_size: snapshot.tile_size(),
         trimmed: cfg.trimmed,
         max_rank: cfg.max_rank,
         accuracy_bits: cfg.accuracy.to_bits(),
         sched: cfg.sched,
-        batch_panels: cfg.batch_panels,
+        batched,
         structure: fold.finish(),
     }
 }
 
-/// Run the symbolic phase once: DAG build + batching + scheduler tables
+/// Run the symbolic phase once: DAG build + grouping + scheduler tables
 /// (+ distribution mapping on distributed plans). `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
@@ -386,7 +343,7 @@ pub(crate) fn build_plan(
     cfg: &FactorConfig,
     snapshot: &RankSnapshot,
     key: PlanKey,
-    dist: Option<DistPlanInputs<'_>>,
+    dist: Option<DistPlanInputs>,
 ) -> Result<SymbolicPlan, EngineError> {
     let t0 = std::time::Instant::now();
     let nt = snapshot.nt();
@@ -399,22 +356,12 @@ pub(crate) fn build_plan(
     );
     let engine = match dist {
         None => {
-            let batch = cfg.batch_panels.then(|| batch_panel_gemms(&dag, None));
-            // The scheduler runs over the graph the engine sees: the
-            // contracted batch graph when batching is on.
-            let sched = match &batch {
-                Some(pb) => SchedPlan::build(&pb.graph, cfg.sched, &Pricing::nominal(&pb.graph))?,
-                None => SchedPlan::build(&dag.graph, cfg.sched, &Pricing::nominal(&dag.graph))?,
-            };
-            EnginePlan::Shared { sched, batch }
+            let grouping = Grouping::new(&dag, key.batched, None);
+            let graph = grouping.graph(&dag);
+            let sched = SchedPlan::build(graph, cfg.sched, &Pricing::nominal(graph))?;
+            EnginePlan::Shared { sched, grouping }
         }
         Some(d) => {
-            let mut base_owner = vec![0usize; nt * (nt + 1) / 2];
-            for i in 0..nt {
-                for j in 0..=i {
-                    base_owner[lower(i, j)] = d.exec.owner(i, j).min(d.nprocs - 1);
-                }
-            }
             let mut preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); dag.graph.len()];
             for src in 0..dag.graph.len() {
                 for e in dag.graph.successors(src) {
@@ -431,11 +378,11 @@ pub(crate) fn build_plan(
             let ds = DistStatic {
                 nt,
                 nprocs: d.nprocs,
-                base_owner,
+                base_owner: d.base_owner,
                 preds,
                 first_writer,
                 last_writer,
-                batched: d.batched,
+                batched: key.batched,
                 replan: d
                     .replan_slack
                     .map(|s| Mutex::new(CommReplanner::with_slack(d.nprocs, s))),

@@ -279,7 +279,9 @@ mod tests {
         let EnginePlan::Distributed(ds) = &plan.engine else {
             panic!("a distributed session plans for the distributed engine")
         };
-        let exec_rank = ds.mapping.read().exec_rank.clone();
+        let map = ds.mapping.read();
+        let exec_rank = map.grouping.unproject(map.exec_rank.clone());
+        drop(map);
         (plan, exec_rank)
     }
 

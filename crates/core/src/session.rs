@@ -25,13 +25,14 @@
 //! attached [`PlanCache`]) then run. Repeated solves on one tile
 //! structure therefore pay the symbolic cost once.
 
-use crate::batch::{BatchObs, PanelBatch};
-use crate::dag::{CholeskyDag, TaskKind};
+use crate::batch::{BatchObs, Grouping};
+use crate::dag::{lower, CholeskyDag, TaskKind};
 use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
 use crate::plan::{
-    self, lower, CacheEvents, DistMapping, DistStatic, EnginePlan, PlanCache, PlanKey, SymbolicPlan,
+    self, CacheEvents, DistMapping, DistPlanInputs, DistStatic, EnginePlan, PlanCache, PlanKey,
+    SymbolicPlan,
 };
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
@@ -206,13 +207,11 @@ impl<'a> Session<'a> {
     pub fn run(&self, matrix: &mut TlrMatrix) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
         let snapshot = matrix.rank_snapshot();
-        let key = self.key(&snapshot)?;
+        let (key, dist) = self.key(&snapshot)?;
+        let build = || plan::build_plan(&self.cfg, &snapshot, key, dist);
         let (plan, ev) = match self.cache {
-            Some(cache) => cache.get_or_build(&key, || self.build_plan(&snapshot, key))?,
-            None => (
-                Arc::new(self.build_plan(&snapshot, key)?),
-                CacheEvents::default(),
-            ),
+            Some(cache) => cache.get_or_build(&key, build)?,
+            None => (Arc::new(build()?), CacheEvents::default()),
         };
         // Cold runs report the symbolic-phase cost here; warm-cache runs
         // report the (near-zero) key fold + lookup instead.
@@ -228,7 +227,8 @@ impl<'a> Session<'a> {
     /// share the same structural fingerprint.
     pub fn plan(&self, matrix: &TlrMatrix) -> Result<SymbolicPlan, RunError> {
         let snapshot = matrix.rank_snapshot();
-        self.build_plan(&snapshot, self.key(&snapshot)?)
+        let (key, dist) = self.key(&snapshot)?;
+        Ok(plan::build_plan(&self.cfg, &snapshot, key, dist)?)
     }
 
     /// The numeric phase alone: factor `matrix` through a prebuilt
@@ -245,7 +245,7 @@ impl<'a> Session<'a> {
         matrix: &mut TlrMatrix,
     ) -> Result<RunOutcome, RunError> {
         let t0 = std::time::Instant::now();
-        let key = self.key(&matrix.rank_snapshot())?;
+        let (key, _) = self.key(&matrix.rank_snapshot())?;
         if key != plan.key {
             return Err(RunError::PlanMismatch {
                 plan: Box::new(plan.key),
@@ -275,44 +275,38 @@ impl<'a> Session<'a> {
                 .is_some_and(|f| f.plan.injects_corruption())
     }
 
-    /// The distributed-plan inputs of this session's mode (`None` for
+    /// The fingerprint of the plan this session runs `snapshot` with,
+    /// and the distributed-plan inputs it was folded from (`None` for
     /// shared memory). Every entry point plans through here, so this is
-    /// where a distributed session over zero ranks is rejected, and
-    /// where the one batching decision is taken: fused tasks run on a
-    /// plain distributed engine only. Crash recovery, lineage healing and
-    /// the virtual-time trace all reason about single-tile tasks
-    /// (re-running a fused writer would re-apply updates to members'
-    /// tiles that have since moved on), so any of them keeps the plan
-    /// unbatched — and [`PlanMode::Distributed`](plan::PlanMode) says so.
-    fn dist_inputs(&self) -> Result<Option<plan::DistPlanInputs<'_>>, RunError> {
-        match &self.mode {
-            Mode::Shared => Ok(None),
+    /// where a distributed session over zero ranks is rejected, where the
+    /// layout's owner map is walked (once per plan), and where the one
+    /// batching decision is taken: fused tasks run on a plain distributed
+    /// engine only. Crash recovery, lineage healing and the virtual-time
+    /// trace all reason about single-tile tasks (re-running a fused
+    /// writer would re-apply updates to members' tiles that have since
+    /// moved on), so any of them keeps the plan unbatched — and
+    /// [`PlanKey::batched`] says so.
+    fn key(&self, snapshot: &RankSnapshot) -> Result<(PlanKey, Option<DistPlanInputs>), RunError> {
+        let dist = match self.mode {
+            Mode::Shared => None,
             Mode::Distributed { nprocs: 0, .. } => {
-                Err(RunError::Engine(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }))
+                return Err(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }.into())
             }
-            Mode::Distributed { nprocs, exec, ft } => Ok(Some(plan::DistPlanInputs {
-                nprocs: *nprocs,
-                exec: *exec,
-                batched: self.cfg.batch_panels
-                    && ft.is_none()
-                    && !self.sealed_payloads()
-                    && !self.cfg.collect_trace,
-                replan_slack: self.replan_slack,
-            })),
-        }
-    }
-
-    /// The fingerprint of the plan this session runs `snapshot` with.
-    fn key(&self, snapshot: &RankSnapshot) -> Result<PlanKey, RunError> {
-        Ok(plan::plan_key(
-            &self.cfg,
-            snapshot,
-            self.dist_inputs()?.as_ref(),
-        ))
-    }
-
-    fn build_plan(&self, snapshot: &RankSnapshot, key: PlanKey) -> Result<SymbolicPlan, RunError> {
-        plan::build_plan(&self.cfg, snapshot, key, self.dist_inputs()?).map_err(RunError::Engine)
+            Mode::Distributed { nprocs, exec, ft } => {
+                let nt = snapshot.nt();
+                let owners = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
+                Some(DistPlanInputs {
+                    nprocs,
+                    base_owner: owners.map(|(i, j)| exec.owner(i, j).min(nprocs - 1)).collect(),
+                    batched: self.cfg.batch_panels
+                        && ft.is_none()
+                        && !self.sealed_payloads()
+                        && !self.cfg.collect_trace,
+                    replan_slack: self.replan_slack,
+                })
+            }
+        };
+        Ok((plan::plan_key(&self.cfg, snapshot, dist.as_ref()), dist))
     }
 
     /// Diagonal-shift retry driver over one plan. The shift perturbs
@@ -380,8 +374,8 @@ impl<'a> Session<'a> {
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
         let mut out = match &plan.engine {
-            EnginePlan::Shared { sched, batch } => {
-                shared_attempt(matrix, cfg, &plan.dag, sched, batch.as_ref(), drift, ev)
+            EnginePlan::Shared { sched, grouping } => {
+                shared_attempt(matrix, cfg, &plan.dag, sched, grouping, drift, ev)
             }
             EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, &plan.dag, ds, ev),
         }?;
@@ -739,45 +733,6 @@ impl From<EngineError> for RunError {
     }
 }
 
-/// The tiles a task touches: the one it updates in place and the ones
-/// it only reads.
-pub(crate) struct Operands {
-    /// The tile the task writes.
-    pub(crate) writes: DataRef,
-    reads: [DataRef; 2],
-    nreads: usize,
-}
-
-impl Operands {
-    /// The read-only operands, in packed-lower order — every one of them
-    /// precedes [`writes`](Operands::writes) in that order, which is the
-    /// order the shared engine takes its locks in and the order
-    /// [`run_kernel`] indexes `reads` by.
-    pub(crate) fn reads(&self) -> &[DataRef] {
-        &self.reads[..self.nreads]
-    }
-}
-
-impl TaskKind {
-    /// Which tiles this task writes and reads — the PTG's dataflow, said
-    /// once for both engines.
-    pub(crate) fn operands(self) -> Operands {
-        let at = |i, j| DataRef { i, j };
-        let (writes, reads, nreads) = match self {
-            TaskKind::Potrf { k } => (at(k, k), [at(k, k); 2], 0),
-            TaskKind::Trsm { k, m } => (at(m, k), [at(k, k); 2], 1),
-            TaskKind::Syrk { k, m } => (at(m, m), [at(m, k); 2], 1),
-            // k < n < m, so (n, k) < (m, k) < (m, n) in packed order.
-            TaskKind::Gemm { k, m, n } => (at(m, n), [at(n, k), at(m, k)], 2),
-        };
-        Operands {
-            writes,
-            reads,
-            nreads,
-        }
-    }
-}
-
 /// The one task body: run `kind`'s kernel on `out` (the tile
 /// [`operands`](TaskKind::operands) says it writes) against `reads` (the
 /// tiles it says it reads, in that order). Where the tiles live — behind
@@ -873,7 +828,7 @@ fn shared_attempt(
     cfg: &FactorConfig,
     dag: &CholeskyDag,
     sched_plan: &SchedPlan,
-    pb: Option<&PanelBatch>,
+    grouping: &Grouping,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
@@ -980,8 +935,8 @@ fn shared_attempt(
 
     let exec_t0 = std::time::Instant::now();
     // The task body under this engine's locks and digest checks, once per
-    // *original* task — both the plain and the batched engine run below
-    // call this, so batching can never change what a task computes.
+    // *DAG* task, however the plan groups them into engine tasks — so
+    // batching can never change what a task computes.
     let run_task = |wid: usize, t: usize| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
@@ -1024,26 +979,18 @@ fn shared_attempt(
             },
         )
     };
-    // Both paths run the plan's precomputed scheduler tables: no per-run
-    // priority computation.
-    let exec_result = if let Some(pb) = pb {
-        // Batched run: the engine schedules the contracted graph and the
-        // registry counts at that granularity; the BatchObs sink keeps
-        // the trace at kernel granularity against the original-sized
-        // ExecObs.
-        let bobs = BatchObs::new(obs.as_ref(), &pb.members);
-        let engine_cfg = EngineConfig::new(nthreads)
-            .with_cancel(&cancel)
-            .with_obs((&registry, &bobs));
-        Engine::new(&pb.graph).run_planned(&engine_cfg, sched_plan, |wid, b| {
+    // The engine schedules the grouping's graph by the plan's precomputed
+    // scheduler tables and the registry counts at that granularity; the
+    // BatchObs sink keeps the trace at kernel granularity against the
+    // DAG-sized ExecObs.
+    let bobs = BatchObs::new(obs.as_ref(), grouping);
+    let engine_cfg = EngineConfig::new(nthreads)
+        .with_cancel(&cancel)
+        .with_obs((&registry, &bobs));
+    let exec_result = Engine::new(grouping.graph(dag))
+        .run_planned(&engine_cfg, sched_plan, |wid, b| {
             bobs.run_members(wid, b, |t| run_task(wid, t))
-        })
-    } else {
-        let engine_cfg = EngineConfig::new(nthreads)
-            .with_cancel(&cancel)
-            .with_obs((&registry, obs.as_ref()));
-        Engine::new(&dag.graph).run_planned(&engine_cfg, sched_plan, run_task)
-    };
+        });
     let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
     // Move the tiles back into the matrix regardless of success (a
@@ -1153,12 +1100,10 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
 }
 
 /// Scatter and run with payload type `P`: move the matrix tiles into
-/// per-rank stores wrapped as `P`, run `body` once per original task,
-/// and hand the final stores back unwrapped, ready to gather.
-///
-/// The engine executes the DAG itself or, on a batched plan, the
-/// contracted graph — with the [`PanelBatch`] as the view back onto the
-/// original tasks (`members`, `of`).
+/// per-rank stores wrapped as `P`, run `body` once per DAG task, and hand
+/// the final stores back unwrapped, ready to gather. The engine schedules
+/// and ships at the granularity of the mapping's grouping; the members of
+/// an engine task replay in per-tile program order.
 fn run_ranks<P: TilePayload>(
     matrix: &mut TlrMatrix,
     dag: &CholeskyDag,
@@ -1168,26 +1113,13 @@ fn run_ranks<P: TilePayload>(
     hooks: Option<&IntegrityHooks<'_, P>>,
     body: &RankBody<'_>,
 ) -> Result<DistOutcome<Tile>, EngineError> {
-    let (graph, exec_rank, order, batch) = match &map.batch {
-        Some(db) => (&db.pb.graph, &db.exec_rank, &db.order, Some(&db.pb)),
-        None => (&dag.graph, &map.exec_rank, &map.order, None),
-    };
     let initial = scatter_tiles::<P>(matrix, &map.placement, nprocs);
-    let out = DistEngine::new(graph, nprocs, exec_rank).run(
+    let out = DistEngine::new(map.grouping.graph(dag), nprocs, &map.exec_rank).run(
         initial,
         dist_cfg,
-        order,
+        &map.order,
         hooks,
-        |b, ctx| {
-            match batch {
-                // The engine schedules and ships at fused-task granularity;
-                // the members replay in per-tile program order.
-                Some(pb) => pb.members[b]
-                    .iter()
-                    .for_each(|&t| body.run(t, ctx, |p| pb.of[p])),
-                None => body.run(b, ctx, |p| p),
-            }
-        },
+        |b, ctx| map.grouping.members(&b).iter().for_each(|&t| body.run(t, ctx)),
     )?;
     Ok(out.map(P::into_tile))
 }
@@ -1214,7 +1146,8 @@ impl Session<'_> {
         // sharing the cached plan) must wait until this run has gathered
         // its tiles.
         let map = ds.mapping.read();
-        let body = RankBody::new(dag, &ds.preds, cfg, matrix.tile_size(), nprocs);
+        let tile_size = matrix.tile_size();
+        let body = RankBody::new(dag, &ds.preds, &map.grouping, cfg, tile_size, nprocs);
         // The metrics registry shards per emulated rank: task counts and
         // virtual per-class durations land in the executing rank's shard,
         // comm/fault/integrity totals fold into shard 0 at end of run.
@@ -1243,12 +1176,8 @@ impl Session<'_> {
         }?;
         let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
-        // A batched run's final rank assignment is indexed by fused-task
-        // ids; project it back to original tasks.
-        let final_exec: Vec<usize> = match &map.batch {
-            Some(db) => db.pb.of.iter().map(|&b| out.exec_rank[b]).collect(),
-            None => out.exec_rank,
-        };
+        // The run's final rank assignment is indexed by engine task.
+        let final_exec = map.grouping.unproject(out.exec_rank);
         gather_tiles(
             matrix,
             &ds.last_writer,
@@ -1259,13 +1188,14 @@ impl Session<'_> {
         if let Some(e) = body.error.into_inner() {
             return Err(RunError::Numeric(e));
         }
+        let rank_evolution = drain_workspaces(body.workspaces, &registry);
         // Feed the measured traffic back into the re-planner (successful
         // runs only — a failed attempt's comm is not a usable signal).
         // The planned (pre-fault) ranks and current overrides are cloned
         // out so the read guard can drop before an embedded re-planner
         // refreshes the mapping in place.
         if let Some(rp) = &ds.replan {
-            let planned_exec = map.exec_rank.clone();
+            let planned_exec = map.grouping.unproject(map.exec_rank.clone());
             let old_overrides = map.overrides.clone();
             drop(map);
             let mut r = rp.lock();
@@ -1283,7 +1213,6 @@ impl Session<'_> {
                 }
             }
         }
-        let rank_evolution = drain_workspaces(body.workspaces, &registry);
         let registry = registry.snapshot();
         // Drift compares at original-task granularity: the model prices
         // `dag.graph` and the comm model uses the projected-back final

@@ -104,11 +104,6 @@ fn solve_in_place(l: &TlrMatrix, mut rhs: MatMut<'_>) {
     }
 }
 
-/// Reference dense matvec against the materialized matrix (testing).
-pub fn dense_matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
-    a.matvec(x)
-}
-
 /// Solve `A·x = b` by iterative refinement: the TLR factorization at a
 /// loose threshold acts as a preconditioner and each sweep recovers
 /// roughly `−log₁₀(ε·κ)` digits, so a cheap `ε = 1e-4` factorization

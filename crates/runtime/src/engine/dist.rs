@@ -423,6 +423,8 @@ struct Run<'a, P, F> {
     /// Checkpoint of every rank's initial data — the recovery source for
     /// data whose owner dies (a real deployment would re-generate or
     /// re-load it; the cost model charges the re-execution instead).
+    /// Taken only when something can read it: `crash` under a fault layer
+    /// and `heal_datum` under integrity hooks. Empty maps otherwise.
     checkpoint: Vec<HashMap<DataRef, P>>,
     /// Checkpoints each rank answers for (its own, plus inherited ones).
     owned_ckpt: Vec<Vec<usize>>,
@@ -490,6 +492,11 @@ where
         for rank in 0..nprocs {
             events.push(0.0, Event::TryStart { rank });
         }
+        let checkpoint = if cfg.ft.is_some() || hooks.is_some() {
+            initial.clone()
+        } else {
+            vec![HashMap::new(); nprocs]
+        };
         Run {
             graph,
             ft,
@@ -513,7 +520,7 @@ where
             inbox: (0..ntasks).map(|_| HashMap::new()).collect(),
             seen: vec![HashSet::new(); nprocs],
             queue,
-            checkpoint: initial.clone(),
+            checkpoint,
             owned_ckpt: (0..nprocs).map(|r| vec![r]).collect(),
             stores: initial,
             recs: Vec::new(),

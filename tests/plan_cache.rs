@@ -297,13 +297,19 @@ fn distributed_key_records_decisions_not_capabilities() {
     let lossy = Some(FtConfig::with_plan(FaultPlan::new(7).with_drops(0.1)));
     let none = None;
 
-    // batch_panels = false: four capability subsets, one plan.
+    // Tracing rules batching out whatever `batch_panels` asked for, so
+    // the flag alone does not split the key either.
+    let mut traced_asking = traced;
+    traced_asking.batch_panels = true;
+
+    // Five sessions that all decide "unbatched": one plan.
     let cache = PlanCache::new(4);
     for (cfg, ft) in [
         (plain, &none),
         (traced, &none),
         (sealed, &none),
         (plain, &lossy),
+        (traced_asking, &none),
     ] {
         let mut m = compressed(&dense, b, acc);
         dist_session(cfg, &dist, ft, Some(&cache))
@@ -311,7 +317,7 @@ fn distributed_key_records_decisions_not_capabilities() {
             .unwrap();
         assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
     }
-    assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 3, 1));
+    assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 4, 1));
 
     // batch_panels = true: tracing rules batching out, and the key says so.
     plain.batch_panels = true;
@@ -319,17 +325,16 @@ fn distributed_key_records_decisions_not_capabilities() {
     let m0 = compressed(&dense, b, acc);
     let plain_plan = dist_session(plain, &dist, &none, None).plan(&m0).unwrap();
     let traced_plan = dist_session(traced, &dist, &none, None).plan(&m0).unwrap();
-    let mode = |batched| PlanMode::Distributed {
+    let mode = PlanMode::Distributed {
         nprocs: 4,
-        batched,
         replan: false,
     };
-    assert_eq!(plain_plan.key().mode, mode(true));
+    assert_eq!((plain_plan.key().mode, plain_plan.key().batched), (mode, true));
     assert!(plain_plan.fused_groups() > 0);
     assert_eq!(
         *traced_plan.key(),
         PlanKey {
-            mode: mode(false),
+            batched: false,
             ..*plain_plan.key()
         }
     );

@@ -5,14 +5,23 @@
 //! runs when*, not merely how the code is arranged; factors stay
 //! bit-identical under any schedule, so nothing else would notice.
 //!
+//! The `graph` / `contracted` lines pin what every schedule is computed
+//! from: the DAG `build_cholesky_dag` emits and the contracted graph of
+//! `batch_panel_gemms`, task for task and edge for edge (recorded at the
+//! commit before the builder drew its edges from `TaskKind::operands` and
+//! the contraction stopped hashing).
+//!
 //! On a mismatch the assertion prints each line that moved — door and
 //! policy are its first two words — and then the whole table.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_parsec::cholesky::simulate::simulate_cholesky;
-use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, FactorConfig, Session};
-use hicma_parsec::distribution::TwoDBlockCyclic;
+use hicma_parsec::cholesky::{
+    batch_panel_gemms, build_cholesky_dag, DagConfig, FactorConfig, Session,
+};
+use hicma_parsec::distribution::{DiamondDistribution, TileDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::Matrix;
+use hicma_parsec::runtime::graph::TaskGraph;
 use hicma_parsec::runtime::{MachineModel, Pricing, SchedPlan, SchedPolicy};
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use std::fmt::Write as _;
@@ -35,6 +44,31 @@ fn rbf_fixture() -> TlrMatrix {
 
 fn fnv(words: impl Iterator<Item = u64>) -> u64 {
     words.fold(0xcbf29ce484222325, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
+}
+
+/// A graph as two folds: every task's `(class, priority, writes, flops
+/// bits)` in id order, and every successor list's `(dst, data, bytes)` in
+/// list order (each list opened by its source and length, so moving an
+/// edge between lists moves the fold).
+fn graph_folds(g: &TaskGraph) -> String {
+    let tasks = (0..g.len()).flat_map(|t| {
+        let s = g.spec(t);
+        let w = s.writes.map_or([u64::MAX; 2], |d| [d.i as u64, d.j as u64]);
+        [s.class as u64, s.priority as u64, w[0], w[1], s.flops.to_bits()]
+    });
+    let edges = (0..g.len()).flat_map(|t| {
+        let succ = g.successors(t);
+        [t as u64, succ.len() as u64].into_iter().chain(
+            succ.iter().flat_map(|e| [e.dst as u64, e.data.i as u64, e.data.j as u64, e.bytes]),
+        )
+    });
+    format!(
+        "tasks={} edges={} specs={:#018x} succs={:#018x}",
+        g.len(),
+        g.num_edges(),
+        fnv(tasks),
+        fnv(edges)
+    )
 }
 
 fn actual() -> String {
@@ -108,6 +142,44 @@ fn actual() -> String {
         writeln!(out, "shared {} tasks={} keys={:#018x}", policy.name(), dag.graph.len(), fnv(keys))
             .unwrap();
     }
+
+    // Graph door: the DAG the builder emits, trimmed and untrimmed, and
+    // the contracted graph panel batching derives from it — without a
+    // rank map (shared memory) and split at the rank boundaries of two
+    // layouts — with the two maps between the granularities.
+    let two_d = TwoDBlockCyclic::new(4);
+    let diamond = DiamondDistribution::new(6);
+    let layouts: [(&str, usize, Option<&dyn TileDistribution>); 3] =
+        [("shared", 1, None), ("2dbc4", 4, Some(&two_d)), ("diamond6", 6, Some(&diamond))];
+    for (name, snapshot) in [("rbf", rbf_fixture().rank_snapshot()), ("synthetic", snap)] {
+        for (label, trimmed) in [("trimmed", true), ("untrimmed", false)] {
+            let dag = build_cholesky_dag(&snapshot, &DagConfig { trimmed, ..DagConfig::default() });
+            writeln!(out, "graph {name} {label} {}", graph_folds(&dag.graph)).unwrap();
+            for (layout, nprocs, dist) in layouts {
+                let exec_rank: Option<Vec<usize>> = dist.map(|dist| {
+                    (0..dag.graph.len())
+                        .map(|t| {
+                            let w = dag.graph.spec(t).writes.unwrap();
+                            dist.owner(w.i, w.j).min(nprocs - 1)
+                        })
+                        .collect()
+                });
+                let pb = batch_panel_gemms(&dag, exec_rank.as_deref());
+                let members = pb.members.iter().flat_map(|m| {
+                    std::iter::once(m.len() as u64).chain(m.iter().map(|&t| t as u64))
+                });
+                writeln!(
+                    out,
+                    "contracted {name} {label} {layout} {} fused={} members={:#018x} of={:#018x}",
+                    graph_folds(&pb.graph),
+                    pb.fused_groups,
+                    fnv(members),
+                    fnv(pb.of.iter().map(|&b| b as u64)),
+                )
+                .unwrap();
+            }
+        }
+    }
     out
 }
 
@@ -136,6 +208,22 @@ shared lifo tasks=56 keys=0x830323d6f7dce585
 shared upward-rank tasks=56 keys=0x4bc695533f690fb1
 shared comm-upward-rank tasks=56 keys=0x4bc695533f690fb1
 shared rank-lookahead tasks=56 keys=0x4bc695533f690fb1
+graph rbf trimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
+contracted rbf trimmed shared tasks=46 edges=95 specs=0x8a182f1cbbee4074 succs=0xed722cd8d03a101e fused=6 members=0xba4a22b2ad085c99 of=0x9ed679c7a3b234c3
+contracted rbf trimmed 2dbc4 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
+contracted rbf trimmed diamond6 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
+graph rbf untrimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
+contracted rbf untrimmed shared tasks=46 edges=95 specs=0x8a182f1cbbee4074 succs=0xed722cd8d03a101e fused=6 members=0xba4a22b2ad085c99 of=0x9ed679c7a3b234c3
+contracted rbf untrimmed 2dbc4 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
+contracted rbf untrimmed diamond6 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
+graph synthetic trimmed tasks=1924 edges=4818 specs=0xe94f56524e4ad11d succs=0x18c46f1731144c5a
+contracted synthetic trimmed shared tasks=859 edges=3753 specs=0x41e5851617a72f94 succs=0x39317466984b7dd4 fused=225 members=0xae4dc4f142e5769f of=0x607fd8ad8b5805bd
+contracted synthetic trimmed 2dbc4 tasks=1084 edges=3978 specs=0xb8c7c57d2f985299 succs=0x92dd47efa0f0699e fused=364 members=0x3d90d350127e3053 of=0x28e9e9f94e269cdd
+contracted synthetic trimmed diamond6 tasks=1084 edges=3978 specs=0xb8c7c57d2f985299 succs=0x92dd47efa0f0699e fused=364 members=0x3d90d350127e3053 of=0x28e9e9f94e269cdd
+graph synthetic untrimmed tasks=5984 edges=16368 specs=0x304b1a9062b8e825 succs=0x3e8ec14ad6c382e5
+contracted synthetic untrimmed shared tasks=1489 edges=11873 specs=0x456be4f40711048a succs=0x4f2b55b5f8319e7d fused=435 members=0xe1d834931f74f34f of=0xb2ded88a2092b5c5
+contracted synthetic untrimmed 2dbc4 tasks=1924 edges=12308 specs=0x6c01b195f05f8db1 succs=0xe9ad9fa828bbbd1d fused=784 members=0x1851a404a84f9c51 of=0x3eff6547abc22bd2
+contracted synthetic untrimmed diamond6 tasks=1924 edges=12308 specs=0x6c01b195f05f8db1 succs=0xe9ad9fa828bbbd1d fused=784 members=0x1851a404a84f9c51 of=0x3eff6547abc22bd2
 ";
 
 #[test]
