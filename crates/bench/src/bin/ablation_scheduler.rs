@@ -111,12 +111,12 @@ fn replan_rounds(n: usize, b: usize, nprocs: usize, rounds: usize) -> Vec<(u64, 
     let ccfg = CompressionConfig::with_accuracy(acc);
     let fcfg = FactorConfig::with_accuracy(acc);
     let dist = TwoDBlockCyclic::new(nprocs);
-    // Embedded re-planner (0.2 imbalance slack): the converged overrides
+    // Embedded re-planner: the converged overrides
     // live in the cached symbolic plan, so each round after the first is
     // a plan-cache hit that inherits the previous round's placement.
     let cache = PlanCache::new(1);
     let session = Session::distributed(fcfg, nprocs, &dist)
-        .with_replanning(0.2)
+        .with_replanning()
         .with_plan_cache(&cache);
     let mut traffic = Vec::with_capacity(rounds);
     for round in 0..rounds {

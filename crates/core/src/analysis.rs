@@ -15,6 +15,7 @@
 //! so the discrete-event simulator can price every kernel without running
 //! the numerics.
 
+use crate::dag::lower;
 use tlr_compress::RankSnapshot;
 
 /// Output of the symbolic analysis — the paper's
@@ -39,12 +40,6 @@ pub struct MatrixAnalysis {
     fill_panel: Vec<Option<usize>>,
     /// Number of tiles that filled in during the factorization.
     pub fill_count: usize,
-}
-
-#[inline]
-fn lower_index(m: usize, n: usize) -> usize {
-    debug_assert!(m >= n);
-    m * (m + 1) / 2 + n
 }
 
 impl MatrixAnalysis {
@@ -108,13 +103,13 @@ impl MatrixAnalysis {
                     let existing = ranks.rank(m, n);
                     if existing == 0 {
                         // Fill-in (paper line 15: rank[n*NT+m] = 1).
-                        fill_panel[lower_index(m, n)] = Some(k);
+                        fill_panel[lower(m, n)] = Some(k);
                         fill_count += 1;
                         ranks.set_rank(m, n, contribution.max(1));
                     } else {
                         ranks.set_rank(m, n, existing.max(contribution));
                     }
-                    gemm[lower_index(m, n)].push(k);
+                    gemm[lower(m, n)].push(k);
                 }
             }
         }
@@ -129,7 +124,7 @@ impl MatrixAnalysis {
 
     /// Panels contributing GEMM updates to tile `(m, n)`.
     pub fn gemm_panels(&self, m: usize, n: usize) -> &[usize] {
-        &self.gemm[lower_index(m, n)]
+        &self.gemm[lower(m, n)]
     }
 
     /// Is tile `(m, n)` non-null when panel `k` executes? (Initially
@@ -138,7 +133,7 @@ impl MatrixAnalysis {
         if m == n {
             return true; // diagonal tiles are always dense
         }
-        let idx = lower_index(m, n);
+        let idx = lower(m, n);
         match self.fill_panel[idx] {
             Some(fp) => k >= fp,
             None => self.final_ranks.rank(m, n) > 0,

@@ -123,8 +123,6 @@ pub(crate) struct DistStatic {
     /// touches it).
     first_writer: Vec<Option<TaskId>>,
     pub(crate) last_writer: Vec<Option<TaskId>>,
-    /// The key's `batched` decision.
-    batched: bool,
     /// Embedded comm-feedback re-planner: its converged overrides live
     /// with the cached plan, so repeated solves through the cache keep
     /// improving (and keep) their placement.
@@ -178,13 +176,14 @@ impl DistStatic {
             .min(self.nprocs - 1)
     }
 
-    /// Derive the override-dependent mapping. Called at plan build and
-    /// again whenever the embedded re-planner moves a tile chain — a
-    /// refresh re-derives from the existing DAG, never rebuilds it.
+    /// Derive the override-dependent mapping under the plan key's
+    /// `sched` and `batched` decisions. Called at plan build and again
+    /// whenever the embedded re-planner moves a tile chain — a refresh
+    /// re-derives from the existing DAG, never rebuilds it.
     pub(crate) fn derive_mapping(
         &self,
         dag: &CholeskyDag,
-        policy: SchedPolicy,
+        key: &PlanKey,
         overrides: HashMap<(usize, usize), usize>,
     ) -> Result<DistMapping, EngineError> {
         let task_rank: Vec<usize> = (0..dag.graph.len())
@@ -202,9 +201,9 @@ impl DistStatic {
                 });
             }
         }
-        let grouping = Grouping::new(dag, self.batched, Some(&task_rank));
+        let grouping = Grouping::new(dag, key.batched, Some(&task_rank));
         let exec_rank = grouping.project(task_rank);
-        let order = dist_order(grouping.graph(dag), policy, &exec_rank)?;
+        let order = dist_order(grouping.graph(dag), key.sched, &exec_rank)?;
         Ok(DistMapping { overrides, grouping, exec_rank, order, placement })
     }
 }
@@ -296,8 +295,8 @@ pub(crate) struct DistPlanInputs {
     pub(crate) base_owner: Vec<usize>,
     /// Run the fused panel-batch graph ([`PlanKey::batched`]).
     pub(crate) batched: bool,
-    /// Embed a [`CommReplanner`] with this imbalance slack.
-    pub(crate) replan_slack: Option<f64>,
+    /// Embed a [`CommReplanner`].
+    pub(crate) replan: bool,
 }
 
 /// Compute the cache key for a (config, structure, mode) triple.
@@ -318,8 +317,7 @@ pub(crate) fn plan_key(
             for &owner in &d.base_owner {
                 fold.push_usize(owner);
             }
-            let replan = d.replan_slack.is_some();
-            (PlanMode::Distributed { nprocs: d.nprocs, replan }, d.batched)
+            (PlanMode::Distributed { nprocs: d.nprocs, replan: d.replan }, d.batched)
         }
     };
     PlanKey {
@@ -382,13 +380,10 @@ pub(crate) fn build_plan(
                 preds,
                 first_writer,
                 last_writer,
-                batched: key.batched,
-                replan: d
-                    .replan_slack
-                    .map(|s| Mutex::new(CommReplanner::with_slack(d.nprocs, s))),
+                replan: d.replan.then(|| Mutex::new(CommReplanner::new(d.nprocs))),
                 mapping: RwLock::default(),
             };
-            let mapping = ds.derive_mapping(&dag, cfg.sched, HashMap::new())?;
+            let mapping = ds.derive_mapping(&dag, &key, HashMap::new())?;
             *ds.mapping.write() = mapping;
             EnginePlan::Distributed(Box::new(ds))
         }

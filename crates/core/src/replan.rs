@@ -60,9 +60,6 @@ pub fn modeled_comm(graph: &TaskGraph, exec_rank: &[usize]) -> CommStats {
 #[derive(Debug, Clone)]
 pub struct CommReplanner {
     nprocs: usize,
-    /// Allowed compute imbalance: a rank may carry up to
-    /// `(1 + slack) · total_flops / nprocs`.
-    slack: f64,
     overrides: HashMap<(usize, usize), usize>,
     /// The last mapping whose measured traffic was accepted.
     accepted: HashMap<(usize, usize), usize>,
@@ -72,18 +69,14 @@ pub struct CommReplanner {
 }
 
 impl CommReplanner {
-    /// A re-planner for `nprocs` ranks with the default 20 % compute
-    /// imbalance slack.
-    pub fn new(nprocs: usize) -> Self {
-        Self::with_slack(nprocs, 0.2)
-    }
+    /// Allowed compute imbalance: a move may leave a rank carrying up to
+    /// `(1 + SLACK) · total_flops / nprocs`.
+    pub const SLACK: f64 = 0.2;
 
-    /// A re-planner with an explicit imbalance slack (`0.0` forbids any
-    /// move that pushes a rank above the perfectly balanced load).
-    pub fn with_slack(nprocs: usize, slack: f64) -> Self {
+    /// A re-planner for `nprocs` ranks.
+    pub fn new(nprocs: usize) -> Self {
         CommReplanner {
             nprocs: nprocs.max(1),
-            slack: slack.max(0.0),
             overrides: HashMap::new(),
             accepted: HashMap::new(),
             best_bytes: None,
@@ -183,7 +176,7 @@ impl CommReplanner {
             }
         }
         let total: f64 = load.iter().sum();
-        let cap = (1.0 + self.slack) * total / self.nprocs as f64;
+        let cap = (1.0 + Self::SLACK) * total / self.nprocs as f64;
         let tile_flops: Vec<f64> = {
             let mut f = vec![0.0; ntiles];
             for t in 0..n {
@@ -331,7 +324,7 @@ mod tests {
         factorize(&mut reference, &fcfg).unwrap();
         let l_ref = reference.to_dense_lower();
 
-        let session = Session::distributed(fcfg, 4, &dist).with_replanning(0.2);
+        let session = Session::distributed(fcfg, 4, &dist).with_replanning();
         let plan = session
             .plan(&TlrMatrix::from_dense(&dense, b, &ccfg))
             .unwrap();
@@ -376,7 +369,7 @@ mod tests {
 
         let cache = crate::plan::PlanCache::new(4);
         let session = Session::distributed(fcfg, 4, &dist)
-            .with_replanning(0.2)
+            .with_replanning()
             .with_plan_cache(&cache);
         let mut bytes = Vec::new();
         for _round in 0..3 {

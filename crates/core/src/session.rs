@@ -88,7 +88,7 @@ pub struct Session<'a> {
     mode: Mode<'a>,
     drift: Option<DriftSpec>,
     cache: Option<&'a PlanCache>,
-    replan_slack: Option<f64>,
+    replan: bool,
 }
 
 impl<'a> Session<'a> {
@@ -99,7 +99,7 @@ impl<'a> Session<'a> {
             mode: Mode::Shared,
             drift: None,
             cache: None,
-            replan_slack: None,
+            replan: false,
         }
     }
 
@@ -117,7 +117,7 @@ impl<'a> Session<'a> {
             },
             drift: None,
             cache: None,
-            replan_slack: None,
+            replan: false,
         }
     }
 
@@ -139,9 +139,8 @@ impl<'a> Session<'a> {
     }
 
     /// Embed a comm-feedback re-planner in the session's plan: the
-    /// [`CommReplanner`](crate::replan::CommReplanner) (with the given
-    /// compute-imbalance `slack`, see
-    /// [`CommReplanner::with_slack`](crate::replan::CommReplanner::with_slack))
+    /// [`CommReplanner`](crate::replan::CommReplanner) (compute-imbalance
+    /// slack [`CommReplanner::SLACK`](crate::replan::CommReplanner::SLACK))
     /// is created at plan-build time and travels *with* the
     /// [`SymbolicPlan`] — when the plan is cached, converged placement
     /// overrides persist across runs and sessions sharing the cache.
@@ -156,10 +155,8 @@ impl<'a> Session<'a> {
     ///
     /// Re-planning is a distributed-memory concept; on a shared session
     /// this is a documented no-op.
-    pub fn with_replanning(mut self, slack: f64) -> Self {
-        if matches!(self.mode, Mode::Distributed { .. }) {
-            self.replan_slack = Some(slack);
-        }
+    pub fn with_replanning(mut self) -> Self {
+        self.replan = matches!(self.mode, Mode::Distributed { .. });
         self
     }
 
@@ -302,7 +299,7 @@ impl<'a> Session<'a> {
                         && ft.is_none()
                         && !self.sealed_payloads()
                         && !self.cfg.collect_trace,
-                    replan_slack: self.replan_slack,
+                    replan: self.replan,
                 })
             }
         };
@@ -377,7 +374,7 @@ impl<'a> Session<'a> {
             EnginePlan::Shared { sched, grouping } => {
                 shared_attempt(matrix, cfg, &plan.dag, sched, grouping, drift, ev)
             }
-            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, &plan.dag, ds, ev),
+            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, plan, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
         Ok(out)
@@ -397,7 +394,7 @@ impl fmt::Debug for Session<'_> {
                 .field("fault_layer", &ft.is_some()),
         };
         d.field("plan_cache", &self.cache.is_some());
-        d.field("replanning", &self.replan_slack.is_some());
+        d.field("replanning", &self.replan);
         d.finish()
     }
 }
@@ -1135,11 +1132,11 @@ impl Session<'_> {
     fn distributed_attempt(
         &self,
         matrix: &mut TlrMatrix,
-        dag: &CholeskyDag,
+        plan: &SymbolicPlan,
         ds: &DistStatic,
         ev: CacheEvents,
     ) -> Result<RunOutcome, RunError> {
-        let (cfg, ft, nprocs) = (&self.cfg, self.fault_layer(), ds.nprocs);
+        let (cfg, ft, nprocs, dag) = (&self.cfg, self.fault_layer(), ds.nprocs, &plan.dag);
         let memory_before_f64 = matrix.memory_f64();
         // Hold the mapping read-locked across the whole attempt: an
         // embedded re-planner refreshing it mid-run (another session
@@ -1208,7 +1205,7 @@ impl Session<'_> {
                 // defect, which the original derivation already ruled out
                 // — on the (unreachable) error the old mapping simply
                 // stays in force.
-                if let Ok(mapping) = ds.derive_mapping(dag, cfg.sched, overrides) {
+                if let Ok(mapping) = ds.derive_mapping(dag, &plan.key, overrides) {
                     *ds.mapping.write() = mapping;
                 }
             }

@@ -17,7 +17,7 @@ use runtime::machine::MachineModel;
 use runtime::scheduler::{CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy};
 use runtime::trace::ClassBreakdown;
 use runtime::EngineError;
-use tlr_compress::{RankEvolution, RankSnapshot};
+use tlr_compress::RankSnapshot;
 use distribution::{
     BandDistribution, DiamondDistribution, LorapoHybrid, TileDistribution, TwoDBlockCyclic,
 };
@@ -208,16 +208,19 @@ pub fn des_schedule(
     machine: &MachineModel,
     policy: SchedPolicy,
 ) -> Result<SchedPlan, EngineError> {
-    let mut evo = RankEvolution::default();
+    let mut hist: Vec<u64> = Vec::new();
     for i in 0..initial.nt() {
         for j in 0..=i {
             let r = initial.rank(i, j);
             if r > 0 {
-                evo.record(r, r);
+                if hist.len() <= r {
+                    hist.resize(r + 1, 0);
+                }
+                hist[r] += 1;
             }
         }
     }
-    let profile = RankProfile::from_histogram(evo.histogram(), initial.tile_size());
+    let profile = RankProfile::from_histogram(&hist, initial.tile_size());
     let model = CostModel::from_machine(machine, &profile);
     let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
     let pricing = Pricing {
@@ -265,6 +268,13 @@ pub fn simulate_cholesky_faulty(
     faults: &FaultPlan,
     restart_delay_s: f64,
 ) -> Result<SimReport, EngineError> {
+    // Checked before anything is laid out: the distributions cannot build
+    // a process grid over no nodes.
+    let des_cfg = DesConfig::from_machine(&cfg.machine, cfg.nodes);
+    let (nodes, cores_per_proc) = (des_cfg.nprocs, des_cfg.cores_per_proc);
+    if nodes == 0 || cores_per_proc == 0 {
+        return Err(EngineError::EmptyMachine { nprocs: nodes, cores_per_proc });
+    }
     let t0 = std::time::Instant::now();
     let dag = build_cholesky_dag(
         initial,
@@ -275,7 +285,6 @@ pub fn simulate_cholesky_faulty(
     // ------------------------------------------------------------------
     // Execution mapping.
     // ------------------------------------------------------------------
-    let nodes = cfg.nodes;
     let twod = TwoDBlockCyclic::new(nodes);
     let lorapo = LorapoHybrid::new(nodes);
     let band = BandDistribution { band_width: cfg.band_width, ..BandDistribution::new(nodes) };
@@ -312,7 +321,6 @@ pub fn simulate_cholesky_faulty(
     }
 
     let plan = des_schedule(&dag, initial, &tasks, &cfg.machine, cfg.sched)?;
-    let des_cfg = DesConfig::from_machine(&cfg.machine, nodes);
     let report = simulate_planned(&dag.graph, &tasks, &des_cfg, &plan, faults, restart_delay_s)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G).
@@ -517,6 +525,20 @@ mod tests {
             faulty.factorization_seconds,
             base.factorization_seconds
         );
+    }
+
+    #[test]
+    fn empty_machine_is_a_typed_error_before_any_layout() {
+        let s = snapshot(8, 1e-3);
+        let run = |cfg: &SimConfig| simulate_cholesky_faulty(&s, cfg, &FaultPlan::none(), 0.0);
+        let mut cfg = base_cfg(DistributionPlan::BandDiamond, true);
+        cfg.nodes = 0;
+        let err = run(&cfg).unwrap_err();
+        assert_eq!(err, EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 32 });
+        let mut cfg = base_cfg(DistributionPlan::Lorapo, true);
+        cfg.machine.cores_per_node = 0;
+        let err = run(&cfg).unwrap_err();
+        assert_eq!(err, EngineError::EmptyMachine { nprocs: 16, cores_per_proc: 0 });
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub struct TuneResult {
 ///
 /// `multipliers` scales the `b = 1.41·√N` seed; pass `&[]` for the
 /// default seven-point sweep.
+///
+/// # Panics
+///
+/// On a `cfg` with no nodes or no cores per node (through
+/// [`simulate_cholesky`]): a caller error here, not a tuning outcome.
 pub fn tune_tile_size(
     n: f64,
     shape: f64,

@@ -89,7 +89,7 @@ pub struct CommStats {
 }
 
 /// Simulation outputs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DesReport {
     /// Virtual time when the last task retires.
     pub makespan: f64,
@@ -218,381 +218,384 @@ pub fn simulate_planned(
     restart_delay_s: f64,
 ) -> Result<DesReport, EngineError> {
     plan.check_covers(graph)?;
-    sim_core(graph, tasks, config, plan.instantiate().as_mut(), faults, restart_delay_s)
+    let mut sched = plan.instantiate();
+    Sim::new(graph, tasks, config, sched.as_mut(), faults, restart_delay_s)?.run()
 }
 
-fn sim_core(
-    graph: &TaskGraph,
-    tasks: &[DesTask],
-    config: &DesConfig,
-    sched: &mut dyn Scheduler,
-    faults: &FaultPlan,
+/// The state of one simulation: one method per [`Event`] variant, fields
+/// grouped by the part of the model they belong to. The graph, the
+/// mapping and the machine are read where they are needed, never copied.
+struct Sim<'a> {
+    graph: &'a TaskGraph,
+    tasks: &'a [DesTask],
+    config: &'a DesConfig,
+    sched: &'a mut dyn Scheduler,
+    faults: &'a FaultPlan,
     restart_delay_s: f64,
-) -> Result<DesReport, EngineError> {
-    let n = graph.len();
-    if tasks.len() != n {
-        return Err(EngineError::RankMapLength { expected: n, got: tasks.len() });
-    }
-    if graph.topological_order().is_none() {
-        return Err(EngineError::Cycle);
-    }
-    if n > 0 && (config.nprocs == 0 || config.cores_per_proc == 0) {
-        return Err(EngineError::EmptyMachine {
-            nprocs: config.nprocs,
-            cores_per_proc: config.cores_per_proc,
-        });
-    }
-    if let Some((task, t)) = tasks.iter().enumerate().find(|(_, t)| t.proc >= config.nprocs) {
-        return Err(EngineError::InvalidRank { task, rank: t.proc, nprocs: config.nprocs });
-    }
-    faults.validate(config.nprocs)?;
+    now: f64,
+    events: EventQueue<Event>,
 
-    // ------------------------------------------------------------------
-    // Precompute the broadcast structure per producer: edges grouped by
-    // datum, distinct remote destinations given binomial-tree depths.
-    // Arrival times are computed dynamically at Finish because the
-    // producer's communication engine (one comm thread / finite NIC
-    // injection bandwidth, as in PaRSEC) serializes its sends.
-    // ------------------------------------------------------------------
-    struct Bcast {
-        /// remote member edges as (edge index, tree depth in hops)
-        remote_edges: Vec<(usize, f64)>,
-        /// serialized root sends (children of the root in the tree)
-        nsends: f64,
-        /// payload bytes of the datum
-        bytes: u64,
+    // Graph progress: unfinished predecessors, latest input arrival, done.
+    remaining: Vec<usize>,
+    data_ready: Vec<f64>,
+    done: Vec<bool>,
+    completed: usize,
+
+    // Processors: free cores, the ready queue ordered by (key, id), when
+    // the serial runtime thread is next free, the tasks occupying cores.
+    idle: Vec<usize>,
+    queues: Vec<BinaryHeap<Reverse<(KeyOrd, TaskId)>>>,
+    mgmt_free: Vec<f64>,
+    running: Vec<Vec<TaskId>>,
+
+    // Network: when each process's communication engine (NIC / comm
+    // thread) is next free, and `send`'s scratch — per out-edge of the
+    // producer its arrival time and whether a broadcast has taken it, and
+    // one broadcast's remote recipients as (min consumer priority, proc).
+    nic_free: Vec<f64>,
+    arrival: Vec<f64>,
+    grouped: Vec<bool>,
+    recipients: Vec<(usize, usize)>,
+
+    // Fault bookkeeping: the current execution mapping (migration rewrites
+    // it), liveness, launch epochs, pending recovery re-runs, and the
+    // round-robin cursor over survivors.
+    proc_of: Vec<usize>,
+    dead: Vec<bool>,
+    epoch: Vec<u32>,
+    reexec: Vec<bool>,
+    rr: usize,
+
+    // What the run reports — the trace, the `CommStats` totals and the
+    // four fault counters accumulate in place — with the time each task
+    // entered its ready queue (reset on crash re-injection so waits stay
+    // non-negative) and its core.
+    report: DesReport,
+    ready_time: Vec<f64>,
+    start_time: Vec<f64>,
+}
+
+impl<'a> Sim<'a> {
+    /// Validate the inputs; queue the sources and the plan's strikes.
+    fn new(
+        graph: &'a TaskGraph,
+        tasks: &'a [DesTask],
+        config: &'a DesConfig,
+        sched: &'a mut dyn Scheduler,
+        faults: &'a FaultPlan,
+        restart_delay_s: f64,
+    ) -> Result<Self, EngineError> {
+        let (n, nprocs, cores_per_proc) = (graph.len(), config.nprocs, config.cores_per_proc);
+        if tasks.len() != n {
+            return Err(EngineError::RankMapLength { expected: n, got: tasks.len() });
+        }
+        if graph.topological_order().is_none() {
+            return Err(EngineError::Cycle);
+        }
+        if n > 0 && (nprocs == 0 || cores_per_proc == 0) {
+            return Err(EngineError::EmptyMachine { nprocs, cores_per_proc });
+        }
+        if let Some((task, t)) = tasks.iter().enumerate().find(|(_, t)| t.proc >= nprocs) {
+            return Err(EngineError::InvalidRank { task, rank: t.proc, nprocs });
+        }
+        faults.validate(nprocs)?;
+
+        let mut events = EventQueue::new();
+        for t in graph.sources() {
+            events.push(0.0, Event::Ready(t));
+        }
+        for c in &faults.crashes {
+            events.push(c.at, Event::Crash(c.rank));
+        }
+        for (idx, c) in faults.store_corruptions.iter().enumerate() {
+            events.push(c.at, Event::Corrupt(idx));
+        }
+        Ok(Sim {
+            graph,
+            tasks,
+            config,
+            sched,
+            faults,
+            restart_delay_s,
+            now: 0.0,
+            events,
+            remaining: graph.indegrees(),
+            data_ready: vec![0.0; n],
+            done: vec![false; n],
+            completed: 0,
+            idle: vec![cores_per_proc; nprocs],
+            queues: (0..nprocs).map(|_| BinaryHeap::new()).collect(),
+            mgmt_free: vec![0.0; nprocs],
+            running: vec![Vec::new(); nprocs],
+            nic_free: vec![0.0; nprocs],
+            arrival: Vec::new(),
+            grouped: Vec::new(),
+            recipients: Vec::new(),
+            proc_of: tasks.iter().map(|t| t.proc).collect(),
+            dead: vec![false; nprocs],
+            epoch: vec![0; n],
+            reexec: vec![false; n],
+            rr: 0,
+            report: DesReport::default(),
+            ready_time: vec![0.0; n],
+            start_time: vec![0.0; n],
+        })
     }
-    let mut comm = CommStats::default();
-    let mut bcasts: Vec<Vec<Bcast>> = Vec::with_capacity(graph.len());
-    for src in 0..graph.len() {
-        let src_proc = tasks[src].proc;
-        let edges = graph.successors(src);
-        let mut groups: Vec<Bcast> = Vec::new();
-        let mut handled = vec![false; edges.len()];
+
+    fn run(mut self) -> Result<DesReport, EngineError> {
+        while let Some((now, event)) = self.events.pop() {
+            self.now = now;
+            match event {
+                Event::Ready(t) => self.ready(t),
+                Event::Managed(t) => self.managed(t)?,
+                Event::Finish(t, launch_epoch) => self.finish(t, launch_epoch),
+                Event::Crash(p) => self.crash(p)?,
+                Event::Corrupt(idx) => self.corrupt(idx),
+            }
+        }
+        // The entry checks rule this out; a loop defect must not pass for
+        // a short report.
+        let n = self.graph.len();
+        if self.completed < n {
+            return Err(EngineError::Fault(FtError::Stalled { pending: n - self.completed }));
+        }
+        // `makespan` and `busy` are derived from the trace, the single
+        // source of truth for span accounting, rather than double-booked.
+        let trace = &self.report.trace;
+        let (makespan, busy) = (trace.makespan(), trace.busy_per_proc(self.config.nprocs));
+        Ok(DesReport { makespan, busy, ..self.report })
+    }
+
+    /// Serialize the task through its process's runtime thread.
+    fn ready(&mut self, t: TaskId) {
+        let mut end = self.now;
+        if self.config.task_mgmt_s > 0.0 {
+            let p = self.proc_of[t];
+            end = self.mgmt_free[p].max(self.now) + self.config.task_mgmt_s;
+            self.mgmt_free[p] = end;
+        }
+        self.events.push(end, Event::Managed(t));
+    }
+
+    /// Consult the scheduling policy: the key decides the task's position
+    /// in its process's ready queue.
+    fn managed(&mut self, t: TaskId) -> Result<(), EngineError> {
+        let p = self.proc_of[t];
+        self.ready_time[t] = self.now;
+        let key = self.sched.on_task_ready(t, self.graph);
+        if !key.is_finite() {
+            return Err(EngineError::NonFiniteKey { task: t, key });
+        }
+        self.queues[p].push(Reverse((KeyOrd(key), t)));
+        self.dispatch(p);
+        Ok(())
+    }
+
+    /// Start as many queued tasks as process `p` has idle cores.
+    fn dispatch(&mut self, p: usize) {
+        while self.idle[p] > 0 {
+            let Some(Reverse((_, t))) = self.queues[p].pop() else {
+                break;
+            };
+            self.idle[p] -= 1;
+            self.start_time[t] = self.now;
+            self.running[p].push(t);
+            self.events.push(self.now + self.tasks[t].duration, Event::Finish(t, self.epoch[t]));
+        }
+    }
+
+    fn finish(&mut self, t: TaskId, launch_epoch: u32) {
+        if launch_epoch != self.epoch[t] {
+            return; // the executing process died mid-kernel
+        }
+        let p = self.proc_of[t];
+        if let Some(pos) = self.running[p].iter().position(|&x| x == t) {
+            self.running[p].swap_remove(pos);
+        }
+        let spec = self.graph.spec(t);
+        self.report.trace.push_record(crate::trace::TaskRecord {
+            task: t,
+            class: spec.class,
+            proc: p,
+            data: spec.writes,
+            queued: self.ready_time[t].min(self.start_time[t]),
+            start: self.start_time[t],
+            end: self.now,
+        });
+        self.completed += 1;
+        self.done[t] = true;
+        // Feedback channel of dynamic policies: the simulated duration is
+        // this world's "measured" time.
+        self.sched.on_task_finished(t, self.graph, self.tasks[t].duration);
+        if self.reexec[t] {
+            // Recovery re-run: successors were already released by the
+            // first execution (surviving consumers kept their copies);
+            // only the lost output is regenerated, nothing is sent.
+            self.reexec[t] = false;
+        } else {
+            self.send(t, p);
+        }
+        self.idle[p] += 1; // a core just freed
+        self.dispatch(p);
+    }
+
+    /// The network model: price `t`'s outputs leaving process `p`, then
+    /// release its successors. Local edges are immediate; the edges of one
+    /// datum form a binomial-tree broadcast to its distinct remote
+    /// processes, whose injections the producer's communication engine
+    /// (one comm thread / finite NIC bandwidth, as in PaRSEC) serializes.
+    /// Destinations are the *original* mapping also after a crash (the
+    /// engine's static-locality invariant).
+    fn send(&mut self, t: TaskId, p: usize) {
+        let (graph, tasks, config) = (self.graph, self.tasks, self.config);
+        let (edges, src_proc) = (graph.successors(t), tasks[t].proc);
+        self.arrival.clear();
+        self.arrival.resize(edges.len(), self.now);
+        self.grouped.clear();
+        self.grouped.resize(edges.len(), false);
         for e0 in 0..edges.len() {
-            if handled[e0] {
+            if self.grouped[e0] {
                 continue;
             }
-            let datum = edges[e0].data;
-            let members: Vec<usize> = (e0..edges.len())
-                .filter(|&i| !handled[i] && edges[i].data == datum)
-                .collect();
-            for &m in &members {
-                handled[m] = true;
-            }
-            // Distinct remote destination processes, ordered by the
-            // highest-priority consumer first (the runtime forwards along
-            // the critical path first), then proc id for determinism.
-            let mut remote: Vec<(usize, usize)> = Vec::new(); // (min_priority, proc)
-            for &m in &members {
-                let p = tasks[edges[m].dst].proc;
-                if p == src_proc {
-                    continue;
+            let (datum, bytes) = (edges[e0].data, edges[e0].bytes);
+            let members = || edges.iter().enumerate().skip(e0).filter(|(_, e)| e.data == datum);
+            // Recipients ordered by the highest-priority consumer first
+            // (the runtime forwards along the critical path first), then
+            // proc id; procs are distinct, so an unstable sort is exact.
+            self.recipients.clear();
+            for (m, e) in members() {
+                self.grouped[m] = true;
+                let (priority, q) = (graph.spec(e.dst).priority, tasks[e.dst].proc);
+                if q == src_proc {
+                    continue; // local consumer: no message
                 }
-                match remote.iter_mut().find(|(_, rp)| *rp == p) {
-                    Some(entry) => entry.0 = entry.0.min(graph.spec(edges[m].dst).priority),
-                    None => remote.push((graph.spec(edges[m].dst).priority, p)),
+                match self.recipients.iter_mut().find(|(_, rq)| *rq == q) {
+                    Some(entry) => entry.0 = entry.0.min(priority),
+                    None => self.recipients.push((priority, q)),
                 }
             }
-            remote.sort();
-            if remote.is_empty() {
+            self.recipients.sort_unstable();
+            let nremote = self.recipients.len();
+            if nremote == 0 {
                 continue; // purely local group: no communication
             }
-            // Binomial tree: the i-th distinct remote proc (1-based)
-            // receives after floor(log2(i)) + 1 hops; the root itself
-            // sends to its ceil(log2(r + 1)) children serially.
-            let hop_of = |i: usize| -> f64 { ((i as f64).log2().floor()) + 1.0 };
-            let mut remote_edges = Vec::new();
-            for &m in &members {
-                let dst_proc = tasks[edges[m].dst].proc;
-                if dst_proc == src_proc {
-                    continue;
-                }
-                let pos = remote
-                    .iter()
-                    .position(|&(_, p)| p == dst_proc)
-                    .expect("every remote destination appears in the broadcast recipient list")
-                    + 1;
-                remote_edges.push((m, hop_of(pos)));
-            }
-            let nremote = remote.len();
-            comm.messages += nremote as u64;
-            comm.bytes += edges[e0].bytes * nremote as u64;
+            self.report.comm.messages += nremote as u64;
+            self.report.comm.bytes += bytes * nremote as u64;
             // Payload broadcasts pipeline (chain bcast / DMA): the root
             // injects ~one copy and intermediates forward. Zero-byte
             // dependency activations are individual control messages the
             // communication thread processes one by one — the per-edge
             // overhead DAG trimming removes (§VI).
-            let nsends = if edges[e0].bytes > 0 {
-                1.0
+            let (per_hop, xfer, nsends) = if bytes > 0 {
+                let xfer = bytes as f64 / config.bandwidth_bps;
+                (config.latency_s + xfer, xfer, 1.0)
             } else {
-                nremote as f64
+                (config.dep_overhead_s, config.dep_overhead_s, nremote as f64)
             };
-            groups.push(Bcast {
-                remote_edges,
-                nsends,
-                bytes: edges[e0].bytes,
-            });
-        }
-        bcasts.push(groups);
-    }
-
-    // ------------------------------------------------------------------
-    // Event loop.
-    // ------------------------------------------------------------------
-    let mut remaining: Vec<usize> = graph.indegrees();
-    let mut data_ready: Vec<f64> = vec![0.0; n];
-    let mut events: EventQueue<Event> = EventQueue::new();
-    for t in graph.sources() {
-        events.push(0.0, Event::Ready(t));
-    }
-    for c in &faults.crashes {
-        events.push(c.at, Event::Crash(c.rank));
-    }
-    for (idx, c) in faults.store_corruptions.iter().enumerate() {
-        events.push(c.at, Event::Corrupt(idx));
-    }
-
-    let mut idle: Vec<usize> = vec![config.cores_per_proc; config.nprocs];
-    // Per-proc ready queue ordered by (key, id); min first.
-    let mut queues: Vec<BinaryHeap<Reverse<(KeyOrd, TaskId)>>> =
-        (0..config.nprocs).map(|_| BinaryHeap::new()).collect();
-    // Per-proc serial runtime thread: earliest time it is free.
-    let mut mgmt_free = vec![0.0_f64; config.nprocs];
-    // Per-proc communication engine (NIC/comm-thread): earliest free time.
-    let mut nic_free = vec![0.0_f64; config.nprocs];
-
-    let mut trace = Trace::default();
-    let mut start_time = vec![0.0_f64; n];
-    // Time each task entered its process's ready queue (queue-wait metric;
-    // reset on crash re-injection so waits stay non-negative).
-    let mut ready_time = vec![0.0_f64; n];
-    let mut completed = 0usize;
-    let mut makespan = 0.0_f64;
-
-    // Fault state: current execution mapping (migration rewrites it),
-    // liveness, per-task launch epochs, completion/re-execution flags,
-    // and the tasks currently occupying cores of each process.
-    let mut proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
-    let mut dead = vec![false; config.nprocs];
-    let mut epoch = vec![0u32; n];
-    let mut done = vec![false; n];
-    let mut reexec = vec![false; n];
-    let mut running: Vec<Vec<TaskId>> = vec![Vec::new(); config.nprocs];
-    let mut rr = 0usize; // round-robin cursor over survivors
-    let (mut crashes, mut migrated, mut reexecuted) = (0usize, 0usize, 0usize);
-    let mut corruptions = 0usize;
-
-    while let Some((now, event)) = events.pop() {
-        // Process whose ready queue or idle cores this event changed.
-        let mut dispatch = None;
-        match event {
-            Event::Ready(t) => {
-                let p = proc_of[t];
-                if config.task_mgmt_s > 0.0 {
-                    // Serialize through the runtime thread first.
-                    let start = mgmt_free[p].max(now);
-                    let end = start + config.task_mgmt_s;
-                    mgmt_free[p] = end;
-                    events.push(end, Event::Managed(t));
-                } else {
-                    events.push(now, Event::Managed(t));
+            let nic_start = self.nic_free[p].max(self.now);
+            self.nic_free[p] = nic_start + nsends * xfer;
+            // The i-th recipient (1-based) is `floor(log2 i) + 1` hops deep.
+            for (m, e) in members().filter(|(_, e)| tasks[e.dst].proc != src_proc) {
+                let q = tasks[e.dst].proc;
+                if let Some(i) = self.recipients.iter().position(|&(_, rq)| rq == q) {
+                    self.arrival[m] = nic_start + f64::from((i + 1).ilog2() + 1) * per_hop;
                 }
-            }
-            Event::Managed(t) => {
-                let p = proc_of[t];
-                ready_time[t] = now;
-                // Consult the scheduling policy: the key decides the
-                // task's position in this process's ready queue.
-                let key = sched.on_task_ready(t, graph);
-                if !key.is_finite() {
-                    return Err(EngineError::NonFiniteKey { task: t, key });
-                }
-                queues[p].push(Reverse((KeyOrd(key), t)));
-                dispatch = Some(p);
-            }
-            Event::Finish(t, launch_epoch) => {
-                if launch_epoch != epoch[t] {
-                    continue; // the executing process died mid-kernel
-                }
-                let p = proc_of[t];
-                if let Some(pos) = running[p].iter().position(|&x| x == t) {
-                    running[p].swap_remove(pos);
-                }
-                let spec = graph.spec(t);
-                trace.push_record(crate::trace::TaskRecord {
-                    task: t,
-                    class: spec.class,
-                    proc: p,
-                    data: spec.writes,
-                    queued: ready_time[t].min(start_time[t]),
-                    start: start_time[t],
-                    end: now,
-                });
-                makespan = makespan.max(now);
-                completed += 1;
-                done[t] = true;
-                // Feedback channel of dynamic policies: the simulated
-                // duration is this world's "measured" time.
-                sched.on_task_finished(t, graph, tasks[t].duration);
-                if reexec[t] {
-                    // Recovery re-run: successors were already released by
-                    // the first execution (surviving consumers kept their
-                    // copies); only the lost output is regenerated.
-                    reexec[t] = false;
-                } else {
-                    // Arrival per successor: local edges are immediate;
-                    // each broadcast group's sends serialize on the
-                    // producer's communication engine before fanning out
-                    // along the tree.
-                    let mut arrival_of: Vec<f64> = vec![now; graph.successors(t).len()];
-                    for g in &bcasts[t] {
-                        let per_hop = if g.bytes > 0 {
-                            config.latency_s + g.bytes as f64 / config.bandwidth_bps
-                        } else {
-                            config.dep_overhead_s
-                        };
-                        let xfer = if g.bytes > 0 {
-                            g.bytes as f64 / config.bandwidth_bps
-                        } else {
-                            config.dep_overhead_s
-                        };
-                        let nic_start = nic_free[p].max(now);
-                        nic_free[p] = nic_start + g.nsends * xfer;
-                        for &(edge_idx, hops) in &g.remote_edges {
-                            arrival_of[edge_idx] = nic_start + hops * per_hop;
-                        }
-                    }
-                    for (idx, e) in graph.successors(t).iter().enumerate() {
-                        let arrival = arrival_of[idx];
-                        let dst = e.dst;
-                        if arrival > data_ready[dst] {
-                            data_ready[dst] = arrival;
-                        }
-                        remaining[dst] -= 1;
-                        if remaining[dst] == 0 {
-                            events.push(data_ready[dst], Event::Ready(dst));
-                        }
-                    }
-                }
-                idle[p] += 1; // a core just freed
-                dispatch = Some(p);
-            }
-            Event::Crash(p) => {
-                if dead[p] || completed == n {
-                    continue; // double-crash of a dead proc, or after the run
-                }
-                dead[p] = true;
-                crashes += 1;
-                let restart = now + restart_delay_s;
-                let alive: Vec<usize> = (0..config.nprocs).filter(|&q| !dead[q]).collect();
-                if alive.is_empty() {
-                    return Err(EngineError::Fault(FtError::AllRanksCrashed));
-                }
-
-                // Abort in-flight kernels (their Finish events go stale)
-                // and flush the dead process's ready queue.
-                let mut to_restart: Vec<TaskId> = std::mem::take(&mut running[p]);
-                for &t in &to_restart {
-                    epoch[t] += 1;
-                }
-                while let Some(Reverse((_, tid))) = queues[p].pop() {
-                    to_restart.push(tid);
-                }
-                idle[p] = 0;
-
-                // Lost outputs: completed tasks of this process whose
-                // data a not-yet-finished consumer still needs must run
-                // again (their inputs survive — initial tiles are
-                // checkpointed, remote inputs replay from sender logs).
-                for t in 0..n {
-                    if proc_of[t] != p {
-                        continue;
-                    }
-                    if done[t] {
-                        let needed = graph.successors(t).iter().any(|e| !done[e.dst]);
-                        if !needed {
-                            continue; // output no longer consumed: let it go
-                        }
-                        done[t] = false;
-                        reexec[t] = true;
-                        completed -= 1;
-                        reexecuted += 1;
-                        to_restart.push(t);
-                    }
-                    proc_of[t] = alive[rr % alive.len()];
-                    rr += 1;
-                    migrated += 1;
-                }
-                for t in to_restart {
-                    events.push(restart, Event::Ready(t));
-                }
-            }
-            Event::Corrupt(idx) => {
-                let p = faults.store_corruptions[idx].rank;
-                if dead[p] || completed == n {
-                    continue; // a dead store has no reads; post-run strikes are free
-                }
-                corruptions += 1;
-                // The integrity layer detects the flip at the victim
-                // tile's next read boundary and recomputes it from
-                // lineage. First-order pricing: one completed task of
-                // this process whose output a consumer still needs
-                // re-executes after the detection window. The victim is
-                // drawn from the seeded stream shared with the
-                // functional plan (stream 8, keyed by strike index).
-                let candidates: Vec<TaskId> = (0..n)
-                    .filter(|&t| {
-                        proc_of[t] == p
-                            && done[t]
-                            && graph.successors(t).iter().any(|e| !done[e.dst])
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    continue; // nothing still-needed was hit: heals off the critical path
-                }
-                let pick =
-                    (fault_unit(faults.seed, 8, idx as u64, 0) * candidates.len() as f64) as usize;
-                let victim = candidates[pick.min(candidates.len() - 1)];
-                done[victim] = false;
-                reexec[victim] = true;
-                completed -= 1;
-                reexecuted += 1;
-                events.push(now + restart_delay_s, Event::Ready(victim));
             }
         }
-        // Start as many queued tasks as there are idle cores.
-        if let Some(p) = dispatch {
-            while idle[p] > 0 {
-                let Some(Reverse((_, tid))) = queues[p].pop() else {
-                    break;
-                };
-                idle[p] -= 1;
-                start_time[tid] = now;
-                running[p].push(tid);
-                events.push(now + tasks[tid].duration, Event::Finish(tid, epoch[tid]));
+        for (e, &arrival) in edges.iter().zip(&self.arrival) {
+            let dst = e.dst;
+            if arrival > self.data_ready[dst] {
+                self.data_ready[dst] = arrival;
+            }
+            self.remaining[dst] -= 1;
+            if self.remaining[dst] == 0 {
+                self.events.push(self.data_ready[dst], Event::Ready(dst));
             }
         }
     }
 
-    // The entry checks rule this out; a loop defect must not pass for a
-    // short report.
-    if completed < n {
-        return Err(EngineError::Fault(FtError::Stalled { pending: n - completed }));
+    /// Does a not-yet-finished consumer still need `t`'s output?
+    fn output_needed(&self, t: TaskId) -> bool {
+        self.graph.successors(t).iter().any(|e| !self.done[e.dst])
     }
-    // `busy` is derived from the trace rather than double-booked: the
-    // trace records are the single source of truth for span accounting.
-    let busy = trace.busy_per_proc(config.nprocs);
-    Ok(DesReport {
-        makespan,
-        trace,
-        busy,
-        comm,
-        crashes,
-        migrated,
-        reexecuted,
-        corruptions,
-    })
+
+    /// Schedule completed task `t` to run again after the detection
+    /// window: its output died with a process or was damaged in a store.
+    fn reexecute(&mut self, t: TaskId) {
+        self.done[t] = false;
+        self.reexec[t] = true;
+        self.completed -= 1;
+        self.report.reexecuted += 1;
+        self.events.push(self.now + self.restart_delay_s, Event::Ready(t));
+    }
+
+    fn crash(&mut self, p: usize) -> Result<(), EngineError> {
+        let n = self.graph.len();
+        if self.dead[p] || self.completed == n {
+            return Ok(()); // double-crash of a dead proc, or after the run
+        }
+        self.dead[p] = true;
+        self.report.crashes += 1;
+        let alive: Vec<usize> = (0..self.config.nprocs).filter(|&q| !self.dead[q]).collect();
+        if alive.is_empty() {
+            return Err(EngineError::Fault(FtError::AllRanksCrashed));
+        }
+
+        // Abort in-flight kernels (their Finish events go stale) and
+        // flush the dead process's ready queue.
+        let restart = self.now + self.restart_delay_s;
+        for t in std::mem::take(&mut self.running[p]) {
+            self.epoch[t] += 1;
+            self.events.push(restart, Event::Ready(t));
+        }
+        while let Some(Reverse((_, t))) = self.queues[p].pop() {
+            self.events.push(restart, Event::Ready(t));
+        }
+        self.idle[p] = 0;
+
+        // Lost outputs: completed tasks of this process whose data a
+        // not-yet-finished consumer still needs must run again (their
+        // inputs survive — initial tiles are checkpointed, remote inputs
+        // replay from sender logs).
+        for t in 0..n {
+            if self.proc_of[t] != p {
+                continue;
+            }
+            if self.done[t] {
+                if !self.output_needed(t) {
+                    continue; // output no longer consumed: let it go
+                }
+                self.reexecute(t);
+            }
+            self.proc_of[t] = alive[self.rr % alive.len()];
+            self.rr += 1;
+            self.report.migrated += 1;
+        }
+        Ok(())
+    }
+
+    fn corrupt(&mut self, idx: usize) {
+        let p = self.faults.store_corruptions[idx].rank;
+        if self.dead[p] || self.completed == self.graph.len() {
+            return; // a dead store has no reads; post-run strikes are free
+        }
+        self.report.corruptions += 1;
+        // The integrity layer detects the flip at the victim tile's next
+        // read boundary and recomputes it from lineage. First-order
+        // pricing: one completed task of this process whose output a
+        // consumer still needs re-executes after the detection window.
+        // The victim is drawn from the seeded stream shared with the
+        // functional plan (stream 8, keyed by strike index).
+        let candidates: Vec<TaskId> = (0..self.graph.len())
+            .filter(|&t| self.proc_of[t] == p && self.done[t] && self.output_needed(t))
+            .collect();
+        if candidates.is_empty() {
+            return; // nothing still-needed was hit: heals off the critical path
+        }
+        let pick =
+            (fault_unit(self.faults.seed, 8, idx as u64, 0) * candidates.len() as f64) as usize;
+        self.reexecute(candidates[pick.min(candidates.len() - 1)]);
+    }
 }
 
 /// Convenience: all tasks on one process — the serial/SMP sanity baseline.
@@ -1251,7 +1254,9 @@ mod tests {
         let g = chain(4);
         let tasks: Vec<DesTask> = (0..4).map(|_| DesTask { proc: 0, duration: 1.0 }).collect();
         let cfg = single_proc_config(1);
-        let err = sim_core(&g, &tasks, &cfg, &mut Buggy, &FaultPlan::none(), 0.0).unwrap_err();
+        let faults = FaultPlan::none();
+        let run = Sim::new(&g, &tasks, &cfg, &mut Buggy, &faults, 0.0).and_then(Sim::run);
+        let err = run.unwrap_err();
         assert!(matches!(err, EngineError::NonFiniteKey { task: 2, .. }));
     }
 
@@ -1279,7 +1284,8 @@ mod tests {
         let tasks: Vec<DesTask> = (0..5).map(|_| DesTask { proc: 0, duration: 2.0 }).collect();
         let mut sched = Counting { ready: 0, finished: 0, measured: 0.0 };
         let cfg = single_proc_config(2);
-        let r = sim_core(&g, &tasks, &cfg, &mut sched, &FaultPlan::none(), 0.0).unwrap();
+        let faults = FaultPlan::none();
+        let r = Sim::new(&g, &tasks, &cfg, &mut sched, &faults, 0.0).and_then(Sim::run).unwrap();
         assert_eq!(sched.ready, 5);
         assert_eq!(sched.finished, 5);
         assert!((sched.measured - 10.0).abs() < 1e-12);

@@ -154,12 +154,12 @@ fn validate_keys(keys: &[f64]) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// A static policy instantiated: a validated key table.
-struct StaticScheduler {
-    keys: Vec<f64>,
+/// A static policy instantiated: the plan's validated key table.
+struct StaticScheduler<'a> {
+    keys: &'a [f64],
 }
 
-impl Scheduler for StaticScheduler {
+impl Scheduler for StaticScheduler<'_> {
     fn on_task_ready(&mut self, task: TaskId, _graph: &TaskGraph) -> f64 {
         self.keys[task]
     }
@@ -373,11 +373,11 @@ const EMA_ALPHA: f64 = 0.2;
 /// mode of a rank-blind model on TLR GEMMs) is corrected while the run
 /// is still going. The downstream term stays static — a first-order
 /// correction, which is all a priority needs. The corrections start at
-/// the identity on every run: the tables persist with the plan, the
-/// online state is per-run by design.
-struct LookaheadScheduler {
-    base_cost: Vec<f64>,
-    downstream: Vec<f64>,
+/// the identity on every run: the tables stay with the plan, the online
+/// state is per-run by design.
+struct LookaheadScheduler<'a> {
+    base_cost: &'a [f64],
+    downstream: &'a [f64],
     class_corr: [f64; 5],
 }
 
@@ -403,7 +403,7 @@ fn lookahead_tables(
     Ok((base_cost, downstream))
 }
 
-impl Scheduler for LookaheadScheduler {
+impl Scheduler for LookaheadScheduler<'_> {
     fn on_task_ready(&mut self, task: TaskId, graph: &TaskGraph) -> f64 {
         let corr = self.class_corr[class_index(graph.spec(task).class)];
         -(corr * self.base_cost[task] + self.downstream[task])
@@ -496,10 +496,12 @@ impl SchedPlan {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Cycle`] on a cyclic graph,
     /// [`EngineError::RankMapLength`] when the placement does not map
     /// every task, [`EngineError::NonFiniteKey`] when a cost or key is
-    /// NaN or infinite.
+    /// NaN or infinite, and [`EngineError::Cycle`] from the upward-rank
+    /// family, which walks the graph. The three static policies never do:
+    /// under them a cyclic graph is caught by the consumer
+    /// ([`SchedPlan::topo_order`], or the engine's own check).
     pub fn build(
         graph: &TaskGraph,
         policy: SchedPolicy,
@@ -559,16 +561,15 @@ impl SchedPlan {
         }
     }
 
-    /// A fresh per-run [`Scheduler`] over the stored tables; the
-    /// lookahead starts each run with identity EMA corrections.
-    pub fn instantiate(&self) -> Box<dyn Scheduler> {
+    /// A fresh per-run [`Scheduler`] reading the plan's tables in place;
+    /// the lookahead's only run state is its EMA corrections, which start
+    /// at the identity.
+    pub fn instantiate(&self) -> Box<dyn Scheduler + '_> {
         match &self.tables {
-            Tables::Keys(keys) => Box::new(StaticScheduler { keys: keys.clone() }),
-            Tables::Lookahead(base, downstream) => Box::new(LookaheadScheduler {
-                base_cost: base.clone(),
-                downstream: downstream.clone(),
-                class_corr: [1.0; 5],
-            }),
+            Tables::Keys(keys) => Box::new(StaticScheduler { keys }),
+            Tables::Lookahead(base_cost, downstream) => {
+                Box::new(LookaheadScheduler { base_cost, downstream, class_corr: [1.0; 5] })
+            }
         }
     }
 
@@ -925,8 +926,8 @@ mod tests {
     #[test]
     fn static_plans_ignore_feedback() {
         let g = chain_plus_leaf();
-        let mut s =
-            SchedPlan::build(&g, SchedPolicy::PanelPriority, &unit_cost()).unwrap().instantiate();
+        let plan = SchedPlan::build(&g, SchedPolicy::PanelPriority, &unit_cost()).unwrap();
+        let mut s = plan.instantiate();
         s.on_task_finished(0, &g, 1.0);
         assert_eq!(s.on_task_ready(0, &g), 0.0);
         assert!(s.class_corrections().is_none());

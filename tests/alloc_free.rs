@@ -4,7 +4,9 @@
 //! promises zero heap traffic once the per-worker arena has grown to its
 //! high-water mark, and the two sinks of the engine's observation
 //! channel (the metrics registry and the span recorder) promise to
-//! record without allocating at all. This file wires a counting
+//! record without allocating at all; the discrete-event simulator
+//! promises heap traffic that does not grow with the task count beyond
+//! the amortised growth of its queues and trace. This file wires a counting
 //! `#[global_allocator]` into the *test harness* (the library itself
 //! stays allocator-agnostic); the count is per thread, so the cases can
 //! run side by side.
@@ -13,11 +15,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
 
+use hicma_parsec::cholesky::simulate::des_tasks;
+use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskClass;
-use hicma_parsec::runtime::{Counter, ExecObs, Gauge, Observe, Registry, TaskEvent};
+use hicma_parsec::runtime::{
+    simulate_planned, Counter, DesConfig, ExecObs, FaultPlan, Gauge, MachineModel, Observe,
+    Pricing, Registry, SchedPlan, SchedPolicy, TaskEvent,
+};
 use hicma_parsec::tlr::kernels::{gemm_kernel_ws, KernelWorkspace};
-use hicma_parsec::tlr::{CompressionConfig, Tile};
+use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, Tile};
 
 struct CountingAlloc;
 
@@ -131,4 +138,33 @@ fn sink_recording_path_allocates_nothing() {
     let recorded = allocs() - before;
     assert_eq!(recorded, 0, "sinks allocated {recorded} time(s) while recording");
     assert_eq!(reg.snapshot().counter(Counter::Steals), ntasks as u64);
+}
+
+/// The simulator reads the DAG and the mapping in place: 7× the tasks
+/// (NT 16 → 32, untrimmed, two processes so every panel broadcasts) cost
+/// only the extra doublings of the event queue, the ready heaps and the
+/// trace — no allocation per task, per edge or per broadcast.
+#[test]
+fn simulation_allocations_do_not_grow_with_the_task_count() {
+    let machine = MachineModel::shaheen_ii();
+    let config = DesConfig::from_machine(&machine, 2);
+    let run = |nt: usize| {
+        let snap = SyntheticRankModel::from_application(nt, 256, 2e-4, 1e-4).snapshot();
+        let dag = build_cholesky_dag(&snap, &DagConfig { trimmed: false, ..DagConfig::default() });
+        let tasks = des_tasks(&dag, &machine, |d| (d.i + d.j) % 2);
+        let pricing = Pricing::nominal(&dag.graph);
+        let plan = SchedPlan::build(&dag.graph, SchedPolicy::default(), &pricing).unwrap();
+        let before = allocs();
+        let report =
+            simulate_planned(&dag.graph, &tasks, &config, &plan, &FaultPlan::none(), 0.0).unwrap();
+        let count = allocs() - before;
+        assert!(report.comm.messages > 0, "the mapping must make broadcasts");
+        (dag.graph.len(), count)
+    };
+    let ((small_tasks, small), (large_tasks, large)) = (run(16), run(32));
+    assert!(large_tasks > 7 * small_tasks);
+    assert!(
+        large.abs_diff(small) < 64,
+        "{small} allocations for {small_tasks} tasks, {large} for {large_tasks}"
+    );
 }

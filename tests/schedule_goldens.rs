@@ -137,7 +137,8 @@ fn actual() -> String {
     let dag = build_cholesky_dag(&rbf_fixture().rank_snapshot(), &DagConfig::default());
     for policy in SchedPolicy::ALL {
         let pricing = Pricing::nominal(&dag.graph);
-        let mut sched = SchedPlan::build(&dag.graph, policy, &pricing).unwrap().instantiate();
+        let plan = SchedPlan::build(&dag.graph, policy, &pricing).unwrap();
+        let mut sched = plan.instantiate();
         let keys = (0..dag.graph.len()).map(|t| sched.on_task_ready(t, &dag.graph).to_bits());
         writeln!(out, "shared {} tasks={} keys={:#018x}", policy.name(), dag.graph.len(), fnv(keys))
             .unwrap();
@@ -241,4 +242,70 @@ fn schedules_match_the_recorded_goldens() {
         moved.len(),
         moved.join("\n")
     );
+}
+
+/// The DES door under *priced faults*: the fixture of the `des` lines
+/// above with one mid-run crash or one store corruption, timed as
+/// fractions of the fault-free makespan, and a detection window long
+/// enough that the re-execution lands on the critical path. A
+/// re-execution skips the send path of a `Finish`, which the fault-free
+/// lines never do; these pin it (recorded at the commit before the
+/// simulator's state became one struct and its broadcast table went).
+fn actual_faulty() -> String {
+    use hicma_parsec::cholesky::simulate::simulate_cholesky_faulty;
+    use hicma_parsec::runtime::FaultPlan;
+
+    let mut out = String::new();
+    let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+    let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+    for (name, base) in [
+        ("hicma", hicma_parsec_config(machine.clone(), 4)),
+        ("lorapo", lorapo_config(machine.clone(), 4)),
+    ] {
+        for policy in [SchedPolicy::PanelPriority, SchedPolicy::RankAwareLookahead] {
+            let mut cfg = base.clone();
+            cfg.sched = policy;
+            let t = simulate_cholesky(&snap, &cfg).factorization_seconds;
+            for (fault, plan) in [
+                ("crash", FaultPlan::new(11).with_crash(1, 0.5 * t)),
+                ("corrupt", FaultPlan::new(11).with_store_corruption(2, 1, 0, 0.4 * t)),
+            ] {
+                let r = simulate_cholesky_faulty(&snap, &cfg, &plan, 0.75 * t).unwrap();
+                writeln!(
+                    out,
+                    "des-{fault} {name} {} secs={:#018x} comm={}/{} crashes={} migrated={} \
+                     reexecuted={} corruptions={} imbalance={:#018x} order={:#018x}",
+                    policy.name(),
+                    r.factorization_seconds.to_bits(),
+                    r.comm.bytes,
+                    r.comm.messages,
+                    r.crashes,
+                    r.migrated_tasks,
+                    r.reexecuted_tasks,
+                    r.corruptions,
+                    r.load_imbalance.to_bits(),
+                    fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+                )
+                .unwrap();
+            }
+        }
+    }
+    out
+}
+
+const GOLDEN_FAULTY: &str = "\
+des-crash hicma panel-priority secs=0x3fcb2abfbea9cad4 comm=192618496/766 crashes=1 migrated=224 reexecuted=14 corruptions=0 imbalance=0x3ff2cc787fcb4de5 order=0x9b496d4f70a4b687
+des-corrupt hicma panel-priority secs=0x3fc8dc10fa65a57b comm=192618496/766 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff06218813e3f31 order=0xcb36baba007171d3
+des-crash hicma rank-lookahead secs=0x3fc84646e2808e46 comm=192618496/766 crashes=1 migrated=211 reexecuted=17 corruptions=0 imbalance=0x3ff2a4f832e77362 order=0x04962e170eb0a307
+des-corrupt hicma rank-lookahead secs=0x3fc212d0a630ae51 comm=192618496/766 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff063f5a2ff4bb8 order=0xd3845187e497b1ab
+des-crash lorapo panel-priority secs=0x3fc8d47443473dcf comm=180649984/990 crashes=1 migrated=321 reexecuted=41 corruptions=0 imbalance=0x3ff838e0e9537a04 order=0x70ef3ec012de51b2
+des-corrupt lorapo panel-priority secs=0x3fc69b32e73fc4fc comm=180649984/990 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff4f898f8c5d3e4 order=0x210208e5d2d1e591
+des-crash lorapo rank-lookahead secs=0x3fcf260852b44ace comm=180649984/990 crashes=1 migrated=625 reexecuted=72 corruptions=0 imbalance=0x3ff7aeddf3882609 order=0xdf1d8e611389262c
+des-corrupt lorapo rank-lookahead secs=0x3fc4850161b91ef1 comm=180649984/990 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff4f898f8c5d3e4 order=0x5d9874d6ac6f4901
+";
+
+#[test]
+fn priced_faults_match_the_recorded_goldens() {
+    let actual = actual_faulty();
+    assert!(actual == GOLDEN_FAULTY, "priced-fault drift; table now:\n{actual}");
 }
