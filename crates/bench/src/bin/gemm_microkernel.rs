@@ -7,17 +7,20 @@
 //!
 //! 1. **Gflop/s vs tile size** — `gemm_serial` (now routed through the
 //!    packed register-blocked microkernel) against a faithful copy of the
-//!    pre-microkernel column-sweep path, at b ∈ {64, 128, 256}. The
-//!    acceptance gate is ≥ 2x on every tile size (skipped when runtime
-//!    dispatch resolved to the scalar fallback, whose job is bit-identical
-//!    portability, not speed).
+//!    pre-microkernel column-sweep path, at b ∈ {64, 96, 100, 104, 128,
+//!    150, 200, 256}: multiples of the kernel's 8 rows and sizes with a
+//!    row tail (100, 150) side by side. The acceptance gate is ≥ 2x on
+//!    every tile size (skipped when runtime dispatch resolved to the
+//!    scalar fallback, whose job is bit-identical portability, not
+//!    speed).
 //! 2. **Batched vs unbatched panel update** — the same shared-memory TLR
 //!    factorization with `FactorConfig::batch_panels` on and off.
 //! 3. **Allocs/call** — a counting global allocator confirms the packed
 //!    path performs zero heap allocations per call in steady state (the
 //!    pack buffers are thread-local and grow to a high-water mark).
 //!
-//! `--smoke` shrinks everything to a CI-sized gate.
+//! `--smoke` shrinks everything to a CI-sized gate: b = 64 and b = 100,
+//! so a row tail that leaves the SIMD kernel fails the 2x gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,7 +171,8 @@ fn main() {
     let path = active_path();
     let simd = tlr_linalg::simd_available();
 
-    let tile_sizes: &[usize] = if smoke { &[64] } else { &[64, 128, 256] };
+    let tile_sizes: &[usize] =
+        if smoke { &[64, 100] } else { &[64, 96, 100, 104, 128, 150, 200, 256] };
     let mut points = Vec::new();
     for &b in tile_sizes {
         let reps = if smoke { 10 } else { (200_000_000 / (2 * b * b * b)).clamp(10, 200) };

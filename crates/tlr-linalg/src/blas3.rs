@@ -310,12 +310,14 @@ pub fn syrk_serial<'a>(
 /// Update the strip `c` of SYRK output columns `[j0, j0 + c.cols())`
 /// (full columns, `n` entries each).
 ///
-/// On the packed route the strip splits into a triangular head (the
-/// diagonal block's `i ≥ j` elements, computed scalar with the packed
-/// path's exact per-element operation order) and a rectangular body below
-/// it (a packed GEMM of the rows of `op(A)` under the strip against the
-/// strip's own rows of `op(A)`). The split point is partition-independent
-/// in value, so serial and parallel strip sweeps are bit-identical.
+/// On the packed route the strip splits into its diagonal block and a
+/// rectangular body below it, both packed GEMMs of rows of `op(A)`
+/// against the strip's own rows of `op(A)`. The body is written in place;
+/// the diagonal block is computed whole into a stack copy and only its
+/// `i ≥ j` elements are written back, so the strict upper triangle of `C`
+/// is never touched. Every element gets the packed path's per-element
+/// order wherever the strip boundaries fall, so serial and parallel
+/// strip sweeps are bit-identical.
 fn syrk_strip(
     route: Option<KernelPath>,
     trans: Trans,
@@ -325,46 +327,32 @@ fn syrk_strip(
     j0: usize,
     mut c: MatMut<'_>,
 ) {
-    let (n, je) = (c.rows(), j0 + c.cols());
+    let (n, w) = (c.rows(), c.cols());
+    let je = j0 + w;
     let Some(path) = route else {
         for j in j0..je {
             syrk_col(trans, alpha, a, beta, j, c.col_mut(j - j0));
         }
         return;
     };
-    for j in j0..je {
-        syrk_head_col(trans, alpha, a, beta, j, &mut c.col_mut(j - j0)[j..je]);
+    // op(A)·op(A)ᵀ: the second operand is transposed the other way.
+    let tb = if trans == Trans::No { Trans::Yes } else { Trans::No };
+    let own = op_rows(trans, a, j0..je);
+    let (mut head, body) = c.split_at_row(je);
+    // Both strip sweeps cut `C` into strips of at most `PAR_STRIP_COLS`.
+    let mut diag = [0.0; PAR_STRIP_COLS * PAR_STRIP_COLS];
+    let diag = &mut diag[..w * w];
+    for (t, d) in diag.chunks_exact_mut(w).enumerate() {
+        d.copy_from_slice(&head.as_ref().col(t)[j0..]);
+    }
+    let diag_view = MatMut::from_slice(diag, w, w);
+    microkernel::gemm_packed(path, trans, tb, alpha, own, own, beta, diag_view);
+    for (t, d) in diag.chunks_exact(w).enumerate() {
+        head.col_mut(t)[j0 + t..].copy_from_slice(&d[t..]);
     }
     if je < n {
-        // op(A)·op(A)ᵀ: the second operand is transposed the other way.
-        let tb = if trans == Trans::No { Trans::Yes } else { Trans::No };
-        let (below, own) = (op_rows(trans, a, je..n), op_rows(trans, a, j0..je));
-        microkernel::gemm_packed(path, trans, tb, alpha, below, own, beta, c.subrows(je..n));
-    }
-}
-
-/// Scalar evaluation of the `i ≥ j` elements of one diagonal-block SYRK
-/// column (`cseg[t]` is element `(j + t, j)`), using the packed path's
-/// per-element contract: one `beta` scaling, then [`f64::mul_add`] in
-/// ascending `p` with `alpha · op(A)ᵀ` rounded per term.
-fn syrk_head_col(trans: Trans, alpha: f64, a: MatRef<'_>, beta: f64, j: usize, cseg: &mut [f64]) {
-    let k = op_dims(trans, a).1;
-    for (t, cv) in cseg.iter_mut().enumerate() {
-        let i = j + t;
-        let mut v = if beta == 0.0 { 0.0 } else { beta * *cv };
-        match trans {
-            Trans::No => {
-                for p in 0..k {
-                    v = a[(i, p)].mul_add(alpha * a[(j, p)], v);
-                }
-            }
-            Trans::Yes => {
-                for p in 0..k {
-                    v = a[(p, i)].mul_add(alpha * a[(p, j)], v);
-                }
-            }
-        }
-        *cv = v;
+        let below = op_rows(trans, a, je..n);
+        microkernel::gemm_packed(path, trans, tb, alpha, below, own, beta, body);
     }
 }
 
@@ -440,30 +428,27 @@ pub fn trsm<'a>(
     }
     match (side, uplo, trans) {
         (Side::Left, Uplo::Lower, Trans::No) => {
-            // forward substitution on each column of B
+            // Forward substitution, column form: x_p = b_p / a_pp, then
+            // b[p+1..] −= a[p+1.., p] · x_p. Entry i still sees
+            // b_i − a_i0·x_0 − … − a_i,i−1·x_{i−1}, then the division.
             for j in 0..n {
                 let col = b.col_mut(j);
-                for i in 0..m {
-                    let mut v = col[i];
-                    for p in 0..i {
-                        v -= a[(i, p)] * col[p];
+                for p in 0..m {
+                    let ap = a.col(p);
+                    let x = col[p] / ap[p];
+                    col[p] = x;
+                    for (ci, &l) in col[p + 1..].iter_mut().zip(&ap[p + 1..]) {
+                        *ci -= l * x;
                     }
-                    col[i] = v / a[(i, i)];
                 }
             }
         }
         (Side::Left, Uplo::Lower, Trans::Yes) => {
-            // backward substitution with Aᵀ (upper triangular)
-            for j in 0..n {
-                let col = b.col_mut(j);
-                for i in (0..m).rev() {
-                    let mut v = col[i];
-                    for p in i + 1..m {
-                        v -= a[(p, i)] * col[p];
-                    }
-                    col[i] = v / a[(i, i)];
-                }
-            }
+            // Backward substitution with Aᵀ: entry i is a dot of column i
+            // of A below the diagonal with the solved entries, in
+            // ascending p — four right-hand sides per pass so that four
+            // independent chains overlap.
+            b.by_fours(|x4| backward_lt(a, x4), |x| backward_lt(a, [x]));
         }
         (Side::Right, Uplo::Lower, Trans::Yes) => {
             // X · Aᵀ = B  with A lower  ⇒  process columns of X left→right:
@@ -501,6 +486,28 @@ pub fn trsm<'a>(
                     *v /= d;
                 }
             }
+        }
+    }
+}
+
+/// Solve `Lᵀ·x = b` in place on `N` right-hand sides, `L` the lower
+/// triangle of `a`: `x_i = (b_i − Σ_{p>i} a[p,i]·x_p) / a[i,i]`, the sum
+/// in ascending `p`. The `N` subtraction chains are independent, so the
+/// core overlaps them; each one is the single-column chain.
+fn backward_lt<const N: usize>(a: MatRef<'_>, x: [&mut [f64]; N]) {
+    let m = a.rows();
+    for i in (0..m).rev() {
+        let below = &a.col(i)[i + 1..];
+        let mut v: [f64; N] = std::array::from_fn(|l| x[l][i]);
+        let solved: [&[f64]; N] = std::array::from_fn(|l| &x[l][i + 1..m]);
+        for (t, &ap) in below.iter().enumerate() {
+            for l in 0..N {
+                v[l] -= ap * solved[l][t];
+            }
+        }
+        let d = a[(i, i)];
+        for l in 0..N {
+            x[l][i] = v[l] / d;
         }
     }
 }

@@ -32,28 +32,37 @@ const NB: usize = 64;
 ///
 /// On success the lower triangle of `a` holds `L`; the strict upper
 /// triangle is left untouched (callers that need a clean `L` can call
-/// [`crate::Matrix::zero_upper`]).
+/// [`crate::Matrix::zero_upper`]). On `Err`, columns before `pivot` hold
+/// their columns of `L` and the lower triangle from column `pivot` on is
+/// unspecified.
+///
+/// Column form: column `j` receives `col_j[j..] −= a[j,p] · col_p[j..]` in
+/// ascending `p`, then the pivot test, the square root and the division.
+/// Every entry sees the subtractions, in the order, of the textbook dot
+/// form `a[i,j] − Σ_p a[i,p]·a[j,p]`, so the factor has the same bits;
+/// the loops run down contiguous columns instead of along rows.
 pub fn potrf_unblocked<'a>(a: impl Into<MatMut<'a>>) -> Result<(), CholeskyError> {
     let mut a = a.into();
     assert_eq!(a.rows(), a.cols(), "potrf requires a square matrix");
     let n = a.rows();
     for j in 0..n {
-        let mut d = a[(j, j)];
+        let (done, rest) = a.as_mut().split_at_col(j);
+        let (done, mut rest) = (done.as_ref(), rest.subrows(j..n));
+        let col = rest.col_mut(0);
         for p in 0..j {
-            let v = a[(j, p)];
-            d -= v * v;
+            let w = done[(j, p)];
+            for (ci, &lp) in col.iter_mut().zip(&done.col(p)[j..]) {
+                *ci -= w * lp;
+            }
         }
+        let d = col[0];
         if d <= 0.0 || !d.is_finite() {
             return Err(CholeskyError { pivot: j });
         }
         let d = d.sqrt();
-        a[(j, j)] = d;
-        for i in j + 1..n {
-            let mut v = a[(i, j)];
-            for p in 0..j {
-                v -= a[(i, p)] * a[(j, p)];
-            }
-            a[(i, j)] = v / d;
+        col[0] = d;
+        for v in &mut col[1..] {
+            *v /= d;
         }
     }
     Ok(())

@@ -499,6 +499,27 @@ impl<'a> MatMut<'a> {
             Some(head)
         })
     }
+
+    /// Hand the block's columns to `four` four at a time and the last
+    /// `cols % 4` to `one`, as mutable slices that share no entry: the
+    /// shape of a kernel that interleaves four independent column chains.
+    pub(crate) fn by_fours(
+        self,
+        mut four: impl FnMut([&'a mut [f64]; 4]),
+        mut one: impl FnMut(&'a mut [f64]),
+    ) {
+        let mut cols = self.col_chunks(1).map(|c| {
+            // SAFETY: a one-column block is `rows` consecutive entries,
+            // borrowed exclusively for `'a`.
+            unsafe { std::slice::from_raw_parts_mut(c.ptr, c.rows) }
+        });
+        loop {
+            match [cols.next(), cols.next(), cols.next(), cols.next()] {
+                [Some(c0), Some(c1), Some(c2), Some(c3)] => four([c0, c1, c2, c3]),
+                tail => return tail.into_iter().flatten().for_each(&mut one),
+            }
+        }
+    }
 }
 
 impl<'a> From<&'a Matrix> for MatRef<'a> {

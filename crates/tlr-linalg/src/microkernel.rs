@@ -35,7 +35,11 @@
 //! the same per-element operation sequence, so the SIMD and scalar paths
 //! produce **bit-identical** output (property-tested in this module).
 //! This is what keeps the crate's any-thread-count bit-identity contract
-//! intact on machines with and without AVX2.
+//! intact on machines with and without AVX2. Each path runs one kernel
+//! over the whole product: on the SIMD path a row tail (`MR ∤ m`) runs
+//! the AVX2 kernel on a stack copy of its block, so a tile size such as
+//! 100 or 150 never falls back to the scalar body (whose `mul_add` is a
+//! library call in a build without `+fma`).
 //!
 //! # Runtime dispatch
 //!
@@ -251,10 +255,55 @@ unsafe fn kern_simd<const NRB: usize>(
     }
 }
 
+/// [`kern_simd`] on the `mr × nrb` block `c` (`mr ≤ MR`, `nrb ≤ NR`).
+///
+/// A full-height block is updated in place. A row tail (`mr < MR`, when
+/// `MR ∤ m`) runs on an `MR × nrb` stack copy: its padding rows meet the
+/// zero-padded rows of the A panel, and only the `mr` real rows are
+/// written back. The kernel computes every element on its own, so a real
+/// row sees exactly the operations it would see in place.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available; `ap` and `w` as for [`kern_simd`] with
+/// `ws = kc`.
+#[cfg(target_arch = "x86_64")]
+unsafe fn simd_block(
+    kc: usize,
+    ap: *const f64,
+    w: *const f64,
+    mut c: MatMut<'_>,
+    first: bool,
+    beta: f64,
+) {
+    let (mr, nrb) = (c.rows(), c.cols());
+    let kern = |cp: *mut f64, ldc: usize| match nrb {
+        4 => kern_simd::<4>(kc, ap, w, kc, cp, ldc, first, beta),
+        3 => kern_simd::<3>(kc, ap, w, kc, cp, ldc, first, beta),
+        2 => kern_simd::<2>(kc, ap, w, kc, cp, ldc, first, beta),
+        _ => kern_simd::<1>(kc, ap, w, kc, cp, ldc, first, beta),
+    };
+    if mr == MR {
+        // Rows `0..MR` of columns `0..nrb` are the exclusively borrowed
+        // block itself.
+        let ldc = c.stride();
+        return kern(c.as_mut_ptr(), ldc);
+    }
+    let mut tile = [0.0; MR * NR];
+    for j in 0..nrb {
+        tile[j * MR..j * MR + mr].copy_from_slice(c.as_ref().col(j));
+    }
+    // The tile holds `MR` rows of `nrb ≤ NR` columns at stride `MR`.
+    kern(tile.as_mut_ptr(), MR);
+    for j in 0..nrb {
+        c.col_mut(j).copy_from_slice(&tile[j * MR..j * MR + mr]);
+    }
+}
+
 /// Portable mirror of [`kern_simd`] on the `mr × nrb` block `c`: same
 /// blocking, same per-element operation order, [`f64::mul_add`] for the
-/// fused accumulate. Also handles row tails (`mr < MR`), which the SIMD
-/// path never sees.
+/// fused accumulate. This is the whole of the `Scalar` route, row tails
+/// included.
 fn kern_scalar(
     kc: usize,
     ap: &[f64],
@@ -321,7 +370,6 @@ pub(crate) fn gemm_packed(
         return;
     }
     let simd = matches!(path, KernelPath::Simd) && simd_available();
-    let ldc = c.stride();
     let npanels = m.div_ceil(MR);
     let kc_max = KC.min(k);
     PACK.with(|p| {
@@ -346,30 +394,19 @@ pub(crate) fn gemm_packed(
                 for ib in 0..npanels {
                     let i0 = ib * MR;
                     let mr = MR.min(m - i0);
+                    let block = c.as_mut().block(i0, jj, mr, nrb);
                     #[cfg(target_arch = "x86_64")]
-                    if simd && mr == MR {
+                    if simd {
                         let ap = bufs.a[ib * MR * kc..].as_ptr();
                         let wp = bufs.w[jj * kc..].as_ptr();
                         // SAFETY: feature-checked above; the packing
-                        // established the panel and W extents; rows
-                        // `i0..i0 + MR` of columns `jj..jj + nrb` lie in the
-                        // exclusively borrowed `m × n` block `c` (its shape
-                        // was checked by `gemm_dims`).
-                        unsafe {
-                            let cp = c.as_mut_ptr().add(jj * ldc + i0);
-                            match nrb {
-                                4 => kern_simd::<4>(kc, ap, wp, kc, cp, ldc, first, beta),
-                                3 => kern_simd::<3>(kc, ap, wp, kc, cp, ldc, first, beta),
-                                2 => kern_simd::<2>(kc, ap, wp, kc, cp, ldc, first, beta),
-                                _ => kern_simd::<1>(kc, ap, wp, kc, cp, ldc, first, beta),
-                            }
-                        }
+                        // established the panel and W extents.
+                        unsafe { simd_block(kc, ap, wp, block, first, beta) };
                         continue;
                     }
                     #[cfg(not(target_arch = "x86_64"))]
                     let _ = simd;
                     let ap = &bufs.a[ib * MR * kc..(ib + 1) * MR * kc];
-                    let block = c.as_mut().block(i0, jj, mr, nrb);
                     kern_scalar(kc, ap, &bufs.w[jj * kc..], kc, block, first, beta);
                 }
                 jj += nrb;

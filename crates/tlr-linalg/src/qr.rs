@@ -6,7 +6,7 @@
 //! numerical rank at that threshold. [`Qr`] (unpivoted, thin) is used by the
 //! low-rank recompression path where the inputs are tall-and-skinny.
 
-use crate::matrix::Matrix;
+use crate::matrix::{MatMut, Matrix};
 use crate::norms::frobenius_norm_slice;
 
 /// Thin Householder QR factorization `A = Q·R` of an `m × n` matrix
@@ -35,9 +35,7 @@ impl Qr {
         taus.resize(k, 0.0);
         for (j, tau) in taus.iter_mut().enumerate() {
             *tau = make_householder(&mut a, j, j);
-            if j + 1 < n {
-                apply_householder_left(&mut a, j, j, *tau, j + 1);
-            }
+            apply_householder_left(&mut a, j, *tau);
         }
         Self { factors: a, taus }
     }
@@ -175,55 +173,58 @@ fn make_householder(a: &mut Matrix, row: usize, col: usize) -> f64 {
 }
 
 /// Apply the reflector `I − τ·v·vᵀ` held in slice `v` (with `v[0]`
-/// implicit 1 — the slot stores β) to the column slice `cj` of equal
-/// length.
-#[inline]
-fn reflect_column(v: &[f64], tau: f64, cj: &mut [f64]) {
-    let mut w = cj[0];
-    for (vi, ci) in v[1..].iter().zip(cj[1..].iter()) {
-        w += vi * ci;
-    }
-    w *= tau;
-    cj[0] -= w;
-    for (vi, ci) in v[1..].iter().zip(cj[1..].iter_mut()) {
-        *ci -= w * vi;
-    }
-}
-
-/// Apply the reflector stored in column `col` (rows `row..`) of `a` to
-/// columns `from_col..` of `a` itself (the classic in-place panel
-/// update). Requires `from_col > col`; the reflector column and the
-/// updated columns are disjoint, so no copy of `v` is taken — the old
-/// per-reflector `Vec` allocation was a measurable cost of the TLR
-/// recompression hot path.
-fn apply_householder_left(a: &mut Matrix, row: usize, col: usize, tau: f64, from_col: usize) {
+/// implicit 1 — the slot stores β) to every column of `block`, which has
+/// `v.len()` rows. This is the one Householder application: every QR entry
+/// point reaches it.
+///
+/// Column `c` gets `w = c[0] + Σ_{i≥1} v[i]·c[i]` summed in ascending `i`,
+/// `w *= τ`, then `c[0] −= w` and `c[i] −= w·v[i]`. Columns go four at a
+/// time, their four dot chains interleaved: the chains are independent, so
+/// the core overlaps them, and each is exactly the one-column chain.
+fn reflect(v: &[f64], tau: f64, block: MatMut<'_>) {
     if tau == 0.0 {
         return;
     }
-    debug_assert!(from_col > col, "reflector column must precede the updated panel");
-    let m = a.rows();
-    let n = a.cols();
-    let (head, tail) = a.as_mut_slice().split_at_mut((col + 1) * m);
-    let v = &head[col * m + row..(col + 1) * m];
-    for j in from_col..n {
-        let start = (j - col - 1) * m + row;
-        reflect_column(v, tau, &mut tail[start..start + m - row]);
+    debug_assert_eq!(block.rows(), v.len());
+    block.by_fours(|c4| reflect_cols(v, tau, c4), |c| reflect_cols(v, tau, [c]));
+}
+
+/// [`reflect`] on `N` columns at once.
+#[inline]
+fn reflect_cols<const N: usize>(v: &[f64], tau: f64, c: [&mut [f64]; N]) {
+    let v = &v[1..];
+    let mut w: [f64; N] = std::array::from_fn(|l| c[l][0]);
+    let rest: [&[f64]; N] = std::array::from_fn(|l| &c[l][1..=v.len()]);
+    for (i, &vi) in v.iter().enumerate() {
+        for l in 0..N {
+            w[l] += vi * rest[l][i];
+        }
     }
+    for (l, cl) in c.into_iter().enumerate() {
+        let wl = w[l] * tau;
+        cl[0] -= wl;
+        for (ci, &vi) in cl[1..].iter_mut().zip(v) {
+            *ci -= wl * vi;
+        }
+    }
+}
+
+/// Apply the reflector stored in column `col` (rows `col..`) of `a` to
+/// columns `col + 1..` of `a` itself (the classic in-place panel update).
+/// The reflector column and the updated columns are disjoint views of
+/// `a`, so no copy of `v` is taken.
+fn apply_householder_left(a: &mut Matrix, col: usize, tau: f64) {
+    let m = a.rows();
+    let (head, tail) = a.as_mut().split_at_col(col + 1);
+    reflect(&head.as_ref().col(col)[col..], tau, tail.subrows(col..m));
 }
 
 /// Apply the reflector stored in `factors` column `col` to the rows
 /// `col..` of every column of `target` (used when forming or implicitly
 /// applying `Q`). Allocation-free: `factors` and `target` are distinct.
 fn apply_stored_reflector(factors: &Matrix, col: usize, tau: f64, target: &mut Matrix) {
-    if tau == 0.0 {
-        return;
-    }
     let m = factors.rows();
-    let v = &factors.col(col)[col..m];
-    for j in 0..target.cols() {
-        let cj = &mut target.col_mut(j)[col..m];
-        reflect_column(v, tau, cj);
-    }
+    reflect(&factors.col(col)[col..m], tau, target.as_mut().subrows(col..m));
 }
 
 /// Rank-revealing QR with column pivoting, truncated at an absolute
@@ -336,9 +337,7 @@ impl ColPivQr {
                 colnorm2_ref.swap(rank, jmax);
             }
             let tau = make_householder(a, rank, rank);
-            if rank + 1 < n {
-                apply_householder_left(a, rank, rank, tau, rank + 1);
-            }
+            apply_householder_left(a, rank, tau);
             taus.push(tau);
             // Downdate trailing column norms: subtract the just-eliminated row.
             for j in rank + 1..n {

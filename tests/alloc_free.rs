@@ -168,3 +168,84 @@ fn simulation_allocations_do_not_grow_with_the_task_count() {
         "{small} allocations for {small_tasks} tasks, {large} for {large_tasks}"
     );
 }
+
+/// The dense routines that run their loops in overlapping orders keep the
+/// allocation contract: after one warm-up pass every call — a QR and its
+/// implicit `Q` on recycled buffers, a pivoted QR through its scratch, both
+/// left solves, a blocked POTRF, a SYRK whose diagonal blocks go through a
+/// stack tile and a GEMM whose row tail does — touches the heap zero times.
+#[test]
+fn reordered_dense_routines_allocate_nothing_in_steady_state() {
+    use hicma_parsec::linalg::{
+        gemm_serial, potrf, syrk_serial, trsm, ColPivQr, ColPivScratch, Qr, Side, Trans, Uplo,
+    };
+    // b = 100 is not a multiple of the microkernel's 8 rows, so the GEMM
+    // has a row tail; POTRF (b > 64) runs blocked, through a right solve
+    // and a SYRK of its own.
+    let b = 100usize;
+    let input = mixed_factor(b, 24, 0.5, 0.8, 7);
+    let tile = Matrix::from_fn(b, b, |i, j| {
+        let d = (i as f64 - j as f64 + 40.0) / 30.0;
+        (-d * d).exp()
+    });
+    let spd = Matrix::from_fn(b, b, |i, j| {
+        let d = (i as f64 - j as f64) / 8.0;
+        (-d * d).exp() + if i == j { 1.0 } else { 0.0 }
+    });
+    let x = mixed_factor(24, 24, 1.0, 0.9, 8);
+    let rhs = mixed_factor(b, 9, 2.0, 0.9, 9);
+
+    let (mut qr_store, mut taus, mut qx) = (Matrix::zeros(0, 0), Vec::new(), Matrix::zeros(0, 0));
+    let (mut cp_store, mut cp_scratch) = (Matrix::zeros(0, 0), ColPivScratch::default());
+    let (mut rt, mut q) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let (mut l, mut sol, mut c) = (spd.clone(), rhs.clone(), spd.clone());
+
+    let mut counts = [0u64; 7];
+    for _pass in 0..3 {
+        let mut step = 0;
+        let mut count = |f: &mut dyn FnMut()| {
+            let before = allocs();
+            f();
+            counts[step] = allocs() - before;
+            step += 1;
+        };
+        count(&mut || {
+            qr_store.reset(input.rows(), input.cols());
+            qr_store.as_mut_slice().copy_from_slice(input.as_slice());
+            let storage = std::mem::replace(&mut qr_store, Matrix::zeros(0, 0));
+            let f = Qr::new_in(storage, std::mem::take(&mut taus));
+            f.apply_q(&x, &mut qx);
+            (qr_store, taus) = f.into_parts();
+        });
+        count(&mut || {
+            cp_store.reset(b, b);
+            cp_store.as_mut_slice().copy_from_slice(tile.as_slice());
+            let mut f = ColPivQr::unfactored_in(
+                std::mem::replace(&mut cp_store, Matrix::zeros(0, 0)),
+                std::mem::take(&mut cp_scratch),
+            );
+            f.advance(1e-8, usize::MAX);
+            f.rt_into(&mut rt);
+            q.reset(b, f.rank());
+            for j in 0..f.rank() {
+                q[(j, j)] = 1.0;
+            }
+            f.apply_q_in_place(&mut q);
+            (cp_store, cp_scratch) = f.into_parts();
+        });
+        count(&mut || {
+            l.as_mut_slice().copy_from_slice(spd.as_slice());
+            potrf(&mut l).expect("SPD fixture");
+        });
+        count(&mut || {
+            sol.as_mut_slice().copy_from_slice(rhs.as_slice());
+            trsm(Side::Left, Uplo::Lower, Trans::No, 1.0, &l, &mut sol);
+        });
+        count(&mut || trsm(Side::Left, Uplo::Lower, Trans::Yes, 1.0, &l, &mut sol));
+        count(&mut || syrk_serial(Trans::No, -1.0, &input, 1.0, &mut c));
+        count(&mut || gemm_serial(Trans::No, Trans::Yes, -1.0, &input, &input, 1.0, &mut c));
+    }
+    let names =
+        ["qr + apply_q", "pivoted qr", "potrf", "trsm left-no", "trsm left-trans", "syrk", "gemm"];
+    assert_eq!(counts, [0; 7], "steady-state allocations per call of {names:?}");
+}

@@ -336,3 +336,302 @@ fn dense_layer_matches_the_recorded_goldens() {
         moved.join("\n")
     );
 }
+
+// ---- Loop-order goldens ---------------------------------------------------
+//
+// Appended, with every line above left as it was, at the commit before the
+// dense loops were put in orders the core can overlap (GEMM row tails and
+// the SYRK head on the SIMD kernel, four-column Householder reflections,
+// column-oriented POTRF and left TRSM). They pin the shapes those orders
+// meet that the table above does not: row tails at b ∤ 8, k > KC, SYRK
+// strips past the first, unblocked POTRF including its failing pivot, every
+// TRSM variant at 1, 4, 5 and 256 right-hand sides, each Householder
+// entry point on tall, wide and τ = 0 inputs, the pivoted QR and the SVD
+// of recompression, tile compression, and the diagonal-shift retry of
+// `factorize`.
+
+use hicma_parsec::linalg::{jacobi_svd_into, potrf_unblocked, ColPivQr, Qr, Svd, SvdWork};
+use hicma_parsec::tlr::compress_tile;
+
+/// A Gaussian-kernel block between two 1D point sets `offset` apart: the
+/// smooth, graded input of tile compression.
+fn gaussian_tile(rows: usize, cols: usize, offset: f64, width: f64) -> Matrix {
+    Matrix::from_fn(rows, cols, |i, j| {
+        let d = (i as f64 - j as f64 + offset) / width;
+        (-d * d).exp()
+    })
+}
+
+/// The bits of every Householder entry point of a [`Qr`] of `a`.
+fn qr_line(name: &str, a: Matrix) -> String {
+    let (m, n) = (a.rows(), a.cols());
+    let qr = Qr::new_in(a, vec![7.0; 3]);
+    let k = qr.k();
+    let mut r = Matrix::zeros(0, 0);
+    qr.r_into(&mut r);
+    let x = rand_mat(k, 9, 91 + (m * n) as u64);
+    let mut qx = Matrix::zeros(0, 0);
+    qr.apply_q(&x, &mut qx);
+    let mut qtx = rand_mat(m, 6, 92 + (m * n) as u64);
+    qr.apply_qt(&mut qtx);
+    let q = qr.q_thin();
+    let (factors, taus) = qr.into_parts();
+    format!(
+        "qr {name} m={m} n={n} factors={:#018x} taus={:#018x} r={:#018x} q={:#018x} \
+         apply_q={:#018x} apply_qt={:#018x}",
+        bits(factors.as_slice()),
+        bits(&taus),
+        bits(r.as_slice()),
+        bits(q.as_slice()),
+        bits(qx.as_slice()),
+        bits(qtx.as_slice())
+    )
+}
+
+fn actual_loop_orders() -> String {
+    let mut out = String::new();
+
+    // Row tails (100 = 12·8 + 4, 150 = 18·8 + 6), column tails, one
+    // column (the unpacked sweep) and k on both sides of KC = 256.
+    for m in [100usize, 150] {
+        for n in [1usize, 3, 4, 150] {
+            for k in [20usize, 150, 300] {
+                let mut hashes = Vec::new();
+                for (ta, tb) in [
+                    (Trans::No, Trans::No),
+                    (Trans::No, Trans::Yes),
+                    (Trans::Yes, Trans::No),
+                    (Trans::Yes, Trans::Yes),
+                ] {
+                    let (ar, ac) = shape(ta, m, k);
+                    let (br, bc) = shape(tb, k, n);
+                    let a = rand_mat(ar, ac, 151 + (m * k) as u64);
+                    let b = rand_mat(br, bc, 152 + (k * n) as u64);
+                    let mut c = rand_mat(m, n, 153 + (m * n) as u64);
+                    gemm_serial(ta, tb, 1.3, &a, &b, 0.7, &mut c);
+                    let mut c0 = Matrix::from_fn(m, n, |_, _| f64::NAN);
+                    gemm_serial(ta, tb, -1.0, &a, &b, 0.0, &mut c0);
+                    hashes.push(format!("{:#018x}/{:#018x}", bits(c.as_slice()), bits(c0.as_slice())));
+                }
+                writeln!(out, "gemm tails m={m} n={n} k={k} nn,nt,tn,tt={}", hashes.join(",")).unwrap();
+            }
+        }
+    }
+
+    // Several 32-column strips, each with its own diagonal head, over
+    // (k = 150) and under (k = 37) a tile's width.
+    for n in [100usize, 150] {
+        for k in [37usize, 150] {
+            for (trans, name) in [(Trans::No, "no"), (Trans::Yes, "trans")] {
+                let (ar, ac) = shape(trans, n, k);
+                let a = rand_mat(ar, ac, 161 + (n * k) as u64);
+                let mut c = rand_mat(n, n, 162 + n as u64);
+                syrk_serial(trans, -1.0, &a, 1.0, &mut c);
+                let mut c0 = Matrix::from_fn(n, n, |_, _| f64::NAN);
+                syrk_serial(trans, 0.5, &a, 0.0, &mut c0);
+                let lower_only: Vec<f64> = (0..n).flat_map(|j| c0.col(j)[j..].to_vec()).collect();
+                writeln!(
+                    out,
+                    "syrk strips {name} n={n} k={k} beta1={:#018x} beta0={:#018x}",
+                    bits(c.as_slice()),
+                    bits(&lower_only)
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    for n in [1usize, 2, 37, 64] {
+        let mut a = spd(n, 170 + n as u64);
+        potrf_unblocked(&mut a).expect("SPD fixture");
+        writeln!(out, "potrf_unblocked n={n} {:#018x}", bits(a.as_slice())).unwrap();
+    }
+    // A pivot that fails only after the columns before it have updated it.
+    let mut a = spd(37, 177);
+    a[(20, 20)] -= 30.0;
+    let err = potrf_unblocked(&mut a).expect_err("indefinite fixture");
+    let head: Vec<f64> = (0..err.pivot).flat_map(|j| a.col(j)[j..].to_vec()).collect();
+    writeln!(out, "potrf_unblocked failing pivot={} factored={:#018x}", err.pivot, bits(&head))
+        .unwrap();
+
+    for order in [37usize, 150] {
+        for width in [1usize, 4, 5, 256] {
+            let mut hashes = Vec::new();
+            for (side, trans) in [
+                (Side::Left, Trans::No),
+                (Side::Left, Trans::Yes),
+                (Side::Right, Trans::No),
+                (Side::Right, Trans::Yes),
+            ] {
+                let (m, n) = if side == Side::Left { (order, width) } else { (width, order) };
+                let a = lower(order, 181 + order as u64);
+                let mut b = rand_mat(m, n, 182 + (m * n) as u64);
+                let alpha = if width == 5 { -0.75 } else { 1.0 };
+                trsm(side, Uplo::Lower, trans, alpha, &a, &mut b);
+                hashes.push(format!("{:#018x}", bits(b.as_slice())));
+            }
+            writeln!(
+                out,
+                "trsm order={order} rhs={width} left-no,left-trans,right-no,right-trans={}",
+                hashes.join(",")
+            )
+            .unwrap();
+        }
+    }
+
+    for kt in [1usize, 4, 5, 7, 56] {
+        writeln!(out, "{}", qr_line("tall", decaying(150, kt, 190 + kt as u64))).unwrap();
+    }
+    writeln!(out, "{}", qr_line("wide", rand_mat(20, 37, 197))).unwrap();
+    // Column 1 is subnormal-scale: its reflector has τ = 0.
+    let tiny = Matrix::from_fn(150, 5, |i, j| {
+        let v = ((i * 7 + j * 3) % 13) as f64 - 6.0;
+        if j == 1 {
+            1e-300 * v
+        } else {
+            v / 13.0
+        }
+    });
+    writeln!(out, "{}", qr_line("tau0", tiny)).unwrap();
+
+    let tile = gaussian_tile(200, 200, 60.0, 40.0);
+    let f = ColPivQr::with_tolerance(tile, 1e-8, usize::MAX);
+    let mut rt = Matrix::zeros(0, 0);
+    f.rt_into(&mut rt);
+    let perm: Vec<u64> = f.perm().iter().map(|&p| p as u64).collect();
+    writeln!(
+        out,
+        "colpiv gaussian 200x200 rank={} perm={:#018x} factors={:#018x} q={:#018x} rt={:#018x}",
+        f.rank(),
+        fnv(perm.into_iter()),
+        bits(f.factors().as_slice()),
+        bits(f.q_thin().as_slice()),
+        bits(rt.as_slice())
+    )
+    .unwrap();
+
+    // A graded core: columns of a random basis scaled by 0.7^c.
+    let core = {
+        let r = rand_mat(56, 56, 199);
+        Matrix::from_fn(56, 56, |i, c| r[(i, c)] * 0.7f64.powi(c as i32))
+    };
+    let (mut svd, mut work) = (Svd::empty(), SvdWork::new());
+    jacobi_svd_into(&core, 1e-9, &mut svd, &mut work);
+    writeln!(
+        out,
+        "jacobi_svd graded 56x56 floor=1e-9 k={} u={:#018x} s={:#018x} v={:#018x} discarded={:#018x}",
+        svd.s.len(),
+        bits(svd.u.as_slice()),
+        bits(&svd.s),
+        bits(svd.v.as_slice()),
+        svd.discarded.to_bits()
+    )
+    .unwrap();
+
+    for eps in [1e-4, 1e-8] {
+        let t = compress_tile(gaussian_tile(150, 150, 90.0, 50.0), &CompressionConfig::with_accuracy(eps));
+        writeln!(out, "compress_tile eps={eps:e} {}", tile_bits(&t)).unwrap();
+    }
+
+    // Barely indefinite: the first attempt fails a pivot, the retry
+    // restores the input and factors `A + εI`.
+    let n = 96usize;
+    let dense = Matrix::from_fn(n, n, |i, j| {
+        let d = (i as f64 - j as f64) / 16.0;
+        (-d * d).exp() - if i == j { 1e-7 } else { 0.0 }
+    });
+    let mut m = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(1e-8));
+    let mut cfg = FactorConfig::with_accuracy(1e-8);
+    cfg.max_shift_retries = 5;
+    let report = factorize(&mut m, &cfg).expect("the retry rescues the fixture");
+    let tiles: Vec<u64> = (0..m.nt())
+        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+        .map(|(i, j)| fnv(tile_bits(m.tile(i, j)).bytes().map(u64::from)))
+        .collect();
+    writeln!(
+        out,
+        "factorize shift retry attempts={} shift={:#018x} factor={:#018x}",
+        report.shift_attempts,
+        report.diagonal_shift.to_bits(),
+        fnv(tiles.into_iter())
+    )
+    .unwrap();
+    out
+}
+
+const GOLDEN_LOOP_ORDERS: &str = "\
+gemm tails m=100 n=1 k=20 nn,nt,tn,tt=0x518be341feb90ebd/0x1ea70cb7d972cb52,0x518be341feb90ebd/0x1ea70cb7d972cb52,0x2dc4235261f716f0/0x77432ef86ea18dd0,0x173d5a2bf008d0e8/0x77432ef86ea18dd0
+gemm tails m=100 n=1 k=150 nn,nt,tn,tt=0xd154a7e122f4deeb/0x0b5ef8ec9daa0e90,0xd154a7e122f4deeb/0x0b5ef8ec9daa0e90,0x4c1a4968af16bdf6/0xa49c6afb4f6fb7af,0xc2bfee93a082c752/0xa49c6afb4f6fb7af
+gemm tails m=100 n=1 k=300 nn,nt,tn,tt=0x7cd9b0b756c2b9a0/0xa4d170132ac04aaf,0x7cd9b0b756c2b9a0/0xa4d170132ac04aaf,0xeb710163e78028cc/0x549e9680e31a59da,0x7afde478670d677a/0x549e9680e31a59da
+gemm tails m=100 n=3 k=20 nn,nt,tn,tt=0x5c5609bf23aed0a9/0x18bbc3ac12136644,0x0b564dc35ae6e4d5/0xd94c509d776dd6bd,0x22a154db24b5940a/0x2f36693c39e665f6,0xcb679f9bf7d0f80b/0xa335af825cc4113c
+gemm tails m=100 n=3 k=150 nn,nt,tn,tt=0x11590f0b0b388722/0x45e6cfac735dad96,0xb68b571132b02039/0xfb5f06f1d89d2170,0xd90f5e4b52b71fcf/0x7a4258b2e9aef00d,0x860348fc0431e461/0x7279ae03ae81f175
+gemm tails m=100 n=3 k=300 nn,nt,tn,tt=0x447f9e3fdd4a8479/0xfe666a31ed946b3e,0x334328499ed52282/0x9125820636c81e13,0x7f94537207d10d29/0x660f5c92f8067f52,0xfffc34296eac97b6/0x6d61b317ecc325c5
+gemm tails m=100 n=4 k=20 nn,nt,tn,tt=0x937024360c79c2e7/0x0d7f30ff6ea98502,0x573e72369a065f69/0xf2c7d2370a7ffb37,0xc309720f257cdc28/0xd8db1753a0425e5a,0x8aac2d343178ff4c/0xc1bcf7ed2f12aed1
+gemm tails m=100 n=4 k=150 nn,nt,tn,tt=0x268a94f704ac25b7/0xe975b8b19230634f,0x32844fc86022e743/0x26028cc3ce6391c9,0x07e899722c1826fb/0x827e968b7cd5e591,0x0ca435f502ff4f4a/0x3dda6fa8a3c927e9
+gemm tails m=100 n=4 k=300 nn,nt,tn,tt=0x16d854665d6d7381/0x7fa43cdd0ba5f290,0x84e87438fa3c19b9/0xf03e84abdab17b35,0xa16d795c2bf54091/0xd8ca0b7a38d6147f,0x139373dff8ab1f67/0x386777f5dbd4a766
+gemm tails m=100 n=150 k=20 nn,nt,tn,tt=0x8c3bd0c9df1b5f03/0x41e96305b32ac536,0xe2c2f664a0b25fd3/0x7aed09bdbb497ccb,0xe7abfc3bc8ce1415/0x60ede71e70838fa2,0x28233eb345f6b422/0xe501295de7f5cea1
+gemm tails m=100 n=150 k=150 nn,nt,tn,tt=0xfeb569499fbb187c/0x521b7ed1be806bd6,0x24fb232d63bfde7a/0x6a66cf4f4e59864c,0x7e5dd49a3dd280c9/0x8e2e9c0ac3cd70a7,0x089931321f0ff3b8/0x0edb464a9bcfaa0a
+gemm tails m=100 n=150 k=300 nn,nt,tn,tt=0xe63d9989eac1e503/0xc6bb78eb3a1e8a3e,0x1f1495818c74e82a/0x15582c7932a8c1e2,0xfb5f01c0b70a9c05/0x480a02b1788a30ac,0x0a6210bffec8518b/0xe4425bdb03d20e2f
+gemm tails m=150 n=1 k=20 nn,nt,tn,tt=0x22b63f0f42d5a3eb/0xfbc3b535c8104c31,0x22b63f0f42d5a3eb/0xfbc3b535c8104c31,0xbadf7f65a447a40f/0xde17ffd12a4259c2,0x8ce76c3473353358/0xde17ffd12a4259c2
+gemm tails m=150 n=1 k=150 nn,nt,tn,tt=0xe7ae363155e3d646/0xb69759e225328de1,0xe7ae363155e3d646/0xb69759e225328de1,0x64a18aaeb9f985a0/0x120dd6e604fb39c5,0xaeeb59a1725d41b5/0x120dd6e604fb39c5
+gemm tails m=150 n=1 k=300 nn,nt,tn,tt=0x78cadf53b391c709/0x356f2f5553255b28,0x78cadf53b391c709/0x356f2f5553255b28,0x75d25fdd1c1d87f4/0x28fe6c0d4e333ca8,0xcd3c3add60c93edf/0x28fe6c0d4e333ca8
+gemm tails m=150 n=3 k=20 nn,nt,tn,tt=0xd64c7ceb7f3fe0cb/0xaa140ed3a9912e18,0x1c682f7aa7f5bea2/0xf1d1963eb252d938,0xde193875b2c457d7/0x1b7fa78f8285f853,0x006b2adc42ce2d1f/0x543c548d60c2ea49
+gemm tails m=150 n=3 k=150 nn,nt,tn,tt=0x29278598be92659c/0x3e53b46f3979e98a,0xdddafaac4dbb70b3/0xaae7b5c2eb89f863,0x70fa0519103cce1a/0xfd1a7972b47b37b0,0xa13c32d68a365a55/0x7417583581bb60a0
+gemm tails m=150 n=3 k=300 nn,nt,tn,tt=0xfb13669e3a60e44b/0xd28ba0985170b640,0xd3b6fdedf3320a7f/0x7587cae73e783ab5,0x44a02be6028d4125/0x5c7456b7df50fb0b,0xa4448acd88afbb34/0x781dd40f48603d34
+gemm tails m=150 n=4 k=20 nn,nt,tn,tt=0x07978f13b4a6ecaa/0x7172108c81ecb48c,0xcbd8a2a1b5cc0927/0xb6278984c5b41a2e,0x51836d974106d571/0xd46a2991a3f52c0b,0xdcfc40499d6ef2e4/0x1a2583b19c4df3fe
+gemm tails m=150 n=4 k=150 nn,nt,tn,tt=0xeefd89acb4c08c24/0x11b3cbafbfd7bb09,0x65bb7662e147cc66/0x78d3982b67ac740d,0xe975c9eb4311d4f3/0x568ce865fda3120f,0xfd79096a23635667/0xc4f18716a719a94c
+gemm tails m=150 n=4 k=300 nn,nt,tn,tt=0xf0948a7bf584f80f/0x8c10f976675d45b7,0x4dc5faaecbb83f49/0x26fe16f9d5589054,0x25c3f6848c4501af/0xd21930d247cafd61,0x9d7a8a618d7e6a3c/0x0293873e635d3d05
+gemm tails m=150 n=150 k=20 nn,nt,tn,tt=0x41645f99c24abdac/0x51eb24a9019830b4,0x42e63f58e06d72c6/0xa308f616d7ece101,0x3b5aa02adfd381cc/0xdcbb4fbccb33be96,0x6214567b018f267c/0xb7859f4836f2c683
+gemm tails m=150 n=150 k=150 nn,nt,tn,tt=0x6117c08021c96512/0xa8f156c019c5d9d4,0x9e11d3337b120321/0xe9367eb93ee6196e,0x4d3969207714396b/0x9b9e3a5640d09961,0x7e5326a554910284/0x1492e514cf40c5a9
+gemm tails m=150 n=150 k=300 nn,nt,tn,tt=0xfab994f81200efdc/0xdabc54f18f146638,0x60336d2301609a52/0xfb1d4a022bd7c7be,0xa2dcc71046edb8f0/0x8fec100a6238e222,0xd51d309b1190f4ce/0x6d9c53fb511c4dfb
+syrk strips no n=100 k=37 beta1=0x209f130819bd8339 beta0=0xbc5cc7300ae20e6b
+syrk strips trans n=100 k=37 beta1=0x52cac02efe9bb448 beta0=0x8947f6e3fd501b44
+syrk strips no n=100 k=150 beta1=0x142cf46a2dfff65c beta0=0x3a7e8afd488eb128
+syrk strips trans n=100 k=150 beta1=0xbe971ff305799b29 beta0=0x22fbec2bb466b6e1
+syrk strips no n=150 k=37 beta1=0x2f64a97bb92349e5 beta0=0xa6821dd2194e3644
+syrk strips trans n=150 k=37 beta1=0x439897e2aaabb541 beta0=0x8cbf53e1458babe4
+syrk strips no n=150 k=150 beta1=0x75c576ac32dc52c0 beta0=0xee8fbc61fdad4a16
+syrk strips trans n=150 k=150 beta1=0xb74e7e41928634ac beta0=0x7f6e0d4040a2fdc0
+potrf_unblocked n=1 0xbc55ac027e2c3cc1
+potrf_unblocked n=2 0x809358526985da0b
+potrf_unblocked n=37 0x08afc5724235abf7
+potrf_unblocked n=64 0xcb46a3c7aedadf58
+potrf_unblocked failing pivot=20 factored=0x5aac9754c587eae9
+trsm order=37 rhs=1 left-no,left-trans,right-no,right-trans=0x04bb520f8a73df55,0xf7a284f80f7f34dd,0xf7a284f80f7f34dd,0x04bb520f8a73df55
+trsm order=37 rhs=4 left-no,left-trans,right-no,right-trans=0xc929f3047aacc109,0xfbda6aed380729eb,0x973a282175abb254,0x8fd2443936c9980b
+trsm order=37 rhs=5 left-no,left-trans,right-no,right-trans=0x594922fe1b3aa995,0xb7fa6724b68b10b0,0xc2ae9436b9adfd34,0x4191e08b9a3836bc
+trsm order=37 rhs=256 left-no,left-trans,right-no,right-trans=0xd5ffdb7dc7ef3e22,0xb305d4703451d2f1,0x51e3e7095793fe0d,0xd2d58e210dbed772
+trsm order=150 rhs=1 left-no,left-trans,right-no,right-trans=0x9fbea67da9624c21,0x82bd1c9a52161958,0x82bd1c9a52161958,0x9fbea67da9624c21
+trsm order=150 rhs=4 left-no,left-trans,right-no,right-trans=0xadedf2d120962d8c,0xcade5290dd551216,0xdadc277277ebff54,0x080ad88cb4a0f5a0
+trsm order=150 rhs=5 left-no,left-trans,right-no,right-trans=0xfdaade379948de81,0x72d8b083a262a6ab,0x210d8c2ada22eedf,0x0bab11a8e3a71b7c
+trsm order=150 rhs=256 left-no,left-trans,right-no,right-trans=0x05301c14d5817d90,0xa8b638a3d50f31b3,0x4cad35c3976b3e1e,0x1d0067bcce44daaf
+qr tall m=150 n=1 factors=0xb6f76ecdbcff22f0 taus=0xadc7ac5615d72e8b r=0x43c0e430471b1fb2 q=0xdee03f8769196b60 apply_q=0x79ec32b6a1843f68 apply_qt=0x04efeb432214f214
+qr tall m=150 n=4 factors=0xfbe4b64f596167b0 taus=0xd4a8316641d33bcf r=0xa668450dc7d1279e q=0xbc0a7eba694b944d apply_q=0x63ddf26e0b9b89ec apply_qt=0x2b9ea636d19daf30
+qr tall m=150 n=5 factors=0x3e403b805ede349e taus=0x877b4b50a036c99b r=0x7f808eb5a8f2f6c2 q=0x626b773cd50850ea apply_q=0xb8c6909c852e9f03 apply_qt=0x9a013838c9208369
+qr tall m=150 n=7 factors=0x8bec3be8da085435 taus=0x70f0d2a116c306d2 r=0x3cfd887c62bb76fd q=0x9223aa5de6ffa6a4 apply_q=0x9c3de98453a51dfe apply_qt=0xf17d63bf64d43e67
+qr tall m=150 n=56 factors=0x5d8dfccd093df41b taus=0x4d5e72ba372ba9dd r=0x257e42f278acf2c6 q=0x743f47167359c6db apply_q=0x2119802ea44f4760 apply_qt=0x69a3c89a1b23051a
+qr wide m=20 n=37 factors=0xceb814e85c58e171 taus=0x4e9927800adff948 r=0xf9e38a0035601aa8 q=0x8a7da9ed011a1f15 apply_q=0xbbdb24ffa9af07ba apply_qt=0xcab80067626bf6c0
+qr tau0 m=150 n=5 factors=0xe9a6327feeccaac7 taus=0x0b1dfc34f0e620df r=0x435ab54d166f1e4d q=0x4442feab9d0bbe0f apply_q=0x0c909b7d6458d00e apply_qt=0x4823d5bd3c25ff00
+colpiv gaussian 200x200 rank=19 perm=0xbbf831d6c558e197 factors=0x9a39cf3ea462bcbd q=0x055d274eac543d01 rt=0xce6a2b56c8ae76a6
+jacobi_svd graded 56x56 floor=1e-9 k=54 u=0x006541b1ccb1a7a1 s=0xbc9872fec0435a12 v=0x69f26b826d4953f5 discarded=0x3e0cd61e56549fc8
+compress_tile eps=1e-4 lowrank k=9 u=0xcca37d20f2a4b01b v=0x1ee531d3552d60b8
+compress_tile eps=1e-8 lowrank k=13 u=0xda1343da0bf07068 v=0x6a4e0f5f2ae3eb98
+factorize shift retry attempts=3 shift=0x3eb0c6f784902b2c factor=0xeefa1d8274332938
+";
+
+#[test]
+fn loop_order_shapes_match_the_recorded_goldens() {
+    let actual = actual_loop_orders();
+    let moved: Vec<String> = actual
+        .lines()
+        .zip(GOLDEN_LOOP_ORDERS.lines())
+        .filter(|(now, recorded)| now != recorded)
+        .map(|(now, recorded)| format!("  recorded: {recorded}\n  now:      {now}"))
+        .collect();
+    assert!(
+        actual == GOLDEN_LOOP_ORDERS,
+        "loop-order drift on {} line(s):\n{}\n\nwhole table now:\n{actual}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
