@@ -1,9 +1,8 @@
 //! Micro-benchmark of the SIMD GEMM microkernel against the seed's
-//! axpy column-sweep GEMM, plus the fused-panel-batch factorization
-//! speedup and the steady-state allocation probe.
+//! axpy column-sweep GEMM, plus the steady-state allocation probe.
 //!
 //! Emits `BENCH_gemm_microkernel.json` in the working directory (and
-//! echoes it to stdout). Three measurements per run:
+//! echoes it to stdout). Two measurements per run:
 //!
 //! 1. **Gflop/s vs tile size** — `gemm_serial` (now routed through the
 //!    packed register-blocked microkernel) against a faithful copy of the
@@ -13,9 +12,7 @@
 //!    every tile size (skipped when runtime dispatch resolved to the
 //!    scalar fallback, whose job is bit-identical portability, not
 //!    speed).
-//! 2. **Batched vs unbatched panel update** — the same shared-memory TLR
-//!    factorization with `FactorConfig::batch_panels` on and off.
-//! 3. **Allocs/call** — a counting global allocator confirms the packed
+//! 2. **Allocs/call** — a counting global allocator confirms the packed
 //!    path performs zero heap allocations per call in steady state (the
 //!    pack buffers are thread-local and grow to a high-water mark).
 //!
@@ -25,8 +22,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hicma_core::{factorize, FactorConfig};
-use tlr_compress::{CompressionConfig, TlrMatrix};
 use tlr_linalg::{active_path, gemm_serial, KernelPath, Matrix, Trans};
 
 /// Forwarding allocator counting `alloc`/`realloc` calls, so the bench can
@@ -133,39 +128,6 @@ fn run_gemm_point(b: usize, reps: usize) -> GemmPoint {
     }
 }
 
-/// Time one shared-memory TLR factorization with panel batching on/off.
-/// Returns (seconds_unbatched, seconds_batched) as the best of `reps`.
-fn run_panel_batch(n: usize, b: usize, reps: usize) -> (f64, f64) {
-    let gen = |i: usize, j: usize| {
-        let d = (i as f64 - j as f64) / (n as f64 / 8.0);
-        let v = (-d * d).exp();
-        if i == j {
-            v + 1e-3
-        } else {
-            v
-        }
-    };
-    let ccfg = CompressionConfig::with_accuracy(1e-6);
-    let proto = TlrMatrix::from_generator(n, b, gen, &ccfg);
-
-    let time_mode = |batch: bool| {
-        let mut cfg = FactorConfig::with_accuracy(1e-6);
-        cfg.batch_panels = batch;
-        cfg.collect_trace = false;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut m = proto.clone();
-            let t0 = std::time::Instant::now();
-            factorize(&mut m, &cfg).expect("SPD");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let unbatched = time_mode(false);
-    let batched = time_mode(true);
-    (unbatched, batched)
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let path = active_path();
@@ -184,14 +146,6 @@ fn main() {
         );
         points.push(p);
     }
-
-    let (pb_n, pb_b, pb_reps) = if smoke { (240, 24, 1) } else { (960, 48, 3) };
-    let (sec_unbatched, sec_batched) = run_panel_batch(pb_n, pb_b, pb_reps);
-    let batch_speedup = sec_unbatched / sec_batched;
-    eprintln!(
-        "panel update n={pb_n} b={pb_b}: unbatched {sec_unbatched:.4}s, \
-         batched {sec_batched:.4}s ({batch_speedup:.2}x)"
-    );
 
     let min_speedup = points.iter().map(|p| p.speedup).fold(f64::INFINITY, f64::min);
     let max_allocs = points.iter().map(|p| p.allocs_per_call).max().unwrap_or(0);
@@ -218,9 +172,6 @@ fn main() {
          \"baseline\": \"pre-microkernel axpy column sweep (seed gemm_serial)\",\n  \
          \"min_speedup\": {min_speedup:.3},\n  \
          \"max_allocs_per_call\": {max_allocs},\n  \
-         \"panel_update\": {{\"n\": {pb_n}, \"tile\": {pb_b}, \
-         \"seconds_unbatched\": {sec_unbatched:.6}, \"seconds_batched\": {sec_batched:.6}, \
-         \"batch_speedup\": {batch_speedup:.3}}},\n  \
          \"points\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         rows.join(",\n")
@@ -230,7 +181,7 @@ fn main() {
         .expect("write BENCH_gemm_microkernel.json");
     eprintln!(
         "wrote BENCH_gemm_microkernel.json (path {path_name}, min speedup {min_speedup:.2}x, \
-         max allocs/call {max_allocs}, batch {batch_speedup:.2}x)"
+         max allocs/call {max_allocs})"
     );
 
     if max_allocs > 0 {

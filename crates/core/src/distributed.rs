@@ -26,7 +26,6 @@
 //! store → matrix — and copied only onto the wire, along the dataflow
 //! edge that names it.
 
-use crate::batch::Grouping;
 use crate::dag::{lower, CholeskyDag};
 use crate::factorize::FactorConfig;
 use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads};
@@ -99,10 +98,9 @@ impl TilePayload for SealedTile {
 /// concurrent failures report deterministically.
 pub(crate) struct RankBody<'a> {
     dag: &'a CholeskyDag,
+    /// Shipped inputs are keyed in the inbox by the task that produced
+    /// them.
     preds: &'a [Vec<(TaskId, DataRef)>],
-    /// Shipped inputs are keyed in the inbox by the *engine* task that
-    /// produced them.
-    grouping: &'a Grouping,
     tile_size: usize,
     compression: CompressionConfig,
     pub(crate) error: Mutex<Option<CholeskyError>>,
@@ -114,7 +112,6 @@ impl<'a> RankBody<'a> {
     pub(crate) fn new(
         dag: &'a CholeskyDag,
         preds: &'a [Vec<(TaskId, DataRef)>],
-        grouping: &'a Grouping,
         cfg: &FactorConfig,
         tile_size: usize,
         nprocs: usize,
@@ -122,7 +119,6 @@ impl<'a> RankBody<'a> {
         RankBody {
             dag,
             preds,
-            grouping,
             tile_size,
             compression: cfg.compression(),
             error: Mutex::new(None),
@@ -136,8 +132,10 @@ impl<'a> RankBody<'a> {
         let ops = kind.operands();
         let w = ops.writes;
         let producer = |d: DataRef| {
-            let (p, _) = self.preds[t].iter().find(|(_, dd)| *dd == d)?;
-            Some(self.grouping.of(*p))
+            self.preds[t]
+                .iter()
+                .find(|(_, dd)| *dd == d)
+                .map(|&(p, _)| p)
         };
         // The written tile's current version: local, or shipped from a
         // remote previous writer (possible when two writers of the same
@@ -308,42 +306,6 @@ mod tests {
             comm4.bytes >= 8 * comm4.messages,
             "each message carries ≥ one f64"
         );
-    }
-
-    /// The configured `keep_dense_ratio` reaches the distributed update
-    /// kernels (it used to be silently pinned to `1.0`): a ratio of `0.0`
-    /// densifies every recompressed tile, growing the stored factor,
-    /// while leaving the numbers correct.
-    #[test]
-    fn keep_dense_ratio_threads_through_distributed_kernels() {
-        let n = 120;
-        let b = 24;
-        let acc = 1e-8;
-        let dense = gaussian_dense(n);
-        let ccfg = CompressionConfig::with_accuracy(acc);
-        let dist = TwoDBlockCyclic::new(4);
-
-        let mut lr = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let fcfg = FactorConfig::with_accuracy(acc);
-        let out_lr = Session::distributed(fcfg, 4, &dist).run(&mut lr).unwrap();
-
-        let mut dense_m = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let mut fcfg0 = FactorConfig::with_accuracy(acc);
-        fcfg0.keep_dense_ratio = 0.0;
-        let out_dense = Session::distributed(fcfg0, 4, &dist)
-            .run(&mut dense_m)
-            .unwrap();
-
-        assert!(
-            out_dense.report.memory_after_f64 > out_lr.report.memory_after_f64,
-            "ratio 0.0 must densify recompressed tiles ({} vs {} words)",
-            out_dense.report.memory_after_f64,
-            out_lr.report.memory_after_f64
-        );
-        // Densified storage holds the same numbers (exact UVᵀ product),
-        // so the factors agree far below the compression accuracy.
-        let diff = relative_diff(&dense_m.to_dense_lower(), &lr.to_dense_lower());
-        assert!(diff < 100.0 * acc, "factor drifted: {diff}");
     }
 
     #[test]

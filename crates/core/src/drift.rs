@@ -40,9 +40,9 @@ pub struct DriftSpec {
     /// (wall-clock on a laptop vs a supercomputer model drifts by small
     /// constant factors — flag only order-of-magnitude surprises).
     pub band: f64,
-    /// Rank the cost model prices low-rank updates at. `None` derives it
-    /// from the run's recompression-rank histogram when the registry
-    /// captured one, falling back to 16.
+    /// Rank the cost model prices low-rank updates at when the run
+    /// recorded no recompression (`None`: 16). A run that recompressed is
+    /// priced at its measured mean recompression rank.
     pub fallback_rank: Option<usize>,
 }
 
@@ -62,9 +62,7 @@ impl DriftSpec {
 pub struct ClassDrift {
     /// Class name (`"potrf"`, `"trsm"`, `"syrk"`, `"gemm"`, `"other"`).
     pub class: &'static str,
-    /// Tasks of this class in the executed DAG (model-side count; a
-    /// panel-batched run retires fused tasks, so the registry's own task
-    /// count can be smaller).
+    /// Tasks of this class in the executed DAG.
     pub modeled_tasks: u64,
     /// Model-priced busy seconds summed over the class's tasks.
     pub modeled_seconds: f64,
@@ -140,25 +138,15 @@ impl DriftReport {
     ) -> DriftReport {
         let band = if spec.band > 1.0 { spec.band } else { 8.0 };
         // Price low-rank updates at the run's own mean recompression
-        // rank when the registry captured one, else the spec's fallback.
-        let profile = if snapshot.recompression_ranks.count > 0 {
-            let counts: Vec<u64> = snapshot
-                .recompression_ranks
-                .buckets
-                .iter()
-                .flat_map(|&(bound, n)| (n > 0).then_some((bound, n)))
-                .fold(Vec::new(), |mut h, (bound, n)| {
-                    let r = bound as usize;
-                    if h.len() <= r {
-                        h.resize(r + 1, 0);
-                    }
-                    h[r] += n;
-                    h
-                });
-            RankProfile::from_histogram(&counts, spec.fallback_rank.unwrap_or(16))
+        // rank (exact: the histogram keeps the sum and count beside its
+        // log2 buckets) when the registry captured one, else the spec's
+        // fallback.
+        let ranks = &snapshot.recompression_ranks;
+        let profile = RankProfile::uniform(if ranks.count > 0 {
+            ranks.mean().round() as usize
         } else {
-            RankProfile::uniform(spec.fallback_rank.unwrap_or(16))
-        };
+            spec.fallback_rank.unwrap_or(16)
+        });
         let model = CostModel::from_machine(&spec.machine, &profile);
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];

@@ -44,16 +44,6 @@ pub struct FactorConfig {
     /// ones). Tracing never changes the factor. Defaults to `false`: an
     /// untraced run allocates no span storage at all.
     pub collect_trace: bool,
-    /// Storage-payoff threshold for tiles *recompressed during the
-    /// factorization*: a rank-`k` update result stays low-rank only when
-    /// `k · (rows + cols) ≤ keep_dense_ratio · rows · cols`, otherwise it
-    /// is stored dense. `1.0` (the default, matching
-    /// [`CompressionConfig`]) densifies only when the factors would be
-    /// strictly larger than the dense tile; smaller values trade memory
-    /// for dense-BLAS-friendly tiles, and `0.0` densifies every
-    /// recompressed tile. Threaded to the update kernels on every path
-    /// (shared-memory and distributed) via [`FactorConfig::compression`].
-    pub keep_dense_ratio: f64,
     /// Tile-integrity policy: whether (and how eagerly) every tile is
     /// sealed with an exact content digest ([`tlr_compress::TileDigest`])
     /// and checked against silent data corruption. See
@@ -69,26 +59,6 @@ pub struct FactorConfig {
     /// results. Defaults to [`SchedPolicy::PanelPriority`], the paper's
     /// static panel-index order.
     pub sched: SchedPolicy,
-    /// Fuse each panel step's trailing-column GEMMs into single batched
-    /// engine tasks ([`crate::batch::batch_panel_gemms`]): per-task
-    /// scheduling overhead is paid once per group (the kernels still run
-    /// once per member — operand packing is not shared). The factor is
-    /// bit-identical with batching on or off — the pass never reorders
-    /// any tile's update sequence — and a traced shared run still records
-    /// one span per kernel. Defaults to `true`; a fused column runs its
-    /// members one after another on one worker, which a machine much
-    /// wider than the panel may not want.
-    ///
-    /// A distributed plan batches only on a plain engine configuration:
-    /// a fault layer, sealed payloads (an armed integrity mode or a
-    /// corrupting fault plan) or virtual-time tracing each keep it
-    /// unbatched, because recovery, healing and the trace reason about
-    /// single-tile tasks. The decision is recorded, not silent:
-    /// [`PlanKey::batched`](crate::plan::PlanKey::batched) is part of the
-    /// plan's key and
-    /// [`SymbolicPlan::fused_groups`](crate::plan::SymbolicPlan::fused_groups)
-    /// reads `0` on a plan that does not batch.
-    pub batch_panels: bool,
 }
 
 /// How much silent-data-corruption protection a factorization buys.
@@ -146,23 +116,20 @@ impl FactorConfig {
             nthreads: rayon::current_num_threads(),
             max_shift_retries: 3,
             collect_trace: false,
-            keep_dense_ratio: 1.0,
             integrity: IntegrityMode::Off,
             sched: SchedPolicy::PanelPriority,
-            batch_panels: true,
         }
     }
 
-    /// The [`CompressionConfig`] the update kernels recompress with —
-    /// accuracy, rank cap and
-    /// [`keep_dense_ratio`](FactorConfig::keep_dense_ratio)
-    /// all come from this config (the
-    /// ratio used to be silently pinned to `1.0` on every path).
+    /// The [`CompressionConfig`] the update kernels recompress with:
+    /// this config's accuracy and rank cap, and the compression side's
+    /// default storage-payoff rule
+    /// ([`CompressionConfig::keep_dense_ratio`]).
     pub fn compression(&self) -> CompressionConfig {
         CompressionConfig {
             accuracy: self.accuracy,
             max_rank: self.max_rank,
-            keep_dense_ratio: self.keep_dense_ratio,
+            ..CompressionConfig::default()
         }
     }
 }
@@ -436,37 +403,6 @@ mod tests {
             l8.as_slice(),
             "factor differs across thread counts"
         );
-    }
-
-    /// The configured `keep_dense_ratio` reaches the shared-memory update
-    /// kernels: `0.0` densifies every recompressed tile, so the factored
-    /// matrix stores more words than the default payoff rule, while the
-    /// numbers stay correct.
-    #[test]
-    fn keep_dense_ratio_threads_through_kernels() {
-        let n = 120;
-        let b = 24;
-        let acc = 1e-8;
-        let gen = gaussian_gen(n, 8.0);
-        let dense = Matrix::from_fn(n, n, &gen);
-        let ccfg = CompressionConfig::with_accuracy(acc);
-
-        let mut lr = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let rep_lr = factorize(&mut lr, &FactorConfig::with_accuracy(acc)).unwrap();
-
-        let mut dense_m = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let mut cfg0 = FactorConfig::with_accuracy(acc);
-        cfg0.keep_dense_ratio = 0.0;
-        let rep_dense = factorize(&mut dense_m, &cfg0).unwrap();
-
-        assert!(
-            rep_dense.memory_after_f64 > rep_lr.memory_after_f64,
-            "ratio 0.0 must densify recompressed tiles ({} vs {} words)",
-            rep_dense.memory_after_f64,
-            rep_lr.memory_after_f64
-        );
-        let diff = relative_diff(&dense_m.to_dense_lower(), &lr.to_dense_lower());
-        assert!(diff < 100.0 * acc, "factor drifted: {diff}");
     }
 
     #[test]

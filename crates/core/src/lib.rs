@@ -20,7 +20,6 @@
 //! * multi-tenant solver front-end with admission control → [`service`]
 
 pub mod analysis;
-pub mod batch;
 pub mod dag;
 pub mod distributed;
 pub mod drift;
@@ -36,7 +35,6 @@ pub mod tuner;
 pub mod verify;
 
 pub use analysis::MatrixAnalysis;
-pub use batch::{batch_panel_gemms, PanelBatch};
 pub use dag::{build_cholesky_dag, CholeskyDag, DagConfig, TaskKind};
 pub use drift::{ClassDrift, CommDrift, DriftReport, DriftSpec};
 pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode};

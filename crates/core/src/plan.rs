@@ -5,20 +5,17 @@
 //! scheduling priorities) and a *numeric* phase (run kernels over the
 //! planned graph). Until this module the two were fused: every
 //! [`Session::run`](crate::session::Session::run) rebuilt the DAG,
-//! distribution mapping, fused-batch groups and scheduler keys from
-//! scratch — pure overhead on workloads that factor the *same tile
-//! structure* repeatedly (the RBF mesh-deformation timestep loop, or a
-//! multi-tenant solver service).
+//! distribution mapping and scheduler keys from scratch — pure overhead
+//! on workloads that factor the *same tile structure* repeatedly (the
+//! RBF mesh-deformation timestep loop, or a multi-tenant solver service).
 //!
 //! [`SymbolicPlan`] is the reusable artifact of the symbolic phase: an
 //! immutable, self-contained bundle of
 //!
-//! * the trimmed [`CholeskyDag`],
+//! * the trimmed [`CholeskyDag`], whose tasks the engine runs one to one,
 //! * precomputed scheduler state ([`SchedPlan`] key/lookahead tables on
 //!   shared-memory plans, priority-driven topological orders on
 //!   distributed ones),
-//! * how the engine's tasks group the DAG's (one to one, or fused by
-//!   [`batch_panel_gemms`](crate::batch::batch_panel_gemms)),
 //! * on distributed plans, the full placement machinery (task→rank map,
 //!   per-tile initial placement, predecessor lookup, writer maps) plus
 //!   the comm-feedback re-planner state, so converged placement
@@ -28,18 +25,17 @@
 //! the same FNV-1a chain as the tile-integrity digests
 //! ([`tlr_compress::WordFold`]): tile grid, per-tile rank structure,
 //! accuracy/rank caps, layout owner map, rank count, scheduling policy
-//! and the decisions planning took (`batched`, `replan`) — not the
-//! flags those decisions were derived from, so sessions that differ only
-//! in a flag or capability that did not change the plan share it.
+//! and whether a re-planner is embedded — the structure and the
+//! configuration only, so sessions that differ only in a capability
+//! (fault layer, trace, integrity mode) share one plan.
 //! Two matrices with the same key plan
 //! identically, so a [`PlanCache`] can hand out one `Arc<SymbolicPlan>`
 //! to every request that matches — a warm-cache run skips the symbolic
 //! phase entirely. The factor is bit-identical either way: planning
 //! decides *where and in what order* kernels run, never what they
-//! compute (`tests/plan_cache.rs` holds every capability subset, policy
-//! and batching mode to that).
+//! compute (`tests/plan_cache.rs` holds every capability subset and
+//! policy to that).
 
-use crate::batch::Grouping;
 use crate::dag::{build_cholesky_dag, lower, CholeskyDag, DagConfig};
 use crate::factorize::FactorConfig;
 use crate::replan::CommReplanner;
@@ -75,8 +71,8 @@ pub enum PlanMode {
 /// distributed plans, the layout's owner map) through the FNV-1a word
 /// chain of the tile-integrity layer ([`tlr_compress::WordFold`]).
 ///
-/// Worker-thread count is deliberately *not* part of the key: the DAG,
-/// batching and scheduler tables are all thread-count independent, and
+/// Worker-thread count is deliberately *not* part of the key: the DAG
+/// and scheduler tables are both thread-count independent, and
 /// the factor is bit-identical across thread counts, so one plan serves
 /// any pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,12 +91,6 @@ pub struct PlanKey {
     pub accuracy_bits: u64,
     /// Ready-queue scheduling policy the plan precomputes keys for.
     pub sched: SchedPolicy,
-    /// The engine runs the fused panel-batch graph. A decision, not a
-    /// flag: [`FactorConfig::batch_panels`] was asked for *and*, on a
-    /// distributed plan, the session has no fault layer, sealed payloads
-    /// or virtual-time trace (crash recovery, lineage healing and the
-    /// trace all reason about single-tile tasks).
-    pub batched: bool,
     /// FNV-1a fold of the rank structure (and distributed owner map).
     pub structure: u64,
 }
@@ -132,16 +122,14 @@ pub(crate) struct DistStatic {
 }
 
 /// The parts of a distributed plan that depend on the current per-tile
-/// rank overrides: how the engine's tasks group the DAG's, which rank
-/// runs each of them and in what order, and where each tile starts.
+/// rank overrides: which rank runs each DAG task and in what order, and
+/// where each tile starts.
 #[derive(Default)]
 pub(crate) struct DistMapping {
     pub(crate) overrides: HashMap<(usize, usize), usize>,
-    /// Engine tasks ↔ DAG tasks; groups never span ranks.
-    pub(crate) grouping: Grouping,
-    /// Rank executing each task of the grouping's graph.
+    /// Rank executing each DAG task.
     pub(crate) exec_rank: Vec<usize>,
-    /// Priority-driven topological order over the grouping's graph
+    /// Priority-driven topological order over the DAG
     /// ([`dist_order`]), computed once here instead of per run.
     pub(crate) order: Vec<TaskId>,
     /// Rank holding each packed-lower tile's initial version.
@@ -177,16 +165,16 @@ impl DistStatic {
     }
 
     /// Derive the override-dependent mapping under the plan key's
-    /// `sched` and `batched` decisions. Called at plan build and again
-    /// whenever the embedded re-planner moves a tile chain — a refresh
-    /// re-derives from the existing DAG, never rebuilds it.
+    /// `sched` policy. Called at plan build and again whenever the
+    /// embedded re-planner moves a tile chain — a refresh re-derives from
+    /// the existing DAG, never rebuilds it.
     pub(crate) fn derive_mapping(
         &self,
         dag: &CholeskyDag,
         key: &PlanKey,
         overrides: HashMap<(usize, usize), usize>,
     ) -> Result<DistMapping, EngineError> {
-        let task_rank: Vec<usize> = (0..dag.graph.len())
+        let exec_rank: Vec<usize> = (0..dag.graph.len())
             .map(|t| {
                 let w = dag.kinds[t].operands().writes;
                 self.rank_of_tile(&overrides, w.i, w.j)
@@ -196,21 +184,19 @@ impl DistStatic {
         for i in 0..self.nt {
             for j in 0..=i {
                 placement.push(match self.first_writer[lower(i, j)] {
-                    Some(t) => task_rank[t],
+                    Some(t) => exec_rank[t],
                     None => self.rank_of_tile(&overrides, i, j),
                 });
             }
         }
-        let grouping = Grouping::new(dag, key.batched, Some(&task_rank));
-        let exec_rank = grouping.project(task_rank);
-        let order = dist_order(grouping.graph(dag), key.sched, &exec_rank)?;
-        Ok(DistMapping { overrides, grouping, exec_rank, order, placement })
+        let order = dist_order(&dag.graph, key.sched, &exec_rank)?;
+        Ok(DistMapping { overrides, exec_rank, order, placement })
     }
 }
 
 /// The immutable artifact of the symbolic phase: trimmed DAG, scheduler
-/// tables, task grouping and (on distributed plans) the placement
-/// machinery, built once and consumed by any number of numeric runs.
+/// tables and (on distributed plans) the placement machinery, built once
+/// and consumed by any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
 /// implicitly through a [`PlanCache`]), execute it with
@@ -228,14 +214,9 @@ pub struct SymbolicPlan {
 
 /// What a plan carries beyond the DAG, for the engine it was built for.
 pub(crate) enum EnginePlan {
-    /// Shared-memory work-stealing engine.
-    Shared {
-        /// Scheduler tables over the grouping's graph.
-        sched: SchedPlan,
-        /// Engine tasks ↔ DAG tasks.
-        grouping: Grouping,
-    },
-    /// Emulated ranks: placement machinery, grouping and order (in the
+    /// Shared-memory work-stealing engine: scheduler tables over the DAG.
+    Shared(SchedPlan),
+    /// Emulated ranks: placement machinery, ranks and order (in the
     /// mapping) and the embedded re-planner.
     Distributed(Box<DistStatic>),
 }
@@ -261,16 +242,6 @@ impl SymbolicPlan {
     pub fn is_distributed(&self) -> bool {
         matches!(self.engine, EnginePlan::Distributed(_))
     }
-
-    /// Fused panel-batch groups the engine executes as single tasks;
-    /// `0` means this plan does not batch (see [`PlanKey::batched`]) or
-    /// no panel had two GEMMs to fuse.
-    pub fn fused_groups(&self) -> usize {
-        match &self.engine {
-            EnginePlan::Shared { grouping, .. } => grouping.fused_groups(),
-            EnginePlan::Distributed(ds) => ds.mapping.read().grouping.fused_groups(),
-        }
-    }
 }
 
 impl std::fmt::Debug for SymbolicPlan {
@@ -278,7 +249,6 @@ impl std::fmt::Debug for SymbolicPlan {
         f.debug_struct("SymbolicPlan")
             .field("key", &self.key)
             .field("tasks", &self.tasks())
-            .field("fused_groups", &self.fused_groups())
             .field("planning_seconds", &self.planning_seconds)
             .finish()
     }
@@ -293,8 +263,6 @@ pub(crate) struct DistPlanInputs {
     /// `nprocs`: walked once per plan, folded into the key and baked into
     /// the plan.
     pub(crate) base_owner: Vec<usize>,
-    /// Run the fused panel-batch graph ([`PlanKey::batched`]).
-    pub(crate) batched: bool,
     /// Embed a [`CommReplanner`].
     pub(crate) replan: bool,
 }
@@ -309,15 +277,15 @@ pub(crate) fn plan_key(
     for &r in snapshot.as_flat() {
         fold.push_usize(r);
     }
-    let (mode, batched) = match dist {
-        None => (PlanMode::Shared, cfg.batch_panels),
+    let mode = match dist {
+        None => PlanMode::Shared,
         Some(d) => {
             // The owner map is part of the structure: two layouts that
             // place tiles differently must not share a plan.
             for &owner in &d.base_owner {
                 fold.push_usize(owner);
             }
-            (PlanMode::Distributed { nprocs: d.nprocs, replan: d.replan }, d.batched)
+            PlanMode::Distributed { nprocs: d.nprocs, replan: d.replan }
         }
     };
     PlanKey {
@@ -328,12 +296,11 @@ pub(crate) fn plan_key(
         max_rank: cfg.max_rank,
         accuracy_bits: cfg.accuracy.to_bits(),
         sched: cfg.sched,
-        batched,
         structure: fold.finish(),
     }
 }
 
-/// Run the symbolic phase once: DAG build + grouping + scheduler tables
+/// Run the symbolic phase once: DAG build + scheduler tables
 /// (+ distribution mapping on distributed plans). `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
@@ -353,12 +320,11 @@ pub(crate) fn build_plan(
         },
     );
     let engine = match dist {
-        None => {
-            let grouping = Grouping::new(&dag, key.batched, None);
-            let graph = grouping.graph(&dag);
-            let sched = SchedPlan::build(graph, cfg.sched, &Pricing::nominal(graph))?;
-            EnginePlan::Shared { sched, grouping }
-        }
+        None => EnginePlan::Shared(SchedPlan::build(
+            &dag.graph,
+            cfg.sched,
+            &Pricing::nominal(&dag.graph),
+        )?),
         Some(d) => {
             let mut preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); dag.graph.len()];
             for src in 0..dag.graph.len() {

@@ -272,9 +272,7 @@ mod tests {
         let EnginePlan::Distributed(ds) = &plan.engine else {
             panic!("a distributed session plans for the distributed engine")
         };
-        let map = ds.mapping.read();
-        let exec_rank = map.grouping.unproject(map.exec_rank.clone());
-        drop(map);
+        let exec_rank = ds.mapping.read().exec_rank.clone();
         (plan, exec_rank)
     }
 

@@ -18,14 +18,13 @@
 //! capabilities are `None`.
 //!
 //! The per-attempt pipeline is split into a *symbolic* phase — DAG
-//! build, distribution mapping, batching, scheduler precomputation,
+//! build, distribution mapping, scheduler precomputation,
 //! packaged as an immutable [`SymbolicPlan`] — and a *numeric* phase
 //! that consumes a `&SymbolicPlan` ([`Session::run_with_plan`]).
 //! [`Session::run`] remains the one-shot shim: plan (or fetch from an
 //! attached [`PlanCache`]) then run. Repeated solves on one tile
 //! structure therefore pay the symbolic cost once.
 
-use crate::batch::{BatchObs, Grouping};
 use crate::dag::{lower, CholeskyDag, TaskKind};
 use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
@@ -230,7 +229,7 @@ impl<'a> Session<'a> {
 
     /// The numeric phase alone: factor `matrix` through a prebuilt
     /// [`SymbolicPlan`], skipping DAG construction, distribution
-    /// mapping, batching and scheduler precomputation entirely. The
+    /// mapping and scheduler precomputation entirely. The
     /// plan's [`PlanKey`] must match this matrix and session
     /// configuration — a mismatch is rejected as
     /// [`RunError::PlanMismatch`] (running a stale plan would misplace
@@ -275,30 +274,20 @@ impl<'a> Session<'a> {
     /// The fingerprint of the plan this session runs `snapshot` with,
     /// and the distributed-plan inputs it was folded from (`None` for
     /// shared memory). Every entry point plans through here, so this is
-    /// where a distributed session over zero ranks is rejected, where the
-    /// layout's owner map is walked (once per plan), and where the one
-    /// batching decision is taken: fused tasks run on a plain distributed
-    /// engine only. Crash recovery, lineage healing and the virtual-time
-    /// trace all reason about single-tile tasks (re-running a fused
-    /// writer would re-apply updates to members' tiles that have since
-    /// moved on), so any of them keeps the plan unbatched — and
-    /// [`PlanKey::batched`] says so.
+    /// where a distributed session over zero ranks is rejected and where
+    /// the layout's owner map is walked (once per plan).
     fn key(&self, snapshot: &RankSnapshot) -> Result<(PlanKey, Option<DistPlanInputs>), RunError> {
         let dist = match self.mode {
             Mode::Shared => None,
             Mode::Distributed { nprocs: 0, .. } => {
                 return Err(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }.into())
             }
-            Mode::Distributed { nprocs, exec, ft } => {
+            Mode::Distributed { nprocs, exec, .. } => {
                 let nt = snapshot.nt();
                 let owners = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
                 Some(DistPlanInputs {
                     nprocs,
                     base_owner: owners.map(|(i, j)| exec.owner(i, j).min(nprocs - 1)).collect(),
-                    batched: self.cfg.batch_panels
-                        && ft.is_none()
-                        && !self.sealed_payloads()
-                        && !self.cfg.collect_trace,
                     replan: self.replan,
                 })
             }
@@ -371,9 +360,7 @@ impl<'a> Session<'a> {
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
         let mut out = match &plan.engine {
-            EnginePlan::Shared { sched, grouping } => {
-                shared_attempt(matrix, cfg, &plan.dag, sched, grouping, drift, ev)
-            }
+            EnginePlan::Shared(sched) => shared_attempt(matrix, cfg, &plan.dag, sched, drift, ev),
             EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, plan, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
@@ -825,7 +812,6 @@ fn shared_attempt(
     cfg: &FactorConfig,
     dag: &CholeskyDag,
     sched_plan: &SchedPlan,
-    grouping: &Grouping,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
@@ -930,11 +916,14 @@ fn shared_attempt(
     let registry = Registry::new(nthreads);
     record_cache_events(&registry, ev);
 
+    // The engine schedules the DAG by the plan's precomputed scheduler
+    // tables and runs the task body under this engine's locks and digest
+    // checks, once per DAG task.
+    let engine_cfg = EngineConfig::new(nthreads)
+        .with_cancel(&cancel)
+        .with_obs((&registry, obs.as_ref()));
     let exec_t0 = std::time::Instant::now();
-    // The task body under this engine's locks and digest checks, once per
-    // *DAG* task, however the plan groups them into engine tasks — so
-    // batching can never change what a task computes.
-    let run_task = |wid: usize, t: usize| {
+    let exec_result = Engine::new(&dag.graph).run_planned(&engine_cfg, sched_plan, |wid, t| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
@@ -975,19 +964,7 @@ fn shared_attempt(
                 );
             },
         )
-    };
-    // The engine schedules the grouping's graph by the plan's precomputed
-    // scheduler tables and the registry counts at that granularity; the
-    // BatchObs sink keeps the trace at kernel granularity against the
-    // DAG-sized ExecObs.
-    let bobs = BatchObs::new(obs.as_ref(), grouping);
-    let engine_cfg = EngineConfig::new(nthreads)
-        .with_cancel(&cancel)
-        .with_obs((&registry, &bobs));
-    let exec_result = Engine::new(grouping.graph(dag))
-        .run_planned(&engine_cfg, sched_plan, |wid, b| {
-            bobs.run_members(wid, b, |t| run_task(wid, t))
-        });
+    });
     let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
     // Move the tiles back into the matrix regardless of success (a
@@ -1098,9 +1075,7 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
 
 /// Scatter and run with payload type `P`: move the matrix tiles into
 /// per-rank stores wrapped as `P`, run `body` once per DAG task, and hand
-/// the final stores back unwrapped, ready to gather. The engine schedules
-/// and ships at the granularity of the mapping's grouping; the members of
-/// an engine task replay in per-tile program order.
+/// the final stores back unwrapped, ready to gather.
 fn run_ranks<P: TilePayload>(
     matrix: &mut TlrMatrix,
     dag: &CholeskyDag,
@@ -1111,12 +1086,12 @@ fn run_ranks<P: TilePayload>(
     body: &RankBody<'_>,
 ) -> Result<DistOutcome<Tile>, EngineError> {
     let initial = scatter_tiles::<P>(matrix, &map.placement, nprocs);
-    let out = DistEngine::new(map.grouping.graph(dag), nprocs, &map.exec_rank).run(
+    let out = DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
         initial,
         dist_cfg,
         &map.order,
         hooks,
-        |b, ctx| map.grouping.members(&b).iter().for_each(|&t| body.run(t, ctx)),
+        |t, ctx| body.run(t, ctx),
     )?;
     Ok(out.map(P::into_tile))
 }
@@ -1144,7 +1119,7 @@ impl Session<'_> {
         // its tiles.
         let map = ds.mapping.read();
         let tile_size = matrix.tile_size();
-        let body = RankBody::new(dag, &ds.preds, &map.grouping, cfg, tile_size, nprocs);
+        let body = RankBody::new(dag, &ds.preds, cfg, tile_size, nprocs);
         // The metrics registry shards per emulated rank: task counts and
         // virtual per-class durations land in the executing rank's shard,
         // comm/fault/integrity totals fold into shard 0 at end of run.
@@ -1173,13 +1148,11 @@ impl Session<'_> {
         }?;
         let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
-        // The run's final rank assignment is indexed by engine task.
-        let final_exec = map.grouping.unproject(out.exec_rank);
         gather_tiles(
             matrix,
             &ds.last_writer,
             &map.placement,
-            &final_exec,
+            &out.exec_rank,
             &mut out.stores,
         );
         if let Some(e) = body.error.into_inner() {
@@ -1192,7 +1165,7 @@ impl Session<'_> {
         // out so the read guard can drop before an embedded re-planner
         // refreshes the mapping in place.
         if let Some(rp) = &ds.replan {
-            let planned_exec = map.grouping.unproject(map.exec_rank.clone());
+            let planned_exec = map.exec_rank.clone();
             let old_overrides = map.overrides.clone();
             drop(map);
             let mut r = rp.lock();
@@ -1211,11 +1184,9 @@ impl Session<'_> {
             }
         }
         let registry = registry.snapshot();
-        // Drift compares at original-task granularity: the model prices
-        // `dag.graph` and the comm model uses the projected-back final
-        // mapping, so batched and unbatched runs report comparably.
+        // The comm model prices the run's final task→rank mapping.
         let drift = self.drift.as_ref().map(|spec| {
-            DriftReport::compute(spec, &dag.graph, &registry, Some((&final_exec, out.comm)))
+            DriftReport::compute(spec, &dag.graph, &registry, Some((&out.exec_rank, out.comm)))
         });
         Ok(RunOutcome {
             comm: Some(out.comm),

@@ -242,13 +242,9 @@ impl ExecObs {
         trace
     }
 
-    /// Record the span of `task` on worker `wid`.
-    ///
-    /// [`TaskEvent::Retire`] lands here; the panel-batching layer also
-    /// calls it directly, once per member of a fused engine task, so
-    /// the trace keeps seeing individual kernels.
+    /// Record the span of `task` on worker `wid` ([`TaskEvent::Retire`]).
     #[inline]
-    pub fn record_span(&self, wid: usize, task: TaskId, start: Instant, end: Instant) {
+    fn record_span(&self, wid: usize, task: TaskId, start: Instant, end: Instant) {
         let slot = &self.spans[task];
         slot.start_ns.store(self.ns(start), Ordering::Relaxed);
         slot.end_ns.store(self.ns(end), Ordering::Relaxed);

@@ -282,9 +282,9 @@ fn ft_plus_trace_plus_comm_in_one_run() {
 /// Hostile shapes through the one task body on both engines: a single
 /// tile, a ragged last tile row, more ranks than tiles, and a matrix
 /// whose off-diagonal tiles are all null (the trimmed DAG is its POTRFs).
-/// Every capability subset — plain, batched, sealed, traced, fault-free
-/// fault layer — factors bit-identically to the plain shared run;
-/// subsets that execute the same graph count the same traffic; and a
+/// Every capability subset — plain, sealed, traced, fault-free fault
+/// layer — factors bit-identically to the plain shared run; every
+/// distributed subset counts the same traffic; and a
 /// fault-free distributed run reports the shared run's recompressions.
 #[test]
 fn hostile_shapes_agree_across_engines_and_capabilities() {
@@ -346,10 +346,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
         });
         let nt = n.div_ceil(b);
 
-        let mut plain = FactorConfig::with_accuracy(acc);
-        plain.batch_panels = false;
-        let mut batched = plain;
-        batched.batch_panels = true;
+        let plain = FactorConfig::with_accuracy(acc);
         let mut sealed = plain;
         sealed.integrity = IntegrityMode::Maintain;
         let mut traced = plain;
@@ -381,7 +378,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
             );
         }
         let recompressions = out_base.rank_evolution.histogram();
-        for (what, cfg) in [("batched", batched), ("sealed", sealed), ("traced", traced)] {
+        for (what, cfg) in [("sealed", sealed), ("traced", traced)] {
             let (l, out) = shared(cfg);
             assert_eq!(
                 l.as_slice(),
@@ -405,16 +402,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
             ("sealed", distributed(sealed, None)),
             ("traced", distributed(traced, None)),
             ("fault-free layer", distributed(plain, Some(&ff))),
-            ("batched", distributed(batched, None)),
         ];
-        if n % b != 0 {
-            // The batched run of this shape really runs fused tasks.
-            let fused = Session::distributed(batched, nprocs, &dist)
-                .plan(&compressed(&dense, b, acc))
-                .unwrap()
-                .fused_groups();
-            assert!(fused > 0, "{name}: expected fused panel groups");
-        }
         for (what, (l, out)) in &runs {
             assert_eq!(
                 l.as_slice(),
@@ -427,13 +415,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
                 "{name}: distributed {what} must report the shared run's recompressions"
             );
             let comm = out.comm.expect("distributed runs count communication");
-            if *what == "batched" {
-                // The contracted graph dedups shared-operand edges.
-                assert!(comm.messages <= comm_plain.messages, "{name}: {what}");
-                assert!(comm.bytes <= comm_plain.bytes, "{name}: {what}");
-            } else {
-                assert_eq!(comm, comm_plain, "{name}: {what} runs the plain graph");
-            }
+            assert_eq!(comm, comm_plain, "{name}: {what} ships the same tiles");
             assert_eq!(out.trace.is_some(), *what == "traced", "{name}: {what}");
             assert_eq!(
                 out.faults.is_some(),

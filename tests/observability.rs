@@ -7,11 +7,11 @@
 
 use hicma_parsec::cholesky::simulate::{simulate_cholesky, SimConfig};
 use hicma_parsec::cholesky::{
-    batch_panel_gemms, build_cholesky_dag, DagConfig, DriftSpec, FactorConfig, RunOutcome,
-    Session, SolveService, TenantConfig,
+    build_cholesky_dag, DagConfig, DriftSpec, FactorConfig, RunOutcome, Session, SolveService,
+    TenantConfig,
 };
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
-use hicma_parsec::runtime::graph::{DataRef, TaskClass, TaskGraph};
+use hicma_parsec::runtime::graph::{DataRef, TaskClass};
 use hicma_parsec::runtime::obs::json::Json;
 use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
@@ -270,10 +270,9 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
     assert!(out.rank_evolution.events() > 0, "GEMM recompressions must be logged");
     assert!(out.rank_evolution.mean_in() >= out.rank_evolution.mean_out());
     // One clock: the report's breakdown (the registry's per-class sums)
-    // and the spans are the same readings. Only a fused group differs,
-    // by what runs between the engine's reading and its first member's.
+    // and the spans are the same readings.
     let (busy, spans) = (report.breakdown.total(), trace.breakdown().total());
-    assert!((busy - spans).abs() <= 0.02 * spans, "breakdown {busy} vs spans {spans}");
+    assert!((busy - spans).abs() <= 1e-9 * spans, "breakdown {busy} vs spans {spans}");
     let doc = assert_report_round_trips(&out);
     assert_eq!(doc.get("engine").and_then(Json::as_str), Some("shared"));
     let summary = doc.get("trace_summary").expect("traced runs carry a trace summary");
@@ -369,41 +368,36 @@ impl Observe for CountingSink {
 /// The engine reports each task exactly once — one `Enqueue`, one `Retire`
 /// with `start ≤ end` — and every sink of the channel sees the same
 /// events: the registry's counters equal the counting sink's, on the
-/// plain Cholesky DAG and on its panel-batched contraction.
+/// plain Cholesky DAG.
 #[test]
 fn engine_reports_each_task_once_to_every_sink() {
-    // A fully populated 10 × 10 tile structure: every panel step fuses.
+    // A fully populated 10 × 10 tile structure.
     let (nt, b) = (10, 32);
     let ranks = (0..nt * nt).map(|k| if k / nt == k % nt { b } else { 4 }).collect();
-    let dag = build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default());
-    let batched = batch_panel_gemms(&dag, None);
-    assert!(batched.graph.len() < dag.graph.len(), "test premise: batching fuses tasks");
-    let check = |graph: &TaskGraph| {
-        let (sink, registry) = (CountingSink::default(), Registry::new(3));
-        Engine::new(graph)
-            .run(&EngineConfig::new(3).with_obs((&registry, &sink)), |_, _| {
-                std::hint::black_box(());
-            })
-            .unwrap();
-        let n = graph.len() as u64;
-        let seen = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        assert_eq!((seen(&sink.enqueued), seen(&sink.retired)), (n, n));
-        assert_eq!(seen(&sink.reversed), 0, "start <= end on one clock");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter(Counter::TasksEnqueued), n);
-        assert_eq!(snap.counter(Counter::TasksExecuted), n);
-        assert_eq!(snap.counter(Counter::Steals), seen(&sink.steals));
-        let timed: u64 = snap.class_duration_ns.iter().map(|h| h.count).sum();
-        assert_eq!(timed, n, "one duration sample per task");
-    };
-    check(&dag.graph);
-    check(&batched.graph);
+    let graph = build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default()).graph;
+    let (sink, registry) = (CountingSink::default(), Registry::new(3));
+    Engine::new(&graph)
+        .run(&EngineConfig::new(3).with_obs((&registry, &sink)), |_, _| {
+            std::hint::black_box(());
+        })
+        .unwrap();
+    let n = graph.len() as u64;
+    let seen = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    assert_eq!((seen(&sink.enqueued), seen(&sink.retired)), (n, n));
+    assert_eq!(seen(&sink.reversed), 0, "start <= end on one clock");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter(Counter::TasksEnqueued), n);
+    assert_eq!(snap.counter(Counter::TasksExecuted), n);
+    assert_eq!(snap.counter(Counter::Steals), seen(&sink.steals));
+    let timed: u64 = snap.class_duration_ns.iter().map(|h| h.count).sum();
+    assert_eq!(timed, n, "one duration sample per task");
 }
 
 /// A plain default-config run — no trace, nothing opted into — still
 /// feeds the registry what the kernel workspaces saw: the recompression
 /// rank histogram and the arena growth count. A drift report prices
-/// low-rank updates off that histogram, not off the spec's fallback.
+/// low-rank updates at that histogram's exact mean, not at a bucket
+/// bound and not at the spec's fallback.
 #[test]
 fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
     let mut a = rbf_matrix();
@@ -426,6 +420,7 @@ fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
         "rank profile must come from the measured histogram, got {}",
         drift.expected_rank
     );
+    assert_eq!(drift.expected_rank as f64, snap.recompression_ranks.mean().round());
 }
 
 /// Tracing is a per-run choice that never changes the factor: the same
@@ -501,13 +496,11 @@ fn default_shared_run_populates_the_registry() {
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg).run(&mut m).expect("SPD");
     let snap = out.registry.as_ref().expect("the registry is a sink of every run");
-    // Panel batching (on by default) retires *fused* tasks, so the
-    // counter is bounded by — not equal to — the DAG task count.
+    // One engine task per DAG task: each is enqueued and retired once.
     let executed = snap.counter(Counter::TasksExecuted);
-    assert!(executed > 0, "retired tasks must be counted");
-    assert!(executed as usize <= out.report.dag_tasks, "{executed} > {}", out.report.dag_tasks);
+    assert_eq!(executed as usize, out.report.dag_tasks, "one retirement per DAG task");
+    assert_eq!(snap.counter(Counter::TasksEnqueued), executed);
     assert!(snap.class_busy_seconds().total() > 0.0, "kernels take time");
-    assert!(snap.counter(Counter::TasksEnqueued) >= executed);
     assert!(snap.gauge(Gauge::ArenaHighWaterBytes) > 0.0, "workspaces allocate");
     // The snapshot exports to both wire formats without loss of the
     // headline counter.
@@ -520,16 +513,15 @@ fn default_shared_run_populates_the_registry() {
 
 /// Acceptance: a drift report on a DES run prices the original task
 /// graph with the scheduler's cost model and compares it to measured
-/// per-class virtual time and measured comm. On a fault-free, unbatched
-/// run the comm model is exact — both ratios are 1.0 — and every class
-/// ratio is finite (never NaN).
+/// per-class virtual time and measured comm. On a fault-free run the
+/// comm model is exact — both ratios are 1.0 — and every class ratio is
+/// finite (never NaN).
 #[test]
 fn drift_report_compares_model_to_measured_comm_exactly() {
-    let mut m = gaussian_matrix(120, 8.0);
-    let mut fcfg = FactorConfig::with_accuracy(1e-8);
-    // Panel batching fuses tasks and coalesces shipments, which changes
-    // message counts; the exactness claim is for the unbatched graph.
-    fcfg.batch_panels = false;
+    // Seven tile rows: on four ranks some panel's GEMMs share a
+    // shipped operand, so a run that merged shipments would read < 1.0.
+    let mut m = gaussian_matrix(168, 8.0);
+    let fcfg = FactorConfig::with_accuracy(1e-8);
     let out = Session::distributed(fcfg, 4, &DiamondDistribution::new(4))
         .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
         .run(&mut m)
@@ -547,7 +539,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
     assert!(gemm.modeled_seconds > 0.0);
 
     let comm = drift.comm.expect("distributed runs always model comm");
-    assert_eq!(comm.bytes_ratio, 1.0, "fault-free unbatched comm model is exact");
+    assert_eq!(comm.bytes_ratio, 1.0, "fault-free comm model is exact");
     assert_eq!(comm.messages_ratio, 1.0);
     assert!(!comm.anomalous);
 

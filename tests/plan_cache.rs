@@ -1,15 +1,14 @@
 //! Symbolic/numeric split contract: a factorization driven by a cached
 //! (or explicitly prebuilt) `SymbolicPlan` is bit-identical to one that
 //! re-plans from scratch — across every capability subset (observation,
-//! fault layer, tile integrity), every scheduling policy, and batching
-//! on/off. Planning decides *where and in what order* kernels run, never
+//! fault layer, tile integrity) and every scheduling policy. Planning decides *where and in what order* kernels run, never
 //! what they compute; the cache only decides whether planning happens.
 //! Plus the cache mechanics themselves: key validation on the explicit
 //! plan path, LRU eviction, and hit/miss counters surfacing in the run
 //! registry.
 
 use hicma_parsec::cholesky::{
-    factorize, FactorConfig, IntegrityMode, PlanCache, PlanKey, PlanMode, RunError, Session,
+    factorize, FactorConfig, IntegrityMode, PlanCache, PlanMode, RunError, Session,
 };
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::norms::relative_diff;
@@ -57,7 +56,7 @@ fn dist_session<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shared-memory: for a random (policy, batching, obs, integrity)
+    /// Shared-memory: for a random (policy, obs, integrity)
     /// configuration, a fresh run, a cold-cache run, a warm-cache run
     /// and an explicit `plan`/`run_with_plan` pair all produce the
     /// identical factor, and the cache counts exactly one miss + hits.
@@ -66,7 +65,6 @@ proptest! {
         seed in 0u64..10_000,
         corr in 4u32..10,
         policy_i in 0usize..SchedPolicy::ALL.len(),
-        batch_flag in 0u32..2,
         obs_flag in 0u32..2,
         integrity_i in 0usize..3,
     ) {
@@ -76,7 +74,6 @@ proptest! {
         let dense = Matrix::from_fn(n, n, rbf_gen(n, corr as f64, seed));
         let mut cfg = FactorConfig::with_accuracy(acc);
         cfg.sched = SchedPolicy::ALL[policy_i];
-        cfg.batch_panels = batch_flag == 1;
         cfg.collect_trace = obs_flag == 1;
         cfg.integrity = [
             IntegrityMode::Off,
@@ -144,7 +141,6 @@ proptest! {
         seed in 0u64..10_000,
         corr in 4u32..10,
         policy_i in 0usize..SchedPolicy::ALL.len(),
-        batch_flag in 0u32..2,
         subset in 0usize..4,
     ) {
         let n = 96;
@@ -153,7 +149,6 @@ proptest! {
         let dense = Matrix::from_fn(n, n, rbf_gen(n, corr as f64, seed));
         let mut cfg = FactorConfig::with_accuracy(acc);
         cfg.sched = SchedPolicy::ALL[policy_i];
-        cfg.batch_panels = batch_flag == 1;
 
         let mut reference = compressed(&dense, b, acc);
         factorize(&mut reference, &cfg).unwrap();
@@ -161,9 +156,7 @@ proptest! {
 
         let dist = TwoDBlockCyclic::new(4);
         // The capability subset under test: plain, traced, faulty, or
-        // integrity-armed. (Fault/integrity runs plan differently — no
-        // batching, sealed payloads — which is exactly what the key must
-        // capture.)
+        // integrity-armed.
         let ft_cfg = (subset == 2).then(|| {
             FtConfig::with_plan(
                 FaultPlan::new(seed)
@@ -272,11 +265,11 @@ fn lru_eviction_is_counted() {
     assert_eq!(cache.hits(), 0);
 }
 
-/// The key says what the plan decided, not which capabilities were on.
-/// Unbatched distributed sessions that differ only in fault layer, trace
-/// or integrity mode plan identically, so they share one cached plan;
-/// where a capability does change the plan (it rules batching out), the
-/// keys differ in exactly `batched` and the plans do not interchange.
+/// The key holds the structure and the configuration only: distributed
+/// sessions that differ only in fault layer, trace or integrity mode plan
+/// identically, so they share one cached plan, and each of them factors
+/// bit-identically through it. A plan still refuses a session whose
+/// configuration differs.
 #[test]
 fn distributed_key_records_decisions_not_capabilities() {
     let n = 120;
@@ -288,91 +281,56 @@ fn distributed_key_records_decisions_not_capabilities() {
     factorize(&mut reference, &FactorConfig::with_accuracy(acc)).unwrap();
     let l_ref = reference.to_dense_lower();
 
-    let mut plain = FactorConfig::with_accuracy(acc);
-    plain.batch_panels = false;
+    let plain = FactorConfig::with_accuracy(acc);
     let mut traced = plain;
     traced.collect_trace = true;
     let mut sealed = plain;
     sealed.integrity = IntegrityMode::Maintain;
     let lossy = Some(FtConfig::with_plan(FaultPlan::new(7).with_drops(0.1)));
+    // A corrupting fault plan seals payloads as an explicit integrity
+    // mode does.
+    let corrupting = Some(FtConfig::with_plan(
+        FaultPlan::new(7).with_message_corruption(0.3),
+    ));
     let none = None;
 
-    // Tracing rules batching out whatever `batch_panels` asked for, so
-    // the flag alone does not split the key either.
-    let mut traced_asking = traced;
-    traced_asking.batch_panels = true;
-
-    // Five sessions that all decide "unbatched": one plan.
+    // Five sessions, one plan.
     let cache = PlanCache::new(4);
+    let mut corrupted = 0;
     for (cfg, ft) in [
         (plain, &none),
         (traced, &none),
         (sealed, &none),
         (plain, &lossy),
-        (traced_asking, &none),
+        (plain, &corrupting),
     ] {
         let mut m = compressed(&dense, b, acc);
-        dist_session(cfg, &dist, ft, Some(&cache))
+        let out = dist_session(cfg, &dist, ft, Some(&cache))
             .run(&mut m)
             .unwrap();
         assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
+        if let Some(stats) = out.faults {
+            assert_eq!(stats.corruptions_detected, stats.messages_corrupted);
+            corrupted += stats.messages_corrupted;
+        }
     }
+    assert!(corrupted > 0, "the corrupting run verified payloads");
     assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 4, 1));
 
-    // batch_panels = true: tracing rules batching out, and the key says so.
-    plain.batch_panels = true;
-    traced.batch_panels = true;
-    let m0 = compressed(&dense, b, acc);
-    let plain_plan = dist_session(plain, &dist, &none, None).plan(&m0).unwrap();
-    let traced_plan = dist_session(traced, &dist, &none, None).plan(&m0).unwrap();
+    // A configuration change (the scheduling policy) is a different key.
+    let plan = dist_session(traced, &dist, &none, None)
+        .plan(&compressed(&dense, b, acc))
+        .unwrap();
     let mode = PlanMode::Distributed {
         nprocs: 4,
         replan: false,
     };
-    assert_eq!((plain_plan.key().mode, plain_plan.key().batched), (mode, true));
-    assert!(plain_plan.fused_groups() > 0);
-    assert_eq!(
-        *traced_plan.key(),
-        PlanKey {
-            batched: false,
-            ..*plain_plan.key()
-        }
-    );
-    assert_eq!(traced_plan.fused_groups(), 0);
-    assert!(format!("{traced_plan:?}").contains("fused_groups: 0"));
+    assert_eq!(plan.key().mode, mode);
+    let mut fifo = plain;
+    fifo.sched = SchedPolicy::Fifo;
     let mut m = compressed(&dense, b, acc);
-    let err = dist_session(traced, &dist, &none, None)
-        .run_with_plan(&plain_plan, &mut m)
+    let err = dist_session(fifo, &dist, &none, None)
+        .run_with_plan(&plan, &mut m)
         .unwrap_err();
     assert!(matches!(err, RunError::PlanMismatch { .. }), "{err}");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("batched: true") && msg.contains("batched: false"),
-        "{msg}"
-    );
-
-    // One predicate seals payloads: a corrupting fault plan arms it as an
-    // explicit integrity mode does, so the two sessions decide the same
-    // plan (one miss, one hit) — and the corrupting run really verified.
-    sealed.batch_panels = true;
-    let corrupting = Some(FtConfig::with_plan(
-        FaultPlan::new(7).with_message_corruption(0.3),
-    ));
-    let cache = PlanCache::new(2);
-    let mut m = compressed(&dense, b, acc);
-    let out = dist_session(plain, &dist, &corrupting, Some(&cache))
-        .run(&mut m)
-        .unwrap();
-    assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
-    let stats = out.faults.expect("fault layer configured");
-    assert!(stats.messages_corrupted > 0);
-    assert_eq!(stats.corruptions_detected, stats.messages_corrupted);
-    // `sealed` has no fault layer: only the sealed-payload predicate
-    // keeps its plan unbatched, which is what makes this lookup a hit.
-    let mut m = compressed(&dense, b, acc);
-    dist_session(sealed, &dist, &none, Some(&cache))
-        .run(&mut m)
-        .unwrap();
-    assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
-    assert_eq!((cache.misses(), cache.hits()), (1, 1));
 }

@@ -5,21 +5,18 @@
 //! runs when*, not merely how the code is arranged; factors stay
 //! bit-identical under any schedule, so nothing else would notice.
 //!
-//! The `graph` / `contracted` lines pin what every schedule is computed
-//! from: the DAG `build_cholesky_dag` emits and the contracted graph of
-//! `batch_panel_gemms`, task for task and edge for edge (recorded at the
-//! commit before the builder drew its edges from `TaskKind::operands` and
-//! the contraction stopped hashing).
+//! The `graph` lines pin what every schedule is computed from: the DAG
+//! `build_cholesky_dag` emits, task for task and edge for edge (recorded
+//! at the commit before the builder drew its edges from
+//! `TaskKind::operands`).
 //!
 //! On a mismatch the assertion prints each line that moved — door and
 //! policy are its first two words — and then the whole table.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_parsec::cholesky::simulate::simulate_cholesky;
-use hicma_parsec::cholesky::{
-    batch_panel_gemms, build_cholesky_dag, DagConfig, FactorConfig, Session,
-};
-use hicma_parsec::distribution::{DiamondDistribution, TileDistribution, TwoDBlockCyclic};
+use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, FactorConfig, Session};
+use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskGraph;
 use hicma_parsec::runtime::{MachineModel, Pricing, SchedPlan, SchedPolicy};
@@ -102,25 +99,21 @@ fn actual() -> String {
         }
     }
 
-    // Distributed door: per-rank execution sequence of the virtual trace
-    // (unbatched: tracing a distributed run turns batching off), and the
-    // virtual makespan of the untraced, batched run.
+    // Distributed door: per-rank execution sequence of the virtual trace.
     let dist = TwoDBlockCyclic::new(4);
     for policy in SchedPolicy::ALL {
         let mut cfg = FactorConfig::with_accuracy(1e-8);
         cfg.sched = policy;
-        let batched = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
         cfg.collect_trace = true;
         let traced = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
         let comm = traced.comm.unwrap();
         write!(
             out,
-            "dist {} comm={}/{} makespan={:#018x} batched_makespan={:#018x}",
+            "dist {} comm={}/{} makespan={:#018x}",
             policy.name(),
             comm.bytes,
             comm.messages,
             traced.virtual_makespan.unwrap().to_bits(),
-            batched.virtual_makespan.unwrap().to_bits(),
         )
         .unwrap();
         let trace = traced.trace.unwrap();
@@ -144,41 +137,11 @@ fn actual() -> String {
             .unwrap();
     }
 
-    // Graph door: the DAG the builder emits, trimmed and untrimmed, and
-    // the contracted graph panel batching derives from it — without a
-    // rank map (shared memory) and split at the rank boundaries of two
-    // layouts — with the two maps between the granularities.
-    let two_d = TwoDBlockCyclic::new(4);
-    let diamond = DiamondDistribution::new(6);
-    let layouts: [(&str, usize, Option<&dyn TileDistribution>); 3] =
-        [("shared", 1, None), ("2dbc4", 4, Some(&two_d)), ("diamond6", 6, Some(&diamond))];
+    // Graph door: the DAG the builder emits, trimmed and untrimmed.
     for (name, snapshot) in [("rbf", rbf_fixture().rank_snapshot()), ("synthetic", snap)] {
         for (label, trimmed) in [("trimmed", true), ("untrimmed", false)] {
             let dag = build_cholesky_dag(&snapshot, &DagConfig { trimmed, ..DagConfig::default() });
             writeln!(out, "graph {name} {label} {}", graph_folds(&dag.graph)).unwrap();
-            for (layout, nprocs, dist) in layouts {
-                let exec_rank: Option<Vec<usize>> = dist.map(|dist| {
-                    (0..dag.graph.len())
-                        .map(|t| {
-                            let w = dag.graph.spec(t).writes.unwrap();
-                            dist.owner(w.i, w.j).min(nprocs - 1)
-                        })
-                        .collect()
-                });
-                let pb = batch_panel_gemms(&dag, exec_rank.as_deref());
-                let members = pb.members.iter().flat_map(|m| {
-                    std::iter::once(m.len() as u64).chain(m.iter().map(|&t| t as u64))
-                });
-                writeln!(
-                    out,
-                    "contracted {name} {label} {layout} {} fused={} members={:#018x} of={:#018x}",
-                    graph_folds(&pb.graph),
-                    pb.fused_groups,
-                    fnv(members),
-                    fnv(pb.of.iter().map(|&b| b as u64)),
-                )
-                .unwrap();
-            }
         }
     }
     out
@@ -197,12 +160,12 @@ des lorapo lifo secs=0x3fc5ecd9775b22d4 comm=180649984/990 tasks=5984 imbalance=
 des lorapo upward-rank secs=0x3fc1a6b8a0402659 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e0 order=0x29d74b693c94536b
 des lorapo comm-upward-rank secs=0x3fc20051b7ff8acf comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3df order=0xa9625bdd763ee0bb
 des lorapo rank-lookahead secs=0x3fc1d742ca7a78e6 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xafa2fab074eb8b31
-dist panel-priority comm=124416/49 makespan=0x403e000000000000 batched_makespan=0x403d000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
-dist fifo comm=124416/49 makespan=0x403e000000000000 batched_makespan=0x403d000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
-dist lifo comm=124416/49 makespan=0x4042000000000000 batched_makespan=0x4041000000000000 rank0=[0, 4, 9, 2, 15, 7, 28, 31, 26, 36, 38, 41, 49, 52] rank1=[16, 14, 11, 24, 32, 22, 43, 47] rank2=[5, 20, 3, 18, 13, 1, 35, 33, 30, 39, 45, 37, 51, 53] rank3=[10, 19, 8, 17, 12, 6, 21, 25, 29, 23, 34, 27, 42, 44, 40, 46, 48, 50, 54, 55]
-dist upward-rank comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x4040000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
-dist comm-upward-rank comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x403f000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 22, 14, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 37, 33, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 19, 25, 34, 8, 44, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
-dist rank-lookahead comm=124416/49 makespan=0x403f800000000000 batched_makespan=0x4040000000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+dist panel-priority comm=124416/49 makespan=0x403e000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
+dist fifo comm=124416/49 makespan=0x403e000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
+dist lifo comm=124416/49 makespan=0x4042000000000000 rank0=[0, 4, 9, 2, 15, 7, 28, 31, 26, 36, 38, 41, 49, 52] rank1=[16, 14, 11, 24, 32, 22, 43, 47] rank2=[5, 20, 3, 18, 13, 1, 35, 33, 30, 39, 45, 37, 51, 53] rank3=[10, 19, 8, 17, 12, 6, 21, 25, 29, 23, 34, 27, 42, 44, 40, 46, 48, 50, 54, 55]
+dist upward-rank comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+dist comm-upward-rank comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 22, 14, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 37, 33, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 19, 25, 34, 8, 44, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
+dist rank-lookahead comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
 shared panel-priority tasks=56 keys=0xb7a523d6f7dce585
 shared fifo tasks=56 keys=0x03a523d6f7dce585
 shared lifo tasks=56 keys=0x830323d6f7dce585
@@ -210,21 +173,9 @@ shared upward-rank tasks=56 keys=0x4bc695533f690fb1
 shared comm-upward-rank tasks=56 keys=0x4bc695533f690fb1
 shared rank-lookahead tasks=56 keys=0x4bc695533f690fb1
 graph rbf trimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
-contracted rbf trimmed shared tasks=46 edges=95 specs=0x8a182f1cbbee4074 succs=0xed722cd8d03a101e fused=6 members=0xba4a22b2ad085c99 of=0x9ed679c7a3b234c3
-contracted rbf trimmed 2dbc4 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
-contracted rbf trimmed diamond6 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
 graph rbf untrimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
-contracted rbf untrimmed shared tasks=46 edges=95 specs=0x8a182f1cbbee4074 succs=0xed722cd8d03a101e fused=6 members=0xba4a22b2ad085c99 of=0x9ed679c7a3b234c3
-contracted rbf untrimmed 2dbc4 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
-contracted rbf untrimmed diamond6 tasks=52 edges=101 specs=0x64bc572ca775008a succs=0x44578e45e763c594 fused=4 members=0x1eb75542029b97ed of=0xda7b653be3e7a06e
 graph synthetic trimmed tasks=1924 edges=4818 specs=0xe94f56524e4ad11d succs=0x18c46f1731144c5a
-contracted synthetic trimmed shared tasks=859 edges=3753 specs=0x41e5851617a72f94 succs=0x39317466984b7dd4 fused=225 members=0xae4dc4f142e5769f of=0x607fd8ad8b5805bd
-contracted synthetic trimmed 2dbc4 tasks=1084 edges=3978 specs=0xb8c7c57d2f985299 succs=0x92dd47efa0f0699e fused=364 members=0x3d90d350127e3053 of=0x28e9e9f94e269cdd
-contracted synthetic trimmed diamond6 tasks=1084 edges=3978 specs=0xb8c7c57d2f985299 succs=0x92dd47efa0f0699e fused=364 members=0x3d90d350127e3053 of=0x28e9e9f94e269cdd
 graph synthetic untrimmed tasks=5984 edges=16368 specs=0x304b1a9062b8e825 succs=0x3e8ec14ad6c382e5
-contracted synthetic untrimmed shared tasks=1489 edges=11873 specs=0x456be4f40711048a succs=0x4f2b55b5f8319e7d fused=435 members=0xe1d834931f74f34f of=0xb2ded88a2092b5c5
-contracted synthetic untrimmed 2dbc4 tasks=1924 edges=12308 specs=0x6c01b195f05f8db1 succs=0xe9ad9fa828bbbd1d fused=784 members=0x1851a404a84f9c51 of=0x3eff6547abc22bd2
-contracted synthetic untrimmed diamond6 tasks=1924 edges=12308 specs=0x6c01b195f05f8db1 succs=0xe9ad9fa828bbbd1d fused=784 members=0x1851a404a84f9c51 of=0x3eff6547abc22bd2
 ";
 
 #[test]
