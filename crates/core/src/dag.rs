@@ -25,7 +25,7 @@
 //! executor and the distributed discrete-event simulator.
 
 use crate::analysis::MatrixAnalysis;
-use runtime::graph::{DataRef, TaskClass, TaskGraph, TaskId, TaskSpec};
+use runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 use tlr_compress::kernels::flops;
 use tlr_compress::RankSnapshot;
 
@@ -183,11 +183,14 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
     let analysis = MatrixAnalysis::analyze(initial, cfg.rank_cap);
     let ranks = &analysis.final_ranks;
 
-    let mut graph = TaskGraph::new();
-    let mut kinds: Vec<TaskKind> = Vec::new();
-    let mut task_flops: Vec<f64> = Vec::new();
-    let mut rank_param: Vec<usize> = Vec::new();
-    let mut nested: Vec<bool> = Vec::new();
+    // The analysis counts the tasks, so every table is sized once; each
+    // task draws at most three edges, one per operand.
+    let ntasks = if cfg.trimmed { analysis.surviving_tasks() } else { analysis.dense_tasks() };
+    let mut graph = GraphBuilder::with_capacity(ntasks, 3 * ntasks);
+    let mut kinds: Vec<TaskKind> = Vec::with_capacity(ntasks);
+    let mut task_flops: Vec<f64> = Vec::with_capacity(ntasks);
+    let mut rank_param: Vec<usize> = Vec::with_capacity(ntasks);
+    let mut nested: Vec<bool> = Vec::with_capacity(ntasks);
     // last_writer[tile] = task that produced the current version.
     let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
 
@@ -195,7 +198,9 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
     // from `operands()`: one edge from the producer of the current version
     // of every tile the task reads, then of the tile it overwrites, each
     // carrying that tile's bytes. The producers of one task's operands are
-    // distinct tasks, so every successor list is in task-emission order.
+    // distinct, earlier tasks: every edge runs from a lower id to a higher
+    // one (id order is the graph's topological order), and the builder's
+    // stable layout keeps every successor list in task-emission order.
     let mut add = |kind: TaskKind, fl: f64, kparam: usize, is_nested: bool| {
         let ops = kind.operands();
         let id = graph.add_task(TaskSpec {
@@ -226,22 +231,19 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
         }
     };
 
+    let all_rows: Vec<usize> = (0..nt).collect();
     for k in 0..nt {
         add(TaskKind::Potrf { k }, flops::potrf(b), b, true);
 
         // Which rows participate in this panel? (Ascending; a trimmed
         // panel keeps the rows whose tile `(m, k)` is non-null.)
-        let rows: Vec<usize> = if cfg.trimmed {
-            analysis.trsm[k].clone()
-        } else {
-            (k + 1..nt).collect()
-        };
-        for &m in &rows {
+        let rows: &[usize] = if cfg.trimmed { &analysis.trsm[k] } else { &all_rows[k + 1..] };
+        for &m in rows {
             let (fl, kparam) = priced(ranks.rank(m, k), flops::trsm_dense, flops::trsm_lr);
             // panel-adjacent TRSM: critical path (nested)
             add(TaskKind::Trsm { k, m }, fl, kparam, m <= k + 4);
         }
-        for &m in &rows {
+        for &m in rows {
             let (fl, kparam) = priced(ranks.rank(m, k), flops::syrk_dense, flops::syrk_lr);
             // SYRK accumulations serialize on the shared diagonal tile and
             // feed the next POTRF: always on the critical path, always
@@ -271,6 +273,7 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
         }
     }
 
+    let graph = graph.finish();
     CholeskyDag { graph, kinds, analysis, flops: task_flops, rank_param, nested }
 }
 
@@ -301,7 +304,7 @@ mod tests {
         let dag = build_cholesky_dag(&dense_snap(nt, 64, 8), &DagConfig::default());
         let expect = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6;
         assert_eq!(dag.graph.len(), expect);
-        assert!(dag.graph.topological_order().is_some());
+        assert!(dag.graph.order().expect("acyclic").eq(0..dag.graph.len()), "ids are the order");
     }
 
     #[test]

@@ -328,10 +328,10 @@ impl fmt::Display for DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::graph::{DataRef, TaskSpec};
+    use runtime::graph::{DataRef, GraphBuilder, TaskSpec};
 
-    fn graph_with(classes: &[(TaskClass, f64)]) -> TaskGraph {
-        let mut g = TaskGraph::new();
+    fn graph_with(classes: &[(TaskClass, f64)]) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         for &(class, flops) in classes {
             g.add_task(TaskSpec {
                 class,
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_yields_zero_ratios_not_nan() {
-        let g = graph_with(&[(TaskClass::Potrf, 1e6), (TaskClass::Gemm, 1e7)]);
+        let g = graph_with(&[(TaskClass::Potrf, 1e6), (TaskClass::Gemm, 1e7)]).finish();
         let spec = DriftSpec::new(MachineModel::shaheen_ii());
         let rep = DriftReport::compute(&spec, &g, &RegistrySnapshot::default(), None);
         assert_eq!(rep.classes.len(), 5);
@@ -373,6 +373,7 @@ mod tests {
     fn comm_drift_is_exact_on_matching_model() {
         let mut g = graph_with(&[(TaskClass::Potrf, 1e6), (TaskClass::Trsm, 1e6)]);
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 800);
+        let g = g.finish();
         let exec_rank = vec![0usize, 1usize];
         let measured = crate::replan::modeled_comm(&g, &exec_rank);
         let spec = DriftSpec::new(MachineModel::fugaku());

@@ -323,10 +323,9 @@ pub fn simulate_cholesky_faulty(
     let plan = des_schedule(&dag, initial, &tasks, &cfg.machine, cfg.sched)?;
     let report = simulate_planned(&dag.graph, &tasks, &des_cfg, &plan, faults, restart_delay_s)?;
 
-    // Critical path without runtime overhead: pure kernel chain (§VIII-G).
-    let cp = runtime::critical_path::critical_path(&dag.graph, |t| {
-        task_duration(&dag, t, &cfg.machine)
-    });
+    // Critical path without runtime overhead: pure kernel chain (§VIII-G),
+    // priced from the kernel durations the DES ran.
+    let cp = runtime::critical_path::critical_path(&dag.graph, |t| tasks[t].duration);
 
     // Generation + compression phase model (Fig. 11): both are
     // embarrassingly parallel over all cores of all nodes.
@@ -539,6 +538,29 @@ mod tests {
         cfg.machine.cores_per_node = 0;
         let err = run(&cfg).unwrap_err();
         assert_eq!(err, EngineError::EmptyMachine { nprocs: 16, cores_per_proc: 0 });
+    }
+
+    /// The critical path reads the durations `des_tasks` computed, once
+    /// per task, where it used to re-price the machine model on every edge
+    /// visit: the same bits on the goldens' synthetic snapshot and machine.
+    #[test]
+    fn critical_path_is_priced_from_the_des_durations() {
+        use crate::lorapo::{hicma_parsec_config, lorapo_config};
+        use runtime::critical_path::critical_path;
+        let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+        let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+        for cfg in [hicma_parsec_config(machine.clone(), 4), lorapo_config(machine, 4)] {
+            let dag = build_cholesky_dag(
+                &snap,
+                &DagConfig { trimmed: cfg.trimmed, rank_cap: cfg.rank_cap },
+            );
+            let priced_per_visit = critical_path(&dag.graph, |t| {
+                task_duration(&dag, t, &cfg.machine)
+            });
+            let r = simulate_cholesky(&snap, &cfg);
+            assert_eq!(r.critical_path_seconds.to_bits(), priced_per_visit.length.to_bits());
+            assert!(r.critical_path_seconds > 0.0);
+        }
     }
 
     #[test]

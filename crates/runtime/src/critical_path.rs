@@ -19,32 +19,32 @@ pub struct CriticalPath {
 
 /// Compute the longest path through `graph` where task `t` costs
 /// `duration(t)` seconds and edges are free (compute-only bound).
+/// `duration` is called once per task, in the graph's stored order.
 ///
 /// # Panics
 /// Panics if the graph is cyclic.
 pub fn critical_path(graph: &TaskGraph, duration: impl Fn(TaskId) -> f64) -> CriticalPath {
-    let order = graph.topological_order().expect("critical_path requires a DAG");
+    let order = graph.order().expect("critical_path requires a DAG");
     let n = graph.len();
     if n == 0 {
         return CriticalPath { length: 0.0, tasks: vec![] };
     }
-    // dist[t] = longest path ending at t (inclusive of t's duration)
-    let mut dist = vec![0.0_f64; n];
+    // start[t] = latest end over t's predecessors (0 for a source);
+    // end[t] = start[t] + duration(t), the longest path ending at t.
+    // Rounding is monotone, so `max(a) + d` is `max(a + d)` bit for bit.
+    let mut start = vec![0.0_f64; n];
+    let mut end = vec![0.0_f64; n];
     let mut pred: Vec<Option<TaskId>> = vec![None; n];
-    for &t in &order {
-        let dt = duration(t);
-        if dist[t] == 0.0 {
-            dist[t] = dt; // source initialization
-        }
+    for t in order {
+        end[t] = start[t] + duration(t);
         for e in graph.successors(t) {
-            let cand = dist[t] + duration(e.dst);
-            if cand > dist[e.dst] {
-                dist[e.dst] = cand;
+            if end[t] > start[e.dst] {
+                start[e.dst] = end[t];
                 pred[e.dst] = Some(t);
             }
         }
     }
-    let (sink, &length) = dist
+    let (sink, &length) = end
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
@@ -62,21 +62,22 @@ pub fn critical_path(graph: &TaskGraph, duration: impl Fn(TaskId) -> f64) -> Cri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DataRef, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
 
-    fn spec() -> TaskSpec {
-        TaskSpec { class: TaskClass::Other, priority: 0, writes: None, flops: 0.0 }
+    fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> TaskGraph {
+        let mut g = GraphBuilder::new();
+        for _ in 0..n {
+            g.add_task(TaskSpec { class: TaskClass::Other, priority: 0, writes: None, flops: 0.0 });
+        }
+        for &(s, d) in edges {
+            g.add_edge(s, d, DataRef { i: 0, j: 0 }, 0);
+        }
+        g.finish()
     }
 
     #[test]
     fn chain_length_is_sum() {
-        let mut g = TaskGraph::new();
-        for _ in 0..5 {
-            g.add_task(spec());
-        }
-        for i in 0..4 {
-            g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
-        }
+        let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let cp = critical_path(&g, |_| 2.0);
         assert_eq!(cp.length, 10.0);
         assert_eq!(cp.tasks, vec![0, 1, 2, 3, 4]);
@@ -85,15 +86,7 @@ mod tests {
     #[test]
     fn picks_longer_branch() {
         // 0 → 1 → 3 (cheap branch), 0 → 2 → 3 (expensive branch)
-        let mut g = TaskGraph::new();
-        for _ in 0..4 {
-            g.add_task(spec());
-        }
-        let d = DataRef { i: 0, j: 0 };
-        g.add_edge(0, 1, d, 0);
-        g.add_edge(0, 2, d, 0);
-        g.add_edge(1, 3, d, 0);
-        g.add_edge(2, 3, d, 0);
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let dur = |t: TaskId| if t == 2 { 10.0 } else { 1.0 };
         let cp = critical_path(&g, dur);
         assert_eq!(cp.length, 12.0);
@@ -101,12 +94,19 @@ mod tests {
     }
 
     #[test]
+    fn picks_longer_branch_when_ids_are_not_topological() {
+        // 3 → 2 → 0 (cheap branch), 3 → 1 → 0 (expensive branch)
+        let g = graph(4, &[(3, 2), (3, 1), (2, 0), (1, 0)]);
+        let dur = |t: TaskId| if t == 1 { 10.0 } else { 1.0 };
+        let cp = critical_path(&g, dur);
+        assert_eq!(cp.length, 12.0);
+        assert_eq!(cp.tasks, vec![3, 1, 0]);
+    }
+
+    #[test]
     fn disconnected_components() {
-        let mut g = TaskGraph::new();
-        for _ in 0..3 {
-            g.add_task(spec());
-        }
         // no edges: longest path = max single duration
+        let g = graph(3, &[]);
         let cp = critical_path(&g, |t| (t + 1) as f64);
         assert_eq!(cp.length, 3.0);
         assert_eq!(cp.tasks, vec![2]);
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn empty_graph_zero() {
-        let g = TaskGraph::new();
+        let g = graph(0, &[]);
         let cp = critical_path(&g, |_| 1.0);
         assert_eq!(cp.length, 0.0);
         assert!(cp.tasks.is_empty());

@@ -289,7 +289,7 @@ impl<'a> Sim<'a> {
         if tasks.len() != n {
             return Err(EngineError::RankMapLength { expected: n, got: tasks.len() });
         }
-        if graph.topological_order().is_none() {
+        if graph.order().is_none() {
             return Err(EngineError::Cycle);
         }
         if n > 0 && (nprocs == 0 || cores_per_proc == 0) {
@@ -613,7 +613,7 @@ pub fn single_proc_config(cores: usize) -> DesConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DataRef, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
 
     fn spec(priority: usize) -> TaskSpec {
         TaskSpec {
@@ -624,8 +624,8 @@ mod tests {
         }
     }
 
-    fn chain(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
+    fn chain_builder(n: usize) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         for i in 0..n {
             g.add_task(spec(i));
         }
@@ -633,6 +633,10 @@ mod tests {
             g.add_edge(i, i + 1, DataRef { i: 0, j: i }, 100);
         }
         g
+    }
+
+    fn chain(n: usize) -> TaskGraph {
+        chain_builder(n).finish()
     }
 
     #[test]
@@ -651,10 +655,11 @@ mod tests {
 
     #[test]
     fn independent_tasks_run_in_parallel() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for _ in 0..8 {
             g.add_task(spec(0));
         }
+        let g = g.finish();
         let tasks: Vec<DesTask> = (0..8)
             .map(|_| DesTask {
                 proc: 0,
@@ -671,10 +676,11 @@ mod tests {
 
     #[test]
     fn cross_proc_edge_pays_latency_and_bandwidth() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(spec(0));
         g.add_task(spec(1));
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1_000_000);
+        let g = g.finish();
         let tasks = vec![
             DesTask {
                 proc: 0,
@@ -702,10 +708,11 @@ mod tests {
 
     #[test]
     fn same_proc_edge_is_free() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(spec(0));
         g.add_task(spec(1));
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1 << 30);
+        let g = g.finish();
         let tasks = vec![
             DesTask {
                 proc: 0,
@@ -733,13 +740,14 @@ mod tests {
     fn broadcast_uses_binomial_tree() {
         // One producer on proc 0, consumers on procs 1..=4 with the same
         // datum. Tree depths: 1, 2, 2, 3 hops.
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let src = g.add_task(spec(0));
         let d = DataRef { i: 3, j: 1 };
         for _ in 0..4 {
             let c = g.add_task(spec(1));
             g.add_edge(src, c, d, 0);
         }
+        let g = g.finish();
         let mut tasks = vec![DesTask {
             proc: 0,
             duration: 1.0,
@@ -772,13 +780,14 @@ mod tests {
         // message one by one, so the LAST consumer waits ~n·dep_overhead
         // (this is the per-dependency overhead DAG trimming removes).
         let nremote = 16usize;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let src = g.add_task(spec(0));
         for i in 0..nremote {
             let t = g.add_task(spec(1));
             // distinct datum per consumer ⇒ n separate activations
             g.add_edge(src, t, DataRef { i, j: 0 }, 0);
         }
+        let g = g.finish();
         let mut tasks = vec![DesTask {
             proc: 0,
             duration: 1.0,
@@ -813,13 +822,14 @@ mod tests {
         // the sender's NIC does not serialize per receiver.
         let nremote = 8usize;
         let bytes = 1_000_000u64; // 1 s at 1 MB/s
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let src = g.add_task(spec(0));
         let d = DataRef { i: 0, j: 0 };
         for _ in 0..nremote {
             let t = g.add_task(spec(1));
             g.add_edge(src, t, d, bytes);
         }
+        let g = g.finish();
         let mut tasks = vec![DesTask {
             proc: 0,
             duration: 1.0,
@@ -853,13 +863,14 @@ mod tests {
     fn back_to_back_broadcasts_share_the_nic() {
         // Two payload broadcasts from the same proc: the second's
         // injection waits for the first (finite injection bandwidth).
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(spec(0));
         let b = g.add_task(spec(0));
         let ca = g.add_task(spec(1));
         let cb = g.add_task(spec(1));
         g.add_edge(a, ca, DataRef { i: 0, j: 0 }, 1_000_000);
         g.add_edge(b, cb, DataRef { i: 1, j: 0 }, 1_000_000);
+        let g = g.finish();
         let tasks = vec![
             DesTask {
                 proc: 0,
@@ -899,9 +910,10 @@ mod tests {
     fn priority_breaks_ties() {
         // Two ready tasks on one single-core proc; the lower-priority value
         // (more urgent) must run first.
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let urgent = g.add_task(spec(0));
         let lazy = g.add_task(spec(9));
+        let g = g.finish();
         let tasks = vec![
             DesTask {
                 proc: 0,
@@ -933,7 +945,7 @@ mod tests {
     fn makespan_never_below_critical_path() {
         use crate::critical_path::critical_path;
         // Random-ish layered DAG over 3 procs.
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let l0: Vec<_> = (0..6).map(|_| g.add_task(spec(0))).collect();
         let l1: Vec<_> = (0..6).map(|_| g.add_task(spec(1))).collect();
         for (a, &t0) in l0.iter().enumerate() {
@@ -943,6 +955,7 @@ mod tests {
                 }
             }
         }
+        let g = g.finish();
         let tasks: Vec<DesTask> = (0..g.len())
             .map(|t| DesTask {
                 proc: t % 3,
@@ -971,7 +984,7 @@ mod tests {
 
     /// Wide two-layer DAG spread over `nprocs`, unit durations.
     fn wide_graph(width: usize) -> (TaskGraph, Vec<DesTask>) {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let root = g.add_task(spec(0));
         let mut mids = Vec::new();
         for i in 0..width {
@@ -983,6 +996,7 @@ mod tests {
         for (i, &m) in mids.iter().enumerate() {
             g.add_edge(m, sink, DataRef { i, j: 1 }, 1000);
         }
+        let g = g.finish();
         let tasks: Vec<DesTask> = (0..g.len())
             .map(|t| DesTask {
                 proc: t % 3,
@@ -1077,12 +1091,13 @@ mod tests {
         // Chain on a single remote proc with the sink elsewhere: crashing
         // the chain's proc after it finished some tasks but before the
         // sink consumed them forces re-execution.
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(spec(0));
         let b = g.add_task(spec(1));
         let c = g.add_task(spec(2));
         g.add_edge(a, b, DataRef { i: 0, j: 0 }, 1000);
         g.add_edge(b, c, DataRef { i: 1, j: 0 }, 1000);
+        let g = g.finish();
         let tasks = vec![
             DesTask {
                 proc: 0,
@@ -1198,8 +1213,9 @@ mod tests {
             EngineError::EmptyMachine { nprocs: 1, cores_per_proc: 0 }
         );
         // a cyclic graph
-        let mut cyclic = chain(2);
+        let mut cyclic = chain_builder(2);
         cyclic.add_edge(1, 0, DataRef { i: 0, j: 0 }, 0);
+        let cyclic = cyclic.finish();
         assert_eq!(simulate(&cyclic, &[on(0), on(0)], &cfg).unwrap_err(), EngineError::Cycle);
         // a plan built for a smaller graph
         let short = chain(1);

@@ -995,7 +995,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryConfig};
-    use crate::graph::{TaskClass, TaskSpec};
+    use crate::graph::{GraphBuilder, TaskClass, TaskSpec};
 
     fn dspec(priority: usize, writes: DataRef) -> TaskSpec {
         TaskSpec {
@@ -1007,19 +1007,21 @@ mod tests {
     }
 
     fn dist_chain(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for k in 0..n {
             g.add_task(dspec(k, DataRef { i: k, j: 0 }));
         }
         for k in 0..n - 1 {
             g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
         }
-        g
+        g.finish()
     }
 
-    /// Creation-order topological sort: the schedule of these tests.
+    /// The graph's stored order (creation order: every test graph here
+    /// draws its edges from lower ids to higher): the schedule of these
+    /// tests.
     fn topo(g: &TaskGraph) -> Vec<TaskId> {
-        g.topological_order().expect("test graphs are acyclic")
+        g.order().expect("test graphs are acyclic").collect()
     }
 
     fn run_chain(
@@ -1459,13 +1461,14 @@ mod tests {
     fn chain_across_ranks() {
         let n = 12usize;
         let nprocs = 4usize;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for k in 0..n {
             g.add_task(dspec(k, DataRef { i: k, j: 0 }));
         }
         for k in 0..n - 1 {
             g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
         }
+        let g = g.finish();
         let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
         let mut initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
         initial[0].insert(DataRef { i: 0, j: 0 }, 0); // seed... overwritten by task 0
@@ -1489,13 +1492,14 @@ mod tests {
     fn broadcast_to_all_ranks() {
         let nprocs = 5usize;
         let consumers = 16usize;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
         let data = DataRef { i: 0, j: 0 };
         for c in 0..consumers {
             let t = g.add_task(dspec(1, DataRef { i: 1 + c, j: 0 }));
             g.add_edge(root, t, data, 8);
         }
+        let g = g.finish();
         let mut exec = vec![0usize];
         exec.extend((0..consumers).map(|c| c % nprocs));
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
@@ -1524,12 +1528,13 @@ mod tests {
     /// latencies dictate and must be held per consumer until it is ready.
     #[test]
     fn out_of_order_messages_parked() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
         let b = g.add_task(dspec(0, DataRef { i: 1, j: 0 }));
         let c = g.add_task(dspec(1, DataRef { i: 2, j: 0 }));
         g.add_edge(a, c, DataRef { i: 0, j: 0 }, 8);
         g.add_edge(b, c, DataRef { i: 1, j: 0 }, 8);
+        let g = g.finish();
         let exec = vec![0, 1, 2];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
         let stores = run_dist(&g, 3, &exec, initial, move |t, ctx| match t {
@@ -1551,7 +1556,7 @@ mod tests {
     /// engine's per-consumer inboxes make it structural.)
     #[test]
     fn duplicate_parked_messages_are_not_lost() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let fast = g.add_task(dspec(0, DataRef { i: 0, j: 0 })); // rank 1
         let slow = g.add_task(dspec(0, DataRef { i: 1, j: 0 })); // rank 2
         // rank 0's first task waits on `slow`, so both copies of `fast`'s
@@ -1565,6 +1570,7 @@ mod tests {
         g.add_edge(fast, c1, d_fast, 8);
         g.add_edge(fast, c2, d_fast, 8);
         g.add_edge(gate, c1, DataRef { i: 2, j: 0 }, 0);
+        let g = g.finish();
 
         let exec = vec![1, 2, 0, 0, 0];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 3];
@@ -1737,7 +1743,7 @@ mod tests {
         // exercises broadcast replay and many-input gathering.
         let width = 10usize;
         let nprocs = 4usize;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
         let sink_data = DataRef { i: 99, j: 0 };
         let mut mids = Vec::new();
@@ -1750,6 +1756,7 @@ mod tests {
         for (m, &t) in mids.iter().enumerate() {
             g.add_edge(t, sink, DataRef { i: 1 + m, j: 0 }, 8);
         }
+        let g = g.finish();
         let mut exec = vec![0usize];
         exec.extend((0..width).map(|m| m % nprocs));
         exec.push(0);
@@ -1799,9 +1806,10 @@ mod tests {
     /// A task whose input was never wired panics with the diagnostic.
     #[test]
     fn missing_edge_panics_with_diagnostic() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let _a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
         let _b = g.add_task(dspec(1, DataRef { i: 1, j: 0 }));
+        let g = g.finish();
         // no edge a → b although b reads a's datum
         let exec = vec![0, 1];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];

@@ -279,7 +279,7 @@ mod tests {
         let ntasks = 1000;
         let obs = ExecObs::new(ntasks);
         assert_eq!((obs.spans.len(), std::mem::size_of::<SpanSlot>()), (ntasks, 32));
-        let mut g = TaskGraph::new();
+        let mut g = crate::graph::GraphBuilder::new();
         for _ in 0..ntasks {
             g.add_task(crate::graph::TaskSpec {
                 class: TaskClass::Other,
@@ -288,6 +288,7 @@ mod tests {
                 flops: 0.0,
             });
         }
+        let g = g.finish();
         let at = Instant::now();
         std::thread::scope(|s| {
             for wid in 0..8 {

@@ -148,7 +148,7 @@ impl<'g> Engine<'g> {
         if n == 0 {
             return Ok(());
         }
-        if graph.topological_order().is_none() {
+        if graph.order().is_none() {
             return Err(EngineError::Cycle);
         }
         let nthreads = cfg.nthreads.max(1);
@@ -363,7 +363,7 @@ fn find_task<O: Observe>(
 mod tests {
     use super::*;
     use crate::engine::ExecObs;
-    use crate::graph::{DataRef, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
     use std::sync::atomic::AtomicU64;
 
     fn spec(priority: usize) -> TaskSpec {
@@ -376,14 +376,14 @@ mod tests {
     }
 
     fn chain(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..n {
             g.add_task(spec(i));
         }
         for i in 0..n - 1 {
             g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
         }
-        g
+        g.finish()
     }
 
     /// Chain 0 → 1 → … → n−1 must execute in exact order.
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn fanout_runs_each_task_once() {
         let width = 500;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let root = g.add_task(spec(0));
         let sink = g.add_task(spec(2));
         for _ in 0..width {
@@ -410,6 +410,7 @@ mod tests {
             g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
             g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
         }
+        let g = g.finish();
         let counts: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
         Engine::new(&g)
             .run(&EngineConfig::new(8), |_w, t| {
@@ -431,7 +432,7 @@ mod tests {
         // Layered graph: each layer sums the previous layer's value + 1.
         let layers = 50;
         let width = 8;
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let mut prev: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(0))).collect();
         for l in 1..layers {
             let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(l))).collect();
@@ -442,6 +443,7 @@ mod tests {
             }
             prev = cur;
         }
+        let g = g.finish();
         let level = AtomicU64::new(0);
         let violations = AtomicUsize::new(0);
         // Record the maximum "wave" seen; a child running before any parent
@@ -461,7 +463,7 @@ mod tests {
 
     #[test]
     fn empty_graph_ok() {
-        let g = TaskGraph::new();
+        let g = GraphBuilder::new().finish();
         Engine::new(&g)
             .run(&EngineConfig::new(4), |_w, _t| panic!("no tasks"))
             .unwrap();
@@ -469,10 +471,11 @@ mod tests {
 
     #[test]
     fn single_thread_ok() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(spec(0));
         let b = g.add_task(spec(1));
         g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
+        let g = g.finish();
         let order = Mutex::new(Vec::new());
         Engine::new(&g)
             .run(&EngineConfig::new(1), |_w, t| order.lock().unwrap().push(t))
@@ -585,11 +588,12 @@ mod tests {
 
     #[test]
     fn cycle_is_a_typed_error() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(spec(0));
         let b = g.add_task(spec(0));
         g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
         g.add_edge(b, a, DataRef { i: 0, j: 0 }, 0);
+        let g = g.finish();
         let err = Engine::new(&g)
             .run(&EngineConfig::new(2), |_w, _t| {})
             .unwrap_err();

@@ -8,6 +8,11 @@
 //! (`hicma-core`) and consumed by both the shared-memory executor and the
 //! distributed discrete-event simulator — the same structure PaRSEC's
 //! scheduler and communication engine share.
+//!
+//! The graph is flat and read-only: one task table, one edge array holding
+//! every successor list back to back (CSR), and a topological order fixed
+//! once, when [`GraphBuilder::finish`] lays the edges out. Consumers read
+//! the order in place instead of sorting the graph again.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,42 +83,108 @@ pub struct Edge {
     pub bytes: u64,
 }
 
-/// A directed acyclic dataflow graph of tasks.
-#[derive(Debug, Default)]
-pub struct TaskGraph {
+/// A task graph under construction: tasks and edges in the order they are
+/// added. [`finish`](GraphBuilder::finish) is the one way to a
+/// [`TaskGraph`].
+#[derive(Debug, Clone, Default)]
+pub struct GraphBuilder {
     specs: Vec<TaskSpec>,
-    /// Outgoing edges per task.
-    succs: Vec<Vec<Edge>>,
-    /// Number of incoming edges per task.
-    indegree: Vec<usize>,
+    /// `(source, edge)` pairs in insertion order.
+    edges: Vec<(TaskId, Edge)>,
 }
 
-impl TaskGraph {
-    /// Create an empty graph.
+impl GraphBuilder {
+    /// An empty builder.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// An empty builder with room for `tasks` tasks and `edges` edges.
+    pub fn with_capacity(tasks: usize, edges: usize) -> Self {
+        Self { specs: Vec::with_capacity(tasks), edges: Vec::with_capacity(edges) }
+    }
+
     /// Insert a task; returns its id.
     pub fn add_task(&mut self, spec: TaskSpec) -> TaskId {
-        let id = self.specs.len();
         self.specs.push(spec);
-        self.succs.push(Vec::new());
-        self.indegree.push(0);
-        id
+        self.specs.len() - 1
     }
 
     /// Insert a dataflow edge `src → dst` carrying `bytes` of datum `data`.
+    /// Each task's successor list keeps the order its edges were added in.
     ///
     /// # Panics
     /// Panics if either id is out of range or `src == dst`.
     pub fn add_edge(&mut self, src: TaskId, dst: TaskId, data: DataRef, bytes: u64) {
         assert!(src < self.specs.len() && dst < self.specs.len(), "edge endpoints must exist");
         assert_ne!(src, dst, "self-dependency");
-        self.succs[src].push(Edge { dst, data, bytes });
-        self.indegree[dst] += 1;
+        self.edges.push((src, Edge { dst, data, bytes }));
     }
 
+    /// Lay the edges out by source and fix the topological order.
+    ///
+    /// The layout is a stable counting sort: one pass counts each
+    /// source's edges, one places them, so every successor list keeps its
+    /// insertion order. When every edge runs from a lower id to a higher
+    /// one — as in a builder that only draws edges from tasks it already
+    /// emitted — id order *is* the topological order and nothing is
+    /// sorted. Otherwise Kahn's algorithm orders the tasks once, here; a
+    /// graph with a cycle finishes without an order, and every consumer
+    /// that needs one reports it.
+    pub fn finish(self) -> TaskGraph {
+        let GraphBuilder { specs, edges: added } = self;
+        let n = specs.len();
+        let mut offsets = vec![0usize; n + 1];
+        let mut indegree = vec![0usize; n];
+        for (src, e) in &added {
+            offsets[src + 1] += 1;
+            indegree[e.dst] += 1;
+        }
+        for t in 0..n {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut next = offsets[..n].to_vec();
+        let unset = Edge { dst: 0, data: DataRef { i: 0, j: 0 }, bytes: 0 };
+        let mut edges = vec![unset; added.len()];
+        for &(src, e) in &added {
+            edges[next[src]] = e;
+            next[src] += 1;
+        }
+        let ids_topological = added.iter().all(|(src, e)| *src < e.dst);
+        drop(added);
+        let mut graph = TaskGraph { specs, offsets, edges, indegree, order: Order::Ids };
+        if !ids_topological {
+            graph.order = graph.kahn().map_or(Order::Cyclic, Order::Kahn);
+        }
+        graph
+    }
+}
+
+/// A graph's topological order, fixed by [`GraphBuilder::finish`].
+#[derive(Debug)]
+enum Order {
+    /// Every edge runs from a lower id to a higher one.
+    Ids,
+    /// Ids are not topological; Kahn's order.
+    Kahn(Vec<TaskId>),
+    /// The graph has a cycle (a front-end bug).
+    Cyclic,
+}
+
+/// A directed dataflow graph of tasks, laid out flat (see the module
+/// docs). Built by a [`GraphBuilder`].
+#[derive(Debug)]
+pub struct TaskGraph {
+    specs: Vec<TaskSpec>,
+    /// `edges[offsets[t]..offsets[t + 1]]` are task `t`'s outgoing edges.
+    offsets: Vec<usize>,
+    edges: Vec<Edge>,
+    /// Number of incoming edges per task.
+    indegree: Vec<usize>,
+    order: Order,
+}
+
+impl TaskGraph {
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -126,7 +197,7 @@ impl TaskGraph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// Task metadata.
@@ -134,9 +205,9 @@ impl TaskGraph {
         &self.specs[id]
     }
 
-    /// Outgoing edges of a task.
+    /// Outgoing edges of a task, in the order they were added.
     pub fn successors(&self, id: TaskId) -> &[Edge] {
-        &self.succs[id]
+        &self.edges[self.offsets[id]..self.offsets[id + 1]]
     }
 
     /// In-degree of a task.
@@ -152,6 +223,38 @@ impl TaskGraph {
     /// Tasks with no predecessors.
     pub fn sources(&self) -> Vec<TaskId> {
         (0..self.len()).filter(|&t| self.indegree[t] == 0).collect()
+    }
+
+    /// The topological order fixed when the graph was built, read in
+    /// place (walk it with `.rev()` for sinks first); `None` when the
+    /// graph has a cycle. Id order whenever ids are already topological,
+    /// as `build_cholesky_dag`'s are.
+    pub fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
+        // One of the two halves is empty: ids, or the stored Kahn order.
+        let (ids, kahn): (_, &[TaskId]) = match &self.order {
+            Order::Ids => (0..self.len(), &[]),
+            Order::Kahn(order) => (0..0, order),
+            Order::Cyclic => return None,
+        };
+        Some(ids.chain(kahn.iter().copied()))
+    }
+
+    /// Kahn's algorithm with a LIFO ready stack seeded in id order;
+    /// `None` on a cycle.
+    fn kahn(&self) -> Option<Vec<TaskId>> {
+        let mut indeg = self.indegree.clone();
+        let mut order = Vec::with_capacity(self.len());
+        let mut stack: Vec<TaskId> = self.sources();
+        while let Some(t) = stack.pop() {
+            order.push(t);
+            for e in self.successors(t) {
+                indeg[e.dst] -= 1;
+                if indeg[e.dst] == 0 {
+                    stack.push(e.dst);
+                }
+            }
+        }
+        (order.len() == self.len()).then_some(order)
     }
 
     /// Count tasks per class (the paper's Fig. 5 right axis).
@@ -180,28 +283,6 @@ impl TaskGraph {
     pub fn total_flops(&self) -> f64 {
         self.specs.iter().map(|s| s.flops).sum()
     }
-
-    /// A topological order (Kahn). Returns `None` if the graph has a cycle
-    /// (which would indicate a front-end bug).
-    pub fn topological_order(&self) -> Option<Vec<TaskId>> {
-        let mut indeg = self.indegree.clone();
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack: Vec<TaskId> = self.sources();
-        while let Some(t) = stack.pop() {
-            order.push(t);
-            for e in &self.succs[t] {
-                indeg[e.dst] -= 1;
-                if indeg[e.dst] == 0 {
-                    stack.push(e.dst);
-                }
-            }
-        }
-        if order.len() == self.len() {
-            Some(order)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,59 +293,87 @@ mod tests {
         TaskSpec { class, priority, writes: None, flops: 1.0 }
     }
 
-    fn diamond() -> TaskGraph {
-        // 0 → 1, 0 → 2, 1 → 3, 2 → 3
-        let mut g = TaskGraph::new();
-        let d = DataRef { i: 0, j: 0 };
-        for _ in 0..4 {
+    /// `edges` over `n` tasks, added in the order given.
+    fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
+        for _ in 0..n {
             g.add_task(spec(TaskClass::Other, 0));
         }
-        g.add_edge(0, 1, d, 8);
-        g.add_edge(0, 2, d, 8);
-        g.add_edge(1, 3, d, 8);
-        g.add_edge(2, 3, d, 8);
+        for &(s, d) in edges {
+            g.add_edge(s, d, DataRef { i: s, j: d }, 8);
+        }
         g
+    }
+
+    fn order_of(g: &TaskGraph) -> Vec<TaskId> {
+        g.order().expect("acyclic").collect()
     }
 
     #[test]
     fn build_and_query() {
-        let g = diamond();
+        // 0 → 1, 0 → 2, 1 → 3, 2 → 3
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
         assert_eq!(g.len(), 4);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.indegree(3), 2);
         assert_eq!(g.sources(), vec![0]);
         assert_eq!(g.successors(0).len(), 2);
+        assert!(g.successors(3).is_empty());
     }
 
     #[test]
-    fn topological_order_valid() {
-        let g = diamond();
-        let order = g.topological_order().expect("acyclic");
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (idx, &t) in order.iter().enumerate() {
-                p[t] = idx;
-            }
-            p
-        };
-        assert!(pos[0] < pos[1] && pos[0] < pos[2]);
-        assert!(pos[1] < pos[3] && pos[2] < pos[3]);
+    fn successor_lists_keep_insertion_order() {
+        // Edges added consumer by consumer, sources interleaved.
+        let g = graph(5, &[(0, 4), (2, 4), (0, 3), (1, 3), (0, 2), (1, 2)]).finish();
+        let dsts = |t| g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>();
+        assert_eq!(dsts(0), vec![4, 3, 2]);
+        assert_eq!(dsts(1), vec![3, 2]);
+        assert_eq!(dsts(2), vec![4]);
+        assert!(dsts(3).is_empty() && dsts(4).is_empty());
+        assert_eq!(g.successors(1)[0].data, DataRef { i: 1, j: 3 });
     }
 
     #[test]
-    fn cycle_detected() {
-        let mut g = diamond();
-        let d = DataRef { i: 0, j: 0 };
-        g.add_edge(3, 0, d, 0);
-        assert!(g.topological_order().is_none());
+    fn topological_ids_are_the_order() {
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
+        assert_eq!(order_of(&g), vec![0, 1, 2, 3]);
+        assert_eq!(g.order().unwrap().rev().collect::<Vec<_>>(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn shuffled_ids_get_a_kahn_order() {
+        // 3 → 1 → 0, 3 → 2 → 0: no edge runs from a lower id to a higher.
+        let g = graph(4, &[(3, 1), (3, 2), (1, 0), (2, 0)]).finish();
+        let order = order_of(&g);
+        let mut pos = [0; 4];
+        for (idx, &t) in order.iter().enumerate() {
+            pos[t] = idx;
+        }
+        assert!(pos[3] < pos[1] && pos[3] < pos[2]);
+        assert!(pos[1] < pos[0] && pos[2] < pos[0]);
+    }
+
+    #[test]
+    fn cycle_has_no_order() {
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]).finish();
+        assert!(g.order().is_none());
+        assert_eq!(g.num_edges(), 5, "a cyclic graph is still laid out");
+    }
+
+    #[test]
+    fn empty_graph_has_an_empty_order() {
+        let g = GraphBuilder::new().finish();
+        assert!(g.is_empty());
+        assert_eq!(g.order().expect("acyclic").count(), 0);
     }
 
     #[test]
     fn class_counts_and_flops() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(spec(TaskClass::Potrf, 0));
         g.add_task(spec(TaskClass::Gemm, 1));
         g.add_task(spec(TaskClass::Gemm, 2));
+        let g = g.finish();
         let counts = g.class_counts();
         assert_eq!(counts[0].1, 1); // POTRF
         assert_eq!(counts[3].1, 2); // GEMM
@@ -274,7 +383,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn self_edge_panics() {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(spec(TaskClass::Other, 0));
         g.add_edge(0, 0, DataRef { i: 0, j: 0 }, 0);
     }

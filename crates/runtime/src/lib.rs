@@ -51,7 +51,7 @@ pub use fault::{
     fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FaultStats, FtConfig, FtError,
     IntegrityError, RetryConfig,
 };
-pub use graph::{DataRef, TaskClass, TaskGraph, TaskId, TaskSpec};
+pub use graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
 pub use scheduler::{
     CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy, Scheduler,

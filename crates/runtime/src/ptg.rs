@@ -50,7 +50,7 @@
 //! assert_eq!(unrolled.graph.num_edges(), 4);
 //! ```
 
-use crate::graph::{DataRef, TaskGraph, TaskId, TaskSpec};
+use crate::graph::{DataRef, GraphBuilder, TaskGraph, TaskId, TaskSpec};
 use std::collections::HashMap;
 
 /// Parameter tuple of one task instance (unused entries are 0).
@@ -155,7 +155,7 @@ impl PtgProgram {
                 return Err(PtgError::DuplicateClass(c.name));
             }
         }
-        let mut graph = TaskGraph::new();
+        let mut graph = GraphBuilder::new();
         let mut instances: HashMap<(usize, Params), TaskId> = HashMap::new();
         let mut identity: Vec<(usize, Params)> = Vec::new();
         // First pass: create every instance.
@@ -181,8 +181,10 @@ impl PtgProgram {
                 }
             }
         }
+        // Ids run class by class and need not be topological (a POTRF
+        // consumes a later class's SYRK); `finish` orders them once.
         Ok(Unrolled {
-            graph,
+            graph: graph.finish(),
             instances,
             identity,
             class_names: self.classes.iter().map(|c| c.name).collect(),
@@ -381,7 +383,7 @@ mod tests {
         let u = program.unroll().unwrap();
         assert_eq!(u.graph.len(), 12);
         assert_eq!(u.graph.num_edges(), 6);
-        assert!(u.graph.topological_order().is_some());
+        assert!(u.graph.order().is_some());
         // identity lookups
         let id = u.instances[&(1, [3, 0, 0])];
         assert_eq!(u.class_of(id), "consume");
@@ -473,7 +475,7 @@ mod tests {
         let u = dense_cholesky_ptg(nt, 32).unroll().unwrap();
         let expect = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6;
         assert_eq!(u.graph.len(), expect);
-        assert!(u.graph.topological_order().is_some());
+        assert!(u.graph.order().is_some());
         // every POTRF past the first has exactly one incoming edge
         for k in 1..nt {
             let id = u.instances[&(0, [k, 0, 0])];

@@ -243,9 +243,9 @@ fn queue_keys(
         SchedPolicy::UpwardRank
         | SchedPolicy::CommAwareUpwardRank
         | SchedPolicy::RankAwareLookahead => {
-            let order = graph.topological_order().ok_or(EngineError::Cycle)?;
+            let order = graph.order().ok_or(EngineError::Cycle)?;
             let mut upward = vec![0.0_f64; n];
-            for &t in order.iter().rev() {
+            for t in order.rev() {
                 let mut best = 0.0_f64;
                 for e in graph.successors(t) {
                     let c = match placement {
@@ -390,9 +390,9 @@ fn lookahead_tables(
     let n = graph.len();
     let base_cost: Vec<f64> = (0..n).map(cost).collect();
     validate_keys(&base_cost)?;
-    let order = graph.topological_order().ok_or(EngineError::Cycle)?;
+    let order = graph.order().ok_or(EngineError::Cycle)?;
     let mut downstream = vec![0.0_f64; n];
-    for &t in order.iter().rev() {
+    for t in order.rev() {
         let mut best = 0.0_f64;
         for e in graph.successors(t) {
             best = best.max(base_cost[e.dst] + downstream[e.dst]);
@@ -596,15 +596,15 @@ mod tests {
     use super::*;
     use crate::des::{simulate_planned, DesConfig, DesTask};
     use crate::fault::FaultPlan;
-    use crate::graph::{DataRef, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
 
     fn spec(priority: usize) -> TaskSpec {
         TaskSpec { class: TaskClass::Other, priority, writes: None, flops: 0.0 }
     }
 
-    fn chain_plus_leaf() -> TaskGraph {
+    fn chain_plus_leaf_builder() -> GraphBuilder {
         // 0 → 1 → 2 (long chain), 3 (isolated leaf)
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..4 {
             g.add_task(spec(i));
         }
@@ -612,6 +612,10 @@ mod tests {
         g.add_edge(0, 1, d, 0);
         g.add_edge(1, 2, d, 0);
         g
+    }
+
+    fn chain_plus_leaf() -> TaskGraph {
+        chain_plus_leaf_builder().finish()
     }
 
     fn unit_cost() -> Pricing<'static> {
@@ -642,7 +646,7 @@ mod tests {
     /// Six tasks on two processes with edges heavy enough that the
     /// comm-aware rank reorders them; the fixture of the key goldens.
     fn priced_graph() -> (TaskGraph, Vec<usize>) {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         let specs = [
             (TaskClass::Potrf, 0, 3e8),
             (TaskClass::Trsm, 0, 7e8),
@@ -665,7 +669,7 @@ mod tests {
         ] {
             g.add_edge(s, d, DataRef { i: s, j: 0 }, bytes);
         }
-        (g, vec![0, 1, 0, 1, 0, 1])
+        (g.finish(), vec![0, 1, 0, 1, 0, 1])
     }
 
     const DES_DURATIONS: [f64; 6] = [0.3, 0.7, 1.1, 0.5, 0.9, 0.0];
@@ -809,7 +813,7 @@ mod tests {
     /// ranking pops chain A first and pushes the transfer — which
     /// bounds the makespan — behind a local task.
     fn cross_proc_graph() -> (TaskGraph, Vec<DesTask>, DesConfig) {
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..5 {
             g.add_task(spec(i));
         }
@@ -830,7 +834,7 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        (g, tasks, cfg)
+        (g.finish(), tasks, cfg)
     }
 
     /// The comm-blind upward rank provably picks the wrong task —
@@ -904,17 +908,18 @@ mod tests {
         assert_eq!(err, EngineError::RankMapLength { expected: 4, got: 2 });
         // a plan ordered against a different graph
         let plan = SchedPlan::build(&g, SchedPolicy::Fifo, &unit_cost()).unwrap();
-        let mut bigger = chain_plus_leaf();
+        let mut bigger = chain_plus_leaf_builder();
         bigger.add_task(spec(9));
-        let err = plan.topo_order(&bigger).unwrap_err();
+        let err = plan.topo_order(&bigger.finish()).unwrap_err();
         assert_eq!(err, EngineError::RankMapLength { expected: 5, got: 4 });
         // a cyclic graph
-        let mut cyclic = TaskGraph::new();
+        let mut cyclic = GraphBuilder::new();
         cyclic.add_task(spec(0));
         cyclic.add_task(spec(1));
         let d = DataRef { i: 0, j: 0 };
         cyclic.add_edge(0, 1, d, 0);
         cyclic.add_edge(1, 0, d, 0);
+        let cyclic = cyclic.finish();
         for policy in SchedPolicy::ALL {
             let err = SchedPlan::build(&cyclic, policy, &Pricing::nominal(&cyclic))
                 .and_then(|p| p.topo_order(&cyclic))

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use hicma_parsec::cholesky::simulate::des_tasks;
-use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig};
+use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, MatrixAnalysis};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskClass;
 use hicma_parsec::runtime::{
@@ -162,6 +162,34 @@ fn simulation_allocations_do_not_grow_with_the_task_count() {
         (dag.graph.len(), count)
     };
     let ((small_tasks, small), (large_tasks, large)) = (run(16), run(32));
+    assert!(large_tasks > 7 * small_tasks);
+    assert!(
+        large.abs_diff(small) < 64,
+        "{small} allocations for {small_tasks} tasks, {large} for {large_tasks}"
+    );
+}
+
+/// Building the DAG lays it out flat: the NT 16 and NT 32 snapshots of the
+/// simulation contract above (untrimmed, more than 7× the tasks) cost the
+/// builder only a fixed number of tables — no allocation per task, per
+/// edge or per successor list. Algorithm 1's analysis, which the build
+/// runs first, keeps one list per panel and per updated tile (the
+/// structure `fig06` reports the size of); its own count, measured on the
+/// same snapshot, is subtracted.
+#[test]
+fn dag_build_allocations_do_not_grow_with_the_task_count() {
+    let build = |nt: usize| {
+        let snap = SyntheticRankModel::from_application(nt, 256, 2e-4, 1e-4).snapshot();
+        let cfg = DagConfig { trimmed: false, ..DagConfig::default() };
+        let before = allocs();
+        drop(MatrixAnalysis::analyze(&snap, cfg.rank_cap));
+        let analysis = allocs() - before;
+        let before = allocs();
+        let dag = build_cholesky_dag(&snap, &cfg);
+        let build = allocs() - before;
+        (dag.graph.len(), build - analysis)
+    };
+    let ((small_tasks, small), (large_tasks, large)) = (build(16), build(32));
     assert!(large_tasks > 7 * small_tasks);
     assert!(
         large.abs_diff(small) < 64,

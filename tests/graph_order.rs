@@ -1,0 +1,291 @@
+//! The task graph's stored topological order. Every way a graph is built
+//! gets an order that is topological: a builder whose ids are shuffled,
+//! the PTG unroller (which numbers class by class) and a fan-out whose
+//! sink is numbered before its producers. Every consumer that walks the
+//! order agrees with a brute-force reading of the graph, and with the
+//! same graph emitted in id order. A cycle is a typed error at every door
+//! that needs the order.
+
+use hicma_parsec::runtime::critical_path::critical_path;
+use hicma_parsec::runtime::des::{single_proc_config, DesTask};
+use hicma_parsec::runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
+use hicma_parsec::runtime::ptg::dense_cholesky_ptg;
+use hicma_parsec::runtime::{
+    simulate, simulate_planned, Engine, EngineConfig, EngineError, FaultPlan, Pricing, SchedPlan,
+    SchedPolicy,
+};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A random DAG over `n` tasks in topological labels (every edge runs
+/// from a lower label to a higher one) and the permutation `id[label]`
+/// that shuffles the labels into task ids.
+struct Shape {
+    n: usize,
+    edges: Vec<(usize, usize)>,
+    id: Vec<TaskId>,
+}
+
+fn random_shape(seed: u64, n: usize, density_pct: u64) -> Shape {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut edges = Vec::new();
+    for b in 0..n {
+        for a in 0..b {
+            if next() % 100 < density_pct {
+                edges.push((a, b));
+            }
+        }
+    }
+    let mut id: Vec<TaskId> = (0..n).collect();
+    for i in (1..n).rev() {
+        id.swap(i, next() as usize % (i + 1));
+    }
+    Shape { n, edges, id }
+}
+
+/// Integer durations, so longest paths are exact in `f64`.
+fn label_duration(label: usize) -> f64 {
+    (1 + (label * 7) % 5) as f64
+}
+
+/// `shape` with label `l` emitted as task `id[l]`; everything a task
+/// carries derives from its label, so every emission is the same graph.
+fn emit(shape: &Shape, id: &[TaskId]) -> TaskGraph {
+    let mut label = vec![0; shape.n];
+    for (l, &t) in id.iter().enumerate() {
+        label[t] = l;
+    }
+    let mut g = GraphBuilder::new();
+    for &l in &label {
+        g.add_task(TaskSpec {
+            class: TaskClass::Other,
+            priority: l,
+            writes: Some(DataRef { i: l, j: 0 }),
+            flops: label_duration(l) * 1e9,
+        });
+    }
+    for &(a, b) in &shape.edges {
+        g.add_edge(id[a], id[b], DataRef { i: a, j: b }, 8 * (a + b) as u64);
+    }
+    g.finish()
+}
+
+fn predecessors(g: &TaskGraph) -> Vec<Vec<TaskId>> {
+    let mut preds = vec![Vec::new(); g.len()];
+    for t in 0..g.len() {
+        for e in g.successors(t) {
+            preds[e.dst].push(t);
+        }
+    }
+    preds
+}
+
+/// The stored order visits every task once, each after all of its
+/// predecessors.
+fn assert_topological(g: &TaskGraph) {
+    let order: Vec<TaskId> = g.order().expect("acyclic").collect();
+    let mut pos = vec![usize::MAX; g.len()];
+    for (i, &t) in order.iter().enumerate() {
+        assert_eq!(pos[t], usize::MAX, "task {t} visited twice");
+        pos[t] = i;
+    }
+    assert_eq!(order.len(), g.len());
+    for t in 0..g.len() {
+        for e in g.successors(t) {
+            assert!(pos[t] < pos[e.dst], "edge {t} → {} runs backwards", e.dst);
+        }
+    }
+}
+
+/// `critical_path` against relaxing every task `n` times over its
+/// predecessors (no order needed), and its chain against the graph.
+fn assert_critical_path_is_the_longest(g: &TaskGraph, dur: impl Fn(TaskId) -> f64) {
+    let preds = predecessors(g);
+    let mut end = vec![0.0_f64; g.len()];
+    for _ in 0..g.len() {
+        for t in 0..g.len() {
+            end[t] = dur(t) + preds[t].iter().map(|&p| end[p]).fold(0.0, f64::max);
+        }
+    }
+    let longest = end.iter().copied().fold(0.0, f64::max);
+    let cp = critical_path(g, &dur);
+    assert_eq!(cp.length, longest);
+    if let Some(&first) = cp.tasks.first() {
+        assert!(preds[first].is_empty(), "the chain starts at a source");
+    }
+    for pair in cp.tasks.windows(2) {
+        assert!(g.successors(pair[0]).iter().any(|e| e.dst == pair[1]), "{pair:?} is no edge");
+    }
+    assert_eq!(cp.tasks.iter().map(|&t| dur(t)).sum::<f64>(), longest);
+}
+
+/// Run `g` on the shared engine; each task folds its predecessors' values
+/// into its own, so a task that ran early would read a zero.
+fn engine_values(g: &TaskGraph, seed_of: impl Fn(TaskId) -> u64 + Sync) -> Vec<u64> {
+    let preds = predecessors(g);
+    let values: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+    Engine::new(g)
+        .run(&EngineConfig::new(3), |_w, t| {
+            let mut inputs: Vec<u64> =
+                preds[t].iter().map(|&p| values[p].load(Ordering::SeqCst)).collect();
+            assert!(inputs.iter().all(|&v| v != 0), "task {t} ran before a predecessor");
+            inputs.sort_unstable();
+            let v = inputs.iter().fold(seed_of(t), |h, &x| (h ^ x).wrapping_mul(0x100000001b3));
+            values[t].store(v | 1, Ordering::SeqCst);
+        })
+        .unwrap();
+    values.into_iter().map(AtomicU64::into_inner).collect()
+}
+
+/// The upward-rank and lookahead keys of a plan, task by task.
+fn plan_keys(g: &TaskGraph, policy: SchedPolicy) -> Vec<u64> {
+    let plan = SchedPlan::build(g, policy, &Pricing::nominal(g)).unwrap();
+    let mut sched = plan.instantiate();
+    (0..g.len()).map(|t| sched.on_task_ready(t, g).to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    #[test]
+    fn shuffled_ids_get_a_topological_order(
+        seed in 0u64..10_000, n in 1usize..40, density in 0u64..50
+    ) {
+        let shape = random_shape(seed, n, density);
+        let g = emit(&shape, &shape.id);
+        assert_topological(&g);
+        let label_of = |t: TaskId| shape.id.iter().position(|&x| x == t).unwrap();
+        assert_critical_path_is_the_longest(&g, |t| label_duration(label_of(t)));
+    }
+
+    /// Shuffling the ids changes no plan key, no simulated time and no
+    /// engine result: each equals the same graph's in id order.
+    #[test]
+    fn shuffled_ids_plan_simulate_and_run_like_id_order(
+        seed in 0u64..10_000, n in 1usize..30, density in 0u64..50
+    ) {
+        let shape = random_shape(seed, n, density);
+        let in_order: Vec<TaskId> = (0..n).collect();
+        let (shuffled, ordered) = (emit(&shape, &shape.id), emit(&shape, &in_order));
+        prop_assert!(ordered.order().unwrap().eq(0..n), "id order is the stored order");
+
+        for policy in [SchedPolicy::UpwardRank, SchedPolicy::RankAwareLookahead] {
+            let (a, b) = (plan_keys(&shuffled, policy), plan_keys(&ordered, policy));
+            for l in 0..n {
+                prop_assert_eq!(a[shape.id[l]], b[l], "{} key of label {}", policy.name(), l);
+            }
+        }
+
+        // A core per task: every task starts the moment its inputs are in.
+        let des = |g: &TaskGraph| {
+            let tasks: Vec<DesTask> = (0..n)
+                .map(|t| DesTask { proc: 0, duration: g.spec(t).flops * 1e-9 })
+                .collect();
+            let r = simulate(g, &tasks, &single_proc_config(n)).unwrap();
+            let mut span = vec![(0u64, 0u64); n];
+            for rec in &r.trace.records {
+                span[rec.task] = (rec.start.to_bits(), rec.end.to_bits());
+            }
+            (r.makespan.to_bits(), span)
+        };
+        let ((ms_a, span_a), (ms_b, span_b)) = (des(&shuffled), des(&ordered));
+        prop_assert_eq!(ms_a, ms_b);
+        for l in 0..n {
+            prop_assert_eq!(span_a[shape.id[l]], span_b[l], "span of label {}", l);
+        }
+
+        let label_seed = |g: &TaskGraph| engine_values(g, |t| g.spec(t).priority as u64 + 1);
+        let (va, vb) = (label_seed(&shuffled), label_seed(&ordered));
+        for l in 0..n {
+            prop_assert_eq!(va[shape.id[l]], vb[l], "engine value of label {}", l);
+        }
+    }
+
+    /// Close a cycle in a random DAG: every door that needs the order
+    /// reports it, none panics.
+    #[test]
+    fn a_cycle_is_a_typed_error_at_every_door(
+        seed in 0u64..10_000, n in 2usize..30, density in 0u64..50
+    ) {
+        let shape = random_shape(seed, n, density);
+        let mut edges = shape.edges.clone();
+        if edges.is_empty() {
+            edges.push((0, 1));
+        }
+        let mut g = GraphBuilder::new();
+        for t in 0..n {
+            g.add_task(TaskSpec { class: TaskClass::Other, priority: t, writes: None, flops: 1e9 });
+        }
+        for &(x, y) in &edges {
+            g.add_edge(shape.id[x], shape.id[y], DataRef { i: x, j: y }, 8);
+        }
+        let (a, b) = edges[0];
+        g.add_edge(shape.id[b], shape.id[a], DataRef { i: b, j: a }, 8);
+        let g = g.finish();
+        prop_assert!(g.order().is_none());
+
+        let nominal = Pricing::nominal(&g);
+        for policy in [
+            SchedPolicy::UpwardRank,
+            SchedPolicy::CommAwareUpwardRank,
+            SchedPolicy::RankAwareLookahead,
+        ] {
+            let err = SchedPlan::build(&g, policy, &nominal).unwrap_err();
+            prop_assert_eq!(err, EngineError::Cycle);
+        }
+        // The static policies plan without walking the graph; the engines
+        // that run the plan catch the cycle.
+        let plan = SchedPlan::build(&g, SchedPolicy::PanelPriority, &nominal).unwrap();
+        let tasks = vec![DesTask { proc: 0, duration: 1.0 }; n];
+        let cfg = single_proc_config(2);
+        let des = simulate_planned(&g, &tasks, &cfg, &plan, &FaultPlan::none(), 0.0);
+        prop_assert_eq!(des.unwrap_err(), EngineError::Cycle);
+        let run = Engine::new(&g).run_planned(&EngineConfig::new(2), &plan, |_w, _t| {});
+        prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);
+    }
+}
+
+/// The PTG unroller numbers class by class, so a POTRF's SYRK input has a
+/// higher id than the POTRF: the order is Kahn's, fixed once.
+#[test]
+fn dense_cholesky_ptg_gets_a_topological_order() {
+    for nt in 1..8 {
+        let u = dense_cholesky_ptg(nt, 16).unroll().unwrap();
+        assert_topological(&u.graph);
+        let dur = |t: TaskId| match u.graph.spec(t).class {
+            TaskClass::Potrf => 1.0,
+            TaskClass::Trsm | TaskClass::Syrk => 3.0,
+            _ => 5.0,
+        };
+        assert_critical_path_is_the_longest(&u.graph, dur);
+        let values = engine_values(&u.graph, |t| t as u64 + 1);
+        assert!(values.iter().all(|&v| v != 0));
+    }
+}
+
+/// Root and sink first, then the producers between them: every
+/// producer → sink edge runs from a higher id to a lower one.
+#[test]
+fn fan_out_with_an_early_sink_gets_a_topological_order() {
+    for width in [1, 2, 7, 64] {
+        let mut g = GraphBuilder::new();
+        let spec =
+            |priority| TaskSpec { class: TaskClass::Other, priority, writes: None, flops: 0.0 };
+        let root = g.add_task(spec(0));
+        let sink = g.add_task(spec(2));
+        for _ in 0..width {
+            let mid = g.add_task(spec(1));
+            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
+        }
+        let g = g.finish();
+        assert_topological(&g);
+        assert_critical_path_is_the_longest(&g, |t| (1 + t % 3) as f64);
+        let values = engine_values(&g, |t| t as u64 + 1);
+        assert!(values.iter().all(|&v| v != 0));
+    }
+}

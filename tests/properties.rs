@@ -303,10 +303,10 @@ proptest! {
     #[test]
     fn executor_respects_random_dags(seed in 0u64..300, n in 2usize..60, density_pct in 5usize..60) {
         use hicma_parsec::runtime::{Engine, EngineConfig};
-        use hicma_parsec::runtime::graph::{TaskGraph, TaskSpec, TaskClass, DataRef};
+        use hicma_parsec::runtime::graph::{GraphBuilder, TaskSpec, TaskClass, DataRef};
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-        let mut g = TaskGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..n {
             g.add_task(TaskSpec {
                 class: TaskClass::Other,
@@ -327,6 +327,7 @@ proptest! {
                 }
             }
         }
+        let g = g.finish();
         let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let violations = AtomicUsize::new(0);
         Engine::new(&g).run(&EngineConfig::new(4), |_wid, t| {
