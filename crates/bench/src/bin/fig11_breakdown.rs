@@ -8,7 +8,10 @@
 //! clock, shared memory, laptop scale) to confirm the phase ordering is
 //! not an artifact of the simulator. Its assembly column is generation +
 //! compression of the tiles that were not certified null from the point
-//! cloud (the certified share is printed beside it).
+//! cloud (the certified share is printed beside it), split into the
+//! CPU-seconds the assembly spent evaluating entries and compressing
+//! tiles — summed over tiles, so with several threads they add up to more
+//! than the assembly's wall clock.
 
 use hicma_core::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_core::simulate::simulate_cholesky;
@@ -70,12 +73,24 @@ fn main() {
     let off_diagonal = a.nt() * (a.nt() - 1) / 2;
     let certified = a.certified_null_tiles();
 
+    let (evaluate_s, compress_s) = (a.evaluation_seconds(), a.compression_seconds());
+
     let rep = factorize(&mut a, &FactorConfig::with_accuracy(accuracy)).expect("SPD");
-    header(&[("N", 8), ("assembly (s)", 13), ("certified null", 15), ("factorize (s)", 14), ("facto share", 12)]);
+    header(&[
+        ("N", 8),
+        ("assembly (s)", 13),
+        ("evaluate (cpu-s)", 17),
+        ("compress (cpu-s)", 17),
+        ("certified null", 15),
+        ("factorize (s)", 14),
+        ("facto share", 12),
+    ]);
     println!(
-        "{:>8} {:>13.3} {:>8} of {:<3} {:>14.3} {:>11.0}%",
+        "{:>8} {:>13.3} {:>17.3} {:>17.3} {:>8} of {:<3} {:>14.3} {:>11.0}%",
         n,
         assemble_s,
+        evaluate_s,
+        compress_s,
         certified,
         off_diagonal,
         rep.factorization_seconds,

@@ -25,7 +25,7 @@
 //! executor and the distributed discrete-event simulator.
 
 use crate::analysis::MatrixAnalysis;
-use runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
+use runtime::graph::{DataRef, Edge, EdgeCounts, TaskClass, TaskGraph, TaskId, TaskSpec};
 use tlr_compress::kernels::flops;
 use tlr_compress::RankSnapshot;
 
@@ -177,49 +177,107 @@ pub(crate) fn tile_bytes(i: usize, j: usize, r: usize, b: usize) -> u64 {
 }
 
 /// Build the tile Cholesky task graph for an initial rank snapshot.
+///
+/// The emission loop runs twice and the edges are never staged: the
+/// first run counts each task's outgoing edges, the second writes every
+/// edge straight into its slot of the graph's layout.
 pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDag {
-    let nt = initial.nt();
     let b = initial.tile_size();
     let analysis = MatrixAnalysis::analyze(initial, cfg.rank_cap);
     let ranks = &analysis.final_ranks;
 
-    // The analysis counts the tasks, so every table is sized once; each
-    // task draws at most three edges, one per operand.
+    // The analysis counts the tasks, so every table is sized once.
     let ntasks = if cfg.trimmed { analysis.surviving_tasks() } else { analysis.dense_tasks() };
-    let mut graph = GraphBuilder::with_capacity(ntasks, 3 * ntasks);
+    let mut counts = EdgeCounts::new(ntasks);
+    emit(&analysis, cfg.trimmed, |_, _, inputs| {
+        for &(src, _) in inputs {
+            counts.count(src);
+        }
+    });
+
+    let mut slots = counts.into_slots();
+    let mut specs: Vec<TaskSpec> = Vec::with_capacity(ntasks);
     let mut kinds: Vec<TaskKind> = Vec::with_capacity(ntasks);
     let mut task_flops: Vec<f64> = Vec::with_capacity(ntasks);
     let mut rank_param: Vec<usize> = Vec::with_capacity(ntasks);
     let mut nested: Vec<bool> = Vec::with_capacity(ntasks);
-    // last_writer[tile] = task that produced the current version.
-    let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
-
-    // The only place a task or an edge is created. The dataflow comes
-    // from `operands()`: one edge from the producer of the current version
-    // of every tile the task reads, then of the tile it overwrites, each
-    // carrying that tile's bytes. The producers of one task's operands are
-    // distinct, earlier tasks: every edge runs from a lower id to a higher
-    // one (id order is the graph's topological order), and the builder's
-    // stable layout keeps every successor list in task-emission order.
-    let mut add = |kind: TaskKind, fl: f64, kparam: usize, is_nested: bool| {
-        let ops = kind.operands();
-        let id = graph.add_task(TaskSpec {
+    emit(&analysis, cfg.trimmed, |id, kind, inputs| {
+        let (fl, kparam, is_nested) = price(kind, ranks, b);
+        specs.push(TaskSpec {
             class: kind.class(),
             priority: kind.panel(),
-            writes: Some(ops.writes),
+            writes: Some(kind.operands().writes),
             flops: fl,
         });
-        for &d in ops.reads().iter().chain([&ops.writes]) {
-            if let Some(w) = last_writer[lower(d.i, d.j)] {
-                graph.add_edge(w, id, d, tile_bytes(d.i, d.j, ranks.rank(d.i, d.j), b));
-            }
+        for &(src, d) in inputs {
+            let bytes = tile_bytes(d.i, d.j, ranks.rank(d.i, d.j), b);
+            slots.place(src, Edge { dst: id, data: d, bytes });
         }
-        last_writer[lower(ops.writes.i, ops.writes.j)] = Some(id);
         kinds.push(kind);
         task_flops.push(fl);
         rank_param.push(kparam);
         nested.push(is_nested);
+    });
+
+    let graph = slots.finish(specs);
+    CholeskyDag { graph, kinds, analysis, flops: task_flops, rank_param, nested }
+}
+
+/// The builder's one emission loop: every task of the execution space in
+/// id order, handed to `sink` with its id and its incoming edges as
+/// `(producer, tile)` pairs. The dataflow comes from `operands()`: one
+/// edge from the producer of the current version of every tile the task
+/// reads, then of the tile it overwrites. The producers of one task's
+/// operands are distinct, earlier tasks: every edge runs from a lower id
+/// to a higher one (id order is the graph's topological order), and the
+/// layout keeps every successor list in task-emission order.
+fn emit(
+    analysis: &MatrixAnalysis,
+    trimmed: bool,
+    mut sink: impl FnMut(TaskId, TaskKind, &[(TaskId, DataRef)]),
+) {
+    let nt = analysis.final_ranks.nt();
+    // last_writer[tile] = task that produced the current version.
+    let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
+    let mut next_id = 0;
+    let mut task = |kind: TaskKind| {
+        let ops = kind.operands();
+        let mut inputs = [(0, ops.writes); 3];
+        let mut ninputs = 0;
+        for &d in ops.reads().iter().chain([&ops.writes]) {
+            if let Some(w) = last_writer[lower(d.i, d.j)] {
+                inputs[ninputs] = (w, d);
+                ninputs += 1;
+            }
+        }
+        last_writer[lower(ops.writes.i, ops.writes.j)] = Some(next_id);
+        sink(next_id, kind, &inputs[..ninputs]);
+        next_id += 1;
     };
+
+    let all_rows: Vec<usize> = (0..nt).collect();
+    for k in 0..nt {
+        task(TaskKind::Potrf { k });
+        // Which rows participate in this panel? (Ascending; a trimmed
+        // panel keeps the rows whose tile `(m, k)` is non-null.)
+        let rows: &[usize] = if trimmed { &analysis.trsm[k] } else { &all_rows[k + 1..] };
+        for &m in rows {
+            task(TaskKind::Trsm { k, m });
+        }
+        for &m in rows {
+            task(TaskKind::Syrk { k, m });
+        }
+        // Pair (m, n) with m > n.
+        for (i, &m) in rows.iter().enumerate() {
+            for &n in &rows[..i] {
+                task(TaskKind::Gemm { k, m, n });
+            }
+        }
+    }
+}
+
+/// `(flops, rank_param, nested)` of one task under the final ranks.
+fn price(kind: TaskKind, ranks: &RankSnapshot, b: usize) -> (f64, usize, bool) {
     // `(flops, rank_param)` of a kernel driven by one rank-`r` panel tile.
     let priced = |r: usize, dense: fn(usize) -> f64, lr: fn(usize, usize) -> f64| {
         if r == 0 {
@@ -230,51 +288,37 @@ pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDa
             (lr(b, r), r)
         }
     };
-
-    let all_rows: Vec<usize> = (0..nt).collect();
-    for k in 0..nt {
-        add(TaskKind::Potrf { k }, flops::potrf(b), b, true);
-
-        // Which rows participate in this panel? (Ascending; a trimmed
-        // panel keeps the rows whose tile `(m, k)` is non-null.)
-        let rows: &[usize] = if cfg.trimmed { &analysis.trsm[k] } else { &all_rows[k + 1..] };
-        for &m in rows {
+    match kind {
+        TaskKind::Potrf { .. } => (flops::potrf(b), b, true),
+        TaskKind::Trsm { k, m } => {
             let (fl, kparam) = priced(ranks.rank(m, k), flops::trsm_dense, flops::trsm_lr);
             // panel-adjacent TRSM: critical path (nested)
-            add(TaskKind::Trsm { k, m }, fl, kparam, m <= k + 4);
+            (fl, kparam, m <= k + 4)
         }
-        for &m in rows {
+        TaskKind::Syrk { k, m } => {
             let (fl, kparam) = priced(ranks.rank(m, k), flops::syrk_dense, flops::syrk_lr);
             // SYRK accumulations serialize on the shared diagonal tile and
             // feed the next POTRF: always on the critical path, always
             // nested (multithreaded accumulation)
-            add(TaskKind::Syrk { k, m }, fl, kparam, true);
+            (fl, kparam, true)
         }
-        // Pair (m, n) with m > n.
-        for (i, &m) in rows.iter().enumerate() {
-            for &n in &rows[..i] {
-                let (ka, kb, kc) = (ranks.rank(m, k), ranks.rank(n, k), ranks.rank(m, n));
-                let (fl, kparam) = if ka == 0 || kb == 0 {
-                    (0.0, 1) // untrimmed no-op
-                } else if dense_format(ka, b) && dense_format(kb, b) {
-                    (flops::gemm_dense(b), b)
-                } else {
-                    // recompression cost is governed by the stacked rank
-                    (flops::gemm_tlr(b, ka, kb, kc), (kc + ka.min(kb)).min(b))
-                };
-                // Two kinds of GEMMs sit on the critical path and run
-                // nested: updates inside the panel-adjacent lookahead
-                // window, and accumulations onto near-diagonal tiles (long
-                // serialized chains of high-rank updates, like the SYRK
-                // accumulations).
-                let is_nested = m - n <= 4 || (n <= k + 2 && m <= k + 4);
-                add(TaskKind::Gemm { k, m, n }, fl, kparam, is_nested);
-            }
+        TaskKind::Gemm { k, m, n } => {
+            let (ka, kb, kc) = (ranks.rank(m, k), ranks.rank(n, k), ranks.rank(m, n));
+            let (fl, kparam) = if ka == 0 || kb == 0 {
+                (0.0, 1) // untrimmed no-op
+            } else if dense_format(ka, b) && dense_format(kb, b) {
+                (flops::gemm_dense(b), b)
+            } else {
+                // recompression cost is governed by the stacked rank
+                (flops::gemm_tlr(b, ka, kb, kc), (kc + ka.min(kb)).min(b))
+            };
+            // Two kinds of GEMMs sit on the critical path and run nested:
+            // updates inside the panel-adjacent lookahead window, and
+            // accumulations onto near-diagonal tiles (long serialized
+            // chains of high-rank updates, like the SYRK accumulations).
+            (fl, kparam, m - n <= 4 || (n <= k + 2 && m <= k + 4))
         }
     }
-
-    let graph = graph.finish();
-    CholeskyDag { graph, kinds, analysis, flops: task_flops, rank_param, nested }
 }
 
 #[cfg(test)]

@@ -233,6 +233,10 @@ struct Sim<'a> {
     faults: &'a FaultPlan,
     restart_delay_s: f64,
     now: f64,
+    /// Finishes, remote arrivals, strikes and recovery re-runs on the
+    /// heap; stream `p < nprocs` carries process `p`'s runtime thread
+    /// (its `Managed` times only move forward) and stream `nprocs` the
+    /// events of the current instant (see [`Sim::schedule`]).
     events: EventQueue<Event>,
 
     // Graph progress: unfinished predecessors, latest input arrival, done.
@@ -300,9 +304,9 @@ impl<'a> Sim<'a> {
         }
         faults.validate(nprocs)?;
 
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::with_streams(nprocs + 1);
         for t in graph.sources() {
-            events.push(0.0, Event::Ready(t));
+            events.push_to(nprocs, 0.0, Event::Ready(t));
         }
         for c in &faults.crashes {
             events.push(c.at, Event::Crash(c.rank));
@@ -366,15 +370,28 @@ impl<'a> Sim<'a> {
         Ok(DesReport { makespan, busy, ..self.report })
     }
 
-    /// Serialize the task through its process's runtime thread.
+    /// Queue `event` at `at`: on the current-instant stream when `at` is
+    /// now — an event of this instant is never earlier than one queued
+    /// before it — and on the heap otherwise.
+    fn schedule(&mut self, at: f64, event: Event) {
+        if at == self.now {
+            self.events.push_to(self.config.nprocs, at, event);
+        } else {
+            self.events.push(at, event);
+        }
+    }
+
+    /// Serialize the task through its process's runtime thread, whose
+    /// stream receives its completions in time order.
     fn ready(&mut self, t: TaskId) {
-        let mut end = self.now;
         if self.config.task_mgmt_s > 0.0 {
             let p = self.proc_of[t];
-            end = self.mgmt_free[p].max(self.now) + self.config.task_mgmt_s;
+            let end = self.mgmt_free[p].max(self.now) + self.config.task_mgmt_s;
             self.mgmt_free[p] = end;
+            self.events.push_to(p, end, Event::Managed(t));
+        } else {
+            self.schedule(self.now, Event::Managed(t));
         }
-        self.events.push(end, Event::Managed(t));
     }
 
     /// Consult the scheduling policy: the key decides the task's position
@@ -502,14 +519,14 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        for (e, &arrival) in edges.iter().zip(&self.arrival) {
-            let dst = e.dst;
+        for (m, e) in edges.iter().enumerate() {
+            let (dst, arrival) = (e.dst, self.arrival[m]);
             if arrival > self.data_ready[dst] {
                 self.data_ready[dst] = arrival;
             }
             self.remaining[dst] -= 1;
             if self.remaining[dst] == 0 {
-                self.events.push(self.data_ready[dst], Event::Ready(dst));
+                self.schedule(self.data_ready[dst], Event::Ready(dst));
             }
         }
     }

@@ -11,8 +11,16 @@
 //!
 //! The graph is flat and read-only: one task table, one edge array holding
 //! every successor list back to back (CSR), and a topological order fixed
-//! once, when [`GraphBuilder::finish`] lays the edges out. Consumers read
-//! the order in place instead of sorting the graph again.
+//! once, when the edges are laid out. Consumers read the order in place
+//! instead of sorting the graph again.
+//!
+//! The layout is a stable counting sort in two halves: [`EdgeCounts`]
+//! counts each task's out-degree, then [`EdgeSlots`] places every edge
+//! straight into its slot. A builder that can emit its edges twice in the
+//! same order (`build_cholesky_dag`) counts on a first emission and places
+//! on a second; one that cannot (the PTG unroller, hand-built graphs)
+//! stages its edges in a [`GraphBuilder`], whose
+//! [`finish`](GraphBuilder::finish) counts and places them from the stage.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,9 +91,8 @@ pub struct Edge {
     pub bytes: u64,
 }
 
-/// A task graph under construction: tasks and edges in the order they are
-/// added. [`finish`](GraphBuilder::finish) is the one way to a
-/// [`TaskGraph`].
+/// A task graph under construction: tasks and edges staged in the order
+/// they are added, then laid out by [`finish`](GraphBuilder::finish).
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     specs: Vec<TaskSpec>,
@@ -97,11 +104,6 @@ impl GraphBuilder {
     /// An empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty builder with room for `tasks` tasks and `edges` edges.
-    pub fn with_capacity(tasks: usize, edges: usize) -> Self {
-        Self { specs: Vec::with_capacity(tasks), edges: Vec::with_capacity(edges) }
     }
 
     /// Insert a task; returns its id.
@@ -121,37 +123,106 @@ impl GraphBuilder {
         self.edges.push((src, Edge { dst, data, bytes }));
     }
 
-    /// Lay the edges out by source and fix the topological order.
-    ///
-    /// The layout is a stable counting sort: one pass counts each
-    /// source's edges, one places them, so every successor list keeps its
-    /// insertion order. When every edge runs from a lower id to a higher
-    /// one — as in a builder that only draws edges from tasks it already
-    /// emitted — id order *is* the topological order and nothing is
-    /// sorted. Otherwise Kahn's algorithm orders the tasks once, here; a
-    /// graph with a cycle finishes without an order, and every consumer
-    /// that needs one reports it.
+    /// Lay the staged edges out by source and fix the topological order:
+    /// count from the stage, then place from it (see [`EdgeSlots`]).
     pub fn finish(self) -> TaskGraph {
-        let GraphBuilder { specs, edges: added } = self;
-        let n = specs.len();
-        let mut offsets = vec![0usize; n + 1];
-        let mut indegree = vec![0usize; n];
-        for (src, e) in &added {
-            offsets[src + 1] += 1;
-            indegree[e.dst] += 1;
+        let GraphBuilder { specs, edges: staged } = self;
+        let mut counts = EdgeCounts::new(specs.len());
+        for &(src, _) in &staged {
+            counts.count(src);
         }
+        let mut slots = counts.into_slots();
+        for (src, e) in staged {
+            slots.place(src, e);
+        }
+        slots.finish(specs)
+    }
+}
+
+/// The count half of the layout: each task's number of outgoing edges.
+#[derive(Debug)]
+pub struct EdgeCounts {
+    /// `offsets[t + 1]` counts task `t`'s outgoing edges.
+    offsets: Vec<usize>,
+}
+
+impl EdgeCounts {
+    /// No edges yet out of any of `tasks` tasks.
+    pub fn new(tasks: usize) -> Self {
+        EdgeCounts { offsets: vec![0; tasks + 1] }
+    }
+
+    /// Count one more edge out of `src`.
+    pub fn count(&mut self, src: TaskId) {
+        self.offsets[src + 1] += 1;
+    }
+
+    /// Reserve a slot for every counted edge, each task's slots after the
+    /// previous task's.
+    pub fn into_slots(self) -> EdgeSlots {
+        let mut offsets = self.offsets;
+        let n = offsets.len() - 1;
         for t in 0..n {
             offsets[t + 1] += offsets[t];
         }
-        let mut next = offsets[..n].to_vec();
         let unset = Edge { dst: 0, data: DataRef { i: 0, j: 0 }, bytes: 0 };
-        let mut edges = vec![unset; added.len()];
-        for &(src, e) in &added {
-            edges[next[src]] = e;
-            next[src] += 1;
+        EdgeSlots {
+            next: offsets[..n].to_vec(),
+            edges: vec![unset; offsets[n]],
+            offsets,
+            indegree: vec![0; n],
+            ids_topological: true,
         }
-        let ids_topological = added.iter().all(|(src, e)| *src < e.dst);
-        drop(added);
+    }
+}
+
+/// The place half of the layout: every edge goes straight into the next
+/// free slot of its source, so each successor list keeps the order its
+/// edges were placed in.
+///
+/// [`finish`](EdgeSlots::finish) fixes the topological order. When every
+/// edge runs from a lower id to a higher one — as in a builder that only
+/// draws edges from tasks it already emitted — id order *is* the
+/// topological order and nothing is sorted. Otherwise Kahn's algorithm
+/// orders the tasks once, there; a graph with a cycle finishes without an
+/// order, and every consumer that needs one reports it.
+#[derive(Debug)]
+pub struct EdgeSlots {
+    offsets: Vec<usize>,
+    /// `next[t]`: task `t`'s next free slot.
+    next: Vec<usize>,
+    edges: Vec<Edge>,
+    indegree: Vec<usize>,
+    ids_topological: bool,
+}
+
+impl EdgeSlots {
+    /// Place the edge `src → edge.dst`.
+    ///
+    /// # Panics
+    /// Panics if `src` has no slot left (more edges placed out of it than
+    /// were counted) or `src == edge.dst`.
+    pub fn place(&mut self, src: TaskId, edge: Edge) {
+        assert_ne!(src, edge.dst, "self-dependency");
+        let slot = self.next[src];
+        assert!(slot < self.offsets[src + 1], "task {src} has more edges than were counted");
+        self.edges[slot] = edge;
+        self.next[src] = slot + 1;
+        self.indegree[edge.dst] += 1;
+        self.ids_topological &= src < edge.dst;
+    }
+
+    /// The graph of `specs` and the placed edges, with its topological
+    /// order fixed.
+    ///
+    /// # Panics
+    /// Panics if `specs` does not hold one task per counted task, or a
+    /// counted edge was never placed.
+    pub fn finish(self, specs: Vec<TaskSpec>) -> TaskGraph {
+        let EdgeSlots { offsets, next, edges, indegree, ids_topological } = self;
+        assert_eq!(specs.len(), next.len(), "one spec per counted task");
+        assert!(next[..] == offsets[1..], "every counted edge is placed");
+        drop(next);
         let mut graph = TaskGraph { specs, offsets, edges, indegree, order: Order::Ids };
         if !ids_topological {
             graph.order = graph.kahn().map_or(Order::Cyclic, Order::Kahn);
@@ -378,6 +449,51 @@ mod tests {
         assert_eq!(counts[0].1, 1); // POTRF
         assert_eq!(counts[3].1, 2); // GEMM
         assert_eq!(g.total_flops(), 3.0);
+    }
+
+    /// Counting on one emission and placing on a second lays out the
+    /// graph the staging builder lays out from the same edges.
+    #[test]
+    fn counted_then_placed_equals_staged() {
+        let edges = [(0, 4), (2, 4), (0, 3), (1, 3), (0, 2), (1, 2), (3, 2)];
+        let staged = graph(5, &edges).finish();
+        let mut counts = EdgeCounts::new(5);
+        for &(s, _) in &edges {
+            counts.count(s);
+        }
+        let mut slots = counts.into_slots();
+        for &(s, d) in &edges {
+            slots.place(s, Edge { dst: d, data: DataRef { i: s, j: d }, bytes: 8 });
+        }
+        let placed = slots.finish((0..5).map(|_| spec(TaskClass::Other, 0)).collect());
+        for t in 0..5 {
+            let list =
+                |g: &TaskGraph| g.successors(t).iter().map(|e| (e.dst, e.data)).collect::<Vec<_>>();
+            assert_eq!(list(&placed), list(&staged), "successors of {t}");
+            assert_eq!(placed.indegree(t), staged.indegree(t));
+        }
+        // The edge 3 → 2 runs high → low: both orders are Kahn's.
+        assert_eq!(order_of(&placed), order_of(&staged));
+        assert_ne!(order_of(&placed), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more edges than were counted")]
+    fn placing_an_uncounted_edge_panics() {
+        let mut counts = EdgeCounts::new(3);
+        counts.count(0);
+        let mut slots = counts.into_slots();
+        let edge = |dst| Edge { dst, data: DataRef { i: 0, j: 0 }, bytes: 0 };
+        slots.place(0, edge(1));
+        slots.place(0, edge(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "every counted edge is placed")]
+    fn finishing_with_an_empty_slot_panics() {
+        let mut counts = EdgeCounts::new(2);
+        counts.count(0);
+        counts.into_slots().finish(vec![spec(TaskClass::Other, 0); 2]);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::compress::{compress_tile, CompressionConfig};
 use crate::rankstat::RankSnapshot;
 use crate::tile::Tile;
 use rayon::prelude::*;
+use std::time::Instant;
 use tlr_linalg::{Matrix, TileSource};
 
 /// A symmetric positive-definite matrix stored as TLR tiles (lower
@@ -26,6 +27,10 @@ pub struct TlrMatrix {
     certified_null: usize,
     /// Source entries assembly evaluated.
     evaluations: usize,
+    /// CPU-seconds assembly spent evaluating entries, summed over tiles.
+    evaluation_seconds: f64,
+    /// CPU-seconds assembly spent compressing tiles, summed over tiles.
+    compression_seconds: f64,
 }
 
 #[inline]
@@ -67,7 +72,10 @@ impl TlrMatrix {
     /// its chunks are balanced over tiles that cost something rather
     /// than over coordinates. Per-tile results are independent of the
     /// thread count, so the assembled matrix is bit-identical at any
-    /// pool size.
+    /// pool size. Each worker times its tiles' entry evaluation and
+    /// compression apart; the sums are the assembly's ledger
+    /// ([`evaluation_seconds`](Self::evaluation_seconds),
+    /// [`compression_seconds`](Self::compression_seconds)).
     pub fn from_generator(
         n: usize,
         tile_size: usize,
@@ -91,19 +99,37 @@ impl TlrMatrix {
             }
         }
         let certified_null = tiles.len() - work.len();
-        let built: Vec<Tile> = work
+        let built: Vec<(Tile, f64, f64)> = work
             .par_iter()
             .map(|&(i, j)| {
+                let start = Instant::now();
                 let block = source.block(span(i), span(j));
-                if i == j { Tile::Dense(block) } else { compress_tile(block, config) }
+                let evaluated = Instant::now();
+                if i == j {
+                    return (Tile::Dense(block), (evaluated - start).as_secs_f64(), 0.0);
+                }
+                let tile = compress_tile(block, config);
+                let (eval, comp) = (evaluated - start, evaluated.elapsed());
+                (tile, eval.as_secs_f64(), comp.as_secs_f64())
             })
             .collect();
-        let mut evaluations = 0;
-        for (&(i, j), tile) in work.iter().zip(built) {
+        let (mut evaluations, mut evaluation_seconds, mut compression_seconds) = (0, 0.0, 0.0);
+        for (&(i, j), (tile, eval_s, comp_s)) in work.iter().zip(built) {
             evaluations += tile.rows() * tile.cols();
+            evaluation_seconds += eval_s;
+            compression_seconds += comp_s;
             tiles[packed_index(i, j)] = tile;
         }
-        Self { n, tile_size, nt, tiles, certified_null, evaluations }
+        Self {
+            n,
+            tile_size,
+            nt,
+            tiles,
+            certified_null,
+            evaluations,
+            evaluation_seconds,
+            compression_seconds,
+        }
     }
 
     /// Build from an explicit dense matrix (testing/small problems).
@@ -122,6 +148,18 @@ impl TlrMatrix {
     /// evaluated tile, none for a certified one).
     pub fn kernel_evaluations(&self) -> usize {
         self.evaluations
+    }
+
+    /// CPU-seconds the assembly spent evaluating source entries, summed
+    /// over the evaluated tiles (diagonal ones included).
+    pub fn evaluation_seconds(&self) -> f64 {
+        self.evaluation_seconds
+    }
+
+    /// CPU-seconds the assembly spent in `compress_tile`, summed over the
+    /// evaluated off-diagonal tiles; 0 when every one was certified null.
+    pub fn compression_seconds(&self) -> f64 {
+        self.compression_seconds
     }
 
     /// Matrix dimension.
@@ -355,6 +393,34 @@ mod tests {
         let t = m.take_tile(2, 1);
         m.put_tile(2, 1, t);
         assert!(relative_diff(&m.tile(2, 1).to_dense(), &before) < 1e-15);
+    }
+
+    /// The assembly ledger: a source that certifies every off-diagonal
+    /// tile null leaves nothing to compress, so only evaluation is timed;
+    /// a closure has every tile evaluated and its off-diagonal ones
+    /// compressed.
+    #[test]
+    fn assembly_times_evaluation_and_compression_apart() {
+        use std::ops::Range;
+        struct BlockDiagonal;
+        impl TileSource for BlockDiagonal {
+            fn entry(&self, i: usize, j: usize) -> f64 {
+                if i / 16 == j / 16 { 1.0 + (i == j) as u8 as f64 } else { 0.0 }
+            }
+            fn norm_bound(&self, rows: Range<usize>, cols: Range<usize>) -> f64 {
+                if rows.start / 16 == cols.start / 16 { f64::INFINITY } else { 0.0 }
+            }
+        }
+        let cfg = CompressionConfig::with_accuracy(1e-6);
+        let m = TlrMatrix::from_generator(64, 16, BlockDiagonal, &cfg);
+        assert_eq!(m.certified_null_tiles(), 6);
+        assert_eq!(m.kernel_evaluations(), 4 * 16 * 16);
+        assert!(m.evaluation_seconds() > 0.0);
+        assert_eq!(m.compression_seconds(), 0.0);
+
+        let m = TlrMatrix::from_generator(64, 16, gaussian_gen(64), &cfg);
+        assert_eq!(m.certified_null_tiles(), 0);
+        assert!(m.evaluation_seconds() > 0.0 && m.compression_seconds() > 0.0);
     }
 
     #[test]

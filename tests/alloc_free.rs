@@ -142,31 +142,48 @@ fn sink_recording_path_allocates_nothing() {
 
 /// The simulator reads the DAG and the mapping in place: 7× the tasks
 /// (NT 16 → 32, untrimmed, two processes so every panel broadcasts) cost
-/// only the extra doublings of the event queue, the ready heaps and the
-/// trace — no allocation per task, per edge or per broadcast.
+/// only the extra doublings of the event queue and its streams, the ready
+/// heaps and the trace — no allocation per task, per edge or per
+/// broadcast. So with the runtime-thread stage off (every task managed on
+/// the current-instant stream), and under a crash halfway through the
+/// run, which migrates and re-runs tasks of the dead process.
 #[test]
 fn simulation_allocations_do_not_grow_with_the_task_count() {
     let machine = MachineModel::shaheen_ii();
-    let config = DesConfig::from_machine(&machine, 2);
-    let run = |nt: usize| {
+    let staged = DesConfig::from_machine(&machine, 2);
+    let unstaged = DesConfig { task_mgmt_s: 0.0, ..staged };
+    let run = |nt: usize, config: &DesConfig, crash: bool| {
         let snap = SyntheticRankModel::from_application(nt, 256, 2e-4, 1e-4).snapshot();
         let dag = build_cholesky_dag(&snap, &DagConfig { trimmed: false, ..DagConfig::default() });
         let tasks = des_tasks(&dag, &machine, |d| (d.i + d.j) % 2);
         let pricing = Pricing::nominal(&dag.graph);
         let plan = SchedPlan::build(&dag.graph, SchedPolicy::default(), &pricing).unwrap();
+        let simulate = |faults: &FaultPlan| {
+            simulate_planned(&dag.graph, &tasks, config, &plan, faults, 0.0).unwrap()
+        };
+        let faults = if crash {
+            FaultPlan::new(0).with_crash(1, 0.5 * simulate(&FaultPlan::none()).makespan)
+        } else {
+            FaultPlan::none()
+        };
         let before = allocs();
-        let report =
-            simulate_planned(&dag.graph, &tasks, &config, &plan, &FaultPlan::none(), 0.0).unwrap();
+        let report = simulate(&faults);
         let count = allocs() - before;
         assert!(report.comm.messages > 0, "the mapping must make broadcasts");
+        assert_eq!(report.crashes, usize::from(crash));
         (dag.graph.len(), count)
     };
-    let ((small_tasks, small), (large_tasks, large)) = (run(16), run(32));
-    assert!(large_tasks > 7 * small_tasks);
-    assert!(
-        large.abs_diff(small) < 64,
-        "{small} allocations for {small_tasks} tasks, {large} for {large_tasks}"
-    );
+    for (config, crash) in [(&staged, false), (&unstaged, false), (&staged, true)] {
+        let ((small_tasks, small), (large_tasks, large)) =
+            (run(16, config, crash), run(32, config, crash));
+        assert!(large_tasks > 7 * small_tasks);
+        assert!(
+            large.abs_diff(small) < 64,
+            "task_mgmt_s {}, crash {crash}: {small} allocations for {small_tasks} tasks, \
+             {large} for {large_tasks}",
+            config.task_mgmt_s
+        );
+    }
 }
 
 /// Building the DAG lays it out flat: the NT 16 and NT 32 snapshots of the

@@ -260,3 +260,91 @@ fn priced_faults_match_the_recorded_goldens() {
     let actual = actual_faulty();
     assert!(actual == GOLDEN_FAULTY, "priced-fault drift; table now:\n{actual}");
 }
+
+/// The DES door on the shapes the `des` lines above leave out: no
+/// per-task runtime overhead (`task_overhead_s = 0`, so a task is managed
+/// at the very instant it becomes ready) at 4 and at 16 nodes, and the
+/// default overhead at 16 nodes (sixteen serial runtime threads instead
+/// of four). Same fixture, same fold — `order` spaces tasks 32 apart so
+/// that 16 processes stay distinct in it; recorded at the commit before
+/// the simulator's runtime-thread and same-instant events left the one
+/// heap.
+fn actual_event_streams() -> String {
+    let mut out = String::new();
+    let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+    let base = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+    let free = MachineModel { task_overhead_s: 0.0, ..base.clone() };
+    for (shape, machine, nodes) in
+        [("no-overhead", &free, 4), ("no-overhead", &free, 16), ("overhead", &base, 16)]
+    {
+        for (name, preset) in [
+            ("hicma", hicma_parsec_config(machine.clone(), nodes)),
+            ("lorapo", lorapo_config(machine.clone(), nodes)),
+        ] {
+            for policy in SchedPolicy::ALL {
+                let mut cfg = preset.clone();
+                cfg.sched = policy;
+                let r = simulate_cholesky(&snap, &cfg);
+                writeln!(
+                    out,
+                    "des-{shape} {name} {} nodes={nodes} secs={:#018x} comm={}/{} tasks={} \
+                     imbalance={:#018x} order={:#018x}",
+                    policy.name(),
+                    r.factorization_seconds.to_bits(),
+                    r.comm.bytes,
+                    r.comm.messages,
+                    r.dag_tasks,
+                    r.load_imbalance.to_bits(),
+                    fnv(r.trace.records.iter().map(|rec| (rec.task * 32 + rec.proc) as u64)),
+                )
+                .unwrap();
+            }
+        }
+    }
+    out
+}
+
+const GOLDEN_EVENT_STREAMS: &str = "\
+des-no-overhead hicma panel-priority nodes=4 secs=0x3fc56c16a4534e38 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x458bbeacd181401b
+des-no-overhead hicma fifo nodes=4 secs=0x3fc56c16a4534e38 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x458bbeacd181401b
+des-no-overhead hicma lifo nodes=4 secs=0x3fc38f4bda0c16ff comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7f order=0x75d6fbfd346e2f81
+des-no-overhead hicma upward-rank nodes=4 secs=0x3fbfa192f25e95ce comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x183850e695cc2c2f
+des-no-overhead hicma comm-upward-rank nodes=4 secs=0x3fbfa192f25e95ce comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x1b7abd814b7c639f
+des-no-overhead hicma rank-lookahead nodes=4 secs=0x3fbf15972e394511 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7a order=0x1944731bfde7112d
+des-no-overhead lorapo panel-priority nodes=4 secs=0x3fc3762850a2a796 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xa8431418ade1b14b
+des-no-overhead lorapo fifo nodes=4 secs=0x3fc3762850a2a796 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xa8431418ade1b14b
+des-no-overhead lorapo lifo nodes=4 secs=0x3fc77894c9b475a7 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3de order=0x45cfcdf73db18681
+des-no-overhead lorapo upward-rank nodes=4 secs=0x3fc0e1eb83ab7cd2 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3dd order=0x12b82ecc92b882f3
+des-no-overhead lorapo comm-upward-rank nodes=4 secs=0x3fc0e3a37001c79d comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e3 order=0x533ef94e17b1a77f
+des-no-overhead lorapo rank-lookahead nodes=4 secs=0x3fc0d9d2f3a1e5c5 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e3 order=0xc0b6233b340dc51d
+des-no-overhead hicma panel-priority nodes=16 secs=0x3fbb86fa72bfe3b5 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x1ce7be0766df4005
+des-no-overhead hicma fifo nodes=16 secs=0x3fbb86fa72bfe3b5 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x1ce7be0766df4005
+des-no-overhead hicma lifo nodes=16 secs=0x3fb9b876639e61fc comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a35 order=0xf66f7e6feedc43df
+des-no-overhead hicma upward-rank nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
+des-no-overhead hicma comm-upward-rank nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
+des-no-overhead hicma rank-lookahead nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
+des-no-overhead lorapo panel-priority nodes=16 secs=0x3fbbbbfae494b05c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xc303823910a38f5f
+des-no-overhead lorapo fifo nodes=16 secs=0x3fbbbbfae494b05c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xc303823910a38f5f
+des-no-overhead lorapo lifo nodes=16 secs=0x3fbbf05b7565849c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xfa422fd6a21b7a51
+des-no-overhead lorapo upward-rank nodes=16 secs=0x3fbaec021a51ea6c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0xb8fdfa1b488b89cb
+des-no-overhead lorapo comm-upward-rank nodes=16 secs=0x3fbaec021a51ea6c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0x0c434be9ba8cd545
+des-no-overhead lorapo rank-lookahead nodes=16 secs=0x3fbb086e559c9e2c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ab order=0x72b6eebcdcb23c5d
+des-overhead hicma panel-priority nodes=16 secs=0x3fbbe5d19be7bb94 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x6585e144124d57c9
+des-overhead hicma fifo nodes=16 secs=0x3fbbe5d19be7bb94 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x6585e144124d57c9
+des-overhead hicma lifo nodes=16 secs=0x3fba29dfe735a971 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a38 order=0x11f971b7ecf49361
+des-overhead hicma upward-rank nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
+des-overhead hicma comm-upward-rank nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
+des-overhead hicma rank-lookahead nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
+des-overhead lorapo panel-priority nodes=16 secs=0x3fbc6b52364a04f3 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0x8bed3f0d5d83f4b3
+des-overhead lorapo fifo nodes=16 secs=0x3fbc6b52364a04f3 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0x8bed3f0d5d83f4b3
+des-overhead lorapo lifo nodes=16 secs=0x3fbd241edb9a3609 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0x324ac0c3f1f28e17
+des-overhead lorapo upward-rank nodes=16 secs=0x3fbba3bb8092e064 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ac order=0x4e8a1f9c5b4d79f5
+des-overhead lorapo comm-upward-rank nodes=16 secs=0x3fbba3bb8092e064 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ac order=0xcac9dccc27b035d1
+des-overhead lorapo rank-lookahead nodes=16 secs=0x3fbbdcac730ebc2a comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ab order=0x3793f42f543ae833
+";
+
+#[test]
+fn event_stream_shapes_match_the_recorded_goldens() {
+    let actual = actual_event_streams();
+    assert!(actual == GOLDEN_EVENT_STREAMS, "DES drift; table now:\n{actual}");
+}
