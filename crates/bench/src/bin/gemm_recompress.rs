@@ -11,18 +11,23 @@
 //!
 //! The grid ends in one high-rank point (`b = 150`, rank 60, factor
 //! columns decaying from 1 to the accuracy like a compressed kernel
-//! tile): the regime where the small SVD, not the `b`-sized QRs, sets
-//! the cost. Every point also reports the Jacobi sweeps of its
-//! recompression SVD and the SVD's share of the call.
+//! tile): the regime where the small core, not the `b`-sized QRs, used
+//! to set the cost. Every point also reports the share of the call its
+//! core truncation (the pivoted QR of `R_u·R_vᵀ` stopped at the accuracy)
+//! takes, and the rank each path keeps: `rank_new` from the pivoted QR,
+//! `rank_ref` from the baseline's SVD, the fewest terms the accuracy
+//! allows.
 //!
-//! `--smoke` shrinks the grid to one tiny point for CI.
+//! `--smoke` shrinks the grid to one tiny point for CI and fails unless
+//! the steady-state call allocates nothing and `rank_new ≥ rank_ref` (a
+//! lower rank than the SVD optimum would mean the error bound broke).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tlr_compress::kernels::{gemm_kernel_ws, reference, KernelWorkspace, PRETRUNCATION_SHARE};
+use tlr_compress::kernels::{gemm_kernel_ws, reference, KernelWorkspace};
 use tlr_compress::{CompressionConfig, Tile};
-use tlr_linalg::{gemm_serial, jacobi_svd_into, Matrix, Qr, Svd, SvdWork, Trans};
+use tlr_linalg::{gemm_serial, ColPivQr, ColPivScratch, Matrix, Qr, Trans};
 
 /// Forwarding allocator that counts `alloc`/`realloc` calls so the bench
 /// can assert the steady-state hot path touches the heap zero times.
@@ -98,9 +103,9 @@ fn kernel_like(rank: usize, accuracy: f64) -> [f64; 3] {
     [accuracy.powf(1.0 / rank as f64); 3]
 }
 
-/// The core `R_u·R_vᵀ` that `gemm_kernel_ws` hands to the SVD for this
-/// update (low-rank operands and destination, `rank(A) ≤ rank(B)`), built
-/// from public pieces so the SVD can be timed on its own.
+/// The core `R_u·R_vᵀ` that `gemm_kernel_ws` truncates for this update
+/// (low-rank operands and destination, `rank(A) ≤ rank(B)`), built from
+/// public pieces so the truncation can be timed on its own.
 fn recompression_core(a: &Tile, bt: &Tile, c: &Tile) -> Matrix {
     let (Tile::LowRank { u: ua, v: va }, Tile::LowRank { u: ub, v: vb }, Tile::LowRank { u: uc, v: vc }) =
         (a, bt, c)
@@ -129,8 +134,9 @@ fn recompression_core(a: &Tile, bt: &Tile, c: &Tile) -> Matrix {
 struct Point {
     b: usize,
     rank: usize,
-    svd_sweeps: usize,
-    svd_share: f64,
+    core_share: f64,
+    rank_new: usize,
+    rank_ref: usize,
     us_per_call_new: f64,
     us_per_call_ref: f64,
     speedup: f64,
@@ -220,12 +226,15 @@ fn run_point(
     }
     let t_new = t0.elapsed().as_secs_f64() / reps as f64;
 
+    let rank_new = dests[0].rank();
+
     let mut dests: Vec<Tile> = (0..reps).map(|_| c0.clone()).collect();
     let t0 = std::time::Instant::now();
     for c in dests.iter_mut() {
         reference::gemm_kernel_reference(&a, &bt, c, config);
     }
     let t_ref = t0.elapsed().as_secs_f64() / reps as f64;
+    let rank_ref = dests[0].rank();
 
     // Steady-state allocation count: one call on a pre-cloned
     // destination with the warmed arena.
@@ -234,23 +243,27 @@ fn run_point(
     gemm_kernel_ws(&mut ws, &a, &bt, &mut c, config);
     let allocs_per_call = ALLOCS.load(Ordering::Relaxed) - before;
 
-    // The SVD of this update's core on its own, with the floor the
-    // kernel passes: its sweeps, and its share of the call timed above.
+    // This update's core truncation on its own, as the kernel runs it:
+    // the pivoted QR stopped at the accuracy, then the exact trailing
+    // norm that certifies the stop. Its share of the call timed above.
     let core = recompression_core(&a, &bt, &c0);
-    let floor = PRETRUNCATION_SHARE * config.accuracy;
-    let (mut svd, mut work) = (Svd::empty(), SvdWork::new());
-    jacobi_svd_into(&core, floor, &mut svd, &mut work);
+    let (mut storage, mut scratch) = (core.clone(), ColPivScratch::default());
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        jacobi_svd_into(std::hint::black_box(&core), floor, &mut svd, &mut work);
+        storage.as_mut_slice().copy_from_slice(std::hint::black_box(&core).as_slice());
+        let mut f = ColPivQr::unfactored_in(storage, scratch);
+        f.advance(config.accuracy, usize::MAX);
+        std::hint::black_box(f.trailing_norm());
+        (storage, scratch) = f.into_parts();
     }
-    let t_svd = t0.elapsed().as_secs_f64() / reps as f64;
+    let t_core = t0.elapsed().as_secs_f64() / reps as f64;
 
     Point {
         b,
         rank,
-        svd_sweeps: work.last_sweeps(),
-        svd_share: t_svd / t_new,
+        core_share: t_core / t_new,
+        rank_new,
+        rank_ref,
         us_per_call_new: t_new * 1e6,
         us_per_call_ref: t_ref * 1e6,
         speedup: t_ref / t_new,
@@ -284,15 +297,16 @@ fn main() {
         let p = run_point(b, rank, decay, reps, &config);
         eprintln!(
             "b={:<4} rank={:<3} new {:>9.1} us  ref {:>9.1} us  speedup {:.2}x  \
-             microkernel {:.2}x  svd {} sweeps, {:.0}% of the call  allocs/call {}",
+             microkernel {:.2}x  core {:.0}% of the call  rank {} (ref {})  allocs/call {}",
             p.b,
             p.rank,
             p.us_per_call_new,
             p.us_per_call_ref,
             p.speedup,
             p.microkernel_speedup,
-            p.svd_sweeps,
-            100.0 * p.svd_share,
+            100.0 * p.core_share,
+            p.rank_new,
+            p.rank_ref,
             p.allocs_per_call
         );
         points.push(p);
@@ -304,6 +318,7 @@ fn main() {
         .map(|p| p.speedup)
         .fold(f64::INFINITY, f64::min);
     let max_allocs = points.iter().map(|p| p.allocs_per_call).max().unwrap_or(0);
+    let under_optimum = points.iter().filter(|p| p.rank_new < p.rank_ref).count();
 
     let rows: Vec<String> = points
         .iter()
@@ -311,16 +326,17 @@ fn main() {
             format!(
                 "    {{\"b\": {}, \"rank\": {}, \"us_per_call_new\": {:.3}, \
                  \"us_per_call_ref\": {:.3}, \"speedup\": {:.3}, \
-                 \"microkernel_speedup\": {:.3}, \"svd_sweeps\": {}, \
-                 \"svd_share\": {:.3}, \"allocs_per_call\": {}}}",
+                 \"microkernel_speedup\": {:.3}, \"core_share\": {:.3}, \
+                 \"rank_new\": {}, \"rank_ref\": {}, \"allocs_per_call\": {}}}",
                 p.b,
                 p.rank,
                 p.us_per_call_new,
                 p.us_per_call_ref,
                 p.speedup,
                 p.microkernel_speedup,
-                p.svd_sweeps,
-                p.svd_share,
+                p.core_share,
+                p.rank_new,
+                p.rank_ref,
                 p.allocs_per_call
             )
         })
@@ -355,6 +371,10 @@ fn main() {
     );
     if smoke && max_allocs > 0 {
         eprintln!("smoke FAILED: steady-state gemm_kernel allocated (expected 0)");
+        std::process::exit(1);
+    }
+    if smoke && under_optimum > 0 {
+        eprintln!("smoke FAILED: {under_optimum} point(s) kept fewer terms than the SVD optimum");
         std::process::exit(1);
     }
 }

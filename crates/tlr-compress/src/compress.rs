@@ -198,6 +198,25 @@ mod tests {
         assert_eq!(t.format(), crate::tile::TileFormat::Dense);
     }
 
+    /// Recompression follows the same rule: an update whose rank at the
+    /// accuracy is above the cap stays dense instead of being cut at the
+    /// cap with its tail far above the accuracy.
+    #[test]
+    fn recompression_at_the_rank_cap_keeps_the_update_dense() {
+        let n = 32;
+        let cfg = CompressionConfig { accuracy: 1e-8, max_rank: 4, keep_dense_ratio: 1.0 };
+        let mut c = Tile::LowRank { u: rand_mat(n, 3, 16), v: rand_mat(n, 3, 17) };
+        let (up, vp) = (rand_mat(n, 3, 18), rand_mat(n, 3, 19));
+        let mut exact = c.to_dense();
+        tlr_linalg::gemm(tlr_linalg::Trans::No, tlr_linalg::Trans::Yes, -1.0, &up, &vp, 1.0, &mut exact);
+        crate::kernels::subtract_lowrank(&mut c, &up, &vp, &cfg);
+        let mut diff = c.to_dense();
+        diff.axpy(-1.0, &exact);
+        let err = frobenius_norm(&diff);
+        assert_eq!(c.format(), crate::tile::TileFormat::Dense, "rank {}, error {err}", c.rank());
+        assert!(err <= cfg.accuracy, "error {err}");
+    }
+
     #[test]
     fn empty_tile_is_null() {
         let t = compress_tile(Matrix::zeros(0, 5), &CompressionConfig::default());

@@ -13,7 +13,7 @@
 //!
 //! * [`Tile`] — the three-format tile value (`Dense` / `LowRank` / `Null`),
 //! * [`compress_tile`] / [`CompressionConfig`] — threshold compression via
-//!   rank-revealing pivoted QR (+ SVD-based recompression),
+//!   rank-revealing pivoted QR (the same rule truncates recompressions),
 //! * [`kernels`] — the four TLR Cholesky kernels (`POTRF`, `TRSM`, `SYRK`,
 //!   `GEMM`) operating directly on compressed tiles, with on-the-fly rank
 //!   truncation in the GEMM recompression path,

@@ -1,7 +1,17 @@
 //! Singular value decomposition: pivoted-QR preconditioning, then
 //! one-sided Jacobi rotations.
 //!
-//! The matrices that reach this module are the `K × K` cores `R_u·R_vᵀ`
+//! TLR recompression no longer calls this module: it truncates its core
+//! with the pivoted QR alone (`ColPivQr`, the rule tile compression
+//! uses). What still does: the benchmark's `svd_ms` probe, which times
+//! [`jacobi_svd`] on a recompression-shaped core; the SVD-optimal oracle
+//! of the recompression tests (`tlr_compress::kernels::reference`),
+//! which returns an [`Svd`] from a frozen plain-Jacobi loop of its own
+//! and truncates it with [`Svd::rank_at_frobenius`]; the property test
+//! that holds [`jacobi_svd_into`] to that loop; and the dense-layer
+//! golden that pins its bits.
+//!
+//! The matrices it was built for are the `K × K` cores `R_u·R_vᵀ`
 //! of TLR recompression (`K` = sum of the two tile ranks, a few dozen to
 //! a few hundred). Their singular values are graded from `‖core‖` down
 //! to rounding noise, and plain cyclic one-sided Jacobi needs many sweeps

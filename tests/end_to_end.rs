@@ -202,9 +202,9 @@ fn workspace_factorization_matches_reference_kernels() {
 
 /// A `NaN` in one off-diagonal tile must come back as the typed pivot
 /// failure of the diagonal tile it spreads to, never as a kernel panic:
-/// the recompression SVD of every update the tile takes part in sees a
-/// non-finite core (it used to die in a `partial_cmp().unwrap()` sort),
-/// and must neither panic, nor spin, nor truncate the poison away.
+/// the core truncation of every update the tile takes part in sees a
+/// non-finite core (an SVD once died there in a `partial_cmp().unwrap()`
+/// sort), and must neither panic, nor spin, nor truncate the poison away.
 #[test]
 fn nan_poisoned_tile_is_a_typed_numeric_error() {
     use hicma_parsec::cholesky::{RunError, Session};
@@ -233,6 +233,95 @@ fn nan_poisoned_tile_is_a_typed_numeric_error() {
         Err(RunError::Numeric(_)) => {}
         Err(other) => panic!("expected a numeric error, got {other}"),
         Ok(_) => panic!("a NaN-poisoned matrix factorized"),
+    }
+}
+
+/// Poison reaches the diagonal whatever truncates the recompression core:
+/// a `NaN` or `±∞` in any stacked factor — the destination's `U` or `V`,
+/// the update's `u` or `v`, an operand of the TLR GEMM — comes out of
+/// recompression as a tile with a non-finite entry, never as `Null` and
+/// never as a finite tile; and a factorization whose off-diagonal tile
+/// holds `±∞` ends in the typed numeric error, like the `NaN` case above.
+#[test]
+fn poison_in_a_stacked_factor_reaches_the_diagonal() {
+    use hicma_parsec::cholesky::{RunError, Session};
+    use hicma_parsec::tlr::compress_tile;
+    use hicma_parsec::tlr::kernels::{gemm_kernel_ws, subtract_lowrank_ws, KernelWorkspace};
+    use hicma_parsec::tlr::Tile;
+
+    let b = 32;
+    let cfg = CompressionConfig::with_accuracy(1e-6);
+    let factors = |shift: f64| {
+        let smooth = Matrix::from_fn(b, b, |i, j| {
+            let d = (i as f64 - j as f64 + shift) / 12.0;
+            (-d * d).exp()
+        });
+        match compress_tile(smooth, &cfg) {
+            Tile::LowRank { u, v } => (u, v),
+            other => panic!("fixture tile must compress, got {:?}", other.format()),
+        }
+    };
+    let (uc, vc) = factors(40.0);
+    let (up, vp) = factors(46.0);
+    let lr = |u: &Matrix, v: &Matrix| Tile::LowRank { u: u.clone(), v: v.clone() };
+    let null = || Tile::Null { rows: b, cols: b };
+    let poisoned = |m: &Matrix, x: f64| {
+        let mut m = m.clone();
+        m[(3, 0)] = x;
+        m
+    };
+    let assert_poisoned = |c: &Tile, what: &str| {
+        assert!(!c.is_null(), "{what}: poison truncated to a null tile");
+        assert!(
+            c.to_dense().as_slice().iter().any(|e| !e.is_finite()),
+            "{what}: poison truncated to a finite {:?} tile of rank {}",
+            c.format(),
+            c.rank()
+        );
+    };
+    let mut ws = KernelWorkspace::new();
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let updates = [
+            ("destination u", lr(&poisoned(&uc, x), &vc), up.clone(), vp.clone()),
+            ("destination v", lr(&uc, &poisoned(&vc, x)), up.clone(), vp.clone()),
+            ("update u", lr(&uc, &vc), poisoned(&up, x), vp.clone()),
+            ("update v", lr(&uc, &vc), up.clone(), poisoned(&vp, x)),
+            ("update u into null", null(), poisoned(&up, x), vp.clone()),
+        ];
+        for (what, mut c, u, v) in updates {
+            subtract_lowrank_ws(&mut ws, &mut c, &u, &v, &cfg);
+            assert_poisoned(&c, &format!("subtract_lowrank {x}, {what}"));
+        }
+        let operand = lr(&poisoned(&up, x), &vp);
+        let clean = lr(&uc, &vc);
+        for (what, c0) in [("low-rank", lr(&uc, &vc)), ("null", null())] {
+            let mut c = c0.clone();
+            gemm_kernel_ws(&mut ws, &operand, &clean, &mut c, &cfg);
+            assert_poisoned(&c, &format!("gemm_kernel {x}, poisoned a into {what}"));
+            let mut c = c0;
+            gemm_kernel_ws(&mut ws, &clean, &operand, &mut c, &cfg);
+            assert_poisoned(&c, &format!("gemm_kernel {x}, poisoned b into {what}"));
+        }
+    }
+
+    let (points, kernel) = fixture(2, 200, 21);
+    let accuracy = 1e-7;
+    let ccfg = CompressionConfig::with_accuracy(accuracy);
+    for x in [f64::INFINITY, f64::NEG_INFINITY] {
+        let mut a = TlrMatrix::from_generator(points.len(), 50, kernel.generator(&points), &ccfg);
+        let row = (1..a.nt())
+            .rev()
+            .find(|&i| matches!(a.tile(i, 0), Tile::LowRank { .. }))
+            .expect("panel 0 has a low-rank tile");
+        match a.tile_mut(row, 0) {
+            Tile::LowRank { u, .. } => u[(0, 0)] = x,
+            _ => unreachable!(),
+        }
+        match Session::shared(FactorConfig::with_accuracy(accuracy)).run(&mut a) {
+            Err(RunError::Numeric(_)) => {}
+            Err(other) => panic!("{x}: expected a numeric error, got {other}"),
+            Ok(_) => panic!("a {x}-poisoned matrix factorized"),
+        }
     }
 }
 
