@@ -12,15 +12,21 @@
 //! The grid ends in one high-rank point (`b = 150`, rank 60, factor
 //! columns decaying from 1 to the accuracy like a compressed kernel
 //! tile): the regime where the small core, not the `b`-sized QRs, used
-//! to set the cost. Every point also reports the share of the call its
-//! core truncation (the pivoted QR of `R_u·R_vᵀ` stopped at the accuracy)
-//! takes, and the rank each path keeps: `rank_new` from the pivoted QR,
-//! `rank_ref` from the baseline's SVD, the fewest terms the accuracy
+//! to set the cost. Every point also reports the recompression's ledger
+//! row as shares of the call, each timed on its own from public pieces:
+//! `qr_share` (the QRs of the two stacked factors), `core_share` (the
+//! core truncation: the pivoted QR of `R_u·R_vᵀ` stopped at the accuracy)
+//! and `reproject_share` (the two `Qr::apply_q` re-projections at the
+//! kept rank); and the rank each path keeps: `rank_new` from the pivoted
+//! QR, `rank_ref` from the baseline's SVD, the fewest terms the accuracy
 //! allows.
 //!
-//! `--smoke` shrinks the grid to one tiny point for CI and fails unless
-//! the steady-state call allocates nothing and `rank_new ≥ rank_ref` (a
-//! lower rank than the SVD optimum would mean the error bound broke).
+//! `--smoke` shrinks the grid to two points for CI — b = 32 at rank 4,
+//! whose 8 stacked columns `Qr` reflects one at a time, and b = 150 at
+//! rank 32, whose 64 it factors and applies as block reflectors — and
+//! fails unless the steady-state call allocates nothing and
+//! `rank_new ≥ rank_ref` (a lower rank than the SVD optimum would mean
+//! the error bound broke).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,10 +109,11 @@ fn kernel_like(rank: usize, accuracy: f64) -> [f64; 3] {
     [accuracy.powf(1.0 / rank as f64); 3]
 }
 
-/// The core `R_u·R_vᵀ` that `gemm_kernel_ws` truncates for this update
-/// (low-rank operands and destination, `rank(A) ≤ rank(B)`), built from
-/// public pieces so the truncation can be timed on its own.
-fn recompression_core(a: &Tile, bt: &Tile, c: &Tile) -> Matrix {
+/// The stacked factors `U_s = [U_c  −U_a]`, `V_s = [V_c  U_b·(V_aᵀ·V_b)ᵀ]`
+/// that `gemm_kernel_ws` recompresses for this update (low-rank operands
+/// and destination, `rank(A) ≤ rank(B)`), built from public pieces so the
+/// steps of recompression can be timed on their own.
+fn stacked_factors(a: &Tile, bt: &Tile, c: &Tile) -> (Matrix, Matrix) {
     let (Tile::LowRank { u: ua, v: va }, Tile::LowRank { u: ub, v: vb }, Tile::LowRank { u: uc, v: vc }) =
         (a, bt, c)
     else {
@@ -123,18 +130,26 @@ fn recompression_core(a: &Tile, bt: &Tile, c: &Tile) -> Matrix {
         let mut s = Matrix::zeros(x.rows(), kc + ka);
         s.set_submatrix(0, 0, x);
         s.set_submatrix(0, kc, y);
-        Qr::new(s).r()
+        s
     };
-    let (ru, rv) = (stack(uc, &neg_ua), stack(vc, &vp));
-    let mut core = Matrix::zeros(ru.rows(), rv.rows());
-    gemm_serial(Trans::No, Trans::Yes, 1.0, &ru, &rv, 0.0, &mut core);
-    core
+    (stack(uc, &neg_ua), stack(vc, &vp))
+}
+
+/// Mean seconds per call of `f` over `reps` calls.
+fn per_call(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = std::time::Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_secs_f64() / reps as f64
 }
 
 struct Point {
     b: usize,
     rank: usize,
+    qr_share: f64,
     core_share: f64,
+    reproject_share: f64,
     rank_new: usize,
     rank_ref: usize,
     us_per_call_new: f64,
@@ -243,25 +258,48 @@ fn run_point(
     gemm_kernel_ws(&mut ws, &a, &bt, &mut c, config);
     let allocs_per_call = ALLOCS.load(Ordering::Relaxed) - before;
 
-    // This update's core truncation on its own, as the kernel runs it:
-    // the pivoted QR stopped at the accuracy, then the exact trailing
-    // norm that certifies the stop. Its share of the call timed above.
-    let core = recompression_core(&a, &bt, &c0);
+    // The steps of this update's recompression on their own, as the
+    // kernel runs them, each on recycled buffers; their shares of the
+    // call timed above. The two stacked QRs:
+    let (us, vs) = stacked_factors(&a, &bt, &c0);
+    let mut stores = [(us.clone(), Vec::new()), (vs.clone(), Vec::new())];
+    let t_qr = per_call(reps, || {
+        for ((storage, taus), input) in stores.iter_mut().zip([&us, &vs]) {
+            storage.as_mut_slice().copy_from_slice(std::hint::black_box(input).as_slice());
+            let storage_in = std::mem::replace(storage, Matrix::zeros(0, 0));
+            let f = Qr::new_in(storage_in, std::mem::take(taus));
+            (*storage, *taus) = f.into_parts();
+        }
+    });
+    // The core truncation: the pivoted QR stopped at the accuracy, then
+    // the exact trailing norm that certifies the stop.
+    let (qu, qv) = (Qr::new(us), Qr::new(vs));
+    let mut core = Matrix::zeros(qu.k(), qv.k());
+    gemm_serial(Trans::No, Trans::Yes, 1.0, &qu.r(), &qv.r(), 0.0, &mut core);
     let (mut storage, mut scratch) = (core.clone(), ColPivScratch::default());
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
+    let t_core = per_call(reps, || {
         storage.as_mut_slice().copy_from_slice(std::hint::black_box(&core).as_slice());
-        let mut f = ColPivQr::unfactored_in(storage, scratch);
+        let storage_in = std::mem::replace(&mut storage, Matrix::zeros(0, 0));
+        let mut f = ColPivQr::unfactored_in(storage_in, std::mem::take(&mut scratch));
         f.advance(config.accuracy, usize::MAX);
         std::hint::black_box(f.trailing_norm());
         (storage, scratch) = f.into_parts();
-    }
-    let t_core = t0.elapsed().as_secs_f64() / reps as f64;
+    });
+    // The two re-projections `Q_u·[X; 0]`, `Q_v·[Y; 0]` at the kept rank.
+    let block = |rows: usize| Matrix::from_fn(rows, rank_new, |i, j| ((i + 3 * j) % 7) as f64 - 3.0);
+    let (xs, ys) = (block(qu.k()), block(qv.k()));
+    let (mut u, mut v) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let t_reproject = per_call(reps, || {
+        qu.apply_q(std::hint::black_box(&xs), &mut u);
+        qv.apply_q(std::hint::black_box(&ys), &mut v);
+    });
 
     Point {
         b,
         rank,
+        qr_share: t_qr / t_new,
         core_share: t_core / t_new,
+        reproject_share: t_reproject / t_new,
         rank_new,
         rank_ref,
         us_per_call_new: t_new * 1e6,
@@ -277,7 +315,7 @@ fn main() {
     let config = CompressionConfig::with_accuracy(1e-8);
 
     let grid: Vec<(usize, usize, [f64; 3])> = if smoke {
-        vec![(32, 4, STEEP)]
+        vec![(32, 4, STEEP), (150, 32, STEEP)]
     } else {
         let mut g = Vec::new();
         for b in [64usize, 128, 256] {
@@ -297,14 +335,17 @@ fn main() {
         let p = run_point(b, rank, decay, reps, &config);
         eprintln!(
             "b={:<4} rank={:<3} new {:>9.1} us  ref {:>9.1} us  speedup {:.2}x  \
-             microkernel {:.2}x  core {:.0}% of the call  rank {} (ref {})  allocs/call {}",
+             microkernel {:.2}x  qr / core / re-projection {:.0} / {:.0} / {:.0} % of the call  \
+             rank {} (ref {})  allocs/call {}",
             p.b,
             p.rank,
             p.us_per_call_new,
             p.us_per_call_ref,
             p.speedup,
             p.microkernel_speedup,
+            100.0 * p.qr_share,
             100.0 * p.core_share,
+            100.0 * p.reproject_share,
             p.rank_new,
             p.rank_ref,
             p.allocs_per_call
@@ -326,7 +367,8 @@ fn main() {
             format!(
                 "    {{\"b\": {}, \"rank\": {}, \"us_per_call_new\": {:.3}, \
                  \"us_per_call_ref\": {:.3}, \"speedup\": {:.3}, \
-                 \"microkernel_speedup\": {:.3}, \"core_share\": {:.3}, \
+                 \"microkernel_speedup\": {:.3}, \"qr_share\": {:.3}, \
+                 \"core_share\": {:.3}, \"reproject_share\": {:.3}, \
                  \"rank_new\": {}, \"rank_ref\": {}, \"allocs_per_call\": {}}}",
                 p.b,
                 p.rank,
@@ -334,7 +376,9 @@ fn main() {
                 p.us_per_call_ref,
                 p.speedup,
                 p.microkernel_speedup,
+                p.qr_share,
                 p.core_share,
+                p.reproject_share,
                 p.rank_new,
                 p.rank_ref,
                 p.allocs_per_call

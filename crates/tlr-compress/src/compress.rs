@@ -217,6 +217,38 @@ mod tests {
         assert!(err <= cfg.accuracy, "error {err}");
     }
 
+    /// A `NaN` entry — or two infinities in one column, whose scaled norm
+    /// is ∞/∞ — makes a column norm `NaN`. That is no evidence the tile is
+    /// below the threshold: the tile must leave non-finite, never `Null`
+    /// and never finite. One infinity (an infinite norm) is the control.
+    #[test]
+    fn non_finite_entries_never_compress_to_null() {
+        let smooth = Matrix::from_fn(64, 64, |i, j| {
+            let d = (i as f64 - j as f64 + 80.0) / 30.0;
+            (-d * d).exp()
+        });
+        let cfg = CompressionConfig::with_accuracy(1e-6);
+        let cases = [
+            ("one NaN", vec![(10, 5, f64::NAN)]),
+            ("two +inf in one column", vec![(3, 7, f64::INFINITY), (40, 7, f64::INFINITY)]),
+            ("one +inf", vec![(3, 7, f64::INFINITY)]),
+        ];
+        for (what, entries) in cases {
+            let mut a = smooth.clone();
+            for (i, j, x) in entries {
+                a[(i, j)] = x;
+            }
+            let t = compress_tile(a, &cfg);
+            assert!(!t.is_null(), "{what}: compressed to a null tile");
+            assert!(
+                t.to_dense().as_slice().iter().any(|v| !v.is_finite()),
+                "{what}: compressed to a finite {:?} tile of rank {}",
+                t.format(),
+                t.rank()
+            );
+        }
+    }
+
     #[test]
     fn empty_tile_is_null() {
         let t = compress_tile(Matrix::zeros(0, 5), &CompressionConfig::default());

@@ -44,7 +44,10 @@
 //!   (`O(b·kt²)` per factor) and multiplying it by the truncated
 //!   `kt × k'` block of the core, the stored Householder reflectors are applied
 //!   directly to the small block (`Qr::apply_q`), skipping the `Q`
-//!   formation and one `b × kt × k'` GEMM per side, per call. The
+//!   formation and one `b × kt × k'` GEMM per side, per call. Above 32
+//!   stacked columns `Qr` factors and applies them as block reflectors
+//!   (compact WY), so both stacked QRs and both re-projections run on
+//!   GEMMs; their `T` factors ride in the recycled `tau` buffers. The
 //!   product form itself is assembled straight into the stacked factors
 //!   (`gemm_serial` into a column view of them) with the update's `−1`
 //!   sign folded into the write, so neither operand factor is ever cloned
@@ -131,7 +134,9 @@ pub struct KernelWorkspace {
     /// draw oversized scratch buffers, every call would walk off with a
     /// high-water buffer and re-grow a smaller import forever.
     out_pool: Vec<Vec<f64>>,
-    /// Recycled Householder-coefficient buffers for [`Qr::new_in`].
+    /// Recycled Householder-coefficient buffers for [`Qr::new_in`]
+    /// (above its crossover they also hold the block reflectors' `T`
+    /// factors).
     taus: Vec<Vec<f64>>,
     /// Recycled pivot, coefficient and column-norm buffers of the
     /// core's pivoted QR (its storage comes from `pool`).
@@ -591,9 +596,10 @@ fn copy_cols_scaled(dst: &mut Matrix, j0: usize, src: &Matrix, alpha: f64) {
 /// the workspace: QR of both stacked factors (`tau` buffers recycled),
 /// the small core `R_u·R_vᵀ` truncated by a column-pivoted QR stopped at
 /// the accuracy, then re-projection by **implicit** application of the
-/// stored Householder reflectors (`Qr::apply_q`) — the thin `Q` factors
-/// are never formed. All of `us`/`vs`, the QR factor storage and the
-/// core return to the pool before this function does.
+/// stored Householder reflectors (`Qr::apply_q`, block reflectors as
+/// GEMMs above its crossover) — the thin `Q` factors are never formed.
+/// All of `us`/`vs`, the QR factor storage and the core return to the
+/// pool before this function does.
 ///
 /// The rank `k` is accepted only once the unfactored block of the core,
 /// summed from its entries, is `≤ accuracy`: the pivoted QR's downdated

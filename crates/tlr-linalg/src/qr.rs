@@ -5,16 +5,54 @@
 //! factored trailing block drops below the accuracy threshold, yielding the
 //! numerical rank at that threshold. [`Qr`] (unpivoted, thin) is used by the
 //! low-rank recompression path where the inputs are tall-and-skinny.
+//!
+//! # Block reflectors
+//!
+//! Above `NX` reflectors, [`Qr`] works in panels of `NB` columns, as
+//! LAPACK's `dgeqrf` / `dormqr` do. Each panel is factored by the
+//! one-reflector loop; its reflectors `H_0 … H_{nb−1}` are then aggregated
+//! into the compact-WY form `I − V·T·Vᵀ` (`T` upper triangular, formed
+//! from `VᵀV` as `dlarft` does), and everything to the right of the panel
+//! — the trailing columns while factoring, the target of `apply_q`,
+//! `apply_qt` and `q_thin` — is updated by GEMMs:
+//! `C −= V·(op(T)·(Vᵀ·C))` (`dlarfb`). `V`'s unit lower triangle is a
+//! `NB × NB` stack copy, so `V·X` and `Vᵀ·X` are each two GEMMs, on that
+//! copy and on the rest of the panel in place. The `T` factors live in
+//! the `taus` buffer behind the `τ`s, so a caller that recycles it through
+//! [`Qr::new_in`] / [`Qr::into_parts`] recycles them too; the
+//! `Vᵀ·C` scratch is a fixed `NB × STRIP` stack block per column strip.
+//!
+//! At or below `NX` reflectors forming `T` costs more than the GEMMs save
+//! (LAPACK's `nx` crossover), and `Qr` runs the reflector loop alone, bit
+//! for bit the loop it always ran. Above it the block form regroups each
+//! element's sums, so its bits differ from the loop's by rounding.
 
-use crate::matrix::{MatMut, Matrix};
+use crate::blas3::{gemm_serial, Trans};
+use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::norms::frobenius_norm_slice;
+
+/// Reflectors per block reflector: the panel width, and the order of `T`.
+const NB: usize = 16;
+
+/// The crossover: a factorization of at most `NX` reflectors is factored
+/// and applied one reflector at a time.
+const NX: usize = 32;
+
+/// Columns of the target one block-reflector pass updates: the width of
+/// the stack blocks that hold `Vᵀ·C` and `op(T)·Vᵀ·C`.
+const STRIP: usize = 64;
+
+/// A target of fewer columns takes a block's reflectors one at a time.
+const MIN_COLS: usize = 16;
 
 /// Thin Householder QR factorization `A = Q·R` of an `m × n` matrix
 /// (`m ≥ n` is not required; the factor sizes follow `k = min(m, n)`).
 pub struct Qr {
     /// Householder vectors stored below the diagonal; `R` on and above it.
     factors: Matrix,
-    /// Scalar `tau` coefficients of the Householder reflectors.
+    /// The `k` scalar `tau` coefficients of the Householder reflectors;
+    /// above the crossover, one `NB × NB` slot per panel follows them,
+    /// holding that panel's `T` (upper triangular, zero below).
     taus: Vec<f64>,
 }
 
@@ -25,17 +63,39 @@ impl Qr {
     }
 
     /// Like [`Qr::new`], but recycles `taus` as the coefficient buffer
-    /// (cleared and refilled). Together with [`Qr::into_parts`] this lets
-    /// a hot caller run repeated factorizations with zero heap traffic.
+    /// (cleared and refilled; above the crossover it also holds the
+    /// block reflectors' `T` factors). Together with [`Qr::into_parts`]
+    /// this lets a hot caller run repeated factorizations with zero heap
+    /// traffic.
     pub fn new_in(mut a: Matrix, mut taus: Vec<f64>) -> Self {
         let m = a.rows();
         let n = a.cols();
         let k = m.min(n);
         taus.clear();
-        taus.resize(k, 0.0);
-        for (j, tau) in taus.iter_mut().enumerate() {
-            *tau = make_householder(&mut a, j, j);
-            apply_householder_left(&mut a, j, *tau);
+        if k <= NX {
+            taus.resize(k, 0.0);
+            for (j, tau) in taus.iter_mut().enumerate() {
+                *tau = make_householder(&mut a, j, j);
+                apply_householder_left(&mut a, j, *tau, n);
+            }
+            return Self { factors: a, taus };
+        }
+        taus.resize(k + k.div_ceil(NB) * NB * NB, 0.0);
+        let (tau, ts) = taus.split_at_mut(k);
+        let mut scratch = BlockScratch::new();
+        let panels = tau.chunks_mut(NB).zip(ts.chunks_exact_mut(NB * NB));
+        for (j0, (tau, t)) in (0..k).step_by(NB).zip(panels) {
+            let jb = tau.len();
+            // The panel, by the one-reflector loop on its own columns.
+            for (j, tau) in (j0..).zip(tau.iter_mut()) {
+                *tau = make_householder(&mut a, j, j);
+                apply_householder_left(&mut a, j, *tau, j0 + jb);
+            }
+            let (panel, trailing) = a.as_mut().split_at_col(j0 + jb);
+            let v = panel.as_ref().block(j0, j0, m - j0, jb);
+            form_t(v, tau, &mut t[..jb * jb]);
+            let t = MatRef::from_slice(&t[..jb * jb], jb, jb);
+            apply_block(v, t, Trans::Yes, trailing.subrows(j0..m), &mut scratch);
         }
         Self { factors: a, taus }
     }
@@ -53,7 +113,7 @@ impl Qr {
     /// Number of Householder reflectors, `k = min(m, n)` — the inner
     /// dimension of the thin factorization.
     pub fn k(&self) -> usize {
-        self.taus.len()
+        self.factors.rows().min(self.factors.cols())
     }
 
     /// The `k × n` upper-trapezoidal factor `R`, `k = min(m, n)`.
@@ -67,7 +127,7 @@ impl Qr {
     /// Write `R` into `out` (reshaped in place to `k × n`, allocation-free
     /// once `out` has grown to size).
     pub fn r_into(&self, out: &mut Matrix) {
-        let k = self.taus.len();
+        let k = self.k();
         let n = self.factors.cols();
         out.reset(k, n);
         for j in 0..n {
@@ -84,15 +144,13 @@ impl Qr {
     /// side computation entirely.
     pub fn q_thin(&self) -> Matrix {
         let m = self.factors.rows();
-        let k = self.taus.len();
+        let k = self.k();
         // Start from the first k columns of I and apply reflectors in reverse.
         let mut q = Matrix::zeros(m, k);
         for j in 0..k {
             q[(j, j)] = 1.0;
         }
-        for j in (0..k).rev() {
-            apply_stored_reflector(&self.factors, j, self.taus[j], &mut q);
-        }
+        self.q_times(&mut q);
         q
     }
 
@@ -106,7 +164,7 @@ impl Qr {
     /// engine. Allocation-free once `out` has grown to size.
     pub fn apply_q(&self, x: &Matrix, out: &mut Matrix) {
         let m = self.factors.rows();
-        let k = self.taus.len();
+        let k = self.k();
         assert_eq!(x.rows(), k, "apply_q: x must have min(m, n) rows");
         let p = x.cols();
         // out = [x; 0], then Q·out = H_0 · … · H_{k−1} · [x; 0].
@@ -114,9 +172,7 @@ impl Qr {
         for j in 0..p {
             out.col_mut(j)[..k].copy_from_slice(x.col(j));
         }
-        for j in (0..k).rev() {
-            apply_stored_reflector(&self.factors, j, self.taus[j], out);
-        }
+        self.q_times(out);
     }
 
     /// Apply `Qᵀ` to `target` in place (`target` is `m × p`); on return
@@ -128,16 +184,178 @@ impl Qr {
             self.factors.rows(),
             "apply_qt: target must have m rows"
         );
-        // Qᵀ = H_{k−1} · … · H_0 (each reflector is symmetric).
-        for j in 0..self.taus.len() {
-            apply_stored_reflector(&self.factors, j, self.taus[j], target);
+        let k = self.k();
+        // Qᵀ = H_{k−1} · … · H_0 (each reflector is symmetric); a block's
+        // transpose is `I − V·Tᵀ·Vᵀ`.
+        if k <= NX {
+            for j in 0..k {
+                apply_stored_reflector(&self.factors, j, self.taus[j], target);
+            }
+            return;
+        }
+        let mut scratch = BlockScratch::new();
+        for (j0, v, t) in self.blocks() {
+            let c = target.as_mut().subrows(j0..j0 + v.rows());
+            apply_block(v, t, Trans::Yes, c, &mut scratch);
         }
     }
 
     /// Decompose into the `(factors, taus)` buffers so a workspace can
-    /// recycle them (inverse of [`Qr::new_in`]).
+    /// recycle them (inverse of [`Qr::new_in`]). `taus` holds the `k`
+    /// coefficients; the capacity the `T` factors used stays with it.
     pub fn into_parts(self) -> (Matrix, Vec<f64>) {
-        (self.factors, self.taus)
+        let k = self.k();
+        let mut taus = self.taus;
+        taus.truncate(k);
+        (self.factors, taus)
+    }
+
+    /// `target := Q · target` for an `m`-row `target`: the reflectors (or
+    /// the blocks) in reverse order.
+    fn q_times(&self, target: &mut Matrix) {
+        let k = self.k();
+        if k <= NX {
+            for j in (0..k).rev() {
+                apply_stored_reflector(&self.factors, j, self.taus[j], target);
+            }
+            return;
+        }
+        let mut scratch = BlockScratch::new();
+        for (j0, v, t) in self.blocks().rev() {
+            let c = target.as_mut().subrows(j0..j0 + v.rows());
+            apply_block(v, t, Trans::No, c, &mut scratch);
+        }
+    }
+
+    /// Above the crossover: each panel's first column, its reflectors
+    /// (rows `j0..m` of its columns of `factors`) and its `T`.
+    fn blocks(&self) -> impl DoubleEndedIterator<Item = (usize, MatRef<'_>, MatRef<'_>)> {
+        let (m, k) = (self.factors.rows(), self.k());
+        let ts = self.taus[k..].chunks_exact(NB * NB);
+        (0..k).step_by(NB).zip(ts).map(move |(j0, t)| {
+            let jb = NB.min(k - j0);
+            let v = self.factors.as_ref().block(j0, j0, m - j0, jb);
+            (j0, v, MatRef::from_slice(&t[..jb * jb], jb, jb))
+        })
+    }
+}
+
+/// `T` of the panel `v` (its reflectors below the diagonal, `R` on and
+/// above it) with coefficients `tau`, written column-major into `t`
+/// (`jb × jb`, zero below the diagonal on entry): the upper triangle with
+/// `H_0 · … · H_{jb−1} = I − V·T·Vᵀ`. LAPACK's `dlarft`, with every
+/// `vᵢᵀ·vⱼ` read from one Gram matrix `VᵀV`:
+/// `T[i, i] = τᵢ` and `T[:i, i] = −τᵢ · T[:i, :i] · (VᵀV)[:i, i]`.
+fn form_t(v: MatRef<'_>, tau: &[f64], t: &mut [f64]) {
+    let jb = v.cols();
+    let mut gram = [0.0; NB * NB];
+    let mut g = MatMut::from_slice(&mut gram[..jb * jb], jb, jb);
+    let (v1, v2) = (UnitLower::of(v), v.subrows(jb..v.rows()));
+    v_trans_times(&v1, v2, v1.view(), v2, g.as_mut());
+    let mut col = [0.0; NB];
+    for i in 0..jb {
+        for (s, c) in col[..i].iter_mut().enumerate() {
+            *c = -tau[i] * g[(s, i)];
+        }
+        // T[r, i] = Σ_{s=r}^{i−1} T[r, s]·col[s]; column i is new, the
+        // columns it reads are final.
+        for r in 0..i {
+            t[r + i * jb] = (r..i).map(|s| t[r + s * jb] * col[s]).sum();
+        }
+        t[i + i * jb] = tau[i];
+    }
+}
+
+/// The unit lower triangle of a panel's top `jb × jb` block, with the
+/// ones and zeros its storage does not hold (`R` sits there), on the stack.
+struct UnitLower {
+    data: [f64; NB * NB],
+    jb: usize,
+}
+
+impl UnitLower {
+    fn of(v: MatRef<'_>) -> Self {
+        let jb = v.cols();
+        let mut data = [0.0; NB * NB];
+        for j in 0..jb {
+            let col = &mut data[j * jb..(j + 1) * jb];
+            col[j] = 1.0;
+            col[j + 1..].copy_from_slice(&v.col(j)[j + 1..jb]);
+        }
+        Self { data, jb }
+    }
+
+    fn view(&self) -> MatRef<'_> {
+        MatRef::from_slice(&self.data[..self.jb * self.jb], self.jb, self.jb)
+    }
+}
+
+/// `w := Vᵀ·C` for `V = [v1; v2]` and `C = [c1; c2]` split after the
+/// panel's first `jb` rows.
+fn v_trans_times(
+    v1: &UnitLower,
+    v2: MatRef<'_>,
+    c1: MatRef<'_>,
+    c2: MatRef<'_>,
+    mut w: MatMut<'_>,
+) {
+    gemm_serial(Trans::Yes, Trans::No, 1.0, v1.view(), c1, 0.0, w.as_mut());
+    if v2.rows() > 0 {
+        gemm_serial(Trans::Yes, Trans::No, 1.0, v2, c2, 1.0, w);
+    }
+}
+
+/// The stack blocks `W = Vᵀ·C` and `W' = op(T)·W` of [`apply_block`], one
+/// `STRIP`-column strip at a time; made once per factorization or product
+/// with `Q`, not per block.
+struct BlockScratch {
+    w: [f64; NB * STRIP],
+    wt: [f64; NB * STRIP],
+}
+
+impl BlockScratch {
+    fn new() -> Self {
+        Self { w: [0.0; NB * STRIP], wt: [0.0; NB * STRIP] }
+    }
+}
+
+/// `C := (I − V·op(T)·Vᵀ)·C` for the panel `v` (`r × jb`, reflectors below
+/// its diagonal) and a target `c` of `r` rows: with `op(T) = T` this
+/// applies `H_0 · … · H_{jb−1}`, with `Tᵀ` its transpose. LAPACK's
+/// `dlarfb`: `W = Vᵀ·C`, `W' = op(T)·W`, `C −= V·W'`, each a GEMM (two for
+/// a product with `V`, whose unit triangle is a stack copy), over strips of
+/// `STRIP` columns. A target narrower than `MIN_COLS` does not pay for
+/// the GEMMs' packing: it takes the reflectors one at a time, `τᵢ` read
+/// from `T`'s diagonal.
+fn apply_block(
+    v: MatRef<'_>,
+    t: MatRef<'_>,
+    op_t: Trans,
+    mut c: MatMut<'_>,
+    scratch: &mut BlockScratch,
+) {
+    let (r, jb) = (v.rows(), v.cols());
+    if c.cols() < MIN_COLS {
+        let mut reflect_i = |i: usize| reflect(&v.col(i)[i..], t[(i, i)], c.as_mut().subrows(i..r));
+        match op_t {
+            Trans::No => (0..jb).rev().for_each(&mut reflect_i),
+            Trans::Yes => (0..jb).for_each(&mut reflect_i),
+        }
+        return;
+    }
+    let v1 = UnitLower::of(v);
+    let v2 = v.subrows(jb..r);
+    for strip in c.col_chunks(STRIP) {
+        let p = strip.cols();
+        let mut w = MatMut::from_slice(&mut scratch.w[..jb * p], jb, p);
+        let mut wt = MatMut::from_slice(&mut scratch.wt[..jb * p], jb, p);
+        let (c1, c2) = strip.split_at_row(jb);
+        v_trans_times(&v1, v2, c1.as_ref(), c2.as_ref(), w.as_mut());
+        gemm_serial(op_t, Trans::No, 1.0, t, w.as_ref(), 0.0, wt.as_mut());
+        if v2.rows() > 0 {
+            gemm_serial(Trans::No, Trans::No, -1.0, v2, wt.as_ref(), 1.0, c2);
+        }
+        gemm_serial(Trans::No, Trans::No, -1.0, v1.view(), wt.as_ref(), 1.0, c1);
     }
 }
 
@@ -210,13 +428,13 @@ fn reflect_cols<const N: usize>(v: &[f64], tau: f64, c: [&mut [f64]; N]) {
 }
 
 /// Apply the reflector stored in column `col` (rows `col..`) of `a` to
-/// columns `col + 1..` of `a` itself (the classic in-place panel update).
-/// The reflector column and the updated columns are disjoint views of
-/// `a`, so no copy of `v` is taken.
-fn apply_householder_left(a: &mut Matrix, col: usize, tau: f64) {
+/// columns `col + 1..end` of `a` itself (the classic in-place panel
+/// update). The reflector column and the updated columns are disjoint
+/// views of `a`, so no copy of `v` is taken.
+fn apply_householder_left(a: &mut Matrix, col: usize, tau: f64, end: usize) {
     let m = a.rows();
     let (head, tail) = a.as_mut().split_at_col(col + 1);
-    reflect(&head.as_ref().col(col)[col..], tau, tail.subrows(col..m));
+    reflect(&head.as_ref().col(col)[col..], tau, tail.block(col, 0, m - col, end - col - 1));
 }
 
 /// Apply the reflector stored in `factors` column `col` to the rows
@@ -304,10 +522,15 @@ impl ColPivQr {
 
     /// Is the running estimate of the unfactored block's Frobenius norm
     /// `≤ tol`? This is the stopping test of [`ColPivQr::advance`]; at
-    /// rank 0 it says whether the whole input is a null tile.
+    /// rank 0 it says whether the whole input is a null tile. A `NaN`
+    /// estimate (a `NaN` entry, or two infinities in one column) is
+    /// never below.
     pub fn trailing_below(&self, tol: f64) -> bool {
         let trailing2: f64 = self.scratch.colnorm2[self.rank..].iter().sum();
-        trailing2.max(0.0).sqrt() <= tol
+        // Clamp a rounding-negative sum to 0; `f64::max` would also turn
+        // a `NaN` into 0.
+        let trailing2 = if trailing2 < 0.0 { 0.0 } else { trailing2 };
+        trailing2.sqrt() <= tol
     }
 
     /// Eliminate pivoted columns until [`ColPivQr::trailing_below`]`(tol)`
@@ -337,7 +560,7 @@ impl ColPivQr {
                 colnorm2_ref.swap(rank, jmax);
             }
             let tau = make_householder(a, rank, rank);
-            apply_householder_left(a, rank, tau);
+            apply_householder_left(a, rank, tau, n);
             taus.push(tau);
             // Downdate trailing column norms: subtract the just-eliminated row.
             for j in rank + 1..n {
@@ -350,7 +573,8 @@ impl ColPivQr {
                     colnorm2[j] = s * s;
                     colnorm2_ref[j] = colnorm2[j];
                 } else {
-                    colnorm2[j] = updated.max(0.0);
+                    // Positive here, or `NaN`, which stays `NaN`.
+                    colnorm2[j] = updated;
                 }
             }
             self.rank += 1;
@@ -512,6 +736,41 @@ mod tests {
         let mut qtq = Matrix::zeros(6, 6);
         gemm(Trans::Yes, Trans::No, 1.0, &q, &q, 0.0, &mut qtq);
         assert!(relative_diff(&qtq, &Matrix::identity(6)) < 1e-13);
+    }
+
+    /// Above the crossover: tall, wide and square inputs, with a ragged
+    /// last panel (k = 33 is two full panels and one reflector), factor
+    /// and apply through block reflectors to rounding — products on
+    /// targets below and above `MIN_COLS` columns — on a recycled buffer
+    /// that comes back holding the `k` coefficients.
+    #[test]
+    fn block_reflectors_reconstruct_and_apply() {
+        let mut taus = vec![7.0; 3];
+        for (m, n) in [(150, 56), (40, 100), (100, 100), (70, 33)] {
+            let a = rand_mat(m, n, (m * n) as u64);
+            let qr = Qr::new_in(a.clone(), taus);
+            let k = m.min(n);
+            assert!(k > NX);
+            let q = qr.q_thin();
+            let mut recon = Matrix::zeros(m, n);
+            gemm(Trans::No, Trans::No, 1.0, &q, &qr.r(), 0.0, &mut recon);
+            assert!(relative_diff(&recon, &a) < 1e-13, "{m}x{n}");
+            let mut qtq = Matrix::zeros(k, k);
+            gemm(Trans::Yes, Trans::No, 1.0, &q, &q, 0.0, &mut qtq);
+            assert!(relative_diff(&qtq, &Matrix::identity(k)) < 1e-13, "{m}x{n}");
+            for p in [5, MIN_COLS + 6] {
+                let x = rand_mat(k, p, 1);
+                let (mut qx, mut expect) = (Matrix::zeros(0, 0), Matrix::zeros(m, p));
+                qr.apply_q(&x, &mut qx);
+                gemm(Trans::No, Trans::No, 1.0, &q, &x, 0.0, &mut expect);
+                assert!(relative_diff(&qx, &expect) < 1e-13, "{m}x{n} p={p}");
+                qr.apply_qt(&mut qx);
+                assert!(relative_diff(&qx.submatrix(0, 0, k, p), &x) < 1e-13, "{m}x{n} p={p}");
+            }
+            let factors;
+            (factors, taus) = qr.into_parts();
+            assert_eq!((factors.rows(), factors.cols(), taus.len()), (m, n, k));
+        }
     }
 
     #[test]

@@ -73,46 +73,49 @@ fn mixed_factor(rows: usize, k: usize, phase: f64, decay: f64, seed: usize) -> M
 /// The GEMM update as the engine runs it when tracing: both sinks record
 /// the task — `Enqueue`, two clock readings, `Retire` — around the
 /// kernel. The span table and the registry shards are allocated once, up
-/// front, and the kernel's rank log is always on.
+/// front, and the kernel's rank log is always on. Two updates: b = 64 at
+/// rank 8 stacks 16 columns, which `Qr` factors one reflector at a time;
+/// b = 150 at rank 32 stacks 64, which it factors and applies as block
+/// reflectors, whose `T` factors ride in the arena's recycled buffers.
 #[test]
 fn gemm_kernel_steady_state_allocates_nothing() {
-    let b = 64usize;
-    let rank = 8usize;
-    let config = CompressionConfig::with_accuracy(1e-8);
-    let a = Tile::LowRank {
-        u: mixed_factor(b, rank, 0.0, 0.5, 1),
-        v: mixed_factor(b, rank, 1.0, 0.7, 2),
-    };
-    let bt = Tile::LowRank {
-        u: mixed_factor(b, rank, 2.0, 0.5, 3),
-        v: mixed_factor(b, rank, 1.0, 0.7, 4),
-    };
-    let c0 = Tile::LowRank {
-        u: mixed_factor(b, rank, 0.0, 0.6, 5),
-        v: mixed_factor(b, rank, 2.0, 0.6, 6),
-    };
+    for (b, rank) in [(64usize, 8usize), (150, 32)] {
+        let config = CompressionConfig::with_accuracy(1e-8);
+        let a = Tile::LowRank {
+            u: mixed_factor(b, rank, 0.0, 0.5, 1),
+            v: mixed_factor(b, rank, 1.0, 0.7, 2),
+        };
+        let bt = Tile::LowRank {
+            u: mixed_factor(b, rank, 2.0, 0.5, 3),
+            v: mixed_factor(b, rank, 1.0, 0.7, 4),
+        };
+        let c0 = Tile::LowRank {
+            u: mixed_factor(b, rank, 0.0, 0.6, 5),
+            v: mixed_factor(b, rank, 2.0, 0.6, 6),
+        };
 
-    let mut ws = KernelWorkspace::new();
-    let sink = (Registry::new(1), ExecObs::new(9));
-    // Tasks 0..8 warm up (the arena grows to its high-water mark); task 8
-    // is the steady state and must not touch the heap at all.
-    let mut counts = Vec::new();
-    for task in 0..9 {
-        let mut c = c0.clone();
-        let before = allocs();
-        let start = Instant::now();
-        sink.observe(TaskEvent::Enqueue { wid: 0, task, at: start });
-        gemm_kernel_ws(&mut ws, &a, &bt, &mut c, &config);
-        let end = Instant::now();
-        sink.observe(TaskEvent::Retire { wid: 0, task, class: TaskClass::Gemm, start, end });
-        counts.push(allocs() - before);
-        assert_eq!(c.format(), hicma_parsec::tlr::tile::TileFormat::LowRank);
+        let mut ws = KernelWorkspace::new();
+        let sink = (Registry::new(1), ExecObs::new(9));
+        // Tasks 0..8 warm up (the arena grows to its high-water mark);
+        // task 8 is the steady state and must not touch the heap at all.
+        let mut counts = Vec::new();
+        for task in 0..9 {
+            let mut c = c0.clone();
+            let before = allocs();
+            let start = Instant::now();
+            sink.observe(TaskEvent::Enqueue { wid: 0, task, at: start });
+            gemm_kernel_ws(&mut ws, &a, &bt, &mut c, &config);
+            let end = Instant::now();
+            sink.observe(TaskEvent::Retire { wid: 0, task, class: TaskClass::Gemm, start, end });
+            counts.push(allocs() - before);
+            assert_eq!(c.format(), hicma_parsec::tlr::tile::TileFormat::LowRank, "b = {b}");
+        }
+        assert_eq!(
+            counts[8], 0,
+            "b = {b}: traced gemm_kernel allocated in steady state (per-call counts: {counts:?})"
+        );
+        assert_eq!(sink.0.snapshot().counter(Counter::TasksExecuted), 9);
     }
-    assert_eq!(
-        counts[8], 0,
-        "traced gemm_kernel allocated in steady state (per-call counts: {counts:?})"
-    );
-    assert_eq!(sink.0.snapshot().counter(Counter::TasksExecuted), 9);
 }
 
 /// The sink recording path alone, at volume: counters, class-duration
@@ -216,7 +219,9 @@ fn dag_build_allocations_do_not_grow_with_the_task_count() {
 
 /// The dense routines that run their loops in overlapping orders keep the
 /// allocation contract: after one warm-up pass every call — a QR and its
-/// implicit `Q` on recycled buffers, a pivoted QR through its scratch, both
+/// implicit `Q` on recycled buffers, one with 24 reflectors (applied one
+/// at a time) and one with 64 (block reflectors, `T` in the recycled
+/// `taus` buffer), a pivoted QR through its scratch, both
 /// left solves, a blocked POTRF, a SYRK whose diagonal blocks go through a
 /// stack tile and a GEMM whose row tail does — touches the heap zero times.
 #[test]
@@ -238,14 +243,18 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
         (-d * d).exp() + if i == j { 1.0 } else { 0.0 }
     });
     let x = mixed_factor(24, 24, 1.0, 0.9, 8);
+    let blocked_input = mixed_factor(150, 64, 0.5, 0.9, 10);
+    let blocked_x = mixed_factor(64, 32, 1.0, 0.9, 11);
     let rhs = mixed_factor(b, 9, 2.0, 0.9, 9);
 
     let (mut qr_store, mut taus, mut qx) = (Matrix::zeros(0, 0), Vec::new(), Matrix::zeros(0, 0));
+    let (mut blocked_store, mut blocked_taus, mut blocked_qx) =
+        (Matrix::zeros(0, 0), Vec::new(), Matrix::zeros(0, 0));
     let (mut cp_store, mut cp_scratch) = (Matrix::zeros(0, 0), ColPivScratch::default());
     let (mut rt, mut q) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     let (mut l, mut sol, mut c) = (spd.clone(), rhs.clone(), spd.clone());
 
-    let mut counts = [0u64; 7];
+    let mut counts = [0u64; 8];
     for _pass in 0..3 {
         let mut step = 0;
         let mut count = |f: &mut dyn FnMut()| {
@@ -261,6 +270,14 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
             let f = Qr::new_in(storage, std::mem::take(&mut taus));
             f.apply_q(&x, &mut qx);
             (qr_store, taus) = f.into_parts();
+        });
+        count(&mut || {
+            blocked_store.reset(blocked_input.rows(), blocked_input.cols());
+            blocked_store.as_mut_slice().copy_from_slice(blocked_input.as_slice());
+            let storage = std::mem::replace(&mut blocked_store, Matrix::zeros(0, 0));
+            let f = Qr::new_in(storage, std::mem::take(&mut blocked_taus));
+            f.apply_q(&blocked_x, &mut blocked_qx);
+            (blocked_store, blocked_taus) = f.into_parts();
         });
         count(&mut || {
             cp_store.reset(b, b);
@@ -290,7 +307,15 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
         count(&mut || syrk_serial(Trans::No, -1.0, &input, 1.0, &mut c));
         count(&mut || gemm_serial(Trans::No, Trans::Yes, -1.0, &input, &input, 1.0, &mut c));
     }
-    let names =
-        ["qr + apply_q", "pivoted qr", "potrf", "trsm left-no", "trsm left-trans", "syrk", "gemm"];
-    assert_eq!(counts, [0; 7], "steady-state allocations per call of {names:?}");
+    let names = [
+        "qr + apply_q",
+        "blocked qr + apply_q",
+        "pivoted qr",
+        "potrf",
+        "trsm left-no",
+        "trsm left-trans",
+        "syrk",
+        "gemm",
+    ];
+    assert_eq!(counts, [0; 8], "steady-state allocations per call of {names:?}");
 }

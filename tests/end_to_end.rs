@@ -249,9 +249,8 @@ fn poison_in_a_stacked_factor_reaches_the_diagonal() {
     use hicma_parsec::tlr::kernels::{gemm_kernel_ws, subtract_lowrank_ws, KernelWorkspace};
     use hicma_parsec::tlr::Tile;
 
-    let b = 32;
     let cfg = CompressionConfig::with_accuracy(1e-6);
-    let factors = |shift: f64| {
+    let compressed = |b: usize, shift: f64| {
         let smooth = Matrix::from_fn(b, b, |i, j| {
             let d = (i as f64 - j as f64 + shift) / 12.0;
             (-d * d).exp()
@@ -261,10 +260,21 @@ fn poison_in_a_stacked_factor_reaches_the_diagonal() {
             other => panic!("fixture tile must compress, got {:?}", other.format()),
         }
     };
-    let (uc, vc) = factors(40.0);
-    let (up, vp) = factors(46.0);
-    let lr = |u: &Matrix, v: &Matrix| Tile::LowRank { u: u.clone(), v: v.clone() };
-    let null = || Tile::Null { rows: b, cols: b };
+    // Rank-40 factors with decaying columns: stacked 40 (into null) or 80
+    // columns wide, past the 32 reflectors up to which `Qr` reflects one
+    // column at a time, so the poison goes through block reflectors.
+    let wide = |b: usize, seed: usize| {
+        let f = |s: usize| {
+            Matrix::from_fn(b, 40, |i, c| {
+                ((i * 7 + c * 13 + s) as f64 * 0.37).sin() * 0.9f64.powi(c as i32)
+            })
+        };
+        (f(seed), f(seed + 1))
+    };
+    let fixtures = [
+        (32, compressed(32, 40.0), compressed(32, 46.0)),
+        (150, wide(150, 1), wide(150, 3)),
+    ];
     let poisoned = |m: &Matrix, x: f64| {
         let mut m = m.clone();
         m[(3, 0)] = x;
@@ -280,27 +290,31 @@ fn poison_in_a_stacked_factor_reaches_the_diagonal() {
         );
     };
     let mut ws = KernelWorkspace::new();
-    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let updates = [
-            ("destination u", lr(&poisoned(&uc, x), &vc), up.clone(), vp.clone()),
-            ("destination v", lr(&uc, &poisoned(&vc, x)), up.clone(), vp.clone()),
-            ("update u", lr(&uc, &vc), poisoned(&up, x), vp.clone()),
-            ("update v", lr(&uc, &vc), up.clone(), poisoned(&vp, x)),
-            ("update u into null", null(), poisoned(&up, x), vp.clone()),
-        ];
-        for (what, mut c, u, v) in updates {
-            subtract_lowrank_ws(&mut ws, &mut c, &u, &v, &cfg);
-            assert_poisoned(&c, &format!("subtract_lowrank {x}, {what}"));
-        }
-        let operand = lr(&poisoned(&up, x), &vp);
-        let clean = lr(&uc, &vc);
-        for (what, c0) in [("low-rank", lr(&uc, &vc)), ("null", null())] {
-            let mut c = c0.clone();
-            gemm_kernel_ws(&mut ws, &operand, &clean, &mut c, &cfg);
-            assert_poisoned(&c, &format!("gemm_kernel {x}, poisoned a into {what}"));
-            let mut c = c0;
-            gemm_kernel_ws(&mut ws, &clean, &operand, &mut c, &cfg);
-            assert_poisoned(&c, &format!("gemm_kernel {x}, poisoned b into {what}"));
+    for (b, (uc, vc), (up, vp)) in fixtures {
+        let lr = |u: &Matrix, v: &Matrix| Tile::LowRank { u: u.clone(), v: v.clone() };
+        let null = || Tile::Null { rows: b, cols: b };
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let updates = [
+                ("destination u", lr(&poisoned(&uc, x), &vc), up.clone(), vp.clone()),
+                ("destination v", lr(&uc, &poisoned(&vc, x)), up.clone(), vp.clone()),
+                ("update u", lr(&uc, &vc), poisoned(&up, x), vp.clone()),
+                ("update v", lr(&uc, &vc), up.clone(), poisoned(&vp, x)),
+                ("update u into null", null(), poisoned(&up, x), vp.clone()),
+            ];
+            for (what, mut c, u, v) in updates {
+                subtract_lowrank_ws(&mut ws, &mut c, &u, &v, &cfg);
+                assert_poisoned(&c, &format!("b = {b}: subtract_lowrank {x}, {what}"));
+            }
+            let operand = lr(&poisoned(&up, x), &vp);
+            let clean = lr(&uc, &vc);
+            for (what, c0) in [("low-rank", lr(&uc, &vc)), ("null", null())] {
+                let mut c = c0.clone();
+                gemm_kernel_ws(&mut ws, &operand, &clean, &mut c, &cfg);
+                assert_poisoned(&c, &format!("b = {b}: gemm_kernel {x}, poisoned a into {what}"));
+                let mut c = c0;
+                gemm_kernel_ws(&mut ws, &clean, &operand, &mut c, &cfg);
+                assert_poisoned(&c, &format!("b = {b}: gemm_kernel {x}, poisoned b into {what}"));
+            }
         }
     }
 
@@ -321,6 +335,39 @@ fn poison_in_a_stacked_factor_reaches_the_diagonal() {
             Err(RunError::Numeric(_)) => {}
             Err(other) => panic!("{x}: expected a numeric error, got {other}"),
             Ok(_) => panic!("a {x}-poisoned matrix factorized"),
+        }
+    }
+}
+
+/// A `NaN` — or two `+∞` in one column — among an off-diagonal tile's
+/// entries makes a column norm `NaN` (∞/∞ in the scaled sum). Assembly's
+/// null test used to read that as 0 and store the tile as `Null`, and the
+/// factorization succeeded. The poison must reach the diagonal and fail
+/// there as the typed numeric error.
+#[test]
+fn non_finite_entries_in_an_assembled_tile_are_a_numeric_error() {
+    use hicma_parsec::cholesky::{RunError, Session};
+
+    let (points, kernel) = fixture(2, 200, 21);
+    let (n, accuracy) = (points.len(), 1e-7);
+    assert_eq!(n, 400);
+    let ccfg = CompressionConfig::with_accuracy(accuracy);
+    // Entries of tile (6, 0) at b = 50: rows 300..350, columns 0..50.
+    let cases = [
+        ("one NaN", vec![(310, 20, f64::NAN)]),
+        ("two +inf in one column", vec![(305, 7, f64::INFINITY), (340, 7, f64::INFINITY)]),
+    ];
+    for (what, poison) in cases {
+        let entry = |i: usize, j: usize| match poison.iter().find(|p| (p.0, p.1) == (i, j)) {
+            Some(p) => p.2,
+            None => kernel.matrix_entry(&points, i, j),
+        };
+        let mut a = TlrMatrix::from_generator(n, 50, entry, &ccfg);
+        assert!(!a.tile(6, 0).is_null(), "{what}: the poisoned tile was stored as null");
+        match Session::shared(FactorConfig::with_accuracy(accuracy)).run(&mut a) {
+            Err(RunError::Numeric(_)) => {}
+            Err(other) => panic!("{what}: expected a numeric error, got {other}"),
+            Ok(_) => panic!("{what}: a poisoned matrix factorized"),
         }
     }
 }

@@ -10,6 +10,12 @@
 //! [`old`], verbatim up to the view types they take; the properties below
 //! hold the new ones to them on random shapes, offsets and scales.
 //!
+//! One site has since left the bit-for-bit rule on purpose: above `NX`
+//! reflectors `Qr` factors and applies block reflectors (compact WY),
+//! which regroup its sums, so there the one-reflector loop is an accuracy
+//! oracle. At or below `NX`, `Qr` runs the loop and is held to it bit for
+//! bit.
+//!
 //! GEMM is checked on both `KernelPath`s in one process; SYRK follows the
 //! process's `active_path`, so CI runs this file again under
 //! `TLR_MICROKERNEL=scalar`. That `factorize`'s diagonal-shift retry,
@@ -17,8 +23,8 @@
 //! recorded factor is a line of `tests/dense_goldens.rs`.
 
 use hicma_parsec::linalg::{
-    gemm_with_path, potrf_unblocked, syrk_serial, trsm, ColPivQr, KernelPath, MatMut, Matrix, Qr,
-    Side, Trans, Uplo,
+    frobenius_norm, gemm, gemm_with_path, potrf_unblocked, relative_diff, syrk_serial, trsm,
+    ColPivQr, KernelPath, MatMut, Matrix, Qr, Side, Trans, Uplo,
 };
 use proptest::prelude::*;
 
@@ -264,6 +270,19 @@ fn rand_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
+/// `Qr`'s crossover: a factorization of at most this many reflectors runs
+/// the one-reflector loop, above it block reflectors.
+const NX: usize = 32;
+
+/// `‖Q·R − A‖_F / ‖A‖_F` and `‖QᵀQ − I‖_F`.
+fn qr_quality(q: &Matrix, r: &Matrix, a: &Matrix) -> (f64, f64) {
+    let mut residual = a.clone();
+    gemm(Trans::No, Trans::No, 1.0, q, r, -1.0, &mut residual);
+    let mut gram = Matrix::identity(q.cols());
+    gemm(Trans::Yes, Trans::No, 1.0, q, q, -1.0, &mut gram);
+    (frobenius_norm(&residual) / frobenius_norm(a), frobenius_norm(&gram))
+}
+
 /// The bit patterns, so that a NaN compares equal to itself.
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -391,12 +410,19 @@ proptest! {
 
     /// Every Householder entry point of `Qr` against the one-column
     /// reflection, on tall and wide inputs, with one column optionally at
-    /// subnormal scale (its reflector has τ = 0).
+    /// subnormal scale (its reflector has τ = 0). Up to `Qr`'s crossover
+    /// of `NX` reflectors bit for bit. Above it `Qr` applies block
+    /// reflectors, which regroup the sums, and is held to the loop within
+    /// rounding: its residual `‖Q·R − A‖_F / ‖A‖_F` and loss of
+    /// orthogonality `‖QᵀQ − I‖_F` within `c·u` of the loop's, and
+    /// `apply_q`, `apply_qt` and `q_thin` within 1e-13 of the loop's — on
+    /// targets narrow enough to take a block's reflectors one at a time
+    /// and wide enough for its GEMMs.
     #[test]
     fn qr_keeps_the_column_order(
         m in 1usize..160,
         n in 1usize..160,
-        p in 1usize..12,
+        p in 1usize..40,
         tiny in 0usize..160,
         seed in 0u64..1 << 20,
     ) {
@@ -409,7 +435,7 @@ proptest! {
         let k = m.min(n);
         let mut factors = a.clone();
         let taus = old::householder(&mut factors, k);
-        let qr = Qr::new_in(a, Vec::new());
+        let qr = Qr::new_in(a.clone(), Vec::new());
 
         let x = rand_mat(k, p, seed ^ 1);
         let mut qx = Matrix::zeros(0, 0);
@@ -417,24 +443,42 @@ proptest! {
         let mut expect_qx = Matrix::zeros(m, p);
         expect_qx.set_submatrix(0, 0, &x);
         old::apply_q(&factors, &taus, &mut expect_qx);
-        prop_assert_eq!(bits(qx.as_slice()), bits(expect_qx.as_slice()));
 
         let t0 = rand_mat(m, p, seed ^ 2);
         let (mut t, mut expect_t) = (t0.clone(), t0);
         qr.apply_qt(&mut t);
         old::apply_qt(&factors, &taus, &mut expect_t);
-        prop_assert_eq!(bits(t.as_slice()), bits(expect_t.as_slice()));
 
         let mut expect_q = Matrix::zeros(m, k);
         for j in 0..k {
             expect_q[(j, j)] = 1.0;
         }
         old::apply_q(&factors, &taus, &mut expect_q);
-        prop_assert_eq!(bits(qr.q_thin().as_slice()), bits(expect_q.as_slice()));
+        let q = qr.q_thin();
 
-        let (f, t) = qr.into_parts();
-        prop_assert_eq!(bits(f.as_slice()), bits(factors.as_slice()), "m={m} n={n}");
-        prop_assert_eq!(bits(&t), bits(&taus));
+        if k <= NX {
+            prop_assert_eq!(bits(qx.as_slice()), bits(expect_qx.as_slice()));
+            prop_assert_eq!(bits(t.as_slice()), bits(expect_t.as_slice()));
+            prop_assert_eq!(bits(q.as_slice()), bits(expect_q.as_slice()));
+            let (f, t) = qr.into_parts();
+            prop_assert_eq!(bits(f.as_slice()), bits(factors.as_slice()), "m={m} n={n}");
+            prop_assert_eq!(bits(&t), bits(&taus));
+            return Ok(());
+        }
+        let products = [("apply_q", &qx, &expect_qx), ("apply_qt", &t, &expect_t), ("q_thin", &q, &expect_q)];
+        for (name, got, want) in products {
+            let diff = relative_diff(got, want);
+            prop_assert!(diff < 1e-13, "{name} m={m} n={n} p={p}: {diff:e} from the loop");
+        }
+        let r_loop = Matrix::from_fn(k, n, |i, j| if i <= j { factors[(i, j)] } else { 0.0 });
+        let (res, orth) = qr_quality(&q, &qr.r(), &a);
+        let (res_loop, orth_loop) = qr_quality(&expect_q, &r_loop, &a);
+        // c = m + n; the two differ by at most ~7·u on these shapes.
+        let bound = (m + n) as f64 * f64::EPSILON;
+        prop_assert!((res - res_loop).abs() <= bound, "m={m} n={n}: residual {res:e}, loop {res_loop:e}");
+        prop_assert!((orth - orth_loop).abs() <= bound, "m={m} n={n}: orthogonality {orth:e}, loop {orth_loop:e}");
+        let (_, t) = qr.into_parts();
+        prop_assert_eq!(t.len(), k);
     }
 
     /// `ColPivQr` reflects like the unpivoted loop run on its input with
