@@ -7,7 +7,7 @@
 //! the paper's width-2 choice sits on.
 
 use hicma_core::simulate::{simulate_cholesky, DistributionPlan, SimConfig};
-use runtime::{MachineModel, SchedPolicy};
+use runtime::MachineModel;
 use tlr_bench::{header, scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
 fn main() {
@@ -26,7 +26,6 @@ fn main() {
                 trimmed: true,
                 rank_cap: usize::MAX,
                 band_width: width,
-                sched: SchedPolicy::PanelPriority,
             };
             let r = simulate_cholesky(&snap, &cfg);
             println!(

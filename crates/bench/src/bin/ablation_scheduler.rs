@@ -1,94 +1,20 @@
-//! Ablation: ready-queue scheduling policy × machine × distribution,
-//! plus the comm-feedback re-planning loop.
+//! Ablation: the comm-feedback re-planning loop.
 //!
-//! PaRSEC's node scheduler matters for TLR Cholesky because panel tasks
-//! must not starve behind the GEMM flood. This ablation runs the same
-//! trimmed Cholesky DAG under every [`SchedPolicy`] — the paper's panel
-//! priority, FIFO, LIFO, the HEFT-style upward rank, its comm-aware
-//! variant (cross-rank edges priced at the machine's latency +
-//! bytes/bandwidth), and the rank-aware critical-path lookahead (kernel
-//! costs from the snapshot's rank distribution, self-corrected from
-//! simulated durations mid-run) — on both calibrated machine models and
-//! two distributions. A second section drives repeated distributed
-//! solves on one geometry through an embedded comm-feedback re-planner
-//! (plan-cached, so overrides persist round to round) and reports the
-//! measured traffic per round.
+//! Repeated distributed solves on one geometry run through an embedded
+//! comm-feedback re-planner (plan-cached, so overrides persist round to
+//! round) and report the measured traffic per round. Ready queues have
+//! one order, panel priority (DESIGN.md §4c).
 //!
-//! Emits `BENCH_scheduler_ablation.json` (and echoes a table to
-//! stdout). `--smoke` shrinks to one DES point + the re-planning loop
-//! for CI and exits nonzero when a gate fails: the re-planner measured
-//! *more* traffic on any round, or any policy's factor deviated from
-//! the panel-priority factor bit for bit.
+//! Emits `BENCH_scheduler_ablation.json` (and echoes the rounds to
+//! stdout). `--smoke` shrinks the problem for CI and exits nonzero when
+//! the re-planner measured *more* traffic on any round.
 
 use std::fmt::Write as _;
 
-use distribution::{BandDistribution, TileDistribution, TwoDBlockCyclic};
-use hicma_core::dag::{build_cholesky_dag, DagConfig};
-use hicma_core::simulate::{des_schedule, des_tasks};
-use hicma_core::{factorize, FactorConfig, PlanCache, Session};
-use runtime::des::{simulate_planned, DesConfig};
-use runtime::scheduler::SchedPolicy;
-use runtime::{FaultPlan, MachineModel};
-use tlr_bench::{
-    header, scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE,
-};
-use tlr_compress::{CompressionConfig, RankSnapshot, TlrMatrix};
-use tlr_linalg::norms::relative_diff;
+use distribution::TwoDBlockCyclic;
+use hicma_core::{FactorConfig, PlanCache, Session};
+use tlr_compress::{CompressionConfig, TlrMatrix};
 use tlr_linalg::Matrix;
-
-struct DesPoint {
-    machine: &'static str,
-    dist: &'static str,
-    problem: &'static str,
-    nodes: usize,
-    policy: &'static str,
-    makespan: f64,
-    vs_priority: f64,
-}
-
-/// One machine × distribution × problem sweep over every policy.
-#[allow(clippy::too_many_arguments)]
-fn sweep_point(
-    machine_name: &'static str,
-    machine: &MachineModel,
-    dist_name: &'static str,
-    dist: &dyn TileDistribution,
-    problem: &'static str,
-    nodes: usize,
-    snap: &RankSnapshot,
-    out: &mut Vec<DesPoint>,
-) {
-    let dag = build_cholesky_dag(snap, &DagConfig::default());
-    let tasks = des_tasks(&dag, machine, |w| dist.owner(w.i, w.j));
-    let cfg = DesConfig::from_machine(machine, nodes);
-    let mut baseline = None;
-    for policy in SchedPolicy::ALL {
-        let plan =
-            des_schedule(&dag, snap, &tasks, machine, policy).expect("model costs are finite");
-        let r = simulate_planned(&dag.graph, &tasks, &cfg, &plan, &FaultPlan::none(), 0.0)
-            .expect("the sweep's machines and mappings are well-formed");
-        let base = *baseline.get_or_insert(r.makespan);
-        println!(
-            "{:>10} {:>10} {:>8} {:>6} {:>17} {:>10.3} {:>11.3}x",
-            machine_name,
-            dist_name,
-            problem,
-            nodes,
-            policy.name(),
-            r.makespan,
-            r.makespan / base,
-        );
-        out.push(DesPoint {
-            machine: machine_name,
-            dist: dist_name,
-            problem,
-            nodes,
-            policy: policy.name(),
-            makespan: r.makespan,
-            vs_priority: r.makespan / base,
-        });
-    }
-}
 
 /// Gaussian-kernel SPD generator (the RBF-like test operator).
 fn gaussian_dense(n: usize) -> Matrix {
@@ -135,82 +61,9 @@ fn replan_rounds(n: usize, b: usize, nprocs: usize, rounds: usize) -> Vec<(u64, 
     traffic
 }
 
-/// Every policy must produce the panel-priority factor bit for bit
-/// (policies change order, never results). Returns the offending policy
-/// name, if any.
-fn factor_bit_identity(n: usize, b: usize) -> Option<&'static str> {
-    let acc = 1e-8;
-    let dense = gaussian_dense(n);
-    let ccfg = CompressionConfig::with_accuracy(acc);
-    let mut reference = TlrMatrix::from_dense(&dense, b, &ccfg);
-    factorize(&mut reference, &FactorConfig::with_accuracy(acc)).expect("SPD");
-    let l_ref = reference.to_dense_lower();
-    for policy in SchedPolicy::ALL {
-        let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
-        let mut fcfg = FactorConfig::with_accuracy(acc);
-        fcfg.sched = policy;
-        factorize(&mut m, &fcfg).expect("SPD");
-        if relative_diff(&m.to_dense_lower(), &l_ref) != 0.0 {
-            return Some(policy.name());
-        }
-    }
-    None
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let s = scale_factor(32);
 
-    println!("Ablation — ready-queue scheduling policy (scale 1/{s})");
-    header(&[
-        ("machine", 10),
-        ("dist", 10),
-        ("N", 8),
-        ("nodes", 6),
-        ("policy", 17),
-        ("time (s)", 10),
-        ("vs priority", 12),
-    ]);
-
-    // ------------------------------------------------------------------
-    // DES sweep: policy × machine × distribution.
-    // ------------------------------------------------------------------
-    let problems: &[(&'static str, f64, usize, usize)] = if smoke {
-        &[("4.49M", 4.49e6, 2990, 128)]
-    } else {
-        &[("4.49M", 4.49e6, 2990, 128), ("11.95M", 11.95e6, 4880, 512)]
-    };
-    let machines = [
-        ("shaheen-ii", scaled_machine(MachineModel::shaheen_ii(), s)),
-        ("fugaku", scaled_machine(MachineModel::fugaku(), s)),
-    ];
-    let mut points = Vec::new();
-    for (mname, machine) in &machines {
-        for &(label, n_paper, b_paper, nodes_paper) in problems {
-            let (p, snap) =
-                scaled_snapshot(n_paper, b_paper, nodes_paper, s, PAPER_SHAPE, PAPER_ACCURACY);
-            let band = BandDistribution::new(p.nodes);
-            let cyclic = TwoDBlockCyclic::new(p.nodes);
-            sweep_point(mname, machine, "band", &band, label, p.nodes, &snap, &mut points);
-            if !smoke {
-                sweep_point(
-                    mname, machine, "2d-cyclic", &cyclic, label, p.nodes, &snap, &mut points,
-                );
-            }
-        }
-        println!();
-    }
-    // Does some lookahead policy beat panel priority somewhere?
-    let lookahead_wins = points.iter().any(|p| {
-        (p.policy == "rank-lookahead"
-            || p.policy == "upward-rank"
-            || p.policy == "comm-upward-rank")
-            && p.vs_priority < 1.0
-    });
-
-    // ------------------------------------------------------------------
-    // Comm-feedback re-planning on repeated solves (real DistEngine).
-    // ------------------------------------------------------------------
     let (rn, rb, rprocs, rrounds) = if smoke { (96, 24, 4, 3) } else { (192, 24, 4, 4) };
     println!("Re-planning loop: n={rn} b={rb} nprocs={rprocs}, 2d-block-cyclic baseline");
     let traffic = replan_rounds(rn, rb, rprocs, rrounds);
@@ -222,14 +75,6 @@ fn main() {
         traffic.last().unwrap().0
     );
 
-    // ------------------------------------------------------------------
-    // Bit-identity of the factor across every policy.
-    // ------------------------------------------------------------------
-    let divergent = factor_bit_identity(if smoke { 96 } else { 120 }, 24);
-
-    // ------------------------------------------------------------------
-    // JSON report.
-    // ------------------------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"scheduler_ablation\",\n");
@@ -238,24 +83,6 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
-    let _ = writeln!(json, "  \"scale\": {s},");
-    let _ = writeln!(json, "  \"lookahead_beats_priority\": {lookahead_wins},");
-    let _ = writeln!(
-        json,
-        "  \"factors_bit_identical_across_policies\": {},",
-        divergent.is_none()
-    );
-    json.push_str("  \"des_sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"machine\": \"{}\", \"distribution\": \"{}\", \"problem\": \"{}\", \
-             \"nodes\": {}, \"policy\": \"{}\", \"makespan_s\": {:.6}, \"vs_priority\": {:.4}}}",
-            p.machine, p.dist, p.problem, p.nodes, p.policy, p.makespan, p.vs_priority
-        );
-        json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"replan\": {\n");
     let _ = writeln!(
         json,
@@ -280,18 +107,10 @@ fn main() {
     println!("\nwrote BENCH_scheduler_ablation.json");
 
     if smoke {
-        let mut failed = false;
         if !monotone {
             eprintln!("smoke FAILED: re-planner increased measured comm volume: {traffic:?}");
-            failed = true;
-        }
-        if let Some(policy) = divergent {
-            eprintln!("smoke FAILED: policy {policy} produced a different factor");
-            failed = true;
-        }
-        if failed {
             std::process::exit(1);
         }
-        println!("smoke OK: re-planner comm non-increasing, factors bit-identical");
+        println!("smoke OK: re-planner comm non-increasing");
     }
 }

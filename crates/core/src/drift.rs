@@ -1,16 +1,14 @@
 //! Cost-model drift reports: measured execution vs the analytical model.
 //!
-//! The scheduler prices tasks with [`CostModel`] (machine peak ×
-//! rank-dependent efficiency) and the re-planner prices communication
-//! with [`modeled_comm`](crate::replan::modeled_comm). Both models are
+//! [`CostModel`] prices tasks (machine peak × rank-dependent efficiency)
+//! and the re-planner prices communication with
+//! [`modeled_comm`](crate::replan::modeled_comm). Both models are
 //! calibrated once against published machine numbers — nothing checks
 //! them against the run that actually happened. A [`DriftReport`] closes
 //! that loop: attach a [`DriftSpec`] to any
 //! [`Session`](crate::session::Session) and the outcome carries per-kernel-class
-//! modeled-vs-measured busy time, the drift ratio, the lookahead
-//! scheduler's own EMA correction for that class (PR 7's calibration
-//! state, now inspectable instead of sealed inside the scheduler), and
-//! an anomaly flag for ratios outside a configurable band. Distributed
+//! modeled-vs-measured busy time, the drift ratio, and an anomaly flag
+//! for ratios outside a configurable band. Distributed
 //! runs additionally compare the exact comm model against the traffic
 //! the engine measured — equal on a fault-free run, drifting apart under
 //! retransmissions.
@@ -22,12 +20,50 @@
 //! `bench_history`, not the absolute ratio.
 
 use runtime::des::CommStats;
-use runtime::graph::{TaskClass, TaskGraph};
+use runtime::graph::{TaskClass, TaskGraph, TaskSpec};
 use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{class_name, class_slot, RegistrySnapshot, NCLASSES};
-use runtime::scheduler::{CostModel, RankProfile};
 use std::fmt;
+
+/// Per-kernel cost estimates: a machine model plus the rank low-rank
+/// updates operate at.
+///
+/// The point (H2OPUS-TLR's observation) is that TLR GEMMs run far below
+/// the dense rate at low rank, so a model pricing every flop at the dense
+/// rate mispredicts them. GEMM/SYRK updates are priced at
+/// `core_time(flops, rank)`; the panel kernels (POTRF/TRSM) operate on
+/// dense diagonal blocks and keep the dense rate.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    machine: MachineModel,
+    expected_rank: usize,
+}
+
+impl CostModel {
+    /// Price low-rank updates on `machine` at `rank` (at least 1).
+    pub fn new(machine: &MachineModel, rank: usize) -> Self {
+        Self { machine: machine.clone(), expected_rank: rank.max(1) }
+    }
+
+    /// The rank the model prices low-rank updates at.
+    pub fn expected_rank(&self) -> usize {
+        self.expected_rank
+    }
+
+    /// Predicted seconds for a task, given its class and planned flops.
+    pub fn task_cost(&self, spec: &TaskSpec) -> f64 {
+        if spec.flops == 0.0 {
+            return 0.0;
+        }
+        match spec.class {
+            TaskClass::Gemm | TaskClass::Syrk => {
+                self.machine.core_time(spec.flops, self.expected_rank)
+            }
+            _ => self.machine.dense_kernel_time(spec.flops),
+        }
+    }
+}
 
 /// How a run's drift report is computed.
 #[derive(Debug, Clone)]
@@ -72,9 +108,6 @@ pub struct ClassDrift {
     /// `measured_seconds / modeled_seconds`; `0.0` when the class has no
     /// modeled work (never `NaN`/`Inf`).
     pub ratio: f64,
-    /// The lookahead scheduler's EMA duration correction for this class
-    /// at end of run (`1.0` when the run used a static policy).
-    pub correction: f64,
     /// Ratio fell outside the spec's `[1/band, band]`.
     pub anomalous: bool,
 }
@@ -142,12 +175,12 @@ impl DriftReport {
         // log2 buckets) when the registry captured one, else the spec's
         // fallback.
         let ranks = &snapshot.recompression_ranks;
-        let profile = RankProfile::uniform(if ranks.count > 0 {
+        let rank = if ranks.count > 0 {
             ranks.mean().round() as usize
         } else {
             spec.fallback_rank.unwrap_or(16)
-        });
-        let model = CostModel::from_machine(&spec.machine, &profile);
+        };
+        let model = CostModel::new(&spec.machine, rank);
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];
         let mut flops = 0.0;
@@ -158,7 +191,6 @@ impl DriftReport {
             tasks[k] += 1;
             flops += s.flops;
         }
-        let corrections = snapshot.corrections();
         let classes = (0..NCLASSES)
             .map(|k| {
                 let class = [
@@ -176,7 +208,6 @@ impl DriftReport {
                     modeled_seconds: modeled[k],
                     measured_seconds: measured,
                     ratio: r,
-                    correction: corrections[k],
                     anomalous: out_of_band(r, band),
                 }
             })
@@ -220,7 +251,6 @@ impl DriftReport {
                 o.insert("modeled_seconds", Json::Num(c.modeled_seconds));
                 o.insert("measured_seconds", Json::Num(c.measured_seconds));
                 o.insert("ratio", Json::Num(c.ratio));
-                o.insert("correction", Json::Num(c.correction));
                 o.insert("anomalous", Json::Bool(c.anomalous));
                 o
             })
@@ -248,13 +278,6 @@ impl DriftReport {
             out.push_str(&format!(
                 "tlr_drift_ratio{{class=\"{}\"}} {}\n",
                 c.class, c.ratio
-            ));
-        }
-        out.push_str("# TYPE tlr_drift_correction gauge\n");
-        for c in &self.classes {
-            out.push_str(&format!(
-                "tlr_drift_correction{{class=\"{}\"}} {}\n",
-                c.class, c.correction
             ));
         }
         out.push_str("# TYPE tlr_drift_anomalous gauge\n");
@@ -289,8 +312,8 @@ impl fmt::Display for DriftReport {
         )?;
         writeln!(
             f,
-            "{:>6} {:>8} {:>14} {:>14} {:>9} {:>9}  flag",
-            "class", "tasks", "modeled_s", "measured_s", "ratio", "corr"
+            "{:>6} {:>8} {:>14} {:>14} {:>9}  flag",
+            "class", "tasks", "modeled_s", "measured_s", "ratio"
         )?;
         for c in &self.classes {
             if c.modeled_tasks == 0 && c.measured_seconds == 0.0 {
@@ -298,13 +321,12 @@ impl fmt::Display for DriftReport {
             }
             writeln!(
                 f,
-                "{:>6} {:>8} {:>14.6e} {:>14.6e} {:>9.3} {:>9.3}  {}",
+                "{:>6} {:>8} {:>14.6e} {:>14.6e} {:>9.3}  {}",
                 c.class,
                 c.modeled_tasks,
                 c.modeled_seconds,
                 c.measured_seconds,
                 c.ratio,
-                c.correction,
                 if c.anomalous { "ANOMALOUS" } else { "ok" }
             )?;
         }
@@ -328,7 +350,7 @@ impl fmt::Display for DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::graph::{DataRef, GraphBuilder, TaskSpec};
+    use runtime::graph::{DataRef, GraphBuilder};
 
     fn graph_with(classes: &[(TaskClass, f64)]) -> GraphBuilder {
         let mut g = GraphBuilder::new();
@@ -352,13 +374,26 @@ mod tests {
         for c in &rep.classes {
             assert!(c.ratio.is_finite(), "{}: {}", c.class, c.ratio);
             assert!(!c.anomalous, "zero measurement must not flag");
-            assert_eq!(c.correction, 1.0);
         }
         assert!(rep.modeled_flops > 0.0);
         assert!(rep.classes[0].modeled_seconds > 0.0);
         let js = rep.to_json().to_string();
         assert!(js.contains("\"modeled_flops\""));
         assert!(!js.contains("NaN"));
+    }
+
+    #[test]
+    fn cost_model_prices_gemm_below_dense_rate() {
+        let m = MachineModel::shaheen_ii();
+        let model = CostModel::new(&m, 8);
+        let gemm = TaskSpec { class: TaskClass::Gemm, priority: 0, writes: None, flops: 1e9 };
+        let potrf = TaskSpec { class: TaskClass::Potrf, ..gemm };
+        // same flops: the rank-8 GEMM takes longer than the dense panel
+        assert!(model.task_cost(&gemm) > model.task_cost(&potrf));
+        assert_eq!(model.task_cost(&potrf), m.dense_kernel_time(1e9));
+        // zero-flop tasks are free, and rank 0 prices as rank 1
+        assert_eq!(model.task_cost(&TaskSpec { flops: 0.0, ..gemm }), 0.0);
+        assert_eq!(CostModel::new(&m, 0).expected_rank(), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::session::{RunError, Session};
 use runtime::engine::EngineError;
-use runtime::scheduler::SchedPolicy;
 use runtime::trace::ClassBreakdown;
 use tlr_compress::{CompressionConfig, RankSnapshot, TlrMatrix};
 use tlr_linalg::CholeskyError;
@@ -51,14 +50,6 @@ pub struct FactorConfig {
     /// [`IntegrityMode::Off`] (zero overhead); a distributed fault plan
     /// that injects corruption arms the layer automatically.
     pub integrity: IntegrityMode,
-    /// Ready-queue scheduling policy consulted by the executor (and, on
-    /// the distributed path, applied as a priority-driven topological
-    /// reordering of each rank's queue). Policies change execution
-    /// *order* and makespan, never the factor values — the proptests in
-    /// `tests/engine_composition.rs` hold every policy to bit-identical
-    /// results. Defaults to [`SchedPolicy::PanelPriority`], the paper's
-    /// static panel-index order.
-    pub sched: SchedPolicy,
 }
 
 /// How much silent-data-corruption protection a factorization buys.
@@ -117,7 +108,6 @@ impl FactorConfig {
             max_shift_retries: 3,
             collect_trace: false,
             integrity: IntegrityMode::Off,
-            sched: SchedPolicy::PanelPriority,
         }
     }
 

@@ -8,7 +8,6 @@
 //! accidentally hand the baseline one of our optimizations.
 
 use crate::simulate::{DistributionPlan, SimConfig};
-use runtime::scheduler::SchedPolicy;
 use runtime::machine::MachineModel;
 
 /// Lorapo on the given machine/node count.
@@ -20,7 +19,6 @@ pub fn lorapo_config(machine: MachineModel, nodes: usize) -> SimConfig {
         trimmed: false,
         rank_cap: usize::MAX,
         band_width: 1,
-        sched: SchedPolicy::PanelPriority,
     }
 }
 
@@ -43,7 +41,6 @@ pub fn incremental_configs(machine: MachineModel, nodes: usize) -> [(&'static st
                 trimmed: true,
                 rank_cap: usize::MAX,
                 band_width: 1,
-                sched: SchedPolicy::PanelPriority,
             },
         ),
         (
@@ -55,7 +52,6 @@ pub fn incremental_configs(machine: MachineModel, nodes: usize) -> [(&'static st
                 trimmed: true,
                 rank_cap: usize::MAX,
                 band_width: 2,
-                sched: SchedPolicy::PanelPriority,
             },
         ),
         ("+diamond", hicma_parsec_config(machine, nodes)),

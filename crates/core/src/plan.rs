@@ -1,22 +1,21 @@
 //! Symbolic planning split from numeric execution.
 //!
 //! PaRSEC separates a factorization into a *symbolic* phase (unroll the
-//! PTG, trim the execution space, map tasks to ranks, precompute
-//! scheduling priorities) and a *numeric* phase (run kernels over the
+//! PTG, trim the execution space, map tasks to ranks, fix the execution
+//! order) and a *numeric* phase (run kernels over the
 //! planned graph). Until this module the two were fused: every
-//! [`Session::run`](crate::session::Session::run) rebuilt the DAG,
-//! distribution mapping and scheduler keys from scratch — pure overhead
+//! [`Session::run`](crate::session::Session::run) rebuilt the DAG and
+//! distribution mapping from scratch — pure overhead
 //! on workloads that factor the *same tile structure* repeatedly (the
 //! RBF mesh-deformation timestep loop, or a multi-tenant solver service).
 //!
 //! [`SymbolicPlan`] is the reusable artifact of the symbolic phase: an
 //! immutable, self-contained bundle of
 //!
-//! * the trimmed [`CholeskyDag`], whose tasks the engine runs one to one,
-//! * precomputed scheduler state ([`SchedPlan`] key/lookahead tables on
-//!   shared-memory plans, priority-driven topological orders on
-//!   distributed ones),
-//! * on distributed plans, the full placement machinery (task→rank map,
+//! * the trimmed [`CholeskyDag`], whose tasks the engine runs one to one
+//!   (the shared engine orders ready tasks by their panel priority),
+//! * on distributed plans, the priority-driven topological order every
+//!   rank executes, and the full placement machinery (task→rank map,
 //!   per-tile initial placement, predecessor lookup, writer maps) plus
 //!   the comm-feedback re-planner state, so converged placement
 //!   overrides persist *with the plan* across runs.
@@ -24,8 +23,8 @@
 //! Plans are keyed by a structural fingerprint ([`PlanKey`]) folded with
 //! the same FNV-1a chain as the tile-integrity digests
 //! ([`tlr_compress::WordFold`]): tile grid, per-tile rank structure,
-//! accuracy/rank caps, layout owner map, rank count, scheduling policy
-//! and whether a re-planner is embedded — the structure and the
+//! accuracy/rank caps, layout owner map, rank count and whether a
+//! re-planner is embedded — the structure and the
 //! configuration only, so sessions that differ only in a capability
 //! (fault layer, trace, integrity mode) share one plan.
 //! Two matrices with the same key plan
@@ -33,8 +32,8 @@
 //! to every request that matches — a warm-cache run skips the symbolic
 //! phase entirely. The factor is bit-identical either way: planning
 //! decides *where and in what order* kernels run, never what they
-//! compute (`tests/plan_cache.rs` holds every capability subset and
-//! policy to that).
+//! compute (`tests/plan_cache.rs` holds every capability subset to
+//! that).
 
 use crate::dag::{build_cholesky_dag, lower, CholeskyDag, DagConfig};
 use crate::factorize::FactorConfig;
@@ -42,8 +41,8 @@ use crate::replan::CommReplanner;
 use parking_lot::{Mutex, RwLock};
 use runtime::engine::EngineError;
 use runtime::graph::{DataRef, TaskGraph, TaskId};
-use runtime::scheduler::{CommCosts, Pricing, SchedPlan, SchedPolicy};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tlr_compress::{RankSnapshot, WordFold};
@@ -72,7 +71,7 @@ pub enum PlanMode {
 /// chain of the tile-integrity layer ([`tlr_compress::WordFold`]).
 ///
 /// Worker-thread count is deliberately *not* part of the key: the DAG
-/// and scheduler tables are both thread-count independent, and
+/// and the execution order are both thread-count independent, and
 /// the factor is bit-identical across thread counts, so one plan serves
 /// any pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,8 +88,6 @@ pub struct PlanKey {
     pub max_rank: usize,
     /// Bit pattern of the recompression accuracy.
     pub accuracy_bits: u64,
-    /// Ready-queue scheduling policy the plan precomputes keys for.
-    pub sched: SchedPolicy,
     /// FNV-1a fold of the rank structure (and distributed owner map).
     pub structure: u64,
 }
@@ -113,6 +110,9 @@ pub(crate) struct DistStatic {
     /// touches it).
     first_writer: Vec<Option<TaskId>>,
     pub(crate) last_writer: Vec<Option<TaskId>>,
+    /// The order every rank executes its tasks in ([`priority_order`]):
+    /// it reads only the DAG, so no placement refresh moves it.
+    pub(crate) order: Vec<TaskId>,
     /// Embedded comm-feedback re-planner: its converged overrides live
     /// with the cached plan, so repeated solves through the cache keep
     /// improving (and keep) their placement.
@@ -122,30 +122,37 @@ pub(crate) struct DistStatic {
 }
 
 /// The parts of a distributed plan that depend on the current per-tile
-/// rank overrides: which rank runs each DAG task and in what order, and
-/// where each tile starts.
+/// rank overrides: which rank runs each DAG task, and where each tile
+/// starts.
 #[derive(Default)]
 pub(crate) struct DistMapping {
     pub(crate) overrides: HashMap<(usize, usize), usize>,
     /// Rank executing each DAG task.
     pub(crate) exec_rank: Vec<usize>,
-    /// Priority-driven topological order over the DAG
-    /// ([`dist_order`]), computed once here instead of per run.
-    pub(crate) order: Vec<TaskId>,
     /// Rank holding each packed-lower tile's initial version.
     pub(crate) placement: Vec<usize>,
 }
 
-/// The order every rank of a distributed run executes `graph` in under
-/// `policy`: the plan of an engine with no machine model (planned flops
-/// at 1 Gflop/s, cross-rank edges at 1 GB/s), as one topological order.
-fn dist_order(
-    graph: &TaskGraph,
-    policy: SchedPolicy,
-    exec_rank: &[usize],
-) -> Result<Vec<TaskId>, EngineError> {
-    let pricing = Pricing::nominal(graph).placed(exec_rank, CommCosts::NOMINAL);
-    SchedPlan::build(graph, policy, &pricing)?.topo_order(graph)
+/// The order every rank of a distributed run executes `graph` in: Kahn's
+/// algorithm with the ready set ordered by `(priority, id)`, lowest
+/// first — the panel priority the shared engine and the DES queue by,
+/// as the one global topological order the `DistEngine`'s front-only
+/// rank queues need. `None` on a cyclic graph.
+fn priority_order(graph: &TaskGraph) -> Option<Vec<TaskId>> {
+    let mut indegree = graph.indegrees();
+    let key = |t: TaskId| Reverse((graph.spec(t).priority, t));
+    let mut ready: BinaryHeap<_> = graph.sources().into_iter().map(key).collect();
+    let mut order = Vec::with_capacity(graph.len());
+    while let Some(Reverse((_, t))) = ready.pop() {
+        order.push(t);
+        for e in graph.successors(t) {
+            indegree[e.dst] -= 1;
+            if indegree[e.dst] == 0 {
+                ready.push(key(e.dst));
+            }
+        }
+    }
+    (order.len() == graph.len()).then_some(order)
 }
 
 impl DistStatic {
@@ -164,16 +171,14 @@ impl DistStatic {
             .min(self.nprocs - 1)
     }
 
-    /// Derive the override-dependent mapping under the plan key's
-    /// `sched` policy. Called at plan build and again whenever the
-    /// embedded re-planner moves a tile chain — a refresh re-derives from
-    /// the existing DAG, never rebuilds it.
+    /// Derive the override-dependent mapping. Called at plan build and
+    /// again whenever the embedded re-planner moves a tile chain — a
+    /// refresh re-derives from the existing DAG, never rebuilds it.
     pub(crate) fn derive_mapping(
         &self,
         dag: &CholeskyDag,
-        key: &PlanKey,
         overrides: HashMap<(usize, usize), usize>,
-    ) -> Result<DistMapping, EngineError> {
+    ) -> DistMapping {
         let exec_rank: Vec<usize> = (0..dag.graph.len())
             .map(|t| {
                 let w = dag.kinds[t].operands().writes;
@@ -189,14 +194,13 @@ impl DistStatic {
                 });
             }
         }
-        let order = dist_order(&dag.graph, key.sched, &exec_rank)?;
-        Ok(DistMapping { overrides, exec_rank, order, placement })
+        DistMapping { overrides, exec_rank, placement }
     }
 }
 
-/// The immutable artifact of the symbolic phase: trimmed DAG, scheduler
-/// tables and (on distributed plans) the placement machinery, built once
-/// and consumed by any number of numeric runs.
+/// The immutable artifact of the symbolic phase: trimmed DAG and (on
+/// distributed plans) the execution order and placement machinery,
+/// built once and consumed by any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
 /// implicitly through a [`PlanCache`]), execute it with
@@ -214,10 +218,10 @@ pub struct SymbolicPlan {
 
 /// What a plan carries beyond the DAG, for the engine it was built for.
 pub(crate) enum EnginePlan {
-    /// Shared-memory work-stealing engine: scheduler tables over the DAG.
-    Shared(SchedPlan),
-    /// Emulated ranks: placement machinery, ranks and order (in the
-    /// mapping) and the embedded re-planner.
+    /// Shared-memory work-stealing engine: the DAG is all it needs.
+    Shared,
+    /// Emulated ranks: execution order, placement machinery, ranks (in
+    /// the mapping) and the embedded re-planner.
     Distributed(Box<DistStatic>),
 }
 
@@ -295,13 +299,12 @@ pub(crate) fn plan_key(
         trimmed: cfg.trimmed,
         max_rank: cfg.max_rank,
         accuracy_bits: cfg.accuracy.to_bits(),
-        sched: cfg.sched,
         structure: fold.finish(),
     }
 }
 
-/// Run the symbolic phase once: DAG build + scheduler tables
-/// (+ distribution mapping on distributed plans). `key` is
+/// Run the symbolic phase once: DAG build (+ execution order and
+/// distribution mapping on distributed plans). `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
@@ -320,11 +323,7 @@ pub(crate) fn build_plan(
         },
     );
     let engine = match dist {
-        None => EnginePlan::Shared(SchedPlan::build(
-            &dag.graph,
-            cfg.sched,
-            &Pricing::nominal(&dag.graph),
-        )?),
+        None => EnginePlan::Shared,
         Some(d) => {
             let mut preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); dag.graph.len()];
             for src in 0..dag.graph.len() {
@@ -346,11 +345,11 @@ pub(crate) fn build_plan(
                 preds,
                 first_writer,
                 last_writer,
+                order: priority_order(&dag.graph).ok_or(EngineError::Cycle)?,
                 replan: d.replan.then(|| Mutex::new(CommReplanner::new(d.nprocs))),
                 mapping: RwLock::default(),
             };
-            let mapping = ds.derive_mapping(&dag, &key, HashMap::new())?;
-            *ds.mapping.write() = mapping;
+            *ds.mapping.write() = ds.derive_mapping(&dag, HashMap::new());
             EnginePlan::Distributed(Box::new(ds))
         }
     };
@@ -499,5 +498,37 @@ impl std::fmt::Debug for PlanCache {
             .field("misses", &self.misses())
             .field("evictions", &self.evictions())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use runtime::graph::{GraphBuilder, TaskClass, TaskSpec};
+
+    fn builder(priorities: &[usize], edges: &[(TaskId, TaskId)]) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
+        for &priority in priorities {
+            g.add_task(TaskSpec { class: TaskClass::Other, priority, writes: None, flops: 0.0 });
+        }
+        for &(src, dst) in edges {
+            g.add_edge(src, dst, DataRef { i: src, j: dst }, 0);
+        }
+        g
+    }
+
+    /// The lowest ready priority goes first, ties by id, but never ahead
+    /// of a predecessor: the isolated task 3 (priority 0) leads, and the
+    /// chain 0 → 1 → 2 keeps its order although 2 outranks 1.
+    #[test]
+    fn priority_order_respects_edges_then_priorities() {
+        let g = builder(&[1, 4, 2, 0, 1], &[(0, 1), (1, 2)]).finish();
+        assert_eq!(priority_order(&g), Some(vec![3, 0, 4, 1, 2]));
+    }
+
+    #[test]
+    fn priority_order_of_a_cycle_is_none() {
+        let g = builder(&[0, 1], &[(0, 1), (1, 0)]).finish();
+        assert_eq!(priority_order(&g), None);
     }
 }

@@ -203,7 +203,8 @@ impl SolveService {
     /// Worst-case [`KernelWorkspace`](tlr_compress::kernels::KernelWorkspace) arena bytes a factorization with
     /// `nthreads` workers on `tile_size`-row tiles can retain: each
     /// worker's pools hold a handful of `tile_size²` scratch/export
-    /// buffers plus the SVD pair at their high-water marks.
+    /// buffers plus the Householder-coefficient and pivoted-QR scratch
+    /// vectors at their high-water marks.
     ///
     /// This is the amount admission charges against the tenant budget.
     /// `tests/solve_service.rs` holds the bound against the measured

@@ -18,7 +18,7 @@
 //! capabilities are `None`.
 //!
 //! The per-attempt pipeline is split into a *symbolic* phase — DAG
-//! build, distribution mapping, scheduler precomputation,
+//! build, distribution mapping, execution order,
 //! packaged as an immutable [`SymbolicPlan`] — and a *numeric* phase
 //! that consumes a `&SymbolicPlan` ([`Session::run_with_plan`]).
 //! [`Session::run`] remains the one-shot shim: plan (or fetch from an
@@ -46,7 +46,6 @@ use runtime::graph::DataRef;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::obs::{RunEvent, RunMetrics};
-use runtime::scheduler::SchedPlan;
 use runtime::trace::{ClassBreakdown, Trace};
 use std::fmt;
 use std::ops::Deref;
@@ -360,7 +359,7 @@ impl<'a> Session<'a> {
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
         let mut out = match &plan.engine {
-            EnginePlan::Shared(sched) => shared_attempt(matrix, cfg, &plan.dag, sched, drift, ev),
+            EnginePlan::Shared => shared_attempt(matrix, cfg, &plan.dag, drift, ev),
             EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, plan, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
@@ -442,8 +441,10 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Version of the [`to_json`](RunOutcome::to_json) layout (its
-    /// `"schema"` field). Bump when a key changes name or meaning.
-    pub const SCHEMA_VERSION: u32 = 1;
+    /// `"schema"` field). Bump when a key changes name or meaning, or
+    /// leaves. Version 2 dropped the per-class scheduler corrections: five
+    /// registry gauges and the drift classes' `correction`.
+    pub const SCHEMA_VERSION: u32 = 2;
 
     /// Trace-derived summary (per-class and per-worker busy time, idle
     /// fractions, imbalance, queue wait, efficiency against the measured
@@ -811,7 +812,6 @@ fn shared_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
     dag: &CholeskyDag,
-    sched_plan: &SchedPlan,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
@@ -916,14 +916,14 @@ fn shared_attempt(
     let registry = Registry::new(nthreads);
     record_cache_events(&registry, ev);
 
-    // The engine schedules the DAG by the plan's precomputed scheduler
-    // tables and runs the task body under this engine's locks and digest
-    // checks, once per DAG task.
+    // The engine schedules the DAG by panel priority and runs the task
+    // body under this engine's locks and digest checks, once per DAG
+    // task.
     let engine_cfg = EngineConfig::new(nthreads)
         .with_cancel(&cancel)
         .with_obs((&registry, obs.as_ref()));
     let exec_t0 = std::time::Instant::now();
-    let exec_result = Engine::new(&dag.graph).run_planned(&engine_cfg, sched_plan, |wid, t| {
+    let exec_result = Engine::new(&dag.graph).run(&engine_cfg, |wid, t| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
@@ -1079,17 +1079,17 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
 fn run_ranks<P: TilePayload>(
     matrix: &mut TlrMatrix,
     dag: &CholeskyDag,
+    ds: &DistStatic,
     map: &DistMapping,
-    nprocs: usize,
     dist_cfg: &DistConfig<'_>,
     hooks: Option<&IntegrityHooks<'_, P>>,
     body: &RankBody<'_>,
 ) -> Result<DistOutcome<Tile>, EngineError> {
-    let initial = scatter_tiles::<P>(matrix, &map.placement, nprocs);
-    let out = DistEngine::new(&dag.graph, nprocs, &map.exec_rank).run(
+    let initial = scatter_tiles::<P>(matrix, &map.placement, ds.nprocs);
+    let out = DistEngine::new(&dag.graph, ds.nprocs, &map.exec_rank).run(
         initial,
         dist_cfg,
-        &map.order,
+        &ds.order,
         hooks,
         |t, ctx| body.run(t, ctx),
     )?;
@@ -1142,9 +1142,9 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            run_ranks(matrix, dag, &map, nprocs, &dist_cfg, Some(&hooks), &body)
+            run_ranks(matrix, dag, ds, &map, &dist_cfg, Some(&hooks), &body)
         } else {
-            run_ranks::<Tile>(matrix, dag, &map, nprocs, &dist_cfg, None, &body)
+            run_ranks::<Tile>(matrix, dag, ds, &map, &dist_cfg, None, &body)
         }?;
         let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
@@ -1173,14 +1173,9 @@ impl Session<'_> {
             if *r.overrides() != old_overrides {
                 let overrides = r.overrides().clone();
                 drop(r);
-                // Re-derive placement/orders from the existing DAG (never
-                // rebuilt). The only failure mode is a scheduler-key
-                // defect, which the original derivation already ruled out
-                // — on the (unreachable) error the old mapping simply
-                // stays in force.
-                if let Ok(mapping) = ds.derive_mapping(dag, &plan.key, overrides) {
-                    *ds.mapping.write() = mapping;
-                }
+                // Re-derive placement from the existing DAG (never
+                // rebuilt).
+                *ds.mapping.write() = ds.derive_mapping(dag, overrides);
             }
         }
         let registry = registry.snapshot();

@@ -10,11 +10,10 @@
 //! which we account as write-back bytes.
 
 use crate::dag::{build_cholesky_dag, tile_bytes, CholeskyDag, DagConfig};
-use runtime::des::{simulate_planned, CommStats, DesConfig, DesTask};
+use runtime::des::{simulate, CommStats, DesConfig, DesTask};
 use runtime::fault::FaultPlan;
 use runtime::graph::DataRef;
 use runtime::machine::MachineModel;
-use runtime::scheduler::{CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy};
 use runtime::trace::ClassBreakdown;
 use runtime::EngineError;
 use tlr_compress::RankSnapshot;
@@ -64,9 +63,6 @@ pub struct SimConfig {
     pub rank_cap: usize,
     /// Band width for the band-based plans (2 = diagonal + sub-diagonal).
     pub band_width: usize,
-    /// Ready-queue scheduling policy of the simulated runtime (planned
-    /// by [`des_schedule`]).
-    pub sched: SchedPolicy,
 }
 
 impl SimConfig {
@@ -79,7 +75,6 @@ impl SimConfig {
             trimmed: true,
             rank_cap: usize::MAX,
             band_width: 2,
-            sched: SchedPolicy::PanelPriority,
         }
     }
 }
@@ -196,41 +191,6 @@ pub fn des_tasks(
         .collect()
 }
 
-/// The schedule the simulated runtime runs `policy` under — the DES door
-/// of the one planner ([`SchedPlan::build`]): tasks priced at their
-/// modeled durations, cross-node edges at this machine's link, and the
-/// lookahead's kernels from the snapshot's rank distribution (which it
-/// then keeps correcting from simulated durations mid-run).
-pub fn des_schedule(
-    dag: &CholeskyDag,
-    initial: &RankSnapshot,
-    tasks: &[DesTask],
-    machine: &MachineModel,
-    policy: SchedPolicy,
-) -> Result<SchedPlan, EngineError> {
-    let mut hist: Vec<u64> = Vec::new();
-    for i in 0..initial.nt() {
-        for j in 0..=i {
-            let r = initial.rank(i, j);
-            if r > 0 {
-                if hist.len() <= r {
-                    hist.resize(r + 1, 0);
-                }
-                hist[r] += 1;
-            }
-        }
-    }
-    let profile = RankProfile::from_histogram(&hist, initial.tile_size());
-    let model = CostModel::from_machine(machine, &profile);
-    let proc_of: Vec<usize> = tasks.iter().map(|t| t.proc).collect();
-    let pricing = Pricing {
-        cost: Box::new(|t| tasks[t].duration),
-        model: Some(&model),
-        placement: Some((&proc_of, CommCosts::from_machine(machine))),
-    };
-    SchedPlan::build(&dag.graph, policy, &pricing)
-}
-
 /// Simulate a TLR Cholesky factorization from an initial rank snapshot.
 ///
 /// ```
@@ -254,8 +214,7 @@ pub fn simulate_cholesky(initial: &RankSnapshot, cfg: &SimConfig) -> SimReport {
 /// ([`crate::session::Session::with_fault_layer`]), here *priced*: its
 /// fail-stop crashes and silent store corruptions cost the
 /// recovery/healing protocol on the modeled machine, with work lost to a
-/// fault restarting `restart_delay_s` after it (see
-/// [`simulate_planned`]).
+/// fault restarting `restart_delay_s` after it (see [`simulate`]).
 ///
 /// # Errors
 ///
@@ -320,8 +279,7 @@ pub fn simulate_cholesky_faulty(
         }
     }
 
-    let plan = des_schedule(&dag, initial, &tasks, &cfg.machine, cfg.sched)?;
-    let report = simulate_planned(&dag.graph, &tasks, &des_cfg, &plan, faults, restart_delay_s)?;
+    let report = simulate(&dag.graph, &tasks, &des_cfg, faults, restart_delay_s)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G),
     // priced from the kernel durations the DES ran.
@@ -386,7 +344,6 @@ mod tests {
             trimmed,
             rank_cap: usize::MAX,
             band_width: 2,
-            sched: SchedPolicy::PanelPriority,
         }
     }
 

@@ -30,7 +30,6 @@ use crate::event_queue::EventQueue;
 use crate::fault::{fault_unit, FaultPlan, FtError};
 use crate::graph::{TaskGraph, TaskId};
 use crate::machine::MachineModel;
-use crate::scheduler::{KeyOrd, Pricing, SchedPlan, SchedPolicy, Scheduler};
 use crate::trace::Trace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,7 +39,9 @@ use std::collections::BinaryHeap;
 pub struct DesTask {
     /// Executing process id, `< nprocs`.
     pub proc: usize,
-    /// Execution time in seconds (kernel + per-task runtime overhead).
+    /// Kernel execution time in seconds. The per-task runtime overhead
+    /// is not in it: the simulator charges [`DesConfig::task_mgmt_s`] on
+    /// the process's serial runtime thread before the task may start.
     pub duration: f64,
 }
 
@@ -152,33 +153,14 @@ enum Event {
     Corrupt(usize),
 }
 
-/// Run the simulation fault-free under the default ready-queue ordering
-/// (the task's `priority` field — panel index for tile Cholesky).
-/// `tasks[t]` gives the process and duration of task `t`.
-///
-/// # Errors
-///
-/// As [`simulate_planned`].
-pub fn simulate(
-    graph: &TaskGraph,
-    tasks: &[DesTask],
-    config: &DesConfig,
-) -> Result<DesReport, EngineError> {
-    let plan = SchedPlan::build(graph, SchedPolicy::default(), &Pricing::nominal(graph))?;
-    simulate_planned(graph, tasks, config, &plan, &FaultPlan::none(), 0.0)
-}
-
-/// Run the simulation under a schedule plan and a fault plan — the
-/// full-generality entry point.
-///
-/// The event loop instantiates `plan` and calls `on_task_ready` when a
-/// task's inputs have arrived (the returned key orders that process's
-/// ready queue, smaller first) and `on_task_finished` with the simulated
-/// duration when it retires — which is what lets the lookahead policy
-/// adapt mid-run.
+/// Run the simulation under a fault plan. `tasks[t]` gives the process
+/// and duration of task `t`; each process's ready queue is ordered by
+/// the task's `priority` (the panel index for tile Cholesky), then its
+/// id, lowest first.
 ///
 /// `faults` is the same [`FaultPlan`] value the functional engine
-/// ([`crate::engine::DistEngine`]) injects; here it is *priced* rather
+/// ([`crate::engine::DistEngine`]) injects ([`FaultPlan::none`] for a
+/// fault-free run); here it is *priced* rather
 /// than survived, and only what the first-order cost model can price is
 /// read: the fail-stop crashes, the store corruptions and the seed (the
 /// network faults are a property of a run, not of the modeled machine).
@@ -198,28 +180,23 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// * [`EngineError::RankMapLength`] — `tasks` or `plan` does not cover
-///   exactly the graph's tasks.
+/// * [`EngineError::RankMapLength`] — `tasks` does not cover exactly the
+///   graph's tasks.
 /// * [`EngineError::Cycle`] — the graph has a cycle.
 /// * [`EngineError::EmptyMachine`] — no processes, or no cores on them.
 /// * [`EngineError::InvalidRank`] — a task runs on a process `>= nprocs`.
 /// * [`EngineError::InvalidCrashRank`] — the fault plan targets a
 ///   process `>= nprocs` (crash or corruption).
-/// * [`EngineError::NonFiniteKey`] — the scheduler returned a NaN or
-///   infinite key.
 /// * [`EngineError::Fault`] with [`FtError::AllRanksCrashed`] — the plan
 ///   crashes every process before completion.
-pub fn simulate_planned(
+pub fn simulate(
     graph: &TaskGraph,
     tasks: &[DesTask],
     config: &DesConfig,
-    plan: &SchedPlan,
     faults: &FaultPlan,
     restart_delay_s: f64,
 ) -> Result<DesReport, EngineError> {
-    plan.check_covers(graph)?;
-    let mut sched = plan.instantiate();
-    Sim::new(graph, tasks, config, sched.as_mut(), faults, restart_delay_s)?.run()
+    Sim::new(graph, tasks, config, faults, restart_delay_s)?.run()
 }
 
 /// The state of one simulation: one method per [`Event`] variant, fields
@@ -229,7 +206,6 @@ struct Sim<'a> {
     graph: &'a TaskGraph,
     tasks: &'a [DesTask],
     config: &'a DesConfig,
-    sched: &'a mut dyn Scheduler,
     faults: &'a FaultPlan,
     restart_delay_s: f64,
     now: f64,
@@ -245,10 +221,10 @@ struct Sim<'a> {
     done: Vec<bool>,
     completed: usize,
 
-    // Processors: free cores, the ready queue ordered by (key, id), when
+    // Processors: free cores, the ready queue ordered by (priority, id), when
     // the serial runtime thread is next free, the tasks occupying cores.
     idle: Vec<usize>,
-    queues: Vec<BinaryHeap<Reverse<(KeyOrd, TaskId)>>>,
+    queues: Vec<BinaryHeap<Reverse<(usize, TaskId)>>>,
     mgmt_free: Vec<f64>,
     running: Vec<Vec<TaskId>>,
 
@@ -285,7 +261,6 @@ impl<'a> Sim<'a> {
         graph: &'a TaskGraph,
         tasks: &'a [DesTask],
         config: &'a DesConfig,
-        sched: &'a mut dyn Scheduler,
         faults: &'a FaultPlan,
         restart_delay_s: f64,
     ) -> Result<Self, EngineError> {
@@ -318,7 +293,6 @@ impl<'a> Sim<'a> {
             graph,
             tasks,
             config,
-            sched,
             faults,
             restart_delay_s,
             now: 0.0,
@@ -351,7 +325,7 @@ impl<'a> Sim<'a> {
             self.now = now;
             match event {
                 Event::Ready(t) => self.ready(t),
-                Event::Managed(t) => self.managed(t)?,
+                Event::Managed(t) => self.managed(t),
                 Event::Finish(t, launch_epoch) => self.finish(t, launch_epoch),
                 Event::Crash(p) => self.crash(p)?,
                 Event::Corrupt(idx) => self.corrupt(idx),
@@ -394,18 +368,12 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Consult the scheduling policy: the key decides the task's position
-    /// in its process's ready queue.
-    fn managed(&mut self, t: TaskId) -> Result<(), EngineError> {
+    /// Queue the task on its process by priority, then id.
+    fn managed(&mut self, t: TaskId) {
         let p = self.proc_of[t];
         self.ready_time[t] = self.now;
-        let key = self.sched.on_task_ready(t, self.graph);
-        if !key.is_finite() {
-            return Err(EngineError::NonFiniteKey { task: t, key });
-        }
-        self.queues[p].push(Reverse((KeyOrd(key), t)));
+        self.queues[p].push(Reverse((self.graph.spec(t).priority, t)));
         self.dispatch(p);
-        Ok(())
     }
 
     /// Start as many queued tasks as process `p` has idle cores.
@@ -441,9 +409,6 @@ impl<'a> Sim<'a> {
         });
         self.completed += 1;
         self.done[t] = true;
-        // Feedback channel of dynamic policies: the simulated duration is
-        // this world's "measured" time.
-        self.sched.on_task_finished(t, self.graph, self.tasks[t].duration);
         if self.reexec[t] {
             // Recovery re-run: successors were already released by the
             // first execution (surviving consumers kept their copies);
@@ -656,6 +621,11 @@ mod tests {
         chain_builder(n).finish()
     }
 
+    /// A fault-free run.
+    fn run(g: &TaskGraph, tasks: &[DesTask], cfg: &DesConfig) -> Result<DesReport, EngineError> {
+        simulate(g, tasks, cfg, &FaultPlan::none(), 0.0)
+    }
+
     #[test]
     fn serial_chain_time_is_sum() {
         let g = chain(10);
@@ -665,7 +635,7 @@ mod tests {
                 duration: 2.0,
             })
             .collect();
-        let r = simulate(&g, &tasks, &single_proc_config(4)).unwrap();
+        let r = run(&g, &tasks, &single_proc_config(4)).unwrap();
         assert!((r.makespan - 20.0).abs() < 1e-12);
         assert_eq!(r.comm, CommStats::default());
     }
@@ -684,10 +654,10 @@ mod tests {
             })
             .collect();
         // 4 cores → 8 unit tasks take 2 seconds
-        let r = simulate(&g, &tasks, &single_proc_config(4)).unwrap();
+        let r = run(&g, &tasks, &single_proc_config(4)).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         // 8 cores → 1 second
-        let r8 = simulate(&g, &tasks, &single_proc_config(8)).unwrap();
+        let r8 = run(&g, &tasks, &single_proc_config(8)).unwrap();
         assert!((r8.makespan - 1.0).abs() < 1e-12);
     }
 
@@ -716,7 +686,7 @@ mod tests {
             dep_overhead_s: 0.1,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         // 1 (task0) + 0.5 (lat) + 1.0 (xfer) + 1 (task1) = 3.5
         assert!((r.makespan - 3.5).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.bytes, 1_000_000);
@@ -748,7 +718,7 @@ mod tests {
             dep_overhead_s: 10.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         assert_eq!(r.comm.messages, 0);
     }
@@ -783,7 +753,7 @@ mod tests {
             dep_overhead_s: 1.0, // zero-byte edges cost 1 s/hop
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         // Last receiver is 3 hops deep: 1 (task) + 3 = 4.
         assert!((r.makespan - 4.0).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.messages, 4);
@@ -823,7 +793,7 @@ mod tests {
             dep_overhead_s: 0.5,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         // n activations of 0.5 s serialize on proc 0's comm engine,
         // plus the per-hop delivery of the last one.
         assert!(
@@ -865,7 +835,7 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         // tree depth for the 8th receiver is 4 hops: 1 (task) + 4·1 s,
         // NOT 1 + 8·1 s (which per-receiver serialization would give).
         assert!(r.makespan <= 1.0 + 4.0 + 1e-9, "makespan {}", r.makespan);
@@ -914,7 +884,7 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         // both finish at t=1; injections serialize: second arrives >= 3.
         assert!(
             r.makespan >= 3.0 - 1e-9,
@@ -941,7 +911,7 @@ mod tests {
                 duration: 1.0,
             },
         ];
-        let r = simulate(&g, &tasks, &single_proc_config(1)).unwrap();
+        let r = run(&g, &tasks, &single_proc_config(1)).unwrap();
         let rec_urgent = r.trace.records.iter().find(|x| x.start == 0.0).unwrap();
         // both tasks retire; check the one starting at 0 has class Other
         // and that `urgent` started first by comparing start times.
@@ -987,7 +957,7 @@ mod tests {
             dep_overhead_s: 1e-4,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         let cp = critical_path(&g, |t| tasks[t].duration);
         assert!(
             r.makespan >= cp.length - 1e-12,
@@ -1034,24 +1004,12 @@ mod tests {
         }
     }
 
-    /// Panel-priority run under a fault plan.
-    fn simulate_faulty(
-        g: &TaskGraph,
-        tasks: &[DesTask],
-        cfg: &DesConfig,
-        faults: &FaultPlan,
-        restart_delay_s: f64,
-    ) -> Result<DesReport, EngineError> {
-        let plan = SchedPlan::build(g, SchedPolicy::default(), &Pricing::nominal(g))?;
-        simulate_planned(g, tasks, cfg, &plan, faults, restart_delay_s)
-    }
-
     #[test]
     fn empty_fault_plan_matches_plain_simulation() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let plain = simulate(&g, &tasks, &cfg).unwrap();
-        let faulty = simulate_faulty(&g, &tasks, &cfg, &FaultPlan::none(), 0.5).unwrap();
+        let plain = run(&g, &tasks, &cfg).unwrap();
+        let faulty = simulate(&g, &tasks, &cfg, &FaultPlan::none(), 0.5).unwrap();
         assert_eq!(faulty.makespan, plain.makespan);
         assert_eq!(faulty.crashes, 0);
         assert_eq!(faulty.migrated, 0);
@@ -1063,9 +1021,9 @@ mod tests {
     fn crash_migrates_reexecutes_and_costs_time() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let baseline = simulate(&g, &tasks, &cfg).unwrap();
+        let baseline = run(&g, &tasks, &cfg).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan * 0.5);
-        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.migrated > 0, "dead proc's tasks must move");
         assert!(
@@ -1080,9 +1038,9 @@ mod tests {
     fn crash_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let baseline = simulate(&g, &tasks, &cfg).unwrap();
+        let baseline = run(&g, &tasks, &cfg).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan + 100.0);
-        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 0);
         assert_eq!(r.makespan, baseline.makespan);
     }
@@ -1091,10 +1049,10 @@ mod tests {
     fn longer_restart_delay_costs_at_least_as_much() {
         let (g, tasks) = wide_graph(16);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg).unwrap();
+        let base = run(&g, &tasks, &cfg).unwrap();
         let faults = FaultPlan::new(0).with_crash(2, base.makespan * 0.4);
-        let quick = simulate_faulty(&g, &tasks, &cfg, &faults, 0.1).unwrap();
-        let slow = simulate_faulty(&g, &tasks, &cfg, &faults, 5.0).unwrap();
+        let quick = simulate(&g, &tasks, &cfg, &faults, 0.1).unwrap();
+        let slow = simulate(&g, &tasks, &cfg, &faults, 5.0).unwrap();
         assert!(
             slow.makespan >= quick.makespan,
             "{} < {}",
@@ -1134,7 +1092,7 @@ mod tests {
         // longer needed (c already has it) but the model re-runs tasks
         // with unfinished consumers — c is unfinished, so b re-executes.
         let faults = FaultPlan::new(0).with_crash(0, 2.5);
-        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 0.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, &faults, 0.0).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.reexecuted >= 1, "b must re-execute, got {}", r.reexecuted);
     }
@@ -1144,7 +1102,7 @@ mod tests {
         let (g, tasks) = wide_graph(8);
         let cfg = faulty_cfg();
         let faults = FaultPlan::new(0).with_crash(0, 0.1).with_crash(1, 0.2).with_crash(2, 0.3);
-        let err = simulate_faulty(&g, &tasks, &cfg, &faults, 0.0).unwrap_err();
+        let err = simulate(&g, &tasks, &cfg, &faults, 0.0).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
     }
 
@@ -1154,12 +1112,12 @@ mod tests {
         let cfg = faulty_cfg(); // nprocs = 3
         let crash = FaultPlan::new(0).with_crash(7, 1.0);
         assert_eq!(
-            simulate_faulty(&g, &tasks, &cfg, &crash, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, &crash, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 7, nprocs: 3 }
         );
         let corrupt = FaultPlan::new(0).with_store_corruption(9, 0, 0, 1.0);
         assert_eq!(
-            simulate_faulty(&g, &tasks, &cfg, &corrupt, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, &corrupt, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 9, nprocs: 3 }
         );
     }
@@ -1168,13 +1126,13 @@ mod tests {
     fn corruption_heals_by_reexecution_and_costs_time() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg).unwrap();
+        let base = run(&g, &tasks, &cfg).unwrap();
         // Strike proc 0 mid-run with a long detection window: the root's
         // output (consumed by every mid task) is still needed, so one
         // completed task must re-execute and the makespan must grow.
         let faults = FaultPlan::new(7).with_store_corruption(0, 0, 0, base.makespan * 0.3);
         let delay = base.makespan * 2.0;
-        let r = simulate_faulty(&g, &tasks, &cfg, &faults, delay).unwrap();
+        let r = simulate(&g, &tasks, &cfg, &faults, delay).unwrap();
         assert_eq!(r.corruptions, 1);
         assert_eq!(r.crashes, 0);
         assert!(
@@ -1189,7 +1147,7 @@ mod tests {
             base.makespan
         );
         // Determinism: the same seeded plan reproduces the run.
-        let again = simulate_faulty(&g, &tasks, &cfg, &faults, delay).unwrap();
+        let again = simulate(&g, &tasks, &cfg, &faults, delay).unwrap();
         assert_eq!(again.makespan, r.makespan);
         assert_eq!(again.reexecuted, r.reexecuted);
     }
@@ -1198,9 +1156,9 @@ mod tests {
     fn corruption_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_cfg();
-        let base = simulate(&g, &tasks, &cfg).unwrap();
+        let base = run(&g, &tasks, &cfg).unwrap();
         let faults = FaultPlan::new(3).with_store_corruption(1, 0, 0, base.makespan + 50.0);
-        let r = simulate_faulty(&g, &tasks, &cfg, &faults, 1.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, &faults, 1.0).unwrap();
         assert_eq!(r.corruptions, 0);
         assert_eq!(r.reexecuted, 0);
         assert_eq!(r.makespan, base.makespan);
@@ -1216,33 +1174,24 @@ mod tests {
         let on = |proc| DesTask { proc, duration: 1.0 };
         // fewer DesTasks than graph tasks
         assert_eq!(
-            simulate(&g, &[on(0)], &cfg).unwrap_err(),
+            run(&g, &[on(0)], &cfg).unwrap_err(),
             EngineError::RankMapLength { expected: 2, got: 1 }
         );
         // a process id out of range
         assert_eq!(
-            simulate(&g, &[on(0), on(3)], &cfg).unwrap_err(),
+            run(&g, &[on(0), on(3)], &cfg).unwrap_err(),
             EngineError::InvalidRank { task: 1, rank: 3, nprocs: 1 }
         );
         // a machine with no cores
         assert_eq!(
-            simulate(&g, &[on(0), on(0)], &single_proc_config(0)).unwrap_err(),
+            run(&g, &[on(0), on(0)], &single_proc_config(0)).unwrap_err(),
             EngineError::EmptyMachine { nprocs: 1, cores_per_proc: 0 }
         );
         // a cyclic graph
         let mut cyclic = chain_builder(2);
         cyclic.add_edge(1, 0, DataRef { i: 0, j: 0 }, 0);
         let cyclic = cyclic.finish();
-        assert_eq!(simulate(&cyclic, &[on(0), on(0)], &cfg).unwrap_err(), EngineError::Cycle);
-        // a plan built for a smaller graph
-        let short = chain(1);
-        let plan =
-            SchedPlan::build(&short, SchedPolicy::Fifo, &Pricing::nominal(&short)).unwrap();
-        assert_eq!(
-            simulate_planned(&g, &[on(0), on(0)], &cfg, &plan, &FaultPlan::none(), 0.0)
-                .unwrap_err(),
-            EngineError::RankMapLength { expected: 2, got: 1 }
-        );
+        assert_eq!(run(&cyclic, &[on(0), on(0)], &cfg).unwrap_err(), EngineError::Cycle);
     }
 
     #[test]
@@ -1262,66 +1211,11 @@ mod tests {
             dep_overhead_s: 0.0,
             task_mgmt_s: 0.0,
         };
-        let r = simulate(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &cfg).unwrap();
         assert!((r.busy[0] - 2.0).abs() < 1e-12);
         assert!((r.busy[1] - 2.0).abs() < 1e-12);
         assert!((r.load_imbalance() - 1.0).abs() < 1e-12);
         // serial chain on 2 procs: efficiency = 4 / (2*4) = 0.5
         assert!((r.efficiency_vs_serial() - 0.5).abs() < 1e-12);
-    }
-
-    /// A scheduler that returns a NaN key *mid-run* (a buggy dynamic
-    /// policy) also surfaces as the typed error, not a panic.
-    #[test]
-    fn mid_run_nan_key_is_caught() {
-        struct Buggy;
-        impl crate::scheduler::Scheduler for Buggy {
-            fn on_task_ready(&mut self, task: TaskId, _g: &TaskGraph) -> f64 {
-                if task == 2 {
-                    f64::NAN
-                } else {
-                    task as f64
-                }
-            }
-        }
-        let g = chain(4);
-        let tasks: Vec<DesTask> = (0..4).map(|_| DesTask { proc: 0, duration: 1.0 }).collect();
-        let cfg = single_proc_config(1);
-        let faults = FaultPlan::none();
-        let run = Sim::new(&g, &tasks, &cfg, &mut Buggy, &faults, 0.0).and_then(Sim::run);
-        let err = run.unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteKey { task: 2, .. }));
-    }
-
-    /// The scheduler callbacks fire as documented: one `on_task_ready`
-    /// and one `on_task_finished` per task on a fault-free run, with the
-    /// simulated duration reported as the measured time.
-    #[test]
-    fn scheduler_callbacks_fire_per_task() {
-        struct Counting {
-            ready: usize,
-            finished: usize,
-            measured: f64,
-        }
-        impl crate::scheduler::Scheduler for Counting {
-            fn on_task_ready(&mut self, task: TaskId, _g: &TaskGraph) -> f64 {
-                self.ready += 1;
-                task as f64
-            }
-            fn on_task_finished(&mut self, _task: TaskId, _g: &TaskGraph, measured_s: f64) {
-                self.finished += 1;
-                self.measured += measured_s;
-            }
-        }
-        let g = chain(5);
-        let tasks: Vec<DesTask> = (0..5).map(|_| DesTask { proc: 0, duration: 2.0 }).collect();
-        let mut sched = Counting { ready: 0, finished: 0, measured: 0.0 };
-        let cfg = single_proc_config(2);
-        let faults = FaultPlan::none();
-        let r = Sim::new(&g, &tasks, &cfg, &mut sched, &faults, 0.0).and_then(Sim::run).unwrap();
-        assert_eq!(sched.ready, 5);
-        assert_eq!(sched.finished, 5);
-        assert!((sched.measured - 10.0).abs() < 1e-12);
-        assert!((r.makespan - 10.0).abs() < 1e-12);
     }
 }

@@ -291,9 +291,8 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     ///
     /// `order` *is* the schedule: every rank executes its tasks in this
     /// order, front-only, so it must be a topological permutation of the
-    /// task ids — typically
-    /// [`SchedPlan::topo_order`](crate::scheduler::SchedPlan::topo_order)
-    /// computed once at plan time. It is validated (length, permutation,
+    /// task ids — typically the priority-driven topological order a
+    /// symbolic plan computes once. It is validated (length, permutation,
     /// edge direction) and rejected as [`EngineError::InvalidOrder`]
     /// rather than risking a front-queue deadlock.
     ///

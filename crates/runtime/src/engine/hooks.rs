@@ -4,7 +4,7 @@
 //! [`ExecObs`].
 
 use crate::graph::{TaskClass, TaskGraph, TaskId};
-use crate::obs::registry::{Counter, Gauge, Registry};
+use crate::obs::registry::{Counter, Registry};
 use crate::trace::{TaskRecord, Trace};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -65,7 +65,7 @@ impl<C: Cancel + ?Sized> Cancel for &C {
 /// successor is enqueued at the retiring task's `end`, so no sink ever
 /// needs a clock of its own.
 #[derive(Debug, Clone, Copy)]
-pub enum TaskEvent<'a> {
+pub enum TaskEvent {
     /// Worker `wid` made `task` ready at `at` (pushed to a deque / the
     /// injector).
     Enqueue {
@@ -96,9 +96,6 @@ pub enum TaskEvent<'a> {
         /// The thief.
         wid: usize,
     },
-    /// End of run: the scheduler's learned per-class duration
-    /// corrections (only dynamic policies have any).
-    Corrections(&'a [f64]),
 }
 
 /// Observation capability of a shared-memory run: the one channel the
@@ -110,7 +107,7 @@ pub enum TaskEvent<'a> {
 pub trait Observe: Sync {
     /// One engine event.
     #[inline]
-    fn observe(&self, _event: TaskEvent<'_>) {}
+    fn observe(&self, _event: TaskEvent) {}
 }
 
 /// No sink: every event is dropped inline.
@@ -121,7 +118,7 @@ impl Observe for NoObserve {}
 
 impl<O: Observe> Observe for &O {
     #[inline]
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         (**self).observe(event)
     }
 }
@@ -130,7 +127,7 @@ impl<O: Observe> Observe for &O {
 /// optional [`ExecObs`] (`obs.as_ref()`) straight into the engine.
 impl<O: Observe> Observe for Option<&O> {
     #[inline]
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         if let Some(o) = self {
             o.observe(event);
         }
@@ -140,7 +137,7 @@ impl<O: Observe> Observe for Option<&O> {
 /// Two sinks on the one channel: every event goes to both, in order.
 impl<A: Observe, B: Observe> Observe for (A, B) {
     #[inline]
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         self.0.observe(event);
         self.1.observe(event);
     }
@@ -150,7 +147,7 @@ impl<A: Observe, B: Observe> Observe for (A, B) {
 /// per-class duration histograms, on the reporting worker's shard.
 impl Observe for Registry {
     #[inline]
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         match event {
             TaskEvent::Enqueue { wid, .. } => self.incr(wid, Counter::TasksEnqueued),
             TaskEvent::Retire { wid, class, start, end, .. } => {
@@ -158,11 +155,6 @@ impl Observe for Registry {
                 self.record_class_ns(wid, class, (end - start).as_nanos() as u64);
             }
             TaskEvent::Steal { wid } => self.incr(wid, Counter::Steals),
-            TaskEvent::Corrections(corrections) => {
-                for (k, &v) in corrections.iter().enumerate() {
-                    self.gauge_max(0, Gauge::correction(k), v);
-                }
-            }
         }
     }
 }
@@ -254,7 +246,7 @@ impl ExecObs {
 
 impl Observe for ExecObs {
     #[inline]
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         match event {
             TaskEvent::Enqueue { task, at, .. } => {
                 self.spans[task].enqueue_ns.store(self.ns(at), Ordering::Relaxed)
@@ -262,7 +254,7 @@ impl Observe for ExecObs {
             TaskEvent::Retire { wid, task, start, end, .. } => {
                 self.record_span(wid, task, start, end)
             }
-            TaskEvent::Steal { .. } | TaskEvent::Corrections(_) => {}
+            TaskEvent::Steal { .. } => {}
         }
     }
 }

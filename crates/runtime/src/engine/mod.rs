@@ -107,16 +107,6 @@ pub enum EngineError {
         /// The rank count.
         nprocs: usize,
     },
-    /// A scheduling key (or cost estimate) is NaN or infinite. Ordered
-    /// ready queues cannot place such a task, so the key is rejected as
-    /// a typed error where it used to panic inside a
-    /// `partial_cmp().unwrap()` sort.
-    NonFiniteKey {
-        /// The task whose key is unusable.
-        task: TaskId,
-        /// The offending key value.
-        key: f64,
-    },
     /// The execution order supplied to [`DistEngine::run`] is unusable:
     /// wrong length, not a
     /// permutation of the task ids, or not topological for the graph.
@@ -162,9 +152,6 @@ impl std::fmt::Display for EngineError {
                     f,
                     "fault plan targets invalid rank {rank} (nprocs {nprocs})"
                 )
-            }
-            EngineError::NonFiniteKey { task, key } => {
-                write!(f, "non-finite scheduling key {key} for task {task}")
             }
             EngineError::InvalidOrder { reason } => {
                 write!(f, "execution order rejected: {reason}")

@@ -2,8 +2,8 @@
 
 use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskEvent, TaskPanic};
 use crate::graph::{TaskGraph, TaskId};
-use crate::scheduler::{Pricing, SchedPlan, SchedPolicy, Scheduler};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -55,10 +55,11 @@ impl<C, O> EngineConfig<C, O> {
 /// scheduler: per-worker LIFO deques (locality: a task's just-released
 /// successor runs on the releasing worker while its inputs are
 /// cache-hot) with random stealing, seeded from the graph sources in
-/// priority order. Dependency tracking is a per-task atomic in-degree
-/// counter: the worker that retires the last predecessor pushes the
-/// successor into its own deque — the "release" path of any dataflow
-/// runtime.
+/// [`TaskSpec::priority`](crate::graph::TaskSpec::priority) order (the
+/// panel index: lower first). Dependency tracking is a per-task atomic
+/// in-degree counter: the worker that retires the last predecessor
+/// pushes the successor into its own deque — the "release" path of any
+/// dataflow runtime.
 ///
 /// Kernel panics never hang the pool: the first panic flips an internal
 /// drain flag (and the [`Cancel`] hook), remaining tasks retire without
@@ -75,23 +76,12 @@ impl<'g> Engine<'g> {
     }
 
     /// Execute every task exactly once, respecting all dependencies,
-    /// calling `kernel(worker_index, task)` concurrently from the pool,
-    /// under the default policy's plan (see
-    /// [`run_planned`](Engine::run_planned) to supply one).
-    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        let pricing = Pricing::nominal(self.graph);
-        let plan = SchedPlan::build(self.graph, SchedPolicy::default(), &pricing)?;
-        self.run_planned(cfg, &plan, kernel)
-    }
-
-    /// Execute the graph in the order `plan` dictates. The engine names
-    /// no policy: the plan's tables are instantiated (O(tasks), no graph
-    /// walk) and consulted as a [`Scheduler`].
+    /// calling `kernel(worker_index, task)` concurrently from the pool.
+    ///
+    /// Ready work is ordered by each task's `priority` value: sources are
+    /// seeded smallest first, and each retirement pushes its newly
+    /// released successors onto the releasing worker's LIFO deque largest
+    /// first, so the smallest is popped next while locality is preserved.
     ///
     /// The worker index is stable for the lifetime of the pool
     /// (`0..nthreads`), so callers can give every worker an exclusive
@@ -103,41 +93,7 @@ impl<'g> Engine<'g> {
     /// mutates must tolerate a kernel dying mid-update (the TLR
     /// factorizations qualify — a poisoned run's output is discarded
     /// wholesale).
-    pub fn run_planned<C, O, F>(
-        &self,
-        cfg: &EngineConfig<C, O>,
-        plan: &SchedPlan,
-        kernel: F,
-    ) -> Result<(), EngineError>
-    where
-        C: Cancel,
-        O: Observe,
-        F: Fn(usize, TaskId) + Sync,
-    {
-        plan.check_covers(self.graph)?;
-        self.run_loop(cfg, plan.instantiate().as_mut(), kernel)
-    }
-
-    /// The one scheduling loop.
-    ///
-    /// The engine calls `on_task_ready` for every task that becomes
-    /// ready (under an internal mutex — the callbacks must be cheap) and
-    /// orders the ready work by the returned key: sources are seeded
-    /// best-first and each retirement pushes its newly-released
-    /// successors onto the releasing worker's LIFO deque worst-first, so
-    /// the best key is popped next while locality is preserved.
-    /// `on_task_finished` fires at every retirement with the kernel's
-    /// measured seconds — the same two clock readings the
-    /// [`Observe`] sink receives — the feedback the lookahead policy
-    /// learns from. A non-finite key fails the run with
-    /// [`EngineError::NonFiniteKey`] (remaining tasks drain without
-    /// executing, as on a kernel panic).
-    fn run_loop<C, O, F>(
-        &self,
-        cfg: &EngineConfig<C, O>,
-        sched: &mut dyn Scheduler,
-        kernel: F,
-    ) -> Result<(), EngineError>
+    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
     where
         C: Cancel,
         O: Observe,
@@ -160,31 +116,20 @@ impl<'g> Engine<'g> {
             .collect();
         let completed = AtomicUsize::new(0);
         let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
         // Internal drain flag: a panic must stop the kernels even when the
         // caller supplied no cancellation token ([`NoCancel`]).
         let draining = AtomicBool::new(false);
 
         let injector = Injector::new();
-        // Seed sources best-key-first (critical path first under the
-        // default policy). Keys are validated before any kernel runs.
-        let mut sources: Vec<(f64, TaskId)> = Vec::new();
-        for t in graph.sources() {
-            let key = sched.on_task_ready(t, graph);
-            if !key.is_finite() {
-                return Err(EngineError::NonFiniteKey { task: t, key });
-            }
-            sources.push((key, t));
-        }
-        sources.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Seed sources smallest priority value first (the critical path
+        // first); the sort is stable, so equal values keep their id order.
+        let mut sources = graph.sources();
+        sources.sort_by_key(|&t| graph.spec(t).priority);
         let run_start = Instant::now();
-        for (_, t) in sources {
+        for t in sources {
             cfg.obs.observe(TaskEvent::Enqueue { wid: 0, task: t, at: run_start });
             injector.push(t);
         }
-        // Shared by the workers: the policy's state is updated on every
-        // ready/finished callback, so it lives under one mutex.
-        let sched = Mutex::new(sched);
 
         let workers: Vec<Worker<TaskId>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<TaskId>> = workers.iter().map(Worker::stealer).collect();
@@ -196,14 +141,12 @@ impl<'g> Engine<'g> {
                 let indegree = &indegree;
                 let completed = &completed;
                 let first_panic = &first_panic;
-                let first_error = &first_error;
                 let draining = &draining;
                 let kernel = &kernel;
-                let sched = &sched;
                 scope.spawn(move || {
                     let mut rng: u64 = 0x9E3779B97F4A7C15 ^ (wid as u64);
                     // Reused per-retire scratch for released successors.
-                    let mut released: Vec<(f64, TaskId)> = Vec::new();
+                    let mut released: Vec<TaskId> = Vec::new();
                     loop {
                         if completed.load(Ordering::Acquire) == n {
                             return;
@@ -212,8 +155,8 @@ impl<'g> Engine<'g> {
                         match task {
                             Some(t) => {
                                 // The run's only clock reads: one before
-                                // and one after the kernel. The sink and
-                                // the scheduler both get this pair.
+                                // and one after the kernel, both for the
+                                // sink.
                                 let start = Instant::now();
                                 let mut end = start;
                                 if !draining.load(Ordering::Acquire) && !cfg.cancel.is_cancelled() {
@@ -238,47 +181,20 @@ impl<'g> Engine<'g> {
                                     let retired = TaskEvent::Retire { wid, task: t, class, start, end };
                                     cfg.obs.observe(retired);
                                 }
-                                let measured_s = (end - start).as_secs_f64();
                                 // Release successors even when draining: the
                                 // completion count must reach `n` to stop.
                                 released.clear();
                                 for e in graph.successors(t) {
                                     if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        released.push((0.0, e.dst));
+                                        released.push(e.dst);
                                     }
                                 }
-                                {
-                                    let mut s =
-                                        sched.lock().unwrap_or_else(|e| e.into_inner());
-                                    s.on_task_finished(t, graph, measured_s);
-                                    for slot in released.iter_mut() {
-                                        slot.0 = s.on_task_ready(slot.1, graph);
-                                    }
-                                }
-                                for &(key, dst) in released.iter() {
-                                    if !key.is_finite() {
-                                        // Typed failure, same drain protocol
-                                        // as a kernel panic: remaining tasks
-                                        // retire without executing.
-                                        draining.store(true, Ordering::Release);
-                                        cfg.cancel.cancel();
-                                        let mut slot = first_error
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner());
-                                        if slot.is_none() {
-                                            *slot = Some(EngineError::NonFiniteKey {
-                                                task: dst,
-                                                key,
-                                            });
-                                        }
-                                    }
-                                }
-                                // Worst key first onto the LIFO deque, so
-                                // the best key is what this worker pops
-                                // next (total_cmp: NaNs cannot panic the
-                                // sort even on the drain path).
-                                released.sort_by(|a, b| b.0.total_cmp(&a.0));
-                                for &(_, dst) in released.iter() {
+                                // Largest priority value first onto the
+                                // LIFO deque, so the smallest is what this
+                                // worker pops next; the sort is stable, so
+                                // equal values keep their successor order.
+                                released.sort_by_key(|&dst| Reverse(graph.spec(dst).priority));
+                                for &dst in released.iter() {
                                     cfg.obs.observe(TaskEvent::Enqueue { wid, task: dst, at: end });
                                     local.push(dst);
                                 }
@@ -291,21 +207,11 @@ impl<'g> Engine<'g> {
             }
         });
 
-        // Publish the scheduler's learned per-class EMA corrections so
-        // drift reports can inspect the calibration state it ended with.
-        let sched = sched.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(corr) = sched.class_corrections() {
-            cfg.obs.observe(TaskEvent::Corrections(&corr));
-        }
-
         debug_assert_eq!(
             completed.load(Ordering::Acquire),
             n,
             "not all tasks executed"
         );
-        if let Some(e) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
         match first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
             Some(p) => Err(EngineError::Panic(p)),
             None => Ok(()),
@@ -396,6 +302,29 @@ mod tests {
             .unwrap();
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// The release order is the priority order: on one worker, a fan-out
+    /// whose successors' priorities permute their ids runs them in
+    /// ascending priority, not in id or edge order.
+    #[test]
+    fn released_successors_run_in_priority_order() {
+        let width = 16;
+        let mut g = GraphBuilder::new();
+        let root = g.add_task(spec(0));
+        for i in 0..width {
+            // 7 is coprime to 16: priorities 1..=16 in a scrambled order
+            let mid = g.add_task(spec(1 + (7 * i) % width));
+            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
+        }
+        let g = g.finish();
+        let order = Mutex::new(Vec::new());
+        Engine::new(&g)
+            .run(&EngineConfig::new(1), |_w, t| order.lock().unwrap().push(t))
+            .unwrap();
+        let ran: Vec<usize> =
+            order.into_inner().unwrap().iter().map(|&t| g.spec(t).priority).collect();
+        assert_eq!(ran, (0..=width).collect::<Vec<_>>());
     }
 
     /// Every task runs exactly once, even with wide fan-out.

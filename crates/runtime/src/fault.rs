@@ -15,7 +15,7 @@
 //! [`DistConfig::ft`](crate::engine::DistConfig)) *survives* it: it pairs
 //! the plan with a [`RetryConfig`] (timeouts and capped exponential
 //! backoff) and reports what actually happened in a [`FaultStats`]. The
-//! DES ([`crate::des::simulate_planned`]) *prices* its crashes and store
+//! DES ([`crate::des::simulate`]) *prices* its crashes and store
 //! corruptions on the modeled machine, drawing from the same
 //! `(seed, stream, key)` hash, so one seed rolls the identical fates on
 //! both sides of a resilience experiment.

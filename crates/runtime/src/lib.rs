@@ -39,10 +39,9 @@ pub mod graph;
 pub mod machine;
 pub mod obs;
 pub mod ptg;
-pub mod scheduler;
 pub mod trace;
 
-pub use des::{simulate, simulate_planned, DesConfig, DesReport};
+pub use des::{simulate, DesConfig, DesReport};
 pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
@@ -53,9 +52,6 @@ pub use fault::{
 };
 pub use graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
-pub use scheduler::{
-    CommCosts, CostModel, Pricing, RankProfile, SchedPlan, SchedPolicy, Scheduler,
-};
 pub use obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics};
 pub use trace::{ClassBreakdown, Trace};

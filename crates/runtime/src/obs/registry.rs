@@ -23,8 +23,8 @@ use std::sync::atomic::Ordering::Relaxed;
 /// `Syrk`, `Gemm`, `Other`).
 pub const NCLASSES: usize = 5;
 
-/// Slot of a task class in per-class arrays (matches the scheduler's
-/// EMA-correction layout: Potrf=0, Trsm=1, Syrk=2, Gemm=3, Other=4).
+/// Slot of a task class in per-class arrays (Potrf=0, Trsm=1, Syrk=2,
+/// Gemm=3, Other=4).
 pub fn class_slot(class: TaskClass) -> usize {
     match class {
         TaskClass::Potrf => 0,
@@ -154,48 +154,20 @@ impl Counter {
 pub enum Gauge {
     /// Largest bytes retained by any one worker's kernel workspace.
     ArenaHighWaterBytes,
-    /// Scheduler EMA correction for POTRF (measured/modeled).
-    CorrPotrf,
-    /// Scheduler EMA correction for TRSM.
-    CorrTrsm,
-    /// Scheduler EMA correction for SYRK.
-    CorrSyrk,
-    /// Scheduler EMA correction for GEMM.
-    CorrGemm,
-    /// Scheduler EMA correction for untyped tasks.
-    CorrOther,
 }
 
 /// Number of [`Gauge`] variants.
-pub const NGAUGES: usize = 6;
+pub const NGAUGES: usize = 1;
 
 impl Gauge {
     /// All gauges, in declaration (= storage) order.
-    pub const ALL: [Gauge; NGAUGES] = [
-        Gauge::ArenaHighWaterBytes,
-        Gauge::CorrPotrf,
-        Gauge::CorrTrsm,
-        Gauge::CorrSyrk,
-        Gauge::CorrGemm,
-        Gauge::CorrOther,
-    ];
+    pub const ALL: [Gauge; NGAUGES] = [Gauge::ArenaHighWaterBytes];
 
     /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Gauge::ArenaHighWaterBytes => "arena_high_water_bytes",
-            Gauge::CorrPotrf => "sched_correction_potrf",
-            Gauge::CorrTrsm => "sched_correction_trsm",
-            Gauge::CorrSyrk => "sched_correction_syrk",
-            Gauge::CorrGemm => "sched_correction_gemm",
-            Gauge::CorrOther => "sched_correction_other",
         }
-    }
-
-    /// The EMA-correction gauge for per-class slot `k` ([`class_slot`]).
-    pub fn correction(k: usize) -> Gauge {
-        [Gauge::CorrPotrf, Gauge::CorrTrsm, Gauge::CorrSyrk, Gauge::CorrGemm, Gauge::CorrOther]
-            [k.min(NCLASSES - 1)]
     }
 }
 
@@ -301,19 +273,6 @@ impl RegistrySnapshot {
     /// Measured busy seconds for one class.
     pub fn class_seconds(&self, class: TaskClass) -> f64 {
         self.class_duration_ns.get(class_slot(class)).map_or(0.0, |h| h.sum as f64 * 1e-9)
-    }
-
-    /// The scheduler's EMA correction factors per class slot (1.0 when
-    /// the lookahead scheduler did not run — the identity correction).
-    pub fn corrections(&self) -> [f64; NCLASSES] {
-        let mut out = [1.0; NCLASSES];
-        for (k, slot) in out.iter_mut().enumerate() {
-            let v = self.gauge(Gauge::correction(k));
-            if v > 0.0 && v.is_finite() {
-                *slot = v;
-            }
-        }
-        out
     }
 
     /// JSON object with counters, gauges, and histograms.
@@ -608,7 +567,6 @@ mod tests {
         assert_eq!(snap.gauges.len(), NGAUGES);
         assert_eq!(snap.class_duration_ns.len(), NCLASSES);
         assert_eq!(snap.counter(Counter::Steals), 0);
-        assert_eq!(snap.corrections(), [1.0; NCLASSES]);
         // The JSON and Prometheus exports of an empty snapshot parse/render.
         let j = snap.to_json().to_string();
         assert!(Json::parse(&j).is_ok(), "{j}");

@@ -135,7 +135,10 @@ impl RankSnapshot {
         out
     }
 
-    /// Parse the [`RankSnapshot::to_text`] format.
+    /// Parse the [`RankSnapshot::to_text`] format. The header sizes
+    /// nothing up front: ranks are stored as rows arrive, and a header
+    /// whose `nt²` overflows or whose rows are missing is an error naming
+    /// it.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty snapshot text")?;
@@ -148,7 +151,10 @@ impl RankSnapshot {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("bad tile size in header")?;
-        let mut ranks = Vec::with_capacity(nt * nt);
+        let cells = nt
+            .checked_mul(nt)
+            .ok_or_else(|| format!("header `{header}`: {nt} × {nt} tile ranks overflow"))?;
+        let mut ranks = Vec::new();
         for (i, line) in lines.take(nt).enumerate() {
             let row: Result<Vec<usize>, _> =
                 line.split_whitespace().map(str::parse::<usize>).collect();
@@ -158,8 +164,9 @@ impl RankSnapshot {
             }
             ranks.extend(row);
         }
-        if ranks.len() != nt * nt {
-            return Err(format!("expected {} rows, got {}", nt, ranks.len() / nt.max(1)));
+        if ranks.len() != cells {
+            let rows = ranks.len() / nt.max(1);
+            return Err(format!("header `{header}` promises {nt} rows, got {rows}"));
         }
         Ok(Self::new(nt, tile_size, ranks))
     }
@@ -532,6 +539,18 @@ mod tests {
             for j in 0..=i {
                 assert_eq!(back.rank(i, j), s.rank(i, j));
             }
+        }
+    }
+
+    /// The header is checked before it sizes anything: `4294967296 128`
+    /// overflows `nt²` (a panic in debug builds, a snapshot of 2³² rows
+    /// holding no ranks in release), and `100000 128` with no rows must
+    /// not reserve 80 GB first. Both errors name the header.
+    #[test]
+    fn text_header_is_checked_before_it_sizes_anything() {
+        for header in ["4294967296 128", "100000 128"] {
+            let err = RankSnapshot::from_text(&format!("{header}\n")).unwrap_err();
+            assert!(err.contains(header), "{err}");
         }
     }
 

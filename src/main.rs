@@ -12,7 +12,7 @@
 //! Arguments are `key=value` pairs; run with no arguments for usage.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_parsec::cholesky::simulate::simulate_cholesky;
+use hicma_parsec::cholesky::simulate::{scaled_problem, simulate_cholesky, ScaledProblem};
 use hicma_parsec::cholesky::{tune_tile_size, FactorConfig, MatrixAnalysis, RunError, Session};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
@@ -78,6 +78,36 @@ fn get_positive(m: &HashMap<String, String>, k: &str, default: usize) -> usize {
     v as usize
 }
 
+/// A real that shapes the problem (`n`, `shape`, `accuracy`): finite and
+/// positive, or an error naming the key.
+fn parse_positive_real(k: &str, raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!("{k} must be a finite positive number, got {raw:?}")),
+    }
+}
+
+/// [`parse_positive_real`] of key `k`; bad input prints one line naming
+/// the key and exits 2.
+fn get_positive_real(m: &HashMap<String, String>, k: &str, default: f64) -> f64 {
+    m.get(k).map_or(default, |raw| {
+        parse_positive_real(k, raw).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    })
+}
+
+/// The scaled tile grid `simulate` prices: `n` must be small enough
+/// that the grid's `nt²` tile ranks can be indexed.
+fn scaled_grid(n: f64, tile: usize, nodes: usize, scale: usize) -> Result<ScaledProblem, String> {
+    let p = scaled_problem(n, tile, nodes, scale);
+    match p.nt.checked_mul(p.nt) {
+        Some(_) => Ok(p),
+        None => Err(format!("n is too large: {n:e} scales to {} tile rows, whose square overflows", p.nt)),
+    }
+}
+
 /// The Hilbert-ordered point cloud of `factorize` / `snapshot`;
 /// `close(phase)` is told when generating and ordering it end.
 fn point_cloud(m: &HashMap<String, String>, mut close: impl FnMut(&'static str)) -> Vec<Point3> {
@@ -108,7 +138,7 @@ fn machine_of(m: &HashMap<String, String>) -> MachineModel {
 
 fn cmd_factorize(m: HashMap<String, String>, process_start: Instant) {
     let tile = get_positive(&m, "tile", 128);
-    let accuracy = get_f64(&m, "accuracy", 1e-6);
+    let accuracy = get_positive_real(&m, "accuracy", 1e-6);
     let trimmed = !m.contains_key("untrimmed");
 
     // One line per phase, each charged the time since the previous one
@@ -177,15 +207,18 @@ fn cmd_factorize(m: HashMap<String, String>, process_start: Instant) {
 }
 
 fn cmd_simulate(m: HashMap<String, String>) {
-    let n = get_f64(&m, "n", 11.95e6);
+    let n = get_positive_real(&m, "n", 11.95e6);
     let tile = get_positive(&m, "tile", 4880);
     let nodes = get_positive(&m, "nodes", 512);
-    let shape = get_f64(&m, "shape", 3.7e-4);
-    let accuracy = get_f64(&m, "accuracy", 1e-4);
+    let shape = get_positive_real(&m, "shape", 3.7e-4);
+    let accuracy = get_positive_real(&m, "accuracy", 1e-4);
     let scale = get_positive(&m, "scale", 32);
     let machine = machine_of(&m);
 
-    let p = hicma_parsec::cholesky::simulate::scaled_problem(n, tile, nodes, scale);
+    let p = scaled_grid(n, tile, nodes, scale).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     // Scale the fixed time constants with the problem (see EXPERIMENTS.md).
     let mut machine = machine;
     machine.task_overhead_s /= scale as f64;
@@ -242,8 +275,8 @@ fn cmd_simulate(m: HashMap<String, String>) {
 fn cmd_analyze(m: HashMap<String, String>) {
     let nt = get_positive(&m, "nt", 256);
     let tile = get_positive(&m, "tile", 1024);
-    let shape = get_f64(&m, "shape", 3.7e-4);
-    let accuracy = get_f64(&m, "accuracy", 1e-4);
+    let shape = get_positive_real(&m, "shape", 3.7e-4);
+    let accuracy = get_positive_real(&m, "accuracy", 1e-4);
     let snap = SyntheticRankModel::from_application(nt, tile, shape, accuracy).snapshot();
     let t0 = std::time::Instant::now();
     let a = MatrixAnalysis::analyze(&snap, tile);
@@ -267,9 +300,9 @@ fn cmd_analyze(m: HashMap<String, String>) {
 }
 
 fn cmd_tune(m: HashMap<String, String>) {
-    let n = get_f64(&m, "n", 1e6);
-    let shape = get_f64(&m, "shape", 3.7e-4);
-    let accuracy = get_f64(&m, "accuracy", 1e-4);
+    let n = get_positive_real(&m, "n", 1e6);
+    let shape = get_positive_real(&m, "shape", 3.7e-4);
+    let accuracy = get_positive_real(&m, "accuracy", 1e-4);
     let nodes = get_positive(&m, "nodes", 16);
     let cfg = hicma_parsec_config(machine_of(&m), nodes);
     let r = tune_tile_size(n, shape, accuracy, &cfg, &[]);
@@ -282,7 +315,7 @@ fn cmd_tune(m: HashMap<String, String>) {
 
 fn cmd_snapshot(m: HashMap<String, String>) {
     let tile = get_positive(&m, "tile", 128);
-    let accuracy = get_f64(&m, "accuracy", 1e-4);
+    let accuracy = get_positive_real(&m, "accuracy", 1e-4);
     let out = m.get("out").cloned().unwrap_or_else(|| "snapshot.txt".to_string());
     let points = point_cloud(&m, |_| ());
     let kernel = GaussianRbf::from_min_distance(&points);
@@ -318,5 +351,32 @@ fn main() {
         "snapshot" => cmd_snapshot(rest),
         "tune" => cmd_tune(rest),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn problem_reals_are_validated_at_the_parse() {
+        assert_eq!(parse_positive_real("n", "11.95e6"), Ok(11.95e6));
+        assert_eq!(parse_positive_real("accuracy", " 1e-4\n"), Ok(1e-4));
+        for bad in ["inf", "-inf", "NaN", "0", "-3", "abc", ""] {
+            let err = parse_positive_real("shape", bad).unwrap_err();
+            assert!(err.contains("shape"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    /// `n=1e30` saturates the scaled tile count to `usize::MAX`, whose
+    /// square the rank model would overflow: rejected, naming `n`.
+    #[test]
+    fn n_must_leave_the_scaled_grid_indexable() {
+        assert_eq!(scaled_grid(11.95e6, 4880, 512, 32).map(|p| p.nt), Ok(433));
+        for n in [1e30, f64::MAX] {
+            let err = scaled_grid(n, 4880, 512, 32).map(|p| p.nt).unwrap_err();
+            assert!(err.starts_with("n "), "{err}");
+        }
     }
 }

@@ -20,8 +20,8 @@ use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, MatrixAnalysis};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskClass;
 use hicma_parsec::runtime::{
-    simulate_planned, Counter, DesConfig, ExecObs, FaultPlan, Gauge, MachineModel, Observe,
-    Pricing, Registry, SchedPlan, SchedPolicy, TaskEvent,
+    simulate, Counter, DesConfig, ExecObs, FaultPlan, Gauge, MachineModel, Observe, Registry,
+    TaskEvent,
 };
 use hicma_parsec::tlr::kernels::{gemm_kernel_ws, KernelWorkspace};
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, Tile};
@@ -137,7 +137,6 @@ fn sink_recording_path_allocates_nothing() {
         reg.record_rank(wid, t % 64);
         reg.gauge_max(wid, Gauge::ArenaHighWaterBytes, (t % 1024) as f64);
     }
-    sink.observe(TaskEvent::Corrections(&[1.0; 5]));
     let recorded = allocs() - before;
     assert_eq!(recorded, 0, "sinks allocated {recorded} time(s) while recording");
     assert_eq!(reg.snapshot().counter(Counter::Steals), ntasks as u64);
@@ -159,18 +158,14 @@ fn simulation_allocations_do_not_grow_with_the_task_count() {
         let snap = SyntheticRankModel::from_application(nt, 256, 2e-4, 1e-4).snapshot();
         let dag = build_cholesky_dag(&snap, &DagConfig { trimmed: false, ..DagConfig::default() });
         let tasks = des_tasks(&dag, &machine, |d| (d.i + d.j) % 2);
-        let pricing = Pricing::nominal(&dag.graph);
-        let plan = SchedPlan::build(&dag.graph, SchedPolicy::default(), &pricing).unwrap();
-        let simulate = |faults: &FaultPlan| {
-            simulate_planned(&dag.graph, &tasks, config, &plan, faults, 0.0).unwrap()
-        };
+        let run = |faults: &FaultPlan| simulate(&dag.graph, &tasks, config, faults, 0.0).unwrap();
         let faults = if crash {
-            FaultPlan::new(0).with_crash(1, 0.5 * simulate(&FaultPlan::none()).makespan)
+            FaultPlan::new(0).with_crash(1, 0.5 * run(&FaultPlan::none()).makespan)
         } else {
             FaultPlan::none()
         };
         let before = allocs();
-        let report = simulate(&faults);
+        let report = run(&faults);
         let count = allocs() - before;
         assert!(report.comm.messages > 0, "the mapping must make broadcasts");
         assert_eq!(report.crashes, usize::from(crash));

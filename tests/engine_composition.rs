@@ -11,7 +11,7 @@ use hicma_parsec::cholesky::{
 use hicma_parsec::distribution::{DiamondDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{FaultPlan, FtConfig, SchedPolicy};
+use hicma_parsec::runtime::{FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -139,47 +139,6 @@ proptest! {
         );
         if crash {
             prop_assert_eq!(stats.crashes, 1, "the scheduled crash must fire");
-        }
-    }
-
-    /// The scheduling policy is an ordering knob, never a numeric one:
-    /// every [`SchedPolicy`] — static keys, HEFT-style upward ranks, the
-    /// comm-aware variant, and the self-correcting rank-aware lookahead —
-    /// must produce the panel-priority factor bit for bit, through both
-    /// the shared work-stealing engine and the distributed engine.
-    #[test]
-    fn every_sched_policy_is_bit_identical(
-        seed in 0u64..10_000,
-        corr in 4u32..10,
-    ) {
-        let n = 96;
-        let b = 24;
-        let acc = 1e-8;
-        let dense = Matrix::from_fn(n, n, rbf_gen(n, corr as f64, seed));
-
-        let mut base = compressed(&dense, b, acc);
-        let fcfg = FactorConfig::with_accuracy(acc);
-        factorize(&mut base, &fcfg).unwrap();
-        let l_base = base.to_dense_lower();
-
-        let dist = TwoDBlockCyclic::new(4);
-        for policy in SchedPolicy::ALL {
-            let mut pcfg = fcfg;
-            pcfg.sched = policy;
-
-            let mut shared = compressed(&dense, b, acc);
-            factorize(&mut shared, &pcfg).unwrap();
-            prop_assert_eq!(
-                relative_diff(&shared.to_dense_lower(), &l_base), 0.0,
-                "shared-memory factor changed under policy {}", policy.name()
-            );
-
-            let mut distributed = compressed(&dense, b, acc);
-            Session::distributed(pcfg, 4, &dist).run(&mut distributed).unwrap();
-            prop_assert_eq!(
-                relative_diff(&distributed.to_dense_lower(), &l_base), 0.0,
-                "distributed factor changed under policy {}", policy.name()
-            );
         }
     }
 }

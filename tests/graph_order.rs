@@ -10,10 +10,7 @@ use hicma_parsec::runtime::critical_path::critical_path;
 use hicma_parsec::runtime::des::{single_proc_config, DesTask};
 use hicma_parsec::runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 use hicma_parsec::runtime::ptg::dense_cholesky_ptg;
-use hicma_parsec::runtime::{
-    simulate, simulate_planned, Engine, EngineConfig, EngineError, FaultPlan, Pricing, SchedPlan,
-    SchedPolicy,
-};
+use hicma_parsec::runtime::{simulate, Engine, EngineConfig, EngineError, FaultPlan};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,13 +138,6 @@ fn engine_values(g: &TaskGraph, seed_of: impl Fn(TaskId) -> u64 + Sync) -> Vec<u
     values.into_iter().map(AtomicU64::into_inner).collect()
 }
 
-/// The upward-rank and lookahead keys of a plan, task by task.
-fn plan_keys(g: &TaskGraph, policy: SchedPolicy) -> Vec<u64> {
-    let plan = SchedPlan::build(g, policy, &Pricing::nominal(g)).unwrap();
-    let mut sched = plan.instantiate();
-    (0..g.len()).map(|t| sched.on_task_ready(t, g).to_bits()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
@@ -162,8 +152,8 @@ proptest! {
         assert_critical_path_is_the_longest(&g, |t| label_duration(label_of(t)));
     }
 
-    /// Shuffling the ids changes no plan key, no simulated time and no
-    /// engine result: each equals the same graph's in id order.
+    /// Shuffling the ids changes no simulated time and no engine result:
+    /// each equals the same graph's in id order.
     #[test]
     fn shuffled_ids_plan_simulate_and_run_like_id_order(
         seed in 0u64..10_000, n in 1usize..30, density in 0u64..50
@@ -173,19 +163,12 @@ proptest! {
         let (shuffled, ordered) = (emit(&shape, &shape.id), emit(&shape, &in_order));
         prop_assert!(ordered.order().unwrap().eq(0..n), "id order is the stored order");
 
-        for policy in [SchedPolicy::UpwardRank, SchedPolicy::RankAwareLookahead] {
-            let (a, b) = (plan_keys(&shuffled, policy), plan_keys(&ordered, policy));
-            for l in 0..n {
-                prop_assert_eq!(a[shape.id[l]], b[l], "{} key of label {}", policy.name(), l);
-            }
-        }
-
         // A core per task: every task starts the moment its inputs are in.
         let des = |g: &TaskGraph| {
             let tasks: Vec<DesTask> = (0..n)
                 .map(|t| DesTask { proc: 0, duration: g.spec(t).flops * 1e-9 })
                 .collect();
-            let r = simulate(g, &tasks, &single_proc_config(n)).unwrap();
+            let r = simulate(g, &tasks, &single_proc_config(n), &FaultPlan::none(), 0.0).unwrap();
             let mut span = vec![(0u64, 0u64); n];
             for rec in &r.trace.records {
                 span[rec.task] = (rec.start.to_bits(), rec.end.to_bits());
@@ -228,23 +211,11 @@ proptest! {
         let g = g.finish();
         prop_assert!(g.order().is_none());
 
-        let nominal = Pricing::nominal(&g);
-        for policy in [
-            SchedPolicy::UpwardRank,
-            SchedPolicy::CommAwareUpwardRank,
-            SchedPolicy::RankAwareLookahead,
-        ] {
-            let err = SchedPlan::build(&g, policy, &nominal).unwrap_err();
-            prop_assert_eq!(err, EngineError::Cycle);
-        }
-        // The static policies plan without walking the graph; the engines
-        // that run the plan catch the cycle.
-        let plan = SchedPlan::build(&g, SchedPolicy::PanelPriority, &nominal).unwrap();
         let tasks = vec![DesTask { proc: 0, duration: 1.0 }; n];
         let cfg = single_proc_config(2);
-        let des = simulate_planned(&g, &tasks, &cfg, &plan, &FaultPlan::none(), 0.0);
+        let des = simulate(&g, &tasks, &cfg, &FaultPlan::none(), 0.0);
         prop_assert_eq!(des.unwrap_err(), EngineError::Cycle);
-        let run = Engine::new(&g).run_planned(&EngineConfig::new(2), &plan, |_w, _t| {});
+        let run = Engine::new(&g).run(&EngineConfig::new(2), |_w, _t| {});
         prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);
     }
 }

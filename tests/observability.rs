@@ -351,7 +351,7 @@ struct CountingSink {
 }
 
 impl Observe for CountingSink {
-    fn observe(&self, event: TaskEvent<'_>) {
+    fn observe(&self, event: TaskEvent) {
         let bump = |c: &AtomicU64, by: bool| c.fetch_add(u64::from(by), Ordering::Relaxed);
         match event {
             TaskEvent::Enqueue { .. } => bump(&self.enqueued, true),
@@ -360,7 +360,6 @@ impl Observe for CountingSink {
                 bump(&self.retired, true)
             }
             TaskEvent::Steal { .. } => bump(&self.steals, true),
-            TaskEvent::Corrections(_) => 0,
         };
     }
 }
@@ -512,7 +511,7 @@ fn default_shared_run_populates_the_registry() {
 }
 
 /// Acceptance: a drift report on a DES run prices the original task
-/// graph with the scheduler's cost model and compares it to measured
+/// graph with the drift report's cost model and compares it to measured
 /// per-class virtual time and measured comm. On a fault-free run the
 /// comm model is exact — both ratios are 1.0 — and every class ratio is
 /// finite (never NaN).
@@ -532,7 +531,6 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
     assert!(drift.modeled_flops > 0.0, "pricing the DAG must see work");
     for c in &drift.classes {
         assert!(c.ratio.is_finite(), "{}: ratio {}", c.class, c.ratio);
-        assert!(c.correction.is_finite() && c.correction > 0.0);
     }
     let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
     assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");

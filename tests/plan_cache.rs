@@ -1,8 +1,9 @@
 //! Symbolic/numeric split contract: a factorization driven by a cached
 //! (or explicitly prebuilt) `SymbolicPlan` is bit-identical to one that
 //! re-plans from scratch — across every capability subset (observation,
-//! fault layer, tile integrity) and every scheduling policy. Planning decides *where and in what order* kernels run, never
-//! what they compute; the cache only decides whether planning happens.
+//! fault layer, tile integrity). Planning decides *where and in what
+//! order* kernels run, never what they compute; the cache only decides
+//! whether planning happens.
 //! Plus the cache mechanics themselves: key validation on the explicit
 //! plan path, LRU eviction, and hit/miss counters surfacing in the run
 //! registry.
@@ -13,7 +14,7 @@ use hicma_parsec::cholesky::{
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{FaultPlan, FtConfig, SchedPolicy};
+use hicma_parsec::runtime::{FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -56,15 +57,13 @@ fn dist_session<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shared-memory: for a random (policy, obs, integrity)
-    /// configuration, a fresh run, a cold-cache run, a warm-cache run
+    /// Shared-memory: for a random (obs, integrity) configuration, a fresh run, a cold-cache run, a warm-cache run
     /// and an explicit `plan`/`run_with_plan` pair all produce the
     /// identical factor, and the cache counts exactly one miss + hits.
     #[test]
     fn cached_shared_factor_is_bit_identical(
         seed in 0u64..10_000,
         corr in 4u32..10,
-        policy_i in 0usize..SchedPolicy::ALL.len(),
         obs_flag in 0u32..2,
         integrity_i in 0usize..3,
     ) {
@@ -73,7 +72,6 @@ proptest! {
         let acc = 1e-8;
         let dense = Matrix::from_fn(n, n, rbf_gen(n, corr as f64, seed));
         let mut cfg = FactorConfig::with_accuracy(acc);
-        cfg.sched = SchedPolicy::ALL[policy_i];
         cfg.collect_trace = obs_flag == 1;
         cfg.integrity = [
             IntegrityMode::Off,
@@ -140,7 +138,6 @@ proptest! {
     fn cached_distributed_factor_is_bit_identical(
         seed in 0u64..10_000,
         corr in 4u32..10,
-        policy_i in 0usize..SchedPolicy::ALL.len(),
         subset in 0usize..4,
     ) {
         let n = 96;
@@ -148,7 +145,6 @@ proptest! {
         let acc = 1e-8;
         let dense = Matrix::from_fn(n, n, rbf_gen(n, corr as f64, seed));
         let mut cfg = FactorConfig::with_accuracy(acc);
-        cfg.sched = SchedPolicy::ALL[policy_i];
 
         let mut reference = compressed(&dense, b, acc);
         factorize(&mut reference, &cfg).unwrap();
@@ -248,7 +244,7 @@ fn lru_eviction_is_counted() {
     let dense_a = Matrix::from_fn(n, n, rbf_gen(n, 5.0, 1));
     let cfg_a = FactorConfig::with_accuracy(acc);
     let mut cfg_b = cfg_a;
-    cfg_b.sched = SchedPolicy::Fifo; // different key, same matrix
+    cfg_b.trimmed = false; // different key, same matrix
 
     let cache = PlanCache::new(1);
     let sa = Session::shared(cfg_a).with_plan_cache(&cache);
@@ -317,7 +313,7 @@ fn distributed_key_records_decisions_not_capabilities() {
     assert!(corrupted > 0, "the corrupting run verified payloads");
     assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 4, 1));
 
-    // A configuration change (the scheduling policy) is a different key.
+    // A configuration change (the DAG trimming) is a different key.
     let plan = dist_session(traced, &dist, &none, None)
         .plan(&compressed(&dense, b, acc))
         .unwrap();
@@ -326,10 +322,10 @@ fn distributed_key_records_decisions_not_capabilities() {
         replan: false,
     };
     assert_eq!(plan.key().mode, mode);
-    let mut fifo = plain;
-    fifo.sched = SchedPolicy::Fifo;
+    let mut untrimmed = plain;
+    untrimmed.trimmed = false;
     let mut m = compressed(&dense, b, acc);
-    let err = dist_session(fifo, &dist, &none, None)
+    let err = dist_session(untrimmed, &dist, &none, None)
         .run_with_plan(&plan, &mut m)
         .unwrap_err();
     assert!(matches!(err, RunError::PlanMismatch { .. }), "{err}");

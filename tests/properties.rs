@@ -15,7 +15,7 @@ use hicma_parsec::linalg::{
 };
 use hicma_parsec::mesh::hilbert::hilbert_sort;
 use hicma_parsec::mesh::Point3;
-use hicma_parsec::runtime::{MachineModel, SchedPolicy};
+use hicma_parsec::runtime::MachineModel;
 use hicma_parsec::tlr::kernels::{
     gemm_kernel, gemm_kernel_ws, reference, subtract_lowrank_ws, KernelWorkspace,
 };
@@ -410,7 +410,6 @@ proptest! {
                 trimmed: true,
                 rank_cap: b,
                 band_width: 2,
-                sched: SchedPolicy::PanelPriority,
             };
             let r = simulate_cholesky(&snap, &cfg);
             prop_assert!(r.factorization_seconds >= r.critical_path_seconds - 1e-12,

@@ -1,17 +1,19 @@
-//! Schedule goldens: every `SchedPolicy` at every door (DES, distributed
-//! engine, shared-memory plan) must keep producing the schedule it
-//! produced when these values were recorded (the commit before the
-//! planner was unified). A drift here means a refactor changed *what
-//! runs when*, not merely how the code is arranged; factors stay
-//! bit-identical under any schedule, so nothing else would notice.
+//! Schedule goldens: the panel-priority schedule at the DES and the
+//! distributed engine must stay the schedule it was when these values
+//! were recorded (the commit before the planner was unified; the lines
+//! read `panel-priority` from the time other ready-queue policies
+//! existed). A drift here means a refactor changed *what runs when*, not
+//! merely how the code is arranged; factors stay bit-identical under any
+//! schedule, so nothing else would notice.
 //!
 //! The `graph` lines pin what every schedule is computed from: the DAG
 //! `build_cholesky_dag` emits, task for task and edge for edge (recorded
 //! at the commit before the builder drew its edges from
-//! `TaskKind::operands`).
+//! `TaskKind::operands`). Its `specs` fold covers every task's priority,
+//! the key every ready queue orders by.
 //!
 //! On a mismatch the assertion prints each line that moved — door and
-//! policy are its first two words — and then the whole table.
+//! fixture are its first words — and then the whole table.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_parsec::cholesky::simulate::simulate_cholesky;
@@ -19,7 +21,7 @@ use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, FactorConfig, Sessio
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskGraph;
-use hicma_parsec::runtime::{MachineModel, Pricing, SchedPlan, SchedPolicy};
+use hicma_parsec::runtime::MachineModel;
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use std::fmt::Write as _;
 
@@ -73,69 +75,49 @@ fn actual() -> String {
 
     // DES door: the paper's two presets on one synthetic snapshot, on a
     // machine small enough (4 nodes x 2 cores) that ready queues back up
-    // and the policy decides the order.
+    // and the priority decides the order.
     let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
     let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
-    for (name, base) in [
+    for (name, cfg) in [
         ("hicma", hicma_parsec_config(machine.clone(), 4)),
         ("lorapo", lorapo_config(machine.clone(), 4)),
     ] {
-        for policy in SchedPolicy::ALL {
-            let mut cfg = base.clone();
-            cfg.sched = policy;
-            let r = simulate_cholesky(&snap, &cfg);
-            writeln!(
-                out,
-                "des {name} {} secs={:#018x} comm={}/{} tasks={} imbalance={:#018x} order={:#018x}",
-                policy.name(),
-                r.factorization_seconds.to_bits(),
-                r.comm.bytes,
-                r.comm.messages,
-                r.dag_tasks,
-                r.load_imbalance.to_bits(),
-                fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
-            )
-            .unwrap();
-        }
+        let r = simulate_cholesky(&snap, &cfg);
+        writeln!(
+            out,
+            "des {name} panel-priority secs={:#018x} comm={}/{} tasks={} imbalance={:#018x} \
+             order={:#018x}",
+            r.factorization_seconds.to_bits(),
+            r.comm.bytes,
+            r.comm.messages,
+            r.dag_tasks,
+            r.load_imbalance.to_bits(),
+            fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+        )
+        .unwrap();
     }
 
     // Distributed door: per-rank execution sequence of the virtual trace.
     let dist = TwoDBlockCyclic::new(4);
-    for policy in SchedPolicy::ALL {
-        let mut cfg = FactorConfig::with_accuracy(1e-8);
-        cfg.sched = policy;
-        cfg.collect_trace = true;
-        let traced = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
-        let comm = traced.comm.unwrap();
-        write!(
-            out,
-            "dist {} comm={}/{} makespan={:#018x}",
-            policy.name(),
-            comm.bytes,
-            comm.messages,
-            traced.virtual_makespan.unwrap().to_bits(),
-        )
-        .unwrap();
-        let trace = traced.trace.unwrap();
-        for rank in 0..4 {
-            let seq: Vec<usize> =
-                trace.records.iter().filter(|r| r.proc == rank).map(|r| r.task).collect();
-            write!(out, " rank{rank}={seq:?}").unwrap();
-        }
-        out.push('\n');
+    let mut cfg = FactorConfig::with_accuracy(1e-8);
+    cfg.collect_trace = true;
+    let traced = Session::distributed(cfg, 4, &dist).run(&mut rbf_fixture()).unwrap();
+    let comm = traced.comm.unwrap();
+    write!(
+        out,
+        "dist panel-priority comm={}/{} makespan={:#018x}",
+        comm.bytes,
+        comm.messages,
+        traced.virtual_makespan.unwrap().to_bits(),
+    )
+    .unwrap();
+    let trace = traced.trace.unwrap();
+    for rank in 0..4 {
+        let seq: Vec<usize> =
+            trace.records.iter().filter(|r| r.proc == rank).map(|r| r.task).collect();
+        write!(out, " rank{rank}={seq:?}").unwrap();
     }
-
-    // Shared-memory door: the key every task is queued under by a fresh
-    // scheduler instantiated from the plan.
-    let dag = build_cholesky_dag(&rbf_fixture().rank_snapshot(), &DagConfig::default());
-    for policy in SchedPolicy::ALL {
-        let pricing = Pricing::nominal(&dag.graph);
-        let plan = SchedPlan::build(&dag.graph, policy, &pricing).unwrap();
-        let mut sched = plan.instantiate();
-        let keys = (0..dag.graph.len()).map(|t| sched.on_task_ready(t, &dag.graph).to_bits());
-        writeln!(out, "shared {} tasks={} keys={:#018x}", policy.name(), dag.graph.len(), fnv(keys))
-            .unwrap();
-    }
+    out.push('\n');
 
     // Graph door: the DAG the builder emits, trimmed and untrimmed.
     for (name, snapshot) in [("rbf", rbf_fixture().rank_snapshot()), ("synthetic", snap)] {
@@ -149,29 +131,8 @@ fn actual() -> String {
 
 const GOLDEN: &str = "\
 des hicma panel-priority secs=0x3fc59a9e771b06c5 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x28c59227db837263
-des hicma fifo secs=0x3fc59a9e771b06c5 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x28c59227db837263
-des hicma lifo secs=0x3fc3b10a0f19bfa8 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7a order=0x8c2144ce7ad4f9b5
-des hicma upward-rank secs=0x3fbf79fdf27b981d comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xff1d719fecc0615f
-des hicma comm-upward-rank secs=0x3fbf79fdf27b981d comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xedd1b95ccd5da921
-des hicma rank-lookahead secs=0x3fbf6123a12484e0 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7d order=0xad2571acbe9cea03
 des lorapo panel-priority secs=0x3fc3a7c6e58b6254 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0x212670082dccf185
-des lorapo fifo secs=0x3fc3a7c6e58b6254 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0x212670082dccf185
-des lorapo lifo secs=0x3fc5ecd9775b22d4 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xcc924bd8cab62551
-des lorapo upward-rank secs=0x3fc1a6b8a0402659 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e0 order=0x29d74b693c94536b
-des lorapo comm-upward-rank secs=0x3fc20051b7ff8acf comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3df order=0xa9625bdd763ee0bb
-des lorapo rank-lookahead secs=0x3fc1d742ca7a78e6 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xafa2fab074eb8b31
 dist panel-priority comm=124416/49 makespan=0x403e000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
-dist fifo comm=124416/49 makespan=0x403e000000000000 rank0=[0, 2, 4, 7, 9, 15, 26, 28, 31, 36, 38, 41, 49, 52] rank1=[11, 14, 16, 22, 24, 32, 43, 47] rank2=[1, 3, 5, 13, 18, 20, 30, 33, 35, 37, 39, 45, 51, 53] rank3=[6, 8, 10, 12, 17, 19, 21, 23, 25, 27, 29, 34, 40, 42, 44, 46, 48, 50, 54, 55]
-dist lifo comm=124416/49 makespan=0x4042000000000000 rank0=[0, 4, 9, 2, 15, 7, 28, 31, 26, 36, 38, 41, 49, 52] rank1=[16, 14, 11, 24, 32, 22, 43, 47] rank2=[5, 20, 3, 18, 13, 1, 35, 33, 30, 39, 45, 37, 51, 53] rank3=[10, 19, 8, 17, 12, 6, 21, 25, 29, 23, 34, 27, 42, 44, 40, 46, 48, 50, 54, 55]
-dist upward-rank comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
-dist comm-upward-rank comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 22, 14, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 37, 33, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 19, 25, 34, 8, 44, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
-dist rank-lookahead comm=124416/49 makespan=0x403f800000000000 rank0=[0, 2, 4, 15, 31, 7, 26, 36, 38, 9, 28, 41, 49, 52] rank1=[11, 16, 14, 22, 24, 32, 43, 47] rank2=[1, 3, 13, 30, 5, 20, 18, 35, 33, 37, 39, 45, 51, 53] rank3=[12, 6, 21, 23, 17, 25, 19, 34, 44, 8, 27, 40, 46, 48, 10, 29, 42, 50, 54, 55]
-shared panel-priority tasks=56 keys=0xb7a523d6f7dce585
-shared fifo tasks=56 keys=0x03a523d6f7dce585
-shared lifo tasks=56 keys=0x830323d6f7dce585
-shared upward-rank tasks=56 keys=0x4bc695533f690fb1
-shared comm-upward-rank tasks=56 keys=0x4bc695533f690fb1
-shared rank-lookahead tasks=56 keys=0x4bc695533f690fb1
 graph rbf trimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
 graph rbf untrimmed tasks=56 edges=105 specs=0x93fa33d7fccdf5ea succs=0x42992e9a3d408096
 graph synthetic trimmed tasks=1924 edges=4818 specs=0xe94f56524e4ad11d succs=0x18c46f1731144c5a
@@ -209,36 +170,31 @@ fn actual_faulty() -> String {
     let mut out = String::new();
     let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
     let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
-    for (name, base) in [
+    for (name, cfg) in [
         ("hicma", hicma_parsec_config(machine.clone(), 4)),
         ("lorapo", lorapo_config(machine.clone(), 4)),
     ] {
-        for policy in [SchedPolicy::PanelPriority, SchedPolicy::RankAwareLookahead] {
-            let mut cfg = base.clone();
-            cfg.sched = policy;
-            let t = simulate_cholesky(&snap, &cfg).factorization_seconds;
-            for (fault, plan) in [
-                ("crash", FaultPlan::new(11).with_crash(1, 0.5 * t)),
-                ("corrupt", FaultPlan::new(11).with_store_corruption(2, 1, 0, 0.4 * t)),
-            ] {
-                let r = simulate_cholesky_faulty(&snap, &cfg, &plan, 0.75 * t).unwrap();
-                writeln!(
-                    out,
-                    "des-{fault} {name} {} secs={:#018x} comm={}/{} crashes={} migrated={} \
-                     reexecuted={} corruptions={} imbalance={:#018x} order={:#018x}",
-                    policy.name(),
-                    r.factorization_seconds.to_bits(),
-                    r.comm.bytes,
-                    r.comm.messages,
-                    r.crashes,
-                    r.migrated_tasks,
-                    r.reexecuted_tasks,
-                    r.corruptions,
-                    r.load_imbalance.to_bits(),
-                    fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
-                )
-                .unwrap();
-            }
+        let t = simulate_cholesky(&snap, &cfg).factorization_seconds;
+        for (fault, plan) in [
+            ("crash", FaultPlan::new(11).with_crash(1, 0.5 * t)),
+            ("corrupt", FaultPlan::new(11).with_store_corruption(2, 1, 0, 0.4 * t)),
+        ] {
+            let r = simulate_cholesky_faulty(&snap, &cfg, &plan, 0.75 * t).unwrap();
+            writeln!(
+                out,
+                "des-{fault} {name} panel-priority secs={:#018x} comm={}/{} crashes={} \
+                 migrated={} reexecuted={} corruptions={} imbalance={:#018x} order={:#018x}",
+                r.factorization_seconds.to_bits(),
+                r.comm.bytes,
+                r.comm.messages,
+                r.crashes,
+                r.migrated_tasks,
+                r.reexecuted_tasks,
+                r.corruptions,
+                r.load_imbalance.to_bits(),
+                fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+            )
+            .unwrap();
         }
     }
     out
@@ -247,12 +203,8 @@ fn actual_faulty() -> String {
 const GOLDEN_FAULTY: &str = "\
 des-crash hicma panel-priority secs=0x3fcb2abfbea9cad4 comm=192618496/766 crashes=1 migrated=224 reexecuted=14 corruptions=0 imbalance=0x3ff2cc787fcb4de5 order=0x9b496d4f70a4b687
 des-corrupt hicma panel-priority secs=0x3fc8dc10fa65a57b comm=192618496/766 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff06218813e3f31 order=0xcb36baba007171d3
-des-crash hicma rank-lookahead secs=0x3fc84646e2808e46 comm=192618496/766 crashes=1 migrated=211 reexecuted=17 corruptions=0 imbalance=0x3ff2a4f832e77362 order=0x04962e170eb0a307
-des-corrupt hicma rank-lookahead secs=0x3fc212d0a630ae51 comm=192618496/766 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff063f5a2ff4bb8 order=0xd3845187e497b1ab
 des-crash lorapo panel-priority secs=0x3fc8d47443473dcf comm=180649984/990 crashes=1 migrated=321 reexecuted=41 corruptions=0 imbalance=0x3ff838e0e9537a04 order=0x70ef3ec012de51b2
 des-corrupt lorapo panel-priority secs=0x3fc69b32e73fc4fc comm=180649984/990 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff4f898f8c5d3e4 order=0x210208e5d2d1e591
-des-crash lorapo rank-lookahead secs=0x3fcf260852b44ace comm=180649984/990 crashes=1 migrated=625 reexecuted=72 corruptions=0 imbalance=0x3ff7aeddf3882609 order=0xdf1d8e611389262c
-des-corrupt lorapo rank-lookahead secs=0x3fc4850161b91ef1 comm=180649984/990 crashes=0 migrated=0 reexecuted=1 corruptions=1 imbalance=0x3ff4f898f8c5d3e4 order=0x5d9874d6ac6f4901
 ";
 
 #[test]
@@ -277,28 +229,23 @@ fn actual_event_streams() -> String {
     for (shape, machine, nodes) in
         [("no-overhead", &free, 4), ("no-overhead", &free, 16), ("overhead", &base, 16)]
     {
-        for (name, preset) in [
+        for (name, cfg) in [
             ("hicma", hicma_parsec_config(machine.clone(), nodes)),
             ("lorapo", lorapo_config(machine.clone(), nodes)),
         ] {
-            for policy in SchedPolicy::ALL {
-                let mut cfg = preset.clone();
-                cfg.sched = policy;
-                let r = simulate_cholesky(&snap, &cfg);
-                writeln!(
-                    out,
-                    "des-{shape} {name} {} nodes={nodes} secs={:#018x} comm={}/{} tasks={} \
-                     imbalance={:#018x} order={:#018x}",
-                    policy.name(),
-                    r.factorization_seconds.to_bits(),
-                    r.comm.bytes,
-                    r.comm.messages,
-                    r.dag_tasks,
-                    r.load_imbalance.to_bits(),
-                    fnv(r.trace.records.iter().map(|rec| (rec.task * 32 + rec.proc) as u64)),
-                )
-                .unwrap();
-            }
+            let r = simulate_cholesky(&snap, &cfg);
+            writeln!(
+                out,
+                "des-{shape} {name} panel-priority nodes={nodes} secs={:#018x} comm={}/{} \
+                 tasks={} imbalance={:#018x} order={:#018x}",
+                r.factorization_seconds.to_bits(),
+                r.comm.bytes,
+                r.comm.messages,
+                r.dag_tasks,
+                r.load_imbalance.to_bits(),
+                fnv(r.trace.records.iter().map(|rec| (rec.task * 32 + rec.proc) as u64)),
+            )
+            .unwrap();
         }
     }
     out
@@ -306,41 +253,11 @@ fn actual_event_streams() -> String {
 
 const GOLDEN_EVENT_STREAMS: &str = "\
 des-no-overhead hicma panel-priority nodes=4 secs=0x3fc56c16a4534e38 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x458bbeacd181401b
-des-no-overhead hicma fifo nodes=4 secs=0x3fc56c16a4534e38 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x458bbeacd181401b
-des-no-overhead hicma lifo nodes=4 secs=0x3fc38f4bda0c16ff comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7f order=0x75d6fbfd346e2f81
-des-no-overhead hicma upward-rank nodes=4 secs=0x3fbfa192f25e95ce comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x183850e695cc2c2f
-des-no-overhead hicma comm-upward-rank nodes=4 secs=0x3fbfa192f25e95ce comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7c order=0x1b7abd814b7c639f
-des-no-overhead hicma rank-lookahead nodes=4 secs=0x3fbf15972e394511 comm=192618496/766 tasks=1924 imbalance=0x3ff06091917ede7a order=0x1944731bfde7112d
 des-no-overhead lorapo panel-priority nodes=4 secs=0x3fc3762850a2a796 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xa8431418ade1b14b
-des-no-overhead lorapo fifo nodes=4 secs=0x3fc3762850a2a796 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e4 order=0xa8431418ade1b14b
-des-no-overhead lorapo lifo nodes=4 secs=0x3fc77894c9b475a7 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3de order=0x45cfcdf73db18681
-des-no-overhead lorapo upward-rank nodes=4 secs=0x3fc0e1eb83ab7cd2 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3dd order=0x12b82ecc92b882f3
-des-no-overhead lorapo comm-upward-rank nodes=4 secs=0x3fc0e3a37001c79d comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e3 order=0x533ef94e17b1a77f
-des-no-overhead lorapo rank-lookahead nodes=4 secs=0x3fc0d9d2f3a1e5c5 comm=180649984/990 tasks=5984 imbalance=0x3ff4f898f8c5d3e3 order=0xc0b6233b340dc51d
 des-no-overhead hicma panel-priority nodes=16 secs=0x3fbb86fa72bfe3b5 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x1ce7be0766df4005
-des-no-overhead hicma fifo nodes=16 secs=0x3fbb86fa72bfe3b5 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x1ce7be0766df4005
-des-no-overhead hicma lifo nodes=16 secs=0x3fb9b876639e61fc comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a35 order=0xf66f7e6feedc43df
-des-no-overhead hicma upward-rank nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
-des-no-overhead hicma comm-upward-rank nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
-des-no-overhead hicma rank-lookahead nodes=16 secs=0x3fb90bf63f2907f6 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a37 order=0x0d7c73db0a27b623
 des-no-overhead lorapo panel-priority nodes=16 secs=0x3fbbbbfae494b05c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xc303823910a38f5f
-des-no-overhead lorapo fifo nodes=16 secs=0x3fbbbbfae494b05c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xc303823910a38f5f
-des-no-overhead lorapo lifo nodes=16 secs=0x3fbbf05b7565849c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0xfa422fd6a21b7a51
-des-no-overhead lorapo upward-rank nodes=16 secs=0x3fbaec021a51ea6c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0xb8fdfa1b488b89cb
-des-no-overhead lorapo comm-upward-rank nodes=16 secs=0x3fbaec021a51ea6c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0x0c434be9ba8cd545
-des-no-overhead lorapo rank-lookahead nodes=16 secs=0x3fbb086e559c9e2c comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ab order=0x72b6eebcdcb23c5d
 des-overhead hicma panel-priority nodes=16 secs=0x3fbbe5d19be7bb94 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x6585e144124d57c9
-des-overhead hicma fifo nodes=16 secs=0x3fbbe5d19be7bb94 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a36 order=0x6585e144124d57c9
-des-overhead hicma lifo nodes=16 secs=0x3fba29dfe735a971 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a38 order=0x11f971b7ecf49361
-des-overhead hicma upward-rank nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
-des-overhead hicma comm-upward-rank nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
-des-overhead hicma rank-lookahead nodes=16 secs=0x3fb949b3348c9047 comm=487088128/1928 tasks=1924 imbalance=0x3ff1bbde90716a39 order=0x86588aab03658793
 des-overhead lorapo panel-priority nodes=16 secs=0x3fbc6b52364a04f3 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0x8bed3f0d5d83f4b3
-des-overhead lorapo fifo nodes=16 secs=0x3fbc6b52364a04f3 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10aa order=0x8bed3f0d5d83f4b3
-des-overhead lorapo lifo nodes=16 secs=0x3fbd241edb9a3609 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10a9 order=0x324ac0c3f1f28e17
-des-overhead lorapo upward-rank nodes=16 secs=0x3fbba3bb8092e064 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ac order=0x4e8a1f9c5b4d79f5
-des-overhead lorapo comm-upward-rank nodes=16 secs=0x3fbba3bb8092e064 comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ac order=0xcac9dccc27b035d1
-des-overhead lorapo rank-lookahead nodes=16 secs=0x3fbbdcac730ebc2a comm=476520448/2780 tasks=5984 imbalance=0x4000aa8a7b5c10ab order=0x3793f42f543ae833
 ";
 
 #[test]
