@@ -137,20 +137,18 @@ impl<'a> RankBody<'a> {
                 .find(|(_, dd)| *dd == d)
                 .map(|&(p, _)| p)
         };
-        // The written tile's current version: local, or shipped from a
-        // remote previous writer (possible when two writers of the same
-        // tile were remapped differently — not the case for tile
-        // Cholesky, but `take_remote` keeps the engine general).
-        let cur = ctx.take(w).or_else(|| ctx.take_remote(producer(w)?, w));
+        // A task runs on the rank of the tile it writes, and a crash
+        // migrates a dead rank's tasks as one block, so every writer of a
+        // tile runs on one rank and finds its previous version local.
+        let cur = ctx
+            .take(w)
+            .expect("every writer of a tile runs on one rank: its previous version is local");
         if self.error.lock().is_some() {
             // Poisoned: keep the dataflow moving with the untouched tile.
-            ctx.put(
-                w,
-                cur.unwrap_or_else(|| P::from_tile(Tile::Null { rows: 0, cols: 0 })),
-            );
+            ctx.put(w, cur);
             return;
         }
-        let mut out = cur.expect("written tile must be present").into_tile();
+        let mut out = cur.into_tile();
         let result = with_reads(
             ops.reads(),
             |d| ctx.get(producer(d), d).tile(),

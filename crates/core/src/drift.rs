@@ -1,8 +1,7 @@
 //! Cost-model drift reports: measured execution vs the analytical model.
 //!
 //! [`CostModel`] prices tasks (machine peak × rank-dependent efficiency)
-//! and the re-planner prices communication with
-//! [`modeled_comm`](crate::replan::modeled_comm). Both models are
+//! and [`modeled_comm`] prices communication. Both models are
 //! calibrated once against published machine numbers — nothing checks
 //! them against the run that actually happened. A [`DriftReport`] closes
 //! that loop: attach a [`DriftSpec`] to any
@@ -25,6 +24,25 @@ use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{class_name, class_slot, RegistrySnapshot, NCLASSES};
 use std::fmt;
+
+/// Modeled communication of executing `graph` under the task→rank
+/// mapping `exec_rank`: one message of `edge.bytes` per dataflow edge
+/// whose producer and consumer ranks differ. This is exactly the
+/// fault-free accounting of the distributed engine, so on a clean run
+/// it equals the measured [`CommStats`] bit for bit.
+pub fn modeled_comm(graph: &TaskGraph, exec_rank: &[usize]) -> CommStats {
+    let mut bytes = 0u64;
+    let mut messages = 0u64;
+    for src in 0..graph.len() {
+        for e in graph.successors(src) {
+            if exec_rank[src] != exec_rank[e.dst] {
+                bytes += e.bytes;
+                messages += 1;
+            }
+        }
+    }
+    CommStats { bytes, messages }
+}
 
 /// Per-kernel cost estimates: a machine model plus the rank low-rank
 /// updates operate at.
@@ -213,7 +231,7 @@ impl DriftReport {
             })
             .collect();
         let comm = comm.map(|(exec_rank, measured)| {
-            let modeled = crate::replan::modeled_comm(graph, exec_rank);
+            let modeled = modeled_comm(graph, exec_rank);
             let br = ratio(measured.bytes as f64, modeled.bytes as f64);
             let mr = ratio(measured.messages as f64, modeled.messages as f64);
             CommDrift {
@@ -410,7 +428,7 @@ mod tests {
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 800);
         let g = g.finish();
         let exec_rank = vec![0usize, 1usize];
-        let measured = crate::replan::modeled_comm(&g, &exec_rank);
+        let measured = modeled_comm(&g, &exec_rank);
         let spec = DriftSpec::new(MachineModel::fugaku());
         let rep = DriftReport::compute(
             &spec,
@@ -427,5 +445,38 @@ mod tests {
         assert!(text.contains("comm:"), "{text}");
         let prom = rep.to_prometheus();
         assert!(prom.contains("tlr_drift_comm_ratio{kind=\"bytes\"} 1"));
+    }
+
+    /// The model is the engine: on a fault-free run the measured
+    /// cross-rank traffic equals [`modeled_comm`] on the planned
+    /// mapping, byte for byte and message for message.
+    #[test]
+    fn model_matches_measured_distengine_comm() {
+        use crate::factorize::FactorConfig;
+        use crate::plan::EnginePlan;
+        use crate::session::Session;
+        use distribution::TwoDBlockCyclic;
+        use tlr_compress::{CompressionConfig, TlrMatrix};
+        use tlr_linalg::Matrix;
+
+        let (n, b, acc) = (120, 24, 1e-8);
+        let dense = Matrix::from_fn(n, n, |i, j| {
+            let d = (i as f64 - j as f64) / (n as f64 / 8.0);
+            (-d * d).exp() + if i == j { 1e-3 } else { 0.0 }
+        });
+        let ccfg = CompressionConfig::with_accuracy(acc);
+        let dist = TwoDBlockCyclic::new(4);
+        let session = Session::distributed(FactorConfig::with_accuracy(acc), 4, &dist);
+
+        let plan = session.plan(&TlrMatrix::from_dense(&dense, b, &ccfg)).unwrap();
+        let EnginePlan::Distributed(ds) = &plan.engine else {
+            panic!("a distributed session plans for the distributed engine")
+        };
+        let modeled = modeled_comm(&plan.dag.graph, &ds.exec_rank);
+
+        let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
+        let measured = session.run(&mut m).unwrap().comm.unwrap();
+        assert_eq!(measured.bytes, modeled.bytes);
+        assert_eq!(measured.messages, modeled.messages);
     }
 }

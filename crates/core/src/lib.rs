@@ -26,7 +26,6 @@ pub mod drift;
 pub mod factorize;
 pub mod lorapo;
 pub mod plan;
-pub mod replan;
 pub mod service;
 pub mod session;
 pub mod simulate;
@@ -36,10 +35,9 @@ pub mod verify;
 
 pub use analysis::MatrixAnalysis;
 pub use dag::{build_cholesky_dag, CholeskyDag, DagConfig, TaskKind};
-pub use drift::{ClassDrift, CommDrift, DriftReport, DriftSpec};
+pub use drift::{modeled_comm, ClassDrift, CommDrift, DriftReport, DriftSpec};
 pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode};
 pub use plan::{CacheEvents, PlanCache, PlanKey, PlanMode, SymbolicPlan};
-pub use replan::{modeled_comm, CommReplanner};
 pub use service::{ServiceError, SolveOutcome, SolveService, TenantConfig, TenantUsage};
 pub use session::{RunError, RunOutcome, Session};
 pub use simulate::{

@@ -15,18 +15,16 @@
 //! * the trimmed [`CholeskyDag`], whose tasks the engine runs one to one
 //!   (the shared engine orders ready tasks by their panel priority),
 //! * on distributed plans, the priority-driven topological order every
-//!   rank executes, and the full placement machinery (task→rank map,
-//!   per-tile initial placement, predecessor lookup, writer maps) plus
-//!   the comm-feedback re-planner state, so converged placement
-//!   overrides persist *with the plan* across runs.
+//!   rank executes and the placement (task→rank map, per-tile initial
+//!   placement, predecessor lookup, last-writer map), all fixed from the
+//!   layout's owner map when the plan is built.
 //!
 //! Plans are keyed by a structural fingerprint ([`PlanKey`]) folded with
 //! the same FNV-1a chain as the tile-integrity digests
 //! ([`tlr_compress::WordFold`]): tile grid, per-tile rank structure,
-//! accuracy/rank caps, layout owner map, rank count and whether a
-//! re-planner is embedded — the structure and the
-//! configuration only, so sessions that differ only in a capability
-//! (fault layer, trace, integrity mode) share one plan.
+//! accuracy/rank caps, layout owner map and rank count — the structure
+//! and the configuration only, so sessions that differ only in a
+//! capability (fault layer, trace, integrity mode) share one plan.
 //! Two matrices with the same key plan
 //! identically, so a [`PlanCache`] can hand out one `Arc<SymbolicPlan>`
 //! to every request that matches — a warm-cache run skips the symbolic
@@ -37,12 +35,11 @@
 
 use crate::dag::{build_cholesky_dag, lower, CholeskyDag, DagConfig};
 use crate::factorize::FactorConfig;
-use crate::replan::CommReplanner;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use runtime::engine::EngineError;
 use runtime::graph::{DataRef, TaskGraph, TaskId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tlr_compress::{RankSnapshot, WordFold};
@@ -57,8 +54,6 @@ pub enum PlanMode {
     Distributed {
         /// Emulated rank count (changes every mapping).
         nprocs: usize,
-        /// A comm-feedback re-planner is embedded in the plan.
-        replan: bool,
     },
 }
 
@@ -92,45 +87,23 @@ pub struct PlanKey {
     pub structure: u64,
 }
 
-/// Everything a distributed plan needs beyond the DAG, split into the
-/// immutable skeleton (here) and the override-dependent mapping
-/// ([`DistMapping`], behind the `RwLock` so an embedded re-planner can
-/// refresh placement between runs without rebuilding the plan).
+/// Everything a distributed plan needs beyond the DAG: plain data, fixed
+/// from the layout's owner map when the plan is built.
 pub(crate) struct DistStatic {
-    nt: usize,
     pub(crate) nprocs: usize,
-    /// Baseline owner rank per packed-lower tile (the layout's owner
-    /// map, clamped to `nprocs`), baked in so the plan stays
-    /// self-contained — no `&dyn TileDistribution` borrow outlives
-    /// planning.
-    base_owner: Vec<usize>,
+    /// Rank executing each DAG task: the layout owner of the tile it
+    /// writes, so every writer of a tile runs on one rank.
+    pub(crate) exec_rank: Vec<usize>,
+    /// Rank holding each packed-lower tile's initial version: its layout
+    /// owner, which is where its first writer (if any) runs.
+    pub(crate) placement: Vec<usize>,
     /// Task → (producer, datum) lookup for the kernel dispatch.
     pub(crate) preds: Vec<Vec<(TaskId, DataRef)>>,
-    /// First / last task writing each packed-lower tile (`None`: no task
-    /// touches it).
-    first_writer: Vec<Option<TaskId>>,
+    /// Last task writing each packed-lower tile (`None`: no task touches
+    /// it).
     pub(crate) last_writer: Vec<Option<TaskId>>,
-    /// The order every rank executes its tasks in ([`priority_order`]):
-    /// it reads only the DAG, so no placement refresh moves it.
+    /// The order every rank executes its tasks in ([`priority_order`]).
     pub(crate) order: Vec<TaskId>,
-    /// Embedded comm-feedback re-planner: its converged overrides live
-    /// with the cached plan, so repeated solves through the cache keep
-    /// improving (and keep) their placement.
-    pub(crate) replan: Option<Mutex<CommReplanner>>,
-    /// The override-dependent half of the plan.
-    pub(crate) mapping: RwLock<DistMapping>,
-}
-
-/// The parts of a distributed plan that depend on the current per-tile
-/// rank overrides: which rank runs each DAG task, and where each tile
-/// starts.
-#[derive(Default)]
-pub(crate) struct DistMapping {
-    pub(crate) overrides: HashMap<(usize, usize), usize>,
-    /// Rank executing each DAG task.
-    pub(crate) exec_rank: Vec<usize>,
-    /// Rank holding each packed-lower tile's initial version.
-    pub(crate) placement: Vec<usize>,
 }
 
 /// The order every rank of a distributed run executes `graph` in: Kahn's
@@ -155,49 +128,6 @@ fn priority_order(graph: &TaskGraph) -> Option<Vec<TaskId>> {
     (order.len() == graph.len()).then_some(order)
 }
 
-impl DistStatic {
-    /// Rank of tile `(i, j)` under `overrides`, falling back to the
-    /// baked-in layout owner.
-    fn rank_of_tile(
-        &self,
-        overrides: &HashMap<(usize, usize), usize>,
-        i: usize,
-        j: usize,
-    ) -> usize {
-        overrides
-            .get(&(i, j))
-            .copied()
-            .unwrap_or(self.base_owner[lower(i, j)])
-            .min(self.nprocs - 1)
-    }
-
-    /// Derive the override-dependent mapping. Called at plan build and
-    /// again whenever the embedded re-planner moves a tile chain — a
-    /// refresh re-derives from the existing DAG, never rebuilds it.
-    pub(crate) fn derive_mapping(
-        &self,
-        dag: &CholeskyDag,
-        overrides: HashMap<(usize, usize), usize>,
-    ) -> DistMapping {
-        let exec_rank: Vec<usize> = (0..dag.graph.len())
-            .map(|t| {
-                let w = dag.kinds[t].operands().writes;
-                self.rank_of_tile(&overrides, w.i, w.j)
-            })
-            .collect();
-        let mut placement = Vec::with_capacity(self.first_writer.len());
-        for i in 0..self.nt {
-            for j in 0..=i {
-                placement.push(match self.first_writer[lower(i, j)] {
-                    Some(t) => exec_rank[t],
-                    None => self.rank_of_tile(&overrides, i, j),
-                });
-            }
-        }
-        DistMapping { overrides, exec_rank, placement }
-    }
-}
-
 /// The immutable artifact of the symbolic phase: trimmed DAG and (on
 /// distributed plans) the execution order and placement machinery,
 /// built once and consumed by any number of numeric runs.
@@ -220,8 +150,7 @@ pub struct SymbolicPlan {
 pub(crate) enum EnginePlan {
     /// Shared-memory work-stealing engine: the DAG is all it needs.
     Shared,
-    /// Emulated ranks: execution order, placement machinery, ranks (in
-    /// the mapping) and the embedded re-planner.
+    /// Emulated ranks: execution order and placement.
     Distributed(Box<DistStatic>),
 }
 
@@ -263,12 +192,10 @@ impl std::fmt::Debug for SymbolicPlan {
 /// [`FactorConfig`]).
 pub(crate) struct DistPlanInputs {
     pub(crate) nprocs: usize,
-    /// The layout's owner rank per packed-lower tile, clamped to
+    /// The layout's owner rank per packed-lower tile, each below
     /// `nprocs`: walked once per plan, folded into the key and baked into
-    /// the plan.
-    pub(crate) base_owner: Vec<usize>,
-    /// Embed a [`CommReplanner`].
-    pub(crate) replan: bool,
+    /// the plan as its placement.
+    pub(crate) owner: Vec<usize>,
 }
 
 /// Compute the cache key for a (config, structure, mode) triple.
@@ -286,10 +213,10 @@ pub(crate) fn plan_key(
         Some(d) => {
             // The owner map is part of the structure: two layouts that
             // place tiles differently must not share a plan.
-            for &owner in &d.base_owner {
+            for &owner in &d.owner {
                 fold.push_usize(owner);
             }
-            PlanMode::Distributed { nprocs: d.nprocs, replan: d.replan }
+            PlanMode::Distributed { nprocs: d.nprocs }
         }
     };
     PlanKey {
@@ -304,7 +231,7 @@ pub(crate) fn plan_key(
 }
 
 /// Run the symbolic phase once: DAG build (+ execution order and
-/// distribution mapping on distributed plans). `key` is
+/// placement on distributed plans). `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
@@ -314,7 +241,6 @@ pub(crate) fn build_plan(
     dist: Option<DistPlanInputs>,
 ) -> Result<SymbolicPlan, EngineError> {
     let t0 = std::time::Instant::now();
-    let nt = snapshot.nt();
     let dag = build_cholesky_dag(
         snapshot,
         &DagConfig {
@@ -331,26 +257,21 @@ pub(crate) fn build_plan(
                     preds[e.dst].push((src, e.data));
                 }
             }
-            let mut first_writer = vec![None; nt * (nt + 1) / 2];
-            let mut last_writer = first_writer.clone();
+            let mut last_writer = vec![None; d.owner.len()];
+            let mut exec_rank = Vec::with_capacity(dag.graph.len());
             for t in 0..dag.graph.len() {
                 let w = dag.kinds[t].operands().writes;
-                first_writer[lower(w.i, w.j)].get_or_insert(t);
                 last_writer[lower(w.i, w.j)] = Some(t);
+                exec_rank.push(d.owner[lower(w.i, w.j)]);
             }
-            let ds = DistStatic {
-                nt,
+            EnginePlan::Distributed(Box::new(DistStatic {
                 nprocs: d.nprocs,
-                base_owner: d.base_owner,
+                exec_rank,
+                placement: d.owner,
                 preds,
-                first_writer,
                 last_writer,
                 order: priority_order(&dag.graph).ok_or(EngineError::Cycle)?,
-                replan: d.replan.then(|| Mutex::new(CommReplanner::new(d.nprocs))),
-                mapping: RwLock::default(),
-            };
-            *ds.mapping.write() = ds.derive_mapping(&dag, HashMap::new());
-            EnginePlan::Distributed(Box::new(ds))
+            }))
         }
     };
     Ok(SymbolicPlan {

@@ -30,8 +30,7 @@ use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
 use crate::plan::{
-    self, CacheEvents, DistMapping, DistPlanInputs, DistStatic, EnginePlan, PlanCache, PlanKey,
-    SymbolicPlan,
+    self, CacheEvents, DistPlanInputs, DistStatic, EnginePlan, PlanCache, PlanKey, SymbolicPlan,
 };
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
@@ -86,7 +85,6 @@ pub struct Session<'a> {
     mode: Mode<'a>,
     drift: Option<DriftSpec>,
     cache: Option<&'a PlanCache>,
-    replan: bool,
 }
 
 impl<'a> Session<'a> {
@@ -97,14 +95,19 @@ impl<'a> Session<'a> {
             mode: Mode::Shared,
             drift: None,
             cache: None,
-            replan: false,
         }
     }
 
     /// A distributed session across `nprocs` emulated ranks. `exec` maps
     /// each tile to the rank executing the tasks that write it (pass the
     /// data distribution itself for owner-computes, or a remapping
-    /// distribution for §VII-B execution dissociation).
+    /// distribution for §VII-B execution dissociation). Its owner map is
+    /// the run's whole placement, fixed when the plan is built.
+    ///
+    /// `exec` must be laid out for exactly `nprocs` ranks: planning or
+    /// running with `exec.nprocs() != nprocs` fails with
+    /// [`RunError::LayoutMismatch`] naming both counts (and `nprocs == 0`
+    /// with [`EngineError::EmptyMachine`]).
     pub fn distributed(cfg: FactorConfig, nprocs: usize, exec: &'a dyn TileDistribution) -> Self {
         Session {
             cfg,
@@ -115,7 +118,6 @@ impl<'a> Session<'a> {
             },
             drift: None,
             cache: None,
-            replan: false,
         }
     }
 
@@ -133,28 +135,6 @@ impl<'a> Session<'a> {
         if let Mode::Distributed { ft, .. } = &mut self.mode {
             *ft = Some(ft_cfg);
         }
-        self
-    }
-
-    /// Embed a comm-feedback re-planner in the session's plan: the
-    /// [`CommReplanner`](crate::replan::CommReplanner) (compute-imbalance
-    /// slack [`CommReplanner::SLACK`](crate::replan::CommReplanner::SLACK))
-    /// is created at plan-build time and travels *with* the
-    /// [`SymbolicPlan`] — when the plan is cached, converged placement
-    /// overrides persist across runs and sessions sharing the cache.
-    /// After each successful run the measured [`CommStats`] feed back
-    /// ([`CommReplanner::observe`](crate::replan::CommReplanner::observe))
-    /// so repeated solves on the same geometry converge to a
-    /// lower-traffic mapping; if the re-planner moves a tile chain, the
-    /// plan's distribution mapping is refreshed in place (the DAG is not
-    /// rebuilt). The factor stays bit-identical — re-planning only moves
-    /// whole tile write-chains between ranks, never changes what they
-    /// compute.
-    ///
-    /// Re-planning is a distributed-memory concept; on a shared session
-    /// this is a documented no-op.
-    pub fn with_replanning(mut self) -> Self {
-        self.replan = matches!(self.mode, Mode::Distributed { .. });
         self
     }
 
@@ -273,21 +253,24 @@ impl<'a> Session<'a> {
     /// The fingerprint of the plan this session runs `snapshot` with,
     /// and the distributed-plan inputs it was folded from (`None` for
     /// shared memory). Every entry point plans through here, so this is
-    /// where a distributed session over zero ranks is rejected and where
-    /// the layout's owner map is walked (once per plan).
+    /// where a distributed session over zero ranks, or over a layout for
+    /// another rank count, is rejected and where the layout's owner map
+    /// is walked (once per plan).
     fn key(&self, snapshot: &RankSnapshot) -> Result<(PlanKey, Option<DistPlanInputs>), RunError> {
         let dist = match self.mode {
             Mode::Shared => None,
             Mode::Distributed { nprocs: 0, .. } => {
                 return Err(EngineError::EmptyMachine { nprocs: 0, cores_per_proc: 1 }.into())
             }
+            Mode::Distributed { nprocs, exec, .. } if exec.nprocs() != nprocs => {
+                return Err(RunError::LayoutMismatch { layout: exec.nprocs(), nprocs })
+            }
             Mode::Distributed { nprocs, exec, .. } => {
                 let nt = snapshot.nt();
                 let owners = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
                 Some(DistPlanInputs {
                     nprocs,
-                    base_owner: owners.map(|(i, j)| exec.owner(i, j).min(nprocs - 1)).collect(),
-                    replan: self.replan,
+                    owner: owners.map(|(i, j)| exec.owner(i, j)).collect(),
                 })
             }
         };
@@ -380,7 +363,6 @@ impl fmt::Debug for Session<'_> {
                 .field("fault_layer", &ft.is_some()),
         };
         d.field("plan_cache", &self.cache.is_some());
-        d.field("replanning", &self.replan);
         d.finish()
     }
 }
@@ -688,6 +670,15 @@ pub enum RunError {
         /// Fingerprint of the requested run.
         requested: Box<PlanKey>,
     },
+    /// A distributed session's layout places tiles on `layout` ranks but
+    /// the session runs `nprocs`: tiles would pile onto some ranks and
+    /// leave others idle, so the session is rejected before planning.
+    LayoutMismatch {
+        /// Rank count the layout was built for.
+        layout: usize,
+        /// Rank count the session was asked to run.
+        nprocs: usize,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -699,6 +690,10 @@ impl fmt::Display for RunError {
                 f,
                 "symbolic plan does not match this matrix/session configuration \
                  (plan {plan:?}, requested {requested:?})"
+            ),
+            RunError::LayoutMismatch { layout, nprocs } => write!(
+                f,
+                "layout is for {layout} ranks but the session runs {nprocs}"
             ),
         }
     }
@@ -1080,13 +1075,12 @@ fn run_ranks<P: TilePayload>(
     matrix: &mut TlrMatrix,
     dag: &CholeskyDag,
     ds: &DistStatic,
-    map: &DistMapping,
     dist_cfg: &DistConfig<'_>,
     hooks: Option<&IntegrityHooks<'_, P>>,
     body: &RankBody<'_>,
 ) -> Result<DistOutcome<Tile>, EngineError> {
-    let initial = scatter_tiles::<P>(matrix, &map.placement, ds.nprocs);
-    let out = DistEngine::new(&dag.graph, ds.nprocs, &map.exec_rank).run(
+    let initial = scatter_tiles::<P>(matrix, &ds.placement, ds.nprocs);
+    let out = DistEngine::new(&dag.graph, ds.nprocs, &ds.exec_rank).run(
         initial,
         dist_cfg,
         &ds.order,
@@ -1101,9 +1095,8 @@ impl Session<'_> {
     /// scatter → run → gather.
     ///
     /// All placement and ordering decisions come off the plan's
-    /// [`DistStatic`]; this function only moves tiles, runs the task body,
-    /// and feeds measured traffic back into the plan's embedded
-    /// re-planner, if any.
+    /// [`DistStatic`]; this function only moves tiles and runs the task
+    /// body.
     fn distributed_attempt(
         &self,
         matrix: &mut TlrMatrix,
@@ -1113,11 +1106,6 @@ impl Session<'_> {
     ) -> Result<RunOutcome, RunError> {
         let (cfg, ft, nprocs, dag) = (&self.cfg, self.fault_layer(), ds.nprocs, &plan.dag);
         let memory_before_f64 = matrix.memory_f64();
-        // Hold the mapping read-locked across the whole attempt: an
-        // embedded re-planner refreshing it mid-run (another session
-        // sharing the cached plan) must wait until this run has gathered
-        // its tiles.
-        let map = ds.mapping.read();
         let tile_size = matrix.tile_size();
         let body = RankBody::new(dag, &ds.preds, cfg, tile_size, nprocs);
         // The metrics registry shards per emulated rank: task counts and
@@ -1142,16 +1130,16 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            run_ranks(matrix, dag, ds, &map, &dist_cfg, Some(&hooks), &body)
+            run_ranks(matrix, dag, ds, &dist_cfg, Some(&hooks), &body)
         } else {
-            run_ranks::<Tile>(matrix, dag, ds, &map, &dist_cfg, None, &body)
+            run_ranks::<Tile>(matrix, dag, ds, &dist_cfg, None, &body)
         }?;
         let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
         gather_tiles(
             matrix,
             &ds.last_writer,
-            &map.placement,
+            &ds.placement,
             &out.exec_rank,
             &mut out.stores,
         );
@@ -1159,25 +1147,6 @@ impl Session<'_> {
             return Err(RunError::Numeric(e));
         }
         let rank_evolution = drain_workspaces(body.workspaces, &registry);
-        // Feed the measured traffic back into the re-planner (successful
-        // runs only — a failed attempt's comm is not a usable signal).
-        // The planned (pre-fault) ranks and current overrides are cloned
-        // out so the read guard can drop before an embedded re-planner
-        // refreshes the mapping in place.
-        if let Some(rp) = &ds.replan {
-            let planned_exec = map.exec_rank.clone();
-            let old_overrides = map.overrides.clone();
-            drop(map);
-            let mut r = rp.lock();
-            r.observe(&dag.graph, &planned_exec, &out.comm);
-            if *r.overrides() != old_overrides {
-                let overrides = r.overrides().clone();
-                drop(r);
-                // Re-derive placement from the existing DAG (never
-                // rebuilt).
-                *ds.mapping.write() = ds.derive_mapping(dag, overrides);
-            }
-        }
         let registry = registry.snapshot();
         // The comm model prices the run's final task→rank mapping.
         let drift = self.drift.as_ref().map(|spec| {

@@ -52,11 +52,6 @@ impl<P> RankCtx<'_, P> {
     pub fn take(&mut self, data: DataRef) -> Option<P> {
         self.store.remove(&data)
     }
-
-    /// Take a shipped remote input (consuming it).
-    pub fn take_remote(&mut self, producer: TaskId, data: DataRef) -> Option<P> {
-        self.remote_inputs.remove(&(producer, data))
-    }
 }
 
 /// The one diagnostic of a datum that is not where the graph says it is:

@@ -392,3 +392,24 @@ fn distributed_session_over_zero_ranks_is_a_typed_error() {
     let plan = Session::distributed(FactorConfig::with_accuracy(1e-6), 1, &dist).plan(&a).unwrap();
     assert_eq!(session.run_with_plan(&plan, &mut a).err(), Some(empty));
 }
+
+/// A layout built for another rank count is a typed error naming both
+/// counts: clamping its owners would pile three ranks' tiles onto one
+/// (layout 4, session 2) or leave ranks without work (layout 2, session
+/// 4).
+#[test]
+fn distributed_session_over_a_layout_for_other_ranks_is_a_typed_error() {
+    use hicma_parsec::cholesky::{RunError, Session};
+    use hicma_parsec::distribution::TwoDBlockCyclic;
+
+    let (points, kernel) = fixture(1, 100, 3);
+    let ccfg = CompressionConfig::with_accuracy(1e-6);
+    let mut a = TlrMatrix::from_generator(points.len(), 25, kernel.generator(&points), &ccfg);
+    for (layout, nprocs) in [(4, 2), (2, 4)] {
+        let dist = TwoDBlockCyclic::new(layout);
+        let session = Session::distributed(FactorConfig::with_accuracy(1e-6), nprocs, &dist);
+        let mismatch = RunError::LayoutMismatch { layout, nprocs };
+        assert_eq!(session.plan(&a).err(), Some(mismatch.clone()));
+        assert_eq!(session.run(&mut a).err(), Some(mismatch));
+    }
+}

@@ -11,7 +11,9 @@
 use hicma_parsec::cholesky::{
     factorize, FactorConfig, IntegrityMode, PlanCache, PlanMode, RunError, Session,
 };
-use hicma_parsec::distribution::TwoDBlockCyclic;
+use hicma_parsec::distribution::{
+    BandDistribution, DiamondDistribution, TileDistribution, TwoDBlockCyclic,
+};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::{FaultPlan, FtConfig};
@@ -40,7 +42,7 @@ fn compressed(dense: &Matrix, b: usize, acc: f64) -> TlrMatrix {
 /// A distributed session with the given optional capability layers.
 fn dist_session<'a>(
     cfg: FactorConfig,
-    dist: &'a TwoDBlockCyclic,
+    dist: &'a dyn TileDistribution,
     ft_cfg: &'a Option<FtConfig>,
     cache: Option<&'a PlanCache>,
 ) -> Session<'a> {
@@ -131,14 +133,16 @@ proptest! {
     }
 
     /// Distributed: the same contract across {plain, obs, ft, integrity}
-    /// capability subsets on 4 emulated ranks — every subset factors
-    /// bit-identically to the shared-memory reference whether its plan
-    /// came fresh or from the cache.
+    /// capability subsets on 4 emulated ranks laid out 2DBC, band or
+    /// diamond — every subset factors bit-identically to the
+    /// shared-memory reference whether its plan came fresh or from the
+    /// cache.
     #[test]
     fn cached_distributed_factor_is_bit_identical(
         seed in 0u64..10_000,
         corr in 4u32..10,
         subset in 0usize..4,
+        layout in 0usize..3,
     ) {
         let n = 96;
         let b = 24;
@@ -150,7 +154,12 @@ proptest! {
         factorize(&mut reference, &cfg).unwrap();
         let l_ref = reference.to_dense_lower();
 
-        let dist = TwoDBlockCyclic::new(4);
+        let (bc, band, diamond) = (
+            TwoDBlockCyclic::new(4),
+            BandDistribution::new(4),
+            DiamondDistribution::new(4),
+        );
+        let dist: &dyn TileDistribution = [&bc as &dyn TileDistribution, &band, &diamond][layout];
         // The capability subset under test: plain, traced, faulty, or
         // integrity-armed.
         let ft_cfg = (subset == 2).then(|| {
@@ -168,14 +177,14 @@ proptest! {
             cfg.integrity = IntegrityMode::VerifyReads;
         }
         let mut fresh = compressed(&dense, b, acc);
-        let out_fresh = dist_session(cfg, &dist, &ft_cfg, None).run(&mut fresh).unwrap();
+        let out_fresh = dist_session(cfg, dist, &ft_cfg, None).run(&mut fresh).unwrap();
         prop_assert_eq!(
             relative_diff(&fresh.to_dense_lower(), &l_ref), 0.0,
             "fresh distributed factor deviated"
         );
 
         let cache = PlanCache::new(2);
-        let session = dist_session(cfg, &dist, &ft_cfg, Some(&cache));
+        let session = dist_session(cfg, dist, &ft_cfg, Some(&cache));
         for round in 0..2 {
             let mut m = compressed(&dense, b, acc);
             let out = session.run(&mut m).unwrap();
@@ -317,11 +326,7 @@ fn distributed_key_records_decisions_not_capabilities() {
     let plan = dist_session(traced, &dist, &none, None)
         .plan(&compressed(&dense, b, acc))
         .unwrap();
-    let mode = PlanMode::Distributed {
-        nprocs: 4,
-        replan: false,
-    };
-    assert_eq!(plan.key().mode, mode);
+    assert_eq!(plan.key().mode, PlanMode::Distributed { nprocs: 4 });
     let mut untrimmed = plain;
     untrimmed.trimmed = false;
     let mut m = compressed(&dense, b, acc);
