@@ -9,8 +9,9 @@
 //!   (decided from the column norms, before anything is copied),
 //! * the numerical rank is small enough that the factorized form is
 //!   cheaper than dense storage → [`Tile::LowRank`],
-//! * otherwise the tile is kept [`Tile::Dense`] (compression would only
-//!   waste memory and flops).
+//! * otherwise the tile is kept [`Tile::Dense`]: the rank the accuracy
+//!   needs is above [`CompressionConfig::max_rank`], or compression would
+//!   only waste memory and flops.
 
 use crate::tile::Tile;
 use tlr_linalg::{ColPivQr, ColPivScratch, Matrix};
@@ -22,8 +23,10 @@ pub struct CompressionConfig {
     /// `10⁻⁴ … 10⁻⁹` knob). The truncation satisfies
     /// `‖A − U·Vᵀ‖_F ≤ accuracy`.
     pub accuracy: f64,
-    /// Hard cap on the stored rank (HiCMA's `maxrank`). Ranks above the
-    /// cap force the tile to stay dense. `usize::MAX` disables the cap.
+    /// Hard cap on the stored rank (HiCMA's `maxrank`). A tile whose rank
+    /// at the accuracy is above the cap stays dense; a rank equal to the
+    /// cap is kept. Assembly and recompression apply the same rule.
+    /// `usize::MAX` disables the cap.
     pub max_rank: usize,
     /// Keep the tile dense when `k · (rows + cols) ≥ keep_dense_ratio ·
     /// rows · cols`; `1.0` means "densify only when LR storage would be
@@ -88,16 +91,10 @@ pub fn compress_tile(a: Matrix, config: &CompressionConfig) -> Tile {
     let dense_backup = f.factors().clone();
     f.advance(config.accuracy, config.max_rank);
     let k = f.rank();
-    if k == 0 {
-        // Only `max_rank == 0` gets here.
-        return Tile::Null { rows, cols };
-    }
-    // If we hit max_rank while the trailing block is still above the
-    // threshold, the tile is not compressible at this accuracy: keep dense.
-    if k >= config.max_rank && config.max_rank < rows.min(cols) {
-        return Tile::Dense(dense_backup);
-    }
-    if !config.low_rank_pays_off(k, rows, cols) {
+    // The cap stopped the factorization before the trailing block met the
+    // threshold: the tile is not compressible under the cap, keep it dense.
+    let capped = k == config.max_rank && !f.trailing_below(config.accuracy);
+    if capped || !config.low_rank_pays_off(k, rows, cols) {
         return Tile::Dense(dense_backup);
     }
     let u = f.q_thin(); // rows × k, orthonormal
@@ -196,6 +193,13 @@ mod tests {
         let cfg = CompressionConfig { accuracy: 1e-12, max_rank: 4, keep_dense_ratio: 1.0 };
         let t = compress_tile(a, &cfg);
         assert_eq!(t.format(), crate::tile::TileFormat::Dense);
+        // A rank the accuracy certifies at the cap is kept, as
+        // recompression keeps it.
+        let exact = low_rank_mat(24, 24, 4, 18);
+        let cfg = CompressionConfig { accuracy: 1e-10, max_rank: 4, keep_dense_ratio: 1.0 };
+        let t = compress_tile(exact, &cfg);
+        assert_eq!(t.format(), crate::tile::TileFormat::LowRank);
+        assert_eq!(t.rank(), 4);
     }
 
     /// Recompression follows the same rule: an update whose rank at the
@@ -267,8 +271,14 @@ mod tests {
             let rank0 = ColPivQr::with_tolerance(base.clone(), cfg.accuracy, usize::MAX).rank() == 0;
             assert_eq!(compress_tile(base.clone(), &cfg).is_null(), rank0, "rel {rel}");
         }
-        // A rank cap of zero admits nothing either.
+        // A rank cap of zero certifies nothing above the threshold: the
+        // tile stays dense, bit for bit as it came.
         let cfg = CompressionConfig { accuracy: 0.0, max_rank: 0, keep_dense_ratio: 1.0 };
-        assert!(compress_tile(base, &cfg).is_null());
+        match compress_tile(base.clone(), &cfg) {
+            Tile::Dense(m) => {
+                assert!(m.as_slice().iter().zip(base.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()))
+            }
+            other => panic!("cap 0 gave a {:?} tile", other.format()),
+        }
     }
 }

@@ -63,8 +63,9 @@
 //!
 //! The pre-workspace path is preserved verbatim in [`reference`](mod@reference) as a
 //! same-run measurement baseline (`cargo run --release -p tlr-bench
-//! --bin gemm_recompress`) and, truncating by an SVD, as the
-//! rank-optimal oracle for the engine.
+//! --bin gemm_recompress`) and, truncating by [`tlr_linalg::jacobi_svd`],
+//! as the rank-optimal oracle for the engine. No factorization runs an
+//! SVD: the pivoted QR is the only truncation on the factorization path.
 
 use crate::compress::CompressionConfig;
 use crate::tile::Tile;
@@ -708,111 +709,15 @@ pub mod reference {
     //!
     //! This is the allocating, explicit-Q implementation the workspace
     //! engine replaced: fresh `Matrix` buffers per call, cloned operand
-    //! factors, `up.clone()+scale(−1)` negation, and `Qr::q_thin()` +
-    //! GEMM re-projection. It exists for two reasons: the
-    //! `gemm_recompress` bench measures the new engine against it in the
-    //! same run, and the property/equivalence tests use it as a
-    //! differential oracle.
+    //! factors, `up.clone()+scale(−1)` negation, `Qr::q_thin()` + GEMM
+    //! re-projection, and the core truncated by the SVD
+    //! ([`tlr_linalg::jacobi_svd`]) at the Frobenius optimum. It exists for
+    //! two reasons: the `gemm_recompress` bench measures the new engine
+    //! against it in the same run, and the property/equivalence tests use
+    //! it as a rank-optimal differential oracle.
 
     use super::*;
-    use tlr_linalg::Svd;
-
-    /// The plain cyclic one-sided Jacobi SVD the engine started from,
-    /// kept verbatim (fresh buffers, three dot products per pair scan,
-    /// recursive transpose handling, stable sort, no preconditioning).
-    /// [`tlr_linalg::jacobi_svd_into`] has since gained cached column
-    /// norms and the pivoted-QR preconditioner, so the baseline needs
-    /// its own frozen copy; the SVD proptests compare against it.
-    pub fn jacobi_svd_reference(a: &Matrix) -> Svd {
-        if a.rows() < a.cols() {
-            let t = jacobi_svd_reference(&a.transpose());
-            return Svd { u: t.v, s: t.s, v: t.u, discarded: 0.0 };
-        }
-        let m = a.rows();
-        let n = a.cols();
-        if n == 0 {
-            return Svd { u: Matrix::zeros(m, 0), s: vec![], v: Matrix::zeros(0, 0), discarded: 0.0 };
-        }
-        let mut w = a.clone();
-        let mut v = Matrix::identity(n);
-        let eps = f64::EPSILON;
-
-        const MAX_SWEEPS: usize = 60;
-        for _sweep in 0..MAX_SWEEPS {
-            let mut rotated = false;
-            for p in 0..n.saturating_sub(1) {
-                for q in p + 1..n {
-                    let (app, aqq, apq) = {
-                        let cp = w.col(p);
-                        let cq = w.col(q);
-                        let mut app = 0.0;
-                        let mut aqq = 0.0;
-                        let mut apq = 0.0;
-                        for i in 0..m {
-                            app += cp[i] * cp[i];
-                            aqq += cq[i] * cq[i];
-                            apq += cp[i] * cq[i];
-                        }
-                        (app, aqq, apq)
-                    };
-                    if apq.abs() <= eps * (app * aqq).sqrt() || apq == 0.0 {
-                        continue;
-                    }
-                    rotated = true;
-                    let zeta = (aqq - app) / (2.0 * apq);
-                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = c * t;
-                    {
-                        let (cp, cq) = w.two_cols_mut(p, q);
-                        for i in 0..m {
-                            let wp = cp[i];
-                            let wq = cq[i];
-                            cp[i] = c * wp - s * wq;
-                            cq[i] = s * wp + c * wq;
-                        }
-                    }
-                    {
-                        let (vp, vq) = v.two_cols_mut(p, q);
-                        for i in 0..n {
-                            let xp = vp[i];
-                            let xq = vq[i];
-                            vp[i] = c * xp - s * xq;
-                            vq[i] = s * xp + c * xq;
-                        }
-                    }
-                }
-            }
-            if !rotated {
-                break;
-            }
-        }
-
-        let mut order: Vec<usize> = (0..n).collect();
-        let norms: Vec<f64> = (0..n)
-            .map(|j| tlr_linalg::norms::frobenius_norm_slice(w.col(j)))
-            .collect();
-        order.sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
-
-        let mut u = Matrix::zeros(m, n);
-        let mut vv = Matrix::zeros(n, n);
-        let mut s = Vec::with_capacity(n);
-        for (dst, &src) in order.iter().enumerate() {
-            let sv = norms[src];
-            s.push(sv);
-            if sv > 0.0 {
-                let wc = w.col(src);
-                let uc = u.col_mut(dst);
-                for i in 0..m {
-                    uc[i] = wc[i] / sv;
-                }
-            }
-            let vc = v.col(src);
-            let vvc = vv.col_mut(dst);
-            vvc.copy_from_slice(vc);
-        }
-        Svd { u, s, v: vv, discarded: 0.0 }
-    }
+    use tlr_linalg::jacobi_svd;
 
     /// Pre-workspace [`super::gemm_kernel`]: identical semantics, fresh
     /// allocations per call, explicit-Q recompression.
@@ -941,7 +846,7 @@ pub mod reference {
         // Core = Ru · Rvᵀ (ku × kv), small.
         let mut core = Matrix::zeros(ru.rows(), rv.rows());
         gemm_serial(Trans::No, Trans::Yes, 1.0, &ru, &rv, 0.0, &mut core);
-        let svd = jacobi_svd_reference(&core);
+        let svd = jacobi_svd(&core);
         let k = svd.rank_at_frobenius(config.accuracy).min(config.max_rank);
         if k == 0 {
             return Tile::Null { rows, cols };

@@ -14,9 +14,10 @@
 //!   for callers that already sit inside a parallel task graph),
 //! * LAPACK-style factorizations: [`potrf`] (Cholesky), [`Qr`] (Householder
 //!   QR), [`ColPivQr`] (rank-revealing QR with column pivoting and
-//!   threshold-based early termination — the workhorse of TLR compression),
-//!   and [`jacobi_svd`] (one-sided Jacobi SVD, preconditioned by the pivoted
-//!   QR, for small/medium matrices),
+//!   threshold-based early termination — the one truncation of TLR
+//!   compression and recompression), and [`jacobi_svd`] (plain one-sided
+//!   Jacobi SVD, the SVD-optimal oracle those truncations are tested
+//!   against; no factorization calls it),
 //! * norm/error utilities,
 //! * [`TileSource`]: a matrix given entry by entry, with an optional cheap
 //!   norm bound per block (what tile assembly consumes).
@@ -54,4 +55,4 @@ pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{frobenius_norm, max_abs, relative_diff};
 pub use qr::{ColPivQr, ColPivScratch, Qr};
 pub use source::TileSource;
-pub use svd::{jacobi_svd, jacobi_svd_into, Svd, SvdWork};
+pub use svd::{jacobi_svd, Svd};

@@ -10,7 +10,9 @@
 //! This facade crate re-exports the public API of every workspace crate so
 //! downstream users depend on a single package:
 //!
-//! * [`linalg`] — dense kernels (GEMM/SYRK/TRSM/POTRF, QR, pivoted QR, SVD)
+//! * [`linalg`] — dense kernels (GEMM/SYRK/TRSM/POTRF, QR, pivoted QR — the
+//!   factorization's only truncation — and the Jacobi SVD its tests compare
+//!   against)
 //! * [`tlr`] — TLR tiles, threshold compression, TLR BLAS with recompression
 //! * [`runtime`] — task graphs, shared-memory executor, distributed
 //!   discrete-event simulator, machine models

@@ -246,7 +246,7 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
     let (mut blocked_store, mut blocked_taus, mut blocked_qx) =
         (Matrix::zeros(0, 0), Vec::new(), Matrix::zeros(0, 0));
     let (mut cp_store, mut cp_scratch) = (Matrix::zeros(0, 0), ColPivScratch::default());
-    let (mut rt, mut q) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut q = Matrix::zeros(0, 0);
     let (mut l, mut sol, mut c) = (spd.clone(), rhs.clone(), spd.clone());
 
     let mut counts = [0u64; 8];
@@ -282,7 +282,6 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
                 std::mem::take(&mut cp_scratch),
             );
             f.advance(1e-8, usize::MAX);
-            f.rt_into(&mut rt);
             q.reset(b, f.rank());
             for j in 0..f.rank() {
                 q[(j, j)] = 1.0;

@@ -356,8 +356,12 @@ fn dense_layer_matches_the_recorded_goldens() {
 // One line was re-recorded since, once: `qr tall m=150 n=56`, when `Qr`
 // moved to block reflectors above 32 reflectors (56 here). Every other QR
 // line factors at most 32 columns and keeps the one-reflector loop's bits.
+// The `jacobi_svd` line pins the plain Jacobi loop that recompression's
+// SVD-optimal oracle runs, with no truncation floor. It was appended while
+// that loop still lived in `kernels::reference` and passed unedited once
+// the loop became `jacobi_svd`.
 
-use hicma_parsec::linalg::{jacobi_svd_into, potrf_unblocked, ColPivQr, Qr, Svd, SvdWork};
+use hicma_parsec::linalg::{jacobi_svd, potrf_unblocked, ColPivQr, Qr};
 use hicma_parsec::tlr::compress_tile;
 
 /// A Gaussian-kernel block between two 1D point sets `offset` apart: the
@@ -503,17 +507,14 @@ fn actual_loop_orders() -> String {
 
     let tile = gaussian_tile(200, 200, 60.0, 40.0);
     let f = ColPivQr::with_tolerance(tile, 1e-8, usize::MAX);
-    let mut rt = Matrix::zeros(0, 0);
-    f.rt_into(&mut rt);
     let perm: Vec<u64> = f.perm().iter().map(|&p| p as u64).collect();
     writeln!(
         out,
-        "colpiv gaussian 200x200 rank={} perm={:#018x} factors={:#018x} q={:#018x} rt={:#018x}",
+        "colpiv gaussian 200x200 rank={} perm={:#018x} factors={:#018x} q={:#018x}",
         f.rank(),
         fnv(perm.into_iter()),
         bits(f.factors().as_slice()),
-        bits(f.q_thin().as_slice()),
-        bits(rt.as_slice())
+        bits(f.q_thin().as_slice())
     )
     .unwrap();
 
@@ -522,16 +523,14 @@ fn actual_loop_orders() -> String {
         let r = rand_mat(56, 56, 199);
         Matrix::from_fn(56, 56, |i, c| r[(i, c)] * 0.7f64.powi(c as i32))
     };
-    let (mut svd, mut work) = (Svd::empty(), SvdWork::new());
-    jacobi_svd_into(&core, 1e-9, &mut svd, &mut work);
+    let svd = jacobi_svd(&core);
     writeln!(
         out,
-        "jacobi_svd graded 56x56 floor=1e-9 k={} u={:#018x} s={:#018x} v={:#018x} discarded={:#018x}",
+        "jacobi_svd graded 56x56 k={} u={:#018x} s={:#018x} v={:#018x}",
         svd.s.len(),
         bits(svd.u.as_slice()),
         bits(&svd.s),
-        bits(svd.v.as_slice()),
-        svd.discarded.to_bits()
+        bits(svd.v.as_slice())
     )
     .unwrap();
 
@@ -619,8 +618,8 @@ qr tall m=150 n=7 factors=0x8bec3be8da085435 taus=0x70f0d2a116c306d2 r=0x3cfd887
 qr tall m=150 n=56 factors=0x187e3f398fb6b090 taus=0xacb7505923b91ebe r=0xf86b2619578a3303 q=0xa68eb3523dee6d7d apply_q=0xd65b2e9ca4e5885b apply_qt=0xbac6af89bda10224
 qr wide m=20 n=37 factors=0xceb814e85c58e171 taus=0x4e9927800adff948 r=0xf9e38a0035601aa8 q=0x8a7da9ed011a1f15 apply_q=0xbbdb24ffa9af07ba apply_qt=0xcab80067626bf6c0
 qr tau0 m=150 n=5 factors=0xe9a6327feeccaac7 taus=0x0b1dfc34f0e620df r=0x435ab54d166f1e4d q=0x4442feab9d0bbe0f apply_q=0x0c909b7d6458d00e apply_qt=0x4823d5bd3c25ff00
-colpiv gaussian 200x200 rank=19 perm=0xbbf831d6c558e197 factors=0x9a39cf3ea462bcbd q=0x055d274eac543d01 rt=0xce6a2b56c8ae76a6
-jacobi_svd graded 56x56 floor=1e-9 k=54 u=0x006541b1ccb1a7a1 s=0xbc9872fec0435a12 v=0x69f26b826d4953f5 discarded=0x3e0cd61e56549fc8
+colpiv gaussian 200x200 rank=19 perm=0xbbf831d6c558e197 factors=0x9a39cf3ea462bcbd q=0x055d274eac543d01
+jacobi_svd graded 56x56 k=56 u=0x6d6efb9c8e41e5d7 s=0x85b6e904c5b43342 v=0xe15f37be760fa960
 compress_tile eps=1e-4 lowrank k=9 u=0xcca37d20f2a4b01b v=0x1ee531d3552d60b8
 compress_tile eps=1e-8 lowrank k=13 u=0xda1343da0bf07068 v=0x6a4e0f5f2ae3eb98
 factorize shift retry attempts=3 shift=0x3eb0c6f784902b2c factor=0x594b877f854b0392

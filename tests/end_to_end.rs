@@ -240,13 +240,17 @@ fn nan_poisoned_tile_is_a_typed_numeric_error() {
 /// a `NaN` or `±∞` in any stacked factor — the destination's `U` or `V`,
 /// the update's `u` or `v`, an operand of the TLR GEMM — comes out of
 /// recompression as a tile with a non-finite entry, never as `Null` and
-/// never as a finite tile; and a factorization whose off-diagonal tile
-/// holds `±∞` ends in the typed numeric error, like the `NaN` case above.
+/// never as a finite tile. The reference kernels, which truncate by the
+/// SVD, keep the poison the same way. A factorization whose off-diagonal
+/// tile holds `±∞` ends in the typed numeric error, like the `NaN` case
+/// above.
 #[test]
 fn poison_in_a_stacked_factor_reaches_the_diagonal() {
     use hicma_parsec::cholesky::{RunError, Session};
     use hicma_parsec::tlr::compress_tile;
-    use hicma_parsec::tlr::kernels::{gemm_kernel_ws, subtract_lowrank_ws, KernelWorkspace};
+    use hicma_parsec::tlr::kernels::{
+        gemm_kernel_ws, reference, subtract_lowrank_ws, KernelWorkspace,
+    };
     use hicma_parsec::tlr::Tile;
 
     let cfg = CompressionConfig::with_accuracy(1e-6);
@@ -301,19 +305,28 @@ fn poison_in_a_stacked_factor_reaches_the_diagonal() {
                 ("update v", lr(&uc, &vc), up.clone(), poisoned(&vp, x)),
                 ("update u into null", null(), poisoned(&up, x), vp.clone()),
             ];
-            for (what, mut c, u, v) in updates {
+            for (what, c0, u, v) in updates {
+                let mut c = c0.clone();
                 subtract_lowrank_ws(&mut ws, &mut c, &u, &v, &cfg);
                 assert_poisoned(&c, &format!("b = {b}: subtract_lowrank {x}, {what}"));
+                let mut c = c0;
+                reference::subtract_lowrank_reference(&mut c, &u, &v, &cfg);
+                assert_poisoned(&c, &format!("b = {b}: subtract_lowrank_reference {x}, {what}"));
             }
             let operand = lr(&poisoned(&up, x), &vp);
             let clean = lr(&uc, &vc);
             for (what, c0) in [("low-rank", lr(&uc, &vc)), ("null", null())] {
-                let mut c = c0.clone();
-                gemm_kernel_ws(&mut ws, &operand, &clean, &mut c, &cfg);
-                assert_poisoned(&c, &format!("b = {b}: gemm_kernel {x}, poisoned a into {what}"));
-                let mut c = c0;
-                gemm_kernel_ws(&mut ws, &clean, &operand, &mut c, &cfg);
-                assert_poisoned(&c, &format!("b = {b}: gemm_kernel {x}, poisoned b into {what}"));
+                for (side, a, b_op) in [("a", &operand, &clean), ("b", &clean, &operand)] {
+                    let mut c = c0.clone();
+                    gemm_kernel_ws(&mut ws, a, b_op, &mut c, &cfg);
+                    assert_poisoned(&c, &format!("b = {b}: gemm_kernel {x}, poisoned {side} into {what}"));
+                    let mut c = c0.clone();
+                    reference::gemm_kernel_reference(a, b_op, &mut c, &cfg);
+                    assert_poisoned(
+                        &c,
+                        &format!("b = {b}: gemm_kernel_reference {x}, poisoned {side} into {what}"),
+                    );
+                }
             }
         }
     }
