@@ -42,7 +42,7 @@ fn main() {
     let accuracy = 1e-8;
     let dense = Matrix::from_fn(n, n, |i, j| kernel.matrix_entry(&points, i, j));
     for cap in [4usize, 8, 16, 32, usize::MAX] {
-        let ccfg = CompressionConfig { accuracy, max_rank: cap, keep_dense_ratio: 1.0 };
+        let ccfg = CompressionConfig { accuracy, max_rank: cap };
         let mut a = TlrMatrix::from_dense(&dense, 105, &ccfg);
         let mem = a.memory_f64() as f64 / (n * (n + 1) / 2) as f64;
         let fcfg = FactorConfig { max_rank: cap, ..FactorConfig::with_accuracy(accuracy) };

@@ -5,8 +5,10 @@
 //!
 //! For each plan the run's trace is summarized with the *same*
 //! [`RunMetrics`] record the shared-memory executor uses (per-class
-//! busy time, per-process idle fraction, load imbalance, communication
-//! volume, efficiency against the critical-path bound) and exported as
+//! busy time, per-process idle fraction, load imbalance, efficiency
+//! against the critical-path bound), its wire traffic is read off the
+//! simulator's report (messages, and bytes including the diamond
+//! write-backs), and the trace is exported as
 //! a Chrome-trace file `TRACE_<plan>.json` loadable in Perfetto —
 //! one exporter, both engines, which is the point of the facade.
 //!
@@ -28,30 +30,33 @@ fn main() {
     );
 
     let plans = [DistributionPlan::Lorapo, DistributionPlan::Band, DistributionPlan::BandDiamond];
-    let mut runs = Vec::new();
+    let (mut runs, mut json) = (Vec::new(), Vec::new());
     for plan in plans {
         let cfg = SimConfig { plan, ..SimConfig::hicma_parsec(MachineModel::shaheen_ii(), nodes) };
         let r = simulate_cholesky(&snap, &cfg);
         let label = plan.name();
         let metrics = RunMetrics::from_trace(label, &r.trace, nodes)
-            .with_comm(r.comm.bytes + r.writeback_bytes, r.comm.messages)
             .with_critical_path(r.critical_path_seconds);
 
         let path = format!("TRACE_{}.json", label.replace('+', "_"));
         std::fs::write(&path, chrome_trace_json(&r.trace, label)).expect("write chrome trace");
+        let (messages, bytes) = (r.comm.messages, r.comm.bytes + r.writeback_bytes);
         println!(
-            "  {label:>13}: makespan {:.4}s, {} tasks traced -> {path}",
+            "  {label:>13}: makespan {:.4}s, {messages} msgs / {bytes} B, {} tasks traced -> {path}",
             metrics.makespan,
             r.trace.records.len()
         );
+        let mut o = metrics.to_json();
+        o.insert("comm_messages", Json::Num(messages as f64));
+        o.insert("comm_bytes", Json::Num(bytes as f64));
+        json.push(o);
         runs.push(metrics);
     }
 
     println!();
     println!("{}", RunMetrics::comparison_table(&runs));
 
-    let json = Json::Arr(runs.iter().map(RunMetrics::to_json).collect());
-    std::fs::write("METRICS_trace_compare.json", json.to_string())
+    std::fs::write("METRICS_trace_compare.json", Json::Arr(json).to_string())
         .expect("write METRICS_trace_compare.json");
     println!("wrote METRICS_trace_compare.json and one Chrome trace per plan");
     println!("open the traces at https://ui.perfetto.dev (or chrome://tracing)");

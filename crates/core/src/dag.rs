@@ -27,7 +27,7 @@
 use crate::analysis::MatrixAnalysis;
 use runtime::graph::{DataRef, Edge, EdgeCounts, TaskClass, TaskGraph, TaskId, TaskSpec};
 use tlr_compress::kernels::flops;
-use tlr_compress::RankSnapshot;
+use tlr_compress::{low_rank_pays_off, RankSnapshot};
 
 /// Identity of a Cholesky task (the PTG parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,10 +158,11 @@ pub(crate) fn lower(i: usize, j: usize) -> usize {
     i * (i + 1) / 2 + j
 }
 
-/// Is a rank-`r` tile of size `b` stored dense (LR does not pay off)?
+/// Is a rank-`r` tile of size `b` stored dense? Exactly when compression
+/// would keep it so: low rank does not pay off.
 #[inline]
 fn dense_format(r: usize, b: usize) -> bool {
-    2 * r >= b
+    !low_rank_pays_off(r, b, b)
 }
 
 /// Message size of tile `(i, j)` with rank estimate `r`, in bytes.
@@ -410,8 +411,9 @@ mod tests {
     #[test]
     fn rank_params_follow_format() {
         let nt = 4;
-        // rank 2 of 64 → LR; rank 40 of 64 → dense format
-        let s = snap(nt, 64, &[(1, 0, 2), (2, 0, 40), (2, 1, 2), (3, 2, 2), (3, 0, 2), (3, 1, 2)]);
+        // rank 2 of 64 → LR; rank 40 of 64 → dense format; rank 32 of 64
+        // stores as many words either way, and compression keeps it LR
+        let s = snap(nt, 64, &[(1, 0, 2), (2, 0, 40), (2, 1, 2), (3, 2, 2), (3, 0, 32), (3, 1, 2)]);
         let dag = build_cholesky_dag(&s, &DagConfig::default());
         for (idx, kind) in dag.kinds.iter().enumerate() {
             match kind {
@@ -424,6 +426,7 @@ mod tests {
                     assert!(dag.nested[idx], "panel-adjacent TRSM is critical");
                 }
                 TaskKind::Trsm { k: 0, m: 3 } => {
+                    assert_eq!(dag.rank_param[idx], 32, "a tile at 2r = b is low rank");
                     assert!(dag.nested[idx], "window TRSM is critical");
                 }
                 TaskKind::Potrf { .. } => {

@@ -200,6 +200,7 @@ mod tests {
     use distribution::{BandDistribution, DiamondDistribution, LorapoHybrid, TwoDBlockCyclic};
     use runtime::engine::EngineError;
     use runtime::fault::{FaultPlan, FtConfig, FtError};
+    use runtime::obs::registry::Counter;
     use tlr_compress::CompressionConfig;
     use tlr_linalg::norms::relative_diff;
     use tlr_linalg::Matrix;
@@ -233,7 +234,11 @@ mod tests {
             out.comm.is_some(),
             "distributed runs always count communication"
         );
-        assert!(out.faults.is_none(), "no fault layer was configured");
+        let reg = out.registry.expect("every run reports its registry");
+        assert!(
+            Counter::FAULTS.iter().all(|&c| reg.counter(c) == 0),
+            "no fault layer was configured"
+        );
         let ls = shared.to_dense_lower();
         let ld = distr.to_dense_lower();
         assert!(
@@ -348,7 +353,6 @@ mod tests {
             .with_fault_layer(ft)
             .run(&mut distr)
             .unwrap();
-        assert!(out.faults.is_some(), "fault layer was configured");
         assert!(
             out.comm.is_some(),
             "comm counting composes with the fault layer"

@@ -1,25 +1,29 @@
-//! Cost-model drift reports: measured execution vs the analytical model.
+//! Cost-model drift reports: a measured run against the simulator's own
+//! machine model.
 //!
-//! [`CostModel`] prices tasks (machine peak × rank-dependent efficiency)
-//! and [`modeled_comm`] prices communication. Both models are
-//! calibrated once against published machine numbers — nothing checks
-//! them against the run that actually happened. A [`DriftReport`] closes
-//! that loop: attach a [`DriftSpec`] to any
-//! [`Session`](crate::session::Session) and the outcome carries per-kernel-class
-//! modeled-vs-measured busy time, the drift ratio, and an anomaly flag
-//! for ratios outside a configurable band. Distributed
-//! runs additionally compare the exact comm model against the traffic
-//! the engine measured — equal on a fault-free run, drifting apart under
-//! retransmissions.
+//! A [`DriftReport`] prices every task of the plan a run executed with
+//! the discrete-event simulator's per-task model — the kernel seconds
+//! [`des_tasks`](crate::simulate::des_tasks) assigns it on the spec's
+//! machine: the nested node-parallel rate on the critical path, the
+//! single-core rate at the task's own rank elsewhere — and sets the
+//! per-class sums beside the busy time the run's registry measured, with
+//! the drift ratio and an anomaly flag for ratios outside a configurable
+//! band. Distributed runs additionally compare the exact comm model
+//! ([`modeled_comm`]) against the traffic the engine measured — equal on
+//! a fault-free run, drifting apart under retransmissions.
 //!
 //! The report is diagnostic, not normative: shared-memory runs measure
 //! wall-clock seconds against a supercomputer-calibrated model, so the
 //! interesting signal is the *relative* drift between classes (is GEMM
 //! mispriced relative to POTRF?) and run-over-run movement tracked by
-//! `bench_history`, not the absolute ratio.
+//! `bench_history`, not the absolute ratio. A distributed run measures
+//! `FtConfig::task_time` of virtual time per task, so there only its
+//! comm drift says something about the model.
 
+use crate::dag::CholeskyDag;
+use crate::simulate::task_duration;
 use runtime::des::CommStats;
-use runtime::graph::{TaskClass, TaskGraph, TaskSpec};
+use runtime::graph::{TaskClass, TaskGraph};
 use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{class_name, class_slot, RegistrySnapshot, NCLASSES};
@@ -44,70 +48,22 @@ pub fn modeled_comm(graph: &TaskGraph, exec_rank: &[usize]) -> CommStats {
     CommStats { bytes, messages }
 }
 
-/// Per-kernel cost estimates: a machine model plus the rank low-rank
-/// updates operate at.
-///
-/// The point (H2OPUS-TLR's observation) is that TLR GEMMs run far below
-/// the dense rate at low rank, so a model pricing every flop at the dense
-/// rate mispredicts them. GEMM/SYRK updates are priced at
-/// `core_time(flops, rank)`; the panel kernels (POTRF/TRSM) operate on
-/// dense diagonal blocks and keep the dense rate.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    machine: MachineModel,
-    expected_rank: usize,
-}
-
-impl CostModel {
-    /// Price low-rank updates on `machine` at `rank` (at least 1).
-    pub fn new(machine: &MachineModel, rank: usize) -> Self {
-        Self { machine: machine.clone(), expected_rank: rank.max(1) }
-    }
-
-    /// The rank the model prices low-rank updates at.
-    pub fn expected_rank(&self) -> usize {
-        self.expected_rank
-    }
-
-    /// Predicted seconds for a task, given its class and planned flops.
-    pub fn task_cost(&self, spec: &TaskSpec) -> f64 {
-        if spec.flops == 0.0 {
-            return 0.0;
-        }
-        match spec.class {
-            TaskClass::Gemm | TaskClass::Syrk => {
-                self.machine.core_time(spec.flops, self.expected_rank)
-            }
-            _ => self.machine.dense_kernel_time(spec.flops),
-        }
-    }
-}
-
 /// How a run's drift report is computed.
 #[derive(Debug, Clone)]
 pub struct DriftSpec {
-    /// Machine model pricing the per-class durations (and, through
-    /// [`CostModel`], the rank-dependent low-rank efficiency).
+    /// Machine model the simulator prices each task on.
     pub machine: MachineModel,
     /// Anomaly band: a class whose measured/modeled ratio falls outside
     /// `[1/band, band]` is flagged. Must be `> 1`; the default is 8
     /// (wall-clock on a laptop vs a supercomputer model drifts by small
     /// constant factors — flag only order-of-magnitude surprises).
     pub band: f64,
-    /// Rank the cost model prices low-rank updates at when the run
-    /// recorded no recompression (`None`: 16). A run that recompressed is
-    /// priced at its measured mean recompression rank.
-    pub fallback_rank: Option<usize>,
 }
 
 impl DriftSpec {
-    /// A spec on the given machine with the default band and derived rank.
+    /// A spec on the given machine with the default band.
     pub fn new(machine: MachineModel) -> Self {
-        DriftSpec {
-            machine,
-            band: 8.0,
-            fallback_rank: None,
-        }
+        DriftSpec { machine, band: 8.0 }
     }
 }
 
@@ -118,7 +74,8 @@ pub struct ClassDrift {
     pub class: &'static str,
     /// Tasks of this class in the executed DAG.
     pub modeled_tasks: u64,
-    /// Model-priced busy seconds summed over the class's tasks.
+    /// The simulator's kernel seconds summed over the class's tasks, in
+    /// task-id order.
     pub modeled_seconds: f64,
     /// Busy seconds the registry measured for the class (wall-clock on
     /// shared-memory runs, virtual time on DES runs).
@@ -147,7 +104,7 @@ pub struct CommDrift {
 }
 
 /// Per-class (and, on distributed runs, per-wire) drift between the
-/// analytical cost model and a measured run. Built by
+/// simulator's model and a measured run of the same plan. Built by
 /// [`Session::with_drift`](crate::session::Session::with_drift).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftReport {
@@ -155,12 +112,8 @@ pub struct DriftReport {
     pub machine: String,
     /// Anomaly band the flags were computed with.
     pub band: f64,
-    /// Rank the cost model priced low-rank updates at.
-    pub expected_rank: usize,
     /// One entry per kernel class, fixed order potrf/trsm/syrk/gemm/other.
     pub classes: Vec<ClassDrift>,
-    /// Total model flops of the executed DAG.
-    pub modeled_flops: f64,
     /// Communication drift (distributed runs only).
     pub comm: Option<CommDrift>,
 }
@@ -178,36 +131,22 @@ fn out_of_band(r: f64, band: f64) -> bool {
 }
 
 impl DriftReport {
-    /// Build a report from the executed graph, the run's merged registry
-    /// snapshot, and (on distributed runs) the final task→rank mapping
-    /// plus measured traffic.
+    /// Build a report from the executed plan's DAG, the run's merged
+    /// registry snapshot, and (on distributed runs) the final task→rank
+    /// mapping plus measured traffic.
     pub fn compute(
         spec: &DriftSpec,
-        graph: &TaskGraph,
+        dag: &CholeskyDag,
         snapshot: &RegistrySnapshot,
         comm: Option<(&[usize], CommStats)>,
     ) -> DriftReport {
         let band = if spec.band > 1.0 { spec.band } else { 8.0 };
-        // Price low-rank updates at the run's own mean recompression
-        // rank (exact: the histogram keeps the sum and count beside its
-        // log2 buckets) when the registry captured one, else the spec's
-        // fallback.
-        let ranks = &snapshot.recompression_ranks;
-        let rank = if ranks.count > 0 {
-            ranks.mean().round() as usize
-        } else {
-            spec.fallback_rank.unwrap_or(16)
-        };
-        let model = CostModel::new(&spec.machine, rank);
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];
-        let mut flops = 0.0;
-        for t in 0..graph.len() {
-            let s = graph.spec(t);
-            let k = class_slot(s.class);
-            modeled[k] += model.task_cost(s);
+        for t in 0..dag.graph.len() {
+            let k = class_slot(dag.graph.spec(t).class);
+            modeled[k] += task_duration(dag, t, &spec.machine);
             tasks[k] += 1;
-            flops += s.flops;
         }
         let classes = (0..NCLASSES)
             .map(|k| {
@@ -231,7 +170,7 @@ impl DriftReport {
             })
             .collect();
         let comm = comm.map(|(exec_rank, measured)| {
-            let modeled = modeled_comm(graph, exec_rank);
+            let modeled = modeled_comm(&dag.graph, exec_rank);
             let br = ratio(measured.bytes as f64, modeled.bytes as f64);
             let mr = ratio(measured.messages as f64, modeled.messages as f64);
             CommDrift {
@@ -245,9 +184,7 @@ impl DriftReport {
         DriftReport {
             machine: spec.machine.name.clone(),
             band,
-            expected_rank: model.expected_rank(),
             classes,
-            modeled_flops: flops,
             comm,
         }
     }
@@ -257,8 +194,6 @@ impl DriftReport {
         let mut root = Json::obj();
         root.insert("machine", Json::Str(self.machine.clone()));
         root.insert("band", Json::Num(self.band));
-        root.insert("expected_rank", Json::Num(self.expected_rank as f64));
-        root.insert("modeled_flops", Json::Num(self.modeled_flops));
         let classes = self
             .classes
             .iter()
@@ -325,8 +260,8 @@ impl fmt::Display for DriftReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "cost-model drift vs {} (rank {}, band {:.1}x)",
-            self.machine, self.expected_rank, self.band
+            "cost-model drift vs {} (band {:.1}x)",
+            self.machine, self.band
         )?;
         writeln!(
             f,
@@ -368,50 +303,40 @@ impl fmt::Display for DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::graph::{DataRef, GraphBuilder};
+    use crate::dag::{build_cholesky_dag, DagConfig};
+    use tlr_compress::RankSnapshot;
 
-    fn graph_with(classes: &[(TaskClass, f64)]) -> GraphBuilder {
-        let mut g = GraphBuilder::new();
-        for &(class, flops) in classes {
-            g.add_task(TaskSpec {
-                class,
-                priority: 0,
-                writes: Some(DataRef { i: 0, j: 0 }),
-                flops,
-            });
+    /// A 4 × 4 tile structure at b = 64 with dense-format, low-rank and
+    /// null off-diagonal tiles.
+    fn small_dag() -> CholeskyDag {
+        let (nt, b) = (4, 64);
+        let mut ranks = vec![0usize; nt * nt];
+        for (i, j, r) in [(1, 0, 4), (2, 0, 40), (2, 1, 8), (3, 1, 4), (3, 2, 16)] {
+            ranks[i * nt + j] = r;
+            ranks[j * nt + i] = r;
         }
-        g
+        for i in 0..nt {
+            ranks[i * nt + i] = b;
+        }
+        build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default())
     }
 
     #[test]
     fn empty_snapshot_yields_zero_ratios_not_nan() {
-        let g = graph_with(&[(TaskClass::Potrf, 1e6), (TaskClass::Gemm, 1e7)]).finish();
+        let dag = small_dag();
         let spec = DriftSpec::new(MachineModel::shaheen_ii());
-        let rep = DriftReport::compute(&spec, &g, &RegistrySnapshot::default(), None);
+        let rep = DriftReport::compute(&spec, &dag, &RegistrySnapshot::default(), None);
         assert_eq!(rep.classes.len(), 5);
         for c in &rep.classes {
             assert!(c.ratio.is_finite(), "{}: {}", c.class, c.ratio);
             assert!(!c.anomalous, "zero measurement must not flag");
         }
-        assert!(rep.modeled_flops > 0.0);
         assert!(rep.classes[0].modeled_seconds > 0.0);
+        let tasks: u64 = rep.classes.iter().map(|c| c.modeled_tasks).sum();
+        assert_eq!(tasks as usize, dag.graph.len());
         let js = rep.to_json().to_string();
-        assert!(js.contains("\"modeled_flops\""));
+        assert!(js.contains("\"modeled_seconds\""));
         assert!(!js.contains("NaN"));
-    }
-
-    #[test]
-    fn cost_model_prices_gemm_below_dense_rate() {
-        let m = MachineModel::shaheen_ii();
-        let model = CostModel::new(&m, 8);
-        let gemm = TaskSpec { class: TaskClass::Gemm, priority: 0, writes: None, flops: 1e9 };
-        let potrf = TaskSpec { class: TaskClass::Potrf, ..gemm };
-        // same flops: the rank-8 GEMM takes longer than the dense panel
-        assert!(model.task_cost(&gemm) > model.task_cost(&potrf));
-        assert_eq!(model.task_cost(&potrf), m.dense_kernel_time(1e9));
-        // zero-flop tasks are free, and rank 0 prices as rank 1
-        assert_eq!(model.task_cost(&TaskSpec { flops: 0.0, ..gemm }), 0.0);
-        assert_eq!(CostModel::new(&m, 0).expected_rank(), 1);
     }
 
     #[test]
@@ -424,15 +349,14 @@ mod tests {
 
     #[test]
     fn comm_drift_is_exact_on_matching_model() {
-        let mut g = graph_with(&[(TaskClass::Potrf, 1e6), (TaskClass::Trsm, 1e6)]);
-        g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 800);
-        let g = g.finish();
-        let exec_rank = vec![0usize, 1usize];
-        let measured = modeled_comm(&g, &exec_rank);
+        let dag = small_dag();
+        let exec_rank: Vec<usize> = (0..dag.graph.len()).map(|t| t % 2).collect();
+        let measured = modeled_comm(&dag.graph, &exec_rank);
+        assert!(measured.messages > 0);
         let spec = DriftSpec::new(MachineModel::fugaku());
         let rep = DriftReport::compute(
             &spec,
-            &g,
+            &dag,
             &RegistrySnapshot::default(),
             Some((&exec_rank, measured)),
         );

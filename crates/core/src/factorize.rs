@@ -112,14 +112,11 @@ impl FactorConfig {
     }
 
     /// The [`CompressionConfig`] the update kernels recompress with:
-    /// this config's accuracy and rank cap, and the compression side's
-    /// default storage-payoff rule
-    /// ([`CompressionConfig::keep_dense_ratio`]).
+    /// this config's accuracy and rank cap.
     pub fn compression(&self) -> CompressionConfig {
         CompressionConfig {
             accuracy: self.accuracy,
             max_rank: self.max_rank,
-            ..CompressionConfig::default()
         }
     }
 }

@@ -94,6 +94,13 @@ pub enum ServiceError {
         /// Bytes already charged by its in-flight requests.
         in_use: u64,
     },
+    /// The right-hand side does not have one entry per matrix row.
+    RhsLength {
+        /// The matrix order.
+        expected: usize,
+        /// Entries the right-hand side has.
+        got: usize,
+    },
     /// The request was admitted but the factorization failed.
     Run(RunError),
 }
@@ -115,6 +122,9 @@ impl fmt::Display for ServiceError {
                 "tenant {tenant:?} over memory budget: request needs {requested} B, \
                  {in_use} B of {budget} B already in use"
             ),
+            ServiceError::RhsLength { expected, got } => {
+                write!(f, "right-hand side has {got} entries, the matrix {expected} rows")
+            }
             ServiceError::Run(e) => write!(f, "admitted request failed: {e}"),
         }
     }
@@ -216,7 +226,9 @@ impl SolveService {
 
     /// Factor `matrix` on behalf of `tenant` (admission-gated; see the
     /// module docs), optionally solving `L·Lᵀ·x = rhs` with the fresh
-    /// factor. `rhs` must have one entry per matrix row.
+    /// factor. `rhs` must have one entry per matrix row; one that does
+    /// not is rejected before admission as [`ServiceError::RhsLength`],
+    /// with the matrix untouched.
     pub fn factorize_and_solve(
         &self,
         tenant: &str,
@@ -225,6 +237,10 @@ impl SolveService {
         rhs: Option<&[f64]>,
     ) -> Result<SolveOutcome, ServiceError> {
         let charged = Self::arena_estimate_bytes(cfg.nthreads, matrix.tile_size());
+        if let Some(b) = rhs.filter(|b| b.len() != matrix.n()) {
+            let e = ServiceError::RhsLength { expected: matrix.n(), got: b.len() };
+            return Err(self.reject(tenant, e));
+        }
         self.admit(tenant, charged)?;
         // The arena charge is released however the run ends.
         let result = (|| {
@@ -283,34 +299,44 @@ impl SolveService {
     /// reject with the reason.
     fn admit(&self, tenant: &str, charged: u64) -> Result<(), ServiceError> {
         let mut tenants = self.tenants.lock();
-        let Some(st) = tenants.get_mut(tenant) else {
-            drop(tenants);
-            self.registry.incr(0, Counter::ServiceRequestsRejected);
-            return Err(ServiceError::UnknownTenant(tenant.to_string()));
+        let refusal = match tenants.get_mut(tenant) {
+            None => ServiceError::UnknownTenant(tenant.to_string()),
+            Some(st) if st.usage.in_flight >= st.cfg.max_in_flight => {
+                ServiceError::InFlightLimit {
+                    tenant: tenant.to_string(),
+                    limit: st.cfg.max_in_flight,
+                }
+            }
+            Some(st)
+                if st.usage.in_use_bytes.saturating_add(charged) > st.cfg.memory_budget_bytes =>
+            {
+                ServiceError::MemoryBudget {
+                    tenant: tenant.to_string(),
+                    requested: charged,
+                    budget: st.cfg.memory_budget_bytes,
+                    in_use: st.usage.in_use_bytes,
+                }
+            }
+            Some(st) => {
+                st.usage.in_flight += 1;
+                st.usage.in_use_bytes += charged;
+                st.usage.admitted += 1;
+                self.registry.incr(0, Counter::ServiceRequestsAdmitted);
+                return Ok(());
+            }
         };
-        if st.usage.in_flight >= st.cfg.max_in_flight {
+        drop(tenants);
+        Err(self.reject(tenant, refusal))
+    }
+
+    /// Count one refused request, against `tenant` too when it is known,
+    /// and hand back the reason.
+    fn reject(&self, tenant: &str, e: ServiceError) -> ServiceError {
+        if let Some(st) = self.tenants.lock().get_mut(tenant) {
             st.usage.rejected += 1;
-            self.registry.incr(0, Counter::ServiceRequestsRejected);
-            return Err(ServiceError::InFlightLimit {
-                tenant: tenant.to_string(),
-                limit: st.cfg.max_in_flight,
-            });
         }
-        if st.usage.in_use_bytes.saturating_add(charged) > st.cfg.memory_budget_bytes {
-            st.usage.rejected += 1;
-            self.registry.incr(0, Counter::ServiceRequestsRejected);
-            return Err(ServiceError::MemoryBudget {
-                tenant: tenant.to_string(),
-                requested: charged,
-                budget: st.cfg.memory_budget_bytes,
-                in_use: st.usage.in_use_bytes,
-            });
-        }
-        st.usage.in_flight += 1;
-        st.usage.in_use_bytes += charged;
-        st.usage.admitted += 1;
-        self.registry.incr(0, Counter::ServiceRequestsAdmitted);
-        Ok(())
+        self.registry.incr(0, Counter::ServiceRequestsRejected);
+        e
     }
 
     /// Release an admitted request's charge and fold in its measured

@@ -40,7 +40,7 @@ use runtime::engine::{
     DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     IntegrityHooks,
 };
-use runtime::fault::{FaultStats, FtConfig, FtError, IntegrityError};
+use runtime::fault::{FtConfig, FtError, IntegrityError};
 use runtime::graph::DataRef;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
@@ -126,7 +126,8 @@ impl<'a> Session<'a> {
     /// jitter, rank crashes, kernel failures and silent data corruption
     /// (bit-flips in store tiles or message payloads — these arm the
     /// tile-integrity layer automatically), recovers from them, and
-    /// reports the accounting in [`RunOutcome::faults`]. The factor stays
+    /// counts every fault event into [`RunOutcome::registry`] (the
+    /// counters of [`Counter::FAULTS`]). The factor stays
     /// bit-identical to the fault-free run for any survivable plan.
     ///
     /// Fault injection is a distributed-memory concept; on a shared
@@ -149,10 +150,14 @@ impl<'a> Session<'a> {
     }
 
     /// Layer a cost-model drift report onto the session: after a
-    /// successful run, [`RunOutcome::drift`] compares the machine
-    /// model's per-class predicted busy time (and, on distributed runs,
-    /// the exact comm model) against what the run's metrics registry
-    /// measured.
+    /// successful run, [`RunOutcome::drift`] prices every task of the
+    /// executed plan with the simulator's per-task model on the spec's
+    /// machine and compares the per-class sums (and, on distributed runs,
+    /// the exact comm model) against what the run measured.
+    ///
+    /// On a distributed run every task measures `FtConfig::task_time` of
+    /// virtual time, so there the class table only restates the task
+    /// counts and the comm drift is the informative part.
     pub fn with_drift(mut self, spec: DriftSpec) -> Self {
         self.drift = Some(spec);
         self
@@ -384,11 +389,9 @@ pub struct RunOutcome {
     pub report: FactorReport,
     /// Cross-rank communication actually incurred, retransmissions
     /// included (distributed sessions; `None` on shared-memory runs,
-    /// which have no wire).
+    /// which have no wire). First sends are `messages` minus the
+    /// registry's `retransmissions`.
     pub comm: Option<CommStats>,
-    /// Fault-injection and recovery accounting, when a fault layer was
-    /// configured with [`Session::with_fault_layer`].
-    pub faults: Option<FaultStats>,
     /// Ordered crash/recovery and integrity events of a distributed run:
     /// every survived [`RunEvent::Crash`] is immediately followed by its
     /// matching [`RunEvent::Recovery`], every caught checksum mismatch
@@ -408,13 +411,15 @@ pub struct RunOutcome {
     pub critical_path_seconds: Option<f64>,
     /// Recompression rank evolution merged over all kernel workspaces
     /// (one per engine worker or emulated rank; crash re-executions on a
-    /// distributed run recompress again and are counted again).
+    /// distributed run recompress again and are counted again): the
+    /// run's one record of recompression ranks, exact per rank.
     pub rank_evolution: RankEvolution,
     /// Model flops of the executed DAG (priced by `flops::*` at analysis
     /// time — ranks evolve during the run, so this is the planned count).
     pub flops_executed: f64,
     /// Merged metrics-registry snapshot. Always `Some`: the registry is
-    /// a sink of every run.
+    /// a sink of every run. Fault and integrity events of a distributed
+    /// run are counted here and nowhere else.
     pub registry: Option<RegistrySnapshot>,
     /// Cost-model drift report, when the session was configured with
     /// [`Session::with_drift`].
@@ -425,20 +430,24 @@ impl RunOutcome {
     /// Version of the [`to_json`](RunOutcome::to_json) layout (its
     /// `"schema"` field). Bump when a key changes name or meaning, or
     /// leaves. Version 2 dropped the per-class scheduler corrections: five
-    /// registry gauges and the drift classes' `correction`.
-    pub const SCHEMA_VERSION: u32 = 2;
+    /// registry gauges and the drift classes' `correction`. Version 3 gave
+    /// each fact one key: the `faults` section left (its events are the
+    /// registry's counters, its wire totals `comm`), as did the registry's
+    /// two wire counters (`comm_bytes`, `comm_messages`) and its
+    /// recompression-rank histogram (`rank_evolution` keeps the ranks),
+    /// the same two wire keys of `trace_summary`, and the drift report's
+    /// expected rank and modeled flops.
+    pub const SCHEMA_VERSION: u32 = 3;
 
     /// Trace-derived summary (per-class and per-worker busy time, idle
     /// fractions, imbalance, queue wait, efficiency against the measured
     /// critical path), when the run was traced.
     pub fn trace_summary(&self) -> Option<RunMetrics> {
         let trace = self.trace.as_ref()?;
-        let comm = self.comm.unwrap_or_default();
         // One registry shard per worker (shared run) or rank (distributed).
         let nprocs = self.registry.as_ref().map_or(1, |r| r.shards);
         Some(
             RunMetrics::from_trace("run", trace, nprocs)
-                .with_comm(comm.bytes, comm.messages)
                 .with_critical_path(self.critical_path_seconds.unwrap_or(0.0)),
         )
     }
@@ -471,31 +480,6 @@ impl RunOutcome {
             o.insert("messages", Json::Num(c.messages as f64));
             root.insert("comm", o);
         }
-        if let Some(f) = &self.faults {
-            let mut o = Json::obj();
-            for (name, v) in [
-                ("messages_sent", f.messages_sent as u64),
-                ("retransmissions", f.retransmissions as u64),
-                ("bytes_sent", f.bytes_sent),
-                ("messages_dropped", f.messages_dropped as u64),
-                ("messages_duplicated", f.messages_duplicated as u64),
-                ("duplicates_ignored", f.duplicates_ignored as u64),
-                ("acks_dropped", f.acks_dropped as u64),
-                ("crashes", f.crashes as u64),
-                ("tasks_migrated", f.tasks_migrated as u64),
-                ("tasks_reexecuted", f.tasks_reexecuted as u64),
-                ("kernel_failures", f.kernel_failures as u64),
-                ("sends_abandoned", f.sends_abandoned as u64),
-                ("messages_corrupted", f.messages_corrupted as u64),
-                ("store_corruptions_injected", f.store_corruptions_injected as u64),
-                ("corruptions_detected", f.corruptions_detected as u64),
-                ("corruptions_healed", f.corruptions_healed as u64),
-                ("nacks_sent", f.nacks_sent as u64),
-            ] {
-                o.insert(name, Json::Num(v as f64));
-            }
-            root.insert("faults", o);
-        }
         if !self.events.is_empty() {
             root.insert("events", Json::Arr(self.events.iter().map(RunEvent::to_json).collect()));
         }
@@ -523,8 +507,12 @@ impl RunOutcome {
         root
     }
 
-    /// Prometheus text exposition of the report: run-level gauges, then
-    /// the registry's counters and histograms, then the drift ratios.
+    /// Prometheus text exposition of the report: run-level gauges (wire
+    /// traffic among them), the registry's counters and histograms, the
+    /// rank log as a histogram, then the drift ratios. The rank buckets
+    /// are `le` = 0, 1, 2, 4, … up to the tile size's next power of two,
+    /// the same set for every run at one tile size (a kept rank never
+    /// exceeds the tile size).
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         let r = &self.report;
@@ -542,9 +530,25 @@ impl RunOutcome {
         if let Some(cp) = self.critical_path_seconds {
             gauge("critical_path_seconds", cp);
         }
+        if let Some(c) = self.comm {
+            gauge("comm_bytes", c.bytes as f64);
+            gauge("comm_messages", c.messages as f64);
+        }
         if let Some(reg) = &self.registry {
             reg.write_prometheus(&mut out);
         }
+        let e = &self.rank_evolution;
+        let hist = e.histogram();
+        let _ = writeln!(out, "# TYPE tlr_recompression_rank histogram");
+        let top = r.final_snapshot.tile_size().next_power_of_two();
+        for bound in std::iter::successors(Some(0), |&b| (b < top).then(|| (2 * b).max(1))) {
+            let cum: u64 = hist.iter().take(bound + 1).sum();
+            let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"{bound}\"}} {cum}");
+        }
+        let sum: u64 = hist.iter().enumerate().map(|(rank, &n)| rank as u64 * n).sum();
+        let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"+Inf\"}} {}", e.events());
+        let _ = writeln!(out, "tlr_recompression_rank_sum {sum}");
+        let _ = writeln!(out, "tlr_recompression_rank_count {}", e.events());
         if let Some(d) = &self.drift {
             out.push_str(&d.to_prometheus());
         }
@@ -605,16 +609,17 @@ impl fmt::Display for RunOutcome {
                 self.virtual_makespan.unwrap_or(0.0)
             )?;
         }
-        if let Some(s) = &self.faults {
+        let reg = self.registry.as_ref();
+        if let Some(reg) = reg.filter(|r| Counter::FAULTS.iter().any(|&c| r.counter(c) > 0)) {
             writeln!(
                 f,
                 "  faults: {} crashes, {} retransmissions, {} dropped, \
                  {} corruptions detected / {} healed, {} events",
-                s.crashes,
-                s.retransmissions,
-                s.messages_dropped,
-                s.corruptions_detected,
-                s.corruptions_healed,
+                reg.counter(Counter::Crashes),
+                reg.counter(Counter::Retransmissions),
+                reg.counter(Counter::MessagesDropped),
+                reg.counter(Counter::CorruptionsDetected),
+                reg.counter(Counter::CorruptionsHealed),
                 self.events.len()
             )?;
         }
@@ -776,9 +781,9 @@ pub(crate) fn kernel_arenas(n: usize) -> Vec<Mutex<KernelWorkspace>> {
     (0..n).map(|_| Mutex::new(KernelWorkspace::new())).collect()
 }
 
-/// Drain the kernel arenas of a finished run into the registry: merged
-/// rank evolution, buffer-growth count and per-shard arena high-water
-/// marks.
+/// Drain the kernel arenas of a finished run: their merged rank log,
+/// and their buffer-growth count and per-shard arena high-water marks
+/// into the registry.
 fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry) -> RankEvolution {
     let mut rank_evolution = RankEvolution::default();
     for (shard, ws) in workspaces.into_iter().enumerate() {
@@ -790,9 +795,6 @@ fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry
             Gauge::ArenaHighWaterBytes,
             w.high_water_bytes() as f64,
         );
-    }
-    for (rank, &count) in rank_evolution.histogram().iter().enumerate() {
-        registry.record_rank_counts(0, rank, count);
     }
     rank_evolution
 }
@@ -1006,7 +1008,7 @@ fn shared_attempt(
 
     let rank_evolution = drain_workspaces(workspaces, &registry);
     let registry = registry.snapshot();
-    let drift = drift.map(|spec| DriftReport::compute(spec, &dag.graph, &registry, None));
+    let drift = drift.map(|spec| DriftReport::compute(spec, dag, &registry, None));
     let breakdown = registry.class_busy_seconds();
     let trace = obs.map(|o| o.finish(&dag.graph));
     let mut out = outcome(dag, matrix, memory_before_f64, factorization_seconds, registry, trace);
@@ -1049,7 +1051,6 @@ fn outcome(
             shift_attempts: 0,
         },
         comm: None,
-        faults: None,
         events: Vec::new(),
         virtual_makespan: None,
         trace,
@@ -1110,13 +1111,13 @@ impl Session<'_> {
         let body = RankBody::new(dag, &ds.preds, cfg, tile_size, nprocs);
         // The metrics registry shards per emulated rank: task counts and
         // virtual per-class durations land in the executing rank's shard,
-        // comm/fault/integrity totals fold into shard 0 at end of run.
+        // fault and integrity events in shard 0.
         let registry = Registry::new(nprocs);
         record_cache_events(&registry, ev);
         let dist_cfg = DistConfig {
             ft,
             record_trace: cfg.collect_trace,
-            metrics: Some(&registry),
+            metrics: &registry,
         };
         let exec_t0 = std::time::Instant::now();
         let mut out = if self.sealed_payloads() {
@@ -1150,11 +1151,10 @@ impl Session<'_> {
         let registry = registry.snapshot();
         // The comm model prices the run's final task→rank mapping.
         let drift = self.drift.as_ref().map(|spec| {
-            DriftReport::compute(spec, &dag.graph, &registry, Some((&out.exec_rank, out.comm)))
+            DriftReport::compute(spec, dag, &registry, Some((&out.exec_rank, out.comm)))
         });
         Ok(RunOutcome {
             comm: Some(out.comm),
-            faults: ft.map(|_| out.stats),
             events: out.events,
             virtual_makespan: Some(out.makespan),
             rank_evolution,

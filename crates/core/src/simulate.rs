@@ -164,8 +164,10 @@ pub fn scaled_problem(n_paper: f64, b_paper: usize, nodes_paper: usize, s: usize
 /// Kernel-only duration in seconds under the machine model (the per-task
 /// management overhead is charged by the DES's serial runtime thread).
 /// Critical-path kernels run nested (node-parallel); everything else runs
-/// on one core at the rank-dependent sustained rate.
-fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
+/// on one core at the sustained rate of the task's own rank. This is the
+/// one price of a task: the DES, its critical path and the drift report
+/// ([`crate::drift::DriftReport`]) all read it.
+pub(crate) fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
     let fl = dag.flops[t];
     if fl == 0.0 {
         0.0

@@ -123,17 +123,6 @@ impl DesReport {
             1.0
         }
     }
-
-    /// Parallel efficiency against a serial execution of the same work.
-    pub fn efficiency_vs_serial(&self) -> f64 {
-        let work: f64 = self.busy.iter().sum();
-        let resources = self.busy.len() as f64;
-        if self.makespan > 0.0 {
-            work / (resources * self.makespan)
-        } else {
-            1.0
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1215,7 +1204,5 @@ mod tests {
         assert!((r.busy[0] - 2.0).abs() < 1e-12);
         assert!((r.busy[1] - 2.0).abs() < 1e-12);
         assert!((r.load_imbalance() - 1.0).abs() < 1e-12);
-        // serial chain on 2 procs: efficiency = 4 / (2*4) = 0.5
-        assert!((r.efficiency_vs_serial() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,10 +1,17 @@
 //! The distributed-memory [`DistEngine`]: one deterministic
 //! virtual-time event loop over emulated ranks.
+//!
+//! A run reports each fact once: the traffic it put on the wire,
+//! retransmissions included, is [`DistOutcome::comm`]; every fault
+//! event (drop, duplicate, crash, heal, …) is counted into shard 0 of
+//! the caller's [`Registry`] as it happens, under the counters of
+//! [`Counter::FAULTS`]; task counts and virtual per-class durations land
+//! in the executing rank's shard.
 
 use super::EngineError;
 use crate::des::CommStats;
 use crate::event_queue::EventQueue;
-use crate::fault::{FaultStats, FtConfig, FtError, IntegrityError};
+use crate::fault::{FtConfig, FtError, IntegrityError};
 use crate::graph::{DataRef, TaskGraph, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::obs::RunEvent;
@@ -68,8 +75,8 @@ fn missing_datum(rank: usize, data: DataRef) -> ! {
 ///
 /// The distributed engine runs in virtual time, so its capabilities are
 /// plain data rather than monomorphized traits (a branch per event is
-/// free there): `Default` is a perfect network with no trace.
-#[derive(Debug, Clone, Copy, Default)]
+/// free there): `ft: None` is a perfect network.
+#[derive(Debug, Clone, Copy)]
 pub struct DistConfig<'a> {
     /// Fault layer: the fault plan, retry policy and virtual-time cost
     /// model. `None` runs the same event loop over a perfect network
@@ -79,10 +86,10 @@ pub struct DistConfig<'a> {
     /// per *successful* task completion; crash re-executions append a
     /// second record, mirroring what a real tracer would see).
     pub record_trace: bool,
-    /// Always-on metrics sink: per-class virtual task durations land in
-    /// per-rank shards, and the run's comm/fault/integrity totals are
-    /// folded in at the end (`None` skips all recording).
-    pub metrics: Option<&'a Registry>,
+    /// The run's metrics sink: task counts and per-class virtual task
+    /// durations land in the executing rank's shard, fault and integrity
+    /// events in shard 0 as they happen.
+    pub metrics: &'a Registry,
 }
 
 /// Payload integrity hooks for [`DistEngine::run`].
@@ -116,9 +123,6 @@ pub struct DistOutcome<P> {
     /// [`CommStats`]. On a fault-free run this equals the dataflow-edge
     /// count/bytes of the placement.
     pub comm: CommStats,
-    /// What the fault plan actually did and what recovery cost (all
-    /// zeros on a fault-free run).
-    pub stats: FaultStats,
     /// Virtual makespan of the run (seconds).
     pub makespan: f64,
     /// Crash, recovery, and integrity events in virtual-time order.
@@ -147,7 +151,6 @@ impl<P> DistOutcome<P> {
             stores,
             exec_rank: self.exec_rank,
             comm: self.comm,
-            stats: self.stats,
             makespan: self.makespan,
             events: self.events,
             trace: self.trace,
@@ -314,7 +317,7 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     ///
     /// Detection and healing are reported as
     /// [`RunEvent::CorruptionDetected`] / [`RunEvent::Healed`] and in
-    /// the corruption counters of [`FaultStats`]. Without hooks the
+    /// the corruption counters of [`DistConfig::metrics`]. Without hooks the
     /// corruption entries of a plan are inert (there is no way to flip or
     /// verify bits of an opaque payload).
     pub fn run<P, F>(
@@ -387,7 +390,7 @@ struct Run<'a, P, F> {
     graph: &'a TaskGraph,
     ft: &'a FtConfig,
     hooks: Option<&'a IntegrityHooks<'a, P>>,
-    metrics: Option<&'a Registry>,
+    metrics: &'a Registry,
     body: F,
 
     /// Position of each task in the execution order.
@@ -430,7 +433,8 @@ struct Run<'a, P, F> {
     /// (whose re-completion marks the datum healed).
     heal_attempts: HashMap<(usize, usize), u32>,
     heal_final_writer: HashMap<TaskId, DataRef>,
-    stats: FaultStats,
+    /// Traffic put on the wire so far: every send attempt counts.
+    comm: CommStats,
     log: Vec<RunEvent>,
     trace: Option<Trace>,
 }
@@ -521,10 +525,15 @@ where
             rec_index: HashMap::new(),
             heal_attempts: HashMap::new(),
             heal_final_writer: HashMap::new(),
-            stats: FaultStats::default(),
+            comm: CommStats::default(),
             log: Vec::new(),
             trace: cfg.record_trace.then(Trace::default),
         }
+    }
+
+    /// Count one fault event of kind `c` (shard 0: whole-run totals).
+    fn fault(&self, c: Counter) {
+        self.metrics.incr(0, c);
     }
 
     fn try_start(&mut self, rank: usize) {
@@ -559,7 +568,7 @@ where
         self.busy[rank] = None;
         if ft.plan.kernel_fails(t, self.kernel_attempts[t]) {
             self.kernel_attempts[t] += 1;
-            self.stats.kernel_failures += 1;
+            self.fault(Counter::KernelFailures);
             if self.kernel_attempts[t] > ft.retry.max_kernel_retries {
                 return Err(EngineError::Fault(FtError::KernelRetriesExhausted { task: t }));
             }
@@ -589,12 +598,10 @@ where
         self.done[t] = true;
         self.done_count += 1;
         let spec = graph.spec(t);
-        if let Some(reg) = self.metrics {
-            reg.incr(rank, Counter::TasksExecuted);
-            reg.record_class_seconds(rank, spec.class, ft.task_time);
-        }
+        self.metrics.incr(rank, Counter::TasksExecuted);
+        self.metrics.record_class_seconds(rank, spec.class, ft.task_time);
         if let Some(hd) = self.heal_final_writer.remove(&t) {
-            self.stats.corruptions_healed += 1;
+            self.fault(Counter::CorruptionsHealed);
             self.log.push(RunEvent::Healed { rank, i: hd.i, j: hd.j, at: now });
         }
         if let Some(tr) = self.trace.as_mut() {
@@ -665,28 +672,27 @@ where
         if rec.attempts >= ft.retry.max_send_attempts {
             if !rec.abandoned {
                 rec.abandoned = true;
-                self.stats.sends_abandoned += 1;
+                self.fault(Counter::SendsAbandoned);
             }
             return;
         }
         rec.attempts += 1;
-        let attempt = rec.attempts;
-        if attempt == 1 {
-            self.stats.messages_sent += 1;
-        } else {
-            self.stats.retransmissions += 1;
+        let (attempt, bytes) = (rec.attempts, rec.bytes);
+        if attempt > 1 {
+            self.fault(Counter::Retransmissions);
         }
         // Every attempt puts the payload on the wire (even if it is then
         // dropped in flight), so each one counts toward volume.
-        self.stats.bytes_sent += rec.bytes;
+        self.comm.messages += 1;
+        self.comm.bytes += bytes;
         let mid = id as u64;
         if ft.plan.drops_message(mid, attempt) {
-            self.stats.messages_dropped += 1;
+            self.fault(Counter::MessagesDropped);
         } else {
             let dt = ft.latency + ft.plan.delay(mid, attempt, 0);
             self.events.push(now + dt, Event::Deliver { msg: id, attempt, copy: 0 });
             if ft.plan.duplicates_message(mid, attempt) {
-                self.stats.messages_duplicated += 1;
+                self.fault(Counter::MessagesDuplicated);
                 let dt2 = ft.latency + ft.plan.delay(mid, attempt, 1);
                 self.events.push(now + dt2, Event::Deliver { msg: id, attempt, copy: 1 });
             }
@@ -711,10 +717,10 @@ where
             if ft.plan.corrupts_message(msg as u64, attempt, copy) {
                 let mut p = self.recs[msg].payload.clone();
                 if (h.corrupt)(&mut p, ft.plan.corruption_bits(msg as u64)) {
-                    self.stats.messages_corrupted += 1;
+                    self.fault(Counter::MessagesCorrupted);
                     if !(h.verify)(&p) {
-                        self.stats.corruptions_detected += 1;
-                        self.stats.nacks_sent += 1;
+                        self.fault(Counter::CorruptionsDetected);
+                        self.fault(Counter::NacksSent);
                         self.log.push(RunEvent::CorruptionDetected {
                             rank: dst_rank,
                             i: data.i,
@@ -732,7 +738,7 @@ where
             }
         }
         if self.seen[dst_rank].contains(&msg) {
-            self.stats.duplicates_ignored += 1;
+            self.fault(Counter::DuplicatesIgnored);
         } else {
             self.seen[dst_rank].insert(msg);
             if !self.done[dst] {
@@ -743,7 +749,7 @@ where
         }
         // every verified delivery (even a dedup'd one) is acknowledged
         if ft.plan.drops_ack(msg as u64, attempt) {
-            self.stats.acks_dropped += 1;
+            self.fault(Counter::AcksDropped);
         } else {
             self.events.push(now + ft.latency, Event::AckArrive { msg, attempt });
         }
@@ -778,7 +784,7 @@ where
         let Some(h) = self.hooks else { return };
         if let Some(p) = self.stores[c.rank].get_mut(&DataRef { i: c.i, j: c.j }) {
             if (h.corrupt)(p, self.ft.plan.corruption_bits((1u64 << 32) + idx as u64)) {
-                self.stats.store_corruptions_injected += 1;
+                self.fault(Counter::StoreCorruptionsInjected);
             }
         }
     }
@@ -789,7 +795,7 @@ where
         }
         let (now, nprocs) = (self.now, self.alive.len());
         self.alive[c] = false;
-        self.stats.crashes += 1;
+        self.fault(Counter::Crashes);
         self.log.push(RunEvent::Crash { rank: c, at: now });
         self.epoch[c] += 1; // invalidates the in-flight TaskDone
         self.busy[c] = None;
@@ -806,12 +812,12 @@ where
                 if self.done[t] {
                     self.done[t] = false;
                     self.done_count -= 1;
-                    self.stats.tasks_reexecuted += 1;
+                    self.fault(Counter::TasksReexecuted);
                 }
                 self.inbox[t].clear(); // received inputs died with c
             }
         }
-        self.stats.tasks_migrated += migrated.len();
+        self.metrics.add(0, Counter::TasksMigrated, migrated.len() as u64);
         self.stores[c].clear();
         self.seen[c].clear();
         self.queue[c].clear();
@@ -871,7 +877,7 @@ where
     /// tile escalate).
     fn heal_datum(&mut self, d: DataRef, rank: usize) -> Result<(), EngineError> {
         let now = self.now;
-        self.stats.corruptions_detected += 1;
+        self.fault(Counter::CorruptionsDetected);
         self.log.push(RunEvent::CorruptionDetected { rank, i: d.i, j: d.j, at: now });
         let att = self.heal_attempts.entry((d.i, d.j)).or_insert(0);
         *att += 1;
@@ -904,7 +910,7 @@ where
             self.heal_final_writer.insert(last, d);
         } else if restored {
             // a never-written input: the checkpoint restore *is* the heal
-            self.stats.corruptions_healed += 1;
+            self.fault(Counter::CorruptionsHealed);
             self.log.push(RunEvent::Healed { rank, i: d.i, j: d.j, at: now });
         }
         // Writers of a datum are co-located (the engine's placement
@@ -915,7 +921,7 @@ where
         for &t in &undone {
             self.done[t] = false;
             self.done_count -= 1;
-            self.stats.tasks_reexecuted += 1;
+            self.fault(Counter::TasksReexecuted);
             affected.insert(self.cur_exec[t]);
         }
         for &r in &affected {
@@ -952,32 +958,10 @@ where
     }
 
     fn finish(self) -> DistOutcome<P> {
-        let stats = self.stats;
-        let comm = CommStats {
-            bytes: stats.bytes_sent,
-            messages: (stats.messages_sent + stats.retransmissions) as u64,
-        };
-        // Fold the run's communication / fault / integrity totals into
-        // the registry (shard 0: these are whole-run aggregates).
-        if let Some(reg) = self.metrics {
-            reg.add(0, Counter::CommBytes, comm.bytes);
-            reg.add(0, Counter::CommMessages, comm.messages);
-            reg.add(0, Counter::Retransmissions, stats.retransmissions as u64);
-            reg.add(0, Counter::MessagesDropped, stats.messages_dropped as u64);
-            reg.add(0, Counter::DuplicatesIgnored, stats.duplicates_ignored as u64);
-            reg.add(0, Counter::Crashes, stats.crashes as u64);
-            reg.add(0, Counter::TasksMigrated, stats.tasks_migrated as u64);
-            reg.add(0, Counter::TasksReexecuted, stats.tasks_reexecuted as u64);
-            reg.add(0, Counter::KernelFailures, stats.kernel_failures as u64);
-            reg.add(0, Counter::CorruptionsDetected, stats.corruptions_detected as u64);
-            reg.add(0, Counter::CorruptionsHealed, stats.corruptions_healed as u64);
-            reg.add(0, Counter::NacksSent, stats.nacks_sent as u64);
-        }
         DistOutcome {
             stores: self.stores,
             exec_rank: self.cur_exec,
-            comm,
-            stats,
+            comm: self.comm,
             makespan: self.now,
             events: self.log,
             trace: self.trace,
@@ -990,6 +974,19 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryConfig};
     use crate::graph::{GraphBuilder, TaskClass, TaskSpec};
+    use crate::obs::registry::RegistrySnapshot;
+    use std::sync::OnceLock;
+
+    /// A registry for the runs whose counters no test reads.
+    fn sink() -> &'static Registry {
+        static SINK: OnceLock<Registry> = OnceLock::new();
+        SINK.get_or_init(|| Registry::new(1))
+    }
+
+    /// A perfect network with no trace.
+    fn plain() -> DistConfig<'static> {
+        DistConfig { ft: None, record_trace: false, metrics: sink() }
+    }
 
     fn dspec(priority: usize, writes: DataRef) -> TaskSpec {
         TaskSpec {
@@ -1018,22 +1015,25 @@ mod tests {
         g.order().expect("test graphs are acyclic").collect()
     }
 
-    fn run_chain(
-        n: usize,
-        nprocs: usize,
-        cfg: &DistConfig<'_>,
-    ) -> Result<DistOutcome<i64>, EngineError> {
+    /// Counted run: `cfg` with a registry of its own, whose snapshot
+    /// comes back beside the outcome.
+    type Counted<P> = Result<(DistOutcome<P>, RegistrySnapshot), EngineError>;
+
+    fn run_chain(n: usize, nprocs: usize, cfg: &DistConfig<'_>) -> Counted<i64> {
         let g = dist_chain(n);
         let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
-        DistEngine::new(&g, nprocs, &exec).run(initial, cfg, &topo(&g), None, |t, ctx| {
+        let reg = Registry::new(1);
+        let cfg = DistConfig { metrics: &reg, ..*cfg };
+        let out = DistEngine::new(&g, nprocs, &exec).run(initial, &cfg, &topo(&g), None, |t, ctx| {
             let v = if t == 0 {
                 1
             } else {
                 *ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }) + 1
             };
             ctx.put(DataRef { i: t, j: 0 }, v);
-        })
+        });
+        out.map(|out| (out, reg.snapshot()))
     }
 
     fn chain_result(out: &DistOutcome<i64>, n: usize) -> i64 {
@@ -1046,12 +1046,11 @@ mod tests {
     #[test]
     fn fault_free_chain_counts_comm() {
         let n = 12;
-        let out = run_chain(n, 4, &DistConfig::default()).unwrap();
+        let (out, c) = run_chain(n, 4, &plain()).unwrap();
         assert_eq!(chain_result(&out, n), n as i64);
         assert_eq!(out.comm.messages, (n - 1) as u64);
         assert_eq!(out.comm.bytes, 8 * (n - 1) as u64);
-        assert_eq!(out.stats.retransmissions, 0);
-        assert_eq!(out.stats.crashes, 0);
+        assert!(Counter::FAULTS.iter().all(|&f| c.counter(f) == 0));
         assert!(out.makespan > 0.0);
         assert!(out.trace.is_none(), "trace must be opt-in");
     }
@@ -1062,12 +1061,8 @@ mod tests {
     fn dist_trace_capability_records_every_task() {
         let n = 12;
         let nprocs = 4;
-        let cfg = DistConfig {
-            ft: None,
-            record_trace: true,
-            metrics: None,
-        };
-        let out = run_chain(n, nprocs, &cfg).unwrap();
+        let cfg = DistConfig { record_trace: true, ..plain() };
+        let (out, _) = run_chain(n, nprocs, &cfg).unwrap();
         let trace = out.trace.expect("trace was requested");
         assert_eq!(trace.records.len(), n);
         for r in &trace.records {
@@ -1089,15 +1084,11 @@ mod tests {
     fn dist_trace_composes_with_fault_layer() {
         use crate::fault::FaultPlan;
         let ft = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: true,
-            metrics: None,
-        };
+        let cfg = DistConfig { ft: Some(&ft), record_trace: true, ..plain() };
         let n = 12;
-        let out = run_chain(n, 4, &cfg).unwrap();
+        let (out, c_out) = run_chain(n, 4, &cfg).unwrap();
         assert_eq!(chain_result(&out, n), n as i64);
-        assert_eq!(out.stats.crashes, 1);
+        assert_eq!(c_out.counter(Counter::Crashes), 1);
         let trace = out.trace.expect("trace was requested");
         assert!(
             trace.records.len() >= n,
@@ -1105,7 +1096,7 @@ mod tests {
             trace.records.len()
         );
         assert!(
-            out.comm.messages > out.stats.messages_sent as u64 - 1,
+            out.comm.messages > (n - 1) as u64,
             "comm counts include retransmissions"
         );
     }
@@ -1125,11 +1116,7 @@ mod tests {
         p.0 == p.1
     }
 
-    fn run_sealed_chain(
-        n: usize,
-        nprocs: usize,
-        cfg: &DistConfig<'_>,
-    ) -> Result<DistOutcome<(i64, i64)>, EngineError> {
+    fn run_sealed_chain(n: usize, nprocs: usize, cfg: &DistConfig<'_>) -> Counted<(i64, i64)> {
         let g = dist_chain(n);
         let exec: Vec<usize> = (0..n).map(|k| k % nprocs).collect();
         let initial: Vec<HashMap<DataRef, (i64, i64)>> = vec![HashMap::new(); nprocs];
@@ -1137,14 +1124,18 @@ mod tests {
             corrupt: &flip_value,
             verify: &mirror_ok,
         };
-        DistEngine::new(&g, nprocs, &exec).run(initial, cfg, &topo(&g), Some(&hooks), |t, ctx| {
+        let reg = Registry::new(1);
+        let cfg = DistConfig { metrics: &reg, ..*cfg };
+        let engine = DistEngine::new(&g, nprocs, &exec);
+        let out = engine.run(initial, &cfg, &topo(&g), Some(&hooks), |t, ctx| {
             let v = if t == 0 {
                 1
             } else {
                 ctx.get(Some(t - 1), DataRef { i: t - 1, j: 0 }).0 + 1
             };
             ctx.put(DataRef { i: t, j: 0 }, (v, v));
-        })
+        });
+        out.map(|out| (out, reg.snapshot()))
     }
 
     /// A store strike between a writer and its local reader is caught at
@@ -1153,18 +1144,14 @@ mod tests {
     #[test]
     fn store_corruption_is_detected_at_read_boundary_and_healed() {
         let n = 4;
-        let clean = run_sealed_chain(n, 1, &DistConfig::default()).unwrap();
+        let (clean, _) = run_sealed_chain(n, 1, &plain()).unwrap();
         let ft = FtConfig::with_plan(FaultPlan::new(5).with_store_corruption(0, 1, 0, 2.5));
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
-        let out = run_sealed_chain(n, 1, &cfg).unwrap();
-        assert_eq!(out.stats.store_corruptions_injected, 1);
-        assert_eq!(out.stats.corruptions_detected, 1);
-        assert_eq!(out.stats.corruptions_healed, 1);
-        assert_eq!(out.stats.tasks_reexecuted, 1);
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let (out, c_out) = run_sealed_chain(n, 1, &cfg).unwrap();
+        assert_eq!(c_out.counter(Counter::StoreCorruptionsInjected), 1);
+        assert_eq!(c_out.counter(Counter::CorruptionsDetected), 1);
+        assert_eq!(c_out.counter(Counter::CorruptionsHealed), 1);
+        assert_eq!(c_out.counter(Counter::TasksReexecuted), 1);
         assert_eq!(
             out.stores, clean.stores,
             "healed data must be bit-identical"
@@ -1197,20 +1184,16 @@ mod tests {
     fn final_sweep_heals_corruption_after_last_read() {
         let n = 4;
         let nprocs = 2;
-        let clean = run_sealed_chain(n, nprocs, &DistConfig::default()).unwrap();
+        let (clean, _) = run_sealed_chain(n, nprocs, &plain()).unwrap();
         // (0, 0) on rank 0 is only ever read remotely (by task 1 via a
         // logged message), so a strike after task 0 completes is
         // invisible to every read boundary.
         let ft = FtConfig::with_plan(FaultPlan::new(9).with_store_corruption(0, 0, 0, 1.5));
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
-        let out = run_sealed_chain(n, nprocs, &cfg).unwrap();
-        assert_eq!(out.stats.store_corruptions_injected, 1);
-        assert_eq!(out.stats.corruptions_detected, 1);
-        assert_eq!(out.stats.corruptions_healed, 1);
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let (out, c_out) = run_sealed_chain(n, nprocs, &cfg).unwrap();
+        assert_eq!(c_out.counter(Counter::StoreCorruptionsInjected), 1);
+        assert_eq!(c_out.counter(Counter::CorruptionsDetected), 1);
+        assert_eq!(c_out.counter(Counter::CorruptionsHealed), 1);
         assert_eq!(out.stores, clean.stores, "swept data must be bit-identical");
         assert!(out.events.iter().any(|e| matches!(
             e,
@@ -1230,36 +1213,33 @@ mod tests {
     fn message_corruption_is_nacked_and_retransmitted() {
         let n = 12;
         let ft = FtConfig::with_plan(FaultPlan::new(21).with_message_corruption(0.5));
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
-        let out = run_sealed_chain(n, 4, &cfg).unwrap();
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
             out.stores[out.exec_rank[n - 1]][&last],
             (n as i64, n as i64)
         );
         assert!(
-            out.stats.messages_corrupted > 0,
+            c_out.counter(Counter::MessagesCorrupted) > 0,
             "p=0.5 over 11 edges must strike"
         );
         assert_eq!(
-            out.stats.corruptions_detected, out.stats.messages_corrupted,
+            c_out.counter(Counter::CorruptionsDetected),
+            c_out.counter(Counter::MessagesCorrupted),
             "zero false negatives: every injected flip is caught"
         );
-        assert_eq!(out.stats.nacks_sent, out.stats.corruptions_detected);
-        assert!(out.stats.retransmissions >= 1);
-        assert_eq!(out.stats.sends_abandoned, 0);
+        assert_eq!(c_out.counter(Counter::NacksSent), c_out.counter(Counter::CorruptionsDetected));
+        assert!(c_out.counter(Counter::Retransmissions) >= 1);
+        assert_eq!(c_out.counter(Counter::SendsAbandoned), 0);
         assert_eq!(
             out.comm.messages,
-            (out.stats.messages_sent + out.stats.retransmissions) as u64
+            (n - 1) as u64 + c_out.counter(Counter::Retransmissions)
         );
         // Determinism: the same seed reproduces the identical fault
         // sequence and counters.
-        let again = run_sealed_chain(n, 4, &cfg).unwrap();
-        assert_eq!(again.stats.messages_corrupted, out.stats.messages_corrupted);
+        let (again, c_again) = run_sealed_chain(n, 4, &cfg).unwrap();
+        assert_eq!(c_again, c_out);
         assert_eq!(again.makespan, out.makespan);
     }
 
@@ -1273,21 +1253,17 @@ mod tests {
             .with_duplicates(0.3)
             .with_ack_drops(0.3);
         let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
-        let out = run_sealed_chain(n, 4, &cfg).unwrap();
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
             out.stores[out.exec_rank[n - 1]][&last],
             (n as i64, n as i64)
         );
-        assert_eq!(out.stats.messages_corrupted, 0);
-        assert_eq!(out.stats.corruptions_detected, 0);
-        assert_eq!(out.stats.nacks_sent, 0);
-        assert_eq!(out.stats.corruptions_healed, 0);
+        assert_eq!(c_out.counter(Counter::MessagesCorrupted), 0);
+        assert_eq!(c_out.counter(Counter::CorruptionsDetected), 0);
+        assert_eq!(c_out.counter(Counter::NacksSent), 0);
+        assert_eq!(c_out.counter(Counter::CorruptionsHealed), 0);
     }
 
     /// Healing is bounded: with retries disabled the first detection
@@ -1296,11 +1272,7 @@ mod tests {
     fn heal_escalation_is_a_typed_error() {
         let mut ft = FtConfig::with_plan(FaultPlan::new(5).with_store_corruption(0, 1, 0, 2.5));
         ft.retry.max_heal_retries = 0;
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
         let err = run_sealed_chain(4, 1, &cfg).unwrap_err();
         match err {
             EngineError::Fault(FtError::Integrity(e)) => {
@@ -1321,16 +1293,12 @@ mod tests {
             .with_message_corruption(0.9)
             .with_store_corruption(0, 1, 0, 2.5);
         let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: false,
-            metrics: None,
-        };
-        let out = run_chain(n, 2, &cfg).unwrap();
+        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let (out, c_out) = run_chain(n, 2, &cfg).unwrap();
         assert_eq!(chain_result(&out, n), n as i64);
-        assert_eq!(out.stats.messages_corrupted, 0);
-        assert_eq!(out.stats.store_corruptions_injected, 0);
-        assert_eq!(out.stats.corruptions_detected, 0);
+        assert_eq!(c_out.counter(Counter::MessagesCorrupted), 0);
+        assert_eq!(c_out.counter(Counter::StoreCorruptionsInjected), 0);
+        assert_eq!(c_out.counter(Counter::CorruptionsDetected), 0);
     }
 
     /// Integrity composes with the crash fault layer and the trace
@@ -1343,18 +1311,14 @@ mod tests {
             .with_store_corruption(0, 0, 0, 1.5)
             .with_crash(1, 6.0);
         let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig {
-            ft: Some(&ft),
-            record_trace: true,
-            metrics: None,
-        };
-        let out = run_sealed_chain(n, 4, &cfg).unwrap();
+        let cfg = DistConfig { ft: Some(&ft), record_trace: true, ..plain() };
+        let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
             out.stores[out.exec_rank[n - 1]][&last],
             (n as i64, n as i64)
         );
-        assert_eq!(out.stats.crashes, 1);
+        assert_eq!(c_out.counter(Counter::Crashes), 1);
         assert!(out.trace.is_some());
         assert!(out
             .events
@@ -1372,7 +1336,7 @@ mod tests {
 
         // Wrong rank-map length.
         let err = DistEngine::new(&g, 4, &[0, 1])
-            .run(initial4.clone(), &DistConfig::default(), &order, None, body)
+            .run(initial4.clone(), &plain(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1384,7 +1348,7 @@ mod tests {
 
         // Wrong store count.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
-            .run(vec![HashMap::new(); 2], &DistConfig::default(), &order, None, body)
+            .run(vec![HashMap::new(); 2], &plain(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1396,7 +1360,7 @@ mod tests {
 
         // Rank out of range.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 9])
-            .run(initial4.clone(), &DistConfig::default(), &order, None, body)
+            .run(initial4.clone(), &plain(), &order, None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1413,11 +1377,7 @@ mod tests {
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
             .run(
                 initial4,
-                &DistConfig {
-                    ft: Some(&ft),
-                    record_trace: false,
-                            metrics: None,
-                },
+                &DistConfig { ft: Some(&ft), ..plain() },
                 &order,
                 None,
                 body,
@@ -1428,7 +1388,7 @@ mod tests {
         // An order that is not a topological permutation of the tasks.
         for bad in [vec![0, 1, 2], vec![0, 1, 2, 2], vec![1, 0, 2, 3]] {
             let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
-                .run(vec![HashMap::new(); 4], &DistConfig::default(), &bad, None, body)
+                .run(vec![HashMap::new(); 4], &plain(), &bad, None, body)
                 .unwrap_err();
             assert!(matches!(err, EngineError::InvalidOrder { .. }), "{bad:?}: {err:?}");
         }
@@ -1444,7 +1404,7 @@ mod tests {
         body: F,
     ) -> Vec<HashMap<DataRef, P>> {
         DistEngine::new(graph, nprocs, exec)
-            .run(initial, &DistConfig::default(), &topo(graph), None, body)
+            .run(initial, &plain(), &topo(graph), None, body)
             .expect("run must succeed")
             .stores
     }
@@ -1592,24 +1552,16 @@ mod tests {
 
     /// [`run_chain`] under a fault plan: the final value n proves every
     /// hop happened exactly once with the right payload.
-    fn run_chain_ft(
-        n: usize,
-        nprocs: usize,
-        cfg: &FtConfig,
-    ) -> Result<DistOutcome<i64>, EngineError> {
-        let dcfg = DistConfig {
-            ft: Some(cfg),
-            ..DistConfig::default()
-        };
-        run_chain(n, nprocs, &dcfg)
+    fn run_chain_ft(n: usize, nprocs: usize, cfg: &FtConfig) -> Counted<i64> {
+        run_chain(n, nprocs, &DistConfig { ft: Some(cfg), ..plain() })
     }
 
     #[test]
     fn ft_fault_free_matches_default_config() {
-        let out = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
         assert_eq!(chain_result(&out, 12), 12);
-        assert_eq!(out.stats.retransmissions, 0);
-        assert_eq!(out.stats.crashes, 0);
+        assert_eq!(c_out.counter(Counter::Retransmissions), 0);
+        assert_eq!(c_out.counter(Counter::Crashes), 0);
         assert!(out.makespan > 0.0);
     }
 
@@ -1621,10 +1573,10 @@ mod tests {
             .with_ack_drops(0.25)
             .with_jitter(2.0);
         let cfg = FtConfig::with_plan(plan);
-        let out = run_chain_ft(16, 4, &cfg).unwrap();
+        let (out, c_out) = run_chain_ft(16, 4, &cfg).unwrap();
         assert_eq!(chain_result(&out, 16), 16, "faults must not corrupt the data");
-        assert!(out.stats.retransmissions > 0, "drops at 35% must force retransmits");
-        assert!(out.stats.messages_dropped > 0);
+        assert!(c_out.counter(Counter::Retransmissions) > 0, "drops at 35% must force retransmits");
+        assert!(c_out.counter(Counter::MessagesDropped) > 0);
     }
 
     #[test]
@@ -1632,15 +1584,15 @@ mod tests {
         // By t = 6.0 rank 1 has completed task 1 (and its message);
         // killing it forces migration to rank 2 and re-execution.
         let cfg = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
-        let out = run_chain_ft(12, 4, &cfg).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &cfg).unwrap();
         assert_eq!(chain_result(&out, 12), 12, "crash recovery must preserve the data");
-        assert_eq!(out.stats.crashes, 1);
-        assert!(out.stats.tasks_migrated >= 3, "rank 1 owned tasks 1, 5, 9");
-        assert!(out.stats.tasks_reexecuted >= 1, "task 1 was already done");
+        assert_eq!(c_out.counter(Counter::Crashes), 1);
+        assert!(c_out.counter(Counter::TasksMigrated) >= 3, "rank 1 owned tasks 1, 5, 9");
+        assert!(c_out.counter(Counter::TasksReexecuted) >= 1, "task 1 was already done");
         assert!(out.exec_rank.iter().all(|&r| r != 1), "nothing may stay on the dead rank");
         // Re-execution happens in parallel on the survivor, so a chain's
         // makespan may be unchanged — but it can never shrink.
-        let baseline = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        let (baseline, _) = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
         assert!(out.makespan >= baseline.makespan);
     }
 
@@ -1651,17 +1603,17 @@ mod tests {
             .with_duplicates(0.2)
             .with_jitter(1.0)
             .with_crash(2, 8.0);
-        let out = run_chain_ft(16, 4, &FtConfig::with_plan(plan)).unwrap();
+        let (out, c_out) = run_chain_ft(16, 4, &FtConfig::with_plan(plan)).unwrap();
         assert_eq!(chain_result(&out, 16), 16);
-        assert_eq!(out.stats.crashes, 1);
+        assert_eq!(c_out.counter(Counter::Crashes), 1);
     }
 
     #[test]
     fn ft_double_crash_still_recovers() {
         let plan = FaultPlan::new(4).with_crash(1, 5.0).with_crash(2, 11.0);
-        let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
         assert_eq!(chain_result(&out, 12), 12);
-        assert_eq!(out.stats.crashes, 2);
+        assert_eq!(c_out.counter(Counter::Crashes), 2);
     }
 
     /// Every surviving crash is paired with a recovery event naming a
@@ -1669,8 +1621,8 @@ mod tests {
     #[test]
     fn ft_events_pair_crashes_with_recoveries() {
         let plan = FaultPlan::new(4).with_drops(0.2).with_crash(1, 5.0).with_crash(2, 11.0);
-        let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
-        assert_eq!(out.events.len(), 2 * out.stats.crashes);
+        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        assert_eq!(out.events.len() as u64, 2 * c_out.counter(Counter::Crashes));
         let mut last_at = 0.0_f64;
         for pair in out.events.chunks(2) {
             let RunEvent::Crash { rank, at } = pair[0] else {
@@ -1685,7 +1637,7 @@ mod tests {
             assert!(at >= last_at);
             last_at = at;
         }
-        assert!(out.stats.bytes_sent >= 8 * out.stats.messages_sent as u64);
+        assert_eq!(out.comm.bytes, 8 * out.comm.messages, "every message is one 8-byte tile");
     }
 
     #[test]
@@ -1698,9 +1650,9 @@ mod tests {
     #[test]
     fn ft_kernel_failures_retry_then_succeed() {
         let cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 2));
-        let out = run_chain_ft(8, 2, &cfg).unwrap();
+        let (out, c_out) = run_chain_ft(8, 2, &cfg).unwrap();
         assert_eq!(chain_result(&out, 8), 8);
-        assert_eq!(out.stats.kernel_failures, 2);
+        assert_eq!(c_out.counter(Counter::KernelFailures), 2);
     }
 
     #[test]
@@ -1723,10 +1675,11 @@ mod tests {
                     .with_crash(1, 7.0),
             )
         };
-        let a = run_chain_ft(14, 4, &mk()).unwrap();
-        let b = run_chain_ft(14, 4, &mk()).unwrap();
+        let (a, c_a) = run_chain_ft(14, 4, &mk()).unwrap();
+        let (b, c_b) = run_chain_ft(14, 4, &mk()).unwrap();
         assert_eq!(chain_result(&a, 14), chain_result(&b, 14));
-        assert_eq!(a.stats, b.stats, "same seed must replay the same faults");
+        assert_eq!(c_a, c_b, "same seed must replay the same faults");
+        assert_eq!(a.comm, b.comm);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.exec_rank, b.exec_rank);
     }
@@ -1761,7 +1714,7 @@ mod tests {
             .with_jitter(1.0)
             .with_crash(2, 3.0);
         let ft = FtConfig::with_plan(plan);
-        let dcfg = DistConfig { ft: Some(&ft), record_trace: false, metrics: None };
+        let dcfg = DistConfig { ft: Some(&ft), ..plain() };
         let out = DistEngine::new(&g, nprocs, &exec)
             .run(initial, &dcfg, &topo(&g), None, |t, ctx| {
                 if t == root {
@@ -1791,7 +1744,7 @@ mod tests {
                 .with_ack_drops(0.2)
                 .with_jitter(1.5)
                 .with_crash((seed % 3) as usize + 1, 4.0 + (seed % 7) as f64);
-            let out = run_chain_ft(12, 4, &FtConfig::with_plan(plan))
+            let (out, _) = run_chain_ft(12, 4, &FtConfig::with_plan(plan))
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(chain_result(&out, 12), 12, "seed {seed} corrupted the chain");
         }
@@ -1808,7 +1761,7 @@ mod tests {
         let exec = vec![0, 1];
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cfg = DistConfig::default();
+            let cfg = plain();
             let _ = DistEngine::new(&g, 2, &exec).run(initial, &cfg, &[0, 1], None, |t, ctx| {
                 if t == 0 {
                     ctx.put(DataRef { i: 0, j: 0 }, 1);
@@ -1828,7 +1781,7 @@ mod tests {
         let g = dist_chain(2);
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cfg = DistConfig::default();
+            let cfg = plain();
             let _ = DistEngine::new(&g, 2, &[0, 1]).run(initial, &cfg, &[0, 1], None, |_, _| {});
         }))
         .expect_err("an edge whose datum was never put must be caught");

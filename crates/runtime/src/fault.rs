@@ -14,11 +14,15 @@
 //! engine ([`crate::engine::DistEngine`], via
 //! [`DistConfig::ft`](crate::engine::DistConfig)) *survives* it: it pairs
 //! the plan with a [`RetryConfig`] (timeouts and capped exponential
-//! backoff) and reports what actually happened in a [`FaultStats`]. The
-//! DES ([`crate::des::simulate`]) *prices* its crashes and store
-//! corruptions on the modeled machine, drawing from the same
-//! `(seed, stream, key)` hash, so one seed rolls the identical fates on
-//! both sides of a resilience experiment.
+//! backoff) and counts every fault event it meets into the run's
+//! metrics registry (the fault counters of
+//! [`Counter::FAULTS`](crate::obs::registry::Counter::FAULTS)); the
+//! traffic itself, retransmissions included, is its
+//! [`CommStats`](crate::des::CommStats). The DES
+//! ([`crate::des::simulate`]) *prices* its crashes and store corruptions
+//! on the modeled machine, drawing from the same `(seed, stream, key)`
+//! hash, so one seed rolls the identical fates on both sides of a
+//! resilience experiment.
 
 use crate::engine::EngineError;
 use crate::graph::TaskId;
@@ -363,48 +367,6 @@ impl FtConfig {
             ..Self::default()
         }
     }
-}
-
-/// What actually happened during a fault-tolerant run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// First-attempt message sends.
-    pub messages_sent: usize,
-    /// Retransmissions (timeout-driven and crash replays).
-    pub retransmissions: usize,
-    /// Payload bytes put on the wire, every attempt counted (dataflow-edge
-    /// `bytes` annotations; the communication-volume side of Fig. 13).
-    pub bytes_sent: u64,
-    /// Send attempts the network dropped.
-    pub messages_dropped: usize,
-    /// Extra deliveries injected by duplication.
-    pub messages_duplicated: usize,
-    /// Deliveries ignored by receiver-side dedup.
-    pub duplicates_ignored: usize,
-    /// Acknowledgements the network dropped.
-    pub acks_dropped: usize,
-    /// Rank crashes that actually fired.
-    pub crashes: usize,
-    /// Tasks moved to a surviving rank by crash recovery.
-    pub tasks_migrated: usize,
-    /// Already-completed tasks re-executed after a crash.
-    pub tasks_reexecuted: usize,
-    /// Injected kernel failures that fired.
-    pub kernel_failures: usize,
-    /// Messages that exhausted `max_send_attempts`.
-    pub sends_abandoned: usize,
-    /// Delivered message copies that arrived with a flipped payload bit.
-    pub messages_corrupted: usize,
-    /// Scheduled store bit flips that actually mutated a stored tile.
-    pub store_corruptions_injected: usize,
-    /// Corruptions caught by integrity verification (at message
-    /// delivery, at a task read boundary, or in the final store sweep).
-    pub corruptions_detected: usize,
-    /// Corrupted data restored and recomputed from lineage.
-    pub corruptions_healed: usize,
-    /// Negative acknowledgements sent for corrupted deliveries (each
-    /// triggers a retransmission without waiting for the ack timeout).
-    pub nacks_sent: usize,
 }
 
 /// Unrecoverable data corruption: a datum kept failing verification

@@ -47,8 +47,8 @@ pub use engine::{
     IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
 };
 pub use fault::{
-    fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FaultStats, FtConfig, FtError,
-    IntegrityError, RetryConfig,
+    fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtConfig, FtError, IntegrityError,
+    RetryConfig,
 };
 pub use graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;

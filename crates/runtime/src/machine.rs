@@ -116,11 +116,6 @@ impl MachineModel {
     pub fn dense_kernel_time(&self, flops: f64) -> f64 {
         flops / (self.peak_gflops_per_core * 1e9 * self.eff_dense)
     }
-
-    /// Transfer time of an `bytes`-byte point-to-point message.
-    pub fn message_time(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / self.bandwidth_bps
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +163,5 @@ mod tests {
         let m = MachineModel::fugaku();
         let flops = 1e10;
         assert!(m.nested_time(flops) < m.dense_kernel_time(flops) / 10.0);
-    }
-
-    #[test]
-    fn message_time_has_latency_floor() {
-        let m = MachineModel::fugaku();
-        assert!(m.message_time(0) >= m.latency_s);
-        let big = m.message_time(1 << 30);
-        assert!(big > 0.1 && big < 1.0); // ~1 GiB / 6.8 GB/s ≈ 0.16 s
     }
 }

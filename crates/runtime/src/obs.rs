@@ -480,10 +480,11 @@ impl RunEvent {
     }
 }
 
-/// Derived metrics of one run (wall-clock or simulated) — the numbers
-/// behind the paper's Fig. 11 (per-class breakdown) and Fig. 13
-/// (efficiency vs. the critical-path bound), plus the load-balance and
-/// communication columns of the distribution comparison.
+/// Derived metrics of one run's trace (wall-clock or simulated) — the
+/// numbers behind the paper's Fig. 11 (per-class breakdown) and Fig. 13
+/// (efficiency vs. the critical-path bound), plus the load-balance
+/// columns of the distribution comparison. Wire traffic is not a trace
+/// fact: it stays with the run's `CommStats`.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Label for reports ("lorapo-hybrid", "wall-clock", …).
@@ -500,10 +501,6 @@ pub struct RunMetrics {
     pub load_imbalance: f64,
     /// Total ready→start wait, seconds, summed over tasks.
     pub total_queue_wait: f64,
-    /// Cross-process payload bytes (0 for shared-memory runs).
-    pub comm_bytes: u64,
-    /// Cross-process messages (0 for shared-memory runs).
-    pub comm_messages: u64,
     /// Critical-path bound, seconds (0 when not computed).
     pub critical_path_seconds: f64,
     /// `critical_path_seconds / makespan` (the §VIII-G efficiency; 0 when
@@ -530,8 +527,8 @@ fn finite_or_zero(x: f64) -> f64 {
 }
 
 impl RunMetrics {
-    /// Compute trace-derived metrics; communication and critical-path
-    /// fields start at zero and can be filled by the setters.
+    /// Compute trace-derived metrics; the critical-path fields start at
+    /// zero and are filled by [`with_critical_path`](Self::with_critical_path).
     pub fn from_trace(label: &str, trace: &Trace, nprocs: usize) -> Self {
         RunMetrics {
             label: label.to_string(),
@@ -543,13 +540,6 @@ impl RunMetrics {
             total_queue_wait: trace.total_queue_wait(),
             ..RunMetrics::default()
         }
-    }
-
-    /// Attach communication totals.
-    pub fn with_comm(mut self, bytes: u64, messages: u64) -> Self {
-        self.comm_bytes = bytes;
-        self.comm_messages = messages;
-        self
     }
 
     /// Attach the critical-path bound and derive efficiency against it.
@@ -595,8 +585,6 @@ impl RunMetrics {
                 "total_queue_wait_s".into(),
                 Json::Num(self.total_queue_wait),
             ),
-            ("comm_bytes".into(), Json::Num(self.comm_bytes as f64)),
-            ("comm_messages".into(), Json::Num(self.comm_messages as f64)),
             (
                 "critical_path_s".into(),
                 Json::Num(self.critical_path_seconds),
@@ -615,22 +603,19 @@ impl RunMetrics {
     /// row and NaN/Inf readings print as 0 rather than leaking into the
     /// table.
     pub fn comparison_table(runs: &[RunMetrics]) -> String {
-        let mut out = String::from(
-            "plan               makespan_s   imbalance  mean_idle   msgs        bytes        eff_cp\n",
-        );
+        let mut out =
+            String::from("plan               makespan_s   imbalance  mean_idle     eff_cp\n");
         if runs.is_empty() {
             out.push_str("(no runs)\n");
             return out;
         }
         for m in runs {
             out.push_str(&format!(
-                "{:<18} {:>10.6} {:>11.4} {:>10.4} {:>6} {:>12} {:>9.3}\n",
+                "{:<18} {:>10.6} {:>11.4} {:>10.4} {:>10.3}\n",
                 m.label,
                 finite_or_zero(m.makespan),
                 finite_or_zero(m.load_imbalance),
                 finite_or_zero(m.mean_idle()),
-                m.comm_messages,
-                m.comm_bytes,
                 finite_or_zero(m.efficiency_vs_critical_path),
             ));
         }
@@ -719,9 +704,7 @@ mod tests {
     #[test]
     fn metrics_from_trace() {
         let t = sample_trace();
-        let m = RunMetrics::from_trace("unit", &t, 2)
-            .with_comm(100, 3)
-            .with_critical_path(1.0);
+        let m = RunMetrics::from_trace("unit", &t, 2).with_critical_path(1.0);
         assert_eq!(m.makespan, 2.0);
         assert!((m.breakdown.total() - 1.75).abs() < 1e-12);
         assert!((m.total_queue_wait - 0.25).abs() < 1e-12);
@@ -731,7 +714,7 @@ mod tests {
         }
         // The JSON dump and the table carry the headline numbers.
         let j = m.to_json();
-        assert_eq!(j.get("comm_bytes").unwrap().as_f64().unwrap(), 100.0);
+        assert_eq!(j.get("makespan_s").unwrap().as_f64().unwrap(), 2.0);
         assert_eq!(j.get("idle_fraction").unwrap().as_arr().unwrap().len(), 2);
         assert!(RunMetrics::comparison_table(&[m]).contains("unit"));
     }

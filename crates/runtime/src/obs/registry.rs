@@ -52,22 +52,28 @@ pub enum Counter {
     Steals,
     /// Injected kernel failures that fired (fault layer).
     KernelFailures,
-    /// Payload bytes moved across process boundaries.
-    CommBytes,
-    /// Cross-process messages (payload + activation + retransmits).
-    CommMessages,
-    /// Timeout- or crash-driven retransmissions.
+    /// Timeout-, NACK- or crash-driven retransmissions.
     Retransmissions,
     /// Send attempts the (simulated) network dropped.
     MessagesDropped,
+    /// Extra deliveries injected by duplication.
+    MessagesDuplicated,
     /// Deliveries ignored by receiver-side dedup.
     DuplicatesIgnored,
+    /// Acknowledgements the network dropped.
+    AcksDropped,
     /// Rank crashes that fired.
     Crashes,
     /// Tasks moved to a surviving rank by crash recovery.
     TasksMigrated,
-    /// Already-completed tasks re-executed after a crash.
+    /// Already-completed tasks re-executed after a crash or a heal.
     TasksReexecuted,
+    /// Messages that exhausted their send attempts.
+    SendsAbandoned,
+    /// Delivered message copies that arrived with a flipped payload bit.
+    MessagesCorrupted,
+    /// Scheduled store bit flips that actually mutated a stored tile.
+    StoreCorruptionsInjected,
     /// Corruptions caught by integrity verification.
     CorruptionsDetected,
     /// Corrupted data restored and recomputed from lineage.
@@ -90,7 +96,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NCOUNTERS: usize = 21;
+pub const NCOUNTERS: usize = 24;
 
 impl Counter {
     /// All counters, in declaration (= storage) order.
@@ -99,14 +105,17 @@ impl Counter {
         Counter::TasksEnqueued,
         Counter::Steals,
         Counter::KernelFailures,
-        Counter::CommBytes,
-        Counter::CommMessages,
         Counter::Retransmissions,
         Counter::MessagesDropped,
+        Counter::MessagesDuplicated,
         Counter::DuplicatesIgnored,
+        Counter::AcksDropped,
         Counter::Crashes,
         Counter::TasksMigrated,
         Counter::TasksReexecuted,
+        Counter::SendsAbandoned,
+        Counter::MessagesCorrupted,
+        Counter::StoreCorruptionsInjected,
         Counter::CorruptionsDetected,
         Counter::CorruptionsHealed,
         Counter::NacksSent,
@@ -118,6 +127,15 @@ impl Counter {
         Counter::ServiceRequestsRejected,
     ];
 
+    /// The fault layer's event counters, `KernelFailures` through
+    /// `NacksSent` (one contiguous run of [`ALL`](Counter::ALL)): all zero
+    /// on a run without a fault plan (or whose plan never fired).
+    pub const FAULTS: &'static [Counter] = Self::ALL
+        .split_at(Counter::NacksSent as usize + 1)
+        .0
+        .split_at(Counter::KernelFailures as usize)
+        .1;
+
     /// Stable snake_case name (JSON key / Prometheus metric stem).
     pub fn name(self) -> &'static str {
         match self {
@@ -125,14 +143,17 @@ impl Counter {
             Counter::TasksEnqueued => "tasks_enqueued",
             Counter::Steals => "steals",
             Counter::KernelFailures => "kernel_failures",
-            Counter::CommBytes => "comm_bytes",
-            Counter::CommMessages => "comm_messages",
             Counter::Retransmissions => "retransmissions",
             Counter::MessagesDropped => "messages_dropped",
+            Counter::MessagesDuplicated => "messages_duplicated",
             Counter::DuplicatesIgnored => "duplicates_ignored",
+            Counter::AcksDropped => "acks_dropped",
             Counter::Crashes => "crashes",
             Counter::TasksMigrated => "tasks_migrated",
             Counter::TasksReexecuted => "tasks_reexecuted",
+            Counter::SendsAbandoned => "sends_abandoned",
+            Counter::MessagesCorrupted => "messages_corrupted",
+            Counter::StoreCorruptionsInjected => "store_corruptions_injected",
             Counter::CorruptionsDetected => "corruptions_detected",
             Counter::CorruptionsHealed => "corruptions_healed",
             Counter::NacksSent => "nacks_sent",
@@ -185,30 +206,6 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    /// Mean raw value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 { 0.0 } else { self.sum as f64 / self.count as f64 }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`; 0 when empty). Log-bucketed, so the answer is
-    /// exact to within a factor of 2 — plenty for drift and capacity
-    /// questions.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(bound, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return bound;
-            }
-        }
-        self.buckets.last().map_or(0, |&(bound, _)| bound)
-    }
-
     /// JSON object: `{"count": .., "sum": .., "buckets": [[bound, n]..]}`.
     pub fn to_json(&self) -> Json {
         let buckets = self
@@ -238,8 +235,6 @@ pub struct RegistrySnapshot {
     pub gauges: Vec<(&'static str, f64)>,
     /// Task-duration histograms per class, nanosecond raw values.
     pub class_duration_ns: Vec<HistSummary>,
-    /// Recompression output-rank histogram (raw value = kept rank).
-    pub recompression_ranks: HistSummary,
 }
 
 impl RegistrySnapshot {
@@ -294,7 +289,6 @@ impl RegistrySnapshot {
         obj.insert("counters", counters);
         obj.insert("gauges", gauges);
         obj.insert("task_duration_ns", hists);
-        obj.insert("recompression_ranks", self.recompression_ranks.to_json());
         obj
     }
 
@@ -336,16 +330,6 @@ impl RegistrySnapshot {
             let _ =
                 writeln!(out, "tlr_task_duration_seconds_count{{class=\"{class}\"}} {}", h.count);
         }
-        let _ = writeln!(out, "# TYPE tlr_recompression_rank histogram");
-        let h = &self.recompression_ranks;
-        let mut cum = 0u64;
-        for &(bound, n) in &h.buckets {
-            cum += n;
-            let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"{bound}\"}} {cum}");
-        }
-        let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "tlr_recompression_rank_sum {}", h.sum);
-        let _ = writeln!(out, "tlr_recompression_rank_count {}", h.count);
     }
 }
 
@@ -384,18 +368,13 @@ mod storage {
     }
 
     impl LogHist {
+        /// Record one sample of value `v` (the sum wraps like any other
+        /// counter here).
         #[inline]
         pub(super) fn record(&self, v: u64) {
-            self.record_n(v, 1);
-        }
-
-        /// Record `n` samples of value `v` (one `fetch_add` per field;
-        /// the sum wraps like any other counter here).
-        #[inline]
-        pub(super) fn record_n(&self, v: u64, n: u64) {
-            self.buckets[bucket_of(v)].fetch_add(n, Relaxed);
-            self.count.fetch_add(n, Relaxed);
-            self.sum.fetch_add(v.wrapping_mul(n), Relaxed);
+            self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
+            self.count.fetch_add(1, Relaxed);
+            self.sum.fetch_add(v, Relaxed);
         }
 
         pub(super) fn merge_into(&self, dst: &mut HistSummary) {
@@ -424,7 +403,6 @@ mod storage {
         /// f64 bit patterns; merged by `max` over the decoded values.
         pub(super) gauges: [AtomicU64; NGAUGES],
         pub(super) class_ns: [LogHist; NCLASSES],
-        pub(super) ranks: LogHist,
     }
 
     impl Shard {
@@ -513,18 +491,6 @@ impl Registry {
         self.record_class_ns(shard, class, ns);
     }
 
-    /// Record one recompression output rank on `shard`.
-    #[inline]
-    pub fn record_rank(&self, shard: usize, rank: usize) {
-        self.record_rank_counts(shard, rank, 1);
-    }
-
-    /// Bulk-record `count` recompressions that all kept `rank` columns
-    /// (merging a pre-binned histogram such as `RankEvolution`'s).
-    pub fn record_rank_counts(&self, shard: usize, rank: usize, count: u64) {
-        self.shard(shard).ranks.record_n(rank as u64, count);
-    }
-
     /// Merge all shards into an owned snapshot (report time only — this
     /// allocates).
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -533,7 +499,6 @@ impl Registry {
             counters: Counter::ALL.iter().map(|c| (c.name(), 0u64)).collect(),
             gauges: Gauge::ALL.iter().map(|g| (g.name(), 0.0f64)).collect(),
             class_duration_ns: vec![HistSummary::default(); NCLASSES],
-            recompression_ranks: HistSummary::default(),
         };
         for shard in self.shards.iter() {
             for (slot, cell) in snap.counters.iter_mut().zip(shard.counters.iter()) {
@@ -548,7 +513,6 @@ impl Registry {
             for (dst, src) in snap.class_duration_ns.iter_mut().zip(shard.class_ns.iter()) {
                 src.merge_into(dst);
             }
-            shard.ranks.merge_into(&mut snap.recompression_ranks);
         }
         snap
     }
@@ -576,35 +540,39 @@ mod tests {
     }
 
     #[test]
+    fn counters_are_stored_in_declaration_order() {
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{}", c.name());
+        }
+        assert_eq!(Counter::FAULTS.first(), Some(&Counter::KernelFailures));
+        assert_eq!(Counter::FAULTS.last(), Some(&Counter::NacksSent));
+    }
+
+    #[test]
     fn counters_and_histograms_merge_across_shards() {
         let reg = Registry::new(3);
         for shard in 0..7 {
             // Indices past the shard count wrap instead of panicking.
             reg.incr(shard, Counter::TasksExecuted);
-            reg.add(shard, Counter::CommBytes, 100);
+            reg.add(shard, Counter::Retransmissions, 100);
             reg.record_class_ns(shard, TaskClass::Gemm, 1_000 + shard as u64);
         }
         reg.record_class_seconds(0, TaskClass::Potrf, 1.5e-3);
         reg.record_class_seconds(0, TaskClass::Potrf, f64::NAN); // clamps to 0
-        reg.record_rank(1, 24);
-        reg.record_rank_counts(2, 8, 3);
         reg.gauge_max(0, Gauge::ArenaHighWaterBytes, 4096.0);
         reg.gauge_max(1, Gauge::ArenaHighWaterBytes, 1024.0); // below max, kept
         let snap = reg.snapshot();
         assert!(!snap.is_empty());
         assert_eq!(snap.counter(Counter::TasksExecuted), 7);
-        assert_eq!(snap.counter(Counter::CommBytes), 700);
+        assert_eq!(snap.counter(Counter::Retransmissions), 700);
         assert_eq!(snap.class_count(TaskClass::Gemm), 7);
         assert_eq!(snap.class_count(TaskClass::Potrf), 2);
         let potrf_s = snap.class_seconds(TaskClass::Potrf);
         assert!((potrf_s - 1.5e-3).abs() < 1e-9, "{potrf_s}");
-        assert_eq!(snap.recompression_ranks.count, 4);
-        assert_eq!(snap.recompression_ranks.sum, 24 + 3 * 8);
         assert_eq!(snap.gauge(Gauge::ArenaHighWaterBytes), 4096.0);
-        // Gemm durations are ~1000ns: the median lands in the [512, 1023]
-        // log2 bucket, whose inclusive bound the quantile reports.
-        let q = snap.class_duration_ns[3].quantile(0.5);
-        assert_eq!(q, 1023, "{q}");
+        // Gemm durations are ~1000ns: all land in the [512, 1023] log2
+        // bucket, reported by its inclusive bound.
+        assert_eq!(snap.class_duration_ns[3].buckets, vec![(1023, 7)]);
         let b = snap.class_busy_seconds();
         assert!(b.gemm > 0.0 && b.total() > 0.0);
     }
@@ -624,20 +592,6 @@ mod tests {
         for v in [0u64, 1, 7, 1000, 1 << 40, u64::MAX] {
             assert!(bucket_bound(bucket_of(v)) >= v, "{v}");
         }
-    }
-
-    /// Bulk recording is one add per field: a count past the old
-    /// `1 << 20` loop cap lands whole, in the right bucket.
-    #[test]
-    fn bulk_rank_counts_are_exact_past_the_old_cap() {
-        let reg = Registry::new(2);
-        let count = (1u64 << 20) + 3;
-        reg.record_rank_counts(1, 24, count);
-        reg.record_rank(0, 24);
-        let h = reg.snapshot().recompression_ranks;
-        assert_eq!(h.count, count + 1);
-        assert_eq!(h.sum, 24 * (count + 1));
-        assert_eq!(h.buckets, vec![(31, count + 1)]);
     }
 
     #[test]

@@ -28,15 +28,11 @@ pub struct CompressionConfig {
     /// cap is kept. Assembly and recompression apply the same rule.
     /// `usize::MAX` disables the cap.
     pub max_rank: usize,
-    /// Keep the tile dense when `k · (rows + cols) ≥ keep_dense_ratio ·
-    /// rows · cols`; `1.0` means "densify only when LR storage would be
-    /// strictly larger than dense".
-    pub keep_dense_ratio: f64,
 }
 
 impl Default for CompressionConfig {
     fn default() -> Self {
-        Self { accuracy: 1e-4, max_rank: usize::MAX, keep_dense_ratio: 1.0 }
+        Self { accuracy: 1e-4, max_rank: usize::MAX }
     }
 }
 
@@ -45,11 +41,15 @@ impl CompressionConfig {
     pub fn with_accuracy(accuracy: f64) -> Self {
         Self { accuracy, ..Self::default() }
     }
+}
 
-    /// Is a rank-`k` `rows × cols` factorization worth storing over dense?
-    pub fn low_rank_pays_off(&self, k: usize, rows: usize, cols: usize) -> bool {
-        (k * (rows + cols)) as f64 <= self.keep_dense_ratio * (rows * cols) as f64
-    }
+/// Is a rank-`k` `rows × cols` factorization worth storing over dense?
+/// Yes unless `U·Vᵀ` would take strictly more words than the dense tile:
+/// at `k · (rows + cols) = rows · cols` the two cost the same and the
+/// tile stays low rank. Compression, recompression and the planner's
+/// pricing (`build_cholesky_dag`) all decide with this one rule.
+pub fn low_rank_pays_off(k: usize, rows: usize, cols: usize) -> bool {
+    k * (rows + cols) <= rows * cols
 }
 
 /// Compress a dense tile at the configured accuracy.
@@ -94,7 +94,7 @@ pub fn compress_tile(a: Matrix, config: &CompressionConfig) -> Tile {
     // The cap stopped the factorization before the trailing block met the
     // threshold: the tile is not compressible under the cap, keep it dense.
     let capped = k == config.max_rank && !f.trailing_below(config.accuracy);
-    if capped || !config.low_rank_pays_off(k, rows, cols) {
+    if capped || !low_rank_pays_off(k, rows, cols) {
         return Tile::Dense(dense_backup);
     }
     let u = f.q_thin(); // rows × k, orthonormal
@@ -190,13 +190,13 @@ mod tests {
     #[test]
     fn max_rank_cap_forces_dense() {
         let a = rand_mat(24, 24, 14);
-        let cfg = CompressionConfig { accuracy: 1e-12, max_rank: 4, keep_dense_ratio: 1.0 };
+        let cfg = CompressionConfig { accuracy: 1e-12, max_rank: 4 };
         let t = compress_tile(a, &cfg);
         assert_eq!(t.format(), crate::tile::TileFormat::Dense);
         // A rank the accuracy certifies at the cap is kept, as
         // recompression keeps it.
         let exact = low_rank_mat(24, 24, 4, 18);
-        let cfg = CompressionConfig { accuracy: 1e-10, max_rank: 4, keep_dense_ratio: 1.0 };
+        let cfg = CompressionConfig { accuracy: 1e-10, max_rank: 4 };
         let t = compress_tile(exact, &cfg);
         assert_eq!(t.format(), crate::tile::TileFormat::LowRank);
         assert_eq!(t.rank(), 4);
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn recompression_at_the_rank_cap_keeps_the_update_dense() {
         let n = 32;
-        let cfg = CompressionConfig { accuracy: 1e-8, max_rank: 4, keep_dense_ratio: 1.0 };
+        let cfg = CompressionConfig { accuracy: 1e-8, max_rank: 4 };
         let mut c = Tile::LowRank { u: rand_mat(n, 3, 16), v: rand_mat(n, 3, 17) };
         let (up, vp) = (rand_mat(n, 3, 18), rand_mat(n, 3, 19));
         let mut exact = c.to_dense();
@@ -273,7 +273,7 @@ mod tests {
         }
         // A rank cap of zero certifies nothing above the threshold: the
         // tile stays dense, bit for bit as it came.
-        let cfg = CompressionConfig { accuracy: 0.0, max_rank: 0, keep_dense_ratio: 1.0 };
+        let cfg = CompressionConfig { accuracy: 0.0, max_rank: 0 };
         match compress_tile(base.clone(), &cfg) {
             Tile::Dense(m) => {
                 assert!(m.as_slice().iter().zip(base.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()))

@@ -67,7 +67,7 @@
 //! as the rank-optimal oracle for the engine. No factorization runs an
 //! SVD: the pivoted QR is the only truncation on the factorization path.
 
-use crate::compress::CompressionConfig;
+use crate::compress::{low_rank_pays_off, CompressionConfig};
 use crate::tile::Tile;
 use std::cell::RefCell;
 // Tile kernels run inside the task-graph executor, so they use the serial
@@ -677,7 +677,7 @@ fn recompress_ws(
     qv.apply_q(&ys, &mut v);
     ws.give(ys);
     reclaim_qr(ws, qv);
-    if k > config.max_rank || !config.low_rank_pays_off(k, rows, cols) {
+    if k > config.max_rank || !low_rank_pays_off(k, rows, cols) {
         ws.rank_log.record_dense(ktot, k);
         let mut dense = ws.take_out(rows, cols);
         gemm_serial(Trans::No, Trans::Yes, 1.0, &u, &v, 0.0, &mut dense);
@@ -867,7 +867,7 @@ pub mod reference {
         let y = svd.v.submatrix(0, 0, svd.v.rows(), k);
         let mut v = Matrix::zeros(cols, k);
         gemm_serial(Trans::No, Trans::No, 1.0, &qvf, &y, 0.0, &mut v);
-        if !config.low_rank_pays_off(k, rows, cols) {
+        if !low_rank_pays_off(k, rows, cols) {
             let t = Tile::LowRank { u, v };
             return Tile::Dense(t.to_dense());
         }

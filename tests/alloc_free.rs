@@ -119,7 +119,7 @@ fn gemm_kernel_steady_state_allocates_nothing() {
 }
 
 /// The sink recording path alone, at volume: counters, class-duration
-/// histograms, rank histograms, gauge CAS loops and span stores.
+/// histograms, gauge CAS loops and span stores.
 #[test]
 fn sink_recording_path_allocates_nothing() {
     let ntasks = 50_000;
@@ -132,9 +132,8 @@ fn sink_recording_path_allocates_nothing() {
         sink.observe(TaskEvent::Enqueue { wid, task, at });
         sink.observe(TaskEvent::Steal { wid });
         sink.observe(TaskEvent::Retire { wid, task, class: TaskClass::Gemm, start: at, end: at });
-        reg.add(wid, Counter::CommBytes, 3);
+        reg.add(wid, Counter::Retransmissions, 3);
         reg.record_class_seconds(wid, TaskClass::Potrf, 1e-6 * (t % 97) as f64);
-        reg.record_rank(wid, t % 64);
         reg.gauge_max(wid, Gauge::ArenaHighWaterBytes, (t % 1024) as f64);
     }
     let recorded = allocs() - before;

@@ -2,7 +2,7 @@
 //! {cancellation, observation, comm counting, fault layer} must produce a
 //! bit-identical factor on the same seeded RBF-structured problem, with
 //! communication accounting that stays consistent between the engine's
-//! `CommStats` and the fault layer's `FaultStats`. This is the contract
+//! `CommStats` and the fault counters of the run's registry. This is the contract
 //! behind one `Session` over one engine per kind.
 
 use hicma_parsec::cholesky::{
@@ -11,7 +11,7 @@ use hicma_parsec::cholesky::{
 use hicma_parsec::distribution::{DiamondDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -41,8 +41,8 @@ proptest! {
     /// fault layer absent / fault-free / lossy / lossy-with-crash —
     /// produces the identical factor, and the comm accounting composes
     /// consistently (fault-free comm equals the no-layer run; faults
-    /// only ever add messages and bytes; `CommStats` agrees with
-    /// `FaultStats`).
+    /// only ever add messages and bytes; the first sends — `CommStats`
+    /// less the registry's retransmissions — are the fault-free traffic).
     #[test]
     fn all_capability_subsets_agree(
         seed in 0u64..10_000,
@@ -98,13 +98,12 @@ proptest! {
         let comm_ff = out_ff.comm.unwrap();
         prop_assert_eq!(comm_ff.messages, comm_base.messages);
         prop_assert_eq!(comm_ff.bytes, comm_base.bytes);
-        let ft_ff = out_ff.faults.expect("fault layer configured");
-        prop_assert_eq!(ft_ff.retransmissions, 0);
+        let reg_ff = out_ff.registry.expect("every run reports its registry");
+        prop_assert!(Counter::FAULTS.iter().all(|&c| reg_ff.counter(c) == 0));
 
         // {counted, ft(lossy[, crash]), obs} — everything at once. The
-        // factor still matches bit for bit, comm only grows, and the
-        // engine's CommStats is exactly the fault layer's sends plus
-        // retransmissions.
+        // factor still matches bit for bit, comm only grows, and every
+        // message beyond the fault-free traffic is a retransmission.
         let mut plan = FaultPlan::new(seed)
             .with_drops(drop_pct as f64 / 100.0)
             .with_duplicates(dup_pct as f64 / 100.0)
@@ -123,7 +122,7 @@ proptest! {
             "faults leaked into the factor"
         );
         let comm_full = out_full.comm.unwrap();
-        let stats = out_full.faults.as_ref().expect("fault layer configured");
+        let reg = out_full.registry.as_ref().expect("every run reports its registry");
         if !crash {
             // Without a crash the placement is unchanged, so faults can
             // only ever *add* traffic (retransmissions). A crash migrates
@@ -133,12 +132,12 @@ proptest! {
             prop_assert!(comm_full.bytes >= comm_base.bytes);
         }
         prop_assert_eq!(
-            comm_full.messages,
-            (stats.messages_sent + stats.retransmissions) as u64,
-            "CommStats and FaultStats must agree on sends"
+            comm_full.messages - reg.counter(Counter::Retransmissions),
+            comm_base.messages,
+            "first sends are the fault-free traffic"
         );
         if crash {
-            prop_assert_eq!(stats.crashes, 1, "the scheduled crash must fire");
+            prop_assert_eq!(reg.counter(Counter::Crashes), 1, "the scheduled crash must fire");
         }
     }
 }
@@ -218,12 +217,15 @@ fn ft_plus_trace_plus_comm_in_one_run() {
     // Factor: bit-identical to shared memory despite the faults.
     assert_eq!(relative_diff(&m.to_dense_lower(), &shared.to_dense_lower()), 0.0);
 
-    // Comm: counted, and consistent with the fault accounting.
+    // Comm: counted, and every message beyond the fault-free traffic is
+    // one the registry counted as a retransmission.
     let comm = out.comm.expect("distributed runs count communication");
-    let stats = out.faults.expect("fault layer was configured");
-    assert_eq!(comm.messages, (stats.messages_sent + stats.retransmissions) as u64);
-    assert_eq!(comm.bytes, stats.bytes_sent);
-    assert_eq!(stats.crashes, 1);
+    let mut clean = compressed(&dense, b, acc);
+    let clean = Session::distributed(fcfg, 6, &DiamondDistribution::new(6)).run(&mut clean).unwrap();
+    let reg = out.registry.as_ref().expect("every run reports its registry");
+    let first_sends = comm.messages - reg.counter(Counter::Retransmissions);
+    assert_eq!(first_sends, clean.comm.unwrap().messages);
+    assert_eq!(reg.counter(Counter::Crashes), 1);
     assert_eq!(out.events.len(), 2, "one crash ⇒ one Crash + one Recovery event");
 
     // Trace: covers every task plus the crash re-executions, inside the
@@ -376,10 +378,10 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
             let comm = out.comm.expect("distributed runs count communication");
             assert_eq!(comm, comm_plain, "{name}: {what} ships the same tiles");
             assert_eq!(out.trace.is_some(), *what == "traced", "{name}: {what}");
-            assert_eq!(
-                out.faults.is_some(),
-                *what == "fault-free layer",
-                "{name}: {what}"
+            let reg = out.registry.as_ref().expect("every run reports its registry");
+            assert!(
+                Counter::FAULTS.iter().all(|&c| reg.counter(c) == 0),
+                "{name}: {what} counts no fault event"
             );
         }
     }

@@ -11,9 +11,10 @@ use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
 use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
 use hicma_parsec::mesh::GaussianRbf;
-use hicma_parsec::runtime::{FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Shared fixture: a Hilbert-ordered virus cloud and its kernel.
 fn fixture(
@@ -29,6 +30,19 @@ fn fixture(
     let points = apply_permutation(&raw, &hilbert_sort(&raw));
     let kernel = GaussianRbf::from_min_distance(&points);
     (points, kernel)
+}
+
+/// Messages of the fault-free 4-rank run of the proptests' 96 × 96,
+/// b = 24 Gaussian problem at ε = 1e-8 (its first sends), computed once.
+fn clean_comm_messages() -> u64 {
+    static MESSAGES: OnceLock<u64> = OnceLock::new();
+    *MESSAGES.get_or_init(|| {
+        let ccfg = CompressionConfig::with_accuracy(1e-8);
+        let mut m = TlrMatrix::from_generator(96, 24, gaussian_gen(96, 6.0), &ccfg);
+        let dist = DiamondDistribution::new(4);
+        let out = Session::distributed(FactorConfig::with_accuracy(1e-8), 4, &dist).run(&mut m);
+        out.expect("fault-free").comm.expect("distributed").messages
+    })
 }
 
 /// A smooth synthetic SPD generator (Gaussian kernel + diagonal bump),
@@ -68,24 +82,24 @@ fn faulty_network_and_crash_reproduce_shared_memory_factor() {
         .with_jitter(0.8)
         .with_crash(1, 15.0);
     let ft = FtConfig::with_plan(plan);
-    let outcome = Session::distributed(fcfg, 6, &DiamondDistribution::new(6))
+    let reg = Session::distributed(fcfg, 6, &DiamondDistribution::new(6))
         .with_fault_layer(&ft)
         .run(&mut faulty)
         .expect("plan is survivable: one crash, five survivors")
-        .faults
-        .expect("fault layer was configured");
+        .registry
+        .expect("every run reports its registry");
 
-    assert_eq!(outcome.crashes, 1, "the scheduled crash must fire");
+    assert_eq!(reg.counter(Counter::Crashes), 1, "the scheduled crash must fire");
     assert!(
-        outcome.messages_dropped > 0,
+        reg.counter(Counter::MessagesDropped) > 0,
         "drop injection must bite"
     );
     assert!(
-        outcome.tasks_migrated > 0,
+        reg.counter(Counter::TasksMigrated) > 0,
         "recovery must migrate work"
     );
     assert!(
-        outcome.retransmissions > 0,
+        reg.counter(Counter::Retransmissions) > 0,
         "drops must force retransmits"
     );
     let diff = relative_diff(&faulty.to_dense_lower(), &shared.to_dense_lower());
@@ -179,7 +193,7 @@ proptest! {
 
     /// Any lossy *and* corrupted network preserves the communication-
     /// ledger invariants: every attempt is counted (`comm.messages ==
-    /// sent + retransmissions`), every mutated payload is detected and
+    /// clean-run messages + retransmissions`), every mutated payload is detected and
     /// NACKed exactly once, no send is abandoned, and the factor stays
     /// bit-identical to the shared-memory run.
     #[test]
@@ -207,19 +221,20 @@ proptest! {
             .run(&mut faulty);
         prop_assert!(out.is_ok(), "survivable plan failed: {:?}", out.err());
         let out = out.unwrap();
-        let stats = out.faults.as_ref().unwrap();
+        let reg = out.registry.as_ref().unwrap();
         let comm = out.comm.as_ref().unwrap();
+        let c = |k| reg.counter(k);
         prop_assert_eq!(
-            comm.messages as usize,
-            stats.messages_sent + stats.retransmissions,
-            "comm ledger must count every attempt"
+            comm.messages,
+            clean_comm_messages() + c(Counter::Retransmissions),
+            "comm ledger must count every attempt, NACK-driven ones included"
         );
-        prop_assert_eq!(stats.corruptions_detected, stats.messages_corrupted,
+        prop_assert_eq!(c(Counter::CorruptionsDetected), c(Counter::MessagesCorrupted),
             "exact digests admit no false negatives and no store strikes ran");
-        prop_assert_eq!(stats.nacks_sent, stats.corruptions_detected,
+        prop_assert_eq!(c(Counter::NacksSent), c(Counter::CorruptionsDetected),
             "every detected payload must be NACKed exactly once");
-        prop_assert_eq!(stats.sends_abandoned, 0, "NACK/retransmit must converge");
-        prop_assert_eq!(stats.store_corruptions_injected, 0);
+        prop_assert_eq!(c(Counter::SendsAbandoned), 0, "NACK/retransmit must converge");
+        prop_assert_eq!(c(Counter::StoreCorruptionsInjected), 0);
         let diff = relative_diff(&faulty.to_dense_lower(), &shared.to_dense_lower());
         prop_assert!(diff == 0.0, "corruption changed the factor: {diff}");
     }
@@ -249,10 +264,10 @@ proptest! {
             .with_fault_layer(&ft)
             .run(&mut sealed)
             .unwrap();
-        let stats = out.faults.as_ref().unwrap();
-        prop_assert_eq!(stats.corruptions_detected, 0, "false positive on a clean run");
-        prop_assert_eq!(stats.corruptions_healed, 0);
-        prop_assert_eq!(stats.nacks_sent, 0);
+        let reg = out.registry.as_ref().unwrap();
+        prop_assert_eq!(reg.counter(Counter::CorruptionsDetected), 0, "false positive on a clean run");
+        prop_assert_eq!(reg.counter(Counter::CorruptionsHealed), 0);
+        prop_assert_eq!(reg.counter(Counter::NacksSent), 0);
         prop_assert_eq!(
             out.comm.as_ref().unwrap().messages,
             base.comm.as_ref().unwrap().messages,

@@ -8,7 +8,7 @@
 use hicma_parsec::cholesky::{factorize, FactorConfig, IntegrityMode, RunError, Session};
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
 use hicma_parsec::linalg::norms::relative_diff;
-use hicma_parsec::runtime::{EngineError, FaultPlan, FtConfig, FtError, RunEvent};
+use hicma_parsec::runtime::{Counter, EngineError, FaultPlan, FtConfig, FtError, RunEvent};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 
 const N: usize = 96;
@@ -55,18 +55,18 @@ fn store_corruption_is_detected_healed_and_numerically_invisible() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("a single store strike is healable");
-    let stats = outcome.faults.expect("fault layer was configured");
+    let reg = outcome.registry.as_ref().expect("every run reports its registry");
 
     assert_eq!(
-        stats.store_corruptions_injected, 1,
+        reg.counter(Counter::StoreCorruptionsInjected), 1,
         "the strike must land"
     );
     assert_eq!(
-        stats.corruptions_detected, 1,
+        reg.counter(Counter::CorruptionsDetected), 1,
         "zero false negatives"
     );
     assert_eq!(
-        stats.corruptions_healed, 1,
+        reg.counter(Counter::CorruptionsHealed), 1,
         "the strike must be healed"
     );
     let detected = outcome
@@ -103,22 +103,25 @@ fn message_corruption_is_nacked_retransmitted_and_invisible() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("message corruption is always recoverable via NACK/retransmit");
-    let stats = out.faults.as_ref().unwrap();
+    let reg = out.registry.as_ref().expect("every run reports its registry");
     let comm = out.comm.as_ref().unwrap();
 
-    assert!(stats.messages_corrupted > 0, "p=0.4 must corrupt something");
+    assert!(reg.counter(Counter::MessagesCorrupted) > 0, "p=0.4 must corrupt something");
     assert_eq!(
-        stats.corruptions_detected, stats.messages_corrupted,
+        reg.counter(Counter::CorruptionsDetected),
+        reg.counter(Counter::MessagesCorrupted),
         "zero false negatives"
     );
     assert_eq!(
-        stats.nacks_sent, stats.corruptions_detected,
+        reg.counter(Counter::NacksSent),
+        reg.counter(Counter::CorruptionsDetected),
         "every detection NACKs"
     );
-    assert_eq!(stats.sends_abandoned, 0, "NACK/retransmit must converge");
+    assert_eq!(reg.counter(Counter::SendsAbandoned), 0, "NACK/retransmit must converge");
+    let clean = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist).run(&mut matrix());
     assert_eq!(
-        comm.messages as usize,
-        stats.messages_sent + stats.retransmissions,
+        comm.messages,
+        clean.unwrap().comm.unwrap().messages + reg.counter(Counter::Retransmissions),
         "comm ledger counts every attempt"
     );
     let diff = relative_diff(&m.to_dense_lower(), &reference);
@@ -144,13 +147,13 @@ fn integrity_layer_has_zero_false_positives_on_lossy_network() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("lossy but uncorrupted plan is survivable");
-    let stats = out.faults.as_ref().unwrap();
+    let reg = out.registry.as_ref().expect("every run reports its registry");
 
-    assert!(stats.messages_dropped > 0, "loss injection must bite");
-    assert_eq!(stats.messages_corrupted, 0);
-    assert_eq!(stats.corruptions_detected, 0, "no false positives");
-    assert_eq!(stats.corruptions_healed, 0);
-    assert_eq!(stats.nacks_sent, 0);
+    assert!(reg.counter(Counter::MessagesDropped) > 0, "loss injection must bite");
+    assert_eq!(reg.counter(Counter::MessagesCorrupted), 0);
+    assert_eq!(reg.counter(Counter::CorruptionsDetected), 0, "no false positives");
+    assert_eq!(reg.counter(Counter::CorruptionsHealed), 0);
+    assert_eq!(reg.counter(Counter::NacksSent), 0);
     let diff = relative_diff(&m.to_dense_lower(), &reference);
     assert!(diff == 0.0, "integrity layer perturbed a clean run: {diff}");
 }
@@ -221,16 +224,16 @@ fn corruption_composes_with_crash_loss_and_trace() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("composed plan is survivable: one crash, three survivors");
-    let ftout = out.faults.as_ref().unwrap();
+    let reg = out.registry.as_ref().expect("every run reports its registry");
 
-    assert_eq!(ftout.crashes, 1, "the scheduled crash must fire");
-    assert_eq!(ftout.store_corruptions_injected, 1);
+    assert_eq!(reg.counter(Counter::Crashes), 1, "the scheduled crash must fire");
+    assert_eq!(reg.counter(Counter::StoreCorruptionsInjected), 1);
     assert!(
-        ftout.messages_corrupted > 0,
+        reg.counter(Counter::MessagesCorrupted) > 0,
         "corruption injection must bite"
     );
     assert!(
-        ftout.corruptions_detected >= ftout.messages_corrupted,
+        reg.counter(Counter::CorruptionsDetected) >= reg.counter(Counter::MessagesCorrupted),
         "every corrupted payload must be caught"
     );
     assert!(
@@ -262,7 +265,8 @@ fn corruption_run_is_deterministic() {
             .with_fault_layer(&ft)
             .run(&mut m)
             .expect("survivable");
-        (out.faults.unwrap(), out.comm.unwrap())
+        let reg = out.registry.expect("every run reports its registry");
+        (Counter::FAULTS.iter().map(|&c| reg.counter(c)).collect::<Vec<_>>(), out.comm.unwrap())
     };
     let (s1, c1) = run();
     let (s2, c2) = run();
@@ -271,4 +275,47 @@ fn corruption_run_is_deterministic() {
         c1.messages, c2.messages,
         "comm ledger must be deterministic"
     );
+}
+
+#[test]
+fn seeded_fault_counts_are_pinned() {
+    // One seeded run that meets every kind of fault: drops, duplicates,
+    // lost acks, a kernel failure, a crash, in-flight corruption and a
+    // store strike. Each event is counted once, in the run's registry,
+    // and the wire totals are its `CommStats`; the literals are the
+    // counts this run produced when a separate fault-statistics record
+    // still kept them, so moving the tally changed none of them.
+    let reference = reference_factor();
+    let dist = DiamondDistribution::new(4);
+    let victim_rank = dist.owner(2, 1);
+    let plan = FaultPlan::new(35)
+        .with_drops(0.15)
+        .with_duplicates(0.2)
+        .with_ack_drops(0.2)
+        .with_message_corruption(0.15)
+        .with_store_corruption(victim_rank, 2, 1, 5.0)
+        .with_kernel_failure(3, 1)
+        .with_crash(3, 12.0);
+    let ft = FtConfig::with_plan(plan);
+    let mut m = matrix();
+    let out = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
+        .with_fault_layer(&ft)
+        .run(&mut m)
+        .expect("one crash among four ranks is survivable");
+    let reg = out.registry.as_ref().expect("every run reports its registry");
+    let comm = out.comm.expect("distributed runs count communication");
+    let retransmissions = reg.counter(Counter::Retransmissions);
+    assert_eq!(comm.messages - retransmissions, 17, "first sends");
+    assert_eq!(comm.bytes, 84_096, "bytes on the wire, every attempt");
+    use Counter::*;
+    for (counter, want) in [
+        (Retransmissions, 14), (MessagesDropped, 3), (MessagesDuplicated, 3),
+        (DuplicatesIgnored, 4), (AcksDropped, 6), (Crashes, 1), (TasksMigrated, 6),
+        (TasksReexecuted, 4), (KernelFailures, 1), (SendsAbandoned, 0),
+        (MessagesCorrupted, 5), (StoreCorruptionsInjected, 1), (CorruptionsDetected, 6),
+        (CorruptionsHealed, 1), (NacksSent, 5),
+    ] {
+        assert_eq!(reg.counter(counter), want, "{}", counter.name());
+    }
+    assert!(relative_diff(&m.to_dense_lower(), &reference) == 0.0);
 }

@@ -5,7 +5,7 @@
 //! exporters, and crash/recovery event accounting on the fault-tolerant
 //! distributed runtime.
 
-use hicma_parsec::cholesky::simulate::{simulate_cholesky, SimConfig};
+use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky, SimConfig};
 use hicma_parsec::cholesky::{
     build_cholesky_dag, DagConfig, DriftSpec, FactorConfig, RunOutcome, Session, SolveService,
     TenantConfig,
@@ -13,6 +13,7 @@ use hicma_parsec::cholesky::{
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
 use hicma_parsec::runtime::graph::{DataRef, TaskClass};
 use hicma_parsec::runtime::obs::json::Json;
+use hicma_parsec::runtime::obs::registry::{class_slot, NCLASSES};
 use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
 };
@@ -158,10 +159,9 @@ fn des_trace_uses_the_same_exporter() {
     assert_eq!(nspans, r.trace.records.len());
 
     let m = RunMetrics::from_trace(cfg.plan.name(), &r.trace, 4)
-        .with_comm(r.comm.bytes, r.comm.messages)
         .with_critical_path(r.critical_path_seconds);
     assert!(m.makespan > 0.0);
-    assert!(m.comm_messages > 0, "4 ranks must communicate");
+    assert!(r.comm.messages > 0, "4 ranks must communicate");
     assert!(m.efficiency_vs_critical_path > 0.0 && m.efficiency_vs_critical_path <= 1.0);
     assert_eq!(m.busy.len(), 4);
     // The DES busy bookkeeping is *derived from the trace*, so the two
@@ -183,9 +183,9 @@ fn ft_run_records_matching_crash_recovery_pairs() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("two crashes among six ranks are survivable");
-    let stats = run.faults.expect("fault layer was configured");
+    let reg = run.registry.as_ref().expect("every run reports its registry");
 
-    assert_eq!(stats.crashes * 2, run.events.len());
+    assert_eq!(reg.counter(Counter::Crashes) * 2, run.events.len() as u64);
     assert!(!run.events.is_empty(), "scheduled crashes must be recorded");
     let mut last_at = f64::NEG_INFINITY;
     for pair in run.events.chunks(2) {
@@ -204,7 +204,10 @@ fn ft_run_records_matching_crash_recovery_pairs() {
         let j = pair[0].to_json().to_string();
         assert!(j.contains("crash"), "{j}");
     }
-    assert!(stats.bytes_sent >= 8 * stats.messages_sent as u64);
+    let comm = run.comm.expect("distributed runs count communication");
+    let first_sends = comm.messages - reg.counter(Counter::Retransmissions);
+    assert!(first_sends > 0, "first sends count too");
+    assert!(comm.bytes >= 8 * first_sends, "every first send carries at least one f64");
 }
 
 /// A 1D Gaussian-kernel SPD operator (`width` = correlation length in
@@ -313,14 +316,18 @@ fn run_report_round_trips_for_distributed_and_service_runs() {
         .expect("one crash among four ranks is survivable");
     let doc = assert_report_round_trips(&out);
     assert_eq!(doc.get("engine").and_then(Json::as_str), Some("distributed"));
-    let crashes = doc.get("faults").and_then(|f| f.get("crashes")).and_then(Json::as_f64);
+    let counters = doc.get("registry").and_then(|r| r.get("counters"));
+    let crashes = counters.and_then(|c| c.get("crashes")).and_then(Json::as_f64);
     assert_eq!(crashes, Some(1.0));
+    assert!(doc.get("faults").is_none(), "fault events live in the registry alone");
     assert_eq!(doc.get("events").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
     for key in ["comm", "virtual_makespan_s", "trace_summary", "drift"] {
         assert!(doc.get(key).is_some(), "distributed FT run reports `{key}`");
     }
     let prom = out.to_prometheus();
     assert!(prom.contains("tlr_crashes_total 1") && prom.contains("tlr_drift_ratio"), "{prom}");
+    let comm = out.comm.expect("distributed runs count communication");
+    assert!(prom.contains(&format!("tlr_run_comm_messages {}", comm.messages)), "{prom}");
     assert!(out.to_string().contains("faults: 1 crashes"), "{out}");
 
     let service = SolveService::new(2);
@@ -393,33 +400,37 @@ fn engine_reports_each_task_once_to_every_sink() {
 }
 
 /// A plain default-config run — no trace, nothing opted into — still
-/// feeds the registry what the kernel workspaces saw: the recompression
-/// rank histogram and the arena growth count. A drift report prices
-/// low-rank updates at that histogram's exact mean, not at a bucket
-/// bound and not at the spec's fallback.
+/// reports what the kernel workspaces saw: the rank log's exact
+/// per-rank histogram (also the Prometheus rank histogram, power-of-two
+/// buckets up to the tile size) and the registry's arena growth count. The drift
+/// report prices every class the DAG has.
 #[test]
 fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
     let mut a = rbf_matrix();
-    let sentinel = 1 << 20;
-    let spec = DriftSpec {
-        fallback_rank: Some(sentinel),
-        ..DriftSpec::new(MachineModel::shaheen_ii())
-    };
     let out = Session::shared(FactorConfig::with_accuracy(1e-6))
-        .with_drift(spec)
+        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
         .run(&mut a)
         .expect("RBF operator is SPD");
     assert!(out.trace.is_none(), "tracing is opt-in");
-    let snap = out.registry.expect("the registry is a sink of every run");
-    assert!(snap.recompression_ranks.count > 0, "GEMM recompressions must be counted");
+    let log = &out.rank_evolution;
+    assert!(log.events() > 0, "GEMM recompressions must be counted");
+    assert_eq!(log.histogram().iter().sum::<u64>(), log.events());
+    let snap = out.registry.as_ref().expect("the registry is a sink of every run");
     assert!(snap.counter(Counter::WorkspaceGrowth) > 0, "arenas grow during warm-up");
+    let prom = out.to_prometheus();
+    let count = format!("tlr_recompression_rank_count {}", log.events());
+    let top = format!("tlr_recompression_rank_bucket{{le=\"128\"}} {}", log.events());
+    assert!(prom.contains(&count) && prom.contains(&top), "{prom}");
+    let bound = log.max_out().next_power_of_two() / 2;
+    let le = format!("tlr_recompression_rank_bucket{{le=\"{bound}\"}} ");
+    let line = prom.lines().find(|l| l.starts_with(&le)).expect("one bucket per power of two");
+    let below: u64 = log.histogram()[..=bound].iter().sum();
+    assert_eq!(line[le.len()..].parse::<u64>().unwrap(), below, "{line}");
+    assert_eq!(prom.matches("tlr_recompression_rank_bucket{le=").count(), 10, "0, 1, 2, …, 128, +Inf");
     let drift = out.drift.expect("drift spec + default metrics => report");
-    assert!(
-        drift.expected_rank > 0 && drift.expected_rank < sentinel,
-        "rank profile must come from the measured histogram, got {}",
-        drift.expected_rank
-    );
-    assert_eq!(drift.expected_rank as f64, snap.recompression_ranks.mean().round());
+    for c in drift.classes.iter().filter(|c| c.modeled_tasks > 0) {
+        assert!(c.modeled_seconds > 0.0, "{}: every task has a price", c.class);
+    }
 }
 
 /// Tracing is a per-run choice that never changes the factor: the same
@@ -467,9 +478,9 @@ fn corruption_events_export_as_chrome_instants() {
         .with_fault_layer(&ft)
         .run(&mut m)
         .expect("a single store strike is healable");
-    let stats = outcome.faults.expect("fault layer was configured");
-    assert_eq!(stats.corruptions_detected, 1);
-    assert_eq!(stats.corruptions_healed, 1);
+    let reg = outcome.registry.as_ref().expect("every run reports its registry");
+    assert_eq!(reg.counter(Counter::CorruptionsDetected), 1);
+    assert_eq!(reg.counter(Counter::CorruptionsHealed), 1);
 
     // The exporter accepts the event stream with or without a task
     // trace.
@@ -510,11 +521,11 @@ fn default_shared_run_populates_the_registry() {
     assert!(prom.contains("tlr_run_factorization_seconds"), "{prom}");
 }
 
-/// Acceptance: a drift report on a DES run prices the original task
-/// graph with the drift report's cost model and compares it to measured
-/// per-class virtual time and measured comm. On a fault-free run the
-/// comm model is exact — both ratios are 1.0 — and every class ratio is
-/// finite (never NaN).
+/// Acceptance: a drift report on a distributed run prices the executed
+/// plan's DAG with the simulator's per-task model and compares it to
+/// measured per-class virtual time and measured comm. On a fault-free
+/// run the comm model is exact — both ratios are 1.0 — and every class
+/// ratio is finite (never NaN).
 #[test]
 fn drift_report_compares_model_to_measured_comm_exactly() {
     // Seven tile rows: on four ranks some panel's GEMMs share a
@@ -527,8 +538,6 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
         .expect("SPD");
     let drift = out.drift.expect("drift spec + default metrics => report");
 
-    assert!(drift.expected_rank > 0);
-    assert!(drift.modeled_flops > 0.0, "pricing the DAG must see work");
     for c in &drift.classes {
         assert!(c.ratio.is_finite(), "{}: ratio {}", c.class, c.ratio);
     }
@@ -543,7 +552,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
 
     // The report serializes to both export formats.
     let j = drift.to_json().to_string();
-    assert!(j.contains("bytes_ratio") && j.contains("modeled_flops"), "{j}");
+    assert!(j.contains("bytes_ratio") && j.contains("modeled_seconds"), "{j}");
     let prom = drift.to_prometheus();
     assert!(prom.contains("tlr_drift_ratio"), "{prom}");
     let table = drift.to_string();
@@ -552,8 +561,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
 
 /// The same drift machinery on the wall-clock engine: a shared-memory
 /// run measures real seconds against the same modeled costs, so ratios
-/// are finite (timing-dependent in value, never NaN) and the rank
-/// profile comes from the run's own recompression histogram.
+/// are finite (timing-dependent in value, never NaN).
 #[test]
 fn drift_report_works_on_wall_clock_runs() {
     let mut m = gaussian_matrix(96, 6.0);
@@ -565,10 +573,35 @@ fn drift_report_works_on_wall_clock_runs() {
         .expect("SPD");
     let drift = out.drift.expect("drift spec + default metrics => report");
     assert!(drift.comm.is_none(), "shared-memory runs have no wire");
-    assert!(drift.modeled_flops > 0.0);
+    assert!(drift.classes.iter().map(|c| c.modeled_seconds).sum::<f64>() > 0.0);
     for c in &drift.classes {
         assert!(c.ratio.is_finite() && c.ratio >= 0.0, "{}: {}", c.class, c.ratio);
     }
     let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
     assert!(total > 0.0, "wall-clock busy time must be measured");
+}
+
+/// The drift report prices a task exactly as the simulator does: on a
+/// shared and on a distributed run, each class's modeled seconds are,
+/// bit for bit, the sum in task-id order of the kernel seconds
+/// `des_tasks` assigns the DAG rebuilt from the matrix's snapshot.
+#[test]
+fn drift_prices_tasks_with_the_simulators_durations() {
+    let spec = DriftSpec::new(MachineModel::shaheen_ii());
+    let m = gaussian_matrix(168, 8.0);
+    let dag = build_cholesky_dag(&m.rank_snapshot(), &DagConfig::default());
+    let mut expected = [0.0f64; NCLASSES];
+    for (t, task) in des_tasks(&dag, &spec.machine, |_| 0).iter().enumerate() {
+        expected[class_slot(dag.graph.spec(t).class)] += task.duration;
+    }
+    assert!(expected.iter().all(|&s| s >= 0.0) && expected[3] > 0.0);
+    let fcfg = FactorConfig::with_accuracy(1e-8);
+    let dist = DiamondDistribution::new(4);
+    for session in [Session::shared(fcfg), Session::distributed(fcfg, 4, &dist)] {
+        let out = session.with_drift(spec.clone()).run(&mut m.clone()).expect("SPD");
+        let drift = out.drift.expect("drift spec => report");
+        for (c, want) in drift.classes.iter().zip(expected) {
+            assert_eq!(c.modeled_seconds.to_bits(), want.to_bits(), "{}", c.class);
+        }
+    }
 }

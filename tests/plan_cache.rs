@@ -16,7 +16,7 @@ use hicma_parsec::distribution::{
 };
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -314,10 +314,10 @@ fn distributed_key_records_decisions_not_capabilities() {
             .run(&mut m)
             .unwrap();
         assert_eq!(relative_diff(&m.to_dense_lower(), &l_ref), 0.0);
-        if let Some(stats) = out.faults {
-            assert_eq!(stats.corruptions_detected, stats.messages_corrupted);
-            corrupted += stats.messages_corrupted;
-        }
+        let reg = out.registry.expect("every run reports its registry");
+        let caught = reg.counter(Counter::MessagesCorrupted);
+        assert_eq!(reg.counter(Counter::CorruptionsDetected), caught);
+        corrupted += caught;
     }
     assert!(corrupted > 0, "the corrupting run verified payloads");
     assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 4, 1));

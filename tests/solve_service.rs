@@ -6,7 +6,7 @@
 //! returns to zero when the dust settles.
 
 use hicma_parsec::cholesky::{
-    factorize, solve_residual, FactorConfig, ServiceError, SolveService, TenantConfig,
+    factorize, solve_residual, FactorConfig, RunError, ServiceError, SolveService, TenantConfig,
 };
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
@@ -188,11 +188,20 @@ fn rejections_are_typed_and_counted() {
         other => panic!("expected MemoryBudget, got {other:?}"),
     }
 
+    // Single-slot tenant, right-hand side one entry short: refused before
+    // admission, so no charge can leak and the slot stays free.
+    service.register_tenant("single", TenantConfig { max_in_flight: 1, memory_budget_bytes: u64::MAX });
+    let short = vec![1.0; N - 1];
+    match service.factorize_and_solve("single", &cfg, &mut m, Some(&short)) {
+        Err(ServiceError::RhsLength { expected, got }) => assert_eq!((expected, got), (N, N - 1)),
+        other => panic!("expected RhsLength, got {other:?}"),
+    }
+
     // Nothing ran: the matrix is still unfactored (factoring mutates
     // tiles in place; a pristine compress round-trips the source).
     assert!(relative_diff(&m.to_dense(), &dense) < 1e-6);
 
-    for t in ["drained", "broke"] {
+    for t in ["drained", "broke", "single"] {
         let u = service.usage(t).unwrap();
         assert_eq!(u.admitted, 0);
         assert_eq!(u.rejected, 1);
@@ -202,8 +211,12 @@ fn rejections_are_typed_and_counted() {
     let snap = service.registry_snapshot();
     if !snap.is_empty() {
         assert_eq!(counter(&snap, "service_requests_admitted"), 0);
-        assert_eq!(counter(&snap, "service_requests_rejected"), 3);
+        assert_eq!(counter(&snap, "service_requests_rejected"), 4);
     }
+    let mut fresh = compressed(&dense);
+    let rhs = vec![1.0; N];
+    let solved = service.factorize_and_solve("single", &cfg, &mut fresh, Some(&rhs));
+    assert!(solved.expect("the slot is free").solution.is_some());
 
     // Reconfiguring lifts the limit without resetting the ledger.
     service.register_tenant(
@@ -217,6 +230,35 @@ fn rejections_are_typed_and_counted() {
     let u = service.usage("broke").unwrap();
     assert_eq!(u.admitted, 1);
     assert_eq!(u.rejected, 1);
+}
+
+/// An admitted request whose factorization fails releases its charge
+/// exactly once: the tenant's one slot and its bytes come back, the
+/// failure counts as admitted (not rejected), and the next request on
+/// that tenant is admitted and factors.
+#[test]
+fn failed_admitted_request_releases_its_charge_once() {
+    let service = SolveService::new(2);
+    service.register_tenant("one", TenantConfig { max_in_flight: 1, memory_budget_bytes: u64::MAX });
+    let mut cfg = FactorConfig::with_accuracy(ACC);
+    cfg.max_shift_retries = 0;
+    // Indefinite: the SPD test matrix with its diagonal pushed negative.
+    let mut indefinite = test_matrix();
+    for i in 0..N {
+        indefinite[(i, i)] -= 2.0;
+    }
+    let mut bad = compressed(&indefinite);
+    match service.factorize("one", &cfg, &mut bad) {
+        Err(ServiceError::Run(RunError::Numeric(_))) => {}
+        other => panic!("expected a numeric failure, got {other:?}"),
+    }
+    let u = service.usage("one").unwrap();
+    assert_eq!((u.in_flight, u.in_use_bytes), (0, 0), "the charge is released");
+    assert_eq!((u.admitted, u.rejected), (1, 0));
+
+    let mut good = compressed(&test_matrix());
+    service.factorize("one", &cfg, &mut good).expect("the slot is free again");
+    assert_eq!(service.usage("one").unwrap().admitted, 2);
 }
 
 /// A budget sized for exactly two in-flight requests: under a 6-thread
