@@ -1,6 +1,6 @@
-//! Tile Cholesky task-graph construction, with and without DAG trimming.
+//! The tile Cholesky task space, with and without DAG trimming.
 //!
-//! The builder unrolls the classic right-looking tile Cholesky PTG:
+//! The space is the classic right-looking tile Cholesky PTG:
 //!
 //! ```text
 //! for k in 0..NT:
@@ -11,21 +11,33 @@
 //!                        GEMM(k,m,n) on (m,n) ← (m,k), (n,k)
 //! ```
 //!
-//! With `trimmed = false` every task of the dense execution space is
-//! materialized (tasks on null tiles become numeric no-ops but still cost
-//! runtime overhead and dependency activations — the situation the paper's
-//! §VI fixes). With `trimmed = true` the execution space of TRSM, SYRK
-//! and GEMM is reduced according to [`MatrixAnalysis`] (Algorithm 1), so
-//! tasks and dependencies touching never-non-null tiles are simply never
-//! created.
+//! With `trimmed = false` every task of the dense execution space exists
+//! (tasks on null tiles become numeric no-ops but still cost runtime
+//! overhead and dependency activations — the situation the paper's §VI
+//! fixes). With `trimmed = true` the execution space of TRSM, SYRK and
+//! GEMM is reduced according to [`MatrixAnalysis`] (Algorithm 1), so
+//! tasks and dependencies touching never-non-null tiles simply do not
+//! exist.
+//!
+//! [`CholeskySpace`] is this PTG in symbolic form, as PaRSEC evaluates
+//! one (§IV-A): a handful of O(NT²) tables — the first task id of every
+//! panel and Algorithm 1's row and update lists — from which it derives,
+//! on demand, a task's identity from its id and back, its [`TaskSpec`],
+//! its price and its successor list. No task or edge is stored. The
+//! discrete-event simulator and the critical path walk the space
+//! directly (it is a [`Dataflow`]); [`build_cholesky_dag`] lays the same
+//! space out as a [`TaskGraph`] for the engines, so the dataflow is
+//! defined once.
 //!
 //! Every task carries its flop count (priced from the analysis' evolved
 //! rank estimates) and every edge the payload bytes of the tile version
-//! flowing along it, so the same graph drives both the shared-memory
-//! executor and the distributed discrete-event simulator.
+//! flowing along it, so the same space drives the shared-memory
+//! executor, the distributed engine and the discrete-event simulator.
 
 use crate::analysis::MatrixAnalysis;
-use runtime::graph::{DataRef, Edge, EdgeCounts, TaskClass, TaskGraph, TaskId, TaskSpec};
+use runtime::graph::{
+    DataRef, Dataflow, Edge, GraphLayout, TaskClass, TaskGraph, TaskId, TaskSpec,
+};
 use tlr_compress::kernels::flops;
 use tlr_compress::{low_rank_pays_off, RankSnapshot};
 
@@ -83,8 +95,9 @@ impl Operands {
 
 impl TaskKind {
     /// Which tiles this task writes and reads — the PTG's dataflow, said
-    /// once: the builder below draws every edge from it and both engines
-    /// fetch their operands by it.
+    /// once: both engines fetch their operands by it, and the task space's
+    /// successor lists follow it (each task feeds the readers of the tile
+    /// version it writes, then that tile's next writer).
     pub(crate) fn operands(self) -> Operands {
         let at = |i, j| DataRef { i, j };
         let (writes, reads, nreads) = match self {
@@ -133,23 +146,15 @@ impl Default for DagConfig {
     }
 }
 
-/// A fully built Cholesky DAG plus per-task metadata.
+/// A Cholesky task space laid out as a graph, for the engines.
 pub struct CholeskyDag {
     /// The dataflow graph (tasks + byte-annotated edges).
     pub graph: TaskGraph,
-    /// `kinds[id]` identifies the Cholesky task behind graph vertex `id`.
-    pub kinds: Vec<TaskKind>,
-    /// The symbolic analysis the graph was built from.
-    pub analysis: MatrixAnalysis,
+    /// The task space the graph was laid out from: task identities,
+    /// prices and the symbolic analysis.
+    pub space: CholeskySpace,
     /// Per-task flop counts.
     pub flops: Vec<f64>,
-    /// Per-task effective inner (rank) dimension, the argument of the
-    /// machine model's efficiency curve (tile size for dense kernels).
-    pub rank_param: Vec<usize>,
-    /// Per-task "nested" flag: critical-path kernels execute
-    /// node-parallel (the nested-parallelism optimization of the
-    /// IPDPS'21 predecessor the paper builds on).
-    pub nested: Vec<bool>,
 }
 
 /// Packed lower-triangular tile index.
@@ -177,108 +182,311 @@ pub(crate) fn tile_bytes(i: usize, j: usize, r: usize, b: usize) -> u64 {
     }
 }
 
-/// Build the tile Cholesky task graph for an initial rank snapshot.
-///
-/// The emission loop runs twice and the edges are never staged: the
-/// first run counts each task's outgoing edges, the second writes every
-/// edge straight into its slot of the graph's layout.
-pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDag {
-    let b = initial.tile_size();
-    let analysis = MatrixAnalysis::analyze(initial, cfg.rank_cap);
-    let ranks = &analysis.final_ranks;
+/// What one task costs on the machine model's terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskPrice {
+    /// Floating-point operations (0 for a no-op on a null tile).
+    pub flops: f64,
+    /// Effective inner (rank) dimension, the argument of the machine
+    /// model's efficiency curve (tile size for dense kernels).
+    pub rank_param: usize,
+    /// Critical-path kernels execute node-parallel (the nested-parallelism
+    /// optimization of the IPDPS'21 predecessor the paper builds on).
+    pub nested: bool,
+}
 
-    // The analysis counts the tasks, so every table is sized once.
-    let ntasks = if cfg.trimmed { analysis.surviving_tasks() } else { analysis.dense_tasks() };
-    let mut counts = EdgeCounts::new(ntasks);
-    emit(&analysis, cfg.trimmed, |_, _, inputs| {
-        for &(src, _) in inputs {
-            counts.count(src);
+/// The tile Cholesky task space of one rank snapshot, held symbolically
+/// (see the module docs). Ids are the PTG's order: per panel `k`, POTRF,
+/// then the TRSMs, the SYRKs, and the GEMMs by `(m, n)` — `m` over the
+/// panel's rows, `n` over the rows before it. Every edge runs from a
+/// lower id to a higher one, so id order is a topological order.
+pub struct CholeskySpace {
+    analysis: MatrixAnalysis,
+    trimmed: bool,
+    /// `first[k]`: the id of POTRF(k); `first[nt]`: the task count.
+    first: Vec<TaskId>,
+    /// `0..nt`: the untrimmed space's row and update lists are its slices.
+    all: Vec<usize>,
+    /// Trimmed only: `slot[lower(m, k)]`, the position of row `m` in
+    /// panel `k`'s rows (`u32::MAX` when the panel skips it).
+    slot: Vec<u32>,
+    /// Number of edges.
+    edges: usize,
+}
+
+impl CholeskySpace {
+    /// Run Algorithm 1 on `initial` and lay out the space's tables.
+    pub fn new(initial: &RankSnapshot, cfg: &DagConfig) -> Self {
+        let analysis = MatrixAnalysis::analyze(initial, cfg.rank_cap);
+        let nt = analysis.nt();
+        let mut space = CholeskySpace {
+            analysis,
+            trimmed: cfg.trimmed,
+            first: Vec::with_capacity(nt + 1),
+            all: (0..nt).collect(),
+            slot: Vec::new(),
+            edges: 0,
+        };
+        if cfg.trimmed {
+            space.slot = vec![u32::MAX; nt * (nt + 1) / 2];
+            for (k, rows) in space.analysis.trsm.iter().enumerate() {
+                for (i, &m) in rows.iter().enumerate() {
+                    space.slot[lower(m, k)] = i as u32;
+                }
+            }
         }
-    });
+        let (mut tasks, mut edges) = (0, 0);
+        for k in 0..nt {
+            space.first.push(tasks);
+            // POTRF, r TRSMs, r SYRKs, r(r-1)/2 GEMMs. POTRF feeds every
+            // TRSM, a TRSM its SYRK and the r - 1 GEMMs that read its
+            // tile, and a SYRK or GEMM the next writer of its tile.
+            let r = space.rows(k).len();
+            let gemms = r * r.saturating_sub(1) / 2;
+            tasks += 1 + 2 * r + gemms;
+            edges += r + r * r + r + gemms;
+        }
+        space.first.push(tasks);
+        space.edges = edges;
+        space
+    }
 
-    let mut slots = counts.into_slots();
-    let mut specs: Vec<TaskSpec> = Vec::with_capacity(ntasks);
-    let mut kinds: Vec<TaskKind> = Vec::with_capacity(ntasks);
-    let mut task_flops: Vec<f64> = Vec::with_capacity(ntasks);
-    let mut rank_param: Vec<usize> = Vec::with_capacity(ntasks);
-    let mut nested: Vec<bool> = Vec::with_capacity(ntasks);
-    emit(&analysis, cfg.trimmed, |id, kind, inputs| {
-        let (fl, kparam, is_nested) = price(kind, ranks, b);
-        specs.push(TaskSpec {
+    /// The symbolic analysis the space was built from.
+    pub fn analysis(&self) -> &MatrixAnalysis {
+        &self.analysis
+    }
+
+    /// Number of edges.
+    pub fn num_edges(&self) -> usize {
+        self.edges
+    }
+
+    /// Approximate memory footprint in bytes: Algorithm 1's structure
+    /// plus the space's own tables.
+    pub fn memory_bytes(&self) -> usize {
+        self.analysis.memory_bytes()
+            + (self.first.len() + self.all.len()) * std::mem::size_of::<usize>()
+            + self.slot.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The rows `m > k` that take part in panel `k`, ascending.
+    fn rows(&self, k: usize) -> &[usize] {
+        if self.trimmed {
+            &self.analysis.trsm[k]
+        } else {
+            &self.all[k + 1..]
+        }
+    }
+
+    /// Position of row `m` among panel `k`'s rows.
+    fn pos(&self, k: usize, m: usize) -> usize {
+        if self.trimmed {
+            let i = self.slot[lower(m, k)];
+            assert!(i != u32::MAX, "row {m} is not in panel {k}");
+            i as usize
+        } else {
+            m - k - 1
+        }
+    }
+
+    /// The panels that update tile `(m, n)` before panel `n` factors it,
+    /// ascending: SYRKs on the diagonal, GEMMs below it.
+    fn updates(&self, m: usize, n: usize) -> &[usize] {
+        match (self.trimmed, m == n) {
+            (true, true) => &self.analysis.syrk[m],
+            (true, false) => self.analysis.gemm_panels(m, n),
+            (false, _) => &self.all[..n],
+        }
+    }
+
+    /// The panel of task `t`.
+    fn panel(&self, t: TaskId) -> usize {
+        self.first.partition_point(|&f| f <= t) - 1
+    }
+
+    /// The Cholesky task behind id `t`.
+    ///
+    /// # Panics
+    /// Panics if `t` is not a task of the space.
+    pub fn kind(&self, t: TaskId) -> TaskKind {
+        let k = self.panel(t);
+        let rows = self.rows(k);
+        let (r, o) = (rows.len(), t - self.first[k]);
+        if o == 0 {
+            TaskKind::Potrf { k }
+        } else if o <= r {
+            TaskKind::Trsm { k, m: rows[o - 1] }
+        } else if o <= 2 * r {
+            TaskKind::Syrk { k, m: rows[o - 1 - r] }
+        } else {
+            // GEMM g of the panel pairs rows i > j with g = i(i-1)/2 + j:
+            // i is the largest with i(i-1)/2 <= g, (1 + isqrt(8g + 1)) / 2.
+            // The float root is exact to a unit here; the loops settle it.
+            let g = o - 1 - 2 * r;
+            let mut i = (1.0 + ((8 * g + 1) as f64).sqrt()) as usize / 2;
+            while i * (i - 1) / 2 > g {
+                i -= 1;
+            }
+            while i * (i + 1) / 2 <= g {
+                i += 1;
+            }
+            TaskKind::Gemm { k, m: rows[i], n: rows[g - i * (i - 1) / 2] }
+        }
+    }
+
+    /// The id of `kind`, the inverse of [`kind`](CholeskySpace::kind).
+    ///
+    /// # Panics
+    /// Panics if `kind` is not a task of the space.
+    pub fn id(&self, kind: TaskKind) -> TaskId {
+        let k = kind.panel();
+        let (base, r) = (self.first[k], self.rows(k).len());
+        match kind {
+            TaskKind::Potrf { .. } => base,
+            TaskKind::Trsm { m, .. } => base + 1 + self.pos(k, m),
+            TaskKind::Syrk { m, .. } => base + 1 + r + self.pos(k, m),
+            TaskKind::Gemm { m, n, .. } => {
+                let (i, j) = (self.pos(k, m), self.pos(k, n));
+                base + 1 + 2 * r + i * (i - 1) / 2 + j
+            }
+        }
+    }
+
+    /// Every task of the space, in id order.
+    pub fn kinds(&self) -> impl Iterator<Item = TaskKind> + '_ {
+        (0..self.analysis.nt()).flat_map(move |k| {
+            let rows = self.rows(k);
+            let gemms = rows.iter().enumerate().flat_map(move |(i, &m)| {
+                rows[..i].iter().map(move |&n| TaskKind::Gemm { k, m, n })
+            });
+            std::iter::once(TaskKind::Potrf { k })
+                .chain(rows.iter().map(move |&m| TaskKind::Trsm { k, m }))
+                .chain(rows.iter().map(move |&m| TaskKind::Syrk { k, m }))
+                .chain(gemms)
+        })
+    }
+
+    /// What `kind` costs under the analysis' final ranks.
+    pub fn price(&self, kind: TaskKind) -> TaskPrice {
+        price(kind, &self.analysis.final_ranks)
+    }
+
+    /// The runtime's view of `kind`.
+    pub(crate) fn spec_of(&self, kind: TaskKind) -> TaskSpec {
+        TaskSpec {
             class: kind.class(),
             priority: kind.panel(),
             writes: Some(kind.operands().writes),
-            flops: fl,
-        });
-        for &(src, d) in inputs {
-            let bytes = tile_bytes(d.i, d.j, ranks.rank(d.i, d.j), b);
-            slots.place(src, Edge { dst: id, data: d, bytes });
+            flops: self.price(kind).flops,
         }
-        kinds.push(kind);
-        task_flops.push(fl);
-        rank_param.push(kparam);
-        nested.push(is_nested);
-    });
+    }
 
-    let graph = slots.finish(specs);
-    CholeskyDag { graph, kinds, analysis, flops: task_flops, rank_param, nested }
-}
+    /// Number of edges into `kind`: one per operand whose current version
+    /// some earlier task produced.
+    fn indegree_of(&self, kind: TaskKind) -> usize {
+        let updated_before = |m, n, k| self.updates(m, n).first().is_some_and(|&f| f < k);
+        match kind {
+            TaskKind::Potrf { k } => usize::from(!self.updates(k, k).is_empty()),
+            TaskKind::Trsm { k, m } => 1 + usize::from(!self.updates(m, k).is_empty()),
+            TaskKind::Syrk { k, m } => 1 + usize::from(updated_before(m, m, k)),
+            TaskKind::Gemm { k, m, n } => 2 + usize::from(updated_before(m, n, k)),
+        }
+    }
 
-/// The builder's one emission loop: every task of the execution space in
-/// id order, handed to `sink` with its id and its incoming edges as
-/// `(producer, tile)` pairs. The dataflow comes from `operands()`: one
-/// edge from the producer of the current version of every tile the task
-/// reads, then of the tile it overwrites. The producers of one task's
-/// operands are distinct, earlier tasks: every edge runs from a lower id
-/// to a higher one (id order is the graph's topological order), and the
-/// layout keeps every successor list in task-emission order.
-fn emit(
-    analysis: &MatrixAnalysis,
-    trimmed: bool,
-    mut sink: impl FnMut(TaskId, TaskKind, &[(TaskId, DataRef)]),
-) {
-    let nt = analysis.final_ranks.nt();
-    // last_writer[tile] = task that produced the current version.
-    let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
-    let mut next_id = 0;
-    let mut task = |kind: TaskKind| {
-        let ops = kind.operands();
-        let mut inputs = [(0, ops.writes); 3];
-        let mut ninputs = 0;
-        for &d in ops.reads().iter().chain([&ops.writes]) {
-            if let Some(w) = last_writer[lower(d.i, d.j)] {
-                inputs[ninputs] = (w, d);
-                ninputs += 1;
+    /// Overwrite `out` with the edges out of `kind`: first to the readers
+    /// of the tile version it writes, then to that tile's next writer,
+    /// in id order.
+    fn successors_of(&self, kind: TaskKind, out: &mut Vec<Edge>) {
+        out.clear();
+        let w = kind.operands().writes;
+        let ranks = &self.analysis.final_ranks;
+        let bytes = tile_bytes(w.i, w.j, ranks.rank(w.i, w.j), ranks.tile_size());
+        let mut edge = |dst| out.push(Edge { dst, data: w, bytes });
+        match kind {
+            // (k, k) goes to every TRSM of the panel.
+            TaskKind::Potrf { k } => {
+                let base = self.first[k] + 1;
+                (0..self.rows(k).len()).for_each(|i| edge(base + i));
             }
-        }
-        last_writer[lower(ops.writes.i, ops.writes.j)] = Some(next_id);
-        sink(next_id, kind, &inputs[..ninputs]);
-        next_id += 1;
-    };
-
-    let all_rows: Vec<usize> = (0..nt).collect();
-    for k in 0..nt {
-        task(TaskKind::Potrf { k });
-        // Which rows participate in this panel? (Ascending; a trimmed
-        // panel keeps the rows whose tile `(m, k)` is non-null.)
-        let rows: &[usize] = if trimmed { &analysis.trsm[k] } else { &all_rows[k + 1..] };
-        for &m in rows {
-            task(TaskKind::Trsm { k, m });
-        }
-        for &m in rows {
-            task(TaskKind::Syrk { k, m });
-        }
-        // Pair (m, n) with m > n.
-        for (i, &m) in rows.iter().enumerate() {
-            for &n in &rows[..i] {
-                task(TaskKind::Gemm { k, m, n });
+            // (m, k) goes to SYRK(k, m), then to the GEMMs that pair it
+            // with an earlier row (as `m`), then with a later one (as `n`).
+            TaskKind::Trsm { k, m } => {
+                let (base, r, i) = (self.first[k], self.rows(k).len(), self.pos(k, m));
+                let gemm = |i: usize, j: usize| base + 1 + 2 * r + i * (i - 1) / 2 + j;
+                edge(base + 1 + r + i);
+                (0..i).for_each(|j| edge(gemm(i, j)));
+                (i + 1..r).for_each(|later| edge(gemm(later, i)));
+            }
+            // Nobody reads an accumulation in flight: it goes to the next
+            // update of its tile, or to the task that factors the tile.
+            TaskKind::Syrk { k, .. } | TaskKind::Gemm { k, .. } => {
+                let (m, n) = (w.i, w.j);
+                let updates = self.updates(m, n);
+                let at = if self.trimmed {
+                    updates.binary_search(&k).expect("an update of the tile")
+                } else {
+                    k // every panel before `n` updates the tile
+                };
+                let next = match (updates.get(at + 1), m == n) {
+                    (Some(&k), true) => TaskKind::Syrk { k, m },
+                    (Some(&k), false) => TaskKind::Gemm { k, m, n },
+                    (None, true) => TaskKind::Potrf { k: m },
+                    (None, false) => TaskKind::Trsm { k: n, m },
+                };
+                edge(self.id(next));
             }
         }
     }
 }
 
-/// `(flops, rank_param, nested)` of one task under the final ranks.
-fn price(kind: TaskKind, ranks: &RankSnapshot, b: usize) -> (f64, usize, bool) {
+impl Dataflow for CholeskySpace {
+    fn len(&self) -> usize {
+        self.first[self.analysis.nt()]
+    }
+
+    fn spec(&self, t: TaskId) -> TaskSpec {
+        self.spec_of(self.kind(t))
+    }
+
+    fn priority(&self, t: TaskId) -> usize {
+        self.panel(t)
+    }
+
+    fn indegrees(&self) -> Vec<usize> {
+        let mut indegrees = Vec::with_capacity(self.len());
+        indegrees.extend(self.kinds().map(|kind| self.indegree_of(kind)));
+        indegrees
+    }
+
+    fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
+        self.successors_of(self.kind(t), out);
+    }
+
+    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
+        Some(0..self.len())
+    }
+}
+
+/// Lay the task space of an initial rank snapshot out as a graph, in one
+/// pass: the space counts the tasks and edges, so every table is sized
+/// once and each task's successor list goes straight into place.
+pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDag {
+    let space = CholeskySpace::new(initial, cfg);
+    let mut layout = GraphLayout::new(space.len(), space.num_edges());
+    let mut flops = Vec::with_capacity(space.len());
+    let mut successors = Vec::new();
+    for kind in space.kinds() {
+        let spec = space.spec_of(kind);
+        flops.push(spec.flops);
+        space.successors_of(kind, &mut successors);
+        layout.push(spec, successors.drain(..));
+    }
+    CholeskyDag { graph: layout.finish(), space, flops }
+}
+
+/// The price of one task under the final ranks.
+fn price(kind: TaskKind, ranks: &RankSnapshot) -> TaskPrice {
+    let b = ranks.tile_size();
     // `(flops, rank_param)` of a kernel driven by one rank-`r` panel tile.
     let priced = |r: usize, dense: fn(usize) -> f64, lr: fn(usize, usize) -> f64| {
         if r == 0 {
@@ -289,23 +497,21 @@ fn price(kind: TaskKind, ranks: &RankSnapshot, b: usize) -> (f64, usize, bool) {
             (lr(b, r), r)
         }
     };
-    match kind {
-        TaskKind::Potrf { .. } => (flops::potrf(b), b, true),
+    let ((flops, rank_param), nested) = match kind {
+        TaskKind::Potrf { .. } => ((flops::potrf(b), b), true),
         TaskKind::Trsm { k, m } => {
-            let (fl, kparam) = priced(ranks.rank(m, k), flops::trsm_dense, flops::trsm_lr);
             // panel-adjacent TRSM: critical path (nested)
-            (fl, kparam, m <= k + 4)
+            (priced(ranks.rank(m, k), flops::trsm_dense, flops::trsm_lr), m <= k + 4)
         }
         TaskKind::Syrk { k, m } => {
-            let (fl, kparam) = priced(ranks.rank(m, k), flops::syrk_dense, flops::syrk_lr);
             // SYRK accumulations serialize on the shared diagonal tile and
             // feed the next POTRF: always on the critical path, always
             // nested (multithreaded accumulation)
-            (fl, kparam, true)
+            (priced(ranks.rank(m, k), flops::syrk_dense, flops::syrk_lr), true)
         }
         TaskKind::Gemm { k, m, n } => {
             let (ka, kb, kc) = (ranks.rank(m, k), ranks.rank(n, k), ranks.rank(m, n));
-            let (fl, kparam) = if ka == 0 || kb == 0 {
+            let priced = if ka == 0 || kb == 0 {
                 (0.0, 1) // untrimmed no-op
             } else if dense_format(ka, b) && dense_format(kb, b) {
                 (flops::gemm_dense(b), b)
@@ -317,9 +523,10 @@ fn price(kind: TaskKind, ranks: &RankSnapshot, b: usize) -> (f64, usize, bool) {
             // updates inside the panel-adjacent lookahead window, and
             // accumulations onto near-diagonal tiles (long serialized
             // chains of high-rank updates, like the SYRK accumulations).
-            (fl, kparam, m - n <= 4 || (n <= k + 2 && m <= k + 4))
+            (priced, m - n <= 4 || (n <= k + 2 && m <= k + 4))
         }
-    }
+    };
+    TaskPrice { flops, rank_param, nested }
 }
 
 #[cfg(test)]
@@ -388,7 +595,7 @@ mod tests {
         let potrf_on_path = cp
             .tasks
             .iter()
-            .filter(|&&t| matches!(dag.kinds[t], TaskKind::Potrf { .. }))
+            .filter(|&&t| matches!(dag.space.kind(t), TaskKind::Potrf { .. }))
             .count();
         assert_eq!(potrf_on_path, nt, "all POTRFs serialize on the critical path");
     }
@@ -398,14 +605,8 @@ mod tests {
         // (1,0),(2,0) non-null ⇒ fill (2,1) ⇒ TRSM(1,2) must exist.
         let s = snap(3, 64, &[(1, 0, 4), (2, 0, 4)]);
         let dag = build_cholesky_dag(&s, &DagConfig { trimmed: true, rank_cap: 64 });
-        assert!(dag
-            .kinds
-            .iter()
-            .any(|k| matches!(k, TaskKind::Trsm { k: 1, m: 2 })));
-        assert!(dag
-            .kinds
-            .iter()
-            .any(|k| matches!(k, TaskKind::Gemm { k: 0, m: 2, n: 1 })));
+        assert!(dag.space.kinds().any(|k| matches!(k, TaskKind::Trsm { k: 1, m: 2 })));
+        assert!(dag.space.kinds().any(|k| matches!(k, TaskKind::Gemm { k: 0, m: 2, n: 1 })));
     }
 
     #[test]
@@ -415,29 +616,30 @@ mod tests {
         // stores as many words either way, and compression keeps it LR
         let s = snap(nt, 64, &[(1, 0, 2), (2, 0, 40), (2, 1, 2), (3, 2, 2), (3, 0, 32), (3, 1, 2)]);
         let dag = build_cholesky_dag(&s, &DagConfig::default());
-        for (idx, kind) in dag.kinds.iter().enumerate() {
+        for kind in dag.space.kinds() {
+            let price = dag.space.price(kind);
             match kind {
                 TaskKind::Trsm { k: 0, m: 1 } => {
-                    assert_eq!(dag.rank_param[idx], 2);
-                    assert!(dag.nested[idx], "first panel TRSM is critical");
+                    assert_eq!(price.rank_param, 2);
+                    assert!(price.nested, "first panel TRSM is critical");
                 }
                 TaskKind::Trsm { k: 0, m: 2 } => {
-                    assert_eq!(dag.rank_param[idx], 64, "dense-format tile");
-                    assert!(dag.nested[idx], "panel-adjacent TRSM is critical");
+                    assert_eq!(price.rank_param, 64, "dense-format tile");
+                    assert!(price.nested, "panel-adjacent TRSM is critical");
                 }
                 TaskKind::Trsm { k: 0, m: 3 } => {
-                    assert_eq!(dag.rank_param[idx], 32, "a tile at 2r = b is low rank");
-                    assert!(dag.nested[idx], "window TRSM is critical");
+                    assert_eq!(price.rank_param, 32, "a tile at 2r = b is low rank");
+                    assert!(price.nested, "window TRSM is critical");
                 }
                 TaskKind::Potrf { .. } => {
-                    assert_eq!(dag.rank_param[idx], 64);
-                    assert!(dag.nested[idx]);
+                    assert_eq!(price.rank_param, 64);
+                    assert!(price.nested);
                 }
                 TaskKind::Gemm { k: 0, m: 2, n: 1 } => {
-                    assert!(dag.nested[idx], "near-panel GEMM is critical")
+                    assert!(price.nested, "near-panel GEMM is critical")
                 }
                 TaskKind::Gemm { k: 0, m: 3, n: 1 } => {
-                    assert!(dag.nested[idx], "window GEMM is critical")
+                    assert!(price.nested, "window GEMM is critical")
                 }
                 _ => {}
             }
@@ -467,6 +669,6 @@ mod tests {
     fn single_tile_matrix() {
         let dag = build_cholesky_dag(&snap(1, 32, &[]), &DagConfig::default());
         assert_eq!(dag.graph.len(), 1);
-        assert!(matches!(dag.kinds[0], TaskKind::Potrf { k: 0 }));
+        assert!(matches!(dag.space.kind(0), TaskKind::Potrf { k: 0 }));
     }
 }

@@ -128,7 +128,7 @@ impl<'a> RankBody<'a> {
 
     /// Run DAG task `t` on `ctx`'s rank.
     pub(crate) fn run<P: TilePayload>(&self, t: TaskId, ctx: &mut RankCtx<'_, P>) {
-        let kind = self.dag.kinds[t];
+        let kind = self.dag.space.kind(t);
         let ops = kind.operands();
         let w = ops.writes;
         let producer = |d: DataRef| {

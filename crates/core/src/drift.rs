@@ -143,9 +143,9 @@ impl DriftReport {
         let band = if spec.band > 1.0 { spec.band } else { 8.0 };
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];
-        for t in 0..dag.graph.len() {
-            let k = class_slot(dag.graph.spec(t).class);
-            modeled[k] += task_duration(dag, t, &spec.machine);
+        for kind in dag.space.kinds() {
+            let k = class_slot(kind.class());
+            modeled[k] += task_duration(&dag.space, kind, &spec.machine);
             tasks[k] += 1;
         }
         let classes = (0..NCLASSES)

@@ -259,8 +259,8 @@ pub(crate) fn build_plan(
             }
             let mut last_writer = vec![None; d.owner.len()];
             let mut exec_rank = Vec::with_capacity(dag.graph.len());
-            for t in 0..dag.graph.len() {
-                let w = dag.kinds[t].operands().writes;
+            for (t, kind) in dag.space.kinds().enumerate() {
+                let w = kind.operands().writes;
                 last_writer[lower(w.i, w.j)] = Some(t);
                 exec_rank.push(d.owner[lower(w.i, w.j)]);
             }

@@ -924,7 +924,7 @@ fn shared_attempt(
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
-        let kind = dag.kinds[t];
+        let kind = dag.space.kind(t);
         let ops = kind.operands();
         // Locks in packed order: the reads, then the written tile.
         with_reads(
@@ -1042,7 +1042,7 @@ fn outcome(
             factorization_seconds,
             analysis_seconds: 0.0,
             dag_tasks: dag.graph.len(),
-            dense_dag_tasks: dag.analysis.dense_tasks(),
+            dense_dag_tasks: dag.space.analysis().dense_tasks(),
             final_snapshot: matrix.rank_snapshot(),
             memory_before_f64,
             memory_after_f64: matrix.memory_f64(),

@@ -1,6 +1,7 @@
 //! Distributed execution on the simulated machine (the paper's runs).
 //!
-//! Drives the discrete-event simulator with a Cholesky DAG priced by a
+//! Drives the discrete-event simulator over the Cholesky task space —
+//! walked in place, no DAG is built — priced by a
 //! [`MachineModel`]: kernel flops at the dense or low-rank sustained rate,
 //! plus the runtime's per-task overhead; edges priced by the network
 //! model. The execution mapping follows one of the paper's distribution
@@ -9,10 +10,10 @@
 //! PaRSEC ships the tile in and the result back, at most twice per tile,
 //! which we account as write-back bytes.
 
-use crate::dag::{build_cholesky_dag, tile_bytes, CholeskyDag, DagConfig};
+use crate::dag::{tile_bytes, CholeskySpace, DagConfig, TaskKind};
 use runtime::des::{simulate, CommStats, DesConfig, DesTask};
 use runtime::fault::FaultPlan;
-use runtime::graph::DataRef;
+use runtime::graph::{DataRef, Dataflow};
 use runtime::machine::MachineModel;
 use runtime::trace::ClassBreakdown;
 use runtime::EngineError;
@@ -84,10 +85,12 @@ impl SimConfig {
 pub struct SimReport {
     /// Simulated time-to-solution of the factorization (seconds).
     pub factorization_seconds: f64,
-    /// Wall-clock cost of the symbolic analysis + DAG construction on
-    /// this machine (Fig. 6 right, "overhead of Algorithm 1").
+    /// Wall-clock cost on this machine of the symbolic phase: Algorithm 1
+    /// plus the task space's O(NT²) tables; no DAG is built (Fig. 6
+    /// right, "overhead of Algorithm 1").
     pub analysis_seconds: f64,
-    /// Memory footprint of the analysis structure (bytes).
+    /// Memory footprint of Algorithm 1's analysis structure plus the
+    /// task space's tables (bytes).
     pub analysis_bytes: usize,
     /// Tasks simulated.
     pub dag_tasks: usize,
@@ -167,30 +170,30 @@ pub fn scaled_problem(n_paper: f64, b_paper: usize, nodes_paper: usize, s: usize
 /// on one core at the sustained rate of the task's own rank. This is the
 /// one price of a task: the DES, its critical path and the drift report
 /// ([`crate::drift::DriftReport`]) all read it.
-pub(crate) fn task_duration(dag: &CholeskyDag, t: usize, machine: &MachineModel) -> f64 {
-    let fl = dag.flops[t];
-    if fl == 0.0 {
+pub(crate) fn task_duration(space: &CholeskySpace, kind: TaskKind, machine: &MachineModel) -> f64 {
+    let price = space.price(kind);
+    if price.flops == 0.0 {
         0.0
-    } else if dag.nested[t] {
-        machine.nested_time(fl)
+    } else if price.nested {
+        machine.nested_time(price.flops)
     } else {
-        machine.core_time(fl, dag.rank_param[t])
+        machine.core_time(price.flops, price.rank_param)
     }
 }
 
-/// The DES inputs of `dag` on `machine`: every task runs where `exec`
-/// puts the tile it writes, for its modeled kernel duration.
+/// The DES inputs of `space` on `machine`, in id order: every task runs
+/// where `exec` puts the tile it writes, for its modeled kernel duration.
 pub fn des_tasks(
-    dag: &CholeskyDag,
+    space: &CholeskySpace,
     machine: &MachineModel,
     exec: impl Fn(DataRef) -> usize,
 ) -> Vec<DesTask> {
-    (0..dag.graph.len())
-        .map(|t| {
-            let w = dag.graph.spec(t).writes.expect("Cholesky tasks write a tile");
-            DesTask { proc: exec(w), duration: task_duration(dag, t, machine) }
-        })
-        .collect()
+    let mut tasks = Vec::with_capacity(space.len());
+    tasks.extend(space.kinds().map(|kind| DesTask {
+        proc: exec(kind.operands().writes),
+        duration: task_duration(space, kind, machine),
+    }));
+    tasks
 }
 
 /// Simulate a TLR Cholesky factorization from an initial rank snapshot.
@@ -237,11 +240,10 @@ pub fn simulate_cholesky_faulty(
         return Err(EngineError::EmptyMachine { nprocs: nodes, cores_per_proc });
     }
     let t0 = std::time::Instant::now();
-    let dag = build_cholesky_dag(
-        initial,
-        &DagConfig { trimmed: cfg.trimmed, rank_cap: cfg.rank_cap },
-    );
+    let space =
+        CholeskySpace::new(initial, &DagConfig { trimmed: cfg.trimmed, rank_cap: cfg.rank_cap });
     let analysis_seconds = t0.elapsed().as_secs_f64();
+    let ranks = &space.analysis().final_ranks;
 
     // ------------------------------------------------------------------
     // Execution mapping.
@@ -266,7 +268,7 @@ pub fn simulate_cholesky_faulty(
             _ => owner(d),
         }
     };
-    let tasks = des_tasks(&dag, &cfg.machine, exec);
+    let tasks = des_tasks(&space, &cfg.machine, exec);
 
     // Write-back accounting: tiles whose execution site differs from the
     // owner move in and back at most once each (§VII-B).
@@ -276,16 +278,16 @@ pub fn simulate_cholesky_faulty(
         for j in 0..=i {
             let d = DataRef { i, j };
             if exec(d) != owner(d) {
-                writeback_bytes += 2 * tile_bytes(i, j, dag.analysis.final_ranks.rank(i, j), b);
+                writeback_bytes += 2 * tile_bytes(i, j, ranks.rank(i, j), b);
             }
         }
     }
 
-    let report = simulate(&dag.graph, &tasks, &des_cfg, faults, restart_delay_s)?;
+    let report = simulate(&space, &tasks, &des_cfg, faults, restart_delay_s)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G),
     // priced from the kernel durations the DES ran.
-    let cp = runtime::critical_path::critical_path(&dag.graph, |t| tasks[t].duration);
+    let cp = runtime::critical_path::critical_path(&space, |t| tasks[t].duration);
 
     // Generation + compression phase model (Fig. 11): both are
     // embarrassingly parallel over all cores of all nodes.
@@ -298,7 +300,7 @@ pub fn simulate_cholesky_faulty(
             // ~60 flops per kernel-matrix entry (distance + exp)
             gen_flops += 60.0 * b * b;
             if i != j {
-                let r = dag.analysis.final_ranks.rank(i, j).max(1);
+                let r = ranks.rank(i, j).max(1);
                 // truncated pivoted QR ≈ 4·b²·(k+1), rank-limited rate
                 let fl = 4.0 * b * b * (r as f64 + 1.0);
                 comp_core_seconds += cfg.machine.core_time(fl, r);
@@ -311,9 +313,9 @@ pub fn simulate_cholesky_faulty(
     Ok(SimReport {
         factorization_seconds: report.makespan,
         analysis_seconds,
-        analysis_bytes: dag.analysis.memory_bytes(),
-        dag_tasks: dag.graph.len(),
-        dense_dag_tasks: dag.analysis.dense_tasks(),
+        analysis_bytes: space.memory_bytes(),
+        dag_tasks: space.len(),
+        dense_dag_tasks: space.analysis().dense_tasks(),
         critical_path_seconds: cp.length,
         comm: report.comm,
         writeback_bytes,
@@ -500,8 +502,9 @@ mod tests {
     }
 
     /// The critical path reads the durations `des_tasks` computed, once
-    /// per task, where it used to re-price the machine model on every edge
-    /// visit: the same bits on the goldens' synthetic snapshot and machine.
+    /// per task, walking the task space: the same bits as pricing every
+    /// task of the laid-out graph on the goldens' synthetic snapshot and
+    /// machine.
     #[test]
     fn critical_path_is_priced_from_the_des_durations() {
         use crate::lorapo::{hicma_parsec_config, lorapo_config};
@@ -509,12 +512,12 @@ mod tests {
         let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
         let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
         for cfg in [hicma_parsec_config(machine.clone(), 4), lorapo_config(machine, 4)] {
-            let dag = build_cholesky_dag(
+            let dag = crate::dag::build_cholesky_dag(
                 &snap,
                 &DagConfig { trimmed: cfg.trimmed, rank_cap: cfg.rank_cap },
             );
             let priced_per_visit = critical_path(&dag.graph, |t| {
-                task_duration(&dag, t, &cfg.machine)
+                task_duration(&dag.space, dag.space.kind(t), &cfg.machine)
             });
             let r = simulate_cholesky(&snap, &cfg);
             assert_eq!(r.critical_path_seconds.to_bits(), priced_per_visit.length.to_bits());

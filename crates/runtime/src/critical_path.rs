@@ -6,7 +6,7 @@
 //! chain of kernel executions. The reported "efficiency" is
 //! `critical_path_time / achieved_time`.
 
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{Dataflow, TaskId};
 
 /// Result of a longest-path computation.
 #[derive(Debug, Clone)]
@@ -19,11 +19,11 @@ pub struct CriticalPath {
 
 /// Compute the longest path through `graph` where task `t` costs
 /// `duration(t)` seconds and edges are free (compute-only bound).
-/// `duration` is called once per task, in the graph's stored order.
+/// `duration` is called once per task, in the graph's topological order.
 ///
 /// # Panics
 /// Panics if the graph is cyclic.
-pub fn critical_path(graph: &TaskGraph, duration: impl Fn(TaskId) -> f64) -> CriticalPath {
+pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) -> CriticalPath {
     let order = graph.order().expect("critical_path requires a DAG");
     let n = graph.len();
     if n == 0 {
@@ -35,9 +35,11 @@ pub fn critical_path(graph: &TaskGraph, duration: impl Fn(TaskId) -> f64) -> Cri
     let mut start = vec![0.0_f64; n];
     let mut end = vec![0.0_f64; n];
     let mut pred: Vec<Option<TaskId>> = vec![None; n];
+    let mut successors = Vec::new();
     for t in order {
         end[t] = start[t] + duration(t);
-        for e in graph.successors(t) {
+        graph.successors_into(t, &mut successors);
+        for e in &successors {
             if end[t] > start[e.dst] {
                 start[e.dst] = end[t];
                 pred[e.dst] = Some(t);
@@ -62,7 +64,7 @@ pub fn critical_path(graph: &TaskGraph, duration: impl Fn(TaskId) -> f64) -> Cri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
 
     fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> TaskGraph {
         let mut g = GraphBuilder::new();

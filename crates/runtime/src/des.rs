@@ -1,7 +1,10 @@
 //! Discrete-event simulator of distributed dataflow execution.
 //!
-//! The simulator executes a [`TaskGraph`] on a virtual machine of
-//! `nprocs` processes × `cores_per_proc` cores. Each task has a fixed
+//! The simulator executes a task graph on a virtual machine of
+//! `nprocs` processes × `cores_per_proc` cores. It reads the graph as a
+//! [`Dataflow`]: a stored [`TaskGraph`](crate::graph::TaskGraph), or an
+//! implicit task space that derives each task and successor list when the
+//! simulator asks for it, so the graph is never built. Each task has a fixed
 //! executing process (the *execution mapping* — owner-computes or the
 //! paper's remapped diamond distribution) and a duration. Dataflow edges
 //! crossing process boundaries cost communication time; edges from one
@@ -28,7 +31,7 @@
 use crate::engine::EngineError;
 use crate::event_queue::EventQueue;
 use crate::fault::{fault_unit, FaultPlan, FtError};
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{Dataflow, Edge, TaskId};
 use crate::machine::MachineModel;
 use crate::trace::Trace;
 use std::cmp::Reverse;
@@ -179,7 +182,7 @@ enum Event {
 /// * [`EngineError::Fault`] with [`FtError::AllRanksCrashed`] — the plan
 ///   crashes every process before completion.
 pub fn simulate(
-    graph: &TaskGraph,
+    graph: &impl Dataflow,
     tasks: &[DesTask],
     config: &DesConfig,
     faults: &FaultPlan,
@@ -190,9 +193,10 @@ pub fn simulate(
 
 /// The state of one simulation: one method per [`Event`] variant, fields
 /// grouped by the part of the model they belong to. The graph, the
-/// mapping and the machine are read where they are needed, never copied.
-struct Sim<'a> {
-    graph: &'a TaskGraph,
+/// mapping and the machine are read where they are needed, never copied;
+/// the per-task state is sized once, to the task count.
+struct Sim<'a, G: Dataflow> {
+    graph: &'a G,
     tasks: &'a [DesTask],
     config: &'a DesConfig,
     faults: &'a FaultPlan,
@@ -218,10 +222,12 @@ struct Sim<'a> {
     running: Vec<Vec<TaskId>>,
 
     // Network: when each process's communication engine (NIC / comm
-    // thread) is next free, and `send`'s scratch — per out-edge of the
-    // producer its arrival time and whether a broadcast has taken it, and
-    // one broadcast's remote recipients as (min consumer priority, proc).
+    // thread) is next free, and `send`'s scratch — the producer's
+    // out-edges (also `output_needed`'s), per out-edge its arrival time
+    // and whether a broadcast has taken it, and one broadcast's remote
+    // recipients as (min consumer priority, proc).
     nic_free: Vec<f64>,
+    edges: Vec<Edge>,
     arrival: Vec<f64>,
     grouped: Vec<bool>,
     recipients: Vec<(usize, usize)>,
@@ -244,10 +250,10 @@ struct Sim<'a> {
     start_time: Vec<f64>,
 }
 
-impl<'a> Sim<'a> {
+impl<'a, G: Dataflow> Sim<'a, G> {
     /// Validate the inputs; queue the sources and the plan's strikes.
     fn new(
-        graph: &'a TaskGraph,
+        graph: &'a G,
         tasks: &'a [DesTask],
         config: &'a DesConfig,
         faults: &'a FaultPlan,
@@ -269,7 +275,8 @@ impl<'a> Sim<'a> {
         faults.validate(nprocs)?;
 
         let mut events = EventQueue::with_streams(nprocs + 1);
-        for t in graph.sources() {
+        let remaining = graph.indegrees();
+        for t in (0..n).filter(|&t| remaining[t] == 0) {
             events.push_to(nprocs, 0.0, Event::Ready(t));
         }
         for c in &faults.crashes {
@@ -286,7 +293,7 @@ impl<'a> Sim<'a> {
             restart_delay_s,
             now: 0.0,
             events,
-            remaining: graph.indegrees(),
+            remaining,
             data_ready: vec![0.0; n],
             done: vec![false; n],
             completed: 0,
@@ -295,6 +302,7 @@ impl<'a> Sim<'a> {
             mgmt_free: vec![0.0; nprocs],
             running: vec![Vec::new(); nprocs],
             nic_free: vec![0.0; nprocs],
+            edges: Vec::new(),
             arrival: Vec::new(),
             grouped: Vec::new(),
             recipients: Vec::new(),
@@ -303,7 +311,10 @@ impl<'a> Sim<'a> {
             epoch: vec![0; n],
             reexec: vec![false; n],
             rr: 0,
-            report: DesReport::default(),
+            report: DesReport {
+                trace: Trace { records: Vec::with_capacity(n) },
+                ..DesReport::default()
+            },
             ready_time: vec![0.0; n],
             start_time: vec![0.0; n],
         })
@@ -361,7 +372,7 @@ impl<'a> Sim<'a> {
     fn managed(&mut self, t: TaskId) {
         let p = self.proc_of[t];
         self.ready_time[t] = self.now;
-        self.queues[p].push(Reverse((self.graph.spec(t).priority, t)));
+        self.queues[p].push(Reverse((self.graph.priority(t), t)));
         self.dispatch(p);
     }
 
@@ -419,7 +430,9 @@ impl<'a> Sim<'a> {
     /// engine's static-locality invariant).
     fn send(&mut self, t: TaskId, p: usize) {
         let (graph, tasks, config) = (self.graph, self.tasks, self.config);
-        let (edges, src_proc) = (graph.successors(t), tasks[t].proc);
+        let mut edges = std::mem::take(&mut self.edges);
+        graph.successors_into(t, &mut edges);
+        let src_proc = tasks[t].proc;
         self.arrival.clear();
         self.arrival.resize(edges.len(), self.now);
         self.grouped.clear();
@@ -436,10 +449,11 @@ impl<'a> Sim<'a> {
             self.recipients.clear();
             for (m, e) in members() {
                 self.grouped[m] = true;
-                let (priority, q) = (graph.spec(e.dst).priority, tasks[e.dst].proc);
+                let q = tasks[e.dst].proc;
                 if q == src_proc {
                     continue; // local consumer: no message
                 }
+                let priority = graph.priority(e.dst);
                 match self.recipients.iter_mut().find(|(_, rq)| *rq == q) {
                     Some(entry) => entry.0 = entry.0.min(priority),
                     None => self.recipients.push((priority, q)),
@@ -483,11 +497,13 @@ impl<'a> Sim<'a> {
                 self.schedule(self.data_ready[dst], Event::Ready(dst));
             }
         }
+        self.edges = edges;
     }
 
     /// Does a not-yet-finished consumer still need `t`'s output?
-    fn output_needed(&self, t: TaskId) -> bool {
-        self.graph.successors(t).iter().any(|e| !self.done[e.dst])
+    fn output_needed(&mut self, t: TaskId) -> bool {
+        self.graph.successors_into(t, &mut self.edges);
+        self.edges.iter().any(|e| !self.done[e.dst])
     }
 
     /// Schedule completed task `t` to run again after the detection
@@ -557,9 +573,12 @@ impl<'a> Sim<'a> {
         // consumer still needs re-executes after the detection window.
         // The victim is drawn from the seeded stream shared with the
         // functional plan (stream 8, keyed by strike index).
-        let candidates: Vec<TaskId> = (0..self.graph.len())
-            .filter(|&t| self.proc_of[t] == p && self.done[t] && self.output_needed(t))
-            .collect();
+        let mut candidates: Vec<TaskId> = Vec::new();
+        for t in 0..self.graph.len() {
+            if self.proc_of[t] == p && self.done[t] && self.output_needed(t) {
+                candidates.push(t);
+            }
+        }
         if candidates.is_empty() {
             return; // nothing still-needed was hit: heals off the critical path
         }
@@ -584,7 +603,7 @@ pub fn single_proc_config(cores: usize) -> DesConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
 
     fn spec(priority: usize) -> TaskSpec {
         TaskSpec {

@@ -5,22 +5,27 @@
 //! it writes, the tiles it reads, a flop count and a scheduling priority;
 //! each edge carries the number of bytes that flow along it (zero for pure
 //! control dependencies). The graph is built by the algorithm front-end
-//! (`hicma-core`) and consumed by both the shared-memory executor and the
-//! distributed discrete-event simulator — the same structure PaRSEC's
-//! scheduler and communication engine share.
+//! (`hicma-core`) and consumed by the shared-memory executor and the
+//! distributed engine — the same structure PaRSEC's scheduler and
+//! communication engine share.
 //!
 //! The graph is flat and read-only: one task table, one edge array holding
 //! every successor list back to back (CSR), and a topological order fixed
 //! once, when the edges are laid out. Consumers read the order in place
 //! instead of sorting the graph again.
 //!
-//! The layout is a stable counting sort in two halves: [`EdgeCounts`]
-//! counts each task's out-degree, then [`EdgeSlots`] places every edge
-//! straight into its slot. A builder that can emit its edges twice in the
-//! same order (`build_cholesky_dag`) counts on a first emission and places
-//! on a second; one that cannot (the PTG unroller, hand-built graphs)
-//! stages its edges in a [`GraphBuilder`], whose
-//! [`finish`](GraphBuilder::finish) counts and places them from the stage.
+//! A [`GraphLayout`] appends the tasks in id order, each with its whole
+//! successor list, straight into the final tables: an emitter that knows
+//! every task's successors (`build_cholesky_dag`) lays its graph out in
+//! one pass. One that does not (hand-built graphs) stages its edges in a
+//! [`GraphBuilder`], whose [`finish`](GraphBuilder::finish) groups them by
+//! source and lays them out the same way.
+//!
+//! The discrete-event simulator and the critical path read a graph
+//! through [`Dataflow`], task by task: a [`TaskGraph`] serves it from its
+//! tables, and an implicit task space (`hicma_core::dag::CholeskySpace`)
+//! derives every task and successor list on demand, so the graph it
+//! describes is never materialized.
 
 use serde::{Deserialize, Serialize};
 
@@ -123,106 +128,78 @@ impl GraphBuilder {
         self.edges.push((src, Edge { dst, data, bytes }));
     }
 
-    /// Lay the staged edges out by source and fix the topological order:
-    /// count from the stage, then place from it (see [`EdgeSlots`]).
+    /// Lay the staged edges out by source and fix the topological order.
     pub fn finish(self) -> TaskGraph {
-        let GraphBuilder { specs, edges: staged } = self;
-        let mut counts = EdgeCounts::new(specs.len());
-        for &(src, _) in &staged {
-            counts.count(src);
+        let GraphBuilder { specs, edges: mut staged } = self;
+        // Stable: each successor list keeps the order its edges were added in.
+        staged.sort_by_key(|&(src, _)| src);
+        let mut layout = GraphLayout::new(specs.len(), staged.len());
+        let mut rest = &staged[..];
+        for (t, spec) in specs.into_iter().enumerate() {
+            let (list, tail) = rest.split_at(rest.partition_point(|&(src, _)| src == t));
+            layout.push(spec, list.iter().map(|&(_, e)| e));
+            rest = tail;
         }
-        let mut slots = counts.into_slots();
-        for (src, e) in staged {
-            slots.place(src, e);
-        }
-        slots.finish(specs)
+        layout.finish()
     }
 }
 
-/// The count half of the layout: each task's number of outgoing edges.
-#[derive(Debug)]
-pub struct EdgeCounts {
-    /// `offsets[t + 1]` counts task `t`'s outgoing edges.
-    offsets: Vec<usize>,
-}
-
-impl EdgeCounts {
-    /// No edges yet out of any of `tasks` tasks.
-    pub fn new(tasks: usize) -> Self {
-        EdgeCounts { offsets: vec![0; tasks + 1] }
-    }
-
-    /// Count one more edge out of `src`.
-    pub fn count(&mut self, src: TaskId) {
-        self.offsets[src + 1] += 1;
-    }
-
-    /// Reserve a slot for every counted edge, each task's slots after the
-    /// previous task's.
-    pub fn into_slots(self) -> EdgeSlots {
-        let mut offsets = self.offsets;
-        let n = offsets.len() - 1;
-        for t in 0..n {
-            offsets[t + 1] += offsets[t];
-        }
-        let unset = Edge { dst: 0, data: DataRef { i: 0, j: 0 }, bytes: 0 };
-        EdgeSlots {
-            next: offsets[..n].to_vec(),
-            edges: vec![unset; offsets[n]],
-            offsets,
-            indegree: vec![0; n],
-            ids_topological: true,
-        }
-    }
-}
-
-/// The place half of the layout: every edge goes straight into the next
-/// free slot of its source, so each successor list keeps the order its
-/// edges were placed in.
+/// A graph laid out task by task in id order, each task pushed with its
+/// whole successor list, straight into the final tables.
 ///
-/// [`finish`](EdgeSlots::finish) fixes the topological order. When every
-/// edge runs from a lower id to a higher one — as in a builder that only
-/// draws edges from tasks it already emitted — id order *is* the
-/// topological order and nothing is sorted. Otherwise Kahn's algorithm
-/// orders the tasks once, there; a graph with a cycle finishes without an
-/// order, and every consumer that needs one reports it.
+/// [`finish`](GraphLayout::finish) fixes the topological order. When every
+/// edge runs from a lower id to a higher one — as in an emitter whose
+/// tasks only feed later tasks — id order *is* the topological order and
+/// nothing is sorted. Otherwise Kahn's algorithm orders the tasks once,
+/// there; a graph with a cycle finishes without an order, and every
+/// consumer that needs one reports it.
 #[derive(Debug)]
-pub struct EdgeSlots {
+pub struct GraphLayout {
+    specs: Vec<TaskSpec>,
     offsets: Vec<usize>,
-    /// `next[t]`: task `t`'s next free slot.
-    next: Vec<usize>,
     edges: Vec<Edge>,
     indegree: Vec<usize>,
     ids_topological: bool,
 }
 
-impl EdgeSlots {
-    /// Place the edge `src → edge.dst`.
-    ///
-    /// # Panics
-    /// Panics if `src` has no slot left (more edges placed out of it than
-    /// were counted) or `src == edge.dst`.
-    pub fn place(&mut self, src: TaskId, edge: Edge) {
-        assert_ne!(src, edge.dst, "self-dependency");
-        let slot = self.next[src];
-        assert!(slot < self.offsets[src + 1], "task {src} has more edges than were counted");
-        self.edges[slot] = edge;
-        self.next[src] = slot + 1;
-        self.indegree[edge.dst] += 1;
-        self.ids_topological &= src < edge.dst;
+impl GraphLayout {
+    /// An empty layout of `tasks` tasks with room for `edges` edges.
+    pub fn new(tasks: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(tasks + 1);
+        offsets.push(0);
+        GraphLayout {
+            specs: Vec::with_capacity(tasks),
+            offsets,
+            edges: Vec::with_capacity(edges),
+            indegree: vec![0; tasks],
+            ids_topological: true,
+        }
     }
 
-    /// The graph of `specs` and the placed edges, with its topological
-    /// order fixed.
+    /// Append the next task and its outgoing edges, in list order.
     ///
     /// # Panics
-    /// Panics if `specs` does not hold one task per counted task, or a
-    /// counted edge was never placed.
-    pub fn finish(self, specs: Vec<TaskSpec>) -> TaskGraph {
-        let EdgeSlots { offsets, next, edges, indegree, ids_topological } = self;
-        assert_eq!(specs.len(), next.len(), "one spec per counted task");
-        assert!(next[..] == offsets[1..], "every counted edge is placed");
-        drop(next);
+    /// Panics if an edge points past the declared tasks or back at its
+    /// own source.
+    pub fn push(&mut self, spec: TaskSpec, successors: impl IntoIterator<Item = Edge>) {
+        let src = self.specs.len();
+        self.specs.push(spec);
+        for e in successors {
+            assert_ne!(src, e.dst, "self-dependency");
+            self.indegree[e.dst] += 1;
+            self.ids_topological &= src < e.dst;
+            self.edges.push(e);
+        }
+        self.offsets.push(self.edges.len());
+    }
+
+    /// The graph, with its topological order fixed.
+    ///
+    /// # Panics
+    /// Panics if the tasks pushed are not the tasks declared.
+    pub fn finish(self) -> TaskGraph {
+        let GraphLayout { specs, offsets, edges, indegree, ids_topological } = self;
+        assert_eq!(specs.len(), indegree.len(), "one task pushed per declared task");
         let mut graph = TaskGraph { specs, offsets, edges, indegree, order: Order::Ids };
         if !ids_topological {
             graph.order = graph.kahn().map_or(Order::Cyclic, Order::Kahn);
@@ -231,7 +208,7 @@ impl EdgeSlots {
     }
 }
 
-/// A graph's topological order, fixed by [`GraphBuilder::finish`].
+/// A graph's topological order, fixed by [`GraphLayout::finish`].
 #[derive(Debug)]
 enum Order {
     /// Every edge runs from a lower id to a higher one.
@@ -243,7 +220,7 @@ enum Order {
 }
 
 /// A directed dataflow graph of tasks, laid out flat (see the module
-/// docs). Built by a [`GraphBuilder`].
+/// docs). Built by a [`GraphLayout`] or a [`GraphBuilder`].
 #[derive(Debug)]
 pub struct TaskGraph {
     specs: Vec<TaskSpec>,
@@ -356,6 +333,67 @@ impl TaskGraph {
     }
 }
 
+/// A task graph as the discrete-event simulator and the critical path
+/// read it: one task and one successor list at a time. A
+/// [`TaskGraph`] serves it from its tables; an implicit task space derives
+/// each answer from a symbolic description instead, so the graph is never
+/// laid out.
+pub trait Dataflow {
+    /// Number of tasks.
+    fn len(&self) -> usize;
+
+    /// `true` when the graph has no tasks.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Task `t`'s metadata.
+    fn spec(&self, t: TaskId) -> TaskSpec;
+
+    /// Task `t`'s scheduling priority, `spec(t).priority`.
+    fn priority(&self, t: TaskId) -> usize {
+        self.spec(t).priority
+    }
+
+    /// Every task's number of incoming edges, in id order.
+    fn indegrees(&self) -> Vec<usize>;
+
+    /// Replace the contents of `out` with task `t`'s outgoing edges, in
+    /// list order.
+    fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>);
+
+    /// A topological order (walk it with `.rev()` for sinks first);
+    /// `None` when the graph has a cycle.
+    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_>;
+}
+
+impl Dataflow for TaskGraph {
+    fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    fn spec(&self, t: TaskId) -> TaskSpec {
+        self.specs[t].clone()
+    }
+
+    fn priority(&self, t: TaskId) -> usize {
+        self.specs[t].priority
+    }
+
+    fn indegrees(&self) -> Vec<usize> {
+        TaskGraph::indegrees(self)
+    }
+
+    fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
+        out.clear();
+        out.extend_from_slice(self.successors(t));
+    }
+
+    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
+        TaskGraph::order(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,49 +489,50 @@ mod tests {
         assert_eq!(g.total_flops(), 3.0);
     }
 
-    /// Counting on one emission and placing on a second lays out the
-    /// graph the staging builder lays out from the same edges.
+    /// Pushing each task with its whole list lays out the graph the
+    /// staging builder lays out from the same edges added in any order.
     #[test]
-    fn counted_then_placed_equals_staged() {
+    fn pushed_lists_equal_staged_edges() {
         let edges = [(0, 4), (2, 4), (0, 3), (1, 3), (0, 2), (1, 2), (3, 2)];
         let staged = graph(5, &edges).finish();
-        let mut counts = EdgeCounts::new(5);
-        for &(s, _) in &edges {
-            counts.count(s);
+        let mut layout = GraphLayout::new(5, edges.len());
+        for t in 0..5 {
+            let list = edges.iter().filter(|&&(s, _)| s == t);
+            let list = list.map(|&(s, d)| Edge { dst: d, data: DataRef { i: s, j: d }, bytes: 8 });
+            layout.push(spec(TaskClass::Other, 0), list);
         }
-        let mut slots = counts.into_slots();
-        for &(s, d) in &edges {
-            slots.place(s, Edge { dst: d, data: DataRef { i: s, j: d }, bytes: 8 });
-        }
-        let placed = slots.finish((0..5).map(|_| spec(TaskClass::Other, 0)).collect());
+        let pushed = layout.finish();
         for t in 0..5 {
             let list =
                 |g: &TaskGraph| g.successors(t).iter().map(|e| (e.dst, e.data)).collect::<Vec<_>>();
-            assert_eq!(list(&placed), list(&staged), "successors of {t}");
-            assert_eq!(placed.indegree(t), staged.indegree(t));
+            assert_eq!(list(&pushed), list(&staged), "successors of {t}");
+            assert_eq!(pushed.indegree(t), staged.indegree(t));
         }
         // The edge 3 → 2 runs high → low: both orders are Kahn's.
-        assert_eq!(order_of(&placed), order_of(&staged));
-        assert_ne!(order_of(&placed), vec![0, 1, 2, 3, 4]);
+        assert_eq!(order_of(&pushed), order_of(&staged));
+        assert_ne!(order_of(&pushed), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The trait reads the same graph the tables hold.
+    #[test]
+    fn dataflow_reads_the_tables() {
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
+        let mut out = vec![Edge { dst: 9, data: DataRef { i: 9, j: 9 }, bytes: 9 }];
+        for t in 0..4 {
+            Dataflow::successors_into(&g, t, &mut out);
+            let dsts: Vec<_> = out.iter().map(|e| e.dst).collect();
+            assert_eq!(dsts, g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>());
+        }
+        assert_eq!(Dataflow::indegrees(&g), g.indegrees());
+        assert_eq!(Dataflow::order(&g).unwrap().collect::<Vec<_>>(), order_of(&g));
     }
 
     #[test]
-    #[should_panic(expected = "more edges than were counted")]
-    fn placing_an_uncounted_edge_panics() {
-        let mut counts = EdgeCounts::new(3);
-        counts.count(0);
-        let mut slots = counts.into_slots();
-        let edge = |dst| Edge { dst, data: DataRef { i: 0, j: 0 }, bytes: 0 };
-        slots.place(0, edge(1));
-        slots.place(0, edge(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "every counted edge is placed")]
-    fn finishing_with_an_empty_slot_panics() {
-        let mut counts = EdgeCounts::new(2);
-        counts.count(0);
-        counts.into_slots().finish(vec![spec(TaskClass::Other, 0); 2]);
+    #[should_panic(expected = "one task pushed per declared task")]
+    fn finishing_short_of_the_declared_tasks_panics() {
+        let mut layout = GraphLayout::new(2, 0);
+        layout.push(spec(TaskClass::Other, 0), []);
+        layout.finish();
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! * [`graph`] — the task-graph representation (the unrolled equivalent of
 //!   a PTG/JDF program), with dataflow annotations used for communication
-//!   accounting. DAG trimming manifests here as *not inserting* tasks.
+//!   accounting, and the [`graph::Dataflow`] view through which the
+//!   simulator also walks graphs that are never unrolled. DAG trimming
+//!   manifests here as *not inserting* tasks.
 //! * [`engine`] — the unified execution engines: one shared-memory
 //!   work-stealing [`engine::Engine`] (crossbeam deques, real numerical
 //!   kernels, validates every configuration at laptop scale) and one
@@ -38,7 +40,6 @@ pub mod fault;
 pub mod graph;
 pub mod machine;
 pub mod obs;
-pub mod ptg;
 pub mod trace;
 
 pub use des::{simulate, DesConfig, DesReport};
@@ -50,7 +51,7 @@ pub use fault::{
     fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtConfig, FtError, IntegrityError,
     RetryConfig,
 };
-pub use graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
+pub use graph::{DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
 pub use obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics};

@@ -47,7 +47,7 @@ impl CompressionConfig {
 /// Yes unless `U·Vᵀ` would take strictly more words than the dense tile:
 /// at `k · (rows + cols) = rows · cols` the two cost the same and the
 /// tile stays low rank. Compression, recompression and the planner's
-/// pricing (`build_cholesky_dag`) all decide with this one rule.
+/// pricing (`CholeskySpace::price`) all decide with this one rule.
 pub fn low_rank_pays_off(k: usize, rows: usize, cols: usize) -> bool {
     k * (rows + cols) <= rows * cols
 }

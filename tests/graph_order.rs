@@ -1,16 +1,17 @@
 //! The task graph's stored topological order. Every way a graph is built
 //! gets an order that is topological: a builder whose ids are shuffled,
-//! the PTG unroller (which numbers class by class) and a fan-out whose
-//! sink is numbered before its producers. Every consumer that walks the
-//! order agrees with a brute-force reading of the graph, and with the
-//! same graph emitted in id order. A cycle is a typed error at every door
-//! that needs the order.
+//! the dense Cholesky DAG laid out from its task space (the DAG's PTG
+//! form) and a fan-out whose sink is numbered before its producers. Every
+//! consumer that walks the order agrees with a brute-force reading of the
+//! graph, and with the same graph emitted in id order. A cycle is a typed
+//! error at every door that needs the order.
 
+use hicma_parsec::cholesky::dag::{build_cholesky_dag, DagConfig};
 use hicma_parsec::runtime::critical_path::critical_path;
 use hicma_parsec::runtime::des::{single_proc_config, DesTask};
 use hicma_parsec::runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
-use hicma_parsec::runtime::ptg::dense_cholesky_ptg;
 use hicma_parsec::runtime::{simulate, Engine, EngineConfig, EngineError, FaultPlan};
+use hicma_parsec::tlr::RankSnapshot;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -220,20 +221,29 @@ proptest! {
     }
 }
 
-/// The PTG unroller numbers class by class, so a POTRF's SYRK input has a
-/// higher id than the POTRF: the order is Kahn's, fixed once.
+/// The dense Cholesky DAG, laid out from its task space panel by panel
+/// (POTRF, TRSMs, SYRKs, GEMMs): the stored order is Kahn's, fixed once.
 #[test]
 fn dense_cholesky_ptg_gets_a_topological_order() {
     for nt in 1..8 {
-        let u = dense_cholesky_ptg(nt, 16).unroll().unwrap();
-        assert_topological(&u.graph);
-        let dur = |t: TaskId| match u.graph.spec(t).class {
+        let b = 16;
+        let mut ranks = vec![0usize; nt * nt];
+        for i in 0..nt {
+            for j in 0..=i {
+                ranks[i * nt + j] = b;
+            }
+        }
+        let dag = build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default());
+        let g = &dag.graph;
+        assert_eq!(g.len(), nt * (nt + 1) * (nt + 2) / 6);
+        assert_topological(g);
+        let dur = |t: TaskId| match g.spec(t).class {
             TaskClass::Potrf => 1.0,
             TaskClass::Trsm | TaskClass::Syrk => 3.0,
             _ => 5.0,
         };
-        assert_critical_path_is_the_longest(&u.graph, dur);
-        let values = engine_values(&u.graph, |t| t as u64 + 1);
+        assert_critical_path_is_the_longest(g, dur);
+        let values = engine_values(g, |t| t as u64 + 1);
         assert!(values.iter().all(|&v| v != 0));
     }
 }

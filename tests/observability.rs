@@ -584,14 +584,15 @@ fn drift_report_works_on_wall_clock_runs() {
 /// The drift report prices a task exactly as the simulator does: on a
 /// shared and on a distributed run, each class's modeled seconds are,
 /// bit for bit, the sum in task-id order of the kernel seconds
-/// `des_tasks` assigns the DAG rebuilt from the matrix's snapshot.
+/// `des_tasks` assigns the task space of the DAG rebuilt from the
+/// matrix's snapshot.
 #[test]
 fn drift_prices_tasks_with_the_simulators_durations() {
     let spec = DriftSpec::new(MachineModel::shaheen_ii());
     let m = gaussian_matrix(168, 8.0);
     let dag = build_cholesky_dag(&m.rank_snapshot(), &DagConfig::default());
     let mut expected = [0.0f64; NCLASSES];
-    for (t, task) in des_tasks(&dag, &spec.machine, |_| 0).iter().enumerate() {
+    for (t, task) in des_tasks(&dag.space, &spec.machine, |_| 0).iter().enumerate() {
         expected[class_slot(dag.graph.spec(t).class)] += task.duration;
     }
     assert!(expected.iter().all(|&s| s >= 0.0) && expected[3] > 0.0);

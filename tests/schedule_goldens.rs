@@ -265,3 +265,62 @@ fn event_stream_shapes_match_the_recorded_goldens() {
     let actual = actual_event_streams();
     assert!(actual == GOLDEN_EVENT_STREAMS, "DES drift; table now:\n{actual}");
 }
+
+/// The `SimReport` fields no line above pins: the compute-only critical
+/// path, the four per-class busy sums, the write-back bytes and both task
+/// counts, on the `des` lines' snapshot under both presets and on an
+/// untrimmed NT 64 Lorapo run at 2 nodes (the shape of the benchmark's
+/// Lorapo simulation: the paper's shape and accuracy, b = 305, the machine
+/// scaled down by 256). Recorded at the commit before the simulator
+/// stopped building an explicit DAG.
+fn actual_report_fields() -> String {
+    let mut out = String::new();
+    let synthetic = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+    let small = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+    let bench = SyntheticRankModel::from_application(64, 305, 3.7e-4, 1e-4).snapshot();
+    let scaled = {
+        let m = MachineModel::shaheen_ii();
+        let s = 256.0;
+        MachineModel {
+            task_overhead_s: m.task_overhead_s / s,
+            dep_overhead_s: m.dep_overhead_s / s,
+            latency_s: m.latency_s / s,
+            ..m
+        }
+    };
+    for (name, snap, cfg) in [
+        ("synthetic hicma", &synthetic, hicma_parsec_config(small.clone(), 4)),
+        ("synthetic lorapo", &synthetic, lorapo_config(small.clone(), 4)),
+        ("bench lorapo", &bench, lorapo_config(scaled, 2)),
+    ] {
+        let r = simulate_cholesky(snap, &cfg);
+        let b = &r.breakdown;
+        writeln!(
+            out,
+            "report {name} cp={:#018x} potrf={:#018x} trsm={:#018x} syrk={:#018x} \
+             gemm={:#018x} writeback={} tasks={}/{}",
+            r.critical_path_seconds.to_bits(),
+            b.potrf.to_bits(),
+            b.trsm.to_bits(),
+            b.syrk.to_bits(),
+            b.gemm.to_bits(),
+            r.writeback_bytes,
+            r.dag_tasks,
+            r.dense_dag_tasks,
+        )
+        .unwrap();
+    }
+    out
+}
+
+const GOLDEN_REPORT_FIELDS: &str = "\
+report synthetic hicma cp=0x3fb641d079caaac3 potrf=0x3fa1c8d7da978278 trsm=0x3fb6353f078ccd92 syrk=0x3fbc3a1297e23d8c gemm=0x3fe185acad506d09 writeback=41205760 tasks=1924/5984
+report synthetic lorapo cp=0x3fb641d079caaac3 potrf=0x3fa1c8d7da97827b trsm=0x3fb6353f078ccd8f syrk=0x3fbc3a1297e23d87 gemm=0x3fe185acad506d02 writeback=0 tasks=5984/5984
+report bench lorapo cp=0x3f76743a6e27b99e potrf=0x3f4e137f0c4f27f2 trsm=0x3f9d12b98b94bc33 syrk=0x3f6741985bc54ffd gemm=0x3fa2e8c21b138172 writeback=0 tasks=45760/45760
+";
+
+#[test]
+fn report_fields_match_the_recorded_goldens() {
+    let actual = actual_report_fields();
+    assert!(actual == GOLDEN_REPORT_FIELDS, "SimReport drift; table now:\n{actual}");
+}

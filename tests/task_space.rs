@@ -1,0 +1,206 @@
+//! The Cholesky task space against the dataflow walk it replaced.
+//!
+//! The oracle is the emission loop the DAG builder ran before the space
+//! existed: it visits the tasks panel by panel in PTG order and draws one
+//! edge into each task from the task that produced the current version
+//! of every tile it reads, then of the tile it overwrites
+//! (`last_writer`). Successor lists are then the edges in consumer order.
+//! On random snapshots — NT 1 to 24, random null patterns, dense-format
+//! tiles and tiles at `2r = b`, trimmed and untrimmed, `rank_cap` of `b`
+//! and of 4 — the space must agree with it on the task count, on every
+//! task, on every successor list in order and on every in-degree; the
+//! graph `build_cholesky_dag` lays out must too, and the critical path
+//! over the space must equal the one over that graph bit for bit.
+
+use hicma_parsec::cholesky::{
+    build_cholesky_dag, CholeskySpace, DagConfig, MatrixAnalysis, TaskKind,
+};
+use hicma_parsec::runtime::critical_path::critical_path;
+use hicma_parsec::runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskGraph, TaskId};
+use hicma_parsec::tlr::{low_rank_pays_off, RankSnapshot};
+use proptest::prelude::*;
+
+/// The tile a task overwrites and the tiles it reads, in packed order.
+fn operands(kind: TaskKind) -> (DataRef, Vec<DataRef>) {
+    let at = |i, j| DataRef { i, j };
+    match kind {
+        TaskKind::Potrf { k } => (at(k, k), vec![]),
+        TaskKind::Trsm { k, m } => (at(m, k), vec![at(k, k)]),
+        TaskKind::Syrk { k, m } => (at(m, m), vec![at(m, k)]),
+        TaskKind::Gemm { k, m, n } => (at(m, n), vec![at(n, k), at(m, k)]),
+    }
+}
+
+/// Message size of tile `d` under the analysis' final ranks.
+fn bytes(analysis: &MatrixAnalysis, d: DataRef) -> u64 {
+    let ranks = &analysis.final_ranks;
+    let (r, b) = (ranks.rank(d.i, d.j), ranks.tile_size());
+    if d.i == d.j || !low_rank_pays_off(r, b, b) {
+        (b * b * 8) as u64
+    } else {
+        (16 * r * b) as u64
+    }
+}
+
+/// Every task in id order, each task's successor list and its in-degree,
+/// by the `last_writer` walk.
+struct Oracle {
+    kinds: Vec<TaskKind>,
+    successors: Vec<Vec<Edge>>,
+    indegree: Vec<usize>,
+}
+
+fn oracle(analysis: &MatrixAnalysis, trimmed: bool) -> Oracle {
+    let nt = analysis.nt();
+    let mut o = Oracle { kinds: vec![], successors: vec![], indegree: vec![] };
+    let mut last_writer: Vec<Option<TaskId>> = vec![None; nt * nt];
+    let mut task = |kind: TaskKind| {
+        let id = o.kinds.len();
+        let (writes, reads) = operands(kind);
+        o.kinds.push(kind);
+        o.successors.push(vec![]);
+        o.indegree.push(0);
+        for d in reads.into_iter().chain([writes]) {
+            if let Some(src) = last_writer[d.i * nt + d.j] {
+                o.successors[src].push(Edge { dst: id, data: d, bytes: bytes(analysis, d) });
+                o.indegree[id] += 1;
+            }
+        }
+        last_writer[writes.i * nt + writes.j] = Some(id);
+    };
+    for k in 0..nt {
+        task(TaskKind::Potrf { k });
+        let all: Vec<usize> = (k + 1..nt).collect();
+        let rows = if trimmed { &analysis.trsm[k] } else { &all };
+        for &m in rows {
+            task(TaskKind::Trsm { k, m });
+        }
+        for &m in rows {
+            task(TaskKind::Syrk { k, m });
+        }
+        for (i, &m) in rows.iter().enumerate() {
+            for &n in &rows[..i] {
+                task(TaskKind::Gemm { k, m, n });
+            }
+        }
+    }
+    o
+}
+
+/// A random `nt × nt` snapshot at b = 16: each off-diagonal tile is null
+/// with probability `null_pct` %, else of a rank drawn from a set that
+/// holds low ranks, `2r = b` (8) and dense-format ranks (above 8).
+fn random_snapshot(nt: usize, seed: u64, null_pct: u64) -> RankSnapshot {
+    const B: usize = 16;
+    const RANKS: [usize; 8] = [1, 2, 3, 5, 8, 8, 11, 16];
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut ranks = vec![0usize; nt * nt];
+    for i in 0..nt {
+        ranks[i * nt + i] = B;
+        for j in 0..i {
+            if next() % 100 >= null_pct {
+                ranks[i * nt + j] = RANKS[next() as usize % RANKS.len()];
+            }
+        }
+    }
+    RankSnapshot::new(nt, B, ranks)
+}
+
+fn list(g: &impl Dataflow, t: TaskId) -> Vec<(TaskId, DataRef, u64)> {
+    let mut out = Vec::new();
+    g.successors_into(t, &mut out);
+    out.iter().map(|e| (e.dst, e.data, e.bytes)).collect()
+}
+
+fn class_of(kind: TaskKind) -> TaskClass {
+    match kind {
+        TaskKind::Potrf { .. } => TaskClass::Potrf,
+        TaskKind::Trsm { .. } => TaskClass::Trsm,
+        TaskKind::Syrk { .. } => TaskClass::Syrk,
+        TaskKind::Gemm { .. } => TaskClass::Gemm,
+    }
+}
+
+fn panel_of(kind: TaskKind) -> usize {
+    match kind {
+        TaskKind::Potrf { k }
+        | TaskKind::Trsm { k, .. }
+        | TaskKind::Syrk { k, .. }
+        | TaskKind::Gemm { k, .. } => k,
+    }
+}
+
+/// The space, the laid-out graph and the oracle agree on `snap` under
+/// `cfg`.
+fn agree(snap: &RankSnapshot, cfg: &DagConfig) -> Result<(), TestCaseError> {
+    let space = CholeskySpace::new(snap, cfg);
+    let dag = build_cholesky_dag(snap, cfg);
+    let o = oracle(space.analysis(), cfg.trimmed);
+    let graph: &TaskGraph = &dag.graph;
+    prop_assert_eq!(space.len(), o.kinds.len());
+    prop_assert_eq!(graph.len(), o.kinds.len());
+    prop_assert_eq!(space.num_edges(), o.successors.iter().map(Vec::len).sum::<usize>());
+    for (t, &kind) in o.kinds.iter().enumerate() {
+        prop_assert_eq!(space.kind(t), kind, "task {}", t);
+        prop_assert_eq!(space.id(kind), t);
+        let price = space.price(kind);
+        let want = (class_of(kind), panel_of(kind), Some(operands(kind).0), price.flops.to_bits());
+        for spec in [Dataflow::spec(&space, t), graph.spec(t).clone()] {
+            let got = (spec.class, spec.priority, spec.writes, spec.flops.to_bits());
+            prop_assert_eq!(got, want, "spec of task {} ({:?})", t, kind);
+        }
+        prop_assert_eq!(space.priority(t), panel_of(kind));
+        prop_assert_eq!(dag.flops[t].to_bits(), price.flops.to_bits());
+        prop_assert!(price.rank_param >= 1 && price.rank_param <= snap.tile_size());
+        prop_assert!(
+            !matches!(kind, TaskKind::Potrf { .. } | TaskKind::Syrk { .. }) || price.nested
+        );
+        let want: Vec<_> = o.successors[t].iter().map(|e| (e.dst, e.data, e.bytes)).collect();
+        prop_assert_eq!(list(&space, t), want.clone(), "successors of task {} ({:?})", t, kind);
+        prop_assert_eq!(list(graph, t), want, "laid-out successors of task {}", t);
+    }
+    prop_assert_eq!(Dataflow::indegrees(&space), o.indegree.clone());
+    prop_assert_eq!(graph.indegrees(), o.indegree);
+    // Non-integer durations, so a path summed in another order moves bits.
+    let duration = |t: TaskId| 0.1 + 1e-6 * dag.flops[t] + 0.01 * (t % 7) as f64;
+    let (on_space, on_graph) = (critical_path(&space, duration), critical_path(graph, duration));
+    prop_assert_eq!(on_space.length.to_bits(), on_graph.length.to_bits());
+    prop_assert_eq!(on_space.tasks, on_graph.tasks);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn task_space_matches_the_last_writer_walk(
+        nt in 1usize..25,
+        seed in 0u64..u64::MAX,
+        null_pct in 0u64..101,
+    ) {
+        let snap = random_snapshot(nt, seed, null_pct);
+        for trimmed in [true, false] {
+            for rank_cap in [snap.tile_size(), 4] {
+                agree(&snap, &DagConfig { trimmed, rank_cap })?;
+            }
+        }
+    }
+}
+
+/// The shapes the random draw reaches only by chance: a single tile, no
+/// off-diagonal tile at all, and every tile dense-format.
+#[test]
+fn task_space_matches_the_last_writer_walk_at_the_edges() {
+    for (nt, null_pct) in [(1, 0), (2, 100), (9, 100), (9, 0), (24, 0), (24, 97)] {
+        let snap = random_snapshot(nt, 7, null_pct);
+        for trimmed in [true, false] {
+            for rank_cap in [snap.tile_size(), 4] {
+                agree(&snap, &DagConfig { trimmed, rank_cap }).unwrap();
+            }
+        }
+    }
+}
