@@ -24,10 +24,10 @@
 //! panel and Algorithm 1's row and update lists — from which it derives,
 //! on demand, a task's identity from its id and back, its [`TaskSpec`],
 //! its price and its successor list. No task or edge is stored. The
-//! discrete-event simulator and the critical path walk the space
-//! directly (it is a [`Dataflow`]); [`build_cholesky_dag`] lays the same
-//! space out as a [`TaskGraph`] for the engines, so the dataflow is
-//! defined once.
+//! discrete-event simulator, the distributed engine and the critical path
+//! walk the space directly (it is a [`Dataflow`]); [`build_cholesky_dag`]
+//! lays the same space out as a [`TaskGraph`] for the shared engine, so
+//! the dataflow is defined once.
 //!
 //! Every task carries its flop count (priced from the analysis' evolved
 //! rank estimates) and every edge the payload bytes of the tile version
@@ -146,7 +146,7 @@ impl Default for DagConfig {
     }
 }
 
-/// A Cholesky task space laid out as a graph, for the engines.
+/// A Cholesky task space laid out as a graph, for the shared engine.
 pub struct CholeskyDag {
     /// The dataflow graph (tasks + byte-annotated edges).
     pub graph: TaskGraph,

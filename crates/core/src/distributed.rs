@@ -20,13 +20,14 @@
 //! is bit-identical to the fault-free run for any survivable plan.
 //!
 //! The data layout follows PaRSEC's on-demand shipping, collapsed to
-//! setup time: each tile's initial version starts at the rank that first
-//! writes it, and the final version is gathered from the rank of its
-//! last writer. A tile is *moved* at each of those steps — matrix → rank
-//! store → matrix — and copied only onto the wire, along the dataflow
-//! edge that names it.
+//! setup time: each tile starts at its layout owner, where every task
+//! that writes it runs, so its final version is still there at the end
+//! (a crash hands the dead rank's whole store to one survivor, which
+//! keeps each tile in exactly one store). A tile is *moved* at each of
+//! those steps — matrix → rank store → matrix — and copied only onto the
+//! wire, along the dataflow edge that names it.
 
-use crate::dag::{lower, CholeskyDag};
+use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::factorize::FactorConfig;
 use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads};
 use parking_lot::Mutex;
@@ -97,10 +98,7 @@ impl TilePayload for SealedTile {
 /// store and inbox. The error slot keeps the *minimum* failing pivot so
 /// concurrent failures report deterministically.
 pub(crate) struct RankBody<'a> {
-    dag: &'a CholeskyDag,
-    /// Shipped inputs are keyed in the inbox by the task that produced
-    /// them.
-    preds: &'a [Vec<(TaskId, DataRef)>],
+    space: &'a CholeskySpace,
     tile_size: usize,
     compression: CompressionConfig,
     pub(crate) error: Mutex<Option<CholeskyError>>,
@@ -110,15 +108,13 @@ pub(crate) struct RankBody<'a> {
 
 impl<'a> RankBody<'a> {
     pub(crate) fn new(
-        dag: &'a CholeskyDag,
-        preds: &'a [Vec<(TaskId, DataRef)>],
+        space: &'a CholeskySpace,
         cfg: &FactorConfig,
         tile_size: usize,
         nprocs: usize,
     ) -> Self {
         RankBody {
-            dag,
-            preds,
+            space,
             tile_size,
             compression: cfg.compression(),
             error: Mutex::new(None),
@@ -126,16 +122,18 @@ impl<'a> RankBody<'a> {
         }
     }
 
-    /// Run DAG task `t` on `ctx`'s rank.
+    /// Run task `t` on `ctx`'s rank.
     pub(crate) fn run<P: TilePayload>(&self, t: TaskId, ctx: &mut RankCtx<'_, P>) {
-        let kind = self.dag.space.kind(t);
+        let kind = self.space.kind(t);
         let ops = kind.operands();
         let w = ops.writes;
+        // Every read is a tile of the task's panel `k` in its final
+        // version, and shipped inputs are keyed in the inbox by the task
+        // that produced them: (k, k) by POTRF(k), (m, k) by TRSM(k, m).
         let producer = |d: DataRef| {
-            self.preds[t]
-                .iter()
-                .find(|(_, dd)| *dd == d)
-                .map(|&(p, _)| p)
+            let (k, m) = (d.j, d.i);
+            let kind = if m == k { TaskKind::Potrf { k } } else { TaskKind::Trsm { k, m } };
+            Some(self.space.id(kind))
         };
         // A task runs on the rank of the tile it writes, and a crash
         // migrates a dead rank's tasks as one block, so every writer of a
@@ -165,30 +163,19 @@ impl<'a> RankBody<'a> {
 }
 
 /// Move the final tile versions out of the per-rank stores back into the
-/// matrix, using the (possibly migrated) final task→rank assignment.
-pub(crate) fn gather_tiles(
+/// matrix. Each tile sits in exactly one store (see the module docs), so
+/// draining them all places every tile once.
+pub(crate) fn gather_tiles<P: TilePayload>(
     matrix: &mut TlrMatrix,
-    last_writer: &[Option<TaskId>],
-    placement: &[usize],
-    final_exec: &[usize],
-    stores: &mut [HashMap<DataRef, Tile>],
+    stores: &mut [HashMap<DataRef, P>],
 ) {
-    for i in 0..matrix.nt() {
-        for j in 0..=i {
-            let (d, idx) = (DataRef { i, j }, lower(i, j));
-            let rank = last_writer[idx].map_or(placement[idx], |t| final_exec[t]);
-            let tile = stores[rank]
-                .remove(&d)
-                // A tile no task writes (e.g. a null tile the trimmed DAG
-                // never touches) lives at its placement rank — unless that
-                // rank crashed, in which case the runtime migrated its
-                // checkpointed data to a survivor. The value never changed,
-                // so any surviving copy is the right one.
-                .or_else(|| stores.iter_mut().find_map(|s| s.remove(&d)))
-                .expect("final tile must exist in some surviving store");
-            matrix.put_tile(i, j, tile);
-        }
+    let nt = matrix.nt();
+    let mut placed = 0;
+    for (d, tile) in stores.iter_mut().flat_map(HashMap::drain) {
+        matrix.put_tile(d.i, d.j, tile.into_tile());
+        placed += 1;
     }
+    assert_eq!(placed, nt * (nt + 1) / 2, "every tile sits in exactly one store");
 }
 
 #[cfg(test)]

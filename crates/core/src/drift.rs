@@ -20,10 +20,10 @@
 //! `FtConfig::task_time` of virtual time per task, so there only its
 //! comm drift says something about the model.
 
-use crate::dag::CholeskyDag;
+use crate::dag::CholeskySpace;
 use crate::simulate::task_duration;
 use runtime::des::CommStats;
-use runtime::graph::{TaskClass, TaskGraph};
+use runtime::graph::{Dataflow, TaskClass};
 use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{class_name, class_slot, RegistrySnapshot, NCLASSES};
@@ -34,11 +34,13 @@ use std::fmt;
 /// whose producer and consumer ranks differ. This is exactly the
 /// fault-free accounting of the distributed engine, so on a clean run
 /// it equals the measured [`CommStats`] bit for bit.
-pub fn modeled_comm(graph: &TaskGraph, exec_rank: &[usize]) -> CommStats {
+pub fn modeled_comm(graph: &impl Dataflow, exec_rank: &[usize]) -> CommStats {
     let mut bytes = 0u64;
     let mut messages = 0u64;
+    let mut successors = Vec::new();
     for src in 0..graph.len() {
-        for e in graph.successors(src) {
+        graph.successors_into(src, &mut successors);
+        for e in &successors {
             if exec_rank[src] != exec_rank[e.dst] {
                 bytes += e.bytes;
                 messages += 1;
@@ -131,21 +133,21 @@ fn out_of_band(r: f64, band: f64) -> bool {
 }
 
 impl DriftReport {
-    /// Build a report from the executed plan's DAG, the run's merged
-    /// registry snapshot, and (on distributed runs) the final task→rank
-    /// mapping plus measured traffic.
+    /// Build a report from the executed plan's task space, the run's
+    /// merged registry snapshot, and (on distributed runs) the final
+    /// task→rank mapping plus measured traffic.
     pub fn compute(
         spec: &DriftSpec,
-        dag: &CholeskyDag,
+        space: &CholeskySpace,
         snapshot: &RegistrySnapshot,
         comm: Option<(&[usize], CommStats)>,
     ) -> DriftReport {
         let band = if spec.band > 1.0 { spec.band } else { 8.0 };
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];
-        for kind in dag.space.kinds() {
+        for kind in space.kinds() {
             let k = class_slot(kind.class());
-            modeled[k] += task_duration(&dag.space, kind, &spec.machine);
+            modeled[k] += task_duration(space, kind, &spec.machine);
             tasks[k] += 1;
         }
         let classes = (0..NCLASSES)
@@ -170,7 +172,7 @@ impl DriftReport {
             })
             .collect();
         let comm = comm.map(|(exec_rank, measured)| {
-            let modeled = modeled_comm(&dag.graph, exec_rank);
+            let modeled = modeled_comm(space, exec_rank);
             let br = ratio(measured.bytes as f64, modeled.bytes as f64);
             let mr = ratio(measured.messages as f64, modeled.messages as f64);
             CommDrift {
@@ -303,12 +305,12 @@ impl fmt::Display for DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{build_cholesky_dag, DagConfig};
+    use crate::dag::DagConfig;
     use tlr_compress::RankSnapshot;
 
     /// A 4 × 4 tile structure at b = 64 with dense-format, low-rank and
     /// null off-diagonal tiles.
-    fn small_dag() -> CholeskyDag {
+    fn small_space() -> CholeskySpace {
         let (nt, b) = (4, 64);
         let mut ranks = vec![0usize; nt * nt];
         for (i, j, r) in [(1, 0, 4), (2, 0, 40), (2, 1, 8), (3, 1, 4), (3, 2, 16)] {
@@ -318,14 +320,14 @@ mod tests {
         for i in 0..nt {
             ranks[i * nt + i] = b;
         }
-        build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default())
+        CholeskySpace::new(&RankSnapshot::new(nt, b, ranks), &DagConfig::default())
     }
 
     #[test]
     fn empty_snapshot_yields_zero_ratios_not_nan() {
-        let dag = small_dag();
+        let space = small_space();
         let spec = DriftSpec::new(MachineModel::shaheen_ii());
-        let rep = DriftReport::compute(&spec, &dag, &RegistrySnapshot::default(), None);
+        let rep = DriftReport::compute(&spec, &space, &RegistrySnapshot::default(), None);
         assert_eq!(rep.classes.len(), 5);
         for c in &rep.classes {
             assert!(c.ratio.is_finite(), "{}: {}", c.class, c.ratio);
@@ -333,7 +335,7 @@ mod tests {
         }
         assert!(rep.classes[0].modeled_seconds > 0.0);
         let tasks: u64 = rep.classes.iter().map(|c| c.modeled_tasks).sum();
-        assert_eq!(tasks as usize, dag.graph.len());
+        assert_eq!(tasks as usize, space.len());
         let js = rep.to_json().to_string();
         assert!(js.contains("\"modeled_seconds\""));
         assert!(!js.contains("NaN"));
@@ -349,14 +351,14 @@ mod tests {
 
     #[test]
     fn comm_drift_is_exact_on_matching_model() {
-        let dag = small_dag();
-        let exec_rank: Vec<usize> = (0..dag.graph.len()).map(|t| t % 2).collect();
-        let measured = modeled_comm(&dag.graph, &exec_rank);
+        let space = small_space();
+        let exec_rank: Vec<usize> = (0..space.len()).map(|t| t % 2).collect();
+        let measured = modeled_comm(&space, &exec_rank);
         assert!(measured.messages > 0);
         let spec = DriftSpec::new(MachineModel::fugaku());
         let rep = DriftReport::compute(
             &spec,
-            &dag,
+            &space,
             &RegistrySnapshot::default(),
             Some((&exec_rank, measured)),
         );
@@ -396,7 +398,7 @@ mod tests {
         let EnginePlan::Distributed(ds) = &plan.engine else {
             panic!("a distributed session plans for the distributed engine")
         };
-        let modeled = modeled_comm(&plan.dag.graph, &ds.exec_rank);
+        let modeled = modeled_comm(&plan.space, &ds.exec_rank);
 
         let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
         let measured = session.run(&mut m).unwrap().comm.unwrap();

@@ -12,12 +12,15 @@
 //! [`SymbolicPlan`] is the reusable artifact of the symbolic phase: an
 //! immutable, self-contained bundle of
 //!
-//! * the trimmed [`CholeskyDag`], whose tasks the engine runs one to one
-//!   (the shared engine orders ready tasks by their panel priority),
-//! * on distributed plans, the priority-driven topological order every
-//!   rank executes and the placement (task→rank map, per-tile initial
-//!   placement, predecessor lookup, last-writer map), all fixed from the
-//!   layout's owner map when the plan is built.
+//! * the trimmed [`CholeskySpace`], whose tasks the engines run one to
+//!   one: its ids, each task's reads and their producers, and its stored
+//!   order, which is the panel-priority order every engine follows,
+//! * on shared plans, the space laid out as a [`TaskGraph`] for the
+//!   work-stealing engine,
+//! * on distributed plans, the placement instead: the task→rank map and
+//!   the per-tile initial placement, both fixed from the layout's owner
+//!   map when the plan is built. The distributed engine walks the space
+//!   itself.
 //!
 //! Plans are keyed by a structural fingerprint ([`PlanKey`]) folded with
 //! the same FNV-1a chain as the tile-integrity digests
@@ -33,13 +36,10 @@
 //! compute (`tests/plan_cache.rs` holds every capability subset to
 //! that).
 
-use crate::dag::{build_cholesky_dag, lower, CholeskyDag, DagConfig};
+use crate::dag::{build_cholesky_dag, lower, CholeskyDag, CholeskySpace, DagConfig};
 use crate::factorize::FactorConfig;
 use parking_lot::Mutex;
-use runtime::engine::EngineError;
-use runtime::graph::{DataRef, TaskGraph, TaskId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use runtime::graph::{Dataflow, TaskGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tlr_compress::{RankSnapshot, WordFold};
@@ -65,8 +65,8 @@ pub enum PlanMode {
 /// distributed plans, the layout's owner map) through the FNV-1a word
 /// chain of the tile-integrity layer ([`tlr_compress::WordFold`]).
 ///
-/// Worker-thread count is deliberately *not* part of the key: the DAG
-/// and the execution order are both thread-count independent, and
+/// Worker-thread count is deliberately *not* part of the key: the task
+/// space and its order are both thread-count independent, and
 /// the factor is bit-identical across thread counts, so one plan serves
 /// any pool size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,50 +87,22 @@ pub struct PlanKey {
     pub structure: u64,
 }
 
-/// Everything a distributed plan needs beyond the DAG: plain data, fixed
+/// What a distributed plan holds beside its task space: plain data, fixed
 /// from the layout's owner map when the plan is built.
 pub(crate) struct DistStatic {
     pub(crate) nprocs: usize,
-    /// Rank executing each DAG task: the layout owner of the tile it
-    /// writes, so every writer of a tile runs on one rank.
-    pub(crate) exec_rank: Vec<usize>,
     /// Rank holding each packed-lower tile's initial version: its layout
-    /// owner, which is where its first writer (if any) runs.
+    /// owner.
     pub(crate) placement: Vec<usize>,
-    /// Task → (producer, datum) lookup for the kernel dispatch.
-    pub(crate) preds: Vec<Vec<(TaskId, DataRef)>>,
-    /// Last task writing each packed-lower tile (`None`: no task touches
-    /// it).
-    pub(crate) last_writer: Vec<Option<TaskId>>,
-    /// The order every rank executes its tasks in ([`priority_order`]).
-    pub(crate) order: Vec<TaskId>,
+    /// Rank executing each task: the owner of the tile it writes, so
+    /// every writer of a tile runs where the tile starts.
+    pub(crate) exec_rank: Vec<usize>,
 }
 
-/// The order every rank of a distributed run executes `graph` in: Kahn's
-/// algorithm with the ready set ordered by `(priority, id)`, lowest
-/// first — the panel priority the shared engine and the DES queue by,
-/// as the one global topological order the `DistEngine`'s front-only
-/// rank queues need. `None` on a cyclic graph.
-fn priority_order(graph: &TaskGraph) -> Option<Vec<TaskId>> {
-    let mut indegree = graph.indegrees();
-    let key = |t: TaskId| Reverse((graph.spec(t).priority, t));
-    let mut ready: BinaryHeap<_> = graph.sources().into_iter().map(key).collect();
-    let mut order = Vec::with_capacity(graph.len());
-    while let Some(Reverse((_, t))) = ready.pop() {
-        order.push(t);
-        for e in graph.successors(t) {
-            indegree[e.dst] -= 1;
-            if indegree[e.dst] == 0 {
-                ready.push(key(e.dst));
-            }
-        }
-    }
-    (order.len() == graph.len()).then_some(order)
-}
-
-/// The immutable artifact of the symbolic phase: trimmed DAG and (on
-/// distributed plans) the execution order and placement machinery,
-/// built once and consumed by any number of numeric runs.
+/// The immutable artifact of the symbolic phase: the trimmed task space
+/// and what its engine needs beside it (the laid-out graph on shared
+/// plans, the placement on distributed ones), built once and consumed by
+/// any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
 /// implicitly through a [`PlanCache`]), execute it with
@@ -141,17 +113,18 @@ fn priority_order(graph: &TaskGraph) -> Option<Vec<TaskId>> {
 /// instead of deadlocking or silently misplacing tiles.
 pub struct SymbolicPlan {
     pub(crate) key: PlanKey,
-    pub(crate) dag: CholeskyDag,
+    pub(crate) space: CholeskySpace,
     pub(crate) engine: EnginePlan,
     pub(crate) planning_seconds: f64,
 }
 
-/// What a plan carries beyond the DAG, for the engine it was built for.
+/// What a plan carries beyond the task space, for the engine it was
+/// built for.
 pub(crate) enum EnginePlan {
-    /// Shared-memory work-stealing engine: the DAG is all it needs.
-    Shared,
-    /// Emulated ranks: execution order and placement.
-    Distributed(Box<DistStatic>),
+    /// Shared-memory work-stealing engine: the space laid out as a graph.
+    Shared(TaskGraph),
+    /// Emulated ranks: the placement.
+    Distributed(DistStatic),
 }
 
 impl SymbolicPlan {
@@ -160,9 +133,9 @@ impl SymbolicPlan {
         &self.key
     }
 
-    /// Tasks in the (trimmed) DAG the plan executes.
+    /// Tasks in the (trimmed) task space the plan executes.
     pub fn tasks(&self) -> usize {
-        self.dag.graph.len()
+        self.space.len()
     }
 
     /// Wall-clock seconds the symbolic phase took to build this plan.
@@ -230,8 +203,8 @@ pub(crate) fn plan_key(
     }
 }
 
-/// Run the symbolic phase once: DAG build (+ execution order and
-/// placement on distributed plans). `key` is
+/// Run the symbolic phase once: the task space, laid out as a graph on
+/// shared plans and placed on distributed ones. `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
@@ -239,47 +212,36 @@ pub(crate) fn build_plan(
     snapshot: &RankSnapshot,
     key: PlanKey,
     dist: Option<DistPlanInputs>,
-) -> Result<SymbolicPlan, EngineError> {
+) -> SymbolicPlan {
     let t0 = std::time::Instant::now();
-    let dag = build_cholesky_dag(
-        snapshot,
-        &DagConfig {
-            trimmed: cfg.trimmed,
-            rank_cap: cfg.max_rank,
-        },
-    );
-    let engine = match dist {
-        None => EnginePlan::Shared,
+    let dag_cfg = DagConfig {
+        trimmed: cfg.trimmed,
+        rank_cap: cfg.max_rank,
+    };
+    let (space, engine) = match dist {
+        None => {
+            let CholeskyDag { graph, space, .. } = build_cholesky_dag(snapshot, &dag_cfg);
+            (space, EnginePlan::Shared(graph))
+        }
         Some(d) => {
-            let mut preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); dag.graph.len()];
-            for src in 0..dag.graph.len() {
-                for e in dag.graph.successors(src) {
-                    preds[e.dst].push((src, e.data));
-                }
-            }
-            let mut last_writer = vec![None; d.owner.len()];
-            let mut exec_rank = Vec::with_capacity(dag.graph.len());
-            for (t, kind) in dag.space.kinds().enumerate() {
-                let w = kind.operands().writes;
-                last_writer[lower(w.i, w.j)] = Some(t);
-                exec_rank.push(d.owner[lower(w.i, w.j)]);
-            }
-            EnginePlan::Distributed(Box::new(DistStatic {
-                nprocs: d.nprocs,
-                exec_rank,
-                placement: d.owner,
-                preds,
-                last_writer,
-                order: priority_order(&dag.graph).ok_or(EngineError::Cycle)?,
-            }))
+            let space = CholeskySpace::new(snapshot, &dag_cfg);
+            let exec_rank = space
+                .kinds()
+                .map(|kind| {
+                    let w = kind.operands().writes;
+                    d.owner[lower(w.i, w.j)]
+                })
+                .collect();
+            let dist = DistStatic { nprocs: d.nprocs, placement: d.owner, exec_rank };
+            (space, EnginePlan::Distributed(dist))
         }
     };
-    Ok(SymbolicPlan {
+    SymbolicPlan {
         key,
-        dag,
+        space,
         engine,
         planning_seconds: t0.elapsed().as_secs_f64(),
-    })
+    }
 }
 
 /// Cache-activity delta of one plan acquisition, recorded into the run's
@@ -383,30 +345,30 @@ impl PlanCache {
 
     /// Look up `key` or build-and-insert via `build`, reporting the
     /// cache activity of this acquisition.
-    pub fn get_or_build<E>(
+    pub fn get_or_build(
         &self,
         key: &PlanKey,
-        build: impl FnOnce() -> Result<SymbolicPlan, E>,
-    ) -> Result<(Arc<SymbolicPlan>, CacheEvents), E> {
+        build: impl FnOnce() -> SymbolicPlan,
+    ) -> (Arc<SymbolicPlan>, CacheEvents) {
         if let Some(plan) = self.lookup(key) {
-            return Ok((
+            return (
                 plan,
                 CacheEvents {
                     hits: 1,
                     ..CacheEvents::default()
                 },
-            ));
+            );
         }
-        let plan = Arc::new(build()?);
+        let plan = Arc::new(build());
         let evictions = self.insert(plan.clone());
-        Ok((
+        (
             plan,
             CacheEvents {
                 hits: 0,
                 misses: 1,
                 evictions,
             },
-        ))
+        )
     }
 }
 
@@ -419,37 +381,5 @@ impl std::fmt::Debug for PlanCache {
             .field("misses", &self.misses())
             .field("evictions", &self.evictions())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use runtime::graph::{GraphBuilder, TaskClass, TaskSpec};
-
-    fn builder(priorities: &[usize], edges: &[(TaskId, TaskId)]) -> GraphBuilder {
-        let mut g = GraphBuilder::new();
-        for &priority in priorities {
-            g.add_task(TaskSpec { class: TaskClass::Other, priority, writes: None, flops: 0.0 });
-        }
-        for &(src, dst) in edges {
-            g.add_edge(src, dst, DataRef { i: src, j: dst }, 0);
-        }
-        g
-    }
-
-    /// The lowest ready priority goes first, ties by id, but never ahead
-    /// of a predecessor: the isolated task 3 (priority 0) leads, and the
-    /// chain 0 → 1 → 2 keeps its order although 2 outranks 1.
-    #[test]
-    fn priority_order_respects_edges_then_priorities() {
-        let g = builder(&[1, 4, 2, 0, 1], &[(0, 1), (1, 2)]).finish();
-        assert_eq!(priority_order(&g), Some(vec![3, 0, 4, 1, 2]));
-    }
-
-    #[test]
-    fn priority_order_of_a_cycle_is_none() {
-        let g = builder(&[0, 1], &[(0, 1), (1, 0)]).finish();
-        assert_eq!(priority_order(&g), None);
     }
 }

@@ -17,15 +17,16 @@
 //! [`RunOutcome`], the one schema-versioned report of a run; absent
 //! capabilities are `None`.
 //!
-//! The per-attempt pipeline is split into a *symbolic* phase — DAG
-//! build, distribution mapping, execution order,
-//! packaged as an immutable [`SymbolicPlan`] — and a *numeric* phase
+//! The per-attempt pipeline is split into a *symbolic* phase — the task
+//! space, laid out as a DAG for the shared engine or placed on ranks for
+//! the distributed one, packaged as an immutable [`SymbolicPlan`] — and a
+//! *numeric* phase
 //! that consumes a `&SymbolicPlan` ([`Session::run_with_plan`]).
 //! [`Session::run`] remains the one-shot shim: plan (or fetch from an
 //! attached [`PlanCache`]) then run. Repeated solves on one tile
 //! structure therefore pay the symbolic cost once.
 
-use crate::dag::{lower, CholeskyDag, TaskKind};
+use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
@@ -37,11 +38,10 @@ use parking_lot::{Mutex, RwLock};
 use runtime::critical_path::critical_path;
 use runtime::des::CommStats;
 use runtime::engine::{
-    DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
-    IntegrityHooks,
+    DistConfig, DistEngine, Engine, EngineConfig, EngineError, ExecObs, IntegrityHooks,
 };
 use runtime::fault::{FtConfig, FtError, IntegrityError};
-use runtime::graph::DataRef;
+use runtime::graph::{DataRef, Dataflow, TaskGraph};
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::obs::{RunEvent, RunMetrics};
@@ -190,8 +190,8 @@ impl<'a> Session<'a> {
         let (key, dist) = self.key(&snapshot)?;
         let build = || plan::build_plan(&self.cfg, &snapshot, key, dist);
         let (plan, ev) = match self.cache {
-            Some(cache) => cache.get_or_build(&key, build)?,
-            None => (Arc::new(build()?), CacheEvents::default()),
+            Some(cache) => cache.get_or_build(&key, build),
+            None => (Arc::new(build()), CacheEvents::default()),
         };
         // Cold runs report the symbolic-phase cost here; warm-cache runs
         // report the (near-zero) key fold + lookup instead.
@@ -208,7 +208,7 @@ impl<'a> Session<'a> {
     pub fn plan(&self, matrix: &TlrMatrix) -> Result<SymbolicPlan, RunError> {
         let snapshot = matrix.rank_snapshot();
         let (key, dist) = self.key(&snapshot)?;
-        Ok(plan::build_plan(&self.cfg, &snapshot, key, dist)?)
+        Ok(plan::build_plan(&self.cfg, &snapshot, key, dist))
     }
 
     /// The numeric phase alone: factor `matrix` through a prebuilt
@@ -347,8 +347,8 @@ impl<'a> Session<'a> {
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
         let mut out = match &plan.engine {
-            EnginePlan::Shared => shared_attempt(matrix, cfg, &plan.dag, drift, ev),
-            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, plan, ds, ev),
+            EnginePlan::Shared(graph) => shared_attempt(matrix, cfg, &plan.space, graph, drift, ev),
+            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, &plan.space, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
         Ok(out)
@@ -808,7 +808,8 @@ fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry
 fn shared_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
-    dag: &CholeskyDag,
+    space: &CholeskySpace,
+    graph: &TaskGraph,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
@@ -909,7 +910,7 @@ fn shared_attempt(
     // preallocated here) and the metrics registry, one shard per worker.
     // The engine times every task once and reports it to both — this
     // function never reads a clock per task.
-    let obs = cfg.collect_trace.then(|| ExecObs::new(dag.graph.len()));
+    let obs = cfg.collect_trace.then(|| ExecObs::new(graph.len()));
     let registry = Registry::new(nthreads);
     record_cache_events(&registry, ev);
 
@@ -920,11 +921,11 @@ fn shared_attempt(
         .with_cancel(&cancel)
         .with_obs((&registry, obs.as_ref()));
     let exec_t0 = std::time::Instant::now();
-    let exec_result = Engine::new(&dag.graph).run(&engine_cfg, |wid, t| {
+    let exec_result = Engine::new(graph).run(&engine_cfg, |wid, t| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
-        let kind = dag.space.kind(t);
+        let kind = space.kind(t);
         let ops = kind.operands();
         // Locks in packed order: the reads, then the written tile.
         with_reads(
@@ -1008,10 +1009,11 @@ fn shared_attempt(
 
     let rank_evolution = drain_workspaces(workspaces, &registry);
     let registry = registry.snapshot();
-    let drift = drift.map(|spec| DriftReport::compute(spec, dag, &registry, None));
+    let drift = drift.map(|spec| DriftReport::compute(spec, space, &registry, None));
     let breakdown = registry.class_busy_seconds();
-    let trace = obs.map(|o| o.finish(&dag.graph));
-    let mut out = outcome(dag, matrix, memory_before_f64, factorization_seconds, registry, trace);
+    let trace = obs.map(|o| o.finish(graph));
+    let mut out =
+        outcome(space, graph, matrix, memory_before_f64, factorization_seconds, registry, trace);
     out.report.breakdown = breakdown;
     out.rank_evolution = rank_evolution;
     out.drift = drift;
@@ -1021,9 +1023,12 @@ fn shared_attempt(
 /// The sections every attempt reports the same way, whichever engine
 /// ran it: the factor report (class breakdown zero, analysis time left
 /// to the driver), the trace with its measured critical path, and the
-/// registry. The caller adds what only its engine has.
+/// registry. The caller adds what only its engine has. `graph` is the
+/// space as the engine read it: laid out for the shared engine, the space
+/// itself for the distributed one.
 fn outcome(
-    dag: &CholeskyDag,
+    space: &CholeskySpace,
+    graph: &impl Dataflow,
     matrix: &TlrMatrix,
     memory_before_f64: usize,
     factorization_seconds: f64,
@@ -1031,18 +1036,18 @@ fn outcome(
     trace: Option<Trace>,
 ) -> RunOutcome {
     let critical_path_seconds = trace.as_ref().map(|trace| {
-        let mut dur = vec![0.0_f64; dag.graph.len()];
+        let mut dur = vec![0.0_f64; graph.len()];
         for r in &trace.records {
             dur[r.task] = r.duration();
         }
-        critical_path(&dag.graph, |t| dur[t]).length
+        critical_path(graph, |t| dur[t]).length
     });
     RunOutcome {
         report: FactorReport {
             factorization_seconds,
             analysis_seconds: 0.0,
-            dag_tasks: dag.graph.len(),
-            dense_dag_tasks: dag.space.analysis().dense_tasks(),
+            dag_tasks: graph.len(),
+            dense_dag_tasks: space.analysis().dense_tasks(),
             final_snapshot: matrix.rank_snapshot(),
             memory_before_f64,
             memory_after_f64: matrix.memory_f64(),
@@ -1056,7 +1061,7 @@ fn outcome(
         trace,
         critical_path_seconds,
         rank_evolution: RankEvolution::default(),
-        flops_executed: dag.graph.total_flops(),
+        flops_executed: (0..graph.len()).map(|t| graph.spec(t).flops).sum(),
         registry: Some(registry),
         drift: None,
     }
@@ -1069,58 +1074,17 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
     registry.add(0, Counter::PlanCacheEvictions, ev.evictions);
 }
 
-/// Scatter and run with payload type `P`: move the matrix tiles into
-/// per-rank stores wrapped as `P`, run `body` once per DAG task, and hand
-/// the final stores back unwrapped, ready to gather.
-fn run_ranks<P: TilePayload>(
-    matrix: &mut TlrMatrix,
-    dag: &CholeskyDag,
-    ds: &DistStatic,
-    dist_cfg: &DistConfig<'_>,
-    hooks: Option<&IntegrityHooks<'_, P>>,
-    body: &RankBody<'_>,
-) -> Result<DistOutcome<Tile>, EngineError> {
-    let initial = scatter_tiles::<P>(matrix, &ds.placement, ds.nprocs);
-    let out = DistEngine::new(&dag.graph, ds.nprocs, &ds.exec_rank).run(
-        initial,
-        dist_cfg,
-        &ds.order,
-        hooks,
-        |t, ctx| body.run(t, ctx),
-    )?;
-    Ok(out.map(P::into_tile))
-}
-
 impl Session<'_> {
-    /// One distributed attempt on the virtual-time [`DistEngine`]:
-    /// scatter → run → gather.
-    ///
-    /// All placement and ordering decisions come off the plan's
-    /// [`DistStatic`]; this function only moves tiles and runs the task
-    /// body.
+    /// One distributed attempt on the virtual-time [`DistEngine`], on
+    /// digest-sealed payloads when the integrity layer is armed.
     fn distributed_attempt(
         &self,
         matrix: &mut TlrMatrix,
-        plan: &SymbolicPlan,
+        space: &CholeskySpace,
         ds: &DistStatic,
         ev: CacheEvents,
     ) -> Result<RunOutcome, RunError> {
-        let (cfg, ft, nprocs, dag) = (&self.cfg, self.fault_layer(), ds.nprocs, &plan.dag);
-        let memory_before_f64 = matrix.memory_f64();
-        let tile_size = matrix.tile_size();
-        let body = RankBody::new(dag, &ds.preds, cfg, tile_size, nprocs);
-        // The metrics registry shards per emulated rank: task counts and
-        // virtual per-class durations land in the executing rank's shard,
-        // fault and integrity events in shard 0.
-        let registry = Registry::new(nprocs);
-        record_cache_events(&registry, ev);
-        let dist_cfg = DistConfig {
-            ft,
-            record_trace: cfg.collect_trace,
-            metrics: &registry,
-        };
-        let exec_t0 = std::time::Instant::now();
-        let mut out = if self.sealed_payloads() {
+        if self.sealed_payloads() {
             // Every tile travels with its exact content digest; the body
             // reseals what it writes (`TilePayload::from_tile`), and the
             // engine verifies at each read boundary, healing from lineage
@@ -1131,19 +1095,51 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            run_ranks(matrix, dag, ds, &dist_cfg, Some(&hooks), &body)
+            self.run_ranks(matrix, space, ds, ev, Some(&hooks))
         } else {
-            run_ranks::<Tile>(matrix, dag, ds, &dist_cfg, None, &body)
-        }?;
+            self.run_ranks::<Tile>(matrix, space, ds, ev, None)
+        }
+    }
+
+    /// Scatter → run → gather with payload type `P`: move the matrix
+    /// tiles into per-rank stores wrapped as `P`, run the task body once
+    /// per task of the space, and move the final versions back.
+    ///
+    /// All placement decisions come off the plan's [`DistStatic`] and
+    /// the order off the space; this function only moves tiles and runs
+    /// the task body.
+    fn run_ranks<P: TilePayload>(
+        &self,
+        matrix: &mut TlrMatrix,
+        space: &CholeskySpace,
+        ds: &DistStatic,
+        ev: CacheEvents,
+        hooks: Option<&IntegrityHooks<'_, P>>,
+    ) -> Result<RunOutcome, RunError> {
+        let (cfg, nprocs) = (&self.cfg, ds.nprocs);
+        let memory_before_f64 = matrix.memory_f64();
+        let body = RankBody::new(space, cfg, matrix.tile_size(), nprocs);
+        // The metrics registry shards per emulated rank: task counts and
+        // virtual per-class durations land in the executing rank's shard,
+        // fault and integrity events in shard 0.
+        let registry = Registry::new(nprocs);
+        record_cache_events(&registry, ev);
+        let dist_cfg = DistConfig {
+            ft: self.fault_layer(),
+            record_trace: cfg.collect_trace,
+            metrics: &registry,
+        };
+        let exec_t0 = std::time::Instant::now();
+        let initial = scatter_tiles::<P>(matrix, &ds.placement, nprocs);
+        let mut out = DistEngine::new(space, nprocs, &ds.exec_rank).run(
+            initial,
+            &dist_cfg,
+            hooks,
+            |t, ctx| body.run(t, ctx),
+        )?;
         let factorization_seconds = exec_t0.elapsed().as_secs_f64();
 
-        gather_tiles(
-            matrix,
-            &ds.last_writer,
-            &ds.placement,
-            &out.exec_rank,
-            &mut out.stores,
-        );
+        gather_tiles(matrix, &mut out.stores);
         if let Some(e) = body.error.into_inner() {
             return Err(RunError::Numeric(e));
         }
@@ -1151,7 +1147,7 @@ impl Session<'_> {
         let registry = registry.snapshot();
         // The comm model prices the run's final task→rank mapping.
         let drift = self.drift.as_ref().map(|spec| {
-            DriftReport::compute(spec, dag, &registry, Some((&out.exec_rank, out.comm)))
+            DriftReport::compute(spec, space, &registry, Some((&out.exec_rank, out.comm)))
         });
         Ok(RunOutcome {
             comm: Some(out.comm),
@@ -1160,7 +1156,8 @@ impl Session<'_> {
             rank_evolution,
             drift,
             ..outcome(
-                dag,
+                space,
+                space,
                 matrix,
                 memory_before_f64,
                 factorization_seconds,

@@ -319,7 +319,7 @@ pub fn simulate_cholesky_faulty(
         critical_path_seconds: cp.length,
         comm: report.comm,
         writeback_bytes,
-        load_imbalance: report.load_imbalance(),
+        load_imbalance: report.trace.load_imbalance(nodes),
         breakdown: report.trace.breakdown(),
         generation_seconds,
         compression_seconds,

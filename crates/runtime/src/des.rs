@@ -97,10 +97,9 @@ pub struct CommStats {
 pub struct DesReport {
     /// Virtual time when the last task retires.
     pub makespan: f64,
-    /// Full task trace (virtual clock).
+    /// Full task trace (virtual clock): busy seconds per process and the
+    /// load imbalance are [`Trace`]'s functions of it.
     pub trace: Trace,
-    /// Busy seconds per process.
-    pub busy: Vec<f64>,
     /// Communication totals.
     pub comm: CommStats,
     /// Fail-stop crashes that fired before the run completed.
@@ -113,19 +112,6 @@ pub struct DesReport {
     pub reexecuted: usize,
     /// Store-corruption strikes that fired before the run completed.
     pub corruptions: usize,
-}
-
-impl DesReport {
-    /// `max busy / mean busy` over processes (1.0 = perfectly balanced).
-    pub fn load_imbalance(&self) -> f64 {
-        let max = self.busy.iter().cloned().fold(0.0_f64, f64::max);
-        let mean = self.busy.iter().sum::<f64>() / self.busy.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -337,11 +323,10 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         if self.completed < n {
             return Err(EngineError::Fault(FtError::Stalled { pending: n - self.completed }));
         }
-        // `makespan` and `busy` are derived from the trace, the single
-        // source of truth for span accounting, rather than double-booked.
-        let trace = &self.report.trace;
-        let (makespan, busy) = (trace.makespan(), trace.busy_per_proc(self.config.nprocs));
-        Ok(DesReport { makespan, busy, ..self.report })
+        // `makespan` is derived from the trace, the single source of truth
+        // for span accounting, rather than double-booked.
+        let makespan = self.report.trace.makespan();
+        Ok(DesReport { makespan, ..self.report })
     }
 
     /// Queue `event` at `at`: on the current-instant stream when `at` is
@@ -1220,8 +1205,9 @@ mod tests {
             task_mgmt_s: 0.0,
         };
         let r = run(&g, &tasks, &cfg).unwrap();
-        assert!((r.busy[0] - 2.0).abs() < 1e-12);
-        assert!((r.busy[1] - 2.0).abs() < 1e-12);
-        assert!((r.load_imbalance() - 1.0).abs() < 1e-12);
+        let busy = r.trace.busy_per_proc(2);
+        assert!((busy[0] - 2.0).abs() < 1e-12);
+        assert!((busy[1] - 2.0).abs() < 1e-12);
+        assert!((r.trace.load_imbalance(2) - 1.0).abs() < 1e-12);
     }
 }

@@ -1,6 +1,12 @@
 //! The distributed-memory [`DistEngine`]: one deterministic
 //! virtual-time event loop over emulated ranks.
 //!
+//! The engine reads its graph through [`Dataflow`], as the
+//! discrete-event simulator does, so a Cholesky run hands it the implicit
+//! task space and no graph is laid out. Every rank runs its tasks in the
+//! graph's stored topological order; the only plan it takes beside the
+//! graph is the task → rank map.
+//!
 //! A run reports each fact once: the traffic it put on the wire,
 //! retransmissions included, is [`DistOutcome::comm`]; every fault
 //! event (drop, duplicate, crash, heal, …) is counted into shard 0 of
@@ -12,7 +18,7 @@ use super::EngineError;
 use crate::des::CommStats;
 use crate::event_queue::EventQueue;
 use crate::fault::{FtConfig, FtError, IntegrityError};
-use crate::graph::{DataRef, TaskGraph, TaskId};
+use crate::graph::{DataRef, Dataflow, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::obs::RunEvent;
 use crate::trace::{TaskRecord, Trace};
@@ -138,26 +144,6 @@ pub struct DistOutcome<P> {
     pub trace: Option<Trace>,
 }
 
-impl<P> DistOutcome<P> {
-    /// The same outcome over converted payloads — how a caller that ran
-    /// on wrapped payloads (digest-sealed tiles) gets the plain ones back.
-    pub fn map<Q>(self, f: impl Fn(P) -> Q) -> DistOutcome<Q> {
-        let stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.into_iter().map(|(d, p)| (d, f(p))).collect())
-            .collect();
-        DistOutcome {
-            stores,
-            exec_rank: self.exec_rank,
-            comm: self.comm,
-            makespan: self.makespan,
-            events: self.events,
-            trace: self.trace,
-        }
-    }
-}
-
 /// Sender-side log entry for one logical message (producer → consumer
 /// for one datum). Attempts share the entry; the payload is retained
 /// for crash replay.
@@ -200,37 +186,6 @@ enum Event {
     Crash { rank: usize },
 }
 
-/// Check that `order` is a topological permutation of `graph`'s task
-/// ids. A plan computed against a *different* graph (stale cache entry,
-/// wrong trim) fails here instead of deadlocking the rank queues.
-fn validate_topo_order(graph: &TaskGraph, order: &[TaskId]) -> Result<(), EngineError> {
-    let ntasks = graph.len();
-    if order.len() != ntasks {
-        return Err(EngineError::InvalidOrder {
-            reason: "length does not match task count",
-        });
-    }
-    let mut pos = vec![usize::MAX; ntasks];
-    for (p, &t) in order.iter().enumerate() {
-        if t >= ntasks || pos[t] != usize::MAX {
-            return Err(EngineError::InvalidOrder {
-                reason: "not a permutation of the task ids",
-            });
-        }
-        pos[t] = p;
-    }
-    for src in 0..ntasks {
-        for e in graph.successors(src) {
-            if pos[src] >= pos[e.dst] {
-                return Err(EngineError::InvalidOrder {
-                    reason: "order violates a dependency edge",
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The distributed-memory engine (message-passing emulation).
 ///
 /// Each rank owns a **private** payload store (no shared data), and every
@@ -241,7 +196,8 @@ fn validate_topo_order(graph: &TaskGraph, order: &[TaskId]) -> Result<(), Engine
 /// silent success.
 ///
 /// The engine is a deterministic virtual-time event loop. Each rank
-/// executes its tasks in a global topological order; messages are
+/// executes its tasks in the graph's stored topological order
+/// ([`Dataflow::order`]); messages are
 /// sequence-numbered, logged by the sender, deduplicated by the
 /// receiver, and retransmitted on timeout with capped exponential
 /// backoff; fail-stop crashes are recovered by task migration,
@@ -263,18 +219,19 @@ fn validate_topo_order(graph: &TaskGraph, order: &[TaskId]) -> Result<(), Engine
 /// co-resident — a migrated consumer must see its producer's logged
 /// payload, not whatever newer version of that datum the survivor's
 /// store holds.
-pub struct DistEngine<'g, 'r> {
-    graph: &'g TaskGraph,
+pub struct DistEngine<'g, 'r, G> {
+    graph: &'g G,
     nprocs: usize,
     exec_rank: &'r [usize],
 }
 
-impl<'g, 'r> DistEngine<'g, 'r> {
-    /// An engine over `graph` with `nprocs` emulated ranks and the given
-    /// task → rank execution map. Validation happens in
+impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
+    /// An engine over `graph` — a laid-out [`TaskGraph`](crate::graph::TaskGraph)
+    /// or an implicit task space — with `nprocs` emulated ranks and the
+    /// given task → rank execution map. Validation happens in
     /// [`run`](DistEngine::run) (so misconfiguration is a typed
     /// [`EngineError`], not a panic).
-    pub fn new(graph: &'g TaskGraph, nprocs: usize, exec_rank: &'r [usize]) -> Self {
+    pub fn new(graph: &'g G, nprocs: usize, exec_rank: &'r [usize]) -> Self {
         DistEngine { graph, nprocs, exec_rank }
     }
 
@@ -287,12 +244,12 @@ impl<'g, 'r> DistEngine<'g, 'r> {
     /// panic of [`RankCtx::get`]). `body` must be deterministic for the
     /// fault-recovery equivalence to hold.
     ///
-    /// `order` *is* the schedule: every rank executes its tasks in this
-    /// order, front-only, so it must be a topological permutation of the
-    /// task ids — typically the priority-driven topological order a
-    /// symbolic plan computes once. It is validated (length, permutation,
-    /// edge direction) and rejected as [`EngineError::InvalidOrder`]
-    /// rather than risking a front-queue deadlock.
+    /// The graph's stored topological order ([`Dataflow::order`]) *is*
+    /// the schedule: every rank executes its tasks in it, front-only. On
+    /// a Cholesky task space that is id order, which is the panel-priority
+    /// order (ids are grouped by panel and every edge runs to a higher
+    /// id). A graph without one has a cycle and is rejected as
+    /// [`EngineError::Cycle`].
     ///
     /// With `hooks`, the silent-data-corruption integrity layer is armed:
     /// the engine injects the fault plan's corruption entries (in-flight
@@ -324,7 +281,6 @@ impl<'g, 'r> DistEngine<'g, 'r> {
         &self,
         initial: Vec<HashMap<DataRef, P>>,
         cfg: &DistConfig<'_>,
-        order: &[TaskId],
         hooks: Option<&IntegrityHooks<'_, P>>,
         body: F,
     ) -> Result<DistOutcome<P>, EngineError>
@@ -340,7 +296,7 @@ impl<'g, 'r> DistEngine<'g, 'r> {
         if initial.len() != nprocs {
             return Err(EngineError::StoreCount { expected: nprocs, got: initial.len() });
         }
-        validate_topo_order(graph, order)?;
+        let order = graph.order().ok_or(EngineError::Cycle)?;
         if let Some((task, &rank)) = exec_rank.iter().enumerate().find(|(_, &r)| r >= nprocs) {
             return Err(EngineError::InvalidRank { task, rank, nprocs });
         }
@@ -386,8 +342,8 @@ impl<'g, 'r> DistEngine<'g, 'r> {
 }
 
 /// The state of one [`DistEngine::run`]: one method per event kind.
-struct Run<'a, P, F> {
-    graph: &'a TaskGraph,
+struct Run<'a, P, F, G> {
+    graph: &'a G,
     ft: &'a FtConfig,
     hooks: Option<&'a IntegrityHooks<'a, P>>,
     metrics: &'a Registry,
@@ -439,14 +395,15 @@ struct Run<'a, P, F> {
     trace: Option<Trace>,
 }
 
-impl<'a, P, F> Run<'a, P, F>
+impl<'a, P, F, G> Run<'a, P, F, G>
 where
     P: Clone,
     F: Fn(TaskId, &mut RankCtx<'_, P>),
+    G: Dataflow,
 {
     fn new(
-        engine: &DistEngine<'a, '_>,
-        order: &[TaskId],
+        engine: &DistEngine<'a, '_, G>,
+        order: impl Iterator<Item = TaskId>,
         initial: Vec<HashMap<DataRef, P>>,
         ft: &'a FtConfig,
         cfg: &DistConfig<'a>,
@@ -456,15 +413,19 @@ where
         let (graph, nprocs, exec_rank) = (engine.graph, engine.nprocs, engine.exec_rank);
         let ntasks = graph.len();
         let mut topo_pos = vec![0usize; ntasks];
-        for (pos, &t) in order.iter().enumerate() {
+        let mut queue: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); nprocs];
+        for (pos, t) in order.enumerate() {
             topo_pos[t] = pos;
+            queue[exec_rank[t]].push_back(t);
         }
         let mut local_preds: Vec<Vec<TaskId>> = vec![Vec::new(); ntasks];
         let mut local_reads: Vec<Vec<DataRef>> = vec![Vec::new(); ntasks];
         let mut remote_preds: Vec<Vec<(TaskId, DataRef)>> = vec![Vec::new(); ntasks];
         let mut remote_sends: Vec<Vec<(TaskId, DataRef, u64)>> = vec![Vec::new(); ntasks];
+        let mut successors = Vec::new();
         for src in 0..ntasks {
-            for e in graph.successors(src) {
+            graph.successors_into(src, &mut successors);
+            for e in &successors {
                 if exec_rank[e.dst] == exec_rank[src] {
                     local_preds[e.dst].push(src);
                     if !local_reads[e.dst].contains(&e.data) {
@@ -475,10 +436,6 @@ where
                     remote_sends[src].push((e.dst, e.data, e.bytes));
                 }
             }
-        }
-        let mut queue: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); nprocs];
-        for &t in order {
-            queue[exec_rank[t]].push_back(t);
         }
         let mut events = EventQueue::new();
         for c in &ft.plan.crashes {
@@ -903,7 +860,7 @@ where
             }
         };
         let mut undone: Vec<TaskId> = (0..self.graph.len())
-            .filter(|&t| self.graph.spec(t).writes == Some(d) && self.done[t])
+            .filter(|&t| self.done[t] && self.graph.spec(t).writes == Some(d))
             .collect();
         undone.sort_unstable_by_key(|&t| self.topo_pos[t]);
         if let Some(&last) = undone.last() {
@@ -973,7 +930,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryConfig};
-    use crate::graph::{GraphBuilder, TaskClass, TaskSpec};
+    use crate::graph::{GraphBuilder, TaskClass, TaskGraph, TaskSpec};
     use crate::obs::registry::RegistrySnapshot;
     use std::sync::OnceLock;
 
@@ -1008,13 +965,6 @@ mod tests {
         g.finish()
     }
 
-    /// The graph's stored order (creation order: every test graph here
-    /// draws its edges from lower ids to higher): the schedule of these
-    /// tests.
-    fn topo(g: &TaskGraph) -> Vec<TaskId> {
-        g.order().expect("test graphs are acyclic").collect()
-    }
-
     /// Counted run: `cfg` with a registry of its own, whose snapshot
     /// comes back beside the outcome.
     type Counted<P> = Result<(DistOutcome<P>, RegistrySnapshot), EngineError>;
@@ -1025,7 +975,7 @@ mod tests {
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); nprocs];
         let reg = Registry::new(1);
         let cfg = DistConfig { metrics: &reg, ..*cfg };
-        let out = DistEngine::new(&g, nprocs, &exec).run(initial, &cfg, &topo(&g), None, |t, ctx| {
+        let out = DistEngine::new(&g, nprocs, &exec).run(initial, &cfg, None, |t, ctx| {
             let v = if t == 0 {
                 1
             } else {
@@ -1127,7 +1077,7 @@ mod tests {
         let reg = Registry::new(1);
         let cfg = DistConfig { metrics: &reg, ..*cfg };
         let engine = DistEngine::new(&g, nprocs, &exec);
-        let out = engine.run(initial, &cfg, &topo(&g), Some(&hooks), |t, ctx| {
+        let out = engine.run(initial, &cfg, Some(&hooks), |t, ctx| {
             let v = if t == 0 {
                 1
             } else {
@@ -1332,11 +1282,10 @@ mod tests {
         let g = dist_chain(4);
         let initial4: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 4];
         let body = |_t: TaskId, _ctx: &mut RankCtx<'_, i64>| {};
-        let order = topo(&g);
 
         // Wrong rank-map length.
         let err = DistEngine::new(&g, 4, &[0, 1])
-            .run(initial4.clone(), &plain(), &order, None, body)
+            .run(initial4.clone(), &plain(), None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1348,7 +1297,7 @@ mod tests {
 
         // Wrong store count.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
-            .run(vec![HashMap::new(); 2], &plain(), &order, None, body)
+            .run(vec![HashMap::new(); 2], &plain(), None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1360,7 +1309,7 @@ mod tests {
 
         // Rank out of range.
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 9])
-            .run(initial4.clone(), &plain(), &order, None, body)
+            .run(initial4.clone(), &plain(), None, body)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1378,20 +1327,23 @@ mod tests {
             .run(
                 initial4,
                 &DistConfig { ft: Some(&ft), ..plain() },
-                &order,
                 None,
                 body,
             )
             .unwrap_err();
         assert_eq!(err, EngineError::InvalidCrashRank { rank: 7, nprocs: 4 });
 
-        // An order that is not a topological permutation of the tasks.
-        for bad in [vec![0, 1, 2], vec![0, 1, 2, 2], vec![1, 0, 2, 3]] {
-            let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
-                .run(vec![HashMap::new(); 4], &plain(), &bad, None, body)
-                .unwrap_err();
-            assert!(matches!(err, EngineError::InvalidOrder { .. }), "{bad:?}: {err:?}");
+        // A cyclic graph has no order to run.
+        let mut cyclic = GraphBuilder::new();
+        for k in 0..2 {
+            cyclic.add_task(dspec(k, DataRef { i: k, j: 0 }));
         }
+        cyclic.add_edge(0, 1, DataRef { i: 0, j: 0 }, 8);
+        cyclic.add_edge(1, 0, DataRef { i: 1, j: 0 }, 8);
+        let err = DistEngine::new(&cyclic.finish(), 2, &[0, 1])
+            .run(vec![HashMap::new(); 2], &plain(), None, body)
+            .unwrap_err();
+        assert_eq!(err, EngineError::Cycle);
     }
 
     // ---------------- message passing ----------------
@@ -1404,7 +1356,7 @@ mod tests {
         body: F,
     ) -> Vec<HashMap<DataRef, P>> {
         DistEngine::new(graph, nprocs, exec)
-            .run(initial, &plain(), &topo(graph), None, body)
+            .run(initial, &plain(), None, body)
             .expect("run must succeed")
             .stores
     }
@@ -1716,7 +1668,7 @@ mod tests {
         let ft = FtConfig::with_plan(plan);
         let dcfg = DistConfig { ft: Some(&ft), ..plain() };
         let out = DistEngine::new(&g, nprocs, &exec)
-            .run(initial, &dcfg, &topo(&g), None, |t, ctx| {
+            .run(initial, &dcfg, None, |t, ctx| {
                 if t == root {
                     ctx.put(DataRef { i: 0, j: 0 }, 7);
                 } else if t == sink {
@@ -1762,7 +1714,7 @@ mod tests {
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let cfg = plain();
-            let _ = DistEngine::new(&g, 2, &exec).run(initial, &cfg, &[0, 1], None, |t, ctx| {
+            let _ = DistEngine::new(&g, 2, &exec).run(initial, &cfg, None, |t, ctx| {
                 if t == 0 {
                     ctx.put(DataRef { i: 0, j: 0 }, 1);
                 } else {
@@ -1782,7 +1734,7 @@ mod tests {
         let initial: Vec<HashMap<DataRef, i64>> = vec![HashMap::new(); 2];
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let cfg = plain();
-            let _ = DistEngine::new(&g, 2, &[0, 1]).run(initial, &cfg, &[0, 1], None, |_, _| {});
+            let _ = DistEngine::new(&g, 2, &[0, 1]).run(initial, &cfg, None, |_, _| {});
         }))
         .expect_err("an edge whose datum was never put must be caught");
         let msg = payload

@@ -107,15 +107,6 @@ pub enum EngineError {
         /// The rank count.
         nprocs: usize,
     },
-    /// The execution order supplied to [`DistEngine::run`] is unusable:
-    /// wrong length, not a
-    /// permutation of the task ids, or not topological for the graph.
-    /// Running it anyway would deadlock the front-only rank queues, so
-    /// it is rejected up front.
-    InvalidOrder {
-        /// What check the order failed.
-        reason: &'static str,
-    },
     /// The fault layer could not recover (all ranks dead, retries
     /// exhausted, or the run stalled).
     Fault(FtError),
@@ -152,9 +143,6 @@ impl std::fmt::Display for EngineError {
                     f,
                     "fault plan targets invalid rank {rank} (nprocs {nprocs})"
                 )
-            }
-            EngineError::InvalidOrder { reason } => {
-                write!(f, "execution order rejected: {reason}")
             }
             EngineError::Fault(e) => write!(f, "unrecoverable runtime fault: {e}"),
         }

@@ -5,9 +5,8 @@
 //! it writes, the tiles it reads, a flop count and a scheduling priority;
 //! each edge carries the number of bytes that flow along it (zero for pure
 //! control dependencies). The graph is built by the algorithm front-end
-//! (`hicma-core`) and consumed by the shared-memory executor and the
-//! distributed engine — the same structure PaRSEC's scheduler and
-//! communication engine share.
+//! (`hicma-core`) for the shared-memory executor, and by hand for tests
+//! of every engine.
 //!
 //! The graph is flat and read-only: one task table, one edge array holding
 //! every successor list back to back (CSR), and a topological order fixed
@@ -21,11 +20,11 @@
 //! [`GraphBuilder`], whose [`finish`](GraphBuilder::finish) groups them by
 //! source and lays them out the same way.
 //!
-//! The discrete-event simulator and the critical path read a graph
-//! through [`Dataflow`], task by task: a [`TaskGraph`] serves it from its
-//! tables, and an implicit task space (`hicma_core::dag::CholeskySpace`)
-//! derives every task and successor list on demand, so the graph it
-//! describes is never materialized.
+//! The discrete-event simulator, the distributed engine and the critical
+//! path read a graph through [`Dataflow`], task by task: a [`TaskGraph`]
+//! serves it from its tables, and an implicit task space
+//! (`hicma_core::dag::CholeskySpace`) derives every task and successor
+//! list on demand, so the graph it describes is never materialized.
 
 use serde::{Deserialize, Serialize};
 
@@ -333,8 +332,9 @@ impl TaskGraph {
     }
 }
 
-/// A task graph as the discrete-event simulator and the critical path
-/// read it: one task and one successor list at a time. A
+/// A task graph as the discrete-event simulator, the distributed engine
+/// and the critical path read it: one task and one successor list at a
+/// time. A
 /// [`TaskGraph`] serves it from its tables; an implicit task space derives
 /// each answer from a symbolic description instead, so the graph is never
 /// laid out.

@@ -4,8 +4,10 @@
 //! numeric recovery path (bounded diagonal-shift retries) must rescue
 //! borderline-indefinite operators end to end.
 
-use hicma_parsec::cholesky::{factorize, FactorConfig, IntegrityMode, Session};
-use hicma_parsec::distribution::DiamondDistribution;
+use hicma_parsec::cholesky::{
+    factorize, CholeskySpace, DagConfig, FactorConfig, IntegrityMode, Session, TaskKind,
+};
+use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
@@ -14,6 +16,7 @@ use hicma_parsec::mesh::GaussianRbf;
 use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Shared fixture: a Hilbert-ordered virus cloud and its kernel.
@@ -107,6 +110,53 @@ fn faulty_network_and_crash_reproduce_shared_memory_factor() {
         diff == 0.0,
         "fault recovery must be numerically invisible, got diff {diff}"
     );
+}
+
+/// A crash on a rank that owns a tile no task writes: the tile's only
+/// copy is the dead rank's checkpoint, which recovery hands to a
+/// survivor, and the gather must still find it there. The factor is the
+/// shared-memory one bit for bit.
+#[test]
+fn crash_of_the_owner_of_an_unwritten_tile_reproduces_shared_memory_factor() {
+    let (points, kernel) = fixture(2, 180, 42);
+    let n = points.len();
+    let accuracy = 1e-6;
+    let ccfg = CompressionConfig::with_accuracy(accuracy);
+    let mut shared = TlrMatrix::from_generator(n, 72, kernel.generator(&points), &ccfg);
+    let mut crashed = TlrMatrix::from_generator(n, 72, kernel.generator(&points), &ccfg);
+    let fcfg = FactorConfig::with_accuracy(accuracy);
+    let dist = DiamondDistribution::new(4);
+
+    // Premise: the trimmed DAG leaves some tile owned by rank 1 unwritten.
+    let dag = DagConfig { trimmed: fcfg.trimmed, rank_cap: fcfg.max_rank };
+    let space = CholeskySpace::new(&crashed.rank_snapshot(), &dag);
+    let written: HashSet<(usize, usize)> = space
+        .kinds()
+        .map(|kind| match kind {
+            TaskKind::Potrf { k } => (k, k),
+            TaskKind::Trsm { k, m } => (m, k),
+            TaskKind::Syrk { m, .. } => (m, m),
+            TaskKind::Gemm { m, n, .. } => (m, n),
+        })
+        .collect();
+    let nt = crashed.nt();
+    let unwritten_on_1 = (0..nt)
+        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+        .filter(|&(i, j)| !written.contains(&(i, j)) && dist.owner(i, j) == 1)
+        .count();
+    assert!(unwritten_on_1 > 0, "rank 1 owns no unwritten tile");
+
+    factorize(&mut shared, &fcfg).unwrap();
+    let ft = FtConfig::with_plan(FaultPlan::new(9).with_crash(1, 10.0));
+    let reg = Session::distributed(fcfg, 4, &dist)
+        .with_fault_layer(&ft)
+        .run(&mut crashed)
+        .expect("one crash among four ranks is survivable")
+        .registry
+        .expect("every run reports its registry");
+    assert_eq!(reg.counter(Counter::Crashes), 1, "the scheduled crash must fire");
+    let diff = relative_diff(&crashed.to_dense_lower(), &shared.to_dense_lower());
+    assert!(diff == 0.0, "the gathered factor moved, diff {diff}");
 }
 
 #[test]

@@ -10,7 +10,10 @@ use hicma_parsec::cholesky::dag::{build_cholesky_dag, DagConfig};
 use hicma_parsec::runtime::critical_path::critical_path;
 use hicma_parsec::runtime::des::{single_proc_config, DesTask};
 use hicma_parsec::runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
-use hicma_parsec::runtime::{simulate, Engine, EngineConfig, EngineError, FaultPlan};
+use hicma_parsec::runtime::{
+    simulate, DistConfig, DistEngine, Engine, EngineConfig, EngineError, FaultPlan, RankCtx,
+    Registry,
+};
 use hicma_parsec::tlr::RankSnapshot;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,6 +221,11 @@ proptest! {
         prop_assert_eq!(des.unwrap_err(), EngineError::Cycle);
         let run = Engine::new(&g).run(&EngineConfig::new(2), |_w, _t| {});
         prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);
+        let registry = Registry::new(1);
+        let cfg = DistConfig { ft: None, record_trace: false, metrics: &registry };
+        let body = |_t: TaskId, _ctx: &mut RankCtx<'_, u8>| {};
+        let dist = DistEngine::new(&g, 1, &vec![0; n]).run(vec![Default::default()], &cfg, None, body);
+        prop_assert_eq!(dist.unwrap_err(), EngineError::Cycle);
     }
 }
 

@@ -11,6 +11,12 @@
 //! task, on every successor list in order and on every in-degree; the
 //! graph `build_cholesky_dag` lays out must too, and the critical path
 //! over the space must equal the one over that graph bit for bit.
+//!
+//! A second oracle is the order distributed plans once computed for
+//! their ranks: Kahn's algorithm with the ready set ordered by
+//! `(priority, id)`. On the same snapshots it must equal the stored
+//! order of the space and of the laid-out graph, which is the order the
+//! distributed engine runs.
 
 use hicma_parsec::cholesky::{
     build_cholesky_dag, CholeskySpace, DagConfig, MatrixAnalysis, TaskKind,
@@ -19,6 +25,8 @@ use hicma_parsec::runtime::critical_path::critical_path;
 use hicma_parsec::runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskGraph, TaskId};
 use hicma_parsec::tlr::{low_rank_pays_off, RankSnapshot};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The tile a task overwrites and the tiles it reads, in packed order.
 fn operands(kind: TaskKind) -> (DataRef, Vec<DataRef>) {
@@ -173,8 +181,59 @@ fn agree(snap: &RankSnapshot, cfg: &DagConfig) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Kahn's algorithm with the ready set ordered by `(priority, id)`,
+/// lowest first; `None` on a cyclic graph.
+fn priority_order(g: &impl Dataflow) -> Option<Vec<TaskId>> {
+    let mut indegree = g.indegrees();
+    let key = |t: TaskId| Reverse((g.priority(t), t));
+    let mut ready: BinaryHeap<_> = (0..g.len()).filter(|&t| indegree[t] == 0).map(key).collect();
+    let (mut order, mut successors) = (Vec::with_capacity(g.len()), Vec::new());
+    while let Some(Reverse((_, t))) = ready.pop() {
+        order.push(t);
+        g.successors_into(t, &mut successors);
+        for e in &successors {
+            indegree[e.dst] -= 1;
+            if indegree[e.dst] == 0 {
+                ready.push(key(e.dst));
+            }
+        }
+    }
+    (order.len() == g.len()).then_some(order)
+}
+
+/// The priority-driven order of `snap` under `cfg` is the stored order of
+/// the space and of the graph laid out from it.
+fn stored_order_is_the_priority_order(
+    snap: &RankSnapshot,
+    cfg: &DagConfig,
+) -> Result<(), TestCaseError> {
+    let space = CholeskySpace::new(snap, cfg);
+    let dag = build_cholesky_dag(snap, cfg);
+    let want = priority_order(&space).expect("the space is acyclic");
+    prop_assert_eq!(priority_order(&dag.graph), Some(want.clone()));
+    let on_space: Option<Vec<_>> = Dataflow::order(&space).map(Iterator::collect);
+    prop_assert_eq!(on_space, Some(want.clone()));
+    let on_graph: Option<Vec<_>> = dag.graph.order().map(Iterator::collect);
+    prop_assert_eq!(on_graph, Some(want));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stored_order_matches_the_priority_order(
+        nt in 1usize..25,
+        seed in 0u64..u64::MAX,
+        null_pct in 0u64..101,
+    ) {
+        let snap = random_snapshot(nt, seed, null_pct);
+        for trimmed in [true, false] {
+            for rank_cap in [snap.tile_size(), 4] {
+                stored_order_is_the_priority_order(&snap, &DagConfig { trimmed, rank_cap })?;
+            }
+        }
+    }
 
     #[test]
     fn task_space_matches_the_last_writer_walk(
