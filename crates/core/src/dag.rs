@@ -23,21 +23,18 @@
 //! one (§IV-A): a handful of O(NT²) tables — the first task id of every
 //! panel and Algorithm 1's row and update lists — from which it derives,
 //! on demand, a task's identity from its id and back, its [`TaskSpec`],
-//! its price and its successor list. No task or edge is stored. The
-//! discrete-event simulator, the distributed engine and the critical path
-//! walk the space directly (it is a [`Dataflow`]); [`build_cholesky_dag`]
-//! lays the same space out as a [`TaskGraph`] for the shared engine, so
-//! the dataflow is defined once.
+//! its price and its successor list. No task or edge is stored. Every
+//! engine walks the space directly (it is a [`Dataflow`]): the
+//! work-stealing engine, the distributed engine, the discrete-event
+//! simulator and the critical path, so the dataflow is defined once and
+//! the DAG exists once.
 //!
 //! Every task carries its flop count (priced from the analysis' evolved
 //! rank estimates) and every edge the payload bytes of the tile version
-//! flowing along it, so the same space drives the shared-memory
-//! executor, the distributed engine and the discrete-event simulator.
+//! flowing along it.
 
 use crate::analysis::MatrixAnalysis;
-use runtime::graph::{
-    DataRef, Dataflow, Edge, GraphLayout, TaskClass, TaskGraph, TaskId, TaskSpec,
-};
+use runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskId, TaskSpec};
 use tlr_compress::kernels::flops;
 use tlr_compress::{low_rank_pays_off, RankSnapshot};
 
@@ -146,14 +143,15 @@ impl Default for DagConfig {
     }
 }
 
-/// A Cholesky task space laid out as a graph, for the shared engine.
+/// A Cholesky task space with every task's flop count beside it.
+///
+/// The benchmark's DAG-level probes (`pipeline_bench`) read a run's task
+/// graph through this pair, `.graph` and `.flops`; that is why it exists.
+/// Library code builds a [`CholeskySpace`] directly.
 pub struct CholeskyDag {
-    /// The dataflow graph (tasks + byte-annotated edges).
-    pub graph: TaskGraph,
-    /// The task space the graph was laid out from: task identities,
-    /// prices and the symbolic analysis.
-    pub space: CholeskySpace,
-    /// Per-task flop counts.
+    /// The task space (tasks + byte-annotated edges, derived on demand).
+    pub graph: CholeskySpace,
+    /// Per-task flop counts, in id order.
     pub flops: Vec<f64>,
 }
 
@@ -251,6 +249,16 @@ impl CholeskySpace {
         space
     }
 
+    /// Number of tasks.
+    pub fn len(&self) -> usize {
+        self.first[self.analysis.nt()]
+    }
+
+    /// `true` when the space has no tasks (an empty tile grid).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The symbolic analysis the space was built from.
     pub fn analysis(&self) -> &MatrixAnalysis {
         &self.analysis
@@ -339,6 +347,13 @@ impl CholeskySpace {
     /// # Panics
     /// Panics if `kind` is not a task of the space.
     pub fn id(&self, kind: TaskKind) -> TaskId {
+        let nt = self.analysis.nt();
+        let in_grid = match kind {
+            TaskKind::Potrf { k } => k < nt,
+            TaskKind::Trsm { k, m } | TaskKind::Syrk { k, m } => k < m && m < nt,
+            TaskKind::Gemm { k, m, n } => k < n && n < m && m < nt,
+        };
+        assert!(in_grid, "{kind:?} is not a task of the space");
         let k = kind.panel();
         let (base, r) = (self.first[k], self.rows(k).len());
         match kind {
@@ -369,16 +384,6 @@ impl CholeskySpace {
     /// What `kind` costs under the analysis' final ranks.
     pub fn price(&self, kind: TaskKind) -> TaskPrice {
         price(kind, &self.analysis.final_ranks)
-    }
-
-    /// The runtime's view of `kind`.
-    pub(crate) fn spec_of(&self, kind: TaskKind) -> TaskSpec {
-        TaskSpec {
-            class: kind.class(),
-            priority: kind.panel(),
-            writes: Some(kind.operands().writes),
-            flops: self.price(kind).flops,
-        }
     }
 
     /// Number of edges into `kind`: one per operand whose current version
@@ -441,15 +446,26 @@ impl CholeskySpace {
 
 impl Dataflow for CholeskySpace {
     fn len(&self) -> usize {
-        self.first[self.analysis.nt()]
+        CholeskySpace::len(self)
     }
 
     fn spec(&self, t: TaskId) -> TaskSpec {
-        self.spec_of(self.kind(t))
+        let kind = self.kind(t);
+        TaskSpec {
+            class: kind.class(),
+            priority: kind.panel(),
+            writes: Some(kind.operands().writes),
+            flops: self.price(kind).flops,
+        }
     }
 
     fn priority(&self, t: TaskId) -> usize {
         self.panel(t)
+    }
+
+    /// The class alone: no price.
+    fn class(&self, t: TaskId) -> TaskClass {
+        self.kind(t).class()
     }
 
     fn indegrees(&self) -> Vec<usize> {
@@ -467,21 +483,13 @@ impl Dataflow for CholeskySpace {
     }
 }
 
-/// Lay the task space of an initial rank snapshot out as a graph, in one
-/// pass: the space counts the tasks and edges, so every table is sized
-/// once and each task's successor list goes straight into place.
+/// The task space of an initial rank snapshot and every task's flop
+/// count, priced once.
 pub fn build_cholesky_dag(initial: &RankSnapshot, cfg: &DagConfig) -> CholeskyDag {
     let space = CholeskySpace::new(initial, cfg);
-    let mut layout = GraphLayout::new(space.len(), space.num_edges());
     let mut flops = Vec::with_capacity(space.len());
-    let mut successors = Vec::new();
-    for kind in space.kinds() {
-        let spec = space.spec_of(kind);
-        flops.push(spec.flops);
-        space.successors_of(kind, &mut successors);
-        layout.push(spec, successors.drain(..));
-    }
-    CholeskyDag { graph: layout.finish(), space, flops }
+    flops.extend(space.kinds().map(|kind| space.price(kind).flops));
+    CholeskyDag { graph: space, flops }
 }
 
 /// The price of one task under the final ranks.
@@ -595,7 +603,7 @@ mod tests {
         let potrf_on_path = cp
             .tasks
             .iter()
-            .filter(|&&t| matches!(dag.space.kind(t), TaskKind::Potrf { .. }))
+            .filter(|&&t| matches!(dag.graph.kind(t), TaskKind::Potrf { .. }))
             .count();
         assert_eq!(potrf_on_path, nt, "all POTRFs serialize on the critical path");
     }
@@ -605,8 +613,8 @@ mod tests {
         // (1,0),(2,0) non-null ⇒ fill (2,1) ⇒ TRSM(1,2) must exist.
         let s = snap(3, 64, &[(1, 0, 4), (2, 0, 4)]);
         let dag = build_cholesky_dag(&s, &DagConfig { trimmed: true, rank_cap: 64 });
-        assert!(dag.space.kinds().any(|k| matches!(k, TaskKind::Trsm { k: 1, m: 2 })));
-        assert!(dag.space.kinds().any(|k| matches!(k, TaskKind::Gemm { k: 0, m: 2, n: 1 })));
+        assert!(dag.graph.kinds().any(|k| matches!(k, TaskKind::Trsm { k: 1, m: 2 })));
+        assert!(dag.graph.kinds().any(|k| matches!(k, TaskKind::Gemm { k: 0, m: 2, n: 1 })));
     }
 
     #[test]
@@ -616,8 +624,8 @@ mod tests {
         // stores as many words either way, and compression keeps it LR
         let s = snap(nt, 64, &[(1, 0, 2), (2, 0, 40), (2, 1, 2), (3, 2, 2), (3, 0, 32), (3, 1, 2)]);
         let dag = build_cholesky_dag(&s, &DagConfig::default());
-        for kind in dag.space.kinds() {
-            let price = dag.space.price(kind);
+        for kind in dag.graph.kinds() {
+            let price = dag.graph.price(kind);
             match kind {
                 TaskKind::Trsm { k: 0, m: 1 } => {
                     assert_eq!(price.rank_param, 2);
@@ -653,8 +661,10 @@ mod tests {
         let dense_bytes = (64 * 64 * 8) as u64;
         let mut seen_dense = false;
         let mut seen_lr = false;
+        let mut successors = Vec::new();
         for t in 0..dag.graph.len() {
-            for e in dag.graph.successors(t) {
+            dag.graph.successors_into(t, &mut successors);
+            for e in &successors {
                 if e.bytes == dense_bytes {
                     seen_dense = true;
                 } else if e.bytes == (8 * 4 * 2 * 64) as u64 {
@@ -665,10 +675,50 @@ mod tests {
         assert!(seen_dense && seen_lr);
     }
 
+    /// `id` inverts `kind` on every task and panics on everything else,
+    /// trimmed and untrimmed: a non-task such as `Trsm { k: 1, m: 1 }`,
+    /// `Gemm { k: 0, m: 1, n: 2 }` or a Syrk of a row its panel skips
+    /// must not alias a task's id.
+    #[test]
+    fn id_inverts_kind_and_rejects_every_non_task() {
+        let nt = 6;
+        // Tridiagonal plus (2, 0) and (5, 0): trimming skips rows.
+        let entries = [(1, 0, 4), (2, 0, 4), (2, 1, 4), (3, 2, 4), (4, 3, 4), (5, 4, 4), (5, 0, 4)];
+        let s = snap(nt, 64, &entries);
+        for trimmed in [true, false] {
+            let space = CholeskySpace::new(&s, &DagConfig { trimmed, rank_cap: 64 });
+            let tasks: std::collections::HashSet<TaskKind> = space.kinds().collect();
+            let (mut hits, mut misses) = (0, 0);
+            for k in 0..=nt {
+                for m in 0..=nt {
+                    for n in 0..=nt {
+                        let kinds = [
+                            TaskKind::Potrf { k },
+                            TaskKind::Trsm { k, m },
+                            TaskKind::Syrk { k, m },
+                            TaskKind::Gemm { k, m, n },
+                        ];
+                        for kind in kinds {
+                            if tasks.contains(&kind) {
+                                assert_eq!(space.kind(space.id(kind)), kind);
+                                hits += 1;
+                            } else {
+                                let id = std::panic::catch_unwind(|| space.id(kind));
+                                assert!(id.is_err(), "{kind:?} (trimmed {trimmed}) got {id:?}");
+                                misses += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(hits >= space.len() && misses > 0);
+        }
+    }
+
     #[test]
     fn single_tile_matrix() {
         let dag = build_cholesky_dag(&snap(1, 32, &[]), &DagConfig::default());
         assert_eq!(dag.graph.len(), 1);
-        assert!(matches!(dag.space.kind(0), TaskKind::Potrf { k: 0 }));
+        assert!(matches!(dag.graph.kind(0), TaskKind::Potrf { k: 0 }));
     }
 }

@@ -379,7 +379,6 @@ mod tests {
     #[test]
     fn model_matches_measured_distengine_comm() {
         use crate::factorize::FactorConfig;
-        use crate::plan::EnginePlan;
         use crate::session::Session;
         use distribution::TwoDBlockCyclic;
         use tlr_compress::{CompressionConfig, TlrMatrix};
@@ -395,9 +394,7 @@ mod tests {
         let session = Session::distributed(FactorConfig::with_accuracy(acc), 4, &dist);
 
         let plan = session.plan(&TlrMatrix::from_dense(&dense, b, &ccfg)).unwrap();
-        let EnginePlan::Distributed(ds) = &plan.engine else {
-            panic!("a distributed session plans for the distributed engine")
-        };
+        let ds = plan.dist.as_ref().expect("a distributed session plans a placement");
         let modeled = modeled_comm(&plan.space, &ds.exec_rank);
 
         let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);

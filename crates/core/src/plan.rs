@@ -12,15 +12,13 @@
 //! [`SymbolicPlan`] is the reusable artifact of the symbolic phase: an
 //! immutable, self-contained bundle of
 //!
-//! * the trimmed [`CholeskySpace`], whose tasks the engines run one to
-//!   one: its ids, each task's reads and their producers, and its stored
-//!   order, which is the panel-priority order every engine follows,
-//! * on shared plans, the space laid out as a [`TaskGraph`] for the
-//!   work-stealing engine,
-//! * on distributed plans, the placement instead: the task→rank map and
-//!   the per-tile initial placement, both fixed from the layout's owner
-//!   map when the plan is built. The distributed engine walks the space
-//!   itself.
+//! * the trimmed [`CholeskySpace`], whose tasks every engine walks and
+//!   runs one to one: its ids, each task's reads and their producers,
+//!   and its stored order, which is the panel-priority order every
+//!   engine follows. No plan lays the space out as a graph;
+//! * on distributed plans, the placement beside it: the task→rank map
+//!   and the per-tile initial placement, both fixed from the layout's
+//!   owner map when the plan is built.
 //!
 //! Plans are keyed by a structural fingerprint ([`PlanKey`]) folded with
 //! the same FNV-1a chain as the tile-integrity digests
@@ -36,10 +34,9 @@
 //! compute (`tests/plan_cache.rs` holds every capability subset to
 //! that).
 
-use crate::dag::{build_cholesky_dag, lower, CholeskyDag, CholeskySpace, DagConfig};
+use crate::dag::{lower, CholeskySpace, DagConfig};
 use crate::factorize::FactorConfig;
 use parking_lot::Mutex;
-use runtime::graph::{Dataflow, TaskGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tlr_compress::{RankSnapshot, WordFold};
@@ -100,9 +97,8 @@ pub(crate) struct DistStatic {
 }
 
 /// The immutable artifact of the symbolic phase: the trimmed task space
-/// and what its engine needs beside it (the laid-out graph on shared
-/// plans, the placement on distributed ones), built once and consumed by
-/// any number of numeric runs.
+/// and, on distributed plans, the placement beside it, built once and
+/// consumed by any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
 /// implicitly through a [`PlanCache`]), execute it with
@@ -114,17 +110,9 @@ pub(crate) struct DistStatic {
 pub struct SymbolicPlan {
     pub(crate) key: PlanKey,
     pub(crate) space: CholeskySpace,
-    pub(crate) engine: EnginePlan,
+    /// The placement of a distributed plan; `None` on a shared one.
+    pub(crate) dist: Option<DistStatic>,
     pub(crate) planning_seconds: f64,
-}
-
-/// What a plan carries beyond the task space, for the engine it was
-/// built for.
-pub(crate) enum EnginePlan {
-    /// Shared-memory work-stealing engine: the space laid out as a graph.
-    Shared(TaskGraph),
-    /// Emulated ranks: the placement.
-    Distributed(DistStatic),
 }
 
 impl SymbolicPlan {
@@ -146,7 +134,7 @@ impl SymbolicPlan {
 
     /// Whether this is a distributed-memory plan.
     pub fn is_distributed(&self) -> bool {
-        matches!(self.engine, EnginePlan::Distributed(_))
+        self.dist.is_some()
     }
 }
 
@@ -203,8 +191,8 @@ pub(crate) fn plan_key(
     }
 }
 
-/// Run the symbolic phase once: the task space, laid out as a graph on
-/// shared plans and placed on distributed ones. `key` is
+/// Run the symbolic phase once: the task space, placed on distributed
+/// plans. `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
@@ -218,28 +206,21 @@ pub(crate) fn build_plan(
         trimmed: cfg.trimmed,
         rank_cap: cfg.max_rank,
     };
-    let (space, engine) = match dist {
-        None => {
-            let CholeskyDag { graph, space, .. } = build_cholesky_dag(snapshot, &dag_cfg);
-            (space, EnginePlan::Shared(graph))
-        }
-        Some(d) => {
-            let space = CholeskySpace::new(snapshot, &dag_cfg);
-            let exec_rank = space
-                .kinds()
-                .map(|kind| {
-                    let w = kind.operands().writes;
-                    d.owner[lower(w.i, w.j)]
-                })
-                .collect();
-            let dist = DistStatic { nprocs: d.nprocs, placement: d.owner, exec_rank };
-            (space, EnginePlan::Distributed(dist))
-        }
-    };
+    let space = CholeskySpace::new(snapshot, &dag_cfg);
+    let dist = dist.map(|d| {
+        let exec_rank = space
+            .kinds()
+            .map(|kind| {
+                let w = kind.operands().writes;
+                d.owner[lower(w.i, w.j)]
+            })
+            .collect();
+        DistStatic { nprocs: d.nprocs, placement: d.owner, exec_rank }
+    });
     SymbolicPlan {
         key,
         space,
-        engine,
+        dist,
         planning_seconds: t0.elapsed().as_secs_f64(),
     }
 }

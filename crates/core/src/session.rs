@@ -2,7 +2,7 @@
 //!
 //! [`Session`] is the single entry point behind every TLR Cholesky
 //! front-end in this crate. A session owns the whole per-attempt
-//! pipeline — DAG build, tile placement, the one task body
+//! pipeline — task-space build, tile placement, the one task body
 //! (`run_kernel`), engine execution, and tile gathering — plus the
 //! diagonal-shift retry driver. The public wrappers
 //! ([`factorize`](crate::factorize::factorize) and its plan-split
@@ -18,8 +18,8 @@
 //! capabilities are `None`.
 //!
 //! The per-attempt pipeline is split into a *symbolic* phase — the task
-//! space, laid out as a DAG for the shared engine or placed on ranks for
-//! the distributed one, packaged as an immutable [`SymbolicPlan`] — and a
+//! space every engine walks, placed on ranks for the distributed one,
+//! packaged as an immutable [`SymbolicPlan`] — and a
 //! *numeric* phase
 //! that consumes a `&SymbolicPlan` ([`Session::run_with_plan`]).
 //! [`Session::run`] remains the one-shot shim: plan (or fetch from an
@@ -31,7 +31,7 @@ use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::{DriftReport, DriftSpec};
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
 use crate::plan::{
-    self, CacheEvents, DistPlanInputs, DistStatic, EnginePlan, PlanCache, PlanKey, SymbolicPlan,
+    self, CacheEvents, DistPlanInputs, DistStatic, PlanCache, PlanKey, SymbolicPlan,
 };
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
@@ -41,7 +41,7 @@ use runtime::engine::{
     DistConfig, DistEngine, Engine, EngineConfig, EngineError, ExecObs, IntegrityHooks,
 };
 use runtime::fault::{FtConfig, FtError, IntegrityError};
-use runtime::graph::{DataRef, Dataflow, TaskGraph};
+use runtime::graph::DataRef;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::obs::{RunEvent, RunMetrics};
@@ -212,7 +212,7 @@ impl<'a> Session<'a> {
     }
 
     /// The numeric phase alone: factor `matrix` through a prebuilt
-    /// [`SymbolicPlan`], skipping DAG construction, distribution
+    /// [`SymbolicPlan`], skipping task-space construction, distribution
     /// mapping and scheduler precomputation entirely. The
     /// plan's [`PlanKey`] must match this matrix and session
     /// configuration — a mismatch is rejected as
@@ -346,9 +346,9 @@ impl<'a> Session<'a> {
         analysis_seconds: f64,
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
-        let mut out = match &plan.engine {
-            EnginePlan::Shared(graph) => shared_attempt(matrix, cfg, &plan.space, graph, drift, ev),
-            EnginePlan::Distributed(ds) => self.distributed_attempt(matrix, &plan.space, ds, ev),
+        let mut out = match &plan.dist {
+            None => shared_attempt(matrix, cfg, &plan.space, drift, ev),
+            Some(ds) => self.distributed_attempt(matrix, &plan.space, ds, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
         Ok(out)
@@ -809,7 +809,6 @@ fn shared_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
     space: &CholeskySpace,
-    graph: &TaskGraph,
     drift: Option<&DriftSpec>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
@@ -910,18 +909,18 @@ fn shared_attempt(
     // preallocated here) and the metrics registry, one shard per worker.
     // The engine times every task once and reports it to both — this
     // function never reads a clock per task.
-    let obs = cfg.collect_trace.then(|| ExecObs::new(graph.len()));
+    let obs = cfg.collect_trace.then(|| ExecObs::new(space.len()));
     let registry = Registry::new(nthreads);
     record_cache_events(&registry, ev);
 
-    // The engine schedules the DAG by panel priority and runs the task
-    // body under this engine's locks and digest checks, once per DAG
+    // The engine walks the task space by panel priority and runs the
+    // task body under this engine's locks and digest checks, once per
     // task.
     let engine_cfg = EngineConfig::new(nthreads)
         .with_cancel(&cancel)
         .with_obs((&registry, obs.as_ref()));
     let exec_t0 = std::time::Instant::now();
-    let exec_result = Engine::new(graph).run(&engine_cfg, |wid, t| {
+    let exec_result = Engine::new(space).run(&engine_cfg, |wid, t| {
         if cancel.load(Ordering::Acquire) {
             return; // in-flight task raced with the cancellation flag
         }
@@ -1011,9 +1010,8 @@ fn shared_attempt(
     let registry = registry.snapshot();
     let drift = drift.map(|spec| DriftReport::compute(spec, space, &registry, None));
     let breakdown = registry.class_busy_seconds();
-    let trace = obs.map(|o| o.finish(graph));
-    let mut out =
-        outcome(space, graph, matrix, memory_before_f64, factorization_seconds, registry, trace);
+    let trace = obs.map(|o| o.finish(space));
+    let mut out = outcome(space, matrix, memory_before_f64, factorization_seconds, registry, trace);
     out.report.breakdown = breakdown;
     out.rank_evolution = rank_evolution;
     out.drift = drift;
@@ -1023,12 +1021,9 @@ fn shared_attempt(
 /// The sections every attempt reports the same way, whichever engine
 /// ran it: the factor report (class breakdown zero, analysis time left
 /// to the driver), the trace with its measured critical path, and the
-/// registry. The caller adds what only its engine has. `graph` is the
-/// space as the engine read it: laid out for the shared engine, the space
-/// itself for the distributed one.
+/// registry. The caller adds what only its engine has.
 fn outcome(
     space: &CholeskySpace,
-    graph: &impl Dataflow,
     matrix: &TlrMatrix,
     memory_before_f64: usize,
     factorization_seconds: f64,
@@ -1036,17 +1031,17 @@ fn outcome(
     trace: Option<Trace>,
 ) -> RunOutcome {
     let critical_path_seconds = trace.as_ref().map(|trace| {
-        let mut dur = vec![0.0_f64; graph.len()];
+        let mut dur = vec![0.0_f64; space.len()];
         for r in &trace.records {
             dur[r.task] = r.duration();
         }
-        critical_path(graph, |t| dur[t]).length
+        critical_path(space, |t| dur[t]).length
     });
     RunOutcome {
         report: FactorReport {
             factorization_seconds,
             analysis_seconds: 0.0,
-            dag_tasks: graph.len(),
+            dag_tasks: space.len(),
             dense_dag_tasks: space.analysis().dense_tasks(),
             final_snapshot: matrix.rank_snapshot(),
             memory_before_f64,
@@ -1061,7 +1056,7 @@ fn outcome(
         trace,
         critical_path_seconds,
         rank_evolution: RankEvolution::default(),
-        flops_executed: (0..graph.len()).map(|t| graph.spec(t).flops).sum(),
+        flops_executed: space.kinds().map(|kind| space.price(kind).flops).sum(),
         registry: Some(registry),
         drift: None,
     }
@@ -1156,7 +1151,6 @@ impl Session<'_> {
             rank_evolution,
             drift,
             ..outcome(
-                space,
                 space,
                 matrix,
                 memory_before_f64,

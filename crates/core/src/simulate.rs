@@ -13,7 +13,7 @@
 use crate::dag::{tile_bytes, CholeskySpace, DagConfig, TaskKind};
 use runtime::des::{simulate, CommStats, DesConfig, DesTask};
 use runtime::fault::FaultPlan;
-use runtime::graph::{DataRef, Dataflow};
+use runtime::graph::DataRef;
 use runtime::machine::MachineModel;
 use runtime::trace::ClassBreakdown;
 use runtime::EngineError;
@@ -502,9 +502,8 @@ mod tests {
     }
 
     /// The critical path reads the durations `des_tasks` computed, once
-    /// per task, walking the task space: the same bits as pricing every
-    /// task of the laid-out graph on the goldens' synthetic snapshot and
-    /// machine.
+    /// per task: the same bits as pricing each task again on every visit
+    /// of the walk, on the goldens' synthetic snapshot and machine.
     #[test]
     fn critical_path_is_priced_from_the_des_durations() {
         use crate::lorapo::{hicma_parsec_config, lorapo_config};
@@ -512,12 +511,12 @@ mod tests {
         let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
         let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
         for cfg in [hicma_parsec_config(machine.clone(), 4), lorapo_config(machine, 4)] {
-            let dag = crate::dag::build_cholesky_dag(
+            let space = CholeskySpace::new(
                 &snap,
                 &DagConfig { trimmed: cfg.trimmed, rank_cap: cfg.rank_cap },
             );
-            let priced_per_visit = critical_path(&dag.graph, |t| {
-                task_duration(&dag.space, dag.space.kind(t), &cfg.machine)
+            let priced_per_visit = critical_path(&space, |t| {
+                task_duration(&space, space.kind(t), &cfg.machine)
             });
             let r = simulate_cholesky(&snap, &cfg);
             assert_eq!(r.critical_path_seconds.to_bits(), priced_per_visit.length.to_bits());

@@ -226,8 +226,8 @@ pub struct DistEngine<'g, 'r, G> {
 }
 
 impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
-    /// An engine over `graph` — a laid-out [`TaskGraph`](crate::graph::TaskGraph)
-    /// or an implicit task space — with `nprocs` emulated ranks and the
+    /// An engine over `graph` — an implicit task space or a hand-built
+    /// [`TaskGraph`](crate::graph::TaskGraph) — with `nprocs` emulated ranks and the
     /// given task → rank execution map. Validation happens in
     /// [`run`](DistEngine::run) (so misconfiguration is a typed
     /// [`EngineError`], not a panic).

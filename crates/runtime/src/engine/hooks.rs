@@ -3,7 +3,7 @@
 //! with its two sinks, the metrics [`Registry`] and the span recorder
 //! [`ExecObs`].
 
-use crate::graph::{TaskClass, TaskGraph, TaskId};
+use crate::graph::{Dataflow, TaskClass, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::trace::{TaskRecord, Trace};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -210,7 +210,7 @@ impl ExecObs {
 
     /// Harvest the recorded spans into a [`Trace`] (sorted by end time),
     /// resolving task class and tile coordinates against `graph`.
-    pub fn finish(&self, graph: &TaskGraph) -> Trace {
+    pub fn finish(&self, graph: &impl Dataflow) -> Trace {
         let mut trace = Trace::default();
         for (t, slot) in self.spans.iter().enumerate() {
             let proc = slot.worker.load(Ordering::Relaxed);

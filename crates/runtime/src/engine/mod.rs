@@ -10,7 +10,9 @@
 //! orthogonal *services* over one DAG engine:
 //!
 //! * [`Engine`] — the shared-memory work-stealing engine. Exactly one
-//!   scheduling loop, generic over a [`Cancel`] hook (external
+//!   scheduling loop over any [`Dataflow`](crate::graph::Dataflow) (a
+//!   Cholesky run hands it the implicit task space, as it does the
+//!   other engines), generic over a [`Cancel`] hook (external
 //!   cancellation token) and one [`Observe`] sink. The loop reads the
 //!   clock once before and once after each kernel and reports the pair
 //!   to the sink and the scheduler alike; the metrics registry and the
@@ -18,7 +20,8 @@
 //!   no-op implementations ([`NoCancel`], [`NoObserve`]) are zero-sized
 //!   and their inlined methods compile away.
 //! * [`DistEngine`] — the distributed-memory engine (message-passing
-//!   emulation). Exactly one deterministic virtual-time event loop; a
+//!   emulation), over a [`Dataflow`](crate::graph::Dataflow) as well.
+//!   Exactly one deterministic virtual-time event loop; a
 //!   perfect network is simply the fault-free
 //!   [`FtConfig`](crate::fault::FtConfig), so the fault
 //!   layer is a *configuration* of the one loop, not a second engine.

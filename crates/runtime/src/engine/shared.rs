@@ -1,7 +1,9 @@
-//! The shared-memory work-stealing [`Engine`].
+//! The shared-memory work-stealing [`Engine`], over any [`Dataflow`]:
+//! the Cholesky task space it derives task by task, or a hand-built
+//! [`TaskGraph`](crate::graph::TaskGraph).
 
 use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskEvent, TaskPanic};
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::{Dataflow, Edge, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,9 +52,10 @@ impl<C, O> EngineConfig<C, O> {
 
 /// The shared-memory work-stealing engine.
 ///
-/// Runs a [`TaskGraph`] with real kernel closures on a pool of OS
-/// threads. The scheduling discipline mirrors PaRSEC's node-level
-/// scheduler: per-worker LIFO deques (locality: a task's just-released
+/// Runs a [`Dataflow`] graph with real kernel closures on a pool of OS
+/// threads, reading each task's successors as it retires. The
+/// scheduling discipline mirrors PaRSEC's node-level scheduler:
+/// per-worker LIFO deques (locality: a task's just-released
 /// successor runs on the releasing worker while its inputs are
 /// cache-hot) with random stealing, seeded from the graph sources in
 /// [`TaskSpec::priority`](crate::graph::TaskSpec::priority) order (the
@@ -65,13 +68,13 @@ impl<C, O> EngineConfig<C, O> {
 /// drain flag (and the [`Cancel`] hook), remaining tasks retire without
 /// running their kernels, and the panic is reported as
 /// [`EngineError::Panic`] once every worker has stopped.
-pub struct Engine<'g> {
-    graph: &'g TaskGraph,
+pub struct Engine<'g, G> {
+    graph: &'g G,
 }
 
-impl<'g> Engine<'g> {
+impl<'g, G: Dataflow + Sync> Engine<'g, G> {
     /// An engine over `graph`. Cheap: all state is per-run.
-    pub fn new(graph: &'g TaskGraph) -> Self {
+    pub fn new(graph: &'g G) -> Self {
         Engine { graph }
     }
 
@@ -109,11 +112,12 @@ impl<'g> Engine<'g> {
         }
         let nthreads = cfg.nthreads.max(1);
 
-        let indegree: Vec<AtomicUsize> = graph
-            .indegrees()
-            .into_iter()
-            .map(AtomicUsize::new)
-            .collect();
+        let indegrees = graph.indegrees();
+        // Seed sources smallest priority value first (the critical path
+        // first); the sort is stable, so equal values keep their id order.
+        let mut sources: Vec<TaskId> = (0..n).filter(|&t| indegrees[t] == 0).collect();
+        sources.sort_by_key(|&t| graph.priority(t));
+        let indegree: Vec<AtomicUsize> = indegrees.into_iter().map(AtomicUsize::new).collect();
         let completed = AtomicUsize::new(0);
         let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
         // Internal drain flag: a panic must stop the kernels even when the
@@ -121,10 +125,6 @@ impl<'g> Engine<'g> {
         let draining = AtomicBool::new(false);
 
         let injector = Injector::new();
-        // Seed sources smallest priority value first (the critical path
-        // first); the sort is stable, so equal values keep their id order.
-        let mut sources = graph.sources();
-        sources.sort_by_key(|&t| graph.spec(t).priority);
         let run_start = Instant::now();
         for t in sources {
             cfg.obs.observe(TaskEvent::Enqueue { wid: 0, task: t, at: run_start });
@@ -145,7 +145,9 @@ impl<'g> Engine<'g> {
                 let kernel = &kernel;
                 scope.spawn(move || {
                     let mut rng: u64 = 0x9E3779B97F4A7C15 ^ (wid as u64);
-                    // Reused per-retire scratch for released successors.
+                    // Reused per-retire scratch: the retired task's
+                    // successors, and those it released.
+                    let mut successors: Vec<Edge> = Vec::new();
                     let mut released: Vec<TaskId> = Vec::new();
                     loop {
                         if completed.load(Ordering::Acquire) == n {
@@ -177,14 +179,15 @@ impl<'g> Engine<'g> {
                                         }
                                     }
                                     end = Instant::now();
-                                    let class = graph.spec(t).class;
+                                    let class = graph.class(t);
                                     let retired = TaskEvent::Retire { wid, task: t, class, start, end };
                                     cfg.obs.observe(retired);
                                 }
                                 // Release successors even when draining: the
                                 // completion count must reach `n` to stop.
                                 released.clear();
-                                for e in graph.successors(t) {
+                                graph.successors_into(t, &mut successors);
+                                for e in &successors {
                                     if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) == 1 {
                                         released.push(e.dst);
                                     }
@@ -193,7 +196,7 @@ impl<'g> Engine<'g> {
                                 // LIFO deque, so the smallest is what this
                                 // worker pops next; the sort is stable, so
                                 // equal values keep their successor order.
-                                released.sort_by_key(|&dst| Reverse(graph.spec(dst).priority));
+                                released.sort_by_key(|&dst| Reverse(graph.priority(dst)));
                                 for &dst in released.iter() {
                                     cfg.obs.observe(TaskEvent::Enqueue { wid, task: dst, at: end });
                                     local.push(dst);
@@ -269,7 +272,7 @@ fn find_task<O: Observe>(
 mod tests {
     use super::*;
     use crate::engine::ExecObs;
-    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskSpec};
+    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
     use std::sync::atomic::AtomicU64;
 
     fn spec(priority: usize) -> TaskSpec {

@@ -1,30 +1,22 @@
 //! Dataflow task graphs.
 //!
-//! A [`TaskGraph`] is the fully unrolled equivalent of a PaRSEC
-//! Parameterized Task Graph: each vertex carries its kernel class, the tile
-//! it writes, the tiles it reads, a flop count and a scheduling priority;
-//! each edge carries the number of bytes that flow along it (zero for pure
-//! control dependencies). The graph is built by the algorithm front-end
-//! (`hicma-core`) for the shared-memory executor, and by hand for tests
-//! of every engine.
-//!
-//! The graph is flat and read-only: one task table, one edge array holding
-//! every successor list back to back (CSR), and a topological order fixed
-//! once, when the edges are laid out. Consumers read the order in place
-//! instead of sorting the graph again.
-//!
-//! A [`GraphLayout`] appends the tasks in id order, each with its whole
-//! successor list, straight into the final tables: an emitter that knows
-//! every task's successors (`build_cholesky_dag`) lays its graph out in
-//! one pass. One that does not (hand-built graphs) stages its edges in a
-//! [`GraphBuilder`], whose [`finish`](GraphBuilder::finish) groups them by
-//! source and lays them out the same way.
-//!
-//! The discrete-event simulator, the distributed engine and the critical
-//! path read a graph through [`Dataflow`], task by task: a [`TaskGraph`]
-//! serves it from its tables, and an implicit task space
+//! Every engine reads a graph through [`Dataflow`], one task and one
+//! successor list at a time: the work-stealing engine, the distributed
+//! engine, the discrete-event simulator and the critical path. The tile
+//! Cholesky graph is never laid out: its implicit task space
 //! (`hicma_core::dag::CholeskySpace`) derives every task and successor
-//! list on demand, so the graph it describes is never materialized.
+//! list on demand from the symbolic structure, as PaRSEC evaluates a
+//! Parameterized Task Graph.
+//!
+//! A [`TaskGraph`] is the one graph that is stored: built by hand through
+//! a [`GraphBuilder`], it is how tests hand every engine a graph of any
+//! shape (shuffled ids, cycles, wide fan-outs). Each vertex carries its
+//! kernel class, the tile it writes, a flop count and a scheduling
+//! priority; each edge carries the number of bytes that flow along it
+//! (zero for pure control dependencies). The graph is flat and read-only:
+//! one task table, one edge array holding every successor list back to
+//! back (CSR), and a topological order fixed once, by
+//! [`GraphBuilder::finish`].
 
 use serde::{Deserialize, Serialize};
 
@@ -128,77 +120,31 @@ impl GraphBuilder {
     }
 
     /// Lay the staged edges out by source and fix the topological order.
+    ///
+    /// When every edge runs from a lower id to a higher one, id order *is*
+    /// the topological order and nothing is sorted. Otherwise Kahn's
+    /// algorithm orders the tasks once, here; a graph with a cycle
+    /// finishes without an order, and every consumer that needs one
+    /// reports it.
     pub fn finish(self) -> TaskGraph {
         let GraphBuilder { specs, edges: mut staged } = self;
         // Stable: each successor list keeps the order its edges were added in.
         staged.sort_by_key(|&(src, _)| src);
-        let mut layout = GraphLayout::new(specs.len(), staged.len());
-        let mut rest = &staged[..];
-        for (t, spec) in specs.into_iter().enumerate() {
-            let (list, tail) = rest.split_at(rest.partition_point(|&(src, _)| src == t));
-            layout.push(spec, list.iter().map(|&(_, e)| e));
-            rest = tail;
+        let mut offsets = Vec::with_capacity(specs.len() + 1);
+        let mut indegree = vec![0; specs.len()];
+        let mut ids_topological = true;
+        let mut at = 0;
+        for t in 0..specs.len() {
+            offsets.push(at);
+            while at < staged.len() && staged[at].0 == t {
+                let dst = staged[at].1.dst;
+                indegree[dst] += 1;
+                ids_topological &= t < dst;
+                at += 1;
+            }
         }
-        layout.finish()
-    }
-}
-
-/// A graph laid out task by task in id order, each task pushed with its
-/// whole successor list, straight into the final tables.
-///
-/// [`finish`](GraphLayout::finish) fixes the topological order. When every
-/// edge runs from a lower id to a higher one — as in an emitter whose
-/// tasks only feed later tasks — id order *is* the topological order and
-/// nothing is sorted. Otherwise Kahn's algorithm orders the tasks once,
-/// there; a graph with a cycle finishes without an order, and every
-/// consumer that needs one reports it.
-#[derive(Debug)]
-pub struct GraphLayout {
-    specs: Vec<TaskSpec>,
-    offsets: Vec<usize>,
-    edges: Vec<Edge>,
-    indegree: Vec<usize>,
-    ids_topological: bool,
-}
-
-impl GraphLayout {
-    /// An empty layout of `tasks` tasks with room for `edges` edges.
-    pub fn new(tasks: usize, edges: usize) -> Self {
-        let mut offsets = Vec::with_capacity(tasks + 1);
-        offsets.push(0);
-        GraphLayout {
-            specs: Vec::with_capacity(tasks),
-            offsets,
-            edges: Vec::with_capacity(edges),
-            indegree: vec![0; tasks],
-            ids_topological: true,
-        }
-    }
-
-    /// Append the next task and its outgoing edges, in list order.
-    ///
-    /// # Panics
-    /// Panics if an edge points past the declared tasks or back at its
-    /// own source.
-    pub fn push(&mut self, spec: TaskSpec, successors: impl IntoIterator<Item = Edge>) {
-        let src = self.specs.len();
-        self.specs.push(spec);
-        for e in successors {
-            assert_ne!(src, e.dst, "self-dependency");
-            self.indegree[e.dst] += 1;
-            self.ids_topological &= src < e.dst;
-            self.edges.push(e);
-        }
-        self.offsets.push(self.edges.len());
-    }
-
-    /// The graph, with its topological order fixed.
-    ///
-    /// # Panics
-    /// Panics if the tasks pushed are not the tasks declared.
-    pub fn finish(self) -> TaskGraph {
-        let GraphLayout { specs, offsets, edges, indegree, ids_topological } = self;
-        assert_eq!(specs.len(), indegree.len(), "one task pushed per declared task");
+        offsets.push(at);
+        let edges = staged.into_iter().map(|(_, e)| e).collect();
         let mut graph = TaskGraph { specs, offsets, edges, indegree, order: Order::Ids };
         if !ids_topological {
             graph.order = graph.kahn().map_or(Order::Cyclic, Order::Kahn);
@@ -207,7 +153,7 @@ impl GraphLayout {
     }
 }
 
-/// A graph's topological order, fixed by [`GraphLayout::finish`].
+/// A graph's topological order, fixed by [`GraphBuilder::finish`].
 #[derive(Debug)]
 enum Order {
     /// Every edge runs from a lower id to a higher one.
@@ -219,7 +165,7 @@ enum Order {
 }
 
 /// A directed dataflow graph of tasks, laid out flat (see the module
-/// docs). Built by a [`GraphLayout`] or a [`GraphBuilder`].
+/// docs). Built by a [`GraphBuilder`].
 #[derive(Debug)]
 pub struct TaskGraph {
     specs: Vec<TaskSpec>,
@@ -257,25 +203,9 @@ impl TaskGraph {
         &self.edges[self.offsets[id]..self.offsets[id + 1]]
     }
 
-    /// In-degree of a task.
-    pub fn indegree(&self, id: TaskId) -> usize {
-        self.indegree[id]
-    }
-
-    /// Clone of the in-degree array (consumed by schedulers as a counter set).
-    pub fn indegrees(&self) -> Vec<usize> {
-        self.indegree.clone()
-    }
-
-    /// Tasks with no predecessors.
-    pub fn sources(&self) -> Vec<TaskId> {
-        (0..self.len()).filter(|&t| self.indegree[t] == 0).collect()
-    }
-
     /// The topological order fixed when the graph was built, read in
     /// place (walk it with `.rev()` for sinks first); `None` when the
-    /// graph has a cycle. Id order whenever ids are already topological,
-    /// as `build_cholesky_dag`'s are.
+    /// graph has a cycle. Id order whenever ids are already topological.
     pub fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
         // One of the two halves is empty: ids, or the stored Kahn order.
         let (ids, kahn): (_, &[TaskId]) = match &self.order {
@@ -291,7 +221,7 @@ impl TaskGraph {
     fn kahn(&self) -> Option<Vec<TaskId>> {
         let mut indeg = self.indegree.clone();
         let mut order = Vec::with_capacity(self.len());
-        let mut stack: Vec<TaskId> = self.sources();
+        let mut stack: Vec<TaskId> = (0..self.len()).filter(|&t| indeg[t] == 0).collect();
         while let Some(t) = stack.pop() {
             order.push(t);
             for e in self.successors(t) {
@@ -303,41 +233,12 @@ impl TaskGraph {
         }
         (order.len() == self.len()).then_some(order)
     }
-
-    /// Count tasks per class (the paper's Fig. 5 right axis).
-    pub fn class_counts(&self) -> [(TaskClass, usize); 5] {
-        let mut counts = [
-            (TaskClass::Potrf, 0),
-            (TaskClass::Trsm, 0),
-            (TaskClass::Syrk, 0),
-            (TaskClass::Gemm, 0),
-            (TaskClass::Other, 0),
-        ];
-        for s in &self.specs {
-            let idx = match s.class {
-                TaskClass::Potrf => 0,
-                TaskClass::Trsm => 1,
-                TaskClass::Syrk => 2,
-                TaskClass::Gemm => 3,
-                TaskClass::Other => 4,
-            };
-            counts[idx].1 += 1;
-        }
-        counts
-    }
-
-    /// Total flops over all tasks.
-    pub fn total_flops(&self) -> f64 {
-        self.specs.iter().map(|s| s.flops).sum()
-    }
 }
 
-/// A task graph as the discrete-event simulator, the distributed engine
-/// and the critical path read it: one task and one successor list at a
-/// time. A
-/// [`TaskGraph`] serves it from its tables; an implicit task space derives
-/// each answer from a symbolic description instead, so the graph is never
-/// laid out.
+/// A task graph as every engine reads it: one task and one successor
+/// list at a time. A [`TaskGraph`] serves it from its tables; an implicit
+/// task space derives each answer from a symbolic description instead,
+/// so the graph is never laid out.
 pub trait Dataflow {
     /// Number of tasks.
     fn len(&self) -> usize;
@@ -353,6 +254,11 @@ pub trait Dataflow {
     /// Task `t`'s scheduling priority, `spec(t).priority`.
     fn priority(&self, t: TaskId) -> usize {
         self.spec(t).priority
+    }
+
+    /// Task `t`'s kernel class, `spec(t).class`.
+    fn class(&self, t: TaskId) -> TaskClass {
+        self.spec(t).class
     }
 
     /// Every task's number of incoming edges, in id order.
@@ -381,7 +287,7 @@ impl Dataflow for TaskGraph {
     }
 
     fn indegrees(&self) -> Vec<usize> {
-        TaskGraph::indegrees(self)
+        self.indegree.clone()
     }
 
     fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
@@ -424,8 +330,7 @@ mod tests {
         let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
         assert_eq!(g.len(), 4);
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.indegree(3), 2);
-        assert_eq!(g.sources(), vec![0]);
+        assert_eq!(g.indegrees(), vec![0, 1, 1, 2]);
         assert_eq!(g.successors(0).len(), 2);
         assert!(g.successors(3).is_empty());
     }
@@ -476,43 +381,6 @@ mod tests {
         assert_eq!(g.order().expect("acyclic").count(), 0);
     }
 
-    #[test]
-    fn class_counts_and_flops() {
-        let mut g = GraphBuilder::new();
-        g.add_task(spec(TaskClass::Potrf, 0));
-        g.add_task(spec(TaskClass::Gemm, 1));
-        g.add_task(spec(TaskClass::Gemm, 2));
-        let g = g.finish();
-        let counts = g.class_counts();
-        assert_eq!(counts[0].1, 1); // POTRF
-        assert_eq!(counts[3].1, 2); // GEMM
-        assert_eq!(g.total_flops(), 3.0);
-    }
-
-    /// Pushing each task with its whole list lays out the graph the
-    /// staging builder lays out from the same edges added in any order.
-    #[test]
-    fn pushed_lists_equal_staged_edges() {
-        let edges = [(0, 4), (2, 4), (0, 3), (1, 3), (0, 2), (1, 2), (3, 2)];
-        let staged = graph(5, &edges).finish();
-        let mut layout = GraphLayout::new(5, edges.len());
-        for t in 0..5 {
-            let list = edges.iter().filter(|&&(s, _)| s == t);
-            let list = list.map(|&(s, d)| Edge { dst: d, data: DataRef { i: s, j: d }, bytes: 8 });
-            layout.push(spec(TaskClass::Other, 0), list);
-        }
-        let pushed = layout.finish();
-        for t in 0..5 {
-            let list =
-                |g: &TaskGraph| g.successors(t).iter().map(|e| (e.dst, e.data)).collect::<Vec<_>>();
-            assert_eq!(list(&pushed), list(&staged), "successors of {t}");
-            assert_eq!(pushed.indegree(t), staged.indegree(t));
-        }
-        // The edge 3 → 2 runs high → low: both orders are Kahn's.
-        assert_eq!(order_of(&pushed), order_of(&staged));
-        assert_ne!(order_of(&pushed), vec![0, 1, 2, 3, 4]);
-    }
-
     /// The trait reads the same graph the tables hold.
     #[test]
     fn dataflow_reads_the_tables() {
@@ -523,16 +391,8 @@ mod tests {
             let dsts: Vec<_> = out.iter().map(|e| e.dst).collect();
             assert_eq!(dsts, g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>());
         }
-        assert_eq!(Dataflow::indegrees(&g), g.indegrees());
+        assert_eq!(Dataflow::indegrees(&g), vec![0, 1, 1, 2]);
         assert_eq!(Dataflow::order(&g).unwrap().collect::<Vec<_>>(), order_of(&g));
-    }
-
-    #[test]
-    #[should_panic(expected = "one task pushed per declared task")]
-    fn finishing_short_of_the_declared_tasks_panics() {
-        let mut layout = GraphLayout::new(2, 0);
-        layout.push(spec(TaskClass::Other, 0), []);
-        layout.finish();
     }
 
     #[test]

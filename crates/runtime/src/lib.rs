@@ -7,11 +7,11 @@
 //! edges, and (c) overlaps both. This crate reproduces the three layers the
 //! paper's contributions live in:
 //!
-//! * [`graph`] — the task-graph representation (the unrolled equivalent of
-//!   a PTG/JDF program), with dataflow annotations used for communication
-//!   accounting, and the [`graph::Dataflow`] view through which the
-//!   simulator also walks graphs that are never unrolled. DAG trimming
-//!   manifests here as *not inserting* tasks.
+//! * [`graph`] — the [`graph::Dataflow`] view through which every engine
+//!   walks a task graph, task by task (the Cholesky task space is never
+//!   unrolled), with dataflow annotations used for communication
+//!   accounting, and the hand-built [`graph::TaskGraph`] tests give every
+//!   engine. DAG trimming manifests here as *not deriving* tasks.
 //! * [`engine`] — the unified execution engines: one shared-memory
 //!   work-stealing [`engine::Engine`] (crossbeam deques, real numerical
 //!   kernels, validates every configuration at laptop scale) and one

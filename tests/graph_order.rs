@@ -1,15 +1,20 @@
-//! The task graph's stored topological order. Every way a graph is built
-//! gets an order that is topological: a builder whose ids are shuffled,
-//! the dense Cholesky DAG laid out from its task space (the DAG's PTG
-//! form) and a fan-out whose sink is numbered before its producers. Every
-//! consumer that walks the order agrees with a brute-force reading of the
-//! graph, and with the same graph emitted in id order. A cycle is a typed
-//! error at every door that needs the order.
+//! The task graph's stored topological order. Every graph an engine walks
+//! has an order that is topological: a builder whose ids are shuffled,
+//! the Cholesky task space (the DAG's PTG form, dense and trimmed) and a
+//! fan-out whose sink is numbered before its producers. Every consumer
+//! that walks the order, the shared engine among them, agrees with a
+//! brute-force reading of the graph, and with the same graph emitted in
+//! id order. A cycle is a typed error at every door that needs the order.
 
-use hicma_parsec::cholesky::dag::{build_cholesky_dag, DagConfig};
+mod common;
+
+use common::random_snapshot;
+use hicma_parsec::cholesky::dag::{CholeskySpace, DagConfig};
 use hicma_parsec::runtime::critical_path::critical_path;
 use hicma_parsec::runtime::des::{single_proc_config, DesTask};
-use hicma_parsec::runtime::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
+use hicma_parsec::runtime::graph::{
+    DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec,
+};
 use hicma_parsec::runtime::{
     simulate, DistConfig, DistEngine, Engine, EngineConfig, EngineError, FaultPlan, RankCtx,
     Registry,
@@ -75,11 +80,22 @@ fn emit(shape: &Shape, id: &[TaskId]) -> TaskGraph {
     g.finish()
 }
 
-fn predecessors(g: &TaskGraph) -> Vec<Vec<TaskId>> {
+/// Every task's successor ids, in list order.
+fn successors(g: &impl Dataflow) -> Vec<Vec<TaskId>> {
+    let mut out = Vec::new();
+    (0..g.len())
+        .map(|t| {
+            g.successors_into(t, &mut out);
+            out.iter().map(|e| e.dst).collect()
+        })
+        .collect()
+}
+
+fn predecessors(g: &impl Dataflow) -> Vec<Vec<TaskId>> {
     let mut preds = vec![Vec::new(); g.len()];
-    for t in 0..g.len() {
-        for e in g.successors(t) {
-            preds[e.dst].push(t);
+    for (t, succ) in successors(g).into_iter().enumerate() {
+        for dst in succ {
+            preds[dst].push(t);
         }
     }
     preds
@@ -87,7 +103,7 @@ fn predecessors(g: &TaskGraph) -> Vec<Vec<TaskId>> {
 
 /// The stored order visits every task once, each after all of its
 /// predecessors.
-fn assert_topological(g: &TaskGraph) {
+fn assert_topological(g: &impl Dataflow) {
     let order: Vec<TaskId> = g.order().expect("acyclic").collect();
     let mut pos = vec![usize::MAX; g.len()];
     for (i, &t) in order.iter().enumerate() {
@@ -95,17 +111,17 @@ fn assert_topological(g: &TaskGraph) {
         pos[t] = i;
     }
     assert_eq!(order.len(), g.len());
-    for t in 0..g.len() {
-        for e in g.successors(t) {
-            assert!(pos[t] < pos[e.dst], "edge {t} → {} runs backwards", e.dst);
+    for (t, succ) in successors(g).into_iter().enumerate() {
+        for dst in succ {
+            assert!(pos[t] < pos[dst], "edge {t} → {dst} runs backwards");
         }
     }
 }
 
 /// `critical_path` against relaxing every task `n` times over its
 /// predecessors (no order needed), and its chain against the graph.
-fn assert_critical_path_is_the_longest(g: &TaskGraph, dur: impl Fn(TaskId) -> f64) {
-    let preds = predecessors(g);
+fn assert_critical_path_is_the_longest(g: &impl Dataflow, dur: impl Fn(TaskId) -> f64) {
+    let (preds, succs) = (predecessors(g), successors(g));
     let mut end = vec![0.0_f64; g.len()];
     for _ in 0..g.len() {
         for t in 0..g.len() {
@@ -119,14 +135,17 @@ fn assert_critical_path_is_the_longest(g: &TaskGraph, dur: impl Fn(TaskId) -> f6
         assert!(preds[first].is_empty(), "the chain starts at a source");
     }
     for pair in cp.tasks.windows(2) {
-        assert!(g.successors(pair[0]).iter().any(|e| e.dst == pair[1]), "{pair:?} is no edge");
+        assert!(succs[pair[0]].contains(&pair[1]), "{pair:?} is no edge");
     }
     assert_eq!(cp.tasks.iter().map(|&t| dur(t)).sum::<f64>(), longest);
 }
 
 /// Run `g` on the shared engine; each task folds its predecessors' values
 /// into its own, so a task that ran early would read a zero.
-fn engine_values(g: &TaskGraph, seed_of: impl Fn(TaskId) -> u64 + Sync) -> Vec<u64> {
+fn engine_values(
+    g: &(impl Dataflow + Sync),
+    seed_of: impl Fn(TaskId) -> u64 + Sync,
+) -> Vec<u64> {
     let preds = predecessors(g);
     let values: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
     Engine::new(g)
@@ -229,10 +248,22 @@ proptest! {
     }
 }
 
-/// The dense Cholesky DAG, laid out from its task space panel by panel
-/// (POTRF, TRSMs, SYRKs, GEMMs): the stored order is Kahn's, fixed once.
+/// The Cholesky task space, panel by panel (POTRF, TRSMs, SYRKs,
+/// GEMMs), dense and on trimmed random snapshots: its stored order is
+/// topological, and the shared engine walks it in dependency order.
 #[test]
 fn dense_cholesky_ptg_gets_a_topological_order() {
+    let check = |g: &CholeskySpace| {
+        assert_topological(g);
+        let dur = |t: TaskId| match g.class(t) {
+            TaskClass::Potrf => 1.0,
+            TaskClass::Trsm | TaskClass::Syrk => 3.0,
+            _ => 5.0,
+        };
+        assert_critical_path_is_the_longest(g, dur);
+        let values = engine_values(g, |t| t as u64 + 1);
+        assert!(values.iter().all(|&v| v != 0));
+    };
     for nt in 1..8 {
         let b = 16;
         let mut ranks = vec![0usize; nt * nt];
@@ -241,18 +272,15 @@ fn dense_cholesky_ptg_gets_a_topological_order() {
                 ranks[i * nt + j] = b;
             }
         }
-        let dag = build_cholesky_dag(&RankSnapshot::new(nt, b, ranks), &DagConfig::default());
-        let g = &dag.graph;
+        let g = CholeskySpace::new(&RankSnapshot::new(nt, b, ranks), &DagConfig::default());
         assert_eq!(g.len(), nt * (nt + 1) * (nt + 2) / 6);
-        assert_topological(g);
-        let dur = |t: TaskId| match g.spec(t).class {
-            TaskClass::Potrf => 1.0,
-            TaskClass::Trsm | TaskClass::Syrk => 3.0,
-            _ => 5.0,
-        };
-        assert_critical_path_is_the_longest(g, dur);
-        let values = engine_values(g, |t| t as u64 + 1);
-        assert!(values.iter().all(|&v| v != 0));
+        check(&g);
+    }
+    for (nt, seed, null_pct) in [(5, 1, 30), (9, 2, 60), (12, 3, 80), (16, 4, 95), (16, 5, 50)] {
+        let snap = random_snapshot(nt, seed, null_pct);
+        for rank_cap in [snap.tile_size(), 4] {
+            check(&CholeskySpace::new(&snap, &DagConfig { trimmed: true, rank_cap }));
+        }
     }
 }
 

@@ -592,8 +592,8 @@ fn drift_prices_tasks_with_the_simulators_durations() {
     let m = gaussian_matrix(168, 8.0);
     let dag = build_cholesky_dag(&m.rank_snapshot(), &DagConfig::default());
     let mut expected = [0.0f64; NCLASSES];
-    for (t, task) in des_tasks(&dag.space, &spec.machine, |_| 0).iter().enumerate() {
-        expected[class_slot(dag.graph.spec(t).class)] += task.duration;
+    for (t, task) in des_tasks(&dag.graph, &spec.machine, |_| 0).iter().enumerate() {
+        expected[class_slot(dag.graph.kind(t).class())] += task.duration;
     }
     assert!(expected.iter().all(|&s| s >= 0.0) && expected[3] > 0.0);
     let fcfg = FactorConfig::with_accuracy(1e-8);

@@ -6,21 +6,21 @@
 //! merely how the code is arranged; factors stay bit-identical under any
 //! schedule, so nothing else would notice.
 //!
-//! The `graph` lines pin what every schedule is computed from: the DAG
-//! `build_cholesky_dag` emits, task for task and edge for edge (recorded
-//! at the commit before the builder drew its edges from
-//! `TaskKind::operands`). Its `specs` fold covers every task's priority,
-//! the key every ready queue orders by.
+//! The `graph` lines pin what every schedule is computed from: the task
+//! space every engine walks, task for task and edge for edge (recorded
+//! when the DAG was still laid out as a graph, at the commit before the
+//! builder drew its edges from `TaskKind::operands`). Its `specs` fold
+//! covers every task's priority, the key every ready queue orders by.
 //!
 //! On a mismatch the assertion prints each line that moved — door and
 //! fixture are its first words — and then the whole table.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
 use hicma_parsec::cholesky::simulate::simulate_cholesky;
-use hicma_parsec::cholesky::{build_cholesky_dag, DagConfig, FactorConfig, Session};
+use hicma_parsec::cholesky::{CholeskySpace, DagConfig, FactorConfig, Session};
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::graph::TaskGraph;
+use hicma_parsec::runtime::graph::{Dataflow, Edge};
 use hicma_parsec::runtime::MachineModel;
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
 use std::fmt::Write as _;
@@ -49,24 +49,27 @@ fn fnv(words: impl Iterator<Item = u64>) -> u64 {
 /// bits)` in id order, and every successor list's `(dst, data, bytes)` in
 /// list order (each list opened by its source and length, so moving an
 /// edge between lists moves the fold).
-fn graph_folds(g: &TaskGraph) -> String {
+fn graph_folds(g: &impl Dataflow) -> String {
     let tasks = (0..g.len()).flat_map(|t| {
         let s = g.spec(t);
         let w = s.writes.map_or([u64::MAX; 2], |d| [d.i as u64, d.j as u64]);
         [s.class as u64, s.priority as u64, w[0], w[1], s.flops.to_bits()]
     });
-    let edges = (0..g.len()).flat_map(|t| {
-        let succ = g.successors(t);
-        [t as u64, succ.len() as u64].into_iter().chain(
-            succ.iter().flat_map(|e| [e.dst as u64, e.data.i as u64, e.data.j as u64, e.bytes]),
-        )
-    });
+    let (mut succ, mut num_edges) = (Vec::new(), 0);
+    let mut edges = Vec::new();
+    for t in 0..g.len() {
+        g.successors_into(t, &mut succ);
+        num_edges += succ.len();
+        edges.extend([t as u64, succ.len() as u64]);
+        let fields = |e: &Edge| [e.dst as u64, e.data.i as u64, e.data.j as u64, e.bytes];
+        edges.extend(succ.iter().flat_map(fields));
+    }
     format!(
         "tasks={} edges={} specs={:#018x} succs={:#018x}",
         g.len(),
-        g.num_edges(),
+        num_edges,
         fnv(tasks),
-        fnv(edges)
+        fnv(edges.into_iter())
     )
 }
 
@@ -119,11 +122,12 @@ fn actual() -> String {
     }
     out.push('\n');
 
-    // Graph door: the DAG the builder emits, trimmed and untrimmed.
+    // Graph door: the task space, trimmed and untrimmed.
     for (name, snapshot) in [("rbf", rbf_fixture().rank_snapshot()), ("synthetic", snap)] {
         for (label, trimmed) in [("trimmed", true), ("untrimmed", false)] {
-            let dag = build_cholesky_dag(&snapshot, &DagConfig { trimmed, ..DagConfig::default() });
-            writeln!(out, "graph {name} {label} {}", graph_folds(&dag.graph)).unwrap();
+            let cfg = DagConfig { trimmed, ..DagConfig::default() };
+            let space = CholeskySpace::new(&snapshot, &cfg);
+            writeln!(out, "graph {name} {label} {}", graph_folds(&space)).unwrap();
         }
     }
     out

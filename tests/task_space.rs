@@ -8,21 +8,21 @@
 //! On random snapshots — NT 1 to 24, random null patterns, dense-format
 //! tiles and tiles at `2r = b`, trimmed and untrimmed, `rank_cap` of `b`
 //! and of 4 — the space must agree with it on the task count, on every
-//! task, on every successor list in order and on every in-degree; the
-//! graph `build_cholesky_dag` lays out must too, and the critical path
-//! over the space must equal the one over that graph bit for bit.
+//! task, on every successor list in order and on every in-degree, and
+//! `build_cholesky_dag` must price every task as the space does.
 //!
 //! A second oracle is the order distributed plans once computed for
 //! their ranks: Kahn's algorithm with the ready set ordered by
 //! `(priority, id)`. On the same snapshots it must equal the stored
-//! order of the space and of the laid-out graph, which is the order the
-//! distributed engine runs.
+//! order of the space, which is the order the distributed engine runs.
 
+mod common;
+
+use common::random_snapshot;
 use hicma_parsec::cholesky::{
     build_cholesky_dag, CholeskySpace, DagConfig, MatrixAnalysis, TaskKind,
 };
-use hicma_parsec::runtime::critical_path::critical_path;
-use hicma_parsec::runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskGraph, TaskId};
+use hicma_parsec::runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskId};
 use hicma_parsec::tlr::{low_rank_pays_off, RankSnapshot};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -95,29 +95,6 @@ fn oracle(analysis: &MatrixAnalysis, trimmed: bool) -> Oracle {
     o
 }
 
-/// A random `nt × nt` snapshot at b = 16: each off-diagonal tile is null
-/// with probability `null_pct` %, else of a rank drawn from a set that
-/// holds low ranks, `2r = b` (8) and dense-format ranks (above 8).
-fn random_snapshot(nt: usize, seed: u64, null_pct: u64) -> RankSnapshot {
-    const B: usize = 16;
-    const RANKS: [usize; 8] = [1, 2, 3, 5, 8, 8, 11, 16];
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let mut ranks = vec![0usize; nt * nt];
-    for i in 0..nt {
-        ranks[i * nt + i] = B;
-        for j in 0..i {
-            if next() % 100 >= null_pct {
-                ranks[i * nt + j] = RANKS[next() as usize % RANKS.len()];
-            }
-        }
-    }
-    RankSnapshot::new(nt, B, ranks)
-}
-
 fn list(g: &impl Dataflow, t: TaskId) -> Vec<(TaskId, DataRef, u64)> {
     let mut out = Vec::new();
     g.successors_into(t, &mut out);
@@ -142,42 +119,32 @@ fn panel_of(kind: TaskKind) -> usize {
     }
 }
 
-/// The space, the laid-out graph and the oracle agree on `snap` under
-/// `cfg`.
+/// The space and the oracle agree on `snap` under `cfg`.
 fn agree(snap: &RankSnapshot, cfg: &DagConfig) -> Result<(), TestCaseError> {
-    let space = CholeskySpace::new(snap, cfg);
     let dag = build_cholesky_dag(snap, cfg);
+    let space = &dag.graph;
     let o = oracle(space.analysis(), cfg.trimmed);
-    let graph: &TaskGraph = &dag.graph;
     prop_assert_eq!(space.len(), o.kinds.len());
-    prop_assert_eq!(graph.len(), o.kinds.len());
     prop_assert_eq!(space.num_edges(), o.successors.iter().map(Vec::len).sum::<usize>());
     for (t, &kind) in o.kinds.iter().enumerate() {
         prop_assert_eq!(space.kind(t), kind, "task {}", t);
         prop_assert_eq!(space.id(kind), t);
         let price = space.price(kind);
         let want = (class_of(kind), panel_of(kind), Some(operands(kind).0), price.flops.to_bits());
-        for spec in [Dataflow::spec(&space, t), graph.spec(t).clone()] {
-            let got = (spec.class, spec.priority, spec.writes, spec.flops.to_bits());
-            prop_assert_eq!(got, want, "spec of task {} ({:?})", t, kind);
-        }
+        let spec = space.spec(t);
+        let got = (spec.class, spec.priority, spec.writes, spec.flops.to_bits());
+        prop_assert_eq!(got, want, "spec of task {} ({:?})", t, kind);
         prop_assert_eq!(space.priority(t), panel_of(kind));
+        prop_assert_eq!(space.class(t), class_of(kind));
         prop_assert_eq!(dag.flops[t].to_bits(), price.flops.to_bits());
         prop_assert!(price.rank_param >= 1 && price.rank_param <= snap.tile_size());
         prop_assert!(
             !matches!(kind, TaskKind::Potrf { .. } | TaskKind::Syrk { .. }) || price.nested
         );
         let want: Vec<_> = o.successors[t].iter().map(|e| (e.dst, e.data, e.bytes)).collect();
-        prop_assert_eq!(list(&space, t), want.clone(), "successors of task {} ({:?})", t, kind);
-        prop_assert_eq!(list(graph, t), want, "laid-out successors of task {}", t);
+        prop_assert_eq!(list(space, t), want, "successors of task {} ({:?})", t, kind);
     }
-    prop_assert_eq!(Dataflow::indegrees(&space), o.indegree.clone());
-    prop_assert_eq!(graph.indegrees(), o.indegree);
-    // Non-integer durations, so a path summed in another order moves bits.
-    let duration = |t: TaskId| 0.1 + 1e-6 * dag.flops[t] + 0.01 * (t % 7) as f64;
-    let (on_space, on_graph) = (critical_path(&space, duration), critical_path(graph, duration));
-    prop_assert_eq!(on_space.length.to_bits(), on_graph.length.to_bits());
-    prop_assert_eq!(on_space.tasks, on_graph.tasks);
+    prop_assert_eq!(space.indegrees(), o.indegree);
     Ok(())
 }
 
@@ -202,19 +169,15 @@ fn priority_order(g: &impl Dataflow) -> Option<Vec<TaskId>> {
 }
 
 /// The priority-driven order of `snap` under `cfg` is the stored order of
-/// the space and of the graph laid out from it.
+/// the space.
 fn stored_order_is_the_priority_order(
     snap: &RankSnapshot,
     cfg: &DagConfig,
 ) -> Result<(), TestCaseError> {
     let space = CholeskySpace::new(snap, cfg);
-    let dag = build_cholesky_dag(snap, cfg);
     let want = priority_order(&space).expect("the space is acyclic");
-    prop_assert_eq!(priority_order(&dag.graph), Some(want.clone()));
-    let on_space: Option<Vec<_>> = Dataflow::order(&space).map(Iterator::collect);
-    prop_assert_eq!(on_space, Some(want.clone()));
-    let on_graph: Option<Vec<_>> = dag.graph.order().map(Iterator::collect);
-    prop_assert_eq!(on_graph, Some(want));
+    let on_space: Option<Vec<_>> = space.order().map(Iterator::collect);
+    prop_assert_eq!(on_space, Some(want));
     Ok(())
 }
 
