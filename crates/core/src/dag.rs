@@ -455,17 +455,11 @@ impl Dataflow for CholeskySpace {
             class: kind.class(),
             priority: kind.panel(),
             writes: Some(kind.operands().writes),
-            flops: self.price(kind).flops,
         }
     }
 
     fn priority(&self, t: TaskId) -> usize {
         self.panel(t)
-    }
-
-    /// The class alone: no price.
-    fn class(&self, t: TaskId) -> TaskClass {
-        self.kind(t).class()
     }
 
     fn indegrees(&self) -> Vec<usize> {

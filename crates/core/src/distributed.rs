@@ -38,18 +38,18 @@ use tlr_compress::kernels::KernelWorkspace;
 use tlr_compress::{CompressionConfig, SealedTile, Tile, TlrMatrix};
 use tlr_linalg::CholeskyError;
 
-/// Move the matrix tiles into per-rank initial stores according to the
-/// plan's packed-lower placement.
+/// Move the matrix tiles into per-rank initial stores: each tile to its
+/// owner in the plan's packed-lower owner map.
 pub(crate) fn scatter_tiles<P: TilePayload>(
     matrix: &mut TlrMatrix,
-    placement: &[usize],
+    owner: &[usize],
     nprocs: usize,
 ) -> Vec<HashMap<DataRef, P>> {
     let mut initial: Vec<HashMap<DataRef, P>> = (0..nprocs).map(|_| HashMap::new()).collect();
     for i in 0..matrix.nt() {
         for j in 0..=i {
             let tile = P::from_tile(matrix.take_tile(i, j));
-            initial[placement[lower(i, j)]].insert(DataRef { i, j }, tile);
+            initial[owner[lower(i, j)]].insert(DataRef { i, j }, tile);
         }
     }
     initial
@@ -186,7 +186,7 @@ mod tests {
     use distribution::TileDistribution;
     use distribution::{BandDistribution, DiamondDistribution, LorapoHybrid, TwoDBlockCyclic};
     use runtime::engine::EngineError;
-    use runtime::fault::{FaultPlan, FtConfig, FtError};
+    use runtime::fault::{FaultPlan, FtError};
     use runtime::obs::registry::Counter;
     use tlr_compress::CompressionConfig;
     use tlr_linalg::norms::relative_diff;
@@ -326,7 +326,7 @@ mod tests {
 
     // ---------------- fault-tolerant engine ----------------
 
-    fn check_ft_against_shared(nprocs: usize, dist: &dyn TileDistribution, ft: &FtConfig) {
+    fn check_ft_against_shared(nprocs: usize, dist: &dyn TileDistribution, ft: &FaultPlan) {
         let n = 120;
         let b = 24;
         let acc = 1e-8;
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn ft_fault_free_matches_shared_memory() {
-        check_ft_against_shared(4, &TwoDBlockCyclic::new(4), &FtConfig::fault_free());
+        check_ft_against_shared(4, &TwoDBlockCyclic::new(4), &FaultPlan::none());
     }
 
     #[test]
@@ -364,13 +364,13 @@ mod tests {
             .with_drops(0.2)
             .with_duplicates(0.2)
             .with_jitter(1.0);
-        check_ft_against_shared(4, &TwoDBlockCyclic::new(4), &FtConfig::with_plan(plan));
+        check_ft_against_shared(4, &TwoDBlockCyclic::new(4), &plan);
     }
 
     #[test]
     fn ft_crash_matches_shared_memory_on_remap() {
         let plan = FaultPlan::new(3).with_drops(0.1).with_crash(1, 15.0);
-        check_ft_against_shared(6, &DiamondDistribution::new(6), &FtConfig::with_plan(plan));
+        check_ft_against_shared(6, &DiamondDistribution::new(6), &plan);
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
         let ccfg = CompressionConfig::with_accuracy(1e-8);
         let mut m = TlrMatrix::from_dense(&dense, 16, &ccfg);
         let dist = TwoDBlockCyclic::new(4);
-        let ft = FtConfig::fault_free();
+        let ft = FaultPlan::none();
         let err = Session::distributed(FactorConfig::with_accuracy(1e-8), 4, &dist)
             .with_fault_layer(&ft)
             .run(&mut m)
@@ -409,9 +409,8 @@ mod tests {
         let mut m = TlrMatrix::from_dense(&dense, 24, &ccfg);
         let plan = FaultPlan::new(0).with_crash(0, 1.0).with_crash(1, 2.0);
         let dist = TwoDBlockCyclic::new(2);
-        let ft = FtConfig::with_plan(plan);
         let err = Session::distributed(FactorConfig::with_accuracy(1e-8), 2, &dist)
-            .with_fault_layer(&ft)
+            .with_fault_layer(&plan)
             .run(&mut m)
             .unwrap_err();
         assert_eq!(

@@ -3,12 +3,12 @@
 //!
 //! A [`DriftReport`] prices every task of the plan a run executed with
 //! the discrete-event simulator's per-task model — the kernel seconds
-//! [`des_tasks`](crate::simulate::des_tasks) assigns it on the spec's
+//! [`des_tasks`](crate::simulate::des_tasks) assigns it on the given
 //! machine: the nested node-parallel rate on the critical path, the
 //! single-core rate at the task's own rank elsewhere — and sets the
 //! per-class sums beside the busy time the run's registry measured, with
-//! the drift ratio and an anomaly flag for ratios outside a configurable
-//! band. Distributed runs additionally compare the exact comm model
+//! the drift ratio and an anomaly flag for ratios outside a fixed band
+//! (8×). Distributed runs additionally compare the exact comm model
 //! ([`modeled_comm`]) against the traffic the engine measured — equal on
 //! a fault-free run, drifting apart under retransmissions.
 //!
@@ -17,8 +17,8 @@
 //! interesting signal is the *relative* drift between classes (is GEMM
 //! mispriced relative to POTRF?) and run-over-run movement tracked by
 //! `bench_history`, not the absolute ratio. A distributed run measures
-//! `FtConfig::task_time` of virtual time per task, so there only its
-//! comm drift says something about the model.
+//! one second of virtual time per task, so there only its comm drift
+//! says something about the model.
 
 use crate::dag::CholeskySpace;
 use crate::simulate::task_duration;
@@ -50,24 +50,11 @@ pub fn modeled_comm(graph: &impl Dataflow, exec_rank: &[usize]) -> CommStats {
     CommStats { bytes, messages }
 }
 
-/// How a run's drift report is computed.
-#[derive(Debug, Clone)]
-pub struct DriftSpec {
-    /// Machine model the simulator prices each task on.
-    pub machine: MachineModel,
-    /// Anomaly band: a class whose measured/modeled ratio falls outside
-    /// `[1/band, band]` is flagged. Must be `> 1`; the default is 8
-    /// (wall-clock on a laptop vs a supercomputer model drifts by small
-    /// constant factors — flag only order-of-magnitude surprises).
-    pub band: f64,
-}
-
-impl DriftSpec {
-    /// A spec on the given machine with the default band.
-    pub fn new(machine: MachineModel) -> Self {
-        DriftSpec { machine, band: 8.0 }
-    }
-}
+/// Anomaly band: a ratio of measured to modeled outside `[1/BAND, BAND]`
+/// is flagged. Wall-clock on a laptop against a supercomputer model
+/// drifts by small constant factors, so only order-of-magnitude
+/// surprises are flagged.
+const BAND: f64 = 8.0;
 
 /// Modeled vs measured accounting of one kernel class.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +72,7 @@ pub struct ClassDrift {
     /// `measured_seconds / modeled_seconds`; `0.0` when the class has no
     /// modeled work (never `NaN`/`Inf`).
     pub ratio: f64,
-    /// Ratio fell outside the spec's `[1/band, band]`.
+    /// Ratio fell outside `[1/8, 8]`.
     pub anomalous: bool,
 }
 
@@ -101,7 +88,7 @@ pub struct CommDrift {
     pub bytes_ratio: f64,
     /// `measured.messages / modeled.messages` (`0.0` when none modeled).
     pub messages_ratio: f64,
-    /// Either ratio fell outside the spec's `[1/band, band]`.
+    /// Either ratio fell outside `[1/8, 8]`.
     pub anomalous: bool,
 }
 
@@ -112,7 +99,7 @@ pub struct CommDrift {
 pub struct DriftReport {
     /// Name of the machine model the prediction used.
     pub machine: String,
-    /// Anomaly band the flags were computed with.
+    /// Anomaly band the flags were computed with (always 8).
     pub band: f64,
     /// One entry per kernel class, fixed order potrf/trsm/syrk/gemm/other.
     pub classes: Vec<ClassDrift>,
@@ -128,26 +115,25 @@ fn ratio(measured: f64, modeled: f64) -> f64 {
     }
 }
 
-fn out_of_band(r: f64, band: f64) -> bool {
-    r > 0.0 && (r > band || r < 1.0 / band)
+fn out_of_band(r: f64) -> bool {
+    r > 0.0 && !(1.0 / BAND..=BAND).contains(&r)
 }
 
 impl DriftReport {
-    /// Build a report from the executed plan's task space, the run's
-    /// merged registry snapshot, and (on distributed runs) the final
-    /// task→rank mapping plus measured traffic.
+    /// Build a report from the executed plan's task space priced on
+    /// `machine`, the run's merged registry snapshot, and (on distributed
+    /// runs) the final task→rank mapping plus measured traffic.
     pub fn compute(
-        spec: &DriftSpec,
+        machine: &MachineModel,
         space: &CholeskySpace,
         snapshot: &RegistrySnapshot,
         comm: Option<(&[usize], CommStats)>,
     ) -> DriftReport {
-        let band = if spec.band > 1.0 { spec.band } else { 8.0 };
         let mut modeled = [0.0f64; NCLASSES];
         let mut tasks = [0u64; NCLASSES];
         for kind in space.kinds() {
             let k = class_slot(kind.class());
-            modeled[k] += task_duration(space, kind, &spec.machine);
+            modeled[k] += task_duration(space, kind, machine);
             tasks[k] += 1;
         }
         let classes = (0..NCLASSES)
@@ -167,7 +153,7 @@ impl DriftReport {
                     modeled_seconds: modeled[k],
                     measured_seconds: measured,
                     ratio: r,
-                    anomalous: out_of_band(r, band),
+                    anomalous: out_of_band(r),
                 }
             })
             .collect();
@@ -180,12 +166,12 @@ impl DriftReport {
                 measured,
                 bytes_ratio: br,
                 messages_ratio: mr,
-                anomalous: out_of_band(br, band) || out_of_band(mr, band),
+                anomalous: out_of_band(br) || out_of_band(mr),
             }
         });
         DriftReport {
-            machine: spec.machine.name.clone(),
-            band,
+            machine: machine.name.clone(),
+            band: BAND,
             classes,
             comm,
         }
@@ -326,8 +312,8 @@ mod tests {
     #[test]
     fn empty_snapshot_yields_zero_ratios_not_nan() {
         let space = small_space();
-        let spec = DriftSpec::new(MachineModel::shaheen_ii());
-        let rep = DriftReport::compute(&spec, &space, &RegistrySnapshot::default(), None);
+        let machine = MachineModel::shaheen_ii();
+        let rep = DriftReport::compute(&machine, &space, &RegistrySnapshot::default(), None);
         assert_eq!(rep.classes.len(), 5);
         for c in &rep.classes {
             assert!(c.ratio.is_finite(), "{}: {}", c.class, c.ratio);
@@ -343,10 +329,10 @@ mod tests {
 
     #[test]
     fn band_flags_order_of_magnitude_drift() {
-        assert!(out_of_band(10.0, 8.0));
-        assert!(out_of_band(0.05, 8.0));
-        assert!(!out_of_band(2.0, 8.0));
-        assert!(!out_of_band(0.0, 8.0), "no-data ratio never flags");
+        assert!(out_of_band(10.0));
+        assert!(out_of_band(0.05));
+        assert!(!out_of_band(2.0));
+        assert!(!out_of_band(0.0), "no-data ratio never flags");
     }
 
     #[test]
@@ -355,9 +341,8 @@ mod tests {
         let exec_rank: Vec<usize> = (0..space.len()).map(|t| t % 2).collect();
         let measured = modeled_comm(&space, &exec_rank);
         assert!(measured.messages > 0);
-        let spec = DriftSpec::new(MachineModel::fugaku());
         let rep = DriftReport::compute(
-            &spec,
+            &MachineModel::fugaku(),
             &space,
             &RegistrySnapshot::default(),
             Some((&exec_rank, measured)),
@@ -394,8 +379,8 @@ mod tests {
         let session = Session::distributed(FactorConfig::with_accuracy(acc), 4, &dist);
 
         let plan = session.plan(&TlrMatrix::from_dense(&dense, b, &ccfg)).unwrap();
-        let ds = plan.dist.as_ref().expect("a distributed session plans a placement");
-        let modeled = modeled_comm(&plan.space, &ds.exec_rank);
+        let owners = plan.dist.as_ref().expect("a distributed session plans an owner map");
+        let modeled = modeled_comm(&plan.space, &owners.exec_ranks(&plan.space));
 
         let mut m = TlrMatrix::from_dense(&dense, b, &ccfg);
         let measured = session.run(&mut m).unwrap().comm.unwrap();

@@ -16,9 +16,9 @@
 //!   runs one to one: its ids, each task's reads and their producers,
 //!   and its stored order, which is the panel-priority order every
 //!   engine follows. No plan lays the space out as a graph;
-//! * on distributed plans, the placement beside it: the task→rank map
-//!   and the per-tile initial placement, both fixed from the layout's
-//!   owner map when the plan is built.
+//! * on distributed plans, the layout's owner map beside it: each tile
+//!   starts on its owner, and every task that writes the tile runs
+//!   there.
 //!
 //! Plans are keyed by a structural fingerprint ([`PlanKey`]) folded with
 //! the same FNV-1a chain as the tile-integrity digests
@@ -84,20 +84,30 @@ pub struct PlanKey {
     pub structure: u64,
 }
 
-/// What a distributed plan holds beside its task space: plain data, fixed
-/// from the layout's owner map when the plan is built.
-pub(crate) struct DistStatic {
+/// What a distributed plan holds beside its task space: the layout's
+/// owner map, walked once per plan and folded into its key.
+pub(crate) struct OwnerMap {
     pub(crate) nprocs: usize,
-    /// Rank holding each packed-lower tile's initial version: its layout
-    /// owner.
-    pub(crate) placement: Vec<usize>,
-    /// Rank executing each task: the owner of the tile it writes, so
-    /// every writer of a tile runs where the tile starts.
-    pub(crate) exec_rank: Vec<usize>,
+    /// The owner rank of each packed-lower tile, each below `nprocs`: the
+    /// tile's initial version starts there.
+    pub(crate) owner: Vec<usize>,
+}
+
+impl OwnerMap {
+    /// The rank executing each task of `space`: the owner of the tile it
+    /// writes, so every writer of a tile runs where the tile starts.
+    pub(crate) fn exec_ranks(&self, space: &CholeskySpace) -> Vec<usize> {
+        let mut ranks = Vec::with_capacity(space.len());
+        ranks.extend(space.kinds().map(|kind| {
+            let w = kind.operands().writes;
+            self.owner[lower(w.i, w.j)]
+        }));
+        ranks
+    }
 }
 
 /// The immutable artifact of the symbolic phase: the trimmed task space
-/// and, on distributed plans, the placement beside it, built once and
+/// and, on distributed plans, the owner map beside it, built once and
 /// consumed by any number of numeric runs.
 ///
 /// Build one with [`Session::plan`](crate::session::Session::plan) (or
@@ -110,8 +120,8 @@ pub(crate) struct DistStatic {
 pub struct SymbolicPlan {
     pub(crate) key: PlanKey,
     pub(crate) space: CholeskySpace,
-    /// The placement of a distributed plan; `None` on a shared one.
-    pub(crate) dist: Option<DistStatic>,
+    /// The owner map of a distributed plan; `None` on a shared one.
+    pub(crate) dist: Option<OwnerMap>,
     pub(crate) planning_seconds: f64,
 }
 
@@ -148,22 +158,11 @@ impl std::fmt::Debug for SymbolicPlan {
     }
 }
 
-/// Inputs of a distributed plan build (everything
-/// [`Session`](crate::session::Session) knows beyond the
-/// [`FactorConfig`]).
-pub(crate) struct DistPlanInputs {
-    pub(crate) nprocs: usize,
-    /// The layout's owner rank per packed-lower tile, each below
-    /// `nprocs`: walked once per plan, folded into the key and baked into
-    /// the plan as its placement.
-    pub(crate) owner: Vec<usize>,
-}
-
 /// Compute the cache key for a (config, structure, mode) triple.
 pub(crate) fn plan_key(
     cfg: &FactorConfig,
     snapshot: &RankSnapshot,
-    dist: Option<&DistPlanInputs>,
+    dist: Option<&OwnerMap>,
 ) -> PlanKey {
     let mut fold = WordFold::new();
     for &r in snapshot.as_flat() {
@@ -191,15 +190,15 @@ pub(crate) fn plan_key(
     }
 }
 
-/// Run the symbolic phase once: the task space, placed on distributed
-/// plans. `key` is
+/// Run the symbolic phase once: the task space, beside the owner map on
+/// distributed plans. `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
     cfg: &FactorConfig,
     snapshot: &RankSnapshot,
     key: PlanKey,
-    dist: Option<DistPlanInputs>,
+    dist: Option<OwnerMap>,
 ) -> SymbolicPlan {
     let t0 = std::time::Instant::now();
     let dag_cfg = DagConfig {
@@ -207,16 +206,6 @@ pub(crate) fn build_plan(
         rank_cap: cfg.max_rank,
     };
     let space = CholeskySpace::new(snapshot, &dag_cfg);
-    let dist = dist.map(|d| {
-        let exec_rank = space
-            .kinds()
-            .map(|kind| {
-                let w = kind.operands().writes;
-                d.owner[lower(w.i, w.j)]
-            })
-            .collect();
-        DistStatic { nprocs: d.nprocs, placement: d.owner, exec_rank }
-    });
     SymbolicPlan {
         key,
         space,

@@ -28,11 +28,9 @@
 
 use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
-use crate::drift::{DriftReport, DriftSpec};
+use crate::drift::DriftReport;
 use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
-use crate::plan::{
-    self, CacheEvents, DistPlanInputs, DistStatic, PlanCache, PlanKey, SymbolicPlan,
-};
+use crate::plan::{self, CacheEvents, OwnerMap, PlanCache, PlanKey, SymbolicPlan};
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
 use runtime::critical_path::critical_path;
@@ -40,8 +38,9 @@ use runtime::des::CommStats;
 use runtime::engine::{
     DistConfig, DistEngine, Engine, EngineConfig, EngineError, ExecObs, IntegrityHooks,
 };
-use runtime::fault::{FtConfig, FtError, IntegrityError};
+use runtime::fault::{FaultPlan, FtError, IntegrityError};
 use runtime::graph::DataRef;
+use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
 use runtime::obs::{RunEvent, RunMetrics};
@@ -68,7 +67,7 @@ enum Mode<'a> {
     Distributed {
         nprocs: usize,
         exec: &'a dyn TileDistribution,
-        ft: Option<&'a FtConfig>,
+        ft: Option<&'a FaultPlan>,
     },
 }
 
@@ -83,7 +82,8 @@ enum Mode<'a> {
 pub struct Session<'a> {
     cfg: FactorConfig,
     mode: Mode<'a>,
-    drift: Option<DriftSpec>,
+    /// The machine a drift report prices the run on, if one was asked for.
+    drift: Option<MachineModel>,
     cache: Option<&'a PlanCache>,
 }
 
@@ -121,8 +121,8 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Layer a fault plan + retry policy onto a distributed session: the
-    /// run then injects the plan's message loss, duplication, delay
+    /// Layer a fault plan onto a distributed session: the run then
+    /// injects the plan's message loss, duplication, delay
     /// jitter, rank crashes, kernel failures and silent data corruption
     /// (bit-flips in store tiles or message payloads — these arm the
     /// tile-integrity layer automatically), recovers from them, and
@@ -132,9 +132,9 @@ impl<'a> Session<'a> {
     ///
     /// Fault injection is a distributed-memory concept; on a shared
     /// session this is a documented no-op.
-    pub fn with_fault_layer(mut self, ft_cfg: &'a FtConfig) -> Self {
+    pub fn with_fault_layer(mut self, faults: &'a FaultPlan) -> Self {
         if let Mode::Distributed { ft, .. } = &mut self.mode {
-            *ft = Some(ft_cfg);
+            *ft = Some(faults);
         }
         self
     }
@@ -151,15 +151,15 @@ impl<'a> Session<'a> {
 
     /// Layer a cost-model drift report onto the session: after a
     /// successful run, [`RunOutcome::drift`] prices every task of the
-    /// executed plan with the simulator's per-task model on the spec's
-    /// machine and compares the per-class sums (and, on distributed runs,
-    /// the exact comm model) against what the run measured.
+    /// executed plan with the simulator's per-task model on `machine`
+    /// and compares the per-class sums (and, on distributed runs, the
+    /// exact comm model) against what the run measured.
     ///
-    /// On a distributed run every task measures `FtConfig::task_time` of
-    /// virtual time, so there the class table only restates the task
-    /// counts and the comm drift is the informative part.
-    pub fn with_drift(mut self, spec: DriftSpec) -> Self {
-        self.drift = Some(spec);
+    /// On a distributed run every task measures one second of virtual
+    /// time, so there the class table only restates the task counts and
+    /// the comm drift is the informative part.
+    pub fn with_drift(mut self, machine: MachineModel) -> Self {
+        self.drift = Some(machine);
         self
     }
 
@@ -237,7 +237,7 @@ impl<'a> Session<'a> {
     }
 
     /// The fault layer of a distributed session (`None` on shared ones).
-    fn fault_layer(&self) -> Option<&'a FtConfig> {
+    fn fault_layer(&self) -> Option<&'a FaultPlan> {
         match self.mode {
             Mode::Shared => None,
             Mode::Distributed { ft, .. } => ft,
@@ -252,7 +252,7 @@ impl<'a> Session<'a> {
         self.cfg.integrity != IntegrityMode::Off
             || self
                 .fault_layer()
-                .is_some_and(|f| f.plan.injects_corruption())
+                .is_some_and(FaultPlan::injects_corruption)
     }
 
     /// The fingerprint of the plan this session runs `snapshot` with,
@@ -261,7 +261,7 @@ impl<'a> Session<'a> {
     /// where a distributed session over zero ranks, or over a layout for
     /// another rank count, is rejected and where the layout's owner map
     /// is walked (once per plan).
-    fn key(&self, snapshot: &RankSnapshot) -> Result<(PlanKey, Option<DistPlanInputs>), RunError> {
+    fn key(&self, snapshot: &RankSnapshot) -> Result<(PlanKey, Option<OwnerMap>), RunError> {
         let dist = match self.mode {
             Mode::Shared => None,
             Mode::Distributed { nprocs: 0, .. } => {
@@ -273,7 +273,7 @@ impl<'a> Session<'a> {
             Mode::Distributed { nprocs, exec, .. } => {
                 let nt = snapshot.nt();
                 let owners = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
-                Some(DistPlanInputs {
+                Some(OwnerMap {
                     nprocs,
                     owner: owners.map(|(i, j)| exec.owner(i, j)).collect(),
                 })
@@ -348,7 +348,7 @@ impl<'a> Session<'a> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
         let mut out = match &plan.dist {
             None => shared_attempt(matrix, cfg, &plan.space, drift, ev),
-            Some(ds) => self.distributed_attempt(matrix, &plan.space, ds, ev),
+            Some(owners) => self.distributed_attempt(matrix, &plan.space, owners, ev),
         }?;
         out.report.analysis_seconds = analysis_seconds;
         Ok(out)
@@ -809,7 +809,7 @@ fn shared_attempt(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
     space: &CholeskySpace,
-    drift: Option<&DriftSpec>,
+    drift: Option<&MachineModel>,
     ev: CacheEvents,
 ) -> Result<RunOutcome, RunError> {
     let nt = matrix.nt();
@@ -1008,7 +1008,7 @@ fn shared_attempt(
 
     let rank_evolution = drain_workspaces(workspaces, &registry);
     let registry = registry.snapshot();
-    let drift = drift.map(|spec| DriftReport::compute(spec, space, &registry, None));
+    let drift = drift.map(|machine| DriftReport::compute(machine, space, &registry, None));
     let breakdown = registry.class_busy_seconds();
     let trace = obs.map(|o| o.finish(space));
     let mut out = outcome(space, matrix, memory_before_f64, factorization_seconds, registry, trace);
@@ -1076,7 +1076,7 @@ impl Session<'_> {
         &self,
         matrix: &mut TlrMatrix,
         space: &CholeskySpace,
-        ds: &DistStatic,
+        owners: &OwnerMap,
         ev: CacheEvents,
     ) -> Result<RunOutcome, RunError> {
         if self.sealed_payloads() {
@@ -1090,9 +1090,9 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            self.run_ranks(matrix, space, ds, ev, Some(&hooks))
+            self.run_ranks(matrix, space, owners, ev, Some(&hooks))
         } else {
-            self.run_ranks::<Tile>(matrix, space, ds, ev, None)
+            self.run_ranks::<Tile>(matrix, space, owners, ev, None)
         }
     }
 
@@ -1100,18 +1100,18 @@ impl Session<'_> {
     /// tiles into per-rank stores wrapped as `P`, run the task body once
     /// per task of the space, and move the final versions back.
     ///
-    /// All placement decisions come off the plan's [`DistStatic`] and
-    /// the order off the space; this function only moves tiles and runs
-    /// the task body.
+    /// All placement decisions come off the plan's [`OwnerMap`] and the
+    /// order off the space; this function only moves tiles and runs the
+    /// task body.
     fn run_ranks<P: TilePayload>(
         &self,
         matrix: &mut TlrMatrix,
         space: &CholeskySpace,
-        ds: &DistStatic,
+        owners: &OwnerMap,
         ev: CacheEvents,
         hooks: Option<&IntegrityHooks<'_, P>>,
     ) -> Result<RunOutcome, RunError> {
-        let (cfg, nprocs) = (&self.cfg, ds.nprocs);
+        let (cfg, nprocs) = (&self.cfg, owners.nprocs);
         let memory_before_f64 = matrix.memory_f64();
         let body = RankBody::new(space, cfg, matrix.tile_size(), nprocs);
         // The metrics registry shards per emulated rank: task counts and
@@ -1119,14 +1119,16 @@ impl Session<'_> {
         // fault and integrity events in shard 0.
         let registry = Registry::new(nprocs);
         record_cache_events(&registry, ev);
+        let no_faults = FaultPlan::none();
         let dist_cfg = DistConfig {
-            ft: self.fault_layer(),
+            faults: self.fault_layer().unwrap_or(&no_faults),
             record_trace: cfg.collect_trace,
             metrics: &registry,
         };
         let exec_t0 = std::time::Instant::now();
-        let initial = scatter_tiles::<P>(matrix, &ds.placement, nprocs);
-        let mut out = DistEngine::new(space, nprocs, &ds.exec_rank).run(
+        let exec_rank = owners.exec_ranks(space);
+        let initial = scatter_tiles::<P>(matrix, &owners.owner, nprocs);
+        let mut out = DistEngine::new(space, nprocs, &exec_rank).run(
             initial,
             &dist_cfg,
             hooks,
@@ -1141,8 +1143,8 @@ impl Session<'_> {
         let rank_evolution = drain_workspaces(body.workspaces, &registry);
         let registry = registry.snapshot();
         // The comm model prices the run's final task→rank mapping.
-        let drift = self.drift.as_ref().map(|spec| {
-            DriftReport::compute(spec, space, &registry, Some((&out.exec_rank, out.comm)))
+        let drift = self.drift.as_ref().map(|machine| {
+            DriftReport::compute(machine, space, &registry, Some((&out.exec_rank, out.comm)))
         });
         Ok(RunOutcome {
             comm: Some(out.comm),

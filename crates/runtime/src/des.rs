@@ -595,7 +595,6 @@ mod tests {
             class: TaskClass::Other,
             priority,
             writes: None,
-            flops: 0.0,
         }
     }
 

@@ -17,12 +17,21 @@
 use super::EngineError;
 use crate::des::CommStats;
 use crate::event_queue::EventQueue;
-use crate::fault::{FtConfig, FtError, IntegrityError};
+use crate::fault::{
+    timeout_for, FaultPlan, FtError, IntegrityError, MAX_HEAL_RETRIES, MAX_KERNEL_RETRIES,
+    MAX_SEND_ATTEMPTS,
+};
 use crate::graph::{DataRef, Dataflow, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::obs::RunEvent;
 use crate::trace::{TaskRecord, Trace};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+/// Virtual execution time of every task (seconds).
+const TASK_TIME: f64 = 1.0;
+/// One-way latency of every message and acknowledgement (virtual
+/// seconds), before the plan's jitter.
+const LATENCY: f64 = 0.5;
 
 /// Context handed to the task body on its executing rank.
 pub struct RankCtx<'a, P> {
@@ -81,13 +90,12 @@ fn missing_datum(rank: usize, data: DataRef) -> ! {
 ///
 /// The distributed engine runs in virtual time, so its capabilities are
 /// plain data rather than monomorphized traits (a branch per event is
-/// free there): `ft: None` is a perfect network.
+/// free there): [`FaultPlan::none`] is a perfect network.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig<'a> {
-    /// Fault layer: the fault plan, retry policy and virtual-time cost
-    /// model. `None` runs the same event loop over a perfect network
-    /// ([`FtConfig::fault_free`]).
-    pub ft: Option<&'a FtConfig>,
+    /// What goes wrong during the run. [`FaultPlan::none`] runs the same
+    /// event loop over a perfect network.
+    pub faults: &'a FaultPlan,
     /// Capture a virtual-time [`Trace`] of task execution (one record
     /// per *successful* task completion; crash re-executions append a
     /// second record, mirroring what a real tracer would see).
@@ -158,7 +166,7 @@ struct MsgRec<P> {
     attempts: u32,
     /// Latest attempt was acknowledged.
     acked: bool,
-    /// Gave up after `max_send_attempts`.
+    /// Gave up after [`MAX_SEND_ATTEMPTS`].
     abandoned: bool,
 }
 
@@ -265,8 +273,8 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
     ///   inputs, every datum it reads from the rank store is verified; a
     ///   mismatch triggers lineage healing: checkpoint rollback, writer
     ///   chain re-execution with logged-message replay, and a backed-off
-    ///   re-wake, escalating to [`FtError::Integrity`] after
-    ///   `max_heal_retries` failed passes on the same datum;
+    ///   re-wake, escalating to [`FtError::Integrity`] once the heal
+    ///   budget (4 passes) on the same datum runs out;
     /// * **final sweep** — after the last task completes, every
     ///   surviving store is verified (a tile corrupted after its last
     ///   read would otherwise escape) and healed before the outcome is
@@ -300,17 +308,9 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
         if let Some((task, &rank)) = exec_rank.iter().enumerate().find(|(_, &r)| r >= nprocs) {
             return Err(EngineError::InvalidRank { task, rank, nprocs });
         }
-        let fault_free;
-        let ft = match cfg.ft {
-            Some(ft) => ft,
-            None => {
-                fault_free = FtConfig::fault_free();
-                &fault_free
-            }
-        };
-        ft.plan.validate(nprocs)?;
+        cfg.faults.validate(nprocs)?;
 
-        let mut run = Run::new(self, order, initial, ft, cfg, hooks, body);
+        let mut run = Run::new(self, order, initial, cfg, hooks, body);
         loop {
             while let Some((time, event)) = run.events.pop() {
                 if run.done_count == ntasks {
@@ -344,7 +344,7 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
 /// The state of one [`DistEngine::run`]: one method per event kind.
 struct Run<'a, P, F, G> {
     graph: &'a G,
-    ft: &'a FtConfig,
+    faults: &'a FaultPlan,
     hooks: Option<&'a IntegrityHooks<'a, P>>,
     metrics: &'a Registry,
     body: F,
@@ -376,8 +376,9 @@ struct Run<'a, P, F, G> {
     /// Checkpoint of every rank's initial data — the recovery source for
     /// data whose owner dies (a real deployment would re-generate or
     /// re-load it; the cost model charges the re-execution instead).
-    /// Taken only when something can read it: `crash` under a fault layer
-    /// and `heal_datum` under integrity hooks. Empty maps otherwise.
+    /// Taken only when something can read it: `crash` when the plan
+    /// schedules one and `heal_datum` under integrity hooks. Empty maps
+    /// otherwise.
     checkpoint: Vec<HashMap<DataRef, P>>,
     /// Checkpoints each rank answers for (its own, plus inherited ones).
     owned_ckpt: Vec<Vec<usize>>,
@@ -405,7 +406,6 @@ where
         engine: &DistEngine<'a, '_, G>,
         order: impl Iterator<Item = TaskId>,
         initial: Vec<HashMap<DataRef, P>>,
-        ft: &'a FtConfig,
         cfg: &DistConfig<'a>,
         hooks: Option<&'a IntegrityHooks<'a, P>>,
         body: F,
@@ -437,24 +437,25 @@ where
                 }
             }
         }
+        let faults = cfg.faults;
         let mut events = EventQueue::new();
-        for c in &ft.plan.crashes {
+        for c in &faults.crashes {
             events.push(c.at, Event::Crash { rank: c.rank });
         }
-        for (idx, c) in ft.plan.store_corruptions.iter().enumerate() {
+        for (idx, c) in faults.store_corruptions.iter().enumerate() {
             events.push(c.at, Event::CorruptStore { idx });
         }
         for rank in 0..nprocs {
             events.push(0.0, Event::TryStart { rank });
         }
-        let checkpoint = if cfg.ft.is_some() || hooks.is_some() {
+        let checkpoint = if !faults.crashes.is_empty() || hooks.is_some() {
             initial.clone()
         } else {
             vec![HashMap::new(); nprocs]
         };
         Run {
             graph,
-            ft,
+            faults,
             hooks,
             metrics: cfg.metrics,
             body,
@@ -514,19 +515,19 @@ where
         self.queue[rank].pop_front();
         self.busy[rank] = Some(t);
         let epoch = self.epoch[rank];
-        self.events.push(self.now + self.ft.task_time, Event::TaskDone { rank, task: t, epoch });
+        self.events.push(self.now + TASK_TIME, Event::TaskDone { rank, task: t, epoch });
     }
 
     fn task_done(&mut self, rank: usize, t: TaskId, epoch: u32) -> Result<(), EngineError> {
         if !self.alive[rank] || epoch != self.epoch[rank] {
             return Ok(()); // the rank died mid-execution
         }
-        let (now, ft, graph) = (self.now, self.ft, self.graph);
+        let (now, graph) = (self.now, self.graph);
         self.busy[rank] = None;
-        if ft.plan.kernel_fails(t, self.kernel_attempts[t]) {
+        if self.faults.kernel_fails(t, self.kernel_attempts[t]) {
             self.kernel_attempts[t] += 1;
             self.fault(Counter::KernelFailures);
-            if self.kernel_attempts[t] > ft.retry.max_kernel_retries {
+            if self.kernel_attempts[t] > MAX_KERNEL_RETRIES {
                 return Err(EngineError::Fault(FtError::KernelRetriesExhausted { task: t }));
             }
             self.queue[rank].push_front(t); // retry in place
@@ -556,13 +557,13 @@ where
         self.done_count += 1;
         let spec = graph.spec(t);
         self.metrics.incr(rank, Counter::TasksExecuted);
-        self.metrics.record_class_seconds(rank, spec.class, ft.task_time);
+        self.metrics.record_class_seconds(rank, spec.class, TASK_TIME);
         if let Some(hd) = self.heal_final_writer.remove(&t) {
             self.fault(Counter::CorruptionsHealed);
             self.log.push(RunEvent::Healed { rank, i: hd.i, j: hd.j, at: now });
         }
         if let Some(tr) = self.trace.as_mut() {
-            let start = now - ft.task_time;
+            let start = now - TASK_TIME;
             tr.push_record(TaskRecord {
                 task: t,
                 class: spec.class,
@@ -624,9 +625,9 @@ where
     /// delivery (possibly duplicated, possibly dropped) and its
     /// retransmission timeout.
     fn schedule_send(&mut self, id: usize) {
-        let (now, ft) = (self.now, self.ft);
+        let (now, faults) = (self.now, self.faults);
         let rec = &mut self.recs[id];
-        if rec.attempts >= ft.retry.max_send_attempts {
+        if rec.attempts >= MAX_SEND_ATTEMPTS {
             if !rec.abandoned {
                 rec.abandoned = true;
                 self.fault(Counter::SendsAbandoned);
@@ -643,22 +644,22 @@ where
         self.comm.messages += 1;
         self.comm.bytes += bytes;
         let mid = id as u64;
-        if ft.plan.drops_message(mid, attempt) {
+        if faults.drops_message(mid, attempt) {
             self.fault(Counter::MessagesDropped);
         } else {
-            let dt = ft.latency + ft.plan.delay(mid, attempt, 0);
+            let dt = LATENCY + faults.delay(mid, attempt, 0);
             self.events.push(now + dt, Event::Deliver { msg: id, attempt, copy: 0 });
-            if ft.plan.duplicates_message(mid, attempt) {
+            if faults.duplicates_message(mid, attempt) {
                 self.fault(Counter::MessagesDuplicated);
-                let dt2 = ft.latency + ft.plan.delay(mid, attempt, 1);
+                let dt2 = LATENCY + faults.delay(mid, attempt, 1);
                 self.events.push(now + dt2, Event::Deliver { msg: id, attempt, copy: 1 });
             }
         }
-        self.events.push(now + ft.retry.timeout_for(attempt), Event::Resend { msg: id, attempt });
+        self.events.push(now + timeout_for(attempt), Event::Resend { msg: id, attempt });
     }
 
     fn deliver(&mut self, msg: usize, attempt: u32, copy: u32) {
-        let (now, ft) = (self.now, self.ft);
+        let (now, faults) = (self.now, self.faults);
         let (src, dst, data) = (self.recs[msg].src, self.recs[msg].dst, self.recs[msg].data);
         let dst_rank = self.cur_exec[dst];
         if !self.alive[dst_rank] {
@@ -671,9 +672,9 @@ where
         // the attempt timeout stays armed as a backstop).
         let mut incoming: Option<P> = None;
         if let Some(h) = self.hooks {
-            if ft.plan.corrupts_message(msg as u64, attempt, copy) {
+            if faults.corrupts_message(msg as u64, attempt, copy) {
                 let mut p = self.recs[msg].payload.clone();
-                if (h.corrupt)(&mut p, ft.plan.corruption_bits(msg as u64)) {
+                if (h.corrupt)(&mut p, faults.corruption_bits(msg as u64)) {
                     self.fault(Counter::MessagesCorrupted);
                     if !(h.verify)(&p) {
                         self.fault(Counter::CorruptionsDetected);
@@ -684,7 +685,7 @@ where
                             j: data.j,
                             at: now,
                         });
-                        self.events.push(now + ft.latency, Event::Resend { msg, attempt });
+                        self.events.push(now + LATENCY, Event::Resend { msg, attempt });
                         return;
                     }
                     // an undetected flip is delivered as-is (unreachable
@@ -705,10 +706,10 @@ where
             }
         }
         // every verified delivery (even a dedup'd one) is acknowledged
-        if ft.plan.drops_ack(msg as u64, attempt) {
+        if faults.drops_ack(msg as u64, attempt) {
             self.fault(Counter::AcksDropped);
         } else {
-            self.events.push(now + ft.latency, Event::AckArrive { msg, attempt });
+            self.events.push(now + LATENCY, Event::AckArrive { msg, attempt });
         }
     }
 
@@ -732,7 +733,7 @@ where
     }
 
     fn corrupt_store(&mut self, idx: usize) {
-        let c = self.ft.plan.store_corruptions[idx];
+        let c = self.faults.store_corruptions[idx];
         if !self.alive[c.rank] {
             return; // the crash already destroyed the store
         }
@@ -740,7 +741,7 @@ where
         // payload: the strike is inert.
         let Some(h) = self.hooks else { return };
         if let Some(p) = self.stores[c.rank].get_mut(&DataRef { i: c.i, j: c.j }) {
-            if (h.corrupt)(p, self.ft.plan.corruption_bits((1u64 << 32) + idx as u64)) {
+            if (h.corrupt)(p, self.faults.corruption_bits((1u64 << 32) + idx as u64)) {
                 self.fault(Counter::StoreCorruptionsInjected);
             }
         }
@@ -829,7 +830,7 @@ where
     /// verified inputs, replay the writers' logged remote inputs, and
     /// re-wake the affected ranks after a backed-off detection window.
     /// Escalates to [`FtError::Integrity`] once the same datum has been
-    /// healed `max_heal_retries` times without sticking (heal attempts
+    /// healed [`MAX_HEAL_RETRIES`] times without sticking (heal attempts
     /// are counted cumulatively per datum, so repeated strikes on one
     /// tile escalate).
     fn heal_datum(&mut self, d: DataRef, rank: usize) -> Result<(), EngineError> {
@@ -839,7 +840,7 @@ where
         let att = self.heal_attempts.entry((d.i, d.j)).or_insert(0);
         *att += 1;
         let attempts = *att;
-        if attempts > self.ft.retry.max_heal_retries {
+        if attempts > MAX_HEAL_RETRIES {
             return Err(EngineError::Fault(FtError::Integrity(IntegrityError {
                 rank,
                 data: (d.i, d.j),
@@ -888,7 +889,7 @@ where
         // their inboxes were consumed on the first run.
         self.replay_to(&undone.iter().copied().collect(), true);
         // Detection + rollback window, backed off per heal attempt.
-        let delay = self.ft.retry.timeout_for(attempts);
+        let delay = timeout_for(attempts);
         for &r in &affected {
             self.events.push(now + delay, Event::TryStart { rank: r });
         }
@@ -929,7 +930,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, RetryConfig};
+    use crate::fault::FaultPlan;
     use crate::graph::{GraphBuilder, TaskClass, TaskGraph, TaskSpec};
     use crate::obs::registry::RegistrySnapshot;
     use std::sync::OnceLock;
@@ -942,7 +943,9 @@ mod tests {
 
     /// A perfect network with no trace.
     fn plain() -> DistConfig<'static> {
-        DistConfig { ft: None, record_trace: false, metrics: sink() }
+        static NONE: OnceLock<FaultPlan> = OnceLock::new();
+        let faults = NONE.get_or_init(FaultPlan::none);
+        DistConfig { faults, record_trace: false, metrics: sink() }
     }
 
     fn dspec(priority: usize, writes: DataRef) -> TaskSpec {
@@ -950,7 +953,6 @@ mod tests {
             class: TaskClass::Other,
             priority,
             writes: Some(writes),
-            flops: 0.0,
         }
     }
 
@@ -1032,9 +1034,8 @@ mod tests {
     /// the re-executions too.
     #[test]
     fn dist_trace_composes_with_fault_layer() {
-        use crate::fault::FaultPlan;
-        let ft = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
-        let cfg = DistConfig { ft: Some(&ft), record_trace: true, ..plain() };
+        let faults = FaultPlan::new(1).with_crash(1, 6.0);
+        let cfg = DistConfig { faults: &faults, record_trace: true, ..plain() };
         let n = 12;
         let (out, c_out) = run_chain(n, 4, &cfg).unwrap();
         assert_eq!(chain_result(&out, n), n as i64);
@@ -1095,8 +1096,8 @@ mod tests {
     fn store_corruption_is_detected_at_read_boundary_and_healed() {
         let n = 4;
         let (clean, _) = run_sealed_chain(n, 1, &plain()).unwrap();
-        let ft = FtConfig::with_plan(FaultPlan::new(5).with_store_corruption(0, 1, 0, 2.5));
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let faults = FaultPlan::new(5).with_store_corruption(0, 1, 0, 2.5);
+        let cfg = DistConfig { faults: &faults, ..plain() };
         let (out, c_out) = run_sealed_chain(n, 1, &cfg).unwrap();
         assert_eq!(c_out.counter(Counter::StoreCorruptionsInjected), 1);
         assert_eq!(c_out.counter(Counter::CorruptionsDetected), 1);
@@ -1138,8 +1139,8 @@ mod tests {
         // (0, 0) on rank 0 is only ever read remotely (by task 1 via a
         // logged message), so a strike after task 0 completes is
         // invisible to every read boundary.
-        let ft = FtConfig::with_plan(FaultPlan::new(9).with_store_corruption(0, 0, 0, 1.5));
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let faults = FaultPlan::new(9).with_store_corruption(0, 0, 0, 1.5);
+        let cfg = DistConfig { faults: &faults, ..plain() };
         let (out, c_out) = run_sealed_chain(n, nprocs, &cfg).unwrap();
         assert_eq!(c_out.counter(Counter::StoreCorruptionsInjected), 1);
         assert_eq!(c_out.counter(Counter::CorruptionsDetected), 1);
@@ -1162,8 +1163,8 @@ mod tests {
     #[test]
     fn message_corruption_is_nacked_and_retransmitted() {
         let n = 12;
-        let ft = FtConfig::with_plan(FaultPlan::new(21).with_message_corruption(0.5));
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let faults = FaultPlan::new(21).with_message_corruption(0.5);
+        let cfg = DistConfig { faults: &faults, ..plain() };
         let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
@@ -1202,8 +1203,7 @@ mod tests {
             .with_drops(0.3)
             .with_duplicates(0.3)
             .with_ack_drops(0.3);
-        let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let cfg = DistConfig { faults: &plan, ..plain() };
         let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
@@ -1216,19 +1216,22 @@ mod tests {
         assert_eq!(c_out.counter(Counter::CorruptionsHealed), 0);
     }
 
-    /// Healing is bounded: with retries disabled the first detection
-    /// escalates to a typed [`FtError::Integrity`], never a panic.
+    /// Healing is bounded: when every re-execution meets a fresh flip
+    /// (one strike per virtual second on the same tile), the datum
+    /// escalates to a typed [`FtError::Integrity`] after the heal budget,
+    /// never a panic.
     #[test]
     fn heal_escalation_is_a_typed_error() {
-        let mut ft = FtConfig::with_plan(FaultPlan::new(5).with_store_corruption(0, 1, 0, 2.5));
-        ft.retry.max_heal_retries = 0;
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let faults = (0..400).fold(FaultPlan::new(5), |p, s| {
+            p.with_store_corruption(0, 1, 0, 2.5 + s as f64)
+        });
+        let cfg = DistConfig { faults: &faults, ..plain() };
         let err = run_sealed_chain(4, 1, &cfg).unwrap_err();
         match err {
             EngineError::Fault(FtError::Integrity(e)) => {
                 assert_eq!(e.rank, 0);
                 assert_eq!(e.data, (1, 0));
-                assert_eq!(e.attempts, 0);
+                assert_eq!(e.attempts, MAX_HEAL_RETRIES);
             }
             other => panic!("expected integrity escalation, got {other:?}"),
         }
@@ -1242,8 +1245,7 @@ mod tests {
         let plan = FaultPlan::new(4)
             .with_message_corruption(0.9)
             .with_store_corruption(0, 1, 0, 2.5);
-        let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig { ft: Some(&ft), ..plain() };
+        let cfg = DistConfig { faults: &plan, ..plain() };
         let (out, c_out) = run_chain(n, 2, &cfg).unwrap();
         assert_eq!(chain_result(&out, n), n as i64);
         assert_eq!(c_out.counter(Counter::MessagesCorrupted), 0);
@@ -1260,8 +1262,7 @@ mod tests {
             .with_message_corruption(0.3)
             .with_store_corruption(0, 0, 0, 1.5)
             .with_crash(1, 6.0);
-        let ft = FtConfig::with_plan(plan);
-        let cfg = DistConfig { ft: Some(&ft), record_trace: true, ..plain() };
+        let cfg = DistConfig { faults: &plan, record_trace: true, ..plain() };
         let (out, c_out) = run_sealed_chain(n, 4, &cfg).unwrap();
         let last = DataRef { i: n - 1, j: 0 };
         assert_eq!(
@@ -1321,12 +1322,11 @@ mod tests {
         );
 
         // Crash of a nonexistent rank.
-        use crate::fault::FaultPlan;
-        let ft = FtConfig::with_plan(FaultPlan::new(0).with_crash(7, 1.0));
+        let faults = FaultPlan::new(0).with_crash(7, 1.0);
         let err = DistEngine::new(&g, 4, &[0, 1, 2, 3])
             .run(
                 initial4,
-                &DistConfig { ft: Some(&ft), ..plain() },
+                &DistConfig { faults: &faults, ..plain() },
                 None,
                 body,
             )
@@ -1504,13 +1504,13 @@ mod tests {
 
     /// [`run_chain`] under a fault plan: the final value n proves every
     /// hop happened exactly once with the right payload.
-    fn run_chain_ft(n: usize, nprocs: usize, cfg: &FtConfig) -> Counted<i64> {
-        run_chain(n, nprocs, &DistConfig { ft: Some(cfg), ..plain() })
+    fn run_chain_ft(n: usize, nprocs: usize, faults: &FaultPlan) -> Counted<i64> {
+        run_chain(n, nprocs, &DistConfig { faults, ..plain() })
     }
 
     #[test]
     fn ft_fault_free_matches_default_config() {
-        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &FaultPlan::none()).unwrap();
         assert_eq!(chain_result(&out, 12), 12);
         assert_eq!(c_out.counter(Counter::Retransmissions), 0);
         assert_eq!(c_out.counter(Counter::Crashes), 0);
@@ -1524,8 +1524,7 @@ mod tests {
             .with_duplicates(0.30)
             .with_ack_drops(0.25)
             .with_jitter(2.0);
-        let cfg = FtConfig::with_plan(plan);
-        let (out, c_out) = run_chain_ft(16, 4, &cfg).unwrap();
+        let (out, c_out) = run_chain_ft(16, 4, &plan).unwrap();
         assert_eq!(chain_result(&out, 16), 16, "faults must not corrupt the data");
         assert!(c_out.counter(Counter::Retransmissions) > 0, "drops at 35% must force retransmits");
         assert!(c_out.counter(Counter::MessagesDropped) > 0);
@@ -1535,8 +1534,8 @@ mod tests {
     fn ft_recovers_from_mid_run_crash() {
         // By t = 6.0 rank 1 has completed task 1 (and its message);
         // killing it forces migration to rank 2 and re-execution.
-        let cfg = FtConfig::with_plan(FaultPlan::new(1).with_crash(1, 6.0));
-        let (out, c_out) = run_chain_ft(12, 4, &cfg).unwrap();
+        let plan = FaultPlan::new(1).with_crash(1, 6.0);
+        let (out, c_out) = run_chain_ft(12, 4, &plan).unwrap();
         assert_eq!(chain_result(&out, 12), 12, "crash recovery must preserve the data");
         assert_eq!(c_out.counter(Counter::Crashes), 1);
         assert!(c_out.counter(Counter::TasksMigrated) >= 3, "rank 1 owned tasks 1, 5, 9");
@@ -1544,7 +1543,7 @@ mod tests {
         assert!(out.exec_rank.iter().all(|&r| r != 1), "nothing may stay on the dead rank");
         // Re-execution happens in parallel on the survivor, so a chain's
         // makespan may be unchanged — but it can never shrink.
-        let (baseline, _) = run_chain_ft(12, 4, &FtConfig::fault_free()).unwrap();
+        let (baseline, _) = run_chain_ft(12, 4, &FaultPlan::none()).unwrap();
         assert!(out.makespan >= baseline.makespan);
     }
 
@@ -1555,7 +1554,7 @@ mod tests {
             .with_duplicates(0.2)
             .with_jitter(1.0)
             .with_crash(2, 8.0);
-        let (out, c_out) = run_chain_ft(16, 4, &FtConfig::with_plan(plan)).unwrap();
+        let (out, c_out) = run_chain_ft(16, 4, &plan).unwrap();
         assert_eq!(chain_result(&out, 16), 16);
         assert_eq!(c_out.counter(Counter::Crashes), 1);
     }
@@ -1563,7 +1562,7 @@ mod tests {
     #[test]
     fn ft_double_crash_still_recovers() {
         let plan = FaultPlan::new(4).with_crash(1, 5.0).with_crash(2, 11.0);
-        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &plan).unwrap();
         assert_eq!(chain_result(&out, 12), 12);
         assert_eq!(c_out.counter(Counter::Crashes), 2);
     }
@@ -1573,7 +1572,7 @@ mod tests {
     #[test]
     fn ft_events_pair_crashes_with_recoveries() {
         let plan = FaultPlan::new(4).with_drops(0.2).with_crash(1, 5.0).with_crash(2, 11.0);
-        let (out, c_out) = run_chain_ft(12, 4, &FtConfig::with_plan(plan)).unwrap();
+        let (out, c_out) = run_chain_ft(12, 4, &plan).unwrap();
         assert_eq!(out.events.len() as u64, 2 * c_out.counter(Counter::Crashes));
         let mut last_at = 0.0_f64;
         for pair in out.events.chunks(2) {
@@ -1595,37 +1594,34 @@ mod tests {
     #[test]
     fn ft_all_ranks_crashed_is_an_error() {
         let plan = FaultPlan::new(0).with_crash(0, 2.0).with_crash(1, 3.0);
-        let err = run_chain_ft(8, 2, &FtConfig::with_plan(plan)).unwrap_err();
+        let err = run_chain_ft(8, 2, &plan).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
     }
 
     #[test]
     fn ft_kernel_failures_retry_then_succeed() {
-        let cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 2));
-        let (out, c_out) = run_chain_ft(8, 2, &cfg).unwrap();
+        let plan = FaultPlan::new(0).with_kernel_failure(3, 2);
+        let (out, c_out) = run_chain_ft(8, 2, &plan).unwrap();
         assert_eq!(chain_result(&out, 8), 8);
         assert_eq!(c_out.counter(Counter::KernelFailures), 2);
     }
 
     #[test]
     fn ft_kernel_retries_exhaust() {
-        let mut cfg = FtConfig::with_plan(FaultPlan::new(0).with_kernel_failure(3, 99));
-        cfg.retry = RetryConfig { max_kernel_retries: 3, ..RetryConfig::default() };
-        let err = run_chain_ft(8, 2, &cfg).unwrap_err();
+        let plan = FaultPlan::new(0).with_kernel_failure(3, 99);
+        let err = run_chain_ft(8, 2, &plan).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::KernelRetriesExhausted { task: 3 }));
     }
 
     #[test]
     fn ft_is_deterministic() {
         let mk = || {
-            FtConfig::with_plan(
-                FaultPlan::new(77)
-                    .with_drops(0.3)
-                    .with_duplicates(0.25)
-                    .with_ack_drops(0.2)
-                    .with_jitter(1.5)
-                    .with_crash(1, 7.0),
-            )
+            FaultPlan::new(77)
+                .with_drops(0.3)
+                .with_duplicates(0.25)
+                .with_ack_drops(0.2)
+                .with_jitter(1.5)
+                .with_crash(1, 7.0)
         };
         let (a, c_a) = run_chain_ft(14, 4, &mk()).unwrap();
         let (b, c_b) = run_chain_ft(14, 4, &mk()).unwrap();
@@ -1665,8 +1661,7 @@ mod tests {
             .with_duplicates(0.3)
             .with_jitter(1.0)
             .with_crash(2, 3.0);
-        let ft = FtConfig::with_plan(plan);
-        let dcfg = DistConfig { ft: Some(&ft), ..plain() };
+        let dcfg = DistConfig { faults: &plan, ..plain() };
         let out = DistEngine::new(&g, nprocs, &exec)
             .run(initial, &dcfg, None, |t, ctx| {
                 if t == root {
@@ -1696,7 +1691,7 @@ mod tests {
                 .with_ack_drops(0.2)
                 .with_jitter(1.5)
                 .with_crash((seed % 3) as usize + 1, 4.0 + (seed % 7) as f64);
-            let (out, _) = run_chain_ft(12, 4, &FtConfig::with_plan(plan))
+            let (out, _) = run_chain_ft(12, 4, &plan)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(chain_result(&out, 12), 12, "seed {seed} corrupted the chain");
         }

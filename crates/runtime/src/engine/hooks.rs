@@ -277,7 +277,6 @@ mod tests {
                 class: TaskClass::Other,
                 priority: 0,
                 writes: None,
-                flops: 0.0,
             });
         }
         let g = g.finish();

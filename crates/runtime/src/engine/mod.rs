@@ -22,9 +22,9 @@
 //! * [`DistEngine`] — the distributed-memory engine (message-passing
 //!   emulation), over a [`Dataflow`](crate::graph::Dataflow) as well.
 //!   Exactly one deterministic virtual-time event loop; a
-//!   perfect network is simply the fault-free
-//!   [`FtConfig`](crate::fault::FtConfig), so the fault
-//!   layer is a *configuration* of the one loop, not a second engine.
+//!   perfect network is simply the empty plan,
+//!   [`FaultPlan::none`](crate::fault::FaultPlan::none), so the fault
+//!   layer is an *input* of the one loop, not a second engine.
 //!   Communication volume is always counted ([`DistOutcome::comm`]) and
 //!   a virtual-time [`Trace`](crate::trace::Trace) can be captured
 //!   ([`DistConfig::record_trace`]) — capabilities compose freely

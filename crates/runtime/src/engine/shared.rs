@@ -179,7 +179,7 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
                                         }
                                     }
                                     end = Instant::now();
-                                    let class = graph.class(t);
+                                    let class = graph.spec(t).class;
                                     let retired = TaskEvent::Retire { wid, task: t, class, start, end };
                                     cfg.obs.observe(retired);
                                 }
@@ -280,7 +280,6 @@ mod tests {
             class: TaskClass::Other,
             priority,
             writes: None,
-            flops: 0.0,
         }
     }
 

@@ -12,9 +12,10 @@
 //!
 //! One plan value serves both virtual-time engines. The distributed
 //! engine ([`crate::engine::DistEngine`], via
-//! [`DistConfig::ft`](crate::engine::DistConfig)) *survives* it: it pairs
-//! the plan with a [`RetryConfig`] (timeouts and capped exponential
-//! backoff) and counts every fault event it meets into the run's
+//! [`DistConfig::faults`](crate::engine::DistConfig)) *survives* it: it
+//! meets the plan with one fixed retry ladder (timeouts with capped
+//! exponential backoff, [`MAX_KERNEL_RETRIES`] kernel retries, a heal
+//! budget per datum) and counts every fault event it meets into the run's
 //! metrics registry (the fault counters of
 //! [`Counter::FAULTS`](crate::obs::registry::Counter::FAULTS)); the
 //! traffic itself, retransmissions included, is its
@@ -119,7 +120,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (the fault-free baseline).
+    /// A plan that injects nothing: the one fault-free value of both
+    /// virtual-time engines.
     pub fn none() -> Self {
         Self::new(0)
     }
@@ -287,90 +289,37 @@ impl FaultPlan {
     }
 }
 
-/// Retransmission and kernel-retry policy.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryConfig {
-    /// Time after a send attempt before an unacked message is
-    /// retransmitted (virtual seconds).
-    pub ack_timeout: f64,
-    /// Multiplier applied to the timeout per retransmission.
-    pub backoff: f64,
-    /// Ceiling on the backed-off timeout.
-    pub max_backoff: f64,
-    /// Give up retransmitting a message after this many attempts.
-    pub max_send_attempts: u32,
-    /// Give up re-running a task after this many kernel failures.
-    pub max_kernel_retries: u32,
-    /// Give up healing one datum after this many lineage-recompute
-    /// passes, escalating to [`FtError::Integrity`]. Each pass restarts
-    /// the datum's writers after a backed-off delay
-    /// ([`RetryConfig::timeout_for`] of the pass number), mirroring the
-    /// retransmission ladder.
-    pub max_heal_retries: u32,
-}
+// The distributed engine's retry ladder. Each value is fixed: the
+// recovery paths are reached through the plan (enough failures, enough
+// strikes), never by lowering a budget.
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            ack_timeout: 4.0,
-            backoff: 2.0,
-            max_backoff: 64.0,
-            max_send_attempts: 40,
-            max_kernel_retries: 8,
-            max_heal_retries: 4,
-        }
-    }
-}
+/// Virtual seconds after a send attempt before an unacked message is
+/// retransmitted (the first rung of the ladder).
+const ACK_TIMEOUT: f64 = 4.0;
+/// Multiplier applied to the timeout per retransmission.
+const BACKOFF: f64 = 2.0;
+/// Ceiling on the backed-off timeout.
+const MAX_BACKOFF: f64 = 64.0;
+/// A message is abandoned after this many send attempts.
+pub(crate) const MAX_SEND_ATTEMPTS: u32 = 40;
+/// A task that fails in the kernel more often than this ends the run with
+/// [`FtError::KernelRetriesExhausted`].
+pub const MAX_KERNEL_RETRIES: u32 = 8;
+/// Lineage-recompute passes one datum gets before the run escalates to
+/// [`FtError::Integrity`]. Each pass restarts the datum's writers after
+/// [`timeout_for`] of the pass number, mirroring the retransmission
+/// ladder.
+pub(crate) const MAX_HEAL_RETRIES: u32 = 4;
 
-impl RetryConfig {
-    /// Backed-off, capped timeout for send attempt `attempt` (1-based).
-    pub fn timeout_for(&self, attempt: u32) -> f64 {
-        (self.ack_timeout * self.backoff.powi(attempt.saturating_sub(1) as i32))
-            .min(self.max_backoff)
-    }
-}
-
-/// Full configuration of a fault-tolerant distributed run.
-#[derive(Debug, Clone)]
-pub struct FtConfig {
-    /// What goes wrong.
-    pub plan: FaultPlan,
-    /// How the runtime fights back.
-    pub retry: RetryConfig,
-    /// Virtual execution time per task.
-    pub task_time: f64,
-    /// Base one-way message latency (virtual seconds).
-    pub latency: f64,
-}
-
-impl Default for FtConfig {
-    fn default() -> Self {
-        Self {
-            plan: FaultPlan::none(),
-            retry: RetryConfig::default(),
-            task_time: 1.0,
-            latency: 0.5,
-        }
-    }
-}
-
-impl FtConfig {
-    /// Fault-free configuration (baseline for overhead measurements).
-    pub fn fault_free() -> Self {
-        Self::default()
-    }
-
-    /// Configuration running the given plan with default retry policy.
-    pub fn with_plan(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            ..Self::default()
-        }
-    }
+/// Backed-off, capped timeout of send attempt (or heal pass) `attempt`
+/// (1-based): 4, 8, 16, 32, 64, 64, … virtual seconds.
+pub(crate) fn timeout_for(attempt: u32) -> f64 {
+    (ACK_TIMEOUT * BACKOFF.powi(attempt.saturating_sub(1) as i32)).min(MAX_BACKOFF)
 }
 
 /// Unrecoverable data corruption: a datum kept failing verification
-/// past `max_heal_retries` lineage-recompute passes.
+/// past the distributed engine's heal budget (4 lineage-recompute
+/// passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrityError {
     /// Rank whose store held the unhealable datum.
@@ -398,18 +347,18 @@ impl std::error::Error for IntegrityError {}
 pub enum FtError {
     /// Every rank crashed; no survivor to migrate work to.
     AllRanksCrashed,
-    /// A task kept failing past `max_kernel_retries`.
+    /// A task kept failing past [`MAX_KERNEL_RETRIES`].
     KernelRetriesExhausted {
         /// The task that would not complete.
         task: TaskId,
     },
     /// The event queue drained with tasks still pending (e.g. a message
-    /// abandoned after `max_send_attempts` under extreme drop rates).
+    /// abandoned after its last send attempt under extreme drop rates).
     Stalled {
         /// Number of tasks that never completed.
         pending: usize,
     },
-    /// A datum could not be healed within `max_heal_retries` passes.
+    /// A datum could not be healed within the heal budget (4 passes).
     Integrity(IntegrityError),
 }
 
@@ -597,16 +546,7 @@ mod tests {
 
     #[test]
     fn backoff_caps() {
-        let r = RetryConfig {
-            ack_timeout: 1.0,
-            backoff: 2.0,
-            max_backoff: 8.0,
-            ..Default::default()
-        };
-        assert_eq!(r.timeout_for(1), 1.0);
-        assert_eq!(r.timeout_for(2), 2.0);
-        assert_eq!(r.timeout_for(3), 4.0);
-        assert_eq!(r.timeout_for(4), 8.0);
-        assert_eq!(r.timeout_for(10), 8.0, "backoff must cap");
+        let ladder: Vec<f64> = (1..=6).map(timeout_for).collect();
+        assert_eq!(ladder, [4.0, 8.0, 16.0, 32.0, 64.0, 64.0], "backoff must cap");
     }
 }

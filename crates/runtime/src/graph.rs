@@ -11,9 +11,10 @@
 //! A [`TaskGraph`] is the one graph that is stored: built by hand through
 //! a [`GraphBuilder`], it is how tests hand every engine a graph of any
 //! shape (shuffled ids, cycles, wide fan-outs). Each vertex carries its
-//! kernel class, the tile it writes, a flop count and a scheduling
-//! priority; each edge carries the number of bytes that flow along it
-//! (zero for pure control dependencies). The graph is flat and read-only:
+//! kernel class, the tile it writes and a scheduling priority, but no
+//! price (costing a task is the caller's model); each edge carries the
+//! number of bytes that flow along it (zero for pure control
+//! dependencies). The graph is flat and read-only:
 //! one task table, one edge array holding every successor list back to
 //! back (CSR), and a topological order fixed once, by
 //! [`GraphBuilder::finish`].
@@ -63,7 +64,7 @@ pub struct DataRef {
 }
 
 /// Everything the runtime needs to know about one task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaskSpec {
     /// Kernel class (drives the per-class time breakdown).
     pub class: TaskClass,
@@ -72,8 +73,6 @@ pub struct TaskSpec {
     pub priority: usize,
     /// The tile this task overwrites (None for read-only/bookkeeping).
     pub writes: Option<DataRef>,
-    /// Floating-point operations this task performs.
-    pub flops: f64,
 }
 
 /// One dataflow edge.
@@ -256,11 +255,6 @@ pub trait Dataflow {
         self.spec(t).priority
     }
 
-    /// Task `t`'s kernel class, `spec(t).class`.
-    fn class(&self, t: TaskId) -> TaskClass {
-        self.spec(t).class
-    }
-
     /// Every task's number of incoming edges, in id order.
     fn indegrees(&self) -> Vec<usize>;
 
@@ -279,7 +273,7 @@ impl Dataflow for TaskGraph {
     }
 
     fn spec(&self, t: TaskId) -> TaskSpec {
-        self.specs[t].clone()
+        self.specs[t]
     }
 
     fn priority(&self, t: TaskId) -> usize {
@@ -305,7 +299,7 @@ mod tests {
     use super::*;
 
     fn spec(class: TaskClass, priority: usize) -> TaskSpec {
-        TaskSpec { class, priority, writes: None, flops: 1.0 }
+        TaskSpec { class, priority, writes: None }
     }
 
     /// `edges` over `n` tasks, added in the order given.

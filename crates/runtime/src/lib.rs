@@ -47,10 +47,7 @@ pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
 };
-pub use fault::{
-    fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtConfig, FtError, IntegrityError,
-    RetryConfig,
-};
+pub use fault::{fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtError, IntegrityError};
 pub use graph::{DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
 pub use obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};

@@ -11,7 +11,7 @@ use hicma_parsec::cholesky::{
 use hicma_parsec::distribution::{DiamondDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
         // {counted, ft(fault-free)} — an explicit fault-free fault layer
         // is the same event loop with the same config: identical factor
         // *and* identical comm volume.
-        let ff = FtConfig::fault_free();
+        let ff = FaultPlan::none();
         let mut ftff = compressed(&dense, b, acc);
         let out_ff = Session::distributed(fcfg, 4, &dist)
             .with_fault_layer(&ff)
@@ -111,10 +111,9 @@ proptest! {
         if crash {
             plan = plan.with_crash(1, 12.0);
         }
-        let ft = FtConfig::with_plan(plan);
         let mut full = compressed(&dense, b, acc);
         let out_full = Session::distributed(tcfg, 4, &dist)
-            .with_fault_layer(&ft)
+            .with_fault_layer(&plan)
             .run(&mut full)
             .unwrap();
         prop_assert_eq!(
@@ -177,7 +176,7 @@ fn pivot_cancellation_is_uniform_across_engines() {
         }
     };
 
-    let ft = FtConfig::fault_free();
+    let ft = FaultPlan::none();
     let ft_pivot = {
         let mut m = compressed(&dense, 24, 1e-8);
         match Session::distributed(cfg, 4, &dist).with_fault_layer(&ft).run(&mut m).unwrap_err() {
@@ -205,12 +204,11 @@ fn ft_plus_trace_plus_comm_in_one_run() {
     factorize(&mut shared, &fcfg).unwrap();
 
     let plan = FaultPlan::new(9).with_drops(0.1).with_jitter(0.5).with_crash(1, 10.0);
-    let ft = FtConfig::with_plan(plan);
     let mut m = compressed(&dense, b, acc);
     let mut tcfg = fcfg;
     tcfg.collect_trace = true;
     let out = Session::distributed(tcfg, 6, &DiamondDistribution::new(6))
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("one crash among six ranks is survivable");
 
@@ -288,7 +286,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
         },
     ];
     let acc = 1e-8;
-    let ff = FtConfig::fault_free();
+    let ff = FaultPlan::none();
     for shape in &shapes {
         let Shape {
             name,
@@ -321,7 +319,7 @@ fn hostile_shapes_agree_across_engines_and_capabilities() {
             (m.to_dense_lower(), out)
         };
         let dist = TwoDBlockCyclic::new(nprocs);
-        let distributed = |cfg: FactorConfig, ft: Option<&FtConfig>| -> (Matrix, RunOutcome) {
+        let distributed = |cfg: FactorConfig, ft: Option<&FaultPlan>| -> (Matrix, RunOutcome) {
             let mut m = compressed(&dense, b, acc);
             let mut s = Session::distributed(cfg, nprocs, &dist);
             if let Some(ft) = ft {

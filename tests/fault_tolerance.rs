@@ -13,7 +13,7 @@ use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
 use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
 use hicma_parsec::mesh::GaussianRbf;
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -84,9 +84,8 @@ fn faulty_network_and_crash_reproduce_shared_memory_factor() {
         .with_duplicates(0.05)
         .with_jitter(0.8)
         .with_crash(1, 15.0);
-    let ft = FtConfig::with_plan(plan);
     let reg = Session::distributed(fcfg, 6, &DiamondDistribution::new(6))
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut faulty)
         .expect("plan is survivable: one crash, five survivors")
         .registry
@@ -147,7 +146,7 @@ fn crash_of_the_owner_of_an_unwritten_tile_reproduces_shared_memory_factor() {
     assert!(unwritten_on_1 > 0, "rank 1 owns no unwritten tile");
 
     factorize(&mut shared, &fcfg).unwrap();
-    let ft = FtConfig::with_plan(FaultPlan::new(9).with_crash(1, 10.0));
+    let ft = FaultPlan::new(9).with_crash(1, 10.0);
     let reg = Session::distributed(fcfg, 4, &dist)
         .with_fault_layer(&ft)
         .run(&mut crashed)
@@ -228,9 +227,8 @@ proptest! {
             .with_drops(drop_pct as f64 / 100.0)
             .with_duplicates(dup_pct as f64 / 100.0)
             .with_jitter(jitter_tenths as f64 / 10.0);
-        let ft = FtConfig::with_plan(plan);
         let outcome = Session::distributed(fcfg, 4, &DiamondDistribution::new(4))
-            .with_fault_layer(&ft)
+            .with_fault_layer(&plan)
             .run(&mut faulty);
         prop_assert!(outcome.is_ok(), "survivable plan failed: {:?}", outcome.err());
         let diff = relative_diff(&faulty.to_dense_lower(), &shared.to_dense_lower());
@@ -265,9 +263,8 @@ proptest! {
         let plan = FaultPlan::new(seed)
             .with_drops(drop_pct as f64 / 100.0)
             .with_message_corruption(corrupt_pct as f64 / 100.0);
-        let ft = FtConfig::with_plan(plan);
         let out = Session::distributed(fcfg, 4, &DiamondDistribution::new(4))
-            .with_fault_layer(&ft)
+            .with_fault_layer(&plan)
             .run(&mut faulty);
         prop_assert!(out.is_ok(), "survivable plan failed: {:?}", out.err());
         let out = out.unwrap();
@@ -302,7 +299,7 @@ proptest! {
         let mut plain = TlrMatrix::from_generator(n, b, &gen, &ccfg);
         let mut sealed = TlrMatrix::from_generator(n, b, &gen, &ccfg);
         let fcfg = FactorConfig::with_accuracy(acc);
-        let ft = FtConfig::with_plan(FaultPlan::new(seed));
+        let ft = FaultPlan::new(seed);
 
         let base = Session::distributed(fcfg, 4, &DiamondDistribution::new(4))
             .with_fault_layer(&ft)

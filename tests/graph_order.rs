@@ -71,7 +71,6 @@ fn emit(shape: &Shape, id: &[TaskId]) -> TaskGraph {
             class: TaskClass::Other,
             priority: l,
             writes: Some(DataRef { i: l, j: 0 }),
-            flops: label_duration(l) * 1e9,
         });
     }
     for &(a, b) in &shape.edges {
@@ -189,7 +188,7 @@ proptest! {
         // A core per task: every task starts the moment its inputs are in.
         let des = |g: &TaskGraph| {
             let tasks: Vec<DesTask> = (0..n)
-                .map(|t| DesTask { proc: 0, duration: g.spec(t).flops * 1e-9 })
+                .map(|t| DesTask { proc: 0, duration: label_duration(g.spec(t).priority) })
                 .collect();
             let r = simulate(g, &tasks, &single_proc_config(n), &FaultPlan::none(), 0.0).unwrap();
             let mut span = vec![(0u64, 0u64); n];
@@ -224,7 +223,7 @@ proptest! {
         }
         let mut g = GraphBuilder::new();
         for t in 0..n {
-            g.add_task(TaskSpec { class: TaskClass::Other, priority: t, writes: None, flops: 1e9 });
+            g.add_task(TaskSpec { class: TaskClass::Other, priority: t, writes: None });
         }
         for &(x, y) in &edges {
             g.add_edge(shape.id[x], shape.id[y], DataRef { i: x, j: y }, 8);
@@ -241,7 +240,8 @@ proptest! {
         let run = Engine::new(&g).run(&EngineConfig::new(2), |_w, _t| {});
         prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);
         let registry = Registry::new(1);
-        let cfg = DistConfig { ft: None, record_trace: false, metrics: &registry };
+        let faults = FaultPlan::none();
+        let cfg = DistConfig { faults: &faults, record_trace: false, metrics: &registry };
         let body = |_t: TaskId, _ctx: &mut RankCtx<'_, u8>| {};
         let dist = DistEngine::new(&g, 1, &vec![0; n]).run(vec![Default::default()], &cfg, None, body);
         prop_assert_eq!(dist.unwrap_err(), EngineError::Cycle);
@@ -255,7 +255,7 @@ proptest! {
 fn dense_cholesky_ptg_gets_a_topological_order() {
     let check = |g: &CholeskySpace| {
         assert_topological(g);
-        let dur = |t: TaskId| match g.class(t) {
+        let dur = |t: TaskId| match g.spec(t).class {
             TaskClass::Potrf => 1.0,
             TaskClass::Trsm | TaskClass::Syrk => 3.0,
             _ => 5.0,
@@ -291,7 +291,7 @@ fn fan_out_with_an_early_sink_gets_a_topological_order() {
     for width in [1, 2, 7, 64] {
         let mut g = GraphBuilder::new();
         let spec =
-            |priority| TaskSpec { class: TaskClass::Other, priority, writes: None, flops: 0.0 };
+            |priority| TaskSpec { class: TaskClass::Other, priority, writes: None };
         let root = g.add_task(spec(0));
         let sink = g.add_task(spec(2));
         for _ in 0..width {

@@ -8,7 +8,8 @@
 use hicma_parsec::cholesky::{factorize, FactorConfig, IntegrityMode, RunError, Session};
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
 use hicma_parsec::linalg::norms::relative_diff;
-use hicma_parsec::runtime::{Counter, EngineError, FaultPlan, FtConfig, FtError, RunEvent};
+use hicma_parsec::runtime::fault::MAX_KERNEL_RETRIES;
+use hicma_parsec::runtime::{Counter, EngineError, FaultPlan, FtError, RunEvent};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 
 const N: usize = 96;
@@ -49,10 +50,9 @@ fn store_corruption_is_detected_healed_and_numerically_invisible() {
     let dist = DiamondDistribution::new(4);
     let victim_rank = dist.owner(1, 0);
     let plan = FaultPlan::new(11).with_store_corruption(victim_rank, 1, 0, 3.0);
-    let ft = FtConfig::with_plan(plan);
     let mut m = matrix();
     let outcome = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("a single store strike is healable");
     let reg = outcome.registry.as_ref().expect("every run reports its registry");
@@ -97,10 +97,9 @@ fn message_corruption_is_nacked_retransmitted_and_invisible() {
     let reference = reference_factor();
     let dist = DiamondDistribution::new(4);
     let plan = FaultPlan::new(21).with_message_corruption(0.4);
-    let ft = FtConfig::with_plan(plan);
     let mut m = matrix();
     let out = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("message corruption is always recoverable via NACK/retransmit");
     let reg = out.registry.as_ref().expect("every run reports its registry");
@@ -139,12 +138,11 @@ fn integrity_layer_has_zero_false_positives_on_lossy_network() {
         .with_drops(0.25)
         .with_duplicates(0.2)
         .with_ack_drops(0.2);
-    let ft = FtConfig::with_plan(plan);
     let mut cfg = FactorConfig::with_accuracy(ACC);
     cfg.integrity = IntegrityMode::VerifyReads;
     let mut m = matrix();
     let out = Session::distributed(cfg, 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("lossy but uncorrupted plan is survivable");
     let reg = out.registry.as_ref().expect("every run reports its registry");
@@ -160,25 +158,52 @@ fn integrity_layer_has_zero_false_positives_on_lossy_network() {
 
 #[test]
 fn heal_escalation_surfaces_as_typed_error_not_panic() {
-    // With the heal budget set to zero the first detection must
-    // escalate to the typed IntegrityError — never a panic, never a
-    // silently wrong factor.
+    // One strike on the same tile per virtual second: every lineage
+    // re-execution meets a fresh flip, so the heal budget runs out and
+    // the run must escalate to the typed IntegrityError — never a panic,
+    // never a silently wrong factor.
     let dist = DiamondDistribution::new(4);
     let victim_rank = dist.owner(1, 0);
-    let plan = FaultPlan::new(11).with_store_corruption(victim_rank, 1, 0, 3.0);
-    let mut ft = FtConfig::with_plan(plan);
-    ft.retry.max_heal_retries = 0;
+    let plan = (0..400).fold(FaultPlan::new(11), |p, s| {
+        p.with_store_corruption(victim_rank, 1, 0, 3.0 + s as f64)
+    });
     let mut m = matrix();
     let err = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
-        .expect_err("zero heal budget must escalate");
+        .expect_err("a tile struck faster than it heals must escalate");
     match err {
         RunError::Engine(EngineError::Fault(FtError::Integrity(e))) => {
             assert_eq!(e.data, (1, 0), "error must name the corrupted tile");
         }
         other => panic!("expected a typed integrity error, got {other:?}"),
     }
+}
+
+#[test]
+fn kernel_retry_budget_holds_through_the_session() {
+    // A task may fail in the kernel as often as the retry budget allows
+    // and the factor stays bit-identical; one failure more ends the run
+    // with the typed error naming the task.
+    let reference = reference_factor();
+    let dist = DiamondDistribution::new(4);
+    let run = |failures| {
+        let plan = FaultPlan::new(0).with_kernel_failure(3, failures);
+        let mut m = matrix();
+        Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
+            .with_fault_layer(&plan)
+            .run(&mut m)
+            .map(|out| (out, m.to_dense_lower()))
+    };
+    let (out, factor) = run(MAX_KERNEL_RETRIES).expect("the budget's last retry succeeds");
+    let reg = out.registry.expect("every run reports its registry");
+    assert_eq!(reg.counter(Counter::KernelFailures), u64::from(MAX_KERNEL_RETRIES));
+    assert!(relative_diff(&factor, &reference) == 0.0);
+    let err = run(MAX_KERNEL_RETRIES + 1).expect_err("one failure past the budget");
+    assert_eq!(
+        err,
+        RunError::Engine(EngineError::Fault(FtError::KernelRetriesExhausted { task: 3 }))
+    );
 }
 
 #[test]
@@ -216,12 +241,11 @@ fn corruption_composes_with_crash_loss_and_trace() {
         .with_message_corruption(0.2)
         .with_store_corruption(victim_rank, 2, 1, 5.0)
         .with_crash(3, 12.0);
-    let ft = FtConfig::with_plan(plan);
     let mut cfg = FactorConfig::with_accuracy(ACC);
     cfg.collect_trace = true;
     let mut m = matrix();
     let out = Session::distributed(cfg, 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("composed plan is survivable: one crash, three survivors");
     let reg = out.registry.as_ref().expect("every run reports its registry");
@@ -259,10 +283,9 @@ fn corruption_run_is_deterministic() {
         let plan = FaultPlan::new(21)
             .with_message_corruption(0.3)
             .with_drops(0.1);
-        let ft = FtConfig::with_plan(plan);
         let mut m = matrix();
         let out = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
-            .with_fault_layer(&ft)
+            .with_fault_layer(&plan)
             .run(&mut m)
             .expect("survivable");
         let reg = out.registry.expect("every run reports its registry");
@@ -296,10 +319,9 @@ fn seeded_fault_counts_are_pinned() {
         .with_store_corruption(victim_rank, 2, 1, 5.0)
         .with_kernel_failure(3, 1)
         .with_crash(3, 12.0);
-    let ft = FtConfig::with_plan(plan);
     let mut m = matrix();
     let out = Session::distributed(FactorConfig::with_accuracy(ACC), 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("one crash among four ranks is survivable");
     let reg = out.registry.as_ref().expect("every run reports its registry");

@@ -7,7 +7,7 @@
 
 use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky, SimConfig};
 use hicma_parsec::cholesky::{
-    build_cholesky_dag, DagConfig, DriftSpec, FactorConfig, RunOutcome, Session, SolveService,
+    build_cholesky_dag, DagConfig, FactorConfig, RunOutcome, Session, SolveService,
     TenantConfig,
 };
 use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
@@ -19,7 +19,7 @@ use hicma_parsec::runtime::obs::{
 };
 use hicma_parsec::runtime::trace::{TaskRecord, Trace};
 use hicma_parsec::runtime::{
-    Counter, Engine, EngineConfig, FaultPlan, FtConfig, Gauge, MachineModel, Observe, Registry,
+    Counter, Engine, EngineConfig, FaultPlan, Gauge, MachineModel, Observe, Registry,
     TaskEvent,
 };
 use hicma_parsec::tlr::{CompressionConfig, RankSnapshot, SyntheticRankModel, TlrMatrix};
@@ -178,9 +178,8 @@ fn ft_run_records_matching_crash_recovery_pairs() {
     let mut m = gaussian_matrix(120, 8.0);
     let fcfg = FactorConfig::with_accuracy(1e-8);
     let plan = FaultPlan::new(9).with_drops(0.1).with_crash(1, 10.0).with_crash(3, 30.0);
-    let ft = FtConfig::with_plan(plan);
     let run = Session::distributed(fcfg, 6, &DiamondDistribution::new(6))
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("two crashes among six ranks are survivable");
     let reg = run.registry.as_ref().expect("every run reports its registry");
@@ -306,12 +305,12 @@ fn assert_report_round_trips(out: &RunOutcome) -> Json {
 #[test]
 fn run_report_round_trips_for_distributed_and_service_runs() {
     let dist = DiamondDistribution::new(4);
-    let ft = FtConfig::with_plan(FaultPlan::new(9).with_drops(0.1).with_crash(1, 10.0));
+    let ft = FaultPlan::new(9).with_drops(0.1).with_crash(1, 10.0);
     let mut fcfg = FactorConfig::with_accuracy(1e-6);
     fcfg.collect_trace = true;
     let out = Session::distributed(fcfg, 4, &dist)
         .with_fault_layer(&ft)
-        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
+        .with_drift(MachineModel::shaheen_ii())
         .run(&mut rbf_matrix())
         .expect("one crash among four ranks is survivable");
     let doc = assert_report_round_trips(&out);
@@ -408,7 +407,7 @@ fn engine_reports_each_task_once_to_every_sink() {
 fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
     let mut a = rbf_matrix();
     let out = Session::shared(FactorConfig::with_accuracy(1e-6))
-        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
+        .with_drift(MachineModel::shaheen_ii())
         .run(&mut a)
         .expect("RBF operator is SPD");
     assert!(out.trace.is_none(), "tracing is opt-in");
@@ -473,9 +472,8 @@ fn corruption_events_export_as_chrome_instants() {
     let dist = DiamondDistribution::new(4);
     let victim = dist.owner(1, 0);
     let plan = FaultPlan::new(11).with_store_corruption(victim, 1, 0, 3.0);
-    let ft = FtConfig::with_plan(plan);
     let outcome = Session::distributed(FactorConfig::with_accuracy(1e-8), 4, &dist)
-        .with_fault_layer(&ft)
+        .with_fault_layer(&plan)
         .run(&mut m)
         .expect("a single store strike is healable");
     let reg = outcome.registry.as_ref().expect("every run reports its registry");
@@ -533,7 +531,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
     let mut m = gaussian_matrix(168, 8.0);
     let fcfg = FactorConfig::with_accuracy(1e-8);
     let out = Session::distributed(fcfg, 4, &DiamondDistribution::new(4))
-        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
+        .with_drift(MachineModel::shaheen_ii())
         .run(&mut m)
         .expect("SPD");
     let drift = out.drift.expect("drift spec + default metrics => report");
@@ -568,7 +566,7 @@ fn drift_report_works_on_wall_clock_runs() {
     let mut fcfg = FactorConfig::with_accuracy(1e-8);
     fcfg.nthreads = 2;
     let out = Session::shared(fcfg)
-        .with_drift(DriftSpec::new(MachineModel::shaheen_ii()))
+        .with_drift(MachineModel::shaheen_ii())
         .run(&mut m)
         .expect("SPD");
     let drift = out.drift.expect("drift spec + default metrics => report");
@@ -588,18 +586,18 @@ fn drift_report_works_on_wall_clock_runs() {
 /// matrix's snapshot.
 #[test]
 fn drift_prices_tasks_with_the_simulators_durations() {
-    let spec = DriftSpec::new(MachineModel::shaheen_ii());
+    let machine = MachineModel::shaheen_ii();
     let m = gaussian_matrix(168, 8.0);
     let dag = build_cholesky_dag(&m.rank_snapshot(), &DagConfig::default());
     let mut expected = [0.0f64; NCLASSES];
-    for (t, task) in des_tasks(&dag.graph, &spec.machine, |_| 0).iter().enumerate() {
+    for (t, task) in des_tasks(&dag.graph, &machine, |_| 0).iter().enumerate() {
         expected[class_slot(dag.graph.kind(t).class())] += task.duration;
     }
     assert!(expected.iter().all(|&s| s >= 0.0) && expected[3] > 0.0);
     let fcfg = FactorConfig::with_accuracy(1e-8);
     let dist = DiamondDistribution::new(4);
     for session in [Session::shared(fcfg), Session::distributed(fcfg, 4, &dist)] {
-        let out = session.with_drift(spec.clone()).run(&mut m.clone()).expect("SPD");
+        let out = session.with_drift(machine.clone()).run(&mut m.clone()).expect("SPD");
         let drift = out.drift.expect("drift spec => report");
         for (c, want) in drift.classes.iter().zip(expected) {
             assert_eq!(c.modeled_seconds.to_bits(), want.to_bits(), "{}", c.class);

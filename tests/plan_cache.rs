@@ -16,7 +16,7 @@ use hicma_parsec::distribution::{
 };
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::{Counter, FaultPlan, FtConfig};
+use hicma_parsec::runtime::{Counter, FaultPlan};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
 
@@ -43,12 +43,12 @@ fn compressed(dense: &Matrix, b: usize, acc: f64) -> TlrMatrix {
 fn dist_session<'a>(
     cfg: FactorConfig,
     dist: &'a dyn TileDistribution,
-    ft_cfg: &'a Option<FtConfig>,
+    faults: &'a Option<FaultPlan>,
     cache: Option<&'a PlanCache>,
 ) -> Session<'a> {
     let mut s = Session::distributed(cfg, 4, dist);
-    if let Some(ft) = ft_cfg {
-        s = s.with_fault_layer(ft);
+    if let Some(plan) = faults {
+        s = s.with_fault_layer(plan);
     }
     if let Some(c) = cache {
         s = s.with_plan_cache(c);
@@ -162,13 +162,11 @@ proptest! {
         let dist: &dyn TileDistribution = [&bc as &dyn TileDistribution, &band, &diamond][layout];
         // The capability subset under test: plain, traced, faulty, or
         // integrity-armed.
-        let ft_cfg = (subset == 2).then(|| {
-            FtConfig::with_plan(
-                FaultPlan::new(seed)
-                    .with_drops(0.1)
-                    .with_duplicates(0.05)
-                    .with_jitter(0.5),
-            )
+        let faults = (subset == 2).then(|| {
+            FaultPlan::new(seed)
+                .with_drops(0.1)
+                .with_duplicates(0.05)
+                .with_jitter(0.5)
         });
         if subset == 1 {
             cfg.collect_trace = true;
@@ -177,14 +175,14 @@ proptest! {
             cfg.integrity = IntegrityMode::VerifyReads;
         }
         let mut fresh = compressed(&dense, b, acc);
-        let out_fresh = dist_session(cfg, dist, &ft_cfg, None).run(&mut fresh).unwrap();
+        let out_fresh = dist_session(cfg, dist, &faults, None).run(&mut fresh).unwrap();
         prop_assert_eq!(
             relative_diff(&fresh.to_dense_lower(), &l_ref), 0.0,
             "fresh distributed factor deviated"
         );
 
         let cache = PlanCache::new(2);
-        let session = dist_session(cfg, dist, &ft_cfg, Some(&cache));
+        let session = dist_session(cfg, dist, &faults, Some(&cache));
         for round in 0..2 {
             let mut m = compressed(&dense, b, acc);
             let out = session.run(&mut m).unwrap();
@@ -291,12 +289,10 @@ fn distributed_key_records_decisions_not_capabilities() {
     traced.collect_trace = true;
     let mut sealed = plain;
     sealed.integrity = IntegrityMode::Maintain;
-    let lossy = Some(FtConfig::with_plan(FaultPlan::new(7).with_drops(0.1)));
+    let lossy = Some(FaultPlan::new(7).with_drops(0.1));
     // A corrupting fault plan seals payloads as an explicit integrity
     // mode does.
-    let corrupting = Some(FtConfig::with_plan(
-        FaultPlan::new(7).with_message_corruption(0.3),
-    ));
+    let corrupting = Some(FaultPlan::new(7).with_message_corruption(0.3));
     let none = None;
 
     // Five sessions, one plan.

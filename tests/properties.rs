@@ -312,7 +312,6 @@ proptest! {
                 class: TaskClass::Other,
                 priority: i,
                 writes: None,
-                flops: 0.0,
             });
         }
         // random edges i → j only for i < j (guarantees acyclicity)

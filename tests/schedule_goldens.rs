@@ -45,15 +45,16 @@ fn fnv(words: impl Iterator<Item = u64>) -> u64 {
     words.fold(0xcbf29ce484222325, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
 }
 
-/// A graph as two folds: every task's `(class, priority, writes, flops
-/// bits)` in id order, and every successor list's `(dst, data, bytes)` in
-/// list order (each list opened by its source and length, so moving an
-/// edge between lists moves the fold).
-fn graph_folds(g: &impl Dataflow) -> String {
+/// A task space as two folds: every task's `(class, priority, writes,
+/// flops bits)` in id order, and every successor list's `(dst, data,
+/// bytes)` in list order (each list opened by its source and length, so
+/// moving an edge between lists moves the fold).
+fn graph_folds(g: &CholeskySpace) -> String {
     let tasks = (0..g.len()).flat_map(|t| {
         let s = g.spec(t);
         let w = s.writes.map_or([u64::MAX; 2], |d| [d.i as u64, d.j as u64]);
-        [s.class as u64, s.priority as u64, w[0], w[1], s.flops.to_bits()]
+        let flops = g.price(g.kind(t)).flops;
+        [s.class as u64, s.priority as u64, w[0], w[1], flops.to_bits()]
     });
     let (mut succ, mut num_edges) = (Vec::new(), 0);
     let mut edges = Vec::new();
