@@ -25,10 +25,15 @@ pub struct Point3 {
 impl Point3 {
     /// Euclidean distance to another point.
     pub fn dist(&self, o: &Point3) -> f64 {
+        self.dist2(o).sqrt()
+    }
+
+    /// Squared Euclidean distance, the argument of every kernel.
+    pub fn dist2(&self, o: &Point3) -> f64 {
         let dx = self.x - o.x;
         let dy = self.y - o.y;
         let dz = self.z - o.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
+        dx * dx + dy * dy + dz * dz
     }
 }
 
@@ -67,7 +72,7 @@ fn fibonacci_sphere(n: usize) -> Vec<Point3> {
 }
 
 /// Generate one spiked-sphere virus surface centered at `center`.
-pub fn spiked_sphere(center: Point3, cfg: &VirusConfig, rng: &mut StdRng) -> Vec<Point3> {
+fn spiked_sphere(center: Point3, cfg: &VirusConfig, rng: &mut StdRng) -> Vec<Point3> {
     let dirs = fibonacci_sphere(cfg.points_per_virus);
     // Random spike axes on the unit sphere.
     let spikes: Vec<Point3> = (0..cfg.n_spikes)

@@ -68,9 +68,8 @@ fn quantize(p: &Point3) -> [u64; 3] {
     [q(p.x), q(p.y), q(p.z)]
 }
 
-/// Hilbert index of a unit-cube point (used directly by tests and by
-/// adaptive partitioners).
-pub fn hilbert_key(p: &Point3) -> u64 {
+/// Hilbert index of a unit-cube point.
+fn hilbert_key(p: &Point3) -> u64 {
     hilbert_index(quantize(p))
 }
 

@@ -11,38 +11,44 @@
 //! Every kernel here is a [`RadialKernel`]: a function of the distance
 //! alone that dies off monotonically. One generic [`KernelSource`] turns
 //! any of them plus a point cloud into the matrix `TlrMatrix` assembles,
-//! and bounds a whole tile from the bounding boxes of its two index
-//! ranges — which is how assembly skips the tiles that hold nothing.
+//! evaluates that matrix a tile at a time, and bounds a whole tile from
+//! the bounding boxes of its two index ranges — which is how assembly
+//! skips the tiles that hold nothing.
 
+use crate::exp::{exp, EXP_DEFECT};
 use crate::geometry::{min_positive_distance, Point3};
 use std::ops::{Deref, Range};
 use std::sync::OnceLock;
-use tlr_linalg::TileSource;
+use tlr_linalg::{Matrix, TileSource};
 
-/// A kernel that depends on the distance between two points only.
+/// A kernel that depends on the distance between two points only, taken
+/// as its square `r2 = r²`: a Gaussian needs no square root, the others
+/// take it inside.
 pub trait RadialKernel: Copy + Sync {
-    /// The kernel at distance `r ≥ 0`.
-    fn eval(&self, r: f64) -> f64;
+    /// The kernel at squared distance `r2 ≥ 0`.
+    fn eval(&self, r2: f64) -> f64;
 
     /// The matrix diagonal (the value at `r = 0` plus any nugget).
     fn diagonal(&self) -> f64;
 
-    /// A non-increasing function of `r` that no later value of the kernel
-    /// exceeds: `|eval(r')| ≤ tail_bound(r)` for every `r' ≥ r`, both as
-    /// computed, up to a relative `1e-12`. For a kernel that decays
-    /// monotonically this is `|eval(r)|` itself. Return `∞` (or NaN) when
+    /// A non-increasing function of `r2` that no later value of the kernel
+    /// exceeds: `|eval(r2')| ≤ tail_bound(r2)` for every `r2' ≥ r2`, both
+    /// as computed, up to a relative `1e-12`. For a kernel that decays
+    /// monotonically this is `|eval(r2)|` itself. Return `∞` (or NaN) when
     /// the parameters give no such bound — a tile is then never skipped.
-    fn tail_bound(&self, r: f64) -> f64;
+    fn tail_bound(&self, r2: f64) -> f64;
 }
 
 /// Kernel-matrix entry for points `i`, `j` of `points`: the kernel's
 /// diagonal value at `i == j`, the kernel at their distance otherwise.
+/// [`KernelSource::block`] computes every entry of a tile with the same
+/// operations, so the two agree bit for bit.
 #[inline]
 fn matrix_entry<K: RadialKernel>(kernel: &K, points: &[Point3], i: usize, j: usize) -> f64 {
     if i == j {
         kernel.diagonal()
     } else {
-        kernel.eval(points[i].dist(&points[j]))
+        kernel.eval(points[i].dist2(&points[j]))
     }
 }
 
@@ -101,15 +107,16 @@ impl BBox {
         b
     }
 
-    /// Distance between the two boxes, `0` when they touch or overlap:
-    /// no point of one is closer than this to a point of the other.
-    fn gap(&self, other: &BBox) -> f64 {
+    /// Squared distance between the two boxes, `0` when they touch or
+    /// overlap: no point of one is closer than this to a point of the
+    /// other.
+    fn gap2(&self, other: &BBox) -> f64 {
         let mut sum = 0.0;
         for k in 0..3 {
             let d = (self.lo[k] - other.hi[k]).max(other.lo[k] - self.hi[k]).max(0.0);
             sum += d * d;
         }
-        sum.sqrt()
+        sum
     }
 }
 
@@ -131,17 +138,22 @@ impl TileBoxes {
     }
 }
 
-/// What the computed gap is scaled by before the kernel's tail is taken
-/// at it. The gap and a pair's distance are each three differences, three
-/// squares, two sums and a root (within `3.5·2⁻⁵³` of exact), so the
-/// scaled gap is below every computed distance of the tile.
+/// What the computed squared gap is scaled by before the kernel's tail is
+/// taken at it. The squared gap and a pair's `r²` are each three
+/// differences, three squares and two sums of non-negative terms, so each
+/// is within a factor `(1 ± 2⁻⁵³)⁵` of exact; the exact squared gap is at
+/// most the exact `r²`; and the scaling rounds once more. As
+/// `(1 + 2⁻⁵³)⁶ / (1 − 2⁻⁵³)⁵ < 1 / GAP_SHRINK`, the scaled squared gap is
+/// below every computed `r²` of the tile.
 const GAP_SHRINK: f64 = 1.0 - 16.0 * f64::EPSILON;
-/// Gaps below this are taken as `0`: their squares are subnormal, and the
-/// error analysis of [`GAP_SHRINK`] assumes they are not.
-const MIN_GAP: f64 = 1e-150;
+/// Squared gaps below this are taken as `0`. Above it, a square that
+/// underflowed adds an absolute error far below the relative margin of
+/// [`GAP_SHRINK`].
+const MIN_GAP2: f64 = 1e-300;
 /// Head-room for [`RadialKernel::tail_bound`]'s own rounding (its
-/// contract) and that of the product below.
-const TAIL_SLACK: f64 = 1.0 + 2e-12;
+/// contract, `1e-12`, and that of the product below) and for the
+/// kernels' `exp`, which is monotone only up to [`EXP_DEFECT`].
+const TAIL_SLACK: f64 = 1.0 + 2e-12 + EXP_DEFECT;
 
 /// The kernel matrix `A[i][j] = φ(‖xᵢ − xⱼ‖)` of a [`RadialKernel`] over a
 /// point cloud.
@@ -150,7 +162,10 @@ const TAIL_SLACK: f64 = 1.0 + 2e-12;
 /// `let gen = kernel.generator(&points); gen(i, j)` evaluates an entry
 /// exactly as the closure `generator` used to return (stable Rust cannot
 /// implement `Fn` for a struct; call syntax auto-derefs). And it is a
-/// [`TileSource`] that bounds a tile without evaluating it:
+/// [`TileSource`] that evaluates a tile as a block — squared distances a
+/// column at a time, then the kernel over the column in one loop the
+/// compiler vectorizes, the lower half of a diagonal tile mirrored — and
+/// bounds a tile without evaluating it:
 /// `‖A[rows, cols]‖_F ≤ √(rows·cols) · φ(gap)`, where `gap` is the distance
 /// between the bounding boxes of the two index ranges. The boxes of the
 /// tiling are computed once, in one `O(n)` pass at the first bound asked
@@ -187,6 +202,38 @@ where
         (self.entry)(i, j)
     }
 
+    fn block(&self, rows: Range<usize>, cols: Range<usize>) -> Matrix {
+        let kernel = self.kernel;
+        let tile = &self.points[rows.clone()];
+        let coordinate = |axis: fn(&Point3) -> f64| tile.iter().map(axis).collect::<Vec<_>>();
+        let (xs, ys, zs) = (coordinate(|p| p.x), coordinate(|p| p.y), coordinate(|p| p.z));
+        // A diagonal tile evaluates its lower half and mirrors it: `r²`
+        // is symmetric to the bit, because `xⱼ − xᵢ = −(xᵢ − xⱼ)` exactly.
+        let mirrored = rows == cols;
+        let mut out = Matrix::zeros(rows.len(), cols.len());
+        for (bj, j) in cols.enumerate() {
+            let top = if mirrored { bj } else { 0 };
+            let column = &mut out.col_mut(bj)[top..];
+            let (xs, ys, zs) = (&xs[top..], &ys[top..], &zs[top..]);
+            let p = self.points[j];
+            // The operations of `Point3::dist2`, in its order.
+            for (i, r2) in column.iter_mut().enumerate() {
+                let (dx, dy, dz) = (xs[i] - p.x, ys[i] - p.y, zs[i] - p.z);
+                *r2 = dx * dx + dy * dy + dz * dz;
+            }
+            for v in column.iter_mut() {
+                *v = kernel.eval(*v);
+            }
+            if rows.contains(&j) {
+                out[(j - rows.start, bj)] = kernel.diagonal();
+            }
+        }
+        if mirrored {
+            out.symmetrize_from_lower();
+        }
+        out
+    }
+
     fn norm_bound(&self, rows: Range<usize>, cols: Range<usize>) -> f64 {
         let points = self.points;
         let tiling = self.boxes.get_or_init(|| {
@@ -198,9 +245,9 @@ where
             })
         });
         let Some(tiling) = tiling else { return f64::INFINITY };
-        let gap = tiling.box_of(points, &rows).gap(&tiling.box_of(points, &cols));
-        let gap = if gap >= MIN_GAP { gap * GAP_SHRINK } else { 0.0 };
-        let mut largest = self.kernel.tail_bound(gap);
+        let gap2 = tiling.box_of(points, &rows).gap2(&tiling.box_of(points, &cols));
+        let gap2 = if gap2 >= MIN_GAP2 { gap2 * GAP_SHRINK } else { 0.0 };
+        let mut largest = self.kernel.tail_bound(gap2);
         if rows.start < cols.end && cols.start < rows.end {
             // The block holds diagonal entries.
             largest = largest.max(self.kernel.diagonal().abs());
@@ -237,18 +284,19 @@ impl GaussianRbf {
         Self::new(0.5 * spacing(points))
     }
 
-    /// Evaluate `φ_δ(r) = exp(−(r/δ)²)`.
+    /// Evaluate `φ_δ(r) = exp(−(r/δ)²)` at distance `r`.
     #[inline]
     pub fn eval(&self, r: f64) -> f64 {
-        let s = r / self.delta;
-        (-s * s).exp()
+        RadialKernel::eval(self, r * r)
     }
 }
 
 impl RadialKernel for GaussianRbf {
+    /// `exp(r² · c)` with `c = −1/δ²`: a product with a constant, which
+    /// rounds monotonically, then the exponential.
     #[inline]
-    fn eval(&self, r: f64) -> f64 {
-        GaussianRbf::eval(self, r)
+    fn eval(&self, r2: f64) -> f64 {
+        exp(r2 * (-1.0 / (self.delta * self.delta)))
     }
 
     #[inline]
@@ -256,8 +304,8 @@ impl RadialKernel for GaussianRbf {
         1.0 + self.nugget
     }
 
-    fn tail_bound(&self, r: f64) -> f64 {
-        decaying(self.delta, GaussianRbf::eval(self, r))
+    fn tail_bound(&self, r2: f64) -> f64 {
+        decaying(self.delta, RadialKernel::eval(self, r2))
     }
 }
 
@@ -310,10 +358,17 @@ impl WendlandRbf {
         Self::new(shells * spacing(points))
     }
 
-    /// Evaluate `ψ₃,₁(r/ρ)`; exactly 0 for `r ≥ ρ`.
+    /// Evaluate `ψ₃,₁(r/ρ)` at distance `r`; exactly 0 for `r ≥ ρ`.
     #[inline]
     pub fn eval(&self, r: f64) -> f64 {
-        let s = r / self.radius;
+        RadialKernel::eval(self, r * r)
+    }
+}
+
+impl RadialKernel for WendlandRbf {
+    #[inline]
+    fn eval(&self, r2: f64) -> f64 {
+        let s = r2.sqrt() / self.radius;
         if s >= 1.0 {
             0.0
         } else {
@@ -322,21 +377,14 @@ impl WendlandRbf {
             t2 * t2 * (4.0 * s + 1.0)
         }
     }
-}
-
-impl RadialKernel for WendlandRbf {
-    #[inline]
-    fn eval(&self, r: f64) -> f64 {
-        WendlandRbf::eval(self, r)
-    }
 
     #[inline]
     fn diagonal(&self) -> f64 {
         1.0 + self.nugget
     }
 
-    fn tail_bound(&self, r: f64) -> f64 {
-        decaying(self.radius, WendlandRbf::eval(self, r))
+    fn tail_bound(&self, r2: f64) -> f64 {
+        decaying(self.radius, RadialKernel::eval(self, r2))
     }
 }
 
@@ -377,26 +425,26 @@ impl MaternKernel {
     /// Evaluate the covariance at distance `r`.
     #[inline]
     pub fn eval(&self, r: f64) -> f64 {
-        let s = r / self.length;
-        self.sigma2
-            * match self.nu {
-                MaternNu::Half => (-s).exp(),
-                MaternNu::ThreeHalves => {
-                    let t = 3f64.sqrt() * s;
-                    (1.0 + t) * (-t).exp()
-                }
-                MaternNu::FiveHalves => {
-                    let t = 5f64.sqrt() * s;
-                    (1.0 + t + t * t / 3.0) * (-t).exp()
-                }
-            }
+        RadialKernel::eval(self, r * r)
     }
 }
 
 impl RadialKernel for MaternKernel {
     #[inline]
-    fn eval(&self, r: f64) -> f64 {
-        MaternKernel::eval(self, r)
+    fn eval(&self, r2: f64) -> f64 {
+        let s = r2.sqrt() / self.length;
+        self.sigma2
+            * match self.nu {
+                MaternNu::Half => exp(-s),
+                MaternNu::ThreeHalves => {
+                    let t = 3f64.sqrt() * s;
+                    (1.0 + t) * exp(-t)
+                }
+                MaternNu::FiveHalves => {
+                    let t = 5f64.sqrt() * s;
+                    (1.0 + t + t * t / 3.0) * exp(-t)
+                }
+            }
     }
 
     #[inline]
@@ -404,8 +452,8 @@ impl RadialKernel for MaternKernel {
         self.sigma2 + self.nugget
     }
 
-    fn tail_bound(&self, r: f64) -> f64 {
-        decaying(self.length, MaternKernel::eval(self, r))
+    fn tail_bound(&self, r2: f64) -> f64 {
+        decaying(self.length, RadialKernel::eval(self, r2))
     }
 }
 
@@ -610,6 +658,61 @@ mod tests {
             }
         }
         assert!(separated > 0, "distinct viruses are far apart at this δ");
+    }
+
+    /// Every entry of `source.block(rows, cols)` is `source.entry(i, j)`
+    /// to the bit, and `norm_bound` dominates the block's norm.
+    fn check_blocks<K: RadialKernel + std::fmt::Debug>(
+        kernel: K,
+        points: &[Point3],
+        ranges: &[Range<usize>],
+    ) {
+        let source = kernel_source(kernel, points);
+        for rows in ranges {
+            for cols in ranges {
+                let block = source.block(rows.clone(), cols.clone());
+                for (bj, j) in cols.clone().enumerate() {
+                    for (bi, i) in rows.clone().enumerate() {
+                        assert_eq!(
+                            block[(bi, bj)].to_bits(),
+                            source.entry(i, j).to_bits(),
+                            "{kernel:?}: entry ({i}, {j}) of {rows:?} x {cols:?}"
+                        );
+                    }
+                }
+                let bound = source.norm_bound(rows.clone(), cols.clone());
+                let norm = tlr_linalg::frobenius_norm(&block);
+                assert!(bound >= norm, "{kernel:?}: {rows:?} x {cols:?}: {bound:e} < {norm:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_are_their_entries_bit_for_bit() {
+        let cfg = VirusConfig { points_per_virus: 70, ..Default::default() };
+        let raw = virus_population(3, &cfg, 17);
+        let mut pts = crate::hilbert::apply_permutation(&raw, &crate::hilbert_sort(&raw));
+        let h = spacing(&pts);
+        // Duplicated points: within the first diagonal tile, and tiles apart.
+        pts[21] = pts[20];
+        pts[100] = pts[37];
+        // The tiling (b = 64, the first column range bounded) with its
+        // ragged last tile, ranges across tile borders, a range holding
+        // the whole cloud, and single points.
+        let ranges =
+            [0..64, 64..128, 128..192, 192..210, 10..50, 60..70, 50..130, 0..210, 37..38, 100..101];
+        for scale in [0.5, 4.0] {
+            check_blocks(GaussianRbf { delta: scale * h, nugget: 1e-8 }, &pts, &ranges);
+            check_blocks(WendlandRbf { radius: 6.0 * scale * h, nugget: 1e-6 }, &pts, &ranges);
+            for nu in [MaternNu::Half, MaternNu::ThreeHalves, MaternNu::FiveHalves] {
+                check_blocks(MaternKernel::new(scale * h, nu), &pts, &ranges);
+            }
+        }
+        // The duplicates are at r² = 0 off the diagonal.
+        let g = GaussianRbf { delta: h, nugget: 0.5 }.generator(&pts);
+        assert_eq!(g.block(0..64, 0..64)[(21, 20)], 1.0);
+        assert_eq!(g.block(64..128, 0..64)[(36, 37)], 1.0);
+        assert_eq!(g.block(0..64, 0..64)[(20, 20)], 1.5);
     }
 
     #[test]

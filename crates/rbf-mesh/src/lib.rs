@@ -23,6 +23,7 @@
 //!   interpolate).
 
 pub mod deform;
+mod exp;
 pub mod geometry;
 pub mod hilbert;
 pub mod kernel;

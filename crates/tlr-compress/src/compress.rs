@@ -6,7 +6,7 @@
 //! canonical `U·Vᵀ` form. Three outcomes are possible:
 //!
 //! * the whole tile is already below the threshold → [`Tile::Null`]
-//!   (decided from the column norms, before anything is copied),
+//!   (decided from the column norms, before any column is eliminated),
 //! * the numerical rank is small enough that the factorized form is
 //!   cheaper than dense storage → [`Tile::LowRank`],
 //! * otherwise the tile is kept [`Tile::Dense`]: the rank the accuracy
@@ -14,6 +14,7 @@
 //!   only waste memory and flops.
 
 use crate::tile::Tile;
+use std::cell::Cell;
 use tlr_linalg::{ColPivQr, ColPivScratch, Matrix};
 
 /// Parameters of the compression step.
@@ -52,10 +53,19 @@ pub fn low_rank_pays_off(k: usize, rows: usize, cols: usize) -> bool {
     k * (rows + cols) <= rows * cols
 }
 
+thread_local! {
+    /// The pivoted QR's working copy of a tile and its index buffers,
+    /// reused tile after tile by [`compress_tile`] on each thread.
+    static WORKSPACE: Cell<Option<(Matrix, ColPivScratch)>> = const { Cell::new(None) };
+}
+
 /// Compress a dense tile at the configured accuracy.
 ///
 /// Returns `Null`, `LowRank`, or `Dense` per the rules documented at the
-/// module level. The input is consumed (it becomes QR workspace).
+/// module level. The QR factors a copy held in a per-thread buffer, and a
+/// `Dense` outcome hands the input back as it came, so past the first
+/// tile on a thread nothing is allocated but a `LowRank` outcome's two
+/// factors.
 ///
 /// ```
 /// use tlr_compress::{compress_tile, CompressionConfig};
@@ -80,26 +90,30 @@ pub fn compress_tile(a: Matrix, config: &CompressionConfig) -> Tile {
     if rows == 0 || cols == 0 {
         return Tile::Null { rows, cols };
     }
-    // Take the column norms first and decide `Null` from them — the very
-    // test the factorization makes before its first pivot — so that only
-    // tiles that go on pay for the copy a `Dense` outcome hands back
-    // (nine tiles in ten of a sparse operator end here).
-    let mut f = ColPivQr::unfactored_in(a, ColPivScratch::default());
-    if f.trailing_below(config.accuracy) {
-        return Tile::Null { rows, cols };
-    }
-    let dense_backup = f.factors().clone();
-    f.advance(config.accuracy, config.max_rank);
-    let k = f.rank();
-    // The cap stopped the factorization before the trailing block met the
-    // threshold: the tile is not compressible under the cap, keep it dense.
-    let capped = k == config.max_rank && !f.trailing_below(config.accuracy);
-    if capped || !low_rank_pays_off(k, rows, cols) {
-        return Tile::Dense(dense_backup);
-    }
-    let u = f.q_thin(); // rows × k, orthonormal
-    let v = f.r_unpermuted().transpose(); // cols × k
-    Tile::LowRank { u, v }
+    let (mut copy, scratch) =
+        WORKSPACE.take().unwrap_or_else(|| (Matrix::zeros(0, 0), ColPivScratch::default()));
+    copy.clone_from(&a);
+    let mut f = ColPivQr::unfactored_in(copy, scratch);
+    // Decide `Null` from the column norms — the very test the
+    // factorization makes before its first pivot.
+    let tile = if f.trailing_below(config.accuracy) {
+        Tile::Null { rows, cols }
+    } else {
+        f.advance(config.accuracy, config.max_rank);
+        let k = f.rank();
+        // The cap stopped the factorization before the trailing block met
+        // the threshold: the tile is not compressible under the cap, keep
+        // it dense.
+        let capped = k == config.max_rank && !f.trailing_below(config.accuracy);
+        if capped || !low_rank_pays_off(k, rows, cols) {
+            Tile::Dense(a)
+        } else {
+            // rows × k orthonormal, cols × k
+            Tile::LowRank { u: f.q_thin(), v: f.r_unpermuted_t() }
+        }
+    };
+    WORKSPACE.set(Some(f.into_parts()));
+    tile
 }
 
 /// Materialize a tile back to dense storage (inverse of compression, up to

@@ -16,11 +16,24 @@ use std::ops::Range;
 /// Element `(i, j)` lives at linear index `i + j * rows`. The type is the
 /// common currency of the whole workspace: tiles, tall-skinny low-rank
 /// factors, and small recompression workspaces are all `Matrix` values.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Reuses `self`'s allocation whenever its capacity suffices.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {

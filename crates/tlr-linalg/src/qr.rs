@@ -637,19 +637,18 @@ impl ColPivQr {
         }
     }
 
-    /// `R_k · Pᵀ` — the `rank × n` factor with the pivoting folded back so
-    /// that `A ≈ q_thin() · r_unpermuted()`.
-    pub fn r_unpermuted(&self) -> Matrix {
+    /// `(R_k · Pᵀ)ᵀ` — the `n × rank` factor with the pivoting folded back
+    /// so that `A ≈ q_thin() · r_unpermuted_t()ᵀ`: tile compression's `V`,
+    /// written directly rather than transposed from `R_k · Pᵀ`.
+    pub fn r_unpermuted_t(&self) -> Matrix {
         let k = self.rank;
-        let n = self.factors.cols();
-        let mut r = Matrix::zeros(k, n);
-        for j in 0..n {
-            let orig = self.scratch.perm[j];
+        let mut v = Matrix::zeros(self.factors.cols(), k);
+        for (j, &orig) in self.scratch.perm.iter().enumerate() {
             for i in 0..k.min(j + 1) {
-                r[(i, orig)] = self.factors[(i, j)];
+                v[(orig, i)] = self.factors[(i, j)];
             }
         }
-        r
+        v
     }
 
     /// Decompose into the matrix storage and the scratch buffers so a
@@ -766,9 +765,9 @@ mod tests {
         let f = ColPivQr::with_tolerance(a.clone(), 1e-10 * frobenius_norm(&a), usize::MAX);
         assert_eq!(f.rank(), 3);
         let q = f.q_thin();
-        let r = f.r_unpermuted();
+        let v = f.r_unpermuted_t();
         let mut recon = Matrix::zeros(20, 16);
-        gemm(Trans::No, Trans::No, 1.0, &q, &r, 0.0, &mut recon);
+        gemm(Trans::No, Trans::Yes, 1.0, &q, &v, 0.0, &mut recon);
         assert!(relative_diff(&recon, &a) < 1e-9);
     }
 
@@ -779,9 +778,9 @@ mod tests {
         for tol in [1e-2, 1e-4, 1e-6] {
             let f = ColPivQr::with_tolerance(a.clone(), tol, usize::MAX);
             let q = f.q_thin();
-            let r = f.r_unpermuted();
+            let v = f.r_unpermuted_t();
             let mut recon = Matrix::zeros(30, 30);
-            gemm(Trans::No, Trans::No, 1.0, &q, &r, 0.0, &mut recon);
+            gemm(Trans::No, Trans::Yes, 1.0, &q, &v, 0.0, &mut recon);
             let mut diff = recon.clone();
             diff.axpy(-1.0, &a);
             let err = frobenius_norm(&diff);
@@ -811,9 +810,9 @@ mod tests {
         let f = ColPivQr::with_tolerance(a.clone(), 1e-14, usize::MAX);
         assert_eq!(f.rank(), 6);
         let q = f.q_thin();
-        let r = f.r_unpermuted();
+        let v = f.r_unpermuted_t();
         let mut recon = Matrix::zeros(6, 6);
-        gemm(Trans::No, Trans::No, 1.0, &q, &r, 0.0, &mut recon);
+        gemm(Trans::No, Trans::Yes, 1.0, &q, &v, 0.0, &mut recon);
         assert!(relative_diff(&recon, &a) < 1e-13);
     }
 
@@ -957,7 +956,7 @@ mod tests {
         let f = ColPivQr::with_tolerance(a.clone(), 1e-3, usize::MAX);
         assert!(f.rank() > 0 && f.rank() < 12);
         let mut recon = Matrix::zeros(20, 20);
-        gemm(Trans::No, Trans::No, 1.0, &f.q_thin(), &f.r_unpermuted(), 0.0, &mut recon);
+        gemm(Trans::No, Trans::Yes, 1.0, &f.q_thin(), &f.r_unpermuted_t(), 0.0, &mut recon);
         recon.axpy(-1.0, &a);
         let err = frobenius_norm(&recon);
         assert!((f.trailing_norm() - err).abs() <= 1e-14, "{} vs {err}", f.trailing_norm());

@@ -26,6 +26,7 @@ use hicma_parsec::runtime::{
     TaskEvent,
 };
 use hicma_parsec::tlr::kernels::{gemm_kernel_ws, KernelWorkspace};
+use hicma_parsec::tlr::tile::TileFormat;
 use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, Tile};
 
 struct CountingAlloc;
@@ -371,4 +372,41 @@ fn reordered_dense_routines_allocate_nothing_in_steady_state() {
         "gemm",
     ];
     assert_eq!(counts, [0; 8], "steady-state allocations per call of {names:?}");
+}
+
+/// Tile compression factors a copy in a per-thread buffer: once that has
+/// grown, a `Null` or `Dense` outcome allocates nothing (a `Dense` tile is
+/// the input itself) and a `LowRank` one allocates its two factors only.
+#[test]
+fn compress_tile_allocates_only_its_factors() {
+    use hicma_parsec::tlr::compress_tile;
+    let b = 120usize;
+    let smooth = Matrix::from_fn(b, b, |i, j| {
+        let d = (i as f64 - j as f64 + 90.0) / 40.0;
+        (-d * d).exp()
+    });
+    let mut tiny = smooth.clone();
+    tiny.scale(1e-12);
+    let rough = mixed_factor(b, b, 0.3, 1.0, 12);
+    let config = CompressionConfig::with_accuracy(1e-10);
+    let mut counts = Vec::new();
+    for _pass in 0..2 {
+        counts.clear();
+        for (input, format) in [
+            (&smooth, TileFormat::LowRank),
+            (&tiny, TileFormat::Null),
+            (&rough, TileFormat::Dense),
+        ] {
+            let input = input.clone();
+            let address = input.as_slice().as_ptr();
+            let before = allocs();
+            let tile = compress_tile(input, &config);
+            counts.push(allocs() - before);
+            assert_eq!(tile.format(), format);
+            if let Tile::Dense(m) = &tile {
+                assert_eq!(m.as_slice().as_ptr(), address, "a dense tile is its input");
+            }
+        }
+    }
+    assert_eq!(counts, [2, 0, 0], "allocations per low-rank, null and dense tile");
 }

@@ -641,3 +641,56 @@ fn loop_order_shapes_match_the_recorded_goldens() {
         moved.join("\n")
     );
 }
+
+// ---- Kernel-block goldens -------------------------------------------------
+//
+// Appended, with every line above left as it was, when kernel tiles began to
+// be evaluated as blocks (squared distances a column at a time, then the
+// kernel over the column, with the crate's own `exp`). They pin the bits of
+// a diagonal block (its lower half mirrored) and an off-diagonal block with
+// a ragged edge, for each kernel, so a build for another target (SSE2 or
+// AVX2/FMA) that moved a bit of the kernel reads as one line.
+
+use hicma_parsec::linalg::TileSource;
+use hicma_parsec::mesh::{GaussianRbf, MaternKernel, MaternNu, Point3, WendlandRbf};
+
+fn actual_kernel_blocks() -> String {
+    // 150 points in a 0.1-cube (an LCG, so no RNG crate decides the bits).
+    let mut state = 0x5EED_u64;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let points: Vec<Point3> =
+        (0..150).map(|_| Point3 { x: 0.1 * unit(), y: 0.1 * unit(), z: 0.1 * unit() }).collect();
+    let hash = |source: &dyn TileSource| {
+        let diagonal = source.block(0..64, 0..64);
+        let ragged = source.block(64..150, 0..64);
+        fnv([bits(diagonal.as_slice()), bits(ragged.as_slice())].into_iter())
+    };
+    let gaussian = GaussianRbf { delta: 0.01, nugget: 1e-8 };
+    let wendland = WendlandRbf { radius: 0.04, nugget: 1e-6 };
+    let matern = |nu| MaternKernel::new(0.01, nu);
+    format!(
+        "kernel_block gaussian={:#018x} wendland={:#018x} matern12={:#018x} matern32={:#018x} \
+         matern52={:#018x}\n",
+        hash(&gaussian.generator(&points)),
+        hash(&wendland.generator(&points)),
+        hash(&matern(MaternNu::Half).generator(&points)),
+        hash(&matern(MaternNu::ThreeHalves).generator(&points)),
+        hash(&matern(MaternNu::FiveHalves).generator(&points)),
+    )
+}
+
+const GOLDEN_KERNEL_BLOCKS: &str = "\
+kernel_block gaussian=0x6c1a6e373174faaf wendland=0x715f4566682994b1 matern12=0x3adab3621bb5ba8f matern32=0xea7df07f76a89971 matern52=0x8f8a112f85fd6349
+";
+
+#[test]
+fn kernel_blocks_match_the_recorded_goldens() {
+    let actual = actual_kernel_blocks();
+    assert!(
+        actual == GOLDEN_KERNEL_BLOCKS,
+        "kernel-block drift:\n  recorded: {GOLDEN_KERNEL_BLOCKS}  now:      {actual}"
+    );
+}
