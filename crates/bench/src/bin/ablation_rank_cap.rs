@@ -6,6 +6,7 @@
 //! simulation half sweeps the cap's effect on time; the real-execution
 //! half measures the accuracy actually delivered at each cap.
 
+use hicma_core::lorapo::hicma_parsec_config;
 use hicma_core::simulate::{simulate_cholesky, SimConfig};
 use hicma_core::{factorization_residual, factorize, FactorConfig};
 use rbf_mesh::geometry::{virus_population, VirusConfig};
@@ -23,7 +24,7 @@ fn main() {
     header(&[("cap", 8), ("time (s)", 10), ("tasks", 9)]);
     let (p, snap) = scaled_snapshot(11.95e6, 4880, 512, s, PAPER_SHAPE, PAPER_ACCURACY);
     for cap in [8usize, 16, 32, 64, usize::MAX] {
-        let cfg = SimConfig { rank_cap: cap, ..SimConfig::hicma_parsec(machine.clone(), p.nodes) };
+        let cfg = SimConfig { rank_cap: cap, ..hicma_parsec_config(machine.clone(), p.nodes) };
         let r = simulate_cholesky(&snap, &cfg);
         let cap_label = if cap == usize::MAX { "none".to_string() } else { cap.to_string() };
         println!("{:>8} {:>10.3} {:>9}", cap_label, r.factorization_seconds, r.dag_tasks);

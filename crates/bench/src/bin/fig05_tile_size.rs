@@ -4,7 +4,8 @@
 //! The time curve is bell-shaped: large tiles inflate the dense critical
 //! path, small tiles explode the task count and runtime overheads.
 
-use hicma_core::simulate::{simulate_cholesky, SimConfig};
+use hicma_core::lorapo::hicma_parsec_config;
+use hicma_core::simulate::simulate_cholesky;
 use runtime::MachineModel;
 use tlr_bench::{scaled_machine, header, scale_factor, PAPER_ACCURACY, PAPER_SHAPE};
 use tlr_compress::SyntheticRankModel;
@@ -43,7 +44,7 @@ fn main() {
             let snap =
                 SyntheticRankModel::from_application(nt, b, PAPER_SHAPE, PAPER_ACCURACY)
                     .snapshot();
-            let cfg = SimConfig::hicma_parsec(machine.clone(), nodes);
+            let cfg = hicma_parsec_config(machine.clone(), nodes);
             let r = simulate_cholesky(&snap, &cfg);
             println!(
                 "{:>7} {:>6} {:>9} {:>10.2} {:>10.2} {:>5.0}%",

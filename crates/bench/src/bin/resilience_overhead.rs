@@ -18,7 +18,8 @@
 //!
 //! Set `HICMA_SCALE` to change the downscale factor.
 
-use hicma_core::simulate::{simulate_cholesky, simulate_cholesky_faulty, SimConfig};
+use hicma_core::lorapo::hicma_parsec_config;
+use hicma_core::simulate::{simulate_cholesky, simulate_cholesky_faulty};
 use runtime::{FaultPlan, MachineModel};
 use tlr_bench::{scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
@@ -26,7 +27,7 @@ fn main() {
     let s = scale_factor(32);
     let machine = scaled_machine(MachineModel::shaheen_ii(), s);
     let (p, snap) = scaled_snapshot(4.49e6, 2990, 128, s, PAPER_SHAPE, PAPER_ACCURACY);
-    let cfg = SimConfig { machine, ..SimConfig::hicma_parsec(MachineModel::shaheen_ii(), p.nodes) };
+    let cfg = hicma_parsec_config(machine, p.nodes);
 
     let base = simulate_cholesky(&snap, &cfg);
     let t = base.factorization_seconds;

@@ -14,6 +14,7 @@
 //!
 //! Writes `METRICS_trace_compare.json` with every metric for every plan.
 
+use hicma_core::lorapo::hicma_parsec_config;
 use hicma_core::simulate::{simulate_cholesky, DistributionPlan, SimConfig};
 use runtime::obs::json::Json;
 use runtime::obs::{chrome_trace_json, RunMetrics};
@@ -32,7 +33,7 @@ fn main() {
     let plans = [DistributionPlan::Lorapo, DistributionPlan::Band, DistributionPlan::BandDiamond];
     let (mut runs, mut json) = (Vec::new(), Vec::new());
     for plan in plans {
-        let cfg = SimConfig { plan, ..SimConfig::hicma_parsec(MachineModel::shaheen_ii(), nodes) };
+        let cfg = SimConfig { plan, ..hicma_parsec_config(MachineModel::shaheen_ii(), nodes) };
         let r = simulate_cholesky(&snap, &cfg);
         let label = plan.name();
         let metrics = RunMetrics::from_trace(label, &r.trace, nodes)

@@ -4,16 +4,21 @@
 //! the paper's evaluation (§VIII). The paper ran on 16–2048 nodes of
 //! Shaheen II / Fugaku with matrices of 1.49M–52.57M unknowns; the
 //! harness maps each experiment onto this machine with the scaling rule
-//! of [`hicma_core::simulate::scaled_problem`] (divide N and nodes by
-//! `S`, tile size by `√S`), which preserves the work-per-node balances
-//! and therefore the *shapes* of the results. Absolute numbers are not
-//! comparable and are not claimed to be — see EXPERIMENTS.md.
+//! of [`hicma_core::simulate::scaled_problem`] and
+//! [`hicma_core::simulate::scaled_machine`] (divide N and nodes by `S`,
+//! tile size by `√S`, the machine's fixed time constants by `S`), which
+//! preserves the work-per-node balances and therefore the *shapes* of
+//! the results. Absolute numbers are not comparable and are not claimed
+//! to be — see EXPERIMENTS.md.
 //!
 //! Set `HICMA_SCALE` to override the default downscale factor.
 
 use hicma_core::simulate::{scaled_problem, ScaledProblem};
-use runtime::MachineModel;
 use tlr_compress::{RankSnapshot, SyntheticRankModel};
+
+/// The machine half of the scaling rule, re-exported from its home for
+/// the figure binaries and the benchmark.
+pub use hicma_core::simulate::scaled_machine;
 
 /// The paper's Shaheen II matrix sizes with their `b = O(√N)`-tuned tile
 /// sizes (§VIII-C; 4880 at 11.95M is quoted directly, the others follow
@@ -67,19 +72,6 @@ pub fn scale_factor(default: usize) -> usize {
             std::process::exit(2)
         }),
     }
-}
-
-/// Scale a machine model's *fixed time constants* by the downscale
-/// factor. Kernel durations shrink with the scaled tile sizes, so the
-/// per-task management cost, dependency-activation cost and network
-/// latency must shrink proportionally or the overhead:work balance of
-/// the original runs is distorted by `S` (see EXPERIMENTS.md §scaling).
-pub fn scaled_machine(mut m: MachineModel, s: usize) -> MachineModel {
-    let sf = s as f64;
-    m.task_overhead_s /= sf;
-    m.dep_overhead_s /= sf;
-    m.latency_s /= sf;
-    m
 }
 
 /// Scale one paper experiment and synthesize its rank snapshot.

@@ -80,7 +80,9 @@ pub struct ClassDrift {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommDrift {
     /// Exact fault-free model: one message of `edge.bytes` per
-    /// cross-rank dataflow edge of the final task→rank mapping.
+    /// cross-rank dataflow edge of the plan's task→rank mapping — the
+    /// placement the engine decides its messages from, also after a
+    /// crash migrated tasks (static locality).
     pub modeled: CommStats,
     /// What the engine counted, retransmissions included.
     pub measured: CommStats,
@@ -122,7 +124,7 @@ fn out_of_band(r: f64) -> bool {
 impl DriftReport {
     /// Build a report from the executed plan's task space priced on
     /// `machine`, the run's merged registry snapshot, and (on distributed
-    /// runs) the final task→rank mapping plus measured traffic.
+    /// runs) the plan's task→rank mapping plus measured traffic.
     pub fn compute(
         machine: &MachineModel,
         space: &CholeskySpace,

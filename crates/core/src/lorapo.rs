@@ -22,9 +22,17 @@ pub fn lorapo_config(machine: MachineModel, nodes: usize) -> SimConfig {
     }
 }
 
-/// HiCMA-PaRSEC (this paper) on the given machine/node count.
+/// HiCMA-PaRSEC (this paper) on the given machine/node count, with
+/// everything on: band + diamond + trimming.
 pub fn hicma_parsec_config(machine: MachineModel, nodes: usize) -> SimConfig {
-    SimConfig::hicma_parsec(machine, nodes)
+    SimConfig {
+        machine,
+        nodes,
+        plan: DistributionPlan::BandDiamond,
+        trimmed: true,
+        rank_cap: usize::MAX,
+        band_width: 2,
+    }
 }
 
 /// The intermediate configurations of the incremental study (Fig. 7 /

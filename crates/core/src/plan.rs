@@ -122,7 +122,6 @@ pub struct SymbolicPlan {
     pub(crate) space: CholeskySpace,
     /// The owner map of a distributed plan; `None` on a shared one.
     pub(crate) dist: Option<OwnerMap>,
-    pub(crate) planning_seconds: f64,
 }
 
 impl SymbolicPlan {
@@ -136,12 +135,6 @@ impl SymbolicPlan {
         self.space.len()
     }
 
-    /// Wall-clock seconds the symbolic phase took to build this plan.
-    /// A warm-cache run pays a key fold and a map lookup instead.
-    pub fn planning_seconds(&self) -> f64 {
-        self.planning_seconds
-    }
-
     /// Whether this is a distributed-memory plan.
     pub fn is_distributed(&self) -> bool {
         self.dist.is_some()
@@ -153,7 +146,6 @@ impl std::fmt::Debug for SymbolicPlan {
         f.debug_struct("SymbolicPlan")
             .field("key", &self.key)
             .field("tasks", &self.tasks())
-            .field("planning_seconds", &self.planning_seconds)
             .finish()
     }
 }
@@ -200,18 +192,12 @@ pub(crate) fn build_plan(
     key: PlanKey,
     dist: Option<OwnerMap>,
 ) -> SymbolicPlan {
-    let t0 = std::time::Instant::now();
     let dag_cfg = DagConfig {
         trimmed: cfg.trimmed,
         rank_cap: cfg.max_rank,
     };
     let space = CholeskySpace::new(snapshot, &dag_cfg);
-    SymbolicPlan {
-        key,
-        space,
-        dist,
-        planning_seconds: t0.elapsed().as_secs_f64(),
-    }
+    SymbolicPlan { key, space, dist }
 }
 
 /// Cache-activity delta of one plan acquisition, recorded into the run's

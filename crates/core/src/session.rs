@@ -153,7 +153,10 @@ impl<'a> Session<'a> {
     /// successful run, [`RunOutcome::drift`] prices every task of the
     /// executed plan with the simulator's per-task model on `machine`
     /// and compares the per-class sums (and, on distributed runs, the
-    /// exact comm model) against what the run measured.
+    /// exact comm model of the plan's task→rank mapping) against what the
+    /// run measured. A crash does not move the comm model: the engine
+    /// keeps shipping along the planned placement, so the measured excess
+    /// is fault and recovery traffic (retransmissions, replays) alone.
     ///
     /// On a distributed run every task measures one second of virtual
     /// time, so there the class table only restates the task counts and
@@ -1142,9 +1145,12 @@ impl Session<'_> {
         }
         let rank_evolution = drain_workspaces(body.workspaces, &registry);
         let registry = registry.snapshot();
-        // The comm model prices the run's final task→rank mapping.
+        // The comm model prices the plan's task→rank mapping: the engine
+        // decides which edges are messages from the original placement
+        // (static locality), also after a crash migrated tasks, so only
+        // fault and recovery traffic separates the two.
         let drift = self.drift.as_ref().map(|machine| {
-            DriftReport::compute(machine, space, &registry, Some((&out.exec_rank, out.comm)))
+            DriftReport::compute(machine, space, &registry, Some((&exec_rank, out.comm)))
         });
         Ok(RunOutcome {
             comm: Some(out.comm),

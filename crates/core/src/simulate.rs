@@ -11,7 +11,7 @@
 //! which we account as write-back bytes.
 
 use crate::dag::{tile_bytes, CholeskySpace, DagConfig, TaskKind};
-use runtime::des::{simulate, CommStats, DesConfig, DesTask};
+use runtime::des::{simulate, CommStats, DesTask};
 use runtime::fault::FaultPlan;
 use runtime::graph::DataRef;
 use runtime::machine::MachineModel;
@@ -64,20 +64,6 @@ pub struct SimConfig {
     pub rank_cap: usize,
     /// Band width for the band-based plans (2 = diagonal + sub-diagonal).
     pub band_width: usize,
-}
-
-impl SimConfig {
-    /// HiCMA-PaRSEC with everything on (band + diamond + trimming).
-    pub fn hicma_parsec(machine: MachineModel, nodes: usize) -> Self {
-        Self {
-            machine,
-            nodes,
-            plan: DistributionPlan::BandDiamond,
-            trimmed: true,
-            rank_cap: usize::MAX,
-            band_width: 2,
-        }
-    }
 }
 
 /// Results of one simulated factorization.
@@ -137,10 +123,13 @@ impl SimReport {
 /// A paper-scale experiment mapped onto a feasible simulation size.
 ///
 /// Scaling rule: divide the matrix size `N` and the node count by `S`
-/// and the tile size by `√S`. This keeps both dimensionless balances of
-/// the execution intact — critical-path work vs off-band work per node,
-/// and tiles per process — so who-wins and where the scaling crossovers
-/// fall are preserved, while DAGs stay within memory (see EXPERIMENTS.md).
+/// and the tile size by `√S` ([`scaled_problem`]), and the machine's
+/// fixed time constants by `S` ([`scaled_machine`]). This keeps both
+/// dimensionless balances of the execution intact — critical-path work
+/// vs off-band work per node, and tiles per process — so who-wins and
+/// where the scaling crossovers fall are preserved, while DAGs stay
+/// within memory (see EXPERIMENTS.md). These two functions are the
+/// rule's one home.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaledProblem {
     /// Number of tile rows in the simulated matrix.
@@ -162,6 +151,20 @@ pub fn scaled_problem(n_paper: f64, b_paper: usize, nodes_paper: usize, s: usize
     let nt = (n / tile_size as f64).round().max(4.0) as usize;
     let nodes = (nodes_paper / s).max(1);
     ScaledProblem { nt, tile_size, nodes, scale: s }
+}
+
+/// Scale a machine model's *fixed time constants* by the downscale
+/// factor `s` of [`scaled_problem`]. Kernel durations shrink with the
+/// scaled tile sizes, so the per-task management cost, the
+/// dependency-activation cost and the network latency must shrink
+/// proportionally or the overhead:work balance of the original runs is
+/// distorted by `S`. Rates, efficiencies and core counts stay.
+pub fn scaled_machine(mut m: MachineModel, s: usize) -> MachineModel {
+    let sf = s as f64;
+    m.task_overhead_s /= sf;
+    m.dep_overhead_s /= sf;
+    m.latency_s /= sf;
+    m
 }
 
 /// Kernel-only duration in seconds under the machine model (the per-task
@@ -199,12 +202,13 @@ pub fn des_tasks(
 /// Simulate a TLR Cholesky factorization from an initial rank snapshot.
 ///
 /// ```
-/// use hicma_core::simulate::{simulate_cholesky, SimConfig};
+/// use hicma_core::lorapo::hicma_parsec_config;
+/// use hicma_core::simulate::simulate_cholesky;
 /// use runtime::MachineModel;
 /// use tlr_compress::SyntheticRankModel;
 ///
 /// let snap = SyntheticRankModel::from_application(48, 512, 3.7e-4, 1e-4).snapshot();
-/// let cfg = SimConfig::hicma_parsec(MachineModel::shaheen_ii(), 4);
+/// let cfg = hicma_parsec_config(MachineModel::shaheen_ii(), 4);
 /// let report = simulate_cholesky(&snap, &cfg);
 /// // The makespan can never beat the compute-only critical path.
 /// assert!(report.factorization_seconds >= report.critical_path_seconds);
@@ -234,8 +238,7 @@ pub fn simulate_cholesky_faulty(
 ) -> Result<SimReport, EngineError> {
     // Checked before anything is laid out: the distributions cannot build
     // a process grid over no nodes.
-    let des_cfg = DesConfig::from_machine(&cfg.machine, cfg.nodes);
-    let (nodes, cores_per_proc) = (des_cfg.nprocs, des_cfg.cores_per_proc);
+    let (nodes, cores_per_proc) = (cfg.nodes, cfg.machine.cores_per_node);
     if nodes == 0 || cores_per_proc == 0 {
         return Err(EngineError::EmptyMachine { nprocs: nodes, cores_per_proc });
     }
@@ -283,7 +286,7 @@ pub fn simulate_cholesky_faulty(
         }
     }
 
-    let report = simulate(&space, &tasks, &des_cfg, faults, restart_delay_s)?;
+    let report = simulate(&space, &tasks, &cfg.machine, nodes, faults, restart_delay_s)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G),
     // priced from the kernel durations the DES ran.
@@ -334,6 +337,7 @@ pub fn simulate_cholesky_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lorapo::{hicma_parsec_config, lorapo_config};
     use tlr_compress::SyntheticRankModel;
 
     fn snapshot(nt: usize, shape: f64) -> RankSnapshot {
@@ -420,7 +424,7 @@ mod tests {
         // The headline result (Figs. 9/10): full HiCMA-PaRSEC vs Lorapo.
         let s = snapshot(64, 5e-4);
         let lorapo = simulate_cholesky(&s, &base_cfg(DistributionPlan::Lorapo, false));
-        let ours = simulate_cholesky(&s, &SimConfig::hicma_parsec(MachineModel::shaheen_ii(), 16));
+        let ours = simulate_cholesky(&s, &hicma_parsec_config(MachineModel::shaheen_ii(), 16));
         assert!(
             ours.factorization_seconds < lorapo.factorization_seconds,
             "ours {} vs lorapo {}",
@@ -432,7 +436,7 @@ mod tests {
     #[test]
     fn more_nodes_not_slower_at_scale() {
         let s = snapshot(96, 1e-3);
-        let mut cfg = SimConfig::hicma_parsec(MachineModel::shaheen_ii(), 4);
+        let mut cfg = hicma_parsec_config(MachineModel::shaheen_ii(), 4);
         let r4 = simulate_cholesky(&s, &cfg);
         cfg.nodes = 16;
         let r16 = simulate_cholesky(&s, &cfg);
@@ -506,7 +510,6 @@ mod tests {
     /// of the walk, on the goldens' synthetic snapshot and machine.
     #[test]
     fn critical_path_is_priced_from_the_des_durations() {
-        use crate::lorapo::{hicma_parsec_config, lorapo_config};
         use runtime::critical_path::critical_path;
         let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
         let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
@@ -521,6 +524,30 @@ mod tests {
             let r = simulate_cholesky(&snap, &cfg);
             assert_eq!(r.critical_path_seconds.to_bits(), priced_per_visit.length.to_bits());
             assert!(r.critical_path_seconds > 0.0);
+        }
+    }
+
+    /// The rule divides exactly the three fixed time constants by `S` and
+    /// leaves every rate, efficiency and core count as it was.
+    #[test]
+    fn scaled_machine_divides_only_the_fixed_time_constants() {
+        for m in [MachineModel::shaheen_ii(), MachineModel::fugaku()] {
+            for s in [1, 7, 32, 256] {
+                let sm = scaled_machine(m.clone(), s);
+                let sf = s as f64;
+                assert_eq!(sm.task_overhead_s, m.task_overhead_s / sf);
+                assert_eq!(sm.dep_overhead_s, m.dep_overhead_s / sf);
+                assert_eq!(sm.latency_s, m.latency_s / sf);
+                let restored = MachineModel {
+                    task_overhead_s: m.task_overhead_s,
+                    dep_overhead_s: m.dep_overhead_s,
+                    latency_s: m.latency_s,
+                    ..sm
+                };
+                // `Debug` prints every f64 to its shortest round-trip form:
+                // equal text is equal bits.
+                assert_eq!(format!("{restored:?}"), format!("{m:?}"));
+            }
         }
     }
 

@@ -83,10 +83,11 @@ pub fn tune_tile_size(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lorapo::hicma_parsec_config;
     use runtime::MachineModel;
 
     fn cfg() -> SimConfig {
-        SimConfig::hicma_parsec(MachineModel::shaheen_ii(), 4)
+        hicma_parsec_config(MachineModel::shaheen_ii(), 4)
     }
 
     #[test]

@@ -44,13 +44,7 @@ pub trait TileDistribution: Sync {
 
 /// Pick a process grid `P × Q = nprocs` "as square as possible" with
 /// `P ≤ Q` (the paper's §VIII-A convention).
-///
-/// ```
-/// use tlr_distribution::process_grid;
-/// assert_eq!(process_grid(512), (16, 32)); // the paper's production grid
-/// assert_eq!(process_grid(6), (2, 3));     // Fig. 3's example
-/// ```
-pub fn process_grid(nprocs: usize) -> (usize, usize) {
+fn process_grid(nprocs: usize) -> (usize, usize) {
     assert!(nprocs > 0, "need at least one process");
     let mut p = (nprocs as f64).sqrt().floor() as usize;
     while p > 1 && !nprocs.is_multiple_of(p) {
@@ -70,7 +64,8 @@ pub struct TwoDBlockCyclic {
 }
 
 impl TwoDBlockCyclic {
-    /// Grid from a process count via [`process_grid`].
+    /// Grid from a process count: `p × q = nprocs`, as square as
+    /// possible with `p ≤ q` (the paper's §VIII-A convention).
     pub fn new(nprocs: usize) -> Self {
         let (p, q) = process_grid(nprocs);
         Self { p, q }
@@ -238,7 +233,8 @@ pub struct DiamondDistribution {
 }
 
 impl DiamondDistribution {
-    /// Grid from a process count via [`process_grid`].
+    /// Grid from a process count: `p × q = nprocs`, as square as
+    /// possible with `p ≤ q` (the paper's §VIII-A convention).
     pub fn new(nprocs: usize) -> Self {
         let (p, q) = process_grid(nprocs);
         Self { p, q }
@@ -290,13 +286,11 @@ mod tests {
     #[test]
     fn process_grid_as_square_as_possible() {
         assert_eq!(process_grid(1), (1, 1));
-        assert_eq!(process_grid(6), (2, 3));
+        assert_eq!(process_grid(6), (2, 3)); // Fig. 3's example
         assert_eq!(process_grid(16), (4, 4));
         assert_eq!(process_grid(32), (4, 8));
         assert_eq!(process_grid(7), (1, 7)); // prime
-        let (p, q) = process_grid(512);
-        assert_eq!(p * q, 512);
-        assert!(p <= q);
+        assert_eq!(process_grid(512), (16, 32)); // the paper's production grid
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Discrete-event simulator of distributed dataflow execution.
 //!
-//! The simulator executes a task graph on a virtual machine of
-//! `nprocs` processes × `cores_per_proc` cores. It reads the graph as a
+//! The simulator executes a task graph on `nprocs` processes of a
+//! [`MachineModel`], one per node, each with the node's
+//! `cores_per_node` cores. It reads the graph as a
 //! [`Dataflow`]: a stored [`TaskGraph`](crate::graph::TaskGraph), or an
 //! implicit task space that derives each task and successor list when the
 //! simulator asks for it, so the graph is never built. Each task has a fixed
@@ -16,7 +17,7 @@
 //!
 //! * a task becomes *ready* when all predecessors have finished **and**
 //!   their data has arrived at the task's process;
-//! * each process runs up to `cores_per_proc` ready tasks concurrently,
+//! * each process runs up to `cores_per_node` ready tasks concurrently,
 //!   picking by priority (panel index — critical path first);
 //! * communication is fully overlapped with computation (PaRSEC has a
 //!   dedicated communication thread), so transfers delay only their
@@ -43,44 +44,10 @@ pub struct DesTask {
     /// Executing process id, `< nprocs`.
     pub proc: usize,
     /// Kernel execution time in seconds. The per-task runtime overhead
-    /// is not in it: the simulator charges [`DesConfig::task_mgmt_s`] on
-    /// the process's serial runtime thread before the task may start.
+    /// is not in it: the simulator charges
+    /// [`MachineModel::task_overhead_s`] on the process's serial runtime
+    /// thread before the task may start.
     pub duration: f64,
-}
-
-/// Virtual-machine parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct DesConfig {
-    /// Number of processes (= nodes; the paper runs 1 process/node).
-    pub nprocs: usize,
-    /// Cores per process available for kernels.
-    pub cores_per_proc: usize,
-    /// Point-to-point latency in seconds.
-    pub latency_s: f64,
-    /// Link bandwidth in bytes/second.
-    pub bandwidth_bps: f64,
-    /// Cost of a zero-byte dependency-activation message.
-    pub dep_overhead_s: f64,
-    /// Per-task management cost on the process's **serial** runtime
-    /// thread (creation, scheduling, dependency release). Every task —
-    /// including numeric no-ops on null tiles — passes through this
-    /// stage before it may occupy a core; this is the scheduling
-    /// overhead DAG trimming removes (§VI, Fig. 6). 0 disables the stage.
-    pub task_mgmt_s: f64,
-}
-
-impl DesConfig {
-    /// `nprocs` nodes of `machine`, one process per node.
-    pub fn from_machine(machine: &MachineModel, nprocs: usize) -> Self {
-        DesConfig {
-            nprocs,
-            cores_per_proc: machine.cores_per_node,
-            latency_s: machine.latency_s,
-            bandwidth_bps: machine.bandwidth_bps,
-            dep_overhead_s: machine.dep_overhead_s,
-            task_mgmt_s: machine.task_overhead_s,
-        }
-    }
 }
 
 /// Communication totals.
@@ -136,6 +103,12 @@ enum Event {
 /// the task's `priority` (the panel index for tile Cholesky), then its
 /// id, lowest first.
 ///
+/// The machine is `nprocs` processes of `machine`, one per node. Of the
+/// model the simulator reads only what is not already in the durations:
+/// `cores_per_node`, the network (`latency_s`, `bandwidth_bps`,
+/// `dep_overhead_s`) and `task_overhead_s`, charged on each process's
+/// serial runtime thread (0 disables that stage).
+///
 /// `faults` is the same [`FaultPlan`] value the functional engine
 /// ([`crate::engine::DistEngine`]) injects ([`FaultPlan::none`] for a
 /// fault-free run); here it is *priced* rather
@@ -170,11 +143,12 @@ enum Event {
 pub fn simulate(
     graph: &impl Dataflow,
     tasks: &[DesTask],
-    config: &DesConfig,
+    machine: &MachineModel,
+    nprocs: usize,
     faults: &FaultPlan,
     restart_delay_s: f64,
 ) -> Result<DesReport, EngineError> {
-    Sim::new(graph, tasks, config, faults, restart_delay_s)?.run()
+    Sim::new(graph, tasks, machine, nprocs, faults, restart_delay_s)?.run()
 }
 
 /// The state of one simulation: one method per [`Event`] variant, fields
@@ -184,7 +158,8 @@ pub fn simulate(
 struct Sim<'a, G: Dataflow> {
     graph: &'a G,
     tasks: &'a [DesTask],
-    config: &'a DesConfig,
+    machine: &'a MachineModel,
+    nprocs: usize,
     faults: &'a FaultPlan,
     restart_delay_s: f64,
     now: f64,
@@ -241,11 +216,12 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     fn new(
         graph: &'a G,
         tasks: &'a [DesTask],
-        config: &'a DesConfig,
+        machine: &'a MachineModel,
+        nprocs: usize,
         faults: &'a FaultPlan,
         restart_delay_s: f64,
     ) -> Result<Self, EngineError> {
-        let (n, nprocs, cores_per_proc) = (graph.len(), config.nprocs, config.cores_per_proc);
+        let (n, cores_per_proc) = (graph.len(), machine.cores_per_node);
         if tasks.len() != n {
             return Err(EngineError::RankMapLength { expected: n, got: tasks.len() });
         }
@@ -274,7 +250,8 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         Ok(Sim {
             graph,
             tasks,
-            config,
+            machine,
+            nprocs,
             faults,
             restart_delay_s,
             now: 0.0,
@@ -334,7 +311,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// before it — and on the heap otherwise.
     fn schedule(&mut self, at: f64, event: Event) {
         if at == self.now {
-            self.events.push_to(self.config.nprocs, at, event);
+            self.events.push_to(self.nprocs, at, event);
         } else {
             self.events.push(at, event);
         }
@@ -343,9 +320,9 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// Serialize the task through its process's runtime thread, whose
     /// stream receives its completions in time order.
     fn ready(&mut self, t: TaskId) {
-        if self.config.task_mgmt_s > 0.0 {
+        if self.machine.task_overhead_s > 0.0 {
             let p = self.proc_of[t];
-            let end = self.mgmt_free[p].max(self.now) + self.config.task_mgmt_s;
+            let end = self.mgmt_free[p].max(self.now) + self.machine.task_overhead_s;
             self.mgmt_free[p] = end;
             self.events.push_to(p, end, Event::Managed(t));
         } else {
@@ -414,7 +391,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// Destinations are the *original* mapping also after a crash (the
     /// engine's static-locality invariant).
     fn send(&mut self, t: TaskId, p: usize) {
-        let (graph, tasks, config) = (self.graph, self.tasks, self.config);
+        let (graph, tasks, machine) = (self.graph, self.tasks, self.machine);
         let mut edges = std::mem::take(&mut self.edges);
         graph.successors_into(t, &mut edges);
         let src_proc = tasks[t].proc;
@@ -457,10 +434,11 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             // communication thread processes one by one — the per-edge
             // overhead DAG trimming removes (§VI).
             let (per_hop, xfer, nsends) = if bytes > 0 {
-                let xfer = bytes as f64 / config.bandwidth_bps;
-                (config.latency_s + xfer, xfer, 1.0)
+                let xfer = bytes as f64 / machine.bandwidth_bps;
+                (machine.latency_s + xfer, xfer, 1.0)
             } else {
-                (config.dep_overhead_s, config.dep_overhead_s, nremote as f64)
+                let dep = machine.dep_overhead_s;
+                (dep, dep, nremote as f64)
             };
             let nic_start = self.nic_free[p].max(self.now);
             self.nic_free[p] = nic_start + nsends * xfer;
@@ -508,7 +486,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         }
         self.dead[p] = true;
         self.report.crashes += 1;
-        let alive: Vec<usize> = (0..self.config.nprocs).filter(|&q| !self.dead[q]).collect();
+        let alive: Vec<usize> = (0..self.nprocs).filter(|&q| !self.dead[q]).collect();
         if alive.is_empty() {
             return Err(EngineError::Fault(FtError::AllRanksCrashed));
         }
@@ -573,18 +551,6 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     }
 }
 
-/// Convenience: all tasks on one process — the serial/SMP sanity baseline.
-pub fn single_proc_config(cores: usize) -> DesConfig {
-    DesConfig {
-        nprocs: 1,
-        cores_per_proc: cores,
-        latency_s: 0.0,
-        bandwidth_bps: f64::INFINITY,
-        dep_overhead_s: 0.0,
-        task_mgmt_s: 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,9 +579,27 @@ mod tests {
         chain_builder(n).finish()
     }
 
-    /// A fault-free run.
-    fn run(g: &TaskGraph, tasks: &[DesTask], cfg: &DesConfig) -> Result<DesReport, EngineError> {
-        simulate(g, tasks, cfg, &FaultPlan::none(), 0.0)
+    /// A fault-free run on `nprocs` processes of `machine`.
+    fn run(
+        g: &TaskGraph,
+        tasks: &[DesTask],
+        machine: &MachineModel,
+        nprocs: usize,
+    ) -> Result<DesReport, EngineError> {
+        simulate(g, tasks, machine, nprocs, &FaultPlan::none(), 0.0)
+    }
+
+    /// `cores` cores per process, a free network and no runtime
+    /// overhead: the serial/SMP sanity baseline.
+    fn ideal(cores: usize) -> MachineModel {
+        MachineModel {
+            cores_per_node: cores,
+            latency_s: 0.0,
+            bandwidth_bps: f64::INFINITY,
+            dep_overhead_s: 0.0,
+            task_overhead_s: 0.0,
+            ..MachineModel::shaheen_ii()
+        }
     }
 
     #[test]
@@ -627,7 +611,7 @@ mod tests {
                 duration: 2.0,
             })
             .collect();
-        let r = run(&g, &tasks, &single_proc_config(4)).unwrap();
+        let r = run(&g, &tasks, &ideal(4), 1).unwrap();
         assert!((r.makespan - 20.0).abs() < 1e-12);
         assert_eq!(r.comm, CommStats::default());
     }
@@ -646,10 +630,10 @@ mod tests {
             })
             .collect();
         // 4 cores → 8 unit tasks take 2 seconds
-        let r = run(&g, &tasks, &single_proc_config(4)).unwrap();
+        let r = run(&g, &tasks, &ideal(4), 1).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         // 8 cores → 1 second
-        let r8 = run(&g, &tasks, &single_proc_config(8)).unwrap();
+        let r8 = run(&g, &tasks, &ideal(8), 1).unwrap();
         assert!((r8.makespan - 1.0).abs() < 1e-12);
     }
 
@@ -670,15 +654,13 @@ mod tests {
                 duration: 1.0,
             },
         ];
-        let cfg = DesConfig {
-            nprocs: 2,
-            cores_per_proc: 1,
+        let machine = MachineModel {
             latency_s: 0.5,
             bandwidth_bps: 1e6, // 1 MB/s → 1 s for the payload
             dep_overhead_s: 0.1,
-            task_mgmt_s: 0.0,
+            ..ideal(1)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 2).unwrap();
         // 1 (task0) + 0.5 (lat) + 1.0 (xfer) + 1 (task1) = 3.5
         assert!((r.makespan - 3.5).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.bytes, 1_000_000);
@@ -702,15 +684,13 @@ mod tests {
                 duration: 1.0,
             },
         ];
-        let cfg = DesConfig {
-            nprocs: 2,
-            cores_per_proc: 1,
+        let machine = MachineModel {
             latency_s: 10.0,
             bandwidth_bps: 1.0,
             dep_overhead_s: 10.0,
-            task_mgmt_s: 0.0,
+            ..ideal(1)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 2).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
         assert_eq!(r.comm.messages, 0);
     }
@@ -737,15 +717,12 @@ mod tests {
                 duration: 0.0,
             });
         }
-        let cfg = DesConfig {
-            nprocs: 5,
-            cores_per_proc: 1,
-            latency_s: 0.0,
+        let machine = MachineModel {
             bandwidth_bps: 1e9,
             dep_overhead_s: 1.0, // zero-byte edges cost 1 s/hop
-            task_mgmt_s: 0.0,
+            ..ideal(1)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 5).unwrap();
         // Last receiver is 3 hops deep: 1 (task) + 3 = 4.
         assert!((r.makespan - 4.0).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.comm.messages, 4);
@@ -777,15 +754,12 @@ mod tests {
                 duration: 0.0,
             });
         }
-        let cfg = DesConfig {
-            nprocs: 1 + nremote,
-            cores_per_proc: 1,
-            latency_s: 0.0,
+        let machine = MachineModel {
             bandwidth_bps: 1e12,
             dep_overhead_s: 0.5,
-            task_mgmt_s: 0.0,
+            ..ideal(1)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 1 + nremote).unwrap();
         // n activations of 0.5 s serialize on proc 0's comm engine,
         // plus the per-hop delivery of the last one.
         assert!(
@@ -819,15 +793,11 @@ mod tests {
                 duration: 0.0,
             });
         }
-        let cfg = DesConfig {
-            nprocs: 1 + nremote,
-            cores_per_proc: 1,
-            latency_s: 0.0,
+        let machine = MachineModel {
             bandwidth_bps: 1e6,
-            dep_overhead_s: 0.0,
-            task_mgmt_s: 0.0,
+            ..ideal(1)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 1 + nremote).unwrap();
         // tree depth for the 8th receiver is 4 hops: 1 (task) + 4·1 s,
         // NOT 1 + 8·1 s (which per-receiver serialization would give).
         assert!(r.makespan <= 1.0 + 4.0 + 1e-9, "makespan {}", r.makespan);
@@ -868,15 +838,11 @@ mod tests {
                 duration: 0.0,
             },
         ];
-        let cfg = DesConfig {
-            nprocs: 3,
-            cores_per_proc: 2, // both producers run concurrently
-            latency_s: 0.0,
+        let machine = MachineModel {
             bandwidth_bps: 1e6, // 1 s per copy
-            dep_overhead_s: 0.0,
-            task_mgmt_s: 0.0,
+            ..ideal(2)          // both producers run concurrently
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 3).unwrap();
         // both finish at t=1; injections serialize: second arrives >= 3.
         assert!(
             r.makespan >= 3.0 - 1e-9,
@@ -903,7 +869,7 @@ mod tests {
                 duration: 1.0,
             },
         ];
-        let r = run(&g, &tasks, &single_proc_config(1)).unwrap();
+        let r = run(&g, &tasks, &ideal(1), 1).unwrap();
         let rec_urgent = r.trace.records.iter().find(|x| x.start == 0.0).unwrap();
         // both tasks retire; check the one starting at 0 has class Other
         // and that `urgent` started first by comparing start times.
@@ -941,15 +907,13 @@ mod tests {
                 duration: 1.0 + (t % 4) as f64,
             })
             .collect();
-        let cfg = DesConfig {
-            nprocs: 3,
-            cores_per_proc: 2,
+        let machine = MachineModel {
             latency_s: 1e-3,
             bandwidth_bps: 1e9,
             dep_overhead_s: 1e-4,
-            task_mgmt_s: 0.0,
+            ..ideal(2)
         };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &machine, 3).unwrap();
         let cp = critical_path(&g, |t| tasks[t].duration);
         assert!(
             r.makespan >= cp.length - 1e-12,
@@ -985,23 +949,25 @@ mod tests {
         (g, tasks)
     }
 
-    fn faulty_cfg() -> DesConfig {
-        DesConfig {
-            nprocs: 3,
-            cores_per_proc: 2,
+    /// The fault tests' machine: 2 cores per process, a real network,
+    /// run on [`FAULTY_NPROCS`] processes.
+    fn faulty_machine() -> MachineModel {
+        MachineModel {
             latency_s: 1e-3,
             bandwidth_bps: 1e9,
             dep_overhead_s: 1e-4,
-            task_mgmt_s: 0.0,
+            ..ideal(2)
         }
     }
+
+    const FAULTY_NPROCS: usize = 3;
 
     #[test]
     fn empty_fault_plan_matches_plain_simulation() {
         let (g, tasks) = wide_graph(12);
-        let cfg = faulty_cfg();
-        let plain = run(&g, &tasks, &cfg).unwrap();
-        let faulty = simulate(&g, &tasks, &cfg, &FaultPlan::none(), 0.5).unwrap();
+        let cfg = faulty_machine();
+        let plain = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
+        let faulty = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &FaultPlan::none(), 0.5).unwrap();
         assert_eq!(faulty.makespan, plain.makespan);
         assert_eq!(faulty.crashes, 0);
         assert_eq!(faulty.migrated, 0);
@@ -1012,10 +978,10 @@ mod tests {
     #[test]
     fn crash_migrates_reexecutes_and_costs_time() {
         let (g, tasks) = wide_graph(12);
-        let cfg = faulty_cfg();
-        let baseline = run(&g, &tasks, &cfg).unwrap();
+        let cfg = faulty_machine();
+        let baseline = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan * 0.5);
-        let r = simulate(&g, &tasks, &cfg, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.migrated > 0, "dead proc's tasks must move");
         assert!(
@@ -1029,10 +995,10 @@ mod tests {
     #[test]
     fn crash_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
-        let cfg = faulty_cfg();
-        let baseline = run(&g, &tasks, &cfg).unwrap();
+        let cfg = faulty_machine();
+        let baseline = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan + 100.0);
-        let r = simulate(&g, &tasks, &cfg, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5).unwrap();
         assert_eq!(r.crashes, 0);
         assert_eq!(r.makespan, baseline.makespan);
     }
@@ -1040,11 +1006,11 @@ mod tests {
     #[test]
     fn longer_restart_delay_costs_at_least_as_much() {
         let (g, tasks) = wide_graph(16);
-        let cfg = faulty_cfg();
-        let base = run(&g, &tasks, &cfg).unwrap();
+        let cfg = faulty_machine();
+        let base = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(2, base.makespan * 0.4);
-        let quick = simulate(&g, &tasks, &cfg, &faults, 0.1).unwrap();
-        let slow = simulate(&g, &tasks, &cfg, &faults, 5.0).unwrap();
+        let quick = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.1).unwrap();
+        let slow = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 5.0).unwrap();
         assert!(
             slow.makespan >= quick.makespan,
             "{} < {}",
@@ -1079,12 +1045,12 @@ mod tests {
                 duration: 10.0,
             },
         ];
-        let cfg = faulty_cfg();
+        let cfg = faulty_machine();
         // Crash proc 0 while the sink is still running: b's output is no
         // longer needed (c already has it) but the model re-runs tasks
         // with unfinished consumers — c is unfinished, so b re-executes.
         let faults = FaultPlan::new(0).with_crash(0, 2.5);
-        let r = simulate(&g, &tasks, &cfg, &faults, 0.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.reexecuted >= 1, "b must re-execute, got {}", r.reexecuted);
     }
@@ -1092,24 +1058,24 @@ mod tests {
     #[test]
     fn crashing_all_processes_is_a_typed_error() {
         let (g, tasks) = wide_graph(8);
-        let cfg = faulty_cfg();
+        let cfg = faulty_machine();
         let faults = FaultPlan::new(0).with_crash(0, 0.1).with_crash(1, 0.2).with_crash(2, 0.3);
-        let err = simulate(&g, &tasks, &cfg, &faults, 0.0).unwrap_err();
+        let err = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
     }
 
     #[test]
     fn out_of_range_fault_target_is_a_typed_error() {
         let (g, tasks) = wide_graph(8);
-        let cfg = faulty_cfg(); // nprocs = 3
+        let cfg = faulty_machine();
         let crash = FaultPlan::new(0).with_crash(7, 1.0);
         assert_eq!(
-            simulate(&g, &tasks, &cfg, &crash, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &crash, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 7, nprocs: 3 }
         );
         let corrupt = FaultPlan::new(0).with_store_corruption(9, 0, 0, 1.0);
         assert_eq!(
-            simulate(&g, &tasks, &cfg, &corrupt, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &corrupt, 0.0).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 9, nprocs: 3 }
         );
     }
@@ -1117,14 +1083,14 @@ mod tests {
     #[test]
     fn corruption_heals_by_reexecution_and_costs_time() {
         let (g, tasks) = wide_graph(12);
-        let cfg = faulty_cfg();
-        let base = run(&g, &tasks, &cfg).unwrap();
+        let cfg = faulty_machine();
+        let base = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         // Strike proc 0 mid-run with a long detection window: the root's
         // output (consumed by every mid task) is still needed, so one
         // completed task must re-execute and the makespan must grow.
         let faults = FaultPlan::new(7).with_store_corruption(0, 0, 0, base.makespan * 0.3);
         let delay = base.makespan * 2.0;
-        let r = simulate(&g, &tasks, &cfg, &faults, delay).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay).unwrap();
         assert_eq!(r.corruptions, 1);
         assert_eq!(r.crashes, 0);
         assert!(
@@ -1139,7 +1105,7 @@ mod tests {
             base.makespan
         );
         // Determinism: the same seeded plan reproduces the run.
-        let again = simulate(&g, &tasks, &cfg, &faults, delay).unwrap();
+        let again = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay).unwrap();
         assert_eq!(again.makespan, r.makespan);
         assert_eq!(again.reexecuted, r.reexecuted);
     }
@@ -1147,10 +1113,10 @@ mod tests {
     #[test]
     fn corruption_after_completion_is_free() {
         let (g, tasks) = wide_graph(12);
-        let cfg = faulty_cfg();
-        let base = run(&g, &tasks, &cfg).unwrap();
+        let cfg = faulty_machine();
+        let base = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(3).with_store_corruption(1, 0, 0, base.makespan + 50.0);
-        let r = simulate(&g, &tasks, &cfg, &faults, 1.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 1.0).unwrap();
         assert_eq!(r.corruptions, 0);
         assert_eq!(r.reexecuted, 0);
         assert_eq!(r.makespan, base.makespan);
@@ -1162,28 +1128,28 @@ mod tests {
     #[test]
     fn misconfiguration_is_a_typed_error() {
         let g = chain(2);
-        let cfg = single_proc_config(1);
+        let cfg = ideal(1);
         let on = |proc| DesTask { proc, duration: 1.0 };
         // fewer DesTasks than graph tasks
         assert_eq!(
-            run(&g, &[on(0)], &cfg).unwrap_err(),
+            run(&g, &[on(0)], &cfg, 1).unwrap_err(),
             EngineError::RankMapLength { expected: 2, got: 1 }
         );
         // a process id out of range
         assert_eq!(
-            run(&g, &[on(0), on(3)], &cfg).unwrap_err(),
+            run(&g, &[on(0), on(3)], &cfg, 1).unwrap_err(),
             EngineError::InvalidRank { task: 1, rank: 3, nprocs: 1 }
         );
         // a machine with no cores
         assert_eq!(
-            run(&g, &[on(0), on(0)], &single_proc_config(0)).unwrap_err(),
+            run(&g, &[on(0), on(0)], &ideal(0), 1).unwrap_err(),
             EngineError::EmptyMachine { nprocs: 1, cores_per_proc: 0 }
         );
         // a cyclic graph
         let mut cyclic = chain_builder(2);
         cyclic.add_edge(1, 0, DataRef { i: 0, j: 0 }, 0);
         let cyclic = cyclic.finish();
-        assert_eq!(run(&cyclic, &[on(0), on(0)], &cfg).unwrap_err(), EngineError::Cycle);
+        assert_eq!(run(&cyclic, &[on(0), on(0)], &cfg, 1).unwrap_err(), EngineError::Cycle);
     }
 
     #[test]
@@ -1195,15 +1161,7 @@ mod tests {
                 duration: 1.0,
             })
             .collect();
-        let cfg = DesConfig {
-            nprocs: 2,
-            cores_per_proc: 1,
-            latency_s: 0.0,
-            bandwidth_bps: f64::INFINITY,
-            dep_overhead_s: 0.0,
-            task_mgmt_s: 0.0,
-        };
-        let r = run(&g, &tasks, &cfg).unwrap();
+        let r = run(&g, &tasks, &ideal(1), 2).unwrap();
         let busy = r.trace.busy_per_proc(2);
         assert!((busy[0] - 2.0).abs() < 1e-12);
         assert!((busy[1] - 2.0).abs() < 1e-12);

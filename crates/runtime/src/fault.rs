@@ -208,17 +208,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_faulty(&self) -> bool {
-        self.drop_prob > 0.0
-            || self.duplicate_prob > 0.0
-            || self.ack_drop_prob > 0.0
-            || self.delay_jitter > 0.0
-            || !self.crashes.is_empty()
-            || !self.kernel_failures.is_empty()
-            || self.injects_corruption()
-    }
-
     /// Whether the plan injects any silent data corruption (message or
     /// store) — when it does, the distributed engine must run with an
     /// integrity layer or the corruption would go unnoticed.
@@ -518,7 +507,7 @@ mod tests {
             .with_message_corruption(0.1)
             .injects_corruption());
         let p = FaultPlan::new(1).with_store_corruption(0, 2, 1, 5.0);
-        assert!(p.injects_corruption() && p.is_faulty());
+        assert!(p.injects_corruption());
         assert_eq!(
             p.store_corruptions,
             vec![CorruptAt {

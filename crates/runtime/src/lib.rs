@@ -19,7 +19,7 @@
 //!   message-passing emulation with an optional fault layer), each
 //!   driven by a config of composable capability hooks.
 //! * [`des`] — a discrete-event simulator of distributed execution: `P`
-//!   processes × `cores` each, binomial-tree broadcasts, a latency/
+//!   processes of one [`machine`] model, binomial-tree broadcasts, a latency/
 //!   bandwidth link model and per-task runtime overheads. This is the
 //!   substitute for the paper's Shaheen II / Fugaku runs (see DESIGN.md §2)
 //!   and is driven by the same task graphs the executor runs.
@@ -42,7 +42,7 @@ pub mod machine;
 pub mod obs;
 pub mod trace;
 
-pub use des::{simulate, DesConfig, DesReport};
+pub use des::{simulate, DesReport};
 pub use engine::{
     Cancel, DistConfig, DistEngine, DistOutcome, Engine, EngineConfig, EngineError, ExecObs,
     IntegrityHooks, NoCancel, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,

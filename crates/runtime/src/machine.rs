@@ -90,7 +90,7 @@ impl MachineModel {
 
     /// Sustained fraction of one core's peak for a kernel whose inner
     /// (rank) dimension is `k`.
-    pub fn efficiency_at_rank(&self, k: usize) -> f64 {
+    fn efficiency_at_rank(&self, k: usize) -> f64 {
         let k = k as f64;
         self.eff_dense * k / (k + self.k_half)
     }

@@ -260,11 +260,6 @@ impl RegistrySnapshot {
         ClassBreakdown { potrf: s(0), trsm: s(1), syrk: s(2), gemm: s(3), other: s(4) }
     }
 
-    /// Tasks recorded for one class.
-    pub fn class_count(&self, class: TaskClass) -> u64 {
-        self.class_duration_ns.get(class_slot(class)).map_or(0, |h| h.count)
-    }
-
     /// Measured busy seconds for one class.
     pub fn class_seconds(&self, class: TaskClass) -> f64 {
         self.class_duration_ns.get(class_slot(class)).map_or(0.0, |h| h.sum as f64 * 1e-9)
@@ -565,8 +560,8 @@ mod tests {
         assert!(!snap.is_empty());
         assert_eq!(snap.counter(Counter::TasksExecuted), 7);
         assert_eq!(snap.counter(Counter::Retransmissions), 700);
-        assert_eq!(snap.class_count(TaskClass::Gemm), 7);
-        assert_eq!(snap.class_count(TaskClass::Potrf), 2);
+        assert_eq!(snap.class_duration_ns[class_slot(TaskClass::Gemm)].count, 7);
+        assert_eq!(snap.class_duration_ns[class_slot(TaskClass::Potrf)].count, 2);
         let potrf_s = snap.class_seconds(TaskClass::Potrf);
         assert!((potrf_s - 1.5e-3).abs() < 1e-9, "{potrf_s}");
         assert_eq!(snap.gauge(Gauge::ArenaHighWaterBytes), 4096.0);

@@ -184,11 +184,6 @@ impl TileDigest {
     pub fn verify(&self, tile: &Tile) -> bool {
         *self == TileDigest::of(tile)
     }
-
-    /// The Frobenius sum of squares recorded at sealing time.
-    pub fn frobenius_sq(&self) -> f64 {
-        f64::from_bits(self.fnorm_sq_bits)
-    }
 }
 
 /// A tile carrying its digest. Sealed tiles are the payload type of

@@ -35,9 +35,7 @@
 //!   `tests/alloc_free.rs` counting-allocator harness). The engine
 //!   threads one arena per worker ([`crate::kernels::KernelWorkspace`]
 //!   via the worker id `Engine::run` hands each body closure); callers
-//!   outside the engine
-//!   transparently use a thread-local arena
-//!   ([`with_thread_workspace`]).
+//!   outside the engine transparently use a thread-local arena.
 //!
 //! * **Implicit-Q re-projection.** The stacked factors are reduced by
 //!   unpivoted QR; instead of forming each thin `Q` explicitly
@@ -116,8 +114,8 @@ pub fn trsm_kernel(l: &Tile, a: &mut Tile) {
 ///
 /// One workspace per worker thread: buffers are checked out with
 /// [`KernelWorkspace::take`], returned with [`KernelWorkspace::give`]
-/// (or reclaimed wholesale from a replaced tile with
-/// [`KernelWorkspace::give_tile`]), and grow to a high-water mark over
+/// (the kernels also reclaim a replaced tile's factors wholesale into a
+/// separate export pool), and grow to a high-water mark over
 /// the first few calls, after which the kernels run allocation-free.
 /// The arena also owns the pivot and norm scratch of the core's pivoted
 /// QR, so the core truncation never allocates either.
@@ -220,7 +218,7 @@ impl KernelWorkspace {
     /// produced tile (recompressed `u`/`v` factors, dense conversions).
     /// Drawn from the export pool that [`KernelWorkspace::give_tile`]
     /// refills, so tile churn cannot drain the scratch pool.
-    pub fn take_out(&mut self, rows: usize, cols: usize) -> Matrix {
+    fn take_out(&mut self, rows: usize, cols: usize) -> Matrix {
         let (m, grew) = Self::take_from(&mut self.out_pool, rows, cols);
         self.note_growth(grew);
         m
@@ -228,7 +226,7 @@ impl KernelWorkspace {
 
     /// Return a matrix taken with [`KernelWorkspace::take_out`] that
     /// ended up not leaving with a tile.
-    pub fn give_out(&mut self, m: Matrix) {
+    fn give_out(&mut self, m: Matrix) {
         Self::give_to(&mut self.out_pool, m);
     }
 
@@ -236,7 +234,7 @@ impl KernelWorkspace {
     /// the export pool — this is what conserves arena size across
     /// recompressions: the new tile keeps its workspace-backed factors,
     /// the old tile's buffers come back.
-    pub fn give_tile(&mut self, t: Tile) {
+    fn give_tile(&mut self, t: Tile) {
         match t {
             Tile::Dense(m) => self.give_out(m),
             Tile::LowRank { u, v } => {
@@ -297,7 +295,7 @@ thread_local! {
 /// free. Nobody drains this arena: both factorization engines own one
 /// explicit arena per worker / emulated rank, call the `_ws` variants
 /// directly and report its rank log and high-water mark.
-pub fn with_thread_workspace<R>(f: impl FnOnce(&mut KernelWorkspace) -> R) -> R {
+fn with_thread_workspace<R>(f: impl FnOnce(&mut KernelWorkspace) -> R) -> R {
     TLS_WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
 }
 
@@ -832,7 +830,7 @@ pub mod reference {
 
     /// Pre-workspace recompression: explicit `q_thin()` factors and two
     /// `b × kt × k'` re-projection GEMMs.
-    pub fn recompress_reference(
+    fn recompress_reference(
         us: Matrix,
         vs: Matrix,
         rows: usize,

@@ -376,11 +376,6 @@ impl RankEvolution {
         if self.events == 0 { 0.0 } else { self.sum_out as f64 / self.events as f64 }
     }
 
-    /// Largest stacked input rank seen.
-    pub fn max_in(&self) -> usize {
-        self.max_in
-    }
-
     /// Largest kept output rank seen.
     pub fn max_out(&self) -> usize {
         self.max_out
@@ -389,11 +384,6 @@ impl RankEvolution {
     /// Tiles that truncated to Null.
     pub fn nulls(&self) -> u64 {
         self.nulls
-    }
-
-    /// Results that fell back to Dense format.
-    pub fn denses(&self) -> u64 {
-        self.denses
     }
 
     /// Output-rank histogram: `histogram()[k]` = recompressions kept at
@@ -580,8 +570,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.events(), 4);
         assert_eq!(a.nulls(), 1);
-        assert_eq!(a.denses(), 1);
-        assert_eq!(a.max_in(), 30);
+        assert_eq!(a.denses, 1);
+        assert_eq!(a.max_in, 30);
         assert_eq!(a.max_out(), 28);
         assert_eq!(a.histogram()[12], 2);
         assert_eq!(a.histogram()[0], 1);

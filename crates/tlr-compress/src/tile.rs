@@ -127,11 +127,6 @@ impl Tile {
         }
     }
 
-    /// A null tile with the same logical shape as `self`.
-    pub fn nullify(&self) -> Tile {
-        Tile::Null { rows: self.rows(), cols: self.cols() }
-    }
-
     /// The transpose of the tile (swaps `u`/`v` for low-rank tiles).
     pub fn transpose(&self) -> Tile {
         match self {
@@ -186,13 +181,6 @@ mod tests {
         assert!(relative_diff(&tt.to_dense(), &t.to_dense().transpose()) < 1e-15);
         let n = Tile::Null { rows: 3, cols: 5 }.transpose();
         assert_eq!((n.rows(), n.cols()), (5, 3));
-    }
-
-    #[test]
-    fn nullify_preserves_shape() {
-        let t = lr_tile().nullify();
-        assert_eq!((t.rows(), t.cols()), (4, 3));
-        assert!(t.is_null());
     }
 
     #[test]

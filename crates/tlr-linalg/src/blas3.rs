@@ -4,15 +4,16 @@
 //! register-blocked [`crate::microkernel`] (AVX2+FMA with a bit-identical
 //! scalar fallback); small and thin products keep the naive column sweep,
 //! whose innermost loops run down contiguous columns (axpy/dot shapes) so
-//! the compiler auto-vectorizes them. [`gemm`] and [`syrk`] fork onto
-//! rayon's work-stealing pool (one strip of output columns per task,
-//! stolen when workers idle) once the product is large enough to amortize
-//! the fork/join; small products and the tile kernels used inside the task
+//! the compiler auto-vectorizes them. [`gemm`] forks onto rayon's
+//! work-stealing pool (one strip of output columns per task, stolen when
+//! workers idle) once the product is large enough to amortize the
+//! fork/join; small products and the tile kernels used inside the task
 //! runtime call [`gemm_serial`]/[`syrk_serial`], because parallelism there
 //! comes from the task graph itself and an inner fork would oversubscribe
-//! the executor's threads.
+//! the executor's threads. There is no parallel SYRK: nothing outside the
+//! task graph calls one.
 //!
-//! The parallel paths are deterministic: each output column is computed by
+//! The parallel path is deterministic: each output column is computed by
 //! exactly one task with a thread-count-independent summation order (the
 //! microkernel's per-element order is partition-independent by
 //! construction), so results are bit-identical from 1 to N pool threads.
@@ -49,7 +50,7 @@ pub enum Uplo {
     Lower,
 }
 
-/// Minimum number of output entries before [`gemm`]/[`syrk`] consider the
+/// Minimum number of output entries before [`gemm`] considers the
 /// parallel path (anything smaller fits a single worker's cache anyway).
 const PARALLEL_THRESHOLD: usize = 64 * 64;
 
@@ -65,9 +66,9 @@ const PARALLEL_THRESHOLD: usize = 64 * 64;
 /// nothing actually forked.)
 const PARALLEL_MIN_FLOPS: usize = 1 << 20;
 
-/// Strip width of the column-parallel paths *and* the serial SYRK strip
-/// sweep: wide enough to amortize one `A` packing per strip, narrow
-/// enough that work stealing can still balance a triangular update. The
+/// Strip width of the column-parallel GEMM *and* the SYRK strip sweep:
+/// wide enough to amortize one `A` packing per strip, narrow enough that
+/// work stealing can still balance the parallel GEMM's strips. The
 /// results are bit-identical for **any** strip width (the packed path's
 /// per-element operation order is partition-independent — see
 /// [`crate::microkernel`]), so this is purely a performance knob.
@@ -266,32 +267,8 @@ fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// `trans == Trans::No` computes `A·Aᵀ` (`A` is `n × k`);
 /// `trans == Trans::Yes` computes `Aᵀ·A` (`A` is `k × n`).
 ///
-/// Parallelizes over columns of `C` like [`gemm`] (the flop gate uses the
-/// triangle's `n·n·k` count); every strip of columns is one task, so the
-/// triangular per-column cost imbalance is smoothed by work stealing, and
-/// results stay bit-identical to [`syrk_serial`] at any thread count.
-pub fn syrk<'a>(
-    trans: Trans,
-    alpha: f64,
-    a: impl Into<MatRef<'a>>,
-    beta: f64,
-    c: impl Into<MatMut<'a>>,
-) {
-    let (a, c) = (a.into(), c.into());
-    let (n, k) = syrk_dims(trans, a, &c);
-    if n * n < PARALLEL_THRESHOLD || n < 4 || n * n * k.max(1) < PARALLEL_MIN_FLOPS {
-        return syrk_serial(trans, alpha, a, beta, c);
-    }
-    let route = route(n, n, k);
-    let mut strips: Vec<_> = c.col_chunks(PAR_STRIP_COLS).collect();
-    strips.par_iter_mut().enumerate().for_each(|(s, strip)| {
-        syrk_strip(route, trans, alpha, a, beta, s * PAR_STRIP_COLS, strip.as_mut());
-    });
-}
-
-/// Serial SYRK with identical semantics (and identical rounding) to
-/// [`syrk`]; the tile kernels call this directly because their
-/// parallelism comes from the task graph.
+/// Serial, strip by strip of output columns: the tile kernels call it
+/// inside the task runtime, whose parallelism comes from the task graph.
 pub fn syrk_serial<'a>(
     trans: Trans,
     alpha: f64,
@@ -316,8 +293,8 @@ pub fn syrk_serial<'a>(
 /// the diagonal block is computed whole into a stack copy and only its
 /// `i ≥ j` elements are written back, so the strict upper triangle of `C`
 /// is never touched. Every element gets the packed path's per-element
-/// order wherever the strip boundaries fall, so serial and parallel
-/// strip sweeps are bit-identical.
+/// order wherever the strip boundaries fall, so the result does not
+/// depend on the strip width.
 fn syrk_strip(
     route: Option<KernelPath>,
     trans: Trans,
@@ -604,32 +581,6 @@ mod tests {
         assert_eq!(host.submatrix(2, 1, m, n).as_slice(), cs.as_slice());
     }
 
-    #[test]
-    fn syrk_parallel_path_bit_identical_to_serial() {
-        // n·n·k crosses the flop gate, so `syrk` takes the column-parallel
-        // path; it must agree bitwise with `syrk_serial` at any pool size.
-        let (n, k) = (128, 96);
-        assert!(n * n >= super::PARALLEL_THRESHOLD);
-        assert!(n * n * k >= super::PARALLEL_MIN_FLOPS);
-        for trans in [Trans::No, Trans::Yes] {
-            let a = match trans {
-                Trans::No => rand_mat(n, k, 21),
-                Trans::Yes => rand_mat(k, n, 21),
-            };
-            let c0 = rand_mat(n, n, 22);
-            let mut c = c0.clone();
-            syrk(trans, -1.0, &a, 1.0, &mut c);
-            let mut cs = c0.clone();
-            syrk_serial(trans, -1.0, &a, 1.0, &mut cs);
-            assert_eq!(c.as_slice(), cs.as_slice(), "trans={trans:?}");
-            // ... also when the output is a strided block of a larger matrix.
-            let mut host = rand_mat(n + 5, n + 3, 23);
-            host.set_submatrix(2, 1, &c0);
-            syrk(trans, -1.0, &a, 1.0, host.as_mut().block(2, 1, n, n));
-            assert_eq!(host.submatrix(2, 1, n, n).as_slice(), cs.as_slice(), "trans={trans:?}");
-        }
-    }
-
     /// Products the packed gate refuses used to take a k-blocked sweep
     /// once `m·k` passed 64 Ki doubles. The column sweep they take now
     /// applies the same ascending-`p` axpy sequence per element, so the
@@ -678,7 +629,7 @@ mod tests {
         let a = rand_mat(10, 6, 21);
         let c0 = rand_mat(10, 10, 22);
         let mut c_syrk = c0.clone();
-        syrk(Trans::No, 2.0, &a, 0.5, &mut c_syrk);
+        syrk_serial(Trans::No, 2.0, &a, 0.5, &mut c_syrk);
         let full = naive_gemm(Trans::No, Trans::Yes, 2.0, &a, &a, 0.5, &c0);
         for j in 0..10 {
             for i in j..10 {
@@ -698,7 +649,7 @@ mod tests {
         let a = rand_mat(6, 10, 23);
         let c0 = rand_mat(10, 10, 24);
         let mut c_syrk = c0.clone();
-        syrk(Trans::Yes, -1.0, &a, 1.0, &mut c_syrk);
+        syrk_serial(Trans::Yes, -1.0, &a, 1.0, &mut c_syrk);
         let full = naive_gemm(Trans::Yes, Trans::No, -1.0, &a, &a, 1.0, &c0);
         for j in 0..10 {
             for i in j..10 {

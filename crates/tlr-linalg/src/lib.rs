@@ -8,10 +8,12 @@
 //!   views [`MatRef`] / [`MatMut`] — every kernel below takes its operands
 //!   as views (`&Matrix` / `&mut Matrix` convert), so a block is borrowed,
 //!   never copied, inside a kernel,
-//! * level-3 BLAS: [`gemm`], [`syrk`], [`trsm`] (blocked, cache-aware;
-//!   `gemm`/`syrk` run column-parallel on the work-stealing `rayon` pool
-//!   above a size threshold, with [`gemm_serial`]/[`syrk_serial`] variants
-//!   for callers that already sit inside a parallel task graph),
+//! * level-3 BLAS: [`gemm`], [`syrk_serial`], [`trsm`] (blocked,
+//!   cache-aware; `gemm` runs column-parallel on the work-stealing `rayon`
+//!   pool above a size threshold, with a [`gemm_serial`] variant for
+//!   callers that already sit inside a parallel task graph; there is no
+//!   parallel SYRK, because the tile kernels call it inside the task
+//!   graph),
 //! * LAPACK-style factorizations: [`potrf`] (Cholesky), [`Qr`] (Householder
 //!   QR), [`ColPivQr`] (rank-revealing QR with column pivoting and
 //!   threshold-based early termination — the one truncation of TLR
@@ -48,7 +50,7 @@ pub mod qr;
 pub mod source;
 pub mod svd;
 
-pub use blas3::{gemm, gemm_serial, syrk, syrk_serial, trsm, Side, Trans, Uplo};
+pub use blas3::{gemm, gemm_serial, syrk_serial, trsm, Side, Trans, Uplo};
 pub use microkernel::{active_path, gemm_with_path, simd_available, KernelPath};
 pub use chol::{potrf, potrf_unblocked, CholeskyError};
 pub use matrix::{MatMut, MatRef, Matrix};

@@ -202,11 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Fill with zeros without reallocating.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Reshape in place to `rows × cols` with every entry zeroed, reusing
     /// the existing allocation whenever its capacity suffices.
     ///

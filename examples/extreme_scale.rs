@@ -3,23 +3,28 @@
 //! Runs the discrete-event simulator at paper scale: matrix sizes up to a
 //! (scaled) 52.57M unknowns on up to 2048 Shaheen II nodes, using the
 //! calibrated synthetic rank model in place of a compressed matrix we
-//! could never materialize on this machine. Tile counts are scaled down
-//! by `SCALE` (documented in EXPERIMENTS.md) to keep the simulated DAGs
-//! in memory; strong/weak-scaling *trends* are preserved.
+//! could never materialize on this machine. The problem and the machine's
+//! fixed time constants are scaled down by `SCALE` with the paper-scale
+//! rule (`scaled_problem`, `scaled_machine`; documented in EXPERIMENTS.md)
+//! to keep the simulated DAGs in memory; strong/weak-scaling *trends* are
+//! preserved, and the rows equal `fig14_extreme`'s at the same scale.
 //!
 //! Run with: `cargo run --release --example extreme_scale`
 
-use hicma_parsec::cholesky::simulate::{scaled_problem, simulate_cholesky, SimConfig};
+use hicma_parsec::cholesky::lorapo::hicma_parsec_config;
+use hicma_parsec::cholesky::simulate::{scaled_machine, scaled_problem, simulate_cholesky};
 use hicma_parsec::runtime::MachineModel;
 use hicma_parsec::tlr::SyntheticRankModel;
 
-/// Downscale factor vs the paper's runs: N and nodes ÷ SCALE, tile ÷ √SCALE
-/// (keeps the work-per-node balances; DAGs stay ≤ a few 1e6 tasks).
+/// Downscale factor vs the paper's runs: N and nodes ÷ SCALE, tile ÷ √SCALE,
+/// the machine's fixed time constants ÷ SCALE (keeps the work-per-node and
+/// overhead-to-work balances; DAGs stay ≤ a few 1e6 tasks).
 const SCALE: usize = 32;
 
 fn main() {
     let shape = 3.7e-4; // the paper's chosen shape parameter (§VIII-B)
     let accuracy = 1e-4;
+    let machine = scaled_machine(MachineModel::shaheen_ii(), SCALE);
 
     println!("Extreme-scale TLR Cholesky on the simulated Shaheen II");
     println!("(tile counts scaled down {SCALE}× — trends, not absolute times)");
@@ -39,7 +44,7 @@ fn main() {
             let model =
                 SyntheticRankModel::from_application(p.nt, p.tile_size, shape, accuracy);
             let snapshot = model.snapshot();
-            let cfg = SimConfig::hicma_parsec(MachineModel::shaheen_ii(), p.nodes);
+            let cfg = hicma_parsec_config(machine.clone(), p.nodes);
             let r = simulate_cholesky(&snapshot, &cfg);
             println!(
                 "{:>9.2}M {:>6} {:>7} {:>10} {:>12.2} {:>10.2} {:>8.1}%",

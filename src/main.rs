@@ -12,7 +12,9 @@
 //! Arguments are `key=value` pairs; run with no arguments for usage.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_parsec::cholesky::simulate::{scaled_problem, simulate_cholesky, ScaledProblem};
+use hicma_parsec::cholesky::simulate::{
+    scaled_machine, scaled_problem, simulate_cholesky, ScaledProblem,
+};
 use hicma_parsec::cholesky::{tune_tile_size, FactorConfig, MatrixAnalysis, RunError, Session};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
@@ -213,17 +215,12 @@ fn cmd_simulate(m: HashMap<String, String>) {
     let shape = get_positive_real(&m, "shape", 3.7e-4);
     let accuracy = get_positive_real(&m, "accuracy", 1e-4);
     let scale = get_positive(&m, "scale", 32);
-    let machine = machine_of(&m);
 
     let p = scaled_grid(n, tile, nodes, scale).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     });
-    // Scale the fixed time constants with the problem (see EXPERIMENTS.md).
-    let mut machine = machine;
-    machine.task_overhead_s /= scale as f64;
-    machine.dep_overhead_s /= scale as f64;
-    machine.latency_s /= scale as f64;
+    let machine = scaled_machine(machine_of(&m), scale);
     let snap = match m.get("snapshot") {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {

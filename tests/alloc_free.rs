@@ -17,13 +17,12 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use hicma_parsec::cholesky::lorapo::lorapo_config;
-use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky};
+use hicma_parsec::cholesky::simulate::{des_tasks, scaled_machine, simulate_cholesky};
 use hicma_parsec::cholesky::{build_cholesky_dag, CholeskySpace, DagConfig, MatrixAnalysis};
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::TaskClass;
 use hicma_parsec::runtime::{
-    simulate, Counter, DesConfig, ExecObs, FaultPlan, Gauge, MachineModel, Observe, Registry,
-    TaskEvent,
+    simulate, Counter, ExecObs, FaultPlan, Gauge, MachineModel, Observe, Registry, TaskEvent,
 };
 use hicma_parsec::tlr::kernels::{gemm_kernel_ws, KernelWorkspace};
 use hicma_parsec::tlr::tile::TileFormat;
@@ -180,15 +179,14 @@ fn sink_recording_path_allocates_nothing() {
 /// re-runs tasks of the dead process.
 #[test]
 fn simulation_allocations_do_not_grow_with_the_task_count() {
-    let machine = MachineModel::shaheen_ii();
-    let staged = DesConfig::from_machine(&machine, 2);
-    let unstaged = DesConfig { task_mgmt_s: 0.0, ..staged };
-    let run = |nt: usize, config: &DesConfig, crash: bool| {
+    let staged = MachineModel::shaheen_ii();
+    let unstaged = MachineModel { task_overhead_s: 0.0, ..staged.clone() };
+    let run = |nt: usize, machine: &MachineModel, crash: bool| {
         let snap = SyntheticRankModel::from_application(nt, 256, 2e-4, 1e-4).snapshot();
         let space =
             CholeskySpace::new(&snap, &DagConfig { trimmed: false, ..DagConfig::default() });
-        let tasks = des_tasks(&space, &machine, |d| (d.i + d.j) % 2);
-        let run = |faults: &FaultPlan| simulate(&space, &tasks, config, faults, 0.0).unwrap();
+        let tasks = des_tasks(&space, machine, |d| (d.i + d.j) % 2);
+        let run = |faults: &FaultPlan| simulate(&space, &tasks, machine, 2, faults, 0.0).unwrap();
         let faults = if crash {
             FaultPlan::new(0).with_crash(1, 0.5 * run(&FaultPlan::none()).makespan)
         } else {
@@ -201,15 +199,15 @@ fn simulation_allocations_do_not_grow_with_the_task_count() {
         assert_eq!(report.crashes, usize::from(crash));
         (tasks.len(), count)
     };
-    for (config, crash) in [(&staged, false), (&unstaged, false), (&staged, true)] {
+    for (machine, crash) in [(&staged, false), (&unstaged, false), (&staged, true)] {
         let ((small_tasks, small), (large_tasks, large)) =
-            (run(16, config, crash), run(32, config, crash));
+            (run(16, machine, crash), run(32, machine, crash));
         assert!(large_tasks > 7 * small_tasks);
         assert!(
             large.abs_diff(small) < 64,
-            "task_mgmt_s {}, crash {crash}: {small} allocations for {small_tasks} tasks, \
+            "task_overhead_s {}, crash {crash}: {small} allocations for {small_tasks} tasks, \
              {large} for {large_tasks}",
-            config.task_mgmt_s
+            machine.task_overhead_s
         );
     }
 }
@@ -224,14 +222,7 @@ fn simulation_allocations_do_not_grow_with_the_task_count() {
 #[test]
 fn simulation_peak_heap_is_bounded_per_task() {
     let snap = SyntheticRankModel::from_application(48, 305, 3.7e-4, 1e-4).snapshot();
-    let m = MachineModel::shaheen_ii();
-    let machine = MachineModel {
-        task_overhead_s: m.task_overhead_s / 256.0,
-        dep_overhead_s: m.dep_overhead_s / 256.0,
-        latency_s: m.latency_s / 256.0,
-        ..m
-    };
-    let cfg = lorapo_config(machine, 2);
+    let cfg = lorapo_config(scaled_machine(MachineModel::shaheen_ii(), 256), 2);
     let before = reset_peak();
     let report = simulate_cholesky(&snap, &cfg);
     let peak = peak() - before;

@@ -11,13 +11,13 @@ mod common;
 use common::random_snapshot;
 use hicma_parsec::cholesky::dag::{CholeskySpace, DagConfig};
 use hicma_parsec::runtime::critical_path::critical_path;
-use hicma_parsec::runtime::des::{single_proc_config, DesTask};
+use hicma_parsec::runtime::des::DesTask;
 use hicma_parsec::runtime::graph::{
     DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec,
 };
 use hicma_parsec::runtime::{
-    simulate, DistConfig, DistEngine, Engine, EngineConfig, EngineError, FaultPlan, RankCtx,
-    Registry,
+    simulate, DistConfig, DistEngine, Engine, EngineConfig, EngineError, FaultPlan, MachineModel,
+    RankCtx, Registry,
 };
 use hicma_parsec::tlr::RankSnapshot;
 use proptest::prelude::*;
@@ -51,6 +51,19 @@ fn random_shape(seed: u64, n: usize, density_pct: u64) -> Shape {
         id.swap(i, next() as usize % (i + 1));
     }
     Shape { n, edges, id }
+}
+
+/// One process of `cores` cores, a free network and no runtime overhead:
+/// the simulator's serial/SMP baseline.
+fn one_process(cores: usize) -> MachineModel {
+    MachineModel {
+        cores_per_node: cores,
+        latency_s: 0.0,
+        bandwidth_bps: f64::INFINITY,
+        dep_overhead_s: 0.0,
+        task_overhead_s: 0.0,
+        ..MachineModel::shaheen_ii()
+    }
 }
 
 /// Integer durations, so longest paths are exact in `f64`.
@@ -190,7 +203,7 @@ proptest! {
             let tasks: Vec<DesTask> = (0..n)
                 .map(|t| DesTask { proc: 0, duration: label_duration(g.spec(t).priority) })
                 .collect();
-            let r = simulate(g, &tasks, &single_proc_config(n), &FaultPlan::none(), 0.0).unwrap();
+            let r = simulate(g, &tasks, &one_process(n), 1, &FaultPlan::none(), 0.0).unwrap();
             let mut span = vec![(0u64, 0u64); n];
             for rec in &r.trace.records {
                 span[rec.task] = (rec.start.to_bits(), rec.end.to_bits());
@@ -234,8 +247,7 @@ proptest! {
         prop_assert!(g.order().is_none());
 
         let tasks = vec![DesTask { proc: 0, duration: 1.0 }; n];
-        let cfg = single_proc_config(2);
-        let des = simulate(&g, &tasks, &cfg, &FaultPlan::none(), 0.0);
+        let des = simulate(&g, &tasks, &one_process(2), 1, &FaultPlan::none(), 0.0);
         prop_assert_eq!(des.unwrap_err(), EngineError::Cycle);
         let run = Engine::new(&g).run(&EngineConfig::new(2), |_w, _t| {});
         prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);

@@ -5,7 +5,8 @@
 //! exporters, and crash/recovery event accounting on the fault-tolerant
 //! distributed runtime.
 
-use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky, SimConfig};
+use hicma_parsec::cholesky::lorapo::hicma_parsec_config;
+use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky};
 use hicma_parsec::cholesky::{
     build_cholesky_dag, DagConfig, FactorConfig, RunOutcome, Session, SolveService,
     TenantConfig,
@@ -149,7 +150,7 @@ fn empty_trace_exports_cleanly() {
 #[test]
 fn des_trace_uses_the_same_exporter() {
     let snap = SyntheticRankModel::from_application(16, 256, 3.7e-4, 1e-4).snapshot();
-    let cfg = SimConfig::hicma_parsec(MachineModel::shaheen_ii(), 4);
+    let cfg = hicma_parsec_config(MachineModel::shaheen_ii(), 4);
     let r = simulate_cholesky(&snap, &cfg);
     assert!(!r.trace.records.is_empty(), "DES must trace every task");
 
@@ -555,6 +556,34 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
     assert!(prom.contains("tlr_drift_ratio"), "{prom}");
     let table = drift.to_string();
     assert!(table.contains("gemm"), "{table}");
+}
+
+/// A crash migrates the dead rank's tasks, but the engine keeps deciding
+/// which edges are messages from the planned placement (static locality).
+/// So the drift report's comm model after a mid-run crash is the
+/// fault-free run's traffic, and only the measured side carries the
+/// recovery.
+#[test]
+fn drift_comm_model_after_a_crash_is_the_fault_free_traffic() {
+    let m = gaussian_matrix(168, 8.0);
+    let fcfg = FactorConfig::with_accuracy(1e-8);
+    let dist = DiamondDistribution::new(4);
+    let clean = Session::distributed(fcfg, 4, &dist)
+        .run(&mut m.clone())
+        .expect("SPD");
+    let makespan = clean.virtual_makespan.expect("virtual time");
+    let ft = FaultPlan::new(5).with_crash(1, 0.5 * makespan);
+    let out = Session::distributed(fcfg, 4, &dist)
+        .with_fault_layer(&ft)
+        .with_drift(MachineModel::shaheen_ii())
+        .run(&mut m.clone())
+        .expect("one crash among four ranks is survivable");
+    let crashes = out.registry.as_ref().map(|r| r.counter(Counter::Crashes));
+    assert_eq!(crashes, Some(1), "the crash fired mid-run");
+    let drift = out.drift.expect("drift spec => report");
+    let comm = drift.comm.expect("distributed comm drift");
+    assert_eq!(Some(comm.modeled), clean.comm, "the fault-free traffic");
+    assert_eq!(Some(comm.measured), out.comm, "the crashed run's traffic");
 }
 
 /// The same drift machinery on the wall-clock engine: a shared-memory
