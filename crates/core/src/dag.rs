@@ -12,12 +12,22 @@
 //! ```
 //!
 //! With `trimmed = false` every task of the dense execution space exists
-//! (tasks on null tiles become numeric no-ops but still cost runtime
-//! overhead and dependency activations — the situation the paper's §VI
-//! fixes). With `trimmed = true` the execution space of TRSM, SYRK and
-//! GEMM is reduced according to [`MatrixAnalysis`] (Algorithm 1), so
-//! tasks and dependencies touching never-non-null tiles simply do not
-//! exist.
+//! (tasks on null tiles become numeric no-ops, and on the engines that run
+//! every structural task — the distributed engine and the simulator —
+//! they still cost runtime overhead and dependency activations: the
+//! situation the paper's §VI fixes). With `trimmed = true` the execution
+//! space of TRSM, SYRK and GEMM is reduced according to
+//! [`MatrixAnalysis`] (Algorithm 1), so tasks and dependencies touching
+//! never-non-null tiles simply do not exist.
+//!
+//! Algorithm 1 is structural: it keeps a fill tile whenever both of its
+//! panel tiles are non-null, although the product of two tiles barely
+//! above the threshold often recompresses to `Null`. The space keeps
+//! those tasks, so the plan, its prices and every simulated number stay
+//! the paper's. The shared engine, which holds the real tiles, skips them
+//! at run time instead: a task whose operand is `Null` when its last
+//! predecessor retires is retired without running (numeric trimming, in
+//! the session's shared attempt).
 //!
 //! [`CholeskySpace`] is this PTG in symbolic form, as PaRSEC evaluates
 //! one (§IV-A): a handful of O(NT²) tables — the first task id of every

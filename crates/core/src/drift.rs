@@ -61,8 +61,14 @@ const BAND: f64 = 8.0;
 pub struct ClassDrift {
     /// Class name (`"potrf"`, `"trsm"`, `"syrk"`, `"gemm"`, `"other"`).
     pub class: &'static str,
-    /// Tasks of this class in the executed DAG.
+    /// Tasks of this class in the planned DAG.
     pub modeled_tasks: u64,
+    /// Tasks of this class that ran, read from the registry's duration
+    /// histogram. Below `modeled_tasks` when the shared engine elided
+    /// no-op tasks: the model prices those, the run measures only the
+    /// tasks that did work. A distributed run runs every task, and
+    /// counts a crash re-execution again.
+    pub measured_tasks: u64,
     /// The simulator's kernel seconds summed over the class's tasks, in
     /// task-id order.
     pub modeled_seconds: f64,
@@ -152,6 +158,7 @@ impl DriftReport {
                 ClassDrift {
                     class: class_name(k),
                     modeled_tasks: tasks[k],
+                    measured_tasks: snapshot.class_duration_ns.get(k).map_or(0, |h| h.count),
                     modeled_seconds: modeled[k],
                     measured_seconds: measured,
                     ratio: r,
@@ -191,6 +198,7 @@ impl DriftReport {
                 let mut o = Json::obj();
                 o.insert("class", Json::Str(c.class.to_string()));
                 o.insert("modeled_tasks", Json::Num(c.modeled_tasks as f64));
+                o.insert("measured_tasks", Json::Num(c.measured_tasks as f64));
                 o.insert("modeled_seconds", Json::Num(c.modeled_seconds));
                 o.insert("measured_seconds", Json::Num(c.measured_seconds));
                 o.insert("ratio", Json::Num(c.ratio));
@@ -255,8 +263,8 @@ impl fmt::Display for DriftReport {
         )?;
         writeln!(
             f,
-            "{:>6} {:>8} {:>14} {:>14} {:>9}  flag",
-            "class", "tasks", "modeled_s", "measured_s", "ratio"
+            "{:>6} {:>8} {:>8} {:>14} {:>14} {:>9}  flag",
+            "class", "tasks", "ran", "modeled_s", "measured_s", "ratio"
         )?;
         for c in &self.classes {
             if c.modeled_tasks == 0 && c.measured_seconds == 0.0 {
@@ -264,9 +272,10 @@ impl fmt::Display for DriftReport {
             }
             writeln!(
                 f,
-                "{:>6} {:>8} {:>14.6e} {:>14.6e} {:>9.3}  {}",
+                "{:>6} {:>8} {:>8} {:>14.6e} {:>14.6e} {:>9.3}  {}",
                 c.class,
                 c.modeled_tasks,
+                c.measured_tasks,
                 c.modeled_seconds,
                 c.measured_seconds,
                 c.ratio,

@@ -128,7 +128,8 @@ pub struct FactorReport {
     pub factorization_seconds: f64,
     /// Wall-clock seconds of the Algorithm-1 analysis + DAG build.
     pub analysis_seconds: f64,
-    /// Tasks in the executed DAG.
+    /// Tasks in the planned (Algorithm-1 trimmed) DAG. On a shared run
+    /// the registry splits them into `tasks_executed` and `tasks_elided`.
     pub dag_tasks: usize,
     /// Tasks of the equivalent untrimmed (dense) DAG.
     pub dense_dag_tasks: usize,

@@ -39,7 +39,7 @@ use runtime::engine::{
     DistConfig, DistEngine, Engine, EngineConfig, EngineError, ExecObs, IntegrityHooks,
 };
 use runtime::fault::{FaultPlan, FtError, IntegrityError};
-use runtime::graph::DataRef;
+use runtime::graph::{DataRef, TaskId};
 use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
@@ -417,8 +417,9 @@ pub struct RunOutcome {
     /// distributed run recompress again and are counted again): the
     /// run's one record of recompression ranks, exact per rank.
     pub rank_evolution: RankEvolution,
-    /// Model flops of the executed DAG (priced by `flops::*` at analysis
-    /// time — ranks evolve during the run, so this is the planned count).
+    /// Model flops of the planned DAG (priced by `flops::*` at analysis
+    /// time — ranks evolve during the run, so this is the planned count,
+    /// tasks the shared engine elided included).
     pub flops_executed: f64,
     /// Merged metrics-registry snapshot. Always `Some`: the registry is
     /// a sink of every run. Fault and integrity events of a distributed
@@ -439,8 +440,10 @@ impl RunOutcome {
     /// two wire counters (`comm_bytes`, `comm_messages`) and its
     /// recompression-rank histogram (`rank_evolution` keeps the ranks),
     /// the same two wire keys of `trace_summary`, and the drift report's
-    /// expected rank and modeled flops.
-    pub const SCHEMA_VERSION: u32 = 3;
+    /// expected rank and modeled flops. Version 4 added the registry's
+    /// `tasks_elided` counter (tasks the shared engine retired without
+    /// running) and the drift classes' `measured_tasks`.
+    pub const SCHEMA_VERSION: u32 = 4;
 
     /// Trace-derived summary (per-class and per-worker busy time, idle
     /// fractions, imbalance, queue wait, efficiency against the measured
@@ -594,9 +597,10 @@ impl fmt::Display for RunOutcome {
             }
             writeln!(
                 f,
-                "  engine: {} executed, {} enqueued, {} steals, arena high water {:.1} MB, \
-                 {} pool misses",
+                "  engine: {} executed, {} elided, {} enqueued, {} steals, \
+                 arena high water {:.1} MB, {} pool misses",
                 reg.counter(Counter::TasksExecuted),
+                reg.counter(Counter::TasksElided),
                 reg.counter(Counter::TasksEnqueued),
                 reg.counter(Counter::Steals),
                 reg.gauge(Gauge::ArenaHighWaterBytes) / (1 << 20) as f64,
@@ -827,6 +831,15 @@ fn shared_attempt(
         }
     }
     let cell = |d: DataRef| &cells[lower(d.i, d.j)];
+    // Which tiles are `Null` right now, one flag per packed-lower tile:
+    // set at load and by every kernel that writes the tile. The elision
+    // hook below reads it without taking a tile lock. `Relaxed` suffices:
+    // the engine decrements a task's successors' in-degrees (`AcqRel`)
+    // after the task's kernel stored the flag, and asks the hook only
+    // after the decrement that released the asking task.
+    let null: Vec<AtomicBool> =
+        cells.iter().map(|c| AtomicBool::new(c.read().is_null())).collect();
+    let is_null = |i: usize, j: usize| null[lower(i, j)].load(Ordering::Relaxed);
 
     // Exact-digest side array for the integrity layer (off by default):
     // one digest per packed-lower tile, sealed at load time. Under
@@ -916,12 +929,43 @@ fn shared_attempt(
     let registry = Registry::new(nthreads);
     record_cache_events(&registry, ev);
 
+    // Numeric trimming: Algorithm 1 keeps a task whenever its tiles are
+    // structurally non-null, but a task whose kernel returns at its first
+    // line — a TRSM or SYRK on a null panel tile (m, k), a GEMM with a
+    // null panel operand — changes nothing, so the engine retires it
+    // without running it. The engine asks once every predecessor has
+    // retired, so every writer of those tiles has finished and the
+    // answer is the same at any thread count and in any steal order.
+    // POTRF always runs. Skipping a task only shortens its tile's chain
+    // of writers, so every tile still takes its remaining updates in
+    // panel order and the factor's bits cannot move.
+    let elides = |t: TaskId| {
+        let kind = space.kind(t);
+        let noop = match kind {
+            TaskKind::Potrf { .. } => false,
+            TaskKind::Trsm { k, m } | TaskKind::Syrk { k, m } => is_null(m, k),
+            TaskKind::Gemm { k, m, n } => is_null(m, k) || is_null(n, k),
+        };
+        // A skipped TRSM is still its tile's finalizing write. Under
+        // `Maintain` the tile's seal dates from its load, and a GEMM's
+        // recompression may have cancelled the tile to `Null` since, so
+        // the seal is renewed here (`VerifyReads` resealed at that GEMM).
+        if let (true, TaskKind::Trsm { k, m }, Some(ds)) = (noop, kind, &digests) {
+            if !verify_reads {
+                let d = TileDigest::of(&cell(DataRef { i: m, j: k }).read());
+                *ds[lower(m, k)].lock() = DigestSlot { d, checked: false };
+            }
+        }
+        noop
+    };
+
     // The engine walks the task space by panel priority and runs the
     // task body under this engine's locks and digest checks, once per
-    // task.
+    // task it does not elide.
     let engine_cfg = EngineConfig::new(nthreads)
         .with_cancel(&cancel)
-        .with_obs((&registry, obs.as_ref()));
+        .with_obs((&registry, obs.as_ref()))
+        .with_elide(elides);
     let exec_t0 = std::time::Instant::now();
     let exec_result = Engine::new(space).run(&engine_cfg, |wid, t| {
         if cancel.load(Ordering::Acquire) {
@@ -946,6 +990,7 @@ fn shared_attempt(
                     cancel.store(true, Ordering::Release);
                     return;
                 }
+                null[lower(ops.writes.i, ops.writes.j)].store(out.is_null(), Ordering::Relaxed);
                 // POTRF / TRSM write a tile's final version; a SYRK / GEMM
                 // output is an intermediate one that they reseal later.
                 let finalizing = matches!(kind, TaskKind::Potrf { .. } | TaskKind::Trsm { .. });

@@ -1,7 +1,7 @@
 //! Capability hooks of the shared-memory engine: cancellation
-//! ([`Cancel`]) and the observation channel ([`Observe`], [`TaskEvent`])
-//! with its two sinks, the metrics [`Registry`] and the span recorder
-//! [`ExecObs`].
+//! ([`Cancel`]), elision of tasks that would do nothing ([`Elide`]) and
+//! the observation channel ([`Observe`], [`TaskEvent`]) with its two
+//! sinks, the metrics [`Registry`] and the span recorder [`ExecObs`].
 
 use crate::graph::{Dataflow, TaskClass, TaskId};
 use crate::obs::registry::{Counter, Registry};
@@ -58,6 +58,46 @@ impl<C: Cancel + ?Sized> Cancel for &C {
     }
 }
 
+/// Elision capability of a shared-memory run: which released tasks are
+/// no-ops the engine may retire without running them.
+///
+/// The engine asks [`Elide::elides`] once per task, on the worker that
+/// retires the task's last predecessor, so every task the elided one
+/// depends on has finished and what they wrote is visible. A task the
+/// hook claims retires on the spot: no deque push, no clock reading, no
+/// kernel call and no [`TaskEvent::Retire`] — the sink sees one
+/// [`TaskEvent::Elide`] instead — and its successors are released as if
+/// it had run, cascading through further elided tasks. The hook must
+/// claim only tasks whose kernel would change nothing; whatever
+/// bookkeeping the skipped kernel would have done (a reseal, say) is the
+/// hook's. The graph's sources are asked too, before the pool starts.
+///
+/// [`NoElide`] is the zero-cost default; any `Fn(TaskId) -> bool + Sync`
+/// is a hook.
+pub trait Elide: Sync {
+    /// Retire `task` without running it?
+    fn elides(&self, task: TaskId) -> bool;
+}
+
+/// No elision: `elides` is a constant `false` that the optimizer
+/// removes, so every task runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoElide;
+
+impl Elide for NoElide {
+    #[inline]
+    fn elides(&self, _task: TaskId) -> bool {
+        false
+    }
+}
+
+impl<F: Fn(TaskId) -> bool + Sync> Elide for F {
+    #[inline]
+    fn elides(&self, task: TaskId) -> bool {
+        self(task)
+    }
+}
+
 /// What the engine reports, as it happens, to its [`Observe`] sink.
 ///
 /// The engine reads its clock once before and once after every kernel
@@ -90,6 +130,16 @@ pub enum TaskEvent {
         start: Instant,
         /// Clock reading after the kernel.
         end: Instant,
+    },
+    /// Worker `wid` retired `task` without running it: the run's
+    /// [`Elide`] hook claimed it on release. Fires exactly once per
+    /// elided task, which then reports nothing else.
+    Elide {
+        /// The releasing worker (0 for a source, elided before the pool
+        /// starts).
+        wid: usize,
+        /// The task that was skipped.
+        task: TaskId,
     },
     /// Worker `wid` successfully stole from a peer's deque.
     Steal {
@@ -143,8 +193,9 @@ impl<A: Observe, B: Observe> Observe for (A, B) {
     }
 }
 
-/// The metrics registry as a sink: task and steal counters plus the
-/// per-class duration histograms, on the reporting worker's shard.
+/// The metrics registry as a sink: task, elision and steal counters plus
+/// the per-class duration histograms (of executed tasks only), on the
+/// reporting worker's shard.
 impl Observe for Registry {
     #[inline]
     fn observe(&self, event: TaskEvent) {
@@ -154,6 +205,7 @@ impl Observe for Registry {
                 self.incr(wid, Counter::TasksExecuted);
                 self.record_class_ns(wid, class, (end - start).as_nanos() as u64);
             }
+            TaskEvent::Elide { wid, .. } => self.incr(wid, Counter::TasksElided),
             TaskEvent::Steal { wid } => self.incr(wid, Counter::Steals),
         }
     }
@@ -177,10 +229,11 @@ const UNSET: usize = usize::MAX;
 /// times and the executing worker — everything
 /// [`crate::obs::RunMetrics`] and the Chrome-trace exporter need. A run
 /// that does not trace simply has no `ExecObs`: callers hand the engine
-/// `obs.as_ref()`, and `None` observes nothing. Each task retires
-/// exactly once, so the spans live in one task-indexed table sized in
-/// [`ExecObs::new`]: memory is proportional to the task count whatever
-/// the worker count, and the hooks neither lock nor allocate.
+/// `obs.as_ref()`, and `None` observes nothing. Each task runs at most
+/// once (an elided task has no span), so the spans live in one
+/// task-indexed table sized in [`ExecObs::new`]: memory is proportional
+/// to the task count whatever the worker count, and the hooks neither
+/// lock nor allocate.
 #[derive(Debug)]
 pub struct ExecObs {
     t0: Instant,
@@ -254,7 +307,7 @@ impl Observe for ExecObs {
             TaskEvent::Retire { wid, task, start, end, .. } => {
                 self.record_span(wid, task, start, end)
             }
-            TaskEvent::Steal { .. } => {}
+            TaskEvent::Elide { .. } | TaskEvent::Steal { .. } => {}
         }
     }
 }

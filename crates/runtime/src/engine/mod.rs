@@ -13,12 +13,13 @@
 //!   scheduling loop over any [`Dataflow`](crate::graph::Dataflow) (a
 //!   Cholesky run hands it the implicit task space, as it does the
 //!   other engines), generic over a [`Cancel`] hook (external
-//!   cancellation token) and one [`Observe`] sink. The loop reads the
+//!   cancellation token), one [`Observe`] sink and an [`Elide`] hook
+//!   (which released tasks are no-ops to retire unrun). The loop reads the
 //!   clock once before and once after each kernel and reports the pair
 //!   to the sink and the scheduler alike; the metrics registry and the
 //!   span recorder ([`ExecObs`]) are both sinks of that channel. The
-//!   no-op implementations ([`NoCancel`], [`NoObserve`]) are zero-sized
-//!   and their inlined methods compile away.
+//!   no-op implementations ([`NoCancel`], [`NoObserve`], [`NoElide`]) are
+//!   zero-sized and their inlined methods compile away.
 //! * [`DistEngine`] — the distributed-memory engine (message-passing
 //!   emulation), over a [`Dataflow`](crate::graph::Dataflow) as well.
 //!   Exactly one deterministic virtual-time event loop; a
@@ -40,7 +41,7 @@ mod hooks;
 mod shared;
 
 pub use dist::{DistConfig, DistEngine, DistOutcome, IntegrityHooks, RankCtx};
-pub use hooks::{Cancel, ExecObs, NoCancel, NoObserve, Observe, TaskEvent};
+pub use hooks::{Cancel, Elide, ExecObs, NoCancel, NoElide, NoObserve, Observe, TaskEvent};
 pub use shared::{Engine, EngineConfig};
 
 use crate::fault::FtError;

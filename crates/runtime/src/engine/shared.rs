@@ -1,8 +1,16 @@
 //! The shared-memory work-stealing [`Engine`], over any [`Dataflow`]:
 //! the Cholesky task space it derives task by task, or a hand-built
 //! [`TaskGraph`](crate::graph::TaskGraph).
+//!
+//! A run may carry an [`Elide`] hook: a released task the hook claims is
+//! a numeric no-op, retired where it was released without a deque push,
+//! a clock reading or a kernel call. The TLR factorization uses it to
+//! skip the tasks whose operands turned out null (see `hicma-core`'s
+//! session), which are most of a fine-grained trimmed DAG.
 
-use super::{Cancel, EngineError, NoCancel, NoObserve, Observe, TaskEvent, TaskPanic};
+use super::{
+    Cancel, Elide, EngineError, NoCancel, NoElide, NoObserve, Observe, TaskEvent, TaskPanic,
+};
 use crate::graph::{Dataflow, Edge, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cmp::Reverse;
@@ -15,11 +23,12 @@ use std::time::Instant;
 ///
 /// Build one with [`EngineConfig::new`], then layer capabilities with
 /// [`with_cancel`](EngineConfig::with_cancel) /
-/// [`with_obs`](EngineConfig::with_obs). Each capability is a type
+/// [`with_obs`](EngineConfig::with_obs) /
+/// [`with_elide`](EngineConfig::with_elide). Each capability is a type
 /// parameter, so a run without a capability monomorphizes to a loop
 /// that never mentions it.
 #[derive(Debug, Clone, Copy)]
-pub struct EngineConfig<C = NoCancel, O = NoObserve> {
+pub struct EngineConfig<C = NoCancel, O = NoObserve, E = NoElide> {
     /// Worker threads of the pool (clamped to ≥ 1).
     pub nthreads: usize,
     /// Cancellation hook.
@@ -27,26 +36,37 @@ pub struct EngineConfig<C = NoCancel, O = NoObserve> {
     /// Observation sink: the one channel every task, enqueue and steal
     /// is reported through (compose several sinks as a tuple).
     pub obs: O,
+    /// Elision hook: which released tasks retire without running.
+    pub elide: E,
 }
 
 impl EngineConfig {
     /// A plain run on `nthreads` workers: no cancellation token, no
-    /// sink.
+    /// sink, every task runs.
     pub fn new(nthreads: usize) -> Self {
-        EngineConfig { nthreads, cancel: NoCancel, obs: NoObserve }
+        EngineConfig { nthreads, cancel: NoCancel, obs: NoObserve, elide: NoElide }
     }
 }
 
-impl<C, O> EngineConfig<C, O> {
+impl<C, O, E> EngineConfig<C, O, E> {
     /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
-    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<C2, O> {
-        EngineConfig { nthreads: self.nthreads, cancel, obs: self.obs }
+    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<C2, O, E> {
+        let EngineConfig { nthreads, obs, elide, .. } = self;
+        EngineConfig { nthreads, cancel, obs, elide }
     }
 
     /// Layer a sink (e.g. `&Registry`, `obs.as_ref()` for an optional
     /// `ExecObs`, or a tuple of both) onto the run.
-    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<C, O2> {
-        EngineConfig { nthreads: self.nthreads, cancel: self.cancel, obs }
+    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<C, O2, E> {
+        let EngineConfig { nthreads, cancel, elide, .. } = self;
+        EngineConfig { nthreads, cancel, obs, elide }
+    }
+
+    /// Layer an elision hook (any `Fn(TaskId) -> bool + Sync`) onto the
+    /// run: see [`Elide`] for when it is asked and what it may claim.
+    pub fn with_elide<E2>(self, elide: E2) -> EngineConfig<C, O, E2> {
+        let EngineConfig { nthreads, cancel, obs, .. } = self;
+        EngineConfig { nthreads, cancel, obs, elide }
     }
 }
 
@@ -62,7 +82,9 @@ impl<C, O> EngineConfig<C, O> {
 /// panel index: lower first). Dependency tracking is a per-task atomic
 /// in-degree counter: the worker that retires the last predecessor
 /// pushes the successor into its own deque — the "release" path of any
-/// dataflow runtime.
+/// dataflow runtime — unless the run's [`Elide`] hook claims it, in
+/// which case that worker retires it on the spot and releases its
+/// successors in turn.
 ///
 /// Kernel panics never hang the pool: the first panic flips an internal
 /// drain flag (and the [`Cancel`] hook), remaining tasks retire without
@@ -79,7 +101,8 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
     }
 
     /// Execute every task exactly once, respecting all dependencies,
-    /// calling `kernel(worker_index, task)` concurrently from the pool.
+    /// calling `kernel(worker_index, task)` concurrently from the pool
+    /// for every task the [`Elide`] hook does not claim.
     ///
     /// Ready work is ordered by each task's `priority` value: sources are
     /// seeded smallest first, and each retirement pushes its newly
@@ -96,10 +119,11 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
     /// mutates must tolerate a kernel dying mid-update (the TLR
     /// factorizations qualify — a poisoned run's output is discarded
     /// wholesale).
-    pub fn run<C, O, F>(&self, cfg: &EngineConfig<C, O>, kernel: F) -> Result<(), EngineError>
+    pub fn run<C, O, E, F>(&self, cfg: &EngineConfig<C, O, E>, kernel: F) -> Result<(), EngineError>
     where
         C: Cancel,
         O: Observe,
+        E: Elide,
         F: Fn(usize, TaskId) + Sync,
     {
         let graph = self.graph;
@@ -113,12 +137,25 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
         let nthreads = cfg.nthreads.max(1);
 
         let indegrees = graph.indegrees();
+        let mut sources: Vec<TaskId> = (0..n).filter(|&t| indegrees[t] == 0).collect();
+        let indegree: Vec<AtomicUsize> = indegrees.into_iter().map(AtomicUsize::new).collect();
+        // Sources the hook claims retire here, before the pool starts, and
+        // what they release is seeded in their place.
+        let mut scratch = Scratch::default();
+        let mut elided = 0;
+        sources.retain(|&t| {
+            if !cfg.elide.elides(t) {
+                return true;
+            }
+            cfg.obs.observe(TaskEvent::Elide { wid: 0, task: t });
+            elided += retire(graph, &indegree, cfg, 0, t, &mut scratch);
+            false
+        });
+        sources.append(&mut scratch.released);
         // Seed sources smallest priority value first (the critical path
         // first); the sort is stable, so equal values keep their id order.
-        let mut sources: Vec<TaskId> = (0..n).filter(|&t| indegrees[t] == 0).collect();
         sources.sort_by_key(|&t| graph.priority(t));
-        let indegree: Vec<AtomicUsize> = indegrees.into_iter().map(AtomicUsize::new).collect();
-        let completed = AtomicUsize::new(0);
+        let completed = AtomicUsize::new(elided);
         let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
         // Internal drain flag: a panic must stop the kernels even when the
         // caller supplied no cancellation token ([`NoCancel`]).
@@ -145,10 +182,7 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
                 let kernel = &kernel;
                 scope.spawn(move || {
                     let mut rng: u64 = 0x9E3779B97F4A7C15 ^ (wid as u64);
-                    // Reused per-retire scratch: the retired task's
-                    // successors, and those it released.
-                    let mut successors: Vec<Edge> = Vec::new();
-                    let mut released: Vec<TaskId> = Vec::new();
+                    let mut scratch = Scratch::default();
                     loop {
                         if completed.load(Ordering::Acquire) == n {
                             return;
@@ -185,23 +219,18 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
                                 }
                                 // Release successors even when draining: the
                                 // completion count must reach `n` to stop.
-                                released.clear();
-                                graph.successors_into(t, &mut successors);
-                                for e in &successors {
-                                    if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        released.push(e.dst);
-                                    }
-                                }
+                                let retired = retire(graph, indegree, cfg, wid, t, &mut scratch);
                                 // Largest priority value first onto the
                                 // LIFO deque, so the smallest is what this
                                 // worker pops next; the sort is stable, so
                                 // equal values keep their successor order.
+                                let released = &mut scratch.released;
                                 released.sort_by_key(|&dst| Reverse(graph.priority(dst)));
-                                for &dst in released.iter() {
+                                for dst in released.drain(..) {
                                     cfg.obs.observe(TaskEvent::Enqueue { wid, task: dst, at: end });
                                     local.push(dst);
                                 }
-                                completed.fetch_add(1, Ordering::AcqRel);
+                                completed.fetch_add(retired, Ordering::AcqRel);
                             }
                             None => std::hint::spin_loop(),
                         }
@@ -220,6 +249,60 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
             None => Ok(()),
         }
     }
+}
+
+/// One worker's reused release buffers: they grow to their high-water
+/// mark over the first retirements, after which releasing allocates
+/// nothing.
+#[derive(Default)]
+struct Scratch {
+    /// The successor list of the task being retired.
+    successors: Vec<Edge>,
+    /// Released tasks the hook claimed, not yet retired.
+    elided: Vec<TaskId>,
+    /// Released tasks that will run, appended in release order.
+    released: Vec<TaskId>,
+}
+
+/// Retire `t` (already run, drained or elided): decrement its
+/// successors' in-degrees, and retire each successor that reaches zero
+/// and that the hook claims the same way, reporting it as
+/// [`TaskEvent::Elide`]. Successors that will run are appended to
+/// `scratch.released`. Returns the number of tasks retired, `t`
+/// included.
+fn retire<G, C, O, E>(
+    graph: &G,
+    indegree: &[AtomicUsize],
+    cfg: &EngineConfig<C, O, E>,
+    wid: usize,
+    t: TaskId,
+    scratch: &mut Scratch,
+) -> usize
+where
+    G: Dataflow,
+    O: Observe,
+    E: Elide,
+{
+    let Scratch { successors, elided, released } = scratch;
+    let mut retired = 0;
+    let mut next = Some(t);
+    while let Some(r) = next {
+        retired += 1;
+        graph.successors_into(r, successors);
+        for e in successors.iter() {
+            if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) != 1 {
+                continue;
+            }
+            if cfg.elide.elides(e.dst) {
+                cfg.obs.observe(TaskEvent::Elide { wid, task: e.dst });
+                elided.push(e.dst);
+            } else {
+                released.push(e.dst);
+            }
+        }
+        next = elided.pop();
+    }
+    retired
 }
 
 /// Pop local → steal from injector → steal from a random victim.
@@ -514,6 +597,40 @@ mod tests {
         let obs: Option<ExecObs> = None;
         Engine::new(&g)
             .run(&EngineConfig::new(2).with_obs(obs.as_ref()), |_w, _t| {})
+            .unwrap();
+    }
+
+    /// An elided task never reaches the kernel, yet releases its
+    /// successors: on a chain where the hook claims two tasks of every
+    /// three (the source among them, so a cascade runs before the pool
+    /// starts), the rest run in chain order, and the registry and the span
+    /// recorder see one `Elide` per skipped task and no span for it.
+    #[test]
+    fn elided_tasks_release_their_successors_without_running() {
+        use crate::obs::registry::{Counter, Registry};
+        let g = chain(20);
+        let (registry, obs) = (Registry::new(4), ExecObs::new(g.len()));
+        let order = Mutex::new(Vec::new());
+        Engine::new(&g)
+            .run(
+                &EngineConfig::new(4).with_obs((&registry, &obs)).with_elide(|t| t % 3 != 2),
+                |_w, t| order.lock().unwrap().push(t),
+            )
+            .unwrap();
+        assert_eq!(order.into_inner().unwrap(), vec![2, 5, 8, 11, 14, 17]);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(Counter::TasksExecuted), 6);
+        assert_eq!(snap.counter(Counter::TasksElided), 14);
+        assert_eq!(snap.counter(Counter::TasksEnqueued), 6);
+        assert_eq!(obs.finish(&g).records.len(), 6);
+    }
+
+    /// A hook that claims every task runs nothing and still terminates.
+    #[test]
+    fn a_run_that_elides_everything_terminates() {
+        let g = chain(8);
+        Engine::new(&g)
+            .run(&EngineConfig::new(2).with_elide(|_| true), |_w, _t| panic!("nothing runs"))
             .unwrap();
     }
 

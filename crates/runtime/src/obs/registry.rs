@@ -46,6 +46,9 @@ pub fn class_name(slot: usize) -> &'static str {
 pub enum Counter {
     /// Tasks whose kernel ran to completion (either engine).
     TasksExecuted,
+    /// Tasks the work-stealing engine retired without running them: the
+    /// run's elision hook found them to be no-ops.
+    TasksElided,
     /// Tasks pushed onto a ready queue (work-stealing engine).
     TasksEnqueued,
     /// Successful steals from another worker's deque.
@@ -96,12 +99,13 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NCOUNTERS: usize = 24;
+pub const NCOUNTERS: usize = 25;
 
 impl Counter {
     /// All counters, in declaration (= storage) order.
     pub const ALL: [Counter; NCOUNTERS] = [
         Counter::TasksExecuted,
+        Counter::TasksElided,
         Counter::TasksEnqueued,
         Counter::Steals,
         Counter::KernelFailures,
@@ -140,6 +144,7 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::TasksExecuted => "tasks_executed",
+            Counter::TasksElided => "tasks_elided",
             Counter::TasksEnqueued => "tasks_enqueued",
             Counter::Steals => "steals",
             Counter::KernelFailures => "kernel_failures",

@@ -353,6 +353,7 @@ fn run_report_round_trips_for_distributed_and_service_runs() {
 struct CountingSink {
     enqueued: AtomicU64,
     retired: AtomicU64,
+    elided: AtomicU64,
     steals: AtomicU64,
     reversed: AtomicU64,
 }
@@ -366,6 +367,7 @@ impl Observe for CountingSink {
                 bump(&self.reversed, end < start);
                 bump(&self.retired, true)
             }
+            TaskEvent::Elide { .. } => bump(&self.elided, true),
             TaskEvent::Steal { .. } => bump(&self.steals, true),
         };
     }
@@ -390,6 +392,7 @@ fn engine_reports_each_task_once_to_every_sink() {
     let n = graph.len() as u64;
     let seen = |c: &AtomicU64| c.load(Ordering::Relaxed);
     assert_eq!((seen(&sink.enqueued), seen(&sink.retired)), (n, n));
+    assert_eq!(seen(&sink.elided), 0, "without a hook every task runs");
     assert_eq!(seen(&sink.reversed), 0, "start <= end on one clock");
     let snap = registry.snapshot();
     assert_eq!(snap.counter(Counter::TasksEnqueued), n);
@@ -539,6 +542,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
 
     for c in &drift.classes {
         assert!(c.ratio.is_finite(), "{}: ratio {}", c.class, c.ratio);
+        assert_eq!(c.measured_tasks, c.modeled_tasks, "{}: the DistEngine runs every task", c.class);
     }
     let gemm = drift.classes.iter().find(|c| c.class == "gemm").unwrap();
     assert!(gemm.measured_seconds > 0.0, "DES busy time lands in the registry");
@@ -606,6 +610,18 @@ fn drift_report_works_on_wall_clock_runs() {
     }
     let total: f64 = drift.classes.iter().map(|c| c.measured_seconds).sum();
     assert!(total > 0.0, "wall-clock busy time must be measured");
+    // `measured_tasks` counts what ran: per class at most what the model
+    // prices, and short of it by exactly the tasks the engine elided.
+    let reg = out.registry.as_ref().expect("the registry is a sink of every run");
+    let ran: u64 = drift.classes.iter().map(|c| c.measured_tasks).sum();
+    let skipped: u64 = drift.classes.iter().map(|c| c.modeled_tasks - c.measured_tasks).sum();
+    assert_eq!(ran, reg.counter(Counter::TasksExecuted));
+    assert_eq!(skipped, reg.counter(Counter::TasksElided));
+    assert_eq!((ran + skipped) as usize, out.report.dag_tasks);
+    let potrf = &drift.classes[0];
+    assert_eq!(potrf.measured_tasks, potrf.modeled_tasks, "every POTRF runs");
+    assert!(drift.to_json().to_string().contains("\"measured_tasks\""));
+    assert!(drift.to_string().contains(" ran "), "{drift}");
 }
 
 /// The drift report prices a task exactly as the simulator does: on a
