@@ -37,7 +37,7 @@ fn main() {
     let mut runs = String::new();
     let mut first = true;
     let mut emit = |label: &str, crash_fracs: &[f64], faults: &FaultPlan| {
-        let r = simulate_cholesky_faulty(&snap, &cfg, faults, restart)
+        let r = simulate_cholesky_faulty(&snap, &cfg, faults, restart, None)
             .expect("bench plans target live in-range nodes");
         let overhead = 100.0 * (r.factorization_seconds - t) / t;
         if !first {

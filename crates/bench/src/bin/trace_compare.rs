@@ -15,10 +15,10 @@
 //! Writes `METRICS_trace_compare.json` with every metric for every plan.
 
 use hicma_core::lorapo::hicma_parsec_config;
-use hicma_core::simulate::{simulate_cholesky, DistributionPlan, SimConfig};
+use hicma_core::simulate::{simulate_cholesky_faulty, DistributionPlan, SimConfig};
 use runtime::obs::json::Json;
 use runtime::obs::{chrome_trace_json, RunMetrics};
-use runtime::MachineModel;
+use runtime::{FaultPlan, MachineModel, Trace};
 use tlr_compress::SyntheticRankModel;
 
 fn main() {
@@ -34,18 +34,20 @@ fn main() {
     let (mut runs, mut json) = (Vec::new(), Vec::new());
     for plan in plans {
         let cfg = SimConfig { plan, ..hicma_parsec_config(MachineModel::shaheen_ii(), nodes) };
-        let r = simulate_cholesky(&snap, &cfg);
+        let mut trace = Trace::default();
+        let r = simulate_cholesky_faulty(&snap, &cfg, &FaultPlan::none(), 0.0, Some(&mut trace))
+            .expect("a fault-free simulation of a valid configuration cannot fail");
         let label = plan.name();
-        let metrics = RunMetrics::from_trace(label, &r.trace, nodes)
+        let metrics = RunMetrics::from_trace(label, &trace, nodes)
             .with_critical_path(r.critical_path_seconds);
 
         let path = format!("TRACE_{}.json", label.replace('+', "_"));
-        std::fs::write(&path, chrome_trace_json(&r.trace, label)).expect("write chrome trace");
+        std::fs::write(&path, chrome_trace_json(&trace, label)).expect("write chrome trace");
         let (messages, bytes) = (r.comm.messages, r.comm.bytes + r.writeback_bytes);
         println!(
             "  {label:>13}: makespan {:.4}s, {messages} msgs / {bytes} B, {} tasks traced -> {path}",
             metrics.makespan,
-            r.trace.records.len()
+            trace.records.len()
         );
         let mut o = metrics.to_json();
         o.insert("comm_messages", Json::Num(messages as f64));

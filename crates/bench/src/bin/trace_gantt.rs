@@ -7,8 +7,8 @@
 //! configuration on the same problem.
 
 use hicma_core::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_core::simulate::simulate_cholesky;
-use runtime::MachineModel;
+use hicma_core::simulate::simulate_cholesky_faulty;
+use runtime::{FaultPlan, MachineModel, Trace};
 use tlr_bench::{scale_factor, scaled_machine, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
 fn main() {
@@ -25,10 +25,12 @@ fn main() {
         ("lorapo (untrimmed, hybrid)", lorapo_config(machine.clone(), p.nodes)),
         ("hicma-parsec (trim+band+diamond)", hicma_parsec_config(machine.clone(), p.nodes)),
     ] {
-        let r = simulate_cholesky(&snap, &cfg);
+        let mut trace = Trace::default();
+        let r = simulate_cholesky_faulty(&snap, &cfg, &FaultPlan::none(), 0.0, Some(&mut trace))
+            .expect("a fault-free simulation of a valid configuration cannot fail");
         println!();
         println!("--- {name}: {:.3}s ---", r.factorization_seconds);
-        print!("{}", r.trace.gantt(p.nodes, 96));
+        print!("{}", trace.gantt(p.nodes, 96));
     }
     println!();
     println!("Expected: the optimized schedule is denser (less idle) and shorter.");

@@ -136,6 +136,12 @@ impl TaskKind {
             | TaskKind::Gemm { k, .. } => k,
         }
     }
+
+    /// The runtime's view of this task: class, panel priority, the tile
+    /// it writes.
+    fn spec(self) -> TaskSpec {
+        TaskSpec { class: self.class(), priority: self.panel(), writes: Some(self.operands().writes) }
+    }
 }
 
 /// Builder options.
@@ -460,12 +466,11 @@ impl Dataflow for CholeskySpace {
     }
 
     fn spec(&self, t: TaskId) -> TaskSpec {
-        let kind = self.kind(t);
-        TaskSpec {
-            class: kind.class(),
-            priority: kind.panel(),
-            writes: Some(kind.operands().writes),
-        }
+        self.kind(t).spec()
+    }
+
+    fn specs(&self) -> impl Iterator<Item = TaskSpec> + '_ {
+        self.kinds().map(TaskKind::spec)
     }
 
     fn priority(&self, t: TaskId) -> usize {

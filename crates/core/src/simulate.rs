@@ -15,7 +15,7 @@ use runtime::des::{simulate, CommStats, DesTask};
 use runtime::fault::FaultPlan;
 use runtime::graph::DataRef;
 use runtime::machine::MachineModel;
-use runtime::trace::ClassBreakdown;
+use runtime::trace::{load_imbalance, ClassBreakdown, Trace};
 use runtime::EngineError;
 use tlr_compress::RankSnapshot;
 use distribution::{
@@ -88,16 +88,15 @@ pub struct SimReport {
     pub comm: CommStats,
     /// Extra bytes from diamond remapping (ship-in + write-back).
     pub writeback_bytes: u64,
-    /// `max busy / mean busy` over processes.
+    /// `max busy / mean busy` over processes, from the simulator's
+    /// in-place busy ledger.
     pub load_imbalance: f64,
-    /// Simulated busy seconds per kernel class.
+    /// Simulated busy seconds per kernel class, from the same ledger.
     pub breakdown: ClassBreakdown,
     /// Modeled matrix-generation phase (embarrassingly parallel), seconds.
     pub generation_seconds: f64,
     /// Modeled compression phase, seconds (Fig. 11's dominant bar).
     pub compression_seconds: f64,
-    /// Full virtual-clock execution trace (Gantt rendering, breakdowns).
-    pub trace: runtime::trace::Trace,
     /// Fail-stop crashes that fired during the run (0 without a schedule).
     pub crashes: usize,
     /// Tasks migrated off dead nodes.
@@ -214,7 +213,7 @@ pub fn des_tasks(
 /// assert!(report.factorization_seconds >= report.critical_path_seconds);
 /// ```
 pub fn simulate_cholesky(initial: &RankSnapshot, cfg: &SimConfig) -> SimReport {
-    simulate_cholesky_faulty(initial, cfg, &FaultPlan::none(), 0.0)
+    simulate_cholesky_faulty(initial, cfg, &FaultPlan::none(), 0.0, None)
         .expect("a fault-free simulation of a valid configuration cannot fail")
 }
 
@@ -224,6 +223,10 @@ pub fn simulate_cholesky(initial: &RankSnapshot, cfg: &SimConfig) -> SimReport {
 /// fail-stop crashes and silent store corruptions cost the
 /// recovery/healing protocol on the modeled machine, with work lost to a
 /// fault restarting `restart_delay_s` after it (see [`simulate`]).
+///
+/// `trace`, when given, receives the virtual-clock record of every
+/// retirement, for a caller that renders the schedule (a Gantt chart, a
+/// Chrome trace); no field of the report depends on it.
 ///
 /// # Errors
 ///
@@ -235,6 +238,7 @@ pub fn simulate_cholesky_faulty(
     cfg: &SimConfig,
     faults: &FaultPlan,
     restart_delay_s: f64,
+    trace: Option<&mut Trace>,
 ) -> Result<SimReport, EngineError> {
     // Checked before anything is laid out: the distributions cannot build
     // a process grid over no nodes.
@@ -286,7 +290,7 @@ pub fn simulate_cholesky_faulty(
         }
     }
 
-    let report = simulate(&space, &tasks, &cfg.machine, nodes, faults, restart_delay_s)?;
+    let report = simulate(&space, &tasks, &cfg.machine, nodes, faults, restart_delay_s, trace)?;
 
     // Critical path without runtime overhead: pure kernel chain (§VIII-G),
     // priced from the kernel durations the DES ran.
@@ -322,15 +326,14 @@ pub fn simulate_cholesky_faulty(
         critical_path_seconds: cp.length,
         comm: report.comm,
         writeback_bytes,
-        load_imbalance: report.trace.load_imbalance(nodes),
-        breakdown: report.trace.breakdown(),
+        load_imbalance: load_imbalance(&report.busy_per_proc),
+        breakdown: report.breakdown,
         generation_seconds,
         compression_seconds,
         crashes: report.crashes,
         migrated_tasks: report.migrated,
         reexecuted_tasks: report.reexecuted,
         corruptions: report.corruptions,
-        trace: report.trace,
     })
 }
 
@@ -458,7 +461,7 @@ mod tests {
         // time in this first-order model).
         let t = base.factorization_seconds;
         let faults = FaultPlan::new(0).with_crash(3, t * 0.5);
-        let faulty = simulate_cholesky_faulty(&s, &cfg, &faults, t * 2.0).unwrap();
+        let faulty = simulate_cholesky_faulty(&s, &cfg, &faults, t * 2.0, None).unwrap();
         assert_eq!(faulty.crashes, 1);
         assert!(faulty.migrated_tasks > 0);
         assert!(
@@ -480,7 +483,7 @@ mod tests {
         let t = base.factorization_seconds;
         let plan = FaultPlan::new(11).with_store_corruption(3, 1, 0, t * 0.5);
         let plan = plan.with_message_corruption(0.1);
-        let faulty = simulate_cholesky_faulty(&s, &cfg, &plan, t * 2.0).unwrap();
+        let faulty = simulate_cholesky_faulty(&s, &cfg, &plan, t * 2.0, None).unwrap();
         assert_eq!(faulty.corruptions, 1);
         assert_eq!(faulty.crashes, 0);
         assert!(
@@ -494,7 +497,8 @@ mod tests {
     #[test]
     fn empty_machine_is_a_typed_error_before_any_layout() {
         let s = snapshot(8, 1e-3);
-        let run = |cfg: &SimConfig| simulate_cholesky_faulty(&s, cfg, &FaultPlan::none(), 0.0);
+        let run =
+            |cfg: &SimConfig| simulate_cholesky_faulty(&s, cfg, &FaultPlan::none(), 0.0, None);
         let mut cfg = base_cfg(DistributionPlan::BandDiamond, true);
         cfg.nodes = 0;
         let err = run(&cfg).unwrap_err();

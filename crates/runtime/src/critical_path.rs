@@ -30,32 +30,33 @@ pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) ->
         return CriticalPath { length: 0.0, tasks: vec![] };
     }
     // start[t] = latest end over t's predecessors (0 for a source);
-    // end[t] = start[t] + duration(t), the longest path ending at t.
-    // Rounding is monotone, so `max(a) + d` is `max(a + d)` bit for bit.
+    // start[t] + duration(t) is the longest path ending at t, and pred[t]
+    // the predecessor it came through (`NONE` for a source). Rounding is
+    // monotone, so `max(a) + d` is `max(a + d)` bit for bit. The sink is
+    // the last task in id order with the greatest end.
+    const NONE: TaskId = TaskId::MAX;
     let mut start = vec![0.0_f64; n];
-    let mut end = vec![0.0_f64; n];
-    let mut pred: Vec<Option<TaskId>> = vec![None; n];
+    let mut pred = vec![NONE; n];
+    let (mut sink, mut length) = (NONE, 0.0_f64);
     let mut successors = Vec::new();
     for t in order {
-        end[t] = start[t] + duration(t);
+        let end = start[t] + duration(t);
+        if sink == NONE || end.total_cmp(&length).then(t.cmp(&sink)).is_gt() {
+            (sink, length) = (t, end);
+        }
         graph.successors_into(t, &mut successors);
         for e in &successors {
-            if end[t] > start[e.dst] {
-                start[e.dst] = end[t];
-                pred[e.dst] = Some(t);
+            if end > start[e.dst] {
+                start[e.dst] = end;
+                pred[e.dst] = t;
             }
         }
     }
-    let (sink, &length) = end
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("non-empty graph");
     let mut tasks = vec![sink];
     let mut cur = sink;
-    while let Some(p) = pred[cur] {
-        tasks.push(p);
-        cur = p;
+    while pred[cur] != NONE {
+        cur = pred[cur];
+        tasks.push(cur);
     }
     tasks.reverse();
     CriticalPath { length, tasks }
@@ -112,6 +113,17 @@ mod tests {
         let cp = critical_path(&g, |t| (t + 1) as f64);
         assert_eq!(cp.length, 3.0);
         assert_eq!(cp.tasks, vec![2]);
+    }
+
+    #[test]
+    fn a_tie_ends_at_the_last_sink_in_id_order() {
+        // 2 → 0 and 3 → 1 are equally long, and the stored order (3, 1,
+        // 2, 0) reaches sink 0 last: the sink is still the higher id.
+        let g = graph(4, &[(2, 0), (3, 1)]);
+        assert!(g.order().unwrap().eq([3, 1, 2, 0]));
+        let cp = critical_path(&g, |_| 1.0);
+        assert_eq!(cp.length, 2.0);
+        assert_eq!(cp.tasks, vec![3, 1]);
     }
 
     #[test]

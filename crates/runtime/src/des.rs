@@ -27,14 +27,18 @@
 //! the runtime sends for every cross-process dependency. Untrimmed DAGs
 //! are full of them (every null-tile task still activates successors),
 //! which is precisely the overhead Fig. 6 shows trimming removes.
-
+//!
+//! The resource accounting is part of the loop: each retirement adds its
+//! span to its process's and its class's busy seconds and moves the
+//! makespan, in place ([`DesReport`]). A per-task [`Trace`] is written only
+//! for a caller that passes one, to render a schedule.
 
 use crate::engine::EngineError;
 use crate::event_queue::EventQueue;
 use crate::fault::{fault_unit, FaultPlan, FtError};
-use crate::graph::{Dataflow, Edge, TaskId};
+use crate::graph::{Dataflow, Edge, TaskClass, TaskId};
 use crate::machine::MachineModel;
-use crate::trace::Trace;
+use crate::trace::{ClassBreakdown, TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -59,14 +63,20 @@ pub struct CommStats {
     pub messages: u64,
 }
 
-/// Simulation outputs.
+/// Simulation outputs, accumulated in place as tasks retire. A
+/// retirement's busy time is `(end − start).max(0)`, added in retirement
+/// order, which is how [`Trace`] folds its records: a recorded run's
+/// [`Trace::makespan`], [`Trace::busy_per_proc`] and [`Trace::breakdown`]
+/// equal these fields bit for bit. A re-executed task retires, and is
+/// counted, once per execution.
 #[derive(Debug, Clone, Default)]
 pub struct DesReport {
     /// Virtual time when the last task retires.
     pub makespan: f64,
-    /// Full task trace (virtual clock): busy seconds per process and the
-    /// load imbalance are [`Trace`]'s functions of it.
-    pub trace: Trace,
+    /// Busy seconds per process (index = process id).
+    pub busy_per_proc: Vec<f64>,
+    /// Busy seconds per kernel class.
+    pub breakdown: ClassBreakdown,
     /// Communication totals.
     pub comm: CommStats,
     /// Fail-stop crashes that fired before the run completed.
@@ -129,6 +139,10 @@ enum Event {
 /// engines. A strike after completion, against a dead process, or against
 /// a process holding no still-needed outputs heals for free.
 ///
+/// `trace` is an output sink: given one, the simulator appends a
+/// [`TaskRecord`] per retirement, in retirement order (a re-executed task
+/// twice). Recording changes no simulated value.
+///
 /// # Errors
 ///
 /// * [`EngineError::RankMapLength`] — `tasks` does not cover exactly the
@@ -147,8 +161,39 @@ pub fn simulate(
     nprocs: usize,
     faults: &FaultPlan,
     restart_delay_s: f64,
+    trace: Option<&mut Trace>,
 ) -> Result<DesReport, EngineError> {
-    Sim::new(graph, tasks, machine, nprocs, faults, restart_delay_s)?.run()
+    Sim::new(graph, tasks, machine, nprocs, faults, restart_delay_s, trace)?.run()
+}
+
+/// One task's simulation state, packed into one record (32 bytes).
+#[derive(Debug, Clone, Copy)]
+struct TaskState {
+    /// Until the task is released, the latest arrival of an input at its
+    /// process; from its first launch on, when its current execution took
+    /// a core. The two never overlap: no input arrives after the release.
+    at: f64,
+    /// The task's ready-queue priority, read from the graph once.
+    priority: usize,
+    /// Predecessors not yet finished.
+    remaining: u32,
+    /// Executing process: the mapping's, until a crash migrates the task.
+    proc: u32,
+    /// Launch epoch: a crash bumps it, turning the pending finish stale.
+    epoch: u32,
+    /// Retired, and its output not since lost.
+    done: bool,
+    /// The pending execution regenerates a lost output and sends nothing.
+    reexec: bool,
+    /// The task's kernel class, read from the graph once.
+    class: TaskClass,
+}
+
+/// A caller's trace and the time each task last entered its ready queue,
+/// which only a [`TaskRecord`] reads.
+struct Recorder<'a> {
+    trace: &'a mut Trace,
+    queued: Vec<f64>,
 }
 
 /// The state of one simulation: one method per [`Event`] variant, fields
@@ -169,10 +214,9 @@ struct Sim<'a, G: Dataflow> {
     /// events of the current instant (see [`Sim::schedule`]).
     events: EventQueue<Event>,
 
-    // Graph progress: unfinished predecessors, latest input arrival, done.
-    remaining: Vec<usize>,
-    data_ready: Vec<f64>,
-    done: Vec<bool>,
+    // Every task's progress, queue key, class, mapping and fault state
+    // (see `TaskState`), and how many tasks are done.
+    state: Vec<TaskState>,
     completed: usize,
 
     // Processors: free cores, the ready queue ordered by (priority, id), when
@@ -193,22 +237,16 @@ struct Sim<'a, G: Dataflow> {
     grouped: Vec<bool>,
     recipients: Vec<(usize, usize)>,
 
-    // Fault bookkeeping: the current execution mapping (migration rewrites
-    // it), liveness, launch epochs, pending recovery re-runs, and the
-    // round-robin cursor over survivors.
-    proc_of: Vec<usize>,
+    // Fault bookkeeping: liveness and the round-robin cursor over
+    // survivors.
     dead: Vec<bool>,
-    epoch: Vec<u32>,
-    reexec: Vec<bool>,
     rr: usize,
 
-    // What the run reports — the trace, the `CommStats` totals and the
-    // four fault counters accumulate in place — with the time each task
-    // entered its ready queue (reset on crash re-injection so waits stay
-    // non-negative) and its core.
+    // What the run reports — the busy ledger, the makespan, the
+    // `CommStats` totals and the four fault counters accumulate in place —
+    // and the caller's trace, when there is one.
     report: DesReport,
-    ready_time: Vec<f64>,
-    start_time: Vec<f64>,
+    recorder: Option<Recorder<'a>>,
 }
 
 impl<'a, G: Dataflow> Sim<'a, G> {
@@ -220,6 +258,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         nprocs: usize,
         faults: &'a FaultPlan,
         restart_delay_s: f64,
+        trace: Option<&'a mut Trace>,
     ) -> Result<Self, EngineError> {
         let (n, cores_per_proc) = (graph.len(), machine.cores_per_node);
         if tasks.len() != n {
@@ -237,8 +276,19 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         faults.validate(nprocs)?;
 
         let mut events = EventQueue::with_streams(nprocs + 1);
-        let remaining = graph.indegrees();
-        for t in (0..n).filter(|&t| remaining[t] == 0) {
+        let mut state = Vec::with_capacity(n);
+        let inputs = graph.indegrees().into_iter().zip(tasks).zip(graph.specs());
+        state.extend(inputs.map(|((remaining, task), spec)| TaskState {
+            at: 0.0,
+            priority: spec.priority,
+            remaining: u32_of(remaining),
+            proc: u32_of(task.proc),
+            epoch: 0,
+            done: false,
+            reexec: false,
+            class: spec.class,
+        }));
+        for t in (0..n).filter(|&t| state[t].remaining == 0) {
             events.push_to(nprocs, 0.0, Event::Ready(t));
         }
         for c in &faults.crashes {
@@ -247,6 +297,10 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         for (idx, c) in faults.store_corruptions.iter().enumerate() {
             events.push(c.at, Event::Corrupt(idx));
         }
+        let recorder = trace.map(|trace| {
+            trace.records.reserve(n);
+            Recorder { trace, queued: vec![0.0; n] }
+        });
         Ok(Sim {
             graph,
             tasks,
@@ -256,9 +310,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             restart_delay_s,
             now: 0.0,
             events,
-            remaining,
-            data_ready: vec![0.0; n],
-            done: vec![false; n],
+            state,
             completed: 0,
             idle: vec![cores_per_proc; nprocs],
             queues: (0..nprocs).map(|_| BinaryHeap::new()).collect(),
@@ -269,17 +321,10 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             arrival: Vec::new(),
             grouped: Vec::new(),
             recipients: Vec::new(),
-            proc_of: tasks.iter().map(|t| t.proc).collect(),
             dead: vec![false; nprocs],
-            epoch: vec![0; n],
-            reexec: vec![false; n],
             rr: 0,
-            report: DesReport {
-                trace: Trace { records: Vec::with_capacity(n) },
-                ..DesReport::default()
-            },
-            ready_time: vec![0.0; n],
-            start_time: vec![0.0; n],
+            report: DesReport { busy_per_proc: vec![0.0; nprocs], ..DesReport::default() },
+            recorder,
         })
     }
 
@@ -300,15 +345,13 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         if self.completed < n {
             return Err(EngineError::Fault(FtError::Stalled { pending: n - self.completed }));
         }
-        // `makespan` is derived from the trace, the single source of truth
-        // for span accounting, rather than double-booked.
-        let makespan = self.report.trace.makespan();
-        Ok(DesReport { makespan, ..self.report })
+        Ok(self.report)
     }
 
     /// Queue `event` at `at`: on the current-instant stream when `at` is
     /// now — an event of this instant is never earlier than one queued
-    /// before it — and on the heap otherwise.
+    /// before it — and on the heap otherwise. Either lane pops in the
+    /// same order ([`EventQueue`]).
     fn schedule(&mut self, at: f64, event: Event) {
         if at == self.now {
             self.events.push_to(self.nprocs, at, event);
@@ -321,7 +364,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// stream receives its completions in time order.
     fn ready(&mut self, t: TaskId) {
         if self.machine.task_overhead_s > 0.0 {
-            let p = self.proc_of[t];
+            let p = self.state[t].proc as usize;
             let end = self.mgmt_free[p].max(self.now) + self.machine.task_overhead_s;
             self.mgmt_free[p] = end;
             self.events.push_to(p, end, Event::Managed(t));
@@ -332,50 +375,67 @@ impl<'a, G: Dataflow> Sim<'a, G> {
 
     /// Queue the task on its process by priority, then id.
     fn managed(&mut self, t: TaskId) {
-        let p = self.proc_of[t];
-        self.ready_time[t] = self.now;
-        self.queues[p].push(Reverse((self.graph.priority(t), t)));
+        let p = self.state[t].proc as usize;
+        if let Some(rec) = &mut self.recorder {
+            rec.queued[t] = self.now;
+        }
+        self.queues[p].push(Reverse((self.state[t].priority, t)));
         self.dispatch(p);
     }
 
-    /// Start as many queued tasks as process `p` has idle cores.
+    /// Start as many queued tasks as process `p` has idle cores. A
+    /// zero-duration task (a no-op on null tiles) finishes in this instant,
+    /// off the heap.
     fn dispatch(&mut self, p: usize) {
         while self.idle[p] > 0 {
             let Some(Reverse((_, t))) = self.queues[p].pop() else {
                 break;
             };
             self.idle[p] -= 1;
-            self.start_time[t] = self.now;
             self.running[p].push(t);
-            self.events.push(self.now + self.tasks[t].duration, Event::Finish(t, self.epoch[t]));
+            let task = &mut self.state[t];
+            task.at = self.now;
+            let finish = Event::Finish(t, task.epoch);
+            self.schedule(self.now + self.tasks[t].duration, finish);
         }
     }
 
+    /// Retire `t`: book its span to the ledger (and the trace), release or
+    /// regenerate its output, and free its core.
     fn finish(&mut self, t: TaskId, launch_epoch: u32) {
-        if launch_epoch != self.epoch[t] {
+        let task = self.state[t];
+        if launch_epoch != task.epoch {
             return; // the executing process died mid-kernel
         }
-        let p = self.proc_of[t];
-        if let Some(pos) = self.running[p].iter().position(|&x| x == t) {
+        let p = task.proc as usize;
+        // From the back: a no-op retires right after it started, behind the
+        // kernels still running.
+        if let Some(pos) = self.running[p].iter().rposition(|&x| x == t) {
             self.running[p].swap_remove(pos);
         }
-        let spec = self.graph.spec(t);
-        self.report.trace.push_record(crate::trace::TaskRecord {
-            task: t,
-            class: spec.class,
-            proc: p,
-            data: spec.writes,
-            queued: self.ready_time[t].min(self.start_time[t]),
-            start: self.start_time[t],
-            end: self.now,
-        });
+        // `TaskRecord::duration`'s clamp, so the trace folds the same bits.
+        let busy = (self.now - task.at).max(0.0);
+        self.report.busy_per_proc[p] += busy;
+        self.report.breakdown.add(task.class, busy);
+        self.report.makespan = self.report.makespan.max(self.now);
+        if let Some(rec) = &mut self.recorder {
+            rec.trace.push_record(TaskRecord {
+                task: t,
+                class: task.class,
+                proc: p,
+                data: self.graph.spec(t).writes,
+                queued: rec.queued[t].min(task.at),
+                start: task.at,
+                end: self.now,
+            });
+        }
         self.completed += 1;
-        self.done[t] = true;
-        if self.reexec[t] {
+        self.state[t].done = true;
+        if task.reexec {
             // Recovery re-run: successors were already released by the
             // first execution (surviving consumers kept their copies);
             // only the lost output is regenerated, nothing is sent.
-            self.reexec[t] = false;
+            self.state[t].reexec = false;
         } else {
             self.send(t, p);
         }
@@ -405,23 +465,27 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             }
             let (datum, bytes) = (edges[e0].data, edges[e0].bytes);
             let members = || edges.iter().enumerate().skip(e0).filter(|(_, e)| e.data == datum);
-            // Recipients ordered by the highest-priority consumer first
-            // (the runtime forwards along the critical path first), then
-            // proc id; procs are distinct, so an unstable sort is exact.
+            // The distinct remote processes, ordered by their
+            // highest-priority consumer first (the runtime forwards along
+            // the critical path first), then proc id; procs are distinct,
+            // so an unstable sort is exact. A lone recipient needs no order.
             self.recipients.clear();
             for (m, e) in members() {
                 self.grouped[m] = true;
                 let q = tasks[e.dst].proc;
-                if q == src_proc {
-                    continue; // local consumer: no message
-                }
-                let priority = graph.priority(e.dst);
-                match self.recipients.iter_mut().find(|(_, rq)| *rq == q) {
-                    Some(entry) => entry.0 = entry.0.min(priority),
-                    None => self.recipients.push((priority, q)),
+                if q != src_proc && !self.recipients.iter().any(|&(_, rq)| rq == q) {
+                    self.recipients.push((usize::MAX, q));
                 }
             }
-            self.recipients.sort_unstable();
+            if self.recipients.len() > 1 {
+                for (_, e) in members() {
+                    let q = tasks[e.dst].proc;
+                    if let Some(entry) = self.recipients.iter_mut().find(|(_, rq)| *rq == q) {
+                        entry.0 = entry.0.min(self.state[e.dst].priority);
+                    }
+                }
+                self.recipients.sort_unstable();
+            }
             let nremote = self.recipients.len();
             if nremote == 0 {
                 continue; // purely local group: no communication
@@ -452,12 +516,14 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         }
         for (m, e) in edges.iter().enumerate() {
             let (dst, arrival) = (e.dst, self.arrival[m]);
-            if arrival > self.data_ready[dst] {
-                self.data_ready[dst] = arrival;
+            let consumer = &mut self.state[dst];
+            if arrival > consumer.at {
+                consumer.at = arrival;
             }
-            self.remaining[dst] -= 1;
-            if self.remaining[dst] == 0 {
-                self.schedule(self.data_ready[dst], Event::Ready(dst));
+            consumer.remaining -= 1;
+            if consumer.remaining == 0 {
+                let at = consumer.at;
+                self.schedule(at, Event::Ready(dst));
             }
         }
         self.edges = edges;
@@ -466,14 +532,15 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// Does a not-yet-finished consumer still need `t`'s output?
     fn output_needed(&mut self, t: TaskId) -> bool {
         self.graph.successors_into(t, &mut self.edges);
-        self.edges.iter().any(|e| !self.done[e.dst])
+        self.edges.iter().any(|e| !self.state[e.dst].done)
     }
 
     /// Schedule completed task `t` to run again after the detection
     /// window: its output died with a process or was damaged in a store.
     fn reexecute(&mut self, t: TaskId) {
-        self.done[t] = false;
-        self.reexec[t] = true;
+        let task = &mut self.state[t];
+        task.done = false;
+        task.reexec = true;
         self.completed -= 1;
         self.report.reexecuted += 1;
         self.events.push(self.now + self.restart_delay_s, Event::Ready(t));
@@ -495,7 +562,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         // flush the dead process's ready queue.
         let restart = self.now + self.restart_delay_s;
         for t in std::mem::take(&mut self.running[p]) {
-            self.epoch[t] += 1;
+            self.state[t].epoch += 1;
             self.events.push(restart, Event::Ready(t));
         }
         while let Some(Reverse((_, t))) = self.queues[p].pop() {
@@ -508,16 +575,16 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         // inputs survive — initial tiles are checkpointed, remote inputs
         // replay from sender logs).
         for t in 0..n {
-            if self.proc_of[t] != p {
+            if self.state[t].proc as usize != p {
                 continue;
             }
-            if self.done[t] {
+            if self.state[t].done {
                 if !self.output_needed(t) {
                     continue; // output no longer consumed: let it go
                 }
                 self.reexecute(t);
             }
-            self.proc_of[t] = alive[self.rr % alive.len()];
+            self.state[t].proc = u32_of(alive[self.rr % alive.len()]);
             self.rr += 1;
             self.report.migrated += 1;
         }
@@ -538,7 +605,8 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         // functional plan (stream 8, keyed by strike index).
         let mut candidates: Vec<TaskId> = Vec::new();
         for t in 0..self.graph.len() {
-            if self.proc_of[t] == p && self.done[t] && self.output_needed(t) {
+            let task = self.state[t];
+            if task.proc as usize == p && task.done && self.output_needed(t) {
                 candidates.push(t);
             }
         }
@@ -549,6 +617,13 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             (fault_unit(self.faults.seed, 8, idx as u64, 0) * candidates.len() as f64) as usize;
         self.reexecute(candidates[pick.min(candidates.len() - 1)]);
     }
+}
+
+/// A process id or an in-degree as a [`TaskState`] field. Either is
+/// bounded by a table the simulator already holds (one entry per process,
+/// one edge per predecessor), so one past `u32::MAX` cannot fit in memory.
+fn u32_of(x: usize) -> u32 {
+    u32::try_from(x).expect("process ids and in-degrees fit in u32")
 }
 
 #[cfg(test)]
@@ -586,7 +661,7 @@ mod tests {
         machine: &MachineModel,
         nprocs: usize,
     ) -> Result<DesReport, EngineError> {
-        simulate(g, tasks, machine, nprocs, &FaultPlan::none(), 0.0)
+        simulate(g, tasks, machine, nprocs, &FaultPlan::none(), 0.0, None)
     }
 
     /// `cores` cores per process, a free network and no runtime
@@ -853,37 +928,24 @@ mod tests {
 
     #[test]
     fn priority_breaks_ties() {
-        // Two ready tasks on one single-core proc; the lower-priority value
-        // (more urgent) must run first.
+        // One core, held for 5 s by a blocker: two more sources queue
+        // behind it, the lazy one first by id. When the core frees, the
+        // urgent one (the lower priority value, the higher id) must take
+        // it; in id order the lazy one would.
         let mut g = GraphBuilder::new();
-        let urgent = g.add_task(spec(0));
+        let blocker = g.add_task(spec(0));
         let lazy = g.add_task(spec(9));
+        let urgent = g.add_task(spec(1));
         let g = g.finish();
-        let tasks = vec![
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-        ];
-        let r = run(&g, &tasks, &ideal(1), 1).unwrap();
-        let rec_urgent = r.trace.records.iter().find(|x| x.start == 0.0).unwrap();
-        // both tasks retire; check the one starting at 0 has class Other
-        // and that `urgent` started first by comparing start times.
-        let starts: Vec<(usize, f64)> = r
-            .trace
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, rec)| (i, rec.start))
-            .collect();
-        assert_eq!(starts.len(), 2);
-        let _ = (urgent, lazy, rec_urgent);
-        // urgent is recorded first (finishes at 1.0), lazy second
-        assert!(r.trace.records[0].end <= r.trace.records[1].start + 1e-12);
+        let tasks = [5.0, 1.0, 1.0].map(|duration| DesTask { proc: 0, duration });
+        let mut trace = Trace::default();
+        let r = simulate(&g, &tasks, &ideal(1), 1, &FaultPlan::none(), 0.0, Some(&mut trace))
+            .unwrap();
+        let start = |t: TaskId| trace.records.iter().find(|rec| rec.task == t).unwrap().start;
+        assert_eq!(start(blocker), 0.0);
+        assert_eq!(start(urgent), 5.0, "the urgent task takes the freed core");
+        assert_eq!(start(lazy), 6.0, "the lazy task waits for the urgent one");
+        assert_eq!(r.makespan, 7.0);
     }
 
     #[test]
@@ -967,7 +1029,8 @@ mod tests {
         let (g, tasks) = wide_graph(12);
         let cfg = faulty_machine();
         let plain = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
-        let faulty = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &FaultPlan::none(), 0.5).unwrap();
+        let faulty =
+            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &FaultPlan::none(), 0.5, None).unwrap();
         assert_eq!(faulty.makespan, plain.makespan);
         assert_eq!(faulty.crashes, 0);
         assert_eq!(faulty.migrated, 0);
@@ -981,7 +1044,7 @@ mod tests {
         let cfg = faulty_machine();
         let baseline = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan * 0.5);
-        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5, None).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.migrated > 0, "dead proc's tasks must move");
         assert!(
@@ -998,7 +1061,7 @@ mod tests {
         let cfg = faulty_machine();
         let baseline = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(1, baseline.makespan + 100.0);
-        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.5, None).unwrap();
         assert_eq!(r.crashes, 0);
         assert_eq!(r.makespan, baseline.makespan);
     }
@@ -1009,8 +1072,8 @@ mod tests {
         let cfg = faulty_machine();
         let base = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(0).with_crash(2, base.makespan * 0.4);
-        let quick = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.1).unwrap();
-        let slow = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 5.0).unwrap();
+        let quick = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.1, None).unwrap();
+        let slow = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 5.0, None).unwrap();
         assert!(
             slow.makespan >= quick.makespan,
             "{} < {}",
@@ -1050,7 +1113,7 @@ mod tests {
         // longer needed (c already has it) but the model re-runs tasks
         // with unfinished consumers — c is unfinished, so b re-executes.
         let faults = FaultPlan::new(0).with_crash(0, 2.5);
-        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0, None).unwrap();
         assert_eq!(r.crashes, 1);
         assert!(r.reexecuted >= 1, "b must re-execute, got {}", r.reexecuted);
     }
@@ -1060,7 +1123,7 @@ mod tests {
         let (g, tasks) = wide_graph(8);
         let cfg = faulty_machine();
         let faults = FaultPlan::new(0).with_crash(0, 0.1).with_crash(1, 0.2).with_crash(2, 0.3);
-        let err = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0).unwrap_err();
+        let err = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 0.0, None).unwrap_err();
         assert_eq!(err, EngineError::Fault(FtError::AllRanksCrashed));
     }
 
@@ -1070,12 +1133,12 @@ mod tests {
         let cfg = faulty_machine();
         let crash = FaultPlan::new(0).with_crash(7, 1.0);
         assert_eq!(
-            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &crash, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &crash, 0.0, None).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 7, nprocs: 3 }
         );
         let corrupt = FaultPlan::new(0).with_store_corruption(9, 0, 0, 1.0);
         assert_eq!(
-            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &corrupt, 0.0).unwrap_err(),
+            simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &corrupt, 0.0, None).unwrap_err(),
             EngineError::InvalidCrashRank { rank: 9, nprocs: 3 }
         );
     }
@@ -1090,7 +1153,7 @@ mod tests {
         // completed task must re-execute and the makespan must grow.
         let faults = FaultPlan::new(7).with_store_corruption(0, 0, 0, base.makespan * 0.3);
         let delay = base.makespan * 2.0;
-        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay, None).unwrap();
         assert_eq!(r.corruptions, 1);
         assert_eq!(r.crashes, 0);
         assert!(
@@ -1105,7 +1168,7 @@ mod tests {
             base.makespan
         );
         // Determinism: the same seeded plan reproduces the run.
-        let again = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay).unwrap();
+        let again = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, delay, None).unwrap();
         assert_eq!(again.makespan, r.makespan);
         assert_eq!(again.reexecuted, r.reexecuted);
     }
@@ -1116,7 +1179,7 @@ mod tests {
         let cfg = faulty_machine();
         let base = run(&g, &tasks, &cfg, FAULTY_NPROCS).unwrap();
         let faults = FaultPlan::new(3).with_store_corruption(1, 0, 0, base.makespan + 50.0);
-        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 1.0).unwrap();
+        let r = simulate(&g, &tasks, &cfg, FAULTY_NPROCS, &faults, 1.0, None).unwrap();
         assert_eq!(r.corruptions, 0);
         assert_eq!(r.reexecuted, 0);
         assert_eq!(r.makespan, base.makespan);
@@ -1162,9 +1225,8 @@ mod tests {
             })
             .collect();
         let r = run(&g, &tasks, &ideal(1), 2).unwrap();
-        let busy = r.trace.busy_per_proc(2);
-        assert!((busy[0] - 2.0).abs() < 1e-12);
-        assert!((busy[1] - 2.0).abs() < 1e-12);
-        assert!((r.trace.load_imbalance(2) - 1.0).abs() < 1e-12);
+        assert_eq!(r.busy_per_proc, [2.0, 2.0]);
+        assert_eq!(r.breakdown.other, 4.0);
+        assert_eq!(crate::trace::load_imbalance(&r.busy_per_proc), 1.0);
     }
 }

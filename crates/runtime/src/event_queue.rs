@@ -19,7 +19,10 @@ use std::collections::{BinaryHeap, VecDeque};
 /// from the one counter and every stream's head is its earliest event, so
 /// events pop in exactly the order one heap holding all of them would pop
 /// them. A stream push that would break its stream's order lands on the
-/// heap instead.
+/// heap instead. So a producer may move an event from the heap to a
+/// stream — the simulator sends every event of the current instant,
+/// zero-duration finishes among them, to one — without changing the pop
+/// order.
 pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     streams: Vec<VecDeque<Entry<E>>>,

@@ -255,6 +255,12 @@ pub trait Dataflow {
         self.spec(t).priority
     }
 
+    /// Every task's metadata, in id order: what [`spec`](Dataflow::spec)
+    /// answers task by task, which a derived space may walk in one pass.
+    fn specs(&self) -> impl Iterator<Item = TaskSpec> + '_ {
+        (0..self.len()).map(|t| self.spec(t))
+    }
+
     /// Every task's number of incoming edges, in id order.
     fn indegrees(&self) -> Vec<usize>;
 

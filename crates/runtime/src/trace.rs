@@ -1,10 +1,12 @@
 //! Execution traces and per-class time breakdowns.
 //!
 //! Both the shared-memory executor (wall-clock) and the discrete-event
-//! simulator (virtual clock) emit a [`Trace`]; the reporting code behind
-//! Fig. 11 (time breakdown) and Fig. 13 (efficiency vs. the critical-path
-//! bound) consumes it. The [`crate::obs`] module exports a `Trace` to
-//! Chrome-trace JSON and computes derived run metrics.
+//! simulator (virtual clock) emit a [`Trace`] when a caller asks for one;
+//! Gantt charts and the Chrome-trace export render it. The [`crate::obs`]
+//! module exports a `Trace` to Chrome-trace JSON and computes derived run
+//! metrics. The simulator keeps its own busy ledger in place with the same
+//! two rules the trace folds with ([`ClassBreakdown::add`] and
+//! [`load_imbalance`]), so a run's ledger and its trace agree bit for bit.
 
 use crate::graph::{DataRef, TaskClass, TaskId};
 use serde::{Deserialize, Serialize};
@@ -75,6 +77,17 @@ pub struct ClassBreakdown {
 }
 
 impl ClassBreakdown {
+    /// Add `seconds` of busy time to `class`'s total.
+    pub fn add(&mut self, class: TaskClass, seconds: f64) {
+        match class {
+            TaskClass::Potrf => self.potrf += seconds,
+            TaskClass::Trsm => self.trsm += seconds,
+            TaskClass::Syrk => self.syrk += seconds,
+            TaskClass::Gemm => self.gemm += seconds,
+            TaskClass::Other => self.other += seconds,
+        }
+    }
+
     /// Sum over all classes.
     pub fn total(&self) -> f64 {
         self.potrf + self.trsm + self.syrk + self.gemm + self.other
@@ -102,14 +115,7 @@ impl Trace {
     pub fn breakdown(&self) -> ClassBreakdown {
         let mut b = ClassBreakdown::default();
         for r in &self.records {
-            let d = r.duration();
-            match r.class {
-                TaskClass::Potrf => b.potrf += d,
-                TaskClass::Trsm => b.trsm += d,
-                TaskClass::Syrk => b.syrk += d,
-                TaskClass::Gemm => b.gemm += d,
-                TaskClass::Other => b.other += d,
-            }
+            b.add(r.class, r.duration());
         }
         b
     }
@@ -200,14 +206,19 @@ impl Trace {
 
     /// Load imbalance factor `max busy / mean busy` (1.0 = perfect).
     pub fn load_imbalance(&self, nprocs: usize) -> f64 {
-        let busy = self.busy_per_proc(nprocs);
-        let max = busy.iter().cloned().fold(0.0_f64, f64::max);
-        let mean = busy.iter().sum::<f64>() / nprocs.max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
+        load_imbalance(&self.busy_per_proc(nprocs))
+    }
+}
+
+/// Load imbalance factor `max busy / mean busy` of per-process busy
+/// seconds (1.0 = perfect, and for no processes or no busy time).
+pub fn load_imbalance(busy: &[f64]) -> f64 {
+    let max = busy.iter().cloned().fold(0.0_f64, f64::max);
+    let mean = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
+    if mean > 0.0 {
+        max / mean
+    } else {
+        1.0
     }
 }
 

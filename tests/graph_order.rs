@@ -17,7 +17,7 @@ use hicma_parsec::runtime::graph::{
 };
 use hicma_parsec::runtime::{
     simulate, DistConfig, DistEngine, Engine, EngineConfig, EngineError, FaultPlan, MachineModel,
-    RankCtx, Registry,
+    RankCtx, Registry, Trace,
 };
 use hicma_parsec::tlr::RankSnapshot;
 use proptest::prelude::*;
@@ -203,9 +203,11 @@ proptest! {
             let tasks: Vec<DesTask> = (0..n)
                 .map(|t| DesTask { proc: 0, duration: label_duration(g.spec(t).priority) })
                 .collect();
-            let r = simulate(g, &tasks, &one_process(n), 1, &FaultPlan::none(), 0.0).unwrap();
+            let mut trace = Trace::default();
+            let none = FaultPlan::none();
+            let r = simulate(g, &tasks, &one_process(n), 1, &none, 0.0, Some(&mut trace)).unwrap();
             let mut span = vec![(0u64, 0u64); n];
-            for rec in &r.trace.records {
+            for rec in &trace.records {
                 span[rec.task] = (rec.start.to_bits(), rec.end.to_bits());
             }
             (r.makespan.to_bits(), span)
@@ -247,7 +249,7 @@ proptest! {
         prop_assert!(g.order().is_none());
 
         let tasks = vec![DesTask { proc: 0, duration: 1.0 }; n];
-        let des = simulate(&g, &tasks, &one_process(2), 1, &FaultPlan::none(), 0.0);
+        let des = simulate(&g, &tasks, &one_process(2), 1, &FaultPlan::none(), 0.0, None);
         prop_assert_eq!(des.unwrap_err(), EngineError::Cycle);
         let run = Engine::new(&g).run(&EngineConfig::new(2), |_w, _t| {});
         prop_assert_eq!(run.unwrap_err(), EngineError::Cycle);

@@ -5,22 +5,24 @@
 //! exporters, and crash/recovery event accounting on the fault-tolerant
 //! distributed runtime.
 
-use hicma_parsec::cholesky::lorapo::hicma_parsec_config;
-use hicma_parsec::cholesky::simulate::{des_tasks, simulate_cholesky};
-use hicma_parsec::cholesky::{
-    build_cholesky_dag, DagConfig, FactorConfig, RunOutcome, Session, SolveService,
-    TenantConfig,
+use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
+use hicma_parsec::cholesky::simulate::{
+    des_tasks, simulate_cholesky, simulate_cholesky_faulty, SimReport,
 };
-use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
+use hicma_parsec::cholesky::{
+    build_cholesky_dag, CholeskySpace, DagConfig, FactorConfig, RunOutcome, Session,
+    SolveService, TenantConfig,
+};
+use hicma_parsec::distribution::{DiamondDistribution, LorapoHybrid, TileDistribution};
 use hicma_parsec::runtime::graph::{DataRef, TaskClass};
 use hicma_parsec::runtime::obs::json::Json;
 use hicma_parsec::runtime::obs::registry::{class_slot, NCLASSES};
 use hicma_parsec::runtime::obs::{
     chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
 };
-use hicma_parsec::runtime::trace::{TaskRecord, Trace};
+use hicma_parsec::runtime::trace::{load_imbalance, ClassBreakdown, TaskRecord, Trace};
 use hicma_parsec::runtime::{
-    Counter, Engine, EngineConfig, FaultPlan, Gauge, MachineModel, Observe, Registry,
+    des, Counter, Engine, EngineConfig, FaultPlan, Gauge, MachineModel, Observe, Registry,
     TaskEvent,
 };
 use hicma_parsec::tlr::{CompressionConfig, RankSnapshot, SyntheticRankModel, TlrMatrix};
@@ -151,25 +153,101 @@ fn empty_trace_exports_cleanly() {
 fn des_trace_uses_the_same_exporter() {
     let snap = SyntheticRankModel::from_application(16, 256, 3.7e-4, 1e-4).snapshot();
     let cfg = hicma_parsec_config(MachineModel::shaheen_ii(), 4);
-    let r = simulate_cholesky(&snap, &cfg);
-    assert!(!r.trace.records.is_empty(), "DES must trace every task");
+    let mut trace = Trace::default();
+    let r =
+        simulate_cholesky_faulty(&snap, &cfg, &FaultPlan::none(), 0.0, Some(&mut trace)).unwrap();
+    assert_eq!(trace.records.len(), r.dag_tasks, "DES must trace every task");
 
-    let doc = Json::parse(&chrome_trace_json(&r.trace, "des")).expect("valid Chrome trace");
+    let doc = Json::parse(&chrome_trace_json(&trace, "des")).expect("valid Chrome trace");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let nspans = events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).count();
-    assert_eq!(nspans, r.trace.records.len());
+    assert_eq!(nspans, trace.records.len());
 
-    let m = RunMetrics::from_trace(cfg.plan.name(), &r.trace, 4)
+    let m = RunMetrics::from_trace(cfg.plan.name(), &trace, 4)
         .with_critical_path(r.critical_path_seconds);
     assert!(m.makespan > 0.0);
     assert!(r.comm.messages > 0, "4 ranks must communicate");
     assert!(m.efficiency_vs_critical_path > 0.0 && m.efficiency_vs_critical_path <= 1.0);
     assert_eq!(m.busy.len(), 4);
-    // The DES busy bookkeeping is *derived from the trace*, so the two
-    // views can never drift apart.
-    let from_trace: f64 = r.trace.busy_per_proc(4).iter().sum();
-    let from_metrics: f64 = m.busy.iter().sum();
-    assert!((from_trace - from_metrics).abs() < 1e-12);
+    // The simulator keeps its busy ledger in place; the exporter's view of
+    // the trace must read the same bits.
+    assert_eq!(m.makespan.to_bits(), r.factorization_seconds.to_bits());
+    assert_eq!(m.load_imbalance.to_bits(), r.load_imbalance.to_bits());
+    assert_eq!(breakdown_bits(&m.breakdown), breakdown_bits(&r.breakdown));
+}
+
+fn breakdown_bits(b: &ClassBreakdown) -> [u64; 5] {
+    [b.potrf, b.trsm, b.syrk, b.gemm, b.other].map(f64::to_bits)
+}
+
+/// The simulator's in-place ledger is the fold of the trace it would
+/// record: on the schedule goldens' snapshot and machine (NT 32, 4 nodes
+/// of 2 cores), fault-free, with one crash and with one store corruption
+/// (whose re-executed tasks retire twice), the makespan, the busy seconds
+/// per process and per class, and the load imbalance equal the recorded
+/// trace's bit for bit, at the DES and through `SimReport`; and recording
+/// moves no bit of either report.
+#[test]
+fn des_ledger_equals_the_fold_of_its_trace() {
+    let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
+    let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
+    let nodes = 4;
+    // The goldens' priced faults, timed from the fault-free makespan `t`.
+    let faults = |t: f64| {
+        [
+            ("none", FaultPlan::none()),
+            ("crash", FaultPlan::new(11).with_crash(1, 0.5 * t)),
+            ("corrupt", FaultPlan::new(11).with_store_corruption(2, 1, 0, 0.4 * t)),
+        ]
+    };
+    // `SimReport` minus its one wall-clock field: equal text is equal bits.
+    let sim_bits =
+        |r: &SimReport| format!("{:?}", SimReport { analysis_seconds: 0.0, ..r.clone() });
+    let hicma = hicma_parsec_config(machine.clone(), nodes);
+    let lorapo = lorapo_config(machine.clone(), nodes);
+    for cfg in [&hicma, &lorapo] {
+        let t = simulate_cholesky(&snap, cfg).factorization_seconds;
+        for (fault, plan) in faults(t) {
+            let what = format!("{} {fault}", cfg.plan.name());
+            let mut trace = Trace::default();
+            let traced =
+                simulate_cholesky_faulty(&snap, cfg, &plan, 0.75 * t, Some(&mut trace)).unwrap();
+            let plain = simulate_cholesky_faulty(&snap, cfg, &plan, 0.75 * t, None).unwrap();
+            assert_eq!(sim_bits(&traced), sim_bits(&plain), "{what}: recording moved a bit");
+            assert_eq!(fault == "none", traced.reexecuted_tasks == 0, "{what}");
+            assert_eq!(trace.records.len(), traced.dag_tasks + traced.reexecuted_tasks, "{what}");
+            let makespan = trace.makespan().to_bits();
+            assert_eq!(traced.factorization_seconds.to_bits(), makespan, "{what}");
+            assert_eq!(traced.load_imbalance.to_bits(), trace.load_imbalance(nodes).to_bits());
+            assert_eq!(breakdown_bits(&traced.breakdown), breakdown_bits(&trace.breakdown()));
+        }
+    }
+
+    // The DES itself, on the Lorapo preset's mapping (owner-computes on the
+    // hybrid distribution over the untrimmed space): its per-process busy
+    // seconds, which `SimReport` reduces to the imbalance.
+    let space =
+        CholeskySpace::new(&snap, &DagConfig { trimmed: false, rank_cap: lorapo.rank_cap });
+    let owner = LorapoHybrid::new(nodes);
+    let tasks = des_tasks(&space, &machine, |d| owner.owner(d.i, d.j));
+    let run = |plan: &FaultPlan, delay: f64, trace: Option<&mut Trace>| {
+        des::simulate(&space, &tasks, &machine, nodes, plan, delay, trace).unwrap()
+    };
+    let t = run(&FaultPlan::none(), 0.0, None).makespan;
+    for (fault, plan) in faults(t) {
+        let mut trace = Trace::default();
+        let traced = run(&plan, 0.75 * t, Some(&mut trace));
+        let plain = run(&plan, 0.75 * t, None);
+        assert_eq!(format!("{traced:?}"), format!("{plain:?}"), "{fault}");
+        assert_eq!(fault == "none", traced.reexecuted == 0, "{fault}");
+        assert_eq!(trace.records.len(), space.len() + traced.reexecuted);
+        assert_eq!(traced.makespan.to_bits(), trace.makespan().to_bits());
+        let busy = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(busy(&traced.busy_per_proc), busy(&trace.busy_per_proc(nodes)));
+        assert_eq!(breakdown_bits(&traced.breakdown), breakdown_bits(&trace.breakdown()));
+        let imbalance = load_imbalance(&traced.busy_per_proc).to_bits();
+        assert_eq!(imbalance, trace.load_imbalance(nodes).to_bits());
+    }
 }
 
 /// A traced fault-tolerant run with injected crashes records a matching

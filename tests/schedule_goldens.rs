@@ -16,13 +16,15 @@
 //! fixture are its first words — and then the whole table.
 
 use hicma_parsec::cholesky::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_parsec::cholesky::simulate::simulate_cholesky;
+use hicma_parsec::cholesky::simulate::{
+    simulate_cholesky, simulate_cholesky_faulty, SimConfig, SimReport,
+};
 use hicma_parsec::cholesky::{CholeskySpace, DagConfig, FactorConfig, Session};
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::runtime::graph::{Dataflow, Edge};
-use hicma_parsec::runtime::MachineModel;
-use hicma_parsec::tlr::{CompressionConfig, SyntheticRankModel, TlrMatrix};
+use hicma_parsec::runtime::{FaultPlan, MachineModel, Trace};
+use hicma_parsec::tlr::{CompressionConfig, RankSnapshot, SyntheticRankModel, TlrMatrix};
 use std::fmt::Write as _;
 
 /// The RBF-structured SPD fixture of `tests/engine_composition.rs` at
@@ -39,6 +41,13 @@ fn rbf_fixture() -> TlrMatrix {
         }
     });
     TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(1e-8))
+}
+
+/// A fault-free simulation that records its schedule for the `order` fold.
+fn traced(snap: &RankSnapshot, cfg: &SimConfig) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let r = simulate_cholesky_faulty(snap, cfg, &FaultPlan::none(), 0.0, Some(&mut trace)).unwrap();
+    (r, trace)
 }
 
 fn fnv(words: impl Iterator<Item = u64>) -> u64 {
@@ -86,7 +95,7 @@ fn actual() -> String {
         ("hicma", hicma_parsec_config(machine.clone(), 4)),
         ("lorapo", lorapo_config(machine.clone(), 4)),
     ] {
-        let r = simulate_cholesky(&snap, &cfg);
+        let (r, trace) = traced(&snap, &cfg);
         writeln!(
             out,
             "des {name} panel-priority secs={:#018x} comm={}/{} tasks={} imbalance={:#018x} \
@@ -96,7 +105,7 @@ fn actual() -> String {
             r.comm.messages,
             r.dag_tasks,
             r.load_imbalance.to_bits(),
-            fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+            fnv(trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
         )
         .unwrap();
     }
@@ -169,9 +178,6 @@ fn schedules_match_the_recorded_goldens() {
 /// lines never do; these pin it (recorded at the commit before the
 /// simulator's state became one struct and its broadcast table went).
 fn actual_faulty() -> String {
-    use hicma_parsec::cholesky::simulate::simulate_cholesky_faulty;
-    use hicma_parsec::runtime::FaultPlan;
-
     let mut out = String::new();
     let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
     let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
@@ -184,7 +190,9 @@ fn actual_faulty() -> String {
             ("crash", FaultPlan::new(11).with_crash(1, 0.5 * t)),
             ("corrupt", FaultPlan::new(11).with_store_corruption(2, 1, 0, 0.4 * t)),
         ] {
-            let r = simulate_cholesky_faulty(&snap, &cfg, &plan, 0.75 * t).unwrap();
+            let mut trace = Trace::default();
+            let r =
+                simulate_cholesky_faulty(&snap, &cfg, &plan, 0.75 * t, Some(&mut trace)).unwrap();
             writeln!(
                 out,
                 "des-{fault} {name} panel-priority secs={:#018x} comm={}/{} crashes={} \
@@ -197,7 +205,7 @@ fn actual_faulty() -> String {
                 r.reexecuted_tasks,
                 r.corruptions,
                 r.load_imbalance.to_bits(),
-                fnv(r.trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
+                fnv(trace.records.iter().map(|rec| (rec.task * 4 + rec.proc) as u64)),
             )
             .unwrap();
         }
@@ -238,7 +246,7 @@ fn actual_event_streams() -> String {
             ("hicma", hicma_parsec_config(machine.clone(), nodes)),
             ("lorapo", lorapo_config(machine.clone(), nodes)),
         ] {
-            let r = simulate_cholesky(&snap, &cfg);
+            let (r, trace) = traced(&snap, &cfg);
             writeln!(
                 out,
                 "des-{shape} {name} panel-priority nodes={nodes} secs={:#018x} comm={}/{} \
@@ -248,7 +256,7 @@ fn actual_event_streams() -> String {
                 r.comm.messages,
                 r.dag_tasks,
                 r.load_imbalance.to_bits(),
-                fnv(r.trace.records.iter().map(|rec| (rec.task * 32 + rec.proc) as u64)),
+                fnv(trace.records.iter().map(|rec| (rec.task * 32 + rec.proc) as u64)),
             )
             .unwrap();
         }
