@@ -477,18 +477,12 @@ impl Dataflow for CholeskySpace {
         self.panel(t)
     }
 
-    fn indegrees(&self) -> Vec<usize> {
-        let mut indegrees = Vec::with_capacity(self.len());
-        indegrees.extend(self.kinds().map(|kind| self.indegree_of(kind)));
-        indegrees
+    fn indegrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.kinds().map(|kind| self.indegree_of(kind))
     }
 
     fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
         self.successors_of(self.kind(t), out);
-    }
-
-    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
-        Some(0..self.len())
     }
 }
 
@@ -573,7 +567,6 @@ mod tests {
         let dag = build_cholesky_dag(&dense_snap(nt, 64, 8), &DagConfig::default());
         let expect = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6;
         assert_eq!(dag.graph.len(), expect);
-        assert!(dag.graph.order().expect("acyclic").eq(0..dag.graph.len()), "ids are the order");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! immutable, self-contained bundle of
 //!
 //! * the trimmed [`CholeskySpace`], whose tasks every engine walks and
-//!   runs one to one: its ids, each task's reads and their producers,
-//!   and its stored order, which is the panel-priority order every
-//!   engine follows. No plan lays the space out as a graph;
+//!   runs one to one: its ids, each task's reads and their producers.
+//!   Every edge runs to a higher id, so id order is the execution order:
+//!   the panel-priority order every engine follows. No plan lays the
+//!   space out as a graph or stores an order;
 //! * on distributed plans, the layout's owner map beside it: each tile
 //!   starts on its owner, and every task that writes the tile runs
 //!   there.

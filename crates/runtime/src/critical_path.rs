@@ -19,12 +19,9 @@ pub struct CriticalPath {
 
 /// Compute the longest path through `graph` where task `t` costs
 /// `duration(t)` seconds and edges are free (compute-only bound).
-/// `duration` is called once per task, in the graph's topological order.
-///
-/// # Panics
-/// Panics if the graph is cyclic.
+/// `duration` is called once per task, in id order (a topological order:
+/// every edge runs to a higher id).
 pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) -> CriticalPath {
-    let order = graph.order().expect("critical_path requires a DAG");
     let n = graph.len();
     if n == 0 {
         return CriticalPath { length: 0.0, tasks: vec![] };
@@ -37,15 +34,16 @@ pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) ->
     const NONE: TaskId = TaskId::MAX;
     let mut start = vec![0.0_f64; n];
     let mut pred = vec![NONE; n];
-    let (mut sink, mut length) = (NONE, 0.0_f64);
+    let (mut sink, mut length) = (0, 0.0_f64);
     let mut successors = Vec::new();
-    for t in order {
+    for t in 0..n {
         let end = start[t] + duration(t);
-        if sink == NONE || end.total_cmp(&length).then(t.cmp(&sink)).is_gt() {
+        if end >= length {
             (sink, length) = (t, end);
         }
         graph.successors_into(t, &mut successors);
         for e in &successors {
+            debug_assert!(e.dst > t, "edge {t} → {} runs backwards", e.dst);
             if end > start[e.dst] {
                 start[e.dst] = end;
                 pred[e.dst] = t;
@@ -97,13 +95,13 @@ mod tests {
     }
 
     #[test]
-    fn picks_longer_branch_when_ids_are_not_topological() {
-        // 3 → 2 → 0 (cheap branch), 3 → 1 → 0 (expensive branch)
-        let g = graph(4, &[(3, 2), (3, 1), (2, 0), (1, 0)]);
+    fn picks_longer_branch_through_the_lower_id() {
+        // 0 → 2 → 3 (cheap branch), 0 → 1 → 3 (expensive branch)
+        let g = graph(4, &[(0, 2), (0, 1), (2, 3), (1, 3)]);
         let dur = |t: TaskId| if t == 1 { 10.0 } else { 1.0 };
         let cp = critical_path(&g, dur);
         assert_eq!(cp.length, 12.0);
-        assert_eq!(cp.tasks, vec![3, 1, 0]);
+        assert_eq!(cp.tasks, vec![0, 1, 3]);
     }
 
     #[test]
@@ -117,13 +115,11 @@ mod tests {
 
     #[test]
     fn a_tie_ends_at_the_last_sink_in_id_order() {
-        // 2 → 0 and 3 → 1 are equally long, and the stored order (3, 1,
-        // 2, 0) reaches sink 0 last: the sink is still the higher id.
-        let g = graph(4, &[(2, 0), (3, 1)]);
-        assert!(g.order().unwrap().eq([3, 1, 2, 0]));
+        // 0 → 2 and 1 → 3 are equally long: the sink is the higher id.
+        let g = graph(4, &[(0, 2), (1, 3)]);
         let cp = critical_path(&g, |_| 1.0);
         assert_eq!(cp.length, 2.0);
-        assert_eq!(cp.tasks, vec![3, 1]);
+        assert_eq!(cp.tasks, vec![1, 3]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The engine reads its graph through [`Dataflow`], as the
 //! discrete-event simulator does, so a Cholesky run hands it the implicit
-//! task space and no graph is laid out. Every rank runs its tasks in the
-//! graph's stored topological order; the only plan it takes beside the
-//! graph is the task → rank map.
+//! task space and no graph is laid out. Every rank runs its tasks in id
+//! order, which is topological because every edge runs to a higher id;
+//! the only plan it takes beside the graph is the task → rank map.
 //!
 //! A run reports each fact once: the traffic it put on the wire,
 //! retransmissions included, is [`DistOutcome::comm`]; every fault
@@ -204,8 +204,8 @@ enum Event {
 /// silent success.
 ///
 /// The engine is a deterministic virtual-time event loop. Each rank
-/// executes its tasks in the graph's stored topological order
-/// ([`Dataflow::order`]); messages are
+/// executes its tasks in id order (a topological order: every edge of a
+/// [`Dataflow`] runs to a higher id); messages are
 /// sequence-numbered, logged by the sender, deduplicated by the
 /// receiver, and retransmitted on timeout with capped exponential
 /// backoff; fail-stop crashes are recovered by task migration,
@@ -216,7 +216,7 @@ enum Event {
 ///
 /// Determinism argument (the produced data must match a fault-free
 /// shared-memory run *bit for bit*): kernels are deterministic, each
-/// rank executes its queue in a fixed topological order, and every task
+/// rank executes its queue in id order, and every task
 /// consumes either the rank-local version chain (writers of a datum are
 /// co-located and replay from the checkpoint in order) or an exact
 /// logged copy of its producer's output. Message timing, loss,
@@ -252,12 +252,10 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
     /// panic of [`RankCtx::get`]). `body` must be deterministic for the
     /// fault-recovery equivalence to hold.
     ///
-    /// The graph's stored topological order ([`Dataflow::order`]) *is*
-    /// the schedule: every rank executes its tasks in it, front-only. On
-    /// a Cholesky task space that is id order, which is the panel-priority
-    /// order (ids are grouped by panel and every edge runs to a higher
-    /// id). A graph without one has a cycle and is rejected as
-    /// [`EngineError::Cycle`].
+    /// Id order *is* the schedule: every rank executes its tasks in it,
+    /// front-only, which never deadlocks because every edge runs to a
+    /// higher id. On a Cholesky task space id order is the panel-priority
+    /// order (ids are grouped by panel).
     ///
     /// With `hooks`, the silent-data-corruption integrity layer is armed:
     /// the engine injects the fault plan's corruption entries (in-flight
@@ -304,13 +302,12 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
         if initial.len() != nprocs {
             return Err(EngineError::StoreCount { expected: nprocs, got: initial.len() });
         }
-        let order = graph.order().ok_or(EngineError::Cycle)?;
         if let Some((task, &rank)) = exec_rank.iter().enumerate().find(|(_, &r)| r >= nprocs) {
             return Err(EngineError::InvalidRank { task, rank, nprocs });
         }
         cfg.faults.validate(nprocs)?;
 
-        let mut run = Run::new(self, order, initial, cfg, hooks, body);
+        let mut run = Run::new(self, initial, cfg, hooks, body);
         loop {
             while let Some((time, event)) = run.events.pop() {
                 if run.done_count == ntasks {
@@ -349,8 +346,6 @@ struct Run<'a, P, F, G> {
     metrics: &'a Registry,
     body: F,
 
-    /// Position of each task in the execution order.
-    topo_pos: Vec<usize>,
     // Static edge classification (see the type-level docs of
     // `DistEngine`: locality is the *original* placement, by design).
     local_preds: Vec<Vec<TaskId>>,
@@ -404,7 +399,6 @@ where
 {
     fn new(
         engine: &DistEngine<'a, '_, G>,
-        order: impl Iterator<Item = TaskId>,
         initial: Vec<HashMap<DataRef, P>>,
         cfg: &DistConfig<'a>,
         hooks: Option<&'a IntegrityHooks<'a, P>>,
@@ -412,10 +406,8 @@ where
     ) -> Self {
         let (graph, nprocs, exec_rank) = (engine.graph, engine.nprocs, engine.exec_rank);
         let ntasks = graph.len();
-        let mut topo_pos = vec![0usize; ntasks];
         let mut queue: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); nprocs];
-        for (pos, t) in order.enumerate() {
-            topo_pos[t] = pos;
+        for t in 0..ntasks {
             queue[exec_rank[t]].push_back(t);
         }
         let mut local_preds: Vec<Vec<TaskId>> = vec![Vec::new(); ntasks];
@@ -426,6 +418,7 @@ where
         for src in 0..ntasks {
             graph.successors_into(src, &mut successors);
             for e in &successors {
+                debug_assert!(e.dst > src, "edge {src} → {} runs backwards", e.dst);
                 if exec_rank[e.dst] == exec_rank[src] {
                     local_preds[e.dst].push(src);
                     if !local_reads[e.dst].contains(&e.data) {
@@ -459,7 +452,6 @@ where
             hooks,
             metrics: cfg.metrics,
             body,
-            topo_pos,
             local_preds,
             local_reads,
             remote_preds,
@@ -797,13 +789,11 @@ where
     }
 
     /// Rebuild `rank`'s queue: its unfinished, not-running tasks in
-    /// execution order.
+    /// execution (id) order.
     fn requeue(&mut self, rank: usize) {
-        let mut q: Vec<TaskId> = (0..self.cur_exec.len())
+        self.queue[rank] = (0..self.cur_exec.len())
             .filter(|&t| self.cur_exec[t] == rank && !self.done[t] && self.busy[rank] != Some(t))
             .collect();
-        q.sort_unstable_by_key(|&t| self.topo_pos[t]);
-        self.queue[rank] = q.into();
     }
 
     /// Re-send every logged message from a completed producer to an
@@ -826,7 +816,7 @@ where
     /// Lineage healing of a corrupted datum `d` detected on live rank
     /// `rank`: roll the datum back to its checkpoint (or discard it if it
     /// is a produced-only value with no checkpoint), un-done its writer
-    /// chain so the value is recomputed in topological order from
+    /// chain so the value is recomputed in id order from
     /// verified inputs, replay the writers' logged remote inputs, and
     /// re-wake the affected ranks after a backed-off detection window.
     /// Escalates to [`FtError::Integrity`] once the same datum has been
@@ -860,10 +850,9 @@ where
                 false
             }
         };
-        let mut undone: Vec<TaskId> = (0..self.graph.len())
+        let undone: Vec<TaskId> = (0..self.graph.len())
             .filter(|&t| self.done[t] && self.graph.spec(t).writes == Some(d))
             .collect();
-        undone.sort_unstable_by_key(|&t| self.topo_pos[t]);
         if let Some(&last) = undone.last() {
             self.heal_final_writer.insert(last, d);
         } else if restored {
@@ -1332,18 +1321,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, EngineError::InvalidCrashRank { rank: 7, nprocs: 4 });
-
-        // A cyclic graph has no order to run.
-        let mut cyclic = GraphBuilder::new();
-        for k in 0..2 {
-            cyclic.add_task(dspec(k, DataRef { i: k, j: 0 }));
-        }
-        cyclic.add_edge(0, 1, DataRef { i: 0, j: 0 }, 8);
-        cyclic.add_edge(1, 0, DataRef { i: 1, j: 0 }, 8);
-        let err = DistEngine::new(&cyclic.finish(), 2, &[0, 1])
-            .run(vec![HashMap::new(); 2], &plain(), None, body)
-            .unwrap_err();
-        assert_eq!(err, EngineError::Cycle);
     }
 
     // ---------------- message passing ----------------

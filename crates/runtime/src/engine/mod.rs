@@ -68,8 +68,6 @@ impl std::error::Error for TaskPanic {}
 /// `assert!`ed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The task graph has a cycle (no valid schedule exists).
-    Cycle,
     /// A kernel panicked; the pool drained before reporting.
     Panic(TaskPanic),
     /// `exec_rank` does not assign exactly one rank per task.
@@ -119,7 +117,6 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::Cycle => write!(f, "task graph has a cycle"),
             EngineError::Panic(p) => write!(f, "{p}"),
             EngineError::RankMapLength { expected, got } => {
                 write!(
@@ -175,7 +172,6 @@ mod tests {
     #[test]
     fn engine_errors_display() {
         let cases: Vec<(EngineError, &str)> = vec![
-            (EngineError::Cycle, "cycle"),
             (
                 EngineError::Panic(TaskPanic {
                     task: 3,

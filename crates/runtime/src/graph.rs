@@ -8,16 +8,21 @@
 //! list on demand from the symbolic structure, as PaRSEC evaluates a
 //! Parameterized Task Graph.
 //!
+//! Every graph keeps one rule: each edge runs from a lower task id to a
+//! higher one, so id order is a topological order and no order is stored
+//! or computed. The Cholesky task space numbers its tasks panel by panel
+//! and keeps the rule by construction; [`GraphBuilder::add_edge`] asserts
+//! it.
+//!
 //! A [`TaskGraph`] is the one graph that is stored: built by hand through
 //! a [`GraphBuilder`], it is how tests hand every engine a graph of any
-//! shape (shuffled ids, cycles, wide fan-outs). Each vertex carries its
+//! shape (chains, diamonds, wide fan-outs). Each vertex carries its
 //! kernel class, the tile it writes and a scheduling priority, but no
 //! price (costing a task is the caller's model); each edge carries the
 //! number of bytes that flow along it (zero for pure control
-//! dependencies). The graph is flat and read-only:
-//! one task table, one edge array holding every successor list back to
-//! back (CSR), and a topological order fixed once, by
-//! [`GraphBuilder::finish`].
+//! dependencies). The graph is flat and read-only: one task table and one
+//! edge array holding every successor list back to back (CSR), laid out
+//! once, by [`GraphBuilder::finish`].
 
 use serde::{Deserialize, Serialize};
 
@@ -111,56 +116,34 @@ impl GraphBuilder {
     /// Each task's successor list keeps the order its edges were added in.
     ///
     /// # Panics
-    /// Panics if either id is out of range or `src == dst`.
+    /// Panics if either id is out of range or `src >= dst`: every edge runs
+    /// from a lower id to a higher one (see the module docs).
     pub fn add_edge(&mut self, src: TaskId, dst: TaskId, data: DataRef, bytes: u64) {
         assert!(src < self.specs.len() && dst < self.specs.len(), "edge endpoints must exist");
         assert_ne!(src, dst, "self-dependency");
+        assert!(src < dst, "edge {src} → {dst} must run from a lower id to a higher one");
         self.edges.push((src, Edge { dst, data, bytes }));
     }
 
-    /// Lay the staged edges out by source and fix the topological order.
-    ///
-    /// When every edge runs from a lower id to a higher one, id order *is*
-    /// the topological order and nothing is sorted. Otherwise Kahn's
-    /// algorithm orders the tasks once, here; a graph with a cycle
-    /// finishes without an order, and every consumer that needs one
-    /// reports it.
+    /// Lay the staged edges out by source.
     pub fn finish(self) -> TaskGraph {
         let GraphBuilder { specs, edges: mut staged } = self;
         // Stable: each successor list keeps the order its edges were added in.
         staged.sort_by_key(|&(src, _)| src);
         let mut offsets = Vec::with_capacity(specs.len() + 1);
         let mut indegree = vec![0; specs.len()];
-        let mut ids_topological = true;
         let mut at = 0;
         for t in 0..specs.len() {
             offsets.push(at);
             while at < staged.len() && staged[at].0 == t {
-                let dst = staged[at].1.dst;
-                indegree[dst] += 1;
-                ids_topological &= t < dst;
+                indegree[staged[at].1.dst] += 1;
                 at += 1;
             }
         }
         offsets.push(at);
         let edges = staged.into_iter().map(|(_, e)| e).collect();
-        let mut graph = TaskGraph { specs, offsets, edges, indegree, order: Order::Ids };
-        if !ids_topological {
-            graph.order = graph.kahn().map_or(Order::Cyclic, Order::Kahn);
-        }
-        graph
+        TaskGraph { specs, offsets, edges, indegree }
     }
-}
-
-/// A graph's topological order, fixed by [`GraphBuilder::finish`].
-#[derive(Debug)]
-enum Order {
-    /// Every edge runs from a lower id to a higher one.
-    Ids,
-    /// Ids are not topological; Kahn's order.
-    Kahn(Vec<TaskId>),
-    /// The graph has a cycle (a front-end bug).
-    Cyclic,
 }
 
 /// A directed dataflow graph of tasks, laid out flat (see the module
@@ -173,7 +156,6 @@ pub struct TaskGraph {
     edges: Vec<Edge>,
     /// Number of incoming edges per task.
     indegree: Vec<usize>,
-    order: Order,
 }
 
 impl TaskGraph {
@@ -201,43 +183,16 @@ impl TaskGraph {
     pub fn successors(&self, id: TaskId) -> &[Edge] {
         &self.edges[self.offsets[id]..self.offsets[id + 1]]
     }
-
-    /// The topological order fixed when the graph was built, read in
-    /// place (walk it with `.rev()` for sinks first); `None` when the
-    /// graph has a cycle. Id order whenever ids are already topological.
-    pub fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
-        // One of the two halves is empty: ids, or the stored Kahn order.
-        let (ids, kahn): (_, &[TaskId]) = match &self.order {
-            Order::Ids => (0..self.len(), &[]),
-            Order::Kahn(order) => (0..0, order),
-            Order::Cyclic => return None,
-        };
-        Some(ids.chain(kahn.iter().copied()))
-    }
-
-    /// Kahn's algorithm with a LIFO ready stack seeded in id order;
-    /// `None` on a cycle.
-    fn kahn(&self) -> Option<Vec<TaskId>> {
-        let mut indeg = self.indegree.clone();
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack: Vec<TaskId> = (0..self.len()).filter(|&t| indeg[t] == 0).collect();
-        while let Some(t) = stack.pop() {
-            order.push(t);
-            for e in self.successors(t) {
-                indeg[e.dst] -= 1;
-                if indeg[e.dst] == 0 {
-                    stack.push(e.dst);
-                }
-            }
-        }
-        (order.len() == self.len()).then_some(order)
-    }
 }
 
 /// A task graph as every engine reads it: one task and one successor
 /// list at a time. A [`TaskGraph`] serves it from its tables; an implicit
 /// task space derives each answer from a symbolic description instead,
 /// so the graph is never laid out.
+///
+/// Every edge runs from a lower id to a higher one, so `0..len()` is a
+/// topological order: an engine that walks ids in order visits every
+/// task after all of its predecessors, and no graph has a cycle.
 pub trait Dataflow {
     /// Number of tasks.
     fn len(&self) -> usize;
@@ -262,15 +217,11 @@ pub trait Dataflow {
     }
 
     /// Every task's number of incoming edges, in id order.
-    fn indegrees(&self) -> Vec<usize>;
+    fn indegrees(&self) -> impl Iterator<Item = usize> + '_;
 
     /// Replace the contents of `out` with task `t`'s outgoing edges, in
-    /// list order.
+    /// list order; every `dst` is greater than `t`.
     fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>);
-
-    /// A topological order (walk it with `.rev()` for sinks first);
-    /// `None` when the graph has a cycle.
-    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_>;
 }
 
 impl Dataflow for TaskGraph {
@@ -286,17 +237,13 @@ impl Dataflow for TaskGraph {
         self.specs[t].priority
     }
 
-    fn indegrees(&self) -> Vec<usize> {
-        self.indegree.clone()
+    fn indegrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.indegree.iter().copied()
     }
 
     fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
         out.clear();
         out.extend_from_slice(self.successors(t));
-    }
-
-    fn order(&self) -> Option<impl DoubleEndedIterator<Item = TaskId> + '_> {
-        TaskGraph::order(self)
     }
 }
 
@@ -320,17 +267,13 @@ mod tests {
         g
     }
 
-    fn order_of(g: &TaskGraph) -> Vec<TaskId> {
-        g.order().expect("acyclic").collect()
-    }
-
     #[test]
     fn build_and_query() {
         // 0 → 1, 0 → 2, 1 → 3, 2 → 3
         let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
         assert_eq!(g.len(), 4);
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.indegrees(), vec![0, 1, 1, 2]);
+        assert!(g.indegrees().eq([0, 1, 1, 2]));
         assert_eq!(g.successors(0).len(), 2);
         assert!(g.successors(3).is_empty());
     }
@@ -347,40 +290,6 @@ mod tests {
         assert_eq!(g.successors(1)[0].data, DataRef { i: 1, j: 3 });
     }
 
-    #[test]
-    fn topological_ids_are_the_order() {
-        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
-        assert_eq!(order_of(&g), vec![0, 1, 2, 3]);
-        assert_eq!(g.order().unwrap().rev().collect::<Vec<_>>(), vec![3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn shuffled_ids_get_a_kahn_order() {
-        // 3 → 1 → 0, 3 → 2 → 0: no edge runs from a lower id to a higher.
-        let g = graph(4, &[(3, 1), (3, 2), (1, 0), (2, 0)]).finish();
-        let order = order_of(&g);
-        let mut pos = [0; 4];
-        for (idx, &t) in order.iter().enumerate() {
-            pos[t] = idx;
-        }
-        assert!(pos[3] < pos[1] && pos[3] < pos[2]);
-        assert!(pos[1] < pos[0] && pos[2] < pos[0]);
-    }
-
-    #[test]
-    fn cycle_has_no_order() {
-        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]).finish();
-        assert!(g.order().is_none());
-        assert_eq!(g.num_edges(), 5, "a cyclic graph is still laid out");
-    }
-
-    #[test]
-    fn empty_graph_has_an_empty_order() {
-        let g = GraphBuilder::new().finish();
-        assert!(g.is_empty());
-        assert_eq!(g.order().expect("acyclic").count(), 0);
-    }
-
     /// The trait reads the same graph the tables hold.
     #[test]
     fn dataflow_reads_the_tables() {
@@ -391,15 +300,18 @@ mod tests {
             let dsts: Vec<_> = out.iter().map(|e| e.dst).collect();
             assert_eq!(dsts, g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>());
         }
-        assert_eq!(Dataflow::indegrees(&g), vec![0, 1, 1, 2]);
-        assert_eq!(Dataflow::order(&g).unwrap().collect::<Vec<_>>(), order_of(&g));
+        assert!(Dataflow::indegrees(&g).eq([0, 1, 1, 2]));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "self-dependency")]
     fn self_edge_panics() {
-        let mut g = GraphBuilder::new();
-        g.add_task(spec(TaskClass::Other, 0));
-        g.add_edge(0, 0, DataRef { i: 0, j: 0 }, 0);
+        graph(1, &[(0, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must run from a lower id to a higher one")]
+    fn backward_edge_panics() {
+        graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]);
     }
 }

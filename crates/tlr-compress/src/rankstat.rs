@@ -137,8 +137,10 @@ impl RankSnapshot {
 
     /// Parse the [`RankSnapshot::to_text`] format. The header sizes
     /// nothing up front: ranks are stored as rows arrive, and a header
-    /// whose `nt²` overflows or whose rows are missing is an error naming
-    /// it.
+    /// whose `nt²` overflows, whose tile size is 0 or whose rows are
+    /// missing is an error naming it. A rank above the tile size, or a
+    /// non-zero rank above the diagonal (the format stores the lower
+    /// triangle), is an error naming its row and column.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty snapshot text")?;
@@ -151,6 +153,9 @@ impl RankSnapshot {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("bad tile size in header")?;
+        if tile_size == 0 {
+            return Err(format!("header `{header}`: tile size 0"));
+        }
         let cells = nt
             .checked_mul(nt)
             .ok_or_else(|| format!("header `{header}`: {nt} × {nt} tile ranks overflow"))?;
@@ -161,6 +166,19 @@ impl RankSnapshot {
             let row = row.map_err(|e| format!("row {i}: {e}"))?;
             if row.len() != nt {
                 return Err(format!("row {i}: expected {nt} ranks, got {}", row.len()));
+            }
+            for (j, &r) in row.iter().enumerate() {
+                if r > tile_size {
+                    return Err(format!(
+                        "row {i}, column {j}: rank {r} exceeds the tile size {tile_size}"
+                    ));
+                }
+                if j > i && r != 0 {
+                    return Err(format!(
+                        "row {i}, column {j}: rank {r} above the diagonal \
+                         (only the lower triangle is stored)"
+                    ));
+                }
             }
             ranks.extend(row);
         }
@@ -549,6 +567,17 @@ mod tests {
         assert!(RankSnapshot::from_text("").is_err());
         assert!(RankSnapshot::from_text("2 4\n1 2\n3").is_err()); // short row
         assert!(RankSnapshot::from_text("x y\n").is_err()); // bad header
+        // Out-of-range content names where it is.
+        for (text, names) in [
+            ("2 0\n0 0\n0 0\n", "tile size 0"),
+            ("2 50\n50 0\n70 50\n", "row 1, column 0: rank 70"),
+            ("2 50\n50 0\n0 60\n", "row 1, column 1: rank 60"),
+            // transposed: the off-diagonal rank sits above the diagonal
+            ("2 50\n50 7\n0 50\n", "row 0, column 1: rank 7 above the diagonal"),
+        ] {
+            let err = RankSnapshot::from_text(text).unwrap_err();
+            assert!(err.contains(names), "{text:?}: {err}");
+        }
     }
 
     #[test]

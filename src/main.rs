@@ -7,6 +7,8 @@
 //! * `simulate`  — price a paper-scale run on the simulated machine;
 //! * `analyze`   — run Algorithm 1 on a synthetic rank profile and print
 //!   trimming statistics;
+//! * `snapshot`  — compress a synthetic-virus RBF operator and save its
+//!   rank snapshot (`simulate snapshot=FILE` prices it);
 //! * `tune`      — auto-tune the tile size for a given problem size.
 //!
 //! Arguments are `key=value` pairs; run with no arguments for usage.
