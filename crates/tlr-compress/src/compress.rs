@@ -116,12 +116,6 @@ pub fn compress_tile(a: Matrix, config: &CompressionConfig) -> Tile {
     tile
 }
 
-/// Materialize a tile back to dense storage (inverse of compression, up to
-/// the truncation error).
-pub fn decompress_tile(t: &Tile) -> Matrix {
-    t.to_dense()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! The four TLR Cholesky tile kernels: POTRF, TRSM, SYRK, GEMM.
 //!
 //! These are HiCMA's HCORE kernels re-derived for the `U·Vᵀ` tile format.
-//! The factorization they implement is the classic left-looking tile
-//! Cholesky: for each panel `k`,
+//! The factorization they implement is the right-looking tile Cholesky:
+//! for each panel `k`, the panel is factored and the trailing matrix
+//! updated at once,
 //!
 //! ```text
 //! POTRF  : A[k][k] = L[k][k]·L[k][k]ᵀ                    (dense diagonal)
@@ -46,10 +47,12 @@
 //!   stacked columns `Qr` factors and applies them as block reflectors
 //!   (compact WY), so both stacked QRs and both re-projections run on
 //!   GEMMs; their `T` factors ride in the recycled `tau` buffers. The
-//!   product form itself is assembled straight into the stacked factors
-//!   (`gemm_serial` into a column view of them) with the update's `−1`
-//!   sign folded into the write, so neither operand factor is ever cloned
-//!   or negated via a copy.
+//!   GEMM kernel writes the product as a factor pair — one factor
+//!   borrowed from a low-rank operand, the other formed in one workspace
+//!   buffer — and applies it through the one update path behind
+//!   [`subtract_lowrank_ws`], which accumulates into a dense `C` or stacks
+//!   the pair against `C`'s factors and recompresses; no operand factor is
+//!   ever cloned.
 //!
 //! * **Pivoted-QR core truncation.** The small core `R_u·R_vᵀ` is
 //!   factored `core·P = Q_c·R_c` with column pivoting, stopped as soon as
@@ -72,7 +75,7 @@ use std::cell::RefCell;
 // BLAS variants: forking onto the rayon pool from every tile would
 // oversubscribe the executor's worker threads.
 use tlr_linalg::{
-    gemm_serial, potrf, syrk_serial, trsm, CholeskyError, ColPivQr, ColPivScratch, MatMut, Matrix,
+    gemm_serial, potrf, syrk_serial, trsm, CholeskyError, ColPivQr, ColPivScratch, Matrix,
     Qr, Side, Trans, Uplo,
 };
 
@@ -357,10 +360,10 @@ pub fn gemm_kernel(a: &Tile, b: &Tile, c: &mut Tile, config: &CompressionConfig)
 
 /// [`gemm_kernel`] against an explicit workspace.
 ///
-/// The low-rank product form is assembled **directly** into the stacked
-/// recompression factors (no operand cloning, the `−1` folded into the
-/// write), and recompression runs the implicit-Q path — see the module
-/// docs. Allocation-free in steady state.
+/// Writes the product as a factor pair `A·Bᵀ = up·vpᵀ` — one factor
+/// borrowed from a low-rank operand, the other formed in one workspace
+/// buffer — and applies it through the update path behind
+/// [`subtract_lowrank_ws`]. Allocation-free in steady state.
 pub fn gemm_kernel_ws(
     ws: &mut KernelWorkspace,
     a: &Tile,
@@ -384,126 +387,53 @@ pub fn gemm_kernel_ws(
         }
         return;
     }
-    if let Tile::Dense(cm) = c {
-        // Dense destination: form the product's owned factor in workspace
-        // and accumulate in place — no recompression on dense tiles, and
-        // the borrowed factor is used as-is (never cloned).
-        match (a, b) {
-            (Tile::LowRank { u: ua, v: va }, Tile::LowRank { u: ub, v: vb }) => {
-                let (ka, kb) = (ua.cols(), ub.cols());
-                if ka == 0 || kb == 0 {
-                    return;
-                }
-                // W = Vaᵀ·Vb  (ka × kb)
-                let mut w = ws.take(ka, kb);
-                gemm_serial(Trans::Yes, Trans::No, 1.0, va, vb, 0.0, &mut w);
-                if ka <= kb {
-                    // C −= Ua · (Ub·Wᵀ)ᵀ
-                    let mut vp = ws.take(ub.rows(), ka);
-                    gemm_serial(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, &mut vp);
-                    gemm_serial(Trans::No, Trans::Yes, -1.0, ua, &vp, 1.0, cm);
-                    ws.give(vp);
-                } else {
-                    // C −= (Ua·W) · Ubᵀ
-                    let mut up = ws.take(ua.rows(), kb);
-                    gemm_serial(Trans::No, Trans::No, 1.0, ua, &w, 0.0, &mut up);
-                    gemm_serial(Trans::No, Trans::Yes, -1.0, &up, ub, 1.0, cm);
-                    ws.give(up);
-                }
-                ws.give(w);
-            }
-            (Tile::LowRank { u: ua, v: va }, Tile::Dense(bm)) => {
-                if ua.cols() == 0 {
-                    return;
-                }
-                // C −= Ua · (B·Va)ᵀ
-                let mut vp = ws.take(bm.rows(), ua.cols());
-                gemm_serial(Trans::No, Trans::No, 1.0, bm, va, 0.0, &mut vp);
-                gemm_serial(Trans::No, Trans::Yes, -1.0, ua, &vp, 1.0, cm);
-                ws.give(vp);
-            }
-            (Tile::Dense(am), Tile::LowRank { u: ub, v: vb }) => {
-                if ub.cols() == 0 {
-                    return;
-                }
-                // C −= (A·Vb) · Ubᵀ
-                let mut up = ws.take(am.rows(), ub.cols());
-                gemm_serial(Trans::No, Trans::No, 1.0, am, vb, 0.0, &mut up);
-                gemm_serial(Trans::No, Trans::Yes, -1.0, &up, ub, 1.0, cm);
-                ws.give(up);
-            }
-            _ => unreachable!("null and dense×dense operands handled above"),
-        }
+    if [a, b].iter().any(|t| matches!(t, Tile::LowRank { u, .. } if u.cols() == 0)) {
         return;
     }
-    // Low-rank / null destination: stack `[U_c  −U_p] · [V_c  V_p]ᵀ`
-    // with the product block written straight into the workspace-backed
-    // stacked factors, then recompress.
-    let rows = c.rows();
-    let cols = c.cols();
-    let kc = match &*c {
-        Tile::LowRank { u, .. } => u.cols(),
-        _ => 0,
-    };
-    let (us, vs) = match (a, b) {
+    // A formed left factor carries the update's −1 when C stacks, so the
+    // stacking copies it as is; a dense C applies the −1 in its GEMM.
+    let left = if matches!(c, Tile::Dense(_)) { 1.0 } else { -1.0 };
+    // (formed factor, borrowed factor, whether the formed one is `up`)
+    let (formed, borrowed, formed_left) = match (a, b) {
         (Tile::LowRank { u: ua, v: va }, Tile::LowRank { u: ub, v: vb }) => {
             let (ka, kb) = (ua.cols(), ub.cols());
-            if ka == 0 || kb == 0 {
-                return;
-            }
-            let kp = ka.min(kb);
-            let mut us = ws.take(rows, kc + kp);
-            let mut vs = ws.take(cols, kc + kp);
-            copy_tile_factors(c, &mut us, &mut vs);
             // W = Vaᵀ·Vb  (ka × kb)
             let mut w = ws.take(ka, kb);
             gemm_serial(Trans::Yes, Trans::No, 1.0, va, vb, 0.0, &mut w);
-            if ka <= kb {
-                // product = (−Ua) · (Ub·Wᵀ)ᵀ, rank ka
-                copy_cols_scaled(&mut us, kc, ua, -1.0);
-                gemm_serial(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, product_cols(&mut vs, kc));
+            let pair = if ka <= kb {
+                // A·Bᵀ = Ua · (Ub·Wᵀ)ᵀ, rank ka
+                let mut vp = ws.take(ub.rows(), ka);
+                gemm_serial(Trans::No, Trans::Yes, 1.0, ub, &w, 0.0, &mut vp);
+                (vp, ua, false)
             } else {
-                // product = (−Ua·W) · Ubᵀ, rank kb
-                gemm_serial(Trans::No, Trans::No, -1.0, ua, &w, 0.0, product_cols(&mut us, kc));
-                copy_cols_scaled(&mut vs, kc, ub, 1.0);
-            }
+                // A·Bᵀ = (Ua·W) · Ubᵀ, rank kb
+                let mut up = ws.take(ua.rows(), kb);
+                gemm_serial(Trans::No, Trans::No, left, ua, &w, 0.0, &mut up);
+                (up, ub, true)
+            };
             ws.give(w);
-            (us, vs)
+            pair
         }
         (Tile::LowRank { u: ua, v: va }, Tile::Dense(bm)) => {
-            if ua.cols() == 0 {
-                return;
-            }
-            let mut us = ws.take(rows, kc + ua.cols());
-            let mut vs = ws.take(cols, kc + ua.cols());
-            copy_tile_factors(c, &mut us, &mut vs);
-            // product = (−Ua) · (B·Va)ᵀ
-            copy_cols_scaled(&mut us, kc, ua, -1.0);
-            gemm_serial(Trans::No, Trans::No, 1.0, bm, va, 0.0, product_cols(&mut vs, kc));
-            (us, vs)
+            // A·Bᵀ = Ua · (B·Va)ᵀ
+            let mut vp = ws.take(bm.rows(), ua.cols());
+            gemm_serial(Trans::No, Trans::No, 1.0, bm, va, 0.0, &mut vp);
+            (vp, ua, false)
         }
         (Tile::Dense(am), Tile::LowRank { u: ub, v: vb }) => {
-            if ub.cols() == 0 {
-                return;
-            }
-            let mut us = ws.take(rows, kc + ub.cols());
-            let mut vs = ws.take(cols, kc + ub.cols());
-            copy_tile_factors(c, &mut us, &mut vs);
-            // product = (−A·Vb) · Ubᵀ
-            gemm_serial(Trans::No, Trans::No, -1.0, am, vb, 0.0, product_cols(&mut us, kc));
-            copy_cols_scaled(&mut vs, kc, ub, 1.0);
-            (us, vs)
+            // A·Bᵀ = (A·Vb) · Ubᵀ
+            let mut up = ws.take(am.rows(), ub.cols());
+            gemm_serial(Trans::No, Trans::No, left, am, vb, 0.0, &mut up);
+            (up, ub, true)
         }
         _ => unreachable!("null and dense×dense operands handled above"),
     };
-    // The destination's factors are fully copied into `us`/`vs`, so its
-    // buffers can be reclaimed *before* recompression — that way they are
-    // in the pool when the recompressed factors are taken, which is what
-    // lets the take/give cycle reach a fixed point (reclaiming after
-    // would let each call walk off with an oversized buffer and re-grow
-    // a smaller one forever).
-    ws.give_tile(std::mem::replace(c, Tile::Null { rows, cols }));
-    *c = recompress_ws(ws, us, vs, rows, cols, config);
+    if formed_left {
+        add_lowrank_ws(ws, c, &formed, borrowed, -left, config);
+    } else {
+        add_lowrank_ws(ws, c, borrowed, &formed, -1.0, config);
+    }
+    ws.give(formed);
 }
 
 /// `C −= up · vpᵀ`, preserving/choosing C's format with recompression.
@@ -529,28 +459,44 @@ pub fn subtract_lowrank_ws(
     vp: &Matrix,
     config: &CompressionConfig,
 ) {
+    add_lowrank_ws(ws, c, up, vp, -1.0, config);
+}
+
+/// `C += alpha · up · vpᵀ`: the one update path of the TLR kernels. A
+/// dense `C` accumulates with `alpha` in its GEMM; a low-rank or null `C`
+/// stacks `[U_c  alpha·up]·[V_c  vp]ᵀ` and recompresses. `alpha` is `±1`,
+/// so the stacking copy is exact.
+fn add_lowrank_ws(
+    ws: &mut KernelWorkspace,
+    c: &mut Tile,
+    up: &Matrix,
+    vp: &Matrix,
+    alpha: f64,
+    config: &CompressionConfig,
+) {
     let kp = up.cols();
     if kp == 0 {
         return;
     }
     match c {
         Tile::Dense(cm) => {
-            gemm_serial(Trans::No, Trans::Yes, -1.0, up, vp, 1.0, cm);
+            gemm_serial(Trans::No, Trans::Yes, alpha, up, vp, 1.0, cm);
         }
         Tile::LowRank { .. } | Tile::Null { .. } => {
             let rows = c.rows();
             let cols = c.cols();
-            let kc = match &*c {
-                Tile::LowRank { u, .. } => u.cols(),
-                _ => 0,
-            };
-            // Stack factors: U_s = [U_c  −up], V_s = [V_c  vp].
+            let kc = c.rank();
             let mut us = ws.take(rows, kc + kp);
             let mut vs = ws.take(cols, kc + kp);
             copy_tile_factors(c, &mut us, &mut vs);
-            copy_cols_scaled(&mut us, kc, up, -1.0);
+            copy_cols_scaled(&mut us, kc, up, alpha);
             copy_cols_scaled(&mut vs, kc, vp, 1.0);
-            // Reclaim before recompressing — see `gemm_kernel_ws`.
+            // The destination's factors are fully copied into `us`/`vs`,
+            // so its buffers can be reclaimed *before* recompression —
+            // that way they are in the pool when the recompressed factors
+            // are taken, which is what lets the take/give cycle reach a
+            // fixed point (reclaiming after would let each call walk off
+            // with an oversized buffer and re-grow a smaller one forever).
             ws.give_tile(std::mem::replace(c, Tile::Null { rows, cols }));
             *c = recompress_ws(ws, us, vs, rows, cols, config);
         }
@@ -564,13 +510,6 @@ fn copy_tile_factors(c: &Tile, us: &mut Matrix, vs: &mut Matrix) {
         copy_cols_scaled(us, 0, u, 1.0);
         copy_cols_scaled(vs, 0, v, 1.0);
     }
-}
-
-/// Columns `[kc, ..)` of a stacked factor: where the product block of the
-/// update is written, past the destination's own `kc` columns.
-fn product_cols(stacked: &mut Matrix, kc: usize) -> MatMut<'_> {
-    let cols = stacked.cols();
-    stacked.as_mut().subcols(kc..cols)
 }
 
 /// `dst[:, j0 .. j0+src.cols()) = alpha · src` — the scaled-copy half of

@@ -31,7 +31,7 @@ pub mod matrix;
 pub mod rankstat;
 pub mod tile;
 
-pub use compress::{compress_tile, decompress_tile, low_rank_pays_off, CompressionConfig};
+pub use compress::{compress_tile, low_rank_pays_off, CompressionConfig};
 pub use integrity::{corrupt_tile, SealedTile, TileDigest, WordFold};
 pub use matrix::{certifies_null, TlrMatrix};
 pub use rankstat::{RankEvolution, RankSnapshot, SyntheticRankModel};
