@@ -10,7 +10,8 @@
 //! space every engine walks, task for task and edge for edge (recorded
 //! when the DAG was still laid out as a graph, at the commit before the
 //! builder drew its edges from `TaskKind::operands`). Its `specs` fold
-//! covers every task's priority, the key every ready queue orders by.
+//! covers every task's panel, which never decreases with the id, so id
+//! order — the one order every ready queue keeps — is panel order too.
 //!
 //! On a mismatch the assertion prints each line that moved — door and
 //! fixture are its first words — and then the whole table.
@@ -54,7 +55,7 @@ fn fnv(words: impl Iterator<Item = u64>) -> u64 {
     words.fold(0xcbf29ce484222325, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
 }
 
-/// A task space as two folds: every task's `(class, priority, writes,
+/// A task space as two folds: every task's `(class, panel, writes,
 /// flops bits)` in id order, and every successor list's `(dst, data,
 /// bytes)` in list order (each list opened by its source and length, so
 /// moving an edge between lists moves the fold).
@@ -63,7 +64,7 @@ fn graph_folds(g: &CholeskySpace) -> String {
         let s = g.spec(t);
         let w = s.writes.map_or([u64::MAX; 2], |d| [d.i as u64, d.j as u64]);
         let flops = g.price(g.kind(t)).flops;
-        [s.class as u64, s.priority as u64, w[0], w[1], flops.to_bits()]
+        [s.class as u64, g.kind(t).panel() as u64, w[0], w[1], flops.to_bits()]
     });
     let (mut succ, mut num_edges) = (Vec::new(), 0);
     let mut edges = Vec::new();
@@ -88,7 +89,7 @@ fn actual() -> String {
 
     // DES door: the paper's two presets on one synthetic snapshot, on a
     // machine small enough (4 nodes x 2 cores) that ready queues back up
-    // and the priority decides the order.
+    // and the id decides the order.
     let snap = SyntheticRankModel::from_application(32, 512, 2e-3, 1e-4).snapshot();
     let machine = MachineModel { cores_per_node: 2, ..MachineModel::shaheen_ii() };
     for (name, cfg) in [
