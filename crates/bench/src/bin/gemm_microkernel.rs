@@ -1,8 +1,8 @@
 //! Micro-benchmark of the SIMD GEMM microkernel against the seed's
 //! axpy column-sweep GEMM, plus the steady-state allocation probe.
 //!
-//! Emits `BENCH_gemm_microkernel.json` in the working directory (and
-//! echoes it to stdout). Two measurements per run:
+//! Emits `BENCH_gemm_microkernel.json` in the working directory (under
+//! `target/bench-smoke/` with `--smoke`; echoed to stdout). Two measurements per run:
 //!
 //! 1. **Gflop/s vs tile size** — `gemm_serial` (now routed through the
 //!    packed register-blocked microkernel) against a faithful copy of the
@@ -177,11 +177,11 @@ fn main() {
         rows.join(",\n")
     );
     print!("{json}");
-    std::fs::write("BENCH_gemm_microkernel.json", &json)
-        .expect("write BENCH_gemm_microkernel.json");
+    let out = tlr_bench::write_bench_json("gemm_microkernel", smoke, &json);
     eprintln!(
-        "wrote BENCH_gemm_microkernel.json (path {path_name}, min speedup {min_speedup:.2}x, \
-         max allocs/call {max_allocs})"
+        "wrote {} (path {path_name}, min speedup {min_speedup:.2}x, \
+         max allocs/call {max_allocs})",
+        out.display()
     );
 
     if max_allocs > 0 {

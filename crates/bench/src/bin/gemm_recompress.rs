@@ -2,12 +2,13 @@
 //! workspace-backed implicit-Q recompression engine versus the kept
 //! allocating explicit-Q baseline (`kernels::reference`).
 //!
-//! Emits `BENCH_gemm_recompress.json` in the working directory (and
-//! echoes it to stdout). Both paths are measured in the *same run* over
-//! a tile-size × rank grid so the speedup column is an apples-to-apples
-//! comparison on this machine, and a counting global allocator reports
-//! heap allocations per `gemm_kernel` call after warm-up (the acceptance
-//! target is exactly zero in steady state).
+//! Emits `BENCH_gemm_recompress.json` in the working directory (under
+//! `target/bench-smoke/` with `--smoke`; echoed to stdout). Both paths
+//! are measured in the *same run* over a tile-size × rank grid so the
+//! speedup column is an apples-to-apples comparison on this machine,
+//! and a counting global allocator reports heap allocations per
+//! `gemm_kernel` call after warm-up (the acceptance target is exactly
+//! zero in steady state).
 //!
 //! The grid ends in one high-rank point (`b = 150`, rank 60, factor
 //! columns decaying from 1 to the accuracy like a compressed kernel
@@ -407,11 +408,11 @@ fn main() {
         rows.join(",\n")
     );
     print!("{json}");
-    std::fs::write("BENCH_gemm_recompress.json", &json)
-        .expect("write BENCH_gemm_recompress.json");
+    let path = tlr_bench::write_bench_json("gemm_recompress", smoke, &json);
     eprintln!(
-        "wrote BENCH_gemm_recompress.json (min speedup @ b=128: {b128}, \
-         max allocs/call: {max_allocs})"
+        "wrote {} (min speedup @ b=128: {b128}, \
+         max allocs/call: {max_allocs})",
+        path.display()
     );
     if smoke && max_allocs > 0 {
         eprintln!("smoke FAILED: steady-state gemm_kernel allocated (expected 0)");

@@ -13,7 +13,8 @@
 //! detection for roughly one extra digest per task and is reported
 //! informationally.
 //!
-//! Emits `BENCH_integrity_overhead.json` (and echoes it to stdout).
+//! Emits `BENCH_integrity_overhead.json` in the working directory (under
+//! `target/bench-smoke/` with `--smoke`; echoed to stdout).
 //! `--smoke` shrinks to one small size for CI and exits nonzero when
 //! the gate fails: maintenance overhead > 5 %, or any steady-state
 //! allocation in digest computation.
@@ -271,11 +272,11 @@ fn main() {
         rows.join(",\n")
     );
     print!("{json}");
-    std::fs::write("BENCH_integrity_overhead.json", &json)
-        .expect("write BENCH_integrity_overhead.json");
+    let path = tlr_bench::write_bench_json("integrity_overhead", smoke, &json);
     eprintln!(
-        "wrote BENCH_integrity_overhead.json (maintain {max_maintain:+.2}%, verify_reads \
-         {max_verify:+.2}%, digest steady-state allocs {digest_allocs})"
+        "wrote {} (maintain {max_maintain:+.2}%, verify_reads \
+         {max_verify:+.2}%, digest steady-state allocs {digest_allocs})",
+        path.display()
     );
 
     if smoke {

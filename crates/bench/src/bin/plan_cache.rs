@@ -11,8 +11,9 @@
 //! and with one — and reports per-step planning/factorization seconds,
 //! the cold→warm planning speedup, and the cache counters.
 //!
-//! Emits `BENCH_plan_cache.json` in the working directory (ingested and
-//! gated by `bench_history`; the `_s` leaves are lower-is-better).
+//! Emits `BENCH_plan_cache.json` in the working directory, under
+//! `target/bench-smoke/` with `--smoke` (ingested and gated by
+//! `bench_history`; the `_s` leaves are lower-is-better).
 //!
 //! `--smoke` shrinks the problem and turns the acceptance checks into a
 //! CI gate: warm planning must be far below cold, the cache must count
@@ -161,10 +162,11 @@ fn main() {
         rows.join(",\n")
     );
     print!("{json}");
-    std::fs::write("BENCH_plan_cache.json", &json).expect("write BENCH_plan_cache.json");
+    let path = tlr_bench::write_bench_json("plan_cache", smoke, &json);
     eprintln!(
-        "wrote BENCH_plan_cache.json (cold {cold_plan_s:.6}s, warm max {warm_plan_s_max:.6}s, \
-         {plan_speedup:.1}x)"
+        "wrote {} (cold {cold_plan_s:.6}s, warm max {warm_plan_s_max:.6}s, \
+         {plan_speedup:.1}x)",
+        path.display()
     );
 
     // Acceptance gates (bit-identity already asserted per step above).

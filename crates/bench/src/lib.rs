@@ -14,6 +14,7 @@
 //! Set `HICMA_SCALE` to override the default downscale factor.
 
 use hicma_core::simulate::{scaled_problem, ScaledProblem};
+use std::path::{Path, PathBuf};
 use tlr_compress::{RankSnapshot, SyntheticRankModel};
 
 /// The machine half of the scaling rule, re-exported from its home for
@@ -86,6 +87,19 @@ pub fn scaled_snapshot(
     let p = scaled_problem(n_paper, b_paper, nodes_paper, s);
     let snap = SyntheticRankModel::from_application(p.nt, p.tile_size, shape, accuracy).snapshot();
     (p, snap)
+}
+
+/// Write a micro-bench's artifact `BENCH_<name>.json` and return its
+/// path: in the working directory for a full run, beside the committed
+/// full-grid file, and under `target/bench-smoke/` for a `--smoke` run,
+/// so a CI-sized run never overwrites it.
+pub fn write_bench_json(name: &str, smoke: bool, json: &str) -> PathBuf {
+    let dir = Path::new(if smoke { "target/bench-smoke" } else { "." });
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
 }
 
 /// Render a header + underline for fixed-width tables.

@@ -127,7 +127,7 @@ impl TaskKind {
         }
     }
 
-    /// The panel step `k` this task belongs to (its scheduling priority).
+    /// The panel step `k` this task belongs to.
     pub fn panel(self) -> usize {
         match self {
             TaskKind::Potrf { k }
@@ -137,10 +137,9 @@ impl TaskKind {
         }
     }
 
-    /// The runtime's view of this task: class, panel priority, the tile
-    /// it writes.
+    /// The runtime's view of this task: class and the tile it writes.
     fn spec(self) -> TaskSpec {
-        TaskSpec { class: self.class(), priority: self.panel(), writes: Some(self.operands().writes) }
+        TaskSpec { class: self.class(), writes: Some(self.operands().writes) }
     }
 }
 
@@ -471,10 +470,6 @@ impl Dataflow for CholeskySpace {
 
     fn specs(&self) -> impl Iterator<Item = TaskSpec> + '_ {
         self.kinds().map(TaskKind::spec)
-    }
-
-    fn priority(&self, t: TaskId) -> usize {
-        self.panel(t)
     }
 
     fn indegrees(&self) -> impl Iterator<Item = usize> + '_ {

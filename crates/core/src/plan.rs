@@ -14,8 +14,8 @@
 //!
 //! * the trimmed [`CholeskySpace`], whose tasks every engine walks and
 //!   runs one to one: its ids, each task's reads and their producers.
-//!   Every edge runs to a higher id, so id order is the execution order:
-//!   the panel-priority order every engine follows. No plan lays the
+//!   Every edge runs to a higher id, so id order is the execution order
+//!   every engine follows, panel by panel. No plan lays the
 //!   space out as a graph or stores an order;
 //! * on distributed plans, the layout's owner map beside it: each tile
 //!   starts on its owner, and every task that writes the tile runs

@@ -959,17 +959,16 @@ fn shared_attempt(
         noop
     };
 
-    // The engine walks the task space by panel priority and runs the
-    // task body under this engine's locks and digest checks, once per
-    // task it does not elide.
+    // The engine walks the task space in id order and runs the task
+    // body under this engine's locks and digest checks, once per task it
+    // does not elide; once `cancel` is set, the body returns at once.
     let engine_cfg = EngineConfig::new(nthreads)
-        .with_cancel(&cancel)
         .with_obs((&registry, obs.as_ref()))
         .with_elide(elides);
     let exec_t0 = std::time::Instant::now();
     let exec_result = Engine::new(space).run(&engine_cfg, |wid, t| {
         if cancel.load(Ordering::Acquire) {
-            return; // in-flight task raced with the cancellation flag
+            return; // a pivot failure or a digest mismatch cancelled the run
         }
         let kind = space.kind(t);
         let ops = kind.operands();

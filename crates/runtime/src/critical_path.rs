@@ -68,7 +68,7 @@ mod tests {
     fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> TaskGraph {
         let mut g = GraphBuilder::new();
         for _ in 0..n {
-            g.add_task(TaskSpec { class: TaskClass::Other, priority: 0, writes: None });
+            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
         }
         for &(s, d) in edges {
             g.add_edge(s, d, DataRef { i: 0, j: 0 }, 0);

@@ -18,7 +18,8 @@
 //! * a task becomes *ready* when all predecessors have finished **and**
 //!   their data has arrived at the task's process;
 //! * each process runs up to `cores_per_node` ready tasks concurrently,
-//!   picking by priority (panel index — critical path first);
+//!   picking the lowest task id first (a Cholesky space numbers its
+//!   tasks panel by panel, so the critical path's panel goes first);
 //! * communication is fully overlapped with computation (PaRSEC has a
 //!   dedicated communication thread), so transfers delay only their
 //!   consumers, never the producer's core.
@@ -110,8 +111,7 @@ enum Event {
 
 /// Run the simulation under a fault plan. `tasks[t]` gives the process
 /// and duration of task `t`; each process's ready queue is ordered by
-/// the task's `priority` (the panel index for tile Cholesky), then its
-/// id, lowest first.
+/// task id, lowest first.
 ///
 /// The machine is `nprocs` processes of `machine`, one per node. Of the
 /// model the simulator reads only what is not already in the durations:
@@ -165,15 +165,13 @@ pub fn simulate(
     Sim::new(graph, tasks, machine, nprocs, faults, restart_delay_s, trace)?.run()
 }
 
-/// One task's simulation state, packed into one record (32 bytes).
+/// One task's simulation state, packed into one record (24 bytes).
 #[derive(Debug, Clone, Copy)]
 struct TaskState {
     /// Until the task is released, the latest arrival of an input at its
     /// process; from its first launch on, when its current execution took
     /// a core. The two never overlap: no input arrives after the release.
     at: f64,
-    /// The task's ready-queue priority, read from the graph once.
-    priority: usize,
     /// Predecessors not yet finished.
     remaining: u32,
     /// Executing process: the mapping's, until a crash migrates the task.
@@ -213,28 +211,28 @@ struct Sim<'a, G: Dataflow> {
     /// events of the current instant (see [`Sim::schedule`]).
     events: EventQueue<Event>,
 
-    // Every task's progress, queue key, class, mapping and fault state
-    // (see `TaskState`), and how many tasks are done.
+    // Every task's progress, class, mapping and fault state (see
+    // `TaskState`), and how many tasks are done.
     state: Vec<TaskState>,
     completed: usize,
 
-    // Processors: free cores, the ready queue ordered by (priority, id), when
-    // the serial runtime thread is next free, the tasks occupying cores.
+    // Processors: free cores, the ready queue ordered by id, when the
+    // serial runtime thread is next free, the tasks occupying cores.
     idle: Vec<usize>,
-    queues: Vec<BinaryHeap<Reverse<(usize, TaskId)>>>,
+    queues: Vec<BinaryHeap<Reverse<TaskId>>>,
     mgmt_free: Vec<f64>,
     running: Vec<Vec<TaskId>>,
 
     // Network: when each process's communication engine (NIC / comm
     // thread) is next free, and `send`'s scratch — the producer's
     // out-edges (also `output_needed`'s), per out-edge its arrival time
-    // and whether a broadcast has taken it, and one broadcast's remote
-    // recipients as (min consumer priority, proc).
+    // and whether a broadcast has taken it, and one broadcast's distinct
+    // remote recipient processes.
     nic_free: Vec<f64>,
     edges: Vec<Edge>,
     arrival: Vec<f64>,
     grouped: Vec<bool>,
-    recipients: Vec<(usize, usize)>,
+    recipients: Vec<usize>,
 
     // Fault bookkeeping: liveness and the round-robin cursor over
     // survivors.
@@ -276,7 +274,6 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         let inputs = graph.indegrees().zip(tasks).zip(graph.specs());
         state.extend(inputs.map(|((remaining, task), spec)| TaskState {
             at: 0.0,
-            priority: spec.priority,
             remaining: u32_of(remaining),
             proc: u32_of(task.proc),
             epoch: 0,
@@ -369,13 +366,13 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         }
     }
 
-    /// Queue the task on its process by priority, then id.
+    /// Queue the task on its process by id.
     fn managed(&mut self, t: TaskId) {
         let p = self.state[t].proc as usize;
         if let Some(rec) = &mut self.recorder {
             rec.queued[t] = self.now;
         }
-        self.queues[p].push(Reverse((self.state[t].priority, t)));
+        self.queues[p].push(Reverse(t));
         self.dispatch(p);
     }
 
@@ -384,7 +381,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
     /// off the heap.
     fn dispatch(&mut self, p: usize) {
         while self.idle[p] > 0 {
-            let Some(Reverse((_, t))) = self.queues[p].pop() else {
+            let Some(Reverse(t)) = self.queues[p].pop() else {
                 break;
             };
             self.idle[p] -= 1;
@@ -461,27 +458,17 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             }
             let (datum, bytes) = (edges[e0].data, edges[e0].bytes);
             let members = || edges.iter().enumerate().skip(e0).filter(|(_, e)| e.data == datum);
-            // The distinct remote processes, ordered by their
-            // highest-priority consumer first (the runtime forwards along
-            // the critical path first), then proc id; procs are distinct,
-            // so an unstable sort is exact. A lone recipient needs no order.
+            // The distinct remote processes, by process id; they are
+            // distinct, so an unstable sort is exact.
             self.recipients.clear();
             for (m, e) in members() {
                 self.grouped[m] = true;
                 let q = tasks[e.dst].proc;
-                if q != src_proc && !self.recipients.iter().any(|&(_, rq)| rq == q) {
-                    self.recipients.push((usize::MAX, q));
+                if q != src_proc && !self.recipients.contains(&q) {
+                    self.recipients.push(q);
                 }
             }
-            if self.recipients.len() > 1 {
-                for (_, e) in members() {
-                    let q = tasks[e.dst].proc;
-                    if let Some(entry) = self.recipients.iter_mut().find(|(_, rq)| *rq == q) {
-                        entry.0 = entry.0.min(self.state[e.dst].priority);
-                    }
-                }
-                self.recipients.sort_unstable();
-            }
+            self.recipients.sort_unstable();
             let nremote = self.recipients.len();
             if nremote == 0 {
                 continue; // purely local group: no communication
@@ -505,7 +492,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             // The i-th recipient (1-based) is `floor(log2 i) + 1` hops deep.
             for (m, e) in members().filter(|(_, e)| tasks[e.dst].proc != src_proc) {
                 let q = tasks[e.dst].proc;
-                if let Some(i) = self.recipients.iter().position(|&(_, rq)| rq == q) {
+                if let Some(i) = self.recipients.iter().position(|&rq| rq == q) {
                     self.arrival[m] = nic_start + f64::from((i + 1).ilog2() + 1) * per_hop;
                 }
             }
@@ -562,7 +549,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             self.state[t].epoch += 1;
             self.events.push(restart, Event::Ready(t));
         }
-        while let Some(Reverse((_, t))) = self.queues[p].pop() {
+        while let Some(Reverse(t)) = self.queues[p].pop() {
             self.events.push(restart, Event::Ready(t));
         }
         self.idle[p] = 0;
@@ -628,18 +615,12 @@ mod tests {
     use super::*;
     use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
 
-    fn spec(priority: usize) -> TaskSpec {
-        TaskSpec {
-            class: TaskClass::Other,
-            priority,
-            writes: None,
-        }
-    }
+    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None };
 
     fn chain(n: usize) -> TaskGraph {
         let mut g = GraphBuilder::new();
-        for i in 0..n {
-            g.add_task(spec(i));
+        for _ in 0..n {
+            g.add_task(TASK);
         }
         for i in 0..n - 1 {
             g.add_edge(i, i + 1, DataRef { i: 0, j: i }, 100);
@@ -688,7 +669,7 @@ mod tests {
     fn independent_tasks_run_in_parallel() {
         let mut g = GraphBuilder::new();
         for _ in 0..8 {
-            g.add_task(spec(0));
+            g.add_task(TASK);
         }
         let g = g.finish();
         let tasks: Vec<DesTask> = (0..8)
@@ -708,8 +689,8 @@ mod tests {
     #[test]
     fn cross_proc_edge_pays_latency_and_bandwidth() {
         let mut g = GraphBuilder::new();
-        g.add_task(spec(0));
-        g.add_task(spec(1));
+        g.add_task(TASK);
+        g.add_task(TASK);
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1_000_000);
         let g = g.finish();
         let tasks = vec![
@@ -738,8 +719,8 @@ mod tests {
     #[test]
     fn same_proc_edge_is_free() {
         let mut g = GraphBuilder::new();
-        g.add_task(spec(0));
-        g.add_task(spec(1));
+        g.add_task(TASK);
+        g.add_task(TASK);
         g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1 << 30);
         let g = g.finish();
         let tasks = vec![
@@ -768,10 +749,10 @@ mod tests {
         // One producer on proc 0, consumers on procs 1..=4 with the same
         // datum. Tree depths: 1, 2, 2, 3 hops.
         let mut g = GraphBuilder::new();
-        let src = g.add_task(spec(0));
+        let src = g.add_task(TASK);
         let d = DataRef { i: 3, j: 1 };
         for _ in 0..4 {
-            let c = g.add_task(spec(1));
+            let c = g.add_task(TASK);
             g.add_edge(src, c, d, 0);
         }
         let g = g.finish();
@@ -805,9 +786,9 @@ mod tests {
         // (this is the per-dependency overhead DAG trimming removes).
         let nremote = 16usize;
         let mut g = GraphBuilder::new();
-        let src = g.add_task(spec(0));
+        let src = g.add_task(TASK);
         for i in 0..nremote {
-            let t = g.add_task(spec(1));
+            let t = g.add_task(TASK);
             // distinct datum per consumer ⇒ n separate activations
             g.add_edge(src, t, DataRef { i, j: 0 }, 0);
         }
@@ -844,10 +825,10 @@ mod tests {
         let nremote = 8usize;
         let bytes = 1_000_000u64; // 1 s at 1 MB/s
         let mut g = GraphBuilder::new();
-        let src = g.add_task(spec(0));
+        let src = g.add_task(TASK);
         let d = DataRef { i: 0, j: 0 };
         for _ in 0..nremote {
-            let t = g.add_task(spec(1));
+            let t = g.add_task(TASK);
             g.add_edge(src, t, d, bytes);
         }
         let g = g.finish();
@@ -881,10 +862,10 @@ mod tests {
         // Two payload broadcasts from the same proc: the second's
         // injection waits for the first (finite injection bandwidth).
         let mut g = GraphBuilder::new();
-        let a = g.add_task(spec(0));
-        let b = g.add_task(spec(0));
-        let ca = g.add_task(spec(1));
-        let cb = g.add_task(spec(1));
+        let a = g.add_task(TASK);
+        let b = g.add_task(TASK);
+        let ca = g.add_task(TASK);
+        let cb = g.add_task(TASK);
         g.add_edge(a, ca, DataRef { i: 0, j: 0 }, 1_000_000);
         g.add_edge(b, cb, DataRef { i: 1, j: 0 }, 1_000_000);
         let g = g.finish();
@@ -920,25 +901,33 @@ mod tests {
     }
 
     #[test]
-    fn priority_breaks_ties() {
-        // One core, held for 5 s by a blocker: two more sources queue
-        // behind it, the lazy one first by id. When the core frees, the
-        // urgent one (the lower priority value, the higher id) must take
-        // it; in id order the lazy one would.
+    fn lower_id_takes_the_freed_core() {
+        // One core on process 0, held for 5 s by a blocker. Two more tasks
+        // queue behind it: the higher id at once, the lower one at 1 s,
+        // when its feeder on process 1 finishes. When the core frees, the
+        // lower id must take it, although it arrived last.
         let mut g = GraphBuilder::new();
-        let blocker = g.add_task(spec(0));
-        let lazy = g.add_task(spec(9));
-        let urgent = g.add_task(spec(1));
+        let [blocker, feeder, low, high] = [(); 4].map(|()| g.add_task(TASK));
+        g.add_edge(feeder, low, DataRef { i: 0, j: 0 }, 0);
         let g = g.finish();
-        let tasks = [5.0, 1.0, 1.0].map(|duration| DesTask { proc: 0, duration });
+        let tasks = [(0, 5.0), (1, 1.0), (0, 1.0), (0, 1.0)]
+            .map(|(proc, duration)| DesTask { proc, duration });
         let mut trace = Trace::default();
-        let r = simulate(&g, &tasks, &ideal(1), 1, &FaultPlan::none(), 0.0, Some(&mut trace))
+        let r = simulate(&g, &tasks, &ideal(1), 2, &FaultPlan::none(), 0.0, Some(&mut trace))
             .unwrap();
-        let start = |t: TaskId| trace.records.iter().find(|rec| rec.task == t).unwrap().start;
-        assert_eq!(start(blocker), 0.0);
-        assert_eq!(start(urgent), 5.0, "the urgent task takes the freed core");
-        assert_eq!(start(lazy), 6.0, "the lazy task waits for the urgent one");
+        let rec = |t: TaskId| trace.records.iter().find(|rec| rec.task == t).unwrap();
+        assert_eq!(rec(blocker).start, 0.0);
+        assert_eq!((rec(high).queued, rec(low).queued), (0.0, 1.0));
+        assert_eq!(rec(low).start, 5.0, "the lower id takes the freed core");
+        assert_eq!(rec(high).start, 6.0, "the higher id waits for it");
         assert_eq!(r.makespan, 7.0);
+    }
+
+    /// The per-task state is 24 bytes: the simulator's memory is this
+    /// record times the task count, plus the graph's own.
+    #[test]
+    fn task_state_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<TaskState>(), 24);
     }
 
     #[test]
@@ -946,8 +935,8 @@ mod tests {
         use crate::critical_path::critical_path;
         // Random-ish layered DAG over 3 procs.
         let mut g = GraphBuilder::new();
-        let l0: Vec<_> = (0..6).map(|_| g.add_task(spec(0))).collect();
-        let l1: Vec<_> = (0..6).map(|_| g.add_task(spec(1))).collect();
+        let l0: Vec<_> = (0..6).map(|_| g.add_task(TASK)).collect();
+        let l1: Vec<_> = (0..6).map(|_| g.add_task(TASK)).collect();
         for (a, &t0) in l0.iter().enumerate() {
             for (b, &t1) in l1.iter().enumerate() {
                 if (a + b) % 2 == 0 {
@@ -983,14 +972,14 @@ mod tests {
     /// Wide two-layer DAG spread over `nprocs`, unit durations.
     fn wide_graph(width: usize) -> (TaskGraph, Vec<DesTask>) {
         let mut g = GraphBuilder::new();
-        let root = g.add_task(spec(0));
+        let root = g.add_task(TASK);
         let mut mids = Vec::new();
         for i in 0..width {
-            let m = g.add_task(spec(1));
+            let m = g.add_task(TASK);
             g.add_edge(root, m, DataRef { i, j: 0 }, 1000);
             mids.push(m);
         }
-        let sink = g.add_task(spec(2));
+        let sink = g.add_task(TASK);
         for (i, &m) in mids.iter().enumerate() {
             g.add_edge(m, sink, DataRef { i, j: 1 }, 1000);
         }
@@ -1081,9 +1070,9 @@ mod tests {
         // the chain's proc after it finished some tasks but before the
         // sink consumed them forces re-execution.
         let mut g = GraphBuilder::new();
-        let a = g.add_task(spec(0));
-        let b = g.add_task(spec(1));
-        let c = g.add_task(spec(2));
+        let a = g.add_task(TASK);
+        let b = g.add_task(TASK);
+        let c = g.add_task(TASK);
         g.add_edge(a, b, DataRef { i: 0, j: 0 }, 1000);
         g.add_edge(b, c, DataRef { i: 1, j: 0 }, 1000);
         let g = g.finish();

@@ -254,8 +254,8 @@ impl<'g, 'r, G: Dataflow> DistEngine<'g, 'r, G> {
     ///
     /// Id order *is* the schedule: every rank executes its tasks in it,
     /// front-only, which never deadlocks because every edge runs to a
-    /// higher id. On a Cholesky task space id order is the panel-priority
-    /// order (ids are grouped by panel).
+    /// higher id. On a Cholesky task space id order is panel order (ids
+    /// are grouped by panel).
     ///
     /// With `hooks`, the silent-data-corruption integrity layer is armed:
     /// the engine injects the fault plan's corruption entries (in-flight
@@ -937,18 +937,14 @@ mod tests {
         DistConfig { faults, record_trace: false, metrics: sink() }
     }
 
-    fn dspec(priority: usize, writes: DataRef) -> TaskSpec {
-        TaskSpec {
-            class: TaskClass::Other,
-            priority,
-            writes: Some(writes),
-        }
+    fn dspec(writes: DataRef) -> TaskSpec {
+        TaskSpec { class: TaskClass::Other, writes: Some(writes) }
     }
 
     fn dist_chain(n: usize) -> TaskGraph {
         let mut g = GraphBuilder::new();
         for k in 0..n {
-            g.add_task(dspec(k, DataRef { i: k, j: 0 }));
+            g.add_task(dspec(DataRef { i: k, j: 0 }));
         }
         for k in 0..n - 1 {
             g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
@@ -1346,7 +1342,7 @@ mod tests {
         let nprocs = 4usize;
         let mut g = GraphBuilder::new();
         for k in 0..n {
-            g.add_task(dspec(k, DataRef { i: k, j: 0 }));
+            g.add_task(dspec(DataRef { i: k, j: 0 }));
         }
         for k in 0..n - 1 {
             g.add_edge(k, k + 1, DataRef { i: k, j: 0 }, 8);
@@ -1376,10 +1372,10 @@ mod tests {
         let nprocs = 5usize;
         let consumers = 16usize;
         let mut g = GraphBuilder::new();
-        let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let root = g.add_task(dspec(DataRef { i: 0, j: 0 }));
         let data = DataRef { i: 0, j: 0 };
         for c in 0..consumers {
-            let t = g.add_task(dspec(1, DataRef { i: 1 + c, j: 0 }));
+            let t = g.add_task(dspec(DataRef { i: 1 + c, j: 0 }));
             g.add_edge(root, t, data, 8);
         }
         let g = g.finish();
@@ -1412,9 +1408,9 @@ mod tests {
     #[test]
     fn out_of_order_messages_parked() {
         let mut g = GraphBuilder::new();
-        let a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
-        let b = g.add_task(dspec(0, DataRef { i: 1, j: 0 }));
-        let c = g.add_task(dspec(1, DataRef { i: 2, j: 0 }));
+        let a = g.add_task(dspec(DataRef { i: 0, j: 0 }));
+        let b = g.add_task(dspec(DataRef { i: 1, j: 0 }));
+        let c = g.add_task(dspec(DataRef { i: 2, j: 0 }));
         g.add_edge(a, c, DataRef { i: 0, j: 0 }, 8);
         g.add_edge(b, c, DataRef { i: 1, j: 0 }, 8);
         let g = g.finish();
@@ -1440,13 +1436,13 @@ mod tests {
     #[test]
     fn duplicate_parked_messages_are_not_lost() {
         let mut g = GraphBuilder::new();
-        let fast = g.add_task(dspec(0, DataRef { i: 0, j: 0 })); // rank 1
-        let slow = g.add_task(dspec(0, DataRef { i: 1, j: 0 })); // rank 2
+        let fast = g.add_task(dspec(DataRef { i: 0, j: 0 })); // rank 1
+        let slow = g.add_task(dspec(DataRef { i: 1, j: 0 })); // rank 2
         // rank 0's first task waits on `slow`, so both copies of `fast`'s
         // payload arrive before their consumers run.
-        let gate = g.add_task(dspec(1, DataRef { i: 2, j: 0 }));
-        let c1 = g.add_task(dspec(2, DataRef { i: 3, j: 0 }));
-        let c2 = g.add_task(dspec(3, DataRef { i: 4, j: 0 }));
+        let gate = g.add_task(dspec(DataRef { i: 2, j: 0 }));
+        let c1 = g.add_task(dspec(DataRef { i: 3, j: 0 }));
+        let c2 = g.add_task(dspec(DataRef { i: 4, j: 0 }));
         let d_fast = DataRef { i: 0, j: 0 };
         let d_slow = DataRef { i: 1, j: 0 };
         g.add_edge(slow, gate, d_slow, 8);
@@ -1616,15 +1612,15 @@ mod tests {
         let width = 10usize;
         let nprocs = 4usize;
         let mut g = GraphBuilder::new();
-        let root = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
+        let root = g.add_task(dspec(DataRef { i: 0, j: 0 }));
         let sink_data = DataRef { i: 99, j: 0 };
         let mut mids = Vec::new();
         for m in 0..width {
-            let t = g.add_task(dspec(1, DataRef { i: 1 + m, j: 0 }));
+            let t = g.add_task(dspec(DataRef { i: 1 + m, j: 0 }));
             g.add_edge(root, t, DataRef { i: 0, j: 0 }, 8);
             mids.push(t);
         }
-        let sink = g.add_task(dspec(2, sink_data));
+        let sink = g.add_task(dspec(sink_data));
         for (m, &t) in mids.iter().enumerate() {
             g.add_edge(t, sink, DataRef { i: 1 + m, j: 0 }, 8);
         }
@@ -1678,8 +1674,8 @@ mod tests {
     #[test]
     fn missing_edge_panics_with_diagnostic() {
         let mut g = GraphBuilder::new();
-        let _a = g.add_task(dspec(0, DataRef { i: 0, j: 0 }));
-        let _b = g.add_task(dspec(1, DataRef { i: 1, j: 0 }));
+        let _a = g.add_task(dspec(DataRef { i: 0, j: 0 }));
+        let _b = g.add_task(dspec(DataRef { i: 1, j: 0 }));
         let g = g.finish();
         // no edge a → b although b reads a's datum
         let exec = vec![0, 1];

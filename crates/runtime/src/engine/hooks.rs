@@ -1,62 +1,13 @@
-//! Capability hooks of the shared-memory engine: cancellation
-//! ([`Cancel`]), elision of tasks that would do nothing ([`Elide`]) and
-//! the observation channel ([`Observe`], [`TaskEvent`]) with its two
-//! sinks, the metrics [`Registry`] and the span recorder [`ExecObs`].
+//! Capability hooks of the shared-memory engine: elision of tasks that
+//! would do nothing ([`Elide`]) and the observation channel
+//! ([`Observe`], [`TaskEvent`]) with its two sinks, the metrics
+//! [`Registry`] and the span recorder [`ExecObs`].
 
 use crate::graph::{Dataflow, TaskClass, TaskId};
 use crate::obs::registry::{Counter, Registry};
 use crate::trace::{TaskRecord, Trace};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Cancellation capability of a shared-memory run.
-///
-/// The engine polls [`Cancel::is_cancelled`] before invoking each kernel
-/// and calls [`Cancel::cancel`] when a kernel panics, so an external
-/// token observes the panic-drain. [`NoCancel`] is the zero-cost no-op;
-/// [`AtomicBool`] is the standard token.
-pub trait Cancel: Sync {
-    /// Should the remaining kernels be skipped?
-    fn is_cancelled(&self) -> bool;
-    /// Request cancellation (kernels stop, bookkeeping still drains).
-    fn cancel(&self);
-}
-
-/// No cancellation token: `is_cancelled` is a constant `false` that the
-/// optimizer removes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCancel;
-
-impl Cancel for NoCancel {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        false
-    }
-    #[inline]
-    fn cancel(&self) {}
-}
-
-impl Cancel for AtomicBool {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        self.load(Ordering::Acquire)
-    }
-    #[inline]
-    fn cancel(&self) {
-        self.store(true, Ordering::Release);
-    }
-}
-
-impl<C: Cancel + ?Sized> Cancel for &C {
-    #[inline]
-    fn is_cancelled(&self) -> bool {
-        (**self).is_cancelled()
-    }
-    #[inline]
-    fn cancel(&self) {
-        (**self).cancel()
-    }
-}
 
 /// Elision capability of a shared-memory run: which released tasks are
 /// no-ops the engine may retire without running them.
@@ -326,11 +277,7 @@ mod tests {
         assert_eq!((obs.spans.len(), std::mem::size_of::<SpanSlot>()), (ntasks, 32));
         let mut g = crate::graph::GraphBuilder::new();
         for _ in 0..ntasks {
-            g.add_task(crate::graph::TaskSpec {
-                class: TaskClass::Other,
-                priority: 0,
-                writes: None,
-            });
+            g.add_task(crate::graph::TaskSpec { class: TaskClass::Other, writes: None });
         }
         let g = g.finish();
         let at = Instant::now();

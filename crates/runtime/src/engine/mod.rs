@@ -12,13 +12,13 @@
 //! * [`Engine`] — the shared-memory work-stealing engine. Exactly one
 //!   scheduling loop over any [`Dataflow`](crate::graph::Dataflow) (a
 //!   Cholesky run hands it the implicit task space, as it does the
-//!   other engines), generic over a [`Cancel`] hook (external
-//!   cancellation token), one [`Observe`] sink and an [`Elide`] hook
-//!   (which released tasks are no-ops to retire unrun). The loop reads the
+//!   other engines), taking ready work lowest task id first, generic
+//!   over one [`Observe`] sink and an [`Elide`] hook (which released
+//!   tasks are no-ops to retire unrun). The loop reads the
 //!   clock once before and once after each kernel and reports the pair
 //!   to the sink and the scheduler alike; the metrics registry and the
 //!   span recorder ([`ExecObs`]) are both sinks of that channel. The
-//!   no-op implementations ([`NoCancel`], [`NoObserve`], [`NoElide`]) are
+//!   no-op implementations ([`NoObserve`], [`NoElide`]) are
 //!   zero-sized and their inlined methods compile away.
 //! * [`DistEngine`] — the distributed-memory engine (message-passing
 //!   emulation), over a [`Dataflow`](crate::graph::Dataflow) as well.
@@ -41,7 +41,7 @@ mod hooks;
 mod shared;
 
 pub use dist::{DistConfig, DistEngine, DistOutcome, IntegrityHooks, RankCtx};
-pub use hooks::{Cancel, Elide, ExecObs, NoCancel, NoElide, NoObserve, Observe, TaskEvent};
+pub use hooks::{Elide, ExecObs, NoElide, NoObserve, Observe, TaskEvent};
 pub use shared::{Engine, EngineConfig};
 
 use crate::fault::FtError;

@@ -8,12 +8,9 @@
 //! skip the tasks whose operands turned out null (see `hicma-core`'s
 //! session), which are most of a fine-grained trimmed DAG.
 
-use super::{
-    Cancel, Elide, EngineError, NoCancel, NoElide, NoObserve, Observe, TaskEvent, TaskPanic,
-};
+use super::{Elide, EngineError, NoElide, NoObserve, Observe, TaskEvent, TaskPanic};
 use crate::graph::{Dataflow, Edge, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -22,17 +19,14 @@ use std::time::Instant;
 /// Capability configuration of a shared-memory [`Engine`] run.
 ///
 /// Build one with [`EngineConfig::new`], then layer capabilities with
-/// [`with_cancel`](EngineConfig::with_cancel) /
 /// [`with_obs`](EngineConfig::with_obs) /
 /// [`with_elide`](EngineConfig::with_elide). Each capability is a type
 /// parameter, so a run without a capability monomorphizes to a loop
 /// that never mentions it.
 #[derive(Debug, Clone, Copy)]
-pub struct EngineConfig<C = NoCancel, O = NoObserve, E = NoElide> {
+pub struct EngineConfig<O = NoObserve, E = NoElide> {
     /// Worker threads of the pool (clamped to ≥ 1).
     pub nthreads: usize,
-    /// Cancellation hook.
-    pub cancel: C,
     /// Observation sink: the one channel every task, enqueue and steal
     /// is reported through (compose several sinks as a tuple).
     pub obs: O,
@@ -41,32 +35,25 @@ pub struct EngineConfig<C = NoCancel, O = NoObserve, E = NoElide> {
 }
 
 impl EngineConfig {
-    /// A plain run on `nthreads` workers: no cancellation token, no
-    /// sink, every task runs.
+    /// A plain run on `nthreads` workers: no sink, every task runs.
     pub fn new(nthreads: usize) -> Self {
-        EngineConfig { nthreads, cancel: NoCancel, obs: NoObserve, elide: NoElide }
+        EngineConfig { nthreads, obs: NoObserve, elide: NoElide }
     }
 }
 
-impl<C, O, E> EngineConfig<C, O, E> {
-    /// Layer a cancellation token (e.g. `&AtomicBool`) onto the run.
-    pub fn with_cancel<C2>(self, cancel: C2) -> EngineConfig<C2, O, E> {
-        let EngineConfig { nthreads, obs, elide, .. } = self;
-        EngineConfig { nthreads, cancel, obs, elide }
-    }
-
+impl<O, E> EngineConfig<O, E> {
     /// Layer a sink (e.g. `&Registry`, `obs.as_ref()` for an optional
     /// `ExecObs`, or a tuple of both) onto the run.
-    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<C, O2, E> {
-        let EngineConfig { nthreads, cancel, elide, .. } = self;
-        EngineConfig { nthreads, cancel, obs, elide }
+    pub fn with_obs<O2>(self, obs: O2) -> EngineConfig<O2, E> {
+        let EngineConfig { nthreads, elide, .. } = self;
+        EngineConfig { nthreads, obs, elide }
     }
 
     /// Layer an elision hook (any `Fn(TaskId) -> bool + Sync`) onto the
     /// run: see [`Elide`] for when it is asked and what it may claim.
-    pub fn with_elide<E2>(self, elide: E2) -> EngineConfig<C, O, E2> {
-        let EngineConfig { nthreads, cancel, obs, .. } = self;
-        EngineConfig { nthreads, cancel, obs, elide }
+    pub fn with_elide<E2>(self, elide: E2) -> EngineConfig<O, E2> {
+        let EngineConfig { nthreads, obs, .. } = self;
+        EngineConfig { nthreads, obs, elide }
     }
 }
 
@@ -78,18 +65,17 @@ impl<C, O, E> EngineConfig<C, O, E> {
 /// per-worker LIFO deques (locality: a task's just-released
 /// successor runs on the releasing worker while its inputs are
 /// cache-hot) with random stealing, seeded from the graph sources in
-/// [`TaskSpec::priority`](crate::graph::TaskSpec::priority) order (the
-/// panel index: lower first). Dependency tracking is a per-task atomic
-/// in-degree counter: the worker that retires the last predecessor
+/// ascending id. Dependency tracking is a per-task atomic in-degree
+/// counter: the worker that retires the last predecessor
 /// pushes the successor into its own deque — the "release" path of any
 /// dataflow runtime — unless the run's [`Elide`] hook claims it, in
 /// which case that worker retires it on the spot and releases its
 /// successors in turn.
 ///
 /// Kernel panics never hang the pool: the first panic flips an internal
-/// drain flag (and the [`Cancel`] hook), remaining tasks retire without
-/// running their kernels, and the panic is reported as
-/// [`EngineError::Panic`] once every worker has stopped.
+/// drain flag, remaining tasks retire without running their kernels,
+/// and the panic is reported as [`EngineError::Panic`] once every worker
+/// has stopped.
 pub struct Engine<'g, G> {
     graph: &'g G,
 }
@@ -104,10 +90,10 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
     /// calling `kernel(worker_index, task)` concurrently from the pool
     /// for every task the [`Elide`] hook does not claim.
     ///
-    /// Ready work is ordered by each task's `priority` value: sources are
-    /// seeded smallest first, and each retirement pushes its newly
-    /// released successors onto the releasing worker's LIFO deque largest
-    /// first, so the smallest is popped next while locality is preserved.
+    /// Ready work is ordered by task id: sources are seeded lowest first,
+    /// and each retirement pushes its newly released successors onto the
+    /// releasing worker's LIFO deque highest first, so the lowest is
+    /// popped next while locality is preserved.
     ///
     /// The worker index is stable for the lifetime of the pool
     /// (`0..nthreads`), so callers can give every worker an exclusive
@@ -119,9 +105,8 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
     /// mutates must tolerate a kernel dying mid-update (the TLR
     /// factorizations qualify — a poisoned run's output is discarded
     /// wholesale).
-    pub fn run<C, O, E, F>(&self, cfg: &EngineConfig<C, O, E>, kernel: F) -> Result<(), EngineError>
+    pub fn run<O, E, F>(&self, cfg: &EngineConfig<O, E>, kernel: F) -> Result<(), EngineError>
     where
-        C: Cancel,
         O: Observe,
         E: Elide,
         F: Fn(usize, TaskId) + Sync,
@@ -149,13 +134,10 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
             false
         });
         sources.append(&mut scratch.released);
-        // Seed sources smallest priority value first (the critical path
-        // first); the sort is stable, so equal values keep their id order.
-        sources.sort_by_key(|&t| graph.priority(t));
+        sources.sort_unstable();
         let completed = AtomicUsize::new(elided);
         let first_panic: Mutex<Option<TaskPanic>> = Mutex::new(None);
-        // Internal drain flag: a panic must stop the kernels even when the
-        // caller supplied no cancellation token ([`NoCancel`]).
+        // Set by the first panic: the remaining kernels are skipped.
         let draining = AtomicBool::new(false);
 
         let injector = Injector::new();
@@ -192,12 +174,11 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
                                 // sink.
                                 let start = Instant::now();
                                 let mut end = start;
-                                if !draining.load(Ordering::Acquire) && !cfg.cancel.is_cancelled() {
+                                if !draining.load(Ordering::Acquire) {
                                     if let Err(payload) =
                                         catch_unwind(AssertUnwindSafe(|| kernel(wid, t)))
                                     {
                                         draining.store(true, Ordering::Release);
-                                        cfg.cancel.cancel();
                                         let message = payload
                                             .downcast_ref::<&str>()
                                             .map(|s| s.to_string())
@@ -217,12 +198,10 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
                                 // Release successors even when draining: the
                                 // completion count must reach `n` to stop.
                                 let retired = retire(graph, indegree, cfg, wid, t, &mut scratch);
-                                // Largest priority value first onto the
-                                // LIFO deque, so the smallest is what this
-                                // worker pops next; the sort is stable, so
-                                // equal values keep their successor order.
+                                // Highest id first onto the LIFO deque, so
+                                // the lowest is what this worker pops next.
                                 let released = &mut scratch.released;
-                                released.sort_by_key(|&dst| Reverse(graph.priority(dst)));
+                                released.sort_unstable_by(|a, b| b.cmp(a));
                                 for dst in released.drain(..) {
                                     cfg.obs.observe(TaskEvent::Enqueue { wid, task: dst, at: end });
                                     local.push(dst);
@@ -267,10 +246,10 @@ struct Scratch {
 /// [`TaskEvent::Elide`]. Successors that will run are appended to
 /// `scratch.released`. Returns the number of tasks retired, `t`
 /// included.
-fn retire<G, C, O, E>(
+fn retire<G, O, E>(
     graph: &G,
     indegree: &[AtomicUsize],
-    cfg: &EngineConfig<C, O, E>,
+    cfg: &EngineConfig<O, E>,
     wid: usize,
     t: TaskId,
     scratch: &mut Scratch,
@@ -356,18 +335,12 @@ mod tests {
     use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
     use std::sync::atomic::AtomicU64;
 
-    fn spec(priority: usize) -> TaskSpec {
-        TaskSpec {
-            class: TaskClass::Other,
-            priority,
-            writes: None,
-        }
-    }
+    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None };
 
     fn chain(n: usize) -> TaskGraph {
         let mut g = GraphBuilder::new();
-        for i in 0..n {
-            g.add_task(spec(i));
+        for _ in 0..n {
+            g.add_task(TASK);
         }
         for i in 0..n - 1 {
             g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
@@ -387,27 +360,25 @@ mod tests {
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
-    /// The release order is the priority order: on one worker, a fan-out
-    /// whose successors' priorities permute their ids runs them in
-    /// ascending priority, not in id or edge order.
+    /// The release order is id order: on one worker, a fan-out whose
+    /// edges were added in a scrambled order runs its successors in
+    /// ascending id, not in edge order.
     #[test]
-    fn released_successors_run_in_priority_order() {
+    fn released_successors_run_in_id_order() {
         let width = 16;
         let mut g = GraphBuilder::new();
-        let root = g.add_task(spec(0));
+        let root = g.add_task(TASK);
+        let mids: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
         for i in 0..width {
-            // 7 is coprime to 16: priorities 1..=16 in a scrambled order
-            let mid = g.add_task(spec(1 + (7 * i) % width));
-            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
+            // 7 is coprime to 16: every successor once, in a scrambled order
+            g.add_edge(root, mids[(7 * i) % width], DataRef { i: 0, j: 0 }, 0);
         }
         let g = g.finish();
         let order = Mutex::new(Vec::new());
         Engine::new(&g)
             .run(&EngineConfig::new(1), |_w, t| order.lock().unwrap().push(t))
             .unwrap();
-        let ran: Vec<usize> =
-            order.into_inner().unwrap().iter().map(|&t| g.spec(t).priority).collect();
-        assert_eq!(ran, (0..=width).collect::<Vec<_>>());
+        assert_eq!(order.into_inner().unwrap(), (0..=width).collect::<Vec<_>>());
     }
 
     /// Every task runs exactly once, even with wide fan-out.
@@ -415,9 +386,9 @@ mod tests {
     fn fanout_runs_each_task_once() {
         let width = 500;
         let mut g = GraphBuilder::new();
-        let root = g.add_task(spec(0));
-        let mids: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(1))).collect();
-        let sink = g.add_task(spec(2));
+        let root = g.add_task(TASK);
+        let mids: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
+        let sink = g.add_task(TASK);
         for mid in mids {
             g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
             g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
@@ -445,9 +416,11 @@ mod tests {
         let layers = 50;
         let width = 8;
         let mut g = GraphBuilder::new();
-        let mut prev: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(0))).collect();
-        for l in 1..layers {
-            let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(spec(l))).collect();
+        // Each task's layer: ids are handed out layer by layer.
+        let task_layer: Vec<usize> = (0..layers * width).map(|t| t / width).collect();
+        let mut prev: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
+        for _ in 1..layers {
+            let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
             for &p in &prev {
                 for &c in &cur {
                     g.add_edge(p, c, DataRef { i: 0, j: 0 }, 0);
@@ -460,7 +433,6 @@ mod tests {
         let violations = AtomicUsize::new(0);
         // Record the maximum "wave" seen; a child running before any parent
         // would observe a lower wave than required.
-        let task_layer: Vec<usize> = (0..g.len()).map(|t| g.spec(t).priority).collect();
         Engine::new(&g)
             .run(&EngineConfig::new(8), |_w, t| {
                 let seen = level.load(Ordering::SeqCst);
@@ -484,8 +456,8 @@ mod tests {
     #[test]
     fn single_thread_ok() {
         let mut g = GraphBuilder::new();
-        let a = g.add_task(spec(0));
-        let b = g.add_task(spec(1));
+        let a = g.add_task(TASK);
+        let b = g.add_task(TASK);
         g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
         let g = g.finish();
         let order = Mutex::new(Vec::new());
@@ -495,37 +467,9 @@ mod tests {
         assert_eq!(order.into_inner().unwrap(), vec![a, b]);
     }
 
-    /// A panicking kernel must not hang the pool: the run drains, every
-    /// task is retired, and the first panic is reported — with and
-    /// without an external cancellation token, which observes the drain.
-    #[test]
-    fn panic_cancels_and_drains() {
-        let g = chain(64);
-        let ran = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        let err = Engine::new(&g)
-            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if t == 5 {
-                    panic!("kernel exploded on task {t}");
-                }
-            })
-            .unwrap_err();
-        let EngineError::Panic(p) = err else {
-            panic!("expected a panic error, got {err:?}")
-        };
-        assert_eq!(p.task, 5);
-        assert!(p.message.contains("exploded"), "{}", p.message);
-        assert!(
-            cancel.load(Ordering::SeqCst),
-            "the external token must observe the panic"
-        );
-        // Tasks after the panic drained without running their kernels.
-        assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    /// Without a token ([`NoCancel`]) a panic still drains via the
-    /// engine's internal flag.
+    /// A panicking kernel must not hang the pool: the run drains via the
+    /// engine's internal flag, every task is retired, and the first panic
+    /// is reported.
     #[test]
     fn panic_drains_without_external_token() {
         let g = chain(64);
@@ -538,28 +482,13 @@ mod tests {
                 }
             })
             .unwrap_err();
-        assert!(
-            matches!(err, EngineError::Panic(ref p) if p.task == 5),
-            "{err:?}"
-        );
+        let EngineError::Panic(p) = err else {
+            panic!("expected a panic error, got {err:?}")
+        };
+        assert_eq!(p.task, 5);
+        assert!(p.message.contains("exploded"), "{}", p.message);
+        // Tasks after the panic drained without running their kernels.
         assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    /// Caller-side cancellation stops kernels but still terminates Ok.
-    #[test]
-    fn caller_cancel_skips_remaining_kernels() {
-        let g = chain(64);
-        let ran = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        Engine::new(&g)
-            .run(&EngineConfig::new(4).with_cancel(&cancel), |_w, t| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if t == 9 {
-                    cancel.store(true, Ordering::SeqCst);
-                }
-            })
-            .unwrap();
-        assert_eq!(ran.load(Ordering::SeqCst), 10);
     }
 
     /// Observed execution: every task gets a span with sane timestamps

@@ -10,17 +10,18 @@
 //!
 //! Every graph keeps one rule: each edge runs from a lower task id to a
 //! higher one, so id order is a topological order and no order is stored
-//! or computed. The Cholesky task space numbers its tasks panel by panel
-//! and keeps the rule by construction; [`GraphBuilder::add_edge`] asserts
-//! it.
+//! or computed. It is also the one scheduling order: every engine takes
+//! its ready work lowest id first. The Cholesky task space numbers its
+//! tasks panel by panel, so id order puts the critical path's panel
+//! first, and keeps the rule by construction; [`GraphBuilder::add_edge`]
+//! asserts it.
 //!
 //! A [`TaskGraph`] is the one graph that is stored: built by hand through
 //! a [`GraphBuilder`], it is how tests hand every engine a graph of any
 //! shape (chains, diamonds, wide fan-outs). Each vertex carries its
-//! kernel class, the tile it writes and a scheduling priority, but no
-//! price (costing a task is the caller's model); each edge carries the
-//! number of bytes that flow along it (zero for pure control
-//! dependencies). The graph is flat and read-only: one task table and one
+//! kernel class and the tile it writes, but no price (costing a task is
+//! the caller's model); each edge carries the number of bytes that flow
+//! along it (zero for pure control dependencies). The graph is flat and read-only: one task table and one
 //! edge array holding every successor list back to back (CSR), laid out
 //! once, by [`GraphBuilder::finish`].
 
@@ -73,9 +74,6 @@ pub struct DataRef {
 pub struct TaskSpec {
     /// Kernel class (drives the per-class time breakdown).
     pub class: TaskClass,
-    /// Panel index `k` of tile Cholesky — used as scheduling priority
-    /// (lower `k` = closer to the critical path = higher priority).
-    pub priority: usize,
     /// The tile this task overwrites (None for read-only/bookkeeping).
     pub writes: Option<DataRef>,
 }
@@ -192,7 +190,9 @@ impl TaskGraph {
 ///
 /// Every edge runs from a lower id to a higher one, so `0..len()` is a
 /// topological order: an engine that walks ids in order visits every
-/// task after all of its predecessors, and no graph has a cycle.
+/// task after all of its predecessors, and no graph has a cycle. Id
+/// order is also the scheduling order: every ready queue pops its lowest
+/// id first.
 pub trait Dataflow {
     /// Number of tasks.
     fn len(&self) -> usize;
@@ -204,11 +204,6 @@ pub trait Dataflow {
 
     /// Task `t`'s metadata.
     fn spec(&self, t: TaskId) -> TaskSpec;
-
-    /// Task `t`'s scheduling priority, `spec(t).priority`.
-    fn priority(&self, t: TaskId) -> usize {
-        self.spec(t).priority
-    }
 
     /// Every task's metadata, in id order: what [`spec`](Dataflow::spec)
     /// answers task by task, which a derived space may walk in one pass.
@@ -233,10 +228,6 @@ impl Dataflow for TaskGraph {
         self.specs[t]
     }
 
-    fn priority(&self, t: TaskId) -> usize {
-        self.specs[t].priority
-    }
-
     fn indegrees(&self) -> impl Iterator<Item = usize> + '_ {
         self.indegree.iter().copied()
     }
@@ -251,15 +242,11 @@ impl Dataflow for TaskGraph {
 mod tests {
     use super::*;
 
-    fn spec(class: TaskClass, priority: usize) -> TaskSpec {
-        TaskSpec { class, priority, writes: None }
-    }
-
     /// `edges` over `n` tasks, added in the order given.
     fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> GraphBuilder {
         let mut g = GraphBuilder::new();
         for _ in 0..n {
-            g.add_task(spec(TaskClass::Other, 0));
+            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
         }
         for &(s, d) in edges {
             g.add_edge(s, d, DataRef { i: s, j: d }, 8);

@@ -44,9 +44,8 @@ pub mod trace;
 
 pub use des::{simulate, DesReport};
 pub use engine::{
-    Cancel, DistConfig, DistEngine, DistOutcome, Elide, Engine, EngineConfig, EngineError,
-    ExecObs, IntegrityHooks, NoCancel, NoElide, NoObserve, Observe, RankCtx, TaskEvent,
-    TaskPanic,
+    DistConfig, DistEngine, DistOutcome, Elide, Engine, EngineConfig, EngineError, ExecObs,
+    IntegrityHooks, NoElide, NoObserve, Observe, RankCtx, TaskEvent, TaskPanic,
 };
 pub use fault::{fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtError, IntegrityError};
 pub use graph::{DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};

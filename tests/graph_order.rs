@@ -29,11 +29,7 @@ fn random_dag(seed: u64, n: usize, density_pct: u64) -> TaskGraph {
     };
     let mut g = GraphBuilder::new();
     for t in 0..n {
-        g.add_task(TaskSpec {
-            class: TaskClass::Other,
-            priority: t,
-            writes: Some(DataRef { i: t, j: 0 }),
-        });
+        g.add_task(TaskSpec { class: TaskClass::Other, writes: Some(DataRef { i: t, j: 0 }) });
     }
     for b in 0..n {
         for a in 0..b {

@@ -396,12 +396,8 @@ proptest! {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
         let mut g = GraphBuilder::new();
-        for i in 0..n {
-            g.add_task(TaskSpec {
-                class: TaskClass::Other,
-                priority: i,
-                writes: None,
-            });
+        for _ in 0..n {
+            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
         }
         // random edges i → j only for i < j (guarantees acyclicity)
         let mut state = seed | 1;
