@@ -5,16 +5,18 @@
 //! the last. This bin closes the loop: it ingests every `BENCH_*.json`
 //! in the working directory into a schema-versioned, append-only
 //! `results/history.jsonl` — one row per numeric leaf, keyed by
-//! experiment, git commit, and the host's core count — and `--gate`
-//! compares the current commit's rows against the best same-host
-//! baseline in the ledger, failing on configured regressions.
+//! experiment, mode (smoke or full), git commit, and the host's core
+//! count — and `--gate` compares the current commit's rows against the
+//! best same-host, same-mode baseline in the ledger, failing on
+//! configured regressions.
 //!
 //! Rows are flat JSON objects (hand-rolled writer, parsed back with the
 //! same [`Json`] parser the metrics dumps use):
 //!
 //! ```text
-//! {"schema":1,"experiment":"trace_overhead","git_sha":"b6439af",
-//!  "host_cores":8,"metric":"max_overhead_pct","value":1.64}
+//! {"schema":2,"experiment":"trace_overhead","mode":"full",
+//!  "git_sha":"b6439af","host_cores":8,"metric":"max_overhead_pct",
+//!  "value":1.64}
 //! ```
 //!
 //! Only metrics with a known "direction" are gated (timings, overhead
@@ -25,7 +27,8 @@
 //!
 //! `--smoke` (CI mode) ingests, gates, and then runs a negative
 //! self-test: it injects an artificial +20 % regression onto a gated
-//! metric and exits nonzero unless the gate catches it.
+//! metric and exits nonzero unless the gate catches it. It appends its
+//! rows to `history.jsonl` under `--dir`, not to `--history`.
 
 use runtime::obs::json::Json;
 use std::collections::BTreeMap;
@@ -34,11 +37,12 @@ use std::process::Command;
 
 /// Ledger schema version (bump on any row-shape change; readers skip
 /// rows with a schema they don't know).
-const SCHEMA: u64 = 1;
+const SCHEMA: u64 = 2;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
     experiment: String,
+    mode: String,
     git_sha: String,
     host_cores: u64,
     metric: String,
@@ -50,6 +54,7 @@ impl Row {
         let mut o = Json::obj();
         o.insert("schema", Json::Num(SCHEMA as f64));
         o.insert("experiment", Json::Str(self.experiment.clone()));
+        o.insert("mode", Json::Str(self.mode.clone()));
         o.insert("git_sha", Json::Str(self.git_sha.clone()));
         o.insert("host_cores", Json::Num(self.host_cores as f64));
         o.insert("metric", Json::Str(self.metric.clone()));
@@ -58,11 +63,14 @@ impl Row {
     }
 
     fn from_json(v: &Json) -> Option<Row> {
-        if v.get("schema")?.as_f64()? as u64 != SCHEMA {
-            return None;
-        }
+        let mode = match v.get("schema")?.as_f64()? as u64 {
+            1 => "full", // before the mode key the ledger held full-grid runs
+            SCHEMA => v.get("mode")?.as_str()?,
+            _ => return None,
+        };
         Some(Row {
             experiment: v.get("experiment")?.as_str()?.to_string(),
+            mode: mode.to_string(),
             git_sha: v.get("git_sha")?.as_str()?.to_string(),
             host_cores: v.get("host_cores")?.as_f64()? as u64,
             metric: v.get("metric")?.as_str()?.to_string(),
@@ -181,13 +189,15 @@ fn ingest(dir: &Path, sha: &str, host_cores: u64) -> Vec<Row> {
             .unwrap_or("bench")
             .trim_start_matches("BENCH_")
             .to_string();
-        let experiment =
-            parsed.get("experiment").and_then(|v| v.as_str()).unwrap_or(&stem).to_string();
+        let field = |key| parsed.get(key).and_then(|v| v.as_str());
+        let experiment = field("experiment").unwrap_or(&stem).to_string();
+        let mode = field("mode").unwrap_or("full").to_string();
         let mut leaves = Vec::new();
         flatten("", &parsed, &mut leaves);
         for (metric, value) in leaves {
             rows.push(Row {
                 experiment: experiment.clone(),
+                mode: mode.clone(),
                 git_sha: sha.to_string(),
                 host_cores,
                 metric,
@@ -207,18 +217,20 @@ fn load_history(path: &Path) -> Vec<Row> {
         .collect()
 }
 
-/// Append `rows` not already present (same experiment+metric+sha) to
-/// the ledger; returns how many were written.
-fn append_history(path: &Path, existing: &[Row], rows: &[Row]) -> std::io::Result<usize> {
+/// What a row measured: the ledger's and the gate's key beside the sha.
+fn key(r: &Row) -> (&str, &str, &str) {
+    (r.experiment.as_str(), r.mode.as_str(), r.metric.as_str())
+}
+
+/// Append `rows` not already in the ledger at `path` (same key and sha);
+/// returns how many were written.
+fn append_history(path: &Path, rows: &[Row]) -> std::io::Result<usize> {
     use std::io::Write as _;
-    let seen: std::collections::BTreeSet<(&str, &str, &str)> = existing
-        .iter()
-        .map(|r| (r.experiment.as_str(), r.metric.as_str(), r.git_sha.as_str()))
-        .collect();
-    let fresh: Vec<&Row> = rows
-        .iter()
-        .filter(|r| !seen.contains(&(r.experiment.as_str(), r.metric.as_str(), r.git_sha.as_str())))
-        .collect();
+    let existing = load_history(path);
+    let seen: std::collections::BTreeSet<_> =
+        existing.iter().map(|r| (key(r), r.git_sha.as_str())).collect();
+    let fresh: Vec<&Row> =
+        rows.iter().filter(|r| !seen.contains(&(key(r), r.git_sha.as_str()))).collect();
     if fresh.is_empty() {
         return Ok(0);
     }
@@ -242,28 +254,22 @@ struct Violation {
 }
 
 /// Gate `current` rows against `history`: for every gated metric, the
-/// baseline is the *best* (minimum) value recorded by a different
-/// commit on a same-shaped host. No baseline → vacuous pass.
+/// baseline is the *best* (minimum) value recorded in the same mode by a
+/// different commit on a same-shaped host. No baseline → vacuous pass.
 fn gate(history: &[Row], current: &[Row]) -> Vec<Violation> {
-    let mut best: BTreeMap<(&str, &str), f64> = BTreeMap::new();
+    let mut best: BTreeMap<(&str, &str, &str), f64> = BTreeMap::new();
     for r in history {
-        let cur = current
-            .iter()
-            .find(|c| c.experiment == r.experiment && c.metric == r.metric);
-        let Some(cur) = cur else { continue };
+        let Some(cur) = current.iter().find(|c| key(c) == key(r)) else { continue };
         if r.git_sha == cur.git_sha || r.host_cores != cur.host_cores {
             continue;
         }
-        let key = (r.experiment.as_str(), r.metric.as_str());
-        let e = best.entry(key).or_insert(r.value);
+        let e = best.entry(key(r)).or_insert(r.value);
         *e = e.min(r.value);
     }
     let mut violations = Vec::new();
     for c in current {
         let Some(rule) = gate_rule(&c.metric) else { continue };
-        let Some(&baseline) = best.get(&(c.experiment.as_str(), c.metric.as_str())) else {
-            continue;
-        };
+        let Some(&baseline) = best.get(&key(c)) else { continue };
         if regressed(rule, baseline, c.value) {
             violations.push(Violation {
                 experiment: c.experiment.clone(),
@@ -281,6 +287,7 @@ fn gate(history: &[Row], current: &[Row]) -> Vec<Violation> {
 fn negative_self_test(host_cores: u64) -> bool {
     let mk = |sha: &str, value: f64| Row {
         experiment: "self_test".to_string(),
+        mode: "smoke".to_string(),
         git_sha: sha.to_string(),
         host_cores,
         metric: "factorize_seconds".to_string(),
@@ -342,14 +349,15 @@ fn main() {
         eprintln!("bench_history: negative self-test ok (injected +20% regression caught)");
     }
 
-    match append_history(&history_path, &history, &current) {
+    let ledger = if smoke { dir.join("history.jsonl") } else { history_path };
+    match append_history(&ledger, &current) {
         Ok(n) => eprintln!(
             "bench_history: {} new rows appended to {} (sha {sha}, {host_cores} cores)",
             n,
-            history_path.display()
+            ledger.display()
         ),
         Err(e) => {
-            eprintln!("bench_history: cannot write {}: {e}", history_path.display());
+            eprintln!("bench_history: cannot write {}: {e}", ledger.display());
             failed = true;
         }
     }
@@ -366,6 +374,7 @@ mod tests {
     fn row(exp: &str, sha: &str, cores: u64, metric: &str, value: f64) -> Row {
         Row {
             experiment: exp.to_string(),
+            mode: "full".to_string(),
             git_sha: sha.to_string(),
             host_cores: cores,
             metric: metric.to_string(),
@@ -377,7 +386,7 @@ mod tests {
     fn rows_round_trip_through_jsonl() {
         let r = row("trace_overhead", "abc1234", 8, "points.0.traced_s", 0.00321);
         let parsed = Json::parse(&r.to_jsonl()).expect("row must be valid JSON");
-        assert_eq!(Row::from_json(&parsed).expect("schema 1 row"), r);
+        assert_eq!(Row::from_json(&parsed).expect("schema 2 row"), r);
     }
 
     #[test]
@@ -449,6 +458,30 @@ mod tests {
         assert_eq!(gate(&history, &bad).len(), 1, "0 -> 1 allocs must trip");
         let same = vec![row("e", "new", 4, "gemm_steady_state_allocs", 0.0)];
         assert!(gate(&history, &same).is_empty());
+    }
+
+    /// A smoke run's `points.1` is another grid point than a full run's:
+    /// a full-mode baseline never gates it, a smoke one does.
+    #[test]
+    fn smoke_rows_gate_only_against_smoke_rows() {
+        let metric = "points.1.us_per_call_new";
+        let full = row("gemm_recompress", "old", 2, metric, 100.0);
+        let smoke = |sha, value| Row { mode: "smoke".into(), ..row("gemm_recompress", sha, 2, metric, value) };
+        let current = vec![smoke("new", 500.0)];
+        assert!(gate(&[full], &current).is_empty(), "a full baseline gated a smoke row");
+        assert_eq!(gate(&[smoke("old", 100.0)], &current).len(), 1);
+    }
+
+    /// Every row of the committed ledger still reads, as a full-mode row
+    /// (schema 1 predates the mode key).
+    #[test]
+    fn committed_ledger_rows_stay_readable() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/history.jsonl");
+        let text = std::fs::read_to_string(&path).expect("the committed ledger");
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        let rows = load_history(&path);
+        assert_eq!(rows.len(), lines, "a ledger row no longer parses");
+        assert!(rows.iter().all(|r| r.mode == "full"));
     }
 
     #[test]

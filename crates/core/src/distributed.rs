@@ -25,7 +25,7 @@
 //! (a crash hands the dead rank's whole store to one survivor, which
 //! keeps each tile in exactly one store). A tile is *moved* at each of
 //! those steps — matrix → rank store → matrix — and copied only onto the
-//! wire, along the dataflow edge that names it.
+//! wire, as its writer's output, once per consumer on another rank.
 
 use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::factorize::FactorConfig;

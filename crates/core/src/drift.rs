@@ -9,8 +9,9 @@
 //! per-class sums beside the busy time the run's registry measured, with
 //! the drift ratio and an anomaly flag for ratios outside a fixed band
 //! (8×). Distributed runs additionally compare the exact comm model
-//! ([`modeled_comm`]) against the traffic the engine measured — equal on
-//! a fault-free run, drifting apart under retransmissions.
+//! ([`modeled_comm`]: each task's one output, priced once per consumer on
+//! another rank) against the traffic the engine measured — equal on a
+//! fault-free run, drifting apart under retransmissions.
 //!
 //! The report is diagnostic, not normative: shared-memory runs measure
 //! wall-clock seconds against a supercomputer-calibrated model, so the
@@ -30,22 +31,19 @@ use runtime::obs::registry::{class_name, class_slot, RegistrySnapshot, NCLASSES}
 use std::fmt;
 
 /// Modeled communication of executing `graph` under the task→rank
-/// mapping `exec_rank`: one message of `edge.bytes` per dataflow edge
-/// whose producer and consumer ranks differ. This is exactly the
-/// fault-free accounting of the distributed engine, so on a clean run
-/// it equals the measured [`CommStats`] bit for bit.
+/// mapping `exec_rank`: one message of the producer's output bytes per
+/// consumer on another rank. This is exactly the fault-free accounting
+/// of the distributed engine, so on a clean run it equals the measured
+/// [`CommStats`] bit for bit.
 pub fn modeled_comm(graph: &impl Dataflow, exec_rank: &[usize]) -> CommStats {
     let mut bytes = 0u64;
     let mut messages = 0u64;
-    let mut successors = Vec::new();
+    let mut consumers = Vec::new();
     for src in 0..graph.len() {
-        graph.successors_into(src, &mut successors);
-        for e in &successors {
-            if exec_rank[src] != exec_rank[e.dst] {
-                bytes += e.bytes;
-                messages += 1;
-            }
-        }
+        let output = graph.successors_into(src, &mut consumers).bytes;
+        let remote = consumers.iter().filter(|&&dst| exec_rank[src] != exec_rank[dst]).count() as u64;
+        bytes += output * remote;
+        messages += remote;
     }
     CommStats { bytes, messages }
 }
@@ -85,8 +83,8 @@ pub struct ClassDrift {
 /// Modeled vs measured cross-rank traffic of a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommDrift {
-    /// Exact fault-free model: one message of `edge.bytes` per
-    /// cross-rank dataflow edge of the plan's task→rank mapping — the
+    /// Exact fault-free model: one message of the producer's output
+    /// bytes per cross-rank dataflow edge of the plan's task→rank mapping — the
     /// placement the engine decides its messages from, also after a
     /// crash migrated tasks (static locality).
     pub modeled: CommStats,

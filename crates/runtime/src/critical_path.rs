@@ -42,11 +42,11 @@ pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) ->
             (sink, length) = (t, end);
         }
         graph.successors_into(t, &mut successors);
-        for e in &successors {
-            debug_assert!(e.dst > t, "edge {t} → {} runs backwards", e.dst);
-            if end > start[e.dst] {
-                start[e.dst] = end;
-                pred[e.dst] = t;
+        for &dst in &successors {
+            debug_assert!(dst > t, "edge {t} → {dst} runs backwards");
+            if end > start[dst] {
+                start[dst] = end;
+                pred[dst] = t;
             }
         }
     }
@@ -63,15 +63,15 @@ pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
+    use crate::graph::{GraphBuilder, TaskClass, TaskGraph, TaskSpec};
 
     fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> TaskGraph {
         let mut g = GraphBuilder::new();
         for _ in 0..n {
-            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
+            g.add_task(TaskSpec { class: TaskClass::Other, writes: None, bytes: 0 });
         }
         for &(s, d) in edges {
-            g.add_edge(s, d, DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(s, d);
         }
         g.finish()
     }

@@ -8,10 +8,11 @@
 //! simulator asks for it, so the graph is never built. Each task has a fixed
 //! executing process (the *execution mapping* — owner-computes or the
 //! paper's remapped diamond distribution) and a duration. Dataflow edges
-//! crossing process boundaries cost communication time; edges from one
-//! producer carrying the same datum to many consumers form a
-//! binomial-tree broadcast, matching PaRSEC's collective dataflow
-//! (§VII-B discusses exactly these column/row broadcasts).
+//! crossing process boundaries cost communication time. Every task has
+//! one output, its spec's tile and bytes, so a producer's remote
+//! consumers form one binomial-tree broadcast to their distinct
+//! processes, matching PaRSEC's collective dataflow (§VII-B discusses
+//! exactly these column/row broadcasts).
 //!
 //! The simulation is a standard event-driven list scheduling:
 //!
@@ -24,7 +25,7 @@
 //!   dedicated communication thread), so transfers delay only their
 //!   consumers, never the producer's core.
 //!
-//! Zero-byte edges model *dependency activations* — the control messages
+//! A zero-byte output models *dependency activations* — the control messages
 //! the runtime sends for every cross-process dependency. Untrimmed DAGs
 //! are full of them (every null-tile task still activates successors),
 //! which is precisely the overhead Fig. 6 shows trimming removes.
@@ -37,7 +38,7 @@
 use crate::engine::EngineError;
 use crate::event_queue::EventQueue;
 use crate::fault::{fault_unit, FaultPlan, FtError};
-use crate::graph::{Dataflow, Edge, TaskClass, TaskId};
+use crate::graph::{Dataflow, TaskClass, TaskId};
 use crate::machine::MachineModel;
 use crate::trace::{ClassBreakdown, TaskRecord, Trace};
 use std::cmp::Reverse;
@@ -225,13 +226,10 @@ struct Sim<'a, G: Dataflow> {
 
     // Network: when each process's communication engine (NIC / comm
     // thread) is next free, and `send`'s scratch — the producer's
-    // out-edges (also `output_needed`'s), per out-edge its arrival time
-    // and whether a broadcast has taken it, and one broadcast's distinct
+    // consumers (also `output_needed`'s) and its broadcast's distinct
     // remote recipient processes.
     nic_free: Vec<f64>,
-    edges: Vec<Edge>,
-    arrival: Vec<f64>,
-    grouped: Vec<bool>,
+    consumers: Vec<TaskId>,
     recipients: Vec<usize>,
 
     // Fault bookkeeping: liveness and the round-robin cursor over
@@ -310,9 +308,7 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             mgmt_free: vec![0.0; nprocs],
             running: vec![Vec::new(); nprocs],
             nic_free: vec![0.0; nprocs],
-            edges: Vec::new(),
-            arrival: Vec::new(),
-            grouped: Vec::new(),
+            consumers: Vec::new(),
             recipients: Vec::new(),
             dead: vec![false; nprocs],
             rr: 0,
@@ -436,43 +432,32 @@ impl<'a, G: Dataflow> Sim<'a, G> {
         self.dispatch(p);
     }
 
-    /// The network model: price `t`'s outputs leaving process `p`, then
-    /// release its successors. Local edges are immediate; the edges of one
-    /// datum form a binomial-tree broadcast to its distinct remote
-    /// processes, whose injections the producer's communication engine
-    /// (one comm thread / finite NIC bandwidth, as in PaRSEC) serializes.
+    /// The network model: price `t`'s output leaving process `p`, then
+    /// release its successors. Local consumers have it at once; its
+    /// distinct remote processes get it by one binomial-tree broadcast,
+    /// whose injections the producer's communication engine (one comm
+    /// thread / finite NIC bandwidth, as in PaRSEC) serializes.
     /// Destinations are the *original* mapping also after a crash (the
     /// engine's static-locality invariant).
     fn send(&mut self, t: TaskId, p: usize) {
         let (graph, tasks, machine) = (self.graph, self.tasks, self.machine);
-        let mut edges = std::mem::take(&mut self.edges);
-        graph.successors_into(t, &mut edges);
+        let mut consumers = std::mem::take(&mut self.consumers);
+        let bytes = graph.successors_into(t, &mut consumers).bytes;
         let src_proc = tasks[t].proc;
-        self.arrival.clear();
-        self.arrival.resize(edges.len(), self.now);
-        self.grouped.clear();
-        self.grouped.resize(edges.len(), false);
-        for e0 in 0..edges.len() {
-            if self.grouped[e0] {
-                continue;
+        // The distinct remote processes, by process id; they are
+        // distinct, so an unstable sort is exact.
+        self.recipients.clear();
+        for &dst in &consumers {
+            let q = tasks[dst].proc;
+            if q != src_proc && !self.recipients.contains(&q) {
+                self.recipients.push(q);
             }
-            let (datum, bytes) = (edges[e0].data, edges[e0].bytes);
-            let members = || edges.iter().enumerate().skip(e0).filter(|(_, e)| e.data == datum);
-            // The distinct remote processes, by process id; they are
-            // distinct, so an unstable sort is exact.
-            self.recipients.clear();
-            for (m, e) in members() {
-                self.grouped[m] = true;
-                let q = tasks[e.dst].proc;
-                if q != src_proc && !self.recipients.contains(&q) {
-                    self.recipients.push(q);
-                }
-            }
-            self.recipients.sort_unstable();
-            let nremote = self.recipients.len();
-            if nremote == 0 {
-                continue; // purely local group: no communication
-            }
+        }
+        self.recipients.sort_unstable();
+        let nremote = self.recipients.len();
+        let (nic_start, per_hop) = if nremote == 0 {
+            (self.now, 0.0) // purely local: no communication
+        } else {
             self.report.comm.messages += nremote as u64;
             self.report.comm.bytes += bytes * nremote as u64;
             // Payload broadcasts pipeline (chain bcast / DMA): the root
@@ -480,26 +465,27 @@ impl<'a, G: Dataflow> Sim<'a, G> {
             // dependency activations are individual control messages the
             // communication thread processes one by one — the per-edge
             // overhead DAG trimming removes (§VI).
-            let (per_hop, xfer, nsends) = if bytes > 0 {
+            let (hop, xfer, nsends) = if bytes > 0 {
                 let xfer = bytes as f64 / machine.bandwidth_bps;
                 (machine.latency_s + xfer, xfer, 1.0)
             } else {
                 let dep = machine.dep_overhead_s;
                 (dep, dep, nremote as f64)
             };
-            let nic_start = self.nic_free[p].max(self.now);
-            self.nic_free[p] = nic_start + nsends * xfer;
-            // The i-th recipient (1-based) is `floor(log2 i) + 1` hops deep.
-            for (m, e) in members().filter(|(_, e)| tasks[e.dst].proc != src_proc) {
-                let q = tasks[e.dst].proc;
-                if let Some(i) = self.recipients.iter().position(|&rq| rq == q) {
-                    self.arrival[m] = nic_start + f64::from((i + 1).ilog2() + 1) * per_hop;
-                }
-            }
-        }
-        for (m, e) in edges.iter().enumerate() {
-            let (dst, arrival) = (e.dst, self.arrival[m]);
+            let start = self.nic_free[p].max(self.now);
+            self.nic_free[p] = start + nsends * xfer;
+            (start, hop)
+        };
+        for &dst in &consumers {
             debug_assert!(dst > t, "edge {t} → {dst} runs backwards");
+            let q = tasks[dst].proc;
+            let arrival = if q == src_proc {
+                self.now
+            } else {
+                // The i-th recipient (1-based) is `floor(log2 i) + 1` hops deep.
+                let i = self.recipients.partition_point(|&rq| rq < q);
+                nic_start + f64::from((i + 1).ilog2() + 1) * per_hop
+            };
             let consumer = &mut self.state[dst];
             if arrival > consumer.at {
                 consumer.at = arrival;
@@ -510,13 +496,13 @@ impl<'a, G: Dataflow> Sim<'a, G> {
                 self.schedule(at, Event::Ready(dst));
             }
         }
-        self.edges = edges;
+        self.consumers = consumers;
     }
 
     /// Does a not-yet-finished consumer still need `t`'s output?
     fn output_needed(&mut self, t: TaskId) -> bool {
-        self.graph.successors_into(t, &mut self.edges);
-        self.edges.iter().any(|e| !self.state[e.dst].done)
+        self.graph.successors_into(t, &mut self.consumers);
+        self.consumers.iter().any(|&dst| !self.state[dst].done)
     }
 
     /// Schedule completed task `t` to run again after the detection
@@ -615,15 +601,25 @@ mod tests {
     use super::*;
     use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
 
-    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None };
+    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None, bytes: 0 };
+
+    /// A task on process `proc`, running `duration` seconds.
+    fn on(proc: usize, duration: f64) -> DesTask {
+        DesTask { proc, duration }
+    }
+
+    /// A task whose output is tile `(i, j)`, `bytes` long.
+    fn writes(i: usize, j: usize, bytes: u64) -> TaskSpec {
+        TaskSpec { class: TaskClass::Other, writes: Some(DataRef { i, j }), bytes }
+    }
 
     fn chain(n: usize) -> TaskGraph {
         let mut g = GraphBuilder::new();
-        for _ in 0..n {
-            g.add_task(TASK);
+        for i in 0..n {
+            g.add_task(writes(0, i, 100));
         }
         for i in 0..n - 1 {
-            g.add_edge(i, i + 1, DataRef { i: 0, j: i }, 100);
+            g.add_edge(i, i + 1);
         }
         g.finish()
     }
@@ -654,12 +650,7 @@ mod tests {
     #[test]
     fn serial_chain_time_is_sum() {
         let g = chain(10);
-        let tasks: Vec<DesTask> = (0..10)
-            .map(|_| DesTask {
-                proc: 0,
-                duration: 2.0,
-            })
-            .collect();
+        let tasks = vec![on(0, 2.0); 10];
         let r = run(&g, &tasks, &ideal(4), 1).unwrap();
         assert!((r.makespan - 20.0).abs() < 1e-12);
         assert_eq!(r.comm, CommStats::default());
@@ -672,12 +663,7 @@ mod tests {
             g.add_task(TASK);
         }
         let g = g.finish();
-        let tasks: Vec<DesTask> = (0..8)
-            .map(|_| DesTask {
-                proc: 0,
-                duration: 1.0,
-            })
-            .collect();
+        let tasks = vec![on(0, 1.0); 8];
         // 4 cores → 8 unit tasks take 2 seconds
         let r = run(&g, &tasks, &ideal(4), 1).unwrap();
         assert!((r.makespan - 2.0).abs() < 1e-12);
@@ -689,20 +675,11 @@ mod tests {
     #[test]
     fn cross_proc_edge_pays_latency_and_bandwidth() {
         let mut g = GraphBuilder::new();
+        g.add_task(writes(0, 0, 1_000_000));
         g.add_task(TASK);
-        g.add_task(TASK);
-        g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1_000_000);
+        g.add_edge(0, 1);
         let g = g.finish();
-        let tasks = vec![
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 1,
-                duration: 1.0,
-            },
-        ];
+        let tasks = vec![on(0, 1.0), on(1, 1.0)];
         let machine = MachineModel {
             latency_s: 0.5,
             bandwidth_bps: 1e6, // 1 MB/s → 1 s for the payload
@@ -719,20 +696,11 @@ mod tests {
     #[test]
     fn same_proc_edge_is_free() {
         let mut g = GraphBuilder::new();
+        g.add_task(writes(0, 0, 1 << 30));
         g.add_task(TASK);
-        g.add_task(TASK);
-        g.add_edge(0, 1, DataRef { i: 0, j: 0 }, 1 << 30);
+        g.add_edge(0, 1);
         let g = g.finish();
-        let tasks = vec![
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-        ];
+        let tasks = vec![on(0, 1.0), on(0, 1.0)];
         let machine = MachineModel {
             latency_s: 10.0,
             bandwidth_bps: 1.0,
@@ -746,25 +714,18 @@ mod tests {
 
     #[test]
     fn broadcast_uses_binomial_tree() {
-        // One producer on proc 0, consumers on procs 1..=4 with the same
-        // datum. Tree depths: 1, 2, 2, 3 hops.
+        // One producer on proc 0, consumers of its output on procs 1..=4.
+        // Tree depths: 1, 2, 2, 3 hops.
         let mut g = GraphBuilder::new();
-        let src = g.add_task(TASK);
-        let d = DataRef { i: 3, j: 1 };
+        let src = g.add_task(writes(3, 1, 0));
         for _ in 0..4 {
             let c = g.add_task(TASK);
-            g.add_edge(src, c, d, 0);
+            g.add_edge(src, c);
         }
         let g = g.finish();
-        let mut tasks = vec![DesTask {
-            proc: 0,
-            duration: 1.0,
-        }];
+        let mut tasks = vec![on(0, 1.0)];
         for p in 1..=4 {
-            tasks.push(DesTask {
-                proc: p,
-                duration: 0.0,
-            });
+            tasks.push(on(p, 0.0));
         }
         let machine = MachineModel {
             bandwidth_bps: 1e9,
@@ -780,33 +741,27 @@ mod tests {
 
     #[test]
     fn activation_storm_serializes_on_comm_thread() {
-        // One producer fires zero-byte activations at consumers on many
-        // distinct procs: the sender's comm thread handles each control
-        // message one by one, so the LAST consumer waits ~n·dep_overhead
-        // (this is the per-dependency overhead DAG trimming removes).
+        // Producers on process 0, finishing together, fire zero-byte
+        // activations at consumers on many distinct procs: the sender's
+        // comm thread handles each control message one by one, so the
+        // LAST consumer waits ~n·dep_overhead (this is the per-dependency
+        // overhead DAG trimming removes).
         let nremote = 16usize;
         let mut g = GraphBuilder::new();
-        let src = g.add_task(TASK);
-        for i in 0..nremote {
+        let srcs: Vec<TaskId> = (0..nremote).map(|i| g.add_task(writes(i, 0, 0))).collect();
+        for &src in &srcs {
             let t = g.add_task(TASK);
-            // distinct datum per consumer ⇒ n separate activations
-            g.add_edge(src, t, DataRef { i, j: 0 }, 0);
+            g.add_edge(src, t);
         }
         let g = g.finish();
-        let mut tasks = vec![DesTask {
-            proc: 0,
-            duration: 1.0,
-        }];
+        let mut tasks = vec![on(0, 1.0); nremote];
         for i in 0..nremote {
-            tasks.push(DesTask {
-                proc: 1 + i,
-                duration: 0.0,
-            });
+            tasks.push(on(1 + i, 0.0));
         }
         let machine = MachineModel {
             bandwidth_bps: 1e12,
             dep_overhead_s: 0.5,
-            ..ideal(1)
+            ..ideal(nremote) // every producer runs at once
         };
         let r = run(&g, &tasks, &machine, 1 + nremote).unwrap();
         // n activations of 0.5 s serialize on proc 0's comm engine,
@@ -825,22 +780,15 @@ mod tests {
         let nremote = 8usize;
         let bytes = 1_000_000u64; // 1 s at 1 MB/s
         let mut g = GraphBuilder::new();
-        let src = g.add_task(TASK);
-        let d = DataRef { i: 0, j: 0 };
+        let src = g.add_task(writes(0, 0, bytes));
         for _ in 0..nremote {
             let t = g.add_task(TASK);
-            g.add_edge(src, t, d, bytes);
+            g.add_edge(src, t);
         }
         let g = g.finish();
-        let mut tasks = vec![DesTask {
-            proc: 0,
-            duration: 1.0,
-        }];
+        let mut tasks = vec![on(0, 1.0)];
         for i in 0..nremote {
-            tasks.push(DesTask {
-                proc: 1 + i,
-                duration: 0.0,
-            });
+            tasks.push(on(1 + i, 0.0));
         }
         let machine = MachineModel {
             bandwidth_bps: 1e6,
@@ -862,31 +810,14 @@ mod tests {
         // Two payload broadcasts from the same proc: the second's
         // injection waits for the first (finite injection bandwidth).
         let mut g = GraphBuilder::new();
-        let a = g.add_task(TASK);
-        let b = g.add_task(TASK);
+        let a = g.add_task(writes(0, 0, 1_000_000));
+        let b = g.add_task(writes(1, 0, 1_000_000));
         let ca = g.add_task(TASK);
         let cb = g.add_task(TASK);
-        g.add_edge(a, ca, DataRef { i: 0, j: 0 }, 1_000_000);
-        g.add_edge(b, cb, DataRef { i: 1, j: 0 }, 1_000_000);
+        g.add_edge(a, ca);
+        g.add_edge(b, cb);
         let g = g.finish();
-        let tasks = vec![
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 1,
-                duration: 0.0,
-            },
-            DesTask {
-                proc: 2,
-                duration: 0.0,
-            },
-        ];
+        let tasks = vec![on(0, 1.0), on(0, 1.0), on(1, 0.0), on(2, 0.0)];
         let machine = MachineModel {
             bandwidth_bps: 1e6, // 1 s per copy
             ..ideal(2)          // both producers run concurrently
@@ -908,10 +839,9 @@ mod tests {
         // lower id must take it, although it arrived last.
         let mut g = GraphBuilder::new();
         let [blocker, feeder, low, high] = [(); 4].map(|()| g.add_task(TASK));
-        g.add_edge(feeder, low, DataRef { i: 0, j: 0 }, 0);
+        g.add_edge(feeder, low);
         let g = g.finish();
-        let tasks = [(0, 5.0), (1, 1.0), (0, 1.0), (0, 1.0)]
-            .map(|(proc, duration)| DesTask { proc, duration });
+        let tasks = [on(0, 5.0), on(1, 1.0), on(0, 1.0), on(0, 1.0)];
         let mut trace = Trace::default();
         let r = simulate(&g, &tasks, &ideal(1), 2, &FaultPlan::none(), 0.0, Some(&mut trace))
             .unwrap();
@@ -935,22 +865,17 @@ mod tests {
         use crate::critical_path::critical_path;
         // Random-ish layered DAG over 3 procs.
         let mut g = GraphBuilder::new();
-        let l0: Vec<_> = (0..6).map(|_| g.add_task(TASK)).collect();
+        let l0: Vec<_> = (0..6).map(|a| g.add_task(writes(a, 0, 1000))).collect();
         let l1: Vec<_> = (0..6).map(|_| g.add_task(TASK)).collect();
         for (a, &t0) in l0.iter().enumerate() {
             for (b, &t1) in l1.iter().enumerate() {
                 if (a + b) % 2 == 0 {
-                    g.add_edge(t0, t1, DataRef { i: a, j: 0 }, 1000);
+                    g.add_edge(t0, t1);
                 }
             }
         }
         let g = g.finish();
-        let tasks: Vec<DesTask> = (0..g.len())
-            .map(|t| DesTask {
-                proc: t % 3,
-                duration: 1.0 + (t % 4) as f64,
-            })
-            .collect();
+        let tasks: Vec<DesTask> = (0..g.len()).map(|t| on(t % 3, 1.0 + (t % 4) as f64)).collect();
         let machine = MachineModel {
             latency_s: 1e-3,
             bandwidth_bps: 1e9,
@@ -969,27 +894,24 @@ mod tests {
 
     // ---------------- fault schedule ----------------
 
-    /// Wide two-layer DAG spread over `nprocs`, unit durations.
+    /// Wide two-layer DAG spread over `nprocs`, unit durations: the root
+    /// broadcasts its tile to every mid task, each mid task sends its own
+    /// to the sink.
     fn wide_graph(width: usize) -> (TaskGraph, Vec<DesTask>) {
         let mut g = GraphBuilder::new();
-        let root = g.add_task(TASK);
+        let root = g.add_task(writes(0, 0, 1000));
         let mut mids = Vec::new();
         for i in 0..width {
-            let m = g.add_task(TASK);
-            g.add_edge(root, m, DataRef { i, j: 0 }, 1000);
+            let m = g.add_task(writes(i, 1, 1000));
+            g.add_edge(root, m);
             mids.push(m);
         }
         let sink = g.add_task(TASK);
-        for (i, &m) in mids.iter().enumerate() {
-            g.add_edge(m, sink, DataRef { i, j: 1 }, 1000);
+        for &m in &mids {
+            g.add_edge(m, sink);
         }
         let g = g.finish();
-        let tasks: Vec<DesTask> = (0..g.len())
-            .map(|t| DesTask {
-                proc: t % 3,
-                duration: 1.0,
-            })
-            .collect();
+        let tasks: Vec<DesTask> = (0..g.len()).map(|t| on(t % 3, 1.0)).collect();
         (g, tasks)
     }
 
@@ -1070,26 +992,13 @@ mod tests {
         // the chain's proc after it finished some tasks but before the
         // sink consumed them forces re-execution.
         let mut g = GraphBuilder::new();
-        let a = g.add_task(TASK);
-        let b = g.add_task(TASK);
+        let a = g.add_task(writes(0, 0, 1000));
+        let b = g.add_task(writes(1, 0, 1000));
         let c = g.add_task(TASK);
-        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 1000);
-        g.add_edge(b, c, DataRef { i: 1, j: 0 }, 1000);
+        g.add_edge(a, b);
+        g.add_edge(b, c);
         let g = g.finish();
-        let tasks = vec![
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 0,
-                duration: 1.0,
-            },
-            DesTask {
-                proc: 1,
-                duration: 10.0,
-            },
-        ];
+        let tasks = vec![on(0, 1.0), on(0, 1.0), on(1, 10.0)];
         let cfg = faulty_machine();
         // Crash proc 0 while the sink is still running: b's output is no
         // longer needed (c already has it) but the model re-runs tasks
@@ -1174,20 +1083,19 @@ mod tests {
     fn misconfiguration_is_a_typed_error() {
         let g = chain(2);
         let cfg = ideal(1);
-        let on = |proc| DesTask { proc, duration: 1.0 };
         // fewer DesTasks than graph tasks
         assert_eq!(
-            run(&g, &[on(0)], &cfg, 1).unwrap_err(),
+            run(&g, &[on(0, 1.0)], &cfg, 1).unwrap_err(),
             EngineError::RankMapLength { expected: 2, got: 1 }
         );
         // a process id out of range
         assert_eq!(
-            run(&g, &[on(0), on(3)], &cfg, 1).unwrap_err(),
+            run(&g, &[on(0, 1.0), on(3, 1.0)], &cfg, 1).unwrap_err(),
             EngineError::InvalidRank { task: 1, rank: 3, nprocs: 1 }
         );
         // a machine with no cores
         assert_eq!(
-            run(&g, &[on(0), on(0)], &ideal(0), 1).unwrap_err(),
+            run(&g, &[on(0, 1.0), on(0, 1.0)], &ideal(0), 1).unwrap_err(),
             EngineError::EmptyMachine { nprocs: 1, cores_per_proc: 0 }
         );
     }
@@ -1195,12 +1103,7 @@ mod tests {
     #[test]
     fn report_metrics() {
         let g = chain(4);
-        let tasks: Vec<DesTask> = (0..4)
-            .map(|p| DesTask {
-                proc: p % 2,
-                duration: 1.0,
-            })
-            .collect();
+        let tasks: Vec<DesTask> = (0..4).map(|p| on(p % 2, 1.0)).collect();
         let r = run(&g, &tasks, &ideal(1), 2).unwrap();
         assert_eq!(r.busy_per_proc, [2.0, 2.0]);
         assert_eq!(r.breakdown.other, 4.0);

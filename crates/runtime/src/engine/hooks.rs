@@ -277,7 +277,7 @@ mod tests {
         assert_eq!((obs.spans.len(), std::mem::size_of::<SpanSlot>()), (ntasks, 32));
         let mut g = crate::graph::GraphBuilder::new();
         for _ in 0..ntasks {
-            g.add_task(crate::graph::TaskSpec { class: TaskClass::Other, writes: None });
+            g.add_task(crate::graph::TaskSpec { class: TaskClass::Other, writes: None, bytes: 0 });
         }
         let g = g.finish();
         let at = Instant::now();

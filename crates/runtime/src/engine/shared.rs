@@ -9,7 +9,7 @@
 //! session), which are most of a fine-grained trimmed DAG.
 
 use super::{Elide, EngineError, NoElide, NoObserve, Observe, TaskEvent, TaskPanic};
-use crate::graph::{Dataflow, Edge, TaskId};
+use crate::graph::{Dataflow, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -233,7 +233,7 @@ impl<'g, G: Dataflow + Sync> Engine<'g, G> {
 #[derive(Default)]
 struct Scratch {
     /// The successor list of the task being retired.
-    successors: Vec<Edge>,
+    successors: Vec<TaskId>,
     /// Released tasks the hook claimed, not yet retired.
     elided: Vec<TaskId>,
     /// Released tasks that will run, appended in release order.
@@ -265,16 +265,16 @@ where
     while let Some(r) = next {
         retired += 1;
         graph.successors_into(r, successors);
-        for e in successors.iter() {
-            debug_assert!(e.dst > r, "edge {r} → {} runs backwards", e.dst);
-            if indegree[e.dst].fetch_sub(1, Ordering::AcqRel) != 1 {
+        for &dst in successors.iter() {
+            debug_assert!(dst > r, "edge {r} → {dst} runs backwards");
+            if indegree[dst].fetch_sub(1, Ordering::AcqRel) != 1 {
                 continue;
             }
-            if cfg.elide.elides(e.dst) {
-                cfg.obs.observe(TaskEvent::Elide { wid, task: e.dst });
-                elided.push(e.dst);
+            if cfg.elide.elides(dst) {
+                cfg.obs.observe(TaskEvent::Elide { wid, task: dst });
+                elided.push(dst);
             } else {
-                released.push(e.dst);
+                released.push(dst);
             }
         }
         next = elided.pop();
@@ -332,10 +332,10 @@ fn find_task<O: Observe>(
 mod tests {
     use super::*;
     use crate::engine::ExecObs;
-    use crate::graph::{DataRef, GraphBuilder, TaskClass, TaskGraph, TaskSpec};
+    use crate::graph::{GraphBuilder, TaskClass, TaskGraph, TaskSpec};
     use std::sync::atomic::AtomicU64;
 
-    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None };
+    const TASK: TaskSpec = TaskSpec { class: TaskClass::Other, writes: None, bytes: 0 };
 
     fn chain(n: usize) -> TaskGraph {
         let mut g = GraphBuilder::new();
@@ -343,7 +343,7 @@ mod tests {
             g.add_task(TASK);
         }
         for i in 0..n - 1 {
-            g.add_edge(i, i + 1, DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(i, i + 1);
         }
         g.finish()
     }
@@ -371,7 +371,7 @@ mod tests {
         let mids: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
         for i in 0..width {
             // 7 is coprime to 16: every successor once, in a scrambled order
-            g.add_edge(root, mids[(7 * i) % width], DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(root, mids[(7 * i) % width]);
         }
         let g = g.finish();
         let order = Mutex::new(Vec::new());
@@ -390,8 +390,8 @@ mod tests {
         let mids: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
         let sink = g.add_task(TASK);
         for mid in mids {
-            g.add_edge(root, mid, DataRef { i: 0, j: 0 }, 0);
-            g.add_edge(mid, sink, DataRef { i: 0, j: 0 }, 0);
+            g.add_edge(root, mid);
+            g.add_edge(mid, sink);
         }
         let g = g.finish();
         let counts: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
@@ -423,7 +423,7 @@ mod tests {
             let cur: Vec<TaskId> = (0..width).map(|_| g.add_task(TASK)).collect();
             for &p in &prev {
                 for &c in &cur {
-                    g.add_edge(p, c, DataRef { i: 0, j: 0 }, 0);
+                    g.add_edge(p, c);
                 }
             }
             prev = cur;
@@ -458,7 +458,7 @@ mod tests {
         let mut g = GraphBuilder::new();
         let a = g.add_task(TASK);
         let b = g.add_task(TASK);
-        g.add_edge(a, b, DataRef { i: 0, j: 0 }, 0);
+        g.add_edge(a, b);
         let g = g.finish();
         let order = Mutex::new(Vec::new());
         Engine::new(&g)

@@ -8,21 +8,25 @@
 //! list on demand from the symbolic structure, as PaRSEC evaluates a
 //! Parameterized Task Graph.
 //!
-//! Every graph keeps one rule: each edge runs from a lower task id to a
+//! Every graph keeps two rules. Each edge runs from a lower task id to a
 //! higher one, so id order is a topological order and no order is stored
 //! or computed. It is also the one scheduling order: every engine takes
 //! its ready work lowest id first. The Cholesky task space numbers its
 //! tasks panel by panel, so id order puts the critical path's panel
 //! first, and keeps the rule by construction; [`GraphBuilder::add_edge`]
-//! asserts it.
+//! asserts it. And each task has one output, as each task class of the
+//! paper's PTG has one output flow: the tile it writes
+//! ([`TaskSpec::writes`]), [`TaskSpec::bytes`] long, which every one of
+//! its successors reads. An edge is just producer → consumer; what it
+//! carries is the producer's, so a task's remote consumers form one
+//! broadcast.
 //!
 //! A [`TaskGraph`] is the one graph that is stored: built by hand through
 //! a [`GraphBuilder`], it is how tests hand every engine a graph of any
 //! shape (chains, diamonds, wide fan-outs). Each vertex carries its
-//! kernel class and the tile it writes, but no price (costing a task is
-//! the caller's model); each edge carries the number of bytes that flow
-//! along it (zero for pure control dependencies). The graph is flat and read-only: one task table and one
-//! edge array holding every successor list back to back (CSR), laid out
+//! kernel class and its output, but no price (costing a task is the
+//! caller's model). The graph is flat and read-only: one task table and
+//! one array holding every successor list back to back (CSR), laid out
 //! once, by [`GraphBuilder::finish`].
 
 use serde::{Deserialize, Serialize};
@@ -58,9 +62,7 @@ impl TaskClass {
     }
 }
 
-/// A reference to a datum (tile) for communication grouping: edges from the
-/// same producer carrying the same datum to several consumers form one
-/// broadcast, exactly like PaRSEC's collective dataflow.
+/// A reference to a datum (tile): the output of the tasks that write it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DataRef {
     /// Tile row index.
@@ -69,23 +71,16 @@ pub struct DataRef {
     pub j: usize,
 }
 
-/// Everything the runtime needs to know about one task.
+/// Everything the runtime needs to know about one task: its class and
+/// its one output, which every successor reads.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskSpec {
     /// Kernel class (drives the per-class time breakdown).
     pub class: TaskClass,
     /// The tile this task overwrites (None for read-only/bookkeeping).
     pub writes: Option<DataRef>,
-}
-
-/// One dataflow edge.
-#[derive(Debug, Clone, Copy)]
-pub struct Edge {
-    /// Consumer task.
-    pub dst: TaskId,
-    /// The datum flowing along the edge (groups broadcasts).
-    pub data: DataRef,
-    /// Payload size in bytes (0 = control-only dependency).
+    /// Payload size of that tile in bytes (0: the task's edges are
+    /// control-only dependencies).
     pub bytes: u64,
 }
 
@@ -94,8 +89,8 @@ pub struct Edge {
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     specs: Vec<TaskSpec>,
-    /// `(source, edge)` pairs in insertion order.
-    edges: Vec<(TaskId, Edge)>,
+    /// `(source, consumer)` pairs in insertion order.
+    edges: Vec<(TaskId, TaskId)>,
 }
 
 impl GraphBuilder {
@@ -110,17 +105,17 @@ impl GraphBuilder {
         self.specs.len() - 1
     }
 
-    /// Insert a dataflow edge `src → dst` carrying `bytes` of datum `data`.
+    /// Insert a dataflow edge `src → dst`: `dst` reads `src`'s output.
     /// Each task's successor list keeps the order its edges were added in.
     ///
     /// # Panics
     /// Panics if either id is out of range or `src >= dst`: every edge runs
     /// from a lower id to a higher one (see the module docs).
-    pub fn add_edge(&mut self, src: TaskId, dst: TaskId, data: DataRef, bytes: u64) {
+    pub fn add_edge(&mut self, src: TaskId, dst: TaskId) {
         assert!(src < self.specs.len() && dst < self.specs.len(), "edge endpoints must exist");
         assert_ne!(src, dst, "self-dependency");
         assert!(src < dst, "edge {src} → {dst} must run from a lower id to a higher one");
-        self.edges.push((src, Edge { dst, data, bytes }));
+        self.edges.push((src, dst));
     }
 
     /// Lay the staged edges out by source.
@@ -134,13 +129,13 @@ impl GraphBuilder {
         for t in 0..specs.len() {
             offsets.push(at);
             while at < staged.len() && staged[at].0 == t {
-                indegree[staged[at].1.dst] += 1;
+                indegree[staged[at].1] += 1;
                 at += 1;
             }
         }
         offsets.push(at);
-        let edges = staged.into_iter().map(|(_, e)| e).collect();
-        TaskGraph { specs, offsets, edges, indegree }
+        let successors = staged.into_iter().map(|(_, dst)| dst).collect();
+        TaskGraph { specs, offsets, successors, indegree }
     }
 }
 
@@ -149,37 +144,18 @@ impl GraphBuilder {
 #[derive(Debug)]
 pub struct TaskGraph {
     specs: Vec<TaskSpec>,
-    /// `edges[offsets[t]..offsets[t + 1]]` are task `t`'s outgoing edges.
+    /// `successors[offsets[t]..offsets[t + 1]]` are task `t`'s consumers.
     offsets: Vec<usize>,
-    edges: Vec<Edge>,
+    successors: Vec<TaskId>,
     /// Number of incoming edges per task.
     indegree: Vec<usize>,
 }
 
 impl TaskGraph {
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// `true` when the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Task metadata.
-    pub fn spec(&self, id: TaskId) -> &TaskSpec {
-        &self.specs[id]
-    }
-
-    /// Outgoing edges of a task, in the order they were added.
-    pub fn successors(&self, id: TaskId) -> &[Edge] {
-        &self.edges[self.offsets[id]..self.offsets[id + 1]]
+    /// The consumers of a task's output, in the order their edges were
+    /// added.
+    pub fn successors(&self, id: TaskId) -> &[TaskId] {
+        &self.successors[self.offsets[id]..self.offsets[id + 1]]
     }
 }
 
@@ -193,6 +169,9 @@ impl TaskGraph {
 /// task after all of its predecessors, and no graph has a cycle. Id
 /// order is also the scheduling order: every ready queue pops its lowest
 /// id first.
+///
+/// Every task has one output, its spec's `writes` and `bytes`: each
+/// successor reads it, so an edge carries nothing of its own.
 pub trait Dataflow {
     /// Number of tasks.
     fn len(&self) -> usize;
@@ -214,9 +193,10 @@ pub trait Dataflow {
     /// Every task's number of incoming edges, in id order.
     fn indegrees(&self) -> impl Iterator<Item = usize> + '_;
 
-    /// Replace the contents of `out` with task `t`'s outgoing edges, in
-    /// list order; every `dst` is greater than `t`.
-    fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>);
+    /// Replace the contents of `out` with the consumers of task `t`'s
+    /// output, in list order, and return `t`'s spec, whose output they
+    /// all read; every consumer is greater than `t`.
+    fn successors_into(&self, t: TaskId, out: &mut Vec<TaskId>) -> TaskSpec;
 }
 
 impl Dataflow for TaskGraph {
@@ -232,9 +212,10 @@ impl Dataflow for TaskGraph {
         self.indegree.iter().copied()
     }
 
-    fn successors_into(&self, t: TaskId, out: &mut Vec<Edge>) {
+    fn successors_into(&self, t: TaskId, out: &mut Vec<TaskId>) -> TaskSpec {
         out.clear();
         out.extend_from_slice(self.successors(t));
+        self.specs[t]
     }
 }
 
@@ -242,14 +223,16 @@ impl Dataflow for TaskGraph {
 mod tests {
     use super::*;
 
-    /// `edges` over `n` tasks, added in the order given.
+    /// `edges` over `n` tasks, added in the order given; task `t` writes
+    /// tile `(t, 0)`, 8 bytes.
     fn graph(n: usize, edges: &[(TaskId, TaskId)]) -> GraphBuilder {
         let mut g = GraphBuilder::new();
-        for _ in 0..n {
-            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
+        for t in 0..n {
+            let writes = Some(DataRef { i: t, j: 0 });
+            g.add_task(TaskSpec { class: TaskClass::Other, writes, bytes: 8 });
         }
         for &(s, d) in edges {
-            g.add_edge(s, d, DataRef { i: s, j: d }, 8);
+            g.add_edge(s, d);
         }
         g
     }
@@ -259,9 +242,8 @@ mod tests {
         // 0 → 1, 0 → 2, 1 → 3, 2 → 3
         let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
         assert_eq!(g.len(), 4);
-        assert_eq!(g.num_edges(), 4);
         assert!(g.indegrees().eq([0, 1, 1, 2]));
-        assert_eq!(g.successors(0).len(), 2);
+        assert_eq!(g.successors(0), [1, 2]);
         assert!(g.successors(3).is_empty());
     }
 
@@ -269,23 +251,22 @@ mod tests {
     fn successor_lists_keep_insertion_order() {
         // Edges added consumer by consumer, sources interleaved.
         let g = graph(5, &[(0, 4), (2, 4), (0, 3), (1, 3), (0, 2), (1, 2)]).finish();
-        let dsts = |t| g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>();
-        assert_eq!(dsts(0), vec![4, 3, 2]);
-        assert_eq!(dsts(1), vec![3, 2]);
-        assert_eq!(dsts(2), vec![4]);
-        assert!(dsts(3).is_empty() && dsts(4).is_empty());
-        assert_eq!(g.successors(1)[0].data, DataRef { i: 1, j: 3 });
+        assert_eq!(g.successors(0), [4, 3, 2]);
+        assert_eq!(g.successors(1), [3, 2]);
+        assert_eq!(g.successors(2), [4]);
+        assert!(g.successors(3).is_empty() && g.successors(4).is_empty());
     }
 
-    /// The trait reads the same graph the tables hold.
+    /// The trait reads the same graph the tables hold, and each list
+    /// comes with its producer's output.
     #[test]
     fn dataflow_reads_the_tables() {
         let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).finish();
-        let mut out = vec![Edge { dst: 9, data: DataRef { i: 9, j: 9 }, bytes: 9 }];
+        let mut out = vec![9];
         for t in 0..4 {
-            Dataflow::successors_into(&g, t, &mut out);
-            let dsts: Vec<_> = out.iter().map(|e| e.dst).collect();
-            assert_eq!(dsts, g.successors(t).iter().map(|e| e.dst).collect::<Vec<_>>());
+            let spec = Dataflow::successors_into(&g, t, &mut out);
+            assert_eq!(out, g.successors(t));
+            assert_eq!((spec.writes, spec.bytes), (Some(DataRef { i: t, j: 0 }), 8));
         }
         assert!(Dataflow::indegrees(&g).eq([0, 1, 1, 2]));
     }

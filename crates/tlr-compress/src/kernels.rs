@@ -428,12 +428,13 @@ pub fn gemm_kernel_ws(
         }
         _ => unreachable!("null and dense×dense operands handled above"),
     };
-    if formed_left {
-        add_lowrank_ws(ws, c, &formed, borrowed, -left, config);
-    } else {
-        add_lowrank_ws(ws, c, borrowed, &formed, -1.0, config);
+    let (up, vp, alpha) =
+        if formed_left { (&formed, borrowed, -left) } else { (borrowed, &formed, -1.0) };
+    let stacked = stack_update_ws(ws, c, up, vp, alpha);
+    ws.give(formed); // the stacking copy was its last read
+    if let Some((us, vs)) = stacked {
+        *c = recompress_ws(ws, us, vs, config);
     }
-    ws.give(formed);
 }
 
 /// `C −= up · vpᵀ`, preserving/choosing C's format with recompression.
@@ -459,28 +460,31 @@ pub fn subtract_lowrank_ws(
     vp: &Matrix,
     config: &CompressionConfig,
 ) {
-    add_lowrank_ws(ws, c, up, vp, -1.0, config);
+    if let Some((us, vs)) = stack_update_ws(ws, c, up, vp, -1.0) {
+        *c = recompress_ws(ws, us, vs, config);
+    }
 }
 
-/// `C += alpha · up · vpᵀ`: the one update path of the TLR kernels. A
-/// dense `C` accumulates with `alpha` in its GEMM; a low-rank or null `C`
-/// stacks `[U_c  alpha·up]·[V_c  vp]ᵀ` and recompresses. `alpha` is `±1`,
-/// so the stacking copy is exact.
-fn add_lowrank_ws(
+/// `C += alpha · up · vpᵀ`, the one update path of the TLR kernels, up to
+/// its recompression. A dense `C` accumulates with `alpha` in its GEMM; a
+/// low-rank or null `C` is left `Null` and its stack `[U_c  alpha·up]·[V_c
+/// vp]ᵀ` returned for [`recompress_ws`], after the caller is done with
+/// `up` and `vp`. `alpha` is `±1`, so the stacking copy is exact.
+fn stack_update_ws(
     ws: &mut KernelWorkspace,
     c: &mut Tile,
     up: &Matrix,
     vp: &Matrix,
     alpha: f64,
-    config: &CompressionConfig,
-) {
+) -> Option<(Matrix, Matrix)> {
     let kp = up.cols();
     if kp == 0 {
-        return;
+        return None;
     }
     match c {
         Tile::Dense(cm) => {
             gemm_serial(Trans::No, Trans::Yes, alpha, up, vp, 1.0, cm);
+            None
         }
         Tile::LowRank { .. } | Tile::Null { .. } => {
             let rows = c.rows();
@@ -498,7 +502,7 @@ fn add_lowrank_ws(
             // fixed point (reclaiming after would let each call walk off
             // with an oversized buffer and re-grow a smaller one forever).
             ws.give_tile(std::mem::replace(c, Tile::Null { rows, cols }));
-            *c = recompress_ws(ws, us, vs, rows, cols, config);
+            Some((us, vs))
         }
     }
 }
@@ -536,8 +540,8 @@ fn copy_cols_scaled(dst: &mut Matrix, j0: usize, src: &Matrix, alpha: f64) {
 /// the accuracy, then re-projection by **implicit** application of the
 /// stored Householder reflectors (`Qr::apply_q`, block reflectors as
 /// GEMMs above its crossover) — the thin `Q` factors are never formed.
-/// All of `us`/`vs`, the QR factor storage and the core return to the
-/// pool before this function does.
+/// The tile is `us.rows() × vs.rows()`. All of `us`/`vs`, the QR factor
+/// storage and the core return to the pool before this function does.
 ///
 /// The rank `k` is accepted only once the unfactored block of the core,
 /// summed from its entries, is `≤ accuracy`: the pivoted QR's downdated
@@ -551,10 +555,9 @@ fn recompress_ws(
     ws: &mut KernelWorkspace,
     us: Matrix,
     vs: Matrix,
-    rows: usize,
-    cols: usize,
     config: &CompressionConfig,
 ) -> Tile {
+    let (rows, cols) = (us.rows(), vs.rows());
     let taus_u = ws.take_taus();
     let qu = Qr::new_in(us, taus_u);
     let taus_v = ws.take_taus();

@@ -19,8 +19,8 @@ use hicma_parsec::tlr::RankSnapshot;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A random DAG over `n` tasks: each edge `a → b` with `a < b` is drawn
-/// with probability `density_pct` %.
+/// A random DAG over `n` tasks, task `t` writing tile `(t, 0)`: each
+/// edge `a → b` with `a < b` is drawn with probability `density_pct` %.
 fn random_dag(seed: u64, n: usize, density_pct: u64) -> TaskGraph {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut next = || {
@@ -29,12 +29,13 @@ fn random_dag(seed: u64, n: usize, density_pct: u64) -> TaskGraph {
     };
     let mut g = GraphBuilder::new();
     for t in 0..n {
-        g.add_task(TaskSpec { class: TaskClass::Other, writes: Some(DataRef { i: t, j: 0 }) });
+        let writes = Some(DataRef { i: t, j: 0 });
+        g.add_task(TaskSpec { class: TaskClass::Other, writes, bytes: 8 });
     }
     for b in 0..n {
         for a in 0..b {
             if next() % 100 < density_pct {
-                g.add_edge(a, b, DataRef { i: a, j: b }, 8 * (a + b) as u64);
+                g.add_edge(a, b);
             }
         }
     }
@@ -47,7 +48,7 @@ fn successors(g: &impl Dataflow) -> Vec<Vec<TaskId>> {
     (0..g.len())
         .map(|t| {
             g.successors_into(t, &mut out);
-            out.iter().map(|e| e.dst).collect()
+            out.clone()
         })
         .collect()
 }

@@ -392,12 +392,12 @@ proptest! {
     #[test]
     fn executor_respects_random_dags(seed in 0u64..300, n in 2usize..60, density_pct in 5usize..60) {
         use hicma_parsec::runtime::{Engine, EngineConfig};
-        use hicma_parsec::runtime::graph::{GraphBuilder, TaskSpec, TaskClass, DataRef};
+        use hicma_parsec::runtime::graph::{GraphBuilder, TaskSpec, TaskClass};
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
         let mut g = GraphBuilder::new();
         for _ in 0..n {
-            g.add_task(TaskSpec { class: TaskClass::Other, writes: None });
+            g.add_task(TaskSpec { class: TaskClass::Other, writes: None, bytes: 0 });
         }
         // random edges i → j only for i < j (guarantees acyclicity)
         let mut state = seed | 1;
@@ -406,7 +406,7 @@ proptest! {
             for j in i + 1..n {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(97);
                 if ((state >> 33) as usize % 100) < density_pct {
-                    g.add_edge(i, j, DataRef { i, j: 0 }, 0);
+                    g.add_edge(i, j);
                     edges.push((i, j));
                 }
             }

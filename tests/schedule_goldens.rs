@@ -23,7 +23,7 @@ use hicma_parsec::cholesky::simulate::{
 use hicma_parsec::cholesky::{CholeskySpace, DagConfig, FactorConfig, Session};
 use hicma_parsec::distribution::TwoDBlockCyclic;
 use hicma_parsec::linalg::Matrix;
-use hicma_parsec::runtime::graph::{Dataflow, Edge};
+use hicma_parsec::runtime::graph::Dataflow;
 use hicma_parsec::runtime::{FaultPlan, MachineModel, Trace};
 use hicma_parsec::tlr::{CompressionConfig, RankSnapshot, SyntheticRankModel, TlrMatrix};
 use std::fmt::Write as _;
@@ -56,9 +56,10 @@ fn fnv(words: impl Iterator<Item = u64>) -> u64 {
 }
 
 /// A task space as two folds: every task's `(class, panel, writes,
-/// flops bits)` in id order, and every successor list's `(dst, data,
-/// bytes)` in list order (each list opened by its source and length, so
-/// moving an edge between lists moves the fold).
+/// flops bits)` in id order, and every successor list in list order,
+/// each consumer folded with its producer's output `(dst, writes,
+/// bytes)` (each list opened by its source and length, so moving an edge
+/// between lists moves the fold).
 fn graph_folds(g: &CholeskySpace) -> String {
     let tasks = (0..g.len()).flat_map(|t| {
         let s = g.spec(t);
@@ -69,10 +70,11 @@ fn graph_folds(g: &CholeskySpace) -> String {
     let (mut succ, mut num_edges) = (Vec::new(), 0);
     let mut edges = Vec::new();
     for t in 0..g.len() {
-        g.successors_into(t, &mut succ);
+        let out = g.successors_into(t, &mut succ);
         num_edges += succ.len();
         edges.extend([t as u64, succ.len() as u64]);
-        let fields = |e: &Edge| [e.dst as u64, e.data.i as u64, e.data.j as u64, e.bytes];
+        let w = out.writes.unwrap();
+        let fields = |&dst: &usize| [dst as u64, w.i as u64, w.j as u64, out.bytes];
         edges.extend(succ.iter().flat_map(fields));
     }
     format!(

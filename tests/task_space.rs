@@ -10,8 +10,9 @@
 //! and of 4 — the space must agree with it on the task count, on every
 //! task, on every successor list in order and on every in-degree, and
 //! `build_cholesky_dag` must price every task as the space does. Every
-//! successor has a higher id than its task: the one graph rule every
-//! engine relies on.
+//! successor has a higher id than its task, and every edge the walk
+//! draws carries its producer's output, the tile the task writes and
+//! that tile's bytes: the two graph rules every engine relies on.
 //!
 //! Panels never interleave: a task's panel never decreases with its id,
 //! and every successor list lies inside one panel.
@@ -27,7 +28,7 @@ use common::random_snapshot;
 use hicma_parsec::cholesky::{
     build_cholesky_dag, CholeskySpace, DagConfig, MatrixAnalysis, TaskKind,
 };
-use hicma_parsec::runtime::graph::{DataRef, Dataflow, Edge, TaskClass, TaskId};
+use hicma_parsec::runtime::graph::{DataRef, Dataflow, TaskClass, TaskId};
 use hicma_parsec::tlr::{low_rank_pays_off, RankSnapshot};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -55,6 +56,9 @@ fn bytes(analysis: &MatrixAnalysis, d: DataRef) -> u64 {
     }
 }
 
+/// An edge as the walk draws it: consumer, the datum it reads, its bytes.
+type Edge = (TaskId, DataRef, u64);
+
 /// Every task in id order, each task's successor list and its in-degree,
 /// by the `last_writer` walk.
 struct Oracle {
@@ -75,7 +79,7 @@ fn oracle(analysis: &MatrixAnalysis, trimmed: bool) -> Oracle {
         o.indegree.push(0);
         for d in reads.into_iter().chain([writes]) {
             if let Some(src) = last_writer[d.i * nt + d.j] {
-                o.successors[src].push(Edge { dst: id, data: d, bytes: bytes(analysis, d) });
+                o.successors[src].push((id, d, bytes(analysis, d)));
                 o.indegree[id] += 1;
             }
         }
@@ -100,10 +104,11 @@ fn oracle(analysis: &MatrixAnalysis, trimmed: bool) -> Oracle {
     o
 }
 
-fn list(g: &impl Dataflow, t: TaskId) -> Vec<(TaskId, DataRef, u64)> {
+/// Task `t`'s successor list, each consumer with the producer's output.
+fn list(g: &impl Dataflow, t: TaskId) -> Vec<Edge> {
     let mut out = Vec::new();
-    g.successors_into(t, &mut out);
-    out.iter().map(|e| (e.dst, e.data, e.bytes)).collect()
+    let spec = g.successors_into(t, &mut out);
+    out.iter().map(|&dst| (dst, spec.writes.unwrap(), spec.bytes)).collect()
 }
 
 fn class_of(kind: TaskKind) -> TaskClass {
@@ -138,13 +143,14 @@ fn agree(snap: &RankSnapshot, cfg: &DagConfig) -> Result<(), TestCaseError> {
         prop_assert!(
             !matches!(kind, TaskKind::Potrf { .. } | TaskKind::Syrk { .. }) || price.nested
         );
-        let want: Vec<_> = o.successors[t].iter().map(|e| (e.dst, e.data, e.bytes)).collect();
+        let want = &o.successors[t];
         let got = list(space, t);
+        prop_assert_eq!(spec.bytes, bytes(space.analysis(), spec.writes.unwrap()), "task {}", t);
         prop_assert!(got.iter().all(|&(dst, ..)| dst > t), "task {} has a successor at or below its id", t);
         let mut panels = got.iter().map(|&(dst, ..)| panel(dst));
         let first = panels.next();
         prop_assert!(panels.all(|k| Some(k) == first), "successors of task {} span panels", t);
-        prop_assert_eq!(got, want, "successors of task {} ({:?})", t, kind);
+        prop_assert_eq!(&got, want, "successors of task {} ({:?})", t, kind);
     }
     prop_assert_eq!(space.indegrees().collect::<Vec<_>>(), o.indegree);
     Ok(())
@@ -160,10 +166,10 @@ fn priority_order(g: &CholeskySpace) -> Option<Vec<TaskId>> {
     while let Some(Reverse((_, t))) = ready.pop() {
         order.push(t);
         g.successors_into(t, &mut successors);
-        for e in &successors {
-            indegree[e.dst] -= 1;
-            if indegree[e.dst] == 0 {
-                ready.push(key(e.dst));
+        for &dst in &successors {
+            indegree[dst] -= 1;
+            if indegree[dst] == 0 {
+                ready.push(key(dst));
             }
         }
     }
