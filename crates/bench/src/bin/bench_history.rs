@@ -29,6 +29,10 @@
 //! self-test: it injects an artificial +20 % regression onto a gated
 //! metric and exits nonzero unless the gate catches it. It appends its
 //! rows to `history.jsonl` under `--dir`, not to `--history`.
+//!
+//! Every row is keyed by its commit, so `--dir` must lie inside a git
+//! checkout: elsewhere the run is refused (exit 2) before it gates or
+//! appends anything.
 
 use runtime::obs::json::Json;
 use std::collections::BTreeMap;
@@ -146,7 +150,13 @@ fn regressed(rule: GateRule, baseline: f64, current: f64) -> bool {
     current > baseline + baseline.abs() * rule.rel + rule.abs
 }
 
-fn git_sha(dir: &Path) -> String {
+/// The commit `dir` is checked out at. The gate skips baselines of the
+/// current commit and the ledger drops rows it already holds for it, so
+/// a run without a commit has no key: one placeholder shared by every
+/// such run would make them all one commit, never gated against each
+/// other and appending nothing after the first. The error says why the
+/// run is refused.
+fn git_sha(dir: &Path) -> Result<String, String> {
     Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .current_dir(dir)
@@ -156,7 +166,13 @@ fn git_sha(dir: &Path) -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+        .ok_or_else(|| {
+            format!(
+                "no git commit for {} (not inside a git checkout, or no git): rows are \
+                 keyed by commit, so they can be neither gated nor appended",
+                dir.display()
+            )
+        })
 }
 
 /// Ingest every `BENCH_*.json` under `dir` as rows for `sha`.
@@ -314,7 +330,10 @@ fn main() {
         opt("--history").unwrap_or_else(|| "results/history.jsonl".to_string()),
     );
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-    let sha = git_sha(&dir);
+    let sha = git_sha(&dir).unwrap_or_else(|e| {
+        eprintln!("bench_history: {e}");
+        std::process::exit(2);
+    });
 
     let history = load_history(&history_path);
     let current = ingest(&dir, &sha, host_cores);
@@ -395,6 +414,16 @@ mod tests {
         o.insert("schema", Json::Num(99.0));
         o.insert("experiment", Json::Str("x".into()));
         assert!(Row::from_json(&o).is_none());
+    }
+
+    #[test]
+    fn a_directory_outside_git_has_no_commit_to_key_rows_by() {
+        let dir = std::env::temp_dir().join(format!("bench_history_no_git_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sha = git_sha(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = sha.expect_err("a plain directory must not yield a commit");
+        assert!(err.contains("neither gated nor appended"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::factorize::FactorConfig;
-use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads};
+use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads, PanelShifts};
 use parking_lot::Mutex;
 use runtime::engine::RankCtx;
 use runtime::graph::{DataRef, TaskId};
@@ -101,6 +101,7 @@ pub(crate) struct RankBody<'a> {
     space: &'a CholeskySpace,
     tile_size: usize,
     compression: CompressionConfig,
+    shifts: &'a PanelShifts,
     pub(crate) error: Mutex<Option<CholeskyError>>,
     /// One kernel arena per emulated rank, indexed by `ctx.rank()`.
     pub(crate) workspaces: Vec<Mutex<KernelWorkspace>>,
@@ -112,11 +113,13 @@ impl<'a> RankBody<'a> {
         cfg: &FactorConfig,
         tile_size: usize,
         nprocs: usize,
+        shifts: &'a PanelShifts,
     ) -> Self {
         RankBody {
             space,
             tile_size,
             compression: cfg.compression(),
+            shifts,
             error: Mutex::new(None),
             workspaces: kernel_arenas(nprocs),
         }
@@ -152,7 +155,7 @@ impl<'a> RankBody<'a> {
             |d| ctx.get(producer(d), d).tile(),
             |reads| {
                 let mut ws = self.workspaces[ctx.rank()].lock();
-                run_kernel(kind, &mut ws, &mut out, reads, &self.compression)
+                run_kernel(kind, &mut ws, &mut out, reads, &self.compression, self.shifts)
             },
         );
         if let Err(e) = result {

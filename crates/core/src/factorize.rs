@@ -32,10 +32,12 @@ pub struct FactorConfig {
     /// the same `RAYON_NUM_THREADS`/`available_parallelism` resolution as
     /// the pool: both layers see one consistent hardware budget.
     pub nthreads: usize,
-    /// On a pivot failure, retry up to this many times on `A + εI` with an
-    /// escalating shift `ε` (LDLᵀ-style regularization for borderline
-    /// matrices). `0` disables the retry; a strongly indefinite matrix
-    /// fails regardless because the shifts stay near the working accuracy.
+    /// When a POTRF's pivot fails, retry that panel up to this many times
+    /// on its diagonal tile plus `εI`, `ε` escalating ×10 (a rounding-level
+    /// regularization for borderline matrices, applied to the failing
+    /// panel alone; see [`factorize`]). `0` disables the retry; a strongly
+    /// indefinite matrix fails regardless because the shifts stay near the
+    /// working accuracy.
     pub max_shift_retries: usize,
     /// Collect a per-task execution trace into
     /// [`RunOutcome::trace`](crate::session::RunOutcome::trace)
@@ -143,11 +145,31 @@ pub struct FactorReport {
     /// the run registry's per-class duration sums, i.e. the engine's own
     /// start/end reading of every task.
     pub breakdown: ClassBreakdown,
-    /// Diagonal shift `ε` of the attempt that succeeded (`0.0` when the
-    /// matrix factored without regularization).
+    /// The largest per-panel shift `ε_k` in
+    /// [`panel_shifts`](FactorReport::panel_shifts) (`0.0` when the matrix
+    /// factored without regularization).
     pub diagonal_shift: f64,
-    /// How many shifted retries were needed (`0` = first try succeeded).
+    /// Shifted retries summed over every panel (`0` = every POTRF
+    /// succeeded on its first try).
     pub shift_attempts: usize,
+    /// Every panel whose POTRF needed a shift, in panel order. The factor
+    /// is that of `A + Σ_k ε_k·I_k`, `I_k` the identity on panel `k`'s
+    /// rows: with tile size `b`, add `shift` to the diagonal entries
+    /// `panel·b .. (panel + 1)·b` of the input to rebuild the operator
+    /// that was factored.
+    pub panel_shifts: Vec<PanelShift>,
+}
+
+/// One panel whose POTRF needed a diagonal shift to factor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PanelShift {
+    /// The panel `k`: its diagonal tile `(k, k)` was shifted.
+    pub panel: usize,
+    /// The `ε_k` added to every diagonal entry of tile `(k, k)`.
+    pub shift: f64,
+    /// Shifted retries the panel's POTRF ran, the one that succeeded
+    /// included.
+    pub attempts: usize,
 }
 
 /// Factor `matrix = L·Lᵀ` in place (lower tiles become `L`).
@@ -156,20 +178,22 @@ pub struct FactorReport {
 /// and the off-diagonal tiles the corresponding solved panels, all still
 /// in TLR format.
 ///
-/// On a pivot failure, and if `cfg.max_shift_retries > 0`, the original
-/// matrix is restored and re-factored as `A + εI` with `ε` escalating
-/// ×10 from `mean|diag| · max(accuracy, 1e-12)` — a rounding-level
-/// regularization that rescues borderline matrices (e.g. SPD operators
-/// pushed slightly indefinite by compression error) while leaving truly
-/// indefinite ones to fail. The shift that succeeded is reported in
-/// [`FactorReport::diagonal_shift`]. If every attempt fails, the error
-/// reports the *smallest* failing pivot seen and the matrix is restored
-/// to its input state (without retries it keeps the partial factor, as
-/// before).
-/// This is a one-call wrapper over [`Session::shared`] — the shift-retry
-/// driver and the per-attempt pipeline live in [`crate::session`], shared
-/// with the distributed paths. Kernel panics are drained by the engine
-/// and re-raised here once every worker has stopped.
+/// When a POTRF's pivot fails, and if `cfg.max_shift_retries > 0`, that
+/// task restores its diagonal tile from a copy it kept, adds `εI` and
+/// factors again, `ε` escalating ×10 from `mean|diag(A)| ·
+/// max(accuracy, 1e-12)` — a rounding-level regularization that rescues
+/// borderline matrices (e.g. SPD operators pushed slightly indefinite by
+/// compression error) while leaving truly indefinite ones to fail. The
+/// shift stays on the failing panel: the result factors `A + Σ_k
+/// ε_k·I_k`, each `ε_k` a function of panel `k`'s own tile, and
+/// [`FactorReport::panel_shifts`] names every shifted panel. If every
+/// retry of a panel fails, the error reports the *smallest* failing pivot
+/// seen and the matrix holds the partial factor. No copy of the matrix is
+/// made.
+/// This is a one-call wrapper over [`Session::shared`] — the pipeline and
+/// the one task body live in [`crate::session`], shared with the
+/// distributed paths. Kernel panics are drained by the engine and
+/// re-raised here once every worker has stopped.
 pub fn factorize(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
@@ -301,9 +325,23 @@ mod tests {
         assert!(err.pivot <= 40 + 16, "pivot {}", err.pivot);
     }
 
+    /// `dense` plus every panel shift of `report`: the operator the
+    /// factor is a Cholesky of.
+    fn shifted_operator(dense: &Matrix, report: &FactorReport, b: usize) -> Matrix {
+        let mut target = dense.clone();
+        for p in &report.panel_shifts {
+            for d in p.panel * b..((p.panel + 1) * b).min(dense.rows()) {
+                target[(d, d)] += p.shift;
+            }
+        }
+        target
+    }
+
     /// A matrix that is SPD except for a perturbation near the working
-    /// accuracy must be rescued by the diagonal-shift retry, and the
-    /// rescue must be visible in the report.
+    /// accuracy must be rescued by the per-panel diagonal-shift retry,
+    /// and the rescue must be visible in the report: which panels were
+    /// shifted, by how much, and the factor a Cholesky of exactly that
+    /// shifted operator.
     #[test]
     fn borderline_indefinite_recovers_with_diagonal_shift() {
         let n = 96;
@@ -322,28 +360,36 @@ mod tests {
         cfg.max_shift_retries = 0;
         factorize(&mut m0, &cfg).expect_err("test premise: matrix is indefinite");
 
-        // With retries: recovered, and the shift is reported.
+        // With retries: recovered, and every shift is reported.
         let mut m = TlrMatrix::from_dense(&dense, 24, &ccfg);
         cfg.max_shift_retries = 5;
         let report = factorize(&mut m, &cfg).expect("shift retry must rescue the matrix");
-        assert!(
-            report.shift_attempts >= 1,
-            "recovery must have used a retry"
-        );
-        assert!(
-            report.diagonal_shift > 0.0 && report.diagonal_shift <= 1e-3,
-            "shift {} should be a rounding-scale regularization",
-            report.diagonal_shift
-        );
-        // The factor is a usable Cholesky of the (shifted) matrix.
+        let shifts = &report.panel_shifts;
+        assert!(!shifts.is_empty(), "recovery must have shifted a panel");
+        assert!(shifts.windows(2).all(|w| w[0].panel < w[1].panel), "{shifts:?}");
+        for p in shifts {
+            assert!(p.panel < m.nt() && (1..=5).contains(&p.attempts), "{p:?}");
+            assert!(
+                p.shift > 0.0 && p.shift <= 1e-3,
+                "shift {} should be a rounding-scale regularization",
+                p.shift
+            );
+        }
+        let largest = shifts.iter().map(|p| p.shift).fold(0.0, f64::max);
+        assert_eq!(report.diagonal_shift, largest);
+        assert_eq!(report.shift_attempts, shifts.iter().map(|p| p.attempts).sum::<usize>());
+        // The factor is a Cholesky of `A + Σ ε_k·I_k`.
         let l = m.to_dense_lower();
         let mut recon = Matrix::zeros(n, n);
         gemm(Trans::No, Trans::Yes, 1.0, &l, &l, 0.0, &mut recon);
-        assert!(relative_diff(&recon, &dense) < 1e-5);
+        let err = relative_diff(&recon, &shifted_operator(&dense, &report, 24));
+        assert!(err < 1e-5, "shifted reconstruction error {err}");
     }
 
     /// A hopelessly indefinite matrix still fails after the bounded
-    /// retries, with the matrix restored to its input state.
+    /// retries of its failing panel, with the typed error at the
+    /// smallest failing pivot: the one the unshifted factorization
+    /// reports.
     #[test]
     fn strongly_indefinite_fails_despite_retries() {
         let n = 64;
@@ -359,12 +405,15 @@ mod tests {
             }
         });
         let ccfg = CompressionConfig::with_accuracy(1e-8);
-        let mut m = TlrMatrix::from_dense(&dense, 16, &ccfg);
-        let before = m.to_dense();
-        let err = factorize(&mut m, &FactorConfig::with_accuracy(1e-8)).unwrap_err();
-        assert!(err.pivot <= 40 + 16, "pivot {}", err.pivot);
-        // With retries enabled the input is restored on failure.
-        assert!(relative_diff(&m.to_dense(), &before) == 0.0);
+        let mut cfg = FactorConfig::with_accuracy(1e-8);
+        cfg.max_shift_retries = 0;
+        let bare = factorize(&mut TlrMatrix::from_dense(&dense, 16, &ccfg), &cfg).unwrap_err();
+        // The leading 40 × 40 block is diagonally dominant: row 40 is the
+        // first pivot to fail.
+        assert_eq!(bare.pivot, 40);
+        cfg.max_shift_retries = 3;
+        let err = factorize(&mut TlrMatrix::from_dense(&dense, 16, &ccfg), &cfg).unwrap_err();
+        assert_eq!(err, bare, "the retries must not move the reported pivot");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod verify;
 pub use analysis::MatrixAnalysis;
 pub use dag::{build_cholesky_dag, CholeskyDag, CholeskySpace, DagConfig, TaskKind, TaskPrice};
 pub use drift::{modeled_comm, ClassDrift, CommDrift, DriftReport};
-pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode};
+pub use factorize::{factorize, FactorConfig, FactorReport, IntegrityMode, PanelShift};
 pub use plan::{CacheEvents, PlanCache, PlanKey, PlanMode, SymbolicPlan};
 pub use service::{ServiceError, SolveOutcome, SolveService, TenantConfig, TenantUsage};
 pub use session::{RunError, RunOutcome, Session};

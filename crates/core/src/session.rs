@@ -1,10 +1,10 @@
 //! One factorization session over the unified runtime engines.
 //!
 //! [`Session`] is the single entry point behind every TLR Cholesky
-//! front-end in this crate. A session owns the whole per-attempt
+//! front-end in this crate. A session owns the whole
 //! pipeline — task-space build, tile placement, the one task body
-//! (`run_kernel`), engine execution, and tile gathering — plus the
-//! diagonal-shift retry driver. The public wrappers
+//! (`run_kernel`, which also owns the per-panel diagonal-shift retry),
+//! engine execution, and tile gathering. The public wrappers
 //! ([`factorize`](crate::factorize::factorize) and its plan-split
 //! siblings) are one-call shims over it.
 //!
@@ -17,7 +17,7 @@
 //! [`RunOutcome`], the one schema-versioned report of a run; absent
 //! capabilities are `None`.
 //!
-//! The per-attempt pipeline is split into a *symbolic* phase — the task
+//! The pipeline is split into a *symbolic* phase — the task
 //! space every engine walks, placed on ranks for the distributed one,
 //! packaged as an immutable [`SymbolicPlan`] — and a
 //! *numeric* phase
@@ -29,7 +29,7 @@
 use crate::dag::{lower, CholeskySpace, TaskKind};
 use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
 use crate::drift::DriftReport;
-use crate::factorize::{FactorConfig, FactorReport, IntegrityMode};
+use crate::factorize::{FactorConfig, FactorReport, IntegrityMode, PanelShift};
 use crate::plan::{self, CacheEvents, OwnerMap, PlanCache, PlanKey, SymbolicPlan};
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
@@ -171,16 +171,22 @@ impl<'a> Session<'a> {
         &self.cfg
     }
 
-    /// Factor `matrix = L·Lᵀ` in place (lower tiles become `L`).
+    /// Factor `matrix = L·Lᵀ` in place (lower tiles become `L`). The
+    /// run holds one copy of the matrix: its own tiles, moved into the
+    /// engine and back.
     ///
-    /// Owns the diagonal-shift retry driver for *every* mode: on a pivot
-    /// failure, and if `cfg.max_shift_retries > 0`, the original matrix
-    /// is restored and re-factored as `A + εI` with `ε` escalating ×10
-    /// from `mean|diag| · max(accuracy, 1e-12)`. The shift that rescued
-    /// the run is reported in [`FactorReport::diagonal_shift`]. If every
-    /// attempt fails the error carries the *smallest* failing pivot seen
-    /// and the matrix is restored to its input state (without retries it
-    /// keeps the partial factor, as before).
+    /// The diagonal-shift retry is the same on *every* engine, because it
+    /// lives in the one task body: a POTRF whose pivot fails, if
+    /// `cfg.max_shift_retries > 0`, restores its diagonal tile from the
+    /// copy it kept, adds `εI` and factors again, `ε` escalating ×10 from
+    /// `mean|diag(A)| · max(accuracy, 1e-12)` (read once from the input,
+    /// before any POTRF runs) up to `max_shift_retries` times. Each
+    /// panel's shift is a function of its own input tile, so the factor
+    /// does not depend on which POTRFs ran concurrently, on the thread
+    /// count or on a lineage replay; [`FactorReport::panel_shifts`] lists
+    /// every shifted panel. If every retry of a panel fails the run
+    /// cancels, the error carries the *smallest* failing pivot and the
+    /// matrix holds the partial factor.
     ///
     /// Engine faults ([`RunError::Engine`]) are not retried — a kernel
     /// panic or an unsurvivable fault plan is deterministic, so a replay
@@ -199,7 +205,7 @@ impl<'a> Session<'a> {
         // Cold runs report the symbolic-phase cost here; warm-cache runs
         // report the (near-zero) key fold + lookup instead.
         let analysis_seconds = t0.elapsed().as_secs_f64();
-        self.run_driver(&plan, matrix, ev, analysis_seconds)
+        self.execute(&plan, matrix, ev, analysis_seconds)
     }
 
     /// Run the symbolic phase alone: build the [`SymbolicPlan`] this
@@ -236,7 +242,7 @@ impl<'a> Session<'a> {
             });
         }
         let analysis_seconds = t0.elapsed().as_secs_f64();
-        self.run_driver(plan, matrix, CacheEvents::default(), analysis_seconds)
+        self.execute(plan, matrix, CacheEvents::default(), analysis_seconds)
     }
 
     /// The fault layer of a distributed session (`None` on shared ones).
@@ -285,63 +291,9 @@ impl<'a> Session<'a> {
         Ok((plan::plan_key(&self.cfg, snapshot, dist.as_ref()), dist))
     }
 
-    /// Diagonal-shift retry driver over one plan. The shift perturbs
-    /// values, never the rank structure, so one symbolic plan serves
-    /// every attempt. Cache activity is recorded on the first attempt
-    /// only.
-    fn run_driver(
-        &self,
-        plan: &SymbolicPlan,
-        matrix: &mut TlrMatrix,
-        ev: CacheEvents,
-        analysis_seconds: f64,
-    ) -> Result<RunOutcome, RunError> {
-        let cfg = &self.cfg;
-        let pristine = if cfg.max_shift_retries > 0 {
-            Some(matrix.clone())
-        } else {
-            None
-        };
-        let first_err = match self.attempt(plan, matrix, ev, analysis_seconds) {
-            Ok(out) => return Ok(out),
-            Err(RunError::Numeric(e)) => e,
-            Err(e) => return Err(e),
-        };
-        let Some(pristine) = pristine else {
-            return Err(RunError::Numeric(first_err));
-        };
-        let base = pristine.diagonal_mean_abs() * cfg.accuracy.max(1e-12);
-        let mut shift = base;
-        // Keep the *smallest* failing pivot across attempts — the caller
-        // must see a deterministic (earliest) pivot, not whichever
-        // attempt failed last.
-        let mut best_err = first_err;
-        for attempt in 1..=cfg.max_shift_retries {
-            *matrix = pristine.clone();
-            matrix.shift_diagonal(shift);
-            match self.attempt(plan, matrix, CacheEvents::default(), analysis_seconds) {
-                Ok(mut out) => {
-                    out.report.diagonal_shift = shift;
-                    out.report.shift_attempts = attempt;
-                    return Ok(out);
-                }
-                Err(RunError::Numeric(e)) => {
-                    if e.pivot < best_err.pivot {
-                        best_err = e;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-            shift *= 10.0;
-        }
-        *matrix = pristine;
-        Err(RunError::Numeric(best_err))
-    }
-
-    /// One factorization attempt on the matrix as-is, through the plan:
-    /// the plan says which engine it was built for (its key matched this
-    /// session's, so the two agree).
-    fn attempt(
+    /// Factor `matrix` through the plan: the plan says which engine it
+    /// was built for (its key matched this session's, so the two agree).
+    fn execute(
         &self,
         plan: &SymbolicPlan,
         matrix: &mut TlrMatrix,
@@ -349,11 +301,13 @@ impl<'a> Session<'a> {
         analysis_seconds: f64,
     ) -> Result<RunOutcome, RunError> {
         let (cfg, drift) = (&self.cfg, self.drift.as_ref());
+        let shifts = PanelShifts::new(matrix, cfg);
         let mut out = match &plan.dist {
-            None => shared_attempt(matrix, cfg, &plan.space, drift, ev),
-            Some(owners) => self.distributed_attempt(matrix, &plan.space, owners, ev),
+            None => run_shared(matrix, cfg, &plan.space, drift, ev, &shifts),
+            Some(owners) => self.run_distributed(matrix, &plan.space, owners, ev, &shifts),
         }?;
         out.report.analysis_seconds = analysis_seconds;
+        shifts.report(&mut out.report);
         Ok(out)
     }
 }
@@ -442,8 +396,11 @@ impl RunOutcome {
     /// the same two wire keys of `trace_summary`, and the drift report's
     /// expected rank and modeled flops. Version 4 added the registry's
     /// `tasks_elided` counter (tasks the shared engine retired without
-    /// running) and the drift classes' `measured_tasks`.
-    pub const SCHEMA_VERSION: u32 = 4;
+    /// running) and the drift classes' `measured_tasks`. Version 5 added
+    /// the report's `panel_shifts` (panel, shift, attempts of every
+    /// shifted panel); `diagonal_shift` became their largest shift and
+    /// `shift_attempts` their summed retries.
+    pub const SCHEMA_VERSION: u32 = 5;
 
     /// Trace-derived summary (per-class and per-worker busy time, idle
     /// fractions, imbalance, queue wait, efficiency against the measured
@@ -473,6 +430,14 @@ impl RunOutcome {
         report.insert("breakdown_s", r.breakdown.to_json());
         report.insert("diagonal_shift", Json::Num(r.diagonal_shift));
         report.insert("shift_attempts", num(r.shift_attempts));
+        let panel_shifts = r.panel_shifts.iter().map(|p| {
+            let mut o = Json::obj();
+            o.insert("panel", num(p.panel));
+            o.insert("shift", Json::Num(p.shift));
+            o.insert("attempts", num(p.attempts));
+            o
+        });
+        report.insert("panel_shifts", Json::Arr(panel_shifts.collect()));
         report.insert("flops_executed", Json::Num(self.flops_executed));
 
         let mut root = Json::obj();
@@ -576,9 +541,13 @@ impl fmt::Display for RunOutcome {
             r.dense_dag_tasks,
             self.flops_executed
         )?;
-        if r.shift_attempts > 0 {
-            let (shift, retries) = (r.diagonal_shift, r.shift_attempts);
-            writeln!(f, "  diagonal shift {shift:.3e} after {retries} retries")?;
+        if !r.panel_shifts.is_empty() {
+            let (shift, panels, retries) =
+                (r.diagonal_shift, r.panel_shifts.len(), r.shift_attempts);
+            writeln!(
+                f,
+                "  diagonal shift up to {shift:.3e} on {panels} panels after {retries} retries"
+            )?;
         }
         writeln!(
             f,
@@ -664,8 +633,8 @@ impl fmt::Display for RunOutcome {
 /// Why a [`Session::run`] failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
-    /// The matrix is numerically not positive definite (pivot failure
-    /// after any configured shift retries).
+    /// The matrix is numerically not positive definite (a pivot that
+    /// failed every configured shift retry of its panel).
     Numeric(CholeskyError),
     /// The engine could not complete the run: a kernel panicked, the
     /// graph/configuration was invalid, or a fault plan was not
@@ -730,22 +699,104 @@ impl From<EngineError> for RunError {
 /// tiles it says it reads, in that order). Where the tiles live — behind
 /// the shared engine's locks or in a rank's store and inbox — is the
 /// caller's business; what the task computes is decided here alone. A
-/// POTRF failure carries the pivot *within* its tile.
+/// POTRF whose pivot fails retries on its own tile with a diagonal shift
+/// ([`shifted_potrf`]); one that fails every retry carries the pivot
+/// *within* its tile.
 pub(crate) fn run_kernel(
     kind: TaskKind,
     ws: &mut KernelWorkspace,
     out: &mut Tile,
     reads: &[&Tile],
     compression: &CompressionConfig,
+    shifts: &PanelShifts,
 ) -> Result<(), CholeskyError> {
     match kind {
-        TaskKind::Potrf { .. } => potrf_kernel(out)?,
+        TaskKind::Potrf { k } => shifted_potrf(k, ws, out, shifts)?,
         TaskKind::Trsm { .. } => trsm_kernel(reads[0], out),
         TaskKind::Syrk { .. } => syrk_kernel_ws(ws, reads[0], out),
         // C(m, n) −= A(m, k) · B(n, k)ᵀ: reads are [(n, k), (m, k)].
         TaskKind::Gemm { .. } => gemm_kernel_ws(ws, reads[1], reads[0], out, compression),
     }
     Ok(())
+}
+
+/// POTRF of panel `k` with the per-panel diagonal-shift retry: keep a
+/// copy of the tile in a workspace buffer, and while the pivot fails
+/// (at most `shifts.retries` times) restore the tile, add `εI` and
+/// factor again, `ε` escalating ×10 from `shifts.base`. The shift is a
+/// function of the input tile alone, so a concurrent POTRF of another
+/// panel or a lineage replay of this one cannot move it. The error of a
+/// panel that fails every retry carries its smallest failing pivot.
+fn shifted_potrf(
+    k: usize,
+    ws: &mut KernelWorkspace,
+    out: &mut Tile,
+    shifts: &PanelShifts,
+) -> Result<(), CholeskyError> {
+    if shifts.retries == 0 {
+        return potrf_kernel(out);
+    }
+    let Tile::Dense(a) = out else { panic!("POTRF requires a dense diagonal tile") };
+    let mut saved = ws.take(a.rows(), a.cols());
+    saved.as_mut_slice().copy_from_slice(a.as_slice());
+    let mut result = potrf_kernel(out);
+    let mut shift = shifts.base;
+    let mut pivot = usize::MAX;
+    for attempts in 1..=shifts.retries {
+        let Err(e) = result else { break };
+        pivot = pivot.min(e.pivot);
+        let Tile::Dense(a) = &mut *out else { unreachable!("POTRF keeps its tile dense") };
+        a.as_mut_slice().copy_from_slice(saved.as_slice());
+        for d in 0..a.rows().min(a.cols()) {
+            a[(d, d)] += shift;
+        }
+        result = potrf_kernel(out);
+        if result.is_ok() {
+            shifts.record(PanelShift { panel: k, shift, attempts });
+        }
+        shift *= 10.0;
+    }
+    ws.give(saved);
+    result.map_err(|e| CholeskyError { pivot: pivot.min(e.pivot) })
+}
+
+/// The diagonal-shift rule of one run, and the shifts its POTRFs
+/// applied. `base` is `mean|diag(A)| · max(accuracy, 1e-12)`, read from
+/// the input before any POTRF runs.
+pub(crate) struct PanelShifts {
+    base: f64,
+    retries: usize,
+    /// One entry per shifted panel; touched only when a pivot fails.
+    applied: Mutex<Vec<PanelShift>>,
+}
+
+impl PanelShifts {
+    pub(crate) fn new(matrix: &TlrMatrix, cfg: &FactorConfig) -> Self {
+        PanelShifts {
+            base: matrix.diagonal_mean_abs() * cfg.accuracy.max(1e-12),
+            retries: cfg.max_shift_retries,
+            applied: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Note panel `s.panel`'s shift. A lineage replay of the POTRF
+    /// recomputes the same shift, so it replaces the entry it repeats.
+    fn record(&self, s: PanelShift) {
+        let mut applied = self.applied.lock();
+        match applied.iter_mut().find(|p| p.panel == s.panel) {
+            Some(p) => *p = s,
+            None => applied.push(s),
+        }
+    }
+
+    /// Write the applied shifts into `report`, in panel order.
+    fn report(self, report: &mut FactorReport) {
+        let mut applied = self.applied.into_inner();
+        applied.sort_by_key(|p| p.panel);
+        report.diagonal_shift = applied.iter().map(|p| p.shift).fold(0.0, f64::max);
+        report.shift_attempts = applied.iter().map(|p| p.attempts).sum();
+        report.panel_shifts = applied;
+    }
 }
 
 /// Borrow a task's read operands through `fetch` (a lock guard, a
@@ -806,18 +857,19 @@ fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry
     rank_evolution
 }
 
-/// One shared-memory attempt on the work-stealing [`Engine`].
+/// One shared-memory run on the work-stealing [`Engine`].
 ///
 /// Kernel panics are drained by the engine (no hung pool) and surface
 /// as [`RunError::Engine`]; the tiles are moved back into the matrix
 /// first, so locks are released, but mid-kernel tile state is
 /// unspecified after a panic.
-fn shared_attempt(
+fn run_shared(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
     space: &CholeskySpace,
     drift: Option<&MachineModel>,
     ev: CacheEvents,
+    shifts: &PanelShifts,
 ) -> Result<RunOutcome, RunError> {
     let nt = matrix.nt();
     let memory_before_f64 = matrix.memory_f64();
@@ -984,7 +1036,7 @@ fn shared_attempt(
                     return;
                 }
                 let mut ws = workspaces[wid].lock();
-                if let Err(e) = run_kernel(kind, &mut ws, &mut out, reads, &compression) {
+                if let Err(e) = run_kernel(kind, &mut ws, &mut out, reads, &compression, shifts) {
                     record_pivot(&error, ops.writes.i * tile_size + e.pivot);
                     cancel.store(true, Ordering::Release);
                     return;
@@ -1065,9 +1117,9 @@ fn shared_attempt(
     Ok(out)
 }
 
-/// The sections every attempt reports the same way, whichever engine
-/// ran it: the factor report (class breakdown zero, analysis time left
-/// to the driver), the trace with its measured critical path, and the
+/// The sections every run reports the same way, whichever engine ran
+/// it: the factor report (class breakdown zero, analysis time and
+/// shifts left to [`Session::execute`]), the trace with its measured critical path, and the
 /// registry. The caller adds what only its engine has.
 fn outcome(
     space: &CholeskySpace,
@@ -1096,6 +1148,7 @@ fn outcome(
             breakdown: ClassBreakdown::default(),
             diagonal_shift: 0.0,
             shift_attempts: 0,
+            panel_shifts: Vec::new(),
         },
         comm: None,
         events: Vec::new(),
@@ -1117,14 +1170,15 @@ fn record_cache_events(registry: &Registry, ev: CacheEvents) {
 }
 
 impl Session<'_> {
-    /// One distributed attempt on the virtual-time [`DistEngine`], on
+    /// One distributed run on the virtual-time [`DistEngine`], on
     /// digest-sealed payloads when the integrity layer is armed.
-    fn distributed_attempt(
+    fn run_distributed(
         &self,
         matrix: &mut TlrMatrix,
         space: &CholeskySpace,
         owners: &OwnerMap,
         ev: CacheEvents,
+        shifts: &PanelShifts,
     ) -> Result<RunOutcome, RunError> {
         if self.sealed_payloads() {
             // Every tile travels with its exact content digest; the body
@@ -1137,9 +1191,9 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            self.run_ranks(matrix, space, owners, ev, Some(&hooks))
+            self.run_ranks(matrix, space, owners, ev, shifts, Some(&hooks))
         } else {
-            self.run_ranks::<Tile>(matrix, space, owners, ev, None)
+            self.run_ranks::<Tile>(matrix, space, owners, ev, shifts, None)
         }
     }
 
@@ -1156,11 +1210,12 @@ impl Session<'_> {
         space: &CholeskySpace,
         owners: &OwnerMap,
         ev: CacheEvents,
+        shifts: &PanelShifts,
         hooks: Option<&IntegrityHooks<'_, P>>,
     ) -> Result<RunOutcome, RunError> {
         let (cfg, nprocs) = (&self.cfg, owners.nprocs);
         let memory_before_f64 = matrix.memory_f64();
-        let body = RankBody::new(space, cfg, matrix.tile_size(), nprocs);
+        let body = RankBody::new(space, cfg, matrix.tile_size(), nprocs, shifts);
         // The metrics registry shards per emulated rank: task counts and
         // virtual per-class durations land in the executing rank's shard,
         // fault and integrity events in shard 0.

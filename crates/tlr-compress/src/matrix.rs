@@ -219,18 +219,6 @@ impl TlrMatrix {
         sum / self.n.max(1) as f64
     }
 
-    /// Add `shift` to every diagonal entry (`A ← A + shift·I`), the
-    /// classic regularization retry for a borderline-indefinite matrix.
-    pub fn shift_diagonal(&mut self, shift: f64) {
-        for k in 0..self.nt {
-            if let Tile::Dense(m) = self.tile_mut(k, k) {
-                for d in 0..m.rows().min(m.cols()) {
-                    m[(d, d)] += shift;
-                }
-            }
-        }
-    }
-
     /// Density = non-null off-diagonal lower tiles / total off-diagonal
     /// lower tiles (the paper's metric; sparsity = 1 − density).
     pub fn density(&self) -> f64 {

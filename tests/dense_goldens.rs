@@ -357,7 +357,10 @@ fn dense_layer_matches_the_recorded_goldens() {
 // compression, and the diagonal-shift retry of `factorize`.
 //
 // One line was re-recorded since, once: `qr tall m=150 n=56`, when `Qr`
-// moved to block reflectors above 32 reflectors (56 here). Every other QR
+// moved to block reflectors above 32 reflectors (56 here). The shift-retry
+// line was re-recorded once more, in a new format, when the retry moved
+// from restarting the whole factorization into the failing panel's
+// POTRF: it now lists each shifted panel with its retries. Every other QR
 // line factors at most 32 columns and keeps the one-reflector loop's bits.
 // The `jacobi_svd` line pins the plain Jacobi loop that recompression's
 // SVD-optimal oracle runs, with no truncation floor. It was appended while
@@ -542,8 +545,10 @@ fn actual_loop_orders() -> String {
         writeln!(out, "compress_tile eps={eps:e} {}", tile_bits(&t)).unwrap();
     }
 
-    // Barely indefinite: the first attempt fails a pivot, the retry
-    // restores the input and factors `A + εI`.
+    // Barely indefinite: a POTRF fails a pivot, restores its tile and
+    // factors it plus `εI`; the line lists each shifted panel with its
+    // retries (recorded when the shift moved from a restart of the whole
+    // factorization into the failing panel's POTRF).
     let n = 96usize;
     let dense = Matrix::from_fn(n, n, |i, j| {
         let d = (i as f64 - j as f64) / 16.0;
@@ -557,11 +562,14 @@ fn actual_loop_orders() -> String {
         .flat_map(|i| (0..=i).map(move |j| (i, j)))
         .map(|(i, j)| fnv(tile_bits(m.tile(i, j)).bytes().map(u64::from)))
         .collect();
+    let panels: Vec<String> =
+        report.panel_shifts.iter().map(|p| format!("{}:{}", p.panel, p.attempts)).collect();
     writeln!(
         out,
-        "factorize shift retry attempts={} shift={:#018x} factor={:#018x}",
+        "factorize shift retry attempts={} shift={:#018x} panels={} factor={:#018x}",
         report.shift_attempts,
         report.diagonal_shift.to_bits(),
+        panels.join(","),
         fnv(tiles.into_iter())
     )
     .unwrap();
@@ -625,7 +633,7 @@ colpiv gaussian 200x200 rank=19 perm=0xbbf831d6c558e197 factors=0x9a39cf3ea462bc
 jacobi_svd graded 56x56 k=56 u=0x6d6efb9c8e41e5d7 s=0x85b6e904c5b43342 v=0xe15f37be760fa960
 compress_tile eps=1e-4 lowrank k=9 u=0xcca37d20f2a4b01b v=0x1ee531d3552d60b8
 compress_tile eps=1e-8 lowrank k=13 u=0xda1343da0bf07068 v=0x6a4e0f5f2ae3eb98
-factorize shift retry attempts=3 shift=0x3eb0c6f784902b2c factor=0x594b877f854b0392
+factorize shift retry attempts=12 shift=0x3eb0c6f784902b2c panels=0:3,1:3,2:3,3:3 factor=0xae7f2236d96c7081
 ";
 
 #[test]

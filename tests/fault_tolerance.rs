@@ -1,18 +1,21 @@
 //! Fault-injection integration tests: the full RBF pipeline factorized on
 //! the fault-tolerant distributed engine under seeded network faults and
 //! rank crashes must reproduce the shared-memory factor *exactly*, and the
-//! numeric recovery path (bounded diagonal-shift retries) must rescue
-//! borderline-indefinite operators end to end.
+//! numeric recovery path (bounded per-panel diagonal-shift retries) must
+//! rescue borderline-indefinite operators end to end, with the same bits
+//! on every engine, at every thread count and under a crash replay.
 
 use hicma_parsec::cholesky::{
-    factorize, CholeskySpace, DagConfig, FactorConfig, IntegrityMode, Session, TaskKind,
+    factorize, CholeskySpace, DagConfig, FactorConfig, FactorReport, IntegrityMode, Session,
+    TaskKind,
 };
-use hicma_parsec::distribution::{DiamondDistribution, TileDistribution};
+use hicma_parsec::distribution::{DiamondDistribution, TileDistribution, TwoDBlockCyclic};
 use hicma_parsec::linalg::norms::relative_diff;
 use hicma_parsec::linalg::Matrix;
 use hicma_parsec::mesh::geometry::{virus_population, VirusConfig};
 use hicma_parsec::mesh::hilbert::{apply_permutation, hilbert_sort};
 use hicma_parsec::mesh::GaussianRbf;
+use hicma_parsec::runtime::graph::Dataflow;
 use hicma_parsec::runtime::{Counter, FaultPlan};
 use hicma_parsec::tlr::{CompressionConfig, TlrMatrix};
 use proptest::prelude::*;
@@ -180,24 +183,139 @@ fn borderline_indefinite_rbf_recovers_end_to_end() {
     assert!(report.shift_attempts >= 1);
     assert!(report.diagonal_shift > 0.0 && report.diagonal_shift <= 1e-3);
 
-    // The factor is a valid Cholesky of the slightly shifted operator.
-    let l = rescued.to_dense_lower();
+    // The factor is a valid Cholesky of the operator with each shifted
+    // panel's own shift on its rows, and of no other.
+    let a = Matrix::from_fn(n, n, &shifted);
+    let err = shifted_residual(&rescued.to_dense_lower(), &a, 48, &report);
+    assert!(err < 1e-5, "shifted reconstruction error {err}");
+}
+
+/// `‖L·Lᵀ − (A + Σ_k ε_k·I_k)‖ / ‖A + Σ_k ε_k·I_k‖` for the dense
+/// factor `l`, the input `a` at tile size `b` and the panel shifts of
+/// `report`.
+fn shifted_residual(l: &Matrix, a: &Matrix, b: usize, report: &FactorReport) -> f64 {
+    let n = a.rows();
+    let mut target = a.clone();
+    for p in &report.panel_shifts {
+        for d in p.panel * b..((p.panel + 1) * b).min(n) {
+            target[(d, d)] += p.shift;
+        }
+    }
     let mut recon = Matrix::zeros(n, n);
     hicma_parsec::linalg::gemm(
         hicma_parsec::linalg::Trans::No,
         hicma_parsec::linalg::Trans::Yes,
         1.0,
-        &l,
-        &l,
+        l,
+        l,
         0.0,
         &mut recon,
     );
-    let mut target = Matrix::from_fn(n, n, &shifted);
-    for d in 0..n {
-        target[(d, d)] += report.diagonal_shift;
+    relative_diff(&recon, &target)
+}
+
+/// Two bodies with no coupling, each barely indefinite (λ_min ≈ −1e-7):
+/// on the trimmed space no path joins body A's POTRFs to body B's, so
+/// the two run concurrently. Each failing panel's shift is a function of
+/// its own tile, so the factor's bits are the same at 1, 2 and 8
+/// threads, on a 4-rank distributed session, and when a crash makes
+/// that session replay a shifted POTRF.
+#[test]
+fn separated_bodies_shift_their_own_panels_on_every_engine() {
+    const B: usize = 24;
+    // Body A: 48 rows (panels 0–1); body B: 72 rows (panels 2–4).
+    let (na, nb) = (48, 72);
+    let body = |n: usize, corr: f64| {
+        let gen = gaussian_gen(n, corr);
+        move |i: usize, j: usize| gen(i, j) - if i == j { 1e-3 + 1e-7 } else { 0.0 }
+    };
+    let (body_a, body_b) = (body(na, 6.0), body(nb, 8.0));
+    let n = na + nb;
+    let dense = Matrix::from_fn(n, n, |i, j| match (i < na, j < na) {
+        (true, true) => body_a(i, j),
+        (false, false) => body_b(i - na, j - na),
+        _ => 0.0,
+    });
+    let ccfg = CompressionConfig::with_accuracy(1e-8);
+    let fresh = || TlrMatrix::from_dense(&dense, B, &ccfg);
+    let mut cfg = FactorConfig::with_accuracy(1e-8);
+    cfg.max_shift_retries = 5;
+
+    // Premise: nothing reachable from POTRF(0) touches body B's panels.
+    let space = CholeskySpace::new(
+        &fresh().rank_snapshot(),
+        &DagConfig { trimmed: true, rank_cap: cfg.max_rank },
+    );
+    let (mut seen, mut stack, mut succ) = (HashSet::new(), vec![0], Vec::new());
+    while let Some(t) = stack.pop() {
+        if seen.insert(t) {
+            space.successors_into(t, &mut succ);
+            stack.extend(succ.iter().copied());
+        }
     }
-    let err = relative_diff(&recon, &target);
+    assert!(
+        seen.iter().all(|&t| space.kind(t).panel() < na / B),
+        "a path joins the two bodies"
+    );
+    let potrf_b = space.id(TaskKind::Potrf { k: na / B });
+    assert_eq!(space.indegrees().nth(potrf_b), Some(0), "body B starts unblocked");
+
+    let mut reference = None;
+    for nthreads in [1, 2, 8] {
+        let mut m = fresh();
+        let report = factorize(&mut m, &FactorConfig { nthreads, ..cfg }).expect("rescued");
+        let l = m.to_dense_lower();
+        match &reference {
+            None => reference = Some((l, report)),
+            Some((l0, r0)) => {
+                assert_eq!(l.as_slice(), l0.as_slice(), "factor moved at {nthreads} threads");
+                assert_eq!(report.panel_shifts, r0.panel_shifts);
+            }
+        }
+    }
+    let (l_shared, report) = reference.expect("three runs");
+    let panels: Vec<usize> = report.panel_shifts.iter().map(|p| p.panel).collect();
+    assert!(
+        panels.iter().any(|&k| k < na / B) && panels.iter().any(|&k| k >= na / B),
+        "premise: both bodies shift a panel, got {panels:?}"
+    );
+    let err = shifted_residual(&l_shared, &dense, B, &report);
     assert!(err < 1e-5, "shifted reconstruction error {err}");
+
+    // The 4-rank distributed session, fault-free and traced: the same
+    // bits and shifts, and the rank and end time of a shifted POTRF
+    // whose rank has work left after it, for the crash below.
+    let dist = TwoDBlockCyclic::new(4);
+    let traced = FactorConfig { collect_trace: true, ..cfg };
+    let mut m = fresh();
+    let out = Session::distributed(traced, 4, &dist).run(&mut m).expect("rescued");
+    assert_eq!(m.to_dense_lower().as_slice(), l_shared.as_slice(), "distributed factor moved");
+    assert_eq!(out.report.panel_shifts, report.panel_shifts);
+    let trace = out.trace.expect("traced run");
+    let (potrf, done) = report
+        .panel_shifts
+        .iter()
+        .map(|p| space.id(TaskKind::Potrf { k: p.panel }))
+        .find_map(|t| {
+            let done = trace.records.iter().find(|r| r.task == t)?;
+            let later = trace.records.iter().any(|r| r.proc == done.proc && r.start > done.end);
+            later.then_some((t, done))
+        })
+        .expect("premise: a shifted POTRF's rank has work after it");
+
+    // Crash the rank that ran that POTRF just after it finished: the
+    // survivor replays it from the checkpoint and recomputes its shift.
+    let ft = FaultPlan::new(5).with_crash(done.proc, done.end + 0.5);
+    let mut m = fresh();
+    let out = Session::distributed(traced, 4, &dist)
+        .with_fault_layer(&ft)
+        .run(&mut m)
+        .expect("one crash among four ranks is survivable");
+    let runs = out.trace.expect("traced run").records.iter().filter(|r| r.task == potrf).count();
+    let panel = space.kind(potrf).panel();
+    assert!(runs >= 2, "premise: the crash must replay POTRF({panel}), ran {runs}×");
+    assert_eq!(m.to_dense_lower().as_slice(), l_shared.as_slice(), "replayed factor moved");
+    assert_eq!(out.report.panel_shifts, report.panel_shifts);
 }
 
 proptest! {

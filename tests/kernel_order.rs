@@ -18,9 +18,11 @@
 //!
 //! GEMM is checked on both `KernelPath`s in one process; SYRK follows the
 //! process's `active_path`, so CI runs this file again under
-//! `TLR_MICROKERNEL=scalar`. That `factorize`'s diagonal-shift retry,
-//! which restores the input after a failed pivot, still produces the
-//! recorded factor is a line of `tests/dense_goldens.rs`.
+//! `TLR_MICROKERNEL=scalar`. Column-form POTRF leaves its tile
+//! unspecified from the failing column on; `factorize`'s diagonal-shift
+//! retry, which restores the failing panel's tile from the copy its POTRF
+//! kept and factors it plus `εI`, still produces the recorded factor: a
+//! line of `tests/dense_goldens.rs`.
 
 use hicma_parsec::linalg::{
     frobenius_norm, gemm, gemm_with_path, potrf_unblocked, relative_diff, syrk_serial, trsm,
