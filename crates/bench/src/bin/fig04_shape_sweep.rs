@@ -42,8 +42,6 @@ fn main() {
             let trimmed = simulate_cholesky(&snap, &cfg);
             cfg.trimmed = false;
             let untrimmed = simulate_cholesky(&snap, &cfg);
-            let final_density = trimmed.dag_tasks; // placeholder avoided below
-            let _ = final_density;
             println!(
                 "{:>10.1e} {:>10.3} {:>10.3} {:>9} {:>11.2} {:>12.2} {:>5.2}x",
                 shape,

@@ -2,42 +2,15 @@
 //! time-to-solution and speedup across matrix sizes up to 11.95M and
 //! node counts up to 512 (paper: up to 6.8×, steady ~6× beyond 5.97M).
 
-use hicma_core::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_core::simulate::simulate_cholesky;
 use runtime::MachineModel;
-use tlr_bench::{scaled_machine, header, paper_sizes, scale_factor, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
 fn main() {
-    let s = scale_factor(64);
-    let machine = scaled_machine(MachineModel::shaheen_ii(), s);
-    println!("Fig. 9 — HiCMA-PaRSEC vs Lorapo on {} (scale 1/{s})", machine.name);
-    header(&[
-        ("N", 8),
-        ("nodes", 6),
-        ("lorapo (s)", 11),
-        ("ours (s)", 10),
-        ("speedup", 8),
-        ("ours CP (s)", 12),
-    ]);
-
-    for (label, n_paper, b_paper) in paper_sizes() {
-        for nodes_paper in [128usize, 256, 512] {
-            let (p, snap) =
-                scaled_snapshot(n_paper, b_paper, nodes_paper, s, PAPER_SHAPE, PAPER_ACCURACY);
-            let lorapo = simulate_cholesky(&snap, &lorapo_config(machine.clone(), p.nodes));
-            let ours = simulate_cholesky(&snap, &hicma_parsec_config(machine.clone(), p.nodes));
-            println!(
-                "{:>8} {:>6} {:>11.2} {:>10.2} {:>7.2}x {:>12.2}",
-                label,
-                nodes_paper,
-                lorapo.factorization_seconds,
-                ours.factorization_seconds,
-                lorapo.factorization_seconds / ours.factorization_seconds,
-                ours.critical_path_seconds,
-            );
-        }
-        println!();
-    }
-    println!("Expected (paper): consistent speedup over Lorapo at every size/node");
-    println!("count, growing with the matrix size and saturating at large scale.");
+    tlr_bench::lorapo_comparison(
+        "Fig. 9",
+        MachineModel::shaheen_ii(),
+        [
+            "Expected (paper): consistent speedup over Lorapo at every size/node",
+            "count, growing with the matrix size and saturating at large scale.",
+        ],
+    );
 }

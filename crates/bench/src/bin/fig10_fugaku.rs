@@ -4,42 +4,15 @@
 //! than Shaheen II because A64FX's skinny-kernel penalty punishes
 //! Lorapo's extra null-tile work harder).
 
-use hicma_core::lorapo::{hicma_parsec_config, lorapo_config};
-use hicma_core::simulate::simulate_cholesky;
 use runtime::MachineModel;
-use tlr_bench::{scaled_machine, header, paper_sizes, scale_factor, scaled_snapshot, PAPER_ACCURACY, PAPER_SHAPE};
 
 fn main() {
-    let s = scale_factor(64);
-    let machine = scaled_machine(MachineModel::fugaku(), s);
-    println!("Fig. 10 — HiCMA-PaRSEC vs Lorapo on {} (scale 1/{s})", machine.name);
-    header(&[
-        ("N", 8),
-        ("nodes", 6),
-        ("lorapo (s)", 11),
-        ("ours (s)", 10),
-        ("speedup", 8),
-        ("ours CP (s)", 12),
-    ]);
-
-    for (label, n_paper, b_paper) in paper_sizes() {
-        for nodes_paper in [128usize, 256, 512] {
-            let (p, snap) =
-                scaled_snapshot(n_paper, b_paper, nodes_paper, s, PAPER_SHAPE, PAPER_ACCURACY);
-            let lorapo = simulate_cholesky(&snap, &lorapo_config(machine.clone(), p.nodes));
-            let ours = simulate_cholesky(&snap, &hicma_parsec_config(machine.clone(), p.nodes));
-            println!(
-                "{:>8} {:>6} {:>11.2} {:>10.2} {:>7.2}x {:>12.2}",
-                label,
-                nodes_paper,
-                lorapo.factorization_seconds,
-                ours.factorization_seconds,
-                lorapo.factorization_seconds / ours.factorization_seconds,
-                ours.critical_path_seconds,
-            );
-        }
-        println!();
-    }
-    println!("Expected (paper): HiCMA-PaRSEC wins everywhere, with larger relative");
-    println!("margins than on Shaheen II (Fig. 9).");
+    tlr_bench::lorapo_comparison(
+        "Fig. 10",
+        MachineModel::fugaku(),
+        [
+            "Expected (paper): HiCMA-PaRSEC wins everywhere, with larger relative",
+            "margins than on Shaheen II (Fig. 9).",
+        ],
+    );
 }

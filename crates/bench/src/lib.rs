@@ -13,7 +13,9 @@
 //!
 //! Set `HICMA_SCALE` to override the default downscale factor.
 
-use hicma_core::simulate::{scaled_problem, ScaledProblem};
+use hicma_core::lorapo::{hicma_parsec_config, lorapo_config};
+use hicma_core::simulate::{scaled_problem, simulate_cholesky, ScaledProblem};
+use runtime::MachineModel;
 use std::path::{Path, PathBuf};
 use tlr_compress::{RankSnapshot, SyntheticRankModel};
 
@@ -110,6 +112,47 @@ pub fn header(cols: &[(&str, usize)]) {
     }
     println!("{line}");
     println!("{}", "-".repeat(line.len()));
+}
+
+/// Figs. 9 and 10: HiCMA-PaRSEC against Lorapo on `machine` (scaled by
+/// `HICMA_SCALE`, default 64) at each paper size on 128, 256 and 512
+/// nodes — time-to-solution of both, the speedup and our critical path.
+/// `fig` names the figure in the title line; `expected` are the two
+/// closing lines stating what the paper found.
+pub fn lorapo_comparison(fig: &str, machine: MachineModel, expected: [&str; 2]) {
+    let s = scale_factor(64);
+    let machine = scaled_machine(machine, s);
+    println!("{fig} — HiCMA-PaRSEC vs Lorapo on {} (scale 1/{s})", machine.name);
+    header(&[
+        ("N", 8),
+        ("nodes", 6),
+        ("lorapo (s)", 11),
+        ("ours (s)", 10),
+        ("speedup", 8),
+        ("ours CP (s)", 12),
+    ]);
+
+    for (label, n_paper, b_paper) in paper_sizes() {
+        for nodes_paper in [128usize, 256, 512] {
+            let (p, snap) =
+                scaled_snapshot(n_paper, b_paper, nodes_paper, s, PAPER_SHAPE, PAPER_ACCURACY);
+            let lorapo = simulate_cholesky(&snap, &lorapo_config(machine.clone(), p.nodes));
+            let ours = simulate_cholesky(&snap, &hicma_parsec_config(machine.clone(), p.nodes));
+            println!(
+                "{:>8} {:>6} {:>11.2} {:>10.2} {:>7.2}x {:>12.2}",
+                label,
+                nodes_paper,
+                lorapo.factorization_seconds,
+                ours.factorization_seconds,
+                lorapo.factorization_seconds / ours.factorization_seconds,
+                ours.critical_path_seconds,
+            );
+        }
+        println!();
+    }
+    for line in expected {
+        println!("{line}");
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! the paper's. The shared engine, which holds the real tiles, skips them
 //! at run time instead: a task whose operand is `Null` when its last
 //! predecessor retires is retired without running (numeric trimming, in
-//! the session's shared attempt).
+//! the session's `run_shared`).
 //!
 //! [`CholeskySpace`] is this PTG in symbolic form, as PaRSEC evaluates
 //! one (§IV-A): a handful of O(NT²) tables — the first task id of every

@@ -123,6 +123,9 @@ pub struct SymbolicPlan {
     pub(crate) space: CholeskySpace,
     /// The owner map of a distributed plan; `None` on a shared one.
     pub(crate) dist: Option<OwnerMap>,
+    /// Model flops of the space's tasks, priced at planning and summed
+    /// in id order: a function of the plan alone, so runs reuse it.
+    pub(crate) flops: f64,
 }
 
 impl SymbolicPlan {
@@ -183,8 +186,8 @@ pub(crate) fn plan_key(
     }
 }
 
-/// Run the symbolic phase once: the task space, beside the owner map on
-/// distributed plans. `key` is
+/// Run the symbolic phase once: the task space and its model flops,
+/// beside the owner map on distributed plans. `key` is
 /// [`plan_key`] of the same three inputs, which every caller has already
 /// folded to look the plan up.
 pub(crate) fn build_plan(
@@ -198,7 +201,8 @@ pub(crate) fn build_plan(
         rank_cap: cfg.max_rank,
     };
     let space = CholeskySpace::new(snapshot, &dag_cfg);
-    SymbolicPlan { key, space, dist }
+    let flops = space.kinds().map(|kind| space.price(kind).flops).sum();
+    SymbolicPlan { key, space, dist, flops }
 }
 
 /// Cache-activity delta of one plan acquisition, recorded into the run's

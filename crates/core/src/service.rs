@@ -17,10 +17,10 @@
 //! request finishes; the *measured* per-request high-water mark (from
 //! the run's metrics registry) is folded into [`TenantUsage`] so
 //! operators can see how much headroom the estimate leaves. The
-//! service-level registry exports `service_requests_admitted` /
-//! `service_requests_rejected` and the plan-cache counters through the
-//! same Prometheus/JSON renderers as every other metric
-//! ([`SolveService::registry_snapshot`]).
+//! service keeps two accounts: [`TenantUsage`] (admitted, rejected,
+//! in-flight and arena bytes per tenant, [`SolveService::usage`]) and
+//! the plan cache's hit/miss/eviction totals
+//! ([`SolveService::plan_cache`]).
 //!
 //! Requests run on [`Session::shared`] — the work-stealing engine
 //! multiplexes tenants' tasks across one pool, which is the scenario
@@ -33,7 +33,7 @@ use crate::plan::PlanCache;
 use crate::session::{RunError, RunOutcome, Session};
 use crate::solve::solve_tlr;
 use parking_lot::Mutex;
-use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
+use runtime::obs::registry::Gauge;
 use std::collections::HashMap;
 use std::fmt;
 use tlr_compress::TlrMatrix;
@@ -162,11 +162,7 @@ pub struct SolveOutcome {
 /// model.
 pub struct SolveService {
     cache: PlanCache,
-    registry: Registry,
     tenants: Mutex<HashMap<String, TenantState>>,
-    /// Plan-cache totals already folded into `registry`, so repeated
-    /// snapshots report deltas exactly once.
-    cache_synced: Mutex<(u64, u64, u64)>,
 }
 
 impl SolveService {
@@ -175,9 +171,7 @@ impl SolveService {
     pub fn new(cache_capacity: usize) -> Self {
         SolveService {
             cache: PlanCache::new(cache_capacity),
-            registry: Registry::new(1),
             tenants: Mutex::new(HashMap::new()),
-            cache_synced: Mutex::new((0, 0, 0)),
         }
     }
 
@@ -265,7 +259,6 @@ impl SolveService {
             })
             .unwrap_or(0);
         self.release(tenant, charged, measured);
-        self.sync_cache_counters();
         let (run, solution) = result?;
         Ok(SolveOutcome {
             run,
@@ -285,14 +278,6 @@ impl SolveService {
     ) -> Result<FactorReport, ServiceError> {
         self.factorize_and_solve(tenant, cfg, matrix, None)
             .map(|out| out.run.report)
-    }
-
-    /// Snapshot the service-level registry: admission counters plus the
-    /// plan cache's hit/miss/eviction totals, rendered by the same
-    /// Prometheus/JSON exporters as every run registry.
-    pub fn registry_snapshot(&self) -> RegistrySnapshot {
-        self.sync_cache_counters();
-        self.registry.snapshot()
     }
 
     /// Charge `tenant` for one request of `charged` arena bytes, or
@@ -321,7 +306,6 @@ impl SolveService {
                 st.usage.in_flight += 1;
                 st.usage.in_use_bytes += charged;
                 st.usage.admitted += 1;
-                self.registry.incr(0, Counter::ServiceRequestsAdmitted);
                 return Ok(());
             }
         };
@@ -329,13 +313,12 @@ impl SolveService {
         Err(self.reject(tenant, refusal))
     }
 
-    /// Count one refused request, against `tenant` too when it is known,
-    /// and hand back the reason.
+    /// Count one refused request against `tenant` when it is known (an
+    /// unknown tenant has no account), and hand back the reason.
     fn reject(&self, tenant: &str, e: ServiceError) -> ServiceError {
         if let Some(st) = self.tenants.lock().get_mut(tenant) {
             st.usage.rejected += 1;
         }
-        self.registry.incr(0, Counter::ServiceRequestsRejected);
         e
     }
 
@@ -348,24 +331,6 @@ impl SolveService {
             st.usage.in_use_bytes = st.usage.in_use_bytes.saturating_sub(charged);
             st.usage.peak_arena_bytes = st.usage.peak_arena_bytes.max(measured);
         }
-    }
-
-    /// Fold the plan cache's monotone totals into the service registry
-    /// as deltas since the last sync.
-    fn sync_cache_counters(&self) {
-        let mut seen = self.cache_synced.lock();
-        let now = (
-            self.cache.hits(),
-            self.cache.misses(),
-            self.cache.evictions(),
-        );
-        self.registry
-            .add(0, Counter::PlanCacheHits, now.0.saturating_sub(seen.0));
-        self.registry
-            .add(0, Counter::PlanCacheMisses, now.1.saturating_sub(seen.1));
-        self.registry
-            .add(0, Counter::PlanCacheEvictions, now.2.saturating_sub(seen.2));
-        *seen = now;
     }
 }
 

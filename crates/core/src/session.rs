@@ -4,9 +4,9 @@
 //! front-end in this crate. A session owns the whole
 //! pipeline — task-space build, tile placement, the one task body
 //! (`run_kernel`, which also owns the per-panel diagonal-shift retry),
-//! engine execution, and tile gathering. The public wrappers
-//! ([`factorize`](crate::factorize::factorize) and its plan-split
-//! siblings) are one-call shims over it.
+//! engine execution, and tile gathering. The public wrapper
+//! [`factorize`](crate::factorize::factorize) is a one-call shim over
+//! it.
 //!
 //! Capabilities compose instead of multiplying entry points: a
 //! distributed session layers a fault plan with
@@ -43,7 +43,7 @@ use runtime::graph::{DataRef, TaskId};
 use runtime::machine::MachineModel;
 use runtime::obs::json::Json;
 use runtime::obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
-use runtime::obs::{RunEvent, RunMetrics};
+use runtime::obs::RunEvent;
 use runtime::trace::{ClassBreakdown, Trace};
 use std::fmt;
 use std::ops::Deref;
@@ -307,6 +307,7 @@ impl<'a> Session<'a> {
             Some(owners) => self.run_distributed(matrix, &plan.space, owners, ev, &shifts),
         }?;
         out.report.analysis_seconds = analysis_seconds;
+        out.flops_executed = plan.flops;
         shifts.report(&mut out.report);
         Ok(out)
     }
@@ -399,20 +400,17 @@ impl RunOutcome {
     /// running) and the drift classes' `measured_tasks`. Version 5 added
     /// the report's `panel_shifts` (panel, shift, attempts of every
     /// shifted panel); `diagonal_shift` became their largest shift and
-    /// `shift_attempts` their summed retries.
-    pub const SCHEMA_VERSION: u32 = 5;
+    /// `shift_attempts` their summed retries. Version 6 dropped the
+    /// registry's `service_requests_admitted` and
+    /// `service_requests_rejected` counters (a service's admissions are
+    /// its tenants' `TenantUsage`) and `trace_summary`'s constant
+    /// `label`.
+    pub const SCHEMA_VERSION: u32 = 6;
 
-    /// Trace-derived summary (per-class and per-worker busy time, idle
-    /// fractions, imbalance, queue wait, efficiency against the measured
-    /// critical path), when the run was traced.
-    pub fn trace_summary(&self) -> Option<RunMetrics> {
-        let trace = self.trace.as_ref()?;
-        // One registry shard per worker (shared run) or rank (distributed).
-        let nprocs = self.registry.as_ref().map_or(1, |r| r.shards);
-        Some(
-            RunMetrics::from_trace("run", trace, nprocs)
-                .with_critical_path(self.critical_path_seconds.unwrap_or(0.0)),
-        )
+    /// The trace's lanes: one registry shard per worker (shared run) or
+    /// rank (distributed).
+    fn trace_lanes(&self) -> usize {
+        self.registry.as_ref().map_or(1, |r| r.shards)
     }
 
     /// The whole report as one [`Json`] tree, `"schema"` first. Absent
@@ -457,8 +455,20 @@ impl RunOutcome {
         if let Some(m) = self.virtual_makespan {
             root.insert("virtual_makespan_s", Json::Num(m));
         }
-        if let Some(m) = self.trace_summary() {
-            root.insert("trace_summary", m.to_json());
+        if let Some(trace) = &self.trace {
+            let lanes = self.trace_lanes();
+            let (makespan, cp) = (trace.makespan(), self.critical_path_seconds.unwrap_or(0.0));
+            let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::Num).collect());
+            let mut o = Json::obj();
+            o.insert("makespan_s", Json::Num(makespan));
+            o.insert("breakdown_s", trace.breakdown().to_json());
+            o.insert("busy_s", nums(trace.busy_per_proc(lanes)));
+            o.insert("idle_fraction", nums(trace.idle_fraction(lanes)));
+            o.insert("load_imbalance", Json::Num(trace.load_imbalance(lanes)));
+            o.insert("total_queue_wait_s", Json::Num(trace.total_queue_wait()));
+            o.insert("critical_path_s", Json::Num(cp));
+            o.insert("efficiency_vs_critical_path", Json::Num(cp_efficiency(cp, makespan)));
+            root.insert("trace_summary", o);
         }
         if self.rank_evolution.events() > 0 {
             let e = &self.rank_evolution;
@@ -524,6 +534,17 @@ impl RunOutcome {
             out.push_str(&d.to_prometheus());
         }
         out
+    }
+}
+
+/// `cp / makespan`, the §VIII-G efficiency against the critical-path
+/// bound, clamped to `[0, 1]`. A non-finite or non-positive bound, or a
+/// zero or NaN makespan, gives 0 instead of dividing.
+fn cp_efficiency(cp: f64, makespan: f64) -> f64 {
+    if cp.is_finite() && cp > 0.0 && makespan.is_finite() && makespan > 0.0 {
+        (cp / makespan).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 
@@ -599,17 +620,18 @@ impl fmt::Display for RunOutcome {
                 self.events.len()
             )?;
         }
-        if let Some(m) = self.trace_summary() {
+        if let Some(trace) = &self.trace {
+            let lanes = self.trace_lanes();
+            let (makespan, cp) = (trace.makespan(), self.critical_path_seconds.unwrap_or(0.0));
+            let idle = trace.idle_fraction(lanes);
             writeln!(
                 f,
-                "  trace: makespan {:.6}s, critical path {:.6}s (efficiency {:.3}), \
+                "  trace: makespan {makespan:.6}s, critical path {cp:.6}s (efficiency {:.3}), \
                  imbalance {:.3}, mean idle {:.3}, queue wait {:.6}s",
-                m.makespan,
-                m.critical_path_seconds,
-                m.efficiency_vs_critical_path,
-                m.load_imbalance,
-                m.mean_idle(),
-                m.total_queue_wait
+                cp_efficiency(cp, makespan),
+                trace.load_imbalance(lanes),
+                idle.iter().sum::<f64>() / idle.len().max(1) as f64,
+                trace.total_queue_wait()
             )?;
         }
         if self.rank_evolution.events() > 0 {
@@ -1118,9 +1140,10 @@ fn run_shared(
 }
 
 /// The sections every run reports the same way, whichever engine ran
-/// it: the factor report (class breakdown zero, analysis time and
-/// shifts left to [`Session::execute`]), the trace with its measured critical path, and the
-/// registry. The caller adds what only its engine has.
+/// it: the factor report (class breakdown zero; analysis time, shifts
+/// and the plan's model flops left to [`Session::execute`]), the trace
+/// with its measured critical path, and the registry. The caller adds
+/// what only its engine has.
 fn outcome(
     space: &CholeskySpace,
     matrix: &TlrMatrix,
@@ -1156,7 +1179,7 @@ fn outcome(
         trace,
         critical_path_seconds,
         rank_evolution: RankEvolution::default(),
-        flops_executed: space.kinds().map(|kind| space.price(kind).flops).sum(),
+        flops_executed: 0.0,
         registry: Some(registry),
         drift: None,
     }
@@ -1266,5 +1289,25 @@ impl Session<'_> {
                 out.trace,
             )
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cp_efficiency;
+
+    #[test]
+    fn cp_efficiency_guards_degenerate_inputs() {
+        // Normal case: the bound over the makespan.
+        assert_eq!(cp_efficiency(1.0, 2.0), 0.5);
+        // NaN / Inf / non-positive bounds give 0.
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            assert_eq!(cp_efficiency(bad, 2.0), 0.0, "{bad}");
+        }
+        // A zero or NaN makespan (an empty trace): no division, 0.
+        assert_eq!(cp_efficiency(1.0, 0.0), 0.0);
+        assert_eq!(cp_efficiency(1.0, f64::NAN), 0.0);
+        // A bound exceeding the makespan clamps to 1.
+        assert_eq!(cp_efficiency(1e9, 2.0), 1.0);
     }
 }

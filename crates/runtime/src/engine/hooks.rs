@@ -177,8 +177,8 @@ const UNSET: usize = usize::MAX;
 /// The span recorder: the sink behind [`Trace`] capture.
 ///
 /// Records, per task, the enqueue (ready) time, the execute start/end
-/// times and the executing worker — everything
-/// [`crate::obs::RunMetrics`] and the Chrome-trace exporter need. A run
+/// times and the executing worker — everything [`Trace`]'s
+/// derived metrics and the Chrome-trace exporter need. A run
 /// that does not trace simply has no `ExecObs`: callers hand the engine
 /// `obs.as_ref()`, and `None` observes nothing. Each task runs at most
 /// once (an elided task has no span), so the spans live in one

@@ -1,13 +1,11 @@
-//! The unified execution engine: one scheduling loop per engine kind,
-//! composed from orthogonal capability hooks.
+//! The execution engines: one scheduling loop per engine kind, composed
+//! from orthogonal capability hooks.
 //!
-//! Four PRs of capability growth (cancellation, per-worker workspace
-//! indexing, span capture, communication counting, fault injection) had
-//! each grafted a new entry point onto the runtime, so the paper's single
-//! PaRSEC-style engine had become a matrix of near-duplicate functions
-//! whose capabilities could not be combined. This module restores the
-//! PaRSEC architecture — scheduling, resilience and instrumentation are
-//! orthogonal *services* over one DAG engine:
+//! As in PaRSEC, scheduling, resilience and instrumentation are
+//! orthogonal *services* over one DAG engine, so every capability
+//! (span capture, per-worker workspaces, communication counting, fault
+//! injection, integrity checks) is an input of the one loop, never a
+//! second entry point:
 //!
 //! * [`Engine`] — the shared-memory work-stealing engine. Exactly one
 //!   scheduling loop over any [`Dataflow`](crate::graph::Dataflow) (a

@@ -51,5 +51,5 @@ pub use fault::{fault_bits, fault_unit, CorruptAt, CrashAt, FaultPlan, FtError, 
 pub use graph::{DataRef, Dataflow, GraphBuilder, TaskClass, TaskGraph, TaskId, TaskSpec};
 pub use machine::MachineModel;
 pub use obs::registry::{Counter, Gauge, Registry, RegistrySnapshot};
-pub use obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics};
+pub use obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent};
 pub use trace::{ClassBreakdown, Trace};

@@ -1,10 +1,10 @@
-//! Observability: trace export, run metrics, and structured run events.
+//! Observability: trace export, the metrics registry, and structured run events.
 //!
 //! This is the cold-path half of the instrumentation story (the PaRSEC
 //! PINS/profiling analogue): everything here consumes a finished
 //! [`Trace`] or counter set and turns it into artifacts — a Chrome-trace
-//! (Perfetto) JSON timeline, or the trace-derived [`RunMetrics`] record
-//! DES comparisons tabulate. The hot-path half is the engine's
+//! (Perfetto) JSON timeline and the JSON forms of run events and class
+//! breakdowns. The hot-path half is the engine's
 //! [`Observe`](crate::engine::Observe) channel with its two sinks (the
 //! [`registry`] always, [`crate::engine::ExecObs`] per run) and rank
 //! logging inside the kernel workspaces; this module only runs after a
@@ -444,7 +444,7 @@ impl RunEvent {
         }
     }
 
-    /// JSON form (used by the metrics dump).
+    /// JSON form (the run report's `events` entries).
     pub fn to_json(&self) -> Json {
         match *self {
             RunEvent::Crash { rank, at } => Json::Obj(vec![
@@ -480,34 +480,6 @@ impl RunEvent {
     }
 }
 
-/// Derived metrics of one run's trace (wall-clock or simulated) — the
-/// numbers behind the paper's Fig. 11 (per-class breakdown) and Fig. 13
-/// (efficiency vs. the critical-path bound), plus the load-balance
-/// columns of the distribution comparison. Wire traffic is not a trace
-/// fact: it stays with the run's `CommStats`.
-#[derive(Debug, Clone, Default)]
-pub struct RunMetrics {
-    /// Label for reports ("lorapo-hybrid", "wall-clock", …).
-    pub label: String,
-    /// Trace makespan, seconds.
-    pub makespan: f64,
-    /// Busy seconds per kernel class.
-    pub breakdown: ClassBreakdown,
-    /// Busy seconds per worker/process.
-    pub busy: Vec<f64>,
-    /// Idle fraction per worker/process, each in `[0, 1]`.
-    pub idle_fraction: Vec<f64>,
-    /// `max busy / mean busy` (1.0 = perfect balance).
-    pub load_imbalance: f64,
-    /// Total ready→start wait, seconds, summed over tasks.
-    pub total_queue_wait: f64,
-    /// Critical-path bound, seconds (0 when not computed).
-    pub critical_path_seconds: f64,
-    /// `critical_path_seconds / makespan` (the §VIII-G efficiency; 0 when
-    /// no bound was computed).
-    pub efficiency_vs_critical_path: f64,
-}
-
 impl ClassBreakdown {
     /// JSON object of the busy seconds, one key per class.
     pub fn to_json(&self) -> Json {
@@ -518,108 +490,6 @@ impl ClassBreakdown {
             ("gemm".into(), Json::Num(self.gemm)),
             ("other".into(), Json::Num(self.other)),
         ])
-    }
-}
-
-/// Sanitize a possibly NaN/Inf reading for report output.
-fn finite_or_zero(x: f64) -> f64 {
-    if x.is_finite() { x } else { 0.0 }
-}
-
-impl RunMetrics {
-    /// Compute trace-derived metrics; the critical-path fields start at
-    /// zero and are filled by [`with_critical_path`](Self::with_critical_path).
-    pub fn from_trace(label: &str, trace: &Trace, nprocs: usize) -> Self {
-        RunMetrics {
-            label: label.to_string(),
-            makespan: trace.makespan(),
-            breakdown: trace.breakdown(),
-            busy: trace.busy_per_proc(nprocs),
-            idle_fraction: trace.idle_fraction(nprocs),
-            load_imbalance: trace.load_imbalance(nprocs),
-            total_queue_wait: trace.total_queue_wait(),
-            ..RunMetrics::default()
-        }
-    }
-
-    /// Attach the critical-path bound and derive efficiency against it.
-    ///
-    /// Degenerate inputs stay typed-safe: a non-finite or non-positive
-    /// bound records as 0 (the "not computed" sentinel), a zero/NaN
-    /// makespan yields efficiency 0 instead of dividing, and the
-    /// efficiency is clamped to `[0, 1]` so tables never show NaN/Inf.
-    pub fn with_critical_path(mut self, cp_seconds: f64) -> Self {
-        let cp = if cp_seconds.is_finite() && cp_seconds > 0.0 { cp_seconds } else { 0.0 };
-        self.critical_path_seconds = cp;
-        self.efficiency_vs_critical_path =
-            if cp > 0.0 && self.makespan.is_finite() && self.makespan > 0.0 {
-                (cp / self.makespan).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-        self
-    }
-
-    /// Mean idle fraction over the workers/processes (0 when there are
-    /// none).
-    pub fn mean_idle(&self) -> f64 {
-        self.idle_fraction.iter().sum::<f64>() / self.idle_fraction.len().max(1) as f64
-    }
-
-    /// JSON form of the full metrics record.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), Json::Str(self.label.clone())),
-            ("makespan_s".into(), Json::Num(self.makespan)),
-            ("breakdown_s".into(), self.breakdown.to_json()),
-            (
-                "busy_s".into(),
-                Json::Arr(self.busy.iter().map(|&b| Json::Num(b)).collect()),
-            ),
-            (
-                "idle_fraction".into(),
-                Json::Arr(self.idle_fraction.iter().map(|&f| Json::Num(f)).collect()),
-            ),
-            ("load_imbalance".into(), Json::Num(self.load_imbalance)),
-            (
-                "total_queue_wait_s".into(),
-                Json::Num(self.total_queue_wait),
-            ),
-            (
-                "critical_path_s".into(),
-                Json::Num(self.critical_path_seconds),
-            ),
-            (
-                "efficiency_vs_critical_path".into(),
-                Json::Num(self.efficiency_vs_critical_path),
-            ),
-        ])
-    }
-
-    /// Side-by-side table over several runs (one line per run) — the
-    /// Lorapo vs. band vs. diamond comparison of the paper's evaluation.
-    /// Degenerate inputs stay typed-safe (satellite of the metrics
-    /// registry work): an empty run list renders an explicit "(no runs)"
-    /// row and NaN/Inf readings print as 0 rather than leaking into the
-    /// table.
-    pub fn comparison_table(runs: &[RunMetrics]) -> String {
-        let mut out =
-            String::from("plan               makespan_s   imbalance  mean_idle     eff_cp\n");
-        if runs.is_empty() {
-            out.push_str("(no runs)\n");
-            return out;
-        }
-        for m in runs {
-            out.push_str(&format!(
-                "{:<18} {:>10.6} {:>11.4} {:>10.4} {:>10.3}\n",
-                m.label,
-                finite_or_zero(m.makespan),
-                finite_or_zero(m.load_imbalance),
-                finite_or_zero(m.mean_idle()),
-                finite_or_zero(m.efficiency_vs_critical_path),
-            ));
-        }
-        out
     }
 }
 
@@ -702,24 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_from_trace() {
-        let t = sample_trace();
-        let m = RunMetrics::from_trace("unit", &t, 2).with_critical_path(1.0);
-        assert_eq!(m.makespan, 2.0);
-        assert!((m.breakdown.total() - 1.75).abs() < 1e-12);
-        assert!((m.total_queue_wait - 0.25).abs() < 1e-12);
-        assert!((m.efficiency_vs_critical_path - 0.5).abs() < 1e-12);
-        for f in &m.idle_fraction {
-            assert!((0.0..=1.0).contains(f));
-        }
-        // The JSON dump and the table carry the headline numbers.
-        let j = m.to_json();
-        assert_eq!(j.get("makespan_s").unwrap().as_f64().unwrap(), 2.0);
-        assert_eq!(j.get("idle_fraction").unwrap().as_arr().unwrap().len(), 2);
-        assert!(RunMetrics::comparison_table(&[m]).contains("unit"));
-    }
-
-    #[test]
     fn run_event_json() {
         let e = RunEvent::Recovery {
             failed: 2,
@@ -780,39 +632,5 @@ mod tests {
         // The task spans are unaffected.
         let spans = all.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).count();
         assert_eq!(spans, 2);
-    }
-
-    #[test]
-    fn critical_path_guards_degenerate_inputs() {
-        let m = RunMetrics::from_trace("t", &sample_trace(), 2);
-        // Normal case: efficiency in (0, 1].
-        let ok = m.clone().with_critical_path(1.0);
-        assert!(ok.efficiency_vs_critical_path > 0.0 && ok.efficiency_vs_critical_path <= 1.0);
-        // NaN / Inf / negative bounds record as "not computed".
-        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            let g = m.clone().with_critical_path(bad);
-            assert_eq!(g.critical_path_seconds, 0.0, "{bad}");
-            assert_eq!(g.efficiency_vs_critical_path, 0.0, "{bad}");
-        }
-        // Zero-makespan run (empty trace): no division, efficiency 0.
-        let empty = RunMetrics::from_trace("e", &Trace::default(), 1).with_critical_path(1.0);
-        assert_eq!(empty.efficiency_vs_critical_path, 0.0);
-        // A bound exceeding the makespan clamps to 1 instead of >1.
-        let clamped = m.clone().with_critical_path(1e9);
-        assert_eq!(clamped.efficiency_vs_critical_path, 1.0);
-    }
-
-    #[test]
-    fn comparison_table_guards_empty_and_nonfinite() {
-        let empty = RunMetrics::comparison_table(&[]);
-        assert!(empty.contains("(no runs)"), "{empty}");
-        let poisoned = RunMetrics {
-            label: "bad".into(),
-            makespan: f64::NAN,
-            load_imbalance: f64::INFINITY,
-            ..RunMetrics::default()
-        };
-        let table = RunMetrics::comparison_table(&[poisoned]);
-        assert!(!table.contains("NaN") && !table.contains("inf"), "{table}");
     }
 }

@@ -409,40 +409,6 @@ impl RankEvolution {
     pub fn histogram(&self) -> &[u64] {
         &self.hist
     }
-
-    /// ASCII rendering of the output-rank histogram (binned to at most
-    /// `max_bins` rows, `#`-bar scaled to the largest bin).
-    pub fn render(&self, max_bins: usize) -> String {
-        if self.events == 0 {
-            return "rank evolution: no recompressions recorded\n".to_string();
-        }
-        let mut out = format!(
-            "rank evolution: {} recompressions, mean {:.1} -> {:.1}, max {} -> {}, \
-             {} null, {} dense\n",
-            self.events,
-            self.mean_in(),
-            self.mean_out(),
-            self.max_in,
-            self.max_out,
-            self.nulls,
-            self.denses
-        );
-        let nbins = max_bins.max(1).min(self.hist.len());
-        let per_bin = self.hist.len().div_ceil(nbins);
-        let mut bins: Vec<(usize, usize, u64)> = Vec::with_capacity(nbins);
-        for b in (0..self.hist.len()).step_by(per_bin) {
-            let hi = (b + per_bin).min(self.hist.len());
-            bins.push((b, hi - 1, self.hist[b..hi].iter().sum()));
-        }
-        let peak = bins.iter().map(|&(_, _, c)| c).max().unwrap_or(1).max(1);
-        for (lo, hi, count) in bins {
-            let bar = ((count * 40).div_ceil(peak)) as usize;
-            let label =
-                if lo == hi { format!("{lo:>4}") } else { format!("{lo:>4}-{hi:<4}") };
-            out.push_str(&format!("  k={label:<9} {count:>8} {}\n", "#".repeat(bar)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -606,15 +572,11 @@ mod tests {
         assert_eq!(a.histogram()[0], 1);
         assert!((a.mean_in() - 20.0).abs() < 1e-12);
         assert!((a.mean_out() - 13.0).abs() < 1e-12);
-        let text = a.render(8);
-        assert!(text.contains("4 recompressions"), "{text}");
-        assert!(text.contains('#'));
     }
 
     #[test]
-    fn rank_evolution_empty_render() {
+    fn rank_evolution_empty_means_are_zero() {
         let e = RankEvolution::default();
-        assert!(e.render(10).contains("no recompressions"));
         assert_eq!(e.mean_in(), 0.0);
     }
 }

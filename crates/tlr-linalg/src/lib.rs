@@ -54,7 +54,7 @@ pub use blas3::{gemm, gemm_serial, syrk_serial, trsm, Side, Trans, Uplo};
 pub use microkernel::{active_path, gemm_with_path, simd_available, KernelPath};
 pub use chol::{potrf, potrf_unblocked, CholeskyError};
 pub use matrix::{MatMut, MatRef, Matrix};
-pub use norms::{frobenius_norm, max_abs, relative_diff};
+pub use norms::{frobenius_norm, relative_diff};
 pub use qr::{ColPivQr, ColPivScratch, Qr};
 pub use source::TileSource;
 pub use svd::{jacobi_svd, Svd};

@@ -40,11 +40,6 @@ pub fn frobenius_norm_slice(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Largest absolute entry.
-pub fn max_abs(a: &Matrix) -> f64 {
-    a.as_slice().iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// Relative Frobenius difference `‖A − B‖_F / max(‖B‖_F, tiny)`.
 ///
 /// # Panics
@@ -79,14 +74,6 @@ mod tests {
     fn frobenius_zero_matrix() {
         let m = Matrix::zeros(5, 5);
         assert_eq!(frobenius_norm(&m), 0.0);
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        let mut m = Matrix::zeros(3, 3);
-        m[(1, 2)] = -7.5;
-        m[(0, 0)] = 3.0;
-        assert_eq!(max_abs(&m), 7.5);
     }
 
     #[test]

@@ -17,9 +17,7 @@ use hicma_parsec::distribution::{DiamondDistribution, LorapoHybrid, TileDistribu
 use hicma_parsec::runtime::graph::{DataRef, TaskClass};
 use hicma_parsec::runtime::obs::json::Json;
 use hicma_parsec::runtime::obs::registry::{class_slot, NCLASSES};
-use hicma_parsec::runtime::obs::{
-    chrome_trace_json, chrome_trace_json_with_events, RunEvent, RunMetrics,
-};
+use hicma_parsec::runtime::obs::{chrome_trace_json, chrome_trace_json_with_events, RunEvent};
 use hicma_parsec::runtime::trace::{load_imbalance, ClassBreakdown, TaskRecord, Trace};
 use hicma_parsec::runtime::{
     des, Counter, Engine, EngineConfig, FaultPlan, Gauge, MachineModel, Observe, Registry,
@@ -79,7 +77,7 @@ proptest! {
     }
 
     /// Idle fractions stay in [0, 1] whatever the trace looks like, and
-    /// derived run metrics stay finite.
+    /// the trace's derived metrics stay finite.
     #[test]
     fn idle_fractions_in_unit_interval(seed in 0u64..1000) {
         let nprocs = 1 + (seed as usize % 7);
@@ -87,10 +85,11 @@ proptest! {
         for f in trace.idle_fraction(nprocs) {
             prop_assert!((0.0..=1.0).contains(&f), "idle fraction {f} out of range");
         }
-        let m = RunMetrics::from_trace("prop", &trace, nprocs);
-        prop_assert!(m.makespan.is_finite() && m.makespan >= 0.0);
-        prop_assert!(m.load_imbalance.is_finite() && m.load_imbalance >= 1.0);
-        prop_assert!(m.total_queue_wait.is_finite() && m.total_queue_wait >= 0.0);
+        let (makespan, imbalance) = (trace.makespan(), trace.load_imbalance(nprocs));
+        prop_assert!(makespan.is_finite() && makespan >= 0.0);
+        prop_assert!(imbalance.is_finite() && imbalance >= 1.0);
+        let wait = trace.total_queue_wait();
+        prop_assert!(wait.is_finite() && wait >= 0.0);
     }
 
     /// The Chrome-trace export is valid JSON that round-trips through the
@@ -148,7 +147,8 @@ fn empty_trace_exports_cleanly() {
 }
 
 /// One exporter, both engines: a DES run's virtual-clock trace feeds the
-/// same Chrome-trace writer and metrics report as the wall-clock path.
+/// same Chrome-trace writer as the wall-clock path, and its fold reads
+/// the simulator's own report.
 #[test]
 fn des_trace_uses_the_same_exporter() {
     let snap = SyntheticRankModel::from_application(16, 256, 3.7e-4, 1e-4).snapshot();
@@ -163,17 +163,16 @@ fn des_trace_uses_the_same_exporter() {
     let nspans = events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).count();
     assert_eq!(nspans, trace.records.len());
 
-    let m = RunMetrics::from_trace(cfg.plan.name(), &trace, 4)
-        .with_critical_path(r.critical_path_seconds);
-    assert!(m.makespan > 0.0);
+    assert!(trace.makespan() > 0.0);
     assert!(r.comm.messages > 0, "4 ranks must communicate");
-    assert!(m.efficiency_vs_critical_path > 0.0 && m.efficiency_vs_critical_path <= 1.0);
-    assert_eq!(m.busy.len(), 4);
-    // The simulator keeps its busy ledger in place; the exporter's view of
-    // the trace must read the same bits.
-    assert_eq!(m.makespan.to_bits(), r.factorization_seconds.to_bits());
-    assert_eq!(m.load_imbalance.to_bits(), r.load_imbalance.to_bits());
-    assert_eq!(breakdown_bits(&m.breakdown), breakdown_bits(&r.breakdown));
+    let efficiency = r.roofline_efficiency();
+    assert!(efficiency > 0.0 && efficiency <= 1.0);
+    assert_eq!(trace.busy_per_proc(4).len(), 4);
+    // The simulator keeps its busy ledger in place; the trace's fold must
+    // read the same bits.
+    assert_eq!(trace.makespan().to_bits(), r.factorization_seconds.to_bits());
+    assert_eq!(trace.load_imbalance(4).to_bits(), r.load_imbalance.to_bits());
+    assert_eq!(breakdown_bits(&trace.breakdown()), breakdown_bits(&r.breakdown));
 }
 
 fn breakdown_bits(b: &ClassBreakdown) -> [u64; 5] {
@@ -340,12 +339,18 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
         .any(|e| e.get("name").and_then(Json::as_str).is_some_and(|s| s.starts_with("POTRF"))));
 
     // Run report: class breakdown, worker occupancy, rank evolution.
-    let rm = out.trace_summary().expect("a traced run summarizes its trace");
-    assert!(rm.breakdown.potrf > 0.0 && rm.breakdown.total() > 0.0);
-    assert_eq!(rm.idle_fraction.len(), 2);
-    assert!(rm.idle_fraction.iter().all(|f| (0.0..=1.0).contains(f)));
-    assert!(rm.load_imbalance >= 1.0);
-    assert!(rm.efficiency_vs_critical_path > 0.0 && rm.efficiency_vs_critical_path <= 1.0);
+    let doc = assert_report_round_trips(&out);
+    assert_eq!(doc.get("engine").and_then(Json::as_str), Some("shared"));
+    let summary = doc.get("trace_summary").expect("traced runs carry a trace summary");
+    let num = |key: &str| summary.get(key).and_then(Json::as_f64).unwrap();
+    let breakdown = summary.get("breakdown_s").unwrap();
+    assert!(breakdown.get("potrf").and_then(Json::as_f64).unwrap() > 0.0);
+    let idle = summary.get("idle_fraction").and_then(Json::as_arr).unwrap();
+    assert_eq!(idle.len(), 2);
+    assert!(idle.iter().all(|f| (0.0..=1.0).contains(&f.as_f64().unwrap())));
+    assert!(num("load_imbalance") >= 1.0);
+    let efficiency = num("efficiency_vs_critical_path");
+    assert!(efficiency > 0.0 && efficiency <= 1.0);
     let cp = out.critical_path_seconds.expect("a trace prices the critical path");
     assert!(cp > 0.0 && cp <= trace.makespan() + 1e-12 && out.flops_executed > 0.0);
     assert!(out.rank_evolution.events() > 0, "GEMM recompressions must be logged");
@@ -354,10 +359,6 @@ fn traced_rbf_factorization_exports_chrome_trace_and_metrics() {
     // and the spans are the same readings.
     let (busy, spans) = (report.breakdown.total(), trace.breakdown().total());
     assert!((busy - spans).abs() <= 1e-9 * spans, "breakdown {busy} vs spans {spans}");
-    let doc = assert_report_round_trips(&out);
-    assert_eq!(doc.get("engine").and_then(Json::as_str), Some("shared"));
-    let summary = doc.get("trace_summary").expect("traced runs carry a trace summary");
-    assert_eq!(summary.get("idle_fraction").and_then(Json::as_arr).unwrap().len(), 2);
     assert!(doc.get("rank_evolution").is_some());
     let table = out.to_string();
     assert!(table.contains("recompressions") && table.contains("critical path"), "{table}");
