@@ -94,7 +94,7 @@ impl Operands {
     /// The read-only operands, in packed-lower order — every one of them
     /// precedes [`writes`](Operands::writes) in that order, which is the
     /// order the shared engine takes its locks in and the order
-    /// `run_kernel` indexes `reads` by.
+    /// the task body (`TaskBody::run`) indexes `reads` by.
     pub(crate) fn reads(&self) -> &[DataRef] {
         &self.reads[..self.nreads]
     }

@@ -19,6 +19,12 @@
 //! Recovery is retransmission, dedup and task re-execution; the factor
 //! is bit-identical to the fault-free run for any survivable plan.
 //!
+//! What a task computes is not decided here: every rank runs the
+//! session's one task body, the same one the shared engine runs (kernel
+//! dispatch, the diagonal shift, the pivot slot and the cancel flag).
+//! This module only lends it a rank's tiles (`rank_task`) and moves
+//! the tiles between the matrix and the rank stores.
+//!
 //! The data layout follows PaRSEC's on-demand shipping, collapsed to
 //! setup time: each tile starts at its layout owner, where every task
 //! that writes it runs, so its final version is still there at the end
@@ -27,16 +33,12 @@
 //! those steps — matrix → rank store → matrix — and copied only onto the
 //! wire, as its writer's output, once per consumer on another rank.
 
-use crate::dag::{lower, CholeskySpace, TaskKind};
-use crate::factorize::FactorConfig;
-use crate::session::{kernel_arenas, record_pivot, run_kernel, with_reads, PanelShifts};
-use parking_lot::Mutex;
+use crate::dag::{lower, TaskKind};
+use crate::session::{with_reads, TaskBody};
 use runtime::engine::RankCtx;
 use runtime::graph::{DataRef, TaskId};
 use std::collections::HashMap;
-use tlr_compress::kernels::KernelWorkspace;
-use tlr_compress::{CompressionConfig, SealedTile, Tile, TlrMatrix};
-use tlr_linalg::CholeskyError;
+use tlr_compress::{SealedTile, Tile, TlrMatrix};
 
 /// Move the matrix tiles into per-rank initial stores: each tile to its
 /// owner in the plan's packed-lower owner map.
@@ -58,9 +60,9 @@ pub(crate) fn scatter_tiles<P: TilePayload>(
 /// Payload abstraction for the distributed pipeline: the same task body
 /// runs on plain [`Tile`]s (no integrity layer, zero extra cost) or on
 /// digest-sealed tiles ([`SealedTile`], armed by
-/// [`FactorConfig::integrity`] or a corrupting fault plan). `from_tile`
-/// is where checksum maintenance happens: sealing a freshly written tile
-/// recomputes its digest.
+/// [`FactorConfig::integrity`](crate::factorize::FactorConfig::integrity)
+/// or a corrupting fault plan). `from_tile` is where checksum maintenance
+/// happens: sealing a freshly written tile recomputes its digest.
 pub(crate) trait TilePayload: Clone {
     /// Borrow the tile contents (for kernel reads).
     fn tile(&self) -> &Tile;
@@ -94,75 +96,38 @@ impl TilePayload for SealedTile {
     }
 }
 
-/// The task body of a distributed run: [`run_kernel`] over a rank's
-/// store and inbox. The error slot keeps the *minimum* failing pivot so
-/// concurrent failures report deterministically.
-pub(crate) struct RankBody<'a> {
-    space: &'a CholeskySpace,
-    tile_size: usize,
-    compression: CompressionConfig,
-    shifts: &'a PanelShifts,
-    pub(crate) error: Mutex<Option<CholeskyError>>,
-    /// One kernel arena per emulated rank, indexed by `ctx.rank()`.
-    pub(crate) workspaces: Vec<Mutex<KernelWorkspace>>,
-}
-
-impl<'a> RankBody<'a> {
-    pub(crate) fn new(
-        space: &'a CholeskySpace,
-        cfg: &FactorConfig,
-        tile_size: usize,
-        nprocs: usize,
-        shifts: &'a PanelShifts,
-    ) -> Self {
-        RankBody {
-            space,
-            tile_size,
-            compression: cfg.compression(),
-            shifts,
-            error: Mutex::new(None),
-            workspaces: kernel_arenas(nprocs),
-        }
+/// Run task `t` of `body` on `ctx`'s rank: take the tile it writes out of
+/// the rank's store, lend it and the task's reads (from the store or the
+/// inbox) to the body, and put the new version back. A cancelled run puts
+/// the tile back untouched, which keeps the dataflow moving.
+pub(crate) fn rank_task<P: TilePayload>(body: &TaskBody<'_>, t: TaskId, ctx: &mut RankCtx<'_, P>) {
+    let kind = body.space.kind(t);
+    let ops = kind.operands();
+    // Every read is a tile of the task's panel `k` in its final version,
+    // and shipped inputs are keyed in the inbox by the task that produced
+    // them: (k, k) by POTRF(k), (m, k) by TRSM(k, m).
+    let producer = |d: DataRef| {
+        let (k, m) = (d.j, d.i);
+        let kind = if m == k { TaskKind::Potrf { k } } else { TaskKind::Trsm { k, m } };
+        Some(body.space.id(kind))
+    };
+    // A task runs on the rank of the tile it writes, and a crash migrates
+    // a dead rank's tasks as one block, so every writer of a tile runs on
+    // one rank and finds its previous version local.
+    let cur = ctx
+        .take(ops.writes)
+        .expect("every writer of a tile runs on one rank: its previous version is local");
+    if body.cancelled() {
+        ctx.put(ops.writes, cur);
+        return;
     }
-
-    /// Run task `t` on `ctx`'s rank.
-    pub(crate) fn run<P: TilePayload>(&self, t: TaskId, ctx: &mut RankCtx<'_, P>) {
-        let kind = self.space.kind(t);
-        let ops = kind.operands();
-        let w = ops.writes;
-        // Every read is a tile of the task's panel `k` in its final
-        // version, and shipped inputs are keyed in the inbox by the task
-        // that produced them: (k, k) by POTRF(k), (m, k) by TRSM(k, m).
-        let producer = |d: DataRef| {
-            let (k, m) = (d.j, d.i);
-            let kind = if m == k { TaskKind::Potrf { k } } else { TaskKind::Trsm { k, m } };
-            Some(self.space.id(kind))
-        };
-        // A task runs on the rank of the tile it writes, and a crash
-        // migrates a dead rank's tasks as one block, so every writer of a
-        // tile runs on one rank and finds its previous version local.
-        let cur = ctx
-            .take(w)
-            .expect("every writer of a tile runs on one rank: its previous version is local");
-        if self.error.lock().is_some() {
-            // Poisoned: keep the dataflow moving with the untouched tile.
-            ctx.put(w, cur);
-            return;
-        }
-        let mut out = cur.into_tile();
-        let result = with_reads(
-            ops.reads(),
-            |d| ctx.get(producer(d), d).tile(),
-            |reads| {
-                let mut ws = self.workspaces[ctx.rank()].lock();
-                run_kernel(kind, &mut ws, &mut out, reads, &self.compression, self.shifts)
-            },
-        );
-        if let Err(e) = result {
-            record_pivot(&self.error, w.i * self.tile_size + e.pivot);
-        }
-        ctx.put(w, P::from_tile(out));
-    }
+    let mut out = cur.into_tile();
+    with_reads(
+        ops.reads(),
+        |d| ctx.get(producer(d), d).tile(),
+        |reads| body.run(ctx.rank(), kind, &mut out, reads),
+    );
+    ctx.put(ops.writes, P::from_tile(out));
 }
 
 /// Move the final tile versions out of the per-rank stores back into the
@@ -184,7 +149,7 @@ pub(crate) fn gather_tiles<P: TilePayload>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factorize::factorize;
+    use crate::factorize::{factorize, FactorConfig};
     use crate::session::{RunError, Session};
     use distribution::TileDistribution;
     use distribution::{BandDistribution, DiamondDistribution, LorapoHybrid, TwoDBlockCyclic};

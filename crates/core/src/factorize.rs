@@ -13,6 +13,13 @@ use runtime::trace::ClassBreakdown;
 use tlr_compress::{CompressionConfig, RankSnapshot, TlrMatrix};
 use tlr_linalg::CholeskyError;
 
+/// How many times a POTRF whose pivot fails retries its panel on the
+/// diagonal tile plus `εI`, `ε` escalating ×10 (a rounding-level
+/// regularization for borderline matrices, applied to the failing panel
+/// alone; see [`factorize`]). A strongly indefinite matrix fails
+/// regardless because the shifts stay near the working accuracy.
+pub const SHIFT_RETRIES: usize = 3;
+
 /// Options of the shared-memory factorization.
 #[derive(Debug, Clone, Copy)]
 pub struct FactorConfig {
@@ -32,13 +39,6 @@ pub struct FactorConfig {
     /// the same `RAYON_NUM_THREADS`/`available_parallelism` resolution as
     /// the pool: both layers see one consistent hardware budget.
     pub nthreads: usize,
-    /// When a POTRF's pivot fails, retry that panel up to this many times
-    /// on its diagonal tile plus `εI`, `ε` escalating ×10 (a rounding-level
-    /// regularization for borderline matrices, applied to the failing
-    /// panel alone; see [`factorize`]). `0` disables the retry; a strongly
-    /// indefinite matrix fails regardless because the shifts stay near the
-    /// working accuracy.
-    pub max_shift_retries: usize,
     /// Collect a per-task execution trace into
     /// [`RunOutcome::trace`](crate::session::RunOutcome::trace)
     /// (wall-clock on shared-memory runs, virtual time on distributed
@@ -107,7 +107,6 @@ impl FactorConfig {
             max_rank: usize::MAX,
             trimmed: true,
             nthreads: rayon::current_num_threads(),
-            max_shift_retries: 3,
             collect_trace: false,
             integrity: IntegrityMode::Off,
         }
@@ -178,9 +177,9 @@ pub struct PanelShift {
 /// and the off-diagonal tiles the corresponding solved panels, all still
 /// in TLR format.
 ///
-/// When a POTRF's pivot fails, and if `cfg.max_shift_retries > 0`, that
-/// task restores its diagonal tile from a copy it kept, adds `εI` and
-/// factors again, `ε` escalating ×10 from `mean|diag(A)| ·
+/// When a POTRF's pivot fails, that task restores its diagonal tile from
+/// a copy it kept, adds `εI` and factors again, up to [`SHIFT_RETRIES`]
+/// (3) times, `ε` escalating ×10 from `mean|diag(A)| ·
 /// max(accuracy, 1e-12)` — a rounding-level regularization that rescues
 /// borderline matrices (e.g. SPD operators pushed slightly indefinite by
 /// compression error) while leaving truly indefinite ones to fail. The
@@ -354,21 +353,18 @@ mod tests {
         });
         let ccfg = CompressionConfig::with_accuracy(1e-8);
 
-        // Without retries: a clean pivot failure.
-        let mut m0 = TlrMatrix::from_dense(&dense, 24, &ccfg);
-        let mut cfg = FactorConfig::with_accuracy(1e-8);
-        cfg.max_shift_retries = 0;
-        factorize(&mut m0, &cfg).expect_err("test premise: matrix is indefinite");
+        // Premise: the operator is indefinite, its dense Cholesky fails.
+        tlr_linalg::potrf(&mut dense.clone()).expect_err("test premise: matrix is indefinite");
 
-        // With retries: recovered, and every shift is reported.
+        // The shift retry rescues it, and every shift is reported.
         let mut m = TlrMatrix::from_dense(&dense, 24, &ccfg);
-        cfg.max_shift_retries = 5;
-        let report = factorize(&mut m, &cfg).expect("shift retry must rescue the matrix");
+        let report = factorize(&mut m, &FactorConfig::with_accuracy(1e-8))
+            .expect("shift retry must rescue the matrix");
         let shifts = &report.panel_shifts;
         assert!(!shifts.is_empty(), "recovery must have shifted a panel");
         assert!(shifts.windows(2).all(|w| w[0].panel < w[1].panel), "{shifts:?}");
         for p in shifts {
-            assert!(p.panel < m.nt() && (1..=5).contains(&p.attempts), "{p:?}");
+            assert!(p.panel < m.nt() && (1..=SHIFT_RETRIES).contains(&p.attempts), "{p:?}");
             assert!(
                 p.shift > 0.0 && p.shift <= 1e-3,
                 "shift {} should be a rounding-scale regularization",
@@ -388,8 +384,7 @@ mod tests {
 
     /// A hopelessly indefinite matrix still fails after the bounded
     /// retries of its failing panel, with the typed error at the
-    /// smallest failing pivot: the one the unshifted factorization
-    /// reports.
+    /// smallest failing pivot: the one an unshifted Cholesky reports.
     #[test]
     fn strongly_indefinite_fails_despite_retries() {
         let n = 64;
@@ -405,13 +400,11 @@ mod tests {
             }
         });
         let ccfg = CompressionConfig::with_accuracy(1e-8);
-        let mut cfg = FactorConfig::with_accuracy(1e-8);
-        cfg.max_shift_retries = 0;
-        let bare = factorize(&mut TlrMatrix::from_dense(&dense, 16, &ccfg), &cfg).unwrap_err();
+        let bare = tlr_linalg::potrf(&mut dense.clone()).unwrap_err();
         // The leading 40 × 40 block is diagonally dominant: row 40 is the
         // first pivot to fail.
         assert_eq!(bare.pivot, 40);
-        cfg.max_shift_retries = 3;
+        let cfg = FactorConfig::with_accuracy(1e-8);
         let err = factorize(&mut TlrMatrix::from_dense(&dense, 16, &ccfg), &cfg).unwrap_err();
         assert_eq!(err, bare, "the retries must not move the reported pivot");
     }

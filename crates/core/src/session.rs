@@ -2,9 +2,11 @@
 //!
 //! [`Session`] is the single entry point behind every TLR Cholesky
 //! front-end in this crate. A session owns the whole
-//! pipeline — task-space build, tile placement, the one task body
-//! (`run_kernel`, which also owns the per-panel diagonal-shift retry),
-//! engine execution, and tile gathering. The public wrapper
+//! pipeline — task-space build, tile placement, the one task body both
+//! engines run (`TaskBody`: kernel dispatch, the per-panel diagonal
+//! shift with its constant budget [`SHIFT_RETRIES`], the first-failure
+//! slot and the cancel flag, the kernel arenas and the registry), engine
+//! execution, and tile gathering. The public wrapper
 //! [`factorize`](crate::factorize::factorize) is a one-call shim over
 //! it.
 //!
@@ -27,13 +29,13 @@
 //! structure therefore pay the symbolic cost once.
 
 use crate::dag::{lower, CholeskySpace, TaskKind};
-use crate::distributed::{gather_tiles, scatter_tiles, RankBody, TilePayload};
+use crate::distributed::{gather_tiles, rank_task, scatter_tiles, TilePayload};
 use crate::drift::DriftReport;
-use crate::factorize::{FactorConfig, FactorReport, IntegrityMode, PanelShift};
+use crate::factorize::{FactorConfig, FactorReport, IntegrityMode, PanelShift, SHIFT_RETRIES};
 use crate::plan::{self, CacheEvents, OwnerMap, PlanCache, PlanKey, SymbolicPlan};
 use distribution::TileDistribution;
 use parking_lot::{Mutex, RwLock};
-use runtime::critical_path::critical_path;
+use runtime::critical_path::{cp_efficiency, critical_path};
 use runtime::des::CommStats;
 use runtime::engine::{
     DistConfig, DistEngine, Engine, EngineConfig, EngineError, ExecObs, IntegrityHooks,
@@ -176,11 +178,11 @@ impl<'a> Session<'a> {
     /// engine and back.
     ///
     /// The diagonal-shift retry is the same on *every* engine, because it
-    /// lives in the one task body: a POTRF whose pivot fails, if
-    /// `cfg.max_shift_retries > 0`, restores its diagonal tile from the
-    /// copy it kept, adds `εI` and factors again, `ε` escalating ×10 from
-    /// `mean|diag(A)| · max(accuracy, 1e-12)` (read once from the input,
-    /// before any POTRF runs) up to `max_shift_retries` times. Each
+    /// lives in the one task body: a POTRF whose pivot fails restores its
+    /// diagonal tile from the copy it kept, adds `εI` and factors again,
+    /// `ε` escalating ×10 from `mean|diag(A)| · max(accuracy, 1e-12)`
+    /// (read once from the input, before any POTRF runs) up to
+    /// [`SHIFT_RETRIES`] (3) times. Each
     /// panel's shift is a function of its own input tile, so the factor
     /// does not depend on which POTRFs ran concurrently, on the thread
     /// count or on a lineage replay; [`FactorReport::panel_shifts`] lists
@@ -293,6 +295,7 @@ impl<'a> Session<'a> {
 
     /// Factor `matrix` through the plan: the plan says which engine it
     /// was built for (its key matched this session's, so the two agree).
+    /// The engine runs the one task body, which then reports the run.
     fn execute(
         &self,
         plan: &SymbolicPlan,
@@ -300,15 +303,15 @@ impl<'a> Session<'a> {
         ev: CacheEvents,
         analysis_seconds: f64,
     ) -> Result<RunOutcome, RunError> {
-        let (cfg, drift) = (&self.cfg, self.drift.as_ref());
-        let shifts = PanelShifts::new(matrix, cfg);
-        let mut out = match &plan.dist {
-            None => run_shared(matrix, cfg, &plan.space, drift, ev, &shifts),
-            Some(owners) => self.run_distributed(matrix, &plan.space, owners, ev, &shifts),
+        let lanes = plan.dist.as_ref().map_or(self.cfg.nthreads.max(1), |o| o.nprocs);
+        let body = TaskBody::new(&plan.space, &self.cfg, matrix, lanes, ev);
+        let run = match &plan.dist {
+            None => run_shared(matrix, &self.cfg, &body),
+            Some(owners) => self.run_distributed(matrix, owners, &body),
         }?;
+        let mut out = body.finish(matrix, run, self.drift.as_ref())?;
         out.report.analysis_seconds = analysis_seconds;
         out.flops_executed = plan.flops;
-        shifts.report(&mut out.report);
         Ok(out)
     }
 }
@@ -537,17 +540,6 @@ impl RunOutcome {
     }
 }
 
-/// `cp / makespan`, the §VIII-G efficiency against the critical-path
-/// bound, clamped to `[0, 1]`. A non-finite or non-positive bound, or a
-/// zero or NaN makespan, gives 0 instead of dividing.
-fn cp_efficiency(cp: f64, makespan: f64) -> f64 {
-    if cp.is_finite() && cp > 0.0 && makespan.is_finite() && makespan > 0.0 {
-        (cp / makespan).clamp(0.0, 1.0)
-    } else {
-        0.0
-    }
-}
-
 /// The human-readable view of the report: one line per section present.
 impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -656,7 +648,7 @@ impl fmt::Display for RunOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The matrix is numerically not positive definite (a pivot that
-    /// failed every configured shift retry of its panel).
+    /// failed every shift retry of its panel).
     Numeric(CholeskyError),
     /// The engine could not complete the run: a kernel panicked, the
     /// graph/configuration was invalid, or a fault plan was not
@@ -716,109 +708,277 @@ impl From<EngineError> for RunError {
     }
 }
 
-/// The one task body: run `kind`'s kernel on `out` (the tile
-/// [`operands`](TaskKind::operands) says it writes) against `reads` (the
-/// tiles it says it reads, in that order). Where the tiles live — behind
-/// the shared engine's locks or in a rank's store and inbox — is the
-/// caller's business; what the task computes is decided here alone. A
-/// POTRF whose pivot fails retries on its own tile with a diagonal shift
-/// ([`shifted_potrf`]); one that fails every retry carries the pivot
-/// *within* its tile.
-pub(crate) fn run_kernel(
-    kind: TaskKind,
-    ws: &mut KernelWorkspace,
-    out: &mut Tile,
-    reads: &[&Tile],
-    compression: &CompressionConfig,
-    shifts: &PanelShifts,
-) -> Result<(), CholeskyError> {
-    match kind {
-        TaskKind::Potrf { k } => shifted_potrf(k, ws, out, shifts)?,
-        TaskKind::Trsm { .. } => trsm_kernel(reads[0], out),
-        TaskKind::Syrk { .. } => syrk_kernel_ws(ws, reads[0], out),
-        // C(m, n) −= A(m, k) · B(n, k)ᵀ: reads are [(n, k), (m, k)].
-        TaskKind::Gemm { .. } => gemm_kernel_ws(ws, reads[1], reads[0], out, compression),
-    }
-    Ok(())
-}
-
-/// POTRF of panel `k` with the per-panel diagonal-shift retry: keep a
-/// copy of the tile in a workspace buffer, and while the pivot fails
-/// (at most `shifts.retries` times) restore the tile, add `εI` and
-/// factor again, `ε` escalating ×10 from `shifts.base`. The shift is a
-/// function of the input tile alone, so a concurrent POTRF of another
-/// panel or a lineage replay of this one cannot move it. The error of a
-/// panel that fails every retry carries its smallest failing pivot.
-fn shifted_potrf(
-    k: usize,
-    ws: &mut KernelWorkspace,
-    out: &mut Tile,
-    shifts: &PanelShifts,
-) -> Result<(), CholeskyError> {
-    if shifts.retries == 0 {
-        return potrf_kernel(out);
-    }
-    let Tile::Dense(a) = out else { panic!("POTRF requires a dense diagonal tile") };
-    let mut saved = ws.take(a.rows(), a.cols());
-    saved.as_mut_slice().copy_from_slice(a.as_slice());
-    let mut result = potrf_kernel(out);
-    let mut shift = shifts.base;
-    let mut pivot = usize::MAX;
-    for attempts in 1..=shifts.retries {
-        let Err(e) = result else { break };
-        pivot = pivot.min(e.pivot);
-        let Tile::Dense(a) = &mut *out else { unreachable!("POTRF keeps its tile dense") };
-        a.as_mut_slice().copy_from_slice(saved.as_slice());
-        for d in 0..a.rows().min(a.cols()) {
-            a[(d, d)] += shift;
-        }
-        result = potrf_kernel(out);
-        if result.is_ok() {
-            shifts.record(PanelShift { panel: k, shift, attempts });
-        }
-        shift *= 10.0;
-    }
-    ws.give(saved);
-    result.map_err(|e| CholeskyError { pivot: pivot.min(e.pivot) })
-}
-
-/// The diagonal-shift rule of one run, and the shifts its POTRFs
-/// applied. `base` is `mean|diag(A)| · max(accuracy, 1e-12)`, read from
-/// the input before any POTRF runs.
-pub(crate) struct PanelShifts {
-    base: f64,
-    retries: usize,
+/// The one task body of a run, whichever engine executes it: everything a
+/// task needs except its tiles. Where the tiles live — behind the shared
+/// engine's locks or in a rank's store and inbox — is the engine's
+/// business; what a task computes, how a failing pivot is recorded and
+/// when the run stops are decided here alone.
+///
+/// [`Session::execute`] builds it before the engine's timer starts and
+/// [`finish`](TaskBody::finish)es it into the run's [`RunOutcome`].
+pub(crate) struct TaskBody<'a> {
+    /// The task space the engine walks: what each task id is.
+    pub(crate) space: &'a CholeskySpace,
+    compression: CompressionConfig,
+    tile_size: usize,
+    /// The matrix's storage before the run, for the report.
+    memory_before_f64: usize,
+    /// The first shift a failing POTRF adds: `mean|diag(A)| ·
+    /// max(accuracy, 1e-12)`, read from the input before any POTRF runs.
+    shift_base: f64,
     /// One entry per shifted panel; touched only when a pivot fails.
-    applied: Mutex<Vec<PanelShift>>,
+    shifts: Mutex<Vec<PanelShift>>,
+    /// One kernel arena per lane (engine worker or emulated rank),
+    /// indexed by the lane the engine hands the task — exclusive by
+    /// construction, so the `Mutex` is never contended (it only satisfies
+    /// the `Sync` bound of the shared engine's kernel closure). Buffers
+    /// grow to their high-water mark over the first few updates and the
+    /// recompression hot path then runs allocation-free.
+    workspaces: Vec<Mutex<KernelWorkspace>>,
+    /// The run's metrics registry, one shard per lane: the engine reports
+    /// task counts, durations and fault events into it.
+    registry: Registry,
+    /// The smallest failing pivot, as a global row: several POTRFs can
+    /// fail before the failure propagates, and the caller must see a
+    /// deterministic (earliest) pivot, not whichever was stored last.
+    error: Mutex<Option<CholeskyError>>,
+    /// Set on the first pivot failure (or, on the shared engine, digest
+    /// mismatch): every task after it returns without running its kernel.
+    cancel: AtomicBool,
+    /// Whether every input entry is finite. A matrix that arrives
+    /// poisoned is the caller's data, not a kernel bug: it has to reach
+    /// the typed pivot failure in debug builds as it does in release.
+    #[cfg(debug_assertions)]
+    inputs_finite: bool,
 }
 
-impl PanelShifts {
-    pub(crate) fn new(matrix: &TlrMatrix, cfg: &FactorConfig) -> Self {
-        PanelShifts {
-            base: matrix.diagonal_mean_abs() * cfg.accuracy.max(1e-12),
-            retries: cfg.max_shift_retries,
-            applied: Mutex::new(Vec::new()),
+impl<'a> TaskBody<'a> {
+    /// The body of one run of `matrix` through `space` on `lanes` workers
+    /// or ranks; `ev` is the plan-cache activity that produced the plan.
+    fn new(
+        space: &'a CholeskySpace,
+        cfg: &FactorConfig,
+        matrix: &TlrMatrix,
+        lanes: usize,
+        ev: CacheEvents,
+    ) -> Self {
+        let registry = Registry::new(lanes);
+        registry.add(0, Counter::PlanCacheHits, ev.hits);
+        registry.add(0, Counter::PlanCacheMisses, ev.misses);
+        registry.add(0, Counter::PlanCacheEvictions, ev.evictions);
+        TaskBody {
+            space,
+            compression: cfg.compression(),
+            tile_size: matrix.tile_size(),
+            memory_before_f64: matrix.memory_f64(),
+            shift_base: matrix.diagonal_mean_abs() * cfg.accuracy.max(1e-12),
+            shifts: Mutex::new(Vec::new()),
+            workspaces: (0..lanes).map(|_| Mutex::new(KernelWorkspace::new())).collect(),
+            registry,
+            error: Mutex::new(None),
+            cancel: AtomicBool::new(false),
+            #[cfg(debug_assertions)]
+            inputs_finite: (0..matrix.nt()).all(|i| {
+                let finite = |t: &Tile| t.to_dense().as_slice().iter().all(|v| v.is_finite());
+                (0..=i).all(|j| finite(matrix.tile(i, j)))
+            }),
         }
     }
 
-    /// Note panel `s.panel`'s shift. A lineage replay of the POTRF
-    /// recomputes the same shift, so it replaces the entry it repeats.
-    fn record(&self, s: PanelShift) {
-        let mut applied = self.applied.lock();
-        match applied.iter_mut().find(|p| p.panel == s.panel) {
-            Some(p) => *p = s,
-            None => applied.push(s),
-        }
+    /// Stop the run: every task after this returns at once.
+    fn cancel(&self) {
+        self.cancel.store(true, Ordering::Release);
     }
 
-    /// Write the applied shifts into `report`, in panel order.
-    fn report(self, report: &mut FactorReport) {
-        let mut applied = self.applied.into_inner();
-        applied.sort_by_key(|p| p.panel);
-        report.diagonal_shift = applied.iter().map(|p| p.shift).fold(0.0, f64::max);
-        report.shift_attempts = applied.iter().map(|p| p.attempts).sum();
-        report.panel_shifts = applied;
+    /// Whether the run was cancelled.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Acquire)
     }
+
+    /// Run `kind`'s kernel on lane `lane`'s arena, writing `out` (the tile
+    /// [`operands`](TaskKind::operands) says it writes) from `reads` (the
+    /// tiles it says it reads, in that order). A failing pivot is recorded
+    /// and cancels the run; `false` then says `out` holds no new version.
+    pub(crate) fn run(&self, lane: usize, kind: TaskKind, out: &mut Tile, reads: &[&Tile]) -> bool {
+        if let Err(e) = self.kernel(lane, kind, out, reads) {
+            let row = kind.operands().writes.i * self.tile_size + e.pivot;
+            let mut slot = self.error.lock();
+            if slot.as_ref().is_none_or(|prev| row < prev.pivot) {
+                *slot = Some(CholeskyError { pivot: row });
+            }
+            self.cancel();
+            return false;
+        }
+        // Pin down the first kernel that produces a non-finite value.
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.inputs_finite || out.to_dense().as_slice().iter().all(|v| v.is_finite()),
+            "non-finite output from {kind:?} (rank {})",
+            out.rank()
+        );
+        true
+    }
+
+    /// The only `TaskKind → kernel` dispatch. A POTRF that fails every
+    /// shift carries the pivot *within* its tile.
+    fn kernel(
+        &self,
+        lane: usize,
+        kind: TaskKind,
+        out: &mut Tile,
+        reads: &[&Tile],
+    ) -> Result<(), CholeskyError> {
+        let ws = &mut *self.workspaces[lane].lock();
+        match kind {
+            TaskKind::Potrf { k } => self.shifted_potrf(k, ws, out)?,
+            TaskKind::Trsm { .. } => trsm_kernel(reads[0], out),
+            TaskKind::Syrk { .. } => syrk_kernel_ws(ws, reads[0], out),
+            // C(m, n) −= A(m, k) · B(n, k)ᵀ: reads are [(n, k), (m, k)].
+            TaskKind::Gemm { .. } => gemm_kernel_ws(ws, reads[1], reads[0], out, &self.compression),
+        }
+        Ok(())
+    }
+
+    /// POTRF of panel `k` with the per-panel diagonal shift: keep a copy
+    /// of the tile in a workspace buffer, and while the pivot fails (at
+    /// most [`SHIFT_RETRIES`] times) restore the tile, add `εI` and factor
+    /// again, `ε` escalating ×10 from `shift_base`. The shift is a
+    /// function of the input tile alone, so a concurrent POTRF of another
+    /// panel or a lineage replay of this one cannot move it. The error of
+    /// a panel that fails every retry carries its smallest failing pivot.
+    fn shifted_potrf(
+        &self,
+        k: usize,
+        ws: &mut KernelWorkspace,
+        out: &mut Tile,
+    ) -> Result<(), CholeskyError> {
+        let Tile::Dense(a) = out else { panic!("POTRF requires a dense diagonal tile") };
+        let mut saved = ws.take(a.rows(), a.cols());
+        saved.as_mut_slice().copy_from_slice(a.as_slice());
+        let mut result = potrf_kernel(out);
+        let mut shift = self.shift_base;
+        let mut pivot = usize::MAX;
+        for attempts in 1..=SHIFT_RETRIES {
+            let Err(e) = result else { break };
+            pivot = pivot.min(e.pivot);
+            let Tile::Dense(a) = &mut *out else { unreachable!("POTRF keeps its tile dense") };
+            a.as_mut_slice().copy_from_slice(saved.as_slice());
+            for d in 0..a.rows().min(a.cols()) {
+                a[(d, d)] += shift;
+            }
+            result = potrf_kernel(out);
+            if result.is_ok() {
+                // A lineage replay of the POTRF recomputes the same shift,
+                // so it replaces the entry it repeats.
+                let s = PanelShift { panel: k, shift, attempts };
+                let mut applied = self.shifts.lock();
+                match applied.iter_mut().find(|p| p.panel == k) {
+                    Some(p) => *p = s,
+                    None => applied.push(s),
+                }
+            }
+            shift *= 10.0;
+        }
+        ws.give(saved);
+        result.map_err(|e| CholeskyError { pivot: pivot.min(e.pivot) })
+    }
+
+    /// The report of a finished run, `matrix` holding its factor: the
+    /// recorded pivot failure if there was one, else the arenas drained
+    /// into the registry (buffer growth, per-lane high-water marks) and
+    /// the rank log, the registry's snapshot, the panel shifts in panel
+    /// order, the trace's measured critical path, and — when `drift`
+    /// names a machine — the cost-model drift. Analysis time and the
+    /// plan's model flops are left to [`Session::execute`].
+    fn finish(
+        self,
+        matrix: &TlrMatrix,
+        run: EngineRun,
+        drift: Option<&MachineModel>,
+    ) -> Result<RunOutcome, RunError> {
+        let TaskBody { space, memory_before_f64, shifts, workspaces, registry, error, .. } = self;
+        if let Some(e) = error.into_inner() {
+            return Err(RunError::Numeric(e));
+        }
+        let mut rank_evolution = RankEvolution::default();
+        for (shard, ws) in workspaces.into_iter().enumerate() {
+            let mut w = ws.into_inner();
+            rank_evolution.merge(&w.take_rank_log());
+            registry.add(0, Counter::WorkspaceGrowth, w.alloc_events());
+            registry.gauge_max(shard, Gauge::ArenaHighWaterBytes, w.high_water_bytes() as f64);
+        }
+        let registry = registry.snapshot();
+        // The comm model prices the plan's task→rank mapping: the engine
+        // decides which edges are messages from the original placement
+        // (static locality), also after a crash migrated tasks, so only
+        // fault and recovery traffic separates the two.
+        let comm_model = run.wire.as_ref().map(|w| (&w.exec_rank[..], w.comm));
+        let drift = drift.map(|m| DriftReport::compute(m, space, &registry, comm_model));
+        // Kernel-class busy seconds are wall-clock: a distributed run's
+        // kernels execute inside a virtual-time loop, so it reports none.
+        let breakdown = match run.wire {
+            None => registry.class_busy_seconds(),
+            Some(_) => ClassBreakdown::default(),
+        };
+        let critical_path_seconds = run.trace.as_ref().map(|trace| {
+            let mut dur = vec![0.0_f64; space.len()];
+            for r in &trace.records {
+                dur[r.task] = r.duration();
+            }
+            critical_path(space, |t| dur[t]).length
+        });
+        let mut panel_shifts = shifts.into_inner();
+        panel_shifts.sort_by_key(|p| p.panel);
+        let (comm, events, virtual_makespan) = match run.wire {
+            Some(w) => (Some(w.comm), w.events, Some(w.makespan)),
+            None => (None, Vec::new(), None),
+        };
+        Ok(RunOutcome {
+            report: FactorReport {
+                factorization_seconds: run.seconds,
+                analysis_seconds: 0.0,
+                dag_tasks: space.len(),
+                dense_dag_tasks: space.analysis().dense_tasks(),
+                final_snapshot: matrix.rank_snapshot(),
+                memory_before_f64,
+                memory_after_f64: matrix.memory_f64(),
+                breakdown,
+                diagonal_shift: panel_shifts.iter().map(|p| p.shift).fold(0.0, f64::max),
+                shift_attempts: panel_shifts.iter().map(|p| p.attempts).sum(),
+                panel_shifts,
+            },
+            comm,
+            events,
+            virtual_makespan,
+            trace: run.trace,
+            critical_path_seconds,
+            rank_evolution,
+            flops_executed: 0.0,
+            registry: Some(registry),
+            drift,
+        })
+    }
+}
+
+/// What an engine measured of a run, beside what the body kept.
+struct EngineRun {
+    /// Wall-clock seconds of the execution span.
+    seconds: f64,
+    /// The per-task trace, when one was asked for.
+    trace: Option<Trace>,
+    /// The wire of a distributed run (`None` on the shared engine).
+    wire: Option<Wire>,
+}
+
+/// What only the distributed engine has: messages, events and virtual
+/// time.
+struct Wire {
+    comm: CommStats,
+    events: Vec<RunEvent>,
+    makespan: f64,
+    /// The plan's task → rank map, which the drift report's comm model
+    /// prices.
+    exec_rank: Vec<usize>,
 }
 
 /// Borrow a task's read operands through `fetch` (a lock guard, a
@@ -840,46 +1000,7 @@ pub(crate) fn with_reads<G: Deref<Target = Tile>, R>(
     }
 }
 
-/// Record a pivot failure at global row `pivot`, keeping the *smallest*
-/// one — several POTRFs can fail before the failure propagates, and the
-/// caller must see a deterministic (earliest) pivot, not whichever
-/// failure happened to be stored last.
-pub(crate) fn record_pivot(slot: &Mutex<Option<CholeskyError>>, pivot: usize) {
-    let mut slot = slot.lock();
-    if slot.as_ref().is_none_or(|prev| pivot < prev.pivot) {
-        *slot = Some(CholeskyError { pivot });
-    }
-}
-
-/// One kernel arena per engine worker or emulated rank, indexed by the
-/// worker id / rank the engine hands the task body — exclusive by
-/// construction, so the `Mutex` is never contended (it only satisfies
-/// the `Sync` bound of the shared engine's kernel closure). Buffers grow
-/// to their high-water mark over the first few updates and the
-/// recompression hot path then runs allocation-free.
-pub(crate) fn kernel_arenas(n: usize) -> Vec<Mutex<KernelWorkspace>> {
-    (0..n).map(|_| Mutex::new(KernelWorkspace::new())).collect()
-}
-
-/// Drain the kernel arenas of a finished run: their merged rank log,
-/// and their buffer-growth count and per-shard arena high-water marks
-/// into the registry.
-fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry) -> RankEvolution {
-    let mut rank_evolution = RankEvolution::default();
-    for (shard, ws) in workspaces.into_iter().enumerate() {
-        let mut w = ws.into_inner();
-        rank_evolution.merge(&w.take_rank_log());
-        registry.add(0, Counter::WorkspaceGrowth, w.alloc_events());
-        registry.gauge_max(
-            shard,
-            Gauge::ArenaHighWaterBytes,
-            w.high_water_bytes() as f64,
-        );
-    }
-    rank_evolution
-}
-
-/// One shared-memory run on the work-stealing [`Engine`].
+/// One shared-memory run of `body` on the work-stealing [`Engine`].
 ///
 /// Kernel panics are drained by the engine (no hung pool) and surface
 /// as [`RunError::Engine`]; the tiles are moved back into the matrix
@@ -888,16 +1009,11 @@ fn drain_workspaces(workspaces: Vec<Mutex<KernelWorkspace>>, registry: &Registry
 fn run_shared(
     matrix: &mut TlrMatrix,
     cfg: &FactorConfig,
-    space: &CholeskySpace,
-    drift: Option<&MachineModel>,
-    ev: CacheEvents,
-    shifts: &PanelShifts,
-) -> Result<RunOutcome, RunError> {
-    let nt = matrix.nt();
-    let memory_before_f64 = matrix.memory_f64();
+    body: &TaskBody<'_>,
+) -> Result<EngineRun, RunError> {
+    let (nt, space) = (matrix.nt(), body.space);
 
     // Move the tiles into lock cells for concurrent kernel execution.
-    let tile_size = matrix.tile_size();
     let mut cells: Vec<RwLock<Tile>> = Vec::with_capacity(nt * (nt + 1) / 2);
     for i in 0..nt {
         for j in 0..=i {
@@ -949,19 +1065,6 @@ fn run_shared(
         });
     let verify_reads = cfg.integrity == IntegrityMode::VerifyReads;
 
-    let compression = cfg.compression();
-    // The per-task finiteness assertion below looks for a kernel that
-    // turns finite tiles into non-finite ones. A matrix that arrives
-    // poisoned is the caller's data, not a kernel bug: it has to reach
-    // the typed pivot failure in debug builds as it does in release.
-    #[cfg(debug_assertions)]
-    let inputs_finite = cells
-        .iter()
-        .all(|c| c.read().to_dense().as_slice().iter().all(|v| v.is_finite()));
-    let error: Mutex<Option<CholeskyError>> = Mutex::new(None);
-    // Flipped on the first pivot failure: the engine then drains the
-    // remaining tasks without invoking their kernels at all.
-    let cancel = AtomicBool::new(false);
     // First corrupted tile, kept at the smallest packed index so
     // concurrent detections report deterministically (same discipline as
     // the pivot error).
@@ -972,7 +1075,7 @@ fn run_shared(
             Some(prev) if *prev <= (d.i, d.j) => {}
             _ => *slot = Some((d.i, d.j)),
         }
-        cancel.store(true, Ordering::Release);
+        body.cancel();
     };
     let check = |d: DataRef, t: &Tile| -> bool {
         if !verify_reads {
@@ -991,17 +1094,12 @@ fn run_shared(
         record_corruption(d);
         false
     };
-    let nthreads = cfg.nthreads.max(1);
-    let workspaces = kernel_arenas(nthreads);
 
-    // The two sinks of the engine's observation channel: the span
-    // recorder (only when tracing was asked for; its table is
-    // preallocated here) and the metrics registry, one shard per worker.
-    // The engine times every task once and reports it to both — this
-    // function never reads a clock per task.
+    // The span recorder, only when tracing was asked for (its table is
+    // preallocated here), beside the body's registry: the engine times
+    // every task once and reports it to both — this function never reads
+    // a clock per task.
     let obs = cfg.collect_trace.then(|| ExecObs::new(space.len()));
-    let registry = Registry::new(nthreads);
-    record_cache_events(&registry, ev);
 
     // Numeric trimming: Algorithm 1 keeps a task whenever its tiles are
     // structurally non-null, but a task whose kernel returns at its first
@@ -1033,15 +1131,15 @@ fn run_shared(
         noop
     };
 
-    // The engine walks the task space in id order and runs the task
-    // body under this engine's locks and digest checks, once per task it
-    // does not elide; once `cancel` is set, the body returns at once.
-    let engine_cfg = EngineConfig::new(nthreads)
-        .with_obs((&registry, obs.as_ref()))
+    // The engine walks the task space in id order and runs the body under
+    // this engine's locks and digest checks, once per task it does not
+    // elide; once the run is cancelled, the closure returns at once.
+    let engine_cfg = EngineConfig::new(cfg.nthreads.max(1))
+        .with_obs((&body.registry, obs.as_ref()))
         .with_elide(elides);
     let exec_t0 = std::time::Instant::now();
     let exec_result = Engine::new(space).run(&engine_cfg, |wid, t| {
-        if cancel.load(Ordering::Acquire) {
+        if body.cancelled() {
             return; // a pivot failure or a digest mismatch cancelled the run
         }
         let kind = space.kind(t);
@@ -1054,13 +1152,7 @@ fn run_shared(
                 let mut out = cell(ops.writes).write();
                 let verified = ops.reads().iter().zip(reads).all(|(&d, t)| check(d, t))
                     && check(ops.writes, &out);
-                if !verified {
-                    return;
-                }
-                let mut ws = workspaces[wid].lock();
-                if let Err(e) = run_kernel(kind, &mut ws, &mut out, reads, &compression, shifts) {
-                    record_pivot(&error, ops.writes.i * tile_size + e.pivot);
-                    cancel.store(true, Ordering::Release);
+                if !verified || !body.run(wid, kind, &mut out, reads) {
                     return;
                 }
                 null[lower(ops.writes.i, ops.writes.j)].store(out.is_null(), Ordering::Relaxed);
@@ -1073,17 +1165,10 @@ fn run_shared(
                         checked: false,
                     };
                 }
-                // Pin down the first kernel that produces a non-finite value.
-                #[cfg(debug_assertions)]
-                assert!(
-                    !inputs_finite || out.to_dense().as_slice().iter().all(|v| v.is_finite()),
-                    "non-finite output from {kind:?} (rank {})",
-                    out.rank()
-                );
             },
         )
     });
-    let factorization_seconds = exec_t0.elapsed().as_secs_f64();
+    let seconds = exec_t0.elapsed().as_secs_f64();
 
     // Move the tiles back into the matrix regardless of success (a
     // panicked kernel released its lock on unwind).
@@ -1108,16 +1193,13 @@ fn run_shared(
     if let Some((i, j)) = integrity_bad.into_inner() {
         return Err(integrity_error(i, j));
     }
-    if let Some(e) = error.into_inner() {
-        return Err(RunError::Numeric(e));
-    }
     // End-of-run sweep: verify every tile of the finished factor against
     // its seal once, so a flip between a tile's last write and here can
     // never leave the session silently. One digest per tile, O(n²) total
     // — negligible next to the O(n³)-ish factorization. (Skipped after a
-    // pivot failure above: a half-factored tile legitimately no longer
-    // matches its seal.)
-    if let Some(ds) = &digests {
+    // pivot failure, which the body's finish reports: a half-factored
+    // tile legitimately no longer matches its seal.)
+    if let (Some(ds), false) = (&digests, body.cancelled()) {
         for i in 0..nt {
             for j in 0..=i {
                 if !ds[lower(i, j)].lock().d.verify(matrix.tile(i, j)) {
@@ -1126,70 +1208,7 @@ fn run_shared(
             }
         }
     }
-
-    let rank_evolution = drain_workspaces(workspaces, &registry);
-    let registry = registry.snapshot();
-    let drift = drift.map(|machine| DriftReport::compute(machine, space, &registry, None));
-    let breakdown = registry.class_busy_seconds();
-    let trace = obs.map(|o| o.finish(space));
-    let mut out = outcome(space, matrix, memory_before_f64, factorization_seconds, registry, trace);
-    out.report.breakdown = breakdown;
-    out.rank_evolution = rank_evolution;
-    out.drift = drift;
-    Ok(out)
-}
-
-/// The sections every run reports the same way, whichever engine ran
-/// it: the factor report (class breakdown zero; analysis time, shifts
-/// and the plan's model flops left to [`Session::execute`]), the trace
-/// with its measured critical path, and the registry. The caller adds
-/// what only its engine has.
-fn outcome(
-    space: &CholeskySpace,
-    matrix: &TlrMatrix,
-    memory_before_f64: usize,
-    factorization_seconds: f64,
-    registry: RegistrySnapshot,
-    trace: Option<Trace>,
-) -> RunOutcome {
-    let critical_path_seconds = trace.as_ref().map(|trace| {
-        let mut dur = vec![0.0_f64; space.len()];
-        for r in &trace.records {
-            dur[r.task] = r.duration();
-        }
-        critical_path(space, |t| dur[t]).length
-    });
-    RunOutcome {
-        report: FactorReport {
-            factorization_seconds,
-            analysis_seconds: 0.0,
-            dag_tasks: space.len(),
-            dense_dag_tasks: space.analysis().dense_tasks(),
-            final_snapshot: matrix.rank_snapshot(),
-            memory_before_f64,
-            memory_after_f64: matrix.memory_f64(),
-            breakdown: ClassBreakdown::default(),
-            diagonal_shift: 0.0,
-            shift_attempts: 0,
-            panel_shifts: Vec::new(),
-        },
-        comm: None,
-        events: Vec::new(),
-        virtual_makespan: None,
-        trace,
-        critical_path_seconds,
-        rank_evolution: RankEvolution::default(),
-        flops_executed: 0.0,
-        registry: Some(registry),
-        drift: None,
-    }
-}
-
-/// Plan-cache activity of this run, into its registry.
-fn record_cache_events(registry: &Registry, ev: CacheEvents) {
-    registry.add(0, Counter::PlanCacheHits, ev.hits);
-    registry.add(0, Counter::PlanCacheMisses, ev.misses);
-    registry.add(0, Counter::PlanCacheEvictions, ev.evictions);
+    Ok(EngineRun { seconds, trace: obs.map(|o| o.finish(space)), wire: None })
 }
 
 impl Session<'_> {
@@ -1198,11 +1217,9 @@ impl Session<'_> {
     fn run_distributed(
         &self,
         matrix: &mut TlrMatrix,
-        space: &CholeskySpace,
         owners: &OwnerMap,
-        ev: CacheEvents,
-        shifts: &PanelShifts,
-    ) -> Result<RunOutcome, RunError> {
+        body: &TaskBody<'_>,
+    ) -> Result<EngineRun, RunError> {
         if self.sealed_payloads() {
             // Every tile travels with its exact content digest; the body
             // reseals what it writes (`TilePayload::from_tile`), and the
@@ -1214,9 +1231,9 @@ impl Session<'_> {
                 corrupt: &corrupt,
                 verify: &check,
             };
-            self.run_ranks(matrix, space, owners, ev, shifts, Some(&hooks))
+            self.run_ranks(matrix, owners, body, Some(&hooks))
         } else {
-            self.run_ranks::<Tile>(matrix, space, owners, ev, shifts, None)
+            self.run_ranks::<Tile>(matrix, owners, body, None)
         }
     }
 
@@ -1230,25 +1247,19 @@ impl Session<'_> {
     fn run_ranks<P: TilePayload>(
         &self,
         matrix: &mut TlrMatrix,
-        space: &CholeskySpace,
         owners: &OwnerMap,
-        ev: CacheEvents,
-        shifts: &PanelShifts,
+        body: &TaskBody<'_>,
         hooks: Option<&IntegrityHooks<'_, P>>,
-    ) -> Result<RunOutcome, RunError> {
-        let (cfg, nprocs) = (&self.cfg, owners.nprocs);
-        let memory_before_f64 = matrix.memory_f64();
-        let body = RankBody::new(space, cfg, matrix.tile_size(), nprocs, shifts);
-        // The metrics registry shards per emulated rank: task counts and
+    ) -> Result<EngineRun, RunError> {
+        let (space, nprocs) = (body.space, owners.nprocs);
+        // The body's registry shards per emulated rank: task counts and
         // virtual per-class durations land in the executing rank's shard,
         // fault and integrity events in shard 0.
-        let registry = Registry::new(nprocs);
-        record_cache_events(&registry, ev);
         let no_faults = FaultPlan::none();
         let dist_cfg = DistConfig {
             faults: self.fault_layer().unwrap_or(&no_faults),
-            record_trace: cfg.collect_trace,
-            metrics: &registry,
+            record_trace: self.cfg.collect_trace,
+            metrics: &body.registry,
         };
         let exec_t0 = std::time::Instant::now();
         let exec_rank = owners.exec_ranks(space);
@@ -1257,57 +1268,11 @@ impl Session<'_> {
             initial,
             &dist_cfg,
             hooks,
-            |t, ctx| body.run(t, ctx),
+            |t, ctx| rank_task(body, t, ctx),
         )?;
-        let factorization_seconds = exec_t0.elapsed().as_secs_f64();
-
+        let seconds = exec_t0.elapsed().as_secs_f64();
         gather_tiles(matrix, &mut out.stores);
-        if let Some(e) = body.error.into_inner() {
-            return Err(RunError::Numeric(e));
-        }
-        let rank_evolution = drain_workspaces(body.workspaces, &registry);
-        let registry = registry.snapshot();
-        // The comm model prices the plan's task→rank mapping: the engine
-        // decides which edges are messages from the original placement
-        // (static locality), also after a crash migrated tasks, so only
-        // fault and recovery traffic separates the two.
-        let drift = self.drift.as_ref().map(|machine| {
-            DriftReport::compute(machine, space, &registry, Some((&exec_rank, out.comm)))
-        });
-        Ok(RunOutcome {
-            comm: Some(out.comm),
-            events: out.events,
-            virtual_makespan: Some(out.makespan),
-            rank_evolution,
-            drift,
-            ..outcome(
-                space,
-                matrix,
-                memory_before_f64,
-                factorization_seconds,
-                registry,
-                out.trace,
-            )
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::cp_efficiency;
-
-    #[test]
-    fn cp_efficiency_guards_degenerate_inputs() {
-        // Normal case: the bound over the makespan.
-        assert_eq!(cp_efficiency(1.0, 2.0), 0.5);
-        // NaN / Inf / non-positive bounds give 0.
-        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            assert_eq!(cp_efficiency(bad, 2.0), 0.0, "{bad}");
-        }
-        // A zero or NaN makespan (an empty trace): no division, 0.
-        assert_eq!(cp_efficiency(1.0, 0.0), 0.0);
-        assert_eq!(cp_efficiency(1.0, f64::NAN), 0.0);
-        // A bound exceeding the makespan clamps to 1.
-        assert_eq!(cp_efficiency(1e9, 2.0), 1.0);
+        let wire = Wire { comm: out.comm, events: out.events, makespan: out.makespan, exec_rank };
+        Ok(EngineRun { seconds, trace: out.trace, wire: Some(wire) })
     }
 }

@@ -11,6 +11,7 @@
 //! which we account as write-back bytes.
 
 use crate::dag::{tile_bytes, CholeskySpace, DagConfig, TaskKind};
+use runtime::critical_path::cp_efficiency;
 use runtime::des::{simulate, CommStats, DesTask};
 use runtime::fault::FaultPlan;
 use runtime::graph::DataRef;
@@ -109,13 +110,10 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Roofline efficiency: critical path / achieved (§VIII-G).
+    /// Roofline efficiency: critical path / achieved (§VIII-G), by the
+    /// run report's convention ([`cp_efficiency`]).
     pub fn roofline_efficiency(&self) -> f64 {
-        if self.factorization_seconds > 0.0 {
-            self.critical_path_seconds / self.factorization_seconds
-        } else {
-            1.0
-        }
+        cp_efficiency(self.critical_path_seconds, self.factorization_seconds)
     }
 }
 

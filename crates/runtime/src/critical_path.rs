@@ -60,6 +60,19 @@ pub fn critical_path(graph: &impl Dataflow, duration: impl Fn(TaskId) -> f64) ->
     CriticalPath { length, tasks }
 }
 
+/// `cp / makespan`, the §VIII-G efficiency against the critical-path
+/// bound, clamped to `[0, 1]`: the one convention of every report that
+/// prints it, real runs and simulated ones. A non-finite or non-positive
+/// bound, or a non-finite or non-positive makespan, gives 0 instead of
+/// dividing.
+pub fn cp_efficiency(cp: f64, makespan: f64) -> f64 {
+    if cp.is_finite() && cp > 0.0 && makespan.is_finite() && makespan > 0.0 {
+        (cp / makespan).clamp(0.0, 1.0)
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,5 +141,20 @@ mod tests {
         let cp = critical_path(&g, |_| 1.0);
         assert_eq!(cp.length, 0.0);
         assert!(cp.tasks.is_empty());
+    }
+
+    #[test]
+    fn cp_efficiency_guards_degenerate_inputs() {
+        // Normal case: the bound over the makespan.
+        assert_eq!(cp_efficiency(1.0, 2.0), 0.5);
+        // NaN / Inf / non-positive bounds give 0.
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            assert_eq!(cp_efficiency(bad, 2.0), 0.0, "{bad}");
+        }
+        // A zero or NaN makespan (an empty trace): no division, 0.
+        assert_eq!(cp_efficiency(1.0, 0.0), 0.0);
+        assert_eq!(cp_efficiency(1.0, f64::NAN), 0.0);
+        // A bound exceeding the makespan clamps to 1.
+        assert_eq!(cp_efficiency(1e9, 2.0), 1.0);
     }
 }

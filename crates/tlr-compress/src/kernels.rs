@@ -587,8 +587,8 @@ fn recompress_ws(
         qc.advance(f64::NEG_INFINITY, qc.rank() + 1);
     }
     let k = qc.rank();
+    ws.rank_log.record(ktot, k);
     if k == 0 {
-        ws.rank_log.record_null(ktot);
         reclaim_colpiv(ws, qc);
         reclaim_qr(ws, qu);
         reclaim_qr(ws, qv);
@@ -618,14 +618,12 @@ fn recompress_ws(
     ws.give(ys);
     reclaim_qr(ws, qv);
     if k > config.max_rank || !low_rank_pays_off(k, rows, cols) {
-        ws.rank_log.record_dense(ktot, k);
         let mut dense = ws.take_out(rows, cols);
         gemm_serial(Trans::No, Trans::Yes, 1.0, &u, &v, 0.0, &mut dense);
         ws.give_out(u);
         ws.give_out(v);
         return Tile::Dense(dense);
     }
-    ws.rank_log.record(ktot, k);
     Tile::LowRank { u, v }
 }
 

@@ -311,10 +311,8 @@ impl SyntheticRankModel {
 /// Running statistics of recompression rank evolution: every GEMM-update
 /// recompression feeds one `(stacked input rank, truncated output rank)`
 /// pair, the histogram of which is the tuning signal H2OPUS-TLR
-/// (arXiv:2108.11932) builds its adaptive-rank decisions on. Null results
-/// (everything truncated away) and dense fallbacks (low rank stopped
-/// paying off) are tracked separately because they change the tile
-/// *format*, not just the rank.
+/// (arXiv:2108.11932) builds its adaptive-rank decisions on. A null
+/// result (everything truncated away) is output rank 0, `histogram()[0]`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankEvolution {
     /// Recompressions observed.
@@ -323,16 +321,10 @@ pub struct RankEvolution {
     sum_in: u64,
     /// Sum of kept output ranks.
     sum_out: u64,
-    /// Largest stacked input rank seen.
-    max_in: usize,
     /// Largest kept output rank seen.
     max_out: usize,
     /// `hist[k]` = recompressions whose output rank was `k`.
     hist: Vec<u64>,
-    /// Recompressions that truncated to rank 0 (tile became Null).
-    nulls: u64,
-    /// Recompressions whose result fell back to Dense format.
-    denses: u64,
 }
 
 impl RankEvolution {
@@ -341,7 +333,6 @@ impl RankEvolution {
         self.events += 1;
         self.sum_in += k_in as u64;
         self.sum_out += k_out as u64;
-        self.max_in = self.max_in.max(k_in);
         self.max_out = self.max_out.max(k_out);
         if self.hist.len() <= k_out {
             self.hist.resize(k_out + 1, 0);
@@ -349,25 +340,11 @@ impl RankEvolution {
         self.hist[k_out] += 1;
     }
 
-    /// Record a recompression that truncated everything away (Null tile).
-    pub fn record_null(&mut self, k_in: usize) {
-        self.record(k_in, 0);
-        self.nulls += 1;
-    }
-
-    /// Record a recompression whose rank-`k_out` result was converted to
-    /// Dense because low rank stopped paying off.
-    pub fn record_dense(&mut self, k_in: usize, k_out: usize) {
-        self.record(k_in, k_out);
-        self.denses += 1;
-    }
-
     /// Fold another log into this one (merging per-worker logs).
     pub fn merge(&mut self, other: &RankEvolution) {
         self.events += other.events;
         self.sum_in += other.sum_in;
         self.sum_out += other.sum_out;
-        self.max_in = self.max_in.max(other.max_in);
         self.max_out = self.max_out.max(other.max_out);
         if self.hist.len() < other.hist.len() {
             self.hist.resize(other.hist.len(), 0);
@@ -375,8 +352,6 @@ impl RankEvolution {
         for (k, &c) in other.hist.iter().enumerate() {
             self.hist[k] += c;
         }
-        self.nulls += other.nulls;
-        self.denses += other.denses;
     }
 
     /// Recompressions observed.
@@ -397,11 +372,6 @@ impl RankEvolution {
     /// Largest kept output rank seen.
     pub fn max_out(&self) -> usize {
         self.max_out
-    }
-
-    /// Tiles that truncated to Null.
-    pub fn nulls(&self) -> u64 {
-        self.nulls
     }
 
     /// Output-rank histogram: `histogram()[k]` = recompressions kept at
@@ -559,14 +529,11 @@ mod tests {
         let mut a = RankEvolution::default();
         a.record(24, 12);
         a.record(20, 12);
-        a.record_null(6);
+        a.record(6, 0);
         let mut b = RankEvolution::default();
-        b.record_dense(30, 28);
+        b.record(30, 28);
         a.merge(&b);
         assert_eq!(a.events(), 4);
-        assert_eq!(a.nulls(), 1);
-        assert_eq!(a.denses, 1);
-        assert_eq!(a.max_in, 30);
         assert_eq!(a.max_out(), 28);
         assert_eq!(a.histogram()[12], 2);
         assert_eq!(a.histogram()[0], 1);

@@ -176,11 +176,8 @@ fn cmd_factorize(m: HashMap<String, String>, process_start: Instant) {
         a.kernel_evaluations(),
         n * (n + 1) / 2
     );
-    let session = Session::shared(FactorConfig {
-        trimmed,
-        nthreads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-        ..FactorConfig::with_accuracy(accuracy)
-    });
+    let session =
+        Session::shared(FactorConfig { trimmed, ..FactorConfig::with_accuracy(accuracy) });
     let plan = session.plan(&a);
     close("plan");
     let run = plan.and_then(|plan| session.run_with_plan(&plan, &mut a));

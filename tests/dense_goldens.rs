@@ -555,8 +555,7 @@ fn actual_loop_orders() -> String {
         (-d * d).exp() - if i == j { 1e-7 } else { 0.0 }
     });
     let mut m = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(1e-8));
-    let mut cfg = FactorConfig::with_accuracy(1e-8);
-    cfg.max_shift_retries = 5;
+    let cfg = FactorConfig::with_accuracy(1e-8);
     let report = factorize(&mut m, &cfg).expect("the retry rescues the fixture");
     let tiles: Vec<u64> = (0..m.nt())
         .flat_map(|i| (0..=i).map(move |j| (i, j)))

@@ -165,27 +165,25 @@ fn crash_of_the_owner_of_an_unwritten_tile_reproduces_shared_memory_factor() {
 fn borderline_indefinite_rbf_recovers_end_to_end() {
     // Numeric recovery at the pipeline level: cancel the SPD diagonal
     // bump of a Gaussian operator and overshoot by 1e-7, leaving
-    // λ_min ≈ −1e-7. Plain factorization must fail; with bounded
-    // diagonal-shift retries it must succeed and report the shift.
+    // λ_min ≈ −1e-7. Its dense Cholesky fails; with the bounded
+    // diagonal-shift retries the factorization succeeds and reports the
+    // shift.
     let n = 192;
     let gen = gaussian_gen(n, 6.0);
     let shifted = move |i: usize, j: usize| gen(i, j) - if i == j { 1e-3 + 1e-7 } else { 0.0 };
     let ccfg = CompressionConfig::with_accuracy(1e-8);
-
-    let mut bare = TlrMatrix::from_generator(n, 48, &shifted, &ccfg);
-    let mut cfg = FactorConfig::with_accuracy(1e-8);
-    cfg.max_shift_retries = 0;
-    factorize(&mut bare, &cfg).expect_err("test premise: operator is indefinite");
+    let a = Matrix::from_fn(n, n, &shifted);
+    hicma_parsec::linalg::potrf(&mut a.clone()).expect_err("test premise: operator is indefinite");
 
     let mut rescued = TlrMatrix::from_generator(n, 48, &shifted, &ccfg);
-    cfg.max_shift_retries = 5;
-    let report = factorize(&mut rescued, &cfg).expect("shift retries must rescue");
+    let report = factorize(&mut rescued, &FactorConfig::with_accuracy(1e-8))
+        .expect("shift retries must rescue");
+    assert!(!report.panel_shifts.is_empty(), "recovery must have shifted a panel");
     assert!(report.shift_attempts >= 1);
     assert!(report.diagonal_shift > 0.0 && report.diagonal_shift <= 1e-3);
 
     // The factor is a valid Cholesky of the operator with each shifted
     // panel's own shift on its rows, and of no other.
-    let a = Matrix::from_fn(n, n, &shifted);
     let err = shifted_residual(&rescued.to_dense_lower(), &a, 48, &report);
     assert!(err < 1e-5, "shifted reconstruction error {err}");
 }
@@ -238,8 +236,7 @@ fn separated_bodies_shift_their_own_panels_on_every_engine() {
     });
     let ccfg = CompressionConfig::with_accuracy(1e-8);
     let fresh = || TlrMatrix::from_dense(&dense, B, &ccfg);
-    let mut cfg = FactorConfig::with_accuracy(1e-8);
-    cfg.max_shift_retries = 5;
+    let cfg = FactorConfig::with_accuracy(1e-8);
 
     // Premise: nothing reachable from POTRF(0) touches body B's panels.
     let space = CholeskySpace::new(

@@ -219,8 +219,7 @@ fn rejections_are_typed_and_counted() {
 fn failed_admitted_request_releases_its_charge_once() {
     let service = SolveService::new(2);
     service.register_tenant("one", TenantConfig { max_in_flight: 1, memory_budget_bytes: u64::MAX });
-    let mut cfg = FactorConfig::with_accuracy(ACC);
-    cfg.max_shift_retries = 0;
+    let cfg = FactorConfig::with_accuracy(ACC);
     // Indefinite: the SPD test matrix with its diagonal pushed negative.
     let mut indefinite = test_matrix();
     for i in 0..N {
