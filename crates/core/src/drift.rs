@@ -62,7 +62,7 @@ pub struct ClassDrift {
     /// Tasks of this class in the planned DAG.
     pub modeled_tasks: u64,
     /// Tasks of this class that ran, read from the registry's duration
-    /// histogram. Below `modeled_tasks` when the shared engine elided
+    /// count. Below `modeled_tasks` when the shared engine elided
     /// no-op tasks: the model prices those, the run measures only the
     /// tasks that did work. A distributed run runs every task, and
     /// counts a crash re-execution again.
@@ -218,38 +218,6 @@ impl DriftReport {
         }
         root
     }
-
-    /// Prometheus text exposition of the drift ratios and flags.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# TYPE tlr_drift_ratio gauge\n");
-        for c in &self.classes {
-            out.push_str(&format!(
-                "tlr_drift_ratio{{class=\"{}\"}} {}\n",
-                c.class, c.ratio
-            ));
-        }
-        out.push_str("# TYPE tlr_drift_anomalous gauge\n");
-        for c in &self.classes {
-            out.push_str(&format!(
-                "tlr_drift_anomalous{{class=\"{}\"}} {}\n",
-                c.class,
-                u8::from(c.anomalous)
-            ));
-        }
-        if let Some(c) = &self.comm {
-            out.push_str("# TYPE tlr_drift_comm_ratio gauge\n");
-            out.push_str(&format!(
-                "tlr_drift_comm_ratio{{kind=\"bytes\"}} {}\n",
-                c.bytes_ratio
-            ));
-            out.push_str(&format!(
-                "tlr_drift_comm_ratio{{kind=\"messages\"}} {}\n",
-                c.messages_ratio
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for DriftReport {
@@ -363,8 +331,8 @@ mod tests {
         assert!(!c.anomalous);
         let text = rep.to_string();
         assert!(text.contains("comm:"), "{text}");
-        let prom = rep.to_prometheus();
-        assert!(prom.contains("tlr_drift_comm_ratio{kind=\"bytes\"} 1"));
+        let prom = rep.to_json().to_prometheus();
+        assert!(prom.contains("\ntlr_comm_bytes_ratio 1\n"), "{prom}");
     }
 
     /// The model is the engine: on a fault-free run the measured

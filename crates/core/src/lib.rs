@@ -45,4 +45,4 @@ pub use simulate::{
 };
 pub use solve::{solve_refined, solve_tlr, solve_tlr_multi, tlr_matvec};
 pub use tuner::{tune_tile_size, TuneResult, TuneSample};
-pub use verify::{estimate_condition, factorization_residual, solve_residual};
+pub use verify::{factorization_residual, solve_residual};

@@ -407,8 +407,10 @@ impl RunOutcome {
     /// registry's `service_requests_admitted` and
     /// `service_requests_rejected` counters (a service's admissions are
     /// its tenants' `TenantUsage`) and `trace_summary`'s constant
-    /// `label`.
-    pub const SCHEMA_VERSION: u32 = 6;
+    /// `label`. Version 7 dropped the `buckets` of the registry's
+    /// `task_duration_ns` classes (each keeps `count` and `sum`) and added
+    /// `rank_evolution.histogram`, the exact count of each kept rank.
+    pub const SCHEMA_VERSION: u32 = 7;
 
     /// The trace's lanes: one registry shard per worker (shared run) or
     /// rank (distributed).
@@ -480,6 +482,8 @@ impl RunOutcome {
             o.insert("mean_rank_in", Json::Num(e.mean_in()));
             o.insert("mean_rank_out", Json::Num(e.mean_out()));
             o.insert("max_rank_out", num(e.max_out()));
+            let histogram = e.histogram().iter().map(|&n| Json::Num(n as f64));
+            o.insert("histogram", Json::Arr(histogram.collect()));
             root.insert("rank_evolution", o);
         }
         if let Some(reg) = &self.registry {
@@ -491,52 +495,12 @@ impl RunOutcome {
         root
     }
 
-    /// Prometheus text exposition of the report: run-level gauges (wire
-    /// traffic among them), the registry's counters and histograms, the
-    /// rank log as a histogram, then the drift ratios. The rank buckets
-    /// are `le` = 0, 1, 2, 4, … up to the tile size's next power of two,
-    /// the same set for every run at one tile size (a kept rank never
-    /// exceeds the tile size).
+    /// Prometheus text exposition of the report: the rendering
+    /// ([`Json::to_prometheus`]) of [`to_json`](RunOutcome::to_json), one
+    /// gauge per finite number or boolean, named by its path
+    /// (`tlr_registry_counters_crashes`, `tlr_drift_classes_ratio{i="3"}`).
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let r = &self.report;
-        let mut out = String::new();
-        let mut gauge = |name: &str, v: f64| {
-            let _ = writeln!(out, "# TYPE tlr_run_{name} gauge\ntlr_run_{name} {v}");
-        };
-        gauge("factorization_seconds", r.factorization_seconds);
-        gauge("analysis_seconds", r.analysis_seconds);
-        gauge("dag_tasks", r.dag_tasks as f64);
-        gauge("flops_executed", self.flops_executed);
-        if let Some(m) = self.virtual_makespan {
-            gauge("virtual_makespan_seconds", m);
-        }
-        if let Some(cp) = self.critical_path_seconds {
-            gauge("critical_path_seconds", cp);
-        }
-        if let Some(c) = self.comm {
-            gauge("comm_bytes", c.bytes as f64);
-            gauge("comm_messages", c.messages as f64);
-        }
-        if let Some(reg) = &self.registry {
-            reg.write_prometheus(&mut out);
-        }
-        let e = &self.rank_evolution;
-        let hist = e.histogram();
-        let _ = writeln!(out, "# TYPE tlr_recompression_rank histogram");
-        let top = r.final_snapshot.tile_size().next_power_of_two();
-        for bound in std::iter::successors(Some(0), |&b| (b < top).then(|| (2 * b).max(1))) {
-            let cum: u64 = hist.iter().take(bound + 1).sum();
-            let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"{bound}\"}} {cum}");
-        }
-        let sum: u64 = hist.iter().enumerate().map(|(rank, &n)| rank as u64 * n).sum();
-        let _ = writeln!(out, "tlr_recompression_rank_bucket{{le=\"+Inf\"}} {}", e.events());
-        let _ = writeln!(out, "tlr_recompression_rank_sum {sum}");
-        let _ = writeln!(out, "tlr_recompression_rank_count {}", e.events());
-        if let Some(d) = &self.drift {
-            out.push_str(&d.to_prometheus());
-        }
-        out
+        self.to_json().to_prometheus()
     }
 }
 

@@ -19,51 +19,6 @@ pub fn factorization_residual(a: &Matrix, l: &TlrMatrix) -> f64 {
     frobenius_norm(&recon) / frobenius_norm(a).max(f64::MIN_POSITIVE)
 }
 
-/// Estimate the 2-norm condition number `κ₂(A) = λ_max / λ_min` of an SPD
-/// operator from its TLR factorization: power iteration on `A` (via the
-/// symmetric TLR matvec) for `λ_max`, and inverse power iteration through
-/// the factored solve for `λ_min`.
-///
-/// `a` is the *unfactored* TLR operator, `l` its factorization. `iters`
-/// power-iteration steps (20–40 is plenty for the well-separated spectra
-/// of kernel matrices).
-pub fn estimate_condition(
-    a: &tlr_compress::TlrMatrix,
-    l: &tlr_compress::TlrMatrix,
-    iters: usize,
-) -> f64 {
-    let n = a.n();
-    assert_eq!(l.n(), n);
-    let normalize = |v: &mut [f64]| -> f64 {
-        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm > 0.0 {
-            for x in v.iter_mut() {
-                *x /= norm;
-            }
-        }
-        norm
-    };
-    // deterministic pseudo-random start vector
-    let mut v: Vec<f64> = (0..n).map(|i| ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0).collect();
-    normalize(&mut v);
-    let mut lambda_max = 0.0;
-    for _ in 0..iters {
-        let mut w = crate::solve::tlr_matvec(a, &v);
-        lambda_max = normalize(&mut w);
-        v = w;
-    }
-    let mut u: Vec<f64> = (0..n).map(|i| ((i * 40503) % 997) as f64 / 498.5 - 1.0).collect();
-    normalize(&mut u);
-    let mut inv_lambda_min = 0.0;
-    for _ in 0..iters {
-        let mut w = u.clone();
-        crate::solve::solve_tlr(l, &mut w);
-        inv_lambda_min = normalize(&mut w);
-        u = w;
-    }
-    lambda_max * inv_lambda_min
-}
-
 /// Relative solve residual `‖A·x − b‖₂ / ‖b‖₂`.
 pub fn solve_residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     let ax = a.matvec(x);
@@ -108,52 +63,6 @@ mod tests {
         assert!(residuals[0] > residuals[1] && residuals[1] > residuals[2],
             "residuals must shrink with accuracy: {residuals:?}");
         assert!(residuals[2] < 1e-8);
-    }
-
-    #[test]
-    fn condition_estimate_matches_known_spectrum() {
-        // Diagonal-ish SPD with known extreme eigenvalues: λ ∈ [0.5, 4.5].
-        let n = 96;
-        let dense = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                0.5 + 4.0 * (i as f64 / (n - 1) as f64)
-            } else {
-                0.0
-            }
-        });
-        let acc = 1e-10;
-        let a = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(acc));
-        let mut l = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(acc));
-        factorize(&mut l, &FactorConfig::with_accuracy(acc)).unwrap();
-        let kappa = crate::verify::estimate_condition(&a, &l, 60);
-        let expected = 4.5 / 0.5;
-        assert!(
-            (kappa / expected - 1.0).abs() < 0.05,
-            "κ estimate {kappa} vs exact {expected}"
-        );
-    }
-
-    #[test]
-    fn condition_grows_with_kernel_smoothness() {
-        // Longer correlation ⇒ faster spectral decay ⇒ worse conditioning.
-        let n = 96;
-        let kappa_of = |corr: f64| -> f64 {
-            let dense = Matrix::from_fn(n, n, |i, j| {
-                let d = (i as f64 - j as f64) / corr;
-                (-d * d).exp() + if i == j { 1e-4 } else { 0.0 }
-            });
-            let acc = 1e-10;
-            let a = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(acc));
-            let mut l = TlrMatrix::from_dense(&dense, 24, &CompressionConfig::with_accuracy(acc));
-            factorize(&mut l, &FactorConfig::with_accuracy(acc)).unwrap();
-            crate::verify::estimate_condition(&a, &l, 40)
-        };
-        let kappa_sharp = kappa_of(2.0);
-        let kappa_smooth = kappa_of(8.0);
-        assert!(
-            kappa_smooth > kappa_sharp,
-            "smoother kernel must be worse conditioned: {kappa_smooth} vs {kappa_sharp}"
-        );
     }
 
     #[test]

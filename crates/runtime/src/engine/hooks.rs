@@ -145,7 +145,7 @@ impl<A: Observe, B: Observe> Observe for (A, B) {
 }
 
 /// The metrics registry as a sink: task, elision and steal counters plus
-/// the per-class duration histograms (of executed tasks only), on the
+/// the per-class duration count and sum (of executed tasks only), on the
 /// reporting worker's shard.
 impl Observe for Registry {
     #[inline]

@@ -106,6 +106,7 @@ impl<E> EventQueue<E> {
         }
     }
 
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
         let from_stream = match (self.heap.peek(), self.heads.peek()) {
             (_, None) => false,

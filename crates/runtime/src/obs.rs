@@ -4,7 +4,9 @@
 //! PINS/profiling analogue): everything here consumes a finished
 //! [`Trace`] or counter set and turns it into artifacts — a Chrome-trace
 //! (Perfetto) JSON timeline and the JSON forms of run events and class
-//! breakdowns. The hot-path half is the engine's
+//! breakdowns. Prometheus text is not a separate exporter: it is
+//! [`Json::to_prometheus`](json::Json::to_prometheus), a rendering of a
+//! JSON tree such as the run report's. The hot-path half is the engine's
 //! [`Observe`](crate::engine::Observe) channel with its two sinks (the
 //! [`registry`] always, [`crate::engine::ExecObs`] per run) and rank
 //! logging inside the kernel workspaces; this module only runs after a
@@ -12,7 +14,8 @@
 //!
 //! The JSON layer is hand-rolled: the workspace's `serde` is an offline
 //! marker-trait shim with no `serde_json`, so [`json::Json`] provides the
-//! minimal writer/parser the exporter and its round-trip tests need.
+//! minimal writer/parser the exporters and their round-trip tests need,
+//! and the Prometheus rendering of the same tree.
 
 use crate::trace::{ClassBreakdown, Trace};
 
@@ -122,6 +125,68 @@ pub mod json {
             }
         }
 
+        /// Prometheus text exposition of the tree: every finite number and
+        /// every boolean (as 0 / 1) is one gauge sample; strings, `null`
+        /// and non-finite numbers print nothing. A sample's name is its
+        /// object keys joined with `_` under `tlr` (any character outside
+        /// `[a-zA-Z0-9_]` becomes `_`); each enclosing array adds its
+        /// position as a label, `i` for the outermost, then `j`, `k`, ….
+        /// Samples of one name print together, after its one `# TYPE`
+        /// line, in the order the names first occur.
+        pub fn to_prometheus(&self) -> String {
+            let mut families: Vec<(String, String)> = Vec::new();
+            self.gather("tlr".into(), &mut Vec::new(), &mut families);
+            let mut out = String::new();
+            for (name, samples) in families {
+                let _ = writeln!(out, "# TYPE {name} gauge");
+                out.push_str(&samples);
+            }
+            out
+        }
+
+        /// One walk of [`Json::to_prometheus`]: `name` is the metric name so
+        /// far, `index` the positions in the enclosing arrays, `families`
+        /// the sample lines per name.
+        fn gather(&self, name: String, index: &mut Vec<usize>, families: &mut Vec<(String, String)>) {
+            let value = match self {
+                Json::Bool(b) => f64::from(u8::from(*b)),
+                Json::Num(x) if x.is_finite() => *x,
+                Json::Null | Json::Num(_) | Json::Str(_) => return,
+                Json::Arr(items) => {
+                    for (n, it) in items.iter().enumerate() {
+                        index.push(n);
+                        it.gather(name.clone(), index, families);
+                        index.pop();
+                    }
+                    return;
+                }
+                Json::Obj(fields) => {
+                    for (k, v) in fields {
+                        let key = k.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' });
+                        v.gather(format!("{name}_{}", key.collect::<String>()), index, families);
+                    }
+                    return;
+                }
+            };
+            let at = match families.iter().position(|(n, _)| *n == name) {
+                Some(at) => at,
+                None => {
+                    families.push((name, String::new()));
+                    families.len() - 1
+                }
+            };
+            let (name, samples) = &mut families[at];
+            samples.push_str(name);
+            for (depth, n) in index.iter().enumerate() {
+                let sep = if depth == 0 { '{' } else { ',' };
+                let _ = write!(samples, "{sep}{}=\"{n}\"", axis_label(depth));
+            }
+            if !index.is_empty() {
+                samples.push('}');
+            }
+            let _ = writeln!(samples, " {value}");
+        }
+
         /// Parse JSON text. Returns an error message with a byte offset on
         /// malformed input.
         ///
@@ -145,6 +210,15 @@ pub mod json {
             let mut out = String::new();
             self.write(&mut out);
             f.write_str(&out)
+        }
+    }
+
+    /// Prometheus label of the array `depth` levels in: `i`, `j`, … `z`,
+    /// then `i18`, `i19`, ….
+    fn axis_label(depth: usize) -> String {
+        match u8::try_from(depth) {
+            Ok(d) if d < 18 => char::from(b'i' + d).to_string(),
+            _ => format!("i{depth}"),
         }
     }
 

@@ -1,6 +1,7 @@
-//! Always-available metrics registry: typed counters, f64 gauges, and
-//! log-bucketed (HDR-style) histograms, sharded per worker/rank so the
-//! hot path never contends on a cache line and never allocates.
+//! Always-available metrics registry: typed counters, f64 gauges, and a
+//! count and a sum of each task class's durations, sharded per
+//! worker/rank so the hot path never contends on a cache line and never
+//! allocates.
 //!
 //! Unlike per-task span capture (opt-in per run), the registry is
 //! always on: recording a sample is a handful of relaxed atomic adds on
@@ -10,8 +11,9 @@
 //!
 //! Aggregation happens once, at report time: [`Registry::snapshot`]
 //! merges all shards into a [`RegistrySnapshot`] — plain owned data that
-//! serializes to the hand-rolled [`Json`] and to Prometheus text
-//! exposition format, and feeds the run report and the drift report.
+//! serializes to the hand-rolled [`Json`] (the run report's `registry`
+//! section, which its Prometheus rendering prints too) and feeds the run
+//! report's class breakdown and the drift report.
 
 use crate::graph::TaskClass;
 use crate::obs::json::Json;
@@ -188,31 +190,21 @@ impl Gauge {
     }
 }
 
-/// Merged view of one log-bucketed histogram: `count`/`sum` plus the
-/// non-empty power-of-two buckets as `(inclusive upper bound, count)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistSummary {
+/// Merged count and sum of one class's task durations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
     /// Samples recorded.
     pub count: u64,
     /// Sum of raw sample values (saturating).
     pub sum: u64,
-    /// Non-empty buckets, ascending: value `v` lands in the bucket whose
-    /// bound is the smallest `2^k - 1 >= v` (bound 0 holds exact zeros).
-    pub buckets: Vec<(u64, u64)>,
 }
 
-impl HistSummary {
-    /// JSON object: `{"count": .., "sum": .., "buckets": [[bound, n]..]}`.
+impl Tally {
+    /// JSON object: `{"count": .., "sum": ..}`.
     pub fn to_json(&self) -> Json {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|&(bound, n)| Json::Arr(vec![Json::Num(bound as f64), Json::Num(n as f64)]))
-            .collect();
         let mut obj = Json::obj();
         obj.insert("count", Json::Num(self.count as f64));
         obj.insert("sum", Json::Num(self.sum as f64));
-        obj.insert("buckets", Json::Arr(buckets));
         obj
     }
 }
@@ -229,8 +221,8 @@ pub struct RegistrySnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Every gauge, in [`Gauge::ALL`] order (max across shards).
     pub gauges: Vec<(&'static str, f64)>,
-    /// Task-duration histograms per class, nanosecond raw values.
-    pub class_duration_ns: Vec<HistSummary>,
+    /// Task-duration count and sum per class, in nanoseconds.
+    pub class_duration_ns: Vec<Tally>,
 }
 
 impl RegistrySnapshot {
@@ -250,7 +242,7 @@ impl RegistrySnapshot {
             && self.class_duration_ns.iter().all(|h| h.count == 0)
     }
 
-    /// Measured busy seconds per class, from the duration histograms.
+    /// Measured busy seconds per class, from the duration sums.
     pub fn class_busy_seconds(&self) -> ClassBreakdown {
         let s = |k: usize| self.class_duration_ns.get(k).map_or(0.0, |h| h.sum as f64 * 1e-9);
         ClassBreakdown { potrf: s(0), trsm: s(1), syrk: s(2), gemm: s(3), other: s(4) }
@@ -261,7 +253,7 @@ impl RegistrySnapshot {
         self.class_duration_ns.get(class_slot(class)).map_or(0.0, |h| h.sum as f64 * 1e-9)
     }
 
-    /// JSON object with counters, gauges, and histograms.
+    /// JSON object with counters, gauges, and per-class duration tallies.
     pub fn to_json(&self) -> Json {
         let mut counters = Json::obj();
         for &(name, v) in &self.counters {
@@ -271,117 +263,42 @@ impl RegistrySnapshot {
         for &(name, v) in &self.gauges {
             gauges.insert(name, Json::Num(v));
         }
-        let mut hists = Json::obj();
-        for (k, h) in self.class_duration_ns.iter().enumerate() {
-            hists.insert(class_name(k), h.to_json());
+        let mut durations = Json::obj();
+        for (k, t) in self.class_duration_ns.iter().enumerate() {
+            durations.insert(class_name(k), t.to_json());
         }
         let mut obj = Json::obj();
         obj.insert("shards", Json::Num(self.shards as f64));
         obj.insert("counters", counters);
         obj.insert("gauges", gauges);
-        obj.insert("task_duration_ns", hists);
+        obj.insert("task_duration_ns", durations);
         obj
     }
-
-    /// Append Prometheus text-exposition lines (`# TYPE`-annotated
-    /// counters, gauges, and cumulative-bucket histograms) to `out`.
-    /// Durations are exported in seconds, per convention.
-    pub fn write_prometheus(&self, out: &mut String) {
-        use std::fmt::Write;
-        for &(name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE tlr_{name}_total counter");
-            let _ = writeln!(out, "tlr_{name}_total {v}");
-        }
-        for &(name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE tlr_{name} gauge");
-            let _ = writeln!(out, "tlr_{name} {v}");
-        }
-        let _ = writeln!(out, "# TYPE tlr_task_duration_seconds histogram");
-        for (k, h) in self.class_duration_ns.iter().enumerate() {
-            let class = class_name(k);
-            let mut cum = 0u64;
-            for &(bound, n) in &h.buckets {
-                cum += n;
-                let le = bound as f64 * 1e-9;
-                let _ = writeln!(
-                    out,
-                    "tlr_task_duration_seconds_bucket{{class=\"{class}\",le=\"{le}\"}} {cum}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "tlr_task_duration_seconds_bucket{{class=\"{class}\",le=\"+Inf\"}} {}",
-                h.count
-            );
-            let _ = writeln!(
-                out,
-                "tlr_task_duration_seconds_sum{{class=\"{class}\"}} {}",
-                h.sum as f64 * 1e-9
-            );
-            let _ =
-                writeln!(out, "tlr_task_duration_seconds_count{{class=\"{class}\"}} {}", h.count);
-        }
-    }
-}
-
-/// Index of the log2 bucket holding `v`: 0 for 0, else `64 - lz(v)`
-/// (bucket `b` spans `[2^(b-1), 2^b - 1]`).
-fn bucket_of(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
-/// Inclusive upper bound of bucket `b` (`2^b - 1`; bucket 0 holds 0).
-fn bucket_bound(b: usize) -> u64 {
-    if b == 0 { 0 } else if b >= 64 { u64::MAX } else { (1u64 << b) - 1 }
 }
 
 mod storage {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    const NBUCKETS: usize = 65;
-
-    /// One log2-bucketed histogram over atomics.
-    pub(super) struct LogHist {
-        buckets: [AtomicU64; NBUCKETS],
+    /// One count and sum over atomics.
+    #[derive(Default)]
+    pub(super) struct AtomicTally {
         count: AtomicU64,
         sum: AtomicU64,
     }
 
-    impl Default for LogHist {
-        fn default() -> Self {
-            LogHist {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl LogHist {
+    impl AtomicTally {
         /// Record one sample of value `v` (the sum wraps like any other
         /// counter here).
         #[inline]
         pub(super) fn record(&self, v: u64) {
-            self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
             self.count.fetch_add(1, Relaxed);
             self.sum.fetch_add(v, Relaxed);
         }
 
-        pub(super) fn merge_into(&self, dst: &mut HistSummary) {
+        pub(super) fn merge_into(&self, dst: &mut Tally) {
             dst.count += self.count.load(Relaxed);
             dst.sum = dst.sum.saturating_add(self.sum.load(Relaxed));
-            for (b, bucket) in self.buckets.iter().enumerate() {
-                let n = bucket.load(Relaxed);
-                if n == 0 {
-                    continue;
-                }
-                let bound = bucket_bound(b);
-                match dst.buckets.binary_search_by_key(&bound, |&(bd, _)| bd) {
-                    Ok(i) => dst.buckets[i].1 += n,
-                    Err(i) => dst.buckets.insert(i, (bound, n)),
-                }
-            }
         }
     }
 
@@ -393,7 +310,7 @@ mod storage {
         pub(super) counters: [AtomicU64; NCOUNTERS],
         /// f64 bit patterns; merged by `max` over the decoded values.
         pub(super) gauges: [AtomicU64; NGAUGES],
-        pub(super) class_ns: [LogHist; NCLASSES],
+        pub(super) class_ns: [AtomicTally; NCLASSES],
     }
 
     impl Shard {
@@ -489,7 +406,7 @@ impl Registry {
             shards: self.shards(),
             counters: Counter::ALL.iter().map(|c| (c.name(), 0u64)).collect(),
             gauges: Gauge::ALL.iter().map(|g| (g.name(), 0.0f64)).collect(),
-            class_duration_ns: vec![HistSummary::default(); NCLASSES],
+            class_duration_ns: vec![Tally::default(); NCLASSES],
         };
         for shard in self.shards.iter() {
             for (slot, cell) in snap.counters.iter_mut().zip(shard.counters.iter()) {
@@ -522,12 +439,9 @@ mod tests {
         assert_eq!(snap.gauges.len(), NGAUGES);
         assert_eq!(snap.class_duration_ns.len(), NCLASSES);
         assert_eq!(snap.counter(Counter::Steals), 0);
-        // The JSON and Prometheus exports of an empty snapshot parse/render.
+        // The JSON export of an empty snapshot parses.
         let j = snap.to_json().to_string();
         assert!(Json::parse(&j).is_ok(), "{j}");
-        let mut prom = String::new();
-        snap.write_prometheus(&mut prom);
-        assert!(prom.contains("tlr_tasks_executed_total 0"));
     }
 
     #[test]
@@ -540,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_merge_across_shards() {
+    fn counters_and_tallies_merge_across_shards() {
         let reg = Registry::new(3);
         for shard in 0..7 {
             // Indices past the shard count wrap instead of panicking.
@@ -556,44 +470,13 @@ mod tests {
         assert!(!snap.is_empty());
         assert_eq!(snap.counter(Counter::TasksExecuted), 7);
         assert_eq!(snap.counter(Counter::Retransmissions), 700);
-        assert_eq!(snap.class_duration_ns[class_slot(TaskClass::Gemm)].count, 7);
+        let gemm = Tally { count: 7, sum: 7 * 1_000 + (0..7).sum::<u64>() };
+        assert_eq!(snap.class_duration_ns[class_slot(TaskClass::Gemm)], gemm);
         assert_eq!(snap.class_duration_ns[class_slot(TaskClass::Potrf)].count, 2);
         let potrf_s = snap.class_seconds(TaskClass::Potrf);
         assert!((potrf_s - 1.5e-3).abs() < 1e-9, "{potrf_s}");
         assert_eq!(snap.gauge(Gauge::ArenaHighWaterBytes), 4096.0);
-        // Gemm durations are ~1000ns: all land in the [512, 1023] log2
-        // bucket, reported by its inclusive bound.
-        assert_eq!(snap.class_duration_ns[3].buckets, vec![(1023, 7)]);
         let b = snap.class_busy_seconds();
         assert!(b.gemm > 0.0 && b.total() > 0.0);
-    }
-
-    #[test]
-    fn bucket_bounds_cover_u64() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(u64::MAX), 64);
-        assert_eq!(bucket_bound(0), 0);
-        assert_eq!(bucket_bound(1), 1);
-        assert_eq!(bucket_bound(2), 3);
-        assert_eq!(bucket_bound(64), u64::MAX);
-        // Every value lands in a bucket whose bound is >= the value.
-        for v in [0u64, 1, 7, 1000, 1 << 40, u64::MAX] {
-            assert!(bucket_bound(bucket_of(v)) >= v, "{v}");
-        }
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative() {
-        let reg = Registry::new(1);
-        reg.record_class_ns(0, TaskClass::Gemm, 10);
-        reg.record_class_ns(0, TaskClass::Gemm, 1000);
-        reg.record_class_ns(0, TaskClass::Gemm, 1_000_000);
-        let mut prom = String::new();
-        reg.snapshot().write_prometheus(&mut prom);
-        assert!(prom.contains("tlr_task_duration_seconds_bucket{class=\"gemm\",le=\"+Inf\"} 3"));
-        assert!(prom.contains("tlr_task_duration_seconds_count{class=\"gemm\"} 3"));
     }
 }

@@ -9,6 +9,7 @@
 //! [`load_imbalance`]), so a run's ledger and its trace agree bit for bit.
 
 use crate::graph::{DataRef, TaskClass, TaskId};
+use crate::obs::registry::{class_slot, NCLASSES};
 use serde::{Deserialize, Serialize};
 
 /// One executed task.
@@ -95,12 +96,6 @@ impl ClassBreakdown {
 }
 
 impl Trace {
-    /// Record one task execution with class/proc/times only (legacy shape;
-    /// task id defaults to 0, `queued` to `start`, no tile coordinates).
-    pub fn push(&mut self, class: TaskClass, proc: usize, start: f64, end: f64) {
-        self.records.push(TaskRecord { task: 0, class, proc, data: None, queued: start, start, end });
-    }
-
     /// Record one fully-described task execution.
     pub fn push_record(&mut self, rec: TaskRecord) {
         self.records.push(rec);
@@ -160,19 +155,13 @@ impl Trace {
             return String::new();
         }
         // busy[proc][bin][class] = seconds
-        let mut busy = vec![vec![[0.0_f64; 5]; width]; nprocs];
+        let mut busy = vec![vec![[0.0_f64; NCLASSES]; width]; nprocs];
         let bin_w = makespan / width as f64;
         for r in &self.records {
             if r.proc >= nprocs || r.end <= r.start {
                 continue;
             }
-            let cls = match r.class {
-                TaskClass::Potrf => 0,
-                TaskClass::Trsm => 1,
-                TaskClass::Syrk => 2,
-                TaskClass::Gemm => 3,
-                TaskClass::Other => 4,
-            };
+            let cls = class_slot(r.class);
             let b0 = ((r.start / bin_w) as usize).min(width - 1);
             let b1 = ((r.end / bin_w) as usize).min(width - 1);
             for (b, bin) in busy[r.proc].iter_mut().enumerate().take(b1 + 1).skip(b0) {
@@ -226,12 +215,18 @@ pub fn load_imbalance(busy: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A record with class, process and times only: task 0, no tile, no
+    /// queue wait.
+    fn span(class: TaskClass, proc: usize, start: f64, end: f64) -> TaskRecord {
+        TaskRecord { task: 0, class, proc, data: None, queued: start, start, end }
+    }
+
     #[test]
     fn makespan_and_breakdown() {
         let mut t = Trace::default();
-        t.push(TaskClass::Potrf, 0, 0.0, 1.0);
-        t.push(TaskClass::Gemm, 1, 0.5, 3.0);
-        t.push(TaskClass::Gemm, 0, 1.0, 2.0);
+        t.push_record(span(TaskClass::Potrf, 0, 0.0, 1.0));
+        t.push_record(span(TaskClass::Gemm, 1, 0.5, 3.0));
+        t.push_record(span(TaskClass::Gemm, 0, 1.0, 2.0));
         assert_eq!(t.makespan(), 3.0);
         let b = t.breakdown();
         assert_eq!(b.potrf, 1.0);
@@ -242,22 +237,22 @@ mod tests {
     #[test]
     fn imbalance_detects_skew() {
         let mut t = Trace::default();
-        t.push(TaskClass::Gemm, 0, 0.0, 10.0);
-        t.push(TaskClass::Gemm, 1, 0.0, 2.0);
+        t.push_record(span(TaskClass::Gemm, 0, 0.0, 10.0));
+        t.push_record(span(TaskClass::Gemm, 1, 0.0, 2.0));
         let li = t.load_imbalance(2);
         assert!((li - 10.0 / 6.0).abs() < 1e-12);
         // Balanced case
         let mut t2 = Trace::default();
-        t2.push(TaskClass::Gemm, 0, 0.0, 5.0);
-        t2.push(TaskClass::Gemm, 1, 1.0, 6.0);
+        t2.push_record(span(TaskClass::Gemm, 0, 0.0, 5.0));
+        t2.push_record(span(TaskClass::Gemm, 1, 1.0, 6.0));
         assert!((t2.load_imbalance(2) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn gantt_renders_classes_and_idle() {
         let mut t = Trace::default();
-        t.push(TaskClass::Potrf, 0, 0.0, 5.0);
-        t.push(TaskClass::Gemm, 1, 5.0, 10.0);
+        t.push_record(span(TaskClass::Potrf, 0, 0.0, 5.0));
+        t.push_record(span(TaskClass::Gemm, 1, 5.0, 10.0));
         let g = t.gantt(2, 10);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -292,8 +287,8 @@ mod tests {
         // Crash re-execution can retire a record with end < start; it must
         // count as zero-length, not subtract busy time.
         let mut t = Trace::default();
-        t.push(TaskClass::Gemm, 0, 2.0, 1.0);
-        t.push(TaskClass::Gemm, 0, 0.0, 3.0);
+        t.push_record(span(TaskClass::Gemm, 0, 2.0, 1.0));
+        t.push_record(span(TaskClass::Gemm, 0, 0.0, 3.0));
         let b = t.breakdown();
         assert_eq!(b.gemm, 3.0);
         assert_eq!(t.busy_per_proc(1)[0], 3.0);
@@ -305,8 +300,8 @@ mod tests {
     #[test]
     fn idle_fraction_in_unit_interval() {
         let mut t = Trace::default();
-        t.push(TaskClass::Potrf, 0, 0.0, 4.0);
-        t.push(TaskClass::Gemm, 1, 0.0, 1.0);
+        t.push_record(span(TaskClass::Potrf, 0, 0.0, 4.0));
+        t.push_record(span(TaskClass::Gemm, 1, 0.0, 1.0));
         let idle = t.idle_fraction(3);
         assert_eq!(idle.len(), 3);
         assert!((idle[0] - 0.0).abs() < 1e-12);
@@ -329,8 +324,8 @@ mod tests {
             start: 1.5,
             end: 2.5,
         });
-        // Legacy push: queued == start, so no wait.
-        t.push(TaskClass::Gemm, 0, 3.0, 4.0);
+        // queued == start: no wait.
+        t.push_record(span(TaskClass::Gemm, 0, 3.0, 4.0));
         assert!((t.total_queue_wait() - 0.5).abs() < 1e-12);
     }
 }

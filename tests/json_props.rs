@@ -2,7 +2,10 @@
 //! (`runtime::obs::json`): every metrics dump, Chrome trace, drift
 //! report and bench-history row goes through this writer/parser pair,
 //! so `parse(v.to_string()) == v` has to hold across escapes, unicode,
-//! deep nesting and the awkward corners of f64 formatting.
+//! deep nesting and the awkward corners of f64 formatting. The same
+//! trees check the Prometheus rendering (`Json::to_prometheus`): one
+//! sample per finite number or boolean, one `# TYPE` line per name
+//! ahead of its samples, and only valid metric names.
 //!
 //! The offline proptest shim has integer-range strategies only, so the
 //! structured values are grown from a seeded SplitMix64 stream — the
@@ -93,8 +96,70 @@ fn seeded_json(state: &mut u64, depth: usize) -> Json {
     }
 }
 
+/// The same tree with about a third of its numbers made non-finite.
+fn poisoned(v: Json, state: &mut u64) -> Json {
+    match v {
+        Json::Num(_) if next(state).is_multiple_of(3) => {
+            Json::Num([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(next(state) % 3) as usize])
+        }
+        Json::Arr(items) => Json::Arr(items.into_iter().map(|v| poisoned(v, state)).collect()),
+        Json::Obj(fields) => {
+            Json::Obj(fields.into_iter().map(|(k, v)| (k, poisoned(v, state))).collect())
+        }
+        leaf => leaf,
+    }
+}
+
+/// Finite numbers and booleans in a tree: the leaves Prometheus prints.
+fn sampled_leaves(v: &Json) -> usize {
+    match v {
+        Json::Bool(_) => 1,
+        Json::Num(x) => usize::from(x.is_finite()),
+        Json::Null | Json::Str(_) => 0,
+        Json::Arr(items) => items.iter().map(sampled_leaves).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| sampled_leaves(v)).sum(),
+    }
+}
+
+/// `[a-zA-Z_][a-zA-Z0-9_]*`
+fn is_metric_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The Prometheus rendering prints one sample per finite number or
+    /// boolean leaf and nothing for strings, nulls and non-finite
+    /// numbers; each name gets one `# TYPE` line, right before its
+    /// samples, and every name is a valid metric name.
+    #[test]
+    fn prometheus_samples_the_numeric_leaves(seed in 0u64..1_000_000) {
+        let mut state = seed ^ 0x5eed_0f9a;
+        let v = seeded_json(&mut state, 4);
+        let v = poisoned(v, &mut state);
+        let text = v.to_prometheus();
+        let mut typed: Vec<&str> = Vec::new();
+        let mut samples = 0;
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.strip_suffix(" gauge").expect("every sample is a gauge");
+                prop_assert!(is_metric_name(name), "seed {}: name `{}`", seed, name);
+                prop_assert!(!typed.contains(&name), "seed {}: second TYPE for {}", seed, name);
+                typed.push(name);
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').expect("`series value`");
+            let name = series.split('{').next().unwrap();
+            prop_assert_eq!(Some(&name), typed.last(), "seed {}: {} outside its family", seed, line);
+            let x = value.parse::<f64>();
+            prop_assert!(x.is_ok_and(f64::is_finite), "seed {}: value `{}`", seed, value);
+            samples += 1;
+        }
+        prop_assert_eq!(samples, sampled_leaves(&v), "seed {}: {}", seed, text);
+    }
 
     /// Writer → parser is the identity on finite-valued trees. f64
     /// equality is exact: `Display` prints the shortest round-trip
@@ -145,6 +210,27 @@ fn non_finite_numbers_serialize_as_null() {
         assert_eq!(text, "null");
         assert_eq!(Json::parse(&text).unwrap(), Json::Null);
     }
+}
+
+#[test]
+fn prometheus_prints_nothing_for_strings_nulls_and_non_finite_numbers() {
+    let v = Json::Obj(vec![
+        ("s".to_string(), Json::Str("1".to_string())),
+        ("n".to_string(), Json::Null),
+        ("x".to_string(), Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)])),
+    ]);
+    assert_eq!(v.to_prometheus(), "");
+}
+
+#[test]
+fn prometheus_names_paths_and_labels_positions() {
+    let v = Json::parse(r#"{"a":{"b-c":1.5,"d":true},"e":[[2],[3,false]],"f":[{"g":4}]}"#).unwrap();
+    let want = "# TYPE tlr_a_b_c gauge\ntlr_a_b_c 1.5\n\
+                # TYPE tlr_a_d gauge\ntlr_a_d 1\n\
+                # TYPE tlr_e gauge\n\
+                tlr_e{i=\"0\",j=\"0\"} 2\ntlr_e{i=\"1\",j=\"0\"} 3\ntlr_e{i=\"1\",j=\"1\"} 0\n\
+                # TYPE tlr_f_g gauge\ntlr_f_g{i=\"0\"} 4\n";
+    assert_eq!(v.to_prometheus(), want);
 }
 
 #[test]

@@ -123,9 +123,18 @@ proptest! {
 /// instead of subtracting busy time or producing idle fractions > 1.
 #[test]
 fn reversed_span_is_clamped_not_subtracted() {
+    let span = |task, start, end| TaskRecord {
+        task,
+        class: TaskClass::Gemm,
+        proc: 0,
+        data: None,
+        queued: start,
+        start,
+        end,
+    };
     let mut trace = Trace::default();
-    trace.push(TaskClass::Gemm, 0, 5.0, 2.0); // reversed
-    trace.push(TaskClass::Gemm, 0, 2.0, 3.0); // normal
+    trace.push_record(span(0, 5.0, 2.0)); // reversed
+    trace.push_record(span(1, 2.0, 3.0)); // normal
     assert_eq!(trace.records[0].duration(), 0.0);
     assert_eq!(trace.breakdown().total(), 1.0);
     assert_eq!(trace.makespan(), 3.0, "makespan is the maximum end time");
@@ -404,9 +413,10 @@ fn run_report_round_trips_for_distributed_and_service_runs() {
         assert!(doc.get(key).is_some(), "distributed FT run reports `{key}`");
     }
     let prom = out.to_prometheus();
-    assert!(prom.contains("tlr_crashes_total 1") && prom.contains("tlr_drift_ratio"), "{prom}");
+    assert!(prom.contains("\ntlr_registry_counters_crashes 1\n"), "{prom}");
+    assert!(prom.contains("\ntlr_drift_classes_ratio{i=\"3\"} "), "{prom}");
     let comm = out.comm.expect("distributed runs count communication");
-    assert!(prom.contains(&format!("tlr_run_comm_messages {}", comm.messages)), "{prom}");
+    assert!(prom.contains(&format!("\ntlr_comm_messages {}\n", comm.messages)), "{prom}");
     assert!(out.to_string().contains("faults: 1 crashes"), "{out}");
 
     let service = SolveService::new(2);
@@ -424,6 +434,80 @@ fn run_report_round_trips_for_distributed_and_service_runs() {
         .and_then(Json::as_f64);
     assert_eq!(misses, Some(1.0), "the service's cache activity lands in the report");
     assert!(doc.get("comm").is_none() && doc.get("faults").is_none());
+}
+
+/// The finite numeric and boolean leaves of a report, each keyed by the
+/// series that names it in Prometheus text: the object keys joined with
+/// `_` under `tlr`, and the position in each enclosing array as a label
+/// (`i`, then `j`).
+fn report_leaves(v: &Json, name: &str, labels: &[String], out: &mut Vec<(String, u64)>) {
+    let series = || match labels {
+        [] => name.to_string(),
+        _ => format!("{name}{{{}}}", labels.join(",")),
+    };
+    match v {
+        Json::Null | Json::Str(_) => {}
+        Json::Bool(b) => out.push((series(), f64::from(u8::from(*b)).to_bits())),
+        Json::Num(x) if x.is_finite() => out.push((series(), x.to_bits())),
+        Json::Num(_) => {}
+        Json::Arr(items) => {
+            let axis = ["i", "j"][labels.len()];
+            for (n, it) in items.iter().enumerate() {
+                let inner = [labels, &[format!("{axis}=\"{n}\"")]].concat();
+                report_leaves(it, name, &inner, out);
+            }
+        }
+        Json::Obj(fields) => {
+            for (k, it) in fields {
+                assert!(k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'), "{k}");
+                report_leaves(it, &format!("{name}_{k}"), labels, out);
+            }
+        }
+    }
+}
+
+/// Prometheus is a view of the report's JSON: its samples are exactly
+/// the finite numeric and boolean leaves of `to_json()` — same count,
+/// same series, and each printed value parses back to its leaf's bits —
+/// on a traced 4-rank distributed run that survives a crash and on a
+/// traced shared run, both with a drift report.
+#[test]
+fn prometheus_samples_are_the_reports_numeric_leaves() {
+    let mut fcfg = FactorConfig::with_accuracy(1e-6);
+    fcfg.collect_trace = true;
+    let dist = DiamondDistribution::new(4);
+    let ft = FaultPlan::new(9).with_crash(1, 10.0);
+    let distributed = Session::distributed(fcfg, 4, &dist)
+        .with_fault_layer(&ft)
+        .with_drift(MachineModel::shaheen_ii())
+        .run(&mut rbf_matrix())
+        .expect("one crash among four ranks is survivable");
+    assert_eq!(distributed.registry.as_ref().map(|r| r.counter(Counter::Crashes)), Some(1));
+    let shared = Session::shared(fcfg)
+        .with_drift(MachineModel::shaheen_ii())
+        .run(&mut rbf_matrix())
+        .expect("RBF operator is SPD");
+    for out in [distributed, shared] {
+        let doc = out.to_json();
+        for key in ["trace_summary", "rank_evolution", "registry", "drift"] {
+            assert!(doc.get(key).is_some(), "the run reports `{key}`");
+        }
+        let mut want = Vec::new();
+        report_leaves(&doc, "tlr", &[], &mut want);
+        let prom = out.to_prometheus();
+        let mut got: Vec<(String, u64)> = prom
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let (series, value) = l.rsplit_once(' ').expect("`series value`");
+                (series.to_string(), value.parse::<f64>().expect("a number").to_bits())
+            })
+            .collect();
+        assert_eq!(got.len(), want.len(), "one sample per leaf");
+        want.sort();
+        got.sort();
+        assert_eq!(got, want);
+    }
 }
 
 /// Counts what the engine reports and checks every span is ordered on
@@ -483,9 +567,9 @@ fn engine_reports_each_task_once_to_every_sink() {
 
 /// A plain default-config run — no trace, nothing opted into — still
 /// reports what the kernel workspaces saw: the rank log's exact
-/// per-rank histogram (also the Prometheus rank histogram, power-of-two
-/// buckets up to the tile size) and the registry's arena growth count. The drift
-/// report prices every class the DAG has.
+/// per-rank histogram (the report's `rank_evolution.histogram`, one
+/// Prometheus sample per rank) and the registry's arena growth count.
+/// The drift report prices every class the DAG has.
 #[test]
 fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
     let mut a = rbf_matrix();
@@ -499,16 +583,17 @@ fn default_rbf_run_reports_rank_histogram_growth_and_drift_profile() {
     assert_eq!(log.histogram().iter().sum::<u64>(), log.events());
     let snap = out.registry.as_ref().expect("the registry is a sink of every run");
     assert!(snap.counter(Counter::WorkspaceGrowth) > 0, "arenas grow during warm-up");
-    let prom = out.to_prometheus();
-    let count = format!("tlr_recompression_rank_count {}", log.events());
-    let top = format!("tlr_recompression_rank_bucket{{le=\"128\"}} {}", log.events());
-    assert!(prom.contains(&count) && prom.contains(&top), "{prom}");
-    let bound = log.max_out().next_power_of_two() / 2;
-    let le = format!("tlr_recompression_rank_bucket{{le=\"{bound}\"}} ");
-    let line = prom.lines().find(|l| l.starts_with(&le)).expect("one bucket per power of two");
-    let below: u64 = log.histogram()[..=bound].iter().sum();
-    assert_eq!(line[le.len()..].parse::<u64>().unwrap(), below, "{line}");
-    assert_eq!(prom.matches("tlr_recompression_rank_bucket{le=").count(), 10, "0, 1, 2, …, 128, +Inf");
+    let doc = out.to_json();
+    let hist = doc.get("rank_evolution").and_then(|e| e.get("histogram")).and_then(Json::as_arr);
+    let hist: Vec<u64> = hist
+        .expect("the report keeps the rank histogram")
+        .iter()
+        .map(|n| n.as_f64().expect("counts are numbers") as u64)
+        .collect();
+    assert_eq!(hist, log.histogram(), "the exact count of each kept rank");
+    let (top, n) = (log.max_out(), log.histogram()[log.max_out()]);
+    let line = format!("\ntlr_rank_evolution_histogram{{i=\"{top}\"}} {n}\n");
+    assert!(out.to_prometheus().contains(&line), "{line}");
     let drift = out.drift.expect("drift spec + default metrics => report");
     for c in drift.classes.iter().filter(|c| c.modeled_tasks > 0) {
         assert!(c.modeled_seconds > 0.0, "{}: every task has a price", c.class);
@@ -598,8 +683,8 @@ fn default_shared_run_populates_the_registry() {
     let j = snap.to_json().to_string();
     assert!(j.contains("tasks_executed"), "{j}");
     let prom = out.to_prometheus();
-    assert!(prom.contains("tlr_tasks_executed_total"), "{prom}");
-    assert!(prom.contains("tlr_run_factorization_seconds"), "{prom}");
+    assert!(prom.contains(&format!("\ntlr_registry_counters_tasks_executed {executed}\n")));
+    assert!(prom.contains("\ntlr_report_factorization_s "), "{prom}");
 }
 
 /// Acceptance: a drift report on a distributed run prices the executed
@@ -617,6 +702,7 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
         .with_drift(MachineModel::shaheen_ii())
         .run(&mut m)
         .expect("SPD");
+    let prom = out.to_prometheus();
     let drift = out.drift.expect("drift spec + default metrics => report");
 
     for c in &drift.classes {
@@ -632,11 +718,12 @@ fn drift_report_compares_model_to_measured_comm_exactly() {
     assert_eq!(comm.messages_ratio, 1.0);
     assert!(!comm.anomalous);
 
-    // The report serializes to both export formats.
+    // The report serializes to JSON, and the run report's Prometheus
+    // rendering carries its ratios.
     let j = drift.to_json().to_string();
     assert!(j.contains("bytes_ratio") && j.contains("modeled_seconds"), "{j}");
-    let prom = drift.to_prometheus();
-    assert!(prom.contains("tlr_drift_ratio"), "{prom}");
+    assert!(prom.contains("\ntlr_drift_classes_ratio{i=\"3\"} "), "{prom}");
+    assert!(prom.contains("\ntlr_drift_comm_bytes_ratio 1\n"), "{prom}");
     let table = drift.to_string();
     assert!(table.contains("gemm"), "{table}");
 }
